@@ -6,10 +6,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use sb_kernel::{boot, KernelConfig};
-use sb_vmm::ctx::KResult;
+use sb_vmm::exec::job;
 use sb_vmm::mem::GuestMem;
 use sb_vmm::sched::FreeRun;
-use sb_vmm::{site, Ctx, Executor};
+use sb_vmm::{site, Executor};
 
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
@@ -22,10 +22,10 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let r = exec.run(
                 mem.clone(),
-                vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
+                vec![job(move |ctx| async move {
                     for i in 0..500u64 {
-                        ctx.write_u64(site!("bench:w"), cell, i)?;
-                        ctx.read_u64(site!("bench:r"), cell)?;
+                        ctx.write_u64(site!("bench:w"), cell, i).await?;
+                        ctx.read_u64(site!("bench:r"), cell).await?;
                     }
                     Ok(())
                 })],
@@ -49,9 +49,17 @@ fn bench_engine(c: &mut Criterion) {
         use sb_kernel::{Program, Syscall};
         let booted = boot(KernelConfig::v5_12_rc3());
         let prog = Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 1 },
-            Syscall::Sendmsg { sock: Res(0), len: 2 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 1,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 2,
+            },
         ]);
         let mut exec = Executor::new(2);
         let mut seed = 0u64;

@@ -458,14 +458,15 @@ fn hunt_trace_round_trips_through_trace_report() {
 /// Spawns `hunt serve` on an ephemeral port with `extra` hunt flags and
 /// returns the child plus the address it actually bound (parsed from the
 /// `[fleet] listening on ...` stderr line). A thread keeps draining stderr
-/// into a buffer so the child can never block on a full pipe.
+/// so the child can never block on a full pipe; joining it after the child
+/// exits yields everything the child wrote after that line.
 fn spawn_serve(
     tail: &[String],
     extra: &[&str],
 ) -> (
     std::process::Child,
     String,
-    std::sync::Arc<std::sync::Mutex<String>>,
+    std::thread::JoinHandle<String>,
 ) {
     use std::io::BufRead;
     let mut child = bin()
@@ -487,15 +488,13 @@ fn spawn_serve(
         line.clear();
     }
     let addr = addr.expect("serve never printed its listen address");
-    let buf = std::sync::Arc::new(std::sync::Mutex::new(String::new()));
-    let drain = buf.clone();
-    std::thread::spawn(move || {
+    let drain = std::thread::spawn(move || {
         use std::io::Read;
         let mut rest = String::new();
         let _ = reader.read_to_string(&mut rest);
-        drain.lock().unwrap().push_str(&rest);
+        rest
     });
-    (child, addr, buf)
+    (child, addr, drain)
 }
 
 /// The hunt flags shared by the coordinator and its workers; the campaign
@@ -532,9 +531,9 @@ fn fleet_hunt_matches_the_in_process_run_bit_for_bit() {
         );
     }
     let out = serve.wait_with_output().expect("await serve");
-    assert!(out.status.success(), "serve failed: {}", serve_err.lock().unwrap());
+    let err = serve_err.join().expect("stderr drain thread");
+    assert!(out.status.success(), "serve failed: {err}");
     assert_eq!(stdout(&clean), stdout(&out), "fleet report diverged from the clean run");
-    let err = serve_err.lock().unwrap();
     assert!(err.contains("[fleet]"), "missing fleet summary: {err}");
     no_orphans("17", "join");
 }

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use sb_vmm::ctx::{Ctx, Fault, KResult};
-use sb_vmm::exec::{Executor, Job};
+use sb_vmm::exec::{job, Executor, Job};
 use sb_vmm::mem::GuestMem;
 use sb_vmm::sched::FreeRun;
 use sb_vmm::site;
@@ -131,6 +131,11 @@ impl Symbols {
             .unwrap_or_else(|| panic!("unknown kernel symbol {name}"))
     }
 
+    /// Every registered symbol with its address, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.map.iter().map(|(name, addr)| (*name, *addr))
+    }
+
     /// Number of registered symbols.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -163,36 +168,50 @@ impl Env<'_> {
     /// statistics counters — the mechanism behind planted bug #13: every
     /// test that allocates memory touches these unsynchronized counters.
     /// In builds without #13 the counters use marked (atomic) accesses.
-    pub fn kzalloc(&self, len: u64) -> KResult<u64> {
-        let addr = self.ctx.kmalloc(len)?;
+    pub async fn kzalloc(&self, len: u64) -> KResult<u64> {
+        let addr = self.ctx.kmalloc(len).await?;
         let stat = self.sym("slab.alloc_count");
         if self.config.has_bug(13) {
-            let v = self.ctx.read_u64(site!("cache_alloc_refill:stat_read"), stat)?;
+            let v = self
+                .ctx
+                .read_u64(site!("cache_alloc_refill:stat_read"), stat)
+                .await?;
             self.ctx
-                .write_u64(site!("cache_alloc_refill:stat_write"), stat, v + 1)?;
+                .write_u64(site!("cache_alloc_refill:stat_write"), stat, v + 1)
+                .await?;
         } else {
             let v = self
                 .ctx
-                .read_atomic(site!("cache_alloc_refill:stat_read"), stat, 8)?;
+                .read_atomic(site!("cache_alloc_refill:stat_read"), stat, 8)
+                .await?;
             self.ctx
-                .write_atomic(site!("cache_alloc_refill:stat_write"), stat, 8, v + 1)?;
+                .write_atomic(site!("cache_alloc_refill:stat_write"), stat, 8, v + 1)
+                .await?;
         }
         Ok(addr)
     }
 
     /// Frees a kernel object, bumping the free-side statistics counter.
-    pub fn kfree(&self, addr: u64, len: u64) -> KResult<()> {
+    pub async fn kfree(&self, addr: u64, len: u64) -> KResult<()> {
         let stat = self.sym("slab.free_count");
         if self.config.has_bug(13) {
-            let v = self.ctx.read_u64(site!("free_block:stat_read"), stat)?;
+            let v = self
+                .ctx
+                .read_u64(site!("free_block:stat_read"), stat)
+                .await?;
             self.ctx
-                .write_u64(site!("free_block:stat_write"), stat, v + 1)?;
+                .write_u64(site!("free_block:stat_write"), stat, v + 1)
+                .await?;
         } else {
-            let v = self.ctx.read_atomic(site!("free_block:stat_read"), stat, 8)?;
+            let v = self
+                .ctx
+                .read_atomic(site!("free_block:stat_read"), stat, 8)
+                .await?;
             self.ctx
-                .write_atomic(site!("free_block:stat_write"), stat, 8, v + 1)?;
+                .write_atomic(site!("free_block:stat_write"), stat, 8, v + 1)
+                .await?;
         }
-        self.ctx.kfree(addr, len)
+        self.ctx.kfree(addr, len).await
     }
 }
 
@@ -281,13 +300,13 @@ pub struct Kernel {
 
 impl Kernel {
     /// Dispatches one syscall on behalf of process `proc`.
-    pub fn dispatch(&self, ctx: &Ctx, proc: &mut ProcState, call: &Syscall) -> KResult<u64> {
+    pub async fn dispatch(&self, ctx: &Ctx, proc: &mut ProcState, call: &Syscall) -> KResult<u64> {
         let env = Env {
             ctx,
             syms: &self.syms,
             config: self.config,
         };
-        subsys::dispatch(&env, proc, call)
+        subsys::dispatch(&env, proc, call).await
     }
 
     /// Builds an executor [`Job`] that runs `prog` as one user process.
@@ -306,10 +325,10 @@ impl Kernel {
         out: Arc<Mutex<Vec<u64>>>,
     ) -> Job {
         let kernel = Arc::clone(self);
-        Box::new(move |ctx: &Ctx| -> KResult<()> {
+        job(move |ctx| async move {
             let mut proc = ProcState::default();
             for call in &prog.calls {
-                match kernel.dispatch(ctx, &mut proc, call) {
+                match kernel.dispatch(&ctx, &mut proc, call).await {
                     Ok(v) => proc.regs.push(v),
                     Err(f) if f.is_fatal() => return Err(f),
                     Err(_) => proc.regs.push(EINVAL),
@@ -342,13 +361,13 @@ pub fn boot(config: KernelConfig) -> BootedKernel {
     let mut exec = Executor::new(1);
     let out: Arc<Mutex<Option<Symbols>>> = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
-    let job: Job = Box::new(move |ctx: &Ctx| -> KResult<()> {
+    let boot_job = job(move |ctx| async move {
         let mut syms = Symbols::default();
-        subsys::boot_all(ctx, &mut syms, config)?;
+        subsys::boot_all(&ctx, &mut syms, config).await?;
         *out2.lock().expect("boot symbol channel poisoned") = Some(syms);
         Ok(())
     });
-    let r = exec.run(GuestMem::new(), vec![job], &mut FreeRun);
+    let r = exec.run(GuestMem::new(), vec![boot_job], &mut FreeRun);
     assert!(
         r.report.outcome.is_completed(),
         "kernel boot failed: {:?} {:?}",
@@ -372,8 +391,9 @@ pub fn boot(config: KernelConfig) -> BootedKernel {
 
 /// Convenience fault constructor used by handlers that detect an impossible
 /// internal state.
-pub fn internal_bug(ctx: &Ctx, msg: &str) -> Fault {
+pub async fn internal_bug(ctx: &Ctx, msg: &str) -> Fault {
     ctx.oops(format!("BUG: simulated-kernel internal error: {msg}"))
+        .await
 }
 
 #[cfg(test)]

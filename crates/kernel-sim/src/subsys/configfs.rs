@@ -46,10 +46,10 @@ pub mod inner {
 }
 
 /// Boots configfs: the dirent table and the two locks.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let entries = env.kzalloc(u64::from(NUM_ITEMS) * dirent::STRIDE)?;
-    let subsys_mutex = env.kzalloc(8)?;
-    let dirent_lock = env.kzalloc(8)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let entries = env.kzalloc(u64::from(NUM_ITEMS) * dirent::STRIDE).await?;
+    let subsys_mutex = env.kzalloc(8).await?;
+    let dirent_lock = env.kzalloc(8).await?;
     Ok(vec![
         ("configfs.entries", entries),
         ("configfs.subsys_mutex", subsys_mutex),
@@ -63,91 +63,118 @@ fn entry_addr(env: &Env<'_>, i: u8) -> u64 {
 
 /// `mkdir` on a configfs directory: allocate the item and its inner object,
 /// then attach it to the dirent slot.
-pub fn configfs_mkdir(env: &Env<'_>, i: u8) -> KResult<u64> {
+pub async fn configfs_mkdir(env: &Env<'_>, i: u8) -> KResult<u64> {
     let mutex = env.sym("configfs.subsys_mutex");
-    env.ctx.with_lock(mutex, || {
-        let e = entry_addr(env, i);
-        let existing = env.ctx.read_u64(site!("configfs_mkdir:check"), e + dirent::ITEM)?;
-        if existing != 0 {
-            return Ok(EEXIST);
-        }
-        let it = env.kzalloc(item::SIZE)?;
-        let inn = env.kzalloc(inner::SIZE)?;
-        env.ctx
-            .write_u32(site!("configfs_mkdir:inner_ops"), inn + inner::OPS, 0xC0F5)?;
-        env.ctx
-            .write_u32(site!("configfs_mkdir:magic"), it + item::MAGIC, 0xC0)?;
-        env.ctx
-            .write_u64(site!("configfs_mkdir:inner"), it + item::INNER, inn)?;
-        let dl = env.sym("configfs.dirent_lock");
-        env.ctx.with_lock(dl, || {
+    env.ctx
+        .with_lock(mutex, async {
+            let e = entry_addr(env, i);
+            let existing = env
+                .ctx
+                .read_u64(site!("configfs_mkdir:check"), e + dirent::ITEM)
+                .await?;
+            if existing != 0 {
+                return Ok(EEXIST);
+            }
+            let it = env.kzalloc(item::SIZE).await?;
+            let inn = env.kzalloc(inner::SIZE).await?;
             env.ctx
-                .write_u64(site!("configfs_mkdir:attach"), e + dirent::ITEM, it)?;
+                .write_u32(site!("configfs_mkdir:inner_ops"), inn + inner::OPS, 0xC0F5)
+                .await?;
             env.ctx
-                .write_u32(site!("configfs_mkdir:state"), e + dirent::STATE, 1)?;
-            Ok(0)
+                .write_u32(site!("configfs_mkdir:magic"), it + item::MAGIC, 0xC0)
+                .await?;
+            env.ctx
+                .write_u64(site!("configfs_mkdir:inner"), it + item::INNER, inn)
+                .await?;
+            let dl = env.sym("configfs.dirent_lock");
+            env.ctx
+                .with_lock(dl, async {
+                    env.ctx
+                        .write_u64(site!("configfs_mkdir:attach"), e + dirent::ITEM, it)
+                        .await?;
+                    env.ctx
+                        .write_u32(site!("configfs_mkdir:state"), e + dirent::STATE, 1)
+                        .await?;
+                    Ok(0)
+                })
+                .await
         })
-    })
+        .await
 }
 
 /// `rmdir`: tear the item down — zero the inner pointer, detach the entry,
 /// free both objects.
-pub fn configfs_rmdir(env: &Env<'_>, i: u8) -> KResult<u64> {
+pub async fn configfs_rmdir(env: &Env<'_>, i: u8) -> KResult<u64> {
     let mutex = env.sym("configfs.subsys_mutex");
-    env.ctx.with_lock(mutex, || {
-        let e = entry_addr(env, i);
-        let it = env.ctx.read_u64(site!("configfs_detach:load"), e + dirent::ITEM)?;
-        if it == 0 {
-            return Ok(ENOENT);
-        }
-        let dl = env.sym("configfs.dirent_lock");
-        let inn = env.ctx.with_lock(dl, || {
+    env.ctx
+        .with_lock(mutex, async {
+            let e = entry_addr(env, i);
+            let it = env
+                .ctx
+                .read_u64(site!("configfs_detach:load"), e + dirent::ITEM)
+                .await?;
+            if it == 0 {
+                return Ok(ENOENT);
+            }
+            let dl = env.sym("configfs.dirent_lock");
             let inn = env
                 .ctx
-                .read_u64(site!("configfs_detach:inner_load"), it + item::INNER)?;
-            // Teardown order: the inner pointer is cleared while the entry
-            // is still reachable — the window the buggy lookup falls into.
-            env.ctx
-                .write_u64(site!("configfs_detach:zero_inner"), it + item::INNER, 0)?;
-            env.ctx
-                .write_u64(site!("configfs_detach:clear"), e + dirent::ITEM, 0)?;
-            env.ctx
-                .write_u32(site!("configfs_detach:state"), e + dirent::STATE, 0)?;
-            Ok(inn)
-        })?;
-        if inn != 0 {
-            env.kfree(inn, inner::SIZE)?;
-        }
-        env.kfree(it, item::SIZE)?;
-        Ok(0)
-    })
+                .with_lock(dl, async {
+                    let inn = env
+                        .ctx
+                        .read_u64(site!("configfs_detach:inner_load"), it + item::INNER)
+                        .await?;
+                    // Teardown order: the inner pointer is cleared while the entry
+                    // is still reachable — the window the buggy lookup falls into.
+                    env.ctx
+                        .write_u64(site!("configfs_detach:zero_inner"), it + item::INNER, 0)
+                        .await?;
+                    env.ctx
+                        .write_u64(site!("configfs_detach:clear"), e + dirent::ITEM, 0)
+                        .await?;
+                    env.ctx
+                        .write_u32(site!("configfs_detach:state"), e + dirent::STATE, 0)
+                        .await?;
+                    Ok(inn)
+                })
+                .await?;
+            if inn != 0 {
+                env.kfree(inn, inner::SIZE).await?;
+            }
+            env.kfree(it, item::SIZE).await?;
+            Ok(0)
+        })
+        .await
 }
 
 /// `configfs_lookup()` — the open path. Buggy builds read the entry and
 /// chase `item->inner` without the dirent lock; patched builds hold it.
-pub fn configfs_lookup(env: &Env<'_>, i: u8) -> KResult<u64> {
+pub async fn configfs_lookup(env: &Env<'_>, i: u8) -> KResult<u64> {
     let e = entry_addr(env, i);
     let buggy = env.config.has_bug(11);
     let dl = env.sym("configfs.dirent_lock");
     if !buggy {
-        env.ctx.lock(dl)?;
+        env.ctx.lock(dl).await?;
     }
     let it = env
         .ctx
-        .read_u64(site!("configfs_lookup:s_element"), e + dirent::ITEM)?;
+        .read_u64(site!("configfs_lookup:s_element"), e + dirent::ITEM)
+        .await?;
     let ret = if it == 0 {
         ENOENT
     } else {
         let inn = env
             .ctx
-            .read_u64(site!("configfs_lookup:inner"), it + item::INNER)?;
+            .read_u64(site!("configfs_lookup:inner"), it + item::INNER)
+            .await?;
         // Dereference the inner object's ops tag; a torn-down item has
         // inner == 0 and this faults — the paper's null-pointer oops.
         env.ctx
-            .read_u32(site!("configfs_lookup:use"), inn + inner::OPS)?
+            .read_u32(site!("configfs_lookup:use"), inn + inner::OPS)
+            .await?
     };
     if !buggy {
-        env.ctx.unlock(dl)?;
+        env.ctx.unlock(dl).await?;
     }
     Ok(ret)
 }
@@ -156,25 +183,26 @@ pub fn configfs_lookup(env: &Env<'_>, i: u8) -> KResult<u64> {
 mod tests {
     use super::*;
     use crate::{boot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor, ExecReport};
+    use sb_vmm::{ExecReport, Executor};
 
     fn seq_env_run(
         config: KernelConfig,
-        f: impl Fn(&Env<'_>) -> KResult<()> + Send + 'static,
+        f: impl AsyncFnOnce(&Env<'_>) -> KResult<()> + 'static,
     ) -> ExecReport {
         let booted = boot(config);
         let mut exec = Executor::new(1);
         let kernel = booted.kernel.clone();
         exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                f(&env)
+                f(&env).await
             })],
             &mut FreeRun,
         )
@@ -183,12 +211,12 @@ mod tests {
 
     #[test]
     fn mkdir_lookup_rmdir_cycle() {
-        let r = seq_env_run(KernelConfig::v5_12_rc3(), |env| {
-            assert_eq!(configfs_lookup(env, 0)?, ENOENT);
-            assert_eq!(configfs_mkdir(env, 0)?, 0);
-            assert_eq!(configfs_lookup(env, 0)?, 0xC0F5);
-            assert_eq!(configfs_rmdir(env, 0)?, 0);
-            assert_eq!(configfs_lookup(env, 0)?, ENOENT);
+        let r = seq_env_run(KernelConfig::v5_12_rc3(), async |env| {
+            assert_eq!(configfs_lookup(env, 0).await?, ENOENT);
+            assert_eq!(configfs_mkdir(env, 0).await?, 0);
+            assert_eq!(configfs_lookup(env, 0).await?, 0xC0F5);
+            assert_eq!(configfs_rmdir(env, 0).await?, 0);
+            assert_eq!(configfs_lookup(env, 0).await?, ENOENT);
             Ok(())
         });
         assert!(r.outcome.is_completed(), "{:?}", r.console);
@@ -196,9 +224,9 @@ mod tests {
 
     #[test]
     fn duplicate_mkdir_fails() {
-        let r = seq_env_run(KernelConfig::v5_12_rc3(), |env| {
-            assert_eq!(configfs_mkdir(env, 1)?, 0);
-            assert_eq!(configfs_mkdir(env, 1)?, EEXIST);
+        let r = seq_env_run(KernelConfig::v5_12_rc3(), async |env| {
+            assert_eq!(configfs_mkdir(env, 1).await?, 0);
+            assert_eq!(configfs_mkdir(env, 1).await?, EEXIST);
             Ok(())
         });
         assert!(r.outcome.is_completed());
@@ -206,8 +234,8 @@ mod tests {
 
     #[test]
     fn rmdir_of_absent_item_is_enoent() {
-        let r = seq_env_run(KernelConfig::v5_12_rc3(), |env| {
-            assert_eq!(configfs_rmdir(env, 2)?, ENOENT);
+        let r = seq_env_run(KernelConfig::v5_12_rc3(), async |env| {
+            assert_eq!(configfs_rmdir(env, 2).await?, ENOENT);
             Ok(())
         });
         assert!(r.outcome.is_completed());
@@ -216,9 +244,9 @@ mod tests {
     #[test]
     fn patched_lookup_holds_dirent_lock() {
         // Functional smoke for the fixed path.
-        let r = seq_env_run(KernelConfig::v5_12_rc3().patched(), |env| {
-            configfs_mkdir(env, 3)?;
-            assert_eq!(configfs_lookup(env, 3)?, 0xC0F5);
+        let r = seq_env_run(KernelConfig::v5_12_rc3().patched(), async |env| {
+            configfs_mkdir(env, 3).await?;
+            assert_eq!(configfs_lookup(env, 3).await?, 0xC0F5);
             Ok(())
         });
         assert!(r.outcome.is_completed());

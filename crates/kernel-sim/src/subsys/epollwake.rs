@@ -23,10 +23,10 @@ pub mod ep {
 }
 
 /// Boots the epoll subsystem: the eventpoll struct and its two locks.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let e = env.kzalloc(16)?;
-    let ep_lock = env.kzalloc(8)?;
-    let wq_lock = env.kzalloc(8)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let e = env.kzalloc(16).await?;
+    let ep_lock = env.kzalloc(8).await?;
+    let wq_lock = env.kzalloc(8).await?;
     Ok(vec![
         ("epollwake.ep", e),
         ("epollwake.ep_lock", ep_lock),
@@ -36,26 +36,38 @@ pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 
 /// `epoll_ctl(EPOLL_CTL_ADD)`: registers an item and publishes it on the
 /// ready list. Lock order: `ep_lock` → `wq_lock`.
-pub fn ep_insert(env: &Env<'_>, _slot: u64) -> KResult<u64> {
+pub async fn ep_insert(env: &Env<'_>, _slot: u64) -> KResult<u64> {
     let e = env.sym("epollwake.ep");
     let ep_lock = env.sym("epollwake.ep_lock");
     let wq_lock = env.sym("epollwake.wq_lock");
-    env.ctx.lock_at(site!("ep_insert:ep_lock"), ep_lock)?;
-    let n = env.ctx.read_u32(site!("ep_insert:nitems"), e + ep::ITEMS)?;
+    env.ctx.lock_at(site!("ep_insert:ep_lock"), ep_lock).await?;
+    let n = env
+        .ctx
+        .read_u32(site!("ep_insert:nitems"), e + ep::ITEMS)
+        .await?;
     env.ctx
-        .write_u32(site!("ep_insert:nitems"), e + ep::ITEMS, n + 1)?;
-    env.ctx.lock_at(site!("ep_insert:wq_lock"), wq_lock)?;
-    let r = env.ctx.read_u32(site!("ep_insert:ready"), e + ep::READY)?;
+        .write_u32(site!("ep_insert:nitems"), e + ep::ITEMS, n + 1)
+        .await?;
+    env.ctx.lock_at(site!("ep_insert:wq_lock"), wq_lock).await?;
+    let r = env
+        .ctx
+        .read_u32(site!("ep_insert:ready"), e + ep::READY)
+        .await?;
     env.ctx
-        .write_u32(site!("ep_insert:ready"), e + ep::READY, r + 1)?;
-    env.ctx.unlock_at(site!("ep_insert:wq_lock"), wq_lock)?;
-    env.ctx.unlock_at(site!("ep_insert:ep_lock"), ep_lock)?;
+        .write_u32(site!("ep_insert:ready"), e + ep::READY, r + 1)
+        .await?;
+    env.ctx
+        .unlock_at(site!("ep_insert:wq_lock"), wq_lock)
+        .await?;
+    env.ctx
+        .unlock_at(site!("ep_insert:ep_lock"), ep_lock)
+        .await?;
     Ok(0)
 }
 
 /// The poll callback fired when an event source becomes ready (#19): buggy
 /// builds take `wq_lock` → `ep_lock`, inverting `ep_insert`'s order.
-pub fn ep_poll_callback(env: &Env<'_>, _slot: u64) -> KResult<u64> {
+pub async fn ep_poll_callback(env: &Env<'_>, _slot: u64) -> KResult<u64> {
     let e = env.sym("epollwake.ep");
     let ep_lock = env.sym("epollwake.ep_lock");
     let wq_lock = env.sym("epollwake.wq_lock");
@@ -74,13 +86,17 @@ pub fn ep_poll_callback(env: &Env<'_>, _slot: u64) -> KResult<u64> {
             site!("ep_poll_callback:wq_lock"),
         )
     };
-    env.ctx.lock_at(first_site, first)?;
-    env.ctx.lock_at(second_site, second)?;
-    let r = env.ctx.read_u32(site!("ep_poll_callback:ready"), e + ep::READY)?;
+    env.ctx.lock_at(first_site, first).await?;
+    env.ctx.lock_at(second_site, second).await?;
+    let r = env
+        .ctx
+        .read_u32(site!("ep_poll_callback:ready"), e + ep::READY)
+        .await?;
     env.ctx
-        .write_u32(site!("ep_poll_callback:ready"), e + ep::READY, r + 1)?;
-    env.ctx.unlock_at(second_site, second)?;
-    env.ctx.unlock_at(first_site, first)?;
+        .write_u32(site!("ep_poll_callback:ready"), e + ep::READY, r + 1)
+        .await?;
+    env.ctx.unlock_at(second_site, second).await?;
+    env.ctx.unlock_at(first_site, first).await?;
     Ok(0)
 }
 
@@ -88,27 +104,31 @@ pub fn ep_poll_callback(env: &Env<'_>, _slot: u64) -> KResult<u64> {
 mod tests {
     use super::*;
     use crate::{boot as kboot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor};
+    use sb_vmm::Executor;
 
     #[test]
     fn sequential_insert_and_callback_complete_in_both_builds() {
-        for config in [KernelConfig::v5_12_rc3(), KernelConfig::v5_12_rc3().patched()] {
+        for config in [
+            KernelConfig::v5_12_rc3(),
+            KernelConfig::v5_12_rc3().patched(),
+        ] {
             let booted = kboot(config);
             let mut exec = Executor::new(1);
             let kernel = booted.kernel.clone();
             let r = exec.run(
                 booted.snapshot.clone(),
-                vec![Box::new(move |ctx: &Ctx| {
+                vec![job(move |ctx| async move {
                     let env = Env {
-                        ctx,
+                        ctx: &ctx,
                         syms: &kernel.syms,
                         config: kernel.config,
                     };
-                    ep_insert(&env, 0)?;
-                    ep_poll_callback(&env, 0)?;
+                    ep_insert(&env, 0).await?;
+                    ep_poll_callback(&env, 0).await?;
                     let e = env.sym("epollwake.ep");
-                    let ready = env.ctx.read_u32(site!("test:ready"), e + ep::READY)?;
+                    let ready = env.ctx.read_u32(site!("test:ready"), e + ep::READY).await?;
                     assert_eq!(ready, 2);
                     Ok(())
                 })],

@@ -58,18 +58,25 @@ pub fn csum_of(i_blocks: u64) -> u64 {
 
 /// Boots ext4: four file inodes, the boot-loader inode, the superblock lock
 /// and a small journal area.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
     let mut out = Vec::new();
     for i in 0..=NUM_INODES {
-        let ino = env.kzalloc(inode::SIZE)?;
+        let ino = env.kzalloc(inode::SIZE).await?;
         env.ctx
-            .write(site!("ext4_boot:magic"), ino + inode::EH_MAGIC, 2, EXT4_EXT_MAGIC)?;
+            .write(
+                site!("ext4_boot:magic"),
+                ino + inode::EH_MAGIC,
+                2,
+                EXT4_EXT_MAGIC,
+            )
+            .await?;
         env.ctx
-            .write_u32(site!("ext4_boot:csum"), ino + inode::I_CHECKSUM, csum_of(0))?;
+            .write_u32(site!("ext4_boot:csum"), ino + inode::I_CHECKSUM, csum_of(0))
+            .await?;
         out.push((inode_symbol(i), ino));
     }
-    let sb_lock = env.kzalloc(8)?;
-    let journal = env.kzalloc(64)?;
+    let sb_lock = env.kzalloc(8).await?;
+    let journal = env.kzalloc(64).await?;
     out.push(("ext4.sb_lock", sb_lock));
     out.push(("ext4.journal", journal));
     Ok(out)
@@ -91,99 +98,153 @@ fn inode_addr(env: &Env<'_>, i: u8) -> u64 {
 }
 
 /// `open()` on an ext4 file: validate the superblock block size.
-pub fn ext4_file_open(env: &Env<'_>, ino: u8) -> KResult<u64> {
+pub async fn ext4_file_open(env: &Env<'_>, ino: u8) -> KResult<u64> {
     let bdev = env.sym("bdev.dev");
     let _bsz = env
         .ctx
-        .read_atomic(site!("ext4_iget:sb_read"), bdev + blkdev::bdev::S_BLOCKSIZE, 4)?;
+        .read_atomic(
+            site!("ext4_iget:sb_read"),
+            bdev + blkdev::bdev::S_BLOCKSIZE,
+            4,
+        )
+        .await?;
     let i = inode_addr(env, ino);
-    let _sz = env.ctx.read_u32(site!("ext4_iget:size"), i + inode::I_SIZE)?;
+    let _sz = env
+        .ctx
+        .read_u32(site!("ext4_iget:size"), i + inode::I_SIZE)
+        .await?;
     Ok(0)
 }
 
 /// `write()` on an ext4 file: extent insert + inode dirtying + block IO.
-pub fn ext4_file_write(env: &Env<'_>, ino: u8, off: u64, val: u64) -> KResult<u64> {
+pub async fn ext4_file_write(env: &Env<'_>, ino: u8, off: u64, val: u64) -> KResult<u64> {
     let i = inode_addr(env, ino);
     let lock = i + inode::LOCK;
-    env.ctx.lock(lock)?;
+    env.ctx.lock(lock).await?;
     // Inline data write.
     env.ctx
-        .write_u8(site!("ext4_ext_insert:data"), i + inode::DATA + off % 16, val & 0xff)?;
+        .write_u8(
+            site!("ext4_ext_insert:data"),
+            i + inode::DATA + off % 16,
+            val & 0xff,
+        )
+        .await?;
     // Extent-header update. Buggy builds clear the magic while rewriting
     // the header (a memmove of the header block), restoring it after.
     let e = env
         .ctx
-        .read_atomic(site!("ext4_ext_insert:entries_read"), i + inode::EH_ENTRIES, 2)?;
+        .read_atomic(
+            site!("ext4_ext_insert:entries_read"),
+            i + inode::EH_ENTRIES,
+            2,
+        )
+        .await?;
     if env.config.has_bug(3) {
         env.ctx
-            .write_atomic(site!("ext4_ext_insert:magic_clear"), i + inode::EH_MAGIC, 2, 0)?;
-        env.ctx.write_atomic(
-            site!("ext4_ext_insert:entries"),
-            i + inode::EH_ENTRIES,
-            2,
-            (e + 1) & 0xFFFF,
-        )?;
-        env.ctx.write_atomic(
-            site!("ext4_ext_insert:magic_restore"),
-            i + inode::EH_MAGIC,
-            2,
-            EXT4_EXT_MAGIC,
-        )?;
+            .write_atomic(
+                site!("ext4_ext_insert:magic_clear"),
+                i + inode::EH_MAGIC,
+                2,
+                0,
+            )
+            .await?;
+        env.ctx
+            .write_atomic(
+                site!("ext4_ext_insert:entries"),
+                i + inode::EH_ENTRIES,
+                2,
+                (e + 1) & 0xFFFF,
+            )
+            .await?;
+        env.ctx
+            .write_atomic(
+                site!("ext4_ext_insert:magic_restore"),
+                i + inode::EH_MAGIC,
+                2,
+                EXT4_EXT_MAGIC,
+            )
+            .await?;
     } else {
-        env.ctx.write_atomic(
-            site!("ext4_ext_insert:entries"),
-            i + inode::EH_ENTRIES,
-            2,
-            (e + 1) & 0xFFFF,
-        )?;
+        env.ctx
+            .write_atomic(
+                site!("ext4_ext_insert:entries"),
+                i + inode::EH_ENTRIES,
+                2,
+                (e + 1) & 0xFFFF,
+            )
+            .await?;
     }
     // ext4_mark_inode_dirty: bump i_blocks and recompute the checksum.
     let b = env
         .ctx
-        .read_atomic(site!("ext4_mark_inode_dirty:iblocks_read"), i + inode::I_BLOCKS, 4)?;
-    env.ctx.write_atomic(
-        site!("ext4_mark_inode_dirty:iblocks"),
-        i + inode::I_BLOCKS,
-        4,
-        (b + 1) & 0xFFFF_FFFF,
-    )?;
-    env.ctx.write_atomic(
-        site!("ext4_mark_inode_dirty:csum"),
-        i + inode::I_CHECKSUM,
-        4,
-        csum_of(b + 1),
-    )?;
-    let sz = env.ctx.read_u32(site!("ext4_file_write:size"), i + inode::I_SIZE)?;
+        .read_atomic(
+            site!("ext4_mark_inode_dirty:iblocks_read"),
+            i + inode::I_BLOCKS,
+            4,
+        )
+        .await?;
     env.ctx
-        .write_u32(site!("ext4_file_write:size"), i + inode::I_SIZE, sz.max(off % 16 + 1))?;
-    env.ctx.unlock(lock)?;
+        .write_atomic(
+            site!("ext4_mark_inode_dirty:iblocks"),
+            i + inode::I_BLOCKS,
+            4,
+            (b + 1) & 0xFFFF_FFFF,
+        )
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("ext4_mark_inode_dirty:csum"),
+            i + inode::I_CHECKSUM,
+            4,
+            csum_of(b + 1),
+        )
+        .await?;
+    let sz = env
+        .ctx
+        .read_u32(site!("ext4_file_write:size"), i + inode::I_SIZE)
+        .await?;
+    env.ctx
+        .write_u32(
+            site!("ext4_file_write:size"),
+            i + inode::I_SIZE,
+            sz.max(off % 16 + 1),
+        )
+        .await?;
+    env.ctx.unlock(lock).await?;
     // Submit the backing block IO (issue #4 lives in this path).
-    blkdev::submit_bh(env, off % 16)
+    blkdev::submit_bh(env, off % 16).await
 }
 
 /// `read()` on an ext4 file: extent check (#3 reader) + data read.
-pub fn ext4_file_read(env: &Env<'_>, ino: u8, off: u64) -> KResult<u64> {
+pub async fn ext4_file_read(env: &Env<'_>, ino: u8, off: u64) -> KResult<u64> {
     let i = inode_addr(env, ino);
     // ext4_ext_check_inode on the lockless read path.
     let m = env
         .ctx
-        .read_atomic(site!("ext4_ext_check_inode:magic"), i + inode::EH_MAGIC, 2)?;
+        .read_atomic(site!("ext4_ext_check_inode:magic"), i + inode::EH_MAGIC, 2)
+        .await?;
     if m != EXT4_EXT_MAGIC {
         env.ctx.printk(format!(
             "EXT4-fs error (device sda): ext4_ext_check_inode: inode #{ino}: bad header/extent: invalid magic - magic {m:x}"
-        ))?;
+        )).await?;
         return Ok(EIO);
     }
     let _e = env
         .ctx
-        .read_atomic(site!("ext4_ext_check_inode:entries"), i + inode::EH_ENTRIES, 2)?;
+        .read_atomic(
+            site!("ext4_ext_check_inode:entries"),
+            i + inode::EH_ENTRIES,
+            2,
+        )
+        .await?;
     env.ctx
         .read_u8(site!("ext4_file_read:data"), i + inode::DATA + off % 16)
+        .await
 }
 
 /// `EXT4_IOC_SWAP_BOOT`: swap `ino`'s blocks with the boot-loader inode,
 /// recompute the checksum, and verify (#2).
-pub fn swap_inode_boot_loader(env: &Env<'_>, ino: u8) -> KResult<u64> {
+pub async fn swap_inode_boot_loader(env: &Env<'_>, ino: u8) -> KResult<u64> {
     let i = inode_addr(env, ino);
     let boot = env.sym("ext4.boot_inode");
     if i == boot {
@@ -194,104 +255,172 @@ pub fn swap_inode_boot_loader(env: &Env<'_>, ino: u8) -> KResult<u64> {
     // buggy build performs the sequence with no lock at all, so concurrent
     // writers interleave between the checksum computation and the verify.
     if !buggy {
-        env.ctx.lock(i + inode::LOCK)?;
-        env.ctx.lock(boot + inode::LOCK)?;
+        env.ctx.lock(i + inode::LOCK).await?;
+        env.ctx.lock(boot + inode::LOCK).await?;
     }
     let b1 = env
         .ctx
-        .read_atomic(site!("swap_inode_boot_loader:blocks1"), i + inode::I_BLOCKS, 4)?;
+        .read_atomic(
+            site!("swap_inode_boot_loader:blocks1"),
+            i + inode::I_BLOCKS,
+            4,
+        )
+        .await?;
     let b2 = env
         .ctx
-        .read_atomic(site!("swap_inode_boot_loader:blocks2"), boot + inode::I_BLOCKS, 4)?;
-    env.ctx.write_atomic(
-        site!("swap_inode_boot_loader:store1"),
-        i + inode::I_BLOCKS,
-        4,
-        b2,
-    )?;
-    env.ctx.write_atomic(
-        site!("swap_inode_boot_loader:store2"),
-        boot + inode::I_BLOCKS,
-        4,
-        b1,
-    )?;
-    env.ctx.write_atomic(
-        site!("swap_inode_boot_loader:csum"),
-        i + inode::I_CHECKSUM,
-        4,
-        csum_of(b2),
-    )?;
-    env.ctx.write_atomic(
-        site!("swap_inode_boot_loader:csum_boot"),
-        boot + inode::I_CHECKSUM,
-        4,
-        csum_of(b1),
-    )?;
+        .read_atomic(
+            site!("swap_inode_boot_loader:blocks2"),
+            boot + inode::I_BLOCKS,
+            4,
+        )
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("swap_inode_boot_loader:store1"),
+            i + inode::I_BLOCKS,
+            4,
+            b2,
+        )
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("swap_inode_boot_loader:store2"),
+            boot + inode::I_BLOCKS,
+            4,
+            b1,
+        )
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("swap_inode_boot_loader:csum"),
+            i + inode::I_CHECKSUM,
+            4,
+            csum_of(b2),
+        )
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("swap_inode_boot_loader:csum_boot"),
+            boot + inode::I_CHECKSUM,
+            4,
+            csum_of(b1),
+        )
+        .await?;
     // Verify pass (the journal commit re-reads the inode).
     let rb = env
         .ctx
-        .read_atomic(site!("swap_inode_boot_loader:verify_blocks"), i + inode::I_BLOCKS, 4)?;
+        .read_atomic(
+            site!("swap_inode_boot_loader:verify_blocks"),
+            i + inode::I_BLOCKS,
+            4,
+        )
+        .await?;
     let rc = env
         .ctx
-        .read_atomic(site!("swap_inode_boot_loader:verify_csum"), i + inode::I_CHECKSUM, 4)?;
+        .read_atomic(
+            site!("swap_inode_boot_loader:verify_csum"),
+            i + inode::I_CHECKSUM,
+            4,
+        )
+        .await?;
     let ret = if csum_of(rb) != rc {
         env.ctx.printk(format!(
             "EXT4-fs error (device sda): swap_inode_boot_loader: inode #{ino}: checksum invalid (blocks {rb}, csum {rc:#x})"
-        ))?;
+        )).await?;
         EIO
     } else {
         0
     };
     if !buggy {
-        env.ctx.unlock(boot + inode::LOCK)?;
-        env.ctx.unlock(i + inode::LOCK)?;
+        env.ctx.unlock(boot + inode::LOCK).await?;
+        env.ctx.unlock(i + inode::LOCK).await?;
     }
     Ok(ret)
 }
 
 /// `mount()` / `ext4_fill_super`: a heavy operation — superblock double
 /// fetches, a full inode-table scan, and a journal replay loop.
-pub fn ext4_fill_super(env: &Env<'_>) -> KResult<u64> {
+pub async fn ext4_fill_super(env: &Env<'_>) -> KResult<u64> {
     let bdev = env.sym("bdev.dev");
     let sb_lock = env.sym("ext4.sb_lock");
     // Genuine double fetch of the block size: read once to validate, read
     // again to use — no intervening write, same value (df_leader source).
     let bsz1 = env
         .ctx
-        .read_atomic(site!("ext4_fill_super:bsz_check"), bdev + blkdev::bdev::S_BLOCKSIZE, 4)?;
+        .read_atomic(
+            site!("ext4_fill_super:bsz_check"),
+            bdev + blkdev::bdev::S_BLOCKSIZE,
+            4,
+        )
+        .await?;
     if !(512..=4096).contains(&bsz1) {
         return Ok(EIO);
     }
     let bsz2 = env
         .ctx
-        .read_atomic(site!("ext4_fill_super:bsz_use"), bdev + blkdev::bdev::S_BLOCKSIZE, 4)?;
+        .read_atomic(
+            site!("ext4_fill_super:bsz_use"),
+            bdev + blkdev::bdev::S_BLOCKSIZE,
+            4,
+        )
+        .await?;
     // Same double-fetch shape for the capacity.
     let _cap1 = env
         .ctx
-        .read_atomic(site!("ext4_fill_super:cap_check"), bdev + blkdev::bdev::CAPACITY, 4)?;
+        .read_atomic(
+            site!("ext4_fill_super:cap_check"),
+            bdev + blkdev::bdev::CAPACITY,
+            4,
+        )
+        .await?;
     let _cap2 = env
         .ctx
-        .read_atomic(site!("ext4_fill_super:cap_use"), bdev + blkdev::bdev::CAPACITY, 4)?;
-    env.ctx.lock(sb_lock)?;
+        .read_atomic(
+            site!("ext4_fill_super:cap_use"),
+            bdev + blkdev::bdev::CAPACITY,
+            4,
+        )
+        .await?;
+    env.ctx.lock(sb_lock).await?;
     // Inode-table scan.
     let mut live = 0u64;
     for i in 0..=NUM_INODES {
         let ino = inode_addr(env, i);
         let m = env
             .ctx
-            .read_atomic(site!("ext4_fill_super:scan_magic"), ino + inode::EH_MAGIC, 2)?;
+            .read_atomic(
+                site!("ext4_fill_super:scan_magic"),
+                ino + inode::EH_MAGIC,
+                2,
+            )
+            .await?;
         let b = env
             .ctx
-            .read_atomic(site!("ext4_fill_super:scan_blocks"), ino + inode::I_BLOCKS, 4)?;
+            .read_atomic(
+                site!("ext4_fill_super:scan_blocks"),
+                ino + inode::I_BLOCKS,
+                4,
+            )
+            .await?;
         let _c = env
             .ctx
-            .read_atomic(site!("ext4_fill_super:scan_csum"), ino + inode::I_CHECKSUM, 4)?;
+            .read_atomic(
+                site!("ext4_fill_super:scan_csum"),
+                ino + inode::I_CHECKSUM,
+                4,
+            )
+            .await?;
         if m == EXT4_EXT_MAGIC {
             live += 1;
         }
         // Stage per-inode bookkeeping on the kernel stack (ESP-filter food).
         env.ctx
-            .write_u64(site!("ext4_fill_super:stage"), env.ctx.stack_slot(u64::from(i)), b)?;
+            .write_u64(
+                site!("ext4_fill_super:stage"),
+                env.ctx.stack_slot(u64::from(i)),
+                b,
+            )
+            .await?;
     }
     // Journal replay: stream the journal area through the superblock scan
     // position — bulk, heavy traffic.
@@ -299,11 +428,17 @@ pub fn ext4_fill_super(env: &Env<'_>) -> KResult<u64> {
     for j in 0..32u64 {
         let v = env
             .ctx
-            .read_u8(site!("jbd2_replay:read"), journal + (j % 64))?;
+            .read_u8(site!("jbd2_replay:read"), journal + (j % 64))
+            .await?;
         env.ctx
-            .write_u8(site!("jbd2_replay:write"), journal + ((j + 17) % 64), (v + 1) & 0xff)?;
+            .write_u8(
+                site!("jbd2_replay:write"),
+                journal + ((j + 17) % 64),
+                (v + 1) & 0xff,
+            )
+            .await?;
     }
-    env.ctx.unlock(sb_lock)?;
+    env.ctx.unlock(sb_lock).await?;
     Ok(live * u64::from(bsz2 == bsz1))
 }
 
@@ -311,25 +446,26 @@ pub fn ext4_fill_super(env: &Env<'_>) -> KResult<u64> {
 mod tests {
     use super::*;
     use crate::{boot as kboot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor, ExecReport};
+    use sb_vmm::{ExecReport, Executor};
 
     fn seq_env_run(
         config: KernelConfig,
-        f: impl Fn(&Env<'_>) -> KResult<()> + Send + 'static,
+        f: impl AsyncFnOnce(&Env<'_>) -> KResult<()> + 'static,
     ) -> ExecReport {
         let booted = kboot(config);
         let mut exec = Executor::new(1);
         let kernel = booted.kernel.clone();
         exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                f(&env)
+                f(&env).await
             })],
             &mut FreeRun,
         )
@@ -338,10 +474,10 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips() {
-        let r = seq_env_run(KernelConfig::v5_3_10(), |env| {
-            ext4_file_open(env, 0)?;
-            assert_eq!(ext4_file_write(env, 0, 3, 0x5A)?, 0);
-            assert_eq!(ext4_file_read(env, 0, 3)?, 0x5A);
+        let r = seq_env_run(KernelConfig::v5_3_10(), async |env| {
+            ext4_file_open(env, 0).await?;
+            assert_eq!(ext4_file_write(env, 0, 3, 0x5A).await?, 0);
+            assert_eq!(ext4_file_read(env, 0, 3).await?, 0x5A);
             Ok(())
         });
         assert!(r.outcome.is_completed(), "{:?}", r.console);
@@ -349,12 +485,12 @@ mod tests {
 
     #[test]
     fn sequential_swap_boot_loader_is_clean() {
-        let r = seq_env_run(KernelConfig::v5_3_10(), |env| {
-            ext4_file_write(env, 1, 0, 1)?;
-            ext4_file_write(env, 1, 1, 2)?;
-            assert_eq!(swap_inode_boot_loader(env, 1)?, 0);
+        let r = seq_env_run(KernelConfig::v5_3_10(), async |env| {
+            ext4_file_write(env, 1, 0, 1).await?;
+            ext4_file_write(env, 1, 1, 2).await?;
+            assert_eq!(swap_inode_boot_loader(env, 1).await?, 0);
             // Blocks moved to the boot inode; swapping back restores.
-            assert_eq!(swap_inode_boot_loader(env, 1)?, 0);
+            assert_eq!(swap_inode_boot_loader(env, 1).await?, 0);
             Ok(())
         });
         assert!(r.outcome.is_completed(), "{:?}", r.console);
@@ -363,8 +499,8 @@ mod tests {
 
     #[test]
     fn mount_counts_live_inodes() {
-        let r = seq_env_run(KernelConfig::v5_3_10(), |env| {
-            assert_eq!(ext4_fill_super(env)?, u64::from(NUM_INODES) + 1);
+        let r = seq_env_run(KernelConfig::v5_3_10(), async |env| {
+            assert_eq!(ext4_fill_super(env).await?, u64::from(NUM_INODES) + 1);
             Ok(())
         });
         assert!(r.outcome.is_completed(), "{:?}", r.console);
@@ -377,13 +513,13 @@ mod tests {
         let kernel = booted.kernel.clone();
         let r = exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                ext4_fill_super(&env)?;
+                ext4_fill_super(&env).await?;
                 Ok(())
             })],
             &mut FreeRun,

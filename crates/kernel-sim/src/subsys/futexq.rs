@@ -28,11 +28,11 @@ fn slot_syms(slot: u8) -> (&'static str, &'static str) {
 }
 
 /// Boots the futex subsystem: one value word and one wait queue per slot.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let v0 = env.kzalloc(8)?;
-    let q0 = env.kzalloc(8)?;
-    let v1 = env.kzalloc(8)?;
-    let q1 = env.kzalloc(8)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let v0 = env.kzalloc(8).await?;
+    let q0 = env.kzalloc(8).await?;
+    let v1 = env.kzalloc(8).await?;
+    let q1 = env.kzalloc(8).await?;
     Ok(vec![
         ("futexq.val0", v0),
         ("futexq.wq0", q0),
@@ -42,48 +42,67 @@ pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 }
 
 /// `futex(FUTEX_WAIT)`: sleep until the word becomes nonzero (#18).
-pub fn futex_wait(env: &Env<'_>, slot: u8) -> KResult<u64> {
+pub async fn futex_wait(env: &Env<'_>, slot: u8) -> KResult<u64> {
     let (val_sym, wq_sym) = slot_syms(slot);
     let val = env.sym(val_sym);
     let wq = env.sym(wq_sym);
     if env.config.has_bug(18) {
         // Buggy: check the word, then sleep — without being queued in
         // between. A wake landing in the window is lost.
-        let v = env.ctx.read_atomic(site!("futex_wait:val_check"), val, 8)?;
+        let v = env
+            .ctx
+            .read_atomic(site!("futex_wait:val_check"), val, 8)
+            .await?;
         if v != 0 {
             return Ok(0);
         }
-        let woken = env.ctx.sleep_on(site!("futex_wait:queue_me"), wq, WAIT_TIMEOUT)?;
+        let woken = env
+            .ctx
+            .sleep_on(site!("futex_wait:queue_me"), wq, WAIT_TIMEOUT)
+            .await?;
         Ok(if woken { 0 } else { ETIMEDOUT })
     } else {
         // Patched: queue first, re-check, then commit. A wake between the
         // prepare and the commit is banked and the commit returns at once.
-        env.ctx.wait_prepare(site!("futex_wait:queue_me"), wq)?;
-        let v = env.ctx.read_atomic(site!("futex_wait:val_check"), val, 8)?;
+        env.ctx
+            .wait_prepare(site!("futex_wait:queue_me"), wq)
+            .await?;
+        let v = env
+            .ctx
+            .read_atomic(site!("futex_wait:val_check"), val, 8)
+            .await?;
         if v != 0 {
-            env.ctx.wait_cancel(site!("futex_wait:queue_me"), wq)?;
+            env.ctx
+                .wait_cancel(site!("futex_wait:queue_me"), wq)
+                .await?;
             return Ok(0);
         }
-        let woken = env.ctx.wait_commit(site!("futex_wait:queue_me"), wq, WAIT_TIMEOUT)?;
+        let woken = env
+            .ctx
+            .wait_commit(site!("futex_wait:queue_me"), wq, WAIT_TIMEOUT)
+            .await?;
         Ok(if woken { 0 } else { ETIMEDOUT })
     }
 }
 
 /// `futex(FUTEX_WAKE)`: publish the new value and wake one waiter.
-pub fn futex_wake(env: &Env<'_>, slot: u8) -> KResult<u64> {
+pub async fn futex_wake(env: &Env<'_>, slot: u8) -> KResult<u64> {
     let (val_sym, wq_sym) = slot_syms(slot);
     let val = env.sym(val_sym);
     let wq = env.sym(wq_sym);
-    env.ctx.write_atomic(site!("futex_wake:val_store"), val, 8, 1)?;
-    env.ctx.wake_one(site!("futex_wake:wake_up"), wq)
+    env.ctx
+        .write_atomic(site!("futex_wake:val_store"), val, 8, 1)
+        .await?;
+    env.ctx.wake_one(site!("futex_wake:wake_up"), wq).await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{boot as kboot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor};
+    use sb_vmm::Executor;
 
     #[test]
     fn sequential_wait_after_wake_returns_immediately() {
@@ -92,14 +111,14 @@ mod tests {
         let kernel = booted.kernel.clone();
         let r = exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                futex_wake(&env, 0)?;
-                assert_eq!(futex_wait(&env, 0)?, 0);
+                futex_wake(&env, 0).await?;
+                assert_eq!(futex_wait(&env, 0).await?, 0);
                 Ok(())
             })],
             &mut FreeRun,
@@ -114,13 +133,13 @@ mod tests {
         let kernel = booted.kernel.clone();
         let r = exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                assert_eq!(futex_wait(&env, 1)?, ETIMEDOUT);
+                assert_eq!(futex_wait(&env, 1).await?, ETIMEDOUT);
                 Ok(())
             })],
             &mut FreeRun,

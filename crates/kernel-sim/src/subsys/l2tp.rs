@@ -47,50 +47,57 @@ pub mod sock {
 }
 
 /// Boots the subsystem: the tunnel list head and its spinlock.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let head = env.kzalloc(8)?;
-    let lock = env.kzalloc(8)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let head = env.kzalloc(8).await?;
+    let lock = env.kzalloc(8).await?;
     Ok(vec![("l2tp.tunnel_list", head), ("l2tp.list_lock", lock)])
 }
 
 /// Creates a PPPoL2TP socket object.
-pub fn l2tp_socket(env: &Env<'_>) -> KResult<u64> {
-    let sk = env.kzalloc(sock::SIZE)?;
+pub async fn l2tp_socket(env: &Env<'_>) -> KResult<u64> {
+    let sk = env.kzalloc(sock::SIZE).await?;
     env.ctx
-        .write_u32(site!("pppol2tp_create:init"), sk + sock::PROTO, 111)?;
+        .write_u32(site!("pppol2tp_create:init"), sk + sock::PROTO, 111)
+        .await?;
     Ok(sk)
 }
 
 /// RCU walk of the tunnel list looking for `tid`. Returns the tunnel
 /// address or 0.
-fn l2tp_tunnel_get(env: &Env<'_>, tid: u64) -> KResult<u64> {
+async fn l2tp_tunnel_get(env: &Env<'_>, tid: u64) -> KResult<u64> {
     let head = env.sym("l2tp.tunnel_list");
-    env.ctx.rcu_read_lock()?;
+    env.ctx.rcu_read_lock().await?;
     let mut p = env
         .ctx
-        .read_atomic(site!("l2tp_tunnel_get:head"), head, 8)?;
+        .read_atomic(site!("l2tp_tunnel_get:head"), head, 8)
+        .await?;
     while p != 0 {
         let id = env
             .ctx
-            .read_atomic(site!("l2tp_tunnel_get:id"), p + tunnel::ID, 4)?;
+            .read_atomic(site!("l2tp_tunnel_get:id"), p + tunnel::ID, 4)
+            .await?;
         if id == tid {
             // Grab a reference while still inside the RCU section.
             let rc = env
                 .ctx
-                .read_atomic(site!("l2tp_tunnel_get:refcount"), p + tunnel::REFCOUNT, 4)?;
-            env.ctx.write_atomic(
-                site!("l2tp_tunnel_get:refcount"),
-                p + tunnel::REFCOUNT,
-                4,
-                rc + 1,
-            )?;
+                .read_atomic(site!("l2tp_tunnel_get:refcount"), p + tunnel::REFCOUNT, 4)
+                .await?;
+            env.ctx
+                .write_atomic(
+                    site!("l2tp_tunnel_get:refcount"),
+                    p + tunnel::REFCOUNT,
+                    4,
+                    rc + 1,
+                )
+                .await?;
             break;
         }
         p = env
             .ctx
-            .read_atomic(site!("l2tp_tunnel_get:next"), p + tunnel::NEXT, 8)?;
+            .read_atomic(site!("l2tp_tunnel_get:next"), p + tunnel::NEXT, 8)
+            .await?;
     }
-    env.ctx.rcu_read_unlock()?;
+    env.ctx.rcu_read_unlock().await?;
     Ok(p)
 }
 
@@ -98,74 +105,93 @@ fn l2tp_tunnel_get(env: &Env<'_>, tid: u64) -> KResult<u64> {
 ///
 /// In buggy builds (#12 present) the tunnel is published to the RCU list
 /// *before* `tunnel->sock` is initialized; patched builds initialize first.
-fn l2tp_tunnel_register(env: &Env<'_>, sk: u64, tid: u64) -> KResult<u64> {
+async fn l2tp_tunnel_register(env: &Env<'_>, sk: u64, tid: u64) -> KResult<u64> {
     let head = env.sym("l2tp.tunnel_list");
     let lock = env.sym("l2tp.list_lock");
-    let t = env.kzalloc(tunnel::SIZE)?;
+    let t = env.kzalloc(tunnel::SIZE).await?;
     env.ctx
-        .write_atomic(site!("l2tp_tunnel_register:id"), t + tunnel::ID, 4, tid)?;
-    env.ctx.write_atomic(
-        site!("l2tp_tunnel_register:refcount"),
-        t + tunnel::REFCOUNT,
-        4,
-        1,
-    )?;
-    let publish = |env: &Env<'_>| -> KResult<()> {
-        env.ctx.lock(lock)?;
-        let old = env.ctx.read_atomic(site!("list_add_rcu:old_head"), head, 8)?;
+        .write_atomic(site!("l2tp_tunnel_register:id"), t + tunnel::ID, 4, tid)
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("l2tp_tunnel_register:refcount"),
+            t + tunnel::REFCOUNT,
+            4,
+            1,
+        )
+        .await?;
+    let publish = async || -> KResult<()> {
+        env.ctx.lock(lock).await?;
+        let old = env
+            .ctx
+            .read_atomic(site!("list_add_rcu:old_head"), head, 8)
+            .await?;
         env.ctx
-            .write_atomic(site!("list_add_rcu:next"), t + tunnel::NEXT, 8, old)?;
-        env.ctx.write_atomic(site!("list_add_rcu:head"), head, 8, t)?;
-        env.ctx.unlock(lock)?;
+            .write_atomic(site!("list_add_rcu:next"), t + tunnel::NEXT, 8, old)
+            .await?;
+        env.ctx
+            .write_atomic(site!("list_add_rcu:head"), head, 8, t)
+            .await?;
+        env.ctx.unlock(lock).await?;
         Ok(())
     };
     if env.config.has_bug(12) {
         // BUG: tunnel becomes reachable before its socket is set.
-        publish(env)?;
+        publish().await?;
         env.ctx
-            .write_atomic(site!("l2tp_tunnel_register:sock"), t + tunnel::SOCK, 8, sk)?;
+            .write_atomic(site!("l2tp_tunnel_register:sock"), t + tunnel::SOCK, 8, sk)
+            .await?;
     } else {
         env.ctx
-            .write_atomic(site!("l2tp_tunnel_register:sock"), t + tunnel::SOCK, 8, sk)?;
-        publish(env)?;
+            .write_atomic(site!("l2tp_tunnel_register:sock"), t + tunnel::SOCK, 8, sk)
+            .await?;
+        publish().await?;
     }
     Ok(t)
 }
 
 /// `connect()` on a PPPoL2TP socket: look the tunnel up, lazily registering
 /// it, and bind it to the socket.
-pub fn pppol2tp_connect(env: &Env<'_>, sk: u64, tid: u64) -> KResult<u64> {
+pub async fn pppol2tp_connect(env: &Env<'_>, sk: u64, tid: u64) -> KResult<u64> {
     let tid = tid % 4;
-    let mut t = l2tp_tunnel_get(env, tid)?;
+    let mut t = l2tp_tunnel_get(env, tid).await?;
     if t == 0 {
-        t = l2tp_tunnel_register(env, sk, tid)?;
+        t = l2tp_tunnel_register(env, sk, tid).await?;
     }
     env.ctx
-        .write_u64(site!("pppol2tp_connect:assign"), sk + sock::TUNNEL, t)?;
+        .write_u64(site!("pppol2tp_connect:assign"), sk + sock::TUNNEL, t)
+        .await?;
     Ok(0)
 }
 
 /// `sendmsg()` on a connected PPPoL2TP socket: `l2tp_xmit_core()` fetches
 /// `tunnel->sock` and takes `bh_lock_sock(sk)` — dereferencing a null
 /// `sock` if the tunnel was fetched inside the publication window.
-pub fn l2tp_sendmsg(env: &Env<'_>, sk: u64) -> KResult<u64> {
+pub async fn l2tp_sendmsg(env: &Env<'_>, sk: u64) -> KResult<u64> {
     let t = env
         .ctx
-        .read_u64(site!("l2tp_xmit_core:tunnel"), sk + sock::TUNNEL)?;
+        .read_u64(site!("l2tp_xmit_core:tunnel"), sk + sock::TUNNEL)
+        .await?;
     if t == 0 {
         return Ok(EINVAL); // Not connected.
     }
     let tsk = env
         .ctx
-        .read_atomic(site!("l2tp_xmit_core:sock"), t + tunnel::SOCK, 8)?;
+        .read_atomic(site!("l2tp_xmit_core:sock"), t + tunnel::SOCK, 8)
+        .await?;
     // bh_lock_sock(sk): touch the socket's lock word. If `tsk` is still 0
     // this faults in the null page — the paper's panic.
     let _ = env
         .ctx
-        .read_u32(site!("bh_lock_sock:acquire"), tsk + sock::LOCK)?;
-    let tx = env.ctx.read_u64(site!("l2tp_xmit_core:tx"), tsk + sock::TX)?;
+        .read_u32(site!("bh_lock_sock:acquire"), tsk + sock::LOCK)
+        .await?;
+    let tx = env
+        .ctx
+        .read_u64(site!("l2tp_xmit_core:tx"), tsk + sock::TX)
+        .await?;
     env.ctx
-        .write_u64(site!("l2tp_xmit_core:tx"), tsk + sock::TX, tx + 1)?;
+        .write_u64(site!("l2tp_xmit_core:tx"), tsk + sock::TX, tx + 1)
+        .await?;
     Ok(0)
 }
 
@@ -173,25 +199,26 @@ pub fn l2tp_sendmsg(env: &Env<'_>, sk: u64) -> KResult<u64> {
 mod tests {
     use super::*;
     use crate::{boot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor};
+    use sb_vmm::Executor;
 
     fn seq_env_run(
         config: KernelConfig,
-        f: impl Fn(&Env<'_>) -> KResult<()> + Send + 'static,
+        f: impl AsyncFnOnce(&Env<'_>) -> KResult<()> + 'static,
     ) -> sb_vmm::ExecReport {
         let booted = boot(config);
         let mut exec = Executor::new(1);
         let kernel = booted.kernel.clone();
         exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                f(&env)
+                f(&env).await
             })],
             &mut FreeRun,
         )
@@ -200,14 +227,14 @@ mod tests {
 
     #[test]
     fn connect_registers_then_reuses_tunnel() {
-        let report = seq_env_run(KernelConfig::v5_12_rc3(), |env| {
-            let a = l2tp_socket(env)?;
-            let b = l2tp_socket(env)?;
-            pppol2tp_connect(env, a, 2)?;
-            pppol2tp_connect(env, b, 2)?;
+        let report = seq_env_run(KernelConfig::v5_12_rc3(), async |env| {
+            let a = l2tp_socket(env).await?;
+            let b = l2tp_socket(env).await?;
+            pppol2tp_connect(env, a, 2).await?;
+            pppol2tp_connect(env, b, 2).await?;
             // Both sockets point at the same tunnel.
-            let ta = env.ctx.read_u64(site!("test:ta"), a + sock::TUNNEL)?;
-            let tb = env.ctx.read_u64(site!("test:tb"), b + sock::TUNNEL)?;
+            let ta = env.ctx.read_u64(site!("test:ta"), a + sock::TUNNEL).await?;
+            let tb = env.ctx.read_u64(site!("test:tb"), b + sock::TUNNEL).await?;
             assert_eq!(ta, tb);
             assert_ne!(ta, 0);
             Ok(())
@@ -219,10 +246,10 @@ mod tests {
     fn sequential_connect_sendmsg_is_safe_even_in_buggy_build() {
         // Sequentially the window cannot be observed: the same thread
         // finishes registration before transmitting.
-        let report = seq_env_run(KernelConfig::v5_12_rc3(), |env| {
-            let a = l2tp_socket(env)?;
-            pppol2tp_connect(env, a, 1)?;
-            assert_eq!(l2tp_sendmsg(env, a)?, 0);
+        let report = seq_env_run(KernelConfig::v5_12_rc3(), async |env| {
+            let a = l2tp_socket(env).await?;
+            pppol2tp_connect(env, a, 1).await?;
+            assert_eq!(l2tp_sendmsg(env, a).await?, 0);
             Ok(())
         });
         assert!(report.outcome.is_completed(), "{:?}", report.console);
@@ -230,9 +257,9 @@ mod tests {
 
     #[test]
     fn sendmsg_without_connect_fails_cleanly() {
-        let report = seq_env_run(KernelConfig::v5_12_rc3(), |env| {
-            let a = l2tp_socket(env)?;
-            assert_eq!(l2tp_sendmsg(env, a)?, EINVAL);
+        let report = seq_env_run(KernelConfig::v5_12_rc3(), async |env| {
+            let a = l2tp_socket(env).await?;
+            assert_eq!(l2tp_sendmsg(env, a).await?, EINVAL);
             Ok(())
         });
         assert!(report.outcome.is_completed());
@@ -240,13 +267,13 @@ mod tests {
 
     #[test]
     fn distinct_tunnel_ids_get_distinct_tunnels() {
-        let report = seq_env_run(KernelConfig::v5_12_rc3(), |env| {
-            let a = l2tp_socket(env)?;
-            let b = l2tp_socket(env)?;
-            pppol2tp_connect(env, a, 0)?;
-            pppol2tp_connect(env, b, 1)?;
-            let ta = env.ctx.read_u64(site!("test:t0"), a + sock::TUNNEL)?;
-            let tb = env.ctx.read_u64(site!("test:t1"), b + sock::TUNNEL)?;
+        let report = seq_env_run(KernelConfig::v5_12_rc3(), async |env| {
+            let a = l2tp_socket(env).await?;
+            let b = l2tp_socket(env).await?;
+            pppol2tp_connect(env, a, 0).await?;
+            pppol2tp_connect(env, b, 1).await?;
+            let ta = env.ctx.read_u64(site!("test:t0"), a + sock::TUNNEL).await?;
+            let tb = env.ctx.read_u64(site!("test:t1"), b + sock::TUNNEL).await?;
             assert_ne!(ta, tb);
             Ok(())
         });

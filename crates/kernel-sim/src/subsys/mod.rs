@@ -32,38 +32,34 @@ use crate::{Env, FdKind, FdObj, KernelConfig, ProcState, Symbols, EBADF, EINVAL}
 
 /// Boots every subsystem in a fixed order, so global addresses are
 /// deterministic across boots of the same configuration.
-pub fn boot_all(ctx: &Ctx, syms: &mut Symbols, config: KernelConfig) -> KResult<()> {
+pub async fn boot_all(ctx: &Ctx, syms: &mut Symbols, config: KernelConfig) -> KResult<()> {
     // The slab-statistics cells must exist before anything calls
     // `Env::kzalloc`, so slab boots first.
-    slab::boot(ctx, syms)?;
-    let env = Env {
-        ctx,
-        syms,
-        config,
-    };
+    slab::boot(ctx, syms).await?;
+    let env = Env { ctx, syms, config };
     // `Env` borrows `syms` immutably; subsystems therefore allocate first
     // and register after, via the returned symbol lists.
     let mut pending: Vec<(&'static str, u64)> = Vec::new();
-    pending.extend(netdev::boot(&env)?);
-    pending.extend(packet::boot(&env)?);
-    pending.extend(fib6::boot(&env)?);
-    pending.extend(tcp_cong::boot(&env)?);
-    pending.extend(l2tp::boot(&env)?);
-    pending.extend(rhash::boot(&env)?);
-    pending.extend(configfs::boot(&env)?);
-    pending.extend(ext4::boot(&env)?);
-    pending.extend(blkdev::boot(&env)?);
-    pending.extend(tty::boot(&env)?);
-    pending.extend(sound::boot(&env)?);
+    pending.extend(netdev::boot(&env).await?);
+    pending.extend(packet::boot(&env).await?);
+    pending.extend(fib6::boot(&env).await?);
+    pending.extend(tcp_cong::boot(&env).await?);
+    pending.extend(l2tp::boot(&env).await?);
+    pending.extend(rhash::boot(&env).await?);
+    pending.extend(configfs::boot(&env).await?);
+    pending.extend(ext4::boot(&env).await?);
+    pending.extend(blkdev::boot(&env).await?);
+    pending.extend(tty::boot(&env).await?);
+    pending.extend(sound::boot(&env).await?);
     // The six sync-oracle subsystems boot after the original twelve so the
     // guest addresses of everything above stay byte-identical to pre-oracle
     // builds (`hunt --oracles race` regression baselines depend on this).
-    pending.extend(futexq::boot(&env)?);
-    pending.extend(epollwake::boot(&env)?);
-    pending.extend(nbd_conn::boot(&env)?);
-    pending.extend(vsock::boot(&env)?);
-    pending.extend(kernfs_node::boot(&env)?);
-    pending.extend(workqueue_flush::boot(&env)?);
+    pending.extend(futexq::boot(&env).await?);
+    pending.extend(epollwake::boot(&env).await?);
+    pending.extend(nbd_conn::boot(&env).await?);
+    pending.extend(vsock::boot(&env).await?);
+    pending.extend(kernfs_node::boot(&env).await?);
+    pending.extend(workqueue_flush::boot(&env).await?);
     for (name, addr) in pending {
         syms.register(name, addr);
     }
@@ -71,14 +67,14 @@ pub fn boot_all(ctx: &Ctx, syms: &mut Symbols, config: KernelConfig) -> KResult<
 }
 
 /// Routes one syscall to its subsystem handler.
-pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<u64> {
+pub async fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<u64> {
     match call {
         Syscall::Socket { domain } => {
             let sk = match domain {
-                Domain::Inet => tcp_cong::inet_socket(env)?,
-                Domain::Packet => packet::packet_socket(env)?,
-                Domain::RawV6 => netdev::rawv6_socket(env)?,
-                Domain::L2tp => l2tp::l2tp_socket(env)?,
+                Domain::Inet => tcp_cong::inet_socket(env).await?,
+                Domain::Packet => packet::packet_socket(env).await?,
+                Domain::RawV6 => netdev::rawv6_socket(env).await?,
+                Domain::L2tp => l2tp::l2tp_socket(env).await?,
             };
             Ok(proc.install_fd(FdObj {
                 kind: FdKind::Socket(*domain),
@@ -89,11 +85,11 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
             Some(FdObj {
                 kind: FdKind::Socket(Domain::L2tp),
                 addr,
-            }) => l2tp::pppol2tp_connect(env, addr, u64::from(*tunnel_id)),
+            }) => l2tp::pppol2tp_connect(env, addr, u64::from(*tunnel_id)).await,
             Some(FdObj {
                 kind: FdKind::Socket(Domain::Inet),
                 addr,
-            }) => fib6::inet_connect(env, addr),
+            }) => fib6::inet_connect(env, addr).await,
             Some(FdObj {
                 kind: FdKind::Socket(_),
                 ..
@@ -104,19 +100,19 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
             Some(FdObj {
                 kind: FdKind::Socket(Domain::L2tp),
                 addr,
-            }) => l2tp::l2tp_sendmsg(env, addr),
+            }) => l2tp::l2tp_sendmsg(env, addr).await,
             Some(FdObj {
                 kind: FdKind::Socket(Domain::RawV6),
                 addr,
-            }) => netdev::rawv6_send_hdrinc(env, addr, u64::from(*len)),
+            }) => netdev::rawv6_send_hdrinc(env, addr, u64::from(*len)).await,
             Some(FdObj {
                 kind: FdKind::Socket(Domain::Packet),
                 addr,
-            }) => packet::packet_sendmsg(env, addr, u64::from(*len)),
+            }) => packet::packet_sendmsg(env, addr, u64::from(*len)).await,
             Some(FdObj {
                 kind: FdKind::Socket(Domain::Inet),
                 addr,
-            }) => tcp_cong::inet_sendmsg(env, addr),
+            }) => tcp_cong::inet_sendmsg(env, addr).await,
             _ => Ok(EBADF),
         },
         Syscall::Setsockopt { sock, opt, val } => match (proc.resolve_fd(*sock), opt) {
@@ -126,14 +122,14 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
                     addr,
                 }),
                 SockOpt::PacketFanout,
-            ) => packet::fanout_add(env, addr),
+            ) => packet::fanout_add(env, addr).await,
             (
                 Some(FdObj {
                     kind: FdKind::Socket(Domain::Inet),
                     addr,
                 }),
                 SockOpt::TcpCongestion,
-            ) => tcp_cong::set_default_congestion_control(env, addr, u64::from(*val)),
+            ) => tcp_cong::set_default_congestion_control(env, addr, u64::from(*val)).await,
             (Some(_), _) => Ok(EINVAL),
             _ => Ok(EBADF),
         },
@@ -141,7 +137,7 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
             Some(FdObj {
                 kind: FdKind::Socket(Domain::Packet),
                 addr,
-            }) => packet::packet_getname(env, addr),
+            }) => packet::packet_getname(env, addr).await,
             Some(FdObj {
                 kind: FdKind::Socket(_),
                 ..
@@ -156,77 +152,76 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
                     Some(FdObj {
                         kind: FdKind::Socket(_),
                         ..
-                    }) => netdev::eth_commit_mac_addr_change(env, arg),
+                    }) => netdev::eth_commit_mac_addr_change(env, arg).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::SiocGifHwAddr => match fdo {
                     Some(FdObj {
                         kind: FdKind::Socket(_),
                         ..
-                    }) => netdev::dev_ifsioc_locked(env),
+                    }) => netdev::dev_ifsioc_locked(env).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::EthtoolSMac => match fdo {
                     Some(FdObj {
                         kind: FdKind::Socket(_),
                         ..
-                    }) => netdev::e1000_set_mac(env, arg),
+                    }) => netdev::e1000_set_mac(env, arg).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::SiocSifMtu => match fdo {
                     Some(FdObj {
                         kind: FdKind::Socket(_),
                         ..
-                    }) => netdev::dev_set_mtu(env, arg),
+                    }) => netdev::dev_set_mtu(env, arg).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::SiocAddRt => match fdo {
                     Some(FdObj {
                         kind: FdKind::Socket(_),
                         ..
-                    }) => fib6::fib6_clean_node(env),
+                    }) => fib6::fib6_clean_node(env).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::BlkBszSet => match fdo {
                     Some(FdObj {
                         kind: FdKind::BlockDev,
                         ..
-                    }) => blkdev::set_blocksize(env, arg),
+                    }) => blkdev::set_blocksize(env, arg).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::BlkRaSet => match fdo {
                     Some(FdObj {
                         kind: FdKind::BlockDev,
                         ..
-                    }) => blkdev::blkdev_ioctl_ra_set(env, arg),
+                    }) => blkdev::blkdev_ioctl_ra_set(env, arg).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::BlkSetSize => match fdo {
                     Some(FdObj {
                         kind: FdKind::BlockDev,
                         ..
-                    }) => blkdev::blkdev_set_capacity(env, arg),
+                    }) => blkdev::blkdev_set_capacity(env, arg).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::Ext4SwapBoot => match fdo {
                     Some(FdObj {
                         kind: FdKind::File(ino),
                         ..
-                    }) => ext4::swap_inode_boot_loader(env, ino),
+                    }) => ext4::swap_inode_boot_loader(env, ino).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::TiocSerConfig => match fdo {
                     Some(FdObj {
-                        kind: FdKind::Tty,
-                        ..
-                    }) => tty::uart_do_autoconfig(env),
+                        kind: FdKind::Tty, ..
+                    }) => tty::uart_do_autoconfig(env).await,
                     _ => Ok(EBADF),
                 },
                 IoctlCmd::SndCtlElemAdd => match fdo {
                     Some(FdObj {
                         kind: FdKind::SndCtl,
                         ..
-                    }) => sound::snd_ctl_elem_add(env, arg),
+                    }) => sound::snd_ctl_elem_add(env, arg).await,
                     _ => Ok(EBADF),
                 },
             }
@@ -234,21 +229,21 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
         Syscall::Open { path } => match path {
             Path::Ext4File(n) => {
                 let n = n % ext4::NUM_INODES;
-                ext4::ext4_file_open(env, n)?;
+                ext4::ext4_file_open(env, n).await?;
                 Ok(proc.install_fd(FdObj {
                     kind: FdKind::File(n),
                     addr: 0,
                 }))
             }
             Path::BlockDev => {
-                blkdev::blkdev_open(env)?;
+                blkdev::blkdev_open(env).await?;
                 Ok(proc.install_fd(FdObj {
                     kind: FdKind::BlockDev,
                     addr: 0,
                 }))
             }
             Path::Tty => {
-                tty::tty_port_open(env)?;
+                tty::tty_port_open(env).await?;
                 Ok(proc.install_fd(FdObj {
                     kind: FdKind::Tty,
                     addr: 0,
@@ -260,7 +255,7 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
             })),
             Path::Configfs(i) => {
                 let i = i % configfs::NUM_ITEMS;
-                let r = configfs::configfs_lookup(env, i)?;
+                let r = configfs::configfs_lookup(env, i).await?;
                 if r == crate::ENOENT {
                     Ok(r)
                 } else {
@@ -284,8 +279,8 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
                 }
             }
             match obj.kind {
-                FdKind::Socket(Domain::Packet) => packet::fanout_unlink(env, obj.addr),
-                FdKind::Tty => tty::tty_port_close(env),
+                FdKind::Socket(Domain::Packet) => packet::fanout_unlink(env, obj.addr).await,
+                FdKind::Tty => tty::tty_port_close(env).await,
                 _ => Ok(0),
             }
         }
@@ -293,11 +288,11 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
             Some(FdObj {
                 kind: FdKind::File(ino),
                 ..
-            }) => ext4::ext4_file_read(env, ino, u64::from(*off)),
+            }) => ext4::ext4_file_read(env, ino, u64::from(*off)).await,
             Some(FdObj {
                 kind: FdKind::BlockDev,
                 ..
-            }) => blkdev::do_mpage_readpage(env, u64::from(*off)),
+            }) => blkdev::do_mpage_readpage(env, u64::from(*off)).await,
             Some(_) => Ok(0),
             _ => Ok(EBADF),
         },
@@ -305,11 +300,11 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
             Some(FdObj {
                 kind: FdKind::File(ino),
                 ..
-            }) => ext4::ext4_file_write(env, ino, u64::from(*off), u64::from(*val)),
+            }) => ext4::ext4_file_write(env, ino, u64::from(*off), u64::from(*val)).await,
             Some(FdObj {
                 kind: FdKind::BlockDev,
                 ..
-            }) => blkdev::blkdev_direct_write(env, u64::from(*off), u64::from(*val)),
+            }) => blkdev::blkdev_direct_write(env, u64::from(*off), u64::from(*val)).await,
             Some(_) => Ok(0),
             _ => Ok(EBADF),
         },
@@ -317,43 +312,45 @@ pub fn dispatch(env: &Env<'_>, proc: &mut ProcState, call: &Syscall) -> KResult<
             Some(FdObj {
                 kind: FdKind::File(_) | FdKind::BlockDev,
                 ..
-            }) => blkdev::generic_fadvise(env),
+            }) => blkdev::generic_fadvise(env).await,
             Some(_) => Ok(EINVAL),
             _ => Ok(EBADF),
         },
-        Syscall::Msgget { key } => rhash::msgget(env, u64::from(*key)),
+        Syscall::Msgget { key } => rhash::msgget(env, u64::from(*key)).await,
         Syscall::Msgctl { id, cmd } => {
             let Some(id) = proc.resolve_val(*id) else {
                 return Ok(EINVAL);
             };
-            rhash::msgctl(env, id, *cmd)
+            rhash::msgctl(env, id, *cmd).await
         }
         Syscall::Msgsnd { id, mtype, val } => {
             let Some(id) = proc.resolve_val(*id) else {
                 return Ok(EINVAL);
             };
-            rhash::msgsnd(env, id, u64::from(*mtype), u64::from(*val))
+            rhash::msgsnd(env, id, u64::from(*mtype), u64::from(*val)).await
         }
         Syscall::Msgrcv { id, mtype } => {
             let Some(id) = proc.resolve_val(*id) else {
                 return Ok(EINVAL);
             };
-            rhash::msgrcv(env, id, u64::from(*mtype))
+            rhash::msgrcv(env, id, u64::from(*mtype)).await
         }
-        Syscall::Mkdir { item } => configfs::configfs_mkdir(env, item % configfs::NUM_ITEMS),
-        Syscall::Rmdir { item } => configfs::configfs_rmdir(env, item % configfs::NUM_ITEMS),
-        Syscall::Mount => ext4::ext4_fill_super(env),
-        Syscall::FutexWait { slot } => futexq::futex_wait(env, *slot),
-        Syscall::FutexWake { slot } => futexq::futex_wake(env, *slot),
-        Syscall::EpollAdd { slot } => epollwake::ep_insert(env, u64::from(*slot)),
-        Syscall::EpollWake { slot } => epollwake::ep_poll_callback(env, u64::from(*slot)),
-        Syscall::NbdSend { len } => nbd_conn::nbd_send(env, u64::from(*len)),
-        Syscall::NbdDisconnect => nbd_conn::nbd_disconnect(env),
-        Syscall::VsockConnect { cid } => vsock::vsock_stream_connect(env, u64::from(*cid)),
-        Syscall::VsockSend { len } => vsock::virtio_transport_send(env, u64::from(*len)),
-        Syscall::KernfsActivate { node } => kernfs_node::kernfs_activate(env, u64::from(*node)),
-        Syscall::KernfsNotify { node } => kernfs_node::kernfs_notify(env, u64::from(*node)),
-        Syscall::WqQueue { work } => workqueue_flush::queue_work(env, u64::from(*work)),
-        Syscall::WqFlush => workqueue_flush::flush_workqueue(env),
+        Syscall::Mkdir { item } => configfs::configfs_mkdir(env, item % configfs::NUM_ITEMS).await,
+        Syscall::Rmdir { item } => configfs::configfs_rmdir(env, item % configfs::NUM_ITEMS).await,
+        Syscall::Mount => ext4::ext4_fill_super(env).await,
+        Syscall::FutexWait { slot } => futexq::futex_wait(env, *slot).await,
+        Syscall::FutexWake { slot } => futexq::futex_wake(env, *slot).await,
+        Syscall::EpollAdd { slot } => epollwake::ep_insert(env, u64::from(*slot)).await,
+        Syscall::EpollWake { slot } => epollwake::ep_poll_callback(env, u64::from(*slot)).await,
+        Syscall::NbdSend { len } => nbd_conn::nbd_send(env, u64::from(*len)).await,
+        Syscall::NbdDisconnect => nbd_conn::nbd_disconnect(env).await,
+        Syscall::VsockConnect { cid } => vsock::vsock_stream_connect(env, u64::from(*cid)).await,
+        Syscall::VsockSend { len } => vsock::virtio_transport_send(env, u64::from(*len)).await,
+        Syscall::KernfsActivate { node } => {
+            kernfs_node::kernfs_activate(env, u64::from(*node)).await
+        }
+        Syscall::KernfsNotify { node } => kernfs_node::kernfs_notify(env, u64::from(*node)).await,
+        Syscall::WqQueue { work } => workqueue_flush::queue_work(env, u64::from(*work)).await,
+        Syscall::WqFlush => workqueue_flush::flush_workqueue(env).await,
     }
 }

@@ -31,19 +31,21 @@ pub mod dev {
 }
 
 /// Boots the device core: one NIC with a default MAC and MTU.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let d = env.kzalloc(64)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let d = env.kzalloc(64).await?;
     // Default MAC 52:54:00:12:34:56 (QEMU's classic default), default MTU
     // 1500.
     let mac = [0x52u64, 0x54, 0x00, 0x12, 0x34, 0x56];
     for (i, b) in mac.iter().enumerate() {
         env.ctx
-            .write_u8(site!("netdev_boot:mac"), d + dev::DEV_ADDR + i as u64, *b)?;
+            .write_u8(site!("netdev_boot:mac"), d + dev::DEV_ADDR + i as u64, *b)
+            .await?;
     }
     env.ctx
-        .write_u32(site!("netdev_boot:mtu"), d + dev::MTU, 1500)?;
-    let rtnl = env.kzalloc(8)?;
-    let ethtool = env.kzalloc(8)?;
+        .write_u32(site!("netdev_boot:mtu"), d + dev::MTU, 1500)
+        .await?;
+    let rtnl = env.kzalloc(8).await?;
+    let ethtool = env.kzalloc(8).await?;
     Ok(vec![
         ("net.dev0", d),
         ("net.rtnl_lock", rtnl),
@@ -52,74 +54,85 @@ pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 }
 
 /// Creates a raw IPv6 socket object.
-pub fn rawv6_socket(env: &Env<'_>) -> KResult<u64> {
-    let sk = env.kzalloc(64)?;
-    env.ctx.write_u32(site!("rawv6_socket:init"), sk, 10)?; // AF_INET6
+pub async fn rawv6_socket(env: &Env<'_>) -> KResult<u64> {
+    let sk = env.kzalloc(64).await?;
+    env.ctx
+        .write_u32(site!("rawv6_socket:init"), sk, 10)
+        .await?; // AF_INET6
     Ok(sk)
 }
 
 /// `SIOCSIFHWADDR` path: commit a new MAC under the RTNL lock (#9 writer).
-pub fn eth_commit_mac_addr_change(env: &Env<'_>, seed: u64) -> KResult<u64> {
+pub async fn eth_commit_mac_addr_change(env: &Env<'_>, seed: u64) -> KResult<u64> {
     let d = env.sym("net.dev0");
     let rtnl = env.sym("net.rtnl_lock");
     // In builds where the MAC races (#8/#9) exist, the copy is a plain
     // per-byte memcpy; fixed builds use marked stores so the lockless
     // readers pair safely.
     let plain = env.config.has_bug(8) || env.config.has_bug(9);
-    env.ctx.with_lock(rtnl, || {
-        // memcpy(dev->dev_addr, addr->sa_data, ETH_ALEN), byte by byte —
-        // each byte is a separate schedulable access.
-        for i in 0..ETH_ALEN {
-            let b = (seed.wrapping_mul(37).wrapping_add(i * 11)) & 0xff;
-            if plain {
-                env.ctx.write_u8(
-                    site!("eth_commit_mac_addr_change:memcpy"),
-                    d + dev::DEV_ADDR + i,
-                    b,
-                )?;
-            } else {
-                env.ctx.write_atomic(
-                    site!("eth_commit_mac_addr_change:memcpy"),
-                    d + dev::DEV_ADDR + i,
-                    1,
-                    b,
-                )?;
+    env.ctx
+        .with_lock(rtnl, async {
+            // memcpy(dev->dev_addr, addr->sa_data, ETH_ALEN), byte by byte —
+            // each byte is a separate schedulable access.
+            for i in 0..ETH_ALEN {
+                let b = (seed.wrapping_mul(37).wrapping_add(i * 11)) & 0xff;
+                if plain {
+                    env.ctx
+                        .write_u8(
+                            site!("eth_commit_mac_addr_change:memcpy"),
+                            d + dev::DEV_ADDR + i,
+                            b,
+                        )
+                        .await?;
+                } else {
+                    env.ctx
+                        .write_atomic(
+                            site!("eth_commit_mac_addr_change:memcpy"),
+                            d + dev::DEV_ADDR + i,
+                            1,
+                            b,
+                        )
+                        .await?;
+                }
             }
-        }
-        Ok(0)
-    })
+            Ok(0)
+        })
+        .await
 }
 
 /// `SIOCGIFHWADDR` path: read the MAC under `rcu_read_lock()` only
 /// (#9 reader). The copy lands in per-thread kernel-stack scratch, so the
 /// staging writes exercise the profiler's ESP filter.
-pub fn dev_ifsioc_locked(env: &Env<'_>) -> KResult<u64> {
+pub async fn dev_ifsioc_locked(env: &Env<'_>) -> KResult<u64> {
     let d = env.sym("net.dev0");
     // The upstream fix for #9 changed the reader's locking scheme to
     // serialize against the RTNL-held writer; model that in patched builds.
     let rtnl_guard = !env.config.has_bug(9);
     if rtnl_guard {
-        env.ctx.lock(env.sym("net.rtnl_lock"))?;
+        env.ctx.lock(env.sym("net.rtnl_lock")).await?;
     }
-    env.ctx.rcu_read_lock()?;
+    env.ctx.rcu_read_lock().await?;
     let plain = env.config.has_bug(8) || env.config.has_bug(9);
     let mut out: u64 = 0;
     for i in 0..ETH_ALEN {
         let b = if plain {
             env.ctx
-                .read_u8(site!("dev_ifsioc_locked:memcpy"), d + dev::DEV_ADDR + i)?
+                .read_u8(site!("dev_ifsioc_locked:memcpy"), d + dev::DEV_ADDR + i)
+                .await?
         } else {
             env.ctx
-                .read_atomic(site!("dev_ifsioc_locked:memcpy"), d + dev::DEV_ADDR + i, 1)?
+                .read_atomic(site!("dev_ifsioc_locked:memcpy"), d + dev::DEV_ADDR + i, 1)
+                .await?
         };
         // Stage the byte in ifr->ifr_hwaddr on the kernel stack.
         env.ctx
-            .write_u8(site!("dev_ifsioc_locked:stage"), env.ctx.stack_slot(i), b)?;
+            .write_u8(site!("dev_ifsioc_locked:stage"), env.ctx.stack_slot(i), b)
+            .await?;
         out |= b << (8 * i);
     }
-    env.ctx.rcu_read_unlock()?;
+    env.ctx.rcu_read_unlock().await?;
     if rtnl_guard {
-        env.ctx.unlock(env.sym("net.rtnl_lock"))?;
+        env.ctx.unlock(env.sym("net.rtnl_lock")).await?;
     }
     Ok(out)
 }
@@ -127,7 +140,7 @@ pub fn dev_ifsioc_locked(env: &Env<'_>) -> KResult<u64> {
 /// ethtool/e1000 path: set the MAC under the driver lock (#8 writer). The
 /// patched build takes the RTNL lock instead, restoring mutual exclusion
 /// with the getname reader (which the patch also serializes).
-pub fn e1000_set_mac(env: &Env<'_>, seed: u64) -> KResult<u64> {
+pub async fn e1000_set_mac(env: &Env<'_>, seed: u64) -> KResult<u64> {
     let d = env.sym("net.dev0");
     let lock = if env.config.has_bug(8) {
         env.sym("net.ethtool_lock")
@@ -135,71 +148,89 @@ pub fn e1000_set_mac(env: &Env<'_>, seed: u64) -> KResult<u64> {
         env.sym("net.rtnl_lock")
     };
     let plain = env.config.has_bug(8) || env.config.has_bug(9);
-    env.ctx.with_lock(lock, || {
-        for i in 0..ETH_ALEN {
-            let b = (seed.wrapping_mul(53).wrapping_add(i * 7)) & 0xff;
-            if plain {
-                env.ctx
-                    .write_u8(site!("e1000_set_mac:memcpy"), d + dev::DEV_ADDR + i, b)?;
-            } else {
-                env.ctx
-                    .write_atomic(site!("e1000_set_mac:memcpy"), d + dev::DEV_ADDR + i, 1, b)?;
+    env.ctx
+        .with_lock(lock, async {
+            for i in 0..ETH_ALEN {
+                let b = (seed.wrapping_mul(53).wrapping_add(i * 7)) & 0xff;
+                if plain {
+                    env.ctx
+                        .write_u8(site!("e1000_set_mac:memcpy"), d + dev::DEV_ADDR + i, b)
+                        .await?;
+                } else {
+                    env.ctx
+                        .write_atomic(site!("e1000_set_mac:memcpy"), d + dev::DEV_ADDR + i, 1, b)
+                        .await?;
+                }
             }
-        }
-        Ok(0)
-    })
+            Ok(0)
+        })
+        .await
 }
 
 /// `SIOCSIFMTU` path (#7 writer): in buggy builds a plain unlocked store;
 /// patched builds publish under RTNL with a marked write.
-pub fn dev_set_mtu(env: &Env<'_>, arg: u64) -> KResult<u64> {
+pub async fn dev_set_mtu(env: &Env<'_>, arg: u64) -> KResult<u64> {
     let d = env.sym("net.dev0");
     let mtu = 576 + (arg % 8) * 128;
     if env.config.has_bug(7) {
         env.ctx
-            .write_u32(site!("__dev_set_mtu:store"), d + dev::MTU, mtu)?;
+            .write_u32(site!("__dev_set_mtu:store"), d + dev::MTU, mtu)
+            .await?;
     } else {
         let rtnl = env.sym("net.rtnl_lock");
-        env.ctx.with_lock(rtnl, || {
-            env.ctx
-                .write_atomic(site!("__dev_set_mtu:store"), d + dev::MTU, 4, mtu)
-        })?;
+        env.ctx
+            .with_lock(rtnl, async {
+                env.ctx
+                    .write_atomic(site!("__dev_set_mtu:store"), d + dev::MTU, 4, mtu)
+                    .await
+            })
+            .await?;
     }
     Ok(0)
 }
 
 /// `rawv6_send_hdrinc` (#7 reader): size the packet by the device MTU and
 /// "transmit" by bumping the device counter.
-pub fn rawv6_send_hdrinc(env: &Env<'_>, sk: u64, len: u64) -> KResult<u64> {
+pub async fn rawv6_send_hdrinc(env: &Env<'_>, sk: u64, len: u64) -> KResult<u64> {
     let d = env.sym("net.dev0");
     let mtu = if env.config.has_bug(7) {
         env.ctx
-            .read_u32(site!("rawv6_send_hdrinc:mtu"), d + dev::MTU)?
+            .read_u32(site!("rawv6_send_hdrinc:mtu"), d + dev::MTU)
+            .await?
     } else {
         env.ctx
-            .read_atomic(site!("rawv6_send_hdrinc:mtu"), d + dev::MTU, 4)?
+            .read_atomic(site!("rawv6_send_hdrinc:mtu"), d + dev::MTU, 4)
+            .await?
     };
     let payload = (len % 16).min(mtu / 128);
     // Build the skb in a fresh allocation; each header byte is an access.
-    let skb = env.kzalloc(32)?;
+    let skb = env.kzalloc(32).await?;
     for i in 0..payload.max(1) {
         env.ctx
-            .write_u8(site!("rawv6_send_hdrinc:build"), skb + i, 0x60 + i)?;
+            .write_u8(site!("rawv6_send_hdrinc:build"), skb + i, 0x60 + i)
+            .await?;
     }
     // Account the transmission on the socket and device.
-    let tx = env.ctx.read_u64(site!("rawv6_send_hdrinc:sk_tx"), sk + 8)?;
+    let tx = env
+        .ctx
+        .read_u64(site!("rawv6_send_hdrinc:sk_tx"), sk + 8)
+        .await?;
     env.ctx
-        .write_u64(site!("rawv6_send_hdrinc:sk_tx"), sk + 8, tx + 1)?;
+        .write_u64(site!("rawv6_send_hdrinc:sk_tx"), sk + 8, tx + 1)
+        .await?;
     let dtx = env
         .ctx
-        .read_atomic(site!("rawv6_send_hdrinc:dev_tx"), d + dev::TX_PACKETS, 8)?;
-    env.ctx.write_atomic(
-        site!("rawv6_send_hdrinc:dev_tx"),
-        d + dev::TX_PACKETS,
-        8,
-        dtx + 1,
-    )?;
-    env.kfree(skb, 32)?;
+        .read_atomic(site!("rawv6_send_hdrinc:dev_tx"), d + dev::TX_PACKETS, 8)
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("rawv6_send_hdrinc:dev_tx"),
+            d + dev::TX_PACKETS,
+            8,
+            dtx + 1,
+        )
+        .await?;
+    env.kfree(skb, 32).await?;
     Ok(payload)
 }
 
@@ -207,22 +238,26 @@ pub fn rawv6_send_hdrinc(env: &Env<'_>, sk: u64, len: u64) -> KResult<u64> {
 mod tests {
     use super::*;
     use crate::{boot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor, KResult};
+    use sb_vmm::{Executor, KResult};
 
-    fn run_seq(config: KernelConfig, f: impl Fn(&Env<'_>) -> KResult<()> + Send + 'static) {
+    fn run_seq(
+        config: KernelConfig,
+        f: impl AsyncFnOnce(&Env<'_>) -> KResult<()> + 'static,
+    ) {
         let booted = boot(config);
         let mut exec = Executor::new(1);
         let kernel = booted.kernel.clone();
         let r = exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                f(&env)
+                f(&env).await
             })],
             &mut FreeRun,
         );
@@ -236,9 +271,9 @@ mod tests {
 
     #[test]
     fn mac_write_then_read_round_trips() {
-        run_seq(KernelConfig::v5_3_10(), |env| {
-            eth_commit_mac_addr_change(env, 5)?;
-            let got = dev_ifsioc_locked(env)?;
+        run_seq(KernelConfig::v5_3_10(), async |env| {
+            eth_commit_mac_addr_change(env, 5).await?;
+            let got = dev_ifsioc_locked(env).await?;
             let mut want = 0u64;
             for i in 0..ETH_ALEN {
                 want |= ((5u64.wrapping_mul(37).wrapping_add(i * 11)) & 0xff) << (8 * i);
@@ -250,10 +285,10 @@ mod tests {
 
     #[test]
     fn mtu_store_affects_send_path() {
-        run_seq(KernelConfig::v5_3_10(), |env| {
-            dev_set_mtu(env, 0)?; // 576
-            let sk = rawv6_socket(env)?;
-            let sent = rawv6_send_hdrinc(env, sk, 15)?;
+        run_seq(KernelConfig::v5_3_10(), async |env| {
+            dev_set_mtu(env, 0).await?; // 576
+            let sk = rawv6_socket(env).await?;
+            let sent = rawv6_send_hdrinc(env, sk, 15).await?;
             assert!(sent <= 576 / 128);
             Ok(())
         });
@@ -262,9 +297,9 @@ mod tests {
     #[test]
     fn patched_build_uses_rtnl_for_e1000() {
         // Functional smoke: the patched path must still set the MAC.
-        run_seq(KernelConfig::v5_3_10().patched(), |env| {
-            e1000_set_mac(env, 9)?;
-            let got = dev_ifsioc_locked(env)?;
+        run_seq(KernelConfig::v5_3_10().patched(), async |env| {
+            e1000_set_mac(env, 9).await?;
+            let got = dev_ifsioc_locked(env).await?;
             assert_ne!(got, 0);
             Ok(())
         });

@@ -14,9 +14,9 @@ use crate::Symbols;
 
 /// Allocates and registers the statistics cells. Runs before any other
 /// subsystem so `Env::kzalloc` works during the rest of boot.
-pub fn boot(ctx: &Ctx, syms: &mut Symbols) -> KResult<()> {
-    let alloc = ctx.kmalloc(8)?;
-    let free = ctx.kmalloc(8)?;
+pub async fn boot(ctx: &Ctx, syms: &mut Symbols) -> KResult<()> {
+    let alloc = ctx.kmalloc(8).await?;
+    let free = ctx.kmalloc(8).await?;
     syms.register("slab.alloc_count", alloc);
     syms.register("slab.free_count", free);
     Ok(())

@@ -23,46 +23,58 @@ pub mod card {
 }
 
 /// Boots the sound card.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let c = env.kzalloc(64)?;
-    let lock = env.kzalloc(8)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let c = env.kzalloc(64).await?;
+    let lock = env.kzalloc(8).await?;
     Ok(vec![("snd.card", c), ("snd.ctl_lock", lock)])
 }
 
 /// `SNDRV_CTL_IOCTL_ELEM_ADD` (#15): allocate a user control element and
 /// account it.
-pub fn snd_ctl_elem_add(env: &Env<'_>, arg: u64) -> KResult<u64> {
+pub async fn snd_ctl_elem_add(env: &Env<'_>, arg: u64) -> KResult<u64> {
     let c = env.sym("snd.card");
     let buggy = env.config.has_bug(15);
     let lock = env.sym("snd.ctl_lock");
     if !buggy {
-        env.ctx.lock(lock)?;
+        env.ctx.lock(lock).await?;
     }
     let count = env
         .ctx
-        .read_u32(site!("snd_ctl_elem_add:count_read"), c + card::USER_CTL_COUNT)?;
+        .read_u32(
+            site!("snd_ctl_elem_add:count_read"),
+            c + card::USER_CTL_COUNT,
+        )
+        .await?;
     let ret = if count >= MAX_USER_CTLS {
         errno(12) // ENOMEM
     } else {
-        let elem = env.kzalloc(32)?;
+        let elem = env.kzalloc(32).await?;
         env.ctx
-            .write_u32(site!("snd_ctl_elem_add:elem_id"), elem, 0x100 + arg)?;
+            .write_u32(site!("snd_ctl_elem_add:elem_id"), elem, 0x100 + arg)
+            .await?;
         // Link at the list head.
-        let head = env.ctx.read_u64(site!("snd_ctl_elem_add:head"), c + card::ELEMS)?;
+        let head = env
+            .ctx
+            .read_u64(site!("snd_ctl_elem_add:head"), c + card::ELEMS)
+            .await?;
         env.ctx
-            .write_u64(site!("snd_ctl_elem_add:elem_next"), elem + 8, head)?;
+            .write_u64(site!("snd_ctl_elem_add:elem_next"), elem + 8, head)
+            .await?;
         env.ctx
-            .write_u64(site!("snd_ctl_elem_add:link"), c + card::ELEMS, elem)?;
+            .write_u64(site!("snd_ctl_elem_add:link"), c + card::ELEMS, elem)
+            .await?;
         // The racy memory-size accounting.
-        env.ctx.write_u32(
-            site!("snd_ctl_elem_add:count_write"),
-            c + card::USER_CTL_COUNT,
-            count + 1,
-        )?;
+        env.ctx
+            .write_u32(
+                site!("snd_ctl_elem_add:count_write"),
+                c + card::USER_CTL_COUNT,
+                count + 1,
+            )
+            .await?;
         0
     };
     if !buggy {
-        env.ctx.unlock(lock)?;
+        env.ctx.unlock(lock).await?;
     }
     Ok(ret)
 }
@@ -71,8 +83,9 @@ pub fn snd_ctl_elem_add(env: &Env<'_>, arg: u64) -> KResult<u64> {
 mod tests {
     use super::*;
     use crate::{boot as kboot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor};
+    use sb_vmm::Executor;
 
     #[test]
     fn add_respects_limit_sequentially() {
@@ -81,16 +94,16 @@ mod tests {
         let kernel = booted.kernel.clone();
         let r = exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
                 for i in 0..MAX_USER_CTLS {
-                    assert_eq!(snd_ctl_elem_add(&env, i)?, 0);
+                    assert_eq!(snd_ctl_elem_add(&env, i).await?, 0);
                 }
-                assert_eq!(snd_ctl_elem_add(&env, 99)?, errno(12));
+                assert_eq!(snd_ctl_elem_add(&env, 99).await?, errno(12));
                 Ok(())
             })],
             &mut FreeRun,

@@ -28,10 +28,10 @@ pub mod port {
 }
 
 /// Boots the TTY: one port and its two locks.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let p = env.kzalloc(64)?;
-    let port_lock = env.kzalloc(8)?;
-    let uart_lock = env.kzalloc(8)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let p = env.kzalloc(64).await?;
+    let port_lock = env.kzalloc(8).await?;
+    let uart_lock = env.kzalloc(8).await?;
     Ok(vec![
         ("tty.port", p),
         ("tty.port_lock", port_lock),
@@ -40,71 +40,99 @@ pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 }
 
 /// `open()` on the TTY (#14 one side).
-pub fn tty_port_open(env: &Env<'_>) -> KResult<u64> {
+pub async fn tty_port_open(env: &Env<'_>) -> KResult<u64> {
     let p = env.sym("tty.port");
     let lock = env.sym("tty.port_lock");
-    env.ctx.with_lock(lock, || {
-        let f = env.ctx.read_u32(site!("tty_port_open:flags_read"), p + port::FLAGS)?;
-        env.ctx.write_u32(
-            site!("tty_port_open:flags_set"),
-            p + port::FLAGS,
-            f | flags::ASYNCB_INITIALIZED,
-        )?;
-        let c = env.ctx.read_u32(site!("tty_port_open:count"), p + port::COUNT)?;
-        env.ctx
-            .write_u32(site!("tty_port_open:count"), p + port::COUNT, c + 1)?;
-        Ok(0)
-    })
+    env.ctx
+        .with_lock(lock, async {
+            let f = env
+                .ctx
+                .read_u32(site!("tty_port_open:flags_read"), p + port::FLAGS)
+                .await?;
+            env.ctx
+                .write_u32(
+                    site!("tty_port_open:flags_set"),
+                    p + port::FLAGS,
+                    f | flags::ASYNCB_INITIALIZED,
+                )
+                .await?;
+            let c = env
+                .ctx
+                .read_u32(site!("tty_port_open:count"), p + port::COUNT)
+                .await?;
+            env.ctx
+                .write_u32(site!("tty_port_open:count"), p + port::COUNT, c + 1)
+                .await?;
+            Ok(0)
+        })
+        .await
 }
 
 /// `close()` on the TTY.
-pub fn tty_port_close(env: &Env<'_>) -> KResult<u64> {
+pub async fn tty_port_close(env: &Env<'_>) -> KResult<u64> {
     let p = env.sym("tty.port");
     let lock = env.sym("tty.port_lock");
-    env.ctx.with_lock(lock, || {
-        let c = env.ctx.read_u32(site!("tty_port_close:count"), p + port::COUNT)?;
-        env.ctx.write_u32(
-            site!("tty_port_close:count"),
-            p + port::COUNT,
-            c.saturating_sub(1),
-        )?;
-        Ok(0)
-    })
+    env.ctx
+        .with_lock(lock, async {
+            let c = env
+                .ctx
+                .read_u32(site!("tty_port_close:count"), p + port::COUNT)
+                .await?;
+            env.ctx
+                .write_u32(
+                    site!("tty_port_close:count"),
+                    p + port::COUNT,
+                    c.saturating_sub(1),
+                )
+                .await?;
+            Ok(0)
+        })
+        .await
 }
 
 /// `TIOCSERCONFIG` (#14 other side): rewrites the flags under a different
 /// lock in buggy builds.
-pub fn uart_do_autoconfig(env: &Env<'_>) -> KResult<u64> {
+pub async fn uart_do_autoconfig(env: &Env<'_>) -> KResult<u64> {
     let p = env.sym("tty.port");
     let lock = if env.config.has_bug(14) {
         env.sym("tty.uart_lock")
     } else {
         env.sym("tty.port_lock")
     };
-    env.ctx.with_lock(lock, || {
-        let f = env
-            .ctx
-            .read_u32(site!("uart_do_autoconfig:read"), p + port::FLAGS)?;
-        // Probe the hardware (a few harmless reads), then publish.
-        for i in 0..3u64 {
+    env.ctx
+        .with_lock(lock, async {
+            let f = env
+                .ctx
+                .read_u32(site!("uart_do_autoconfig:read"), p + port::FLAGS)
+                .await?;
+            // Probe the hardware (a few harmless reads), then publish.
+            for i in 0..3u64 {
+                env.ctx
+                    .read_u32(
+                        site!("uart_do_autoconfig:probe"),
+                        p + port::COUNT + (i % 2) * 4,
+                    )
+                    .await?;
+            }
             env.ctx
-                .read_u32(site!("uart_do_autoconfig:probe"), p + port::COUNT + (i % 2) * 4)?;
-        }
-        env.ctx.write_u32(
-            site!("uart_do_autoconfig:set"),
-            p + port::FLAGS,
-            f | flags::ASYNCB_AUTOCONFIG,
-        )?;
-        Ok(0)
-    })
+                .write_u32(
+                    site!("uart_do_autoconfig:set"),
+                    p + port::FLAGS,
+                    f | flags::ASYNCB_AUTOCONFIG,
+                )
+                .await?;
+            Ok(0)
+        })
+        .await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{boot as kboot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor};
+    use sb_vmm::Executor;
 
     #[test]
     fn open_and_autoconfig_set_their_bits() {
@@ -113,19 +141,25 @@ mod tests {
         let kernel = booted.kernel.clone();
         let r = exec.run(
             booted.snapshot.clone(),
-            vec![Box::new(move |ctx: &Ctx| {
+            vec![job(move |ctx| async move {
                 let env = Env {
-                    ctx,
+                    ctx: &ctx,
                     syms: &kernel.syms,
                     config: kernel.config,
                 };
-                tty_port_open(&env)?;
-                uart_do_autoconfig(&env)?;
+                tty_port_open(&env).await?;
+                uart_do_autoconfig(&env).await?;
                 let p = env.sym("tty.port");
-                let f = env.ctx.read_u32(site!("test:flags"), p + port::FLAGS)?;
+                let f = env
+                    .ctx
+                    .read_u32(site!("test:flags"), p + port::FLAGS)
+                    .await?;
                 assert_eq!(f, flags::ASYNCB_INITIALIZED | flags::ASYNCB_AUTOCONFIG);
-                tty_port_close(&env)?;
-                let c = env.ctx.read_u32(site!("test:count"), p + port::COUNT)?;
+                tty_port_close(&env).await?;
+                let c = env
+                    .ctx
+                    .read_u32(site!("test:count"), p + port::COUNT)
+                    .await?;
                 assert_eq!(c, 0);
                 Ok(())
             })],

@@ -24,41 +24,57 @@ pub mod wq {
 pub const FLUSH_TIMEOUT: u64 = 128;
 
 /// Boots the workqueue: its struct and the flusher wait queue.
-pub fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
-    let w = env.kzalloc(16)?;
-    let fq = env.kzalloc(8)?;
+pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
+    let w = env.kzalloc(16).await?;
+    let fq = env.kzalloc(8).await?;
     Ok(vec![("wq.queue", w), ("wq.flush_wq", fq)])
 }
 
 /// Queues one work item and runs it inline: the in-flight counter is
 /// raised, the work executes, then the counter drops and flushers are woken.
-pub fn queue_work(env: &Env<'_>, work: u64) -> KResult<u64> {
+pub async fn queue_work(env: &Env<'_>, work: u64) -> KResult<u64> {
     let w = env.sym("wq.queue");
     let fq = env.sym("wq.flush_wq");
-    let p = env.ctx.read_atomic(site!("queue_work:pending_inc"), w + wq::PENDING, 8)?;
+    let p = env
+        .ctx
+        .read_atomic(site!("queue_work:pending_inc"), w + wq::PENDING, 8)
+        .await?;
     env.ctx
-        .write_atomic(site!("queue_work:pending_inc"), w + wq::PENDING, 8, p + 1)?;
+        .write_atomic(site!("queue_work:pending_inc"), w + wq::PENDING, 8, p + 1)
+        .await?;
     // The work item itself.
     let d = env
         .ctx
-        .read_atomic(site!("process_one_work:run"), w + wq::DONE, 8)?;
+        .read_atomic(site!("process_one_work:run"), w + wq::DONE, 8)
+        .await?;
     env.ctx
-        .write_atomic(site!("process_one_work:run"), w + wq::DONE, 8, d + 1 + (work % 2))?;
+        .write_atomic(
+            site!("process_one_work:run"),
+            w + wq::DONE,
+            8,
+            d + 1 + (work % 2),
+        )
+        .await?;
     let p = env
         .ctx
-        .read_atomic(site!("pwq_dec_nr_in_flight:dec"), w + wq::PENDING, 8)?;
-    env.ctx.write_atomic(
-        site!("pwq_dec_nr_in_flight:dec"),
-        w + wq::PENDING,
-        8,
-        p.saturating_sub(1),
-    )?;
-    env.ctx.wake_all(site!("pwq_dec_nr_in_flight:wake_flushers"), fq)?;
+        .read_atomic(site!("pwq_dec_nr_in_flight:dec"), w + wq::PENDING, 8)
+        .await?;
+    env.ctx
+        .write_atomic(
+            site!("pwq_dec_nr_in_flight:dec"),
+            w + wq::PENDING,
+            8,
+            p.saturating_sub(1),
+        )
+        .await?;
+    env.ctx
+        .wake_all(site!("pwq_dec_nr_in_flight:wake_flushers"), fq)
+        .await?;
     Ok(0)
 }
 
 /// Waits for all in-flight work to finish (#23).
-pub fn flush_workqueue(env: &Env<'_>) -> KResult<u64> {
+pub async fn flush_workqueue(env: &Env<'_>) -> KResult<u64> {
     let w = env.sym("wq.queue");
     let fq = env.sym("wq.flush_wq");
     if env.config.has_bug(23) {
@@ -66,27 +82,35 @@ pub fn flush_workqueue(env: &Env<'_>) -> KResult<u64> {
         // sleep wakes nobody and the flusher blocks until the timeout.
         let p = env
             .ctx
-            .read_atomic(site!("flush_workqueue:pending_check"), w + wq::PENDING, 8)?;
+            .read_atomic(site!("flush_workqueue:pending_check"), w + wq::PENDING, 8)
+            .await?;
         if p == 0 {
             return Ok(0);
         }
         let woken = env
             .ctx
-            .sleep_on(site!("flush_workqueue:wait_completion"), fq, FLUSH_TIMEOUT)?;
+            .sleep_on(site!("flush_workqueue:wait_completion"), fq, FLUSH_TIMEOUT)
+            .await?;
         Ok(if woken { 0 } else { ETIMEDOUT })
     } else {
         // Patched: register on the queue first, then re-check.
-        env.ctx.wait_prepare(site!("flush_workqueue:wait_completion"), fq)?;
+        env.ctx
+            .wait_prepare(site!("flush_workqueue:wait_completion"), fq)
+            .await?;
         let p = env
             .ctx
-            .read_atomic(site!("flush_workqueue:pending_check"), w + wq::PENDING, 8)?;
+            .read_atomic(site!("flush_workqueue:pending_check"), w + wq::PENDING, 8)
+            .await?;
         if p == 0 {
-            env.ctx.wait_cancel(site!("flush_workqueue:wait_completion"), fq)?;
+            env.ctx
+                .wait_cancel(site!("flush_workqueue:wait_completion"), fq)
+                .await?;
             return Ok(0);
         }
         let woken = env
             .ctx
-            .wait_commit(site!("flush_workqueue:wait_completion"), fq, FLUSH_TIMEOUT)?;
+            .wait_commit(site!("flush_workqueue:wait_completion"), fq, FLUSH_TIMEOUT)
+            .await?;
         Ok(if woken { 0 } else { ETIMEDOUT })
     }
 }
@@ -95,25 +119,29 @@ pub fn flush_workqueue(env: &Env<'_>) -> KResult<u64> {
 mod tests {
     use super::*;
     use crate::{boot as kboot, KernelConfig};
+    use sb_vmm::exec::job;
     use sb_vmm::sched::FreeRun;
-    use sb_vmm::{Ctx, Executor};
+    use sb_vmm::Executor;
 
     #[test]
     fn sequential_queue_then_flush_never_blocks() {
-        for config in [KernelConfig::v5_12_rc3(), KernelConfig::v5_12_rc3().patched()] {
+        for config in [
+            KernelConfig::v5_12_rc3(),
+            KernelConfig::v5_12_rc3().patched(),
+        ] {
             let booted = kboot(config);
             let mut exec = Executor::new(1);
             let kernel = booted.kernel.clone();
             let r = exec.run(
                 booted.snapshot.clone(),
-                vec![Box::new(move |ctx: &Ctx| {
+                vec![job(move |ctx| async move {
                     let env = Env {
-                        ctx,
+                        ctx: &ctx,
                         syms: &kernel.syms,
                         config: kernel.config,
                     };
-                    queue_work(&env, 1)?;
-                    assert_eq!(flush_workqueue(&env)?, 0);
+                    queue_work(&env, 1).await?;
+                    assert_eq!(flush_workqueue(&env).await?, 0);
                     Ok(())
                 })],
                 &mut FreeRun,

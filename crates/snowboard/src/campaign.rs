@@ -498,11 +498,11 @@ pub(crate) enum JobVerdict {
 
 /// Runs one job to a verdict: attempt, classify, retry or quarantine.
 ///
-/// `slot` holds the worker's executor; it is dropped and rebuilt whenever a
-/// panic or executor error may have left it corrupt.
+/// `exec` is the worker's executor. It keeps no state between runs, so it
+/// survives a failed or panicked attempt as it is.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_one_job(
-    slot: &mut Option<Executor>,
+    exec: &mut Executor,
     job: usize,
     id: PmcId,
     booted: &BootedKernel,
@@ -531,7 +531,6 @@ pub(crate) fn run_one_job(
                 crate::chaos::fired("job.transient", &format!("job {job} attempt {attempt}"));
                 return Err(Error::Injected { attempt });
             }
-            let exec = slot.get_or_insert_with(|| Executor::new(2));
             let mut dog = Watchdog::start_traced(cfg.budget, &cfg.tracer);
             if cfg.fault_plan.should_hang(job) {
                 crate::chaos::fired("job.hang", &format!("job {job} attempt {attempt}"));
@@ -544,20 +543,10 @@ pub(crate) fn run_one_job(
                 out.attempts = attempts;
                 return JobVerdict::Completed(out);
             }
-            Ok(Err(e)) => {
-                if matches!(e, Error::Exec { .. }) {
-                    // The executor refused or half-dispatched a run; retire
-                    // it so the next attempt starts from a clean machine.
-                    *slot = None;
-                }
-                e
-            }
-            Err(payload) => {
-                *slot = None;
-                Error::WorkerPanic {
-                    message: panic_message(payload),
-                }
-            }
+            Ok(Err(e)) => e,
+            Err(payload) => Error::WorkerPanic {
+                message: panic_message(payload),
+            },
         };
         if !err.is_retryable() || attempts >= cfg.retry.max_attempts {
             return JobVerdict::Quarantined(QuarantineRecord {
@@ -765,8 +754,8 @@ pub fn run_campaign(
     let pool_results = run_jobs_fallible(
         pending,
         cfg.workers,
-        || None::<Executor>,
-        |slot, (job, id)| run_one_job(slot, job, id, booted, corpus, set, &index, cfg),
+        || Executor::new(2),
+        |exec, (job, id)| run_one_job(exec, job, id, booted, corpus, set, &index, cfg),
         PoolOpts {
             on_result: Some(Box::new(on_result)),
             close_before,

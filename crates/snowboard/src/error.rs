@@ -36,7 +36,7 @@ pub enum Error {
         /// Size of the corpus it was resolved against.
         corpus: usize,
     },
-    /// The execution machinery failed (dead vCPU worker, bad job shape).
+    /// The executor refused the run (bad job shape).
     Exec {
         /// The underlying executor error.
         source: ExecError,
@@ -110,15 +110,12 @@ pub enum Error {
 impl Error {
     /// True if a retry with a fresh seed could plausibly succeed.
     ///
-    /// Panics, dead executors, and injected faults are transient: the job
-    /// itself may be fine and the failure environmental. Structural
-    /// problems (empty PMC, bad test id, hang, checkpoint trouble) are
-    /// permanent — retrying would only burn budget.
+    /// Panics and injected faults are transient: the job itself may be
+    /// fine and the failure environmental. Structural problems (empty PMC,
+    /// bad test id, a job shape the executor refuses, hang, checkpoint
+    /// trouble) are permanent — retrying would only burn budget.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Error::WorkerPanic { .. } | Error::Exec { .. } | Error::Injected { .. }
-        )
+        matches!(self, Error::WorkerPanic { .. } | Error::Injected { .. })
     }
 
     /// The quarantine classification of this error.
@@ -308,8 +305,8 @@ mod tests {
     fn retryability_classification() {
         assert!(Error::WorkerPanic { message: "x".into() }.is_retryable());
         assert!(Error::Injected { attempt: 0 }.is_retryable());
-        assert!(Error::Exec {
-            source: ExecError::WorkerUnavailable { vcpu: 1 }
+        assert!(!Error::Exec {
+            source: ExecError::BadJobCount { jobs: 3, vcpus: 2 }
         }
         .is_retryable());
         assert!(!Error::EmptyPmc { pmc: 3 }.is_retryable());

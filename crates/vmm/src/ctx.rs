@@ -1,14 +1,24 @@
 //! The handle simulated kernel code uses to interact with the machine.
 //!
-//! Kernel subsystems are written as ordinary Rust against [`Ctx`]: every
-//! memory access, lock operation, RCU primitive, allocation, and console
-//! write is a *request* sent to the execution coordinator, which performs it
-//! on the guest state, records it, and decides — via the active scheduler —
-//! which thread runs next. Because the coordinator owns all shared state and
-//! serializes every request, the whole engine is safe Rust with no shared
-//! mutable memory between worker threads.
+//! Kernel subsystems are written as ordinary `async` Rust against [`Ctx`]:
+//! every memory access, lock operation, RCU primitive, allocation, and
+//! console write is a *request* to the executor, which performs it on the
+//! guest state, records it, and decides — via the active scheduler — which
+//! thread runs next.
+//!
+//! A kernel thread is a future, and a request is its only suspension point:
+//! the operation parks its [`Request`] in the thread's [`Mailbox`], returns
+//! `Pending` once, and finds the [`Reply`] there when the executor polls the
+//! thread again. The mailbox is shared between exactly one thread and the
+//! executor, on one OS thread, so the transport is two `Cell`s — no channel,
+//! no lock, no `unsafe` — and a thread blocked on a lock or a wait queue is
+//! simply a future nobody polls.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::cell::Cell;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +54,7 @@ pub enum Fault {
     Oom,
     /// The kernel invoked [`Ctx::oops`] (explicit `BUG()`/panic).
     Oops,
-    /// The coordinator is tearing the execution down (panic elsewhere,
+    /// The executor is tearing the execution down (panic elsewhere,
     /// deadlock, livelock, or executor shutdown); unwind immediately.
     Aborted,
     /// Lock protocol violation (e.g. unlocking a lock the thread holds not).
@@ -72,7 +82,7 @@ impl Fault {
 /// Result type used throughout the simulated kernel.
 pub type KResult<T> = Result<T, Fault>;
 
-/// Requests a worker thread sends to the coordinator.
+/// Requests a kernel thread parks for the executor.
 #[derive(Debug)]
 pub(crate) enum Request {
     /// Perform a memory access.
@@ -120,11 +130,12 @@ pub(crate) enum Request {
     Printk { msg: String },
     /// Kernel panic with a console message; aborts the execution.
     Oops { msg: String },
-    /// The thread's job finished with the given result.
+    /// The thread's job finished with the given result. Never parked: the
+    /// executor synthesizes it when the thread's future completes.
     Done { result: Result<(), Fault> },
 }
 
-/// Coordinator replies to worker requests.
+/// Executor replies to requests.
 #[derive(Debug)]
 pub(crate) enum Reply {
     /// Value result (reads, allocations).
@@ -135,16 +146,51 @@ pub(crate) enum Reply {
     Fault(Fault),
 }
 
-/// Per-thread handle to the coordinator; the "CPU" kernel code runs on.
+/// The one-slot-each-way cell a kernel thread and the executor share.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    /// The request the thread is suspended on, until the executor takes it.
+    pub(crate) req: Cell<Option<Request>>,
+    /// The reply the thread finds on its next poll.
+    pub(crate) rep: Cell<Option<Reply>>,
+}
+
+/// One request in flight: parks it on the first poll, completes with the
+/// reply on the second.
+struct Roundtrip<'a> {
+    mail: &'a Mailbox,
+    req: Option<Request>,
+}
+
+impl Future for Roundtrip<'_> {
+    type Output = KResult<u64>;
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        if let Some(req) = self.req.take() {
+            self.mail.req.set(Some(req));
+            return Poll::Pending;
+        }
+        match self.mail.rep.take() {
+            Some(Reply::Value(v)) => Poll::Ready(Ok(v)),
+            Some(Reply::Unit) => Poll::Ready(Ok(0)),
+            Some(Reply::Fault(f)) => Poll::Ready(Err(f)),
+            // Polled by something other than the executor's run loop, which
+            // only resumes a thread it has answered; it rejects the empty
+            // mailbox this leaves behind.
+            None => Poll::Pending,
+        }
+    }
+}
+
+/// Per-thread handle to the executor; the "CPU" kernel code runs on.
 pub struct Ctx {
     tid: usize,
-    req: Sender<Request>,
-    rep: Receiver<Reply>,
+    mail: Rc<Mailbox>,
 }
 
 impl Ctx {
-    pub(crate) fn new(tid: usize, req: Sender<Request>, rep: Receiver<Reply>) -> Self {
-        Ctx { tid, req, rep }
+    pub(crate) fn new(tid: usize, mail: Rc<Mailbox>) -> Self {
+        Ctx { tid, mail }
     }
 
     /// The simulated vCPU / kernel-thread index this context runs on.
@@ -160,152 +206,138 @@ impl Ctx {
         stack_base(self.tid) + 16 + slot * 8
     }
 
-    fn roundtrip(&self, req: Request) -> KResult<u64> {
-        if self.req.send(req).is_err() {
-            return Err(Fault::Aborted);
-        }
-        match self.rep.recv() {
-            Ok(Reply::Value(v)) => Ok(v),
-            Ok(Reply::Unit) => Ok(0),
-            Ok(Reply::Fault(f)) => Err(f),
-            Err(_) => Err(Fault::Aborted),
-        }
+    /// Parks `req` for the executor and resumes with its reply: the one
+    /// suspension point every operation below goes through.
+    fn request(&self, req: Request) -> Roundtrip<'_> {
+        Roundtrip { mail: &self.mail, req: Some(req) }
+    }
+
+    /// [`Ctx::request`] for operations whose reply carries no value.
+    async fn command(&self, req: Request) -> KResult<()> {
+        self.request(req).await.map(|_| ())
+    }
+
+    /// One memory access; `value` is what a write stores, ignored by reads.
+    fn access(
+        &self,
+        site: Site,
+        kind: AccessKind,
+        addr: u64,
+        len: u8,
+        value: u64,
+        atomic: bool,
+    ) -> Roundtrip<'_> {
+        self.request(Request::Access { site, kind, addr, len, value, atomic })
     }
 
     /// Reads `len` bytes (1..=8) at `addr`, little-endian.
-    pub fn read(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Read,
-            addr,
-            len,
-            value: 0,
-            atomic: false,
-        })
+    pub async fn read(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
+        self.access(site, AccessKind::Read, addr, len, 0, false).await
     }
 
     /// Writes the low `len` bytes of `value` at `addr`, little-endian.
-    pub fn write(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Write,
-            addr,
-            len,
-            value,
-            atomic: false,
-        })
-        .map(|_| ())
+    pub async fn write(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
+        self.access(site, AccessKind::Write, addr, len, value, false).await.map(|_| ())
     }
 
     /// Marked load (`READ_ONCE`); exempt from data-race reports when paired
     /// with another marked access.
-    pub fn read_atomic(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Read,
-            addr,
-            len,
-            value: 0,
-            atomic: true,
-        })
+    pub async fn read_atomic(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
+        self.access(site, AccessKind::Read, addr, len, 0, true).await
     }
 
     /// Marked store (`WRITE_ONCE`).
-    pub fn write_atomic(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Write,
-            addr,
-            len,
-            value,
-            atomic: true,
-        })
-        .map(|_| ())
+    pub async fn write_atomic(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
+        self.access(site, AccessKind::Write, addr, len, value, true).await.map(|_| ())
     }
 
     /// Reads a u8 at `addr`.
-    pub fn read_u8(&self, site: Site, addr: u64) -> KResult<u64> {
-        self.read(site, addr, 1)
+    pub async fn read_u8(&self, site: Site, addr: u64) -> KResult<u64> {
+        self.read(site, addr, 1).await
     }
 
     /// Reads a u32 at `addr`.
-    pub fn read_u32(&self, site: Site, addr: u64) -> KResult<u64> {
-        self.read(site, addr, 4)
+    pub async fn read_u32(&self, site: Site, addr: u64) -> KResult<u64> {
+        self.read(site, addr, 4).await
     }
 
     /// Reads a u64 at `addr`.
-    pub fn read_u64(&self, site: Site, addr: u64) -> KResult<u64> {
-        self.read(site, addr, 8)
+    pub async fn read_u64(&self, site: Site, addr: u64) -> KResult<u64> {
+        self.read(site, addr, 8).await
     }
 
     /// Writes a u8 at `addr`.
-    pub fn write_u8(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
-        self.write(site, addr, 1, value)
+    pub async fn write_u8(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
+        self.write(site, addr, 1, value).await
     }
 
     /// Writes a u32 at `addr`.
-    pub fn write_u32(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
-        self.write(site, addr, 4, value)
+    pub async fn write_u32(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
+        self.write(site, addr, 4, value).await
     }
 
     /// Writes a u64 at `addr`.
-    pub fn write_u64(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
-        self.write(site, addr, 8, value)
+    pub async fn write_u64(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
+        self.write(site, addr, 8, value).await
     }
 
     /// Copies `len` bytes from `src` to `dst` one byte at a time, like the
     /// kernel's `memcpy` compiled to byte moves — every byte is a separate
     /// schedulable access, so a concurrent reader can observe a torn copy
     /// (the structure of paper bug #9).
-    pub fn memcpy(&self, site: Site, dst: u64, src: u64, len: u64) -> KResult<()> {
+    pub async fn memcpy(&self, site: Site, dst: u64, src: u64, len: u64) -> KResult<()> {
         for i in 0..len {
-            let b = self.read(site, src + i, 1)?;
-            self.write(site, dst + i, 1, b)?;
+            let b = self.read(site, src + i, 1).await?;
+            self.write(site, dst + i, 1, b).await?;
         }
         Ok(())
     }
 
     /// Acquires the spinlock/mutex cell at `addr`, blocking until available.
-    pub fn lock(&self, addr: u64) -> KResult<()> {
-        self.lock_at(Site::intern("lock"), addr)
+    pub async fn lock(&self, addr: u64) -> KResult<()> {
+        self.lock_at(Site::intern("lock"), addr).await
     }
 
     /// Releases the lock cell at `addr`.
-    pub fn unlock(&self, addr: u64) -> KResult<()> {
-        self.unlock_at(Site::intern("unlock"), addr)
+    pub async fn unlock(&self, addr: u64) -> KResult<()> {
+        self.unlock_at(Site::intern("unlock"), addr).await
     }
 
     /// [`Ctx::lock`] with a named acquiring site for the sync-event stream.
-    pub fn lock_at(&self, site: Site, addr: u64) -> KResult<()> {
-        self.roundtrip(Request::Lock { addr, site }).map(|_| ())
+    pub async fn lock_at(&self, site: Site, addr: u64) -> KResult<()> {
+        self.command(Request::Lock { addr, site }).await
     }
 
     /// [`Ctx::unlock`] with a named releasing site.
-    pub fn unlock_at(&self, site: Site, addr: u64) -> KResult<()> {
-        self.roundtrip(Request::Unlock { addr, site }).map(|_| ())
+    pub async fn unlock_at(&self, site: Site, addr: u64) -> KResult<()> {
+        self.command(Request::Unlock { addr, site }).await
     }
 
     /// Runs `f` with the lock at `addr` held, releasing it afterwards even if
     /// `f` fails with a non-fatal fault.
-    pub fn with_lock<T>(&self, addr: u64, f: impl FnOnce() -> KResult<T>) -> KResult<T> {
-        self.with_lock_at(Site::intern("lock"), addr, f)
+    pub async fn with_lock<T>(
+        &self,
+        addr: u64,
+        f: impl Future<Output = KResult<T>>,
+    ) -> KResult<T> {
+        self.with_lock_at(Site::intern("lock"), addr, f).await
     }
 
     /// [`Ctx::with_lock`] with a named acquiring site: lock identity in the
     /// sync-event stream resolves to `site` instead of the generic "lock".
-    pub fn with_lock_at<T>(
+    pub async fn with_lock_at<T>(
         &self,
         site: Site,
         addr: u64,
-        f: impl FnOnce() -> KResult<T>,
+        f: impl Future<Output = KResult<T>>,
     ) -> KResult<T> {
-        self.lock_at(site, addr)?;
-        let out = f();
+        self.lock_at(site, addr).await?;
+        let out = f.await;
         match &out {
             // After a fatal fault the machine is going down; skip unlocking.
             Err(e) if e.is_fatal() => out,
             _ => {
-                self.unlock_at(site, addr)?;
+                self.unlock_at(site, addr).await?;
                 out
             }
         }
@@ -315,100 +347,94 @@ impl Ctx {
     /// wakeup arriving between now and [`Ctx::wait_commit`] is banked and
     /// satisfies the commit immediately — the correct check-then-sleep
     /// protocol.
-    pub fn wait_prepare(&self, site: Site, queue: u64) -> KResult<()> {
-        self.roundtrip(Request::WaitPrepare { queue, site }).map(|_| ())
+    pub async fn wait_prepare(&self, site: Site, queue: u64) -> KResult<()> {
+        self.command(Request::WaitPrepare { queue, site }).await
     }
 
     /// Commits to sleeping on `queue` for at most `timeout` coordinator
     /// steps. Returns `true` when woken by a signal (banked or live),
     /// `false` when the timeout expired first.
-    pub fn wait_commit(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
-        self.roundtrip(Request::WaitCommit { queue, site, timeout })
+    pub async fn wait_commit(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
+        self.request(Request::WaitCommit { queue, site, timeout })
+            .await
             .map(|v| v != 0)
     }
 
     /// Deregisters from `queue` without sleeping (`finish_wait`), dropping
     /// any banked wakeup.
-    pub fn wait_cancel(&self, site: Site, queue: u64) -> KResult<()> {
-        self.roundtrip(Request::WaitCancel { queue, site }).map(|_| ())
+    pub async fn wait_cancel(&self, site: Site, queue: u64) -> KResult<()> {
+        self.command(Request::WaitCancel { queue, site }).await
     }
 
     /// Sleeps on `queue` *without* registering first — the racy
     /// check-then-sleep primitive: a wakeup delivered between the caller's
     /// condition check and this call is lost. Returns `true` when woken,
     /// `false` on timeout.
-    pub fn sleep_on(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
-        self.wait_commit(site, queue, timeout)
+    pub async fn sleep_on(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
+        self.wait_commit(site, queue, timeout).await
     }
 
     /// Wakes at most one thread sleeping on (or prepared for) `queue`.
     /// Returns how many threads the signal reached; zero means it was lost.
-    pub fn wake_one(&self, site: Site, queue: u64) -> KResult<u64> {
-        self.roundtrip(Request::Wake { queue, site, all: false })
+    pub async fn wake_one(&self, site: Site, queue: u64) -> KResult<u64> {
+        self.request(Request::Wake { queue, site, all: false }).await
     }
 
     /// Wakes every thread sleeping on (or prepared for) `queue`, returning
     /// the delivery count.
-    pub fn wake_all(&self, site: Site, queue: u64) -> KResult<u64> {
-        self.roundtrip(Request::Wake { queue, site, all: true })
+    pub async fn wake_all(&self, site: Site, queue: u64) -> KResult<u64> {
+        self.request(Request::Wake { queue, site, all: true }).await
     }
 
     /// Enters atomic (non-sleepable) context — the simulated equivalent of
     /// holding a spinlock with preemption disabled. Nests.
-    pub fn atomic_enter(&self, site: Site) -> KResult<()> {
-        self.roundtrip(Request::AtomicEnter { site }).map(|_| ())
+    pub async fn atomic_enter(&self, site: Site) -> KResult<()> {
+        self.command(Request::AtomicEnter { site }).await
     }
 
     /// Leaves atomic context. Faults with a lock error when the thread is
     /// not in atomic context.
-    pub fn atomic_exit(&self, site: Site) -> KResult<()> {
-        self.roundtrip(Request::AtomicExit { site }).map(|_| ())
+    pub async fn atomic_exit(&self, site: Site) -> KResult<()> {
+        self.command(Request::AtomicExit { site }).await
     }
 
     /// Enters an RCU read-side critical section.
-    pub fn rcu_read_lock(&self) -> KResult<()> {
-        self.roundtrip(Request::RcuLock).map(|_| ())
+    pub async fn rcu_read_lock(&self) -> KResult<()> {
+        self.command(Request::RcuLock).await
     }
 
     /// Leaves an RCU read-side critical section.
-    pub fn rcu_read_unlock(&self) -> KResult<()> {
-        self.roundtrip(Request::RcuUnlock).map(|_| ())
+    pub async fn rcu_read_unlock(&self) -> KResult<()> {
+        self.command(Request::RcuUnlock).await
     }
 
     /// Waits for an RCU grace period: blocks until no other thread is inside
     /// an RCU read-side critical section.
-    pub fn synchronize_rcu(&self) -> KResult<()> {
-        self.roundtrip(Request::SyncRcu).map(|_| ())
+    pub async fn synchronize_rcu(&self) -> KResult<()> {
+        self.command(Request::SyncRcu).await
     }
 
     /// Allocates `len` bytes of zeroed guest heap (kzalloc semantics).
-    pub fn kmalloc(&self, len: u64) -> KResult<u64> {
-        self.roundtrip(Request::Alloc { len })
+    pub async fn kmalloc(&self, len: u64) -> KResult<u64> {
+        self.request(Request::Alloc { len }).await
     }
 
     /// Frees an allocation of `len` bytes at `addr`.
-    pub fn kfree(&self, addr: u64, len: u64) -> KResult<()> {
-        self.roundtrip(Request::Free { addr, len }).map(|_| ())
+    pub async fn kfree(&self, addr: u64, len: u64) -> KResult<()> {
+        self.command(Request::Free { addr, len }).await
     }
 
     /// Appends a line to the kernel console (printk).
-    pub fn printk(&self, msg: impl Into<String>) -> KResult<()> {
-        self.roundtrip(Request::Printk { msg: msg.into() }).map(|_| ())
-    }
-
-    /// Reports the thread's job result to the coordinator (worker-loop use).
-    pub(crate) fn send_done(&self, result: Result<(), Fault>) -> Result<(), ()> {
-        self.req
-            .send(Request::Done { result })
-            .map_err(|_| ())
+    pub async fn printk(&self, msg: impl Into<String>) -> KResult<()> {
+        self.command(Request::Printk { msg: msg.into() }).await
     }
 
     /// Kernel panic: records `msg` on the console, marks the execution as
     /// panicked, and returns the fault the caller should propagate.
-    pub fn oops(&self, msg: impl Into<String>) -> Fault {
-        match self.roundtrip(Request::Oops { msg: msg.into() }) {
+    pub async fn oops(&self, msg: impl Into<String>) -> Fault {
+        match self.request(Request::Oops { msg: msg.into() }).await {
             Err(f) => f,
-            // The coordinator always replies with a fault to an oops; treat
+            // The executor always replies with a fault to an oops; treat
             // an unexpected success as an abort to keep unwinding.
             Ok(_) => Fault::Aborted,
         }

@@ -1,34 +1,56 @@
-//! The execution coordinator: one vCPU runs at a time, every access is a
-//! scheduling point.
+//! The executor: one vCPU runs at a time, every access is a scheduling
+//! point.
 //!
-//! The coordinator owns the guest memory, the lock table, and the RCU state.
-//! Kernel threads run on pooled worker OS threads, but *logically* exactly
-//! one executes at a time: a worker performs pure computation freely, yet
-//! every interaction with shared machine state is a request the coordinator
-//! serializes. After each memory access the active [`Scheduler`] may preempt
-//! the running thread — the fine-grained control §4.4 requires ("only
+//! [`Executor::try_run`] is a plain `pick next → resume → handle request`
+//! loop on the caller's thread. It owns the guest memory, the lock table,
+//! and the RCU state; each kernel thread is a resumable state machine (a
+//! boxed future) that runs pure computation freely and suspends at every
+//! interaction with shared machine state, leaving a request in its mailbox
+//! (see [`crate::ctx`]). The loop performs the request, parks the reply,
+//! and — after each memory access — lets the active [`Scheduler`] preempt
+//! the running thread: the fine-grained control §4.4 requires ("only
 //! executes one vCPU at a time, enforcing the desired interleaving
-//! schedule").
+//! schedule"). Resuming a thread is a function call, so a scheduling point
+//! costs no kernel round trip and an execution involves no OS thread other
+//! than the caller's.
 //!
 //! Liveness handling mirrors SKI's `is_live` heuristics (§4.4.1): threads
 //! that keep fetching the same memory area are forcibly preempted, and
 //! executions that exceed an instruction budget end as livelocks.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use serde::{Deserialize, Serialize};
 
 use crate::access::{Access, AccessKind, LockSet};
-use crate::ctx::{Ctx, Fault, KResult, Reply, Request};
-use crate::mem::GuestMem;
+use crate::ctx::{Ctx, Fault, KResult, Mailbox, Reply, Request};
+use crate::mem::{GuestMem, MAX_THREADS};
 use crate::sched::Scheduler;
 use crate::site::Site;
 use crate::sync::{SyncEvent, SyncKind};
 
-/// A kernel thread body: the closure one simulated vCPU executes.
-pub type Job = Box<dyn FnOnce(&Ctx) -> KResult<()> + Send + 'static>;
+/// A started kernel thread: suspended at a [`Ctx`] operation or finished.
+pub type JobFuture = Pin<Box<dyn Future<Output = KResult<()>>>>;
+
+/// A kernel thread body: given its vCPU's [`Ctx`], the state machine one
+/// simulated vCPU executes. Build one with [`job`].
+pub type Job = Box<dyn FnOnce(Ctx) -> JobFuture>;
+
+/// Boxes an async closure as a [`Job`].
+///
+/// The body may only await [`Ctx`] operations (directly or through other
+/// `async fn`s): those are the executor's scheduling points.
+pub fn job<F, Fut>(body: F) -> Job
+where
+    F: FnOnce(Ctx) -> Fut + 'static,
+    Fut: Future<Output = KResult<()>> + 'static,
+{
+    Box::new(move |ctx| Box::pin(body(ctx)))
+}
 
 /// Execution resource limits (the `is_live` thresholds of §4.4.1).
 #[derive(Copy, Clone, Debug)]
@@ -53,24 +75,16 @@ impl Default for ExecLimits {
 }
 
 /// A typed failure of the execution machinery itself — as opposed to an
-/// [`Outcome`], which describes what the *simulated kernel* did. Machinery
-/// failures used to panic; campaign drivers now route them into retry /
-/// quarantine decisions instead of dying.
+/// [`Outcome`], which describes what the *simulated kernel* did — so a
+/// campaign driver can quarantine the job instead of dying.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// More jobs were submitted than the executor has pooled vCPUs (or
-    /// zero jobs).
+    /// More jobs were submitted than the executor has vCPUs (or zero jobs).
     BadJobCount {
         /// Number of jobs submitted.
         jobs: usize,
-        /// Number of pooled vCPUs.
+        /// Number of vCPUs.
         vcpus: usize,
-    },
-    /// A pooled vCPU worker thread is gone (its channel disconnected), so
-    /// the executor can no longer run jobs on it.
-    WorkerUnavailable {
-        /// Index of the dead vCPU.
-        vcpu: usize,
     },
 }
 
@@ -78,10 +92,7 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::BadJobCount { jobs, vcpus } => {
-                write!(f, "bad job count: {jobs} jobs for {vcpus} pooled vCPUs")
-            }
-            ExecError::WorkerUnavailable { vcpu } => {
-                write!(f, "vCPU worker {vcpu} is no longer available")
+                write!(f, "bad job count: {jobs} jobs for {vcpus} vCPUs")
             }
         }
     }
@@ -155,24 +166,28 @@ pub struct RunResult {
     pub mem: GuestMem,
 }
 
-struct WorkerHandle {
-    job_tx: Sender<Job>,
-    req_rx: Receiver<Request>,
-    rep_tx: Sender<Reply>,
-    join: Option<JoinHandle<()>>,
+/// A fixed number of simulated vCPUs plus the run loop that drives them.
+///
+/// An `Executor` holds no resources between runs — every call to
+/// [`Executor::run`] starts its jobs afresh on the caller's thread — so
+/// creating one is free and reusing one across many short trials (Snowboard
+/// runs up to 64 trials per PMC) is merely convenient.
+pub struct Executor {
+    vcpus: usize,
+    limits: ExecLimits,
 }
 
-/// A reusable pool of simulated vCPUs plus the coordination logic.
-///
-/// Creating an `Executor` spawns its worker threads once; every call to
-/// [`Executor::run`] reuses them, so executing many short trials (Snowboard
-/// runs up to 64 trials per PMC) stays cheap.
-pub struct Executor {
-    workers: Vec<WorkerHandle>,
-    limits: ExecLimits,
-    /// Set when a dispatch failed partway: some worker may still hold an
-    /// undelivered job, so further runs could interleave stale requests.
-    tainted: bool,
+/// One running kernel thread: its state machine and the executor's end of
+/// its mailbox.
+struct Vcpu {
+    thread: JobFuture,
+    mail: Rc<Mailbox>,
+}
+
+impl Vcpu {
+    fn reply(&self, rep: Reply) {
+        self.mail.rep.set(Some(rep));
+    }
 }
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -220,45 +235,23 @@ struct RunState<'a> {
 }
 
 impl Executor {
-    /// Creates an executor with `n_workers` pooled vCPUs and default limits.
-    pub fn new(n_workers: usize) -> Self {
-        Self::with_limits(n_workers, ExecLimits::default())
+    /// Creates an executor with `vcpus` vCPUs and default limits.
+    pub fn new(vcpus: usize) -> Self {
+        Self::with_limits(vcpus, ExecLimits::default())
     }
 
     /// Creates an executor with explicit [`ExecLimits`].
-    pub fn with_limits(n_workers: usize, limits: ExecLimits) -> Self {
+    pub fn with_limits(vcpus: usize, limits: ExecLimits) -> Self {
         assert!(
-            (1..=crate::mem::MAX_THREADS).contains(&n_workers),
-            "worker count must be in 1..={}",
-            crate::mem::MAX_THREADS
+            (1..=MAX_THREADS).contains(&vcpus),
+            "vCPU count must be in 1..={MAX_THREADS}"
         );
-        let workers = (0..n_workers)
-            .map(|tid| {
-                let (job_tx, job_rx) = channel::<Job>();
-                let (req_tx, req_rx) = channel::<Request>();
-                let (rep_tx, rep_rx) = channel::<Reply>();
-                let join = std::thread::Builder::new()
-                    .name(format!("sb-vcpu-{tid}"))
-                    .spawn(move || worker_main(tid, job_rx, req_tx, rep_rx))
-                    .expect("failed to spawn vCPU worker");
-                WorkerHandle {
-                    job_tx,
-                    req_rx,
-                    rep_tx,
-                    join: Some(join),
-                }
-            })
-            .collect();
-        Executor {
-            workers,
-            limits,
-            tainted: false,
-        }
+        Executor { vcpus, limits }
     }
 
-    /// Number of pooled vCPUs.
+    /// Number of vCPUs.
     pub fn vcpus(&self) -> usize {
-        self.workers.len()
+        self.vcpus
     }
 
     /// Runs `jobs` (one per vCPU, at most [`Executor::vcpus`]) over `mem`
@@ -266,14 +259,15 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics on machinery failures (bad job count, dead vCPU worker);
-    /// callers that must survive those use [`Executor::try_run`].
+    /// Panics on a bad job count; callers that must survive that use
+    /// [`Executor::try_run`]. A Rust panic inside a job body unwinds out of
+    /// either.
     pub fn run(&mut self, mem: GuestMem, jobs: Vec<Job>, sched: &mut dyn Scheduler) -> RunResult {
         self.try_run(mem, jobs, sched).expect("execution machinery failed")
     }
 
-    /// Fallible variant of [`Executor::run`]: machinery failures come back
-    /// as typed [`ExecError`]s instead of panics, so a campaign worker can
+    /// Fallible variant of [`Executor::run`]: a bad job count comes back as
+    /// a typed [`ExecError`] instead of a panic, so a campaign worker can
     /// quarantine the job and keep draining the queue.
     pub fn try_run(
         &mut self,
@@ -282,25 +276,23 @@ impl Executor {
         sched: &mut dyn Scheduler,
     ) -> Result<RunResult, ExecError> {
         let n = jobs.len();
-        if n < 1 || n > self.workers.len() {
+        if n < 1 || n > self.vcpus {
             return Err(ExecError::BadJobCount {
                 jobs: n,
-                vcpus: self.workers.len(),
+                vcpus: self.vcpus,
             });
         }
-        if self.tainted {
-            return Err(ExecError::WorkerUnavailable { vcpu: 0 });
-        }
-        for (i, job) in jobs.into_iter().enumerate() {
-            if self.workers[i].job_tx.send(job).is_err() {
-                // The worker thread is gone. Earlier workers already hold
-                // their jobs and would answer a future run with stale
-                // requests, so this executor is retired: campaign pools
-                // respond by rebuilding worker state.
-                self.tainted = true;
-                return Err(ExecError::WorkerUnavailable { vcpu: i });
-            }
-        }
+        let mut vcpus: Vec<Vcpu> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(tid, job)| {
+                let mail = Rc::new(Mailbox::default());
+                Vcpu {
+                    thread: job(Ctx::new(tid, Rc::clone(&mail))),
+                    mail,
+                }
+            })
+            .collect();
         let mut st = RunState {
             mem,
             sched,
@@ -335,7 +327,8 @@ impl Executor {
                 break;
             }
             st.expire_sleepers();
-            let ready: Vec<usize> = (0..n).filter(|t| st.status[*t] == TStat::Ready).collect();
+            let (ready, n_ready) = st.ready_except(None);
+            let ready = &ready[..n_ready];
             if ready.is_empty() {
                 // Every live thread is blocked. If some of them are timed
                 // sleeps, fast-forward the step clock to the earliest
@@ -357,10 +350,10 @@ impl Executor {
                     ready[0]
                 } else {
                     st.switches += 1;
-                    st.sched.pick(current, &ready)
+                    st.sched.pick(current, ready)
                 };
             }
-            self.service_one(&mut st, &mut current);
+            service_one(&mut st, &mut vcpus, &mut current);
         }
         let outcome = st.outcome.unwrap_or(Outcome::Completed);
         Ok(RunResult {
@@ -376,306 +369,301 @@ impl Executor {
             mem: st.mem,
         })
     }
+}
 
-    /// Delivers any owed reply to `current`, receives its next request, and
-    /// handles it; may change `current` on a scheduling decision.
-    fn service_one(&mut self, st: &mut RunState<'_>, current: &mut usize) {
-        let t = *current;
-        if let Some(rep) = st.owed[t].take() {
-            let _ = self.workers[t].rep_tx.send(rep);
+/// Delivers any owed reply to `current`, resumes it until its next request,
+/// and handles that; may change `current` on a scheduling decision.
+fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
+    let t = *current;
+    let vcpu = &mut vcpus[t];
+    if let Some(rep) = st.owed[t].take() {
+        vcpu.reply(rep);
+    }
+    let req = match vcpu
+        .thread
+        .as_mut()
+        .poll(&mut Context::from_waker(Waker::noop()))
+    {
+        Poll::Ready(result) => Request::Done { result },
+        Poll::Pending => vcpu
+            .mail
+            .req
+            .take()
+            .expect("a job body may only await Ctx operations"),
+    };
+    st.steps += 1;
+    st.thread_steps[t] += 1;
+    if !st.aborting
+        && (st.steps > st.limits.max_steps
+            || st.thread_steps[t] > st.limits.max_thread_steps)
+    {
+        st.abort(Outcome::Livelock);
+    }
+    match req {
+        Request::Done { result } => {
+            st.thread_faults[t] = result.err();
+            st.status[t] = TStat::Done;
+            // Auto-release anything the thread still holds so a buggy
+            // simulated handler cannot wedge the other thread forever.
+            let held = std::mem::take(&mut st.held[t]);
+            for &addr in held.iter() {
+                st.console
+                    .push(format!("WARNING: thread {t} exited holding lock {addr:#x}"));
+                st.sync_event(t, Site::intern("thread_exit"), SyncKind::LockRelease, addr, 0);
+                st.release_lock(t, addr);
+            }
+            if st.rcu_depth[t] > 0 {
+                st.rcu_depth[t] = 0;
+                st.wake_rcu_waiters_if_quiescent();
+            }
+            if st.atomic_depth[t] > 0 {
+                st.console
+                    .push(format!("WARNING: thread {t} exited in atomic context"));
+                st.atomic_depth[t] = 0;
+            }
+            for prep in st.prepared.values_mut() {
+                prep.retain(|u| *u != t);
+            }
+            st.tokens[t].clear();
         }
-        let req = match self.workers[t].req_rx.recv() {
-            Ok(r) => r,
-            Err(_) => {
-                // Worker died (test-harness teardown); mark done.
-                st.status[t] = TStat::Done;
-                return;
-            }
-        };
-        st.steps += 1;
-        st.thread_steps[t] += 1;
-        if !st.aborting
-            && (st.steps > st.limits.max_steps
-                || st.thread_steps[t] > st.limits.max_thread_steps)
-        {
-            st.abort(Outcome::Livelock);
+        _ if st.aborting => {
+            vcpu.reply(Reply::Fault(Fault::Aborted));
         }
-        match req {
-            Request::Done { result } => {
-                st.thread_faults[t] = result.err();
-                st.status[t] = TStat::Done;
-                // Auto-release anything the thread still holds so a buggy
-                // simulated handler cannot wedge the other thread forever.
-                let held = std::mem::take(&mut st.held[t]);
-                for &addr in held.iter() {
-                    st.console
-                        .push(format!("WARNING: thread {t} exited holding lock {addr:#x}"));
-                    st.sync_event(t, Site::intern("thread_exit"), SyncKind::LockRelease, addr, 0);
-                    st.release_lock(t, addr);
-                }
-                if st.rcu_depth[t] > 0 {
-                    st.rcu_depth[t] = 0;
-                    st.wake_rcu_waiters_if_quiescent();
-                }
-                if st.atomic_depth[t] > 0 {
-                    st.console
-                        .push(format!("WARNING: thread {t} exited in atomic context"));
-                    st.atomic_depth[t] = 0;
-                }
-                for prep in st.prepared.values_mut() {
-                    prep.retain(|u| *u != t);
-                }
-                st.tokens[t].clear();
-            }
-            _ if st.aborting => {
-                let _ = self.workers[t].rep_tx.send(Reply::Fault(Fault::Aborted));
-            }
-            Request::Access {
-                site,
-                kind,
-                addr,
-                len,
-                value,
-                atomic,
-            } => {
-                let res = match kind {
-                    AccessKind::Read => st.mem.read(addr, len),
-                    AccessKind::Write => st.mem.write(addr, len, value).map(|()| value),
-                };
-                match res {
-                    Ok(v) => {
-                        let access = Access {
-                            seq: st.trace.len() as u64,
-                            thread: t,
-                            site,
-                            kind,
-                            addr,
-                            len,
-                            value: v,
-                            atomic,
-                            locks: st.held[t].clone(),
-                            rcu_depth: st.rcu_depth[t],
-                        };
-                        let reply = match kind {
-                            AccessKind::Read => Reply::Value(v),
-                            AccessKind::Write => Reply::Unit,
-                        };
-                        let _ = self.workers[t].rep_tx.send(reply);
-                        let mut switch = st.sched.after_access(t, &access);
-                        st.trace.push(access);
-                        // Spin detection: repeated traffic on one address.
-                        let (last, count) = &mut st.spin[t];
-                        if *last == addr {
-                            *count += 1;
-                            if *count >= st.limits.spin_limit {
-                                *count = 0;
-                                st.sched.on_forced_switch(t);
-                                switch = true;
-                            }
-                        } else {
-                            *last = addr;
+        Request::Access {
+            site,
+            kind,
+            addr,
+            len,
+            value,
+            atomic,
+        } => {
+            let res = match kind {
+                AccessKind::Read => st.mem.read(addr, len),
+                AccessKind::Write => st.mem.write(addr, len, value).map(|()| value),
+            };
+            match res {
+                Ok(v) => {
+                    let access = Access {
+                        seq: st.trace.len() as u64,
+                        thread: t,
+                        site,
+                        kind,
+                        addr,
+                        len,
+                        value: v,
+                        atomic,
+                        locks: st.held[t].clone(),
+                        rcu_depth: st.rcu_depth[t],
+                    };
+                    let reply = match kind {
+                        AccessKind::Read => Reply::Value(v),
+                        AccessKind::Write => Reply::Unit,
+                    };
+                    vcpu.reply(reply);
+                    let mut switch = st.sched.after_access(t, &access);
+                    st.trace.push(access);
+                    // Spin detection: repeated traffic on one address.
+                    let (last, count) = &mut st.spin[t];
+                    if *last == addr {
+                        *count += 1;
+                        if *count >= st.limits.spin_limit {
                             *count = 0;
+                            st.sched.on_forced_switch(t);
+                            switch = true;
                         }
-                        if switch {
-                            let others: Vec<usize> = (0..st.n)
-                                .filter(|u| *u != t && st.status[*u] == TStat::Ready)
-                                .collect();
-                            if !others.is_empty() {
-                                st.switches += 1;
-                                *current = st.sched.pick(t, &others);
-                            }
+                    } else {
+                        *last = addr;
+                        *count = 0;
+                    }
+                    if switch {
+                        let (others, n_others) = st.ready_except(Some(t));
+                        if n_others > 0 {
+                            st.switches += 1;
+                            *current = st.sched.pick(t, &others[..n_others]);
                         }
                     }
-                    Err(f) => {
-                        if matches!(f, Fault::NullDeref { .. } | Fault::PageFault { .. }) {
-                            let msg = match f {
-                                Fault::NullDeref { addr } => format!(
-                                    "BUG: kernel NULL pointer dereference, address: {addr:#x} at {site}"
-                                ),
-                                Fault::PageFault { addr } => format!(
-                                    "BUG: unable to handle page fault for address: {addr:#x} at {site}"
-                                ),
-                                _ => unreachable!(),
-                            };
-                            st.console.push(msg.clone());
-                            st.abort(Outcome::Panic { msg });
-                        }
-                        let _ = self.workers[t].rep_tx.send(Reply::Fault(f));
+                }
+                Err(f) => {
+                    if matches!(f, Fault::NullDeref { .. } | Fault::PageFault { .. }) {
+                        let msg = match f {
+                            Fault::NullDeref { addr } => format!(
+                                "BUG: kernel NULL pointer dereference, address: {addr:#x} at {site}"
+                            ),
+                            Fault::PageFault { addr } => format!(
+                                "BUG: unable to handle page fault for address: {addr:#x} at {site}"
+                            ),
+                            _ => unreachable!(),
+                        };
+                        st.console.push(msg.clone());
+                        st.abort(Outcome::Panic { msg });
                     }
+                    vcpu.reply(Reply::Fault(f));
                 }
             }
-            Request::Lock { addr, site } => match st.lock_owner.get(&addr) {
-                None => {
-                    st.lock_owner.insert(addr, t);
-                    st.held[t].push(addr);
-                    st.sync_event(t, site, SyncKind::LockAcquire, addr, 0);
-                    let _ = self.workers[t].rep_tx.send(Reply::Unit);
-                }
-                Some(owner) if *owner == t => {
-                    let _ = self.workers[t]
-                        .rep_tx
-                        .send(Reply::Fault(Fault::LockError { addr }));
-                }
-                Some(_) => {
-                    st.lock_waiters.entry(addr).or_default().push_back((t, site));
-                    st.status[t] = TStat::Blocked;
-                    // No reply: the thread stays parked until the lock is
-                    // handed over or the run aborts. The LockAcquire event
-                    // is recorded at grant time, in release_lock.
-                }
-            },
-            Request::Unlock { addr, site } => {
-                if st.lock_owner.get(&addr) != Some(&t) {
-                    let _ = self.workers[t]
-                        .rep_tx
-                        .send(Reply::Fault(Fault::LockError { addr }));
-                } else {
-                    st.held[t].retain(|a| *a != addr);
-                    st.sync_event(t, site, SyncKind::LockRelease, addr, 0);
-                    st.release_lock(t, addr);
-                    let _ = self.workers[t].rep_tx.send(Reply::Unit);
-                }
+        }
+        Request::Lock { addr, site } => match st.lock_owner.get(&addr) {
+            None => {
+                st.lock_owner.insert(addr, t);
+                st.held[t].push(addr);
+                st.sync_event(t, site, SyncKind::LockAcquire, addr, 0);
+                vcpu.reply(Reply::Unit);
             }
-            Request::RcuLock => {
-                st.rcu_depth[t] = st.rcu_depth[t].saturating_add(1);
-                st.sync_event(t, Site::intern("rcu_read_lock"), SyncKind::RcuEnter, 0, 0);
-                let _ = self.workers[t].rep_tx.send(Reply::Unit);
+            Some(owner) if *owner == t => {
+                vcpu.reply(Reply::Fault(Fault::LockError { addr }));
             }
-            Request::RcuUnlock => {
-                if st.rcu_depth[t] == 0 {
-                    let _ = self.workers[t]
-                        .rep_tx
-                        .send(Reply::Fault(Fault::LockError { addr: 0 }));
-                } else {
-                    st.rcu_depth[t] -= 1;
-                    st.sync_event(t, Site::intern("rcu_read_unlock"), SyncKind::RcuExit, 0, 0);
-                    st.wake_rcu_waiters_if_quiescent();
-                    let _ = self.workers[t].rep_tx.send(Reply::Unit);
-                }
+            Some(_) => {
+                st.lock_waiters.entry(addr).or_default().push_back((t, site));
+                st.status[t] = TStat::Blocked;
+                // No reply: the thread stays parked until the lock is
+                // handed over or the run aborts. The LockAcquire event
+                // is recorded at grant time, in release_lock.
             }
-            Request::WaitPrepare { queue, site } => {
-                let prep = st.prepared.entry(queue).or_default();
-                if !prep.contains(&t) {
-                    prep.push(t);
-                }
-                st.sync_event(t, site, SyncKind::SleepPrepare, queue, 0);
-                let _ = self.workers[t].rep_tx.send(Reply::Unit);
+        },
+        Request::Unlock { addr, site } => {
+            if st.lock_owner.get(&addr) != Some(&t) {
+                vcpu.reply(Reply::Fault(Fault::LockError { addr }));
+            } else {
+                st.held[t].retain(|a| *a != addr);
+                st.sync_event(t, site, SyncKind::LockRelease, addr, 0);
+                st.release_lock(t, addr);
+                vcpu.reply(Reply::Unit);
             }
-            Request::WaitCommit { queue, site, timeout } => {
-                if let Some(prep) = st.prepared.get_mut(&queue) {
-                    prep.retain(|u| *u != t);
-                }
-                if let Some(i) = st.tokens[t].iter().position(|q| *q == queue) {
-                    // A wakeup was banked while we were prepared: consume it
-                    // and return without ever sleeping.
-                    st.tokens[t].remove(i);
-                    st.sync_event(t, site, SyncKind::SleepCancel, queue, 0);
-                    let _ = self.workers[t].rep_tx.send(Reply::Value(1));
-                } else {
-                    let deadline = st.steps.saturating_add(timeout.max(1));
-                    st.wait_sleepers.entry(queue).or_default().push_back((t, site));
-                    st.sleep_deadline[t] = Some(deadline);
-                    st.status[t] = TStat::Blocked;
-                    st.sync_event(t, site, SyncKind::SleepCommit, queue, timeout);
-                    // No reply until a wakeup, the timeout, or an abort.
-                }
+        }
+        Request::RcuLock => {
+            st.rcu_depth[t] = st.rcu_depth[t].saturating_add(1);
+            st.sync_event(t, Site::intern("rcu_read_lock"), SyncKind::RcuEnter, 0, 0);
+            vcpu.reply(Reply::Unit);
+        }
+        Request::RcuUnlock => {
+            if st.rcu_depth[t] == 0 {
+                vcpu.reply(Reply::Fault(Fault::LockError { addr: 0 }));
+            } else {
+                st.rcu_depth[t] -= 1;
+                st.sync_event(t, Site::intern("rcu_read_unlock"), SyncKind::RcuExit, 0, 0);
+                st.wake_rcu_waiters_if_quiescent();
+                vcpu.reply(Reply::Unit);
             }
-            Request::WaitCancel { queue, site } => {
-                if let Some(prep) = st.prepared.get_mut(&queue) {
-                    prep.retain(|u| *u != t);
-                }
-                st.tokens[t].retain(|q| *q != queue);
+        }
+        Request::WaitPrepare { queue, site } => {
+            let prep = st.prepared.entry(queue).or_default();
+            if !prep.contains(&t) {
+                prep.push(t);
+            }
+            st.sync_event(t, site, SyncKind::SleepPrepare, queue, 0);
+            vcpu.reply(Reply::Unit);
+        }
+        Request::WaitCommit { queue, site, timeout } => {
+            if let Some(prep) = st.prepared.get_mut(&queue) {
+                prep.retain(|u| *u != t);
+            }
+            if let Some(i) = st.tokens[t].iter().position(|q| *q == queue) {
+                // A wakeup was banked while we were prepared: consume it
+                // and return without ever sleeping.
+                st.tokens[t].remove(i);
                 st.sync_event(t, site, SyncKind::SleepCancel, queue, 0);
-                let _ = self.workers[t].rep_tx.send(Reply::Unit);
+                vcpu.reply(Reply::Value(1));
+            } else {
+                let deadline = st.steps.saturating_add(timeout.max(1));
+                st.wait_sleepers.entry(queue).or_default().push_back((t, site));
+                st.sleep_deadline[t] = Some(deadline);
+                st.status[t] = TStat::Blocked;
+                st.sync_event(t, site, SyncKind::SleepCommit, queue, timeout);
+                // No reply until a wakeup, the timeout, or an abort.
             }
-            Request::Wake { queue, site, all } => {
-                let mut delivered = 0u64;
-                loop {
-                    let next = st.wait_sleepers.get_mut(&queue).and_then(|s| s.pop_front());
-                    match next {
-                        Some((w, _wsite)) => {
-                            st.status[w] = TStat::Ready;
-                            st.owed[w] = Some(Reply::Value(1));
-                            st.sleep_deadline[w] = None;
-                            delivered += 1;
-                            if !all {
-                                break;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-                if all || delivered == 0 {
-                    // Bank the signal on threads that have prepared but not
-                    // yet committed: their commit will return immediately.
-                    let prep = st.prepared.get(&queue).cloned().unwrap_or_default();
-                    for u in prep {
-                        if !st.tokens[u].contains(&queue) {
-                            st.tokens[u].push(queue);
-                            delivered += 1;
-                        }
-                        if !all && delivered > 0 {
+        }
+        Request::WaitCancel { queue, site } => {
+            if let Some(prep) = st.prepared.get_mut(&queue) {
+                prep.retain(|u| *u != t);
+            }
+            st.tokens[t].retain(|q| *q != queue);
+            st.sync_event(t, site, SyncKind::SleepCancel, queue, 0);
+            vcpu.reply(Reply::Unit);
+        }
+        Request::Wake { queue, site, all } => {
+            let mut delivered = 0u64;
+            loop {
+                let next = st.wait_sleepers.get_mut(&queue).and_then(|s| s.pop_front());
+                match next {
+                    Some((w, _wsite)) => {
+                        st.status[w] = TStat::Ready;
+                        st.owed[w] = Some(Reply::Value(1));
+                        st.sleep_deadline[w] = None;
+                        delivered += 1;
+                        if !all {
                             break;
                         }
                     }
-                }
-                st.sync_event(t, site, SyncKind::Wake, queue, delivered);
-                let _ = self.workers[t].rep_tx.send(Reply::Value(delivered));
-            }
-            Request::AtomicEnter { site } => {
-                st.atomic_depth[t] = st.atomic_depth[t].saturating_add(1);
-                st.sync_event(t, site, SyncKind::AtomicEnter, 0, 0);
-                let _ = self.workers[t].rep_tx.send(Reply::Unit);
-            }
-            Request::AtomicExit { site } => {
-                if st.atomic_depth[t] == 0 {
-                    let _ = self.workers[t]
-                        .rep_tx
-                        .send(Reply::Fault(Fault::LockError { addr: 0 }));
-                } else {
-                    st.atomic_depth[t] -= 1;
-                    st.sync_event(t, site, SyncKind::AtomicExit, 0, 0);
-                    let _ = self.workers[t].rep_tx.send(Reply::Unit);
+                    None => break,
                 }
             }
-            Request::SyncRcu => {
-                let readers: u32 = st
-                    .rcu_depth
-                    .iter()
-                    .enumerate()
-                    .filter(|(u, _)| *u != t)
-                    .map(|(_, d)| u32::from(*d))
-                    .sum();
-                if readers == 0 {
-                    let _ = self.workers[t].rep_tx.send(Reply::Unit);
-                } else {
-                    st.sync_waiters.push(t);
-                    st.status[t] = TStat::Blocked;
+            if all || delivered == 0 {
+                // Bank the signal on threads that have prepared but not
+                // yet committed: their commit will return immediately.
+                let prep = st.prepared.get(&queue).cloned().unwrap_or_default();
+                for u in prep {
+                    if !st.tokens[u].contains(&queue) {
+                        st.tokens[u].push(queue);
+                        delivered += 1;
+                    }
+                    if !all && delivered > 0 {
+                        break;
+                    }
                 }
             }
-            Request::Alloc { len } => {
-                let rep = match st.mem.kmalloc(len) {
-                    Ok(a) => Reply::Value(a),
-                    Err(f) => Reply::Fault(f),
-                };
-                let _ = self.workers[t].rep_tx.send(rep);
+            st.sync_event(t, site, SyncKind::Wake, queue, delivered);
+            vcpu.reply(Reply::Value(delivered));
+        }
+        Request::AtomicEnter { site } => {
+            st.atomic_depth[t] = st.atomic_depth[t].saturating_add(1);
+            st.sync_event(t, site, SyncKind::AtomicEnter, 0, 0);
+            vcpu.reply(Reply::Unit);
+        }
+        Request::AtomicExit { site } => {
+            if st.atomic_depth[t] == 0 {
+                vcpu.reply(Reply::Fault(Fault::LockError { addr: 0 }));
+            } else {
+                st.atomic_depth[t] -= 1;
+                st.sync_event(t, site, SyncKind::AtomicExit, 0, 0);
+                vcpu.reply(Reply::Unit);
             }
-            Request::Free { addr, len } => {
-                let rep = match st.mem.kfree(addr, len) {
-                    Ok(()) => Reply::Unit,
-                    Err(f) => Reply::Fault(f),
-                };
-                let _ = self.workers[t].rep_tx.send(rep);
+        }
+        Request::SyncRcu => {
+            let readers: u32 = st
+                .rcu_depth
+                .iter()
+                .enumerate()
+                .filter(|(u, _)| *u != t)
+                .map(|(_, d)| u32::from(*d))
+                .sum();
+            if readers == 0 {
+                vcpu.reply(Reply::Unit);
+            } else {
+                st.sync_waiters.push(t);
+                st.status[t] = TStat::Blocked;
             }
-            Request::Printk { msg } => {
-                st.console.push(msg);
-                let _ = self.workers[t].rep_tx.send(Reply::Unit);
-            }
-            Request::Oops { msg } => {
-                st.console.push(msg.clone());
-                st.abort(Outcome::Panic { msg });
-                let _ = self.workers[t].rep_tx.send(Reply::Fault(Fault::Oops));
-            }
+        }
+        Request::Alloc { len } => {
+            let rep = match st.mem.kmalloc(len) {
+                Ok(a) => Reply::Value(a),
+                Err(f) => Reply::Fault(f),
+            };
+            vcpu.reply(rep);
+        }
+        Request::Free { addr, len } => {
+            let rep = match st.mem.kfree(addr, len) {
+                Ok(()) => Reply::Unit,
+                Err(f) => Reply::Fault(f),
+            };
+            vcpu.reply(rep);
+        }
+        Request::Printk { msg } => {
+            st.console.push(msg);
+            vcpu.reply(Reply::Unit);
+        }
+        Request::Oops { msg } => {
+            st.console.push(msg.clone());
+            st.abort(Outcome::Panic { msg });
+            vcpu.reply(Reply::Fault(Fault::Oops));
         }
     }
 }
@@ -736,6 +724,20 @@ impl RunState<'_> {
         }
     }
 
+    /// The ready threads other than `skip`, ascending, as a stack array and
+    /// its length: what [`Scheduler::pick`] chooses from.
+    fn ready_except(&self, skip: Option<usize>) -> ([usize; MAX_THREADS], usize) {
+        let mut ready = [0usize; MAX_THREADS];
+        let mut len = 0;
+        for t in 0..self.n {
+            if Some(t) != skip && self.status[t] == TStat::Ready {
+                ready[len] = t;
+                len += 1;
+            }
+        }
+        (ready, len)
+    }
+
     /// The earliest pending sleep deadline, if any thread is in a timed
     /// sleep.
     fn earliest_sleep_deadline(&self) -> Option<u64> {
@@ -771,39 +773,6 @@ impl RunState<'_> {
         self.prepared.clear();
         for d in &mut self.sleep_deadline {
             *d = None;
-        }
-    }
-}
-
-impl Drop for Executor {
-    fn drop(&mut self) {
-        // Close job channels so workers exit, then join them.
-        for w in &mut self.workers {
-            let (tx, _rx) = channel::<Job>();
-            // Replace the sender with a disconnected one, dropping the real
-            // sender and closing the worker's job queue.
-            w.job_tx = tx;
-        }
-        for w in &mut self.workers {
-            if let Some(j) = w.join.take() {
-                let _ = j.join();
-            }
-        }
-    }
-}
-
-fn worker_main(
-    tid: usize,
-    job_rx: Receiver<Job>,
-    req_tx: Sender<Request>,
-    rep_rx: Receiver<Reply>,
-) {
-    let ctx = Ctx::new(tid, req_tx, rep_rx);
-    while let Ok(job) = job_rx.recv() {
-        let result = job(&ctx);
-        // A closed channel means the executor is gone; just exit.
-        if ctx.send_done(result).is_err() {
-            break;
         }
     }
 }

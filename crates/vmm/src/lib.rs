@@ -1,7 +1,7 @@
 //! Deterministic execution engine for the Snowboard reproduction.
 //!
 //! This crate plays the role that the customized QEMU/SKI hypervisor plays in
-//! the paper: it runs "kernel threads" (arbitrary Rust closures written
+//! the paper: it runs "kernel threads" (arbitrary `async` Rust written
 //! against [`ctx::Ctx`]) one at a time, observes every simulated memory
 //! access, and lets a pluggable [`sched::Scheduler`] decide, after each
 //! access, whether to preempt the running thread — exactly the
@@ -18,25 +18,25 @@
 //!   identification consume.
 //! * [`ctx`] — the handle kernel code uses to touch guest memory, locks, RCU,
 //!   and the console.
-//! * [`exec`] — the coordinator that serializes thread execution, manages the
-//!   lock table and RCU grace periods, detects deadlocks and livelocks, and
-//!   produces an [`exec::ExecReport`].
+//! * [`exec`] — the single-threaded run loop that resumes one kernel thread
+//!   at a time, manages the lock table and RCU grace periods, detects
+//!   deadlocks and livelocks, and produces an [`exec::ExecReport`].
 //! * [`sched`] — schedulers: free-run, random-walk, SKI-style, and the
 //!   Snowboard scheduler implementing the paper's Algorithm 2.
 //!
 //! # Examples
 //!
 //! ```
-//! use sb_vmm::{ctx::KResult, exec::Executor, mem::GuestMem, sched::FreeRun, site};
+//! use sb_vmm::{exec::{job, Executor}, mem::GuestMem, sched::FreeRun, site};
 //!
 //! let mut exec = Executor::new(1);
 //! let mem = GuestMem::new();
 //! let report = exec.run(
 //!     mem,
-//!     vec![Box::new(|ctx| -> KResult<()> {
-//!         let a = ctx.kmalloc(8)?;
-//!         ctx.write_u64(site!("demo:init"), a, 42)?;
-//!         assert_eq!(ctx.read_u64(site!("demo:check"), a)?, 42);
+//!     vec![job(|ctx| async move {
+//!         let a = ctx.kmalloc(8).await?;
+//!         ctx.write_u64(site!("demo:init"), a, 42).await?;
+//!         assert_eq!(ctx.read_u64(site!("demo:check"), a).await?, 42);
 //!         Ok(())
 //!     })],
 //!     &mut FreeRun::default(),

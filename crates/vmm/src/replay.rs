@@ -136,23 +136,22 @@ impl Scheduler for ReplaySched {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::KResult;
-    use crate::exec::Executor;
+    use crate::exec::{job, Executor, Job};
     use crate::mem::GuestMem;
     use crate::sched::RandomSched;
-    use crate::{site, Ctx};
+    use crate::site;
 
-    fn two_jobs(cell: u64) -> Vec<crate::exec::Job> {
-        let job = move |name: &'static str| -> crate::exec::Job {
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
+    fn two_jobs(cell: u64) -> Vec<Job> {
+        let bump = move |name: &'static str| -> Job {
+            job(move |ctx| async move {
                 for i in 0..30 {
-                    let v = ctx.read_u64(site!(name), cell)?;
-                    ctx.write_u64(site!(name), cell, v + i)?;
+                    let v = ctx.read_u64(site!(name), cell).await?;
+                    ctx.write_u64(site!(name), cell, v + i).await?;
                 }
                 Ok(())
             })
         };
-        vec![job("rp:a"), job("rp:b")]
+        vec![bump("rp:a"), bump("rp:b")]
     }
 
     fn trace_sig(r: &crate::exec::ExecReport) -> Vec<(usize, u64, u64)> {

@@ -1,14 +1,10 @@
 //! End-to-end tests of the execution coordinator: scheduling, locks, RCU,
 //! faults, liveness, and determinism.
 
-use sb_vmm::ctx::KResult;
-use sb_vmm::exec::{ExecLimits, Executor, Outcome};
+use sb_vmm::exec::{job, ExecLimits, Executor, Job, Outcome};
 use sb_vmm::mem::GuestMem;
 use sb_vmm::sched::{FreeRun, RandomSched, Scheduler};
-use sb_vmm::{site, AccessKind, Ctx, Fault};
-
-/// A boxed kernel-thread job, as `Executor::run` takes them.
-type BoxedJob = Box<dyn FnOnce(&Ctx) -> KResult<()> + Send>;
+use sb_vmm::{site, AccessKind, Fault};
 
 /// Boots a memory with one 8-byte cell preallocated at a fixed address.
 fn mem_with_cell() -> (GuestMem, u64) {
@@ -23,9 +19,9 @@ fn single_thread_runs_to_completion() {
     let mut exec = Executor::new(1);
     let r = exec.run(
         mem,
-        vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
-            ctx.write_u64(site!("t:w"), cell, 5)?;
-            assert_eq!(ctx.read_u64(site!("t:r"), cell)?, 5);
+        vec![job(move |ctx| async move {
+            ctx.write_u64(site!("t:w"), cell, 5).await?;
+            assert_eq!(ctx.read_u64(site!("t:r"), cell).await?, 5);
             Ok(())
         })],
         &mut FreeRun,
@@ -43,9 +39,9 @@ fn trace_records_access_features() {
     let mut exec = Executor::new(1);
     let r = exec.run(
         mem,
-        vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
-            ctx.write(site!("feat:w"), cell, 4, 0xDEAD_BEEF)?;
-            ctx.read(site!("feat:r"), cell + 2, 2)?;
+        vec![job(move |ctx| async move {
+            ctx.write(site!("feat:w"), cell, 4, 0xDEAD_BEEF).await?;
+            ctx.read(site!("feat:r"), cell + 2, 2).await?;
             Ok(())
         })],
         &mut FreeRun,
@@ -69,19 +65,19 @@ fn locks_provide_mutual_exclusion() {
     let lock = m.kmalloc(8).unwrap();
     let counter = m.kmalloc(8).unwrap();
     let mut exec = Executor::new(2);
-    let job = move |name: &'static str| -> BoxedJob {
-        Box::new(move |ctx: &Ctx| {
+    let bump = move |name: &'static str| -> Job {
+        job(move |ctx| async move {
             for _ in 0..100 {
-                ctx.lock(lock)?;
-                let v = ctx.read_u64(site!(name), counter)?;
-                ctx.write_u64(site!(name), counter, v + 1)?;
-                ctx.unlock(lock)?;
+                ctx.lock(lock).await?;
+                let v = ctx.read_u64(site!(name), counter).await?;
+                ctx.write_u64(site!(name), counter, v + 1).await?;
+                ctx.unlock(lock).await?;
             }
             Ok(())
         })
     };
     let mut sched = RandomSched::new(42, 0.3);
-    let r = exec.run(m, vec![job("lk:a"), job("lk:b")], &mut sched);
+    let r = exec.run(m, vec![bump("lk:a"), bump("lk:b")], &mut sched);
     assert_eq!(r.report.outcome, Outcome::Completed);
     assert_eq!(r.mem.read(counter, 8).unwrap(), 200);
     assert!(r.report.switches > 0, "random scheduler should preempt");
@@ -95,17 +91,17 @@ fn unlocked_counter_loses_updates_under_preemption() {
     let mut m = GuestMem::new();
     let counter = m.kmalloc(8).unwrap();
     let mut exec = Executor::new(2);
-    let job = move |name: &'static str| -> BoxedJob {
-        Box::new(move |ctx: &Ctx| {
+    let bump = move |name: &'static str| -> Job {
+        job(move |ctx| async move {
             for _ in 0..100 {
-                let v = ctx.read_u64(site!(name), counter)?;
-                ctx.write_u64(site!(name), counter, v + 1)?;
+                let v = ctx.read_u64(site!(name), counter).await?;
+                ctx.write_u64(site!(name), counter, v + 1).await?;
             }
             Ok(())
         })
     };
     let mut sched = RandomSched::new(7, 0.5);
-    let r = exec.run(m, vec![job("nolk:a"), job("nolk:b")], &mut sched);
+    let r = exec.run(m, vec![bump("nolk:a"), bump("nolk:b")], &mut sched);
     assert_eq!(r.report.outcome, Outcome::Completed);
     let v = r.mem.read(counter, 8).unwrap();
     assert!(v < 200, "expected lost updates, got {v}");
@@ -133,18 +129,18 @@ fn contended_lock_blocks_and_hands_over() {
     let r = exec.run(
         m,
         vec![
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.lock(lock)?;
-                ctx.write_u64(site!("ho:a1"), data, 1)?;
-                ctx.write_u64(site!("ho:a2"), data, 2)?;
-                ctx.unlock(lock)?;
+            job(move |ctx| async move {
+                ctx.lock(lock).await?;
+                ctx.write_u64(site!("ho:a1"), data, 1).await?;
+                ctx.write_u64(site!("ho:a2"), data, 2).await?;
+                ctx.unlock(lock).await?;
                 Ok(())
             }),
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.lock(lock)?;
-                let v = ctx.read_u64(site!("ho:b"), data)?;
+            job(move |ctx| async move {
+                ctx.lock(lock).await?;
+                let v = ctx.read_u64(site!("ho:b"), data).await?;
                 assert_eq!(v, 2, "B must only enter after A's critical section");
-                ctx.unlock(lock)?;
+                ctx.unlock(lock).await?;
                 Ok(())
             }),
         ],
@@ -166,20 +162,20 @@ fn abba_deadlock_is_detected() {
     let r = exec.run(
         m,
         vec![
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.lock(la)?;
-                ctx.read_u64(site!("dl:a"), data)?;
-                ctx.lock(lb)?;
-                ctx.unlock(lb)?;
-                ctx.unlock(la)?;
+            job(move |ctx| async move {
+                ctx.lock(la).await?;
+                ctx.read_u64(site!("dl:a"), data).await?;
+                ctx.lock(lb).await?;
+                ctx.unlock(lb).await?;
+                ctx.unlock(la).await?;
                 Ok(())
             }),
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.lock(lb)?;
-                ctx.read_u64(site!("dl:b"), data)?;
-                ctx.lock(la)?;
-                ctx.unlock(la)?;
-                ctx.unlock(lb)?;
+            job(move |ctx| async move {
+                ctx.lock(lb).await?;
+                ctx.read_u64(site!("dl:b"), data).await?;
+                ctx.lock(la).await?;
+                ctx.unlock(la).await?;
+                ctx.unlock(lb).await?;
                 Ok(())
             }),
         ],
@@ -214,20 +210,20 @@ fn rcu_synchronize_waits_for_readers() {
     let r = exec.run(
         m,
         vec![
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.rcu_read_lock()?;
-                let v = ctx.read_u64(site!("rcu:r1"), data)?;
+            job(move |ctx| async move {
+                ctx.rcu_read_lock().await?;
+                let v = ctx.read_u64(site!("rcu:r1"), data).await?;
                 // Yield point; writer runs and blocks in synchronize_rcu.
-                let v2 = ctx.read_u64(site!("rcu:r2"), data)?;
+                let v2 = ctx.read_u64(site!("rcu:r2"), data).await?;
                 // Inside one RCU section the writer cannot free/overwrite.
                 assert_eq!(v, v2);
-                ctx.rcu_read_unlock()?;
+                ctx.rcu_read_unlock().await?;
                 Ok(())
             }),
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.read_u64(site!("rcu:w0"), data)?;
-                ctx.synchronize_rcu()?;
-                ctx.write_u64(site!("rcu:w1"), data, 2)?;
+            job(move |ctx| async move {
+                ctx.read_u64(site!("rcu:w0"), data).await?;
+                ctx.synchronize_rcu().await?;
+                ctx.write_u64(site!("rcu:w1"), data, 2).await?;
                 Ok(())
             }),
         ],
@@ -243,9 +239,9 @@ fn null_dereference_panics_with_console_bug_line() {
     let mut exec = Executor::new(1);
     let r = exec.run(
         mem,
-        vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
+        vec![job(move |ctx| async move {
             let ptr = 0u64; // Simulated uninitialized pointer field.
-            ctx.read_u64(site!("null:deref"), ptr + 8)?;
+            ctx.read_u64(site!("null:deref"), ptr + 8).await?;
             Ok(())
         })],
         &mut FreeRun,
@@ -264,10 +260,10 @@ fn wild_pointer_panics_with_page_fault_line() {
     let mut exec = Executor::new(1);
     let r = exec.run(
         mem,
-        vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
+        vec![job(move |ctx| async move {
             // Offset from null beyond the first page: "unable to handle
             // page fault", like paper bug #1.
-            ctx.read_u64(site!("wild:deref"), 0x2000)?;
+            ctx.read_u64(site!("wild:deref"), 0x2000).await?;
             Ok(())
         })],
         &mut FreeRun,
@@ -283,13 +279,13 @@ fn explicit_oops_aborts_all_threads() {
     let r = exec.run(
         mem,
         vec![
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.read_u64(site!("oops:pre"), cell)?;
-                Err(ctx.oops("BUG: explicit panic for test"))
+            job(move |ctx| async move {
+                ctx.read_u64(site!("oops:pre"), cell).await?;
+                Err(ctx.oops("BUG: explicit panic for test").await)
             }),
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
+            job(move |ctx| async move {
                 for _ in 0..1000 {
-                    ctx.read_u64(site!("oops:other"), cell)?;
+                    ctx.read_u64(site!("oops:other"), cell).await?;
                 }
                 Ok(())
             }),
@@ -313,9 +309,9 @@ fn livelock_budget_trips() {
     let mut exec = Executor::with_limits(1, limits);
     let r = exec.run(
         mem,
-        vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
+        vec![job(move |ctx| async move {
             loop {
-                ctx.read_u64(site!("ll:spin"), cell)?;
+                ctx.read_u64(site!("ll:spin"), cell).await?;
             }
         })],
         &mut FreeRun,
@@ -333,13 +329,13 @@ fn spin_detection_forces_preemption() {
     let r = exec.run(
         m,
         vec![
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
+            job(move |ctx| async move {
                 // Wait until the flag flips; pure spin.
-                while ctx.read_u64(site!("spin:poll"), flag)? == 0 {}
+                while ctx.read_u64(site!("spin:poll"), flag).await? == 0 {}
                 Ok(())
             }),
-            Box::new(move |ctx: &Ctx| -> KResult<()> {
-                ctx.write_u64(site!("spin:set"), flag, 1)?;
+            job(move |ctx| async move {
+                ctx.write_u64(site!("spin:set"), flag, 1).await?;
                 Ok(())
             }),
         ],
@@ -356,12 +352,12 @@ fn executor_is_reusable_across_runs() {
         let r = exec.run(
             mem,
             vec![
-                Box::new(move |ctx: &Ctx| -> KResult<()> {
-                    ctx.write_u64(site!("reuse:w"), cell, round)?;
+                job(move |ctx| async move {
+                    ctx.write_u64(site!("reuse:w"), cell, round).await?;
                     Ok(())
                 }),
-                Box::new(move |ctx: &Ctx| -> KResult<()> {
-                    ctx.read_u64(site!("reuse:r"), cell)?;
+                job(move |ctx| async move {
+                    ctx.read_u64(site!("reuse:r"), cell).await?;
                     Ok(())
                 }),
             ],
@@ -381,17 +377,17 @@ fn identical_seeds_give_identical_traces() {
         let r = exec.run(
             m,
             vec![
-                Box::new(move |ctx: &Ctx| -> KResult<()> {
+                job(move |ctx| async move {
                     for i in 0..50 {
-                        ctx.write_u64(site!("det:w"), a, i)?;
-                        ctx.read_u64(site!("det:rb"), b)?;
+                        ctx.write_u64(site!("det:w"), a, i).await?;
+                        ctx.read_u64(site!("det:rb"), b).await?;
                     }
                     Ok(())
                 }),
-                Box::new(move |ctx: &Ctx| -> KResult<()> {
+                job(move |ctx| async move {
                     for i in 0..50 {
-                        ctx.write_u64(site!("det:wb"), b, i)?;
-                        ctx.read_u64(site!("det:ra"), a)?;
+                        ctx.write_u64(site!("det:wb"), b, i).await?;
+                        ctx.read_u64(site!("det:ra"), a).await?;
                     }
                     Ok(())
                 }),
@@ -416,12 +412,13 @@ fn locks_are_recorded_on_accesses() {
     let mut exec = Executor::new(1);
     let r = exec.run(
         m,
-        vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
-            ctx.read_u64(site!("lkrec:out"), data)?;
-            ctx.with_lock(lock, || {
-                ctx.read_u64(site!("lkrec:in"), data)?;
+        vec![job(move |ctx| async move {
+            ctx.read_u64(site!("lkrec:out"), data).await?;
+            ctx.with_lock(lock, async {
+                ctx.read_u64(site!("lkrec:in"), data).await?;
                 Ok(())
-            })?;
+            })
+            .await?;
             Ok(())
         })],
         &mut FreeRun,
@@ -437,10 +434,10 @@ fn double_unlock_is_a_lock_error() {
     let mut exec = Executor::new(1);
     let r = exec.run(
         m,
-        vec![Box::new(move |ctx: &Ctx| -> KResult<()> {
-            ctx.lock(lock)?;
-            ctx.unlock(lock)?;
-            ctx.unlock(lock)?;
+        vec![job(move |ctx| async move {
+            ctx.lock(lock).await?;
+            ctx.unlock(lock).await?;
+            ctx.unlock(lock).await?;
             Ok(())
         })],
         &mut FreeRun,
@@ -449,4 +446,42 @@ fn double_unlock_is_a_lock_error() {
         r.report.thread_faults[0],
         Some(Fault::LockError { .. })
     ));
+}
+
+#[test]
+fn rust_panic_in_a_job_body_unwinds_out_of_try_run() {
+    // A Rust panic inside a job body is a bug in the kernel model, not
+    // something the simulated kernel did: it must reach the caller instead
+    // of being reported as a thread that completed without a fault.
+    let (mem, cell) = mem_with_cell();
+    let mut exec = Executor::new(2);
+    let bystander = job(move |ctx| async move {
+        for _ in 0..10 {
+            ctx.read_u64(site!("rp:bystander"), cell).await?;
+        }
+        Ok(())
+    });
+    let buggy = job(move |ctx| async move {
+        ctx.write_u64(site!("rp:before"), cell, 1).await?;
+        panic!("kernel-model bug in a job body");
+    });
+    let mut sched = RandomSched::new(3, 0.5);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        exec.try_run(mem, vec![bystander, buggy], &mut sched).map(|r| r.report)
+    }));
+    let payload = caught.expect_err("the panic must unwind out of try_run");
+    assert_eq!(
+        payload.downcast_ref::<&str>().copied(),
+        Some("kernel-model bug in a job body")
+    );
+
+    // The executor keeps nothing between runs, so the same one still works.
+    let (mem, cell) = mem_with_cell();
+    let r = exec.run(
+        mem,
+        vec![job(move |ctx| async move { ctx.write_u64(site!("rp:after"), cell, 2).await })],
+        &mut FreeRun,
+    );
+    assert_eq!(r.report.outcome, Outcome::Completed);
+    assert_eq!(r.report.thread_faults, vec![None]);
 }

@@ -1,11 +1,10 @@
 //! Executor tests with three and four vCPUs: lock fairness, RCU with
 //! multiple readers, and scheduling across more than two threads.
 
-use sb_vmm::ctx::KResult;
-use sb_vmm::exec::{Executor, Job, Outcome};
+use sb_vmm::exec::{job, Executor, Job, Outcome};
 use sb_vmm::mem::GuestMem;
 use sb_vmm::sched::{RandomSched, Scheduler};
-use sb_vmm::{site, Ctx};
+use sb_vmm::site;
 
 #[test]
 fn four_threads_increment_under_one_lock() {
@@ -13,14 +12,15 @@ fn four_threads_increment_under_one_lock() {
     let lock = m.kmalloc(8).unwrap();
     let counter = m.kmalloc(8).unwrap();
     let mut exec = Executor::new(4);
-    let job = move |name: &'static str| -> Job {
-        Box::new(move |ctx: &Ctx| -> KResult<()> {
+    let bump = move |name: &'static str| -> Job {
+        job(move |ctx| async move {
             for _ in 0..50 {
-                ctx.with_lock(lock, || {
-                    let v = ctx.read_u64(site!(name), counter)?;
-                    ctx.write_u64(site!(name), counter, v + 1)?;
+                ctx.with_lock(lock, async {
+                    let v = ctx.read_u64(site!(name), counter).await?;
+                    ctx.write_u64(site!(name), counter, v + 1).await?;
                     Ok(())
-                })?;
+                })
+                .await?;
             }
             Ok(())
         })
@@ -28,7 +28,7 @@ fn four_threads_increment_under_one_lock() {
     let mut sched = RandomSched::new(5, 0.3);
     let r = exec.run(
         m,
-        vec![job("m4:a"), job("m4:b"), job("m4:c"), job("m4:d")],
+        vec![bump("m4:a"), bump("m4:b"), bump("m4:c"), bump("m4:d")],
         &mut sched,
     );
     assert_eq!(r.report.outcome, Outcome::Completed);
@@ -58,24 +58,25 @@ fn lock_waiters_are_served_fifo() {
         }
     }
 
-    let job = move |tid: u64| -> Job {
-        Box::new(move |ctx: &Ctx| -> KResult<()> {
+    let logger = move |tid: u64| -> Job {
+        job(move |ctx| async move {
             // One access so every thread is live before contending.
-            ctx.read_u64(site!("fifo:warm"), cursor)?;
-            ctx.with_lock(lock, || {
-                let c = ctx.read_u64(site!("fifo:cursor"), cursor)?;
-                ctx.write_u8(site!("fifo:log"), log + c, tid)?;
-                ctx.write_u64(site!("fifo:cursor"), cursor, c + 1)?;
+            ctx.read_u64(site!("fifo:warm"), cursor).await?;
+            ctx.with_lock(lock, async {
+                let c = ctx.read_u64(site!("fifo:cursor"), cursor).await?;
+                ctx.write_u8(site!("fifo:log"), log + c, tid).await?;
+                ctx.write_u64(site!("fifo:cursor"), cursor, c + 1).await?;
                 // Dawdle inside the critical section.
                 for _ in 0..5 {
-                    ctx.read_u64(site!("fifo:dawdle"), cursor)?;
+                    ctx.read_u64(site!("fifo:dawdle"), cursor).await?;
                 }
                 Ok(())
-            })?;
+            })
+            .await?;
             Ok(())
         })
     };
-    let r = exec.run(m, vec![job(10), job(11), job(12)], &mut RoundRobin);
+    let r = exec.run(m, vec![logger(10), logger(11), logger(12)], &mut RoundRobin);
     assert_eq!(r.report.outcome, Outcome::Completed);
     let order: Vec<u64> = (0..3).map(|i| r.mem.read(log + i, 1).unwrap()).collect();
     // Thread 0 wins the lock first (it runs first); 1 and 2 queue in order.
@@ -101,23 +102,23 @@ fn rcu_grace_period_waits_for_all_readers() {
     }
 
     let reader = move |name: &'static str| -> Job {
-        Box::new(move |ctx: &Ctx| -> KResult<()> {
-            ctx.rcu_read_lock()?;
-            let v1 = ctx.read_u64(site!(name), data)?;
+        job(move |ctx| async move {
+            ctx.rcu_read_lock().await?;
+            let v1 = ctx.read_u64(site!(name), data).await?;
             // Several yield points inside the critical section.
             for _ in 0..4 {
-                ctx.read_u64(site!(name), flag)?;
+                ctx.read_u64(site!(name), flag).await?;
             }
-            let v2 = ctx.read_u64(site!(name), data)?;
+            let v2 = ctx.read_u64(site!(name), data).await?;
             assert_eq!(v1, v2, "grace period must not complete while we read");
-            ctx.rcu_read_unlock()?;
+            ctx.rcu_read_unlock().await?;
             Ok(())
         })
     };
-    let writer: Job = Box::new(move |ctx: &Ctx| -> KResult<()> {
-        ctx.read_u64(site!("rcu3:w0"), flag)?;
-        ctx.synchronize_rcu()?;
-        ctx.write_u64(site!("rcu3:w1"), data, 99)?;
+    let writer: Job = job(move |ctx| async move {
+        ctx.read_u64(site!("rcu3:w0"), flag).await?;
+        ctx.synchronize_rcu().await?;
+        ctx.write_u64(site!("rcu3:w1"), data, 99).await?;
         Ok(())
     });
     let r = exec.run(
@@ -141,10 +142,10 @@ fn three_thread_runs_are_deterministic() {
             .map(|(i, c)| {
                 let mine = *c;
                 let other = cells[(i + 1) % 3];
-                Box::new(move |ctx: &Ctx| -> KResult<()> {
+                job(move |ctx| async move {
                     for k in 0..25u64 {
-                        ctx.write_u64(site!("det3:w"), mine, k)?;
-                        ctx.read_u64(site!("det3:r"), other)?;
+                        ctx.write_u64(site!("det3:w"), mine, k).await?;
+                        ctx.read_u64(site!("det3:r"), other).await?;
                     }
                     Ok(())
                 }) as Job
@@ -168,16 +169,16 @@ fn panic_in_one_of_four_threads_aborts_the_rest() {
     let cell = m.kmalloc(8).unwrap();
     let mut exec = Executor::new(4);
     let spinner = move |name: &'static str| -> Job {
-        Box::new(move |ctx: &Ctx| -> KResult<()> {
+        job(move |ctx| async move {
             for _ in 0..100_000 {
-                ctx.read_u64(site!(name), cell)?;
+                ctx.read_u64(site!(name), cell).await?;
             }
             Ok(())
         })
     };
-    let crasher: Job = Box::new(move |ctx: &Ctx| -> KResult<()> {
-        ctx.read_u64(site!("p4:pre"), cell)?;
-        ctx.read_u64(site!("p4:null"), 0x8)?; // Null dereference.
+    let crasher: Job = job(move |ctx| async move {
+        ctx.read_u64(site!("p4:pre"), cell).await?;
+        ctx.read_u64(site!("p4:null"), 0x8).await?; // Null dereference.
         Ok(())
     });
     let mut sched = RandomSched::new(1, 0.5);

@@ -3,11 +3,10 @@
 use proptest::prelude::*;
 
 use sb_vmm::access::{range_overlap, Access, AccessKind};
-use sb_vmm::ctx::KResult;
-use sb_vmm::exec::Executor;
+use sb_vmm::exec::{job, Executor, Job};
 use sb_vmm::mem::{GuestMem, GUEST_MEM_SIZE, HEAP_BASE, NULL_GUARD_END, STACKS_BASE};
 use sb_vmm::sched::RandomSched;
-use sb_vmm::{site, Ctx};
+use sb_vmm::site;
 
 proptest! {
     /// Any in-bounds write is read back exactly, at every width.
@@ -114,17 +113,17 @@ proptest! {
             let mut m = GuestMem::new();
             let cell = m.kmalloc(8).unwrap();
             let mut exec = Executor::new(2);
-            let job = move |name: &'static str| -> Box<dyn FnOnce(&Ctx) -> KResult<()> + Send> {
-                Box::new(move |ctx: &Ctx| {
+            let bump = move |name: &'static str| -> Job {
+                job(move |ctx| async move {
                     for i in 0..20 {
-                        let v = ctx.read_u64(site!(name), cell)?;
-                        ctx.write_u64(site!(name), cell, v + i)?;
+                        let v = ctx.read_u64(site!(name), cell).await?;
+                        ctx.write_u64(site!(name), cell, v + i).await?;
                     }
                     Ok(())
                 })
             };
             let mut sched = RandomSched::new(seed, p);
-            let r = exec.run(m, vec![job("prop:a"), job("prop:b")], &mut sched);
+            let r = exec.run(m, vec![bump("prop:a"), bump("prop:b")], &mut sched);
             (
                 format!("{:?}", r.report.outcome),
                 r.report.trace.iter().map(|a| (a.thread, a.value)).collect::<Vec<_>>(),
@@ -142,14 +141,15 @@ fn trace_invariants_hold_for_a_busy_program() {
     let lock = m.kmalloc(8).unwrap();
     let cells: Vec<u64> = (0..8).map(|_| m.kmalloc(8).unwrap()).collect();
     let mut exec = Executor::new(2);
-    let job = move |cells: Vec<u64>, name: &'static str| -> Box<dyn FnOnce(&Ctx) -> KResult<()> + Send> {
-        Box::new(move |ctx: &Ctx| {
+    let toucher = move |cells: Vec<u64>, name: &'static str| -> Job {
+        job(move |ctx| async move {
             for (i, c) in cells.iter().enumerate() {
-                ctx.with_lock(lock, || {
-                    let v = ctx.read_u64(site!(name), *c)?;
-                    ctx.write_u64(site!(name), *c, v + i as u64)?;
+                ctx.with_lock(lock, async {
+                    let v = ctx.read_u64(site!(name), *c).await?;
+                    ctx.write_u64(site!(name), *c, v + i as u64).await?;
                     Ok(())
-                })?;
+                })
+                .await?;
             }
             Ok(())
         })
@@ -157,7 +157,7 @@ fn trace_invariants_hold_for_a_busy_program() {
     let mut sched = RandomSched::new(3, 0.4);
     let r = exec.run(
         m,
-        vec![job(cells.clone(), "ti:a"), job(cells, "ti:b")],
+        vec![toucher(cells.clone(), "ti:a"), toucher(cells, "ti:b")],
         &mut sched,
     );
     assert!(r.report.outcome.is_completed());

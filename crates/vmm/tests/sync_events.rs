@@ -1,12 +1,11 @@
 //! Semantics of the wait-queue / wakeup / atomic-context primitives and
 //! the recorded `SyncEvent` stream.
 
-use sb_vmm::ctx::KResult;
-use sb_vmm::exec::{Executor, Job};
+use sb_vmm::exec::{job, Executor, Job};
 use sb_vmm::mem::GuestMem;
 use sb_vmm::sched::{FreeRun, RandomSched};
 use sb_vmm::sync::SyncKind;
-use sb_vmm::{site, Ctx};
+use sb_vmm::site;
 
 const Q: u64 = 0xABCD;
 
@@ -21,9 +20,9 @@ fn kinds(r: &sb_vmm::ExecReport) -> Vec<SyncKind> {
 
 #[test]
 fn lock_events_carry_site_and_identity() {
-    let r = run(vec![Box::new(|ctx: &Ctx| -> KResult<()> {
-        let l = ctx.kmalloc(8)?;
-        ctx.with_lock_at(site!("sync_test:my_lock"), l, || Ok(()))?;
+    let r = run(vec![job(|ctx| async move {
+        let l = ctx.kmalloc(8).await?;
+        ctx.with_lock_at(site!("sync_test:my_lock"), l, async { Ok(()) }).await?;
         Ok(())
     })]);
     assert!(r.outcome.is_completed());
@@ -44,11 +43,11 @@ fn contended_lock_records_acquire_at_grant() {
     // Two threads on one lock: exactly two acquires and two releases, and
     // each acquire precedes its thread's release.
     let mk = |name: &'static str| -> Job {
-        Box::new(move |ctx: &Ctx| -> KResult<()> {
+        job(move |ctx| async move {
             // Both threads use the same well-known low heap cell as lock:
             // first kmalloc in each thread returns a distinct address, so
             // use a fixed address in the shared data region instead.
-            ctx.with_lock_at(site!(name), 0x40_0000, || Ok(()))?;
+            ctx.with_lock_at(site!(name), 0x40_0000, async { Ok(()) }).await?;
             Ok(())
         })
     };
@@ -73,11 +72,11 @@ fn prepared_sleeper_banks_wakeup_and_never_blocks() {
     // FreeRun (t0 runs to its block point first only if it commits — but
     // with prepare, a wake delivered while prepared satisfies the commit).
     // Run single-threaded to force the exact order: prepare, wake, commit.
-    let r = run(vec![Box::new(|ctx: &Ctx| -> KResult<()> {
-        ctx.wait_prepare(site!("sync_test:prep"), Q)?;
-        let n = ctx.wake_one(site!("sync_test:wake"), Q)?;
+    let r = run(vec![job(|ctx| async move {
+        ctx.wait_prepare(site!("sync_test:prep"), Q).await?;
+        let n = ctx.wake_one(site!("sync_test:wake"), Q).await?;
         assert_eq!(n, 1, "wake reaches the prepared thread");
-        let woken = ctx.wait_commit(site!("sync_test:commit"), Q, 10_000)?;
+        let woken = ctx.wait_commit(site!("sync_test:commit"), Q, 10_000).await?;
         assert!(woken, "banked wakeup satisfies the commit");
         Ok(())
     })]);
@@ -92,10 +91,10 @@ fn prepared_sleeper_banks_wakeup_and_never_blocks() {
 fn unprepared_sleep_loses_the_wakeup_and_times_out() {
     // The racy primitive: wake first, then sleep_on. The signal is lost
     // and the sleeper only returns via timeout.
-    let r = run(vec![Box::new(|ctx: &Ctx| -> KResult<()> {
-        let n = ctx.wake_one(site!("sync_test:early_wake"), Q)?;
+    let r = run(vec![job(|ctx| async move {
+        let n = ctx.wake_one(site!("sync_test:early_wake"), Q).await?;
         assert_eq!(n, 0, "nobody is listening: signal lost");
-        let woken = ctx.sleep_on(site!("sync_test:late_sleep"), Q, 64)?;
+        let woken = ctx.sleep_on(site!("sync_test:late_sleep"), Q, 64).await?;
         assert!(!woken, "sleep can only time out");
         Ok(())
     })]);
@@ -113,18 +112,18 @@ fn unprepared_sleep_loses_the_wakeup_and_times_out() {
 
 #[test]
 fn live_wakeup_releases_a_committed_sleeper() {
-    let sleeper: Job = Box::new(|ctx: &Ctx| -> KResult<()> {
-        let woken = ctx.sleep_on(site!("sync_test:sleeper"), Q, 100_000)?;
+    let sleeper: Job = job(|ctx| async move {
+        let woken = ctx.sleep_on(site!("sync_test:sleeper"), Q, 100_000).await?;
         assert!(woken, "released by the waker, not the timeout");
         Ok(())
     });
-    let waker: Job = Box::new(|ctx: &Ctx| -> KResult<()> {
+    let waker: Job = job(|ctx| async move {
         // Burn a few accesses so the sleeper commits first under FreeRun.
-        let a = ctx.kmalloc(8)?;
+        let a = ctx.kmalloc(8).await?;
         for i in 0..4 {
-            ctx.write_u64(site!("sync_test:spin"), a, i)?;
+            ctx.write_u64(site!("sync_test:spin"), a, i).await?;
         }
-        ctx.wake_all(site!("sync_test:waker"), Q)?;
+        ctx.wake_all(site!("sync_test:waker"), Q).await?;
         Ok(())
     });
     let r = run(vec![sleeper, waker]);
@@ -136,12 +135,12 @@ fn live_wakeup_releases_a_committed_sleeper() {
 
 #[test]
 fn atomic_context_nests_and_unbalanced_exit_faults() {
-    let r = run(vec![Box::new(|ctx: &Ctx| -> KResult<()> {
-        ctx.atomic_enter(site!("sync_test:outer"))?;
-        ctx.atomic_enter(site!("sync_test:inner"))?;
-        ctx.atomic_exit(site!("sync_test:inner"))?;
-        ctx.atomic_exit(site!("sync_test:outer"))?;
-        assert!(ctx.atomic_exit(site!("sync_test:extra")).is_err());
+    let r = run(vec![job(|ctx| async move {
+        ctx.atomic_enter(site!("sync_test:outer")).await?;
+        ctx.atomic_enter(site!("sync_test:inner")).await?;
+        ctx.atomic_exit(site!("sync_test:inner")).await?;
+        ctx.atomic_exit(site!("sync_test:outer")).await?;
+        assert!(ctx.atomic_exit(site!("sync_test:extra")).await.is_err());
         Ok(())
     })]);
     assert!(r.outcome.is_completed());
@@ -155,18 +154,18 @@ fn sleeping_while_holding_a_lock_still_times_out() {
     // A sleeper that parks holding a lock while the peer blocks on that
     // lock: no thread is runnable, but the timed sleep must fast-forward
     // instead of reporting a deadlock.
-    let sleeper: Job = Box::new(|ctx: &Ctx| -> KResult<()> {
-        ctx.lock_at(site!("sync_test:hold"), 0x40_0000)?;
-        let _ = ctx.sleep_on(site!("sync_test:hold_sleep"), Q, 128)?;
-        ctx.unlock_at(site!("sync_test:hold"), 0x40_0000)?;
+    let sleeper: Job = job(|ctx| async move {
+        ctx.lock_at(site!("sync_test:hold"), 0x40_0000).await?;
+        let _ = ctx.sleep_on(site!("sync_test:hold_sleep"), Q, 128).await?;
+        ctx.unlock_at(site!("sync_test:hold"), 0x40_0000).await?;
         Ok(())
     });
-    let peer: Job = Box::new(|ctx: &Ctx| -> KResult<()> {
-        let a = ctx.kmalloc(8)?;
+    let peer: Job = job(|ctx| async move {
+        let a = ctx.kmalloc(8).await?;
         for i in 0..4 {
-            ctx.write_u64(site!("sync_test:peer_spin"), a, i)?;
+            ctx.write_u64(site!("sync_test:peer_spin"), a, i).await?;
         }
-        ctx.with_lock_at(site!("sync_test:hold"), 0x40_0000, || Ok(()))?;
+        ctx.with_lock_at(site!("sync_test:hold"), 0x40_0000, async { Ok(()) }).await?;
         Ok(())
     });
     let r = run(vec![sleeper, peer]);
@@ -181,15 +180,15 @@ fn sleeping_while_holding_a_lock_still_times_out() {
 #[test]
 fn sync_events_are_deterministic_under_a_seeded_scheduler() {
     let jobs = || -> Vec<Job> {
-        let sleeper: Job = Box::new(|ctx: &Ctx| -> KResult<()> {
-            ctx.wait_prepare(site!("sync_test:d_prep"), Q)?;
-            let _ = ctx.wait_commit(site!("sync_test:d_commit"), Q, 256)?;
+        let sleeper: Job = job(|ctx| async move {
+            ctx.wait_prepare(site!("sync_test:d_prep"), Q).await?;
+            let _ = ctx.wait_commit(site!("sync_test:d_commit"), Q, 256).await?;
             Ok(())
         });
-        let waker: Job = Box::new(|ctx: &Ctx| -> KResult<()> {
-            let a = ctx.kmalloc(8)?;
-            ctx.write_u64(site!("sync_test:d_w"), a, 1)?;
-            ctx.wake_one(site!("sync_test:d_wake"), Q)?;
+        let waker: Job = job(|ctx| async move {
+            let a = ctx.kmalloc(8).await?;
+            ctx.write_u64(site!("sync_test:d_w"), a, 1).await?;
+            ctx.wake_one(site!("sync_test:d_wake"), Q).await?;
             Ok(())
         });
         vec![sleeper, waker]

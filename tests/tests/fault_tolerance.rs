@@ -5,11 +5,12 @@
 
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use integration::shared_rc_kernel;
 
-use sb_kernel::{BootedKernel, Program};
+use sb_kernel::{BootedKernel, Kernel, Program, Symbols, Syscall};
 use snowboard::campaign::run_campaign;
 use snowboard::pmc::{identify, PmcId, PmcSet};
 use snowboard::profile::profile_corpus;
@@ -109,6 +110,62 @@ fn injected_panics_and_hangs_quarantine_exactly_those_jobs() {
         .iter()
         .enumerate()
         .filter(|(job, _)| *job != 1 && *job != 3)
+        .map(|(_, o)| o.clone())
+        .collect();
+    assert_eq!(faulted.outcomes, surviving);
+}
+
+#[test]
+fn rust_panic_in_a_kernel_job_body_quarantines_exactly_that_job() {
+    // A kernel-model bug (here: a handler asking for a symbol the build
+    // never registered) panics inside a vCPU's job body. The campaign must
+    // see it as a worker panic on that job alone; the executor that ran it
+    // keeps serving the jobs behind it on the same worker.
+    let fx = fixture();
+    let mut syms = Symbols::default();
+    for (name, addr) in fx.booted.kernel.syms.iter().filter(|(n, _)| !n.starts_with("wq.")) {
+        syms.register(name, addr);
+    }
+    let broken = BootedKernel {
+        kernel: Arc::new(Kernel {
+            config: fx.booted.kernel.config,
+            syms,
+        }),
+        snapshot: fx.booted.snapshot.clone(),
+    };
+    let cfg = CampaignCfg {
+        workers: 1,
+        ..base_cfg()
+    };
+    // No stock seed touches the workqueue, so the broken build is as good
+    // as the real one until a job is pointed at the poisoned program.
+    let clean = run_campaign(&broken, &fx.corpus, &fx.set, &fx.exemplars, &cfg)
+        .expect("clean campaign");
+    assert!(clean.quarantined.is_empty());
+    assert_eq!(clean.tested(), JOBS);
+
+    const POISONED: usize = 2;
+    let mut corpus = fx.corpus.clone();
+    corpus.push(Program::new(vec![Syscall::WqFlush]));
+    let mut set = fx.set.clone();
+    set.pmcs[fx.exemplars[POISONED] as usize].pairs[0].0 = (corpus.len() - 1) as u32;
+    let faulted =
+        run_campaign(&broken, &corpus, &set, &fx.exemplars, &cfg).expect("campaign completes");
+
+    assert_eq!(faulted.quarantined.len(), 1, "{:?}", faulted.quarantined);
+    let q = &faulted.quarantined[0];
+    assert_eq!((q.job, q.kind), (POISONED, FailureKind::Panic));
+    assert_eq!(q.attempts, 3, "panics retry to exhaustion");
+    assert!(
+        q.chain[0].contains("unknown kernel symbol wq."),
+        "{:?}",
+        q.chain
+    );
+    let surviving: Vec<_> = clean
+        .outcomes
+        .iter()
+        .enumerate()
+        .filter(|(job, _)| *job != POISONED)
         .map(|(_, o)| o.clone())
         .collect();
     assert_eq!(faulted.outcomes, surviving);
