@@ -130,29 +130,38 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses a JSON document. Errors carry the byte offset and a short reason.
+/// Deepest array/object nesting [`parse`] accepts. `to_json` writers nest a
+/// handful of levels; the cap keeps the recursive descent off the end of
+/// the stack when a peer sends a frame of nothing but `[`.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document in time linear in its length. Errors carry the
+/// byte offset and a short reason; nesting deeper than 128 is one of them.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -171,7 +180,7 @@ impl Parser<'_> {
     }
 
     fn eat_keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -185,12 +194,26 @@ impl Parser<'_> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object a nesting level down, up to [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -204,8 +227,8 @@ impl Parser<'_> {
                 self.pos
             ));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<u64>()
+        self.text[start..self.pos]
+            .parse::<u64>()
             .map(Json::U64)
             .map_err(|_| format!("integer out of range at byte {start}"))
     }
@@ -233,9 +256,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_string())?;
@@ -250,12 +272,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 character, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next delimiter at once.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -391,6 +412,55 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("18446744073709551616").is_err(), "u64 overflow");
+        assert!(parse("\"\\u00e").is_err(), "truncated \\u escape");
+        assert!(parse("\"\\u000λ\"").is_err(), "\\u escape cut mid-char");
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        // A legal 1 MiB protocol frame of nothing but openers.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat((1 << 20) / 5)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(4 * MAX_DEPTH))).is_ok());
+    }
+
+    #[test]
+    fn strings_round_trip_across_run_boundaries() {
+        // Every escape `render` emits, plus 2-, 3- and 4-byte scalars.
+        let atoms = [
+            "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "/", "λ", "€", "🏂", "run", "",
+        ];
+        for a in atoms {
+            for b in atoms {
+                for c in atoms {
+                    let s = format!("{a}{b}{c}");
+                    let doc = Json::Obj(vec![(s.clone(), Json::Str(s.clone()))]);
+                    assert_eq!(parse(&doc.render()).unwrap(), doc, "{s:?}");
+                }
+            }
+        }
+        // The escapes only a foreign writer emits.
+        assert_eq!(
+            parse("\"\\/λ\\b\\f🏂\\u03bb\\u00e9\"").unwrap().as_str(),
+            Some("/λ\u{8}\u{c}🏂λé")
+        );
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        // No wall-clock assertion: a parser quadratic in the string length
+        // needs many seconds here, so a regression shows as a hung suite.
+        let s = "snowλboard 🏂 \\ \"q\" \n".repeat((1 << 20) / 24 + 1);
+        assert!(s.len() >= 1 << 20);
+        let text = Json::Arr(vec![Json::Str(s.clone()), Json::Str("x".repeat(1 << 20))]).render();
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.as_arr().unwrap()[0].as_str(), Some(s.as_str()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the in-memory form. All transforms are bijections on `u64`, so decoding
 //! reproduces the input exactly (property-tested in `tests/codec_props.rs`).
 
-use sb_vmm::access::{Access, AccessKind};
+use sb_vmm::access::{Access, AccessKind, LockSet};
 use sb_vmm::site::Site;
 use snowboard::pmc::{Pmc, PmcKey, PmcSet, SideKey};
 use snowboard::profile::SeqProfile;
@@ -82,6 +82,8 @@ pub fn decode_profile(buf: &[u8]) -> Result<SeqProfile, Error> {
     }
     let mut accesses = Vec::with_capacity(count as usize);
     let mut prev = AccessPrev::default();
+    let mut locks = LockSet::default();
+    let mut scratch: Vec<u64> = Vec::new();
     for _ in 0..count {
         let flags = *buf.get(pos).ok_or(Error::Truncated)?;
         pos += 1;
@@ -103,12 +105,17 @@ pub fn decode_profile(buf: &[u8]) -> Result<SeqProfile, Error> {
         if n_locks > buf.len() as u64 {
             return Err(Error::Corrupt("lock count exceeds payload size"));
         }
-        let mut locks = Vec::with_capacity(n_locks as usize);
+        scratch.clear();
         let mut prev_lock = 0u64;
         for _ in 0..n_locks {
             let l = get_delta(prev_lock, buf, &mut pos)?;
-            locks.push(l);
+            scratch.push(l);
             prev_lock = l;
+        }
+        // Lock sets change on acquire/release only: share the previous
+        // access's set when equal, as the executor that recorded them did.
+        if *locks != *scratch {
+            locks = if scratch.is_empty() { LockSet::default() } else { scratch.clone().into() };
         }
         accesses.push(Access {
             seq,
@@ -119,7 +126,7 @@ pub fn decode_profile(buf: &[u8]) -> Result<SeqProfile, Error> {
             len,
             value,
             atomic,
-            locks: locks.into(),
+            locks: locks.clone(),
             rcu_depth,
         });
         prev = AccessPrev { seq, site, addr, value };
@@ -244,6 +251,25 @@ mod tests {
                 access(3, "c:z", AccessKind::Read, 0, u64::MAX),
             ],
         };
+        let mut buf = vec![];
+        encode_profile(&p, &mut buf);
+        assert_eq!(decode_profile(&buf).unwrap(), p);
+    }
+
+    #[test]
+    fn lock_sets_round_trip_whether_shared_or_not() {
+        let sets: [&[u64]; 9] =
+            [&[], &[], &[0x9000], &[0x9000], &[], &[0x9000], &[0x9000, 0x9010], &[0x9010], &[0x9010]];
+        let accesses = sets
+            .iter()
+            .enumerate()
+            .map(|(i, locks)| {
+                let mut a = access(i as u64, "l:s", AccessKind::Read, 0x5000, 1);
+                a.locks = locks.to_vec().into();
+                a
+            })
+            .collect();
+        let p = SeqProfile { test: 1, steps: 9, accesses };
         let mut buf = vec![];
         encode_profile(&p, &mut buf);
         assert_eq!(decode_profile(&buf).unwrap(), p);

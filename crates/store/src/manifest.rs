@@ -232,6 +232,21 @@ mod tests {
     }
 
     #[test]
+    fn a_mebibyte_manifest_round_trips() {
+        // No wall-clock assertion: a parser quadratic in the document
+        // needs minutes here, so a regression shows as a hung suite.
+        let mut m = sample();
+        for i in 0..20_000u64 {
+            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            m.profiles.insert(key, ProfileStatus::Ok { segment: i / 50, offset: 8 + 900 * (i % 50), len: 884 });
+        }
+        let text = m.to_json().render();
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        let doc = json::parse(&text).expect("parse");
+        assert_eq!(Manifest::from_json(&doc).expect("from_json"), m);
+    }
+
+    #[test]
     fn manifest_round_trips_through_disk_and_missing_file_is_empty() {
         let dir = std::env::temp_dir().join(format!("sb-store-man-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");

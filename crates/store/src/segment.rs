@@ -2,9 +2,10 @@
 //!
 //! One segment file is written per corpus chunk (one `insert_profiles`
 //! call). Records are offset-addressable — the manifest remembers
-//! `(segment, offset, len)` per content key, and reads seek straight to the
-//! record. Each record embeds its content key so a stale or rewritten
-//! manifest cannot silently serve the wrong payload.
+//! `(segment, offset, len)` per content key, and a [`SegmentReader`] fetches
+//! header and payload with one positioned read. Each record embeds its
+//! content key so a stale or rewritten manifest cannot silently serve the
+//! wrong payload.
 //!
 //! Format v2 (`SBSEG002`/`SBPMC002`): 8-byte magic, then records of
 //! `[key: u64 LE][len: u32 LE][crc: u32 LE][payload]` where `crc` is
@@ -18,7 +19,8 @@
 //! a crash mid-write.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::crc::Crc32c;
@@ -67,24 +69,28 @@ fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -
     }
 }
 
-/// Writes one (always v2) segment file record by record.
+/// Writes one (always v2) segment file. Records accumulate in memory — a
+/// segment is one corpus chunk, smaller than the decoded batch its caller
+/// holds — and reach the file in a single write on [`SegmentWriter::finish`].
 pub struct SegmentWriter {
     file: File,
     path: PathBuf,
-    offset: u64,
+    /// The record area so far: everything after the magic.
+    records: Vec<u8>,
     /// Record-area bytes still writable before an injected torn write.
     torn_budget: Option<u64>,
 }
 
 impl SegmentWriter {
-    /// Creates the file at `path` and writes `magic`.
+    /// Creates the file at `path` and writes `magic`, so even a segment
+    /// killed before `finish` scans as a recognized, empty file.
     pub fn create(path: &Path, magic: &[u8; 8]) -> Result<SegmentWriter, Error> {
         let mut file = File::create(path).map_err(io_err("create", path))?;
         file.write_all(magic).map_err(io_err("write", path))?;
         Ok(SegmentWriter {
             file,
             path: path.to_path_buf(),
-            offset: magic.len() as u64,
+            records: Vec::new(),
             torn_budget: None,
         })
     }
@@ -97,39 +103,34 @@ impl SegmentWriter {
 
     /// Appends one record; returns its `(offset, payload_len)` address.
     pub fn append(&mut self, key: u64, payload: &[u8]) -> Result<(u64, u64), Error> {
-        let offset = self.offset;
+        let offset = 8 + self.records.len() as u64;
         let len = u32::try_from(payload.len())
             .map_err(|_| Error::Corrupt("record payload exceeds u32 bytes"))?;
-        let mut record = Vec::with_capacity(16 + payload.len());
-        record.extend_from_slice(&key.to_le_bytes());
-        record.extend_from_slice(&len.to_le_bytes());
-        record.extend_from_slice(&record_crc(key, payload).to_le_bytes());
-        record.extend_from_slice(payload);
+        self.records.extend_from_slice(&key.to_le_bytes());
+        self.records.extend_from_slice(&len.to_le_bytes());
+        self.records.extend_from_slice(&record_crc(key, payload).to_le_bytes());
+        self.records.extend_from_slice(payload);
         if let Some(budget) = self.torn_budget {
-            let remaining = budget.saturating_sub(offset - 8);
-            if remaining < record.len() as u64 {
+            if self.records.len() as u64 > budget {
                 // Persist exactly the torn prefix, like a crash would.
+                self.records.truncate(budget as usize);
                 self.file
-                    .write_all(&record[..remaining as usize])
+                    .write_all(&self.records)
                     .and_then(|()| self.file.sync_all())
                     .map_err(io_err("write", &self.path))?;
                 return Err(Error::Injected("torn write"));
             }
         }
-        self.file
-            .write_all(&record)
-            .map_err(io_err("write", &self.path))?;
-        self.offset += record.len() as u64;
         Ok((offset, u64::from(len)))
     }
 
-    /// Flushes, fsyncs, and returns the total file size in bytes. A
-    /// finished segment is durable before the caller references it from
-    /// the manifest.
+    /// Writes the records, fsyncs, and returns the total file size in
+    /// bytes. A finished segment is durable before the caller references it
+    /// from the manifest.
     pub fn finish(mut self) -> Result<u64, Error> {
-        self.file.flush().map_err(io_err("flush", &self.path))?;
+        self.file.write_all(&self.records).map_err(io_err("write", &self.path))?;
         self.file.sync_all().map_err(io_err("fsync", &self.path))?;
-        Ok(self.offset)
+        Ok(8 + self.records.len() as u64)
     }
 }
 
@@ -141,71 +142,72 @@ pub fn sync_dir(dir: &Path) {
     }
 }
 
-/// Verifies the magic prefix of the segment file at `path`.
-pub fn check_magic(path: &Path, magic: &[u8; 8]) -> Result<(), Error> {
-    let mut file = File::open(path).map_err(io_err("open", path))?;
-    let mut have = [0u8; 8];
-    file.read_exact(&mut have).map_err(io_err("read", path))?;
-    if have != *magic {
-        return Err(Error::Format {
-            path: path.to_path_buf(),
-            detail: format!("bad magic {have:02x?}"),
-        });
-    }
-    Ok(())
+/// One segment file held open for reads by record address.
+pub struct SegmentReader {
+    file: File,
+    path: PathBuf,
+    /// Header layout of the file's records (1 = checksum-less).
+    version: u8,
 }
 
-/// Reads the record at `(offset, len)` in `path`, verifying its embedded
-/// content key matches `expected_key` and — for v2 segments — its CRC32C.
-///
-/// `version` selects the header layout (1 = checksum-less). `eof_at`
-/// simulates a short read: bytes at or past that file offset are treated
-/// as missing.
-pub fn read_record(
-    path: &Path,
-    offset: u64,
-    len: u64,
-    expected_key: u64,
-    version: u8,
-    eof_at: Option<u64>,
-) -> Result<Vec<u8>, Error> {
-    let header = header_len(version);
-    if let Some(eof) = eof_at {
-        if offset + header + len > eof {
+impl SegmentReader {
+    /// Opens the segment at `path`, whose magic [`scan`] classified as
+    /// format `version`.
+    pub fn open(path: &Path, version: u8) -> Result<SegmentReader, Error> {
+        let file = File::open(path).map_err(io_err("open", path))?;
+        Ok(SegmentReader { file, path: path.to_path_buf(), version })
+    }
+
+    /// Reads the record at `(offset, len)` into `buf` with one positioned
+    /// read and returns its payload, verifying that its embedded content
+    /// key matches `expected_key`, that its length word matches `len`, and
+    /// — for v2 segments — its CRC32C.
+    ///
+    /// `eof_at` simulates a short read: bytes at or past that file offset
+    /// are treated as missing.
+    pub fn read_at<'b>(
+        &self,
+        offset: u64,
+        len: u64,
+        expected_key: u64,
+        eof_at: Option<u64>,
+        buf: &'b mut Vec<u8>,
+    ) -> Result<&'b [u8], Error> {
+        let path = &self.path;
+        let header = header_len(self.version) as usize;
+        // A record's length word is a u32; anything larger is not a record.
+        let total = header + u32::try_from(len).map_err(|_| Error::Truncated)? as usize;
+        if eof_at.is_some_and(|eof| offset.saturating_add(total as u64) > eof) {
             return Err(Error::Truncated);
         }
-    }
-    let mut file = File::open(path).map_err(io_err("open", path))?;
-    file.seek(SeekFrom::Start(offset)).map_err(io_err("seek", path))?;
-    let mut head = [0u8; 16];
-    file.read_exact(&mut head[..header as usize])
-        .map_err(io_err("read", path))?;
-    let key = u64::from_le_bytes(head[..8].try_into().expect("8-byte slice"));
-    let stored_len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice"));
-    if key != expected_key {
-        return Err(Error::Format {
-            path: path.to_path_buf(),
-            detail: format!("key mismatch at offset {offset}: expected {expected_key:#x}, found {key:#x}"),
-        });
-    }
-    if u64::from(stored_len) != len {
-        return Err(Error::Format {
-            path: path.to_path_buf(),
-            detail: format!("length mismatch at offset {offset}: manifest says {len}, record says {stored_len}"),
-        });
-    }
-    let mut payload = vec![0u8; stored_len as usize];
-    file.read_exact(&mut payload).map_err(io_err("read", path))?;
-    if version >= 2 {
-        let stored_crc = u32::from_le_bytes(head[12..16].try_into().expect("4-byte slice"));
-        if stored_crc != record_crc(key, &payload) {
+        buf.resize(total, 0);
+        self.file.read_exact_at(buf, offset).map_err(io_err("read", path))?;
+        let (head, payload) = buf.split_at(header);
+        let key = u64::from_le_bytes(head[..8].try_into().expect("8-byte slice"));
+        let stored_len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice"));
+        if key != expected_key {
             return Err(Error::Format {
-                path: path.to_path_buf(),
-                detail: format!("checksum mismatch for record {key:#x} at offset {offset}"),
+                path: path.clone(),
+                detail: format!("key mismatch at offset {offset}: expected {expected_key:#x}, found {key:#x}"),
             });
         }
+        if u64::from(stored_len) != len {
+            return Err(Error::Format {
+                path: path.clone(),
+                detail: format!("length mismatch at offset {offset}: manifest says {len}, record says {stored_len}"),
+            });
+        }
+        if self.version >= 2 {
+            let stored_crc = u32::from_le_bytes(head[12..16].try_into().expect("4-byte slice"));
+            if stored_crc != record_crc(key, payload) {
+                return Err(Error::Format {
+                    path: path.clone(),
+                    detail: format!("checksum mismatch for record {key:#x} at offset {offset}"),
+                });
+            }
+        }
+        Ok(payload)
     }
-    Ok(payload)
 }
 
 /// One structurally valid record found by [`scan`].
@@ -353,9 +355,12 @@ mod tests {
         let (o2, l2) = w.append(0xBBBB, b"second").expect("append");
         let total = w.finish().expect("finish");
         assert_eq!(total, std::fs::metadata(&path).expect("meta").len());
-        check_magic(&path, PROFILE_MAGIC).expect("magic");
-        assert_eq!(read_record(&path, o1, l1, 0xAAAA, 2, None).expect("r1"), b"first payload");
-        assert_eq!(read_record(&path, o2, l2, 0xBBBB, 2, None).expect("r2"), b"second");
+        assert_eq!(scan(&path, SegmentKind::Profile).expect("scan").version, 2);
+        let (r, mut buf) = (SegmentReader::open(&path, 2).expect("open"), Vec::new());
+        // One handle and one buffer serve any order of addresses.
+        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut buf).expect("r2"), b"second");
+        assert_eq!(r.read_at(o1, l1, 0xAAAA, None, &mut buf).expect("r1"), b"first payload");
+        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut buf).expect("r2"), b"second");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -365,10 +370,15 @@ mod tests {
         let path = dir.join("seg-0.bin");
         let mut w = SegmentWriter::create(&path, PROFILE_MAGIC).expect("create");
         let (o, l) = w.append(7, b"payload").expect("append");
+        let (o2, l2) = w.append(9, b"last").expect("append");
         w.finish().expect("finish");
-        assert!(matches!(read_record(&path, o, l, 8, 2, None), Err(Error::Format { .. })));
-        assert!(matches!(read_record(&path, o, l + 1, 7, 2, None), Err(Error::Format { .. })));
-        assert!(check_magic(&path, PMC_MAGIC).is_err());
+        let (r, mut buf) = (SegmentReader::open(&path, 2).expect("open"), Vec::new());
+        assert!(matches!(r.read_at(o, l, 8, None, &mut buf), Err(Error::Format { .. })));
+        assert!(matches!(r.read_at(o, l + 1, 7, None, &mut buf), Err(Error::Format { .. })));
+        // A length that runs past the end of the file is a failed read.
+        assert!(matches!(r.read_at(o2, l2 + 1, 9, None, &mut buf), Err(Error::Io { .. })));
+        assert!(matches!(r.read_at(o2, u64::MAX, 9, None, &mut buf), Err(Error::Truncated)));
+        assert_eq!(scan(&path, SegmentKind::Pmc).expect("scan").version, 0, "wrong magic");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -383,7 +393,8 @@ mod tests {
         let payload_start = (o + 16) as usize;
         bytes[payload_start] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
-        match read_record(&path, o, l, 9, 2, None) {
+        let r = SegmentReader::open(&path, 2).expect("open");
+        match r.read_at(o, l, 9, None, &mut Vec::new()) {
             Err(Error::Format { detail, .. }) => assert!(detail.contains("checksum")),
             other => panic!("expected checksum failure, got {other:?}"),
         }
@@ -397,11 +408,12 @@ mod tests {
         let mut w = SegmentWriter::create(&path, PROFILE_MAGIC).expect("create");
         let (o, l) = w.append(5, b"payload").expect("append");
         let total = w.finish().expect("finish");
+        let (r, mut buf) = (SegmentReader::open(&path, 2).expect("open"), Vec::new());
         assert!(matches!(
-            read_record(&path, o, l, 5, 2, Some(total - 1)),
+            r.read_at(o, l, 5, Some(total - 1), &mut buf),
             Err(Error::Truncated)
         ));
-        assert!(read_record(&path, o, l, 5, 2, Some(total)).is_ok());
+        assert!(r.read_at(o, l, 5, Some(total), &mut buf).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -416,7 +428,8 @@ mod tests {
         bytes.extend_from_slice(&7u32.to_le_bytes());
         bytes.extend_from_slice(b"oldbits");
         std::fs::write(&path, &bytes).expect("write");
-        assert_eq!(read_record(&path, 8, 7, 0xCAFE, 1, None).expect("v1 read"), b"oldbits");
+        let r = SegmentReader::open(&path, 1).expect("open");
+        assert_eq!(r.read_at(8, 7, 0xCAFE, None, &mut Vec::new()).expect("v1 read"), b"oldbits");
         let scan = scan(&path, SegmentKind::Profile).expect("scan");
         assert_eq!(scan.version, 1);
         assert_eq!(scan.torn_bytes(), 0);

@@ -23,7 +23,7 @@ use snowboard::profile::SeqProfile;
 use crate::codec;
 use crate::fault::DiskFaultPlan;
 use crate::manifest::{Manifest, PmcEntry, ProfileStatus};
-use crate::segment::{self, SegmentKind, SegmentWriter, PMC_MAGIC, PROFILE_MAGIC};
+use crate::segment::{self, SegmentKind, SegmentReader, SegmentWriter, PMC_MAGIC, PROFILE_MAGIC};
 use crate::Error;
 
 /// FNV-1a over a byte string.
@@ -103,6 +103,11 @@ struct SegMeta {
 }
 
 /// A persistent profile/PMC store rooted at one directory.
+///
+/// A `Store` never rewrites a segment file it may hold open: inserts, saves
+/// and heals always allocate a fresh `seg_no`, and torn-tail truncation
+/// happens in [`Store::open`] before any handle exists. That is what lets
+/// lookups keep one segment handle across calls.
 pub struct Store {
     root: PathBuf,
     manifest: Manifest,
@@ -110,6 +115,12 @@ pub struct Store {
     /// Per-segment scan results from open (and this run's writes).
     seg_meta: BTreeMap<u64, SegMeta>,
     pmc_meta: BTreeMap<u64, SegMeta>,
+    /// The segment the last lookup read, still open: lookups arrive in
+    /// corpus order, the order segments were written in, so one slot (one
+    /// descriptor) serves runs of them with a single `open`.
+    open_segment: Option<(SegmentKind, u64, SegmentReader)>,
+    /// Record bytes of the last lookup, reused by the next.
+    read_buf: Vec<u8>,
     /// Injected disk faults (empty by default).
     fault: DiskFaultPlan,
     /// Profile keys whose records were found damaged this run.
@@ -179,6 +190,8 @@ impl Store {
             read_cache: true,
             seg_meta,
             pmc_meta,
+            open_segment: None,
+            read_buf: Vec::new(),
             fault: DiskFaultPlan::default(),
             damaged_keys: BTreeSet::new(),
             damaged_pmc_corpora: BTreeSet::new(),
@@ -224,39 +237,46 @@ impl Store {
         (self.manifest.last_hits, self.manifest.last_misses)
     }
 
-    fn segment_path(&self, n: u64) -> PathBuf {
-        self.root.join(format!("seg-{n:04}.bin"))
+    fn segment_path(&self, kind: SegmentKind, n: u64) -> PathBuf {
+        let prefix = match kind {
+            SegmentKind::Profile => "seg",
+            SegmentKind::Pmc => "pmc",
+        };
+        self.root.join(format!("{prefix}-{n:04}.bin"))
     }
 
-    fn pmc_path(&self, n: u64) -> PathBuf {
-        self.root.join(format!("pmc-{n:04}.bin"))
-    }
-
-    /// Reads and verifies one record, honoring scan results and injected
-    /// short reads. Any failure means the record is damaged.
+    /// Reads and verifies one record's payload, honoring scan results and
+    /// injected short reads. Any failure means the record is damaged.
     fn read_verified(
-        &self,
+        &mut self,
         kind: SegmentKind,
         seg_no: u64,
         offset: u64,
         len: u64,
         key: u64,
-    ) -> Result<Vec<u8>, Error> {
-        let (meta, path) = match kind {
-            SegmentKind::Profile => (self.seg_meta.get(&seg_no), self.segment_path(seg_no)),
-            SegmentKind::Pmc => (self.pmc_meta.get(&seg_no), self.pmc_path(seg_no)),
+    ) -> Result<&[u8], Error> {
+        let meta = match kind {
+            SegmentKind::Profile => self.seg_meta.get(&seg_no),
+            SegmentKind::Pmc => self.pmc_meta.get(&seg_no),
         };
         // No meta: the segment file was missing at open.
-        let meta = meta.ok_or(Error::Truncated)?;
+        let meta = *meta.ok_or(Error::Truncated)?;
         if meta.version == 0 {
             return Err(Error::Corrupt("unrecognized segment magic"));
         }
-        let end = offset + segment::header_len(meta.version) + len;
+        let end = offset.saturating_add(segment::header_len(meta.version)).saturating_add(len);
         if end > meta.valid_len {
             return Err(Error::Truncated);
         }
         let eof_at = self.fault.short_read(key).then(|| end - 1);
-        segment::read_record(&path, offset, len, key, meta.version, eof_at)
+        if !matches!(&self.open_segment, Some((k, n, _)) if (*k, *n) == (kind, seg_no)) {
+            let path = self.segment_path(kind, seg_no);
+            // Dropping the previous handle first keeps it at one descriptor.
+            self.open_segment = None;
+            self.open_segment = Some((kind, seg_no, SegmentReader::open(&path, meta.version)?));
+        }
+        let (_, _, reader) = self.open_segment.as_ref().expect("opened above");
+        reader.read_at(offset, len, key, eof_at, &mut self.read_buf)
     }
 
     /// Looks up the profile stored under `key`, remapping its test id to
@@ -267,11 +287,11 @@ impl Store {
             self.profile_misses += 1;
             return Ok(ProfileLookup::Miss);
         }
-        match self.manifest.profiles.get(&key) {
+        match self.manifest.profiles.get(&key).copied() {
             Some(ProfileStatus::Ok { segment, offset, len }) => {
                 let decoded = self
-                    .read_verified(SegmentKind::Profile, *segment, *offset, *len, key)
-                    .and_then(|payload| codec::decode_profile(&payload));
+                    .read_verified(SegmentKind::Profile, segment, offset, len, key)
+                    .and_then(codec::decode_profile);
                 match decoded {
                     Ok(mut profile) => {
                         profile.test = test;
@@ -307,7 +327,7 @@ impl Store {
             return Ok(());
         }
         let seg_no = self.manifest.next_segment;
-        let path = self.segment_path(seg_no);
+        let path = self.segment_path(SegmentKind::Profile, seg_no);
         let mut writer = SegmentWriter::create(&path, PROFILE_MAGIC)?;
         if let Some(cut) = self.fault.take_torn_write() {
             writer.set_torn_after(cut);
@@ -376,7 +396,7 @@ impl Store {
             let key = corpus_key(&entry.corpus);
             let decoded = self
                 .read_verified(SegmentKind::Pmc, entry.segment, entry.offset, entry.len, key)
-                .and_then(|payload| codec::decode_pmc_set(&payload));
+                .and_then(codec::decode_pmc_set);
             match decoded {
                 Ok(set) => {
                     return Ok(if entry.corpus == corpus_keys {
@@ -400,7 +420,7 @@ impl Store {
     /// was found damaged this run counts as a heal.
     pub fn save_pmcs(&mut self, corpus_keys: &[u64], set: &PmcSet) -> Result<(), Error> {
         let seg_no = self.manifest.next_segment;
-        let path = self.pmc_path(seg_no);
+        let path = self.segment_path(SegmentKind::Pmc, seg_no);
         let mut writer = SegmentWriter::create(&path, PMC_MAGIC)?;
         if let Some(cut) = self.fault.take_torn_write() {
             writer.set_torn_after(cut);
@@ -460,7 +480,7 @@ impl Store {
         let mut sizes = Vec::new();
         let mut stats = SegmentStats::default();
         for n in 0..self.manifest.next_segment {
-            for path in [self.segment_path(n), self.pmc_path(n)] {
+            for path in [SegmentKind::Profile, SegmentKind::Pmc].map(|kind| self.segment_path(kind, n)) {
                 match std::fs::metadata(&path) {
                     Ok(meta) => {
                         let name = path
@@ -783,6 +803,36 @@ mod tests {
         // New inserts never clobber the adopted segment.
         store.insert_profiles(&[(13, Some(profile(3, 0x6300)))]).expect("insert");
         assert!(matches!(store.lookup_profile(11, 1).expect("lookup"), ProfileLookup::Hit(_)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_held_handle_serves_interleaved_segments_and_a_heal() {
+        let (dir, mut store) = tmp_store("handle");
+        // Segments A, B, C, each its own file; key k holds address k << 12.
+        for key in [1u64, 2, 3] {
+            store.insert_profiles(&[(key, Some(profile(0, key << 12)))]).expect("insert");
+        }
+        store.flush().expect("flush");
+        let mut bytes = std::fs::read(dir.join("seg-0001.bin")).expect("read");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x04;
+        std::fs::write(dir.join("seg-0001.bin"), &bytes).expect("damage B");
+
+        let mut store = Store::open(&dir).expect("reopen");
+        let addr_of = |store: &mut Store, key: u64| match store.lookup_profile(key, 0).expect("lookup") {
+            ProfileLookup::Hit(p) => Some(p.accesses[0].addr),
+            ProfileLookup::Damaged => None,
+            other => panic!("key {key}: {other:?}"),
+        };
+        let got: Vec<_> = [1, 2, 1, 3, 2].iter().map(|k| addr_of(&mut store, *k)).collect();
+        assert_eq!(got, [Some(1 << 12), None, Some(1 << 12), Some(3 << 12), None]);
+        // The heal lands in a new segment while C's handle is the one held.
+        store.insert_profiles(&[(2, Some(profile(0, 2 << 12)))]).expect("heal");
+        assert_eq!(store.records_healed, 1);
+        assert!(dir.join("seg-0003.bin").exists(), "a heal never rewrites seg-0001");
+        let got: Vec<_> = [3, 2, 1, 2].iter().map(|k| addr_of(&mut store, *k)).collect();
+        assert_eq!(got, [Some(3 << 12), Some(2 << 12), Some(1 << 12), Some(2 << 12)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
