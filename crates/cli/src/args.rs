@@ -4,7 +4,7 @@ use std::path::PathBuf;
 
 use sb_kernel::{KernelConfig, KernelVersion};
 use snowboard::cluster::Strategy;
-use snowboard::{ChaosPlan, FaultPlan, NetFaultPlan, OracleSet};
+use snowboard::{ChaosPlan, OracleSet};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -62,22 +62,17 @@ OPTIONS (hunt):
     --heartbeat-ms <N>            with --supervise: kill and restart a worker
                                   heard from not at all for N ms
                                   [default: 10000]
-    --fault-plan <SPEC>           inject scripted faults for testing, e.g.
-                                  'panic=3;transient=1:2;abort=2;stall=5'
-                                  (abort/exit/stall need --supervise)
-    --chaos <SPEC>                the unified fault grammar: semicolon-
+    --chaos <SPEC>                inject scripted faults for testing: semicolon-
                                   separated plane:kind=args clauses, e.g.
-                                  'job:panic=3;proc:exit=1:9;net:drop=0:6;
-                                  disk:torn=20;coord:kill-after-journal=4'.
-                                  Merges on top of the per-plane flags and
-                                  env vars (--fault-plan, --net-faults,
-                                  SB_PROCESS_FAULTS, SB_NET_FAULTS,
-                                  SB_DISK_FAULTS). disk:* needs --store;
-                                  net:* needs hunt join; coord:* needs
-                                  hunt serve
-    SB_DISK_FAULTS=<SPEC> (env)   disk faults for the --store backend, e.g.
-                                  'torn=20;flip=5:255;shortn=3' — same
-                                  grammar as --chaos disk:* clauses
+                                  'job:panic=3;job:transient=1:2;proc:exit=1:9;
+                                  net:drop=0:6;disk:torn=20;
+                                  coord:kill-after-journal=4'. Planes: job:
+                                  (panic, hang, transient, close), proc:
+                                  (abort, exit, stall; need --supervise or
+                                  hunt join), net: (drop, delay, garble,
+                                  halfclose; need hunt join), disk: (torn,
+                                  flip, short, shortn; need --store), coord:
+                                  (kill-after-journal; needs hunt serve)
     --bench-out <FILE>            write a BENCH_*.json perf snapshot of the
                                   run (schema snowboard.bench.v1; see
                                   DESIGN.md §15); plain in-process hunt only
@@ -97,10 +92,8 @@ OPTIONS (hunt serve), in addition to the hunt options:
     write-ahead journal (PATH.wal) survive a coordinator crash and are
     picked up by 'hunt serve --resume PATH'. Without it the coordinator
     uses a per-run temporary pair, deleted after a clean finish.
-    SB_FLEET_FAIL_AFTER_JOURNAL=<N> (env) simulates a coordinator kill -9
-    right after the Nth journal append — a failover-test hook. Deprecated:
-    it is now an alias for --chaos coord:kill-after-journal=N (the flag
-    wins when both are set).
+    --chaos coord:kill-after-journal=<N> simulates a coordinator kill -9
+    right after the Nth journal append — a failover-test hook.
 
 OPTIONS (hunt join <ADDR>), in addition to the hunt options:
     --batch <N>                   jobs requested per lease [default: 4]
@@ -111,9 +104,6 @@ OPTIONS (hunt join <ADDR>), in addition to the hunt options:
     --spool <PATH>                persist completed-but-unacknowledged
                                   results to PATH so even a restarted
                                   worker redelivers them
-    --net-faults <SPEC>           inject network faults, e.g.
-                                  'drop=0:6;delay=1:50;garble=2:3'
-                                  (also read from SB_NET_FAULTS)
     The campaign flags (--seed, --corpus, --budget, --trials, ...) must
     match the coordinator's: the handshake rejects a mismatch.
 
@@ -199,13 +189,8 @@ pub struct HuntOpts {
     /// With `--supervise`: a worker silent for this long is killed and
     /// restarted.
     pub heartbeat_ms: u64,
-    /// Scripted fault injection (in-process faults everywhere; the
-    /// abort/exit/stall process faults only under `--supervise`).
-    pub fault_plan: FaultPlan,
-    /// The unified `--chaos` plan. Its job/proc plane is already merged
-    /// into `fault_plan` (and its net plane into the join options) at
-    /// parse time; the disk and coord planes ride here to the command
-    /// layer, which owns the store and the coordinator.
+    /// Scripted fault injection, every plane (`--chaos`). Parse time
+    /// already checked that each plane has somewhere to act.
     pub chaos: ChaosPlan,
     /// Write a `BENCH_*.json` perf snapshot of this run to the given file.
     /// Restricted to the plain in-process hunt: supervised and fleet runs
@@ -247,8 +232,6 @@ pub struct JoinOpts {
     /// On-disk spool for completed-but-unacknowledged results; `None`
     /// keeps them in memory only (they survive reconnects, not restarts).
     pub spool: Option<PathBuf>,
-    /// Injected network faults (flag and `SB_NET_FAULTS` merged).
-    pub net_faults: NetFaultPlan,
 }
 
 /// Options for `hunt chaos` (the self-chaos meta-campaign).
@@ -561,7 +544,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut crash_budget = 2u32;
             let mut connect_retries = 5u32;
             let mut spool: Option<PathBuf> = None;
-            let mut net_faults = NetFaultPlan::default();
             let mut version = KernelVersion::V5_12Rc3;
             let mut patched = false;
             let mut strategy = Strategy::SInsPair;
@@ -583,7 +565,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut supervise = false;
             let mut stop_file: Option<PathBuf> = None;
             let mut heartbeat_ms = 10_000u64;
-            let mut fault_plan = FaultPlan::default();
             let mut chaos = ChaosPlan::default();
             let mut bench_out: Option<PathBuf> = None;
             let mut worker_shard: Option<(usize, usize)> = None;
@@ -616,11 +597,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     }
                     "--spool" if mode == Mode::Join => {
                         spool = Some(PathBuf::from(take_value(argv, &mut i, "--spool")?))
-                    }
-                    "--net-faults" if mode == Mode::Join => {
-                        net_faults =
-                            NetFaultPlan::parse_spec(take_value(argv, &mut i, "--net-faults")?)
-                                .map_err(|e| format!("--net-faults: {e}"))?
                     }
                     "--version" => version = parse_version(take_value(argv, &mut i, "--version")?)?,
                     "--patched" => patched = true,
@@ -682,10 +658,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                             return Err("--heartbeat-ms must be positive".into());
                         }
                     }
-                    "--fault-plan" if is_hunt => {
-                        fault_plan = FaultPlan::parse_spec(take_value(argv, &mut i, "--fault-plan")?)
-                            .map_err(|e| format!("--fault-plan: {e}"))?
-                    }
                     "--chaos" if is_hunt => {
                         chaos = ChaosPlan::parse_spec(take_value(argv, &mut i, "--chaos")?)
                             .map_err(|e| format!("--chaos: {e}"))?
@@ -727,10 +699,8 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             if mode == Mode::Serve && listen.is_none() {
                 return Err("hunt serve requires --listen <addr>".into());
             }
-            // The unified --chaos plan: each plane must land somewhere
-            // that can actually inject it, and the job/proc and net planes
-            // merge into the legacy plans so downstream code has exactly
-            // one plan per plane.
+            // Each --chaos plane must land somewhere that can actually
+            // inject it.
             if !chaos.net.is_empty() && mode != Mode::Join {
                 return Err("--chaos net:* faults act on the worker's outbound \
                             link; they need hunt join"
@@ -747,8 +717,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                              serving side)"
                     .into());
             }
-            fault_plan.merge(chaos.job.clone());
-            net_faults.merge(chaos.net.clone());
             if mode == Mode::Join && (checkpoint.is_some() || resume.is_some()) {
                 return Err(
                     "a fleet worker does not checkpoint (the coordinator does); \
@@ -793,7 +761,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     supervise,
                     stop_file,
                     heartbeat_ms,
-                    fault_plan,
                     chaos,
                     bench_out,
                     worker_shard,
@@ -813,7 +780,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         batch,
                         connect_retries,
                         spool,
-                        net_faults,
                     })),
                 })
             } else {
@@ -995,7 +961,7 @@ mod tests {
     #[test]
     fn parses_supervision_flags() {
         let cmd = parse(&argv(
-            "hunt --supervise --stop-file /tmp/stop --heartbeat-ms 500 --fault-plan abort=2;stall=3",
+            "hunt --supervise --stop-file /tmp/stop --heartbeat-ms 500 --chaos proc:abort=2;proc:stall=3",
         ))
         .unwrap();
         match cmd {
@@ -1003,8 +969,8 @@ mod tests {
                 assert!(o.supervise);
                 assert_eq!(o.stop_file, Some(PathBuf::from("/tmp/stop")));
                 assert_eq!(o.heartbeat_ms, 500);
-                assert!(o.fault_plan.should_abort(2));
-                assert!(o.fault_plan.should_stall(3));
+                assert!(o.chaos.job.should_abort(2));
+                assert!(o.chaos.job.should_stall(3));
                 assert_eq!(o.worker_shard, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -1014,13 +980,12 @@ mod tests {
             Cmd::Hunt(o) => {
                 assert!(!o.supervise);
                 assert_eq!(o.heartbeat_ms, 10_000);
-                assert!(o.fault_plan.is_empty());
+                assert!(o.chaos.is_empty());
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&argv("hunt --stop-file /tmp/stop")).is_err(), "needs --supervise");
         assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
-        assert!(parse(&argv("hunt --fault-plan frob=1")).is_err(), "bad spec");
         assert!(parse(&argv("strategies --supervise")).is_err(), "hunt-only");
     }
 
@@ -1099,7 +1064,7 @@ mod tests {
     #[test]
     fn parses_hunt_join_with_fleet_flags() {
         let cmd = parse(&argv(
-            "hunt join 10.0.0.5:7070 --batch 3 --connect-retries 9 --net-faults drop=0:6 \
+            "hunt join 10.0.0.5:7070 --batch 3 --connect-retries 9 --chaos net:drop=0:6 \
              --spool /tmp/spool.bin --seed 7",
         ))
         .unwrap();
@@ -1109,7 +1074,7 @@ mod tests {
                 assert_eq!(o.batch, 3);
                 assert_eq!(o.connect_retries, 9);
                 assert_eq!(o.spool, Some(PathBuf::from("/tmp/spool.bin")));
-                assert!(!o.net_faults.is_empty());
+                assert!(o.hunt.chaos.net.drop_now(0, 7));
                 assert_eq!(o.hunt.seed, 7);
             }
             other => panic!("unexpected {other:?}"),
@@ -1121,7 +1086,6 @@ mod tests {
         assert!(parse(&argv("hunt join")).is_err(), "address is required");
         assert!(parse(&argv("hunt join --batch 3")).is_err(), "address before flags");
         assert!(parse(&argv("hunt join x:1 --connect-retries 0")).is_err());
-        assert!(parse(&argv("hunt join x:1 --net-faults frob=1")).is_err(), "bad spec");
         assert!(parse(&argv("hunt join x:1 --checkpoint /tmp/cp")).is_err());
         assert!(parse(&argv("hunt join x:1 --worker-shard 0/2")).is_err());
         assert!(parse(&argv("hunt --connect-retries 2")).is_err(), "join-only flag");
@@ -1154,31 +1118,21 @@ mod tests {
 
     #[test]
     fn parses_the_unified_chaos_flag() {
-        // job/proc clauses merge into the legacy fault plan.
         match parse(&argv("hunt --supervise --chaos job:panic=3;proc:stall=5")).unwrap() {
             Cmd::Hunt(o) => {
-                assert!(o.fault_plan.should_panic(3));
-                assert!(o.fault_plan.should_stall(5));
+                assert!(o.chaos.job.should_panic(3));
+                assert!(o.chaos.job.should_stall(5));
                 assert!(o.chaos.disk.is_empty());
             }
             other => panic!("unexpected {other:?}"),
         }
-        // --chaos merges ON TOP of --fault-plan, both keep working.
-        match parse(&argv("hunt --fault-plan panic=1 --chaos job:panic=2")).unwrap() {
-            Cmd::Hunt(o) => {
-                assert!(o.fault_plan.should_panic(1) && o.fault_plan.should_panic(2));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // net clauses merge into the join-side net plan.
-        match parse(&argv("hunt join x:1 --net-faults drop=0:6 --chaos net:delay=0:50")).unwrap() {
+        match parse(&argv("hunt join x:1 --chaos net:drop=0:6;net:delay=0:50")).unwrap() {
             Cmd::Join(o) => {
-                assert!(o.net_faults.drop_now(0, 7));
-                assert!(o.net_faults.delay_for(0).is_some());
+                assert!(o.hunt.chaos.net.drop_now(0, 7));
+                assert!(o.hunt.chaos.net.delay_for(0).is_some());
             }
             other => panic!("unexpected {other:?}"),
         }
-        // disk and coord planes ride through to the command layer.
         match parse(&argv("hunt --store /tmp/s --chaos disk:torn=20")).unwrap() {
             Cmd::Hunt(o) => assert_eq!(o.chaos.disk.torn_write_after, Some(20)),
             other => panic!("unexpected {other:?}"),

@@ -36,14 +36,8 @@ use crate::args::ChaosOpts;
 const CHILD_DEADLINE: Duration = Duration::from_secs(240);
 
 /// Environment knobs that must not leak from the driver's environment
-/// into the trials — the schedule is the only fault source.
-const SCRUB_ENV: &[&str] = &[
-    "SB_NET_FAULTS",
-    "SB_PROCESS_FAULTS",
-    "SB_DISK_FAULTS",
-    "SB_FLEET_FAIL_AFTER_JOURNAL",
-    "SB_CHAOS_BREAK",
-];
+/// into the trials.
+const SCRUB_ENV: &[&str] = &["SB_CHAOS_BREAK"];
 
 /// Per-trial campaign scale.
 struct Profile {

@@ -13,8 +13,8 @@ use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
 use snowboard::{
     config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, Catalog,
-    CheckpointCfg, FaultPlan, FleetCfg, FleetWork, IdentifyOpts, JobBudget, JoinCfg, NetFaultPlan,
-    OracleSet, Pipeline, PipelineCfg, RetryPolicy, SuperviseCfg, WorkerCfg,
+    ChaosPlan, CheckpointCfg, FleetCfg, FleetWork, IdentifyOpts, JobBudget, JoinCfg, OracleSet,
+    Pipeline, PipelineCfg, RetryPolicy, SuperviseCfg, WorkerCfg,
 };
 
 use crate::args::{Cmd, HuntOpts, JoinOpts, ServeOpts, USAGE};
@@ -38,24 +38,6 @@ pub fn run(cmd: Cmd) -> ExitCode {
         Cmd::Join(opts) => join(*opts),
         Cmd::Chaos(opts) => crate::chaos::run_chaos(opts),
     }
-}
-
-/// Resolves the disk-fault plan for a store-backed run: the `--chaos
-/// disk:*` clauses with `SB_DISK_FAULTS` merged on top (the env hook
-/// injects faults into real binaries without the invoking script knowing
-/// the full flag set, mirroring `SB_PROCESS_FAULTS`/`SB_NET_FAULTS`).
-fn disk_fault_plan(chaos: &snowboard::ChaosPlan) -> Result<sb_store::DiskFaultPlan, ExitCode> {
-    let mut plan = sb_store::DiskFaultPlan::from(chaos.disk.clone());
-    if let Ok(spec) = std::env::var("SB_DISK_FAULTS") {
-        match sb_store::DiskFaultPlan::parse_spec(&spec) {
-            Ok(env_plan) => plan.merge(env_plan),
-            Err(e) => {
-                eprintln!("error: SB_DISK_FAULTS: {e}");
-                return Err(ExitCode::from(2));
-            }
-        }
-    }
-    Ok(plan)
 }
 
 /// Exit code for a hunt that finished but quarantined at least one job:
@@ -298,7 +280,7 @@ fn hunt_campaign_cfg(opts: &HuntOpts) -> CampaignCfg {
         checkpoint: None,
         resume_from: None,
         resume_lenient: false,
-        fault_plan: opts.fault_plan.clone(),
+        fault_plan: opts.chaos.job.clone(),
         deep_snapshots: false,
         tracer: sb_obs::Tracer::disabled(),
     }
@@ -345,18 +327,6 @@ fn print_detect_summary(report: &CampaignReport, oracles: OracleSet) {
 /// the campaign speaking the worker protocol on stdout. Everything
 /// human-readable stays off stdout — the supervisor owns that pipe.
 fn hunt_worker(opts: HuntOpts, shard: usize, of: usize) -> ExitCode {
-    let mut fault_plan = opts.fault_plan.clone();
-    // `SB_PROCESS_FAULTS` injects process-level faults into workers without
-    // the supervisor knowing, mimicking an external OOM killer.
-    if let Ok(spec) = std::env::var("SB_PROCESS_FAULTS") {
-        match FaultPlan::parse_spec(&spec) {
-            Ok(env_plan) => fault_plan.merge(env_plan),
-            Err(e) => {
-                eprintln!("error: SB_PROCESS_FAULTS: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
     let p = Pipeline::prepare(
         opts.config,
         PipelineCfg {
@@ -375,7 +345,6 @@ fn hunt_worker(opts: HuntOpts, shard: usize, of: usize) -> ExitCode {
     };
     let exemplars = p.exemplars(opts.strategy, order);
     let mut cfg = hunt_campaign_cfg(&opts);
-    cfg.fault_plan = fault_plan.clone();
     // The supervisor saves its merged checkpoint immediately before every
     // spawn and passes it as --resume; strict validation here turns any
     // supervisor/worker disagreement into a loud early death.
@@ -386,7 +355,6 @@ fn hunt_worker(opts: HuntOpts, shard: usize, of: usize) -> ExitCode {
         of,
         heartbeat: std::time::Duration::from_millis((opts.heartbeat_ms / 4).max(25)),
         stop_file: opts.stop_file.clone(),
-        process_faults: fault_plan,
     };
     match snowboard::run_worker_shard(&p.booted, &p.corpus, &p.pmcs, &exemplars, &cfg, &wcfg) {
         Ok(_stopped) => ExitCode::SUCCESS,
@@ -463,15 +431,7 @@ fn prepare_hunt_pipeline(
                 }
             }
         }
-        None => {
-            if !disk_faults.is_empty() {
-                eprintln!(
-                    "[chaos] warning: disk faults armed but no --store; \
-                     they have nowhere to act"
-                );
-            }
-            Ok((Pipeline::prepare(config, pipeline_cfg), None, Vec::new()))
-        }
+        None => Ok((Pipeline::prepare(config, pipeline_cfg), None, Vec::new())),
     }
 }
 
@@ -603,16 +563,12 @@ fn hunt(opts: HuntOpts) -> ExitCode {
         supervise,
         stop_file,
         heartbeat_ms,
-        fault_plan,
         bench_out,
         worker_shard: _,
         chaos,
     } = opts;
     let tracer = open_tracer(&trace_dir);
-    let disk_faults = match disk_fault_plan(&chaos) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+    let disk_faults = sb_store::DiskFaultPlan::from(chaos.disk);
     eprintln!("[hunt] preparing pipeline ({:?})...", config.version);
     let pipeline_cfg = PipelineCfg {
         seed,
@@ -712,9 +668,11 @@ fn hunt(opts: HuntOpts) -> ExitCode {
             wargs.push("--stop-file".into());
             wargs.push(sf.display().to_string());
         }
-        if !fault_plan.is_empty() {
-            wargs.push("--fault-plan".into());
-            wargs.push(fault_plan.to_spec());
+        if !chaos.job.is_empty() {
+            // Only the job/proc plane travels: workers run storeless.
+            let plan = ChaosPlan { job: chaos.job, ..ChaosPlan::default() };
+            wargs.push("--chaos".into());
+            wargs.push(plan.to_spec());
         }
         let spawn = |shard: usize| {
             let mut c = std::process::Command::new(&exe);
@@ -814,7 +772,7 @@ fn hunt_bench_snapshot(
 
 /// The campaign-shaping parameters a fleet worker must share with its
 /// coordinator for merged results to make sense, hashed for the handshake.
-/// Process/network fault plans are deliberately excluded: they change *how*
+/// The `--chaos` plan is deliberately excluded: faults change *how*
 /// a worker fails, never what a completed job computes.
 fn fleet_fingerprint(o: &HuntOpts) -> u64 {
     config_fingerprint(&[
@@ -858,10 +816,7 @@ fn serve(opts: ServeOpts) -> ExitCode {
         catalog: hunt_catalog(o.oracles),
         tracer: tracer.clone(),
     };
-    let disk_faults = match disk_fault_plan(&o.chaos) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+    let disk_faults = sb_store::DiskFaultPlan::from(o.chaos.disk.clone());
     let (p, store_stats, disk_fired) = match prepare_hunt_pipeline(
         o.config,
         pipeline_cfg,
@@ -898,27 +853,6 @@ fn serve(opts: ServeOpts) -> ExitCode {
         std::env::temp_dir().join(format!("sb-fleet-{}.json", std::process::id()))
     });
     let ckpt_is_temp = o.checkpoint.is_none();
-    // `SB_FLEET_FAIL_AFTER_JOURNAL=N` simulates `kill -9` right after the
-    // Nth write-ahead journal append (no checkpoint save, no drain). It is
-    // now a deprecated alias for `--chaos coord:kill-after-journal=N`; the
-    // flag wins when both are set.
-    let env_kill = match std::env::var("SB_FLEET_FAIL_AFTER_JOURNAL") {
-        Ok(spec) => {
-            eprintln!(
-                "warning: SB_FLEET_FAIL_AFTER_JOURNAL is deprecated; \
-                 use --chaos coord:kill-after-journal=N"
-            );
-            match spec.parse::<u64>() {
-                Ok(n) => Some(n),
-                Err(e) => {
-                    eprintln!("error: SB_FLEET_FAIL_AFTER_JOURNAL: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        Err(_) => None,
-    };
-    let fail_after_journal = o.chaos.kill_after_journal.or(env_kill);
     let fcfg = FleetCfg {
         heartbeat_timeout: std::time::Duration::from_millis(o.heartbeat_ms),
         lease_deadline: std::time::Duration::from_millis(opts.lease_ms),
@@ -927,7 +861,7 @@ fn serve(opts: ServeOpts) -> ExitCode {
         stop_file: o.stop_file.clone(),
         checkpoint: ckpt.clone(),
         config_hash: fleet_fingerprint(o),
-        fail_after_journal,
+        fail_after_journal: o.chaos.kill_after_journal,
         ..FleetCfg::default()
     };
     eprintln!(
@@ -984,30 +918,7 @@ fn serve(opts: ServeOpts) -> ExitCode {
 /// no report of its own — results stream to the coordinator.
 fn join(opts: JoinOpts) -> ExitCode {
     let o = &opts.hunt;
-    let mut fault_plan = o.fault_plan.clone();
-    if let Ok(spec) = std::env::var("SB_PROCESS_FAULTS") {
-        match FaultPlan::parse_spec(&spec) {
-            Ok(env_plan) => fault_plan.merge(env_plan),
-            Err(e) => {
-                eprintln!("error: SB_PROCESS_FAULTS: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let mut net_faults = opts.net_faults.clone();
-    // `SB_NET_FAULTS` injects network faults without the coordinator (or a
-    // wrapper script) knowing, mimicking a flaky link.
-    if let Ok(spec) = std::env::var("SB_NET_FAULTS") {
-        match NetFaultPlan::parse_spec(&spec) {
-            Ok(env_plan) => net_faults.merge(env_plan),
-            Err(e) => {
-                eprintln!("error: SB_NET_FAULTS: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let mut cfg = hunt_campaign_cfg(o);
-    cfg.fault_plan = fault_plan;
+    let cfg = hunt_campaign_cfg(o);
     let jcfg = JoinCfg {
         addr: opts.addr.clone(),
         config_hash: fleet_fingerprint(o),
@@ -1016,7 +927,7 @@ fn join(opts: JoinOpts) -> ExitCode {
         connect_attempts: opts.connect_retries,
         stop_file: o.stop_file.clone(),
         spool: opts.spool.clone(),
-        net_faults,
+        net_faults: o.chaos.net.clone(),
         ..JoinCfg::default()
     };
     eprintln!("[fleet] joining coordinator at {}", opts.addr);

@@ -360,7 +360,7 @@ fn exit_codes_are_pinned() {
     let quarantined = bin()
         .args([
             "hunt", "--corpus", "6", "--budget", "4", "--trials", "1", "--workers", "2",
-            "--seed", "3", "--fault-plan", "panic=1",
+            "--seed", "3", "--chaos", "job:panic=1",
         ])
         .output()
         .expect("run faulted hunt");
@@ -385,7 +385,7 @@ fn supervised_crash_injection_quarantines_and_exits_3() {
     // the exit code says "finished with quarantines".
     let out = bin()
         .args(small_hunt("5"))
-        .args(["--supervise", "--fault-plan", "abort=2"])
+        .args(["--supervise", "--chaos", "proc:abort=2"])
         .output()
         .expect("run aborting hunt");
     assert_eq!(
@@ -644,7 +644,7 @@ fn fleet_usage_errors_exit_2() {
         &["hunt", "join"],                                           // no address
         &["hunt", "join", "x:1", "--batch", "0"],                    // zero batch
         &["hunt", "join", "x:1", "--connect-retries", "0"],          // zero retries
-        &["hunt", "join", "x:1", "--net-faults", "frob=1"],          // bad fault spec
+        &["hunt", "join", "x:1", "--chaos", "net:frob=1:2"],         // bad fault spec
         &["hunt", "--supervise", "--heartbeat-ms", "0"],             // supervise too
     ];
     for case in cases {
@@ -656,39 +656,6 @@ fn fleet_usage_errors_exit_2() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // A bad SB_NET_FAULTS spec is also a usage error, found before any
-    // connection attempt.
-    let out = bin()
-        .args(["hunt", "join", "127.0.0.1:1"])
-        .args(fleet_tail("3"))
-        .env("SB_NET_FAULTS", "frob=1")
-        .output()
-        .expect("run env-faulted join");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // So is a non-numeric SB_FLEET_FAIL_AFTER_JOURNAL, found before the
-    // coordinator binds its listener.
-    let out = bin()
-        .args(["hunt", "serve", "--listen", "127.0.0.1:0"])
-        .args(fleet_tail("3"))
-        .env("SB_FLEET_FAIL_AFTER_JOURNAL", "soon")
-        .output()
-        .expect("run env-killed serve");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("SB_FLEET_FAIL_AFTER_JOURNAL"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 /// A scripted coordinator for the disconnection tests below: accepts one
@@ -827,35 +794,6 @@ fn stopped_worker_holding_spooled_results_exits_4() {
 // ---------------------------------------------------------------------------
 // `hunt chaos` — the self-chaos meta-campaign and the unified fault plane
 // ---------------------------------------------------------------------------
-
-#[test]
-fn sb_disk_faults_env_rejects_a_bad_spec_with_exit_2() {
-    // The env hook goes through the same spec parser as --chaos: a typo must
-    // die at startup with a usage exit, naming the variable, before any
-    // pipeline work happens.
-    let out = bin()
-        .args(small_hunt("23"))
-        .env("SB_DISK_FAULTS", "frob=1")
-        .output()
-        .expect("run hunt with bad SB_DISK_FAULTS");
-    assert_eq!(out.status.code(), Some(2), "bad disk fault spec exits 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("SB_DISK_FAULTS"), "error must name the env var: {err}");
-
-    // A well-formed spec with no --store to act on is accepted but warned
-    // about — armed faults that cannot fire should not pass silently.
-    let out = bin()
-        .args(small_hunt("23"))
-        .env("SB_DISK_FAULTS", "shortn=1000000")
-        .output()
-        .expect("run hunt with storeless SB_DISK_FAULTS");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("disk faults armed but no --store"),
-        "missing storeless-faults warning: {err}"
-    );
-}
 
 #[test]
 fn chaos_flag_rejects_unknown_planes_and_misplaced_planes_with_exit_2() {

@@ -22,9 +22,9 @@
 //!   run's own summary (`sb trace report`).
 //! * [`crc`] — table-driven CRC32C, shared by the store's segment files
 //!   and the fleet coordinator's write-ahead journal.
-//! * [`spec`] — the shared `kind=args;...` grammar behind every
-//!   fault-plan spec string (job, process, network, disk, chaos), so all
-//!   planes parse and report errors identically.
+//! * [`spec`] — the shared `kind=args;...` grammar behind the `--chaos`
+//!   spec string (job, process, network, disk, coordinator), so all planes
+//!   parse and report errors identically.
 
 pub mod crc;
 pub mod event;

@@ -1,9 +1,9 @@
-//! Shared grammar for fault-plan spec strings.
+//! Shared grammar for fault spec strings.
 //!
 //! Every fault plane in the workspace — job/process faults
 //! (`snowboard::FaultPlan`), network faults (`snowboard::NetFaultPlan`),
-//! disk faults (`sb_store::DiskFaultPlan`), and the unified chaos plan —
-//! speaks the same compact spec language:
+//! disk faults (`snowboard::DiskFaults`) — is a set of clauses of the
+//! unified chaos plan, in one compact spec language:
 //!
 //! ```text
 //! spec   := clause (';' clause)*        -- empty clauses are skipped

@@ -59,11 +59,12 @@ pub fn run_baseline(
             (a, b)
         })
         .collect();
-    let outcomes: Vec<PmcTestOutcome> = sb_queue::run_jobs(
-        pairs.into_iter().enumerate().collect(),
+    let jobs: Vec<(usize, (u32, u32))> = pairs.into_iter().enumerate().collect();
+    let outcomes: Vec<PmcTestOutcome> = crate::pool::map_jobs(
+        &jobs,
         workers,
         || Executor::new(2),
-        |exec, (i, pair)| {
+        |exec, &(i, pair)| {
             let test_seed = seed.wrapping_add((i as u64).wrapping_mul(0xA24B_AED4_963E_E407));
             run_baseline_test(exec, booted, corpus, pair, test_seed, trials, stop_on_finding)
         },

@@ -22,6 +22,12 @@
 //! finished jobs, and a [`FaultPlan`] can inject panics, hangs, transient
 //! errors, and queue closure at chosen job indices to exercise all of the
 //! above deterministically.
+//!
+//! The job *lifecycle* — resume, merge, checkpoint cadence, the report —
+//! lives in [`crate::ledger`]; this module is the in-process transport
+//! (scoped worker threads) plus the code every transport's workers share:
+//! [`test_one_pmc`], the retry loop around it, and the process-fault hook
+//! remote workers fire before a job.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,16 +41,16 @@ use serde::{Deserialize, Serialize};
 
 use sb_detect::{Finding, OracleCtx, OracleSet};
 use sb_kernel::{BootedKernel, Program};
-use sb_queue::{panic_message, run_jobs_fallible, JobError, PoolOpts};
 use sb_vmm::access::AccessKind;
 use sb_vmm::replay::{RecordingSched, Schedule};
 use sb_vmm::sched::{Scheduler as _, SnowboardSched};
 use sb_vmm::site::Site;
 use sb_vmm::Executor;
 
-use crate::checkpoint::{Checkpoint, CheckpointCfg};
+use crate::checkpoint::CheckpointCfg;
 use crate::error::{Error, FailureKind, SbResult};
 use crate::fault::FaultPlan;
+use crate::ledger::{JobLedger, Scope};
 use crate::pmc::{Pmc, PmcId, PmcSet};
 use crate::retry::{reseed, RetryPolicy};
 use crate::triage::{triage, IssueRecord};
@@ -489,26 +495,42 @@ fn publish_snapshot_counters(tracer: &sb_obs::Tracer, clones: u64, pages: u64) {
 
 /// What one campaign job resolved to after all retry attempts.
 #[derive(Clone, Debug)]
-pub(crate) enum JobVerdict {
+pub enum JobVerdict {
     /// The job completed and produced an outcome.
     Completed(PmcTestOutcome),
     /// The job failed permanently and was set aside.
     Quarantined(QuarantineRecord),
 }
 
+/// Everything a job runs against, borrowed from the prepared pipeline.
+#[derive(Clone, Copy)]
+pub(crate) struct JobEnv<'a> {
+    pub booted: &'a BootedKernel,
+    pub corpus: &'a [Program],
+    pub set: &'a PmcSet,
+    pub index: &'a IncidentalIndex,
+}
+
+/// Extracts a human-readable message from a caught panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
 /// Runs one job to a verdict: attempt, classify, retry or quarantine.
 ///
 /// `exec` is the worker's executor. It keeps no state between runs, so it
 /// survives a failed or panicked attempt as it is.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_one_job(
     exec: &mut Executor,
+    env: JobEnv<'_>,
     job: usize,
     id: PmcId,
-    booted: &BootedKernel,
-    corpus: &[Program],
-    set: &PmcSet,
-    index: &IncidentalIndex,
     cfg: &CampaignCfg,
 ) -> JobVerdict {
     let base_seed = cfg
@@ -536,7 +558,7 @@ pub(crate) fn run_one_job(
                 crate::chaos::fired("job.hang", &format!("job {job} attempt {attempt}"));
                 dog.force_expired();
             }
-            test_one_pmc(exec, booted, corpus, set, index, id, seed, cfg, &dog)
+            test_one_pmc(exec, env.booted, env.corpus, env.set, env.index, id, seed, cfg, &dog)
         }));
         let err = match result {
             Ok(Ok(mut out)) => {
@@ -560,117 +582,51 @@ pub(crate) fn run_one_job(
     }
 }
 
-/// Loads and validates the resume checkpoint from `cfg`, or begins a fresh
-/// one. Shared by the in-process campaign and both sides of the
-/// multi-process supervisor (which resumes workers from the supervisor's
-/// own merged checkpoint).
-pub(crate) fn load_or_begin_checkpoint(
-    cfg: &CampaignCfg,
-    budgeted: &[PmcId],
-) -> SbResult<Checkpoint> {
-    match &cfg.resume_from {
-        Some(path) => {
-            let loaded = Checkpoint::load(path)
-                .and_then(|cp| cp.validate(cfg.seed, budgeted).map(|()| cp));
-            match loaded {
-                Ok(cp) => Ok(cp),
-                Err(e) if cfg.resume_lenient => {
-                    eprintln!(
-                        "[campaign] warning: ignoring unusable checkpoint {}: {e} — starting fresh",
-                        path.display()
-                    );
-                    Ok(Checkpoint::begin(cfg.seed, budgeted))
-                }
-                Err(e) => Err(e),
-            }
-        }
-        None => Ok(Checkpoint::begin(cfg.seed, budgeted)),
-    }
+/// The job-running half of a remote worker process (a supervised shard or
+/// a fleet joiner). Process-level faults belong to the process boundary,
+/// so they fire here, before the job, from the *full* plan; the job itself
+/// runs under a config stripped to the in-process faults and with tracing
+/// off — the parent emits every trace event from the merged result stream.
+pub(crate) struct RemoteJobs<'a> {
+    env: JobEnv<'a>,
+    faults: &'a FaultPlan,
+    job_cfg: CampaignCfg,
 }
 
-/// Emits the per-job trace record and counters for a resolved job —
-/// identical whether the verdict arrived from an in-process pool worker or
-/// over the supervisor's wire protocol, so supervised traces verify with
-/// the same rules.
-pub(crate) fn trace_job_verdict(tracer: &sb_obs::Tracer, job: usize, v: &JobVerdict) {
-    match v {
-        JobVerdict::Completed(out) => {
-            tracer.emit(&sb_obs::Event::Job {
-                t: tracer.now_us(),
-                job: job as u64,
-                trials: u64::from(out.trials_run),
-                steps: out.steps,
-                findings: out.findings.len() as u64,
-                attempts: u64::from(out.attempts),
-                quarantined: false,
-            });
-            tracer.count(sb_obs::keys::TRIALS, u64::from(out.trials_run));
-            tracer.count(sb_obs::keys::TRIAL_STEPS, out.steps);
-            tracer.count(sb_obs::keys::JOBS_COMPLETED, 1);
-            // Per-oracle reported counts: `trace report` cross-checks their
-            // sum against the job events' finding totals.
-            let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-            for f in &out.findings {
-                *kinds.entry(f.kind_tag()).or_insert(0) += 1;
-            }
-            for (kind, n) in kinds {
-                tracer.count(&sb_obs::keys::reported(kind), n);
+impl<'a> RemoteJobs<'a> {
+    pub(crate) fn new(env: JobEnv<'a>, cfg: &'a CampaignCfg) -> Self {
+        let mut job_cfg = cfg.clone();
+        job_cfg.fault_plan = cfg.fault_plan.in_process();
+        job_cfg.tracer = sb_obs::Tracer::disabled();
+        RemoteJobs { env, faults: &cfg.fault_plan, job_cfg }
+    }
+
+    /// Fires `job`'s process faults, then runs it. `before_stall` runs
+    /// just before a stalled worker parks forever (the supervised worker
+    /// silences its heartbeat there).
+    pub(crate) fn run(
+        &self,
+        exec: &mut Executor,
+        job: usize,
+        id: PmcId,
+        before_stall: impl FnOnce(),
+    ) -> JobVerdict {
+        if self.faults.should_abort(job) {
+            crate::chaos::fired("proc.abort", &format!("job {job}"));
+            std::process::abort();
+        }
+        if let Some(code) = self.faults.exit_code(job) {
+            crate::chaos::fired("proc.exit", &format!("job {job} code {code}"));
+            std::process::exit(code);
+        }
+        if self.faults.should_stall(job) {
+            crate::chaos::fired("proc.stall", &format!("job {job}"));
+            before_stall();
+            loop {
+                std::thread::sleep(std::time::Duration::from_secs(3600));
             }
         }
-        JobVerdict::Quarantined(q) => {
-            tracer.emit(&sb_obs::Event::Job {
-                t: tracer.now_us(),
-                job: job as u64,
-                trials: 0,
-                steps: 0,
-                findings: 0,
-                attempts: u64::from(q.attempts),
-                quarantined: true,
-            });
-            tracer.count(sb_obs::keys::JOBS_QUARANTINED, 1);
-        }
-    }
-}
-
-/// Emits the per-job trace records for verdicts a resumed campaign loaded
-/// rather than ran (checkpoint, and for a fleet coordinator the replayed
-/// journal suffix merged into it). The restored jobs are part of the final
-/// summary, so their events must be in the trace for `trace report` to
-/// balance — a resumed trace verifies under exactly the same rules as an
-/// uninterrupted one.
-pub(crate) fn trace_restored_verdicts(tracer: &sb_obs::Tracer, cp: &Checkpoint) {
-    for (job, out) in &cp.outcomes {
-        trace_job_verdict(tracer, *job, &JobVerdict::Completed(out.clone()));
-    }
-    for (job, q) in &cp.quarantined {
-        trace_job_verdict(tracer, *job, &JobVerdict::Quarantined(q.clone()));
-    }
-}
-
-/// Folds a pool-level result into a verdict. Pool-level failures are the
-/// safety net: `run_one_job` already catches panics, so `JobError::Panic`
-/// here means the machinery around it died; `Rejected` means the queue
-/// closed before dispatch.
-fn fold_pool_result(job: usize, id: PmcId, r: &Result<JobVerdict, JobError>) -> JobVerdict {
-    match r {
-        Ok(v) => v.clone(),
-        Err(JobError::Rejected) => JobVerdict::Quarantined(QuarantineRecord {
-            job,
-            pmc: Some(id),
-            attempts: 0,
-            kind: FailureKind::Rejected,
-            chain: Error::QueueClosed.chain(),
-        }),
-        Err(JobError::Panic { message }) => JobVerdict::Quarantined(QuarantineRecord {
-            job,
-            pmc: Some(id),
-            attempts: 1,
-            kind: FailureKind::Panic,
-            chain: Error::WorkerPanic {
-                message: message.clone(),
-            }
-            .chain(),
-        }),
+        run_one_job(exec, self.env, job, id, &self.job_cfg)
     }
 }
 
@@ -687,99 +643,44 @@ pub fn run_campaign(
     exemplars: &[PmcId],
     cfg: &CampaignCfg,
 ) -> SbResult<CampaignReport> {
-    let budgeted: Vec<PmcId> = exemplars
-        .iter()
-        .copied()
-        .take(cfg.max_tested_pmcs)
-        .collect();
-    let index = Arc::new(IncidentalIndex::build(set));
+    let index = IncidentalIndex::build(set);
+    let env = JobEnv { booted, corpus, set, index: &index };
     let _campaign_span = cfg.tracer.span("campaign");
-
-    let mut cp = load_or_begin_checkpoint(cfg, &budgeted)?;
-    trace_restored_verdicts(&cfg.tracer, &cp);
-
-    // Jobs the checkpoint does not already cover, as (job index, PMC id).
-    let pending: Vec<(usize, PmcId)> = budgeted
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(job, _)| !cp.covers(*job))
+    let mut ledger = JobLedger::open(exemplars, cfg, None)?;
+    ledger.trace_restored();
+    if let Some(cut) = cfg.fault_plan.close_queue_before {
+        ledger.close_from(cut);
+    }
+    let jobs: Vec<(usize, PmcId)> = ledger
+        .lease(0, Scope::All, usize::MAX, None)
+        .into_iter()
+        .map(|job| (job, ledger.universe()[job]))
         .collect();
-    let pending_meta: Vec<(usize, PmcId)> = pending.clone();
-
-    // Map the fault plan's campaign-level queue-closure index onto the
-    // pending job list the pool actually sees.
-    let close_before = cfg.fault_plan.close_queue_before.and_then(|cut| {
-        pending_meta.iter().position(|(job, _)| *job >= cut)
+    drive(&mut ledger, &jobs, cfg.workers, |exec, job, id| {
+        run_one_job(exec, env, job, id, cfg)
     });
+    ledger.finish()
+}
 
-    let every = cfg.checkpoint.as_ref().map_or(usize::MAX, |c| c.every.max(1));
-    let ckpt_path = cfg.checkpoint.as_ref().map(|c| c.path.clone());
-    let mut results_seen = 0usize;
-    let on_result = {
-        let cp = &mut cp;
-        let pending_meta = &pending_meta;
-        let ckpt_path = ckpt_path.clone();
-        let results_seen = &mut results_seen;
-        let tracer = cfg.tracer.clone();
-        let fault_plan = cfg.fault_plan.clone();
-        move |slot: usize, r: &Result<JobVerdict, JobError>| {
-            let (job, id) = pending_meta[slot];
-            let verdict = fold_pool_result(job, id, r);
-            trace_job_verdict(&tracer, job, &verdict);
-            crate::chaos::attribute_verdict(&tracer, &fault_plan, job, &verdict);
-            match verdict {
-                JobVerdict::Completed(out) => {
-                    cp.outcomes.insert(job, out);
-                }
-                JobVerdict::Quarantined(q) => {
-                    // Rejected jobs never ran; leave them out of the
-                    // checkpoint so a resumed campaign retries them.
-                    if q.kind != FailureKind::Rejected {
-                        cp.quarantined.insert(job, q);
-                    }
-                }
-            }
-            *results_seen += 1;
-            if results_seen.is_multiple_of(every) {
-                if let Some(path) = &ckpt_path {
-                    // Periodic saves are best effort; the final save below
-                    // is the authoritative one and surfaces errors.
-                    let _ = cp.save(path);
-                }
-            }
-        }
-    };
-
-    let pool_results = run_jobs_fallible(
-        pending,
-        cfg.workers,
+/// The in-process transport: `workers` scoped threads, one executor each,
+/// run `jobs` and stream every verdict back to the ledger as it lands.
+fn drive(
+    ledger: &mut JobLedger,
+    jobs: &[(usize, PmcId)],
+    workers: usize,
+    work: impl Fn(&mut Executor, usize, PmcId) -> JobVerdict + Sync,
+) {
+    crate::pool::stream_jobs(
+        jobs,
+        workers,
         || Executor::new(2),
-        |exec, (job, id)| run_one_job(exec, job, id, booted, corpus, set, &index, cfg),
-        PoolOpts {
-            on_result: Some(Box::new(on_result)),
-            close_before,
+        |exec, (job, id)| work(exec, *job, *id),
+        |slot, verdict| {
+            ledger
+                .deliver(Scope::All, jobs[slot].0, verdict)
+                .expect("leased jobs are in the universe");
         },
     );
-
-    if let Some(path) = &ckpt_path {
-        cp.save(path)?;
-    }
-
-    // Rejected jobs are reported (they did not complete) even though they
-    // are not checkpointed.
-    let mut quarantined = cp.quarantined.clone();
-    for (slot, r) in pool_results.iter().enumerate() {
-        let (job, id) = pending_meta[slot];
-        if let JobVerdict::Quarantined(q) = fold_pool_result(job, id, r) {
-            quarantined.entry(q.job).or_insert(q);
-        }
-    }
-
-    let outcomes: Vec<PmcTestOutcome> = cp.outcomes.values().cloned().collect();
-    let mut report = aggregate(outcomes);
-    report.quarantined = quarantined.into_values().collect();
-    Ok(report)
 }
 
 /// Aggregates per-test outcomes into a campaign report (shared with the
@@ -869,29 +770,19 @@ mod tests {
     }
 
     #[test]
-    fn pool_failures_fold_into_quarantine_records() {
-        match fold_pool_result(4, 9, &Err(JobError::Rejected)) {
-            JobVerdict::Quarantined(q) => {
-                assert_eq!(q.job, 4);
-                assert_eq!(q.pmc, Some(9));
-                assert_eq!(q.attempts, 0, "rejected jobs never ran");
-                assert_eq!(q.kind, FailureKind::Rejected);
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        match fold_pool_result(
-            2,
-            5,
-            &Err(JobError::Panic {
-                message: "boom".into(),
-            }),
-        ) {
-            JobVerdict::Quarantined(q) => {
-                assert_eq!(q.kind, FailureKind::Panic);
-                assert!(q.chain[0].contains("boom"));
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
+    fn the_in_process_transport_keeps_the_first_verdict_of_a_redelivered_job() {
+        // The thread pool never runs a job twice on its own; hand it job 0
+        // twice to pin what the ledger does when a transport re-delivers.
+        let mut ledger = JobLedger::open(&[7, 8], &CampaignCfg::default(), None).unwrap();
+        let calls = std::sync::atomic::AtomicU64::new(0);
+        drive(&mut ledger, &[(0, 7), (0, 7), (1, 8)], 1, |_, job, _| {
+            let nth = calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            JobVerdict::Completed(outcome((job as u32, 0), 1, 100 + nth, false, vec![]))
+        });
+        assert_eq!(ledger.duplicates(), 1);
+        let report = ledger.finish().unwrap();
+        let steps: Vec<u64> = report.outcomes.iter().map(|o| o.steps).collect();
+        assert_eq!(steps, vec![100, 102], "job 0 kept its first verdict");
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! The unified chaos plane: one composable fault grammar, deterministic
 //! schedule generation, and fire-site attribution for self-chaos campaigns.
 //!
-//! Five fault planes grew up independently across the robustness PRs —
-//! job faults (`--fault-plan`), process faults (`SB_PROCESS_FAULTS`),
-//! network faults (`--net-faults`/`SB_NET_FAULTS`), disk faults
-//! (`sb_store::DiskFaultPlan`), and the coordinator kill switch
-//! (`SB_FLEET_FAIL_AFTER_JOURNAL`). Each is still the authoritative
-//! implementation of its plane; this module puts one roof over them:
+//! Five fault planes — job faults, process faults, network faults
+//! ([`crate::fault`]), disk faults (`sb_store::DiskFaultPlan`) and the
+//! coordinator kill switch — each implement their own injection; this
+//! module is the one way to script them:
 //!
 //! * [`ChaosPlan`] — a single spec grammar covering every plane with
 //!   `plane:kind=args` clauses, e.g.
 //!   `"job:panic=3;proc:exit=1:9;net:drop=0:6;disk:torn=20;coord:kill-after-journal=4"`.
-//!   Every legacy flag and env var keeps working; `--chaos` merges on top.
+//!   `--chaos` is the only fault input the CLI has.
 //! * [`DiskFaults`] — the spec-level disk plane (`sb_store` depends on
-//!   this crate, so the grammar lives here and `DiskFaultPlan` delegates).
+//!   this crate, so the grammar lives here and `DiskFaultPlan` converts).
 //! * Fire-site attribution — every injection hook reports a stable site id
 //!   (see [`SITES`]) through two channels: a stderr ledger line
 //!   ([`fired`]) visible even from worker processes with disabled tracers,
@@ -126,10 +124,10 @@ pub(crate) fn attribute_verdict(
     count_fired(tracer, site, fires);
 }
 
-/// Spec-level disk faults: the grammar behind `disk:*` chaos clauses and
-/// `SB_DISK_FAULTS`. `sb_store::DiskFaultPlan` (the plan the store actually
-/// consults) converts to and from this struct; the split exists because
-/// `sb-store` depends on this crate, not the other way around.
+/// Spec-level disk faults: the grammar behind `disk:*` chaos clauses.
+/// `sb_store::DiskFaultPlan` (the plan the store actually consults)
+/// converts from this struct; the split exists because `sb-store` depends
+/// on this crate, not the other way around.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiskFaults {
     /// Truncate the next segment write to this many bytes (a torn write).
@@ -153,29 +151,13 @@ impl DiskFaults {
             && self.short_read_nth.is_none()
     }
 
-    /// Parses a compact disk-fault spec.
-    ///
-    /// Grammar mirrors [`FaultPlan::parse_spec`]: semicolon-separated
-    /// `kind=args` clauses:
+    /// Applies one parsed `kind=args` clause to this plan (the chaos
+    /// grammar's `disk:`-prefixed clauses):
     ///
     /// * `torn=N` — truncate the next segment write to `N` bytes
     /// * `flip=OFF:MASK` — XOR byte `OFF` with `MASK` after the next write
     /// * `short=K[,K...]` — short-read the records with content keys `K`
     /// * `shortn=N` — short-read the `N`-th record read (1-based)
-    ///
-    /// Example: `"torn=20;shortn=3"`. An empty string parses to the empty
-    /// (inert) plan.
-    pub fn parse_spec(s: &str) -> Result<DiskFaults, String> {
-        let mut plan = DiskFaults::default();
-        for clause in spec::clauses(s, "disk fault") {
-            plan.apply_clause(&clause?, "disk fault")?;
-        }
-        Ok(plan)
-    }
-
-    /// Applies one parsed `kind=args` clause to this plan. Shared by
-    /// [`DiskFaults::parse_spec`] and the unified chaos grammar
-    /// (`disk:`-prefixed clauses).
     pub(crate) fn apply_clause(&mut self, c: &spec::Clause, plane: &str) -> Result<(), String> {
         match c.kind {
             "torn" => {
@@ -201,14 +183,8 @@ impl DiskFaults {
         Ok(())
     }
 
-    /// Renders this plan back into [`DiskFaults::parse_spec`] grammar.
-    /// Round-trips exactly: `parse_spec(&p.to_spec()) == p`.
-    pub fn to_spec(&self) -> String {
-        spec::join_clauses(&self.spec_parts())
-    }
-
-    /// The `(kind, rendered args)` pairs behind [`DiskFaults::to_spec`],
-    /// also used by the chaos grammar to render prefixed clauses.
+    /// This plan as `(kind, rendered args)` pairs, which the chaos grammar
+    /// renders as prefixed clauses.
     pub(crate) fn spec_parts(&self) -> Vec<(&'static str, String)> {
         vec![
             (
@@ -228,27 +204,11 @@ impl DiskFaults {
             ),
         ]
     }
-
-    /// Merges `other` into this plan (key union; on scalar conflict `other`
-    /// wins), so `SB_DISK_FAULTS` composes with `--chaos disk:*` clauses.
-    pub fn merge(&mut self, other: DiskFaults) {
-        if other.torn_write_after.is_some() {
-            self.torn_write_after = other.torn_write_after;
-        }
-        if other.flip_after_write.is_some() {
-            self.flip_after_write = other.flip_after_write;
-        }
-        self.short_read_keys.extend(other.short_read_keys);
-        if other.short_read_nth.is_some() {
-            self.short_read_nth = other.short_read_nth;
-        }
-    }
 }
 
 /// All five fault planes behind one spec grammar. Parsed from `--chaos`
 /// and rendered back losslessly; each plane's struct stays the
-/// authoritative implementation and every legacy flag/env var keeps
-/// working as a per-plane alias that merges into the same plan.
+/// authoritative implementation of its faults.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Job- and process-level faults (`job:*` and `proc:*` clauses; both
@@ -292,8 +252,7 @@ impl ChaosPlan {
     /// transient, close), `proc:` (abort, exit, stall), `net:` (drop,
     /// delay, garble, halfclose), `disk:` (torn, flip, short, shortn), and
     /// `coord:` (kill-after-journal). The per-plane argument grammars are
-    /// exactly the legacy ones — a `--fault-plan` spec with `job:`/`proc:`
-    /// prefixes is a valid chaos spec.
+    /// documented on each plane's `apply_clause`.
     pub fn parse_spec(s: &str) -> Result<ChaosPlan, String> {
         let mut plan = ChaosPlan::default();
         for clause in spec::clauses(s, "chaos") {
@@ -369,18 +328,6 @@ impl ChaosPlan {
             self.kill_after_journal.map(|n| n.to_string()).unwrap_or_default(),
         ));
         spec::join_clauses(&parts)
-    }
-
-    /// Merges `other` into this plan, plane by plane (same conflict rules
-    /// as each plane's own merge: `other` wins). This is how the legacy
-    /// aliases compose with `--chaos`.
-    pub fn merge(&mut self, other: ChaosPlan) {
-        self.job.merge(other.job);
-        self.net.merge(other.net);
-        self.disk.merge(other.disk);
-        if other.kill_after_journal.is_some() {
-            self.kill_after_journal = other.kill_after_journal;
-        }
     }
 }
 
@@ -781,21 +728,16 @@ mod tests {
     }
 
     #[test]
-    fn disk_fault_spec_round_trips_and_merges() {
-        let plan = DiskFaults::parse_spec("torn=20;flip=5:255;short=7,9;shortn=3").unwrap();
+    fn disk_clauses_parse_into_their_fields() {
+        let plan =
+            ChaosPlan::parse_spec("disk:torn=20;disk:flip=5:255;disk:short=7,9;disk:shortn=3")
+                .unwrap()
+                .disk;
         assert_eq!(plan.torn_write_after, Some(20));
         assert_eq!(plan.flip_after_write, Some((5, 255)));
         assert_eq!(plan.short_read_keys, BTreeSet::from([7, 9]));
         assert_eq!(plan.short_read_nth, Some(3));
-        assert_eq!(DiskFaults::parse_spec(&plan.to_spec()).unwrap(), plan);
-        assert!(DiskFaults::parse_spec("").unwrap().is_empty());
-        assert_eq!(DiskFaults::default().to_spec(), "");
-
-        let mut merged = DiskFaults::parse_spec("torn=8;short=1").unwrap();
-        merged.merge(DiskFaults::parse_spec("torn=16;short=2;shortn=1").unwrap());
-        assert_eq!(merged.torn_write_after, Some(16), "the merged-in plan wins");
-        assert_eq!(merged.short_read_keys, BTreeSet::from([1, 2]));
-        assert_eq!(merged.short_read_nth, Some(1));
+        assert!(DiskFaults::default().is_empty());
     }
 
     /// Builds a pseudo-random plan touching a random subset of every
@@ -871,25 +813,8 @@ mod tests {
             let back = ChaosPlan::parse_spec(&spec)
                 .unwrap_or_else(|e| panic!("case {case}: '{spec}' failed to re-parse: {e}"));
             assert_eq!(back, plan, "case {case}: '{spec}' did not round-trip");
-            // The per-plane views round-trip through their own grammars
-            // too — the chaos grammar is a strict superset, not a fork.
-            assert_eq!(FaultPlan::parse_spec(&plan.job.to_spec()).unwrap(), plan.job);
-            assert_eq!(NetFaultPlan::parse_spec(&plan.net.to_spec()).unwrap(), plan.net);
-            assert_eq!(DiskFaults::parse_spec(&plan.disk.to_spec()).unwrap(), plan.disk);
         }
-    }
-
-    #[test]
-    fn chaos_merge_composes_plane_by_plane() {
-        let mut base = ChaosPlan::parse_spec("job:panic=1;net:drop=0:6;disk:torn=8").unwrap();
-        base.merge(
-            ChaosPlan::parse_spec("job:panic=2;net:drop=0:2;disk:torn=16;coord:kill-after-journal=3")
-                .unwrap(),
-        );
-        assert!(base.job.should_panic(1) && base.job.should_panic(2));
-        assert!(base.net.drop_now(0, 3), "the merged-in plan wins");
-        assert_eq!(base.disk.torn_write_after, Some(16));
-        assert_eq!(base.kill_after_journal, Some(3));
+        assert_eq!(ChaosPlan::default().to_spec(), "");
     }
 
     #[test]
@@ -982,7 +907,7 @@ mod tests {
     #[test]
     fn attribution_counts_fires_per_verdict() {
         use crate::campaign::{PmcTestOutcome, QuarantineRecord};
-        let plan = FaultPlan::parse_spec("panic=1;hang=2;transient=3:2").unwrap();
+        let plan = ChaosPlan::parse_spec("job:panic=1;job:hang=2;job:transient=3:2").unwrap().job;
         let (tracer, sink) = sb_obs::Tracer::memory();
         let outcome = |attempts| PmcTestOutcome {
             pmc: None,

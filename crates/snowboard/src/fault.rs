@@ -12,10 +12,10 @@
 //! fire in the worker entrypoint before the job is attempted: `abort`
 //! (SIGABRT, no unwinding — the failure PR 1's catch-unwind cannot catch),
 //! `exit` with a chosen code, and `stall` (the worker goes silent without
-//! dying, exercising the supervisor's heartbeat timeout). Plans parse from
-//! a compact spec string ([`FaultPlan::parse_spec`]) so the CLI
-//! (`--fault-plan`) and the `SB_PROCESS_FAULTS` worker environment variable
-//! can script supervisor behaviour without real OOM kills.
+//! dying, exercising the supervisor's heartbeat timeout). Plans are
+//! scripted through the one `--chaos` grammar
+//! ([`crate::chaos::ChaosPlan::parse_spec`]), whose `job:`/`proc:`/`net:`
+//! clauses route to the `apply_clause` methods here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -97,9 +97,9 @@ impl FaultPlan {
         self.stall_jobs.contains(&job)
     }
 
-    /// Parses a compact fault spec.
-    ///
-    /// Grammar: semicolon-separated clauses, each `kind=args`:
+    /// Applies one parsed `kind=args` clause to this plan; the chaos
+    /// grammar routes `job:`/`proc:`-prefixed clauses here (`plane` names
+    /// the grammar in error messages). Kinds and arguments:
     ///
     /// * `panic=J[,J...]` — in-process panic at each job index `J`
     /// * `hang=J[,J...]` — forced watchdog expiry
@@ -108,21 +108,6 @@ impl FaultPlan {
     /// * `abort=J[,J...]` — worker process aborts before job `J`
     /// * `exit=J:C[,J:C...]` — worker process exits with code `C` before `J`
     /// * `stall=J[,J...]` — worker process goes silent before job `J`
-    ///
-    /// Example: `"abort=2;exit=5:9;transient=1:1"`. An empty string parses
-    /// to the empty (inert) plan.
-    pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::default();
-        for clause in spec::clauses(spec, "fault") {
-            plan.apply_clause(&clause?, "fault")?;
-        }
-        Ok(plan)
-    }
-
-    /// Applies one parsed `kind=args` clause to this plan. Shared by
-    /// [`FaultPlan::parse_spec`] and the unified chaos grammar, which
-    /// routes `job:`/`proc:`-prefixed clauses here (`plane` names the
-    /// grammar in error messages).
     pub(crate) fn apply_clause(&mut self, c: &spec::Clause, plane: &str) -> Result<(), String> {
         match c.kind {
             "panic" | "hang" | "abort" | "stall" => {
@@ -157,15 +142,8 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Renders this plan back into [`FaultPlan::parse_spec`] grammar, so the
-    /// supervisor can forward a plan to worker processes on their command
-    /// line. Round-trips exactly: `parse_spec(&p.to_spec()) == p`.
-    pub fn to_spec(&self) -> String {
-        spec::join_clauses(&self.spec_parts())
-    }
-
-    /// The `(kind, rendered args)` pairs behind [`FaultPlan::to_spec`],
-    /// also used by the chaos grammar to render prefixed clauses.
+    /// This plan as `(kind, rendered args)` pairs, which the chaos grammar
+    /// renders as prefixed clauses.
     pub(crate) fn spec_parts(&self) -> Vec<(&'static str, String)> {
         vec![
             ("panic", spec::join_items(&self.panic_jobs)),
@@ -185,22 +163,6 @@ impl FaultPlan {
             ),
             ("stall", spec::join_items(&self.stall_jobs)),
         ]
-    }
-
-    /// Merges `other` into this plan (set union; on a per-job conflict in
-    /// `transient`/`exit`/`close`, `other` wins). Lets the worker entrypoint
-    /// combine its `--fault-plan` flag with the `SB_PROCESS_FAULTS`
-    /// environment variable.
-    pub fn merge(&mut self, other: FaultPlan) {
-        self.panic_jobs.extend(other.panic_jobs);
-        self.hang_jobs.extend(other.hang_jobs);
-        self.transient_failures.extend(other.transient_failures);
-        if other.close_queue_before.is_some() {
-            self.close_queue_before = other.close_queue_before;
-        }
-        self.abort_jobs.extend(other.abort_jobs);
-        self.exit_jobs.extend(other.exit_jobs);
-        self.stall_jobs.extend(other.stall_jobs);
     }
 
     /// The subset of this plan a worker process honours itself (everything
@@ -278,29 +240,14 @@ impl NetFaultPlan {
         self.half_close_after.get(&conn) == Some(&frame)
     }
 
-    /// Parses a compact network-fault spec.
-    ///
-    /// Grammar mirrors [`FaultPlan::parse_spec`]: semicolon-separated
-    /// clauses of comma-separated `conn:value` pairs:
+    /// Applies one parsed `kind=args` clause to this plan (the chaos
+    /// grammar's `net:`-prefixed clauses). Every kind takes comma-separated
+    /// `conn:value` pairs:
     ///
     /// * `drop=C:N[,C:N...]` — hard-close connection `C` after `N` frames
     /// * `delay=C:MS[,...]` — sleep `MS` ms before each frame on `C`
     /// * `garble=C:N[,...]` — corrupt the `N`-th frame sent on `C`
     /// * `halfclose=C:N[,...]` — close `C`'s write side after `N` frames
-    ///
-    /// Example: `"drop=0:6;delay=1:50"`. An empty string parses to the
-    /// empty (inert) plan.
-    pub fn parse_spec(spec: &str) -> Result<NetFaultPlan, String> {
-        let mut plan = NetFaultPlan::default();
-        for clause in spec::clauses(spec, "net fault") {
-            plan.apply_clause(&clause?, "net fault")?;
-        }
-        Ok(plan)
-    }
-
-    /// Applies one parsed `kind=args` clause to this plan. Shared by
-    /// [`NetFaultPlan::parse_spec`] and the unified chaos grammar
-    /// (`net:`-prefixed clauses).
     pub(crate) fn apply_clause(&mut self, c: &spec::Clause, plane: &str) -> Result<(), String> {
         let target = match c.kind {
             "drop" => &mut self.drop_after,
@@ -318,14 +265,8 @@ impl NetFaultPlan {
         Ok(())
     }
 
-    /// Renders this plan back into [`NetFaultPlan::parse_spec`] grammar.
-    /// Round-trips exactly: `parse_spec(&p.to_spec()) == p`.
-    pub fn to_spec(&self) -> String {
-        spec::join_clauses(&self.spec_parts())
-    }
-
-    /// The `(kind, rendered args)` pairs behind [`NetFaultPlan::to_spec`],
-    /// also used by the chaos grammar to render prefixed clauses.
+    /// This plan as `(kind, rendered args)` pairs, which the chaos grammar
+    /// renders as prefixed clauses.
     pub(crate) fn spec_parts(&self) -> Vec<(&'static str, String)> {
         fn items(map: &BTreeMap<u64, u64>) -> String {
             spec::join_items(map.iter().map(|(c, v)| format!("{c}:{v}")))
@@ -337,21 +278,16 @@ impl NetFaultPlan {
             ("halfclose", items(&self.half_close_after)),
         ]
     }
-
-    /// Merges `other` into this plan (per-connection conflict: `other`
-    /// wins), so the `--net-faults` flag and `SB_NET_FAULTS` environment
-    /// variable compose like their process-fault counterparts.
-    pub fn merge(&mut self, other: NetFaultPlan) {
-        self.drop_after.extend(other.drop_after);
-        self.delay_ms.extend(other.delay_ms);
-        self.garble_frame.extend(other.garble_frame);
-        self.half_close_after.extend(other.half_close_after);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosPlan;
+
+    fn chaos(spec: &str) -> ChaosPlan {
+        ChaosPlan::parse_spec(spec).expect("valid chaos spec")
+    }
 
     #[test]
     fn default_plan_is_empty_and_inert() {
@@ -376,10 +312,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_every_kind() {
-        let plan =
-            FaultPlan::parse_spec("panic=1,2;hang=3;transient=4:2;close=5;abort=6;exit=7:9;stall=8")
-                .unwrap();
+    fn every_job_and_proc_kind_parses_into_its_field() {
+        let plan = chaos(
+            "job:panic=1,2;job:hang=3;job:transient=4:2;job:close=5;\
+             proc:abort=6;proc:exit=7:9;proc:stall=8",
+        )
+        .job;
         assert_eq!(plan.panic_jobs, BTreeSet::from([1, 2]));
         assert_eq!(plan.hang_jobs, BTreeSet::from([3]));
         assert_eq!(plan.transient_failures, BTreeMap::from([(4, 2)]));
@@ -389,38 +327,27 @@ mod tests {
         assert_eq!(plan.exit_code(7), Some(9));
         assert_eq!(plan.exit_code(6), None);
         assert!(plan.should_stall(8));
-        assert!(FaultPlan::parse_spec("").unwrap().is_empty());
-        assert!(FaultPlan::parse_spec("  ; ;").unwrap().is_empty());
     }
 
     #[test]
-    fn to_spec_round_trips_and_merge_unions() {
-        let spec = "panic=1,2;hang=3;transient=4:2;close=5;abort=6;exit=7:9;stall=8";
-        let plan = FaultPlan::parse_spec(spec).unwrap();
-        assert_eq!(FaultPlan::parse_spec(&plan.to_spec()).unwrap(), plan);
-        assert_eq!(FaultPlan::default().to_spec(), "");
-
-        let mut merged = FaultPlan::parse_spec("abort=1;exit=2:9").unwrap();
-        merged.merge(FaultPlan::parse_spec("abort=3;exit=2:7;stall=4").unwrap());
-        assert!(merged.should_abort(1) && merged.should_abort(3));
-        assert_eq!(merged.exit_code(2), Some(7), "the merged-in plan wins");
-        assert!(merged.should_stall(4));
-    }
-
-    #[test]
-    fn spec_rejects_malformed_clauses() {
-        assert!(FaultPlan::parse_spec("abort").is_err(), "missing =");
-        assert!(FaultPlan::parse_spec("frob=1").is_err(), "unknown kind");
-        assert!(FaultPlan::parse_spec("abort=x").is_err(), "bad index");
-        assert!(FaultPlan::parse_spec("exit=3").is_err(), "missing code");
-        assert!(FaultPlan::parse_spec("exit=3:x").is_err(), "bad code");
-        assert!(FaultPlan::parse_spec("transient=3").is_err(), "missing count");
+    fn malformed_job_and_proc_clauses_are_rejected() {
+        for bad in [
+            "proc:abort",       // missing =
+            "proc:abort=x",     // bad index
+            "proc:exit=3",      // missing code
+            "proc:exit=3:x",    // bad code
+            "job:transient=3",  // missing count
+        ] {
+            assert!(ChaosPlan::parse_spec(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn in_process_strips_process_level_faults() {
-        let plan = FaultPlan::parse_spec("panic=1;transient=2:1;abort=3;exit=4:9;stall=5;close=6")
-            .unwrap();
+        let plan = chaos(
+            "job:panic=1;job:transient=2:1;proc:abort=3;proc:exit=4:9;proc:stall=5;job:close=6",
+        )
+        .job;
         let inner = plan.in_process();
         assert!(inner.should_panic(1));
         assert!(inner.should_fail_transiently(2, 0));
@@ -431,9 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn net_fault_spec_round_trips_and_queries() {
-        let plan = NetFaultPlan::parse_spec("drop=0:6;delay=1:50;garble=2:3;halfclose=3:4")
-            .unwrap();
+    fn net_faults_parse_and_answer_their_queries() {
+        let plan = chaos("net:drop=0:6;net:delay=1:50;net:garble=2:3;net:halfclose=3:4").net;
         assert!(!plan.is_empty());
         assert!(!plan.drop_now(0, 6), "the sixth frame still goes out");
         assert!(plan.drop_now(0, 7), "the seventh does not");
@@ -442,23 +368,9 @@ mod tests {
         assert_eq!(plan.delay_for(0), None);
         assert!(plan.garble_now(2, 3) && !plan.garble_now(2, 4));
         assert!(plan.half_close_now(3, 4) && !plan.half_close_now(3, 5));
-        assert_eq!(NetFaultPlan::parse_spec(&plan.to_spec()).unwrap(), plan);
-        assert!(NetFaultPlan::parse_spec("").unwrap().is_empty());
-        assert_eq!(NetFaultPlan::default().to_spec(), "");
-
-        let mut merged = NetFaultPlan::parse_spec("drop=0:6").unwrap();
-        merged.merge(NetFaultPlan::parse_spec("drop=0:2;delay=1:5").unwrap());
-        assert!(merged.drop_now(0, 3), "the merged-in plan wins");
-        assert!(merged.delay_for(1).is_some());
-    }
-
-    #[test]
-    fn net_fault_spec_rejects_malformed_clauses() {
-        assert!(NetFaultPlan::parse_spec("drop").is_err(), "missing =");
-        assert!(NetFaultPlan::parse_spec("frob=1:2").is_err(), "unknown kind");
-        assert!(NetFaultPlan::parse_spec("drop=1").is_err(), "missing value");
-        assert!(NetFaultPlan::parse_spec("drop=x:1").is_err(), "bad conn");
-        assert!(NetFaultPlan::parse_spec("drop=1:x").is_err(), "bad value");
+        for bad in ["net:drop", "net:drop=1", "net:drop=x:1", "net:drop=1:x"] {
+            assert!(ChaosPlan::parse_spec(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

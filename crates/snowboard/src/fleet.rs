@@ -11,7 +11,9 @@
 //! to a single-process run **no matter how jobs land on workers** — even
 //! under worker kills, partitions, and injected network faults.
 //!
-//! The failure model (see DESIGN.md §13):
+//! The job lifecycle is [`crate::ledger`]'s; this module is the transport —
+//! connections, sessions, lease deadlines, the journal and the spool. The
+//! failure model (see DESIGN.md):
 //!
 //! * **Handshake** — a joiner announces its protocol version and a
 //!   fingerprint of every campaign-shaping parameter
@@ -23,19 +25,20 @@
 //!   simply stops renewing its claim: expired or evicted leases return
 //!   their unfinished jobs to the pending pool for reassignment.
 //! * **Exactly-once merge** — reassignment means a slow-but-alive worker
-//!   can deliver a result for a job someone else also ran. The merge rule
-//!   is *first verdict wins* ([`Checkpoint::merge_outcome`]); duplicates
-//!   are dropped and counted in [`FleetStats::duplicate_results`]. Since
-//!   both deliveries computed the same deterministic outcome, which one
-//!   wins is unobservable in the report.
-//! * **Eviction** — a connection that dies unexpectedly, speaks garbage,
-//!   or goes silent past the heartbeat timeout is evicted; its leased jobs
-//!   are charged one crash each (quarantined as [`FailureKind::Crash`]
-//!   past [`FleetCfg::crash_budget`]) and otherwise reassigned.
-//! * **Circuit breaker** — consecutive zero-completion deaths with no
-//!   surviving worker abandon the remaining jobs as
-//!   [`FailureKind::GaveUp`] (reported, never checkpointed) instead of
-//!   waiting forever for a fleet that keeps dying on arrival.
+//!   can deliver a result for a job someone else also ran. The ledger's
+//!   merge rule is *first verdict wins*; duplicates are dropped and
+//!   counted in [`FleetStats::duplicate_results`]. Since both deliveries
+//!   computed the same deterministic outcome, which one wins is
+//!   unobservable in the report.
+//! * **Eviction** — a connection that dies unexpectedly, speaks garbage
+//!   (a result for a job outside the universe included), or goes silent
+//!   past the heartbeat timeout is evicted; its leases are reported to the
+//!   ledger as dead owners, which charges their jobs against
+//!   [`FleetCfg::crash_budget`].
+//! * **Circuit breaker** — the breaker domain is the whole fleet, and it
+//!   only trips with no surviving worker: consecutive zero-completion
+//!   deaths then abandon the remaining jobs instead of waiting forever
+//!   for a fleet that keeps dying on arrival.
 //! * **Graceful drain** — the stop file (or campaign completion) flushes
 //!   the checkpoint, answers every request with `drain`, and gives
 //!   stragglers one heartbeat timeout to say goodbye.
@@ -64,7 +67,7 @@
 //! injection ([`NetFaultPlan`]) lets tests (and CI) drop, delay, garble,
 //! or half-close specific connections deterministically.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,14 +80,12 @@ use sb_kernel::{BootedKernel, Program};
 use sb_vmm::Executor;
 
 use crate::campaign::{
-    aggregate, load_or_begin_checkpoint, run_one_job, trace_job_verdict,
-    trace_restored_verdicts, CampaignCfg, CampaignReport, IncidentalIndex, JobVerdict,
-    QuarantineRecord,
+    CampaignCfg, CampaignReport, IncidentalIndex, JobEnv, JobVerdict, RemoteJobs,
 };
-use crate::checkpoint::Checkpoint;
-use crate::error::{Error, FailureKind, SbResult};
-use crate::fault::{FaultPlan, NetFaultPlan};
+use crate::error::{Error, SbResult};
+use crate::fault::NetFaultPlan;
 use crate::journal::{journal_path_for, FrameLog, Journal, JournalRecord, ReplayVerdict};
+use crate::ledger::{Charge, Delivered, JobLedger, Scope};
 use crate::json::{self, Json};
 use crate::metrics::FleetStats;
 use crate::pmc::{PmcId, PmcSet};
@@ -127,10 +128,11 @@ pub struct FleetCfg {
     /// Coordinator tick: stop-file polls, lease/heartbeat sweeps.
     pub poll: Duration,
     /// Evictions charged to one job before it is quarantined as
-    /// [`FailureKind::Crash`].
+    /// [`crate::error::FailureKind::Crash`].
     pub crash_budget: u32,
     /// Consecutive zero-completion evictions (with no surviving worker)
-    /// before the remaining jobs are abandoned as [`FailureKind::GaveUp`].
+    /// before the remaining jobs are abandoned as
+    /// [`crate::error::FailureKind::GaveUp`].
     pub max_instant_deaths: u32,
     /// Graceful-shutdown trigger: drain when this file exists.
     pub stop_file: Option<PathBuf>,
@@ -199,7 +201,8 @@ struct Conn {
     drained: bool,
 }
 
-/// One outstanding lease.
+/// The transport half of one outstanding lease; the ledger holds its jobs
+/// and deadline under the lease id.
 struct Lease {
     /// Holding connection. `None` for a lease restored from the journal
     /// whose session has not reconnected yet — the worker may still be
@@ -209,25 +212,16 @@ struct Lease {
     conn: Option<u64>,
     /// Holder's session token (journaled with the grant).
     session: u64,
-    jobs: Vec<usize>,
-    deadline: Instant,
 }
 
 /// Mutable coordinator state threaded through the loop helpers.
 struct Coordinator<'a> {
     cfg: &'a CampaignCfg,
     fcfg: &'a FleetCfg,
-    budgeted: &'a [PmcId],
-    cp: &'a mut Checkpoint,
-    /// Reported-but-not-checkpointed quarantines ([`FailureKind::GaveUp`],
-    /// [`FailureKind::Rejected`]).
-    extra: BTreeMap<usize, QuarantineRecord>,
+    ledger: JobLedger,
     stats: FleetStats,
-    /// Jobs not covered and not currently leased.
-    pending: BTreeSet<usize>,
     leases: BTreeMap<u64, Lease>,
     conns: BTreeMap<u64, Conn>,
-    crash_counts: BTreeMap<usize, u32>,
     /// Write-ahead journal; `None` after an append failure (journaling
     /// degrades to checkpoint-only operation rather than killing the run).
     wal: Option<Journal>,
@@ -240,9 +234,6 @@ struct Coordinator<'a> {
     next_worker: u64,
     next_lease: u64,
     ever_joined: bool,
-    instant_deaths: u32,
-    results_seen: usize,
-    stopping: bool,
     drain_deadline: Instant,
 }
 
@@ -324,9 +315,10 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Removes a connection and releases its leases. `detail` describes an
-    /// *unclean* death; clean closes (after `leaving`/`drained`) release
-    /// without charging or counting an eviction.
+    /// Removes a connection and hands its leases back to the ledger.
+    /// `unclean` describes an unexpected death — counted as an eviction
+    /// and a death in the fleet's breaker domain, its leases dead owners;
+    /// clean closes (after `leaving`/`drained`) just release.
     fn drop_conn(&mut self, conn_id: u64, unclean: Option<&str>) {
         let Some(conn) = self.conns.remove(&conn_id) else {
             return;
@@ -338,14 +330,9 @@ impl Coordinator<'_> {
             self.tracer().count(sb_obs::keys::FLEET_EVICTIONS, 1);
             self.fleet_event(worker, "evict", detail.to_owned());
             if conn.worker.is_some() {
-                if conn.completed == 0 {
-                    self.instant_deaths += 1;
-                } else {
-                    self.instant_deaths = 0;
-                }
+                self.ledger.note_death(Scope::All, conn.completed > 0);
             }
         }
-        // Release every lease the connection still held.
         let held: Vec<u64> = self
             .leases
             .iter()
@@ -353,52 +340,25 @@ impl Coordinator<'_> {
             .map(|(id, _)| *id)
             .collect();
         for lease_id in held {
-            let lease = self.leases.remove(&lease_id).expect("held lease");
+            self.leases.remove(&lease_id);
             self.journal(&JournalRecord::Release { lease: lease_id });
-            for job in lease.jobs {
-                if self.cp.covers(job) || self.extra.contains_key(&job) {
-                    continue;
-                }
-                if unclean.is_some() && !self.stopping {
-                    let count = self.crash_counts.entry(job).or_insert(0);
-                    *count += 1;
-                    if *count >= self.fcfg.crash_budget {
-                        let record = QuarantineRecord {
-                            job,
-                            pmc: self.budgeted.get(job).copied(),
-                            attempts: *count,
-                            kind: FailureKind::Crash,
-                            chain: vec![
-                                format!(
-                                    "worker connection died while job {job} was leased: {}",
-                                    unclean.unwrap_or("gone")
-                                ),
-                                format!(
-                                    "crash budget ({}) exhausted",
-                                    self.fcfg.crash_budget
-                                ),
-                            ],
-                        };
-                        trace_job_verdict(
-                            self.tracer(),
-                            job,
-                            &JobVerdict::Quarantined(record.clone()),
-                        );
-                        // Coordinator-originated verdict: journaled with no
-                        // session/sequence, so a resume replays it without
-                        // touching any ack watermark.
-                        self.journal(&JournalRecord::Quarantine {
-                            session: 0,
-                            seq: 0,
-                            record: record.clone(),
-                        });
-                        self.cp.quarantined.insert(job, record);
-                        let _ = self.cp.save(&self.fcfg.checkpoint);
+            let charges = match unclean {
+                Some(detail) => self.ledger.owner_died(lease_id, self.fcfg.crash_budget, |job| {
+                    format!("worker connection died while job {job} was leased: {detail}")
+                }),
+                None => self.ledger.release(lease_id).into_iter().map(Charge::Requeued).collect(),
+            };
+            for charge in charges {
+                match charge {
+                    Charge::Requeued(job) => self.note_requeued(job, worker),
+                    // Coordinator-originated verdict: journaled with no
+                    // session/sequence, so a resume replays it without
+                    // touching any ack watermark.
+                    Charge::Quarantined(record) => {
+                        self.journal(&JournalRecord::Quarantine { session: 0, seq: 0, record });
                         self.sync_journal();
-                        continue;
                     }
                 }
-                self.reassign(job, worker);
             }
         }
     }
@@ -407,12 +367,11 @@ impl Coordinator<'_> {
         self.drop_conn(conn_id, Some(detail));
     }
 
-    /// Returns a job to the pending pool. During a drain the job is simply
+    /// A job went back to the pending pool. During a drain it is simply
     /// released (nobody will run it); otherwise it is a counted, traced
     /// reassignment.
-    fn reassign(&mut self, job: usize, from_worker: u64) {
-        self.pending.insert(job);
-        if !self.stopping {
+    fn note_requeued(&mut self, job: usize, from_worker: u64) {
+        if !self.ledger.stopping() {
             self.stats.jobs_reassigned += 1;
             self.tracer().count(sb_obs::keys::FLEET_REASSIGNED, 1);
             self.fleet_event(
@@ -426,12 +385,11 @@ impl Coordinator<'_> {
     /// Begins the drain: flush the checkpoint, tell every connection, and
     /// start the goodbye clock.
     fn start_drain(&mut self, reason: &str) -> SbResult<()> {
-        if self.stopping {
+        if self.ledger.stopping() {
             return Ok(());
         }
-        self.stopping = true;
         self.drain_deadline = Instant::now() + self.fcfg.heartbeat_timeout;
-        self.cp.save(&self.fcfg.checkpoint)?;
+        self.ledger.stop()?;
         self.sync_journal();
         self.fleet_event(u64::MAX, "drain", reason.to_owned());
         let ids: Vec<u64> = self.conns.keys().copied().collect();
@@ -480,7 +438,7 @@ impl Coordinator<'_> {
             );
             return;
         }
-        if self.stopping {
+        if self.ledger.stopping() {
             reject(self, "coordinator is draining".to_owned());
             return;
         }
@@ -508,19 +466,17 @@ impl Coordinator<'_> {
                     format!("session {session:016x} re-registered"),
                 );
                 let deadline = Instant::now() + self.fcfg.lease_deadline;
-                for lease in self.leases.values_mut() {
+                for (lease_id, lease) in &mut self.leases {
                     if lease.session == session && lease.conn.is_none() {
                         lease.conn = Some(conn_id);
-                        lease.deadline = deadline;
+                        self.ledger.extend(*lease_id, deadline);
                     }
                 }
             }
             ack = *self.sessions.entry(session).or_insert(0);
         }
-        self.send(
-            conn_id,
-            &ServeMsg::Welcome { worker, jobs: self.budgeted.len(), ack },
-        );
+        let jobs = self.ledger.universe().len();
+        self.send(conn_id, &ServeMsg::Welcome { worker, jobs, ack });
     }
 
     fn handle_request(&mut self, conn_id: u64, max: usize) {
@@ -533,7 +489,7 @@ impl Coordinator<'_> {
         };
         let session = conn.session;
         let ack = self.sessions.get(&session).copied().unwrap_or(0);
-        if self.stopping {
+        if self.ledger.stopping() {
             if let Some(c) = self.conns.get_mut(&conn_id) {
                 c.drained = true;
             }
@@ -543,8 +499,10 @@ impl Coordinator<'_> {
             );
             return;
         }
+        let lease = self.next_lease;
         let want = self.fcfg.batch.min(max.max(1));
-        let jobs: Vec<usize> = self.pending.iter().copied().take(want).collect();
+        let deadline = Instant::now() + self.fcfg.lease_deadline;
+        let jobs = self.ledger.lease(lease, Scope::All, want, Some(deadline));
         if jobs.is_empty() {
             // Nothing to hand out right now (everything is leased or
             // covered); the worker naps for the advertised interval and
@@ -561,7 +519,6 @@ impl Coordinator<'_> {
             );
             return;
         }
-        let lease = self.next_lease;
         self.next_lease += 1;
         // Journal the grant before the worker can learn of it: a resume
         // must know these jobs are out even if the kill lands between the
@@ -569,18 +526,7 @@ impl Coordinator<'_> {
         if !self.journal(&JournalRecord::Lease { lease, session, jobs: jobs.clone() }) {
             return;
         }
-        for job in &jobs {
-            self.pending.remove(job);
-        }
-        self.leases.insert(
-            lease,
-            Lease {
-                conn: Some(conn_id),
-                session,
-                jobs: jobs.clone(),
-                deadline: Instant::now() + self.fcfg.lease_deadline,
-            },
-        );
+        self.leases.insert(lease, Lease { conn: Some(conn_id), session });
         self.stats.leases_granted += 1;
         self.tracer().count(sb_obs::keys::FLEET_LEASES, 1);
         self.fleet_event(worker, "lease", format!("lease {lease}: jobs {jobs:?}"));
@@ -595,9 +541,10 @@ impl Coordinator<'_> {
         );
     }
 
-    /// One delivered result frame: count redeliveries, drop frames whose
-    /// sequence number the journal already holds (the worker will trim
-    /// them at the next ack), journal fresh ones, then merge.
+    /// One delivered result frame: refuse jobs outside the universe, count
+    /// redeliveries, drop frames whose sequence number the journal already
+    /// holds (the worker will trim them at the next ack), journal fresh
+    /// ones, then hand the verdict to the ledger.
     fn handle_result(&mut self, conn_id: u64, job: usize, verdict: JobVerdict, seq: u64, redelivery: bool) {
         let Some((worker, session)) = self
             .conns
@@ -607,6 +554,10 @@ impl Coordinator<'_> {
             self.evict(conn_id, "protocol violation: result before join");
             return;
         };
+        if let Err(e) = self.ledger.check(Scope::All, job) {
+            self.evict(conn_id, &format!("protocol violation: {e}"));
+            return;
+        }
         if let Some(c) = self.conns.get_mut(&conn_id) {
             c.completed += 1;
         }
@@ -646,61 +597,25 @@ impl Coordinator<'_> {
         if session != 0 && seq != 0 {
             self.sessions.insert(session, seq);
         }
-        self.merge_verdict(worker, job, verdict);
-    }
-
-    /// Merges one delivered verdict with the first-wins rule; duplicates
-    /// (late deliveries for jobs someone else already finished) are
-    /// dropped and counted.
-    fn merge_verdict(&mut self, worker: u64, job: usize, verdict: JobVerdict) {
-        if self.cp.covers(job) {
-            self.stats.duplicate_results += 1;
-            self.tracer().count(sb_obs::keys::FLEET_DUPLICATES, 1);
-            self.fleet_event(
-                worker,
-                "duplicate",
-                format!("late result for already-covered job {job} dropped"),
-            );
-            return;
-        }
-        match verdict {
-            JobVerdict::Completed(outcome) => {
-                trace_job_verdict(
-                    self.tracer(),
-                    job,
-                    &JobVerdict::Completed(outcome.clone()),
-                );
-                let merged = self.cp.merge_outcome(job, outcome);
-                debug_assert!(merged, "covers() said the job was fresh");
-                self.extra.remove(&job);
-            }
-            JobVerdict::Quarantined(record) => {
-                trace_job_verdict(
-                    self.tracer(),
-                    job,
-                    &JobVerdict::Quarantined(record.clone()),
-                );
-                if record.kind == FailureKind::Rejected {
-                    // Mirror the supervisor: rejected jobs are reported but
-                    // never checkpointed, so a resumed campaign retries them.
-                    self.extra.entry(job).or_insert(record);
-                } else {
-                    self.cp.merge_quarantine(record);
+        match self.ledger.deliver(Scope::All, job, verdict) {
+            Ok(Delivered::Merged { saved }) => {
+                // The job may have sat in the deliverer's lease or (after
+                // reassignment) someone else's; drop leases it emptied.
+                self.leases.retain(|id, _| self.ledger.holds(*id));
+                if saved {
+                    self.sync_journal();
                 }
             }
-        }
-        self.pending.remove(&job);
-        // The job may sit in the deliverer's lease or (after reassignment)
-        // someone else's; clear it everywhere and drop emptied leases.
-        self.leases.retain(|_, lease| {
-            lease.jobs.retain(|j| *j != job);
-            !lease.jobs.is_empty()
-        });
-        self.results_seen += 1;
-        let every = self.cfg.checkpoint.as_ref().map_or(1, |c| c.every.max(1));
-        if self.results_seen.is_multiple_of(every) {
-            let _ = self.cp.save(&self.fcfg.checkpoint);
-            self.sync_journal();
+            Ok(Delivered::Duplicate) => {
+                self.stats.duplicate_results += 1;
+                self.tracer().count(sb_obs::keys::FLEET_DUPLICATES, 1);
+                self.fleet_event(
+                    worker,
+                    "duplicate",
+                    format!("late result for already-covered job {job} dropped"),
+                );
+            }
+            Err(e) => self.evict(conn_id, &format!("protocol violation: {e}")),
         }
     }
 
@@ -708,24 +623,16 @@ impl Coordinator<'_> {
     /// evicted — it may be partitioned-but-alive and deliver late (the
     /// duplicate path absorbs that); it just no longer owns the jobs.
     fn sweep_leases(&mut self, now: Instant) {
-        let expired: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, l)| now >= l.deadline)
-            .map(|(id, _)| *id)
-            .collect();
-        for lease_id in expired {
-            let lease = self.leases.remove(&lease_id).expect("expired lease");
+        for (lease_id, jobs) in self.ledger.expire(now) {
+            let lease = self.leases.remove(&lease_id);
             self.journal(&JournalRecord::Release { lease: lease_id });
             let worker = lease
-                .conn
+                .and_then(|l| l.conn)
                 .and_then(|c| self.conns.get(&c))
                 .and_then(|c| c.worker)
                 .unwrap_or(u64::MAX);
-            for job in lease.jobs {
-                if !self.cp.covers(job) && !self.extra.contains_key(&job) {
-                    self.reassign(job, worker);
-                }
+            for job in jobs {
+                self.note_requeued(job, worker);
             }
         }
     }
@@ -750,51 +657,37 @@ impl Coordinator<'_> {
 
     /// The crash-loop circuit breaker: if every joiner keeps dying without
     /// completing anything and nobody is left, stop waiting and abandon
-    /// the remaining jobs as [`FailureKind::GaveUp`].
+    /// the remaining jobs. Deliberately not journaled: an abandoned job is
+    /// reported but never persisted, so a resumed campaign retries it.
     fn maybe_give_up(&mut self) {
-        if self.stopping
+        let instant_deaths = self.ledger.instant_deaths(Scope::All);
+        let pending = self.ledger.pending(Scope::All);
+        if self.ledger.stopping()
             || !self.ever_joined
-            || self.instant_deaths < self.fcfg.max_instant_deaths
-            || self.pending.is_empty()
+            || instant_deaths < self.fcfg.max_instant_deaths
+            || pending == 0
             || self.conns.values().any(|c| c.worker.is_some())
         {
             return;
         }
-        let jobs: Vec<usize> = self.pending.iter().copied().collect();
         self.fleet_event(
             u64::MAX,
             "give-up",
             format!(
-                "{} consecutive instant deaths with no surviving worker; abandoning {} job(s)",
-                self.instant_deaths,
-                jobs.len()
+                "{instant_deaths} consecutive instant deaths with no surviving worker; abandoning {pending} job(s)"
             ),
         );
-        self.stats.gave_up_jobs += jobs.len() as u64;
-        for job in jobs {
-            self.pending.remove(&job);
-            // Deliberately not journaled: GaveUp is reported but never
-            // persisted (checkpoint or journal), so a resumed campaign
-            // retries the abandoned jobs — same contract as before.
-            let record = QuarantineRecord {
-                job,
-                pmc: self.budgeted.get(job).copied(),
-                attempts: self.crash_counts.get(&job).copied().unwrap_or(0),
-                kind: FailureKind::GaveUp,
-                chain: vec![format!(
-                    "fleet abandoned after {} consecutive instant worker deaths",
-                    self.instant_deaths
-                )],
-            };
-            trace_job_verdict(self.tracer(), job, &JobVerdict::Quarantined(record.clone()));
-            self.extra.insert(job, record);
-        }
+        self.stats.gave_up_jobs += pending as u64;
+        self.ledger.abandon(
+            Scope::All,
+            &format!("fleet abandoned after {instant_deaths} consecutive instant worker deaths"),
+        );
     }
 
-    /// Applies a journal replay on top of the loaded checkpoint: merges
-    /// the replayed verdicts first-wins, persists the caught-up
-    /// checkpoint, restores the session ack watermarks, and rebuilds the
-    /// outstanding lease table (pruned of jobs the replay resolved).
+    /// Applies a journal replay on top of the loaded checkpoint: restores
+    /// the replayed verdicts, persists the caught-up checkpoint, restores
+    /// the session ack watermarks, and rebuilds the outstanding lease
+    /// table (pruned of jobs the replay resolved).
     fn apply_replay(&mut self, replay: crate::journal::Replay) -> SbResult<()> {
         self.stats.journal_damaged += replay.damaged;
         if replay.damaged > 0 {
@@ -815,33 +708,15 @@ impl Coordinator<'_> {
         for verdict in replay.results {
             match verdict {
                 ReplayVerdict::Done { job, outcome } => {
-                    if job < self.budgeted.len() {
-                        self.cp.merge_outcome(job, outcome);
-                        self.pending.remove(&job);
-                    }
+                    self.ledger.restore(job, JobVerdict::Completed(outcome));
                 }
                 ReplayVerdict::Quarantine { record } => {
-                    let job = record.job;
-                    if job >= self.budgeted.len() {
-                        continue;
-                    }
-                    if record.kind == FailureKind::Rejected {
-                        // Rejected verdicts are never checkpointed (a fresh
-                        // resume retries them), but *within* this campaign
-                        // incarnation the journaled verdict stands — the
-                        // job was delivered, so it must not run twice.
-                        if !self.cp.covers(job) {
-                            self.extra.entry(job).or_insert(record);
-                        }
-                    } else if !self.cp.covers(job) {
-                        self.cp.merge_quarantine(record);
-                    }
-                    self.pending.remove(&job);
+                    self.ledger.restore(record.job, JobVerdict::Quarantined(record));
                 }
             }
         }
         if replayed > 0 {
-            self.cp.save(&self.fcfg.checkpoint)?;
+            self.ledger.save()?;
             self.sync_journal();
         }
         self.sessions.extend(replay.acked);
@@ -852,20 +727,9 @@ impl Coordinator<'_> {
         let deadline = Instant::now() + self.fcfg.lease_deadline;
         for restored in replay.leases {
             self.next_lease = self.next_lease.max(restored.lease + 1);
-            let jobs: Vec<usize> = restored
-                .jobs
-                .into_iter()
-                .filter(|job| {
-                    *job < self.budgeted.len()
-                        && !self.cp.covers(*job)
-                        && !self.extra.contains_key(job)
-                })
-                .collect();
+            let jobs = self.ledger.hold(restored.lease, Scope::All, &restored.jobs, Some(deadline));
             if jobs.is_empty() {
                 continue;
-            }
-            for job in &jobs {
-                self.pending.remove(job);
             }
             self.sessions.entry(restored.session).or_insert(0);
             self.stats.leases_restored += 1;
@@ -878,10 +742,7 @@ impl Coordinator<'_> {
                     restored.lease, restored.session
                 ),
             );
-            self.leases.insert(
-                restored.lease,
-                Lease { conn: None, session: restored.session, jobs, deadline },
-            );
+            self.leases.insert(restored.lease, Lease { conn: None, session: restored.session });
         }
         Ok(())
     }
@@ -902,12 +763,7 @@ pub fn run_coordinator(
     cfg: &CampaignCfg,
     fcfg: &FleetCfg,
 ) -> SbResult<CampaignReport> {
-    let budgeted: Vec<PmcId> = exemplars
-        .iter()
-        .copied()
-        .take(cfg.max_tested_pmcs)
-        .collect();
-    let mut cp = load_or_begin_checkpoint(cfg, &budgeted)?;
+    let ledger = JobLedger::open(exemplars, cfg, Some(&fcfg.checkpoint))?;
     let _span = cfg.tracer.span("campaign");
 
     // The write-ahead journal travels with the checkpoint. A resume
@@ -916,7 +772,7 @@ pub fn run_coordinator(
     // durability with the damage counted.
     let jpath = journal_path_for(&fcfg.checkpoint);
     let resuming = cfg.resume_from.is_some();
-    let jobs_total = budgeted.len() as u64;
+    let jobs_total = ledger.universe().len() as u64;
     let (wal, replay) = if resuming {
         match Journal::open(&jpath, cfg.seed, fcfg.config_hash, jobs_total) {
             Ok((wal, replay)) => (Some(wal), Some(replay)),
@@ -931,19 +787,13 @@ pub fn run_coordinator(
     let (tx, rx) = mpsc::channel::<(u64, Note)>();
     spawn_acceptor(listener, tx, shutdown.clone(), fcfg.poll);
 
-    let pending: BTreeSet<usize> =
-        (0..budgeted.len()).filter(|job| !cp.covers(*job)).collect();
     let mut state = Coordinator {
         cfg,
         fcfg,
-        budgeted: &budgeted,
-        cp: &mut cp,
-        extra: BTreeMap::new(),
+        ledger,
         stats: FleetStats::default(),
-        pending,
         leases: BTreeMap::new(),
         conns: BTreeMap::new(),
-        crash_counts: BTreeMap::new(),
         wal,
         sessions: BTreeMap::new(),
         journal_appends: 0,
@@ -951,9 +801,6 @@ pub fn run_coordinator(
         next_worker: 0,
         next_lease: 1,
         ever_joined: false,
-        instant_deaths: 0,
-        results_seen: 0,
-        stopping: false,
         drain_deadline: Instant::now(),
     };
     if wal_failed {
@@ -969,43 +816,28 @@ pub fn run_coordinator(
         state.apply_replay(replay)?;
     }
     // Everything restored so far — checkpoint verdicts plus the replayed
-    // journal suffix merged into them (and replayed Rejected records, which
-    // live in `extra`) — lands in the merged summary, so it emits the same
+    // journal suffix — lands in the merged summary, so it emits the same
     // per-job trace records as a live delivery would.
-    trace_restored_verdicts(state.tracer(), state.cp);
-    for (job, q) in &state.extra {
-        trace_job_verdict(state.tracer(), *job, &JobVerdict::Quarantined(q.clone()));
-    }
+    state.ledger.trace_restored();
     // Persist the (possibly empty) checkpoint up front: the file exists
     // from the first moment the coordinator serves, so a kill at *any*
     // later point leaves something for `--resume` to load — the journal
     // supplies whatever the checkpoint had not caught up to.
-    state.cp.save(&fcfg.checkpoint)?;
+    state.ledger.save()?;
 
     // Flush guard: a coordinator bug must not cost the fleet's completed
     // work — persist the checkpoint before the panic propagates.
     let looped = catch_unwind(AssertUnwindSafe(|| coordinator_loop(&mut state, &rx)));
     shutdown.store(true, Ordering::Relaxed);
-    let (stats, extra) = match looped {
-        Ok(r) => {
-            r?;
-            (state.stats, state.extra)
-        }
+    match looped {
+        Ok(r) => r?,
         Err(payload) => {
-            let _ = cp.save(&fcfg.checkpoint);
+            let _ = state.ledger.save();
             std::panic::resume_unwind(payload);
         }
-    };
-    cp.save(&fcfg.checkpoint)?;
-
-    let mut quarantined = cp.quarantined.clone();
-    for (job, q) in extra {
-        quarantined.entry(job).or_insert(q);
     }
-    let outcomes = cp.outcomes.values().cloned().collect();
-    let mut report = aggregate(outcomes);
-    report.quarantined = quarantined.into_values().collect();
-    report.fleet = Some(stats);
+    let mut report = state.ledger.finish()?;
+    report.fleet = Some(state.stats);
     Ok(report)
 }
 
@@ -1081,7 +913,7 @@ fn coordinator_loop(
         }
         let now = Instant::now();
 
-        if !state.stopping && state.fcfg.stop_file.as_deref().is_some_and(Path::exists) {
+        if !state.ledger.stopping() && state.fcfg.stop_file.as_deref().is_some_and(Path::exists) {
             state.stats.stopped = true;
             state.start_drain("stop file")?;
         }
@@ -1089,10 +921,10 @@ fn coordinator_loop(
         state.sweep_heartbeats(now);
         state.maybe_give_up();
 
-        if !state.stopping && state.pending.is_empty() && state.leases.is_empty() {
+        if state.ledger.pending(Scope::All) == 0 && state.leases.is_empty() {
             state.start_drain("campaign complete")?;
         }
-        if state.stopping && (state.conns.is_empty() || now >= state.drain_deadline) {
+        if state.ledger.stopping() && (state.conns.is_empty() || now >= state.drain_deadline) {
             // Stragglers past the deadline are cut off; no charges — the
             // campaign is over either way.
             let ids: Vec<u64> = state.conns.keys().copied().collect();
@@ -1165,20 +997,16 @@ fn coordinator_loop(
                     }
                 }
             }
-            Note::Bad(e) => {
-                state.evict(conn_id, &format!("protocol violation: {e}"));
+            // A peer that said goodbye (or was told to drain) may close with
+            // our last frame unread, which resets the socket instead of
+            // ending it: still a clean close.
+            Note::Eof | Note::Bad(ProtocolError::Io { .. })
+                if state.conns.get(&conn_id).is_some_and(|c| c.leaving || c.drained) =>
+            {
+                state.drop_conn(conn_id, None);
             }
-            Note::Eof => {
-                let clean = state
-                    .conns
-                    .get(&conn_id)
-                    .is_some_and(|c| c.leaving || c.drained);
-                if clean {
-                    state.drop_conn(conn_id, None);
-                } else {
-                    state.evict(conn_id, "connection closed unexpectedly");
-                }
-            }
+            Note::Eof => state.evict(conn_id, "connection closed unexpectedly"),
+            Note::Bad(e) => state.evict(conn_id, &format!("protocol violation: {e}")),
         }
     }
 }
@@ -1594,15 +1422,6 @@ pub fn run_join(
         summary.undelivered = outbox.pending.len() as u64;
     };
 
-    // The worker's job config: results stream to the coordinator, so no
-    // local tracing or checkpointing; process faults stay with run_join's
-    // own pre-job checks (mirroring the supervised worker).
-    let mut job_cfg = cfg.clone();
-    job_cfg.fault_plan = cfg.fault_plan.in_process();
-    job_cfg.tracer = sb_obs::Tracer::disabled();
-    job_cfg.checkpoint = None;
-    job_cfg.resume_from = None;
-
     loop {
         if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
             summary.stopped = true;
@@ -1653,29 +1472,25 @@ pub fn run_join(
 
         if work.is_none() {
             let built = prepare.take().expect("prepare used once")()?;
-            let budgeted: Vec<PmcId> = built
-                .exemplars
-                .iter()
-                .copied()
-                .take(cfg.max_tested_pmcs)
-                .collect();
+            let universe = crate::ledger::universe(&built.exemplars, cfg);
             let index = IncidentalIndex::build(&built.set);
-            work = Some((built, budgeted, index));
+            work = Some((built, universe, index));
         }
-        let (built, budgeted, index) = work.as_ref().expect("prepared work");
-
-        let end = run_session(
-            &mut write,
-            &mut reader,
-            built,
-            budgeted,
+        let (built, universe, index) = work.as_ref().expect("prepared work");
+        let env = JobEnv {
+            booted: &built.booted,
+            corpus: &built.corpus,
+            set: &built.set,
             index,
-            &job_cfg,
-            &cfg.fault_plan,
+        };
+        let mut session = Session {
+            remote: RemoteJobs::new(env, cfg),
+            universe,
             jcfg,
-            &mut summary,
-            &mut outbox,
-        );
+            summary: &mut summary,
+            outbox: &mut outbox,
+        };
+        let end = session.run(&mut write, &mut reader);
         match end {
             SessionEnd::Drained => {
                 summary.drained = true;
@@ -1755,175 +1570,136 @@ fn connect_and_join(
     }
 }
 
-/// One registered session: heartbeat in the background, lease and run jobs
-/// until drain/stop/loss.
-#[allow(clippy::too_many_arguments)]
-fn run_session(
-    write: &mut Arc<Mutex<WriteHalf>>,
-    reader: &mut BufReader<TcpStream>,
-    work: &FleetWork,
-    budgeted: &[PmcId],
-    index: &IncidentalIndex,
-    job_cfg: &CampaignCfg,
-    proc_faults: &FaultPlan,
-    jcfg: &JoinCfg,
-    summary: &mut JoinSummary,
-    outbox: &mut Outbox,
-) -> SessionEnd {
-    let done = Arc::new(AtomicBool::new(false));
-    {
-        let write = write.clone();
-        let done = done.clone();
-        let interval = jcfg.heartbeat.max(Duration::from_millis(10));
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            if done.load(Ordering::Relaxed) {
-                break;
-            }
-            let Ok(mut w) = write.lock() else { break };
-            if w.send(&JoinMsg::Heartbeat).is_err() {
-                break;
-            }
-        });
-    }
-    let end = session_loop(
-        write,
-        reader,
-        work,
-        budgeted,
-        index,
-        job_cfg,
-        proc_faults,
-        jcfg,
-        summary,
-        outbox,
-    );
-    done.store(true, Ordering::Relaxed);
-    if matches!(end, SessionEnd::Drained | SessionEnd::Stopped) {
-        // Best effort: the coordinator may already be gone.
-        if let Ok(mut w) = write.lock() {
-            let reason = if matches!(end, SessionEnd::Stopped) { "stop file" } else { "drained" };
-            let _ = w.send(&JoinMsg::Leaving { reason: reason.into() });
-        }
-    }
-    if let Ok(w) = write.lock() {
-        let _ = w.stream.shutdown(Shutdown::Both);
-    }
-    end
+/// One registered session of a joined worker.
+struct Session<'a> {
+    remote: RemoteJobs<'a>,
+    /// The job universe (job index → PMC), as the coordinator budgets it.
+    universe: &'a [PmcId],
+    jcfg: &'a JoinCfg,
+    summary: &'a mut JoinSummary,
+    outbox: &'a mut Outbox,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn session_loop(
-    write: &Arc<Mutex<WriteHalf>>,
-    reader: &mut BufReader<TcpStream>,
-    work: &FleetWork,
-    budgeted: &[PmcId],
-    index: &IncidentalIndex,
-    job_cfg: &CampaignCfg,
-    proc_faults: &FaultPlan,
-    jcfg: &JoinCfg,
-    summary: &mut JoinSummary,
-    outbox: &mut Outbox,
-) -> SessionEnd {
-    let send = |write: &Arc<Mutex<WriteHalf>>, msg: &JoinMsg| -> bool {
-        write.lock().is_ok_and(|mut w| w.send(msg).is_ok())
-    };
-    // Redeliver everything still owed from earlier sessions before asking
-    // for new work, so the coordinator merges in delivery order.
-    for msg in outbox.redeliveries() {
-        if !send(write, &msg) {
-            return SessionEnd::Lost;
+impl Session<'_> {
+    /// Heartbeat in the background, lease and run jobs until
+    /// drain/stop/loss.
+    fn run(
+        &mut self,
+        write: &mut Arc<Mutex<WriteHalf>>,
+        reader: &mut BufReader<TcpStream>,
+    ) -> SessionEnd {
+        let done = Arc::new(AtomicBool::new(false));
+        {
+            let write = write.clone();
+            let done = done.clone();
+            let interval = self.jcfg.heartbeat.max(Duration::from_millis(10));
+            std::thread::spawn(move || loop {
+                std::thread::sleep(interval);
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
+                let Ok(mut w) = write.lock() else { break };
+                if w.send(&JoinMsg::Heartbeat).is_err() {
+                    break;
+                }
+            });
         }
-        summary.redelivered += 1;
+        let end = self.lease_loop(write, reader);
+        done.store(true, Ordering::Relaxed);
+        if matches!(end, SessionEnd::Drained | SessionEnd::Stopped) {
+            // Best effort: the coordinator may already be gone.
+            if let Ok(mut w) = write.lock() {
+                let reason =
+                    if matches!(end, SessionEnd::Stopped) { "stop file" } else { "drained" };
+                let _ = w.send(&JoinMsg::Leaving { reason: reason.into() });
+            }
+        }
+        if let Ok(w) = write.lock() {
+            let _ = w.stream.shutdown(Shutdown::Both);
+        }
+        end
     }
-    let mut exec = Executor::new(2);
-    loop {
-        if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
-            return SessionEnd::Stopped;
-        }
-        if !send(write, &JoinMsg::Request { max: jcfg.batch.max(1) }) {
-            return SessionEnd::Lost;
-        }
-        let reply = match read_frame(reader) {
-            Ok(Some(payload)) => match ServeMsg::parse_line(&payload) {
-                Ok(msg) => msg,
-                Err(_) => return SessionEnd::Lost,
-            },
-            Ok(None) | Err(_) => return SessionEnd::Lost,
+
+    fn lease_loop(
+        &mut self,
+        write: &Arc<Mutex<WriteHalf>>,
+        reader: &mut BufReader<TcpStream>,
+    ) -> SessionEnd {
+        let (jcfg, outbox) = (self.jcfg, &mut *self.outbox);
+        let send = |write: &Arc<Mutex<WriteHalf>>, msg: &JoinMsg| -> bool {
+            write.lock().is_ok_and(|mut w| w.send(msg).is_ok())
         };
-        match reply {
-            ServeMsg::Drain { .. } => {
-                // The drain answered a request sent *after* our results on
-                // this ordered connection, so the coordinator has journaled
-                // every one of them: an implicit ack of all pending.
-                outbox.ack(outbox.next_seq.saturating_sub(1));
-                return SessionEnd::Drained;
+        // Redeliver everything still owed from earlier sessions before
+        // asking for new work, so the coordinator merges in delivery order.
+        for msg in outbox.redeliveries() {
+            if !send(write, &msg) {
+                return SessionEnd::Lost;
             }
-            ServeMsg::Lease { jobs, ack, .. } if jobs.is_empty() => {
-                outbox.ack(ack);
-                std::thread::sleep(jcfg.idle_poll);
+            self.summary.redelivered += 1;
+        }
+        let mut exec = Executor::new(2);
+        loop {
+            if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
+                return SessionEnd::Stopped;
             }
-            ServeMsg::Lease { jobs, ack, .. } => {
-                outbox.ack(ack);
-                summary.leases += 1;
-                // When the coordinator vanishes mid-lease the remaining
-                // leased jobs are still worth running: their verdicts go
-                // to the outbox and survive the outage.
-                let mut lost = false;
-                for job in jobs {
-                    if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
-                        return SessionEnd::Stopped;
-                    }
-                    let Some(id) = budgeted.get(job).copied() else {
-                        return SessionEnd::Fatal(Error::Fleet {
-                            detail: format!(
-                                "coordinator leased job {job} outside the {}-job universe",
-                                budgeted.len()
-                            ),
-                        });
-                    };
-                    // Process faults fire before the job runs (mirroring
-                    // the supervised worker) so CI can kill a fleet worker
-                    // at a deterministic point. They consult the *full*
-                    // plan: `job_cfg.fault_plan` was stripped to its
-                    // in-process subset precisely so these fire here, at
-                    // the process boundary, not inside `run_one_job`.
-                    if proc_faults.should_abort(job) {
-                        crate::chaos::fired("proc.abort", &format!("job {job}"));
-                        std::process::abort();
-                    }
-                    if let Some(code) = proc_faults.exit_code(job) {
-                        crate::chaos::fired("proc.exit", &format!("job {job} code {code}"));
-                        std::process::exit(code);
-                    }
-                    if proc_faults.should_stall(job) {
-                        crate::chaos::fired("proc.stall", &format!("job {job}"));
-                        loop {
-                            std::thread::sleep(Duration::from_secs(3600));
+            if !send(write, &JoinMsg::Request { max: jcfg.batch.max(1) }) {
+                return SessionEnd::Lost;
+            }
+            let reply = match read_frame(reader) {
+                Ok(Some(payload)) => match ServeMsg::parse_line(&payload) {
+                    Ok(msg) => msg,
+                    Err(_) => return SessionEnd::Lost,
+                },
+                Ok(None) | Err(_) => return SessionEnd::Lost,
+            };
+            match reply {
+                ServeMsg::Drain { .. } => {
+                    // The drain answered a request sent *after* our results
+                    // on this ordered connection, so the coordinator has
+                    // journaled every one of them: an implicit ack of all
+                    // pending.
+                    outbox.ack(outbox.next_seq.saturating_sub(1));
+                    return SessionEnd::Drained;
+                }
+                ServeMsg::Lease { jobs, ack, .. } if jobs.is_empty() => {
+                    outbox.ack(ack);
+                    std::thread::sleep(jcfg.idle_poll);
+                }
+                ServeMsg::Lease { jobs, ack, .. } => {
+                    outbox.ack(ack);
+                    self.summary.leases += 1;
+                    // When the coordinator vanishes mid-lease the remaining
+                    // leased jobs are still worth running: their verdicts
+                    // go to the outbox and survive the outage.
+                    let mut lost = false;
+                    for job in jobs {
+                        if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
+                            return SessionEnd::Stopped;
                         }
+                        let Some(id) = self.universe.get(job).copied() else {
+                            return SessionEnd::Fatal(Error::Fleet {
+                                detail: format!(
+                                    "coordinator leased job {job} outside the {}-job universe",
+                                    self.universe.len()
+                                ),
+                            });
+                        };
+                        // Process faults fire before the job runs, so CI can
+                        // kill a fleet worker at a deterministic point.
+                        let verdict = self.remote.run(&mut exec, job, id, || {});
+                        let msg = outbox.push(job, verdict);
+                        self.summary.spooled = outbox.spooled;
+                        if !lost && !send(write, &msg) {
+                            lost = true;
+                        }
+                        self.summary.jobs_completed += 1;
                     }
-                    let verdict = run_one_job(
-                        &mut exec,
-                        job,
-                        id,
-                        &work.booted,
-                        &work.corpus,
-                        &work.set,
-                        index,
-                        job_cfg,
-                    );
-                    let msg = outbox.push(job, verdict);
-                    summary.spooled = outbox.spooled;
-                    if !lost && !send(write, &msg) {
-                        lost = true;
+                    if lost {
+                        return SessionEnd::Lost;
                     }
-                    summary.jobs_completed += 1;
                 }
-                if lost {
-                    return SessionEnd::Lost;
-                }
+                ServeMsg::Welcome { .. } | ServeMsg::Reject { .. } => return SessionEnd::Lost,
             }
-            ServeMsg::Welcome { .. } | ServeMsg::Reject { .. } => return SessionEnd::Lost,
         }
     }
 }
@@ -1932,7 +1708,8 @@ fn session_loop(
 mod tests {
     use super::*;
     use crate::campaign::PmcTestOutcome;
-    use crate::checkpoint::CheckpointCfg;
+    use crate::checkpoint::{Checkpoint, CheckpointCfg};
+    use crate::error::FailureKind;
     use crate::cluster::Strategy;
     use crate::select::ClusterOrder;
     use crate::{Pipeline, PipelineCfg};
@@ -1943,9 +1720,11 @@ mod tests {
         dir
     }
 
+    /// A millisecond tick, but a heartbeat timeout no `cargo test` load can
+    /// trip: none of these fixtures is about silence.
     fn fast_fcfg(dir: &Path) -> FleetCfg {
         FleetCfg {
-            heartbeat_timeout: Duration::from_millis(600),
+            heartbeat_timeout: Duration::from_secs(10),
             lease_deadline: Duration::from_millis(2_000),
             batch: 2,
             poll: Duration::from_millis(5),
@@ -2166,8 +1945,8 @@ mod tests {
         a.done(0, 100);
         drop(a); // unclean close
 
-        // Worker B picks up the reassigned job.
-        std::thread::sleep(Duration::from_millis(50));
+        // Worker B picks up the reassigned job (`lease` asks until the
+        // eviction has put it back).
         let (mut b, _) = Client::join(&addr, 0);
         let jobs = b.lease(2).expect("reassigned lease");
         assert_eq!(jobs, vec![1]);
@@ -2195,10 +1974,6 @@ mod tests {
         let fcfg = FleetCfg {
             lease_deadline: Duration::from_millis(150),
             batch: 1,
-            // Generous: a loaded test machine must never turn the *slow*
-            // worker into a heartbeat eviction — this test is about lease
-            // expiry, not silence.
-            heartbeat_timeout: Duration::from_secs(10),
             ..fast_fcfg(&dir)
         };
         let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fcfg);
@@ -2271,7 +2046,6 @@ mod tests {
             let jobs = w.lease(1).expect("lease");
             assert_eq!(jobs, vec![0]);
             drop(w); // die with the job leased
-            std::thread::sleep(Duration::from_millis(50));
         }
 
         let report = coord.join().unwrap().expect("fleet report");
@@ -2303,7 +2077,6 @@ mod tests {
             let (mut w, _) = Client::join(&addr, 0);
             let _ = w.lease(2).expect("lease");
             drop(w); // instant death: joined, completed nothing
-            std::thread::sleep(Duration::from_millis(50));
         }
 
         let report = coord.join().unwrap().expect("fleet report");
@@ -2359,47 +2132,6 @@ mod tests {
     }
 
     #[test]
-    fn resumed_coordinator_skips_covered_jobs() {
-        let dir = test_dir("resume");
-        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let fcfg = fast_fcfg(&dir);
-
-        // First fleet: job 0 completes, then the fleet is stopped.
-        let stop = dir.join("stop");
-        let fcfg1 = FleetCfg { stop_file: Some(stop.clone()), ..fcfg.clone() };
-        let (addr, coord) =
-            start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
-        let (mut a, _) = Client::join(&addr, 0);
-        let _ = a.lease(2).expect("lease");
-        a.done(0, 100);
-        std::fs::write(&stop, b"").unwrap();
-        loop {
-            if matches!(a.read(), ServeMsg::Drain { .. }) {
-                break;
-            }
-        }
-        a.send(&JoinMsg::Leaving { reason: "drained".into() });
-        drop(a);
-        let first = coord.join().unwrap().expect("first report");
-        assert_eq!(first.tested(), 1);
-
-        // Second fleet resumes from the checkpoint: only job 1 is leased.
-        let cfg2 = CampaignCfg {
-            resume_from: Some(fcfg.checkpoint.clone()),
-            ..CampaignCfg::default()
-        };
-        let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg);
-        let (mut b, _) = Client::join(&addr, 0);
-        let jobs = b.lease(2).expect("lease");
-        assert_eq!(jobs, vec![1], "covered job not re-leased");
-        b.done(1, 101);
-        b.drain();
-        let report = coord.join().unwrap().expect("resumed report");
-        assert_eq!(report.tested(), 2, "resume merged both halves");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn handshake_rejects_version_and_config_mismatches() {
         let dir = test_dir("reject");
         let budgeted: Vec<PmcId> = vec![100];
@@ -2448,7 +2180,6 @@ mod tests {
         let _ = evil.write.flush();
 
         // The good worker finishes the campaign after the eviction.
-        std::thread::sleep(Duration::from_millis(50));
         let (mut good, _) = Client::join(&addr, 0);
         let jobs = good.lease(1).expect("reassigned lease");
         good.done(jobs[0], 100);
@@ -2459,6 +2190,56 @@ mod tests {
         let stats = report.fleet.unwrap();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.jobs_reassigned, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_result_outside_the_universe_evicts_the_sender_and_leaves_no_trace() {
+        let dir = test_dir("foreign");
+        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
+        let fcfg = fast_fcfg(&dir);
+        let (addr, coord) =
+            start_coordinator(budgeted, CampaignCfg::default(), fcfg.clone());
+
+        // A schema-valid `done` for job universe + 7.
+        let (mut evil, _) = Client::join(&addr, 0);
+        let jobs = evil.lease(1).expect("lease");
+        assert_eq!(jobs, vec![0]);
+        evil.done(9, 999);
+
+        let (mut good, _) = Client::join(&addr, 0);
+        let mut seen = Vec::new();
+        while let Some(jobs) = good.lease(2) {
+            for job in jobs {
+                good.done(job, 100 + job as u64);
+                seen.push(job);
+            }
+        }
+        good.send(&JoinMsg::Leaving { reason: "drained".into() });
+        drop((good, evil));
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1], "the evicted worker's job was reassigned");
+
+        let report = coord.join().unwrap().expect("fleet report");
+        assert_eq!(
+            report.outcomes.iter().map(|o| o.steps).collect::<Vec<_>>(),
+            vec![100, 101],
+            "job 9 is in nobody's report"
+        );
+        assert!(report.quarantined.is_empty());
+        assert_eq!(report.fleet.unwrap().evictions, 1);
+        let cp = Checkpoint::load(&fcfg.checkpoint).unwrap();
+        assert_eq!(cp.outcomes.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+        let (_, replay) = Journal::open(&journal_path_for(&fcfg.checkpoint), 2021, 0, 2)
+            .expect("journal reopens");
+        assert!(
+            replay.results.iter().all(|v| match v {
+                ReplayVerdict::Done { job, .. } => *job < 2,
+                ReplayVerdict::Quarantine { record } => record.job < 2,
+            }),
+            "the foreign verdict was never journaled"
+        );
+        assert_eq!(replay.results.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2600,7 +2381,8 @@ mod tests {
         });
         // drop=0:1 — connection 0 closes after 1 substantive frame, so its
         // request (frame 2) hits the injected drop.
-        let faults = NetFaultPlan::parse_spec("drop=0:1").unwrap();
+        let faults =
+            NetFaultPlan { drop_after: BTreeMap::from([(0, 1)]), ..NetFaultPlan::default() };
         let jcfg = JoinCfg { net_faults: faults, ..fast_jcfg(addr) };
         let summary = run_join(&CampaignCfg::default(), &jcfg, empty_work).expect("join");
         assert!(summary.drained);

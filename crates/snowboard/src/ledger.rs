@@ -1,0 +1,937 @@
+//! The campaign job lifecycle, written once.
+//!
+//! A campaign is a fixed universe of jobs (the budgeted exemplar list) that
+//! each end in exactly one verdict. Three transports move jobs and verdicts
+//! around — scoped threads ([`crate::campaign`]), child processes
+//! ([`crate::supervise`]) and TCP peers ([`crate::fleet`]) — and all of them
+//! drive the same [`JobLedger`], which is the only place that knows the
+//! rules:
+//!
+//! ```text
+//!             lease / hold                  deliver
+//!   pending ───────────────▶ held ─────────────────────▶ covered
+//!      ▲                       │                            ▲
+//!      └───────────────────────┘                            │ deliver
+//!        release / expire /       reject / abandon          │ (a real verdict
+//!        owner died under budget ─────────────────▶ reported-only
+//! ```
+//!
+//! * **Universe** — the first `max_tested_pmcs` exemplars ([`universe`]);
+//!   job `i` tests exemplar `i`. Nothing outside it is ever accepted.
+//! * **Resume** — a checkpoint must match `(seed, universe)`; a lenient
+//!   resume replaces an unusable one with a fresh start. Covered jobs are
+//!   never handed out again, and their verdicts are traced once
+//!   ([`JobLedger::trace_restored`]) so a resumed trace balances.
+//! * **First verdict wins** — a verdict for a covered job is a counted
+//!   duplicate, never an overwrite.
+//! * **Reported-only** — `Rejected` (the queue closed before the job ran)
+//!   and `GaveUp` (the breaker abandoned it) verdicts are reported but
+//!   never checkpointed, so a resumed campaign retries those jobs; a real
+//!   verdict arriving later supersedes them.
+//! * **Crash budget** — an owner that dies charges every job it held; at
+//!   the budget the job is quarantined as `Crash` (checkpointed, never
+//!   retried), below it the job returns to the pending pool.
+//! * **Breaker** — consecutive deaths without progress are counted per
+//!   [`Scope`]; the transport decides when its precondition holds and
+//!   [`JobLedger::abandon`]s what is left as `GaveUp`.
+//! * **Stop** — once stopping, deaths no longer charge: winding a campaign
+//!   down quarantines nothing.
+//! * **Persistence** — the checkpoint file is saved every `every` merged
+//!   verdicts (best effort), on every `Crash` quarantine, on
+//!   [`JobLedger::stop`], and by [`JobLedger::finish`] (authoritative).
+//!
+//! The ledger does no I/O beyond that checkpoint file and reads no clock:
+//! lease deadlines are [`Instant`]s passed in by the transport.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
+use std::time::Instant;
+
+use crate::campaign::{
+    aggregate, CampaignCfg, CampaignReport, JobVerdict, PmcTestOutcome, QuarantineRecord,
+};
+use crate::checkpoint::Checkpoint;
+use crate::error::{Error, FailureKind, SbResult};
+use crate::fault::FaultPlan;
+use crate::pmc::PmcId;
+
+/// The budgeted job universe: job `i` tests `universe[i]`.
+pub fn universe(exemplars: &[PmcId], cfg: &CampaignCfg) -> Vec<PmcId> {
+    exemplars
+        .iter()
+        .copied()
+        .take(cfg.max_tested_pmcs)
+        .collect()
+}
+
+/// Which jobs an owner may take and report on, and the domain its deaths
+/// are counted in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Scope {
+    /// Any job of the universe.
+    All,
+    /// The deterministic shard `job % of == shard` (`of` must be nonzero).
+    Shard {
+        /// This shard (0-based).
+        shard: usize,
+        /// Total shard count.
+        of: usize,
+    },
+}
+
+impl Scope {
+    fn admits(self, job: usize) -> bool {
+        match self {
+            Scope::All => true,
+            Scope::Shard { shard, of } => job % of == shard,
+        }
+    }
+}
+
+/// A verdict or hold for a job its sender has no business with: outside
+/// the universe, or outside the sender's shard. Transports treat it as a
+/// protocol violation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OutOfScope {
+    /// The offending job index.
+    pub job: usize,
+    /// Size of the universe.
+    pub jobs: usize,
+    /// The sender's scope.
+    pub scope: Scope,
+}
+
+impl std::fmt::Display for OutOfScope {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let OutOfScope { job, jobs, scope } = self;
+        match scope {
+            Scope::Shard { shard, of } if job < jobs => {
+                write!(f, "job {job} is outside shard {shard}/{of}")
+            }
+            _ => write!(f, "job {job} is outside the {jobs}-job universe"),
+        }
+    }
+}
+
+/// What [`JobLedger::deliver`] did with a verdict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Delivered {
+    /// First verdict for the job: merged. `saved` says the checkpoint
+    /// cadence fired (a transport with a journal syncs it alongside).
+    Merged {
+        /// A cadence save was attempted.
+        saved: bool,
+    },
+    /// The job already had a verdict; this one was dropped and counted.
+    Duplicate,
+}
+
+/// What became of one job its dead owner held.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Charge {
+    /// Back in the pending pool.
+    Requeued(usize),
+    /// The crash budget ran out: quarantined as `Crash`, merged and saved.
+    Quarantined(QuarantineRecord),
+}
+
+/// Where every job of the universe currently is (see [`JobLedger::census`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Census {
+    /// Waiting to be handed out.
+    pub pending: Vec<usize>,
+    /// Handed to an owner, no verdict yet.
+    pub held: Vec<usize>,
+    /// Holding a checkpointed verdict.
+    pub covered: Vec<usize>,
+    /// Holding a reported-only verdict.
+    pub reported: Vec<usize>,
+}
+
+struct Owner {
+    jobs: BTreeSet<usize>,
+    until: Option<Instant>,
+}
+
+/// The job-lifecycle state machine of one campaign run.
+pub struct JobLedger {
+    universe: Vec<PmcId>,
+    cp: Checkpoint,
+    /// Reported-but-not-checkpointed verdicts (`Rejected`, `GaveUp`).
+    reported: BTreeMap<usize, QuarantineRecord>,
+    pending: BTreeSet<usize>,
+    owners: BTreeMap<u64, Owner>,
+    crash_counts: BTreeMap<usize, u32>,
+    instant_deaths: BTreeMap<Scope, u32>,
+    results_seen: usize,
+    duplicates: u64,
+    stopping: bool,
+    save_to: Option<PathBuf>,
+    every: usize,
+    tracer: sb_obs::Tracer,
+    fault_plan: FaultPlan,
+}
+
+impl JobLedger {
+    /// Builds the universe and loads the resume checkpoint named by `cfg`
+    /// (or begins a fresh one). `save_to` is the merged checkpoint a remote
+    /// transport owns; without it the ledger saves to `cfg.checkpoint`, or
+    /// nowhere.
+    pub fn open(
+        exemplars: &[PmcId],
+        cfg: &CampaignCfg,
+        save_to: Option<&Path>,
+    ) -> SbResult<JobLedger> {
+        let universe = universe(exemplars, cfg);
+        let cp = match &cfg.resume_from {
+            None => Checkpoint::begin(cfg.seed, &universe),
+            Some(path) => {
+                let loaded = Checkpoint::load(path)
+                    .and_then(|cp| cp.validate(cfg.seed, &universe).map(|()| cp));
+                match loaded {
+                    Ok(cp) => cp,
+                    Err(e) if cfg.resume_lenient => {
+                        eprintln!(
+                            "[campaign] warning: ignoring unusable checkpoint {}: {e} — starting fresh",
+                            path.display()
+                        );
+                        Checkpoint::begin(cfg.seed, &universe)
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        };
+        let pending = (0..universe.len()).filter(|job| !cp.covers(*job)).collect();
+        Ok(JobLedger {
+            universe,
+            cp,
+            reported: BTreeMap::new(),
+            pending,
+            owners: BTreeMap::new(),
+            crash_counts: BTreeMap::new(),
+            instant_deaths: BTreeMap::new(),
+            results_seen: 0,
+            duplicates: 0,
+            stopping: false,
+            save_to: save_to
+                .map(Path::to_path_buf)
+                .or_else(|| cfg.checkpoint.as_ref().map(|c| c.path.clone())),
+            every: cfg.checkpoint.as_ref().map_or(1, |c| c.every.max(1)),
+            tracer: cfg.tracer.clone(),
+            fault_plan: cfg.fault_plan.clone(),
+        })
+    }
+
+    /// The budgeted job universe.
+    pub fn universe(&self) -> &[PmcId] {
+        &self.universe
+    }
+
+    /// Merges a verdict recovered from a write-ahead journal: same merge
+    /// rule as [`JobLedger::deliver`], but silent — no trace, no cadence,
+    /// no duplicate count — and lenient about jobs outside the universe
+    /// (a foreign record is dropped, not fatal).
+    pub fn restore(&mut self, job: usize, verdict: JobVerdict) {
+        if job < self.universe.len() && !self.resolved_against(job, &verdict) {
+            self.merge(job, verdict);
+        }
+    }
+
+    /// Emits the per-job trace records for every verdict the campaign
+    /// starts with (checkpoint plus restored journal suffix). They are part
+    /// of the final summary, so their events must be in the trace for
+    /// `trace report` to balance.
+    pub fn trace_restored(&self) {
+        for (job, out) in &self.cp.outcomes {
+            trace_outcome(&self.tracer, *job, out);
+        }
+        for (job, q) in self.cp.quarantined.iter().chain(&self.reported) {
+            trace_quarantine(&self.tracer, *job, q);
+        }
+    }
+
+    /// True when `job` is in the universe and in `scope`.
+    pub fn check(&self, scope: Scope, job: usize) -> Result<(), OutOfScope> {
+        if job < self.universe.len() && scope.admits(job) {
+            Ok(())
+        } else {
+            Err(OutOfScope { job, jobs: self.universe.len(), scope })
+        }
+    }
+
+    /// Hands `owner` the first `take` pending jobs of `scope`, in job
+    /// order. A lease with a deadline is reclaimed by
+    /// [`JobLedger::expire`]; one without is held until its owner reports,
+    /// releases or dies.
+    pub fn lease(
+        &mut self,
+        owner: u64,
+        scope: Scope,
+        take: usize,
+        until: Option<Instant>,
+    ) -> Vec<usize> {
+        let jobs: Vec<usize> = self
+            .pending
+            .iter()
+            .copied()
+            .filter(|job| scope.admits(*job))
+            .take(take)
+            .collect();
+        self.hold(owner, scope, &jobs, until)
+    }
+
+    /// Marks the still-pending jobs among `jobs` (and within `scope`) as
+    /// held by `owner`, returning them. Replaces the owner's deadline.
+    pub fn hold(
+        &mut self,
+        owner: u64,
+        scope: Scope,
+        jobs: &[usize],
+        until: Option<Instant>,
+    ) -> Vec<usize> {
+        let taken: Vec<usize> = jobs
+            .iter()
+            .copied()
+            .filter(|job| scope.admits(*job) && self.pending.remove(job))
+            .collect();
+        if !taken.is_empty() {
+            let entry = self.owners.entry(owner).or_insert(Owner { jobs: BTreeSet::new(), until });
+            entry.jobs.extend(&taken);
+            entry.until = until;
+        }
+        taken
+    }
+
+    /// Moves `owner`'s deadline (a resumed session reattaching its lease).
+    pub fn extend(&mut self, owner: u64, until: Instant) {
+        if let Some(o) = self.owners.get_mut(&owner) {
+            o.until = Some(until);
+        }
+    }
+
+    /// True while `owner` holds at least one job.
+    pub fn holds(&self, owner: u64) -> bool {
+        self.owners.contains_key(&owner)
+    }
+
+    /// The jobs `owner` holds, in job order.
+    pub fn held_by(&self, owner: u64) -> Vec<usize> {
+        self.owners.get(&owner).map_or_else(Vec::new, |o| o.jobs.iter().copied().collect())
+    }
+
+    /// Accepts one verdict for `job` from a sender confined to `scope`.
+    pub fn deliver(
+        &mut self,
+        scope: Scope,
+        job: usize,
+        verdict: JobVerdict,
+    ) -> Result<Delivered, OutOfScope> {
+        self.check(scope, job)?;
+        if self.resolved_against(job, &verdict) {
+            self.duplicates += 1;
+            return Ok(Delivered::Duplicate);
+        }
+        self.trace(job, &verdict);
+        self.merge(job, verdict);
+        self.results_seen += 1;
+        let saved = self.results_seen.is_multiple_of(self.every);
+        if saved {
+            // Cadence saves are best effort; `finish` is authoritative.
+            let _ = self.save();
+        }
+        Ok(Delivered::Merged { saved })
+    }
+
+    /// The `job:close` fault: the queue closes before job `cut`, so every
+    /// pending job at or after it resolves as `Rejected` without running.
+    pub fn close_from(&mut self, cut: usize) {
+        let late: Vec<usize> = self.pending.range(cut..).copied().collect();
+        for job in late {
+            let err = Error::QueueClosed;
+            let record = QuarantineRecord {
+                job,
+                pmc: Some(self.universe[job]),
+                attempts: 0,
+                kind: err.failure_kind(),
+                chain: err.chain(),
+            };
+            let delivered = self.deliver(Scope::All, job, JobVerdict::Quarantined(record));
+            debug_assert!(matches!(delivered, Ok(Delivered::Merged { .. })));
+        }
+    }
+
+    /// `owner` let go of its jobs without dying (clean exit, drain): they
+    /// return to the pending pool uncharged.
+    pub fn release(&mut self, owner: u64) -> Vec<usize> {
+        let jobs: Vec<usize> =
+            self.owners.remove(&owner).map_or_else(Vec::new, |o| o.jobs.into_iter().collect());
+        self.pending.extend(&jobs);
+        jobs
+    }
+
+    /// Releases every owner whose deadline has passed at `now`. The owner
+    /// is not presumed dead — it may deliver late, and the duplicate rule
+    /// absorbs that — it just no longer holds the jobs.
+    pub fn expire(&mut self, now: Instant) -> Vec<(u64, Vec<usize>)> {
+        let expired: Vec<u64> = self
+            .owners
+            .iter()
+            .filter(|(_, o)| o.until.is_some_and(|until| now >= until))
+            .map(|(id, _)| *id)
+            .collect();
+        expired.into_iter().map(|id| (id, self.release(id))).collect()
+    }
+
+    /// `owner` died holding jobs. Each is charged one crash; a job at
+    /// `crash_budget` charges is quarantined as `Crash` with `cause(job)`
+    /// heading its chain, the others return to the pending pool. While
+    /// stopping nothing is charged.
+    pub fn owner_died(
+        &mut self,
+        owner: u64,
+        crash_budget: u32,
+        cause: impl Fn(usize) -> String,
+    ) -> Vec<Charge> {
+        let mut charges = Vec::new();
+        for job in self.release(owner) {
+            if self.stopping {
+                charges.push(Charge::Requeued(job));
+                continue;
+            }
+            let count = self.crash_counts.entry(job).or_insert(0);
+            *count += 1;
+            let count = *count;
+            if count < crash_budget {
+                charges.push(Charge::Requeued(job));
+                continue;
+            }
+            let record = QuarantineRecord {
+                job,
+                pmc: Some(self.universe[job]),
+                attempts: count,
+                kind: FailureKind::Crash,
+                chain: vec![cause(job), format!("crash budget ({crash_budget}) exhausted")],
+            };
+            let verdict = JobVerdict::Quarantined(record.clone());
+            self.trace(job, &verdict);
+            self.merge(job, verdict);
+            let _ = self.save();
+            charges.push(Charge::Quarantined(record));
+        }
+        charges
+    }
+
+    /// Counts one owner death in `scope`'s breaker domain: a death after
+    /// progress resets the run of instant deaths, one without extends it.
+    pub fn note_death(&mut self, scope: Scope, progressed: bool) {
+        let run = self.instant_deaths.entry(scope).or_insert(0);
+        *run = if progressed { 0 } else { *run + 1 };
+    }
+
+    /// The current run of deaths without progress in `scope`'s domain.
+    pub fn instant_deaths(&self, scope: Scope) -> u32 {
+        self.instant_deaths.get(&scope).copied().unwrap_or(0)
+    }
+
+    /// The breaker tripped: every pending job of `scope` is abandoned as
+    /// `GaveUp` (reported, not checkpointed) with `why` as its chain.
+    /// Returns how many.
+    pub fn abandon(&mut self, scope: Scope, why: &str) -> usize {
+        let jobs: Vec<usize> =
+            self.pending.iter().copied().filter(|job| scope.admits(*job)).collect();
+        for job in &jobs {
+            let verdict = JobVerdict::Quarantined(QuarantineRecord {
+                job: *job,
+                pmc: Some(self.universe[*job]),
+                attempts: self.crash_counts.get(job).copied().unwrap_or(0),
+                kind: FailureKind::GaveUp,
+                chain: vec![why.to_owned()],
+            });
+            self.trace(*job, &verdict);
+            self.merge(*job, verdict);
+        }
+        jobs.len()
+    }
+
+    /// Pending jobs of `scope`.
+    pub fn pending(&self, scope: Scope) -> usize {
+        match scope {
+            Scope::All => self.pending.len(),
+            _ => self.pending.iter().filter(|job| scope.admits(**job)).count(),
+        }
+    }
+
+    /// Verdicts dropped because their job already had one.
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates
+    }
+
+    /// Begins winding down: flushes the checkpoint; deaths from here on
+    /// charge nothing.
+    pub fn stop(&mut self) -> SbResult<()> {
+        self.stopping = true;
+        self.save()
+    }
+
+    /// True once [`JobLedger::stop`] was called.
+    pub fn stopping(&self) -> bool {
+        self.stopping
+    }
+
+    /// Writes the checkpoint now (a no-op for a ledger with nowhere to
+    /// save).
+    pub fn save(&self) -> SbResult<()> {
+        match &self.save_to {
+            Some(path) => self.cp.save(path),
+            None => Ok(()),
+        }
+    }
+
+    /// Where every job currently is. The four lists partition the universe.
+    pub fn census(&self) -> Census {
+        Census {
+            pending: self.pending.iter().copied().collect(),
+            held: self.owners.values().flat_map(|o| o.jobs.iter().copied()).collect(),
+            covered: (0..self.universe.len()).filter(|job| self.cp.covers(*job)).collect(),
+            reported: self.reported.keys().copied().collect(),
+        }
+    }
+
+    /// Final save, then the report: outcomes in job order, quarantines from
+    /// the checkpoint plus the reported-only verdicts.
+    pub fn finish(self) -> SbResult<CampaignReport> {
+        self.save()?;
+        let mut quarantined = self.cp.quarantined;
+        for (job, q) in self.reported {
+            quarantined.entry(job).or_insert(q);
+        }
+        let mut report = aggregate(self.cp.outcomes.into_values().collect());
+        report.quarantined = quarantined.into_values().collect();
+        Ok(report)
+    }
+
+    /// True when `verdict` would change nothing: the job is covered, or is
+    /// reported-only and `verdict` is reported-only too.
+    fn resolved_against(&self, job: usize, verdict: &JobVerdict) -> bool {
+        self.cp.covers(job) || (self.reported.contains_key(&job) && reported_only(verdict))
+    }
+
+    /// Records the verdict of a job nothing resolved yet (see
+    /// [`Self::resolved_against`]); a real verdict supersedes a
+    /// reported-only one.
+    fn merge(&mut self, job: usize, verdict: JobVerdict) {
+        let real = !reported_only(&verdict);
+        match verdict {
+            JobVerdict::Completed(outcome) => {
+                self.cp.merge_outcome(job, outcome);
+            }
+            JobVerdict::Quarantined(record) if real => {
+                self.cp.merge_quarantine(record);
+            }
+            JobVerdict::Quarantined(record) => {
+                self.reported.insert(job, record);
+            }
+        }
+        if real {
+            self.reported.remove(&job);
+        }
+        self.pending.remove(&job);
+        self.owners.retain(|_, o| {
+            o.jobs.remove(&job);
+            !o.jobs.is_empty()
+        });
+    }
+
+    fn trace(&self, job: usize, verdict: &JobVerdict) {
+        trace_job_verdict(&self.tracer, job, verdict);
+        crate::chaos::attribute_verdict(&self.tracer, &self.fault_plan, job, verdict);
+    }
+}
+
+fn reported_only(verdict: &JobVerdict) -> bool {
+    matches!(
+        verdict,
+        JobVerdict::Quarantined(q) if matches!(q.kind, FailureKind::Rejected | FailureKind::GaveUp)
+    )
+}
+
+/// Emits the per-job trace record and counters for a resolved job —
+/// identical whichever transport carried the verdict, so every trace
+/// verifies with the same rules.
+fn trace_job_verdict(tracer: &sb_obs::Tracer, job: usize, v: &JobVerdict) {
+    match v {
+        JobVerdict::Completed(out) => trace_outcome(tracer, job, out),
+        JobVerdict::Quarantined(q) => trace_quarantine(tracer, job, q),
+    }
+}
+
+fn trace_outcome(tracer: &sb_obs::Tracer, job: usize, out: &PmcTestOutcome) {
+    tracer.emit(&sb_obs::Event::Job {
+        t: tracer.now_us(),
+        job: job as u64,
+        trials: u64::from(out.trials_run),
+        steps: out.steps,
+        findings: out.findings.len() as u64,
+        attempts: u64::from(out.attempts),
+        quarantined: false,
+    });
+    tracer.count(sb_obs::keys::TRIALS, u64::from(out.trials_run));
+    tracer.count(sb_obs::keys::TRIAL_STEPS, out.steps);
+    tracer.count(sb_obs::keys::JOBS_COMPLETED, 1);
+    // Per-oracle reported counts: `trace report` cross-checks their sum
+    // against the job events' finding totals.
+    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for f in &out.findings {
+        *kinds.entry(f.kind_tag()).or_insert(0) += 1;
+    }
+    for (kind, n) in kinds {
+        tracer.count(&sb_obs::keys::reported(kind), n);
+    }
+}
+
+fn trace_quarantine(tracer: &sb_obs::Tracer, job: usize, q: &QuarantineRecord) {
+    tracer.emit(&sb_obs::Event::Job {
+        t: tracer.now_us(),
+        job: job as u64,
+        trials: 0,
+        steps: 0,
+        findings: 0,
+        attempts: u64::from(q.attempts),
+        quarantined: true,
+    });
+    tracer.count(sb_obs::keys::JOBS_QUARANTINED, 1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::CheckpointCfg;
+    use std::time::Duration;
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sb-ledger-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("ckpt.json")
+    }
+
+    fn exemplars(n: u32) -> Vec<PmcId> {
+        (0..n).map(|i| i + 100).collect()
+    }
+
+    fn done(job: usize, steps: u64) -> JobVerdict {
+        JobVerdict::Completed(PmcTestOutcome {
+            pmc: Some(job as PmcId + 100),
+            pair: (1, 2),
+            trials_run: 8,
+            exercised: true,
+            findings: vec![],
+            steps,
+            first_finding_trial: None,
+            repro_schedule: None,
+            attempts: 1,
+        })
+    }
+
+    fn quarantine(job: usize, kind: FailureKind) -> JobVerdict {
+        JobVerdict::Quarantined(QuarantineRecord {
+            job,
+            pmc: Some(job as PmcId + 100),
+            attempts: 1,
+            kind,
+            chain: vec!["scripted".into()],
+        })
+    }
+
+    fn saving_to(path: &Path, every: usize) -> CampaignCfg {
+        CampaignCfg {
+            checkpoint: Some(CheckpointCfg { path: path.to_path_buf(), every }),
+            ..CampaignCfg::default()
+        }
+    }
+
+    fn steps(report: &CampaignReport) -> Vec<u64> {
+        report.outcomes.iter().map(|o| o.steps).collect()
+    }
+
+    #[test]
+    fn the_universe_is_the_budgeted_prefix() {
+        let cfg = CampaignCfg { max_tested_pmcs: 3, ..CampaignCfg::default() };
+        let ledger = JobLedger::open(&exemplars(5), &cfg, None).unwrap();
+        assert_eq!(ledger.universe(), &[100, 101, 102]);
+        assert_eq!(ledger.pending(Scope::All), 3);
+        assert!(ledger.check(Scope::All, 2).is_ok());
+        assert!(ledger.check(Scope::All, 3).is_err());
+    }
+
+    #[test]
+    fn shard_scopes_partition_the_universe() {
+        let mut ledger = JobLedger::open(&exemplars(7), &CampaignCfg::default(), None).unwrap();
+        let shard = |shard| Scope::Shard { shard, of: 3 };
+        assert_eq!(ledger.lease(0, shard(0), usize::MAX, None), vec![0, 3, 6]);
+        assert_eq!(ledger.lease(1, shard(1), usize::MAX, None), vec![1, 4]);
+        assert_eq!(ledger.lease(2, shard(2), usize::MAX, None), vec![2, 5]);
+        assert_eq!(ledger.pending(Scope::All), 0);
+        // A shard may neither hold nor report on a neighbour's job.
+        assert!(ledger.check(shard(0), 1).is_err());
+        assert!(ledger.deliver(shard(0), 1, done(1, 1)).is_err());
+        assert_eq!(ledger.held_by(1), vec![1, 4], "the rejected verdict touched nothing");
+    }
+
+    #[test]
+    fn resume_skips_covered_jobs() {
+        let path = scratch("resume");
+        let mut first = JobLedger::open(&exemplars(3), &saving_to(&path, 1), None).unwrap();
+        first.deliver(Scope::All, 1, done(1, 11)).unwrap();
+        first.finish().unwrap();
+
+        let cfg = CampaignCfg { resume_from: Some(path.clone()), ..CampaignCfg::default() };
+        let mut resumed = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
+        assert_eq!(resumed.lease(0, Scope::All, usize::MAX, None), vec![0, 2]);
+        assert_eq!(resumed.census().covered, vec![1]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn strict_resume_refuses_what_lenient_resume_replaces() {
+        let path = scratch("lenient");
+        let mut other = JobLedger::open(&exemplars(2), &saving_to(&path, 1), None).unwrap();
+        other.deliver(Scope::All, 0, done(0, 10)).unwrap();
+        other.finish().unwrap();
+
+        // Same file, different universe.
+        let strict = CampaignCfg { resume_from: Some(path.clone()), ..CampaignCfg::default() };
+        assert!(matches!(
+            JobLedger::open(&exemplars(3), &strict, None),
+            Err(Error::ResumeMismatch { .. })
+        ));
+        let lenient = CampaignCfg { resume_lenient: true, ..strict };
+        let fresh = JobLedger::open(&exemplars(3), &lenient, None).unwrap();
+        assert_eq!(fresh.pending(Scope::All), 3, "started over");
+        // A missing file is tolerated the same way.
+        let missing = CampaignCfg {
+            resume_from: Some(path.with_extension("gone")),
+            ..lenient
+        };
+        assert!(JobLedger::open(&exemplars(3), &missing, None).is_ok());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn first_verdict_wins_and_duplicates_are_counted() {
+        let mut ledger = JobLedger::open(&exemplars(2), &CampaignCfg::default(), None).unwrap();
+        assert_eq!(
+            ledger.deliver(Scope::All, 0, done(0, 100)),
+            Ok(Delivered::Merged { saved: true })
+        );
+        assert_eq!(ledger.deliver(Scope::All, 0, done(0, 999)), Ok(Delivered::Duplicate));
+        assert_eq!(
+            ledger.deliver(Scope::All, 0, quarantine(0, FailureKind::Panic)),
+            Ok(Delivered::Duplicate)
+        );
+        assert_eq!(ledger.duplicates(), 2);
+        let report = ledger.finish().unwrap();
+        assert_eq!(steps(&report), vec![100]);
+        assert!(report.quarantined.is_empty());
+    }
+
+    #[test]
+    fn verdicts_outside_the_universe_are_rejected() {
+        let mut ledger = JobLedger::open(&exemplars(2), &CampaignCfg::default(), None).unwrap();
+        let err = ledger.deliver(Scope::All, 9, done(9, 1)).unwrap_err();
+        assert_eq!(err.to_string(), "job 9 is outside the 2-job universe");
+        ledger.restore(9, done(9, 1));
+        assert_eq!(ledger.census().covered, Vec::<usize>::new());
+        assert!(ledger.finish().unwrap().outcomes.is_empty());
+    }
+
+    #[test]
+    fn rejected_and_gave_up_are_reported_but_not_checkpointed() {
+        let path = scratch("reported");
+        let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path, 1), None).unwrap();
+        ledger.close_from(2);
+        assert_eq!(ledger.census().reported, vec![2, 3]);
+        assert_eq!(ledger.abandon(Scope::All, "nobody left"), 2);
+        // A second reported-only verdict for such a job is a duplicate; a
+        // real one supersedes it.
+        assert_eq!(
+            ledger.deliver(Scope::All, 3, quarantine(3, FailureKind::Rejected)),
+            Ok(Delivered::Duplicate)
+        );
+        assert!(matches!(
+            ledger.deliver(Scope::All, 3, done(3, 103)),
+            Ok(Delivered::Merged { .. })
+        ));
+        let report = ledger.finish().unwrap();
+        let kinds: Vec<(usize, FailureKind)> =
+            report.quarantined.iter().map(|q| (q.job, q.kind)).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (0, FailureKind::GaveUp),
+                (1, FailureKind::GaveUp),
+                (2, FailureKind::Rejected)
+            ]
+        );
+        assert_eq!(report.quarantined[2].attempts, 0, "rejected jobs never ran");
+        assert_eq!(steps(&report), vec![103]);
+        let saved = Checkpoint::load(&path).unwrap();
+        assert!(saved.quarantined.is_empty(), "a resume retries all three");
+        assert_eq!(saved.outcomes.len(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_death_charges_held_jobs_and_the_budget_quarantines_them() {
+        let path = scratch("crash");
+        let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path, 1), None).unwrap();
+        let cause = |job| format!("owner died holding job {job}");
+
+        assert_eq!(ledger.lease(7, Scope::All, 2, None), vec![0, 1]);
+        ledger.deliver(Scope::All, 0, done(0, 100)).unwrap();
+        // Only the job still held is charged; under the budget it requeues.
+        assert_eq!(ledger.owner_died(7, 2, cause), vec![Charge::Requeued(1)]);
+        assert!(!ledger.holds(7));
+        assert_eq!(ledger.census().pending, vec![1, 2]);
+
+        assert_eq!(ledger.lease(8, Scope::All, 1, None), vec![1]);
+        let charges = ledger.owner_died(8, 2, cause);
+        let [Charge::Quarantined(record)] = charges.as_slice() else {
+            panic!("expected a crash quarantine, got {charges:?}")
+        };
+        assert_eq!((record.job, record.kind, record.attempts), (1, FailureKind::Crash, 2));
+        assert_eq!(
+            record.chain,
+            vec!["owner died holding job 1".to_owned(), "crash budget (2) exhausted".to_owned()]
+        );
+        // Crash is a real verdict: saved at once, never handed out again.
+        assert!(Checkpoint::load(&path).unwrap().quarantined.contains_key(&1));
+        assert_eq!(ledger.lease(9, Scope::All, usize::MAX, None), vec![2]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_breaker_counts_per_domain_and_resets_on_progress() {
+        let mut ledger = JobLedger::open(&exemplars(4), &CampaignCfg::default(), None).unwrap();
+        let (even, odd) = (Scope::Shard { shard: 0, of: 2 }, Scope::Shard { shard: 1, of: 2 });
+        ledger.note_death(even, false);
+        ledger.note_death(even, false);
+        ledger.note_death(odd, false);
+        assert_eq!((ledger.instant_deaths(even), ledger.instant_deaths(odd)), (2, 1));
+        ledger.note_death(even, true);
+        assert_eq!(ledger.instant_deaths(even), 0, "a death after progress restarts the run");
+        assert_eq!(ledger.instant_deaths(Scope::All), 0, "domains are separate");
+
+        // Abandoning a domain takes its pending jobs only, and records how
+        // often each had crashed.
+        ledger.lease(1, odd, 1, None);
+        ledger.owner_died(1, 5, |_| String::new());
+        assert_eq!(ledger.abandon(odd, "shard 1 abandoned"), 2);
+        assert_eq!(ledger.census().pending, vec![0, 2]);
+        let report = ledger.finish().unwrap();
+        let attempts: Vec<(usize, u32)> =
+            report.quarantined.iter().map(|q| (q.job, q.attempts)).collect();
+        assert_eq!(attempts, vec![(1, 1), (3, 0)]);
+        assert!(report.quarantined.iter().all(|q| q.kind == FailureKind::GaveUp));
+    }
+
+    #[test]
+    fn leases_expire_by_the_injected_clock() {
+        let mut ledger = JobLedger::open(&exemplars(3), &CampaignCfg::default(), None).unwrap();
+        let t0 = Instant::now();
+        let at = |secs| t0 + Duration::from_secs(secs);
+        assert_eq!(ledger.lease(1, Scope::All, 2, Some(at(30))), vec![0, 1]);
+        assert_eq!(ledger.lease(2, Scope::All, 2, None), vec![2], "no deadline: never expires");
+        assert!(ledger.expire(at(29)).is_empty());
+        ledger.extend(1, at(60));
+        assert!(ledger.expire(at(30)).is_empty(), "the deadline moved");
+        assert_eq!(ledger.expire(at(60)), vec![(1, vec![0, 1])]);
+        assert_eq!(ledger.census().pending, vec![0, 1]);
+        assert_eq!(ledger.census().held, vec![2]);
+        // The old holder's late verdict still merges; the new holder's is
+        // then the duplicate.
+        assert_eq!(ledger.lease(3, Scope::All, 1, Some(at(90))), vec![0]);
+        assert!(matches!(ledger.deliver(Scope::All, 0, done(0, 100)), Ok(Delivered::Merged { .. })));
+        assert!(!ledger.holds(3), "the delivery emptied the new lease");
+        assert_eq!(ledger.deliver(Scope::All, 0, done(0, 999)), Ok(Delivered::Duplicate));
+    }
+
+    #[test]
+    fn hold_takes_only_pending_jobs() {
+        let mut ledger = JobLedger::open(&exemplars(3), &CampaignCfg::default(), None).unwrap();
+        ledger.deliver(Scope::All, 0, done(0, 100)).unwrap();
+        assert_eq!(ledger.lease(1, Scope::All, 1, None), vec![1]);
+        // Covered, held by someone else, outside the universe: all skipped.
+        assert_eq!(ledger.hold(2, Scope::All, &[0, 1, 2, 9], None), vec![2]);
+        assert_eq!(ledger.release(2), vec![2]);
+        assert_eq!(ledger.census().pending, vec![2]);
+    }
+
+    #[test]
+    fn the_cadence_saves_every_nth_merge_and_finish_saves_last() {
+        let saved_outcomes = |path: &Path| Checkpoint::load(path).map(|cp| cp.outcomes.len()).ok();
+        for (every, after_each) in [(1, [Some(1), Some(2), Some(3), Some(4)]), (3, [None, None, Some(3), Some(3)])] {
+            let path = scratch(&format!("cadence-{every}"));
+            let _ = std::fs::remove_file(&path);
+            let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path, every), None).unwrap();
+            for (job, expect) in after_each.into_iter().enumerate() {
+                let merged = ledger.deliver(Scope::All, job, done(job, 1)).unwrap();
+                assert_eq!(merged, Delivered::Merged { saved: (job + 1) % every == 0 });
+                assert_eq!(saved_outcomes(&path), expect, "every {every}, after job {job}");
+            }
+            ledger.finish().unwrap();
+            assert_eq!(saved_outcomes(&path), Some(4), "finish is the authoritative save");
+            let _ = std::fs::remove_file(&path);
+        }
+        // Nowhere to save: nothing is written, finish still reports.
+        let mut ledger = JobLedger::open(&exemplars(1), &CampaignCfg::default(), None).unwrap();
+        ledger.deliver(Scope::All, 0, done(0, 1)).unwrap();
+        assert_eq!(ledger.finish().unwrap().outcomes.len(), 1);
+        // A transport's merged checkpoint outranks the configured one.
+        let (own, configured) = (scratch("own"), scratch("configured"));
+        let _ = std::fs::remove_file(&configured);
+        let ledger = JobLedger::open(&exemplars(1), &saving_to(&configured, 1), Some(&own)).unwrap();
+        ledger.finish().unwrap();
+        assert!(own.exists() && !configured.exists());
+        let _ = std::fs::remove_file(&own);
+    }
+
+    #[test]
+    fn stopping_saves_at_once_and_quarantines_nothing() {
+        let path = scratch("stop");
+        let _ = std::fs::remove_file(&path);
+        let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path, 100), None).unwrap();
+        ledger.deliver(Scope::All, 0, done(0, 100)).unwrap();
+        ledger.lease(1, Scope::All, 1, None);
+        assert!(!path.exists(), "the cadence has not fired");
+        ledger.stop().unwrap();
+        assert!(ledger.stopping());
+        assert_eq!(Checkpoint::load(&path).unwrap().outcomes.len(), 1);
+        // Killing the straggler charges nothing, even at a budget of one.
+        assert_eq!(ledger.owner_died(1, 1, |_| String::new()), vec![Charge::Requeued(1)]);
+        let report = ledger.finish().unwrap();
+        assert!(report.quarantined.is_empty());
+        assert!(!Checkpoint::load(&path).unwrap().covers(1), "job 1 is retried on resume");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn restored_verdicts_merge_silently_and_are_traced_once() {
+        let (tracer, sink) = sb_obs::Tracer::memory();
+        let cfg = CampaignCfg { tracer, ..CampaignCfg::default() };
+        let mut ledger = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
+        ledger.restore(0, done(0, 100));
+        ledger.restore(0, done(0, 999));
+        ledger.restore(1, quarantine(1, FailureKind::Rejected));
+        assert_eq!(ledger.duplicates(), 0, "replay counts nothing");
+        assert_eq!(ledger.lease(0, Scope::All, usize::MAX, None), vec![2]);
+        let job_events = |sink: &sb_obs::MemorySink| {
+            sink.lines().iter().filter(|l| l.contains("\"job\"")).count()
+        };
+        cfg.tracer.flush();
+        assert_eq!(job_events(&sink), 0);
+        ledger.trace_restored();
+        cfg.tracer.flush();
+        assert_eq!(job_events(&sink), 2);
+        assert_eq!(steps(&ledger.finish().unwrap()), vec![100]);
+    }
+}

@@ -25,7 +25,10 @@
 //! deterministic reseeds ([`retry`]), quarantined when permanent, and
 //! periodically checkpointed for kill/resume ([`checkpoint`]); [`fault`]
 //! provides deterministic fault injection for testing that machinery.
-//! [`supervise`] extends the same guarantees across *process* boundaries:
+//! The job lifecycle — resume, lease, merge, crash budget, breaker,
+//! checkpoint cadence, report — is one state machine ([`ledger`]) driven
+//! by three transports: scoped threads ([`campaign`]), and
+//! [`supervise`], which extends the same guarantees across *process* boundaries:
 //! the campaign can run as a supervised pool of worker processes speaking
 //! the [`protocol`] wire format, surviving aborts, OOM kills, and wedged
 //! workers that in-process catch-unwind cannot. [`fleet`] extends them
@@ -60,9 +63,11 @@ pub mod error;
 pub mod fault;
 pub mod fleet;
 pub mod journal;
+pub mod ledger;
 pub mod metrics;
 pub mod multi;
 pub mod pmc;
+mod pool;
 pub mod profile;
 pub mod protocol;
 pub mod retry;
@@ -92,6 +97,7 @@ pub use fleet::{
     config_fingerprint, run_coordinator, run_join, FleetCfg, FleetWork, JoinCfg, JoinSummary,
 };
 pub use journal::{FrameLog, Journal, JournalRecord};
+pub use ledger::JobLedger;
 pub use metrics::{FleetStats, StoreStats, SuperviseStats};
 pub use pmc::{identify_sharded, IdentifyOpts, JoinReport, JoinState, Pmc, PmcId, PmcSet};
 pub use profile::{SeqProfile, SharedAccessFilter};

@@ -291,6 +291,9 @@ pub struct SuperviseStats {
     pub heartbeat_misses: u64,
     /// Shards abandoned by the crash-loop circuit breaker.
     pub shards_abandoned: u64,
+    /// Results dropped because their job already had a verdict (a respawned
+    /// shard re-delivering a covered job).
+    pub duplicate_results: u64,
     /// True when the run ended early because the stop file appeared.
     pub stopped: bool,
 }

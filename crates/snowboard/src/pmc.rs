@@ -180,7 +180,7 @@ pub struct IdentifyOpts {
     /// Address-range shards the write index is partitioned into; 1 runs the
     /// join inline on the calling thread.
     pub shards: usize,
-    /// Worker threads the shard jobs fan out across (via `sb_queue`).
+    /// Worker threads the shard jobs fan out across (scoped threads).
     pub workers: usize,
 }
 
@@ -405,11 +405,11 @@ impl JoinState {
         // interval; within a shard, matches come out read-major and
         // address-minor, exactly like the reference scan restricted to that
         // interval.
-        let shard_matches: Vec<Vec<(u32, Rec)>> = sb_queue::run_jobs(
-            bounds,
+        let shard_matches: Vec<Vec<(u32, Rec)>> = crate::pool::map_jobs(
+            &bounds,
             opts.workers,
             || (),
-            |(), (shard_lo, shard_hi)| {
+            |(), &(shard_lo, shard_hi)| {
                 let mut out: Vec<(u32, Rec)> = Vec::new();
                 for idx in range.clone() {
                     let r = reads[idx];

@@ -115,8 +115,8 @@ pub fn profile_one_counted(
     )
 }
 
-/// Profiles an explicit job list, fanning out across `workers` executors via
-/// the work queue. Unlike [`profile_corpus`] the result keeps failed tests as
+/// Profiles an explicit job list, fanning out across `workers` executors (one
+/// scoped thread each). Unlike [`profile_corpus`] the result keeps failed tests as
 /// `(test, None)` — callers that cache profiles need the negative outcome —
 /// and is in job order.
 pub fn profile_jobs(
@@ -137,13 +137,13 @@ pub fn profile_jobs_traced(
     tracer: &Tracer,
 ) -> Vec<(u32, Option<SeqProfile>)> {
     let filter = SharedAccessFilter::new();
-    let out: Vec<(u32, Option<SeqProfile>, u64)> = sb_queue::run_jobs(
-        jobs,
+    let out: Vec<(u32, Option<SeqProfile>, u64)> = crate::pool::map_jobs(
+        &jobs,
         workers,
         || Executor::new(1),
         |exec, (i, prog)| {
-            let (p, total) = profile_one_counted(exec, booted, i, &prog, &filter);
-            (i, p, total)
+            let (p, total) = profile_one_counted(exec, booted, *i, prog, &filter);
+            (*i, p, total)
         },
     );
     let (mut ok, mut failed, mut kept) = (0u64, 0u64, 0u64);
@@ -165,8 +165,8 @@ pub fn profile_jobs_traced(
     out.into_iter().map(|(i, p, _)| (i, p)).collect()
 }
 
-/// Profiles a whole corpus, fanning out across `workers` executors via the
-/// work queue (the paper profiles on one big machine; we parallelize the
+/// Profiles a whole corpus, fanning out across `workers` executors (the
+/// paper profiles on one big machine; we parallelize the
 /// same way its later stages do).
 pub fn profile_corpus(booted: &BootedKernel, corpus: &[Program], workers: usize) -> Vec<SeqProfile> {
     profile_corpus_traced(booted, corpus, workers, &Tracer::disabled())

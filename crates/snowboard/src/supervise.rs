@@ -7,26 +7,28 @@
 //! re-execs itself as N worker children, each running the deterministic
 //! shard `job % N == shard` of the budgeted job list and streaming
 //! [`WorkerMsg`] JSONL over stdout. The supervisor ([`run_supervised`])
-//! merges results into the same job-indexed [`Checkpoint`] maps the
-//! single-process campaign uses, so a clean supervised run aggregates
-//! **bit-identically** to `run_campaign` over the same exemplars.
+//! feeds what they report into the same [`JobLedger`] the single-process
+//! campaign drives, so a clean supervised run aggregates **bit-identically**
+//! to `run_campaign` over the same exemplars.
 //!
-//! Robustness machinery, all deterministic given the same worker behaviour:
+//! The lifecycle rules (merge, crash budget, breaker, checkpoint cadence)
+//! are the ledger's; this module is the transport:
 //!
 //! * **Heartbeats** — a worker that sends nothing (not even a heartbeat)
 //!   for longer than [`SuperviseCfg::heartbeat_timeout`] is presumed wedged,
 //!   killed, and handled as a crash.
-//! * **Crash attribution** — the `start` message names the in-flight job;
-//!   a death before its `done`/`quarantine` charges exactly that job. After
-//!   [`SuperviseCfg::crash_budget`] charges the job is quarantined with
-//!   [`FailureKind::Crash`] and never retried.
+//! * **Crash attribution** — the `start` message marks the job held by its
+//!   shard; a death before its `done`/`quarantine` charges exactly that
+//!   job against [`SuperviseCfg::crash_budget`].
+//! * **Protocol violations** — a line that fails validation, or a result
+//!   for a job outside the worker's shard, gets the worker killed and its
+//!   death handled as a crash.
 //! * **Restart backoff** — respawns wait `base * 2^(n-1)` clamped to
 //!   `backoff_max`, plus a deterministic splitmix64 jitter derived from
 //!   `(campaign seed, shard, respawn count)` — no wall-clock entropy.
-//! * **Circuit breaker** — [`SuperviseCfg::max_instant_deaths`] consecutive
-//!   deaths with zero completed jobs abandon the shard: its remaining jobs
-//!   are reported with [`FailureKind::GaveUp`] (reported but *not*
-//!   checkpointed, so a resumed campaign retries them).
+//! * **Circuit breaker** — the breaker domain is the shard:
+//!   [`SuperviseCfg::max_instant_deaths`] consecutive deaths with zero
+//!   completed jobs abandon what is left of it.
 //! * **Graceful shutdown** — when [`SuperviseCfg::stop_file`] appears, the
 //!   checkpoint is flushed immediately, workers get one heartbeat interval
 //!   to exit on their own stop-file poll, stragglers are killed, and
@@ -34,7 +36,6 @@
 //! * **No orphans** — every child is held by a kill-on-drop guard; even a
 //!   supervisor panic reaps the pool and flushes the checkpoint first.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -47,13 +48,10 @@ use sb_kernel::{BootedKernel, Program};
 use sb_vmm::Executor;
 
 use crate::campaign::{
-    aggregate, load_or_begin_checkpoint, run_one_job, trace_job_verdict,
-    trace_restored_verdicts, CampaignCfg, CampaignReport, IncidentalIndex, JobVerdict,
-    QuarantineRecord,
+    CampaignCfg, CampaignReport, IncidentalIndex, JobEnv, JobVerdict, RemoteJobs,
 };
-use crate::checkpoint::Checkpoint;
-use crate::error::{Error, FailureKind, SbResult};
-use crate::fault::FaultPlan;
+use crate::error::{Error, SbResult};
+use crate::ledger::{JobLedger, Scope};
 use crate::metrics::SuperviseStats;
 use crate::pmc::{PmcId, PmcSet};
 use crate::protocol::WorkerMsg;
@@ -74,7 +72,7 @@ pub struct SuperviseCfg {
     /// Ceiling on the exponential respawn delay (before jitter).
     pub backoff_max: Duration,
     /// Worker deaths charged to one job before it is quarantined as
-    /// [`FailureKind::Crash`].
+    /// [`crate::error::FailureKind::Crash`].
     pub crash_budget: u32,
     /// Consecutive zero-completion deaths before a shard is abandoned.
     pub max_instant_deaths: u32,
@@ -99,16 +97,6 @@ impl Default for SuperviseCfg {
             checkpoint: std::env::temp_dir().join("sb-supervise.json"),
         }
     }
-}
-
-/// The jobs of one shard, as `(job index, PMC id)` in campaign order.
-pub fn shard_jobs(budgeted: &[PmcId], shard: usize, of: usize) -> Vec<(usize, PmcId)> {
-    budgeted
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(job, _)| job % of == shard)
-        .collect()
 }
 
 /// Respawn delay before respawn `n` (1-based) of `shard`: exponential
@@ -178,16 +166,14 @@ enum Phase {
 }
 
 struct ShardState {
-    /// All jobs of this shard (including already-covered ones).
-    jobs: Vec<(usize, PmcId)>,
+    /// The shard's jobs; its index doubles as its ledger owner id.
+    scope: Scope,
     phase: Phase,
     guard: Option<ChildGuard>,
     /// Spawn generation; messages from dead readers are discarded by it.
     gen: u64,
     last_msg: Instant,
-    in_flight: Option<usize>,
     completed_since_spawn: u64,
-    instant_deaths: u32,
     respawns: u64,
     said_bye: Option<bool>,
     hb_killed: bool,
@@ -195,11 +181,13 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn remaining(&self, cp: &Checkpoint, extra: &BTreeMap<usize, QuarantineRecord>) -> usize {
-        self.jobs
-            .iter()
-            .filter(|(job, _)| !cp.covers(*job) && !extra.contains_key(job))
-            .count()
+    /// A worker speaking garbage is as untrustworthy as a dead one: kill
+    /// it and let the Eof path handle the crash.
+    fn violation(&mut self, detail: String) {
+        self.proto_error = Some(detail);
+        if let Some(guard) = &mut self.guard {
+            guard.kill();
+        }
     }
 }
 
@@ -216,426 +204,340 @@ pub fn run_supervised(
     exemplars: &[PmcId],
     cfg: &CampaignCfg,
     scfg: &SuperviseCfg,
-    spawn: impl FnMut(usize) -> Command,
+    mut spawn: impl FnMut(usize) -> Command,
 ) -> SbResult<CampaignReport> {
     if scfg.workers == 0 {
         return Err(Error::Supervise {
             detail: "supervised campaign needs at least one worker".into(),
         });
     }
-    let budgeted: Vec<PmcId> = exemplars
-        .iter()
-        .copied()
-        .take(cfg.max_tested_pmcs)
-        .collect();
-    let mut cp = load_or_begin_checkpoint(cfg, &budgeted)?;
-    trace_restored_verdicts(&cfg.tracer, &cp);
-    let mut extra: BTreeMap<usize, QuarantineRecord> = BTreeMap::new();
-    let mut stats = SuperviseStats {
-        workers: scfg.workers as u64,
-        ..SuperviseStats::default()
-    };
-    let mut spawn = spawn;
+    let mut ledger = JobLedger::open(exemplars, cfg, Some(&scfg.checkpoint))?;
+    ledger.trace_restored();
     let _span = cfg.tracer.span("campaign");
-    // The flush guard for satellite 2's supervisor side: a supervisor bug
-    // must not cost completed work, so the checkpoint is persisted before
-    // the panic propagates. Children are reaped by their ChildGuards as the
-    // loop's state unwinds.
-    let looped = catch_unwind(AssertUnwindSafe(|| {
-        supervise_loop(&budgeted, cfg, scfg, &mut cp, &mut extra, &mut stats, &mut spawn)
-    }));
+    let (tx, rx) = mpsc::channel();
+    let mut sup = Supervisor {
+        cfg,
+        scfg,
+        ledger: &mut ledger,
+        stats: SuperviseStats {
+            workers: scfg.workers as u64,
+            ..SuperviseStats::default()
+        },
+        spawn: &mut spawn,
+        tx,
+    };
+    // A supervisor bug must not cost completed work: the checkpoint is
+    // persisted before the panic propagates. Children are reaped by their
+    // ChildGuards as the loop's state unwinds.
+    let looped = catch_unwind(AssertUnwindSafe(|| sup.run(&rx)));
+    let mut stats = sup.stats;
     match looped {
         Ok(r) => r?,
         Err(payload) => {
-            let _ = cp.save(&scfg.checkpoint);
+            let _ = ledger.save();
             std::panic::resume_unwind(payload);
         }
     }
-    cp.save(&scfg.checkpoint)?;
-
-    let mut quarantined = cp.quarantined.clone();
-    for (job, q) in extra {
-        quarantined.entry(job).or_insert(q);
-    }
-    let outcomes = cp.outcomes.values().cloned().collect();
-    let mut report = aggregate(outcomes);
-    report.quarantined = quarantined.into_values().collect();
+    stats.duplicate_results = ledger.duplicates();
+    let mut report = ledger.finish()?;
     report.supervise = Some(stats);
     Ok(report)
 }
 
-#[allow(clippy::too_many_lines)]
-fn supervise_loop(
-    budgeted: &[PmcId],
-    cfg: &CampaignCfg,
-    scfg: &SuperviseCfg,
-    cp: &mut Checkpoint,
-    extra: &mut BTreeMap<usize, QuarantineRecord>,
-    stats: &mut SuperviseStats,
-    spawn: &mut dyn FnMut(usize) -> Command,
-) -> SbResult<()> {
-    let tracer = &cfg.tracer;
-    let every = cfg.checkpoint.as_ref().map_or(1, |c| c.every.max(1));
-    let (tx, rx) = mpsc::channel::<(usize, u64, Note)>();
-    let mut shards: Vec<ShardState> = (0..scfg.workers)
-        .map(|s| ShardState {
-            jobs: shard_jobs(budgeted, s, scfg.workers),
-            phase: Phase::Done,
-            guard: None,
-            gen: 0,
-            last_msg: Instant::now(),
-            in_flight: None,
-            completed_since_spawn: 0,
-            instant_deaths: 0,
-            respawns: 0,
-            said_bye: None,
-            hb_killed: false,
-            proto_error: None,
-        })
-        .collect();
-    let mut crash_counts: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut results_seen = 0usize;
-    let mut stopping = false;
-    let mut stop_deadline = Instant::now();
-    let mut stragglers_killed = false;
+/// The supervisor's loop state, minus the per-shard table (kept apart so a
+/// shard and the supervisor can be borrowed together).
+struct Supervisor<'a> {
+    cfg: &'a CampaignCfg,
+    scfg: &'a SuperviseCfg,
+    ledger: &'a mut JobLedger,
+    stats: SuperviseStats,
+    spawn: &'a mut dyn FnMut(usize) -> Command,
+    tx: mpsc::Sender<(usize, u64, Note)>,
+}
 
-    // Initial spawns: only shards with uncovered work.
-    for (shard, state) in shards.iter_mut().enumerate() {
-        if state.remaining(cp, extra) > 0 {
-            spawn_shard(shard, state, cfg, scfg, cp, stats, spawn, &tx)?;
-        }
-    }
+impl Supervisor<'_> {
+    fn run(&mut self, rx: &mpsc::Receiver<(usize, u64, Note)>) -> SbResult<()> {
+        let (tracer, scfg) = (&self.cfg.tracer, self.scfg);
+        let mut shards: Vec<ShardState> = (0..scfg.workers)
+            .map(|shard| ShardState {
+                scope: Scope::Shard { shard, of: scfg.workers },
+                phase: Phase::Done,
+                guard: None,
+                gen: 0,
+                last_msg: Instant::now(),
+                completed_since_spawn: 0,
+                respawns: 0,
+                said_bye: None,
+                hb_killed: false,
+                proto_error: None,
+            })
+            .collect();
+        let mut stop_deadline = Instant::now();
+        let mut stragglers_killed = false;
 
-    loop {
-        let now = Instant::now();
-
-        // Graceful shutdown: flush the checkpoint the moment the stop file
-        // appears, then give workers one heartbeat interval to notice it
-        // themselves before killing stragglers.
-        if !stopping && scfg.stop_file.as_deref().is_some_and(Path::exists) {
-            stopping = true;
-            stats.stopped = true;
-            stop_deadline = now + scfg.heartbeat_timeout;
-            cp.save(&scfg.checkpoint)?;
-        }
-        if stopping && now >= stop_deadline && !stragglers_killed {
-            stragglers_killed = true;
-            for state in &mut shards {
-                if let Some(guard) = &mut state.guard {
-                    guard.kill();
-                }
+        // Initial spawns: only shards with uncovered work.
+        for (shard, state) in shards.iter_mut().enumerate() {
+            if self.ledger.pending(state.scope) > 0 {
+                self.spawn_shard(shard, state)?;
             }
         }
 
-        for (shard, state) in shards.iter_mut().enumerate() {
-            match state.phase {
-                Phase::Backoff(_) if stopping => state.phase = Phase::Done,
-                Phase::Backoff(at) if now >= at => {
-                    spawn_shard(shard, state, cfg, scfg, cp, stats, spawn, &tx)?;
-                }
-                Phase::Running
-                    if !state.hb_killed
-                        && now.duration_since(state.last_msg) > scfg.heartbeat_timeout =>
-                {
-                    state.hb_killed = true;
-                    stats.heartbeat_misses += 1;
-                    tracer.count(sb_obs::keys::SUPERVISE_HEARTBEAT_MISSES, 1);
-                    tracer.emit(&sb_obs::Event::Worker {
-                        t: tracer.now_us(),
-                        worker: shard as u64,
-                        action: "heartbeat-miss".into(),
-                        detail: format!(
-                            "silent for {:.1}s",
-                            now.duration_since(state.last_msg).as_secs_f64()
-                        ),
-                    });
+        loop {
+            let now = Instant::now();
+
+            // Graceful shutdown: flush the checkpoint the moment the stop
+            // file appears, then give workers one heartbeat interval to
+            // notice it themselves before killing stragglers.
+            if !self.ledger.stopping() && scfg.stop_file.as_deref().is_some_and(Path::exists) {
+                self.stats.stopped = true;
+                stop_deadline = now + scfg.heartbeat_timeout;
+                self.ledger.stop()?;
+            }
+            let stopping = self.ledger.stopping();
+            if stopping && now >= stop_deadline && !stragglers_killed {
+                stragglers_killed = true;
+                for state in &mut shards {
                     if let Some(guard) = &mut state.guard {
                         guard.kill();
                     }
                 }
-                _ => {}
             }
-        }
 
-        if shards.iter().all(|s| s.phase == Phase::Done) {
-            return Ok(());
-        }
+            for (shard, state) in shards.iter_mut().enumerate() {
+                match state.phase {
+                    Phase::Backoff(_) if stopping => state.phase = Phase::Done,
+                    Phase::Backoff(at) if now >= at => self.spawn_shard(shard, state)?,
+                    Phase::Running
+                        if !state.hb_killed
+                            && now.duration_since(state.last_msg) > scfg.heartbeat_timeout =>
+                    {
+                        state.hb_killed = true;
+                        self.stats.heartbeat_misses += 1;
+                        tracer.count(sb_obs::keys::SUPERVISE_HEARTBEAT_MISSES, 1);
+                        tracer.emit(&sb_obs::Event::Worker {
+                            t: tracer.now_us(),
+                            worker: shard as u64,
+                            action: "heartbeat-miss".into(),
+                            detail: format!(
+                                "silent for {:.1}s",
+                                now.duration_since(state.last_msg).as_secs_f64()
+                            ),
+                        });
+                        if let Some(guard) = &mut state.guard {
+                            guard.kill();
+                        }
+                    }
+                    _ => {}
+                }
+            }
 
-        let (shard, gen, note) = match rx.recv_timeout(scfg.poll) {
-            Ok(item) => item,
-            Err(_) => continue,
-        };
-        let state = &mut shards[shard];
-        if gen != state.gen {
-            continue; // stale message from a reaped incarnation
-        }
-        state.last_msg = Instant::now();
-        match note {
-            Note::Msg(WorkerMsg::Hello { .. } | WorkerMsg::Heartbeat) => {}
-            Note::Msg(WorkerMsg::Start { job }) => {
-                state.in_flight = Some(job);
+            if shards.iter().all(|s| s.phase == Phase::Done) {
+                return Ok(());
             }
-            Note::Msg(WorkerMsg::Done { job, outcome }) => {
-                let verdict = JobVerdict::Completed(outcome.clone());
-                trace_job_verdict(tracer, job, &verdict);
-                crate::chaos::attribute_verdict(tracer, &cfg.fault_plan, job, &verdict);
-                cp.outcomes.insert(job, outcome);
-                if state.in_flight == Some(job) {
-                    state.in_flight = None;
-                }
-                state.completed_since_spawn += 1;
-                results_seen += 1;
-                if results_seen.is_multiple_of(every) {
-                    let _ = cp.save(&scfg.checkpoint);
-                }
+
+            let (shard, gen, note) = match rx.recv_timeout(scfg.poll) {
+                Ok(item) => item,
+                Err(_) => continue,
+            };
+            let state = &mut shards[shard];
+            if gen != state.gen {
+                continue; // stale message from a reaped incarnation
             }
-            Note::Msg(WorkerMsg::Quarantine { record }) => {
-                let job = record.job;
-                let verdict = JobVerdict::Quarantined(record.clone());
-                trace_job_verdict(tracer, job, &verdict);
-                crate::chaos::attribute_verdict(tracer, &cfg.fault_plan, job, &verdict);
-                if record.kind != FailureKind::Rejected {
-                    cp.quarantined.insert(job, record);
+            state.last_msg = Instant::now();
+            match note {
+                // Nothing a violator says after its violation counts.
+                Note::Msg(_) if state.proto_error.is_some() => {}
+                Note::Msg(WorkerMsg::Hello { .. } | WorkerMsg::Heartbeat) => {}
+                Note::Msg(WorkerMsg::Start { job }) => {
+                    self.ledger.hold(shard as u64, state.scope, &[job], None);
                 }
-                if state.in_flight == Some(job) {
-                    state.in_flight = None;
+                Note::Msg(WorkerMsg::Done { job, outcome }) => {
+                    self.result(state, job, JobVerdict::Completed(outcome));
                 }
-                state.completed_since_spawn += 1;
-                results_seen += 1;
-                if results_seen.is_multiple_of(every) {
-                    let _ = cp.save(&scfg.checkpoint);
+                Note::Msg(WorkerMsg::Quarantine { record }) => {
+                    self.result(state, record.job, JobVerdict::Quarantined(record));
                 }
-            }
-            Note::Msg(WorkerMsg::Bye { stopped, .. }) => {
-                state.said_bye = Some(stopped);
-            }
-            Note::Bad(e) => {
-                // A worker speaking garbage is as untrustworthy as a dead
-                // one: kill it and let the Eof path handle the crash.
-                state.proto_error = Some(e);
-                if let Some(guard) = &mut state.guard {
-                    guard.kill();
+                Note::Msg(WorkerMsg::Bye { stopped, .. }) => {
+                    state.said_bye = Some(stopped);
                 }
-            }
-            Note::Eof => {
-                let status = state.guard.take().and_then(|mut g| g.reap());
-                handle_exit(
-                    shard, state, status, cfg, scfg, cp, extra, stats, &mut crash_counts, stopping,
-                );
+                Note::Bad(e) => state.violation(e),
+                Note::Eof => {
+                    let status = state.guard.take().and_then(|mut g| g.reap());
+                    self.handle_exit(shard, state, status);
+                }
             }
         }
     }
-}
 
-/// Saves the merged checkpoint, spawns one worker process for `shard`, and
-/// starts its stdout reader thread.
-#[allow(clippy::too_many_arguments)]
-fn spawn_shard(
-    shard: usize,
-    state: &mut ShardState,
-    cfg: &CampaignCfg,
-    scfg: &SuperviseCfg,
-    cp: &mut Checkpoint,
-    stats: &mut SuperviseStats,
-    spawn: &mut dyn FnMut(usize) -> Command,
-    tx: &mpsc::Sender<(usize, u64, Note)>,
-) -> SbResult<()> {
-    let tracer = &cfg.tracer;
-    // Persist merged progress first: the child resumes from this file and
-    // skips everything already covered.
-    cp.save(&scfg.checkpoint)?;
-    let mut command = spawn(shard);
-    command.stdout(Stdio::piped()).stdin(Stdio::null());
-    let mut child = command.spawn().map_err(|e| Error::Supervise {
-        detail: format!("failed to spawn worker {shard}: {e}"),
-    })?;
-    let stdout = child.stdout.take().expect("stdout was piped");
-    state.gen += 1;
-    let gen = state.gen;
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        for line in BufReader::new(stdout).lines() {
-            let note = match line {
-                Ok(l) => match WorkerMsg::parse_line(&l) {
-                    Ok(msg) => Note::Msg(msg),
-                    Err(e) => Note::Bad(format!("{e} (line: {l:?})")),
-                },
-                Err(e) => Note::Bad(format!("stdout read error: {e}")),
-            };
-            let fatal = matches!(note, Note::Bad(_));
-            if tx.send((shard, gen, note)).is_err() || fatal {
-                break;
+    /// One reported verdict: the ledger merges it, or rejects a job the
+    /// shard has no business reporting on.
+    fn result(&mut self, state: &mut ShardState, job: usize, verdict: JobVerdict) {
+        match self.ledger.deliver(state.scope, job, verdict) {
+            Ok(_) => state.completed_since_spawn += 1,
+            Err(e) => state.violation(e.to_string()),
+        }
+    }
+
+    /// Saves the merged checkpoint, spawns one worker process for `shard`,
+    /// and starts its stdout reader thread.
+    fn spawn_shard(&mut self, shard: usize, state: &mut ShardState) -> SbResult<()> {
+        let tracer = &self.cfg.tracer;
+        // Persist merged progress first: the child resumes from this file
+        // and skips everything already covered.
+        self.ledger.save()?;
+        let mut command = (self.spawn)(shard);
+        command.stdout(Stdio::piped()).stdin(Stdio::null());
+        let mut child = command.spawn().map_err(|e| Error::Supervise {
+            detail: format!("failed to spawn worker {shard}: {e}"),
+        })?;
+        let stdout = child.stdout.take().expect("stdout was piped");
+        state.gen += 1;
+        let gen = state.gen;
+        let tx = self.tx.clone();
+        std::thread::spawn(move || {
+            for line in BufReader::new(stdout).lines() {
+                let note = match line {
+                    Ok(l) => match WorkerMsg::parse_line(&l) {
+                        Ok(msg) => Note::Msg(msg),
+                        Err(e) => Note::Bad(format!("{e} (line: {l:?})")),
+                    },
+                    Err(e) => Note::Bad(format!("stdout read error: {e}")),
+                };
+                let fatal = matches!(note, Note::Bad(_));
+                if tx.send((shard, gen, note)).is_err() || fatal {
+                    break;
+                }
             }
-        }
-        let _ = tx.send((shard, gen, Note::Eof));
-    });
-    state.guard = Some(ChildGuard::new(child));
-    state.phase = Phase::Running;
-    state.last_msg = Instant::now();
-    state.in_flight = None;
-    state.completed_since_spawn = 0;
-    state.said_bye = None;
-    state.hb_killed = false;
-    state.proto_error = None;
-    let (action, detail) = if state.respawns == 0 {
-        stats.spawns += 1;
-        tracer.count(sb_obs::keys::SUPERVISE_SPAWNS, 1);
-        ("spawn", format!("shard {shard}/{}", scfg.workers))
-    } else {
-        stats.respawns += 1;
-        tracer.count(sb_obs::keys::SUPERVISE_RESPAWNS, 1);
-        ("restart", format!("respawn #{}", state.respawns))
-    };
-    tracer.emit(&sb_obs::Event::Worker {
-        t: tracer.now_us(),
-        worker: shard as u64,
-        action: action.into(),
-        detail,
-    });
-    Ok(())
-}
+            let _ = tx.send((shard, gen, Note::Eof));
+        });
+        state.guard = Some(ChildGuard::new(child));
+        state.phase = Phase::Running;
+        state.last_msg = Instant::now();
+        state.completed_since_spawn = 0;
+        state.said_bye = None;
+        state.hb_killed = false;
+        state.proto_error = None;
+        let (action, detail) = if state.respawns == 0 {
+            self.stats.spawns += 1;
+            tracer.count(sb_obs::keys::SUPERVISE_SPAWNS, 1);
+            ("spawn", format!("shard {shard}/{}", self.scfg.workers))
+        } else {
+            self.stats.respawns += 1;
+            tracer.count(sb_obs::keys::SUPERVISE_RESPAWNS, 1);
+            ("restart", format!("respawn #{}", state.respawns))
+        };
+        tracer.emit(&sb_obs::Event::Worker {
+            t: tracer.now_us(),
+            worker: shard as u64,
+            action: action.into(),
+            detail,
+        });
+        Ok(())
+    }
 
-/// Classifies one worker death and decides the shard's next phase.
-#[allow(clippy::too_many_arguments)]
-fn handle_exit(
-    shard: usize,
-    state: &mut ShardState,
-    status: Option<ExitStatus>,
-    cfg: &CampaignCfg,
-    scfg: &SuperviseCfg,
-    cp: &mut Checkpoint,
-    extra: &mut BTreeMap<usize, QuarantineRecord>,
-    stats: &mut SuperviseStats,
-    crash_counts: &mut BTreeMap<usize, u32>,
-    stopping: bool,
-) {
-    let tracer = &cfg.tracer;
-    let status_str = status.map_or_else(|| "unknown".to_owned(), |s| s.to_string());
-    let clean = state.said_bye.is_some()
-        && status.is_some_and(|s| s.success())
-        && state.proto_error.is_none()
-        && !state.hb_killed;
-    let detail = if clean {
-        match state.said_bye {
-            Some(true) => "clean (stop file)".to_owned(),
-            _ => "clean".to_owned(),
-        }
-    } else if let Some(e) = &state.proto_error {
-        format!("protocol violation: {e}")
-    } else if state.hb_killed {
-        format!("killed after heartbeat timeout ({status_str})")
-    } else {
-        format!("crashed ({status_str})")
-    };
-    tracer.emit(&sb_obs::Event::Worker {
-        t: tracer.now_us(),
-        worker: shard as u64,
-        action: "exit".into(),
-        detail: detail.clone(),
-    });
-
-    if clean {
-        // A worker that said bye without stopping but left work uncovered
-        // disagrees with the supervisor about its shard; respawning is the
-        // safe reconciliation (the child recomputes pending from the
-        // freshly saved checkpoint).
-        if !stopping && state.said_bye == Some(false) && state.remaining(cp, extra) > 0 {
+    /// Classifies one worker death, reports it to the ledger, and decides
+    /// the shard's next phase.
+    fn handle_exit(&mut self, shard: usize, state: &mut ShardState, status: Option<ExitStatus>) {
+        let (cfg, scfg) = (self.cfg, self.scfg);
+        let tracer = &cfg.tracer;
+        let owner = shard as u64;
+        let stopping = self.ledger.stopping();
+        let status_str = status.map_or_else(|| "unknown".to_owned(), |s| s.to_string());
+        let clean = state.said_bye.is_some()
+            && status.is_some_and(|s| s.success())
+            && state.proto_error.is_none()
+            && !state.hb_killed;
+        let detail = if clean {
+            match state.said_bye {
+                Some(true) => "clean (stop file)".to_owned(),
+                _ => "clean".to_owned(),
+            }
+        } else if let Some(e) = &state.proto_error {
+            format!("protocol violation: {e}")
+        } else if state.hb_killed {
+            format!("killed after heartbeat timeout ({status_str})")
+        } else {
+            format!("crashed ({status_str})")
+        };
+        tracer.emit(&sb_obs::Event::Worker {
+            t: tracer.now_us(),
+            worker: shard as u64,
+            action: "exit".into(),
+            detail: detail.clone(),
+        });
+        let respawn = |state: &mut ShardState| {
             state.respawns += 1;
             state.phase = Phase::Backoff(
                 Instant::now() + respawn_backoff(scfg, cfg.seed, shard, state.respawns),
             );
-        } else {
-            state.phase = Phase::Done;
-        }
-        return;
-    }
-
-    stats.crashes += 1;
-    tracer.count(sb_obs::keys::SUPERVISE_CRASHES, 1);
-    if let Some(job) = state.in_flight.take() {
-        // Attribute scripted process faults: the worker printed the ledger
-        // line before dying; the supervisor owns the trace counters. A
-        // stall surfaces as a heartbeat kill, abort/exit as a plain crash.
-        let site = if state.hb_killed && cfg.fault_plan.should_stall(job) {
-            Some("proc.stall")
-        } else if cfg.fault_plan.should_abort(job) {
-            Some("proc.abort")
-        } else if cfg.fault_plan.exit_code(job).is_some() {
-            Some("proc.exit")
-        } else {
-            None
         };
-        if let Some(site) = site {
-            crate::chaos::count_fired(tracer, site, 1);
-        }
-        let count = crash_counts.entry(job).or_insert(0);
-        *count += 1;
-        if *count >= scfg.crash_budget && !cp.covers(job) {
-            let record = QuarantineRecord {
-                job,
-                pmc: state.jobs.iter().find(|(j, _)| *j == job).map(|(_, id)| *id),
-                attempts: *count,
-                kind: FailureKind::Crash,
-                chain: vec![
-                    format!("worker process died while job {job} was in flight: {detail}"),
-                    format!("crash budget ({}) exhausted", scfg.crash_budget),
-                ],
-            };
-            trace_job_verdict(tracer, job, &JobVerdict::Quarantined(record.clone()));
-            cp.quarantined.insert(job, record);
-            let _ = cp.save(&scfg.checkpoint);
-        }
-    }
-    if state.completed_since_spawn == 0 {
-        state.instant_deaths += 1;
-    } else {
-        state.instant_deaths = 0;
-    }
 
-    let remaining: Vec<(usize, PmcId)> = state
-        .jobs
-        .iter()
-        .copied()
-        .filter(|(job, _)| !cp.covers(*job) && !extra.contains_key(job))
-        .collect();
-    if stopping || remaining.is_empty() {
-        state.phase = Phase::Done;
-    } else if state.instant_deaths >= scfg.max_instant_deaths {
-        // Crash-loop circuit breaker: whatever is left of this shard is not
-        // going to run. Report (but do not checkpoint) every remaining job,
-        // so a resumed campaign retries them.
-        tracer.emit(&sb_obs::Event::Worker {
-            t: tracer.now_us(),
-            worker: shard as u64,
-            action: "give-up".into(),
-            detail: format!(
-                "{} consecutive instant deaths; abandoning {} job(s)",
-                state.instant_deaths,
-                remaining.len()
-            ),
-        });
-        tracer.count(sb_obs::keys::SUPERVISE_GAVE_UP, 1);
-        stats.shards_abandoned += 1;
-        for (job, id) in remaining {
-            let record = QuarantineRecord {
-                job,
-                pmc: Some(id),
-                attempts: crash_counts.get(&job).copied().unwrap_or(0),
-                kind: FailureKind::GaveUp,
-                chain: vec![format!(
-                    "shard {shard} abandoned after {} consecutive instant worker deaths (last: {detail})",
-                    state.instant_deaths
-                )],
-            };
-            trace_job_verdict(tracer, job, &JobVerdict::Quarantined(record.clone()));
-            extra.insert(job, record);
+        if clean {
+            self.ledger.release(owner);
+            // A worker that said bye without stopping but left work
+            // uncovered disagrees with the supervisor about its shard;
+            // respawning is the safe reconciliation (the child recomputes
+            // pending from the freshly saved checkpoint).
+            if !stopping && state.said_bye == Some(false) && self.ledger.pending(state.scope) > 0 {
+                respawn(state);
+            } else {
+                state.phase = Phase::Done;
+            }
+            return;
         }
-        state.phase = Phase::Done;
-    } else {
-        state.respawns += 1;
-        state.phase = Phase::Backoff(
-            Instant::now() + respawn_backoff(scfg, cfg.seed, shard, state.respawns),
-        );
+
+        self.stats.crashes += 1;
+        tracer.count(sb_obs::keys::SUPERVISE_CRASHES, 1);
+        for job in self.ledger.held_by(owner) {
+            // Attribute scripted process faults: the worker printed the
+            // ledger line before dying; the supervisor owns the trace
+            // counters. A stall surfaces as a heartbeat kill, abort/exit
+            // as a plain crash.
+            let site = if state.hb_killed && cfg.fault_plan.should_stall(job) {
+                Some("proc.stall")
+            } else if cfg.fault_plan.should_abort(job) {
+                Some("proc.abort")
+            } else if cfg.fault_plan.exit_code(job).is_some() {
+                Some("proc.exit")
+            } else {
+                None
+            };
+            if let Some(site) = site {
+                crate::chaos::count_fired(tracer, site, 1);
+            }
+        }
+        self.ledger.owner_died(owner, scfg.crash_budget, |job| {
+            format!("worker process died while job {job} was in flight: {detail}")
+        });
+        self.ledger.note_death(state.scope, state.completed_since_spawn > 0);
+
+        let remaining = self.ledger.pending(state.scope);
+        let instant_deaths = self.ledger.instant_deaths(state.scope);
+        if stopping || remaining == 0 {
+            state.phase = Phase::Done;
+        } else if instant_deaths >= scfg.max_instant_deaths {
+            // Crash-loop circuit breaker: whatever is left of this shard is
+            // not going to run.
+            tracer.emit(&sb_obs::Event::Worker {
+                t: tracer.now_us(),
+                worker: shard as u64,
+                action: "give-up".into(),
+                detail: format!(
+                    "{instant_deaths} consecutive instant deaths; abandoning {remaining} job(s)"
+                ),
+            });
+            tracer.count(sb_obs::keys::SUPERVISE_GAVE_UP, 1);
+            self.stats.shards_abandoned += 1;
+            self.ledger.abandon(
+                state.scope,
+                &format!(
+                    "shard {shard} abandoned after {instant_deaths} consecutive instant worker deaths (last: {detail})"
+                ),
+            );
+            state.phase = Phase::Done;
+        } else {
+            respawn(state);
+        }
     }
 }
 
@@ -650,9 +552,6 @@ pub struct WorkerCfg {
     pub heartbeat: Duration,
     /// Exit cleanly between jobs when this file exists.
     pub stop_file: Option<PathBuf>,
-    /// Process-level fault injection (abort/exit/stall), fired *after* the
-    /// `start` message so the supervisor can attribute the death.
-    pub process_faults: FaultPlan,
 }
 
 /// Writes one protocol line to stdout, flushed immediately so the
@@ -673,8 +572,10 @@ fn emit(msg: &WorkerMsg) {
 /// budgeted exemplars, minus whatever the resume checkpoint
 /// (`cfg.resume_from`, saved by the supervisor immediately before this
 /// spawn) already covers. Jobs run with the exact same seeds and retry
-/// machinery as the in-process pool — [`run_one_job`] — so a merged
-/// supervised report is bit-identical to a single-process run.
+/// machinery as the in-process pool, so a merged supervised report is
+/// bit-identical to a single-process run. The plan's process-level faults
+/// (abort/exit/stall) fire *after* the `start` message, so the supervisor
+/// charges the death to that job.
 pub fn run_worker_shard(
     booted: &BootedKernel,
     corpus: &[Program],
@@ -688,16 +589,9 @@ pub fn run_worker_shard(
             detail: format!("bad worker shard {}/{}", wcfg.shard, wcfg.of),
         });
     }
-    let budgeted: Vec<PmcId> = exemplars
-        .iter()
-        .copied()
-        .take(cfg.max_tested_pmcs)
-        .collect();
-    let cp = load_or_begin_checkpoint(cfg, &budgeted)?;
-    let jobs: Vec<(usize, PmcId)> = shard_jobs(&budgeted, wcfg.shard, wcfg.of)
-        .into_iter()
-        .filter(|(job, _)| !cp.covers(*job))
-        .collect();
+    let mut ledger = JobLedger::open(exemplars, cfg, None)?;
+    let scope = Scope::Shard { shard: wcfg.shard, of: wcfg.of };
+    let jobs = ledger.lease(wcfg.shard as u64, scope, usize::MAX, None);
     emit(&WorkerMsg::Hello {
         shard: wcfg.shard,
         of: wcfg.of,
@@ -722,46 +616,24 @@ pub fn run_worker_shard(
         });
     }
 
-    // The worker's job config: process faults are the entrypoint's to fire
-    // (below), and a worker must never write trace files of its own — the
-    // supervisor emits all trace events from the merged stream.
-    let mut job_cfg = cfg.clone();
-    job_cfg.fault_plan = cfg.fault_plan.in_process();
-    job_cfg.tracer = sb_obs::Tracer::disabled();
-
     let index = IncidentalIndex::build(set);
+    let remote = RemoteJobs::new(JobEnv { booted, corpus, set, index: &index }, cfg);
     let mut exec = Executor::new(2);
     let mut completed = 0usize;
     let mut stopped = false;
-    // Satellite 2's worker-side flush guard: every result line is already
-    // flushed as it is emitted, so a panic below loses only the in-flight
-    // job; this guard makes the ordering explicit and re-raises.
+    // Every result line is already flushed as it is emitted, so a panic
+    // below loses only the in-flight job; this guard makes the ordering
+    // explicit and re-raises.
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        for (job, id) in &jobs {
+        for job in jobs {
             if wcfg.stop_file.as_deref().is_some_and(Path::exists) {
                 stopped = true;
                 break;
             }
-            emit(&WorkerMsg::Start { job: *job });
-            // Process faults fire after `start` so the supervisor charges
-            // the death to this job (and its crash budget makes progress).
-            if wcfg.process_faults.should_abort(*job) {
-                crate::chaos::fired("proc.abort", &format!("job {job}"));
-                std::process::abort();
-            }
-            if let Some(code) = wcfg.process_faults.exit_code(*job) {
-                crate::chaos::fired("proc.exit", &format!("job {job} code {code}"));
-                std::process::exit(code);
-            }
-            if wcfg.process_faults.should_stall(*job) {
-                crate::chaos::fired("proc.stall", &format!("job {job}"));
-                silenced.store(true, Ordering::Relaxed);
-                loop {
-                    std::thread::sleep(Duration::from_secs(3600));
-                }
-            }
-            match run_one_job(&mut exec, *job, *id, booted, corpus, set, &index, &job_cfg) {
-                JobVerdict::Completed(outcome) => emit(&WorkerMsg::Done { job: *job, outcome }),
+            emit(&WorkerMsg::Start { job });
+            let silence = || silenced.store(true, Ordering::Relaxed);
+            match remote.run(&mut exec, job, ledger.universe()[job], silence) {
+                JobVerdict::Completed(outcome) => emit(&WorkerMsg::Done { job, outcome }),
                 JobVerdict::Quarantined(record) => emit(&WorkerMsg::Quarantine { record }),
             }
             completed += 1;
@@ -780,7 +652,9 @@ pub fn run_worker_shard(
 mod tests {
     use super::*;
     use crate::campaign::PmcTestOutcome;
-    use crate::checkpoint::outcome_to_json;
+    use crate::checkpoint::{outcome_to_json, Checkpoint};
+    use crate::error::FailureKind;
+    use std::collections::BTreeMap;
 
     fn outcome(job: usize) -> PmcTestOutcome {
         PmcTestOutcome {
@@ -821,10 +695,12 @@ mod tests {
         dir
     }
 
+    /// Millisecond backoffs, but a heartbeat timeout no `cargo test` load
+    /// can trip: only the fixtures that are *about* silence shorten it.
     fn fast_cfg(dir: &Path, workers: usize) -> SuperviseCfg {
         SuperviseCfg {
             workers,
-            heartbeat_timeout: Duration::from_millis(400),
+            heartbeat_timeout: Duration::from_secs(10),
             poll: Duration::from_millis(5),
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(4),
@@ -833,18 +709,6 @@ mod tests {
             stop_file: None,
             checkpoint: dir.join("supervise.json"),
         }
-    }
-
-    #[test]
-    fn shard_partition_is_round_robin_and_total() {
-        let budgeted: Vec<PmcId> = (0..7).collect();
-        let s0 = shard_jobs(&budgeted, 0, 3);
-        let s1 = shard_jobs(&budgeted, 1, 3);
-        let s2 = shard_jobs(&budgeted, 2, 3);
-        assert_eq!(s0.iter().map(|(j, _)| *j).collect::<Vec<_>>(), vec![0, 3, 6]);
-        assert_eq!(s1.iter().map(|(j, _)| *j).collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(s2.iter().map(|(j, _)| *j).collect::<Vec<_>>(), vec![2, 5]);
-        assert_eq!(s0.len() + s1.len() + s2.len(), budgeted.len());
     }
 
     #[test]
@@ -951,46 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn respawned_worker_resumes_from_checkpoint() {
-        let dir = test_dir("respawn");
-        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let cfg = CampaignCfg::default();
-        let scfg = fast_cfg(&dir, 1);
-        let mut calls = 0usize;
-        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
-            calls += 1;
-            if calls == 1 {
-                // First life: finish job 0, then die with job 1 in flight.
-                let lines = vec![
-                    WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
-                    WorkerMsg::Start { job: 0 }.render(),
-                    done_line(0),
-                    WorkerMsg::Start { job: 1 }.render(),
-                ];
-                fake_worker(&dir, "life1.txt", &lines, "exit 9")
-            } else {
-                // Second life: only job 1 is pending (job 0 is covered by
-                // the checkpoint the supervisor saved before respawning).
-                let lines = vec![
-                    WorkerMsg::Hello { shard: 0, of: 1, pending: 1 }.render(),
-                    WorkerMsg::Start { job: 1 }.render(),
-                    done_line(1),
-                    WorkerMsg::Bye { completed: 1, stopped: false }.render(),
-                ];
-                fake_worker(&dir, "life2.txt", &lines, "exit 0")
-            }
-        })
-        .expect("supervised run");
-        assert_eq!(calls, 2);
-        assert_eq!(report.tested(), 2, "both jobs completed across lives");
-        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
-        let stats = report.supervise.unwrap();
-        assert_eq!(stats.crashes, 1);
-        assert_eq!(stats.respawns, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn silent_worker_is_killed_and_charged() {
         let dir = test_dir("hb");
         let budgeted: Vec<PmcId> = vec![100];
@@ -1080,6 +904,88 @@ mod tests {
         let cp = Checkpoint::load(&scfg.checkpoint).unwrap();
         assert!(cp.covers(0));
         assert!(!cp.covers(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_result_outside_the_shard_kills_the_worker_and_is_never_merged() {
+        let dir = test_dir("foreign");
+        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
+        let cfg = CampaignCfg::default();
+        let scfg = SuperviseCfg {
+            crash_budget: 1,
+            max_instant_deaths: 1,
+            ..fast_cfg(&dir, 1)
+        };
+        // A schema-valid `done` for job universe + 7, then the worker lingers:
+        // only the supervisor's kill ends it.
+        let lines = vec![
+            WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
+            WorkerMsg::Start { job: 0 }.render(),
+            done_line(9),
+            done_line(0),
+        ];
+        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
+            fake_worker(&dir, "foreign.txt", &lines, "exec sleep 60")
+        })
+        .expect("supervised run");
+        assert_eq!(report.tested(), 0, "nothing the violator said afterwards counts");
+        let stats = report.supervise.as_ref().unwrap();
+        assert_eq!(stats.crashes, 1, "handled as a crash");
+        // The death is charged to the job the worker held.
+        let crash = report.quarantined.iter().find(|q| q.job == 0).expect("job 0 charged");
+        assert_eq!(crash.kind, FailureKind::Crash);
+        assert!(
+            crash.chain[0].contains("protocol violation: job 9 is outside the 2-job universe"),
+            "{:?}",
+            crash.chain
+        );
+        assert!(report.quarantined.iter().all(|q| q.job < 2));
+        let cp = Checkpoint::load(&scfg.checkpoint).unwrap();
+        assert!(cp.outcomes.is_empty() && !cp.covers(9));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_respawned_shard_redelivering_a_covered_job_is_a_counted_duplicate() {
+        let dir = test_dir("redeliver");
+        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
+        let cfg = CampaignCfg::default();
+        let scfg = fast_cfg(&dir, 1);
+        let mut calls = 0usize;
+        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
+            calls += 1;
+            if calls == 1 {
+                let lines = vec![
+                    WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
+                    WorkerMsg::Start { job: 0 }.render(),
+                    done_line(0),
+                    WorkerMsg::Start { job: 1 }.render(),
+                ];
+                fake_worker(&dir, "life1.txt", &lines, "exit 9")
+            } else {
+                // The second life ignores the checkpoint and re-runs job 0
+                // to a different outcome.
+                let mut again = outcome(0);
+                again.steps = 999;
+                let lines = vec![
+                    WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
+                    WorkerMsg::Start { job: 0 }.render(),
+                    WorkerMsg::Done { job: 0, outcome: again }.render(),
+                    WorkerMsg::Start { job: 1 }.render(),
+                    done_line(1),
+                    WorkerMsg::Bye { completed: 2, stopped: false }.render(),
+                ];
+                fake_worker(&dir, "life2.txt", &lines, "exit 0")
+            }
+        })
+        .expect("supervised run");
+        assert_eq!(calls, 2);
+        assert_eq!(report.tested(), 2, "both jobs completed across lives");
+        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+        assert_eq!(report.outcomes[0].steps, 100, "the first verdict stands");
+        let stats = report.supervise.unwrap();
+        assert_eq!((stats.crashes, stats.respawns, stats.duplicate_results), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,10 +5,10 @@
 //! at exact byte positions, so crash-consistency claims are exercised at
 //! every boundary instead of whenever the OS feels like tearing a write.
 //!
-//! The spec grammar (`torn=N;flip=OFF:MASK;short=K;shortn=N`) lives in
+//! The spec grammar (`--chaos disk:torn=N;disk:flip=OFF:MASK;...`) lives in
 //! [`snowboard::chaos::DiskFaults`] — `sb-store` depends on `snowboard`,
 //! so the unified chaos plan parses the disk plane without seeing this
-//! crate — and this plan converts to and from it losslessly. Every fault
+//! crate — and this plan is built from it. Every fault
 //! that actually fires is recorded (and printed as a `[chaos] fired`
 //! stderr ledger line) so `hunt chaos` can attribute injected faults.
 
@@ -50,19 +50,6 @@ pub struct DiskFaultPlan {
     pub fired: RefCell<Vec<&'static str>>,
 }
 
-/// Equality covers the *scripted* faults only — two plans that injected
-/// different histories but script the same faults compare equal, so spec
-/// round-trip tests are not perturbed by fire bookkeeping.
-impl PartialEq for DiskFaultPlan {
-    fn eq(&self, other: &Self) -> bool {
-        self.torn_write_after == other.torn_write_after
-            && self.flip_after_write == other.flip_after_write
-            && self.short_read_keys == other.short_read_keys
-            && self.short_read_nth == other.short_read_nth
-    }
-}
-impl Eq for DiskFaultPlan {}
-
 impl DiskFaultPlan {
     /// True when no fault is armed (the default; the hot path checks this).
     pub fn is_empty(&self) -> bool {
@@ -70,34 +57,6 @@ impl DiskFaultPlan {
             && self.flip_after_write.is_none()
             && self.short_read_keys.is_empty()
             && self.short_read_nth.is_none()
-    }
-
-    /// Parses the disk-fault spec grammar (see
-    /// [`snowboard::chaos::DiskFaults::parse_spec`]); this is what the
-    /// `SB_DISK_FAULTS` environment hook and `--chaos disk:*` feed in.
-    pub fn parse_spec(s: &str) -> Result<DiskFaultPlan, String> {
-        DiskFaults::parse_spec(s).map(Into::into)
-    }
-
-    /// Renders the scripted faults back into spec grammar. Round-trips
-    /// exactly: `parse_spec(&p.to_spec()) == p`.
-    pub fn to_spec(&self) -> String {
-        DiskFaults::from(self).to_spec()
-    }
-
-    /// Merges `other`'s scripted faults into this plan (key union; on a
-    /// scalar conflict `other` wins). Fire history is untouched.
-    pub fn merge(&mut self, other: DiskFaultPlan) {
-        if other.torn_write_after.is_some() {
-            self.torn_write_after = other.torn_write_after;
-        }
-        if other.flip_after_write.is_some() {
-            self.flip_after_write = other.flip_after_write;
-        }
-        self.short_read_keys.extend(other.short_read_keys);
-        if other.short_read_nth.is_some() {
-            self.short_read_nth = other.short_read_nth;
-        }
     }
 
     /// Site ids of the faults that actually fired, in fire order.
@@ -151,17 +110,6 @@ impl From<DiskFaults> for DiskFaultPlan {
     }
 }
 
-impl From<&DiskFaultPlan> for DiskFaults {
-    fn from(plan: &DiskFaultPlan) -> DiskFaults {
-        DiskFaults {
-            torn_write_after: plan.torn_write_after,
-            flip_after_write: plan.flip_after_write,
-            short_read_keys: plan.short_read_keys.clone(),
-            short_read_nth: plan.short_read_nth,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,21 +150,16 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_the_chaos_grammar() {
-        let plan = DiskFaultPlan::parse_spec("torn=20;flip=5:255;short=7,9;shortn=3").unwrap();
+    fn builds_from_the_chaos_grammars_disk_plane() {
+        let spec = snowboard::ChaosPlan::parse_spec(
+            "disk:torn=20;disk:flip=5:255;disk:short=7,9;disk:shortn=3",
+        )
+        .unwrap();
+        let plan = DiskFaultPlan::from(spec.disk);
         assert_eq!(plan.torn_write_after, Some(20));
         assert_eq!(plan.flip_after_write, Some((5, 255)));
         assert_eq!(plan.short_read_keys, BTreeSet::from([7, 9]));
         assert_eq!(plan.short_read_nth, Some(3));
-        assert_eq!(DiskFaultPlan::parse_spec(&plan.to_spec()).unwrap(), plan);
-        assert!(DiskFaultPlan::parse_spec("").unwrap().is_empty());
-        assert_eq!(DiskFaultPlan::default().to_spec(), "");
-        assert!(DiskFaultPlan::parse_spec("frob=1").is_err());
-
-        let mut merged = DiskFaultPlan::parse_spec("torn=8;short=1").unwrap();
-        merged.merge(DiskFaultPlan::parse_spec("torn=16;shortn=2").unwrap());
-        assert_eq!(merged.torn_write_after, Some(16), "the merged-in plan wins");
-        assert_eq!(merged.short_read_nth, Some(2));
-        assert!(merged.short_read_keys.contains(&1));
+        assert!(plan.fired().is_empty());
     }
 }
