@@ -1,4 +1,7 @@
-//! Shared experiment plumbing for the table/figure regeneration binaries.
+//! Paper tables only: shared plumbing for the six binaries that regenerate
+//! the evaluation's tables and figures (`table2`, `table3`, `accuracy`,
+//! `interleavings`, `ablation`, `perf`). Nothing here measures regressions;
+//! that is `crates/benchmark` (`sh crates/benchmark/run.sh`).
 //!
 //! Every binary honors the `SB_SCALE` environment variable:
 //!

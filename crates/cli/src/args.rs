@@ -73,9 +73,6 @@ OPTIONS (hunt):
                                   halfclose; need hunt join), disk: (torn,
                                   flip, short, shortn; need --store), coord:
                                   (kill-after-journal; needs hunt serve)
-    --bench-out <FILE>            write a BENCH_*.json perf snapshot of the
-                                  run (schema snowboard.bench.v1; see
-                                  DESIGN.md §15); plain in-process hunt only
 
 OPTIONS (hunt serve), in addition to the hunt options:
     --listen <ADDR>               TCP address to listen on, e.g.
@@ -192,11 +189,6 @@ pub struct HuntOpts {
     /// Scripted fault injection, every plane (`--chaos`). Parse time
     /// already checked that each plane has somewhere to act.
     pub chaos: ChaosPlan,
-    /// Write a `BENCH_*.json` perf snapshot of this run to the given file.
-    /// Restricted to the plain in-process hunt: supervised and fleet runs
-    /// spread the work across processes, so a single wall clock would not
-    /// measure trial throughput.
-    pub bench_out: Option<PathBuf>,
     /// Hidden worker entrypoint `(shard, of)`: run one deterministic shard
     /// of the campaign and speak the worker protocol on stdout. Set only by
     /// the supervisor's re-exec; never by hand.
@@ -566,7 +558,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut stop_file: Option<PathBuf> = None;
             let mut heartbeat_ms = 10_000u64;
             let mut chaos = ChaosPlan::default();
-            let mut bench_out: Option<PathBuf> = None;
             let mut worker_shard: Option<(usize, usize)> = None;
             let mut i = start;
             while i < argv.len() {
@@ -662,9 +653,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         chaos = ChaosPlan::parse_spec(take_value(argv, &mut i, "--chaos")?)
                             .map_err(|e| format!("--chaos: {e}"))?
                     }
-                    "--bench-out" if is_hunt => {
-                        bench_out = Some(PathBuf::from(take_value(argv, &mut i, "--bench-out")?))
-                    }
                     "--worker-shard" if is_hunt => {
                         worker_shard = Some(parse_shard(take_value(argv, &mut i, "--worker-shard")?)?)
                     }
@@ -674,11 +662,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             }
             if no_cache && store.is_none() {
                 return Err("--no-cache requires --store <dir>".into());
-            }
-            if bench_out.is_some() && (fleet || supervise || worker_shard.is_some()) {
-                return Err("--bench-out requires a plain in-process hunt; a multi-process \
-                            run has no single wall clock to measure trial throughput"
-                    .into());
             }
             if supervise && worker_shard.is_some() {
                 return Err("--worker-shard is the supervisor's internal entrypoint; \
@@ -762,7 +745,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     stop_file,
                     heartbeat_ms,
                     chaos,
-                    bench_out,
                     worker_shard,
                 };
                 Ok(match mode {
@@ -987,28 +969,6 @@ mod tests {
         assert!(parse(&argv("hunt --stop-file /tmp/stop")).is_err(), "needs --supervise");
         assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
         assert!(parse(&argv("strategies --supervise")).is_err(), "hunt-only");
-    }
-
-    #[test]
-    fn parses_bench_out_for_plain_hunts_only() {
-        match parse(&argv("hunt --bench-out /tmp/BENCH_hunt.json")).unwrap() {
-            Cmd::Hunt(o) => {
-                assert_eq!(o.bench_out, Some(PathBuf::from("/tmp/BENCH_hunt.json")));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Disabled by default.
-        match parse(&argv("hunt")).unwrap() {
-            Cmd::Hunt(o) => assert_eq!(o.bench_out, None),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&argv("hunt --bench-out")).is_err(), "flag needs a value");
-        assert!(parse(&argv("strategies --bench-out /x")).is_err(), "hunt-only");
-        // Multi-process runs have no single wall clock to measure.
-        assert!(parse(&argv("hunt --supervise --bench-out /x")).is_err());
-        assert!(parse(&argv("hunt serve --listen a:1 --bench-out /x")).is_err());
-        assert!(parse(&argv("hunt join a:1 --bench-out /x")).is_err());
-        assert!(parse(&argv("hunt --worker-shard 0/2 --bench-out /x")).is_err());
     }
 
     #[test]

@@ -563,7 +563,6 @@ fn hunt(opts: HuntOpts) -> ExitCode {
         supervise,
         stop_file,
         heartbeat_ms,
-        bench_out,
         worker_shard: _,
         chaos,
     } = opts;
@@ -608,7 +607,6 @@ fn hunt(opts: HuntOpts) -> ExitCode {
         std::env::temp_dir().join(format!("sb-supervise-{}.json", std::process::id()))
     });
     let sup_ckpt_is_temp = checkpoint.is_none();
-    let campaign_start = std::time::Instant::now();
     let report = if supervise {
         let exe = match std::env::current_exe() {
             Ok(exe) => exe,
@@ -685,7 +683,6 @@ fn hunt(opts: HuntOpts) -> ExitCode {
     } else {
         p.campaign(&exemplars, &cfg)
     };
-    let campaign_secs = campaign_start.elapsed().as_secs_f64();
     let mut report = match report {
         Ok(r) => r,
         Err(e) => {
@@ -710,64 +707,9 @@ fn hunt(opts: HuntOpts) -> ExitCode {
         }
     }
     report.store = store_stats;
-    if let Some(path) = &bench_out {
-        let snap = hunt_bench_snapshot(&p, &report, campaign_secs, seed);
-        match snap.write(path) {
-            Ok(()) => eprintln!("[bench] perf snapshot written to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     emit_summary(&tracer, &p, clusters, &report, &trace_dir);
     print_detect_summary(&report, oracles);
     print_report(&report)
-}
-
-/// Builds the `--bench-out` perf snapshot for a finished in-process hunt.
-/// The deep-copy campaign rerun is the bench binary's job (`snapshots`);
-/// a hunt records only what this run actually measured, leaving the
-/// comparison fields 0 so regression tooling skips them.
-fn hunt_bench_snapshot(
-    p: &Pipeline,
-    report: &CampaignReport,
-    campaign_secs: f64,
-    seed: u64,
-) -> snowboard::metrics::BenchSnapshot {
-    use snowboard::metrics::{peak_rss_kb, per_sec_milli, BenchSnapshot};
-    let cow_reps = 200u32;
-    let t = std::time::Instant::now();
-    for _ in 0..cow_reps {
-        std::hint::black_box(p.booted.snapshot.clone());
-    }
-    let clone_cow_ns = (t.elapsed().as_nanos() / u128::from(cow_reps)) as u64;
-    let deep_reps = 50u32;
-    let t = std::time::Instant::now();
-    for _ in 0..deep_reps {
-        std::hint::black_box(p.booted.snapshot.deep_clone());
-    }
-    let clone_deep_ns = (t.elapsed().as_nanos() / u128::from(deep_reps)) as u64;
-    BenchSnapshot {
-        source: "hunt".into(),
-        scale: "custom".into(),
-        seed,
-        trials: report.executions,
-        trials_per_sec_milli: per_sec_milli(report.executions, campaign_secs),
-        deep_trials_per_sec_milli: 0,
-        speedup_milli: 0,
-        clone_cow_ns,
-        clone_deep_ns,
-        profiles_per_sec_milli: per_sec_milli(
-            p.corpus.len() as u64,
-            p.stats.profile_time.as_secs_f64(),
-        ),
-        identify_pmcs_per_sec_milli: per_sec_milli(
-            p.stats.pmcs_identified as u64,
-            p.stats.identify_time.as_secs_f64(),
-        ),
-        peak_rss_kb: peak_rss_kb(),
-    }
 }
 
 /// The campaign-shaping parameters a fleet worker must share with its

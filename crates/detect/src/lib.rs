@@ -14,8 +14,6 @@ pub mod lockrule;
 pub mod race;
 pub mod wakeup;
 
-use serde::{Deserialize, Serialize};
-
 use sb_vmm::exec::{ExecReport, Outcome};
 
 pub use atomicctx::detect_sleep_in_atomic;
@@ -25,7 +23,7 @@ pub use race::{detect_races, RaceReport};
 pub use wakeup::detect_missed_wakeups;
 
 /// One raw detector finding from a single execution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Finding {
     /// The kernel panicked (oops / page fault).
     KernelPanic {
@@ -208,7 +206,7 @@ pub fn analyze_traced(report: &ExecReport, tracer: &sb_obs::Tracer) -> Vec<Findi
 /// Which selectable oracles run over executions. The outcome-level oracles
 /// (panic, console, deadlock, livelock) are not selectable — they always
 /// run; this selects among the trace/sync-event analyses.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct OracleSet {
     /// The DataCollider-style data-race detector (the paper's stock set).
     pub race: bool,

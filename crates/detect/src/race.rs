@@ -11,14 +11,12 @@
 //! protocols), and (5) share no common lock. Kernel-stack addresses are
 //! excluded, the same standard assumption the paper adopts (§4.1.1).
 
-use serde::{Deserialize, Serialize};
-
 use sb_vmm::access::Access;
 use sb_vmm::mem::is_stack_addr;
 use sb_vmm::site::Site;
 
 /// One data race: an unordered pair of racing instruction sites.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RaceReport {
     /// The writing site (either site when both write).
     pub write_site: Site,

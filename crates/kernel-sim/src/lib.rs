@@ -33,8 +33,6 @@ pub mod subsys;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
-
 use sb_vmm::ctx::{Ctx, Fault, KResult};
 use sb_vmm::exec::{job, Executor, Job};
 use sb_vmm::mem::GuestMem;
@@ -44,7 +42,7 @@ use sb_vmm::site;
 pub use prog::{Program, Syscall};
 
 /// The simulated kernel versions, mirroring the paper's targets.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum KernelVersion {
     /// The stable release used for the focused search (bugs #1–#10).
     V5_3_10,
@@ -63,7 +61,7 @@ impl std::fmt::Display for KernelVersion {
 
 /// Kernel build configuration: version plus an all-bugs-patched switch used
 /// for ablation runs.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct KernelConfig {
     /// Which simulated release to build.
     pub version: KernelVersion,

@@ -6,14 +6,12 @@
 //! descriptors, message-queue ids) are [`Res`] references to the results of
 //! earlier calls, mirroring Syzkaller's resource typing.
 
-use serde::{Deserialize, Serialize};
-
 /// A reference to the result of an earlier syscall in the same program.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Res(pub u8);
 
 /// Socket domains exposed by the simulated kernel.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Domain {
     /// TCP/IP socket; interacts with the congestion-control subsystem.
     Inet,
@@ -29,7 +27,7 @@ pub enum Domain {
 pub const DOMAINS: [Domain; 4] = [Domain::Inet, Domain::Packet, Domain::RawV6, Domain::L2tp];
 
 /// Socket options exposed by `setsockopt`.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum SockOpt {
     /// Join the packet fanout group (`PACKET_FANOUT`).
     PacketFanout,
@@ -42,7 +40,7 @@ pub enum SockOpt {
 pub const SOCK_OPTS: [SockOpt; 2] = [SockOpt::PacketFanout, SockOpt::TcpCongestion];
 
 /// Ioctl commands exposed by the simulated kernel.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum IoctlCmd {
     /// Set the NIC MAC address (`SIOCSIFHWADDR`).
     SiocSifHwAddr,
@@ -84,7 +82,7 @@ pub const IOCTL_CMDS: [IoctlCmd; 11] = [
 ];
 
 /// Openable paths in the simulated filesystem namespace.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Path {
     /// One of four ext4 files (by inode index).
     Ext4File(u8),
@@ -99,7 +97,7 @@ pub enum Path {
 }
 
 /// Message-queue control commands.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum MsgCmd {
     /// Remove the queue (`IPC_RMID`).
     Rmid,
@@ -108,7 +106,7 @@ pub enum MsgCmd {
 }
 
 /// One system call with typed arguments.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Syscall {
     /// Create a socket in `domain`.
     Socket {
@@ -382,7 +380,7 @@ impl std::fmt::Display for Syscall {
 
 /// A sequential test: an ordered list of syscalls executed by one user
 /// process.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Program {
     /// The calls, executed in order; call `i`'s result is `r{i}`.
     pub calls: Vec<Syscall>,

@@ -37,7 +37,6 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use sb_detect::{Finding, OracleCtx, OracleSet};
 use sb_kernel::{BootedKernel, Program};
@@ -93,9 +92,9 @@ pub struct CampaignCfg {
     /// Scripted fault injection (empty in production).
     pub fault_plan: FaultPlan,
     /// Force whole-memory (deep) snapshot clones per trial instead of the
-    /// copy-on-write fast path. The two are semantically identical; this
-    /// exists so benchmarks and equivalence tests can measure and pin the
-    /// historical behavior.
+    /// copy-on-write fast path. A test reference, not a second production
+    /// path: its one user is `tests/tests/cow_campaign.rs`, which pins the
+    /// CoW report bit-identical to the deep one; nothing else sets it.
     pub deep_snapshots: bool,
     /// Structured tracer; disabled by default. When enabled, the campaign
     /// emits one `job` event per resolved job, scheduler-decision counters
@@ -127,7 +126,7 @@ impl Default for CampaignCfg {
 
 /// The outcome of testing one concurrent test (one PMC or one baseline
 /// pairing).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PmcTestOutcome {
     /// The PMC under test (`None` for baseline pairings without hints).
     pub pmc: Option<PmcId>,
@@ -406,7 +405,7 @@ pub fn test_one_pmc(
     let mut snap_clones = 0u64;
     let mut snap_pages = 0u64;
     // Per-trial snapshot: the copy-on-write clone is an Arc bump; the deep
-    // variant reproduces the historical full-image copy for benchmarks/tests.
+    // variant is the full-image copy `cow_campaign.rs` compares it against.
     let take_snapshot = |clones: &mut u64| {
         *clones += 1;
         if cfg.deep_snapshots {

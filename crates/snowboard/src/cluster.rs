@@ -6,13 +6,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::pmc::{Pmc, PmcId, PmcSet};
 
 /// The clustering strategies of Table 1 (S-INS contributes two clusters per
 /// PMC: one keyed on the write instruction, one on the read instruction).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Strategy {
     /// All features; only identical PMCs cluster together (baseline).
     SFull,

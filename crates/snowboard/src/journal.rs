@@ -7,7 +7,7 @@
 //! completed-but-undelivered verdicts. Both gaps are closed by the same
 //! primitive — [`FrameLog`], an append-only file of CRC32C-framed records
 //! with torn-tail truncation at open, reusing the checksum discipline of
-//! the v2 store segments (PR 4, shared via [`sb_obs::crc`]).
+//! the store segments (PR 4, shared via [`sb_obs::crc`]).
 //!
 //! # On-disk format
 //!

@@ -65,22 +65,9 @@ pub struct StoreStats {
     pub records_healed: u64,
 }
 
-/// Converts a count over a wall-clock duration into an integer rate in
-/// milli-units (events per second × 1000).
-///
-/// The `BENCH_*.json` perf snapshots keep every number an unsigned integer
-/// so they round-trip exactly through the repo's u64-only JSON codec;
-/// milli-resolution keeps three decimal places of the underlying rate.
-pub fn per_sec_milli(count: u64, secs: f64) -> u64 {
-    if secs <= 0.0 {
-        return 0;
-    }
-    (count as f64 * 1000.0 / secs).round() as u64
-}
-
 /// Peak resident set size of this process in KiB (`VmHWM` from
 /// `/proc/self/status`), or 0 when the proc filesystem is unavailable
-/// (non-Linux hosts). A coarse memory-footprint proxy for perf snapshots.
+/// (non-Linux hosts). The repo benchmark's memory-footprint proxy.
 pub fn peak_rss_kb() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
@@ -96,164 +83,6 @@ pub fn peak_rss_kb() -> u64 {
         }
     }
     0
-}
-
-/// Schema identifier stamped into every `BENCH_*.json` document.
-///
-/// Bump the trailing version when a field is renamed or its unit changes;
-/// adding fields is backward compatible (readers ignore unknown keys).
-pub const BENCH_SCHEMA: &str = "snowboard.bench.v1";
-
-/// One `BENCH_*.json` perf snapshot: the throughput trajectory of the
-/// trial hot path, in a stable machine-readable schema.
-///
-/// Every numeric field is a `u64` so the document round-trips the repo's
-/// u64-only JSON codec exactly; rates are stored in milli-units
-/// (`x_per_sec_milli = x/sec × 1000`). Fields that a producer did not
-/// measure (e.g. `hunt --bench-out` does not run the deep-copy campaign)
-/// are left 0 and regression checks skip them.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BenchSnapshot {
-    /// Producer: `"bench-snapshots"` or `"hunt"`.
-    pub source: String,
-    /// Scale label (`"quick"` / `"full"`).
-    pub scale: String,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Trials executed by the timed campaign (CoW path).
-    pub trials: u64,
-    /// Campaign trial throughput with CoW snapshots (milli-trials/sec).
-    pub trials_per_sec_milli: u64,
-    /// Campaign trial throughput with deep-copy snapshots forced
-    /// (milli-trials/sec); 0 when not measured.
-    pub deep_trials_per_sec_milli: u64,
-    /// CoW-over-deep trial throughput ratio × 1000; 0 when not measured.
-    pub speedup_milli: u64,
-    /// Cost of one CoW snapshot clone of the boot image (nanoseconds).
-    pub clone_cow_ns: u64,
-    /// Cost of one deep (full-copy) clone of the boot image (nanoseconds).
-    pub clone_deep_ns: u64,
-    /// Sequential profiling throughput (milli-profiles/sec).
-    pub profiles_per_sec_milli: u64,
-    /// PMC identification throughput (milli-PMCs/sec).
-    pub identify_pmcs_per_sec_milli: u64,
-    /// Peak resident set size of the producing process (KiB; RSS proxy).
-    pub peak_rss_kb: u64,
-}
-
-impl BenchSnapshot {
-    /// Renders the snapshot as a JSON document (insertion-ordered keys).
-    pub fn to_json(&self) -> sb_obs::json::Json {
-        use sb_obs::json::Json;
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(BENCH_SCHEMA.into())),
-            ("source".into(), Json::Str(self.source.clone())),
-            ("scale".into(), Json::Str(self.scale.clone())),
-            ("seed".into(), Json::U64(self.seed)),
-            ("trials".into(), Json::U64(self.trials)),
-            (
-                "trials_per_sec_milli".into(),
-                Json::U64(self.trials_per_sec_milli),
-            ),
-            (
-                "deep_trials_per_sec_milli".into(),
-                Json::U64(self.deep_trials_per_sec_milli),
-            ),
-            ("speedup_milli".into(), Json::U64(self.speedup_milli)),
-            ("clone_cow_ns".into(), Json::U64(self.clone_cow_ns)),
-            ("clone_deep_ns".into(), Json::U64(self.clone_deep_ns)),
-            (
-                "profiles_per_sec_milli".into(),
-                Json::U64(self.profiles_per_sec_milli),
-            ),
-            (
-                "identify_pmcs_per_sec_milli".into(),
-                Json::U64(self.identify_pmcs_per_sec_milli),
-            ),
-            ("peak_rss_kb".into(), Json::U64(self.peak_rss_kb)),
-        ])
-    }
-
-    /// Parses a `BENCH_*.json` document, rejecting unknown schemas.
-    pub fn from_json(doc: &sb_obs::json::Json) -> Result<Self, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(|v| v.as_str())
-            .ok_or("missing \"schema\" field")?;
-        if schema != BENCH_SCHEMA {
-            return Err(format!(
-                "unsupported bench schema {schema:?} (want {BENCH_SCHEMA:?})"
-            ));
-        }
-        let s = |key: &str| {
-            doc.get(key)
-                .and_then(|v| v.as_str())
-                .map(str::to_owned)
-                .ok_or(format!("missing string field {key:?}"))
-        };
-        let n = |key: &str| {
-            doc.get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or(format!("missing integer field {key:?}"))
-        };
-        Ok(BenchSnapshot {
-            source: s("source")?,
-            scale: s("scale")?,
-            seed: n("seed")?,
-            trials: n("trials")?,
-            trials_per_sec_milli: n("trials_per_sec_milli")?,
-            deep_trials_per_sec_milli: n("deep_trials_per_sec_milli")?,
-            speedup_milli: n("speedup_milli")?,
-            clone_cow_ns: n("clone_cow_ns")?,
-            clone_deep_ns: n("clone_deep_ns")?,
-            profiles_per_sec_milli: n("profiles_per_sec_milli")?,
-            identify_pmcs_per_sec_milli: n("identify_pmcs_per_sec_milli")?,
-            peak_rss_kb: n("peak_rss_kb")?,
-        })
-    }
-
-    /// Loads a snapshot from a `BENCH_*.json` file.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        let doc = sb_obs::json::parse(&text)
-            .map_err(|e| format!("parse {}: {e}", path.display()))?;
-        Self::from_json(&doc)
-    }
-
-    /// Atomically writes the snapshot to `path` as single-line JSON.
-    pub fn write(&self, path: &std::path::Path) -> Result<(), String> {
-        let mut text = self.to_json().render();
-        text.push('\n');
-        sb_obs::json::atomic_write(path, &text)
-            .map_err(|(op, p, e)| format!("{op} {}: {e}", p.display()))
-    }
-
-    /// Compares this run against a committed baseline: fails when CoW
-    /// trial throughput dropped by more than `tolerance_pct` percent.
-    ///
-    /// Only `trials_per_sec_milli` gates — the other rates are recorded
-    /// for trajectory plots but are too machine-sensitive to hard-fail on.
-    pub fn check_regression(
-        &self,
-        baseline: &BenchSnapshot,
-        tolerance_pct: u64,
-    ) -> Result<(), String> {
-        let floor = baseline.trials_per_sec_milli
-            * (100u64.saturating_sub(tolerance_pct))
-            / 100;
-        if self.trials_per_sec_milli < floor {
-            return Err(format!(
-                "trials/sec regression: {} milli-trials/sec vs baseline {} \
-                 (floor {} at {}% tolerance)",
-                self.trials_per_sec_milli,
-                baseline.trials_per_sec_milli,
-                floor,
-                tolerance_pct
-            ));
-        }
-        Ok(())
-    }
 }
 
 impl StoreStats {
@@ -555,72 +384,9 @@ mod tests {
     }
 
     #[test]
-    fn per_sec_milli_rounds_and_handles_zero_time() {
-        assert_eq!(per_sec_milli(10, 2.0), 5_000);
-        assert_eq!(per_sec_milli(1, 3.0), 333);
-        assert_eq!(per_sec_milli(100, 0.0), 0);
-    }
-
-    #[test]
     fn peak_rss_is_nonzero_on_linux() {
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(peak_rss_kb() > 0);
         }
-    }
-
-    fn sample_snapshot() -> BenchSnapshot {
-        BenchSnapshot {
-            source: "bench-snapshots".into(),
-            scale: "quick".into(),
-            seed: 2021,
-            trials: 480,
-            trials_per_sec_milli: 12_000_000,
-            deep_trials_per_sec_milli: 3_000_000,
-            speedup_milli: 4_000,
-            clone_cow_ns: 900,
-            clone_deep_ns: 310_000,
-            profiles_per_sec_milli: 5_000_000,
-            identify_pmcs_per_sec_milli: 90_000_000,
-            peak_rss_kb: 65_536,
-        }
-    }
-
-    #[test]
-    fn bench_snapshot_round_trips_through_json() {
-        let snap = sample_snapshot();
-        let text = snap.to_json().render();
-        let back = BenchSnapshot::from_json(&sb_obs::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn bench_snapshot_rejects_wrong_schema_and_missing_fields() {
-        let err = BenchSnapshot::from_json(
-            &sb_obs::json::parse("{\"schema\":\"other.v9\"}").unwrap(),
-        )
-        .unwrap_err();
-        assert!(err.contains("unsupported bench schema"), "{err}");
-        let err = BenchSnapshot::from_json(
-            &sb_obs::json::parse(&format!("{{\"schema\":\"{BENCH_SCHEMA}\"}}")).unwrap(),
-        )
-        .unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-    }
-
-    #[test]
-    fn regression_check_gates_on_trial_throughput() {
-        let baseline = sample_snapshot();
-        let mut current = baseline.clone();
-        // 20% drop passes a 25% band...
-        current.trials_per_sec_milli = baseline.trials_per_sec_milli * 80 / 100;
-        assert!(current.check_regression(&baseline, 25).is_ok());
-        // ...a 30% drop fails it...
-        current.trials_per_sec_milli = baseline.trials_per_sec_milli * 70 / 100;
-        assert!(current.check_regression(&baseline, 25).is_err());
-        // ...and other fields never gate.
-        current.trials_per_sec_milli = baseline.trials_per_sec_milli;
-        current.clone_cow_ns = baseline.clone_cow_ns * 100;
-        current.peak_rss_kb = baseline.peak_rss_kb * 100;
-        assert!(current.check_regression(&baseline, 25).is_ok());
     }
 }

@@ -33,8 +33,6 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use sb_vmm::access::{range_overlap, AccessKind};
 use sb_vmm::sched::HintAccess;
 use sb_vmm::site::Site;
@@ -42,7 +40,7 @@ use sb_vmm::site::Site;
 use crate::profile::SeqProfile;
 
 /// One side (read or write) of a PMC: the features Algorithm 1 collects.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SideKey {
     /// Instruction identity (`ins` in Table 1).
     pub ins: Site,
@@ -55,7 +53,7 @@ pub struct SideKey {
 }
 
 /// A PMC key: the write side and the read side.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PmcKey {
     /// The writer's access features.
     pub w: SideKey,
@@ -67,7 +65,7 @@ pub struct PmcKey {
 pub type PmcId = u32;
 
 /// A PMC plus the sequential-test pairs that exhibit it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pmc {
     /// Feature key.
     pub key: PmcKey,
@@ -99,7 +97,7 @@ impl Pmc {
 }
 
 /// The identified PMC universe for one corpus.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PmcSet {
     /// All PMCs; a [`PmcId`] is an index into this vector.
     pub pmcs: Vec<Pmc>,

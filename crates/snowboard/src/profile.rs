@@ -13,10 +13,9 @@ use sb_vmm::access::Access;
 use sb_vmm::mem::{stack_base, stack_range_of, MAX_THREADS};
 use sb_vmm::sched::FreeRun;
 use sb_vmm::Executor;
-use serde::{Deserialize, Serialize};
 
 /// The memory-access profile of one sequential test.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SeqProfile {
     /// Corpus index of the profiled test.
     pub test: u32,

@@ -5,13 +5,11 @@
 //! registry plays that role mechanically: detector findings are matched to
 //! Table 2 issue ids by console signature or racing-function pair.
 
-use serde::{Deserialize, Serialize};
-
 use sb_detect::Finding;
 use sb_kernel::bugs;
 
 /// A distinct issue discovered by a campaign.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IssueRecord {
     /// Ground-truth Table 2 id, when the finding matches a planted issue.
     pub bug_id: Option<u8>,

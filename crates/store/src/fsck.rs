@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::manifest::{Manifest, ProfileStatus};
-use crate::segment::{self, header_len, ScannedRecord, SegmentKind, SegmentScan};
+use crate::segment::{self, SegmentKind, SegmentScan, HEADER_LEN};
 use crate::store::{corpus_key, list_segment_files};
 use crate::Error;
 
@@ -89,7 +89,7 @@ fn scan_all(root: &Path, report: &mut FsckReport) -> Result<Scans, Error> {
     for (name, kind, n) in list_segment_files(root)? {
         let scan = segment::scan(&root.join(&name), kind)?;
         report.segments += 1;
-        if scan.version == 0 {
+        if !scan.recognized {
             report.problems.push(Problem {
                 file: name.clone(),
                 detail: "unrecognized magic".into(),
@@ -124,19 +124,18 @@ fn entry_damage(
     let Some(scan) = scans.get(&seg_no) else {
         return Some(format!("segment file missing for record {key:#x}"));
     };
-    if scan.version == 0 {
+    if !scan.recognized {
         return Some(format!("record {key:#x} in a segment with unrecognized magic"));
     }
-    if offset + header_len(scan.version) + len > scan.valid_len {
+    // `offset` and `len` come from the manifest file: saturate, never wrap.
+    if offset.saturating_add(HEADER_LEN).saturating_add(len) > scan.valid_len {
         return Some(format!("record {key:#x} at offset {offset} is past the valid prefix"));
     }
-    let Some(rec) = scan
-        .records
-        .iter()
-        .find(|r: &&ScannedRecord| r.offset == offset)
-    else {
+    // A scan lists records in file order, so offsets ascend.
+    let Ok(at) = scan.records.binary_search_by_key(&offset, |r| r.offset) else {
         return Some(format!("no record boundary at offset {offset} for {key:#x}"));
     };
+    let rec = &scan.records[at];
     if rec.key != key {
         return Some(format!(
             "key mismatch at offset {offset}: manifest says {key:#x}, record says {:#x}",
@@ -226,7 +225,7 @@ pub fn repair(root: &Path) -> Result<RepairReport, Error> {
         .chain(scans.pmc.iter().map(|(n, s)| (format!("pmc-{n:04}.bin"), s)));
     for (name, scan) in files {
         let path = root.join(&name);
-        if scan.version == 0 {
+        if !scan.recognized {
             if std::fs::remove_file(&path).is_ok() {
                 report.removed_segments += 1;
             }
@@ -311,14 +310,22 @@ mod tests {
         let mut bytes = std::fs::read(&seg).expect("read");
         bytes[20] ^= 0xFF; // CRC word of the first record
         std::fs::write(&seg, &bytes).expect("flip");
+        // The manifest is outside input too: an entry whose address
+        // arithmetic overflows is one more damaged record, not a panic.
+        let manifest_path = dir.join("manifest.json");
+        let mut manifest = Manifest::load(&manifest_path).expect("load");
+        let wild = ProfileStatus::Ok { segment: 0, offset: u64::MAX - 4, len: 9 };
+        manifest.profiles.insert(2, wild);
+        manifest.save(&manifest_path).expect("save");
 
         let report = fsck(&dir).expect("fsck");
         assert!(!report.clean());
-        assert_eq!(report.records_damaged, 1);
+        assert_eq!(report.records_damaged, 2);
         assert!(report.problems[0].detail.contains("checksum"));
+        assert!(report.problems[1].detail.contains("past the valid prefix"));
 
         let rep = repair(&dir).expect("repair");
-        assert_eq!(rep.dropped_profiles, 1);
+        assert_eq!(rep.dropped_profiles, 2);
         assert!(fsck(&dir).expect("re-fsck").clean(), "repair makes fsck clean");
         std::fs::remove_dir_all(&dir).ok();
     }

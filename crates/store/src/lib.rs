@@ -16,7 +16,7 @@
 //! * **Incremental re-indexing** ([`pipeline`]) — a grown corpus resumes
 //!   the stored PMC set (`JoinState::resume`) and joins only the new
 //!   profiles; an unchanged corpus loads the stored set outright.
-//! * **Self-healing durability** ([`crc`], [`fsck`], [`fault`]) — every v2
+//! * **Self-healing durability** ([`crc`], [`fsck`], [`fault`]) — every
 //!   record carries a CRC32C, writers fsync before the manifest can
 //!   reference them, opening truncates torn tails, and damaged records
 //!   degrade to recompute-and-heal instead of failing the campaign.

@@ -7,11 +7,12 @@
 //! content key so a stale or rewritten manifest cannot silently serve the
 //! wrong payload.
 //!
-//! Format v2 (`SBSEG002`/`SBPMC002`): 8-byte magic, then records of
-//! `[key: u64 LE][len: u32 LE][crc: u32 LE][payload]` where `crc` is
-//! CRC32C over `key‖len‖payload`. Format v1 (`SBSEG001`/`SBPMC001`) lacks
-//! the crc word and is still readable — checksum-less — for stores written
-//! before the upgrade.
+//! Format (`SBSEG002`/`SBPMC002`, the only one read or written): 8-byte
+//! magic, then records of `[key: u64 LE][len: u32 LE][crc: u32 LE][payload]`
+//! where `crc` is CRC32C over `key‖len‖payload`. Any other magic — the
+//! checksum-less `SBSEG001`/`SBPMC001` of early stores included — is an
+//! unrecognized file: its records are damaged, recomputed and healed into
+//! a new segment, and `store repair` removes it.
 //!
 //! Writers fsync on [`SegmentWriter::finish`], so a completed segment is
 //! durable before the manifest can reference it; [`scan`] classifies a
@@ -26,16 +27,12 @@ use std::path::{Path, PathBuf};
 use crate::crc::Crc32c;
 use crate::Error;
 
-/// Magic prefix of v2 (checksummed) profile segment files.
+/// Magic prefix of profile segment files.
 pub const PROFILE_MAGIC: &[u8; 8] = b"SBSEG002";
-/// Magic prefix of v2 (checksummed) PMC-set segment files.
+/// Magic prefix of PMC-set segment files.
 pub const PMC_MAGIC: &[u8; 8] = b"SBPMC002";
-/// Magic prefix of v1 (checksum-less) profile segment files.
-pub const PROFILE_MAGIC_V1: &[u8; 8] = b"SBSEG001";
-/// Magic prefix of v1 (checksum-less) PMC-set segment files.
-pub const PMC_MAGIC_V1: &[u8; 8] = b"SBPMC001";
 
-/// What a segment file stores; selects which magics are acceptable.
+/// What a segment file stores; selects which magic is acceptable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SegmentKind {
     /// Sequential-test profiles (`seg-<n>.bin`).
@@ -44,15 +41,10 @@ pub enum SegmentKind {
     Pmc,
 }
 
-/// Record header size of the given format version.
-pub fn header_len(version: u8) -> u64 {
-    match version {
-        1 => 12, // key + len
-        _ => 16, // key + len + crc
-    }
-}
+/// Record header size: key + len + crc.
+pub const HEADER_LEN: u64 = 16;
 
-/// CRC32C over `key‖len‖payload` — the integrity scope of one v2 record.
+/// CRC32C over `key‖len‖payload` — the integrity scope of one record.
 pub fn record_crc(key: u64, payload: &[u8]) -> u32 {
     let mut c = Crc32c::new();
     c.update(&key.to_le_bytes());
@@ -69,7 +61,7 @@ fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -
     }
 }
 
-/// Writes one (always v2) segment file. Records accumulate in memory — a
+/// Writes one segment file. Records accumulate in memory — a
 /// segment is one corpus chunk, smaller than the decoded batch its caller
 /// holds — and reach the file in a single write on [`SegmentWriter::finish`].
 pub struct SegmentWriter {
@@ -146,22 +138,19 @@ pub fn sync_dir(dir: &Path) {
 pub struct SegmentReader {
     file: File,
     path: PathBuf,
-    /// Header layout of the file's records (1 = checksum-less).
-    version: u8,
 }
 
 impl SegmentReader {
-    /// Opens the segment at `path`, whose magic [`scan`] classified as
-    /// format `version`.
-    pub fn open(path: &Path, version: u8) -> Result<SegmentReader, Error> {
+    /// Opens the segment at `path`, whose magic [`scan`] recognized.
+    pub fn open(path: &Path) -> Result<SegmentReader, Error> {
         let file = File::open(path).map_err(io_err("open", path))?;
-        Ok(SegmentReader { file, path: path.to_path_buf(), version })
+        Ok(SegmentReader { file, path: path.to_path_buf() })
     }
 
     /// Reads the record at `(offset, len)` into `buf` with one positioned
     /// read and returns its payload, verifying that its embedded content
     /// key matches `expected_key`, that its length word matches `len`, and
-    /// — for v2 segments — its CRC32C.
+    /// its CRC32C.
     ///
     /// `eof_at` simulates a short read: bytes at or past that file offset
     /// are treated as missing.
@@ -174,7 +163,7 @@ impl SegmentReader {
         buf: &'b mut Vec<u8>,
     ) -> Result<&'b [u8], Error> {
         let path = &self.path;
-        let header = header_len(self.version) as usize;
+        let header = HEADER_LEN as usize;
         // A record's length word is a u32; anything larger is not a record.
         let total = header + u32::try_from(len).map_err(|_| Error::Truncated)? as usize;
         if eof_at.is_some_and(|eof| offset.saturating_add(total as u64) > eof) {
@@ -197,14 +186,12 @@ impl SegmentReader {
                 detail: format!("length mismatch at offset {offset}: manifest says {len}, record says {stored_len}"),
             });
         }
-        if self.version >= 2 {
-            let stored_crc = u32::from_le_bytes(head[12..16].try_into().expect("4-byte slice"));
-            if stored_crc != record_crc(key, payload) {
-                return Err(Error::Format {
-                    path: path.clone(),
-                    detail: format!("checksum mismatch for record {key:#x} at offset {offset}"),
-                });
-            }
+        let stored_crc = u32::from_le_bytes(head[12..16].try_into().expect("4-byte slice"));
+        if stored_crc != record_crc(key, payload) {
+            return Err(Error::Format {
+                path: path.clone(),
+                detail: format!("checksum mismatch for record {key:#x} at offset {offset}"),
+            });
         }
         Ok(payload)
     }
@@ -219,15 +206,16 @@ pub struct ScannedRecord {
     pub offset: u64,
     /// Payload length.
     pub len: u64,
-    /// CRC32C verdict (always true for v1 records — nothing to check).
+    /// CRC32C verdict.
     pub crc_ok: bool,
 }
 
 /// Structural classification of one segment file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentScan {
-    /// Format version: 1, 2, or 0 when the magic is unrecognized.
-    pub version: u8,
+    /// Whether the file starts with the magic of its kind. An
+    /// unrecognized file has no valid prefix at all.
+    pub recognized: bool,
     /// Total file length in bytes.
     pub file_len: u64,
     /// Length of the valid record prefix (including the magic). Records
@@ -251,28 +239,20 @@ impl SegmentScan {
 pub fn scan(path: &Path, kind: SegmentKind) -> Result<SegmentScan, Error> {
     let bytes = std::fs::read(path).map_err(io_err("read", path))?;
     let file_len = bytes.len() as u64;
-    let version = if bytes.len() < 8 {
-        0
-    } else {
-        let magic: &[u8] = &bytes[..8];
-        match kind {
-            SegmentKind::Profile if magic == PROFILE_MAGIC => 2,
-            SegmentKind::Profile if magic == PROFILE_MAGIC_V1 => 1,
-            SegmentKind::Pmc if magic == PMC_MAGIC => 2,
-            SegmentKind::Pmc if magic == PMC_MAGIC_V1 => 1,
-            _ => 0,
-        }
+    let magic = match kind {
+        SegmentKind::Profile => PROFILE_MAGIC,
+        SegmentKind::Pmc => PMC_MAGIC,
     };
-    if version == 0 {
+    if !bytes.starts_with(magic) {
         // Unrecognized or truncated magic: no valid prefix at all.
         return Ok(SegmentScan {
-            version,
+            recognized: false,
             file_len,
             valid_len: 0,
             records: Vec::new(),
         });
     }
-    let header = header_len(version) as usize;
+    let header = HEADER_LEN as usize;
     let mut records = Vec::new();
     let mut pos = 8usize;
     while bytes.len() - pos >= header {
@@ -284,18 +264,12 @@ pub fn scan(path: &Path, kind: SegmentKind) -> Result<SegmentScan, Error> {
         if end > bytes.len() {
             break; // payload runs past EOF: torn
         }
-        let crc_ok = version == 1 || {
-            let stored = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4-byte slice"));
-            let mut c = Crc32c::new();
-            c.update(&bytes[pos..pos + 12]);
-            c.update(&bytes[pos + header..end]);
-            stored == c.finish()
-        };
+        let stored = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4-byte slice"));
         records.push(ScannedRecord {
             key,
             offset: pos as u64,
             len: u64::from(len),
-            crc_ok,
+            crc_ok: stored == record_crc(key, &bytes[pos + header..end]),
         });
         pos = end;
     }
@@ -310,7 +284,7 @@ pub fn scan(path: &Path, kind: SegmentKind) -> Result<SegmentScan, Error> {
         }
     }
     Ok(SegmentScan {
-        version,
+        recognized: true,
         file_len,
         valid_len: pos as u64,
         records,
@@ -321,7 +295,7 @@ pub fn scan(path: &Path, kind: SegmentKind) -> Result<SegmentScan, Error> {
 /// Best-effort (a read-only store still opens); returns whether bytes were
 /// actually removed.
 pub fn truncate_torn_tail(path: &Path, scan: &SegmentScan) -> bool {
-    if scan.version == 0 || scan.torn_bytes() == 0 {
+    if !scan.recognized || scan.torn_bytes() == 0 {
         return false;
     }
     match std::fs::OpenOptions::new().write(true).open(path) {
@@ -355,8 +329,8 @@ mod tests {
         let (o2, l2) = w.append(0xBBBB, b"second").expect("append");
         let total = w.finish().expect("finish");
         assert_eq!(total, std::fs::metadata(&path).expect("meta").len());
-        assert_eq!(scan(&path, SegmentKind::Profile).expect("scan").version, 2);
-        let (r, mut buf) = (SegmentReader::open(&path, 2).expect("open"), Vec::new());
+        assert!(scan(&path, SegmentKind::Profile).expect("scan").recognized);
+        let (r, mut buf) = (SegmentReader::open(&path).expect("open"), Vec::new());
         // One handle and one buffer serve any order of addresses.
         assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut buf).expect("r2"), b"second");
         assert_eq!(r.read_at(o1, l1, 0xAAAA, None, &mut buf).expect("r1"), b"first payload");
@@ -372,13 +346,13 @@ mod tests {
         let (o, l) = w.append(7, b"payload").expect("append");
         let (o2, l2) = w.append(9, b"last").expect("append");
         w.finish().expect("finish");
-        let (r, mut buf) = (SegmentReader::open(&path, 2).expect("open"), Vec::new());
+        let (r, mut buf) = (SegmentReader::open(&path).expect("open"), Vec::new());
         assert!(matches!(r.read_at(o, l, 8, None, &mut buf), Err(Error::Format { .. })));
         assert!(matches!(r.read_at(o, l + 1, 7, None, &mut buf), Err(Error::Format { .. })));
         // A length that runs past the end of the file is a failed read.
         assert!(matches!(r.read_at(o2, l2 + 1, 9, None, &mut buf), Err(Error::Io { .. })));
         assert!(matches!(r.read_at(o2, u64::MAX, 9, None, &mut buf), Err(Error::Truncated)));
-        assert_eq!(scan(&path, SegmentKind::Pmc).expect("scan").version, 0, "wrong magic");
+        assert!(!scan(&path, SegmentKind::Pmc).expect("scan").recognized, "wrong magic");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -393,7 +367,7 @@ mod tests {
         let payload_start = (o + 16) as usize;
         bytes[payload_start] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let r = SegmentReader::open(&path, 2).expect("open");
+        let r = SegmentReader::open(&path).expect("open");
         match r.read_at(o, l, 9, None, &mut Vec::new()) {
             Err(Error::Format { detail, .. }) => assert!(detail.contains("checksum")),
             other => panic!("expected checksum failure, got {other:?}"),
@@ -408,33 +382,12 @@ mod tests {
         let mut w = SegmentWriter::create(&path, PROFILE_MAGIC).expect("create");
         let (o, l) = w.append(5, b"payload").expect("append");
         let total = w.finish().expect("finish");
-        let (r, mut buf) = (SegmentReader::open(&path, 2).expect("open"), Vec::new());
+        let (r, mut buf) = (SegmentReader::open(&path).expect("open"), Vec::new());
         assert!(matches!(
             r.read_at(o, l, 5, Some(total - 1), &mut buf),
             Err(Error::Truncated)
         ));
         assert!(r.read_at(o, l, 5, Some(total), &mut buf).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_records_read_checksum_less() {
-        let dir = tmpdir("v1");
-        let path = dir.join("seg-0.bin");
-        // Hand-write a v1 segment: magic + [key][len][payload].
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(PROFILE_MAGIC_V1);
-        bytes.extend_from_slice(&0xCAFEu64.to_le_bytes());
-        bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.extend_from_slice(b"oldbits");
-        std::fs::write(&path, &bytes).expect("write");
-        let r = SegmentReader::open(&path, 1).expect("open");
-        assert_eq!(r.read_at(8, 7, 0xCAFE, None, &mut Vec::new()).expect("v1 read"), b"oldbits");
-        let scan = scan(&path, SegmentKind::Profile).expect("scan");
-        assert_eq!(scan.version, 1);
-        assert_eq!(scan.torn_bytes(), 0);
-        assert_eq!(scan.records.len(), 1);
-        assert!(scan.records[0].crc_ok, "v1 records have nothing to check");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -448,7 +401,7 @@ mod tests {
         let total = w.finish().expect("finish");
 
         let full = scan(&path, SegmentKind::Profile).expect("scan");
-        assert_eq!(full.version, 2);
+        assert!(full.recognized);
         assert_eq!(full.valid_len, total);
         assert_eq!(full.records.len(), 2);
         assert!(full.records.iter().all(|r| r.crc_ok));
@@ -475,11 +428,16 @@ mod tests {
         let s = scan(&path, SegmentKind::Profile).expect("scan");
         assert_eq!(s.valid_len, o2, "bad CRC at EOF drops the final record");
 
-        // Unrecognized magic: nothing valid.
-        std::fs::write(&path, b"NOTMAGICxxxx").expect("garbage");
-        let s = scan(&path, SegmentKind::Profile).expect("scan");
-        assert_eq!((s.version, s.valid_len), (0, 0));
-        assert!(!truncate_torn_tail(&path, &s), "never truncate unrecognized files");
+        // Unrecognized magic — garbage, or the retired checksum-less
+        // format — has nothing valid.
+        let mut v1 = b"SBSEG001".to_vec();
+        v1.extend_from_slice(&bytes[8..]);
+        for unrecognized in [b"NOTMAGICxxxx".as_slice(), v1.as_slice()] {
+            std::fs::write(&path, unrecognized).expect("garbage");
+            let s = scan(&path, SegmentKind::Profile).expect("scan");
+            assert_eq!((s.recognized, s.valid_len), (false, 0));
+            assert!(!truncate_torn_tail(&path, &s), "never truncate unrecognized files");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -96,8 +96,8 @@ pub struct SegmentStats {
 /// What `Store::open` learned about one segment file.
 #[derive(Clone, Copy, Debug)]
 struct SegMeta {
-    /// Format version (0 = unrecognized magic: fully damaged).
-    version: u8,
+    /// False for an unrecognized magic: every record in it is damaged.
+    recognized: bool,
     /// Valid record prefix length; addresses past this are damaged.
     valid_len: u64,
 }
@@ -172,7 +172,7 @@ impl Store {
                     }
                 }
             }
-            let meta = SegMeta { version: scan.version, valid_len: scan.valid_len };
+            let meta = SegMeta { recognized: scan.recognized, valid_len: scan.valid_len };
             match kind {
                 SegmentKind::Profile => seg_meta.insert(n, meta),
                 SegmentKind::Pmc => pmc_meta.insert(n, meta),
@@ -261,10 +261,10 @@ impl Store {
         };
         // No meta: the segment file was missing at open.
         let meta = *meta.ok_or(Error::Truncated)?;
-        if meta.version == 0 {
+        if !meta.recognized {
             return Err(Error::Corrupt("unrecognized segment magic"));
         }
-        let end = offset.saturating_add(segment::header_len(meta.version)).saturating_add(len);
+        let end = offset.saturating_add(segment::HEADER_LEN).saturating_add(len);
         if end > meta.valid_len {
             return Err(Error::Truncated);
         }
@@ -273,7 +273,7 @@ impl Store {
             let path = self.segment_path(kind, seg_no);
             // Dropping the previous handle first keeps it at one descriptor.
             self.open_segment = None;
-            self.open_segment = Some((kind, seg_no, SegmentReader::open(&path, meta.version)?));
+            self.open_segment = Some((kind, seg_no, SegmentReader::open(&path)?));
         }
         let (_, _, reader) = self.open_segment.as_ref().expect("opened above");
         reader.read_at(offset, len, key, eof_at, &mut self.read_buf)
@@ -350,7 +350,7 @@ impl Store {
         let total = writer.finish()?;
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
-        self.seg_meta.insert(seg_no, SegMeta { version: 2, valid_len: total });
+        self.seg_meta.insert(seg_no, SegMeta { recognized: true, valid_len: total });
         self.manifest.next_segment = seg_no + 1;
         for key in new_entries.keys() {
             if self.damaged_keys.remove(key) {
@@ -432,7 +432,7 @@ impl Store {
         let total = writer.finish()?;
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
-        self.pmc_meta.insert(seg_no, SegMeta { version: 2, valid_len: total });
+        self.pmc_meta.insert(seg_no, SegMeta { recognized: true, valid_len: total });
         self.manifest.next_segment = seg_no + 1;
         self.manifest.pmcs.retain(|e| e.corpus != corpus_keys);
         self.manifest.pmcs.push(PmcEntry {

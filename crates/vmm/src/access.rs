@@ -5,7 +5,6 @@
 //! (address + length), value, and access type — plus the synchronization
 //! context (locks held, RCU nesting) that the data-race detector consumes.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::site::Site;
@@ -19,10 +18,9 @@ use crate::site::Site;
 /// of a heap-allocating `Vec` clone, so lock-quiescent accesses allocate
 /// nothing on the trial hot path.
 ///
-/// Equality, hashing, and the serialized form are all by contents — a
-/// `LockSet` is indistinguishable from the `Vec<u64>` it replaced.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(from = "Vec<u64>", into = "Vec<u64>")]
+/// Equality and hashing are by contents — a `LockSet` is indistinguishable
+/// from the `Vec<u64>` it replaced.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LockSet(Arc<Vec<u64>>);
 
 impl LockSet {
@@ -78,12 +76,6 @@ impl FromIterator<u64> for LockSet {
     }
 }
 
-impl From<LockSet> for Vec<u64> {
-    fn from(s: LockSet) -> Self {
-        s.0.as_ref().clone()
-    }
-}
-
 impl PartialEq<Vec<u64>> for LockSet {
     fn eq(&self, other: &Vec<u64>) -> bool {
         *self.0 == *other
@@ -97,7 +89,7 @@ impl PartialEq<LockSet> for Vec<u64> {
 }
 
 /// Whether an access reads or writes guest memory.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum AccessKind {
     /// A load from guest memory.
     Read,
@@ -116,7 +108,7 @@ impl AccessKind {
 ///
 /// Every field is integral (no floats), so profiles containing accesses
 /// round-trip u64-exactly through any of the store codecs.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Global sequence number within one execution (trace index).
     pub seq: u64,

@@ -20,8 +20,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use serde::{Deserialize, Serialize};
-
 use crate::mem::stack_base;
 use crate::site::Site;
 use crate::AccessKind;
@@ -30,7 +28,7 @@ use crate::AccessKind;
 ///
 /// Kernel code propagates faults with `?`; the program runner at the base of
 /// each thread decides whether a fault ends one syscall or the whole test.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Fault {
     /// Dereference inside the null page (`addr < 0x1000`).
     NullDeref {

@@ -24,8 +24,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{Access, AccessKind, LockSet};
 use crate::ctx::{Ctx, Fault, KResult, Mailbox, Reply, Request};
 use crate::mem::{GuestMem, MAX_THREADS};
@@ -101,7 +99,7 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Terminal state of one execution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// All threads ran to completion.
     Completed,
@@ -129,7 +127,7 @@ impl Outcome {
 }
 
 /// Everything observed during one execution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecReport {
     /// Terminal state.
     pub outcome: Outcome,
@@ -138,9 +136,7 @@ pub struct ExecReport {
     /// Every memory access, in global order.
     pub trace: Vec<Access>,
     /// Every synchronization event (locks, sleeps, wakeups, atomic
-    /// context), in global order. Absent in archived reports from before
-    /// the field existed; deserializes to empty.
-    #[serde(default)]
+    /// context), in global order.
     pub sync_events: Vec<SyncEvent>,
     /// Total coordinator steps executed.
     pub steps: u64,

@@ -21,10 +21,9 @@
 //! only bumps the base refcount and copies the (usually empty) overlay.
 //! [`GuestMem::seal`] folds the overlay back into a fresh base — the boot
 //! path calls it once so every trial starts from a clean, fully-shared
-//! image. [`GuestMem::deep_clone`] materializes a private flat copy,
-//! reproducing the historical whole-memory clone for benchmarking.
+//! image. [`GuestMem::deep_clone`] materializes a private flat copy: the
+//! whole-memory clone the tests compare the copy-on-write path against.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -93,8 +92,7 @@ type Page = Box<[u8; PAGE_SIZE as usize]>;
 /// [`seal`](GuestMem::seal) the result, clone it before every trial, and
 /// every trial observes the exact same initial state and future allocation
 /// addresses — while sharing the boot image instead of copying 16 MiB.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(from = "FlatMem", into = "FlatMem")]
+#[derive(Clone)]
 pub struct GuestMem {
     /// The shared immutable base image. Never written after construction.
     base: Arc<Vec<u8>>,
@@ -113,45 +111,6 @@ pub struct GuestMem {
     allocs: BTreeMap<u64, u64>,
     /// Count of live allocations, for leak diagnostics.
     live: u64,
-}
-
-/// The flattened wire form of [`GuestMem`]: the serde representation stays
-/// a plain byte image, independent of how pages are shared in memory.
-#[derive(Clone, Serialize, Deserialize)]
-struct FlatMem {
-    bytes: Vec<u8>,
-    brk: u64,
-    free: BTreeMap<u64, Vec<u64>>,
-    allocs: BTreeMap<u64, u64>,
-    live: u64,
-}
-
-impl From<GuestMem> for FlatMem {
-    fn from(m: GuestMem) -> Self {
-        FlatMem {
-            bytes: m.flatten(),
-            brk: m.brk,
-            free: m.free,
-            allocs: m.allocs,
-            live: m.live,
-        }
-    }
-}
-
-impl From<FlatMem> for GuestMem {
-    fn from(f: FlatMem) -> Self {
-        let mut bytes = f.bytes;
-        bytes.resize(GUEST_MEM_SIZE as usize, 0);
-        GuestMem {
-            base: Arc::new(bytes),
-            overlay: empty_overlay(),
-            dirty: 0,
-            brk: f.brk,
-            free: f.free,
-            allocs: f.allocs,
-            live: f.live,
-        }
-    }
 }
 
 fn empty_overlay() -> Vec<Option<Page>> {
@@ -218,9 +177,8 @@ impl GuestMem {
 
     /// Materializes a fully private flat copy — the historical
     /// whole-memory snapshot clone. Semantically identical to `clone`, but
-    /// costs a 16 MiB copy and shares nothing. Kept for benchmarking the
-    /// copy-on-write path against the old behavior and for tests that pin
-    /// the two bit-identical.
+    /// costs a 16 MiB copy and shares nothing. Kept as the reference for
+    /// the tests that pin the two bit-identical.
     pub fn deep_clone(&self) -> Self {
         GuestMem {
             base: Arc::new(self.flatten()),

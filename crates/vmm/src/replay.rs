@@ -11,14 +11,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::Access;
 use crate::sched::Scheduler;
 
 /// A recorded interleaving: per-access preemption decisions and the chosen
 /// thread at each scheduling point.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schedule {
     /// One entry per access, in execution order: preempt after it?
     pub switches: Vec<bool>,
@@ -186,18 +184,5 @@ mod tests {
         let r = exec.run(m, two_jobs(cell), &mut replay);
         assert!(r.report.outcome.is_completed());
         assert!(replay.diverged());
-    }
-
-    #[test]
-    fn schedules_serialize() {
-        let s = Schedule {
-            switches: vec![true, false, true],
-            picks: vec![1, 0],
-        };
-        // serde round trip through the compact tuple representation used by
-        // campaign archives.
-        let cloned = s.clone();
-        assert_eq!(s, cloned);
-        assert_eq!(s.len(), 3);
     }
 }

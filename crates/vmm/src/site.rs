@@ -11,11 +11,9 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 /// The identity of one static memory-access instruction in the simulated
 /// kernel ("instruction address" in the paper's terminology).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Site(pub u64);
 
 /// FNV-1a offset basis (64-bit).

@@ -9,12 +9,10 @@
 //! sleeping-in-atomic consume this stream; the stock data-race detector
 //! keeps consuming the access stream and is unaffected.
 
-use serde::{Deserialize, Serialize};
-
 use crate::site::Site;
 
 /// The kind of one synchronization event.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SyncKind {
     /// A lock was granted to the thread (immediately or by handoff).
     LockAcquire,
@@ -48,7 +46,7 @@ pub enum SyncKind {
 
 /// One synchronization event, recorded by the execution coordinator in
 /// global order alongside the access trace.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SyncEvent {
     /// Coordinator step counter at record time: orders sync events against
     /// each other and (approximately) against the access stream.
