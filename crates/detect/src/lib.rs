@@ -175,8 +175,9 @@ fn strip_numbers(s: &str) -> String {
     out
 }
 
-/// Runs every oracle over one execution report.
-pub fn analyze(report: &ExecReport) -> Vec<Finding> {
+/// The stock sequence every analysis starts with: the outcome, the console
+/// scan and — when `race` — the data-race detector, in that order.
+fn stock_findings(report: &ExecReport, race: bool) -> Vec<Finding> {
     let mut findings = Vec::new();
     match &report.outcome {
         Outcome::Panic { msg } => findings.push(Finding::KernelPanic { msg: msg.clone() }),
@@ -185,14 +186,22 @@ pub fn analyze(report: &ExecReport) -> Vec<Finding> {
         Outcome::Completed => {}
     }
     findings.extend(scan_console(&report.console));
-    for race in detect_races(&report.trace) {
-        findings.push(Finding::DataRace {
-            write_site: race.write_site.display_name(),
-            other_site: race.other_site.display_name(),
-            addr: race.addr,
-        });
+    if race {
+        for race in detect_races(&report.trace) {
+            findings.push(Finding::DataRace {
+                write_site: race.write_site.display_name(),
+                other_site: race.other_site.display_name(),
+                addr: race.addr,
+            });
+        }
     }
     findings
+}
+
+/// Runs the stock oracles (outcome, console, data races) over one execution
+/// report.
+pub fn analyze(report: &ExecReport) -> Vec<Finding> {
+    stock_findings(report, true)
 }
 
 /// [`analyze`], counting raw (pre-dedup) detector hits as `detect.findings`
@@ -306,7 +315,7 @@ impl OracleSet {
 /// [`RuleMiner`] the lock-rule oracle accumulates across a job's trials.
 ///
 /// With [`OracleSet::race_only`] the output of [`OracleCtx::analyze`] is
-/// exactly that of the stock [`analyze`], in the same order.
+/// exactly that of the stock [`analyze`]: both are the same function.
 pub struct OracleCtx {
     /// The selected oracles.
     pub oracles: OracleSet,
@@ -328,31 +337,18 @@ impl OracleCtx {
     }
 
     /// Runs the selected oracles over one execution. Finding order is
-    /// deterministic: outcome, console, races, then lock-rule violations
-    /// (recomputed from the whole corpus so far), missed wakeups, and
-    /// sleeps-in-atomic. Lock-rule findings for already-known rules repeat
-    /// on every call — campaign-level dedup collapses them.
+    /// deterministic: outcome, console, races, then lock-rule violations,
+    /// missed wakeups, and sleeps-in-atomic. The lock rules are mined from
+    /// every execution this context has seen, but a violation is returned
+    /// by the first call it holds in and not again (see
+    /// [`RuleMiner::new_violations`]) — deduplicating by
+    /// [`Finding::dedup_key`] gives what it would give over the whole
+    /// recomputed set.
     pub fn analyze(&mut self, report: &ExecReport) -> Vec<Finding> {
-        let mut findings = Vec::new();
-        match &report.outcome {
-            Outcome::Panic { msg } => findings.push(Finding::KernelPanic { msg: msg.clone() }),
-            Outcome::Deadlock => findings.push(Finding::Deadlock),
-            Outcome::Livelock => findings.push(Finding::Livelock),
-            Outcome::Completed => {}
-        }
-        findings.extend(scan_console(&report.console));
-        if self.oracles.race {
-            for race in detect_races(&report.trace) {
-                findings.push(Finding::DataRace {
-                    write_site: race.write_site.display_name(),
-                    other_site: race.other_site.display_name(),
-                    addr: race.addr,
-                });
-            }
-        }
+        let mut findings = stock_findings(report, self.oracles.race);
         if self.oracles.lockrule {
             self.miner.observe(report);
-            findings.extend(self.miner.violations());
+            findings.extend(self.miner.new_violations());
         }
         if self.oracles.wakeup {
             findings.extend(detect_missed_wakeups(&report.sync_events));
@@ -363,7 +359,9 @@ impl OracleCtx {
         findings
     }
 
-    /// [`OracleCtx::analyze`], counting raw hits as `detect.findings`.
+    /// [`OracleCtx::analyze`], counting what it returned as
+    /// `detect.findings`: every per-execution hit, and each lock-rule
+    /// violation once per context (again after a lock rename).
     pub fn analyze_traced(&mut self, report: &ExecReport, tracer: &sb_obs::Tracer) -> Vec<Finding> {
         let findings = self.analyze(report);
         tracer.count(sb_obs::keys::FINDINGS, findings.len() as u64);

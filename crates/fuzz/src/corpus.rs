@@ -199,14 +199,14 @@ pub fn build_corpus_with(
         stats.executed += 1;
         // Panicking sequential tests would poison profiling; the simulated
         // kernel has no sequential panics, but guard anyway.
-        if !r.report.outcome.is_completed() {
-            return;
+        if r.report.outcome.is_completed() {
+            let edges = edges_of_trace(&r.report.trace, 0);
+            if coverage.merge(&edges) > 0 {
+                corpus.push(prog);
+                stats.kept += 1;
+            }
         }
-        let edges = edges_of_trace(&r.report.trace, 0);
-        if coverage.merge(&edges) > 0 {
-            corpus.push(prog);
-            stats.kept += 1;
-        }
+        exec.recycle(r);
     };
 
     let seeds = match catalog {

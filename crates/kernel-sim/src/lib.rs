@@ -377,8 +377,8 @@ pub fn boot(config: KernelConfig) -> BootedKernel {
         .expect("boot symbol channel poisoned")
         .take()
         .expect("boot did not publish symbols");
-    // Fold boot-time writes into a fresh shared base: every per-trial
-    // snapshot clone below is then an Arc bump, not a 16 MiB copy.
+    // Fold boot-time writes and allocations into a fresh shared base: a
+    // per-trial snapshot clone then copies nothing but an empty overlay.
     let mut snapshot = r.mem;
     snapshot.seal();
     BootedKernel {

@@ -455,6 +455,24 @@ impl TraceReport {
                 let _ = writeln!(out, "  {k:<28} {v:>10}");
             }
         }
+        let phases: Vec<(&str, u64)> = keys::TRIAL_PHASE_NS
+            .iter()
+            .filter_map(|k| self.counters.get(*k).map(|ns| (*k, *ns)))
+            .collect();
+        if !phases.is_empty() {
+            // The share is of the `campaign` span's wall clock, so it can
+            // pass 100 % when several workers ran trials at once.
+            let campaign_ns = self.spans.get("campaign").map_or(0, |s| s.total_us * 1000);
+            let _ = writeln!(out, "\ntrial phases:");
+            let total: u64 = phases.iter().map(|(_, ns)| ns).sum();
+            for (k, ns) in phases.into_iter().chain([("(all phases)", total)]) {
+                let _ = write!(out, "  {k:<28} {:>10.3} ms", ns as f64 / 1e6);
+                let _ = match campaign_ns {
+                    0 => writeln!(out),
+                    span => writeln!(out, " {:>6.1}% of campaign", ns as f64 * 100.0 / span as f64),
+                };
+            }
+        }
         let reported = self.reported_findings();
         if !reported.is_empty() {
             let _ = writeln!(out, "\nfindings by oracle:");
@@ -602,6 +620,35 @@ mod tests {
         assert!(err.starts_with("line 1:"), "{err}");
         let err = TraceReport::from_lines(["", "garbage"]).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn trial_phases_render_with_their_share_of_the_campaign_span() {
+        let count = |key: &str, n: u64| {
+            Event::Count { t: 0, key: key.into(), n }.to_json().render()
+        };
+        let span_end = |name: &str, dur: u64| {
+            Event::SpanEnd { t: dur, span: 1, name: name.into(), dur }.to_json().render()
+        };
+        let plain = TraceReport::from_lines(traced_run().iter().map(String::as_str)).unwrap();
+        assert!(!plain.render().contains("trial phases"), "no counters, no table");
+
+        // Two jobs' worth of run time, one of oracle time, in a 4 ms span.
+        let lines = [
+            count(keys::TRIAL_PHASE_NS[1], 1_000_000),
+            count(keys::TRIAL_PHASE_NS[1], 1_000_000),
+            count(keys::TRIAL_PHASE_NS[2], 1_000_000),
+            span_end("campaign", 4_000),
+        ];
+        let text = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap().render();
+        let row = |key: &str| {
+            let line = text.lines().find(|l| l.contains(key)).unwrap_or_else(|| panic!("{text}"));
+            line.split_whitespace().map(str::to_owned).collect::<Vec<_>>()
+        };
+        assert_eq!(row("trial.run_ns")[1..], ["2.000", "ms", "50.0%", "of", "campaign"]);
+        assert_eq!(row("trial.oracle_ns")[1..4], ["1.000", "ms", "25.0%"]);
+        assert_eq!(row("(all phases)")[2..5], ["3.000", "ms", "75.0%"]);
+        assert!(!text.contains("trial.repro_ns"), "phases that never ran are left out");
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //! [`test_one_pmc`], the retry loop around it, and the process-fault hook
 //! remote workers fire before a job.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -40,9 +41,8 @@ use rand::SeedableRng;
 
 use sb_detect::{Finding, OracleCtx, OracleSet};
 use sb_kernel::{BootedKernel, Program};
-use sb_vmm::access::AccessKind;
 use sb_vmm::replay::{RecordingSched, Schedule};
-use sb_vmm::sched::{Scheduler as _, SnowboardSched};
+use sb_vmm::sched::{HintAccess, Scheduler as _, SnowboardSched};
 use sb_vmm::site::Site;
 use sb_vmm::Executor;
 
@@ -253,23 +253,43 @@ impl CampaignReport {
     }
 }
 
-/// Index from write-side instruction to PMC ids, used for fast incidental
-/// PMC lookup during trials.
+/// Index from write-side instruction to PMCs, used for fast incidental PMC
+/// lookup during trials.
 pub struct IncidentalIndex {
-    by_write_site: HashMap<Site, Vec<PmcId>>,
+    /// The write-side instructions of the set, ascending, each with its run
+    /// in `pmcs`.
+    sites: Vec<(Site, std::ops::Range<usize>)>,
+    /// Every PMC's id and hints, grouped by write-side instruction and by
+    /// ascending id within a group: what a scan reads, in the order it
+    /// reads it, instead of a walk across the [`PmcSet`].
+    pmcs: Vec<(PmcId, [HintAccess; 2])>,
 }
 
 impl IncidentalIndex {
     /// Builds the index over a PMC set.
     pub fn build(set: &PmcSet) -> Self {
-        let mut by_write_site: HashMap<Site, Vec<PmcId>> = HashMap::new();
-        for (id, p) in set.pmcs.iter().enumerate() {
-            by_write_site
-                .entry(p.key.w.ins)
-                .or_default()
-                .push(id as PmcId);
+        let mut pmcs: Vec<(PmcId, [HintAccess; 2])> = set
+            .pmcs
+            .iter()
+            .enumerate()
+            .map(|(id, p)| (id as PmcId, p.hints()))
+            .collect();
+        pmcs.sort_unstable_by_key(|(id, [hw, _])| (hw.site, *id));
+        let mut sites = Vec::new();
+        let mut start = 0;
+        for run in pmcs.chunk_by(|(_, [a, _]), (_, [b, _])| a.site == b.site) {
+            sites.push((run[0].1[0].site, start..start + run.len()));
+            start += run.len();
         }
-        IncidentalIndex { by_write_site }
+        IncidentalIndex { sites, pmcs }
+    }
+
+    /// The PMCs whose write side is instruction `site`, by ascending id.
+    fn written_by(&self, site: Site) -> &[(PmcId, [HintAccess; 2])] {
+        match self.sites.binary_search_by_key(&site, |(s, _)| *s) {
+            Ok(n) => &self.pmcs[self.sites[n].1.clone()],
+            Err(_) => &[],
+        }
     }
 }
 
@@ -303,43 +323,95 @@ pub fn channel_exercised(trace: &[sb_vmm::Access], pmc: &Pmc) -> bool {
         })
 }
 
-/// Scans a trial trace for PMCs (other than those already watched) whose
-/// write *and* read sides both appeared, returning one at random.
-fn find_incidental_pmc(
-    trace: &[sb_vmm::Access],
-    set: &PmcSet,
-    index: &IncidentalIndex,
-    watched: &mut std::collections::HashSet<PmcId>,
-    rng: &mut StdRng,
-) -> Option<PmcId> {
-    const MAX_CANDIDATES: usize = 256;
-    let mut candidates: Vec<PmcId> = Vec::new();
-    let mut seen_sites = std::collections::HashSet::new();
-    for a in trace.iter().filter(|a| a.kind == AccessKind::Write) {
-        if !seen_sites.insert(a.site) {
-            continue;
-        }
-        if let Some(ids) = index.by_write_site.get(&a.site) {
-            for id in ids {
-                if candidates.len() >= MAX_CANDIDATES {
-                    break;
+/// One access of a trial trace as the incidental lookup sees it:
+/// (instruction, start, end). Sorted, the accesses of one instruction are a
+/// run ordered by address.
+type Seen = (Site, u64, u64);
+
+/// True if `seen` — sorted, all reads or all writes — holds an access whose
+/// instruction and range `h` matches.
+fn any_match(seen: &[Seen], h: &HintAccess) -> bool {
+    // An access ends at most `u8::MAX` bytes past its start, so nothing
+    // starting before `from` reaches into the hinted range.
+    let from = h.addr.saturating_sub(u64::from(u8::MAX));
+    let first = seen.partition_point(|s| (s.0, s.1) < (h.site, from));
+    seen[first..]
+        .iter()
+        .take_while(|s| s.0 == h.site && s.1 < h.end())
+        .any(|s| h.addr < s.2)
+}
+
+/// Per-job state of the incidental-PMC pickup (Algorithm 2 lines 26–27):
+/// the PMCs already watched, and the buffers one trial's scan fills.
+#[derive(Default)]
+struct IncidentalScan {
+    watched: Vec<PmcId>,
+    /// The writes and the reads of the last trace scanned, each sorted and
+    /// free of duplicates.
+    writes: Vec<Seen>,
+    reads: Vec<Seen>,
+    /// Its write instructions, in order of first execution.
+    write_sites: Vec<Site>,
+    /// Its unwatched PMCs whose write *and* read side both appeared.
+    candidates: Vec<PmcId>,
+}
+
+impl IncidentalScan {
+    /// Scans a trial trace for PMCs (other than those already watched) whose
+    /// write *and* read sides both appeared, and returns one at random,
+    /// now watched.
+    ///
+    /// PMCs are considered by write instruction in order of first execution,
+    /// then by id; only the first `MAX_CANDIDATES` unwatched ones are looked
+    /// at, whether or not their sides appeared.
+    fn pick(
+        &mut self,
+        trace: &[sb_vmm::Access],
+        index: &IncidentalIndex,
+        rng: &mut StdRng,
+    ) -> Option<PmcId> {
+        const MAX_CANDIDATES: usize = 256;
+        self.writes.clear();
+        self.reads.clear();
+        self.write_sites.clear();
+        for a in trace {
+            if a.kind.is_write() {
+                self.writes.push((a.site, a.addr, a.end()));
+                // A trial executes a few dozen write instructions at most.
+                if !self.write_sites.contains(&a.site) {
+                    self.write_sites.push(a.site);
                 }
-                if !watched.contains(id) {
-                    candidates.push(*id);
+            } else {
+                self.reads.push((a.site, a.addr, a.end()));
+            }
+        }
+        for seen in [&mut self.writes, &mut self.reads] {
+            seen.sort_unstable();
+            seen.dedup();
+        }
+        self.candidates.clear();
+        let mut unwatched = 0;
+        'sites: for site in &self.write_sites {
+            let run = self.writes.partition_point(|s| s.0 < *site);
+            let len = self.writes[run..].iter().take_while(|s| s.0 == *site).count();
+            let writes = &self.writes[run..run + len];
+            for (id, [hw, hr]) in index.written_by(*site) {
+                if unwatched >= MAX_CANDIDATES {
+                    break 'sites;
+                }
+                if self.watched.contains(id) {
+                    continue;
+                }
+                unwatched += 1;
+                if any_match(writes, hw) && any_match(&self.reads, hr) {
+                    self.candidates.push(*id);
                 }
             }
         }
+        let pick = self.candidates.choose(rng).copied();
+        self.watched.extend(pick);
+        pick
     }
-    candidates.retain(|id| {
-        let p = set.get(*id);
-        let [hw, hr] = p.hints();
-        trace.iter().any(|a| hw.matches(a)) && trace.iter().any(|a| hr.matches(a))
-    });
-    let pick = candidates.choose(rng).copied();
-    if let Some(id) = pick {
-        watched.insert(id);
-    }
-    pick
 }
 
 /// Tests one PMC: the inner loop of Algorithm 2.
@@ -382,7 +454,8 @@ pub fn test_one_pmc(
     if cfg.tracer.enabled() {
         sched.set_observer(Some(decisions.clone() as Arc<dyn sb_vmm::sched::DecisionObserver>));
     }
-    let mut watched: std::collections::HashSet<PmcId> = [id].into_iter().collect();
+    let mut incidental = IncidentalScan::default();
+    incidental.watched.push(id);
     let mut out = PmcTestOutcome {
         pmc: Some(id),
         pair,
@@ -399,25 +472,30 @@ pub fn test_one_pmc(
     // this job's trials, so rules mined from early trials can flag
     // violations in later ones.
     let mut oracle_ctx = OracleCtx::new(cfg.oracles);
-    // Snapshot accounting for this job: how many times the boot image was
-    // cloned and how many 4 KiB pages trials actually dirtied. Published as
-    // `snapshot.*` counters alongside the scheduler decisions.
-    let mut snap_clones = 0u64;
-    let mut snap_pages = 0u64;
-    // Per-trial snapshot: the copy-on-write clone is an Arc bump; the deep
-    // variant is the full-image copy `cow_campaign.rs` compares it against.
-    let take_snapshot = |clones: &mut u64| {
-        *clones += 1;
+    // Per-trial snapshot: the copy-on-write clone shares the whole boot
+    // image and copies nothing; the deep variant is the full-image copy
+    // `cow_campaign.rs` compares it against.
+    let take_snapshot = || {
         if cfg.deep_snapshots {
             booted.snapshot.deep_clone()
         } else {
             booted.snapshot.clone()
         }
     };
+    let the_pair = || {
+        vec![
+            booted.kernel.process_job(wprog.clone()),
+            booted.kernel.process_job(rprog.clone()),
+        ]
+    };
+    // What the job cost, published as counters when it ends: boot-image
+    // clones, 4 KiB pages trials dirtied, and (traced runs only) wall clock
+    // per phase, from here on.
+    let mut costs = JobCosts::start(&cfg.tracer);
     for trial in 0..cfg.trials_per_pmc {
         if let Some(overrun) = dog.check(out.steps) {
             decisions.publish(&cfg.tracer);
-            publish_snapshot_counters(&cfg.tracer, snap_clones, snap_pages);
+            costs.publish(&cfg.tracer);
             return Err(Error::Hang {
                 steps: overrun.steps,
                 elapsed: overrun.elapsed,
@@ -425,30 +503,27 @@ pub fn test_one_pmc(
                 tripped: overrun.reason.tag(),
             });
         }
+        let snapshot = take_snapshot();
+        costs.clones += 1;
+        costs.lap(Phase::Snapshot);
         // Checkpoint the scheduler (flags included) so a finding trial can
         // be re-run under a recorder for deterministic reproduction.
         let sched_checkpoint = sched.clone();
         sched.begin_trial(seed.wrapping_add(u64::from(trial)));
-        let r = exec.try_run(
-            take_snapshot(&mut snap_clones),
-            vec![
-                booted.kernel.process_job(wprog.clone()),
-                booted.kernel.process_job(rprog.clone()),
-            ],
-            &mut sched,
-        )?;
-        snap_pages += r.mem.dirty_pages();
+        let r = exec.try_run(snapshot, the_pair(), &mut sched)?;
+        costs.pages += r.mem.dirty_pages();
+        costs.lap(Phase::Run);
         out.trials_run += 1;
         out.steps += r.report.steps;
         out.exercised |= channel_exercised(&r.report.trace, pmc);
-        let findings = oracle_ctx.analyze_traced(&r.report, &cfg.tracer);
         let mut found_new = false;
-        for f in findings {
+        for f in oracle_ctx.analyze_traced(&r.report, &cfg.tracer) {
             if dedup.insert(f.dedup_key()) {
                 out.findings.push(f);
                 found_new = true;
             }
         }
+        costs.lap(Phase::Oracle);
         if found_new && out.first_finding_trial.is_none() {
             out.first_finding_trial = Some(trial);
             // Re-run this exact trial from the checkpoint under a recorder
@@ -458,38 +533,90 @@ pub fn test_one_pmc(
             replica.set_observer(None);
             replica.begin_trial(seed.wrapping_add(u64::from(trial)));
             let mut recorder = RecordingSched::new(replica);
-            let rerun = exec.try_run(
-                take_snapshot(&mut snap_clones),
-                vec![
-                    booted.kernel.process_job(wprog.clone()),
-                    booted.kernel.process_job(rprog.clone()),
-                ],
-                &mut recorder,
-            )?;
-            snap_pages += rerun.mem.dirty_pages();
+            let rerun = exec.try_run(take_snapshot(), the_pair(), &mut recorder)?;
+            costs.clones += 1;
+            costs.pages += rerun.mem.dirty_pages();
             let (schedule, _) = recorder.finish();
             out.repro_schedule = Some(schedule);
+            costs.lap(Phase::Repro);
         }
-        if found_new && cfg.stop_on_finding {
-            break;
-        }
-        if cfg.incidental {
-            if let Some(new_id) =
-                find_incidental_pmc(&r.report.trace, set, index, &mut watched, &mut rng)
-            {
+        let stop = found_new && cfg.stop_on_finding;
+        if cfg.incidental && !stop {
+            if let Some(new_id) = incidental.pick(&r.report.trace, index, &mut rng) {
                 sched.add_pmc(set.get(new_id).hints());
             }
+            costs.lap(Phase::Incidental);
+        }
+        // The next run records into this one's buffers.
+        exec.recycle(r);
+        costs.lap(Phase::Run);
+        if stop {
+            break;
         }
     }
     decisions.publish(&cfg.tracer);
-    publish_snapshot_counters(&cfg.tracer, snap_clones, snap_pages);
+    costs.publish(&cfg.tracer);
     Ok(out)
 }
 
-/// Emits the per-job snapshot accounting as `snapshot.*` counters.
-fn publish_snapshot_counters(tracer: &sb_obs::Tracer, clones: u64, pages: u64) {
-    tracer.count(sb_obs::keys::SNAPSHOT_CLONES, clones);
-    tracer.count(sb_obs::keys::SNAPSHOT_PAGES_COPIED, pages);
+/// The phases a job's trials are made of, in
+/// [`sb_obs::keys::TRIAL_PHASE_NS`] order.
+#[derive(Copy, Clone)]
+enum Phase {
+    /// Cloning the boot snapshot.
+    Snapshot,
+    /// The executor's: checkpointing the scheduler, building the two thread
+    /// bodies, the run itself, and taking its buffers back.
+    Run,
+    /// Judging the trial: channel check, oracles, dedup.
+    Oracle,
+    /// The incidental-PMC pickup.
+    Incidental,
+    /// Re-running a finding trial under the recorder, snapshot included.
+    Repro,
+}
+
+/// Per-job cost accounting, published as `snapshot.*` and `trial.*_ns`
+/// counters when the job ends.
+struct JobCosts {
+    /// Boot-image clones taken.
+    clones: u64,
+    /// 4 KiB pages the trials dirtied.
+    pages: u64,
+    /// When the last phase ended. `None` unless the tracer is enabled, so
+    /// an untraced campaign never reads a clock per trial.
+    lap_started: Option<Instant>,
+    /// Nanoseconds per [`Phase`].
+    phase_ns: [u64; sb_obs::keys::TRIAL_PHASE_NS.len()],
+}
+
+impl JobCosts {
+    fn start(tracer: &sb_obs::Tracer) -> Self {
+        JobCosts {
+            clones: 0,
+            pages: 0,
+            lap_started: tracer.enabled().then(Instant::now),
+            phase_ns: Default::default(),
+        }
+    }
+
+    /// Ends a phase: everything since the previous call (or `start`) was
+    /// `phase`, so the phases of a job add up to its trial loop exactly.
+    fn lap(&mut self, phase: Phase) {
+        if let Some(started) = &mut self.lap_started {
+            let now = Instant::now();
+            self.phase_ns[phase as usize] += now.duration_since(*started).as_nanos() as u64;
+            *started = now;
+        }
+    }
+
+    fn publish(&self, tracer: &sb_obs::Tracer) {
+        tracer.count(sb_obs::keys::SNAPSHOT_CLONES, self.clones);
+        tracer.count(sb_obs::keys::SNAPSHOT_PAGES_COPIED, self.pages);
+        for (key, ns) in sb_obs::keys::TRIAL_PHASE_NS.iter().zip(self.phase_ns) {
+            tracer.count(key, ns);
+        }
+    }
 }
 
 /// What one campaign job resolved to after all retry attempts.
@@ -711,6 +838,8 @@ pub fn aggregate(outcomes: Vec<PmcTestOutcome>) -> CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmc::{PmcKey, SideKey};
+    use sb_vmm::access::AccessKind;
 
     fn outcome(
         pair: (u32, u32),
@@ -782,6 +911,123 @@ mod tests {
         let report = ledger.finish().unwrap();
         let steps: Vec<u64> = report.outcomes.iter().map(|o| o.steps).collect();
         assert_eq!(steps, vec![100, 102], "job 0 kept its first verdict");
+    }
+
+    /// The incidental pickup the obvious way: every candidate PMC tested
+    /// with two linear scans of the trace. Returns the surviving candidates
+    /// and the pick.
+    fn naive_pick(
+        trace: &[sb_vmm::Access],
+        set: &PmcSet,
+        watched: &mut Vec<PmcId>,
+        rng: &mut StdRng,
+    ) -> (Vec<PmcId>, Option<PmcId>) {
+        let mut candidates: Vec<PmcId> = Vec::new();
+        let mut seen_sites = Vec::new();
+        for a in trace.iter().filter(|a| a.kind.is_write()) {
+            if seen_sites.contains(&a.site) {
+                continue;
+            }
+            seen_sites.push(a.site);
+            for (id, p) in set.pmcs.iter().enumerate() {
+                let id = id as PmcId;
+                if p.key.w.ins == a.site && candidates.len() < 256 && !watched.contains(&id) {
+                    candidates.push(id);
+                }
+            }
+        }
+        candidates.retain(|id| {
+            let [hw, hr] = set.get(*id).hints();
+            trace.iter().any(|a| hw.matches(a)) && trace.iter().any(|a| hr.matches(a))
+        });
+        let pick = candidates.choose(rng).copied();
+        watched.extend(pick);
+        (candidates, pick)
+    }
+
+    /// Generated PMC sets and traces over a few instructions and a few
+    /// cache lines of addresses — ranges that overlap, abut and miss, a set
+    /// with enough PMCs on one write instruction to hit the 256-candidate
+    /// cut, a few accesses far longer than a guest access can be — and
+    /// several trials per set, so the watch list fills up. The indexed scan
+    /// must list the same candidates in the same order and, from an equal
+    /// `StdRng`, pick the same one.
+    #[test]
+    fn incidental_scan_matches_the_naive_two_scan_filter() {
+        fn splitmix64(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let sites: Vec<Site> = (0..6).map(|i| Site::intern(&format!("inc:site{i}"))).collect();
+        let mut state = 0x1AC1_DE47_u64;
+        let (mut picked, mut cut, mut long_hits) = (0, 0, 0);
+        for round in 0..40 {
+            let crowded = round % 8 == 0;
+            let side = |r: u64| SideKey {
+                // A crowded set has most of its writes on one instruction.
+                ins: if crowded && r & 3 != 0 { sites[0] } else { sites[(r >> 2) as usize % 6] },
+                addr: 0x2000 + (r >> 8) % 96,
+                len: 1 + ((r >> 16) % 8) as u8,
+                value: r >> 24,
+            };
+            let set = PmcSet {
+                pmcs: (0..if crowded { 700 } else { 60 })
+                    .map(|_| Pmc {
+                        key: PmcKey {
+                            w: side(splitmix64(&mut state)),
+                            r: side(splitmix64(&mut state)),
+                        },
+                        df_leader: false,
+                        pairs: vec![(0, 1)],
+                    })
+                    .collect(),
+            };
+            let index = IncidentalIndex::build(&set);
+            let mut scan = IncidentalScan::default();
+            let mut watched = Vec::new();
+            let mut rng = StdRng::seed_from_u64(round);
+            let mut naive_rng = StdRng::seed_from_u64(round);
+            for _ in 0..12 {
+                let trace: Vec<sb_vmm::Access> = (0..splitmix64(&mut state) % 70)
+                    .map(|seq| {
+                        let r = splitmix64(&mut state);
+                        sb_vmm::Access {
+                            seq,
+                            thread: (r & 1) as usize,
+                            site: sites[(r >> 1) as usize % 6],
+                            kind: [AccessKind::Read, AccessKind::Write][(r >> 4 & 1) as usize],
+                            addr: 0x2000 + (r >> 8) % 96,
+                            // Now and then far past 8 bytes: `matches` takes
+                            // any `u8`, so the scan must too.
+                            len: if r >> 20 & 31 == 0 { 200 } else { 1 + ((r >> 16) % 8) as u8 },
+                            value: 0,
+                            atomic: false,
+                            locks: vec![].into(),
+                            rcu_depth: 0,
+                        }
+                    })
+                    .collect();
+                let (candidates, pick) = naive_pick(&trace, &set, &mut watched, &mut naive_rng);
+                assert_eq!(scan.pick(&trace, &index, &mut rng), pick, "round {round}");
+                assert_eq!(scan.candidates, candidates, "round {round}");
+                assert_eq!(scan.watched, watched);
+                picked += usize::from(pick.is_some());
+                let writes_crowd = |a: &sb_vmm::Access| a.kind.is_write() && a.site == sites[0];
+                cut += usize::from(crowded && trace.iter().any(writes_crowd));
+                long_hits += usize::from(candidates.iter().any(|id| {
+                    let [hw, hr] = set.get(*id).hints();
+                    let only_long =
+                        |h: &HintAccess| !trace.iter().any(|a| a.len <= 8 && h.matches(a));
+                    only_long(&hw) || only_long(&hr)
+                }));
+            }
+        }
+        assert!(picked >= 300, "only {picked} scans picked anything");
+        assert!(cut >= 30, "only {cut} scans met more than 256 PMCs of one instruction");
+        assert!(long_hits >= 5, "only {long_hits} scans owed a candidate to an over-long access");
     }
 
     #[test]

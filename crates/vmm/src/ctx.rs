@@ -293,12 +293,12 @@ impl Ctx {
 
     /// Acquires the spinlock/mutex cell at `addr`, blocking until available.
     pub async fn lock(&self, addr: u64) -> KResult<()> {
-        self.lock_at(Site::intern("lock"), addr).await
+        self.lock_at(crate::site!("lock"), addr).await
     }
 
     /// Releases the lock cell at `addr`.
     pub async fn unlock(&self, addr: u64) -> KResult<()> {
-        self.unlock_at(Site::intern("unlock"), addr).await
+        self.unlock_at(crate::site!("unlock"), addr).await
     }
 
     /// [`Ctx::lock`] with a named acquiring site for the sync-event stream.
@@ -318,7 +318,7 @@ impl Ctx {
         addr: u64,
         f: impl Future<Output = KResult<T>>,
     ) -> KResult<T> {
-        self.with_lock_at(Site::intern("lock"), addr, f).await
+        self.with_lock_at(crate::site!("lock"), addr, f).await
     }
 
     /// [`Ctx::with_lock`] with a named acquiring site: lock identity in the

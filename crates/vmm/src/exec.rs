@@ -164,13 +164,44 @@ pub struct RunResult {
 
 /// A fixed number of simulated vCPUs plus the run loop that drives them.
 ///
-/// An `Executor` holds no resources between runs — every call to
-/// [`Executor::run`] starts its jobs afresh on the caller's thread — so
-/// creating one is free and reusing one across many short trials (Snowboard
-/// runs up to 64 trials per PMC) is merely convenient.
+/// Every call to [`Executor::run`] starts its jobs afresh on the caller's
+/// thread; the only thing an `Executor` keeps between runs is the *capacity*
+/// of report buffers handed back through [`Executor::recycle`] (never their
+/// contents), so a campaign of many short trials (Snowboard runs up to 64
+/// per PMC) does not allocate a trace per trial. Creating one is free, and
+/// one that unwound out of a panicking job body is as good as new.
 pub struct Executor {
     vcpus: usize,
     limits: ExecLimits,
+    spare: Spare,
+}
+
+/// What [`Spare`] keeps of a report buffer: above this many elements the
+/// allocation is dropped instead (a livelocked run records 400 k accesses;
+/// its 20 MB must not sit in every worker for the rest of the campaign).
+const SPARE_MAX_CAPACITY: usize = 4096;
+
+/// Capacity a fresh trace buffer starts with.
+const TRACE_START_CAPACITY: usize = 1024;
+
+/// The report buffers of an earlier run, emptied, kept for their capacity.
+/// They leave inside the [`ExecReport`] and return through
+/// [`Executor::recycle`].
+#[derive(Default)]
+struct Spare {
+    trace: Vec<Access>,
+    sync_events: Vec<SyncEvent>,
+    console: Vec<String>,
+}
+
+/// Empties `v` and returns it if its allocation is worth keeping.
+fn emptied<T>(mut v: Vec<T>) -> Vec<T> {
+    v.clear();
+    if v.capacity() <= SPARE_MAX_CAPACITY {
+        v
+    } else {
+        Vec::new()
+    }
 }
 
 /// One running kernel thread: its state machine and the executor's end of
@@ -193,38 +224,40 @@ enum TStat {
     Done,
 }
 
+/// Per-thread state is a [`MAX_THREADS`]-wide array of which the first `n`
+/// entries are live; the rest keep their initial (idle) value.
 struct RunState<'a> {
     mem: GuestMem,
     sched: &'a mut dyn Scheduler,
     limits: ExecLimits,
     n: usize,
-    status: Vec<TStat>,
-    owed: Vec<Option<Reply>>,
-    held: Vec<LockSet>,
+    status: [TStat; MAX_THREADS],
+    owed: [Option<Reply>; MAX_THREADS],
+    held: [LockSet; MAX_THREADS],
     lock_owner: HashMap<u64, usize>,
     lock_waiters: HashMap<u64, VecDeque<(usize, Site)>>,
-    rcu_depth: Vec<u8>,
+    rcu_depth: [u8; MAX_THREADS],
     sync_waiters: Vec<usize>,
     /// Threads registered on each wait queue (`prepare_to_wait`), not yet
     /// committed to sleeping.
     prepared: HashMap<u64, Vec<usize>>,
     /// Wakeups banked per thread while it was prepared: queue ids whose
     /// next commit returns immediately.
-    tokens: Vec<Vec<u64>>,
+    tokens: [Vec<u64>; MAX_THREADS],
     /// Threads committed to sleeping on each wait queue, with the site that
     /// committed (for timeout attribution).
     wait_sleepers: HashMap<u64, VecDeque<(usize, Site)>>,
     /// Step deadline of each sleeping thread, if any.
-    sleep_deadline: Vec<Option<u64>>,
+    sleep_deadline: [Option<u64>; MAX_THREADS],
     /// Atomic-context nesting depth per thread.
-    atomic_depth: Vec<u8>,
+    atomic_depth: [u8; MAX_THREADS],
     sync_events: Vec<SyncEvent>,
     trace: Vec<Access>,
     console: Vec<String>,
     steps: u64,
-    thread_steps: Vec<u64>,
+    thread_steps: [u64; MAX_THREADS],
     switches: u64,
-    spin: Vec<(u64, u32)>,
+    spin: [(u64, u32); MAX_THREADS],
     aborting: bool,
     outcome: Option<Outcome>,
     thread_faults: Vec<Option<Fault>>,
@@ -242,7 +275,7 @@ impl Executor {
             (1..=MAX_THREADS).contains(&vcpus),
             "vCPU count must be in 1..={MAX_THREADS}"
         );
-        Executor { vcpus, limits }
+        Executor { vcpus, limits, spare: Spare::default() }
     }
 
     /// Number of vCPUs.
@@ -289,37 +322,44 @@ impl Executor {
                 }
             })
             .collect();
+        // If a job body panics, the unwind drops what was taken here and
+        // the executor is left with an empty spare.
+        let spare = std::mem::take(&mut self.spare);
+        let mut trace = spare.trace;
+        if trace.capacity() == 0 {
+            trace.reserve(TRACE_START_CAPACITY);
+        }
         let mut st = RunState {
             mem,
             sched,
             limits: self.limits,
             n,
-            status: vec![TStat::Ready; n],
-            owed: (0..n).map(|_| None).collect(),
-            held: vec![LockSet::new(); n],
+            status: [TStat::Ready; MAX_THREADS],
+            owed: [const { None }; MAX_THREADS],
+            held: std::array::from_fn(|_| LockSet::new()),
             lock_owner: HashMap::new(),
             lock_waiters: HashMap::new(),
-            rcu_depth: vec![0; n],
+            rcu_depth: [0; MAX_THREADS],
             sync_waiters: Vec::new(),
             prepared: HashMap::new(),
-            tokens: vec![Vec::new(); n],
+            tokens: [const { Vec::new() }; MAX_THREADS],
             wait_sleepers: HashMap::new(),
-            sleep_deadline: vec![None; n],
-            atomic_depth: vec![0; n],
-            sync_events: Vec::new(),
-            trace: Vec::with_capacity(1024),
-            console: Vec::new(),
+            sleep_deadline: [None; MAX_THREADS],
+            atomic_depth: [0; MAX_THREADS],
+            sync_events: spare.sync_events,
+            trace,
+            console: spare.console,
             steps: 0,
-            thread_steps: vec![0; n],
+            thread_steps: [0; MAX_THREADS],
             switches: 0,
-            spin: vec![(u64::MAX, 0); n],
+            spin: [(u64::MAX, 0); MAX_THREADS],
             aborting: false,
             outcome: None,
             thread_faults: vec![None; n],
         };
         let mut current = 0usize;
         loop {
-            if st.status.iter().all(|s| *s == TStat::Done) {
+            if st.status[..n].iter().all(|s| *s == TStat::Done) {
                 break;
             }
             st.expire_sleepers();
@@ -365,6 +405,18 @@ impl Executor {
             mem: st.mem,
         })
     }
+
+    /// Takes back a finished run the caller is done with, so the next run
+    /// records into the same trace, sync-event and console allocations.
+    /// Purely an allocation hint: a run after `recycle` observes exactly
+    /// what it would have observed without it.
+    pub fn recycle(&mut self, run: RunResult) {
+        self.spare = Spare {
+            trace: emptied(run.report.trace),
+            sync_events: emptied(run.report.sync_events),
+            console: emptied(run.report.console),
+        };
+    }
 }
 
 /// Delivers any owed reply to `current`, resumes it until its next request,
@@ -405,7 +457,7 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
             for &addr in held.iter() {
                 st.console
                     .push(format!("WARNING: thread {t} exited holding lock {addr:#x}"));
-                st.sync_event(t, Site::intern("thread_exit"), SyncKind::LockRelease, addr, 0);
+                st.sync_event(t, crate::site!("thread_exit"), SyncKind::LockRelease, addr, 0);
                 st.release_lock(t, addr);
             }
             if st.rcu_depth[t] > 0 {
@@ -527,7 +579,7 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
         }
         Request::RcuLock => {
             st.rcu_depth[t] = st.rcu_depth[t].saturating_add(1);
-            st.sync_event(t, Site::intern("rcu_read_lock"), SyncKind::RcuEnter, 0, 0);
+            st.sync_event(t, crate::site!("rcu_read_lock"), SyncKind::RcuEnter, 0, 0);
             vcpu.reply(Reply::Unit);
         }
         Request::RcuUnlock => {
@@ -535,7 +587,7 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
                 vcpu.reply(Reply::Fault(Fault::LockError { addr: 0 }));
             } else {
                 st.rcu_depth[t] -= 1;
-                st.sync_event(t, Site::intern("rcu_read_unlock"), SyncKind::RcuExit, 0, 0);
+                st.sync_event(t, crate::site!("rcu_read_unlock"), SyncKind::RcuExit, 0, 0);
                 st.wake_rcu_waiters_if_quiescent();
                 vcpu.reply(Reply::Unit);
             }

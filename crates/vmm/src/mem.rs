@@ -15,14 +15,22 @@
 //!
 //! Snowboard's throughput is bounded by how fast trials can be launched from
 //! the boot snapshot (§5.4), so cloning a snapshot must not cost a 16 MiB
-//! memcpy. `GuestMem` is an `Arc`-shared immutable *base* image plus a
-//! per-instance *overlay* of dirty 4 KiB pages: reads fall through to the
-//! base, the first write to a page copies it into the overlay, and `clone`
-//! only bumps the base refcount and copies the (usually empty) overlay.
-//! [`GuestMem::seal`] folds the overlay back into a fresh base — the boot
+//! memcpy. `GuestMem` is an `Arc`-shared immutable *base* — the byte image
+//! and the allocator's books as of the last seal — plus what this instance
+//! changed since: an *overlay* of dirty 4 KiB pages and a delta over the
+//! allocator's books. Reads fall through to the base, the first write to a
+//! page copies it into the overlay, and `clone` bumps the base refcount and
+//! copies the overlay and the delta, so it costs what the instance dirtied
+//! (nothing, for a sealed snapshot) — as does dropping one.
+//! [`GuestMem::seal`] folds overlay and delta into a fresh base — the boot
 //! path calls it once so every trial starts from a clean, fully-shared
 //! image. [`GuestMem::deep_clone`] materializes a private flat copy: the
 //! whole-memory clone the tests compare the copy-on-write path against.
+//!
+//! The overlay is a two-level table ([`CHUNKS`] chunks of [`CHUNK_PAGES`]
+//! page slots, a chunk allocated on the first write into it): lookup stays
+//! two indexed loads, and clone and drop visit the top level plus the
+//! chunks that hold a dirty page, never all 4 096 page slots.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,6 +45,12 @@ pub const PAGE_SIZE: u64 = 0x1000;
 
 /// Number of guest pages.
 const PAGE_COUNT: usize = (GUEST_MEM_SIZE / PAGE_SIZE) as usize;
+
+/// Page slots per overlay chunk.
+const CHUNK_PAGES: usize = 64;
+
+/// Overlay chunks covering the guest.
+const CHUNKS: usize = PAGE_COUNT / CHUNK_PAGES;
 
 /// Addresses below this bound fault, emulating unmapped low pages.
 ///
@@ -85,6 +99,29 @@ const SIZE_CLASSES: [u64; 8] = [8, 16, 32, 64, 128, 256, 1024, 4096];
 /// One copy-on-write page.
 type Page = Box<[u8; PAGE_SIZE as usize]>;
 
+/// [`CHUNK_PAGES`] consecutive page slots of the overlay.
+type Chunk = Box<[Option<Page>; CHUNK_PAGES]>;
+
+/// What every clone shares: the state as of the last
+/// [`seal`](GuestMem::seal) (or construction). Never written afterwards.
+struct Base {
+    /// The byte image.
+    bytes: Vec<u8>,
+    /// Free list per size class (indexed like [`SIZE_CLASSES`]), a LIFO
+    /// stack so reallocation is deterministic.
+    free: [Vec<u64>; SIZE_CLASSES.len()],
+    /// Live allocations, address → size-class index.
+    allocs: BTreeMap<u64, usize>,
+}
+
+/// One size class's free list as this instance sees it: the first
+/// `base_left` entries of the base's stack, then `pushed` on top.
+#[derive(Clone, Default)]
+struct FreeList {
+    base_left: usize,
+    pushed: Vec<u64>,
+}
+
 /// Guest memory with a deterministic slab allocator and copy-on-write
 /// snapshots.
 ///
@@ -94,29 +131,23 @@ type Page = Box<[u8; PAGE_SIZE as usize]>;
 /// addresses — while sharing the boot image instead of copying 16 MiB.
 #[derive(Clone)]
 pub struct GuestMem {
-    /// The shared immutable base image. Never written after construction.
-    base: Arc<Vec<u8>>,
+    base: Arc<Base>,
     /// Dirty pages, lazily copied from the base on first write.
-    overlay: Vec<Option<Page>>,
-    /// Number of `Some` entries in `overlay`.
+    overlay: [Option<Chunk>; CHUNKS],
+    /// Number of pages in `overlay`.
     dirty: u64,
     /// Bump pointer for fresh slab pages.
     brk: u64,
-    /// Free lists per size class, keyed by class size. `Vec` used as a LIFO
-    /// so reallocation is deterministic.
-    free: BTreeMap<u64, Vec<u64>>,
-    /// Live allocations, address → size class. Guards against double,
-    /// wild, and wrong-size frees, which would silently break allocation
-    /// determinism (§4.1) by duplicating free-list entries.
-    allocs: BTreeMap<u64, u64>,
+    /// Free lists per size class, as deltas over the base's.
+    free: [FreeList; SIZE_CLASSES.len()],
+    /// Changes to the base's live-allocation map: `Some(class)` for an
+    /// object allocated since the seal, `None` for a base object freed
+    /// since. The map guards against double, wild, and wrong-size frees,
+    /// which would silently break allocation determinism (§4.1) by
+    /// duplicating free-list entries.
+    allocs: BTreeMap<u64, Option<usize>>,
     /// Count of live allocations, for leak diagnostics.
     live: u64,
-}
-
-fn empty_overlay() -> Vec<Option<Page>> {
-    let mut v = Vec::with_capacity(PAGE_COUNT);
-    v.resize_with(PAGE_COUNT, || None);
-    v
 }
 
 impl Default for GuestMem {
@@ -128,14 +159,31 @@ impl Default for GuestMem {
 impl GuestMem {
     /// Creates a zeroed guest memory with an empty heap.
     pub fn new() -> Self {
+        Self::on_base(
+            Base {
+                bytes: vec![0u8; GUEST_MEM_SIZE as usize],
+                free: Default::default(),
+                allocs: BTreeMap::new(),
+            },
+            HEAP_BASE,
+            0,
+        )
+    }
+
+    /// An instance that has changed nothing over `base` yet.
+    fn on_base(base: Base, brk: u64, live: u64) -> Self {
+        let free = std::array::from_fn(|c| FreeList {
+            base_left: base.free[c].len(),
+            pushed: Vec::new(),
+        });
         GuestMem {
-            base: Arc::new(vec![0u8; GUEST_MEM_SIZE as usize]),
-            overlay: empty_overlay(),
+            base: Arc::new(base),
+            overlay: [const { None }; CHUNKS],
             dirty: 0,
-            brk: HEAP_BASE,
-            free: BTreeMap::new(),
+            brk,
+            free,
             allocs: BTreeMap::new(),
-            live: 0,
+            live,
         }
     }
 
@@ -155,24 +203,20 @@ impl GuestMem {
         self.dirty
     }
 
-    /// Folds the dirty overlay into a fresh immutable base, leaving an
-    /// instance whose clones share the entire image.
+    /// Folds the dirty overlay and the allocator delta into a fresh
+    /// immutable base, leaving an instance whose clones share everything.
     ///
     /// Called once after boot: the one-time 16 MiB copy here is what makes
-    /// every later per-trial `clone` an `Arc` bump instead of a memcpy.
+    /// every later per-trial `clone` cost only what a trial changed (one
+    /// refcount and a few empty containers) instead of a memcpy.
     pub fn seal(&mut self) {
-        if self.dirty == 0 {
+        // Nothing to fold: `kmalloc` zeroes (dirties) what it hands out, and
+        // a `kfree` that dirtied nothing freed a base object, which leaves a
+        // tombstone.
+        if self.dirty == 0 && self.allocs.is_empty() {
             return;
         }
-        let mut bytes = self.base.as_ref().clone();
-        for (pi, slot) in self.overlay.iter_mut().enumerate() {
-            if let Some(page) = slot.take() {
-                let start = pi * PAGE_SIZE as usize;
-                bytes[start..start + PAGE_SIZE as usize].copy_from_slice(&page[..]);
-            }
-        }
-        self.base = Arc::new(bytes);
-        self.dirty = 0;
+        *self = Self::on_base(self.flatten(), self.brk, self.live);
     }
 
     /// Materializes a fully private flat copy — the historical
@@ -180,37 +224,47 @@ impl GuestMem {
     /// costs a 16 MiB copy and shares nothing. Kept as the reference for
     /// the tests that pin the two bit-identical.
     pub fn deep_clone(&self) -> Self {
-        GuestMem {
-            base: Arc::new(self.flatten()),
-            overlay: empty_overlay(),
-            dirty: 0,
-            brk: self.brk,
-            free: self.free.clone(),
-            allocs: self.allocs.clone(),
-            live: self.live,
-        }
+        Self::on_base(self.flatten(), self.brk, self.live)
     }
 
-    /// The current byte image with all dirty pages applied.
-    fn flatten(&self) -> Vec<u8> {
-        let mut bytes = self.base.as_ref().clone();
-        for (pi, slot) in self.overlay.iter().enumerate() {
-            if let Some(page) = slot {
-                let start = pi * PAGE_SIZE as usize;
-                bytes[start..start + PAGE_SIZE as usize].copy_from_slice(&page[..]);
+    /// The current state — bytes with all dirty pages applied, allocator
+    /// books with the delta applied — as a base of its own.
+    fn flatten(&self) -> Base {
+        let mut bytes = self.base.bytes.clone();
+        for (ci, chunk) in self.overlay.iter().enumerate() {
+            for (si, page) in chunk.iter().flat_map(|c| c.iter().enumerate()) {
+                if let Some(page) = page {
+                    let start = (ci * CHUNK_PAGES + si) * PAGE_SIZE as usize;
+                    bytes[start..start + PAGE_SIZE as usize].copy_from_slice(&page[..]);
+                }
             }
         }
-        bytes
+        let free = std::array::from_fn(|c| {
+            let mut list = self.base.free[c][..self.free[c].base_left].to_vec();
+            list.extend_from_slice(&self.free[c].pushed);
+            list
+        });
+        let mut allocs = self.base.allocs.clone();
+        for (addr, change) in &self.allocs {
+            match change {
+                Some(class) => allocs.insert(*addr, *class),
+                None => allocs.remove(addr),
+            };
+        }
+        Base { bytes, free, allocs }
     }
 
     /// Read view of page `pi`: the dirty copy if one exists, else the base.
     #[inline]
     fn page(&self, pi: usize) -> &[u8] {
-        match &self.overlay[pi] {
-            Some(p) => &p[..],
+        let dirty = self.overlay[pi / CHUNK_PAGES]
+            .as_ref()
+            .and_then(|chunk| chunk[pi % CHUNK_PAGES].as_ref());
+        match dirty {
+            Some(page) => &page[..],
             None => {
                 let start = pi * PAGE_SIZE as usize;
-                &self.base[start..start + PAGE_SIZE as usize]
+                &self.base.bytes[start..start + PAGE_SIZE as usize]
             }
         }
     }
@@ -218,14 +272,19 @@ impl GuestMem {
     /// Write view of page `pi`, copying it out of the base on first use.
     #[inline]
     fn page_mut(&mut self, pi: usize) -> &mut [u8] {
-        if self.overlay[pi].is_none() {
-            let start = pi * PAGE_SIZE as usize;
-            let mut page = Box::new([0u8; PAGE_SIZE as usize]);
-            page.copy_from_slice(&self.base[start..start + PAGE_SIZE as usize]);
-            self.overlay[pi] = Some(page);
+        let chunk = self.overlay[pi / CHUNK_PAGES]
+            .get_or_insert_with(|| Box::new([const { None }; CHUNK_PAGES]));
+        let slot = &mut chunk[pi % CHUNK_PAGES];
+        if slot.is_none() {
             self.dirty += 1;
         }
-        &mut self.overlay[pi].as_mut().expect("just materialized")[..]
+        let base = &self.base.bytes;
+        &mut slot.get_or_insert_with(|| {
+            let start = pi * PAGE_SIZE as usize;
+            let mut page = Box::new([0u8; PAGE_SIZE as usize]);
+            page.copy_from_slice(&base[start..start + PAGE_SIZE as usize]);
+            page
+        })[..]
     }
 
     fn check_range(addr: u64, len: u8) -> Result<(), Fault> {
@@ -296,8 +355,17 @@ impl GuestMem {
         }
     }
 
-    fn size_class(len: u64) -> Option<u64> {
-        SIZE_CLASSES.iter().copied().find(|c| *c >= len)
+    /// Index into [`SIZE_CLASSES`] of the smallest class holding `len`.
+    fn size_class(len: u64) -> Option<usize> {
+        SIZE_CLASSES.iter().position(|c| *c >= len)
+    }
+
+    /// The size class `addr` is live under, if it is a live allocation.
+    fn live_class(&self, addr: u64) -> Option<usize> {
+        match self.allocs.get(&addr) {
+            Some(change) => *change,
+            None => self.base.allocs.get(&addr).copied(),
+        }
     }
 
     /// Allocates `len` bytes, zeroing the returned object.
@@ -307,11 +375,16 @@ impl GuestMem {
     /// addresses — the property PMC prediction relies on (§4.1).
     pub fn kmalloc(&mut self, len: u64) -> Result<u64, Fault> {
         let class = Self::size_class(len).ok_or(Fault::Oom)?;
-        let addr = if let Some(a) = self.free.get_mut(&class).and_then(Vec::pop) {
+        let size = SIZE_CLASSES[class];
+        let list = &mut self.free[class];
+        let addr = if let Some(a) = list.pushed.pop() {
             a
+        } else if list.base_left > 0 {
+            list.base_left -= 1;
+            self.base.free[class][list.base_left]
         } else {
             let a = self.brk;
-            let end = a.checked_add(class).ok_or(Fault::Oom)?;
+            let end = a.checked_add(size).ok_or(Fault::Oom)?;
             if end > STACKS_BASE {
                 return Err(Fault::Oom);
             }
@@ -320,8 +393,8 @@ impl GuestMem {
         };
         // Fresh objects are zeroed, like kzalloc; this keeps reads of
         // just-allocated objects deterministic.
-        self.zero_range(addr, class);
-        self.allocs.insert(addr, class);
+        self.zero_range(addr, size);
+        self.allocs.insert(addr, Some(class));
         self.live += 1;
         Ok(addr)
     }
@@ -342,14 +415,20 @@ impl GuestMem {
         if !(HEAP_BASE..STACKS_BASE).contains(&addr) {
             return Err(Fault::PageFault { addr });
         }
-        match self.allocs.get(&addr) {
+        match self.live_class(addr) {
             // Double free or never-allocated address.
             None => Err(Fault::BadAccess { addr, len: 8 }),
             // Length rounds to a different class than the allocation.
-            Some(&c) if c != class => Err(Fault::BadAccess { addr, len: 8 }),
+            Some(c) if c != class => Err(Fault::BadAccess { addr, len: 8 }),
             Some(_) => {
-                self.allocs.remove(&addr);
-                self.free.entry(class).or_default().push(addr);
+                // A base object needs a tombstone; one allocated since the
+                // seal just leaves the delta again.
+                if self.base.allocs.contains_key(&addr) {
+                    self.allocs.insert(addr, None);
+                } else {
+                    self.allocs.remove(&addr);
+                }
+                self.free[class].pushed.push(addr);
                 self.live = self.live.saturating_sub(1);
                 Ok(())
             }
@@ -361,9 +440,64 @@ impl GuestMem {
 mod tests {
     use super::*;
 
-    /// Deterministic differential fuzz of the CoW overlay against a flat
-    /// byte-array model, driven by a splitmix64 stream so it runs in every
-    /// build (the proptest variant lives in `tests/cow_props.rs`).
+    /// The whole of `GuestMem` the obvious way: private bytes (of the
+    /// window the fuzz touches), private allocator books, and the set of
+    /// pages written since the last seal. Cloning it copies everything.
+    #[derive(Clone)]
+    struct FlatModel {
+        bytes: Vec<u8>,
+        brk: u64,
+        free: BTreeMap<u64, Vec<u64>>,
+        allocs: BTreeMap<u64, u64>,
+        dirty: std::collections::BTreeSet<u64>,
+    }
+
+    impl FlatModel {
+        fn touch(&mut self, off: usize, len: usize) {
+            self.dirty.insert(off as u64 / PAGE_SIZE);
+            self.dirty.insert((off + len - 1) as u64 / PAGE_SIZE);
+        }
+
+        fn write(&mut self, off: usize, bytes: &[u8]) {
+            self.bytes[off..off + bytes.len()].copy_from_slice(bytes);
+            self.touch(off, bytes.len());
+        }
+
+        fn kmalloc(&mut self, len: u64) -> u64 {
+            let class = SIZE_CLASSES.iter().copied().find(|c| *c >= len).unwrap();
+            let addr = match self.free.get_mut(&class).and_then(Vec::pop) {
+                Some(a) => a,
+                None => {
+                    self.brk += class;
+                    self.brk - class
+                }
+            };
+            let off = (addr - HEAP_BASE) as usize;
+            self.bytes[off..off + class as usize].fill(0);
+            self.touch(off, class as usize);
+            self.allocs.insert(addr, class);
+            addr
+        }
+
+        fn kfree(&mut self, addr: u64, len: u64) -> bool {
+            let class = SIZE_CLASSES.iter().copied().find(|c| *c >= len).unwrap();
+            if self.allocs.get(&addr) != Some(&class) {
+                return false;
+            }
+            self.allocs.remove(&addr);
+            self.free.entry(class).or_default().push(addr);
+            true
+        }
+    }
+
+    /// Deterministic differential fuzz of the CoW overlay and the shared
+    /// allocator books against [`FlatModel`], driven by a splitmix64 stream
+    /// so it runs in every build (the proptest variant lives in
+    /// `tests/cow_props.rs`). Several instances live at once — clones and
+    /// deep clones of one another, each paired with a clone of its source's
+    /// model — and every step reads, writes, allocates, frees or seals one
+    /// of them: whatever leaks from one instance into a sibling or its
+    /// parent shows up as a difference from that instance's own model.
     #[test]
     fn cow_differential_vs_flat_model() {
         fn splitmix64(state: &mut u64) -> u64 {
@@ -373,12 +507,21 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
+        const LIVE_INSTANCES: usize = 6;
         let window = (PAGE_SIZE * 12) as usize;
-        let mut cow = GuestMem::new();
-        let mut flat = vec![0u8; window];
+        let model = FlatModel {
+            bytes: vec![0u8; window],
+            brk: HEAP_BASE,
+            free: BTreeMap::new(),
+            allocs: BTreeMap::new(),
+            dirty: Default::default(),
+        };
+        let mut instances = vec![(GuestMem::new(), model)];
         let mut rng = 0xC0FF_EE00_u64;
-        for step in 0..4_000u32 {
+        for step in 0..8_000u32 {
             let r = splitmix64(&mut rng);
+            let which = (r >> 40) as usize % instances.len();
+            let (cow, flat) = &mut instances[which];
             // Half the offsets hug a page boundary so straddles are common.
             let off = if r & 1 == 0 {
                 (r >> 1) % (window as u64 - 8)
@@ -387,36 +530,96 @@ mod tests {
                 page * PAGE_SIZE - 4
             };
             let len = 1 + ((r >> 16) % 8) as u8;
-            match (r >> 8) % 10 {
-                0..=4 => {
+            match (r >> 8) % 32 {
+                0..=9 => {
                     let value = splitmix64(&mut rng);
                     cow.write(HEAP_BASE + off, len, value).unwrap();
-                    let bytes = value.to_le_bytes();
-                    flat[off as usize..off as usize + len as usize]
-                        .copy_from_slice(&bytes[..len as usize]);
+                    flat.write(off as usize, &value.to_le_bytes()[..len as usize]);
                 }
-                5..=8 => {
+                10..=17 => {
                     let mut bytes = [0u8; 8];
                     bytes[..len as usize].copy_from_slice(
-                        &flat[off as usize..off as usize + len as usize],
+                        &flat.bytes[off as usize..off as usize + len as usize],
                     );
                     assert_eq!(
                         cow.read(HEAP_BASE + off, len).unwrap(),
                         u64::from_le_bytes(bytes),
-                        "step {step}, off {off:#x}, len {len}"
+                        "step {step}, instance {which}, off {off:#x}, len {len}"
                     );
                 }
-                _ => cow.seal(),
+                18..=22 => {
+                    // Mostly small objects, so the heap stays in the window.
+                    let want = 1 + (r >> 24) % if r & 2 == 0 { 64 } else { 1024 };
+                    if flat.brk + 1024 <= HEAP_BASE + window as u64 {
+                        assert_eq!(
+                            cow.kmalloc(want).unwrap(),
+                            flat.kmalloc(want),
+                            "step {step}, instance {which}, kmalloc({want})"
+                        );
+                    }
+                }
+                23..=27 => {
+                    // A live object of this instance with its own length;
+                    // now and then a wrong length, an address that is live
+                    // in no instance (or only in a sibling), or a double
+                    // free.
+                    let nth = (r >> 24) as usize % flat.allocs.len().max(1);
+                    let (mut addr, mut size) = flat
+                        .allocs
+                        .iter()
+                        .nth(nth)
+                        .map_or((HEAP_BASE + (off & !7), 8), |(a, c)| (*a, *c));
+                    match (r >> 32) % 8 {
+                        0 => size = SIZE_CLASSES[(r >> 35) as usize % 8],
+                        1 => addr = HEAP_BASE + (off & !7),
+                        // A double free: the object is on a free list.
+                        2 => {
+                            let freed = flat.free.iter().find_map(|(c, l)| Some((*l.last()?, *c)));
+                            (addr, size) = freed.unwrap_or((addr, size));
+                        }
+                        _ => {}
+                    }
+                    assert_eq!(
+                        cow.kfree(addr, size).is_ok(),
+                        flat.kfree(addr, size),
+                        "step {step}, instance {which}, kfree({addr:#x}, {size})"
+                    );
+                }
+                28 => {
+                    cow.seal();
+                    flat.dirty.clear();
+                }
+                _ => {
+                    let born = if r & 12 != 0 {
+                        (cow.clone(), flat.clone())
+                    } else {
+                        let mut flat = flat.clone();
+                        flat.dirty.clear();
+                        (cow.deep_clone(), flat)
+                    };
+                    if instances.len() < LIVE_INSTANCES {
+                        instances.push(born);
+                    } else {
+                        let dies = (r >> 48) as usize % LIVE_INSTANCES;
+                        instances[dies] = born;
+                    }
+                }
             }
+            let (cow, flat) = &instances[which];
+            assert_eq!(cow.brk(), flat.brk, "step {step}, instance {which}");
+            assert_eq!(cow.live_allocations(), flat.allocs.len() as u64, "step {step}");
+            assert_eq!(cow.dirty_pages(), flat.dirty.len() as u64, "step {step}");
         }
-        for off in (0..window as u64 - 8).step_by(8) {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&flat[off as usize..off as usize + 8]);
-            assert_eq!(
-                cow.read(HEAP_BASE + off, 8).unwrap(),
-                u64::from_le_bytes(bytes),
-                "final sweep at {off:#x}"
-            );
+        for (which, (cow, flat)) in instances.iter().enumerate() {
+            for off in (0..window as u64 - 8).step_by(8) {
+                let mut bytes = [0u8; 8];
+                bytes.copy_from_slice(&flat.bytes[off as usize..off as usize + 8]);
+                assert_eq!(
+                    cow.read(HEAP_BASE + off, 8).unwrap(),
+                    u64::from_le_bytes(bytes),
+                    "final sweep of instance {which} at {off:#x}"
+                );
+            }
         }
     }
 

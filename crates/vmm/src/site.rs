@@ -44,10 +44,23 @@ impl Site {
     ///
     /// Interning the same name always yields the same identity; the name is
     /// recorded so diagnostics can map identities back to kernel locations.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a *different* name with the same hash is already
+    /// registered: the two instructions would otherwise become one `Site`
+    /// under the first name in every PMC key, race report and lock rule.
     pub fn intern(name: &str) -> Site {
         let id = Self::hash_of(name);
-        let mut reg = registry().lock().expect("site registry poisoned");
-        reg.entry(id).or_insert_with(|| name.to_owned());
+        let clash = {
+            let mut reg = registry().lock().expect("site registry poisoned");
+            let known = reg.entry(id).or_insert_with(|| name.to_owned());
+            (known != name).then(|| known.clone())
+        };
+        // Checked with the registry unlocked, so the panic cannot poison it.
+        if let Some(known) = clash {
+            panic!("site hash collision: '{name}' and '{known}' both hash to {id:#018x}");
+        }
         Site(id)
     }
 
@@ -81,6 +94,11 @@ impl std::fmt::Display for Site {
 
 /// Interns a static access-site name at the use site.
 ///
+/// A string literal is interned once per call site and the [`Site`] cached
+/// in a `static` there — kernel code evaluates `site!` on every guest
+/// access, and the registry lock and hash are only worth paying the first
+/// time. Any other expression is interned on every evaluation.
+///
 /// # Examples
 ///
 /// ```
@@ -88,9 +106,15 @@ impl std::fmt::Display for Site {
 ///
 /// let s = site!("l2tp_tunnel_register:list_add");
 /// assert_eq!(s, site!("l2tp_tunnel_register:list_add"));
+/// let name = String::from("l2tp_tunnel_register:list_add");
+/// assert_eq!(s, site!(&name));
 /// ```
 #[macro_export]
 macro_rules! site {
+    ($name:literal) => {{
+        static SITE: ::std::sync::OnceLock<$crate::site::Site> = ::std::sync::OnceLock::new();
+        *SITE.get_or_init(|| $crate::site::Site::intern($name))
+    }};
     ($name:expr) => {
         $crate::site::Site::intern($name)
     };
@@ -127,5 +151,32 @@ mod tests {
     #[test]
     fn macro_interns() {
         assert_eq!(site!("macro:site"), Site::intern("macro:site"));
+    }
+
+    #[test]
+    fn literal_call_sites_cache_and_still_register_the_name() {
+        let at = || site!("macro:cached");
+        let first = at();
+        assert_eq!(first.0, Site::hash_of("macro:cached"));
+        assert_eq!(first.name().as_deref(), Some("macro:cached"));
+        assert_eq!(at(), first);
+        let name = String::from("macro:cached");
+        assert_eq!(site!(&name), first, "the expression arm interns the same identity");
+    }
+
+    #[test]
+    fn a_hash_collision_panics_instead_of_aliasing() {
+        // No two short names with one FNV-1a value are known, so plant the
+        // clash: the registry already maps this hash to another name.
+        registry()
+            .lock()
+            .unwrap()
+            .insert(Site::hash_of("collide:x"), "collide:other".to_owned());
+        let err = std::panic::catch_unwind(|| Site::intern("collide:x")).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("collide:x") && msg.contains("collide:other"), "{msg}");
+        // The registry survives (the check runs unlocked) and the first
+        // name keeps the identity.
+        assert_eq!(Site(Site::hash_of("collide:x")).display_name(), "collide:other");
     }
 }

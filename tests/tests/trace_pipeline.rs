@@ -71,8 +71,19 @@ fn traced_hunt_reconstructs_to_report_totals() {
         tr.counter(sb_obs::keys::SCHED_HINT_HITS) + tr.counter(sb_obs::keys::SCHED_VOLUNTARY) > 0,
         "no scheduler decisions recorded"
     );
-    // The rendered report ends in the verification verdict.
-    assert!(tr.render().contains("verification: OK"));
+    // Every trial was timed by phase. Phases are disjoint stretches of the
+    // two workers' time inside the campaign span, so they cannot add up to
+    // more than twice its length.
+    let [snapshot, run, oracle, ..] = sb_obs::keys::TRIAL_PHASE_NS.map(|k| tr.counter(k));
+    assert!(snapshot > 0 && run > 0 && oracle > 0, "{snapshot} {run} {oracle}");
+    let phases: u64 = sb_obs::keys::TRIAL_PHASE_NS.iter().map(|k| tr.counter(k)).sum();
+    let span_us = tr.spans["campaign"].total_us;
+    assert!(phases <= 2 * (span_us + 1) * 1000, "{phases} ns in a {span_us} us span");
+    // The rendered report has the phase table and ends in the verification
+    // verdict.
+    let text = tr.render();
+    assert!(text.contains("trial phases:") && text.contains("% of campaign"), "{text}");
+    assert!(text.contains("verification: OK"));
 }
 
 #[test]
