@@ -19,12 +19,14 @@ const GENERIC_LOCK_SITES: &[&str] = &["lock", "unlock", "thread_exit"];
 
 type Exec = (Vec<Access>, Vec<SyncEvent>);
 
+/// Per site: access count + intersection of held lock sets.
+type SiteStats = BTreeMap<String, (u64, Option<BTreeSet<u64>>)>;
+
 /// Naive reference: re-aggregate the whole corpus directly from the rule
 /// definitions in the module docs, returning the violation set as dedup
 /// keys.
 fn reference(corpus: &[Exec]) -> BTreeSet<String> {
-    // Per address, per site: access count + intersection of held lock sets.
-    let mut per: BTreeMap<u64, BTreeMap<String, (u64, Option<BTreeSet<u64>>)>> = BTreeMap::new();
+    let mut per: BTreeMap<u64, SiteStats> = BTreeMap::new();
     let mut lock_sites: BTreeMap<u64, BTreeSet<String>> = BTreeMap::new();
     let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
     for (trace, events) in corpus {
@@ -148,7 +150,7 @@ fn arb_exec() -> impl Strategy<Value = Exec> {
                     .filter(|(bit, _)| locks & (1 << bit) != 0)
                     .map(|(_, l)| *l)
                     .collect(),
-                rcu_depth: rcu as u32,
+                rcu_depth: rcu,
             })
             .collect()
     });

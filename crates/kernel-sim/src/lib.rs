@@ -439,6 +439,22 @@ mod tests {
     }
 
     #[test]
+    fn boot_snapshot_holds_only_the_pages_boot_wrote() {
+        for config in [KernelConfig::v5_12_rc3(), KernelConfig::v5_3_10()] {
+            let booted = boot(config);
+            let resident = booted.snapshot.resident_pages();
+            // Boot allocates a few KiB of a 16 MiB guest; a snapshot that
+            // holds more than a handful of pages is a flat image again.
+            assert!(
+                (1..=16).contains(&resident),
+                "{resident} resident pages after boot"
+            );
+            let trial = booted.snapshot.clone();
+            assert_eq!((trial.dirty_pages(), trial.resident_pages()), (0, resident));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "unknown kernel symbol")]
     fn missing_symbol_panics() {
         Symbols::default().addr("no.such.symbol");

@@ -91,7 +91,7 @@ pub struct CampaignCfg {
     pub resume_lenient: bool,
     /// Scripted fault injection (empty in production).
     pub fault_plan: FaultPlan,
-    /// Force whole-memory (deep) snapshot clones per trial instead of the
+    /// Force shares-nothing (deep) snapshot clones per trial instead of the
     /// copy-on-write fast path. A test reference, not a second production
     /// path: its one user is `tests/tests/cow_campaign.rs`, which pins the
     /// CoW report bit-identical to the deep one; nothing else sets it.

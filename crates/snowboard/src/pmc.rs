@@ -8,9 +8,23 @@
 //! (instruction, memory range, value); multiple test pairs may map to the
 //! same PMC key (Algorithm 1 line 15).
 //!
+//! Whether a write and a read communicate depends on those features alone,
+//! never on the tests that performed the accesses, so the join works on
+//! *sides*: all deduplicated records with the same features, carrying their
+//! tests in ingest order. One scan pairs a read side with the write sides in
+//! its window and one fold per (write side, read side) creates or finds the
+//! PMC and fills its capped pair list, read test major, write test minor.
+//! That is the order a record-by-record walk produces: every record of a
+//! read side matches the same write sides, so the side's first record
+//! creates all of its PMCs, later records only append pairs, and one PMC's
+//! pair list does not depend on another's. The cost is one fold per PMC
+//! plus the pairs stored, not one per pair of records — the per-record walk
+//! is quadratic in the tests that share a side, and is kept only as the
+//! reference the unit tests compare this join against.
+//!
 //! Identification is organized around [`JoinState`], the persistent form of
-//! Algorithm 1's index: deduplicated write and read records plus the folded
-//! PMC set. Three execution modes share one scan implementation:
+//! Algorithm 1's index: the write and read sides plus the folded PMC set.
+//! Three execution modes share one scan and one fold:
 //!
 //! * **Batch** ([`identify`]) — the reference path: every profile ingested,
 //!   then every read joined against the full write index in read-major,
@@ -24,11 +38,12 @@
 //!   concatenating the per-shard scans of one read in shard order is exactly
 //!   the batch path's single ordered range scan of that read.
 //! * **Incremental** ([`JoinState::resume`] + [`JoinState::add_profiles`]) —
-//!   when a corpus grows, only the new profiles are joined: existing reads ×
-//!   new writes first, then new reads × the full index. This yields the same
-//!   PMC universe (same keys, same df flags, same pair sets up to the
-//!   per-PMC pair cap) as a from-scratch rebuild, though PMC ids may be
-//!   permuted because id assignment order follows join order.
+//!   when a corpus grows, only the new profiles are joined: the records read
+//!   sides already held × the batch's writes first, then the batch's read
+//!   records × the full index. This yields the same PMC universe (same keys,
+//!   same df flags, same pair sets up to the per-PMC pair cap) as a
+//!   from-scratch rebuild, though PMC ids may be permuted because id
+//!   assignment order follows join order.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
@@ -120,20 +135,45 @@ impl PmcSet {
     }
 }
 
-/// One deduplicated access record used during identification.
-#[derive(Copy, Clone, Debug)]
-struct Rec {
-    test: u32,
-    ins: Site,
-    addr: u64,
-    len: u8,
-    value: u64,
+/// One side of the join: every deduplicated access record with the same
+/// features, grouped. Whether a write and a read communicate depends on the
+/// two feature tuples alone, never on the tests that performed them, so the
+/// join scans and folds per side and only the pair lists see tests.
+#[derive(Clone, Debug)]
+struct Side {
+    key: SideKey,
+    /// Some record of this (read) side is the first read of a double fetch.
     df_leader: bool,
+    /// The test of each record, in ingest order. A df-leader read escapes
+    /// the per-test dedup, so a test can appear more than once.
+    tests: Vec<u32>,
 }
 
-/// The ordered nested write index: start address → range length → records
-/// in ingest order (§4.2.1).
-type WriteIndex = BTreeMap<u64, BTreeMap<u8, Vec<Rec>>>;
+impl Side {
+    fn new(key: SideKey) -> Self {
+        Side {
+            key,
+            df_leader: false,
+            tests: Vec::new(),
+        }
+    }
+}
+
+/// The ordered nested write index: start address → range length → sides in
+/// first-occurrence order (§4.2.1).
+type WriteIndex = BTreeMap<u64, BTreeMap<u8, Vec<Side>>>;
+
+/// The write side `key` in the index, filed on first use at the end of its
+/// `(addr, len)` bucket. A bucket holds the distinct (instruction, value)
+/// pairs seen at one range — a handful — so the probe is a short scan.
+fn write_side(index: &mut WriteIndex, key: SideKey) -> &mut Side {
+    let bucket = index.entry(key.addr).or_default().entry(key.len).or_default();
+    let at = bucket.iter().position(|side| side.key == key).unwrap_or_else(|| {
+        bucket.push(Side::new(key));
+        bucket.len() - 1
+    });
+    &mut bucket[at]
+}
 
 /// Limits stored pairs per PMC; the paper stores all, but popular PMCs
 /// (e.g. allocator counters) would otherwise dominate memory without
@@ -238,8 +278,8 @@ impl JoinReport {
     }
 }
 
-/// Algorithm 1's state in persistent form: the deduplicated write/read
-/// records, the ordered nested write index, and the folded PMC set.
+/// Algorithm 1's state in persistent form: the deduplicated write and read
+/// sides, the ordered nested write index, and the folded PMC set.
 ///
 /// Supports growing a PMC universe across batches: `add_profiles` ingests a
 /// batch and joins only what is new (existing reads × new writes, then new
@@ -248,13 +288,19 @@ impl JoinReport {
 #[derive(Clone, Debug, Default)]
 pub struct JoinState {
     writes: WriteIndex,
-    reads: Vec<Rec>,
+    /// Read sides in first-occurrence order.
+    reads: Vec<Side>,
+    /// Position in `reads` of each read side.
+    read_pos: HashMap<SideKey, usize>,
     seen_w: HashSet<(u32, u64, u64, u8, u64)>,
     seen_r: HashSet<(u32, u64, u64, u8, u64)>,
     set: PmcSet,
     index: HashMap<PmcKey, PmcId>,
-    pair_seen: HashMap<PmcId, HashSet<(u32, u32)>>,
 }
+
+/// A read side's position in [`JoinState::reads`] and the records of it
+/// (a range of its `tests`) that one join pass pairs up.
+type ReadWork = (usize, Range<usize>);
 
 impl JoinState {
     /// An empty state; `add_profiles` over everything reproduces
@@ -275,7 +321,7 @@ impl JoinState {
 
     /// Number of deduplicated read records indexed so far.
     pub fn reads_indexed(&self) -> usize {
-        self.reads.len()
+        self.reads.iter().map(|r| r.tests.len()).sum()
     }
 
     /// Rebuilds a state from profiles that were *already joined* into `set`
@@ -293,101 +339,103 @@ impl JoinState {
             .enumerate()
             .map(|(id, p)| (p.key, id as PmcId))
             .collect();
-        // `pair_seen` is only consulted while a PMC is under the pair cap,
-        // and entries are only added while under it, so the stored pair
-        // list reconstructs it exactly.
-        st.pair_seen = set
-            .pmcs
-            .iter()
-            .enumerate()
-            .map(|(id, p)| (id as PmcId, p.pairs.iter().copied().collect()))
-            .collect();
         st.set = set;
         st
     }
 
-    /// Ingests a batch (Algorithm 1 lines 1–5): deduplicates records into
-    /// the read list and `batch_writes`, leaving `self.writes` untouched so
-    /// the caller can join old reads against only the new writes.
-    /// Returns the index of the first read added by this batch.
-    fn ingest(&mut self, profiles: &[SeqProfile], batch_writes: &mut WriteIndex) -> usize {
-        let first_new_read = self.reads.len();
+    /// Ingests a batch (Algorithm 1 lines 1–5): deduplicates records per
+    /// test and files them under their side — reads in `self.reads`, writes
+    /// in `batch_writes`, leaving `self.writes` untouched so the caller can
+    /// join old reads against only the new writes.
+    fn ingest(&mut self, profiles: &[SeqProfile], batch_writes: &mut WriteIndex) {
         for p in profiles {
             let leaders = df_leaders(p);
             for (i, a) in p.accesses.iter().enumerate() {
                 let sig = (p.test, a.site.0, a.addr, a.len, a.value);
+                let key = SideKey {
+                    ins: a.site,
+                    addr: a.addr,
+                    len: a.len,
+                    value: a.value,
+                };
                 match a.kind {
                     AccessKind::Write => {
                         if self.seen_w.insert(sig) {
-                            batch_writes
-                                .entry(a.addr)
-                                .or_default()
-                                .entry(a.len)
-                                .or_default()
-                                .push(Rec {
-                                    test: p.test,
-                                    ins: a.site,
-                                    addr: a.addr,
-                                    len: a.len,
-                                    value: a.value,
-                                    df_leader: false,
-                                });
+                            write_side(batch_writes, key).tests.push(p.test);
                         }
                     }
                     AccessKind::Read => {
                         let df = leaders.contains(&i);
                         // A df_leader read and a plain read with the same
-                        // signature must both survive; fold df into the
-                        // dedup signature via a separate set entry.
+                        // signature must both survive, so a leader is kept
+                        // whether or not its signature was seen.
                         if self.seen_r.insert(sig) || df {
-                            self.reads.push(Rec {
-                                test: p.test,
-                                ins: a.site,
-                                addr: a.addr,
-                                len: a.len,
-                                value: a.value,
-                                df_leader: df,
+                            let reads = &mut self.reads;
+                            let pos = *self.read_pos.entry(key).or_insert_with(|| {
+                                reads.push(Side::new(key));
+                                reads.len() - 1
                             });
+                            reads[pos].df_leader |= df;
+                            reads[pos].tests.push(p.test);
                         }
                     }
                 }
             }
         }
-        first_new_read
     }
 
     /// Ingests `profiles` and joins what is new. On an empty state this is
     /// Algorithm 1 verbatim; on a resumed/grown state it is the incremental
     /// re-index (old reads × new writes, then new reads × all writes).
     pub fn add_profiles(&mut self, profiles: &[SeqProfile], opts: &IdentifyOpts) -> JoinReport {
+        // Records each read side held before this batch.
+        let before: Vec<usize> = self.reads.iter().map(|r| r.tests.len()).collect();
         let mut batch_writes = WriteIndex::new();
-        let first_new_read = self.ingest(profiles, &mut batch_writes);
+        self.ingest(profiles, &mut batch_writes);
         let mut report = JoinReport::default();
-        // Phase 1: reads indexed by earlier batches × this batch's writes.
-        if first_new_read > 0 && !batch_writes.is_empty() {
-            report.absorb(self.join(0..first_new_read, &batch_writes, opts));
+        // Phase 1: read records of earlier batches × this batch's writes.
+        if !before.is_empty() && !batch_writes.is_empty() {
+            let old: Vec<ReadWork> = before.iter().map(|n| 0..*n).enumerate().collect();
+            report.absorb(self.join(&old, &batch_writes, opts));
         }
         merge_writes(&mut self.writes, batch_writes);
-        // Phase 2: this batch's reads × the full write index.
-        if first_new_read < self.reads.len() && !self.writes.is_empty() {
+        // Phase 2: this batch's read records × the full write index. A side
+        // an earlier batch knew comes before every new one here, not where
+        // its first new record stood; it has met every write side by now
+        // (in that batch, or in phase 1), so it creates no PMC and its
+        // place in the order is free.
+        let new: Vec<ReadWork> = (self.reads.iter().enumerate())
+            .map(|(pos, r)| (pos, before.get(pos).copied().unwrap_or(0)..r.tests.len()))
+            .filter(|(_, recs)| !recs.is_empty())
+            .collect();
+        if !new.is_empty() && !self.writes.is_empty() {
             let writes = std::mem::take(&mut self.writes);
-            report.absorb(self.join(first_new_read..self.reads.len(), &writes, opts));
+            report.absorb(self.join(&new, &writes, opts));
             self.writes = writes;
         }
         report
     }
 
-    /// Joins `reads[read_range]` against `writes`, folding matches into the
-    /// PMC set in read-major, write-address-minor order.
-    fn join(&mut self, read_range: Range<usize>, writes: &WriteIndex, opts: &IdentifyOpts) -> JoinReport {
+    /// Joins the read records in `work` against `writes`, folding matches
+    /// into the PMC set in read-major, write-address-minor order.
+    ///
+    /// Read-major by *side*: every record of a read side matches the same
+    /// write sides, so the side's first record creates all of its PMCs (the
+    /// write index is complete before a pass starts) and later records only
+    /// append pairs — to pair lists that are independent of one another.
+    /// Walking side by side therefore numbers PMCs and orders pairs exactly
+    /// as walking record by record would.
+    fn join(&mut self, work: &[ReadWork], writes: &WriteIndex, opts: &IdentifyOpts) -> JoinReport {
+        let JoinState {
+            reads, set, index, ..
+        } = self;
         if opts.shards <= 1 {
             // Inline reference path: fold as the scan produces matches.
             let mut matches = 0u64;
-            for idx in read_range {
-                let r = self.reads[idx];
-                scan_read(writes, r, 0, u64::MAX, |w| {
-                    self.fold_match(w, r);
-                    matches += 1;
+            for (pos, recs) in work {
+                let r = &reads[*pos];
+                scan_read(writes, &r.key, 0, u64::MAX, |w| {
+                    matches += fold_match(set, index, w, r, recs.clone());
                 });
             }
             return JoinReport {
@@ -396,23 +444,20 @@ impl JoinState {
         }
 
         let bounds = shard_bounds(writes, opts.shards);
-        let nshards = bounds.len();
-        let reads = &self.reads;
-        let range = read_range.clone();
+        let reads = &*reads;
         // Each shard scans every read's window clipped to its own address
         // interval; within a shard, matches come out read-major and
         // address-minor, exactly like the reference scan restricted to that
         // interval.
-        let shard_matches: Vec<Vec<(u32, Rec)>> = crate::pool::map_jobs(
+        let shard_matches: Vec<Vec<(usize, &Side)>> = crate::pool::map_jobs(
             &bounds,
             opts.workers,
             || (),
             |(), &(shard_lo, shard_hi)| {
-                let mut out: Vec<(u32, Rec)> = Vec::new();
-                for idx in range.clone() {
-                    let r = reads[idx];
-                    scan_read(writes, r, shard_lo, shard_hi, |w| {
-                        out.push((idx as u32, w));
+                let mut out = Vec::new();
+                for (pos, _) in work {
+                    scan_read(writes, &reads[*pos].key, shard_lo, shard_hi, |w| {
+                        out.push((*pos, w));
                     });
                 }
                 out
@@ -423,107 +468,107 @@ impl JoinState {
         // in address order reconstructs the reference scan order, so the
         // fold below assigns identical PMC ids and pair lists.
         let mut report = JoinReport {
-            shard_matches: vec![0; nshards],
+            shard_matches: vec![0; bounds.len()],
         };
-        let mut cursors = vec![0usize; nshards];
-        for idx in read_range {
-            let r = self.reads[idx];
-            for (s, ms) in shard_matches.iter().enumerate() {
-                while cursors[s] < ms.len() && ms[cursors[s]].0 == idx as u32 {
-                    let (_, w) = ms[cursors[s]];
-                    self.fold_match(w, r);
-                    report.shard_matches[s] += 1;
-                    cursors[s] += 1;
+        let mut pending: Vec<_> = shard_matches
+            .iter()
+            .map(|ms| ms.iter().peekable())
+            .collect();
+        for (pos, recs) in work {
+            for (s, ms) in pending.iter_mut().enumerate() {
+                while let Some((_, w)) = ms.next_if(|(p, _)| p == pos) {
+                    report.shard_matches[s] +=
+                        fold_match(set, index, w, &reads[*pos], recs.clone());
                 }
             }
         }
         report
     }
+}
 
-    /// Folds one candidate (write, read) match into the PMC set: key build,
-    /// id assignment, df propagation, capped pair dedup (lines 11–15).
-    fn fold_match(&mut self, w: Rec, r: Rec) {
-        let JoinState {
-            set,
-            index,
-            pair_seen,
-            ..
-        } = self;
-        let key = PmcKey {
-            w: SideKey {
-                ins: w.ins,
-                addr: w.addr,
-                len: w.len,
-                value: w.value,
-            },
-            r: SideKey {
-                ins: r.ins,
-                addr: r.addr,
-                len: r.len,
-                value: r.value,
-            },
-        };
-        let id = *index.entry(key).or_insert_with(|| {
-            set.pmcs.push(Pmc {
-                key,
-                df_leader: r.df_leader,
-                pairs: Vec::new(),
-            });
-            (set.pmcs.len() - 1) as PmcId
+/// Folds one candidate (write side, read side) match into the PMC set: key
+/// build, id assignment, df propagation, then the capped, deduplicated
+/// pairs of the read records `recs` with every write record (lines 11–15).
+/// Returns how many record pairs that is, stored or not.
+fn fold_match(
+    set: &mut PmcSet,
+    index: &mut HashMap<PmcKey, PmcId>,
+    w: &Side,
+    r: &Side,
+    recs: Range<usize>,
+) -> u64 {
+    let key = PmcKey { w: w.key, r: r.key };
+    let id = *index.entry(key).or_insert_with(|| {
+        set.pmcs.push(Pmc {
+            key,
+            df_leader: r.df_leader,
+            pairs: Vec::new(),
         });
-        let pmc = &mut set.pmcs[id as usize];
-        pmc.df_leader |= r.df_leader;
-        if pmc.pairs.len() < MAX_PAIRS_PER_PMC {
-            let pair = (w.test, r.test);
-            if pair_seen.entry(id).or_default().insert(pair) {
-                pmc.pairs.push(pair);
+        (set.pmcs.len() - 1) as PmcId
+    });
+    let pmc = &mut set.pmcs[id as usize];
+    pmc.df_leader |= r.df_leader;
+    let folded = (w.tests.len() * recs.len()) as u64;
+    // Pairs are only ever stored under the cap, so the stored list is the
+    // whole of what has been seen.
+    'cap: for rt in &r.tests[recs] {
+        for wt in &w.tests {
+            if pmc.pairs.len() >= MAX_PAIRS_PER_PMC {
+                break 'cap;
+            }
+            if !pmc.pairs.contains(&(*wt, *rt)) {
+                pmc.pairs.push((*wt, *rt));
             }
         }
     }
+    folded
 }
 
-/// Scans the ordered nested write index for matches with read `r`, clipped
-/// to write start addresses in `[shard_lo, shard_hi)` — the single scan
-/// implementation shared by the inline and sharded paths (lines 6–10).
-fn scan_read(
-    writes: &WriteIndex,
-    r: Rec,
+/// Scans the ordered nested write index for sides that communicate with
+/// read side `r`, clipped to write start addresses in `[shard_lo, shard_hi)`
+/// — the single scan implementation shared by the inline and sharded paths
+/// (lines 6–10).
+fn scan_read<'w>(
+    writes: &'w WriteIndex,
+    r: &SideKey,
     shard_lo: u64,
     shard_hi: u64,
-    mut emit: impl FnMut(Rec),
+    mut emit: impl FnMut(&'w Side),
 ) {
     let lo = r.addr.saturating_sub(7).max(shard_lo);
     // Exclusive upper bound on write starts.
-    let hi = (r.addr + u64::from(r.len)).min(shard_hi);
+    let hi = r.addr.saturating_add(u64::from(r.len)).min(shard_hi);
     if lo >= hi {
         return;
     }
     for (_wa, by_len) in writes.range(lo..hi) {
-        for recs in by_len.values() {
-            for w in recs {
-                let Some((ostart, olen)) = range_overlap(w.addr, w.len, r.addr, r.len) else {
-                    continue;
-                };
-                // project_value (lines 9–10): compare over the overlap.
-                if project(w.value, w.addr, ostart, olen) == project(r.value, r.addr, ostart, olen)
-                {
-                    continue;
-                }
-                emit(*w);
+        for w in by_len.values().flatten() {
+            let Some((ostart, olen)) = range_overlap(w.key.addr, w.key.len, r.addr, r.len) else {
+                continue;
+            };
+            // project_value (lines 9–10): compare over the overlap.
+            if project(w.key.value, w.key.addr, ostart, olen)
+                == project(r.value, r.addr, ostart, olen)
+            {
+                continue;
             }
+            emit(w);
         }
     }
 }
 
 /// Appends a batch's write records into the accumulated index, preserving
-/// ingest order within each (addr, len) bucket.
+/// first-occurrence order of sides within each (addr, len) bucket and
+/// ingest order of tests within each side.
 fn merge_writes(into: &mut WriteIndex, batch: WriteIndex) {
-    for (addr, by_len) in batch {
-        let slot = into.entry(addr).or_default();
-        for (len, mut recs) in by_len {
-            slot.entry(len).or_default().append(&mut recs);
-        }
+    for side in batch.into_values().flat_map(BTreeMap::into_values).flatten() {
+        write_side(into, side.key).tests.extend(side.tests);
     }
+}
+
+/// Records filed under one start address of the write index.
+fn records_at(by_len: &BTreeMap<u8, Vec<Side>>) -> usize {
+    by_len.values().flatten().map(|w| w.tests.len()).sum()
 }
 
 /// Partitions the write index's start addresses into up to `shards`
@@ -531,10 +576,7 @@ fn merge_writes(into: &mut WriteIndex, batch: WriteIndex) {
 /// The final interval's `hi` is `u64::MAX`, which is unreachable as a write
 /// start in practice (an access's range would overflow the address space).
 fn shard_bounds(writes: &WriteIndex, shards: usize) -> Vec<(u64, u64)> {
-    let total: usize = writes
-        .values()
-        .map(|by_len| by_len.values().map(Vec::len).sum::<usize>())
-        .sum();
+    let total: usize = writes.values().map(records_at).sum();
     if total == 0 {
         return vec![(0, u64::MAX)];
     }
@@ -543,7 +585,7 @@ fn shard_bounds(writes: &WriteIndex, shards: usize) -> Vec<(u64, u64)> {
     let mut lo = 0u64;
     let mut load = 0usize;
     for (addr, by_len) in writes {
-        load += by_len.values().map(Vec::len).sum::<usize>();
+        load += records_at(by_len);
         if load >= per_shard && bounds.len() + 1 < shards {
             // Split *after* this address: its records stay in this shard.
             bounds.push((lo, addr.saturating_add(1)));
@@ -624,6 +666,267 @@ mod tests {
     }
 
     use AccessKind::{Read, Write};
+
+    /// The join as it was before sides: one record per (test, access
+    /// signature), every read record scanned against every write record,
+    /// one fold per matching record pair with a per-PMC `pair_seen` set.
+    /// Kept verbatim as the specification the side-grouped join is compared
+    /// against — PMC ids, df flags, pair order and `JoinReport` alike.
+    mod reference {
+        use super::super::*;
+
+        #[derive(Copy, Clone, Debug)]
+        struct Rec {
+            test: u32,
+            ins: Site,
+            addr: u64,
+            len: u8,
+            value: u64,
+            df_leader: bool,
+        }
+
+        type WriteIndex = BTreeMap<u64, BTreeMap<u8, Vec<Rec>>>;
+
+        #[derive(Clone, Debug, Default)]
+        pub struct JoinState {
+            writes: WriteIndex,
+            reads: Vec<Rec>,
+            seen_w: HashSet<(u32, u64, u64, u8, u64)>,
+            seen_r: HashSet<(u32, u64, u64, u8, u64)>,
+            set: PmcSet,
+            index: HashMap<PmcKey, PmcId>,
+            pair_seen: HashMap<PmcId, HashSet<(u32, u32)>>,
+        }
+
+        impl JoinState {
+            pub fn set(&self) -> &PmcSet {
+                &self.set
+            }
+
+            pub fn reads_indexed(&self) -> usize {
+                self.reads.len()
+            }
+
+            pub fn resume(profiles: &[SeqProfile], set: PmcSet) -> Self {
+                let mut st = JoinState::default();
+                let mut batch = WriteIndex::new();
+                st.ingest(profiles, &mut batch);
+                merge_writes(&mut st.writes, batch);
+                st.index = (set.pmcs.iter().enumerate())
+                    .map(|(id, p)| (p.key, id as PmcId))
+                    .collect();
+                st.pair_seen = (set.pmcs.iter().enumerate())
+                    .map(|(id, p)| (id as PmcId, p.pairs.iter().copied().collect()))
+                    .collect();
+                st.set = set;
+                st
+            }
+
+            fn ingest(&mut self, profiles: &[SeqProfile], batch_writes: &mut WriteIndex) -> usize {
+                let first_new_read = self.reads.len();
+                for p in profiles {
+                    let leaders = df_leaders(p);
+                    for (i, a) in p.accesses.iter().enumerate() {
+                        let sig = (p.test, a.site.0, a.addr, a.len, a.value);
+                        let rec = |df_leader| Rec {
+                            test: p.test,
+                            ins: a.site,
+                            addr: a.addr,
+                            len: a.len,
+                            value: a.value,
+                            df_leader,
+                        };
+                        match a.kind {
+                            AccessKind::Write => {
+                                if self.seen_w.insert(sig) {
+                                    let by_len = batch_writes.entry(a.addr).or_default();
+                                    by_len.entry(a.len).or_default().push(rec(false));
+                                }
+                            }
+                            AccessKind::Read => {
+                                let df = leaders.contains(&i);
+                                if self.seen_r.insert(sig) || df {
+                                    self.reads.push(rec(df));
+                                }
+                            }
+                        }
+                    }
+                }
+                first_new_read
+            }
+
+            pub fn add_profiles(
+                &mut self,
+                profiles: &[SeqProfile],
+                opts: &IdentifyOpts,
+            ) -> JoinReport {
+                let mut batch_writes = WriteIndex::new();
+                let first_new_read = self.ingest(profiles, &mut batch_writes);
+                let mut report = JoinReport::default();
+                if first_new_read > 0 && !batch_writes.is_empty() {
+                    report.absorb(self.join(0..first_new_read, &batch_writes, opts));
+                }
+                merge_writes(&mut self.writes, batch_writes);
+                if first_new_read < self.reads.len() && !self.writes.is_empty() {
+                    let writes = std::mem::take(&mut self.writes);
+                    report.absorb(self.join(first_new_read..self.reads.len(), &writes, opts));
+                    self.writes = writes;
+                }
+                report
+            }
+
+            fn join(
+                &mut self,
+                read_range: Range<usize>,
+                writes: &WriteIndex,
+                opts: &IdentifyOpts,
+            ) -> JoinReport {
+                if opts.shards <= 1 {
+                    let mut matches = 0u64;
+                    for idx in read_range {
+                        let r = self.reads[idx];
+                        scan_read(writes, r, 0, u64::MAX, |w| {
+                            self.fold_match(w, r);
+                            matches += 1;
+                        });
+                    }
+                    return JoinReport {
+                        shard_matches: vec![matches],
+                    };
+                }
+
+                let bounds = shard_bounds(writes, opts.shards);
+                let nshards = bounds.len();
+                let reads = &self.reads;
+                let range = read_range.clone();
+                let shard_matches: Vec<Vec<(u32, Rec)>> = crate::pool::map_jobs(
+                    &bounds,
+                    opts.workers,
+                    || (),
+                    |(), &(shard_lo, shard_hi)| {
+                        let mut out: Vec<(u32, Rec)> = Vec::new();
+                        for idx in range.clone() {
+                            let r = reads[idx];
+                            scan_read(writes, r, shard_lo, shard_hi, |w| {
+                                out.push((idx as u32, w));
+                            });
+                        }
+                        out
+                    },
+                );
+                let mut report = JoinReport {
+                    shard_matches: vec![0; nshards],
+                };
+                let mut cursors = vec![0usize; nshards];
+                for idx in read_range {
+                    let r = self.reads[idx];
+                    for (s, ms) in shard_matches.iter().enumerate() {
+                        while cursors[s] < ms.len() && ms[cursors[s]].0 == idx as u32 {
+                            let (_, w) = ms[cursors[s]];
+                            self.fold_match(w, r);
+                            report.shard_matches[s] += 1;
+                            cursors[s] += 1;
+                        }
+                    }
+                }
+                report
+            }
+
+            fn fold_match(&mut self, w: Rec, r: Rec) {
+                let JoinState {
+                    set,
+                    index,
+                    pair_seen,
+                    ..
+                } = self;
+                let side = |a: Rec| SideKey {
+                    ins: a.ins,
+                    addr: a.addr,
+                    len: a.len,
+                    value: a.value,
+                };
+                let key = PmcKey {
+                    w: side(w),
+                    r: side(r),
+                };
+                let id = *index.entry(key).or_insert_with(|| {
+                    set.pmcs.push(Pmc {
+                        key,
+                        df_leader: r.df_leader,
+                        pairs: Vec::new(),
+                    });
+                    (set.pmcs.len() - 1) as PmcId
+                });
+                let pmc = &mut set.pmcs[id as usize];
+                pmc.df_leader |= r.df_leader;
+                if pmc.pairs.len() < MAX_PAIRS_PER_PMC {
+                    let pair = (w.test, r.test);
+                    if pair_seen.entry(id).or_default().insert(pair) {
+                        pmc.pairs.push(pair);
+                    }
+                }
+            }
+        }
+
+        fn scan_read(
+            writes: &WriteIndex,
+            r: Rec,
+            shard_lo: u64,
+            shard_hi: u64,
+            mut emit: impl FnMut(Rec),
+        ) {
+            let lo = r.addr.saturating_sub(7).max(shard_lo);
+            let hi = r.addr.saturating_add(u64::from(r.len)).min(shard_hi);
+            if lo >= hi {
+                return;
+            }
+            for (_wa, by_len) in writes.range(lo..hi) {
+                for w in by_len.values().flatten() {
+                    let Some((ostart, olen)) = range_overlap(w.addr, w.len, r.addr, r.len) else {
+                        continue;
+                    };
+                    if project(w.value, w.addr, ostart, olen)
+                        == project(r.value, r.addr, ostart, olen)
+                    {
+                        continue;
+                    }
+                    emit(*w);
+                }
+            }
+        }
+
+        fn merge_writes(into: &mut WriteIndex, batch: WriteIndex) {
+            for (addr, by_len) in batch {
+                let slot = into.entry(addr).or_default();
+                for (len, mut recs) in by_len {
+                    slot.entry(len).or_default().append(&mut recs);
+                }
+            }
+        }
+
+        fn shard_bounds(writes: &WriteIndex, shards: usize) -> Vec<(u64, u64)> {
+            let records_at =
+                |by_len: &BTreeMap<u8, Vec<Rec>>| -> usize { by_len.values().map(Vec::len).sum() };
+            let total: usize = writes.values().map(records_at).sum();
+            if total == 0 {
+                return vec![(0, u64::MAX)];
+            }
+            let per_shard = total.div_ceil(shards.max(1));
+            let mut bounds: Vec<(u64, u64)> = Vec::new();
+            let mut lo = 0u64;
+            let mut load = 0usize;
+            for (addr, by_len) in writes {
+                load += records_at(by_len);
+                if load >= per_shard && bounds.len() + 1 < shards {
+                    bounds.push((lo, addr.saturating_add(1)));
+                    lo = addr.saturating_add(1);
+                    load = 0;
+                }
+            }
+            bounds.push((lo, u64::MAX));
+            bounds
+        }
+    }
 
     #[test]
     fn write_read_with_different_values_is_a_pmc() {
@@ -852,6 +1155,238 @@ mod tests {
         let mut st = JoinState::resume(&dfp, dfset.clone());
         st.add_profiles(&dfp, &IdentifyOpts::default());
         assert_eq!(*st.set(), dfset);
+    }
+
+    /// Feeds `profiles` to the side-grouped join and to the per-record
+    /// [`reference`] in the same batches (`profiles[..resume_at]` resumed
+    /// from its folded set when `resume_at > 0`, then one `add_profiles` per
+    /// cut) and requires the same `JoinReport`, the same `PmcSet` — ids,
+    /// flags, pair order — and the same record count after every batch.
+    fn assert_batches_match(
+        profiles: &[SeqProfile],
+        resume_at: usize,
+        cuts: &[usize],
+        opts: &IdentifyOpts,
+        what: &str,
+    ) {
+        let old = &profiles[..resume_at];
+        let (mut sides, mut records) = (JoinState::new(), reference::JoinState::default());
+        if resume_at > 0 {
+            records.add_profiles(old, &IdentifyOpts::default());
+            let set = records.set().clone();
+            sides = JoinState::resume(old, set.clone());
+            records = reference::JoinState::resume(old, set);
+        }
+        let mut from = resume_at;
+        for to in cuts.iter().copied().chain([profiles.len()]) {
+            let batch = &profiles[from..to];
+            let what = format!("{what}, {opts:?}, resumed at {resume_at}, batch {from}..{to}");
+            assert_eq!(
+                sides.add_profiles(batch, opts),
+                records.add_profiles(batch, opts),
+                "{what}"
+            );
+            assert_eq!(sides.set(), records.set(), "{what}");
+            assert_eq!(sides.reads_indexed(), records.reads_indexed(), "{what}");
+            from = to;
+        }
+    }
+
+    /// Every driver of the join against the reference: inline, sharded
+    /// {2, 3, 4, 7}, a three-batch incremental join and resume + grow.
+    fn assert_matches_reference(profiles: &[SeqProfile], what: &str) {
+        let n = profiles.len();
+        let inline = IdentifyOpts::default();
+        assert_batches_match(profiles, 0, &[], &inline, what);
+        for shards in [2, 3, 4, 7] {
+            assert_batches_match(profiles, 0, &[], &IdentifyOpts::sharded(shards, 2), what);
+        }
+        for opts in [inline, IdentifyOpts::sharded(3, 2)] {
+            assert_batches_match(profiles, 0, &[n / 3, 2 * n / 3], &opts, what);
+            assert_batches_match(profiles, n / 2, &[], &opts, what);
+            assert_batches_match(profiles, n / 3, &[2 * n / 3], &opts, what);
+        }
+    }
+
+    /// A corpus drawn from a splitmix64 stream: half the accesses hit one hot
+    /// word through two sites and two values (sides shared by most tests,
+    /// PMCs far past the pair cap), the rest spread over sites, values and
+    /// widths in three small windows (partial overlaps, double fetches).
+    fn random_profiles(seed: u64, tests: u32) -> Vec<SeqProfile> {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        const SITES: [&str; 6] = ["fz:a", "fz:b", "fz:c", "fz:d", "fz:e", "fz:f"];
+        (0..tests)
+            .map(|t| {
+                let accesses = (0..4 + next(20))
+                    .map(|_| {
+                        let kind = if next(5) < 2 { Write } else { Read };
+                        if next(2) == 0 {
+                            return (SITES[next(2) as usize], kind, 0x3000, 8, next(2));
+                        }
+                        let addr = 0x3000 + next(3) * 0x100 + next(10);
+                        let len = [1u8, 2, 4, 8][next(4) as usize];
+                        let value = [0, 1, 0x0101, 0xAABB_CCDD][next(4) as usize];
+                        (SITES[next(6) as usize], kind, addr, len, value)
+                    })
+                    .collect();
+                prof(t, accesses)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn side_grouped_join_matches_the_per_record_reference() {
+        assert_matches_reference(&synthetic_profiles(12), "synthetic");
+        for seed in [1, 2, 3] {
+            let profiles = random_profiles(seed, 40);
+            assert_matches_reference(&profiles, &format!("random corpus {seed}"));
+            // The corpus must actually reach what it is there for.
+            let set = identify(&profiles);
+            let capped = |p: &&Pmc| p.pairs.len() == MAX_PAIRS_PER_PMC;
+            assert!(set.pmcs.iter().any(|p| p.df_leader), "seed {seed}");
+            assert!(set.pmcs.iter().filter(capped).count() > 0, "seed {seed}");
+        }
+        let booted = sb_kernel::boot(sb_kernel::KernelConfig::v5_12_rc3());
+        for seed in [3, 17, 71] {
+            let (corpus, _) = sb_fuzz::build_corpus(&booted, seed, 24, 360);
+            let profiles = crate::profile::profile_corpus(&booted, &corpus, 1);
+            assert!(identify(&profiles).len() > 50, "seed {seed}: thin corpus");
+            assert_matches_reference(&profiles, &format!("fuzzed corpus {seed}"));
+        }
+    }
+
+    #[test]
+    fn df_leader_that_escapes_dedup_pairs_its_test_only_once() {
+        // `r:a` at index 2 repeats the signature of index 0 but leads a
+        // double fetch, so it is kept: the side holds test 1 twice and every
+        // (writer, 1) pair arrives twice.
+        let reader = prof(
+            1,
+            vec![
+                ("r:a", Read, 0x2000, 8, 9),
+                ("r:b", Read, 0x2000, 8, 9),
+                ("r:a", Read, 0x2000, 8, 9),
+                ("r:b", Read, 0x2000, 8, 9),
+            ],
+        );
+        let profiles = vec![
+            prof(0, vec![("w", Write, 0x2000, 8, 1)]),
+            reader,
+            prof(
+                2,
+                vec![("w", Write, 0x2000, 8, 1), ("r:a", Read, 0x2000, 8, 9)],
+            ),
+        ];
+        let mut st = JoinState::new();
+        let report = st.add_profiles(&profiles, &IdentifyOpts::default());
+        assert_eq!(st.reads[0].tests, vec![1, 1, 2], "the leader escaped dedup");
+        assert_eq!(st.reads_indexed(), 4);
+        // 2 writer records × (3 `r:a` + 1 `r:b`) reader records.
+        assert_eq!(report.matches(), 8);
+        let by_a = &st.set().pmcs[0];
+        assert!(by_a.df_leader);
+        assert_eq!(by_a.pairs, vec![(0, 1), (2, 1), (0, 2), (2, 2)]);
+        assert_matches_reference(&profiles, "df escape");
+        // Re-adding what a resumed state already holds re-joins the leaders
+        // (they escape dedup again) and must change nothing.
+        let set = st.into_set();
+        let mut sides = JoinState::resume(&profiles, set.clone());
+        let mut records = reference::JoinState::resume(&profiles, set.clone());
+        let opts = IdentifyOpts::sharded(2, 2);
+        assert_eq!(
+            sides.add_profiles(&profiles, &opts),
+            records.add_profiles(&profiles, &opts)
+        );
+        assert_eq!((sides.set(), records.set()), (&set, &set));
+    }
+
+    #[test]
+    fn pair_cap_is_reached_in_the_middle_of_a_side() {
+        // One PMC, 5 writer tests × 7 reader tests = 35 pairs: the cap of 32
+        // falls inside the seventh reader's pass over the writers — in one
+        // batch, in phase 2 of a later batch (cut 9), and in phase 1 (the
+        // readers first, the writers arriving in two later batches).
+        let writers = (0..5).map(|t| prof(t, vec![("w", Write, 0x2000, 8, 7)]));
+        let readers = (5..12).map(|t| prof(t, vec![("r", Read, 0x2000, 8, 0)]));
+        let profiles: Vec<SeqProfile> = writers.clone().chain(readers.clone()).collect();
+        let set = identify(&profiles);
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.pmcs[0].pairs.len(), MAX_PAIRS_PER_PMC);
+        assert_eq!(set.pmcs[0].pairs[30..], [(0, 11), (1, 11)]);
+        assert_matches_reference(&profiles, "cap, writers first");
+        for opts in [IdentifyOpts::default(), IdentifyOpts::sharded(2, 2)] {
+            assert_batches_match(&profiles, 0, &[3, 9], &opts, "cap, writers first");
+        }
+        let profiles: Vec<SeqProfile> = readers.chain(writers).collect();
+        assert_matches_reference(&profiles, "cap, readers first");
+        for opts in [IdentifyOpts::default(), IdentifyOpts::sharded(2, 2)] {
+            assert_batches_match(&profiles, 0, &[7, 10], &opts, "cap, readers first");
+            assert_batches_match(&profiles, 7, &[11], &opts, "cap, readers first");
+        }
+    }
+
+    #[test]
+    fn read_side_that_turns_df_leader_in_a_later_batch_flags_all_its_pmcs() {
+        // Batch 1: a plain read `r` of a range one write side covers.
+        // Batch 2: test 2 reads it as the first of a double fetch, and brings
+        // a second write side — whose PMC phase 1 creates from the *old*
+        // record of `r`, and which must end up flagged like the first.
+        let profiles = vec![
+            prof(0, vec![("w:old", Write, 0x2000, 8, 1)]),
+            prof(1, vec![("r", Read, 0x2000, 8, 0)]),
+            prof(
+                2,
+                vec![
+                    ("w:new", Write, 0x2004, 4, 2),
+                    ("r", Read, 0x2000, 8, 0),
+                    ("r:again", Read, 0x2000, 8, 0),
+                ],
+            ),
+        ];
+        for opts in [IdentifyOpts::default(), IdentifyOpts::sharded(2, 2)] {
+            let mut st = JoinState::new();
+            st.add_profiles(&profiles[..2], &opts);
+            assert_eq!(st.set().len(), 1);
+            assert!(!st.set().pmcs[0].df_leader);
+            st.add_profiles(&profiles[2..], &opts);
+            let by_r: Vec<&Pmc> = (st.set().pmcs.iter())
+                .filter(|p| p.key.r.ins == site!("r"))
+                .collect();
+            assert_eq!(by_r.len(), 2);
+            assert!(by_r.iter().all(|p| p.df_leader), "{by_r:?}");
+            assert_batches_match(&profiles, 0, &[2], &opts, "late df");
+            assert_batches_match(&profiles, 2, &[], &opts, "late df");
+        }
+        assert_matches_reference(&profiles, "late df");
+    }
+
+    #[test]
+    fn read_at_the_top_of_the_address_space_does_not_overflow_the_scan() {
+        // A stored profile can hold any address. The window of a read that
+        // ends past `u64::MAX` is clipped, not wrapped to an empty one (or a
+        // debug-build panic), and the read beside it joins as usual.
+        let top = u64::MAX - 3;
+        let profiles = vec![
+            prof(
+                0,
+                vec![("w", Write, 0x2000, 8, 1), ("w:top", Write, top, 2, 5)],
+            ),
+            prof(
+                1,
+                vec![("r", Read, 0x2000, 8, 0), ("r:top", Read, top, 8, 0)],
+            ),
+        ];
+        let set = identify(&profiles);
+        let readers: Vec<Site> = set.pmcs.iter().map(|p| p.key.r.ins).collect();
+        assert_eq!(readers, vec![site!("r"), site!("r:top")]);
+        assert_eq!(identify_sharded(&profiles, 3, 2), set);
     }
 
     #[test]

@@ -149,9 +149,14 @@ proptest! {
     /// Fleet messages that *do* render survive a full frame round trip:
     /// render → frame → unframe → parse is the identity.
     #[test]
-    fn framed_messages_round_trip(proto in any::<u64>(), config in any::<u64>(), max in any::<usize>()) {
+    fn framed_messages_round_trip(
+        proto in any::<u64>(),
+        config in any::<u64>(),
+        session in any::<u64>(),
+        max in any::<usize>(),
+    ) {
         let msgs = [
-            JoinMsg::Join { proto, config },
+            JoinMsg::Join { proto, config, session },
             JoinMsg::Heartbeat,
             JoinMsg::Request { max },
             JoinMsg::Leaving { reason: format!("reason-{proto}") },

@@ -25,7 +25,7 @@ fn arb_access() -> impl Strategy<Value = Access> {
                 len,
                 value,
                 atomic,
-                locks,
+                locks: locks.into(),
                 rcu_depth,
             },
         )

@@ -14,23 +14,29 @@
 //! ## Snapshot model
 //!
 //! Snowboard's throughput is bounded by how fast trials can be launched from
-//! the boot snapshot (§5.4), so cloning a snapshot must not cost a 16 MiB
-//! memcpy. `GuestMem` is an `Arc`-shared immutable *base* — the byte image
-//! and the allocator's books as of the last seal — plus what this instance
-//! changed since: an *overlay* of dirty 4 KiB pages and a delta over the
-//! allocator's books. Reads fall through to the base, the first write to a
-//! page copies it into the overlay, and `clone` bumps the base refcount and
-//! copies the overlay and the delta, so it costs what the instance dirtied
-//! (nothing, for a sealed snapshot) — as does dropping one.
+//! the boot snapshot (§5.4), and every `hunt`, worker and fleet member boots
+//! before its first trial, so neither booting nor cloning may cost the size
+//! of the guest: both cost the pages that were written. `GuestMem` is an
+//! `Arc`-shared immutable *base* — the pages and the allocator's books as of
+//! the last seal — plus what this instance changed since: an *overlay* of
+//! dirty 4 KiB pages and a delta over the allocator's books. Base and
+//! overlay are the same sparse [`PageTable`]; a page nobody ever wrote is in
+//! neither and reads through one shared zero page, so a fresh guest holds
+//! no page at all and a booted kernel the handful its heap reached. Reads
+//! go overlay → base → zero page, the first write to a page copies it into
+//! the overlay, and `clone` bumps the base refcount and copies the overlay
+//! and the delta, so it costs what the instance dirtied (nothing, for a
+//! sealed snapshot) — as does dropping one.
 //! [`GuestMem::seal`] folds overlay and delta into a fresh base — the boot
 //! path calls it once so every trial starts from a clean, fully-shared
-//! image. [`GuestMem::deep_clone`] materializes a private flat copy: the
-//! whole-memory clone the tests compare the copy-on-write path against.
+//! image. [`GuestMem::deep_clone`] does the same into a new instance that
+//! shares nothing with its source: the reference the tests compare the
+//! copy-on-write path against.
 //!
-//! The overlay is a two-level table ([`CHUNKS`] chunks of [`CHUNK_PAGES`]
-//! page slots, a chunk allocated on the first write into it): lookup stays
-//! two indexed loads, and clone and drop visit the top level plus the
-//! chunks that hold a dirty page, never all 4 096 page slots.
+//! A page table has two levels ([`CHUNKS`] chunks of [`CHUNK_PAGES`] page
+//! slots, a chunk allocated on the first write into it): lookup is two
+//! indexed loads per table, and clone, seal and drop visit the top level
+//! plus the chunks that hold a page, never all 4 096 page slots.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,10 +52,10 @@ pub const PAGE_SIZE: u64 = 0x1000;
 /// Number of guest pages.
 const PAGE_COUNT: usize = (GUEST_MEM_SIZE / PAGE_SIZE) as usize;
 
-/// Page slots per overlay chunk.
+/// Page slots per page-table chunk.
 const CHUNK_PAGES: usize = 64;
 
-/// Overlay chunks covering the guest.
+/// Page-table chunks covering the guest.
 const CHUNKS: usize = PAGE_COUNT / CHUNK_PAGES;
 
 /// Addresses below this bound fault, emulating unmapped low pages.
@@ -99,14 +105,42 @@ const SIZE_CLASSES: [u64; 8] = [8, 16, 32, 64, 128, 256, 1024, 4096];
 /// One copy-on-write page.
 type Page = Box<[u8; PAGE_SIZE as usize]>;
 
-/// [`CHUNK_PAGES`] consecutive page slots of the overlay.
+/// [`CHUNK_PAGES`] consecutive page slots of a page table.
 type Chunk = Box<[Option<Page>; CHUNK_PAGES]>;
+
+/// A sparse image of the guest: the pages that were written, by page index.
+type PageTable = [Option<Chunk>; CHUNKS];
+
+/// What a page in no table reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
+/// The page at index `pi` of `table`, if it holds one.
+#[inline]
+fn present(table: &PageTable, pi: usize) -> Option<&Page> {
+    table[pi / CHUNK_PAGES].as_ref()?[pi % CHUNK_PAGES].as_ref()
+}
+
+/// The slot for page `pi` of `table`, allocating its chunk on first use.
+#[inline]
+fn slot_mut(table: &mut PageTable, pi: usize) -> &mut Option<Page> {
+    let chunk =
+        table[pi / CHUNK_PAGES].get_or_insert_with(|| Box::new([const { None }; CHUNK_PAGES]));
+    &mut chunk[pi % CHUNK_PAGES]
+}
+
+/// Every page `table` holds, with its index.
+fn pages(table: &PageTable) -> impl Iterator<Item = (usize, &Page)> {
+    table.iter().enumerate().flat_map(|(ci, chunk)| {
+        let slots = chunk.iter().flat_map(|c| c.iter().enumerate());
+        slots.filter_map(move |(si, page)| Some((ci * CHUNK_PAGES + si, page.as_ref()?)))
+    })
+}
 
 /// What every clone shares: the state as of the last
 /// [`seal`](GuestMem::seal) (or construction). Never written afterwards.
 struct Base {
-    /// The byte image.
-    bytes: Vec<u8>,
+    /// The pages written before the seal.
+    pages: PageTable,
     /// Free list per size class (indexed like [`SIZE_CLASSES`]), a LIFO
     /// stack so reallocation is deterministic.
     free: [Vec<u64>; SIZE_CLASSES.len()],
@@ -128,12 +162,12 @@ struct FreeList {
 /// Cloning a `GuestMem` is how snapshots work: boot the kernel once,
 /// [`seal`](GuestMem::seal) the result, clone it before every trial, and
 /// every trial observes the exact same initial state and future allocation
-/// addresses — while sharing the boot image instead of copying 16 MiB.
+/// addresses — while sharing the boot image instead of copying it.
 #[derive(Clone)]
 pub struct GuestMem {
     base: Arc<Base>,
     /// Dirty pages, lazily copied from the base on first write.
-    overlay: [Option<Chunk>; CHUNKS],
+    overlay: PageTable,
     /// Number of pages in `overlay`.
     dirty: u64,
     /// Bump pointer for fresh slab pages.
@@ -157,11 +191,12 @@ impl Default for GuestMem {
 }
 
 impl GuestMem {
-    /// Creates a zeroed guest memory with an empty heap.
+    /// Creates a zeroed guest memory with an empty heap. It holds no page
+    /// until something is written.
     pub fn new() -> Self {
         Self::on_base(
             Base {
-                bytes: vec![0u8; GUEST_MEM_SIZE as usize],
+                pages: [const { None }; CHUNKS],
                 free: Default::default(),
                 allocs: BTreeMap::new(),
             },
@@ -203,12 +238,19 @@ impl GuestMem {
         self.dirty
     }
 
+    /// Number of pages this instance keeps in memory: those of its base
+    /// (shared with every clone) plus its own dirty ones. Everything else of
+    /// the guest's [`GUEST_MEM_SIZE`] reads as zero and occupies nothing.
+    pub fn resident_pages(&self) -> u64 {
+        pages(&self.base.pages).count() as u64 + self.dirty
+    }
+
     /// Folds the dirty overlay and the allocator delta into a fresh
     /// immutable base, leaving an instance whose clones share everything.
     ///
-    /// Called once after boot: the one-time 16 MiB copy here is what makes
-    /// every later per-trial `clone` cost only what a trial changed (one
-    /// refcount and a few empty containers) instead of a memcpy.
+    /// Called once after boot, so that every later per-trial `clone` costs
+    /// only what a trial changed (one refcount and a few empty containers).
+    /// The fold itself copies the pages that exist, not the guest.
     pub fn seal(&mut self) {
         // Nothing to fold: `kmalloc` zeroes (dirties) what it hands out, and
         // a `kfree` that dirtied nothing freed a base object, which leaves a
@@ -219,25 +261,20 @@ impl GuestMem {
         *self = Self::on_base(self.flatten(), self.brk, self.live);
     }
 
-    /// Materializes a fully private flat copy — the historical
-    /// whole-memory snapshot clone. Semantically identical to `clone`, but
-    /// costs a 16 MiB copy and shares nothing. Kept as the reference for
-    /// the tests that pin the two bit-identical.
+    /// A copy that shares nothing with `self`: base pages, dirty pages and
+    /// allocator books all folded into a base of its own. Semantically
+    /// identical to `clone`; kept as the reference for the tests that pin
+    /// the two bit-identical.
     pub fn deep_clone(&self) -> Self {
         Self::on_base(self.flatten(), self.brk, self.live)
     }
 
-    /// The current state — bytes with all dirty pages applied, allocator
-    /// books with the delta applied — as a base of its own.
+    /// The current state — the base's pages with the dirty ones laid over
+    /// them, allocator books with the delta applied — as a base of its own.
     fn flatten(&self) -> Base {
-        let mut bytes = self.base.bytes.clone();
-        for (ci, chunk) in self.overlay.iter().enumerate() {
-            for (si, page) in chunk.iter().flat_map(|c| c.iter().enumerate()) {
-                if let Some(page) = page {
-                    let start = (ci * CHUNK_PAGES + si) * PAGE_SIZE as usize;
-                    bytes[start..start + PAGE_SIZE as usize].copy_from_slice(&page[..]);
-                }
-            }
+        let mut table = self.base.pages.clone();
+        for (pi, page) in pages(&self.overlay) {
+            *slot_mut(&mut table, pi) = Some(page.clone());
         }
         let free = std::array::from_fn(|c| {
             let mut list = self.base.free[c][..self.free[c].base_left].to_vec();
@@ -251,39 +288,33 @@ impl GuestMem {
                 None => allocs.remove(addr),
             };
         }
-        Base { bytes, free, allocs }
+        Base {
+            pages: table,
+            free,
+            allocs,
+        }
     }
 
-    /// Read view of page `pi`: the dirty copy if one exists, else the base.
+    /// Read view of page `pi`: the dirty copy if one exists, else the
+    /// base's, else zeroes.
     #[inline]
-    fn page(&self, pi: usize) -> &[u8] {
-        let dirty = self.overlay[pi / CHUNK_PAGES]
-            .as_ref()
-            .and_then(|chunk| chunk[pi % CHUNK_PAGES].as_ref());
-        match dirty {
-            Some(page) => &page[..],
-            None => {
-                let start = pi * PAGE_SIZE as usize;
-                &self.base.bytes[start..start + PAGE_SIZE as usize]
-            }
-        }
+    fn page(&self, pi: usize) -> &[u8; PAGE_SIZE as usize] {
+        present(&self.overlay, pi)
+            .or_else(|| present(&self.base.pages, pi))
+            .map_or(&ZERO_PAGE, |page| &**page)
     }
 
     /// Write view of page `pi`, copying it out of the base on first use.
     #[inline]
     fn page_mut(&mut self, pi: usize) -> &mut [u8] {
-        let chunk = self.overlay[pi / CHUNK_PAGES]
-            .get_or_insert_with(|| Box::new([const { None }; CHUNK_PAGES]));
-        let slot = &mut chunk[pi % CHUNK_PAGES];
+        let slot = slot_mut(&mut self.overlay, pi);
         if slot.is_none() {
             self.dirty += 1;
         }
-        let base = &self.base.bytes;
-        &mut slot.get_or_insert_with(|| {
-            let start = pi * PAGE_SIZE as usize;
-            let mut page = Box::new([0u8; PAGE_SIZE as usize]);
-            page.copy_from_slice(&base[start..start + PAGE_SIZE as usize]);
-            page
+        let base = &self.base.pages;
+        &mut slot.get_or_insert_with(|| match present(base, pi) {
+            Some(page) => page.clone(),
+            None => Box::new([0u8; PAGE_SIZE as usize]),
         })[..]
     }
 
@@ -441,8 +472,9 @@ mod tests {
     use super::*;
 
     /// The whole of `GuestMem` the obvious way: private bytes (of the
-    /// window the fuzz touches), private allocator books, and the set of
-    /// pages written since the last seal. Cloning it copies everything.
+    /// window the fuzz touches), private allocator books, and the sets of
+    /// pages written since the last seal and ever. Cloning it copies
+    /// everything.
     #[derive(Clone)]
     struct FlatModel {
         bytes: Vec<u8>,
@@ -450,12 +482,15 @@ mod tests {
         free: BTreeMap<u64, Vec<u64>>,
         allocs: BTreeMap<u64, u64>,
         dirty: std::collections::BTreeSet<u64>,
+        written: std::collections::BTreeSet<u64>,
     }
 
     impl FlatModel {
         fn touch(&mut self, off: usize, len: usize) {
-            self.dirty.insert(off as u64 / PAGE_SIZE);
-            self.dirty.insert((off + len - 1) as u64 / PAGE_SIZE);
+            for page in [off as u64 / PAGE_SIZE, (off + len - 1) as u64 / PAGE_SIZE] {
+                self.dirty.insert(page);
+                self.written.insert(page);
+            }
         }
 
         fn write(&mut self, off: usize, bytes: &[u8]) {
@@ -497,7 +532,9 @@ mod tests {
     /// deep clones of one another, each paired with a clone of its source's
     /// model — and every step reads, writes, allocates, frees or seals one
     /// of them: whatever leaks from one instance into a sibling or its
-    /// parent shows up as a difference from that instance's own model.
+    /// parent shows up as a difference from that instance's own model. The
+    /// first instance starts from a sealed base that already holds pages, so
+    /// the sparse base is read, copied out of and folded from the first step.
     #[test]
     fn cow_differential_vs_flat_model() {
         fn splitmix64(state: &mut u64) -> u64 {
@@ -509,14 +546,27 @@ mod tests {
         }
         const LIVE_INSTANCES: usize = 6;
         let window = (PAGE_SIZE * 12) as usize;
-        let model = FlatModel {
+        let mut model = FlatModel {
             bytes: vec![0u8; window],
             brk: HEAP_BASE,
             free: BTreeMap::new(),
             allocs: BTreeMap::new(),
             dirty: Default::default(),
+            written: Default::default(),
         };
-        let mut instances = vec![(GuestMem::new(), model)];
+        let mut sealed = GuestMem::new();
+        for (off, value) in [
+            (3 * PAGE_SIZE + 8, 0x1111_u64),
+            (9 * PAGE_SIZE - 4, u64::MAX),
+        ] {
+            sealed.write(HEAP_BASE + off, 8, value).unwrap();
+            model.write(off as usize, &value.to_le_bytes());
+        }
+        assert_eq!(sealed.kmalloc(100).unwrap(), model.kmalloc(100));
+        sealed.seal();
+        model.dirty.clear();
+        assert_eq!((sealed.dirty_pages(), sealed.resident_pages()), (0, 4));
+        let mut instances = vec![(sealed, model)];
         let mut rng = 0xC0FF_EE00_u64;
         for step in 0..8_000u32 {
             let r = splitmix64(&mut rng);
@@ -609,6 +659,13 @@ mod tests {
             assert_eq!(cow.brk(), flat.brk, "step {step}, instance {which}");
             assert_eq!(cow.live_allocations(), flat.allocs.len() as u64, "step {step}");
             assert_eq!(cow.dirty_pages(), flat.dirty.len() as u64, "step {step}");
+            // A page in both the base and the overlay is resident twice.
+            let resident = cow.resident_pages();
+            let written = flat.written.len() as u64;
+            assert!(
+                (written..=written + cow.dirty_pages()).contains(&resident),
+                "step {step}, instance {which}: {resident} resident, {written} ever written"
+            );
         }
         for (which, (cow, flat)) in instances.iter().enumerate() {
             for off in (0..window as u64 - 8).step_by(8) {
@@ -772,6 +829,46 @@ mod tests {
         assert_eq!(trial.dirty_pages(), 1);
         // The sealed original never sees trial writes.
         assert_eq!(m.read(a, 8).unwrap(), 7);
+    }
+
+    #[test]
+    fn untouched_memory_is_not_resident() {
+        let m = GuestMem::new();
+        assert_eq!(m.read(STACKS_BASE, 8).unwrap(), 0);
+        assert_eq!(m.read(GUEST_MEM_SIZE - 1, 1).unwrap(), 0);
+        assert_eq!(m.read(HEAP_BASE + PAGE_SIZE - 3, 8).unwrap(), 0);
+        assert_eq!((m.resident_pages(), m.dirty_pages()), (0, 0));
+        // Nor does cloning, sealing or deep-cloning nothing create any.
+        let mut c = m.clone();
+        c.seal();
+        assert_eq!(c.deep_clone().resident_pages(), 0);
+    }
+
+    #[test]
+    fn sealed_stack_page_survives_and_its_neighbours_read_zero() {
+        let mut boot = GuestMem::new();
+        let obj = boot.kmalloc(64).unwrap();
+        boot.seal();
+        let mut m = boot.clone();
+        let sp = stack_base(2) + STACK_SIZE - 8;
+        m.write(sp, 8, 0xFEED_F00D).unwrap();
+        assert_eq!((m.dirty_pages(), m.resident_pages()), (1, 2));
+        m.seal();
+        assert_eq!((m.dirty_pages(), m.resident_pages()), (0, 2));
+        for snap in [m.clone(), m.deep_clone()] {
+            assert_eq!(snap.dirty_pages(), 0);
+            assert_eq!(snap.read(sp, 8).unwrap(), 0xFEED_F00D);
+            // Same chunk, the page below; the stacks on either side; the
+            // heap object sealed earlier.
+            assert_eq!(snap.read(sp - PAGE_SIZE, 8).unwrap(), 0);
+            assert_eq!(snap.read(stack_base(1), 8).unwrap(), 0);
+            assert_eq!(snap.read(stack_base(3), 8).unwrap(), 0);
+            assert_eq!(snap.read(obj, 8).unwrap(), 0);
+            assert_eq!(snap.resident_pages(), 2);
+        }
+        // The boot image the clone came from never saw the write.
+        assert_eq!(boot.read(sp, 8).unwrap(), 0);
+        assert_eq!(boot.resident_pages(), 1);
     }
 
     #[test]
