@@ -38,6 +38,7 @@ use sb_vmm::exec::{job, Executor, Job};
 use sb_vmm::mem::GuestMem;
 use sb_vmm::sched::FreeRun;
 use sb_vmm::site;
+use sb_vmm::site::BuildStepHasher;
 
 pub use prog::{Program, Syscall};
 
@@ -110,7 +111,10 @@ impl KernelConfig {
 /// boot and immutable afterwards.
 #[derive(Clone, Debug, Default)]
 pub struct Symbols {
-    map: HashMap<&'static str, u64>,
+    /// Handlers look a name up on nearly every syscall. The names are boot
+    /// code's own literals, and [`Symbols::iter`], the one walk over the
+    /// map, promises no order.
+    map: HashMap<&'static str, u64, BuildStepHasher>,
 }
 
 impl Symbols {
@@ -312,7 +316,14 @@ impl Kernel {
     /// Non-fatal per-syscall faults become errno results and the program
     /// continues; fatal faults (panic, abort) end the thread.
     pub fn process_job(self: &Arc<Self>, prog: Program) -> Job {
-        self.process_job_with_results(prog, Arc::new(Mutex::new(Vec::new())))
+        self.process_job_shared(Arc::new(prog))
+    }
+
+    /// [`Kernel::process_job`] for a program that runs many times over (a
+    /// campaign job runs its pair once per trial): the job holds the
+    /// program by reference count instead of owning a copy.
+    pub fn process_job_shared(self: &Arc<Self>, prog: Arc<Program>) -> Job {
+        self.user_process(prog, None)
     }
 
     /// Like [`Kernel::process_job`], also publishing each call's result into
@@ -321,6 +332,14 @@ impl Kernel {
         self: &Arc<Self>,
         prog: Program,
         out: Arc<Mutex<Vec<u64>>>,
+    ) -> Job {
+        self.user_process(Arc::new(prog), Some(out))
+    }
+
+    fn user_process(
+        self: &Arc<Self>,
+        prog: Arc<Program>,
+        out: Option<Arc<Mutex<Vec<u64>>>>,
     ) -> Job {
         let kernel = Arc::clone(self);
         job(move |ctx| async move {
@@ -332,8 +351,8 @@ impl Kernel {
                     Err(_) => proc.regs.push(EINVAL),
                 }
             }
-            if let Ok(mut o) = out.lock() {
-                *o = proc.regs.clone();
+            if let Some(mut o) = out.as_ref().and_then(|out| out.lock().ok()) {
+                *o = proc.regs;
             }
             Ok(())
         })

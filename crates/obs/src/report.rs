@@ -230,10 +230,12 @@ impl TraceReport {
 
     /// Cross-checks the `snapshot.*` counters against the job events.
     ///
-    /// Every trial (and every repro re-record) clones the boot snapshot
-    /// exactly once, so `snapshot.clones` can never be below the trial
-    /// total; and every completed trial dirties at least one page (threads
-    /// write their stacks), so a run with trials must copy pages. Traces
+    /// Every trial clones the boot snapshot exactly once, so
+    /// `snapshot.clones` can never be below the trial total — and is above
+    /// it only when an attempt that was retried or quarantined ran trials no
+    /// job event reports; and every completed trial dirties at least one
+    /// page (threads write their stacks), so a run with trials must copy
+    /// pages. Traces
     /// without snapshot counters pass vacuously — supervised and fleet
     /// campaigns aggregate job verdicts in the parent process, where the
     /// workers' per-job snapshot accounting is not visible.
@@ -648,7 +650,7 @@ mod tests {
         assert_eq!(row("trial.run_ns")[1..], ["2.000", "ms", "50.0%", "of", "campaign"]);
         assert_eq!(row("trial.oracle_ns")[1..4], ["1.000", "ms", "25.0%"]);
         assert_eq!(row("(all phases)")[2..5], ["3.000", "ms", "75.0%"]);
-        assert!(!text.contains("trial.repro_ns"), "phases that never ran are left out");
+        assert!(!text.contains("trial.incidental_ns"), "phases that never ran are left out");
     }
 
     #[test]
@@ -656,8 +658,8 @@ mod tests {
         let count = |key: &str, n: u64| {
             Event::Count { t: 0, key: key.into(), n }.to_json().render()
         };
-        // Consistent: clones cover every trial (32) plus a repro re-record,
-        // and pages were copied.
+        // Consistent: clones cover every trial (32) plus one of an attempt
+        // that was retried, and pages were copied.
         let mut lines = traced_run();
         lines.insert(0, count(keys::SNAPSHOT_CLONES, 33));
         lines.insert(1, count(keys::SNAPSHOT_PAGES_COPIED, 128));

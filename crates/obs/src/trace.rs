@@ -52,24 +52,25 @@ pub mod keys {
     pub const TRIALS: &str = "campaign.trials";
     /// Engine steps consumed by campaign trials.
     pub const TRIAL_STEPS: &str = "campaign.steps";
-    /// Boot-snapshot clones taken for trials (including repro re-records).
+    /// Boot-snapshot clones taken for trials: one per guest execution, and a
+    /// finding's reproduction schedule is recorded by the trial itself, so a
+    /// fault-free campaign counts exactly its trials.
     pub const SNAPSHOT_CLONES: &str = "snapshot.clones";
     /// 4 KiB pages copied out of the shared boot image by trial writes.
     pub const SNAPSHOT_PAGES_COPIED: &str = "snapshot.pages_copied";
     /// Wall clock of in-process campaign jobs' trial loops by phase,
     /// nanoseconds: cloning the boot snapshot, the executor (scheduler
-    /// checkpoint, run, buffer hand-back), judging the trial (channel check,
-    /// oracles, dedup), the incidental-PMC pickup, and re-recording a finding
-    /// trial. The phases of a job partition its trial loop; job set-up, the
+    /// reseed, run, buffer hand-back), judging the trial (channel check,
+    /// oracles, dedup, keeping a finding's schedule) and the incidental-PMC
+    /// pickup. The phases of a job partition its trial loop; job set-up, the
     /// counters' own emission and the runner around the job are in none.
     /// Summed per job in locals and emitted at its end; only a traced
     /// campaign reads the clock.
-    pub const TRIAL_PHASE_NS: [&str; 5] = [
+    pub const TRIAL_PHASE_NS: [&str; 4] = [
         "trial.snapshot_ns",
         "trial.run_ns",
         "trial.oracle_ns",
         "trial.incidental_ns",
-        "trial.repro_ns",
     ];
     /// Jobs that completed with an outcome.
     pub const JOBS_COMPLETED: &str = "campaign.jobs_completed";

@@ -7,6 +7,9 @@
 //! (`random.seed(SEED + trial)`), keeps the learned `flags`, feeds every
 //! execution to the bug detectors, and opportunistically adds incidental
 //! PMCs observed in the trial to the watch set (Algorithm 2 lines 26–27).
+//! The scheduler runs inside a [`RecordingSched`] throughout, so the
+//! schedule that reproduces a finding (§6) is copied out of the trial that
+//! made it — a finding costs no second execution.
 //!
 //! The driver is fault tolerant, because a campaign sized like the paper's
 //! (days of wall clock across a worker fleet) will see individual jobs
@@ -25,7 +28,8 @@
 //!
 //! The job *lifecycle* — resume, merge, checkpoint cadence, the report —
 //! lives in [`crate::ledger`]; this module is the in-process transport
-//! (scoped worker threads) plus the code every transport's workers share:
+//! (the calling thread plus scoped helpers) plus the code every transport's
+//! workers share:
 //! [`test_one_pmc`], the retry loop around it, and the process-fault hook
 //! remote workers fire before a job.
 
@@ -430,16 +434,36 @@ pub fn test_one_pmc(
     cfg: &CampaignCfg,
     dog: &Watchdog,
 ) -> SbResult<PmcTestOutcome> {
+    run_trials(exec, booted, corpus, set, index, id, seed, cfg, dog).map(|(out, ..)| out)
+}
+
+/// [`test_one_pmc`], also handing back the scheduler and the job's random
+/// stream as the last trial left them: the differential test holds both
+/// against a job that ran without the recorder.
+#[allow(clippy::too_many_arguments)]
+fn run_trials(
+    exec: &mut Executor,
+    booted: &BootedKernel,
+    corpus: &[Program],
+    set: &PmcSet,
+    index: &IncidentalIndex,
+    id: PmcId,
+    seed: u64,
+    cfg: &CampaignCfg,
+    dog: &Watchdog,
+) -> SbResult<(PmcTestOutcome, SnowboardSched, StdRng)> {
     let pmc = set.get(id);
     let mut rng = StdRng::seed_from_u64(seed);
     let pair = *pmc
         .pairs
         .choose(&mut rng)
         .ok_or(Error::EmptyPmc { pmc: id })?;
-    let fetch = |test: u32| -> SbResult<Program> {
+    // One copy of each program per job; its trials share it.
+    let fetch = |test: u32| -> SbResult<Arc<Program>> {
         corpus
             .get(test as usize)
             .cloned()
+            .map(Arc::new)
             .ok_or(Error::BadTestId {
                 test,
                 corpus: corpus.len(),
@@ -447,7 +471,10 @@ pub fn test_one_pmc(
     };
     let wprog = fetch(pair.0)?;
     let rprog = fetch(pair.1)?;
-    let mut sched = SnowboardSched::new(seed, pmc.hints());
+    // Recording every trial is a push per decision; what it buys is that a
+    // finding's reproduction schedule is already there when the oracle
+    // speaks, instead of one more execution away.
+    let mut sched = RecordingSched::new(SnowboardSched::new(seed, pmc.hints()));
     // Aggregate scheduler decisions in atomics; published as a handful of
     // counter events when the job ends — never one trace line per access.
     let decisions = Arc::new(sb_obs::CountingObserver::new());
@@ -484,8 +511,8 @@ pub fn test_one_pmc(
     };
     let the_pair = || {
         vec![
-            booted.kernel.process_job(wprog.clone()),
-            booted.kernel.process_job(rprog.clone()),
+            booted.kernel.process_job_shared(wprog.clone()),
+            booted.kernel.process_job_shared(rprog.clone()),
         ]
     };
     // What the job cost, published as counters when it ends: boot-image
@@ -506,10 +533,8 @@ pub fn test_one_pmc(
         let snapshot = take_snapshot();
         costs.clones += 1;
         costs.lap(Phase::Snapshot);
-        // Checkpoint the scheduler (flags included) so a finding trial can
-        // be re-run under a recorder for deterministic reproduction.
-        let sched_checkpoint = sched.clone();
-        sched.begin_trial(seed.wrapping_add(u64::from(trial)));
+        sched.restart();
+        sched.inner_mut().begin_trial(seed.wrapping_add(u64::from(trial)));
         let r = exec.try_run(snapshot, the_pair(), &mut sched)?;
         costs.pages += r.mem.dirty_pages();
         costs.lap(Phase::Run);
@@ -523,27 +548,16 @@ pub fn test_one_pmc(
                 found_new = true;
             }
         }
-        costs.lap(Phase::Oracle);
         if found_new && out.first_finding_trial.is_none() {
             out.first_finding_trial = Some(trial);
-            // Re-run this exact trial from the checkpoint under a recorder
-            // to capture a portable reproduction schedule (§6). The replica
-            // must not report decisions — the trial already counted them.
-            let mut replica = sched_checkpoint;
-            replica.set_observer(None);
-            replica.begin_trial(seed.wrapping_add(u64::from(trial)));
-            let mut recorder = RecordingSched::new(replica);
-            let rerun = exec.try_run(take_snapshot(), the_pair(), &mut recorder)?;
-            costs.clones += 1;
-            costs.pages += rerun.mem.dirty_pages();
-            let (schedule, _) = recorder.finish();
-            out.repro_schedule = Some(schedule);
-            costs.lap(Phase::Repro);
+            // A portable reproduction schedule (§6): this trial's.
+            out.repro_schedule = Some(sched.schedule().clone());
         }
+        costs.lap(Phase::Oracle);
         let stop = found_new && cfg.stop_on_finding;
         if cfg.incidental && !stop {
             if let Some(new_id) = incidental.pick(&r.report.trace, index, &mut rng) {
-                sched.add_pmc(set.get(new_id).hints());
+                sched.inner_mut().add_pmc(set.get(new_id).hints());
             }
             costs.lap(Phase::Incidental);
         }
@@ -556,7 +570,7 @@ pub fn test_one_pmc(
     }
     decisions.publish(&cfg.tracer);
     costs.publish(&cfg.tracer);
-    Ok(out)
+    Ok((out, sched.finish().1, rng))
 }
 
 /// The phases a job's trials are made of, in
@@ -565,15 +579,14 @@ pub fn test_one_pmc(
 enum Phase {
     /// Cloning the boot snapshot.
     Snapshot,
-    /// The executor's: checkpointing the scheduler, building the two thread
+    /// The executor's: reseeding the scheduler, building the two thread
     /// bodies, the run itself, and taking its buffers back.
     Run,
-    /// Judging the trial: channel check, oracles, dedup.
+    /// Judging the trial: channel check, oracles, dedup, and keeping the
+    /// schedule of a first finding.
     Oracle,
     /// The incidental-PMC pickup.
     Incidental,
-    /// Re-running a finding trial under the recorder, snapshot included.
-    Repro,
 }
 
 /// Per-job cost accounting, published as `snapshot.*` and `trial.*_ns`
@@ -788,8 +801,9 @@ pub fn run_campaign(
     ledger.finish()
 }
 
-/// The in-process transport: `workers` scoped threads, one executor each,
-/// run `jobs` and stream every verdict back to the ledger as it lands.
+/// The in-process transport: `workers` threads — the calling one and scoped
+/// helpers — one executor each, run `jobs` and hand every verdict to the
+/// ledger as it lands.
 fn drive(
     ledger: &mut JobLedger,
     jobs: &[(usize, PmcId)],
@@ -1028,6 +1042,165 @@ mod tests {
         assert!(picked >= 300, "only {picked} scans picked anything");
         assert!(cut >= 30, "only {cut} scans met more than 256 PMCs of one instruction");
         assert!(long_hits >= 5, "only {long_hits} scans owed a candidate to an over-long access");
+    }
+
+    /// What a job did before its scheduler ran inside the recorder: copy the
+    /// scheduler ahead of every trial and, when a trial is the first to find
+    /// something, execute it a second time from the copy under a fresh
+    /// [`RecordingSched`]. The reference the inline recording is held
+    /// against; no watchdog, no cost accounting.
+    fn test_one_pmc_by_rerun(
+        exec: &mut Executor,
+        p: &crate::Pipeline,
+        index: &IncidentalIndex,
+        id: PmcId,
+        seed: u64,
+        cfg: &CampaignCfg,
+    ) -> (PmcTestOutcome, SnowboardSched, StdRng) {
+        let pmc = p.pmcs.get(id);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pair = *pmc.pairs.choose(&mut rng).expect("a PMC has a pair");
+        let the_pair = || {
+            [pair.0, pair.1]
+                .map(|test| p.booted.kernel.process_job(p.corpus[test as usize].clone()))
+                .into()
+        };
+        let mut sched = SnowboardSched::new(seed, pmc.hints());
+        let decisions = Arc::new(sb_obs::CountingObserver::new());
+        if cfg.tracer.enabled() {
+            sched.set_observer(Some(decisions.clone()));
+        }
+        let mut incidental = IncidentalScan::default();
+        incidental.watched.push(id);
+        let mut out = outcome(pair, 0, 0, false, vec![]);
+        out.pmc = Some(id);
+        let mut dedup = std::collections::HashSet::new();
+        let mut oracle_ctx = OracleCtx::new(cfg.oracles);
+        for trial in 0..cfg.trials_per_pmc {
+            let checkpoint = sched.clone();
+            let trial_seed = seed.wrapping_add(u64::from(trial));
+            sched.begin_trial(trial_seed);
+            let r = exec.run(p.booted.snapshot.clone(), the_pair(), &mut sched);
+            out.trials_run += 1;
+            out.steps += r.report.steps;
+            out.exercised |= channel_exercised(&r.report.trace, pmc);
+            let mut found_new = false;
+            for f in oracle_ctx.analyze(&r.report) {
+                if dedup.insert(f.dedup_key()) {
+                    out.findings.push(f);
+                    found_new = true;
+                }
+            }
+            if found_new && out.first_finding_trial.is_none() {
+                out.first_finding_trial = Some(trial);
+                // The replica must not report decisions — the trial already
+                // counted them.
+                let mut replica = checkpoint;
+                replica.set_observer(None);
+                replica.begin_trial(trial_seed);
+                let mut recorder = RecordingSched::new(replica);
+                exec.run(p.booted.snapshot.clone(), the_pair(), &mut recorder);
+                out.repro_schedule = Some(recorder.finish().0);
+            }
+            let stop = found_new && cfg.stop_on_finding;
+            if cfg.incidental && !stop {
+                if let Some(new_id) = incidental.pick(&r.report.trace, index, &mut rng) {
+                    sched.add_pmc(p.pmcs.get(new_id).hints());
+                }
+            }
+            if stop {
+                break;
+            }
+        }
+        decisions.publish(&cfg.tracer);
+        (out, sched, rng)
+    }
+
+    /// The `sched.*` totals of a memory trace.
+    fn sched_counters(sink: &sb_obs::MemorySink) -> Vec<(&'static str, u64)> {
+        let lines = sink.lines();
+        let trace = sb_obs::TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
+        use sb_obs::keys::*;
+        [SCHED_HINT_HITS, SCHED_VOLUNTARY, SCHED_FORCED, SCHED_PICKS, INCIDENTAL_PMCS]
+            .map(|key| (key, trace.counter(key)))
+            .into()
+    }
+
+    /// Recording inside the trial against re-running the finding trial under
+    /// a recorder: four seeds, `all` and `race`, both kernel versions, the
+    /// `hunt` shape (stop on the first finding) and the `trials-hot` one
+    /// (keep going, so trials run after the schedule was taken). Every
+    /// outcome — `repro_schedule` included — must be equal, and so must what
+    /// the recorder could have disturbed: the flags learned, the scheduler's
+    /// and the job's random streams, and, traced, the decisions the observer
+    /// counted through the wrapper.
+    #[test]
+    fn inline_recording_matches_rerunning_the_finding_trial() {
+        use rand::Rng;
+        use sb_kernel::KernelConfig;
+        use sb_vmm::sched::Scheduler;
+        let (mut jobs, mut schedules, mut hits) = (0, 0, 0);
+        for (n, seed) in [2021u64, 7, 424_242, 90_210].into_iter().enumerate() {
+            for oracles in [OracleSet::all(), OracleSet::race_only()] {
+                for config in [KernelConfig::v5_12_rc3(), KernelConfig::v5_3_10()] {
+                    let p = crate::Pipeline::prepare(
+                        config,
+                        crate::PipelineCfg {
+                            seed,
+                            corpus_target: 60,
+                            fuzz_budget: 900,
+                            workers: 1,
+                            catalog: if oracles.is_race_only() {
+                                crate::Catalog::Stock
+                            } else {
+                                crate::Catalog::Extended
+                            },
+                            ..Default::default()
+                        },
+                    );
+                    let index = IncidentalIndex::build(&p.pmcs);
+                    let exemplars =
+                        p.exemplars(crate::Strategy::SInsPair, crate::select::ClusterOrder::UncommonFirst);
+                    let (tracer, sink) = sb_obs::Tracer::memory();
+                    let (ref_tracer, ref_sink) = sb_obs::Tracer::memory();
+                    let traced = n % 2 == 1;
+                    let cfg = |tracer: &sb_obs::Tracer| CampaignCfg {
+                        trials_per_pmc: 12,
+                        stop_on_finding: n < 2,
+                        oracles,
+                        tracer: if traced { tracer.clone() } else { sb_obs::Tracer::disabled() },
+                        ..CampaignCfg::default()
+                    };
+                    let (cfg, ref_cfg) = (cfg(&tracer), cfg(&ref_tracer));
+                    let mut exec = Executor::new(2);
+                    for (job, id) in exemplars.iter().take(40).enumerate() {
+                        let job_seed = seed.wrapping_add((job as u64).wrapping_mul(JOB_SEED_STRIDE));
+                        let dog = Watchdog::start(cfg.budget);
+                        let (out, mut sched, mut rng) = run_trials(
+                            &mut exec, &p.booted, &p.corpus, &p.pmcs, &index, *id, job_seed, &cfg, &dog,
+                        )
+                        .expect("no job fails");
+                        let (ref_out, mut ref_sched, mut ref_rng) =
+                            test_one_pmc_by_rerun(&mut exec, &p, &index, *id, job_seed, &ref_cfg);
+                        let at = format!("seed {seed} {} {config:?} job {job}", oracles.to_spec());
+                        assert_eq!(out, ref_out, "{at}");
+                        assert_eq!(sched.flag_count(), ref_sched.flag_count(), "{at}");
+                        for _ in 0..4 {
+                            assert_eq!(sched.pick(0, &[0, 1, 2, 3]), ref_sched.pick(0, &[0, 1, 2, 3]), "{at}");
+                            assert_eq!(rng.gen_range(0..u64::MAX), ref_rng.gen_range(0..u64::MAX), "{at}");
+                        }
+                        jobs += 1;
+                        schedules += usize::from(out.repro_schedule.is_some_and(|s| !s.is_empty()));
+                    }
+                    let counted = sched_counters(&sink);
+                    assert_eq!(counted, sched_counters(&ref_sink), "seed {seed} {config:?}");
+                    hits += counted[0].1;
+                    assert_eq!(counted[0].1 > 0, traced, "hint hits reach the observer when traced");
+                }
+            }
+        }
+        assert!(jobs >= 400 && schedules >= 200, "{jobs} jobs, {schedules} with a schedule");
+        assert!(hits > 1000, "only {hits} hint hits observed through the recorder");
     }
 
     #[test]

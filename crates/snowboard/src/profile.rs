@@ -94,24 +94,23 @@ pub fn profile_one_counted(
         vec![booted.kernel.process_job(prog.clone())],
         &mut FreeRun,
     );
-    if !r.report.outcome.is_completed() {
-        return (None, 0);
-    }
-    let total = r.report.trace.len() as u64;
-    let accesses: Vec<Access> = r
-        .report
-        .trace
-        .into_iter()
-        .filter(|a| filter.is_shared(a))
-        .collect();
-    (
-        Some(SeqProfile {
+    let profile = r.report.outcome.is_completed().then(|| {
+        // Copied out at its exact size, not filtered in place: a profile
+        // lives as long as the pipeline, and the trace it was cut from is a
+        // buffer sized for the longest run so far.
+        let shared = || r.report.trace.iter().filter(|a| filter.is_shared(a));
+        let mut accesses = Vec::with_capacity(shared().count());
+        accesses.extend(shared().cloned());
+        SeqProfile {
             test,
             accesses,
             steps: r.report.steps,
-        }),
-        total,
-    )
+        }
+    });
+    let total = if profile.is_some() { r.report.trace.len() as u64 } else { 0 };
+    // The next program records into this one's buffers.
+    exec.recycle(r);
+    (profile, total)
 }
 
 /// Profiles an explicit job list, fanning out across `workers` executors (one

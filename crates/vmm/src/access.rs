@@ -5,23 +5,35 @@
 //! (address + length), value, and access type — plus the synchronization
 //! context (locks held, RCU nesting) that the data-race detector consumes.
 
-use std::sync::Arc;
-
 use crate::site::Site;
 
-/// An interned, immutable set of held-lock addresses.
+/// How many held locks a [`LockSet`] keeps in place: room to spare over what
+/// the simulated kernel nests (two, in every test, example and benchmark run
+/// so far).
+const INLINE_LOCKS: usize = 5;
+
+/// The addresses of the locks a thread holds, in acquisition order.
 ///
-/// An [`Access`] is recorded for every guest memory operation, but the set
-/// of locks a thread holds only changes on acquire/release. Sharing one
-/// `Arc`'d vector between the executor's per-thread state and every access
-/// recorded under it makes the per-access snapshot a refcount bump instead
-/// of a heap-allocating `Vec` clone, so lock-quiescent accesses allocate
-/// nothing on the trial hot path.
+/// An [`Access`] is recorded for every guest memory operation and carries
+/// the set its thread held, so the set is a plain value: up to five
+/// addresses sit inside it, and taking the per-access snapshot, acquiring
+/// and releasing are a few word copies — no allocation, no shared count to
+/// bump and to drop again when the trace is cleared. A deeper set moves to
+/// the heap; the guest never builds one, but a decoder reading lock sets
+/// back from disk may be handed any length.
 ///
-/// Equality and hashing are by contents — a `LockSet` is indistinguishable
-/// from the `Vec<u64>` it replaced.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct LockSet(Arc<Vec<u64>>);
+/// Equality, hashing and `Debug` are by contents — a `LockSet` is
+/// indistinguishable from the `Vec<u64>` it stands for, whichever form
+/// holds it.
+#[derive(Clone)]
+pub struct LockSet(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` of `addrs`.
+    Inline { len: u8, addrs: [u64; INLINE_LOCKS] },
+    Spilled(Vec<u64>),
+}
 
 impl LockSet {
     /// The empty lock set.
@@ -29,30 +41,53 @@ impl LockSet {
         Self::default()
     }
 
-    /// Appends a lock address (copy-on-write if the set is shared).
+    /// Appends a lock address.
     pub fn push(&mut self, addr: u64) {
-        Arc::make_mut(&mut self.0).push(addr);
+        match &mut self.0 {
+            Repr::Inline { len, addrs } if usize::from(*len) < INLINE_LOCKS => {
+                addrs[usize::from(*len)] = addr;
+                *len += 1;
+            }
+            Repr::Inline { .. } => {
+                let mut spilled = self.to_vec();
+                spilled.push(addr);
+                self.0 = Repr::Spilled(spilled);
+            }
+            Repr::Spilled(v) => v.push(addr),
+        }
     }
 
-    /// Keeps only the addresses matching `f` (copy-on-write if shared).
-    pub fn retain<F: FnMut(&u64) -> bool>(&mut self, f: F) {
-        Arc::make_mut(&mut self.0).retain(f);
+    /// Keeps only the addresses matching `f`, in order.
+    pub fn retain<F: FnMut(&u64) -> bool>(&mut self, mut f: F) {
+        match &mut self.0 {
+            Repr::Inline { len, addrs } => {
+                let mut kept = 0;
+                for i in 0..usize::from(*len) {
+                    if f(&addrs[i]) {
+                        addrs[kept] = addrs[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Repr::Spilled(v) => v.retain(f),
+        }
     }
 }
 
 impl Default for LockSet {
     fn default() -> Self {
-        // One shared empty vector for every default set: taking/clearing a
-        // thread's lock state never allocates.
-        static EMPTY: std::sync::OnceLock<Arc<Vec<u64>>> = std::sync::OnceLock::new();
-        LockSet(EMPTY.get_or_init(|| Arc::new(Vec::new())).clone())
+        LockSet(Repr::Inline { len: 0, addrs: [0; INLINE_LOCKS] })
     }
 }
 
 impl std::ops::Deref for LockSet {
     type Target = [u64];
     fn deref(&self) -> &[u64] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, addrs } => &addrs[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
     }
 }
 
@@ -60,31 +95,62 @@ impl<'a> IntoIterator for &'a LockSet {
     type Item = &'a u64;
     type IntoIter = std::slice::Iter<'a, u64>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.iter()
     }
 }
 
 impl From<Vec<u64>> for LockSet {
     fn from(v: Vec<u64>) -> Self {
-        LockSet(Arc::new(v))
+        if v.len() > INLINE_LOCKS {
+            return LockSet(Repr::Spilled(v));
+        }
+        let mut addrs = [0; INLINE_LOCKS];
+        addrs[..v.len()].copy_from_slice(&v);
+        LockSet(Repr::Inline { len: v.len() as u8, addrs })
     }
 }
 
 impl FromIterator<u64> for LockSet {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        LockSet(Arc::new(iter.into_iter().collect()))
+        let mut set = LockSet::new();
+        for addr in iter {
+            set.push(addr);
+        }
+        set
+    }
+}
+
+impl PartialEq for LockSet {
+    fn eq(&self, other: &LockSet) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for LockSet {}
+
+impl std::hash::Hash for LockSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl std::fmt::Debug for LockSet {
+    /// What `#[derive(Debug)]` printed for the `LockSet(Arc<Vec<u64>>)` this
+    /// replaced: the golden digests format whole traces.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("LockSet").field(&&**self).finish()
     }
 }
 
 impl PartialEq<Vec<u64>> for LockSet {
     fn eq(&self, other: &Vec<u64>) -> bool {
-        *self.0 == *other
+        **self == **other
     }
 }
 
 impl PartialEq<LockSet> for Vec<u64> {
     fn eq(&self, other: &LockSet) -> bool {
-        *self == *other.0
+        **self == **other
     }
 }
 
@@ -230,6 +296,43 @@ mod tests {
         assert_eq!(w.project_value(104, 4), 0x0807_0605);
         assert_eq!(w.project_value(107, 1), 0x08);
         assert_eq!(w.project_value(102, 2), 0x0403);
+    }
+
+    #[test]
+    fn a_lock_set_is_its_contents_inline_or_spilled() {
+        use std::hash::BuildHasher;
+        let hash = std::collections::hash_map::RandomState::new();
+        for depth in 0..=2 * INLINE_LOCKS as u64 {
+            let addrs: Vec<u64> = (0..depth).map(|i| 0x9000 + 8 * i).collect();
+            // Grown one acquire at a time, converted whole, collected, and
+            // shrunk back from a deeper (spilled) set: all one value.
+            let mut pushed = LockSet::new();
+            addrs.iter().for_each(|a| pushed.push(*a));
+            let mut shrunk: LockSet = (0..depth + 7).map(|i| 0x9000 + 8 * i).collect();
+            shrunk.retain(|a| *a < 0x9000 + 8 * depth);
+            for set in [&pushed, &addrs.clone().into(), &addrs.iter().copied().collect(), &shrunk] {
+                assert_eq!(**set, *addrs);
+                assert_eq!(*set, pushed);
+                assert_eq!(*set, addrs);
+                assert_eq!(addrs, *set);
+                assert_eq!(hash.hash_one(set), hash.hash_one(&addrs));
+                // What the derive printed for the `Arc<Vec<u64>>` newtype.
+                let derived = derived::LockSet(std::sync::Arc::new(addrs.clone()));
+                assert_eq!(format!("{set:?}"), format!("{derived:?}"));
+                assert_eq!(format!("{set:#?}"), format!("{derived:#?}"));
+            }
+            // Releasing from the middle keeps acquisition order.
+            let mut released = pushed.clone();
+            released.retain(|a| *a != 0x9008);
+            let expected: Vec<u64> = addrs.iter().copied().filter(|a| *a != 0x9008).collect();
+            assert_eq!(released, expected);
+        }
+        assert_eq!(LockSet::default(), Vec::<u64>::new());
+    }
+
+    mod derived {
+        #[derive(Debug)]
+        pub struct LockSet(#[allow(dead_code)] pub std::sync::Arc<Vec<u64>>);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::access::{Access, AccessKind, LockSet};
 use crate::ctx::{Ctx, Fault, KResult, Mailbox, Reply, Request};
 use crate::mem::{GuestMem, MAX_THREADS};
 use crate::sched::Scheduler;
-use crate::site::Site;
+use crate::site::{BuildStepHasher, Site};
 use crate::sync::{SyncEvent, SyncKind};
 
 /// A started kernel thread: suspended at a [`Ctx`] operation or finished.
@@ -168,8 +168,12 @@ pub struct RunResult {
 /// thread; the only thing an `Executor` keeps between runs is the *capacity*
 /// of report buffers handed back through [`Executor::recycle`] (never their
 /// contents), so a campaign of many short trials (Snowboard runs up to 64
-/// per PMC) does not allocate a trace per trial. Creating one is free, and
-/// one that unwound out of a panicking job body is as good as new.
+/// per PMC), a fuzz loop or a profile pass allocates one trace per worker,
+/// not one per run — a fresh trace is 1 024 accesses, far above what the
+/// allocator keeps cached per thread, so a run that does not hand its
+/// buffers back grows and trims the heap around every execution. Creating
+/// one is free, and one that unwound out of a panicking job body is as good
+/// as new.
 pub struct Executor {
     vcpus: usize,
     limits: ExecLimits,
@@ -234,19 +238,23 @@ struct RunState<'a> {
     status: [TStat; MAX_THREADS],
     owed: [Option<Reply>; MAX_THREADS],
     held: [LockSet; MAX_THREADS],
-    lock_owner: HashMap<u64, usize>,
-    lock_waiters: HashMap<u64, VecDeque<(usize, Site)>>,
+    // The four maps below are keyed by guest lock and wait-queue addresses.
+    // None is iterated in an order that reaches the report:
+    // `expire_sleepers` sorts the keys it walks, thread exit only `retain`s
+    // within each `prepared` entry, the rest are point lookups.
+    lock_owner: HashMap<u64, usize, BuildStepHasher>,
+    lock_waiters: HashMap<u64, VecDeque<(usize, Site)>, BuildStepHasher>,
     rcu_depth: [u8; MAX_THREADS],
     sync_waiters: Vec<usize>,
     /// Threads registered on each wait queue (`prepare_to_wait`), not yet
     /// committed to sleeping.
-    prepared: HashMap<u64, Vec<usize>>,
+    prepared: HashMap<u64, Vec<usize>, BuildStepHasher>,
     /// Wakeups banked per thread while it was prepared: queue ids whose
     /// next commit returns immediately.
     tokens: [Vec<u64>; MAX_THREADS],
     /// Threads committed to sleeping on each wait queue, with the site that
     /// committed (for timeout attribution).
-    wait_sleepers: HashMap<u64, VecDeque<(usize, Site)>>,
+    wait_sleepers: HashMap<u64, VecDeque<(usize, Site)>, BuildStepHasher>,
     /// Step deadline of each sleeping thread, if any.
     sleep_deadline: [Option<u64>; MAX_THREADS],
     /// Atomic-context nesting depth per thread.
@@ -337,13 +345,13 @@ impl Executor {
             status: [TStat::Ready; MAX_THREADS],
             owed: [const { None }; MAX_THREADS],
             held: std::array::from_fn(|_| LockSet::new()),
-            lock_owner: HashMap::new(),
-            lock_waiters: HashMap::new(),
+            lock_owner: HashMap::default(),
+            lock_waiters: HashMap::default(),
             rcu_depth: [0; MAX_THREADS],
             sync_waiters: Vec::new(),
-            prepared: HashMap::new(),
+            prepared: HashMap::default(),
             tokens: [const { Vec::new() }; MAX_THREADS],
-            wait_sleepers: HashMap::new(),
+            wait_sleepers: HashMap::default(),
             sleep_deadline: [None; MAX_THREADS],
             atomic_depth: [0; MAX_THREADS],
             sync_events: spare.sync_events,

@@ -10,9 +10,10 @@
 //! learned flags.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::access::Access;
-use crate::sched::Scheduler;
+use crate::sched::{DecisionObserver, Scheduler};
 
 /// A recorded interleaving: per-access preemption decisions and the chosen
 /// thread at each scheduling point.
@@ -37,6 +38,11 @@ impl Schedule {
 }
 
 /// Wraps any scheduler, recording its decisions into a [`Schedule`].
+///
+/// Recording is a push per decision and changes none of them, so a campaign
+/// job keeps its scheduler wrapped for every trial and copies the schedule
+/// out of the one that found something, instead of running that trial again
+/// under a recorder.
 pub struct RecordingSched<S> {
     inner: S,
     schedule: Schedule,
@@ -61,6 +67,19 @@ impl<S: Scheduler> RecordingSched<S> {
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }
+
+    /// Forgets what was captured, keeping the buffers, so the next execution
+    /// records from its first decision.
+    pub fn restart(&mut self) {
+        self.schedule.switches.clear();
+        self.schedule.picks.clear();
+    }
+
+    /// The wrapped scheduler, for what is its alone: reseeding it between
+    /// executions, adding hints.
+    pub fn inner_mut(&mut self) -> &mut S {
+        &mut self.inner
+    }
 }
 
 impl<S: Scheduler> Scheduler for RecordingSched<S> {
@@ -78,6 +97,11 @@ impl<S: Scheduler> Scheduler for RecordingSched<S> {
 
     fn on_forced_switch(&mut self, t: usize) {
         self.inner.on_forced_switch(t);
+    }
+
+    /// The wrapped scheduler makes the decisions, so it reports them.
+    fn set_observer(&mut self, observer: Option<Arc<dyn DecisionObserver>>) {
+        self.inner.set_observer(observer);
     }
 }
 
@@ -171,6 +195,47 @@ mod tests {
         assert!(!replay.diverged());
         assert_eq!(trace_sig(&original.report), trace_sig(&replayed.report));
         assert_eq!(original.report.switches, replayed.report.switches);
+    }
+
+    #[test]
+    fn a_restarted_recorder_records_what_a_fresh_one_would() {
+        let mut m = GuestMem::new();
+        let cell = m.kmalloc(8).unwrap();
+        let mut exec = Executor::new(2);
+        let mut kept = RecordingSched::new(RandomSched::new(9, 0.3));
+        exec.run(m.clone(), two_jobs(cell), &mut kept);
+        let first = kept.schedule().clone();
+        // Same scheduler state, one recorder restarted and one new: equal
+        // schedules, and neither is the first run's with more appended.
+        *kept.inner_mut() = RandomSched::new(10, 0.3);
+        kept.restart();
+        exec.run(m.clone(), two_jobs(cell), &mut kept);
+        let mut fresh = RecordingSched::new(RandomSched::new(10, 0.3));
+        exec.run(m, two_jobs(cell), &mut fresh);
+        assert_eq!(kept.schedule(), fresh.schedule());
+        assert_ne!(*kept.schedule(), first);
+        assert_eq!(kept.schedule().len(), first.len(), "two_jobs makes 120 accesses");
+    }
+
+    #[test]
+    fn the_observer_reaches_the_wrapped_scheduler() {
+        struct Picks(std::sync::atomic::AtomicUsize);
+        impl DecisionObserver for Picks {
+            fn on_decision(&self, d: crate::sched::SchedDecision) {
+                if matches!(d, crate::sched::SchedDecision::Pick { .. }) {
+                    self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+            }
+        }
+        let mut m = GuestMem::new();
+        let cell = m.kmalloc(8).unwrap();
+        let picks = Arc::new(Picks(Default::default()));
+        let mut rec = RecordingSched::new(RandomSched::new(9, 0.3));
+        rec.set_observer(Some(picks.clone()));
+        Executor::new(2).run(m, two_jobs(cell), &mut rec);
+        let seen = picks.0.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(seen > 0);
+        assert_eq!(seen, rec.schedule().picks.len(), "one report per recorded pick");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::access::{Access, AccessKind};
 use crate::mem::MAX_THREADS;
-use crate::site::Site;
+use crate::site::{BuildStepHasher, Site};
 
 /// One side of a PMC rendered as a concrete access pattern the scheduler can
 /// match executions against: instruction identity plus memory range and
@@ -129,7 +129,8 @@ pub trait Scheduler {
 
     /// Installs (or clears) a [`DecisionObserver`]. The default is a no-op
     /// for schedulers with nothing to report — [`FreeRun`] never preempts,
-    /// and the replay recorders capture switch points instead.
+    /// and a replayer applies decisions it did not make. A wrapper such as
+    /// the replay recorder forwards it to the scheduler it wraps.
     fn set_observer(&mut self, observer: Option<Arc<dyn DecisionObserver>>) {
         let _ = observer;
     }
@@ -191,7 +192,8 @@ impl Scheduler for RandomSched {
 /// whose *instruction* is involved in the PMC under test, regardless of the
 /// memory target (§5.4's characterization of SKI's extra vCPU switches).
 pub struct SkiSched {
-    sites: HashSet<Site>,
+    /// Only ever probed with `contains`, never iterated.
+    sites: HashSet<Site, BuildStepHasher>,
     rng: StdRng,
     observer: Option<Arc<dyn DecisionObserver>>,
 }
@@ -348,13 +350,16 @@ impl Scheduler for PctSched {
 ///
 /// `flags` persist across the trials of one concurrent test; the randomness
 /// is reseeded per trial exactly as Algorithm 2's
-/// `random.seed(SEED + trial)`. The scheduler is `Clone` so campaign code
-/// can checkpoint its state before a trial and re-run that exact trial
-/// under a recorder (see `replay`).
+/// `random.seed(SEED + trial)`. A campaign job wraps its scheduler in a
+/// [`crate::replay::RecordingSched`] for as long as it lives, so the
+/// schedule of a finding trial is a by-product of the trial itself. The
+/// scheduler is `Clone` for the test that holds that recording against a
+/// re-run of the trial from a copy taken before it.
 #[derive(Clone)]
 pub struct SnowboardSched {
     pmcs: Vec<HintAccess>,
-    flags: HashSet<(Site, u64)>,
+    /// Probed once per access and inserted into; never iterated.
+    flags: HashSet<(Site, u64), BuildStepHasher>,
     last: [Option<(Site, u64)>; MAX_THREADS],
     rng: StdRng,
     switch_p: f64,
@@ -367,7 +372,7 @@ impl SnowboardSched {
     pub fn new(seed: u64, pmcs: impl IntoIterator<Item = HintAccess>) -> Self {
         SnowboardSched {
             pmcs: pmcs.into_iter().collect(),
-            flags: HashSet::new(),
+            flags: HashSet::default(),
             last: [None; MAX_THREADS],
             rng: StdRng::seed_from_u64(seed),
             switch_p: 0.5,

@@ -9,6 +9,7 @@
 //! sequential profiling be matched during concurrent execution.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, OnceLock};
 
 /// The identity of one static memory-access instruction in the simulated
@@ -77,6 +78,43 @@ impl Site {
     /// was never interned in this process.
     pub fn display_name(self) -> String {
         self.name().unwrap_or_else(|| format!("site#{:016x}", self.0))
+    }
+}
+
+/// The hasher of the maps and sets the step path looks into once per access
+/// or per lock operation: one rotate, xor and multiply per word, where the
+/// default SipHash spends more than the lookup it serves. Their keys — sites
+/// (already FNV hashes), guest addresses, kernel symbol names — all come
+/// from inside the program, so nothing is lost with SipHash's protection
+/// against keys crafted to collide; a map keyed from outside keeps the
+/// default.
+#[derive(Clone, Copy, Default)]
+pub struct StepHasher(u64);
+
+/// [`StepHasher`] as the `S` of a `HashMap` or `HashSet`.
+pub type BuildStepHasher = BuildHasherDefault<StepHasher>;
+
+impl Hasher for StepHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    /// The multiply leaves its best bits at the top and nothing in the low
+    /// three of an 8-aligned address's; a table indexes with the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
     }
 }
 
@@ -162,6 +200,20 @@ mod tests {
         assert_eq!(at(), first);
         let name = String::from("macro:cached");
         assert_eq!(site!(&name), first, "the expression arm interns the same identity");
+    }
+
+    #[test]
+    fn step_hasher_spreads_aligned_addresses_and_names_over_the_low_bits() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let hash = BuildStepHasher::default();
+        // What a hash table indexes with: 64 lock addresses one word apart
+        // must not pile into a few of 64 buckets.
+        let buckets: HashSet<u64> = (0..64u64).map(|i| hash.hash_one(0x2000 + i * 8) & 63).collect();
+        assert!(buckets.len() >= 32, "{} of 64 buckets used", buckets.len());
+        // A name longer than one word is hashed whole, tail included.
+        assert_ne!(hash.hash_one("slab.alloc_count"), hash.hash_one("slab.alloc_counts"));
+        assert_ne!(hash.hash_one("slab.alloc_count"), hash.hash_one("slab.free_count"));
     }
 
     #[test]

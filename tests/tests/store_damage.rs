@@ -74,22 +74,27 @@ fn pmc_set() -> PmcSet {
 const KEYS: [u64; 3] = [1, 2, 3];
 
 /// A pristine store with three profile records and one PMC record, as raw
-/// file bytes ready to copy into per-case scratch directories.
-fn pristine() -> Vec<(String, Vec<u8>)> {
-    let dir = scratch("pristine", 0);
-    let mut st = Store::open(&dir).expect("open");
-    st.insert_profiles(&[
-        (KEYS[0], Some(profile(0, 0x2000))),
-        (KEYS[1], Some(profile(1, 0x3000))),
-        (KEYS[2], Some(profile(2, 0x4000))),
-    ])
-    .expect("insert");
-    st.save_pmcs(&KEYS, &pmc_set()).expect("save");
-    st.flush().expect("flush");
-    drop(st);
-    let files = read_store(&dir);
-    std::fs::remove_dir_all(&dir).ok();
-    files
+/// file bytes ready to copy into per-case scratch directories. Built once:
+/// its directory is one per process, and the tests that start from it run
+/// on parallel threads.
+fn pristine() -> &'static [(String, Vec<u8>)] {
+    static FILES: std::sync::OnceLock<Vec<(String, Vec<u8>)>> = std::sync::OnceLock::new();
+    FILES.get_or_init(|| {
+        let dir = scratch("pristine", 0);
+        let mut st = Store::open(&dir).expect("open");
+        st.insert_profiles(&[
+            (KEYS[0], Some(profile(0, 0x2000))),
+            (KEYS[1], Some(profile(1, 0x3000))),
+            (KEYS[2], Some(profile(2, 0x4000))),
+        ])
+        .expect("insert");
+        st.save_pmcs(&KEYS, &pmc_set()).expect("save");
+        st.flush().expect("flush");
+        drop(st);
+        let files = read_store(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        files
+    })
 }
 
 fn expect_profile(st: &mut Store, key: u64, addr: u64, test: u32) {
