@@ -9,6 +9,7 @@
 //! trial counts, ids, microsecond timestamps) is an unsigned integer, and
 //! keeping them out of `f64` preserves full 64-bit precision.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value restricted to the checkpoint format's needs.
@@ -82,9 +83,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Json::U64(n) => write_u64(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -112,6 +111,21 @@ impl Json {
     }
 }
 
+/// Appends `n` in decimal, as [`Json::U64`] renders.
+pub fn write_u64(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -130,36 +144,145 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Deepest array/object nesting [`parse`] accepts. `to_json` writers nest a
-/// handful of levels; the cap keeps the recursive descent off the end of
-/// the stack when a peer sends a frame of nothing but `[`.
+/// Deepest array/object nesting [`parse`] and [`Reader`] accept. `to_json`
+/// writers nest a handful of levels; the cap keeps the recursive descent
+/// off the end of the stack when a peer sends a frame of nothing but `[`.
 const MAX_DEPTH: usize = 128;
 
 /// Parses a JSON document in time linear in its length. Errors carry the
 /// byte offset and a short reason; nesting deeper than 128 is one of them.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        text: input,
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.text.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    let mut r = Reader::new(input);
+    let value = r.tree()?;
+    r.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
+/// A pull reader over the grammar [`parse`] accepts, for documents large
+/// enough that building a [`Json`] tree first is the cost (the store
+/// manifest). The one lexer of this module: `parse` builds its tree on it.
+///
+/// The reader always stands at the start of a value. Each of
+/// [`u64`](Reader::u64), [`str`](Reader::str), [`obj`](Reader::obj),
+/// [`arr`](Reader::arr) and [`skip`](Reader::skip) consumes exactly that
+/// one value, and the typed ones answer `None`/`false` when the value was
+/// of another type — what `Json::get(..).and_then(Json::as_u64)` answers on
+/// a tree — so `Err` always means the *text* is malformed. A callback
+/// handed to `obj`/`arr` must consume one value per call.
+pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the first value of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        let mut r = Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// Ends the document: only whitespace may follow the value read.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Reads a number; `None` (value skipped) for any other type.
+    pub fn u64(&mut self) -> Result<Option<u64>, String> {
+        match self.peek() {
+            Some(b'0'..=b'9') => self.number().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Reads a string, borrowed from the input unless it holds an escape;
+    /// `None` (value skipped) for any other type.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        match self.peek() {
+            Some(b'"') => self.string().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Reads an object, calling `field(reader, key)` at each member's
+    /// value, in document order; `false` (value skipped) for any other
+    /// type.
+    pub fn obj(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if self.peek() != Some(b'{') {
+            return self.skip().map(|()| false);
+        }
+        self.nested(b'}', |r| {
+            let key = r.string()?;
+            r.skip_ws();
+            r.expect(b':')?;
+            r.skip_ws();
+            field(r, &key)
+        })?;
+        Ok(true)
+    }
+
+    /// Reads an array, calling `item(reader)` at each element; `false`
+    /// (value skipped) for any other type.
+    pub fn arr(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if self.peek() != Some(b'[') {
+            return self.skip().map(|()| false);
+        }
+        self.nested(b']', item)?;
+        Ok(true)
+    }
+
+    /// Consumes one value of any type.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.arr(Self::skip).map(drop),
+            Some(b'{') => self.obj(|r, _| r.skip()).map(drop),
+            Some(b'0'..=b'9') => self.number().map(drop),
+            _ => self.literal().map(drop),
+        }
+    }
+
+    /// Reads one value into a tree ([`parse`]).
+    fn tree(&mut self) -> Result<Json, String> {
+        Ok(match self.peek() {
+            Some(b'"') => Json::Str(self.string()?.into_owned()),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.arr(|r| {
+                    items.push(r.tree()?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.obj(|r, key| {
+                    fields.push((key.to_string(), r.tree()?));
+                    Ok(())
+                })?;
+                Json::Obj(fields)
+            }
+            Some(b'0'..=b'9') => Json::U64(self.number()?),
+            _ => self.literal()?,
+        })
+    }
+
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
@@ -179,7 +302,15 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    /// `null`, `true` or `false` — or why no value starts here.
+    fn literal(&mut self) -> Result<Json, String> {
+        let (word, value) = match self.peek() {
+            Some(b'n') => ("null", Json::Null),
+            Some(b't') => ("true", Json::Bool(true)),
+            Some(b'f') => ("false", Json::Bool(false)),
+            Some(c) => return Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
+            None => return Err("unexpected end of input".to_string()),
+        };
         if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -188,35 +319,48 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.eat_keyword("null", Json::Null),
-            Some(b't') => self.eat_keyword("true", Json::Bool(true)),
-            Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'0'..=b'9') => self.number(),
-            Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    /// Parses one array or object a nesting level down, up to [`MAX_DEPTH`].
-    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    /// The elements of the array or object opening here and closing with
+    /// `close`, one nesting level down (up to [`MAX_DEPTH`]): `element`
+    /// runs at each, between the commas.
+    fn nested(
+        &mut self,
+        close: u8,
+        mut element: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} at byte {}",
                 self.pos
             ));
         }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
         self.depth += 1;
-        let value = f(self);
+        loop {
+            self.skip_ws();
+            element(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => break,
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at byte {}",
+                        close as char, self.pos
+                    ))
+                }
+            }
+        }
+        self.pos += 1;
         self.depth -= 1;
-        value
+        Ok(())
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<u64, String> {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
@@ -229,107 +373,50 @@ impl Parser<'_> {
         }
         self.text[start..self.pos]
             .parse::<u64>()
-            .map(Json::U64)
             .map_err(|_| format!("integer out of range at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
+        let text = self.text;
+        // Filled from the first escape on; a string without one is a slice.
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or("\\u escape is not a scalar value")?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next delimiter at once.
-                    let rest = &self.text[self.pos..];
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+            // Take the whole run up to the next delimiter at once.
+            let rest = &text[self.pos..];
+            let run = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(if out.is_empty() {
+                    Cow::Borrowed(&rest[..run])
+                } else {
                     out.push_str(&rest[..run]);
-                    self.pos += run;
-                }
+                    Cow::Owned(out)
+                });
             }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
+            out.push_str(&rest[..run]);
             match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+                    out.push(char::from_u32(code).ok_or("\\u escape is not a scalar value")?);
+                    self.pos += 4;
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
             }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
         }
     }
 }
@@ -494,5 +581,358 @@ mod tests {
         let (op, _, _) = atomic_write(&target, "{}").unwrap_err();
         assert_eq!(op, "rename");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The recursive-descent parser `parse` was before it was re-expressed
+    /// on [`Reader`]: the reference for error strings as much as values.
+    mod reference {
+        use super::super::{Json, MAX_DEPTH};
+
+        pub fn parse(input: &str) -> Result<Json, String> {
+            let mut p = Parser {
+                text: input,
+                pos: 0,
+                depth: 0,
+            };
+            p.skip_ws();
+            let value = p.value()?;
+            p.skip_ws();
+            if p.pos != p.text.len() {
+                return Err(format!("trailing data at byte {}", p.pos));
+            }
+            Ok(value)
+        }
+
+        struct Parser<'a> {
+            text: &'a str,
+            pos: usize,
+            /// Arrays and objects currently open.
+            depth: usize,
+        }
+
+        impl Parser<'_> {
+            fn peek(&self) -> Option<u8> {
+                self.text.as_bytes().get(self.pos).copied()
+            }
+
+            fn skip_ws(&mut self) {
+                while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                    self.pos += 1;
+                }
+            }
+
+            fn expect(&mut self, b: u8) -> Result<(), String> {
+                if self.peek() == Some(b) {
+                    self.pos += 1;
+                    Ok(())
+                } else {
+                    Err(format!("expected '{}' at byte {}", b as char, self.pos))
+                }
+            }
+
+            fn eat_keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
+                if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+                    self.pos += word.len();
+                    Ok(value)
+                } else {
+                    Err(format!("bad literal at byte {}", self.pos))
+                }
+            }
+
+            fn value(&mut self) -> Result<Json, String> {
+                match self.peek() {
+                    Some(b'n') => self.eat_keyword("null", Json::Null),
+                    Some(b't') => self.eat_keyword("true", Json::Bool(true)),
+                    Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
+                    Some(b'"') => self.string().map(Json::Str),
+                    Some(b'[') => self.nested(Self::array),
+                    Some(b'{') => self.nested(Self::object),
+                    Some(b'0'..=b'9') => self.number(),
+                    Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
+                    None => Err("unexpected end of input".to_string()),
+                }
+            }
+
+            /// Parses one array or object a nesting level down, up to [`MAX_DEPTH`].
+            fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = f(self);
+                self.depth -= 1;
+                value
+            }
+
+            fn number(&mut self) -> Result<Json, String> {
+                let start = self.pos;
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+                if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
+                    return Err(format!(
+                        "only unsigned integers are supported (byte {})",
+                        self.pos
+                    ));
+                }
+                self.text[start..self.pos]
+                    .parse::<u64>()
+                    .map(Json::U64)
+                    .map_err(|_| format!("integer out of range at byte {start}"))
+            }
+
+            fn string(&mut self) -> Result<String, String> {
+                self.expect(b'"')?;
+                let mut out = String::new();
+                loop {
+                    match self.peek() {
+                        None => return Err("unterminated string".to_string()),
+                        Some(b'"') => {
+                            self.pos += 1;
+                            return Ok(out);
+                        }
+                        Some(b'\\') => {
+                            self.pos += 1;
+                            match self.peek() {
+                                Some(b'"') => out.push('"'),
+                                Some(b'\\') => out.push('\\'),
+                                Some(b'/') => out.push('/'),
+                                Some(b'n') => out.push('\n'),
+                                Some(b'r') => out.push('\r'),
+                                Some(b't') => out.push('\t'),
+                                Some(b'b') => out.push('\u{8}'),
+                                Some(b'f') => out.push('\u{c}'),
+                                Some(b'u') => {
+                                    let hex = self
+                                        .text
+                                        .get(self.pos + 1..self.pos + 5)
+                                        .ok_or("truncated \\u escape")?;
+                                    let code = u32::from_str_radix(hex, 16)
+                                        .map_err(|_| "bad \\u escape".to_string())?;
+                                    out.push(
+                                        char::from_u32(code)
+                                            .ok_or("\\u escape is not a scalar value")?,
+                                    );
+                                    self.pos += 4;
+                                }
+                                _ => return Err(format!("bad escape at byte {}", self.pos)),
+                            }
+                            self.pos += 1;
+                        }
+                        Some(_) => {
+                            // Copy the whole run up to the next delimiter at once.
+                            let rest = &self.text[self.pos..];
+                            let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                            out.push_str(&rest[..run]);
+                            self.pos += run;
+                        }
+                    }
+                }
+            }
+
+            fn array(&mut self) -> Result<Json, String> {
+                self.expect(b'[')?;
+                let mut items = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b']') {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    self.skip_ws();
+                    items.push(self.value()?);
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b']') => {
+                            self.pos += 1;
+                            return Ok(Json::Arr(items));
+                        }
+                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                    }
+                }
+            }
+
+            fn object(&mut self) -> Result<Json, String> {
+                self.expect(b'{')?;
+                let mut fields = Vec::new();
+                self.skip_ws();
+                if self.peek() == Some(b'}') {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    self.skip_ws();
+                    let value = self.value()?;
+                    fields.push((key, value));
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b'}') => {
+                            self.pos += 1;
+                            return Ok(Json::Obj(fields));
+                        }
+                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                    }
+                }
+            }
+        }
+    }
+
+    /// splitmix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A random document, `depth` levels at most.
+        fn doc(&mut self, depth: usize) -> Json {
+            const STRINGS: [&str; 8] = ["", "k", "status", "a\"b", "line\n", "\\", "λ🏂", "\u{1}"];
+            match self.below(if depth == 0 { 4 } else { 6 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.next().is_multiple_of(2)),
+                2 => Json::U64(self.next() >> self.below(64)),
+                3 => Json::Str(STRINGS[self.below(STRINGS.len())].to_string()),
+                4 => Json::Arr((0..self.below(4)).map(|_| self.doc(depth - 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.below(4))
+                        .map(|_| (STRINGS[self.below(STRINGS.len())].to_string(), self.doc(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    /// Walks `text` with the public pulls alone, expecting the tree `doc`:
+    /// each typed pull answers the value where the type matches and `None`
+    /// where it does not, consuming the value either way.
+    fn pull(r: &mut Reader<'_>, doc: &Json, wrong_type: bool) -> Result<(), String> {
+        if wrong_type {
+            // Ask for a type the value is not: it is skipped, whatever it is.
+            return match doc {
+                Json::U64(_) => r.str().map(|s| assert_eq!(s, None)),
+                Json::Arr(_) => r.obj(|_, _| panic!("not an object")).map(|was| assert!(!was)),
+                Json::Obj(_) => r.arr(|_| panic!("not an array")).map(|was| assert!(!was)),
+                _ => r.u64().map(|n| assert_eq!(n, None)),
+            };
+        }
+        match doc {
+            Json::Null | Json::Bool(_) => r.skip(),
+            Json::U64(n) => r.u64().map(|got| assert_eq!(got, Some(*n))),
+            Json::Str(s) => r.str().map(|got| assert_eq!(got.as_deref(), Some(s.as_str()))),
+            Json::Arr(items) => {
+                let mut at = 0;
+                let was = r.arr(|r| {
+                    at += 1;
+                    pull(r, &items[at - 1], at % 3 == 0)
+                })?;
+                assert!(was && at == items.len());
+                Ok(())
+            }
+            Json::Obj(fields) => {
+                let mut at = 0;
+                let was = r.obj(|r, key| {
+                    at += 1;
+                    assert_eq!(key, fields[at - 1].0);
+                    pull(r, &fields[at - 1].1, at % 3 == 0)
+                })?;
+                assert!(was && at == fields.len());
+                Ok(())
+            }
+        }
+    }
+
+    /// `parse` answers what the reference answers, value or error string;
+    /// `skip` + `finish` accept exactly what `parse` accepts, with its
+    /// error; the typed pulls read an accepted document back.
+    fn check(text: &str, what: &str) {
+        let parsed = parse(text);
+        assert_eq!(parsed, reference::parse(text), "{what}: {text:?}");
+        let mut r = Reader::new(text);
+        let skipped = r.skip().and_then(|()| r.finish());
+        assert_eq!(skipped.as_ref().err(), parsed.as_ref().err(), "{what}: {text:?}");
+        if let Ok(doc) = parsed {
+            assert_eq!(parse(&doc.render()).as_ref(), Ok(&doc), "{what}: {text:?}");
+            let mut r = Reader::new(text);
+            pull(&mut r, &doc, false).and_then(|()| r.finish()).unwrap_or_else(|e| panic!("{what}: {e}: {text:?}"));
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_parse_like_the_reference_and_never_panic() {
+        const TOKENS: [&str; 24] = [
+            "{", "}", "[", "]", ":", ",", "\"", " ", "\n", "0", "7", "18446744073709551615", "18446744073709551616",
+            "1.5", "-", "true", "false", "null", "nul", "\"k\"", "\\u00e9", "\\n", "\\", "λ",
+        ];
+        let mut rng = Rng(0x5EED_0021);
+        for case in 0..10_000u32 {
+            let seed = rng.0;
+            let what = format!("case {case} (rng state {seed:#x})");
+            // Raw bytes (made a `str` the lossy way), a token soup, and a
+            // rendered random document cut or flipped somewhere.
+            let raw: Vec<u8> = (0..rng.below(4097)).map(|_| rng.next() as u8).collect();
+            check(&String::from_utf8_lossy(&raw), &what);
+            let soup: String = (0..rng.below(48)).map(|_| TOKENS[rng.below(TOKENS.len())]).collect();
+            check(&soup, &what);
+            let mut text = rng.doc(4).render().into_bytes();
+            check(&String::from_utf8_lossy(&text), &what);
+            if !text.is_empty() {
+                let at = rng.below(text.len());
+                match rng.below(3) {
+                    0 => text.truncate(at),
+                    1 => text[at] ^= [0x01, 0x04, 0x20, 0x80][rng.below(4)],
+                    _ => text.insert(at, b" \t\n\r\"\\,:[]{}0"[rng.below(13)]),
+                }
+                check(&String::from_utf8_lossy(&text), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_flip_of_a_real_document_parses_like_the_reference() {
+        let doc = Json::Obj(vec![
+            ("seed".to_string(), Json::U64(u64::MAX)),
+            ("note".to_string(), Json::Str("line\n\"two\" \\ λ \u{1}".to_string())),
+            ("items".to_string(), Json::Arr(vec![Json::Null, Json::Bool(true), Json::U64(0), Json::Arr(vec![])])),
+            ("nested".to_string(), Json::Obj(vec![("k".to_string(), Json::Obj(vec![]))])),
+        ]);
+        let text = doc.render().into_bytes();
+        for cut in 0..=text.len() {
+            check(&String::from_utf8_lossy(&text[..cut]), &format!("truncated to {cut}"));
+        }
+        let mut flipped = text.clone();
+        for at in 0..text.len() {
+            for mask in [0x01, 0x04, 0x20, 0x80] {
+                flipped[at] ^= mask;
+                check(&String::from_utf8_lossy(&flipped), &format!("byte {at} ^ {mask:#04x}"));
+                flipped[at] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn write_u64_renders_what_the_formatter_renders() {
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            let mut out = String::from("x");
+            write_u64(n, &mut out);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 }

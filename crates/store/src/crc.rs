@@ -6,5 +6,10 @@
 //! *below* both. Segment records still checksum `key‖len‖payload` with
 //! the same Castagnoli polynomial as before — the format on disk is
 //! unchanged.
+//!
+//! A record is checksummed once when it is written and once by each lookup
+//! that serves it. Opening a store checksums only the records `open` acts
+//! on — the last of each file and any the manifest does not address — and
+//! `fsck` all of them (DESIGN.md §11 has the table).
 
 pub use sb_obs::crc::{crc32c, Crc32c};

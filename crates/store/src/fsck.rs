@@ -87,7 +87,7 @@ fn scan_all(root: &Path, report: &mut FsckReport) -> Result<Scans, Error> {
         pmc: BTreeMap::new(),
     };
     for (name, kind, n) in list_segment_files(root)? {
-        let scan = segment::scan(&root.join(&name), kind)?;
+        let scan = segment::scan(&root.join(&name), kind, |_, _, _| false)?;
         report.segments += 1;
         if !scan.recognized {
             report.problems.push(Problem {
@@ -148,7 +148,7 @@ fn entry_damage(
             rec.len
         ));
     }
-    if !rec.crc_ok {
+    if rec.crc_ok != Some(true) {
         return Some(format!("checksum mismatch for record {key:#x} at offset {offset}"));
     }
     None

@@ -24,6 +24,8 @@
 //! See DESIGN.md §9 for the format and the merge-determinism argument, and
 //! §11 for the durability and degradation model.
 
+#[cfg(test)]
+mod arbitrary;
 pub mod codec;
 pub mod crc;
 pub mod fault;

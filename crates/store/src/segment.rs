@@ -2,8 +2,9 @@
 //!
 //! One segment file is written per corpus chunk (one `insert_profiles`
 //! call). Records are offset-addressable — the manifest remembers
-//! `(segment, offset, len)` per content key, and a [`SegmentReader`] fetches
-//! header and payload with one positioned read. Each record embeds its
+//! `(segment, offset, len)` per content key, and a [`SegmentReader`] serves
+//! header and payload out of a read-ahead window: one positioned read per
+//! 64 KiB of in-order lookups, not one per record. Each record embeds its
 //! content key so a stale or rewritten manifest cannot silently serve the
 //! wrong payload.
 //!
@@ -17,7 +18,9 @@
 //! Writers fsync on [`SegmentWriter::finish`], so a completed segment is
 //! durable before the manifest can reference it; [`scan`] classifies a
 //! file's valid record prefix so the store can truncate torn tails left by
-//! a crash mid-write.
+//! a crash mid-write. It is the one record walker: `fsck` has it checksum
+//! every record, `Store::open` only those it acts on — the last record of
+//! the file and any the manifest does not vouch for (DESIGN.md §11).
 
 use std::fs::File;
 use std::io::Write;
@@ -134,44 +137,64 @@ pub fn sync_dir(dir: &Path) {
     }
 }
 
+/// Bytes a [`SegmentReader`] reads ahead. A record larger than this is read
+/// whole.
+const WINDOW: usize = 64 * 1024;
+
 /// One segment file held open for reads by record address.
+///
+/// Keeps the bytes of its last positioned read: lookups arrive in the order
+/// records were written, so the read that serves one record has usually
+/// fetched the next ones too. Holding file bytes across calls is sound
+/// because nothing rewrites a segment a reader may have open — see
+/// [`crate::Store`], which declares that invariant.
 pub struct SegmentReader {
     file: File,
     path: PathBuf,
+    /// File length at `open`; a finished segment never grows.
+    file_len: u64,
+    /// File bytes `[window_at, window_at + window.len())`.
+    window: Vec<u8>,
+    window_at: u64,
 }
 
 impl SegmentReader {
     /// Opens the segment at `path`, whose magic [`scan`] recognized.
     pub fn open(path: &Path) -> Result<SegmentReader, Error> {
         let file = File::open(path).map_err(io_err("open", path))?;
-        Ok(SegmentReader { file, path: path.to_path_buf() })
+        let file_len = file.metadata().map_err(io_err("stat", path))?.len();
+        Ok(SegmentReader { file, file_len, path: path.to_path_buf(), window: Vec::new(), window_at: 0 })
     }
 
-    /// Reads the record at `(offset, len)` into `buf` with one positioned
-    /// read and returns its payload, verifying that its embedded content
-    /// key matches `expected_key`, that its length word matches `len`, and
-    /// its CRC32C.
+    /// Returns the payload of the record at `(offset, len)`, verifying that
+    /// its embedded content key matches `expected_key`, that its length
+    /// word matches `len`, and the CRC32C of exactly the bytes returned. A
+    /// record outside the window refills it from `offset` with one
+    /// positioned read, clamped at EOF and counted in `reads`.
     ///
     /// `eof_at` simulates a short read: bytes at or past that file offset
     /// are treated as missing.
-    pub fn read_at<'b>(
-        &self,
+    pub fn read_at(
+        &mut self,
         offset: u64,
         len: u64,
         expected_key: u64,
         eof_at: Option<u64>,
-        buf: &'b mut Vec<u8>,
-    ) -> Result<&'b [u8], Error> {
-        let path = &self.path;
+        reads: &mut u64,
+    ) -> Result<&[u8], Error> {
         let header = HEADER_LEN as usize;
         // A record's length word is a u32; anything larger is not a record.
         let total = header + u32::try_from(len).map_err(|_| Error::Truncated)? as usize;
-        if eof_at.is_some_and(|eof| offset.saturating_add(total as u64) > eof) {
+        let end = offset.saturating_add(total as u64);
+        if eof_at.is_some_and(|eof| end > eof) {
             return Err(Error::Truncated);
         }
-        buf.resize(total, 0);
-        self.file.read_exact_at(buf, offset).map_err(io_err("read", path))?;
-        let (head, payload) = buf.split_at(header);
+        if offset < self.window_at || end > self.window_at + self.window.len() as u64 {
+            *reads += 1;
+            self.fill(offset, total)?;
+        }
+        let path = &self.path;
+        let (head, payload) = self.window[(offset - self.window_at) as usize..][..total].split_at(header);
         let key = u64::from_le_bytes(head[..8].try_into().expect("8-byte slice"));
         let stored_len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice"));
         if key != expected_key {
@@ -195,6 +218,26 @@ impl SegmentReader {
         }
         Ok(payload)
     }
+
+    /// Points the window at `offset`: a window's worth of bytes, or `need`
+    /// if that is more, or what the file has left. Fewer than `need` is a
+    /// failed read, as it was when each record had its own `read_exact`.
+    fn fill(&mut self, offset: u64, need: usize) -> Result<(), Error> {
+        let left = self.file_len.saturating_sub(offset).min(need.max(WINDOW) as u64) as usize;
+        self.window_at = offset;
+        // A record running past the length the file had at `open`, or a
+        // file cut short since: an unexpected EOF either way.
+        let read = if left < need {
+            Err(std::io::ErrorKind::UnexpectedEof.into())
+        } else {
+            self.window.resize(left, 0);
+            self.file.read_exact_at(&mut self.window, offset)
+        };
+        if read.is_err() {
+            self.window.clear();
+        }
+        read.map_err(io_err("read", &self.path))
+    }
 }
 
 /// One structurally valid record found by [`scan`].
@@ -206,8 +249,9 @@ pub struct ScannedRecord {
     pub offset: u64,
     /// Payload length.
     pub len: u64,
-    /// CRC32C verdict.
-    pub crc_ok: bool,
+    /// CRC32C verdict; `None` for a record [`scan`] did not checksum
+    /// because its caller vouched for it.
+    pub crc_ok: Option<bool>,
 }
 
 /// Structural classification of one segment file.
@@ -224,6 +268,8 @@ pub struct SegmentScan {
     pub valid_len: u64,
     /// Records within the valid prefix, in file order.
     pub records: Vec<ScannedRecord>,
+    /// Record bytes (header and payload) the scan checksummed.
+    pub crc_bytes: u64,
 }
 
 impl SegmentScan {
@@ -233,11 +279,30 @@ impl SegmentScan {
     }
 }
 
-/// Walks every record of the segment at `path`, classifying the valid
-/// prefix and any torn tail. `Err` only for real I/O failures — damage is
-/// data, not an error.
-pub fn scan(path: &Path, kind: SegmentKind) -> Result<SegmentScan, Error> {
+/// Walks every record header of the segment at `path`, classifying the
+/// valid prefix and any torn tail. `Err` only for real I/O failures —
+/// damage is data, not an error.
+///
+/// A record is checksummed unless `vouched(key, offset, len)` says the
+/// caller addresses exactly that record and will have it verified by the
+/// read that serves it. The last record of the file is checksummed
+/// whatever the caller says: its verdict decides whether it is a torn
+/// write.
+pub fn scan(
+    path: &Path,
+    kind: SegmentKind,
+    vouched: impl Fn(u64, u64, u64) -> bool,
+) -> Result<SegmentScan, Error> {
     let bytes = std::fs::read(path).map_err(io_err("read", path))?;
+    Ok(scan_bytes(&bytes, kind, vouched))
+}
+
+/// [`scan`] of a file's contents.
+pub(crate) fn scan_bytes(
+    bytes: &[u8],
+    kind: SegmentKind,
+    vouched: impl Fn(u64, u64, u64) -> bool,
+) -> SegmentScan {
     let file_len = bytes.len() as u64;
     let magic = match kind {
         SegmentKind::Profile => PROFILE_MAGIC,
@@ -245,14 +310,23 @@ pub fn scan(path: &Path, kind: SegmentKind) -> Result<SegmentScan, Error> {
     };
     if !bytes.starts_with(magic) {
         // Unrecognized or truncated magic: no valid prefix at all.
-        return Ok(SegmentScan {
+        return SegmentScan {
             recognized: false,
             file_len,
             valid_len: 0,
             records: Vec::new(),
-        });
+            crc_bytes: 0,
+        };
     }
     let header = HEADER_LEN as usize;
+    let mut crc_bytes = 0;
+    let mut crc_of = |rec: &ScannedRecord| {
+        let at = rec.offset as usize;
+        let stored = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().expect("4-byte slice"));
+        let payload = &bytes[at + header..at + header + rec.len as usize];
+        crc_bytes += HEADER_LEN + rec.len;
+        Some(stored == record_crc(rec.key, payload))
+    };
     let mut records = Vec::new();
     let mut pos = 8usize;
     while bytes.len() - pos >= header {
@@ -264,31 +338,31 @@ pub fn scan(path: &Path, kind: SegmentKind) -> Result<SegmentScan, Error> {
         if end > bytes.len() {
             break; // payload runs past EOF: torn
         }
-        let stored = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4-byte slice"));
-        records.push(ScannedRecord {
-            key,
-            offset: pos as u64,
-            len: u64::from(len),
-            crc_ok: stored == record_crc(key, &bytes[pos + header..end]),
-        });
+        let mut rec = ScannedRecord { key, offset: pos as u64, len: u64::from(len), crc_ok: None };
+        if !vouched(key, rec.offset, rec.len) {
+            rec.crc_ok = crc_of(&rec);
+        }
+        records.push(rec);
         pos = end;
     }
-    // A final record with a bad CRC that runs to EOF is a torn write whose
-    // length field survived: drop it from the valid prefix too.
-    if pos == bytes.len() {
-        if let Some(last) = records.last() {
-            if !last.crc_ok {
-                pos = last.offset as usize;
-                records.pop();
-            }
+    if let Some(last) = records.last_mut() {
+        if last.crc_ok.is_none() {
+            last.crc_ok = crc_of(last);
+        }
+        // A final record with a bad CRC that runs to EOF is a torn write
+        // whose length field survived: drop it from the valid prefix too.
+        if pos == bytes.len() && last.crc_ok == Some(false) {
+            pos = last.offset as usize;
+            records.pop();
         }
     }
-    Ok(SegmentScan {
+    SegmentScan {
         recognized: true,
         file_len,
         valid_len: pos as u64,
         records,
-    })
+        crc_bytes,
+    }
 }
 
 /// Physically truncates the segment at `path` to its valid prefix.
@@ -329,12 +403,12 @@ mod tests {
         let (o2, l2) = w.append(0xBBBB, b"second").expect("append");
         let total = w.finish().expect("finish");
         assert_eq!(total, std::fs::metadata(&path).expect("meta").len());
-        assert!(scan(&path, SegmentKind::Profile).expect("scan").recognized);
-        let (r, mut buf) = (SegmentReader::open(&path).expect("open"), Vec::new());
-        // One handle and one buffer serve any order of addresses.
-        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut buf).expect("r2"), b"second");
-        assert_eq!(r.read_at(o1, l1, 0xAAAA, None, &mut buf).expect("r1"), b"first payload");
-        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut buf).expect("r2"), b"second");
+        assert!(scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan").recognized);
+        let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
+        // One handle and one window serve any order of addresses.
+        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"), b"second");
+        assert_eq!(r.read_at(o1, l1, 0xAAAA, None, &mut reads).expect("r1"), b"first payload");
+        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"), b"second");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -346,13 +420,13 @@ mod tests {
         let (o, l) = w.append(7, b"payload").expect("append");
         let (o2, l2) = w.append(9, b"last").expect("append");
         w.finish().expect("finish");
-        let (r, mut buf) = (SegmentReader::open(&path).expect("open"), Vec::new());
-        assert!(matches!(r.read_at(o, l, 8, None, &mut buf), Err(Error::Format { .. })));
-        assert!(matches!(r.read_at(o, l + 1, 7, None, &mut buf), Err(Error::Format { .. })));
+        let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
+        assert!(matches!(r.read_at(o, l, 8, None, &mut reads), Err(Error::Format { .. })));
+        assert!(matches!(r.read_at(o, l + 1, 7, None, &mut reads), Err(Error::Format { .. })));
         // A length that runs past the end of the file is a failed read.
-        assert!(matches!(r.read_at(o2, l2 + 1, 9, None, &mut buf), Err(Error::Io { .. })));
-        assert!(matches!(r.read_at(o2, u64::MAX, 9, None, &mut buf), Err(Error::Truncated)));
-        assert!(!scan(&path, SegmentKind::Pmc).expect("scan").recognized, "wrong magic");
+        assert!(matches!(r.read_at(o2, l2 + 1, 9, None, &mut reads), Err(Error::Io { .. })));
+        assert!(matches!(r.read_at(o2, u64::MAX, 9, None, &mut reads), Err(Error::Truncated)));
+        assert!(!scan(&path, SegmentKind::Pmc, |_, _, _| false).expect("scan").recognized, "wrong magic");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -367,8 +441,8 @@ mod tests {
         let payload_start = (o + 16) as usize;
         bytes[payload_start] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let r = SegmentReader::open(&path).expect("open");
-        match r.read_at(o, l, 9, None, &mut Vec::new()) {
+        let mut r = SegmentReader::open(&path).expect("open");
+        match r.read_at(o, l, 9, None, &mut 0) {
             Err(Error::Format { detail, .. }) => assert!(detail.contains("checksum")),
             other => panic!("expected checksum failure, got {other:?}"),
         }
@@ -382,12 +456,12 @@ mod tests {
         let mut w = SegmentWriter::create(&path, PROFILE_MAGIC).expect("create");
         let (o, l) = w.append(5, b"payload").expect("append");
         let total = w.finish().expect("finish");
-        let (r, mut buf) = (SegmentReader::open(&path).expect("open"), Vec::new());
+        let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
         assert!(matches!(
-            r.read_at(o, l, 5, Some(total - 1), &mut buf),
+            r.read_at(o, l, 5, Some(total - 1), &mut reads),
             Err(Error::Truncated)
         ));
-        assert!(r.read_at(o, l, 5, Some(total), &mut buf).is_ok());
+        assert!(r.read_at(o, l, 5, Some(total), &mut reads).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -400,22 +474,22 @@ mod tests {
         let (o2, _) = w.append(2, b"second record").expect("append");
         let total = w.finish().expect("finish");
 
-        let full = scan(&path, SegmentKind::Profile).expect("scan");
+        let full = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
         assert!(full.recognized);
         assert_eq!(full.valid_len, total);
         assert_eq!(full.records.len(), 2);
-        assert!(full.records.iter().all(|r| r.crc_ok));
+        assert!(full.records.iter().all(|r| r.crc_ok == Some(true)));
 
         // Cut mid-payload of the second record: torn tail back to o2.
         let bytes = std::fs::read(&path).expect("read");
         for cut in (o2 + 1)..total {
             std::fs::write(&path, &bytes[..cut as usize]).expect("cut");
-            let s = scan(&path, SegmentKind::Profile).expect("scan");
+            let s = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
             assert_eq!(s.valid_len, o2, "cut at {cut}");
             assert_eq!(s.records.len(), 1);
             assert!(s.torn_bytes() > 0);
             assert!(truncate_torn_tail(&path, &s));
-            let healed = scan(&path, SegmentKind::Profile).expect("rescan");
+            let healed = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("rescan");
             assert_eq!(healed.torn_bytes(), 0);
             std::fs::write(&path, &bytes).expect("restore");
         }
@@ -425,7 +499,7 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         std::fs::write(&path, &flipped).expect("flip");
-        let s = scan(&path, SegmentKind::Profile).expect("scan");
+        let s = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
         assert_eq!(s.valid_len, o2, "bad CRC at EOF drops the final record");
 
         // Unrecognized magic — garbage, or the retired checksum-less
@@ -434,7 +508,7 @@ mod tests {
         v1.extend_from_slice(&bytes[8..]);
         for unrecognized in [b"NOTMAGICxxxx".as_slice(), v1.as_slice()] {
             std::fs::write(&path, unrecognized).expect("garbage");
-            let s = scan(&path, SegmentKind::Profile).expect("scan");
+            let s = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
             assert_eq!((s.recognized, s.valid_len), (false, 0));
             assert!(!truncate_torn_tail(&path, &s), "never truncate unrecognized files");
         }

@@ -12,6 +12,11 @@
 //! store truncates torn segment tails left by a crash and adopts intact
 //! orphan records the manifest missed, so a kill mid-`insert_profiles`
 //! costs at most the interrupted batch.
+//!
+//! Cost follows bytes: `open` checksums the records it acts on and leaves
+//! the ones the manifest addresses to the lookups that serve them; lookups
+//! in corpus order share one positioned read per 64 KiB of segment
+//! ([`Store::segment_reads`], [`Store::open_crc_bytes`] count both).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -94,7 +99,7 @@ pub struct SegmentStats {
 }
 
 /// What `Store::open` learned about one segment file.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SegMeta {
     /// False for an unrecognized magic: every record in it is damaged.
     recognized: bool,
@@ -107,7 +112,9 @@ struct SegMeta {
 /// A `Store` never rewrites a segment file it may hold open: inserts, saves
 /// and heals always allocate a fresh `seg_no`, and torn-tail truncation
 /// happens in [`Store::open`] before any handle exists. That is what lets
-/// lookups keep one segment handle across calls.
+/// lookups keep one segment handle across calls — and what makes the file
+/// bytes that handle read ahead ([`SegmentReader`]'s window) as good as the
+/// file itself for as long as it is held.
 pub struct Store {
     root: PathBuf,
     manifest: Manifest,
@@ -119,8 +126,6 @@ pub struct Store {
     /// corpus order, the order segments were written in, so one slot (one
     /// descriptor) serves runs of them with a single `open`.
     open_segment: Option<(SegmentKind, u64, SegmentReader)>,
-    /// Record bytes of the last lookup, reused by the next.
-    read_buf: Vec<u8>,
     /// Injected disk faults (empty by default).
     fault: DiskFaultPlan,
     /// Profile keys whose records were found damaged this run.
@@ -137,6 +142,10 @@ pub struct Store {
     pub records_damaged: u64,
     /// Damaged records recomputed and rewritten this run.
     pub records_healed: u64,
+    /// Positioned reads lookups issued against segment files this run.
+    pub segment_reads: u64,
+    /// Record bytes [`Store::open`] checksummed.
+    pub open_crc_bytes: u64,
 }
 
 impl Store {
@@ -144,7 +153,24 @@ impl Store {
     /// if needed. Scans every segment file, truncates torn tails left by a
     /// crash, and reconciles the manifest with surviving records (intact
     /// records the manifest missed are adopted).
+    ///
+    /// The scan checksums the records `open` itself acts on: the last of
+    /// each file (a torn write?) and any the manifest does not address (an
+    /// orphan to adopt?). A record the manifest addresses is verified by
+    /// the lookup that serves it, so none is served, adopted, or used to
+    /// place a truncation unverified.
     pub fn open(root: &Path) -> Result<Store, Error> {
+        Store::open_scanning(root, false)
+    }
+
+    /// [`Store::open`] as it was when the scan checksummed every record:
+    /// the reference the differential tests hold it against.
+    #[cfg(test)]
+    fn open_checking_every_record(root: &Path) -> Result<Store, Error> {
+        Store::open_scanning(root, true)
+    }
+
+    fn open_scanning(root: &Path, every_record: bool) -> Result<Store, Error> {
         std::fs::create_dir_all(root).map_err(|source| Error::Io {
             op: "create-dir",
             path: root.to_path_buf(),
@@ -154,9 +180,16 @@ impl Store {
         let mut seg_meta = BTreeMap::new();
         let mut pmc_meta = BTreeMap::new();
         let mut max_seen: Option<u64> = None;
+        let mut open_crc_bytes = 0;
         for (name, kind, n) in list_segment_files(root)? {
             let path = root.join(&name);
-            let scan = segment::scan(&path, kind)?;
+            // A PMC file holds one record, its last: nothing to vouch for.
+            let scan = segment::scan(&path, kind, |key, offset, len| {
+                !every_record
+                    && kind == SegmentKind::Profile
+                    && manifest.profiles.get(&key) == Some(&ProfileStatus::Ok { segment: n, offset, len })
+            })?;
+            open_crc_bytes += scan.crc_bytes;
             if scan.torn_bytes() > 0 {
                 segment::truncate_torn_tail(&path, &scan);
             }
@@ -164,7 +197,7 @@ impl Store {
                 // Adopt intact records the manifest missed (a crash after
                 // the segment fsync but before the manifest write).
                 for rec in &scan.records {
-                    if rec.crc_ok && !manifest.profiles.contains_key(&rec.key) {
+                    if rec.crc_ok == Some(true) && !manifest.profiles.contains_key(&rec.key) {
                         manifest.profiles.insert(
                             rec.key,
                             ProfileStatus::Ok { segment: n, offset: rec.offset, len: rec.len },
@@ -191,7 +224,6 @@ impl Store {
             seg_meta,
             pmc_meta,
             open_segment: None,
-            read_buf: Vec::new(),
             fault: DiskFaultPlan::default(),
             damaged_keys: BTreeSet::new(),
             damaged_pmc_corpora: BTreeSet::new(),
@@ -200,6 +232,8 @@ impl Store {
             failed_cached: 0,
             records_damaged: 0,
             records_healed: 0,
+            segment_reads: 0,
+            open_crc_bytes,
         })
     }
 
@@ -275,8 +309,8 @@ impl Store {
             self.open_segment = None;
             self.open_segment = Some((kind, seg_no, SegmentReader::open(&path)?));
         }
-        let (_, _, reader) = self.open_segment.as_ref().expect("opened above");
-        reader.read_at(offset, len, key, eof_at, &mut self.read_buf)
+        let (_, _, reader) = self.open_segment.as_mut().expect("opened above");
+        reader.read_at(offset, len, key, eof_at, &mut self.segment_reads)
     }
 
     /// Looks up the profile stored under `key`, remapping its test id to
@@ -333,26 +367,27 @@ impl Store {
             writer.set_torn_after(cut);
         }
         let mut buf = Vec::new();
-        let mut new_entries = BTreeMap::new();
+        let mut new_entries = Vec::with_capacity(batch.len());
         for (key, profile) in batch {
-            match profile {
+            let status = match profile {
                 Some(p) => {
                     buf.clear();
                     codec::encode_profile(p, &mut buf);
                     let (offset, len) = writer.append(*key, &buf)?;
-                    new_entries.insert(*key, ProfileStatus::Ok { segment: seg_no, offset, len });
+                    ProfileStatus::Ok { segment: seg_no, offset, len }
                 }
-                None => {
-                    new_entries.insert(*key, ProfileStatus::Failed);
-                }
-            }
+                None => ProfileStatus::Failed,
+            };
+            new_entries.push((*key, status));
         }
         let total = writer.finish()?;
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
         self.seg_meta.insert(seg_no, SegMeta { recognized: true, valid_len: total });
         self.manifest.next_segment = seg_no + 1;
-        for key in new_entries.keys() {
+        // A key the batch repeats heals once: its first entry takes it out
+        // of `damaged_keys`; in the manifest its last entry wins.
+        for (key, _) in &new_entries {
             if self.damaged_keys.remove(key) {
                 self.records_healed += 1;
             }
@@ -864,6 +899,285 @@ mod tests {
         // and the CRC catches the flip.
         let mut store = Store::open(&dir).expect("reopen");
         assert_eq!(store.lookup_profile(31, 0).expect("lookup"), ProfileLookup::Damaged);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A profile whose encoding is about `accesses * 10` bytes.
+    fn wide_profile(salt: u64, accesses: u64) -> SeqProfile {
+        let mut p = profile(0, salt);
+        let first = p.accesses[0].clone();
+        p.accesses = (0..accesses)
+            .map(|i| Access { seq: i, addr: salt.wrapping_mul(i + 1) << 3, value: salt.wrapping_mul(i), ..first.clone() })
+            .collect();
+        p
+    }
+
+    fn hit(store: &mut Store, key: u64) -> Option<SeqProfile> {
+        match store.lookup_profile(key, 0).expect("lookup") {
+            ProfileLookup::Hit(p) => Some(p),
+            ProfileLookup::Damaged => None,
+            other => panic!("key {key}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn in_order_lookups_read_each_segment_once_and_a_reopen_checksums_only_last_records() {
+        let (dir, mut store) = tmp_store("counts");
+        let key = |seg: u64, i: u64| (seg * 100 + i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for seg in 0..25 {
+            let batch: Vec<_> = (0..100).map(|i| (key(seg, i), Some(wide_profile(key(seg, i), 25)))).collect();
+            store.insert_profiles(&batch).expect("insert");
+        }
+        let corpus: Vec<u64> = (0..25).flat_map(|seg| (0..100).map(move |i| key(seg, i))).collect();
+        store.save_pmcs(&corpus, &PmcSet { pmcs: vec![sample_pmc()] }).expect("save");
+        store.flush().expect("flush");
+        drop(store);
+
+        // What a scan that trusts nobody checksums, and the slice of it
+        // `open` has to: the last record of each of the 26 files.
+        let (mut every_record, mut last_records) = (0, 0);
+        for (name, kind, _) in list_segment_files(&dir).expect("list") {
+            let scan = segment::scan(&dir.join(name), kind, |_, _, _| false).expect("scan");
+            assert!(scan.file_len < 64 * 1024, "one window holds a segment of this test");
+            every_record += scan.crc_bytes;
+            last_records += segment::HEADER_LEN + scan.records.last().expect("records").len;
+        }
+        let mut store = Store::open(&dir).expect("reopen");
+        assert_eq!(store.open_crc_bytes, last_records);
+        assert!(every_record > 20 * last_records, "{every_record} bytes on disk, {last_records} checksummed");
+        assert_eq!(Store::open_checking_every_record(&dir).expect("reopen").open_crc_bytes, every_record);
+
+        for k in &corpus {
+            assert_eq!(hit(&mut store, *k), Some(wide_profile(*k, 25)));
+        }
+        assert_eq!((store.profile_hits, store.segment_reads), (2_500, 25));
+        assert!(matches!(store.lookup_pmcs(&corpus).expect("pmcs"), PmcLookup::Exact(_)));
+        assert_eq!(store.segment_reads, 26);
+        // Out of order costs a read per change of direction, never a wrong answer.
+        for k in corpus.iter().rev().step_by(7) {
+            assert_eq!(hit(&mut store, *k), Some(wide_profile(*k, 25)));
+        }
+        assert_eq!(store.records_damaged, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_window_serves_records_larger_than_it_straddling_it_and_at_the_end_of_a_file() {
+        let (dir, mut store) = tmp_store("window");
+        // seg-0000: 300 records of ~400 bytes — two windows' worth, so some
+        // record straddles the first window's end. seg-0001: a record larger
+        // than a window between two small ones. seg-0002: one small file.
+        let long: Vec<_> = (1..=300u64).map(|k| (k, Some(wide_profile(k, 40)))).collect();
+        store.insert_profiles(&long).expect("insert");
+        let big = [(1001, Some(wide_profile(1, 3))), (1002, Some(wide_profile(2, 9_000))), (1003, Some(wide_profile(3, 3)))];
+        store.insert_profiles(&big).expect("insert");
+        store.insert_profiles(&[(2001, Some(wide_profile(4, 3))), (2002, Some(wide_profile(5, 3)))]).expect("insert");
+        store.flush().expect("flush");
+        let mut store = Store::open(&dir).expect("reopen");
+
+        let scan = segment::scan(&dir.join("seg-0000.bin"), SegmentKind::Profile, |_, _, _| false).expect("scan");
+        let window_end = 8 + 64 * 1024;
+        assert!(scan.file_len > window_end && scan.file_len < 2 * 64 * 1024);
+        assert!(scan.records.iter().any(|r| r.offset < window_end && r.offset + 16 + r.len > window_end), "a straddler");
+        for (k, p) in &long {
+            assert_eq!(hit(&mut store, *k).as_ref(), p.as_ref(), "key {k}");
+        }
+        assert_eq!(store.segment_reads, 2, "the straddler starts the second window");
+
+        let scan = segment::scan(&dir.join("seg-0001.bin"), SegmentKind::Profile, |_, _, _| false).expect("scan");
+        assert!(scan.records[1].len > 64 * 1024, "{} bytes", scan.records[1].len);
+        for (k, p) in &big {
+            assert_eq!(hit(&mut store, *k).as_ref(), p.as_ref(), "key {k}");
+        }
+        // One read holds the first record and a window of the second's
+        // head, one the whole second, one the third.
+        assert_eq!(store.segment_reads, 2 + 3);
+        assert_eq!(hit(&mut store, 1002), big[1].1, "the big record again, after a smaller window");
+
+        // The last record of a short file: the window stops at EOF. Going
+        // back to the first moves the window, not the answer.
+        let before = store.segment_reads;
+        assert_eq!(hit(&mut store, 2002), Some(wide_profile(5, 3)));
+        assert_eq!(hit(&mut store, 2001), Some(wide_profile(4, 3)));
+        assert_eq!(hit(&mut store, 2002), Some(wide_profile(5, 3)));
+        assert_eq!(store.segment_reads - before, 2, "the window at the first record holds the second");
+        assert_eq!(store.records_damaged, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_file_cut_short_after_open_is_damage_counted_once() {
+        let (dir, mut store) = tmp_store("cutafter");
+        let batch: Vec<_> = (1..=3u64).map(|k| (k, Some(wide_profile(k, 10)))).collect();
+        store.insert_profiles(&batch).expect("insert");
+        store.flush().expect("flush");
+        let mut store = Store::open(&dir).expect("reopen");
+        let seg = dir.join("seg-0000.bin");
+        let len = std::fs::metadata(&seg).expect("meta").len();
+        std::fs::OpenOptions::new().write(true).open(&seg).expect("open").set_len(len - 5).expect("cut");
+        assert_eq!(hit(&mut store, 3), None, "the record the cut runs through");
+        assert_eq!((store.records_damaged, store.profile_misses, store.segment_reads), (1, 1, 1));
+        assert_eq!(hit(&mut store, 1), Some(wide_profile(1, 10)), "records before the cut still serve");
+        assert_eq!(hit(&mut store, 2), Some(wide_profile(2, 10)));
+        assert_eq!(store.records_damaged, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_short_read_is_injected_into_a_filled_window_too() {
+        let (dir, mut store) = tmp_store("shortwindow");
+        store.insert_profiles(&[(1, Some(profile(0, 0x100))), (2, Some(profile(0, 0x200)))]).expect("insert");
+        assert!(hit(&mut store, 1).is_some());
+        assert_eq!(store.segment_reads, 1, "the window now holds both records");
+        let mut plan = DiskFaultPlan::default();
+        plan.short_read_keys.insert(2);
+        store.set_fault_plan(plan);
+        assert_eq!(hit(&mut store, 2), None);
+        assert!(hit(&mut store, 1).is_some());
+        // The nth-read fault counts record reads, not window fills.
+        store.set_fault_plan(DiskFaultPlan { short_read_nth: Some(2), ..DiskFaultPlan::default() });
+        assert!(hit(&mut store, 1).is_some());
+        assert_eq!(hit(&mut store, 1), None, "the second record read, out of a window that has it");
+        assert_eq!(store.fault_fired(), ["disk.short"]);
+        store.set_fault_plan(DiskFaultPlan::default());
+        assert!(hit(&mut store, 2).is_some());
+        assert_eq!((store.records_damaged, store.segment_reads), (2, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Everything observable about a store after `open`: what it knows,
+    /// what is on disk, and what a lookup of every key then answers.
+    fn observe(mut store: Store, keys: &[u64], corpora: &[&[u64]]) -> String {
+        let on_disk = files_of(store.root());
+        let known = format!("{:?} {:?} {:?}", store.manifest, store.seg_meta, store.pmc_meta);
+        let mut lookups: Vec<String> =
+            keys.iter().map(|k| format!("{:?}", store.lookup_profile(*k, 0).expect("lookup"))).collect();
+        lookups.extend(corpora.iter().map(|c| format!("{:?}", store.lookup_pmcs(c).expect("lookup"))));
+        let counters = (
+            store.profile_hits,
+            store.profile_misses,
+            store.failed_cached,
+            store.records_damaged,
+            store.records_healed,
+        );
+        format!("{known}\n{on_disk:?}\n{lookups:?}\n{counters:?}")
+    }
+
+    /// Materializes `files` twice and opens one copy under each CRC rule.
+    fn both_opens_agree(files: &[(String, Vec<u8>)], what: &str) {
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let copies = ["lazy", "full"].map(|rule| {
+            let dir = std::env::temp_dir().join(format!("sb-store-diff-{rule}-{case}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            for (name, bytes) in files {
+                std::fs::write(dir.join(name), bytes).expect("write");
+            }
+            dir
+        });
+        let keys = [1, 2, 3, 4, 5];
+        let corpora: [&[u64]; 2] = [&[1, 2, 3], &[1, 2, 3, 4]];
+        let lazy = Store::open(&copies[0]).expect("open");
+        let full = Store::open_checking_every_record(&copies[1]).expect("open");
+        assert!(lazy.open_crc_bytes <= full.open_crc_bytes, "{what}");
+        assert_eq!(observe(lazy, &keys, &corpora), observe(full, &keys, &corpora), "{what}");
+        for dir in copies {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    fn files_of(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry"))
+            .map(|e| (e.file_name().into_string().expect("utf-8"), std::fs::read(e.path()).expect("read")))
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn open_acts_the_same_whether_it_checksums_every_record_or_only_those_it_acts_on() {
+        // The store `tests/tests/store_damage.rs` starts from: three
+        // profiles in one segment, one PMC set, flushed.
+        let (dir, mut store) = tmp_store("diffbase");
+        let three: Vec<_> = (1..=3u64).map(|k| (k, Some(profile(k as u32, k << 12)))).collect();
+        store.insert_profiles(&three).expect("insert");
+        store.save_pmcs(&[1, 2, 3], &PmcSet { pmcs: vec![sample_pmc()] }).expect("save");
+        store.flush().expect("flush");
+        drop(store);
+        let base = files_of(&dir);
+        both_opens_agree(&base, "pristine");
+
+        // Every byte of either segment file flipped; either file, or the
+        // manifest, gone.
+        for (i, (name, bytes)) in base.iter().enumerate() {
+            let without: Vec<_> = base.iter().filter(|(n, _)| n != name).cloned().collect();
+            both_opens_agree(&without, &format!("{name} missing"));
+            if !name.ends_with(".bin") {
+                continue;
+            }
+            for at in 0..bytes.len() {
+                let mut files = base.clone();
+                files[i].1[at] ^= 0xA5;
+                both_opens_agree(&files, &format!("{name} byte {at} flipped"));
+                // The same flip seen by a store whose manifest is gone:
+                // nothing is vouched for, everything intact is adopted.
+                files.retain(|(n, _)| n.ends_with(".bin"));
+                both_opens_agree(&files, &format!("{name} byte {at} flipped, no manifest"));
+            }
+        }
+
+        // A fourth record torn at every boundary, and whole (an orphan the
+        // manifest never saw): the store a killed insert leaves behind.
+        let mut probe = Vec::new();
+        codec::encode_profile(&profile(4, 4 << 12), &mut probe);
+        for cut in 0..=16 + probe.len() as u64 + 1 {
+            let (torn_dir, _) = tmp_store("difftorn");
+            for (name, bytes) in &base {
+                std::fs::write(torn_dir.join(name), bytes).expect("write");
+            }
+            let mut store = Store::open(&torn_dir).expect("open");
+            store.set_fault_plan(DiskFaultPlan { torn_write_after: Some(cut), ..Default::default() });
+            let _ = store.insert_profiles(&[(4, Some(profile(4, 4 << 12))), (5, Some(profile(5, 5 << 12)))]);
+            drop(store);
+            both_opens_agree(&files_of(&torn_dir), &format!("insert torn after {cut} bytes"));
+            std::fs::remove_dir_all(&torn_dir).ok();
+        }
+
+        // A healed key: damaged in seg-0000, rewritten into a new segment.
+        // Then the same files under the manifest from before the heal (a
+        // crash before the flush): the old address is the vouched one.
+        let mut damaged = base.clone();
+        let seg = damaged.iter_mut().find(|(n, _)| n == "seg-0000.bin").expect("segment");
+        seg.1[30] ^= 0x01;
+        for (name, bytes) in &damaged {
+            std::fs::write(dir.join(name), bytes).expect("write");
+        }
+        let mut store = Store::open(&dir).expect("open");
+        let to_heal: Vec<_> = three.iter().filter(|(k, _)| hit(&mut store, *k).is_none()).cloned().collect();
+        assert!(!to_heal.is_empty());
+        store.insert_profiles(&to_heal).expect("heal");
+        store.flush().expect("flush");
+        drop(store);
+        let healed = files_of(&dir);
+        both_opens_agree(&healed, "healed key");
+        // Vouching is by address, not by key: the stale copy of a healed key
+        // is checksummed (and neither adopted nor served); of seg-0000 only
+        // the record the manifest still addresses and that is not last, key
+        // 2's, goes unread.
+        assert_eq!(to_heal[0].0, 1, "byte 30 is in the first record");
+        let scan = segment::scan(&dir.join("seg-0000.bin"), SegmentKind::Profile, |_, _, _| false).expect("scan");
+        assert_eq!(
+            Store::open_checking_every_record(&dir).expect("open").open_crc_bytes
+                - Store::open(&dir).expect("open").open_crc_bytes,
+            segment::HEADER_LEN + scan.records[1].len
+        );
+        let mut stale = healed.clone();
+        let manifest = stale.iter_mut().find(|(n, _)| n == "manifest.json").expect("manifest");
+        manifest.1 = base.iter().find(|(n, _)| n == "manifest.json").expect("manifest").1.clone();
+        both_opens_agree(&stale, "stale manifest");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

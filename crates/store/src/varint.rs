@@ -22,27 +22,98 @@ pub fn put_u64(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads an LEB128 varint from `buf` at `*pos`, advancing `*pos`.
-pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, Error> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos).ok_or(Error::Truncated)?;
-        *pos += 1;
-        let payload = u64::from(b & 0x7F);
-        // The 10th byte carries bits 63.. — only 0 or 1 fit.
-        if shift == 63 && payload > 1 {
-            return Err(Error::Corrupt("varint overflows u64"));
-        }
-        v |= payload << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(Error::Corrupt("varint longer than 10 bytes"));
+/// Why a decode stopped. Two words wide, so a `Result<u64, DecodeError>`
+/// stays cheap on the per-varint path; decoders convert it to
+/// [`Error`] once, at their public boundary.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DecodeError {
+    /// The input ended inside a value.
+    Truncated,
+    /// The input is structurally invalid.
+    Corrupt(&'static str),
+}
+
+impl From<DecodeError> for Error {
+    fn from(e: DecodeError) -> Error {
+        match e {
+            DecodeError::Truncated => Error::Truncated,
+            DecodeError::Corrupt(detail) => Error::Corrupt(detail),
         }
     }
+}
+
+/// A read position in a byte buffer: the one varint reader.
+pub(crate) struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
+        Cursor { buf, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Reads one raw byte.
+    #[inline]
+    pub(crate) fn byte(&mut self) -> Result<u8, DecodeError> {
+        let b = *self.buf.get(self.pos).ok_or(DecodeError::Truncated)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// Reads an LEB128 varint. Most fields of a local access stream fit
+    /// one byte; longer ones take the out-of-line continuation.
+    #[inline]
+    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.u64_multibyte(),
+        }
+    }
+
+    #[inline(never)]
+    fn u64_multibyte(&mut self) -> Result<u64, DecodeError> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.byte()?;
+            let payload = u64::from(b & 0x7F);
+            // The 10th byte carries bits 63.. — only 0 or 1 fit.
+            if shift == 63 && payload > 1 {
+                return Err(DecodeError::Corrupt("varint overflows u64"));
+            }
+            v |= payload << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(DecodeError::Corrupt("varint longer than 10 bytes"));
+            }
+        }
+    }
+
+    /// Reads a value encoded by [`put_delta`] against the same `prev`.
+    #[inline]
+    pub(crate) fn delta(&mut self, prev: u64) -> Result<u64, DecodeError> {
+        Ok(prev.wrapping_add(unzigzag(self.u64()?) as u64))
+    }
+}
+
+/// Reads an LEB128 varint from `buf` at `*pos`, advancing `*pos`.
+pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, Error> {
+    let mut cur = Cursor { buf, pos: *pos };
+    let v = cur.u64();
+    *pos = cur.pos;
+    Ok(v?)
 }
 
 /// Maps a signed delta to an unsigned varint-friendly value
@@ -64,6 +135,35 @@ pub fn put_delta(prev: u64, cur: u64, out: &mut Vec<u8>) {
 /// Reads a value encoded by [`put_delta`] against the same `prev`.
 pub fn get_delta(prev: u64, buf: &[u8], pos: &mut usize) -> Result<u64, Error> {
     Ok(prev.wrapping_add(unzigzag(get_u64(buf, pos)?) as u64))
+}
+
+/// The byte-at-a-time reader [`Cursor::u64`] replaced, kept as the
+/// reference the arbitrary-bytes suite compares it with.
+#[cfg(test)]
+pub(crate) fn reference_get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, Error> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let b = *buf.get(*pos).ok_or(Error::Truncated)?;
+        *pos += 1;
+        let payload = u64::from(b & 0x7F);
+        if shift == 63 && payload > 1 {
+            return Err(Error::Corrupt("varint overflows u64"));
+        }
+        v |= payload << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+        if shift > 63 {
+            return Err(Error::Corrupt("varint longer than 10 bytes"));
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) fn reference_get_delta(prev: u64, buf: &[u8], pos: &mut usize) -> Result<u64, Error> {
+    Ok(prev.wrapping_add(unzigzag(reference_get_u64(buf, pos)?) as u64))
 }
 
 #[cfg(test)]
