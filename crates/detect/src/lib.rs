@@ -15,6 +15,7 @@ pub mod race;
 pub mod wakeup;
 
 use sb_vmm::exec::{ExecReport, Outcome};
+use sb_vmm::site::Site;
 
 pub use atomicctx::detect_sleep_in_atomic;
 pub use console::scan_console;
@@ -175,9 +176,9 @@ fn strip_numbers(s: &str) -> String {
     out
 }
 
-/// The stock sequence every analysis starts with: the outcome, the console
-/// scan and — when `race` — the data-race detector, in that order.
-fn stock_findings(report: &ExecReport, race: bool) -> Vec<Finding> {
+/// What every analysis starts with: the outcome and the console scan, in
+/// that order.
+fn outcome_findings(report: &ExecReport) -> Vec<Finding> {
     let mut findings = Vec::new();
     match &report.outcome {
         Outcome::Panic { msg } => findings.push(Finding::KernelPanic { msg: msg.clone() }),
@@ -186,22 +187,24 @@ fn stock_findings(report: &ExecReport, race: bool) -> Vec<Finding> {
         Outcome::Completed => {}
     }
     findings.extend(scan_console(&report.console));
-    if race {
-        for race in detect_races(&report.trace) {
-            findings.push(Finding::DataRace {
-                write_site: race.write_site.display_name(),
-                other_site: race.other_site.display_name(),
-                addr: race.addr,
-            });
-        }
-    }
     findings
+}
+
+/// Renders a race: both site names come out of the site registry.
+fn race_finding(race: &RaceReport) -> Finding {
+    Finding::DataRace {
+        write_site: race.write_site.display_name(),
+        other_site: race.other_site.display_name(),
+        addr: race.addr,
+    }
 }
 
 /// Runs the stock oracles (outcome, console, data races) over one execution
 /// report.
 pub fn analyze(report: &ExecReport) -> Vec<Finding> {
-    stock_findings(report, true)
+    let mut findings = outcome_findings(report);
+    findings.extend(detect_races(&report.trace).iter().map(race_finding));
+    findings
 }
 
 /// [`analyze`], counting raw (pre-dedup) detector hits as `detect.findings`
@@ -311,15 +314,21 @@ impl OracleSet {
     }
 }
 
-/// Per-job oracle state: the selected [`OracleSet`] plus the corpus-level
-/// [`RuleMiner`] the lock-rule oracle accumulates across a job's trials.
+/// Per-job oracle state: the selected [`OracleSet`], the corpus-level
+/// [`RuleMiner`] the lock-rule oracle accumulates across a job's trials, and
+/// the racing site pairs already reported.
 ///
-/// With [`OracleSet::race_only`] the output of [`OracleCtx::analyze`] is
-/// exactly that of the stock [`analyze`]: both are the same function.
+/// With [`OracleSet::race_only`] the first [`OracleCtx::analyze`] of a
+/// context returns exactly what the stock [`analyze`] does; later calls leave
+/// out the site pairs an earlier one returned.
 pub struct OracleCtx {
     /// The selected oracles.
     pub oracles: OracleSet,
     miner: RuleMiner,
+    /// Unordered site pairs of the races returned so far, and how many
+    /// detected races were left out for being one of them.
+    returned_races: Vec<(Site, Site)>,
+    repeats: u64,
 }
 
 impl OracleCtx {
@@ -328,6 +337,8 @@ impl OracleCtx {
         OracleCtx {
             oracles,
             miner: RuleMiner::new(),
+            returned_races: Vec::new(),
+            repeats: 0,
         }
     }
 
@@ -338,14 +349,28 @@ impl OracleCtx {
 
     /// Runs the selected oracles over one execution. Finding order is
     /// deterministic: outcome, console, races, then lock-rule violations,
-    /// missed wakeups, and sleeps-in-atomic. The lock rules are mined from
-    /// every execution this context has seen, but a violation is returned
-    /// by the first call it holds in and not again (see
-    /// [`RuleMiner::new_violations`]) — deduplicating by
-    /// [`Finding::dedup_key`] gives what it would give over the whole
-    /// recomputed set.
+    /// missed wakeups, and sleeps-in-atomic.
+    ///
+    /// The two oracles whose findings recur trial after trial report once
+    /// per context: a lock-rule violation is returned by the first call it
+    /// holds in and not again (see [`RuleMiner::new_violations`]), a race —
+    /// its two site names rendered — by the first call that detects its site
+    /// pair, on the address and with the write side that call saw.
+    /// [`Finding::dedup_key`] keys a race on its site pair alone, so
+    /// deduplicating what is returned by key, in order, gives what it would
+    /// give over every execution's full set.
     pub fn analyze(&mut self, report: &ExecReport) -> Vec<Finding> {
-        let mut findings = stock_findings(report, self.oracles.race);
+        let mut findings = outcome_findings(report);
+        if self.oracles.race {
+            for race in detect_races(&report.trace) {
+                if self.returned_races.contains(&race.pair_key()) {
+                    self.repeats += 1;
+                } else {
+                    self.returned_races.push(race.pair_key());
+                    findings.push(race_finding(&race));
+                }
+            }
+        }
         if self.oracles.lockrule {
             self.miner.observe(report);
             findings.extend(self.miner.new_violations());
@@ -359,12 +384,14 @@ impl OracleCtx {
         findings
     }
 
-    /// [`OracleCtx::analyze`], counting what it returned as
-    /// `detect.findings`: every per-execution hit, and each lock-rule
-    /// violation once per context (again after a lock rename).
+    /// [`OracleCtx::analyze`], counting raw detector hits as
+    /// `detect.findings`: every per-execution hit, returned or left out as a
+    /// repeat, and each lock-rule violation once per context (again after a
+    /// lock rename).
     pub fn analyze_traced(&mut self, report: &ExecReport, tracer: &sb_obs::Tracer) -> Vec<Finding> {
+        let before = self.repeats;
         let findings = self.analyze(report);
-        tracer.count(sb_obs::keys::FINDINGS, findings.len() as u64);
+        tracer.count(sb_obs::keys::FINDINGS, findings.len() as u64 + self.repeats - before);
         findings
     }
 }
@@ -498,6 +525,19 @@ mod tests {
         let stock = analyze(&report);
         let mut ctx = OracleCtx::new(OracleSet::race_only());
         assert_eq!(ctx.analyze(&report), stock);
-        assert!(!stock.is_empty());
+        assert_eq!(stock.len(), 2, "a console line and a race");
+        // The same execution again, and one where the two sites swap roles:
+        // the console line is per execution, the site pair was returned.
+        assert_eq!(ctx.analyze(&report), stock[..1]);
+        let mut swapped = report.clone();
+        swapped.trace = vec![mk(0, 0, "eq:r", AccessKind::Write), mk(1, 1, "eq:w", AccessKind::Read)];
+        assert_eq!(ctx.analyze(&swapped), stock[..1]);
+        assert_eq!(analyze(&swapped).len(), 2, "the stateless analysis forgets nothing");
+        // A repeat is still a hit of the detector.
+        let (tracer, sink) = sb_obs::Tracer::memory();
+        assert_eq!(ctx.analyze_traced(&report, &tracer), stock[..1]);
+        let lines = sink.lines();
+        let trace = sb_obs::TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
+        assert_eq!(trace.counter(sb_obs::keys::FINDINGS), 2);
     }
 }

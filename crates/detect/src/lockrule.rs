@@ -47,12 +47,12 @@
 //! execution's sites and locks before.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use sb_vmm::access::Access;
+use sb_vmm::access::{Access, LockSet};
 use sb_vmm::exec::ExecReport;
 use sb_vmm::mem::{is_stack_addr, MAX_THREADS};
-use sb_vmm::site::Site;
+use sb_vmm::site::{BuildStepHasher, Site};
 use sb_vmm::sync::{SyncEvent, SyncKind};
 
 use crate::Finding;
@@ -69,18 +69,31 @@ struct SiteStats {
     /// Accesses observed from this site.
     count: u64,
     /// Intersection of the lock sets held across every access from this
-    /// site, ascending.
-    always: Vec<u64>,
+    /// site, in the order the first of them held them.
+    always: LockSet,
+    /// The site that touched the same address next, as an [`AddrStats::first`].
+    next: u32,
 }
 
 #[derive(Default)]
 struct AddrStats {
-    /// One entry per site that touched the address, in first-seen order.
-    sites: Vec<SiteStats>,
+    /// The first site that touched the address — one past its index in
+    /// [`RuleMiner::sites`], 0 for none; the rest follow by `next`.
+    first: u32,
     /// (lock, site) violations [`RuleMiner::new_violations`] has returned.
     returned: Vec<(u64, Site)>,
     /// Accessed since the last [`RuleMiner::new_violations`].
     touched: bool,
+}
+
+/// The sites chained from `first` through `arena`, in first-seen order.
+fn chain(arena: &[SiteStats], first: u32) -> impl Iterator<Item = &SiteStats> + Clone {
+    let mut at = first;
+    std::iter::from_fn(move || {
+        let s = arena.get((at as usize).checked_sub(1)?)?;
+        at = s.next;
+        Some(s)
+    })
 }
 
 impl AddrStats {
@@ -88,27 +101,27 @@ impl AddrStats {
     /// touched this address without `lock` although `lock` protects it —
     /// held by at least [`MIN_SUPPORT`] accesses that form a 3/4 majority —
     /// by ascending lock address; sites of one lock in first-seen order.
-    fn rule_breakers(&self, mut visit: impl FnMut(u64, Site)) {
-        let total: u64 = self.sites.iter().map(|s| s.count).sum();
+    fn rule_breakers(&self, arena: &[SiteStats], mut visit: impl FnMut(u64, Site)) {
+        let sites = chain(arena, self.first);
+        let total: u64 = sites.clone().map(|s| s.count).sum();
         if total < MIN_SUPPORT {
             return;
         }
         // Candidate locks: any lock some site always held.
         let mut above = None;
-        while let Some(lock) = self
-            .sites
-            .iter()
+        while let Some(lock) = sites
+            .clone()
             .flat_map(|s| s.always.iter().copied())
             .filter(|l| above.is_none_or(|a| *l > a))
             .min()
         {
             above = Some(lock);
             let holds = |s: &&SiteStats| s.always.contains(&lock);
-            let support: u64 = self.sites.iter().filter(holds).map(|s| s.count).sum();
+            let support: u64 = sites.clone().filter(holds).map(|s| s.count).sum();
             if support < MIN_SUPPORT || support * 4 < total * 3 {
                 continue;
             }
-            for s in self.sites.iter().filter(|s| !holds(s)) {
+            for s in sites.clone().filter(|s| !holds(s)) {
                 visit(lock, s.site);
             }
         }
@@ -131,7 +144,11 @@ struct LockIdent {
 /// [`RuleMiner::new_violations`].
 #[derive(Default)]
 pub struct RuleMiner {
-    addrs: BTreeMap<u64, AddrStats>,
+    /// Looked up once per access; only the full recompute and a rename walk
+    /// it, and they sort.
+    addrs: HashMap<u64, AddrStats, BuildStepHasher>,
+    /// Every (address, site) statistic, chained per address.
+    sites: Vec<SiteStats>,
     /// Addresses whose [`AddrStats::touched`] is set.
     touched: Vec<u64>,
     locks: BTreeMap<u64, LockIdent>,
@@ -179,16 +196,21 @@ impl RuleMiner {
                 stats.touched = true;
                 self.touched.push(a.addr);
             }
-            match stats.sites.iter_mut().find(|s| s.site == a.site) {
-                Some(s) => {
+            // This site's place on the address's chain, or the chain's end.
+            let (mut at, mut last) = (stats.first, None);
+            while let Some(i) = (at as usize).checked_sub(1).filter(|i| self.sites[*i].site != a.site) {
+                (at, last) = (self.sites[i].next, Some(i));
+            }
+            match (at as usize).checked_sub(1) {
+                Some(i) => {
+                    let s = &mut self.sites[i];
                     s.count += 1;
                     s.always.retain(|l| a.locks.contains(l));
                 }
                 None => {
-                    let mut always = a.locks.to_vec();
-                    always.sort_unstable();
-                    always.dedup();
-                    stats.sites.push(SiteStats { site: a.site, count: 1, always });
+                    let new = self.sites.len() as u32 + 1;
+                    *last.map_or(&mut stats.first, |i| &mut self.sites[i].next) = new;
+                    self.sites.push(SiteStats { site: a.site, count: 1, always: a.locks.clone(), next: 0 });
                 }
             }
         }
@@ -293,9 +315,11 @@ impl RuleMiner {
     /// Deterministic and insensitive to observation order.
     pub fn violations(&self) -> Vec<Finding> {
         let mut out = Vec::new();
-        for (addr, stats) in &self.addrs {
+        let mut by_addr: Vec<(&u64, &AddrStats)> = self.addrs.iter().collect();
+        by_addr.sort_unstable_by_key(|(addr, _)| **addr);
+        for (addr, stats) in by_addr {
             let mut breakers = Vec::new();
-            stats.rule_breakers(|lock, site| breakers.push((lock, site)));
+            stats.rule_breakers(&self.sites, |lock, site| breakers.push((lock, site)));
             self.push_violations(*addr, breakers, &mut out);
         }
         let inversions = self.inversions().into_iter();
@@ -319,14 +343,13 @@ impl RuleMiner {
             self.order_changed = true;
             touched.clear();
             touched.extend(self.addrs.keys());
-        } else {
-            touched.sort_unstable();
         }
+        touched.sort_unstable();
         for addr in touched.drain(..) {
             let stats = self.addrs.get_mut(&addr).expect("touched addresses have statistics");
             stats.touched = false;
             let mut fresh = Vec::new();
-            stats.rule_breakers(|lock, site| {
+            stats.rule_breakers(&self.sites, |lock, site| {
                 if !stats.returned.contains(&(lock, site)) {
                     fresh.push((lock, site));
                 }

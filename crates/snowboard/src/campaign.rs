@@ -302,58 +302,70 @@ impl IncidentalIndex {
 /// read side that observed the written value over the overlap.
 pub fn channel_exercised(trace: &[sb_vmm::Access], pmc: &Pmc) -> bool {
     let [hw, hr] = pmc.hints();
-    let writes: Vec<&sb_vmm::Access> = trace
-        .iter()
-        .filter(|a| a.thread == 0 && hw.matches(a))
-        .collect();
-    if writes.is_empty() {
-        return false;
-    }
     trace
         .iter()
         .filter(|r| r.thread == 1 && hr.matches(r))
         .any(|r| {
-            writes.iter().any(|w| {
-                if w.seq >= r.seq {
-                    return false;
-                }
-                match sb_vmm::access::range_overlap(w.addr, w.len, r.addr, r.len) {
-                    Some((start, len)) => {
-                        w.project_value(start, len) == r.project_value(start, len)
-                    }
+            trace
+                .iter()
+                .filter(|w| w.thread == 0 && w.seq < r.seq && hw.matches(w))
+                .any(|w| match sb_vmm::access::range_overlap(w.addr, w.len, r.addr, r.len) {
+                    Some((start, len)) => w.project_value(start, len) == r.project_value(start, len),
                     None => false,
-                }
-            })
+                })
         })
 }
 
-/// One access of a trial trace as the incidental lookup sees it:
-/// (instruction, start, end). Sorted, the accesses of one instruction are a
-/// run ordered by address.
-type Seen = (Site, u64, u64);
+/// The reads, or the writes, of one trial trace as the incidental lookup
+/// sees them, chained by the low byte of the instruction's hash: a hint is
+/// held against the few accesses that can be its instruction's, not all.
+#[derive(Default)]
+struct SeenBySite {
+    /// Per low byte of a [`Site`]: one past the index in `seen` of the last
+    /// access pushed whose instruction has it, 0 for none. 256 entries.
+    heads: Vec<u32>,
+    /// (instruction, start, end, the head this access replaced).
+    seen: Vec<(Site, u64, u64, u32)>,
+}
 
-/// True if `seen` — sorted, all reads or all writes — holds an access whose
-/// instruction and range `h` matches.
-fn any_match(seen: &[Seen], h: &HintAccess) -> bool {
-    // An access ends at most `u8::MAX` bytes past its start, so nothing
-    // starting before `from` reaches into the hinted range.
-    let from = h.addr.saturating_sub(u64::from(u8::MAX));
-    let first = seen.partition_point(|s| (s.0, s.1) < (h.site, from));
-    seen[first..]
-        .iter()
-        .take_while(|s| s.0 == h.site && s.1 < h.end())
-        .any(|s| h.addr < s.2)
+impl SeenBySite {
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.heads.resize(256, 0);
+        self.seen.clear();
+    }
+
+    fn push(&mut self, a: &sb_vmm::Access) {
+        let head = &mut self.heads[(a.site.0 & 255) as usize];
+        self.seen.push((a.site, a.addr, a.end(), *head));
+        *head = self.seen.len() as u32;
+    }
+
+    /// The accesses chained with `site`'s, latest first.
+    fn chain(&self, site: Site) -> impl Iterator<Item = &(Site, u64, u64, u32)> {
+        let mut at = self.heads[(site.0 & 255) as usize];
+        std::iter::from_fn(move || {
+            let seen = self.seen.get((at as usize).checked_sub(1)?)?;
+            at = seen.3;
+            Some(seen)
+        })
+    }
+
+    /// True if some access is of `h`'s instruction and overlaps its range.
+    fn any_match(&self, h: &HintAccess) -> bool {
+        self.chain(h.site).any(|s| s.0 == h.site && h.addr < s.2 && s.1 < h.end())
+    }
 }
 
 /// Per-job state of the incidental-PMC pickup (Algorithm 2 lines 26–27):
 /// the PMCs already watched, and the buffers one trial's scan fills.
 #[derive(Default)]
 struct IncidentalScan {
-    watched: Vec<PmcId>,
-    /// The writes and the reads of the last trace scanned, each sorted and
-    /// free of duplicates.
-    writes: Vec<Seen>,
-    reads: Vec<Seen>,
+    /// One bit per [`PmcId`], set while watched; grown to the highest id set.
+    watched: Vec<u64>,
+    /// The writes and the reads of the last trace scanned.
+    writes: SeenBySite,
+    reads: SeenBySite,
     /// Its write instructions, in order of first execution.
     write_sites: Vec<Site>,
     /// Its unwatched PMCs whose write *and* read side both appeared.
@@ -361,13 +373,28 @@ struct IncidentalScan {
 }
 
 impl IncidentalScan {
+    /// Adds `id` to the watched PMCs.
+    fn watch(&mut self, id: PmcId) {
+        let word = id as usize / 64;
+        if self.watched.len() <= word {
+            self.watched.resize(word + 1, 0);
+        }
+        self.watched[word] |= 1 << (id % 64);
+    }
+
+    fn is_watched(&self, id: PmcId) -> bool {
+        self.watched.get(id as usize / 64).is_some_and(|w| w >> (id % 64) & 1 == 1)
+    }
+
     /// Scans a trial trace for PMCs (other than those already watched) whose
     /// write *and* read sides both appeared, and returns one at random,
     /// now watched.
     ///
     /// PMCs are considered by write instruction in order of first execution,
     /// then by id; only the first `MAX_CANDIDATES` unwatched ones are looked
-    /// at, whether or not their sides appeared.
+    /// at, whether or not their sides appeared. The answer depends on which
+    /// (instruction, range) accesses the trace holds, not on their order or
+    /// number, so nothing here sorts.
     fn pick(
         &mut self,
         trace: &[sb_vmm::Access],
@@ -380,40 +407,34 @@ impl IncidentalScan {
         self.write_sites.clear();
         for a in trace {
             if a.kind.is_write() {
-                self.writes.push((a.site, a.addr, a.end()));
-                // A trial executes a few dozen write instructions at most.
-                if !self.write_sites.contains(&a.site) {
+                if !self.writes.chain(a.site).any(|s| s.0 == a.site) {
                     self.write_sites.push(a.site);
                 }
+                self.writes.push(a);
             } else {
-                self.reads.push((a.site, a.addr, a.end()));
+                self.reads.push(a);
             }
-        }
-        for seen in [&mut self.writes, &mut self.reads] {
-            seen.sort_unstable();
-            seen.dedup();
         }
         self.candidates.clear();
         let mut unwatched = 0;
         'sites: for site in &self.write_sites {
-            let run = self.writes.partition_point(|s| s.0 < *site);
-            let len = self.writes[run..].iter().take_while(|s| s.0 == *site).count();
-            let writes = &self.writes[run..run + len];
             for (id, [hw, hr]) in index.written_by(*site) {
                 if unwatched >= MAX_CANDIDATES {
                     break 'sites;
                 }
-                if self.watched.contains(id) {
+                if self.is_watched(*id) {
                     continue;
                 }
                 unwatched += 1;
-                if any_match(writes, hw) && any_match(&self.reads, hr) {
+                if self.writes.any_match(hw) && self.reads.any_match(hr) {
                     self.candidates.push(*id);
                 }
             }
         }
         let pick = self.candidates.choose(rng).copied();
-        self.watched.extend(pick);
+        if let Some(id) = pick {
+            self.watch(id);
+        }
         pick
     }
 }
@@ -482,7 +503,7 @@ fn run_trials(
         sched.set_observer(Some(decisions.clone() as Arc<dyn sb_vmm::sched::DecisionObserver>));
     }
     let mut incidental = IncidentalScan::default();
-    incidental.watched.push(id);
+    incidental.watch(id);
     let mut out = PmcTestOutcome {
         pmc: Some(id),
         pair,
@@ -540,7 +561,7 @@ fn run_trials(
         costs.lap(Phase::Run);
         out.trials_run += 1;
         out.steps += r.report.steps;
-        out.exercised |= channel_exercised(&r.report.trace, pmc);
+        out.exercised = out.exercised || channel_exercised(&r.report.trace, pmc);
         let mut found_new = false;
         for f in oracle_ctx.analyze_traced(&r.report, &cfg.tracer) {
             if dedup.insert(f.dedup_key()) {
@@ -961,11 +982,12 @@ mod tests {
 
     /// Generated PMC sets and traces over a few instructions and a few
     /// cache lines of addresses — ranges that overlap, abut and miss, a set
-    /// with enough PMCs on one write instruction to hit the 256-candidate
-    /// cut, a few accesses far longer than a guest access can be — and
-    /// several trials per set, so the watch list fills up. The indexed scan
-    /// must list the same candidates in the same order and, from an equal
-    /// `StdRng`, pick the same one.
+    /// with enough PMCs on one write instruction that the 256-candidate cut
+    /// drops PMCs both of whose sides appeared, a few accesses far longer
+    /// than a guest access can be, instructions whose accesses share a chain
+    /// — and a sequence of scans per set over one watch set that grows past
+    /// its first word. The scan must list the same candidates in the same
+    /// order and, from an equal `StdRng`, pick the same one, every time.
     #[test]
     fn incidental_scan_matches_the_naive_two_scan_filter() {
         fn splitmix64(state: &mut u64) -> u64 {
@@ -975,20 +997,23 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
-        let sites: Vec<Site> = (0..6).map(|i| Site::intern(&format!("inc:site{i}"))).collect();
+        // Eight instructions, the last two chained with the first two:
+        // `Site` is a hash, so build the equal low bytes by hand.
+        let mut sites: Vec<Site> = (0..6).map(|i| Site::intern(&format!("inc:site{i}"))).collect();
+        sites.extend([Site(sites[0].0 ^ 0x100), Site(sites[1].0 ^ 0xAB00)]);
         let mut state = 0x1AC1_DE47_u64;
-        let (mut picked, mut cut, mut long_hits) = (0, 0, 0);
+        let (mut picked, mut cut, mut long_hits, mut chained) = (0, 0, 0, 0);
         for round in 0..40 {
             let crowded = round % 8 == 0;
             let side = |r: u64| SideKey {
                 // A crowded set has most of its writes on one instruction.
-                ins: if crowded && r & 3 != 0 { sites[0] } else { sites[(r >> 2) as usize % 6] },
+                ins: if crowded && r & 3 != 0 { sites[0] } else { sites[(r >> 2) as usize % 8] },
                 addr: 0x2000 + (r >> 8) % 96,
                 len: 1 + ((r >> 16) % 8) as u8,
                 value: r >> 24,
             };
             let set = PmcSet {
-                pmcs: (0..if crowded { 700 } else { 60 })
+                pmcs: (0..if crowded { 700 } else { 90 })
                     .map(|_| Pmc {
                         key: PmcKey {
                             w: side(splitmix64(&mut state)),
@@ -1004,14 +1029,14 @@ mod tests {
             let mut watched = Vec::new();
             let mut rng = StdRng::seed_from_u64(round);
             let mut naive_rng = StdRng::seed_from_u64(round);
-            for _ in 0..12 {
+            for _ in 0..24 {
                 let trace: Vec<sb_vmm::Access> = (0..splitmix64(&mut state) % 70)
                     .map(|seq| {
                         let r = splitmix64(&mut state);
                         sb_vmm::Access {
                             seq,
                             thread: (r & 1) as usize,
-                            site: sites[(r >> 1) as usize % 6],
+                            site: sites[(r >> 1) as usize % 8],
                             kind: [AccessKind::Read, AccessKind::Write][(r >> 4 & 1) as usize],
                             addr: 0x2000 + (r >> 8) % 96,
                             // Now and then far past 8 bytes: `matches` takes
@@ -1024,24 +1049,40 @@ mod tests {
                         }
                     })
                     .collect();
+                // What the cut costs: a PMC the scan would have listed, had
+                // it been allowed to look at it.
+                let appeared = |id: &PmcId| {
+                    let [hw, hr] = set.get(*id).hints();
+                    trace.iter().any(|a| hw.matches(a)) && trace.iter().any(|a| hr.matches(a))
+                };
+                let ids = 0..set.pmcs.len() as PmcId;
+                let uncut = ids.filter(|id| !watched.contains(id) && appeared(id)).count();
                 let (candidates, pick) = naive_pick(&trace, &set, &mut watched, &mut naive_rng);
                 assert_eq!(scan.pick(&trace, &index, &mut rng), pick, "round {round}");
                 assert_eq!(scan.candidates, candidates, "round {round}");
-                assert_eq!(scan.watched, watched);
+                for id in 0..set.pmcs.len() as PmcId + 70 {
+                    assert_eq!(scan.is_watched(id), watched.contains(&id), "round {round} PMC {id}");
+                }
                 picked += usize::from(pick.is_some());
-                let writes_crowd = |a: &sb_vmm::Access| a.kind.is_write() && a.site == sites[0];
-                cut += usize::from(crowded && trace.iter().any(writes_crowd));
+                cut += usize::from(uncut > candidates.len());
                 long_hits += usize::from(candidates.iter().any(|id| {
                     let [hw, hr] = set.get(*id).hints();
                     let only_long =
                         |h: &HintAccess| !trace.iter().any(|a| a.len <= 8 && h.matches(a));
                     only_long(&hw) || only_long(&hr)
                 }));
+                // A read instruction the trace lacks whose chain another one
+                // started: walking it must tell the two apart.
+                let reads = |s: Site| trace.iter().any(|a| !a.kind.is_write() && a.site == s);
+                let pairs = [(0, 6), (6, 0), (1, 7), (7, 1)];
+                chained += usize::from(pairs.iter().any(|(a, b)| reads(sites[*a]) && !reads(sites[*b])));
             }
+            assert!(watched.iter().any(|id| *id >= 64) && watched.len() >= 12, "round {round}: {watched:?}");
         }
-        assert!(picked >= 300, "only {picked} scans picked anything");
-        assert!(cut >= 30, "only {cut} scans met more than 256 PMCs of one instruction");
-        assert!(long_hits >= 5, "only {long_hits} scans owed a candidate to an over-long access");
+        assert!(picked >= 600, "only {picked} scans picked anything");
+        assert!(cut >= 60, "only {cut} scans lost a candidate to the 256 cut");
+        assert!(long_hits >= 10, "only {long_hits} scans owed a candidate to an over-long access");
+        assert!(chained >= 100, "only {chained} scans chained a present instruction with an absent one");
     }
 
     /// What a job did before its scheduler ran inside the recorder: copy the
@@ -1071,7 +1112,7 @@ mod tests {
             sched.set_observer(Some(decisions.clone()));
         }
         let mut incidental = IncidentalScan::default();
-        incidental.watched.push(id);
+        incidental.watch(id);
         let mut out = outcome(pair, 0, 0, false, vec![]);
         out.pmc = Some(id);
         let mut dedup = std::collections::HashSet::new();
@@ -1201,6 +1242,185 @@ mod tests {
         }
         assert!(jobs >= 400 && schedules >= 200, "{jobs} jobs, {schedules} with a schedule");
         assert!(hits > 1000, "only {hits} hint hits observed through the recorder");
+    }
+
+    /// A job as it was judged before this module and `sb_detect` looked only
+    /// at what a trial can have changed: the race scan over every candidate
+    /// access sorted by address, every race rendered every trial, the channel
+    /// check collecting its writes every trial, exercised or not, and
+    /// [`naive_pick`] for the pickup. The lock-rule miner and the two sync
+    /// oracles are the crate's own. Also returns the raw detector hits.
+    fn test_one_pmc_judging_everything(
+        exec: &mut Executor,
+        p: &crate::Pipeline,
+        id: PmcId,
+        seed: u64,
+        cfg: &CampaignCfg,
+    ) -> (PmcTestOutcome, SnowboardSched, StdRng, u64) {
+        use sb_vmm::exec::Outcome;
+        let pmc = p.pmcs.get(id);
+        let [hw, hr] = pmc.hints();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pair = *pmc.pairs.choose(&mut rng).expect("a PMC has a pair");
+        let the_pair = || {
+            [pair.0, pair.1]
+                .map(|test| p.booted.kernel.process_job(p.corpus[test as usize].clone()))
+                .into()
+        };
+        let mut sched = RecordingSched::new(SnowboardSched::new(seed, pmc.hints()));
+        let mut watched = vec![id];
+        let mut out = outcome(pair, 0, 0, false, vec![]);
+        out.pmc = Some(id);
+        let mut dedup = std::collections::HashSet::new();
+        let mut miner = sb_detect::RuleMiner::new();
+        let mut raw_hits = 0;
+        for trial in 0..cfg.trials_per_pmc {
+            sched.restart();
+            sched.inner_mut().begin_trial(seed.wrapping_add(u64::from(trial)));
+            let r = exec.run(p.booted.snapshot.clone(), the_pair(), &mut sched);
+            let (report, trace) = (&r.report, &r.report.trace);
+            out.trials_run += 1;
+            out.steps += report.steps;
+            let writes: Vec<&sb_vmm::Access> =
+                trace.iter().filter(|a| a.thread == 0 && hw.matches(a)).collect();
+            out.exercised |= trace.iter().filter(|r| r.thread == 1 && hr.matches(r)).any(|r| {
+                writes.iter().any(|w| {
+                    w.seq < r.seq
+                        && sb_vmm::access::range_overlap(w.addr, w.len, r.addr, r.len)
+                            .is_some_and(|(at, len)| w.project_value(at, len) == r.project_value(at, len))
+                })
+            });
+            let mut findings = match &report.outcome {
+                Outcome::Panic { msg } => vec![Finding::KernelPanic { msg: msg.clone() }],
+                Outcome::Deadlock => vec![Finding::Deadlock],
+                Outcome::Livelock => vec![Finding::Livelock],
+                Outcome::Completed => vec![],
+            };
+            findings.extend(sb_detect::scan_console(&report.console));
+            if cfg.oracles.race {
+                let mut sorted: Vec<&sb_vmm::Access> =
+                    trace.iter().filter(|a| !sb_vmm::mem::is_stack_addr(a.addr)).collect();
+                sorted.sort_by_key(|a| a.addr);
+                let mut seen = std::collections::HashSet::new();
+                for (i, a) in sorted.iter().enumerate() {
+                    for b in sorted[i + 1..].iter().take_while(|b| b.addr < a.end()) {
+                        let racing = a.thread != b.thread
+                            && (a.kind.is_write() || b.kind.is_write())
+                            && !(a.atomic && b.atomic)
+                            && a.overlaps(b)
+                            && !a.shares_lock_with(b)
+                            && a.seq.abs_diff(b.seq) <= sb_detect::race::PROXIMITY_WINDOW;
+                        let (w, o) = if a.kind.is_write() { (a, b) } else { (b, a) };
+                        if racing && seen.insert((w.site.min(o.site), w.site.max(o.site), b.addr)) {
+                            findings.push(Finding::DataRace {
+                                write_site: w.site.display_name(),
+                                other_site: o.site.display_name(),
+                                addr: b.addr,
+                            });
+                        }
+                    }
+                }
+            }
+            if cfg.oracles.lockrule {
+                miner.observe(report);
+                findings.extend(miner.new_violations());
+            }
+            if cfg.oracles.wakeup {
+                findings.extend(sb_detect::detect_missed_wakeups(&report.sync_events));
+            }
+            if cfg.oracles.atomic {
+                findings.extend(sb_detect::detect_sleep_in_atomic(&report.sync_events));
+            }
+            raw_hits += findings.len() as u64;
+            let mut found_new = false;
+            for f in findings {
+                if dedup.insert(f.dedup_key()) {
+                    out.findings.push(f);
+                    found_new = true;
+                }
+            }
+            if found_new && out.first_finding_trial.is_none() {
+                out.first_finding_trial = Some(trial);
+                out.repro_schedule = Some(sched.schedule().clone());
+            }
+            let stop = found_new && cfg.stop_on_finding;
+            if cfg.incidental && !stop {
+                if let (_, Some(new_id)) = naive_pick(trace, &p.pmcs, &mut watched, &mut rng) {
+                    sched.inner_mut().add_pmc(p.pmcs.get(new_id).hints());
+                }
+            }
+            if stop {
+                break;
+            }
+        }
+        (out, sched.finish().1, rng, raw_hits)
+    }
+
+    /// The judged half of a job — race scan across thread switches, a race
+    /// rendered once per job, the channel check skipped once exercised, the
+    /// chained pickup — against a job that judges everything every trial, on
+    /// the shape no command line reaches: the `trials-hot` one (16 trials
+    /// whatever they find, pickup on, every oracle), four seeds, the first 64
+    /// S-INS-PAIR exemplars of each. Equal outcomes — findings in order, first
+    /// finding trial, reproduction schedule, steps, exercised — equal flags
+    /// learned, equal next draws of both random streams, and as many raw
+    /// detector hits counted as the reference returned.
+    #[test]
+    fn a_job_is_judged_as_when_every_trial_was_judged_in_full() {
+        use rand::Rng;
+        use sb_vmm::sched::Scheduler;
+        let (mut findings, mut exercised, mut pickups, mut repeats) = (0, 0, 0, 0);
+        for seed in [2021u64, 7, 31_337, 60_606] {
+            let p = crate::Pipeline::prepare(
+                sb_kernel::KernelConfig::v5_12_rc3(),
+                crate::PipelineCfg {
+                    seed,
+                    corpus_target: 100,
+                    fuzz_budget: 1500,
+                    workers: 1,
+                    catalog: crate::Catalog::Extended,
+                    ..Default::default()
+                },
+            );
+            let index = IncidentalIndex::build(&p.pmcs);
+            let order = crate::select::ClusterOrder::UncommonFirst;
+            let exemplars = p.exemplars(crate::Strategy::SInsPair, order);
+            let (tracer, sink) = sb_obs::Tracer::memory();
+            let cfg = CampaignCfg {
+                seed,
+                trials_per_pmc: 16,
+                stop_on_finding: false,
+                tracer,
+                ..CampaignCfg::default()
+            };
+            let mut exec = Executor::new(2);
+            let mut raw_hits = 0;
+            for (job, id) in exemplars.iter().take(64).enumerate() {
+                let job_seed = seed.wrapping_add((job as u64).wrapping_mul(JOB_SEED_STRIDE));
+                let dog = Watchdog::start(cfg.budget);
+                let (out, mut sched, mut rng) =
+                    run_trials(&mut exec, &p.booted, &p.corpus, &p.pmcs, &index, *id, job_seed, &cfg, &dog)
+                        .expect("no job fails");
+                let (ref_out, mut ref_sched, mut ref_rng, hits) =
+                    test_one_pmc_judging_everything(&mut exec, &p, *id, job_seed, &cfg);
+                let at = format!("seed {seed} job {job}");
+                assert_eq!(out, ref_out, "{at}");
+                assert_eq!(sched.flag_count(), ref_sched.flag_count(), "{at}");
+                assert_eq!(sched.pick(0, &[0, 1, 2, 3]), ref_sched.pick(0, &[0, 1, 2, 3]), "{at}");
+                assert_eq!(rng.gen_range(0..u64::MAX), ref_rng.gen_range(0..u64::MAX), "{at}");
+                raw_hits += hits;
+                findings += out.findings.len() as u64;
+                exercised += u64::from(out.exercised);
+            }
+            let lines = sink.lines();
+            let trace = sb_obs::TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
+            assert_eq!(trace.counter(sb_obs::keys::FINDINGS), raw_hits, "seed {seed}");
+            pickups += trace.counter(sb_obs::keys::INCIDENTAL_PMCS);
+            repeats += raw_hits;
+        }
+        repeats -= findings;
+        assert!(findings >= 200 && repeats >= 2000, "{findings} findings kept, {repeats} repeats");
+        assert!(exercised >= 40 && pickups >= 2000, "{exercised} jobs exercised, {pickups} pickups");
     }
 
     #[test]

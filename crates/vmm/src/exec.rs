@@ -240,8 +240,8 @@ struct RunState<'a> {
     held: [LockSet; MAX_THREADS],
     // The four maps below are keyed by guest lock and wait-queue addresses.
     // None is iterated in an order that reaches the report:
-    // `expire_sleepers` sorts the keys it walks, thread exit only `retain`s
-    // within each `prepared` entry, the rest are point lookups.
+    // `expire_sleepers` takes the lowest due key it finds, thread exit only
+    // `retain`s within each `prepared` entry, the rest are point lookups.
     lock_owner: HashMap<u64, usize, BuildStepHasher>,
     lock_waiters: HashMap<u64, VecDeque<(usize, Site)>, BuildStepHasher>,
     rcu_depth: [u8; MAX_THREADS],
@@ -655,10 +655,9 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
             if all || delivered == 0 {
                 // Bank the signal on threads that have prepared but not
                 // yet committed: their commit will return immediately.
-                let prep = st.prepared.get(&queue).cloned().unwrap_or_default();
-                for u in prep {
-                    if !st.tokens[u].contains(&queue) {
-                        st.tokens[u].push(queue);
+                for u in st.prepared.get(&queue).into_iter().flatten() {
+                    if !st.tokens[*u].contains(&queue) {
+                        st.tokens[*u].push(queue);
                         delivered += 1;
                     }
                     if !all && delivered > 0 {
@@ -752,31 +751,30 @@ impl RunState<'_> {
 
     /// Releases every sleeping thread whose deadline has passed with a
     /// timed-out (`Value(0)`) result, recording a [`SyncKind::SleepTimeout`]
-    /// event per release. Queue order is sorted for determinism.
+    /// event per release: queues by ascending address, for determinism, the
+    /// sleepers of one queue in the order they went to sleep.
     fn expire_sleepers(&mut self) {
         if self.wait_sleepers.is_empty() {
             return;
         }
         let now = self.steps;
-        let mut queues: Vec<u64> = self.wait_sleepers.keys().copied().collect();
-        queues.sort_unstable();
-        for q in queues {
-            let mut sleepers = self.wait_sleepers.remove(&q).unwrap_or_default();
-            let mut rest = VecDeque::new();
-            while let Some((w, wsite)) = sleepers.pop_front() {
-                match self.sleep_deadline[w] {
-                    Some(d) if d <= now => {
-                        self.status[w] = TStat::Ready;
-                        self.owed[w] = Some(Reply::Value(0));
-                        self.sleep_deadline[w] = None;
-                        self.sync_event(w, wsite, SyncKind::SleepTimeout, q, 0);
-                    }
-                    _ => rest.push_back((w, wsite)),
-                }
-            }
-            if !rest.is_empty() {
-                self.wait_sleepers.insert(q, rest);
-            }
+        // One sleeper per round — there are at most `MAX_THREADS` — found
+        // where it waits, so that a call collects nothing.
+        while let Some((q, at)) = self
+            .wait_sleepers
+            .iter()
+            .filter_map(|(q, sleepers)| {
+                let due = |(w, _): &(usize, Site)| self.sleep_deadline[*w].is_some_and(|d| d <= now);
+                Some((*q, sleepers.iter().position(due)?))
+            })
+            .min()
+        {
+            let sleepers = self.wait_sleepers.get_mut(&q).expect("found in it");
+            let (w, wsite) = sleepers.remove(at).expect("found at that position");
+            self.status[w] = TStat::Ready;
+            self.owed[w] = Some(Reply::Value(0));
+            self.sleep_deadline[w] = None;
+            self.sync_event(w, wsite, SyncKind::SleepTimeout, q, 0);
         }
     }
 
