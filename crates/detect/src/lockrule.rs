@@ -375,6 +375,7 @@ impl RuleMiner {
 mod tests {
     use super::*;
     use sb_vmm::access::AccessKind;
+    use sb_vmm::rng::SplitMix64;
     use sb_vmm::site;
 
     fn acc(thread: usize, name: &str, addr: u64, locks: Vec<u64>) -> Access {
@@ -718,27 +719,20 @@ mod tests {
     /// late executions.
     #[test]
     fn incremental_emissions_dedup_like_the_full_recompute_on_random_corpora() {
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         const LOCKS: [u64; 3] = [L, M, 0x9200];
         const SITES: [&str; 8] =
             ["rd:s0", "rd:s0", "rd:s0", "rd:s0", "rd:s1", "rd:s1", "rd:s2", "rd:slips"];
         const ACQUIRE_SITES: [&str; 7] =
             ["lock", "rd:m_acq", "rd:c_acq", "rd:x_acq", "rd:a_acq", "rd:t_acq", "rd:f_acq"];
-        let mut rng = 0x5EED_1E55_u64;
+        let mut rng = SplitMix64::new(0x5EED_1E55);
         let (mut renamed, mut inverted, mut regained) = (0, 0, 0);
         for _ in 0..60 {
             let mut corpus = Vec::new();
-            for nth in 0..(6 + splitmix64(&mut rng) % 14) as usize {
-                let careless_burst = splitmix64(&mut rng) & 3 == 0;
-                let trace: Vec<Access> = (0..splitmix64(&mut rng) % 24)
+            for nth in 0..(6 + rng.next_u64() % 14) as usize {
+                let careless_burst = rng.next_u64() & 3 == 0;
+                let trace: Vec<Access> = (0..rng.next_u64() % 24)
                     .map(|_| {
-                        let r = splitmix64(&mut rng);
+                        let r = rng.next_u64();
                         let careless = if careless_burst { r & 3 != 0 } else { r & 15 == 0 };
                         let site =
                             if careless { "rd:careless" } else { SITES[(r >> 4 & 7) as usize] };
@@ -762,9 +756,9 @@ mod tests {
                     })
                     .collect();
                 let names = &ACQUIRE_SITES[..(2 + nth / 2).min(ACQUIRE_SITES.len())];
-                let events: Vec<SyncEvent> = (0..splitmix64(&mut rng) % 8)
+                let events: Vec<SyncEvent> = (0..rng.next_u64() % 8)
                     .map(|_| {
-                        let r = splitmix64(&mut rng);
+                        let r = rng.next_u64();
                         let kind =
                             if r & 3 == 0 { SyncKind::LockRelease } else { SyncKind::LockAcquire };
                         let name = names[(r >> 8) as usize % names.len()];

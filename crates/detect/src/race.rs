@@ -133,6 +133,7 @@ mod tests {
     use super::*;
     use sb_vmm::access::AccessKind;
     use sb_vmm::mem::stack_base;
+    use sb_vmm::rng::SplitMix64;
     use sb_vmm::site;
 
     fn acc(
@@ -414,21 +415,14 @@ mod tests {
     /// windows 0, 1, 8, 9 and 50. Equal reports, in equal order.
     #[test]
     fn switch_scan_matches_the_sorted_scan_and_the_definition() {
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         let sites: Vec<Site> = (0..8).map(|i| Site::intern(&format!("eq:site{i}"))).collect();
-        let mut state = 0x5EED_2ACE_u64;
+        let mut state = SplitMix64::new(0x5EED_2ACE);
         let (mut reports, mut racy, mut two_addr, mut three_way) = (0, 0, 0, 0);
         for _ in 0..2000 {
             let (mut seq, mut thread) = (0, 0);
-            let trace: Vec<Access> = (0..splitmix64(&mut state) % 48)
+            let trace: Vec<Access> = (0..state.next_u64() % 48)
                 .map(|_| {
-                    let r = splitmix64(&mut state);
+                    let r = state.next_u64();
                     // Runs: a thread keeps the vCPU two times in three.
                     if r & 3 == 0 {
                         thread = (r >> 2) as usize % 3;

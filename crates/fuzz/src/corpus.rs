@@ -4,9 +4,6 @@
 //! the fixed boot snapshot, measure their edge coverage, and keep a subset
 //! with "high coverage but low overlap of exercised behaviors".
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-
 use sb_kernel::prog::{Domain, IoctlCmd, MsgCmd, Path, Program, Res, Syscall};
 use sb_kernel::BootedKernel;
 use sb_vmm::sched::FreeRun;
@@ -220,8 +217,8 @@ pub fn build_corpus_with(
         let prog = if corpus.is_empty() || g.rng().gen_bool(0.4) {
             g.gen_program(6)
         } else {
-            let base = corpus.choose(g.rng()).cloned().expect("non-empty corpus");
-            let other = corpus.choose(g.rng()).cloned();
+            let base = g.rng().choose(&corpus).cloned().expect("non-empty corpus");
+            let other = g.rng().choose(&corpus).cloned();
             mutate(&mut g, &base, other.as_ref(), 8)
         };
         try_program(prog, &mut exec, &mut coverage, &mut corpus, &mut stats);

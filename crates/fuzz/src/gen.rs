@@ -6,13 +6,10 @@
 //! repair pass ([`fix_program`]) restores well-formedness after structural
 //! mutations.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-
 use sb_kernel::prog::{
     MsgCmd, Path, Program, Res, Syscall, DOMAINS, IOCTL_CMDS, SOCK_OPTS,
 };
+use sb_vmm::rng::SplitMix64;
 
 /// The resource classes a call can produce.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -90,7 +87,7 @@ pub enum Catalog {
 
 /// Random program generator with typed resources.
 pub struct ProgGen {
-    rng: StdRng,
+    rng: SplitMix64,
     catalog: Catalog,
 }
 
@@ -103,7 +100,7 @@ impl ProgGen {
     /// Creates a generator from a seed with an explicit catalog.
     pub fn with_catalog(seed: u64, catalog: Catalog) -> Self {
         ProgGen {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             catalog,
         }
     }
@@ -129,7 +126,7 @@ impl ProgGen {
             ResKind::Fd => {
                 if self.rng.gen_bool(0.5) {
                     Syscall::Socket {
-                        domain: *DOMAINS.choose(&mut self.rng).expect("non-empty"),
+                        domain: *self.rng.choose(&DOMAINS).expect("non-empty"),
                     }
                 } else {
                     Syscall::Open { path: self.gen_path() }
@@ -154,7 +151,7 @@ impl ProgGen {
         };
         match k {
             0 => Syscall::Socket {
-                domain: *DOMAINS.choose(&mut self.rng).expect("non-empty"),
+                domain: *self.rng.choose(&DOMAINS).expect("non-empty"),
             },
             1 => Syscall::Connect {
                 sock: r,
@@ -166,13 +163,13 @@ impl ProgGen {
             },
             3 => Syscall::Setsockopt {
                 sock: r,
-                opt: *SOCK_OPTS.choose(&mut self.rng).expect("non-empty"),
+                opt: *self.rng.choose(&SOCK_OPTS).expect("non-empty"),
                 val: self.rng.gen_range(0..8),
             },
             4 => Syscall::Getsockname { sock: r },
             5 => Syscall::Ioctl {
                 fd: r,
-                cmd: *IOCTL_CMDS.choose(&mut self.rng).expect("non-empty"),
+                cmd: *self.rng.choose(&IOCTL_CMDS).expect("non-empty"),
                 arg: self.rng.gen_range(0..16),
             },
             6 => Syscall::Open { path: self.gen_path() },
@@ -264,7 +261,7 @@ impl ProgGen {
                         .filter(|(_, c)| produces(c) == Some(kind))
                         .map(|(i, _)| i)
                         .collect();
-                    if let Some(&i) = producers.choose(&mut self.rng) {
+                    if let Some(&i) = self.rng.choose(&producers) {
                         calls.push(with_res(&template, Res(i as u8)));
                     } else if calls.len() + 1 < target + 2 {
                         // Insert the missing producer first, then the call.
@@ -281,7 +278,7 @@ impl ProgGen {
     }
 
     /// Access to the generator's RNG (used by the mutator).
-    pub fn rng(&mut self) -> &mut StdRng {
+    pub fn rng(&mut self) -> &mut SplitMix64 {
         &mut self.rng
     }
 }
@@ -289,7 +286,7 @@ impl ProgGen {
 /// Repairs a program after structural edits: every [`Res`] argument must
 /// point to an earlier call producing the right resource class; calls whose
 /// requirements cannot be satisfied are dropped.
-pub fn fix_program(p: &Program, rng: &mut StdRng) -> Program {
+pub fn fix_program(p: &Program, rng: &mut SplitMix64) -> Program {
     let mut fixed: Vec<Syscall> = Vec::with_capacity(p.calls.len());
     for call in &p.calls {
         match requires(call) {
@@ -311,7 +308,7 @@ pub fn fix_program(p: &Program, rng: &mut StdRng) -> Program {
                     .filter(|(_, c)| produces(c) == Some(kind))
                     .map(|(i, _)| i)
                     .collect();
-                if let Some(&i) = producers.choose(rng) {
+                if let Some(&i) = rng.choose(&producers) {
                     fixed.push(with_res(call, Res(i as u8)));
                 }
                 // Otherwise the call is dropped.
@@ -401,7 +398,7 @@ mod tests {
 
     #[test]
     fn fix_program_repairs_dangling_refs() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         // sendmsg referencing call 5 which does not exist.
         let broken = Program::new(vec![
             Syscall::Socket { domain: Domain::Inet },
@@ -414,7 +411,7 @@ mod tests {
 
     #[test]
     fn fix_program_drops_unsatisfiable_calls() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         let broken = Program::new(vec![Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid }]);
         let fixed = fix_program(&broken, &mut rng);
         assert!(fixed.is_empty());
@@ -422,7 +419,7 @@ mod tests {
 
     #[test]
     fn fix_program_respects_resource_kinds() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::new(4);
         // msgctl pointing at a socket: must be re-pointed at the msgget.
         let broken = Program::new(vec![
             Syscall::Socket { domain: Domain::Inet },

@@ -4,10 +4,6 @@
 //! the [`crate::gen::fix_program`] repair pass before returning, so mutated
 //! programs are always well-formed.
 
-
-use rand::seq::SliceRandom;
-use rand::Rng;
-
 use sb_kernel::prog::{Program, Syscall};
 
 use crate::gen::{fix_program, ProgGen};
@@ -92,15 +88,15 @@ fn remix_args(g: &mut ProgGen, c: &Syscall) -> Syscall {
     let mut c = c.clone();
     let rng = g.rng();
     match &mut c {
-        Syscall::Socket { domain } => *domain = *DOMAINS.choose(rng).expect("non-empty"),
+        Syscall::Socket { domain } => *domain = *rng.choose(&DOMAINS).expect("non-empty"),
         Syscall::Connect { tunnel_id, .. } => *tunnel_id = rng.gen_range(0..4),
         Syscall::Sendmsg { len, .. } => *len = rng.gen_range(0..16),
         Syscall::Setsockopt { opt, val, .. } => {
-            *opt = *SOCK_OPTS.choose(rng).expect("non-empty");
+            *opt = *rng.choose(&SOCK_OPTS).expect("non-empty");
             *val = rng.gen_range(0..8);
         }
         Syscall::Ioctl { cmd, arg, .. } => {
-            *cmd = *IOCTL_CMDS.choose(rng).expect("non-empty");
+            *cmd = *rng.choose(&IOCTL_CMDS).expect("non-empty");
             *arg = rng.gen_range(0..16);
         }
         Syscall::Read { off, .. } => *off = rng.gen_range(0..16),

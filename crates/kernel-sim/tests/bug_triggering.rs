@@ -213,10 +213,8 @@ fn blk_write_prog() -> Program {
 fn bug4_blk_io_error_under_some_interleaving() {
     let booted = boot(KernelConfig::v5_3_10());
     // 256 attempts, not 128: the window where bug #4's capacity shrink can
-    // race the in-flight write is narrow, and which seeds open it depends on
-    // the RNG stream. A 256-seed sweep covers every stream observed so far
-    // (a vendored rand first hits it at seed 184) and is a strict superset
-    // of the original 128, so previously passing builds keep passing.
+    // race the in-flight write is narrow. Under `sb_vmm::rng` one seed of
+    // the 256 opens it, seed 184.
     let (_p, consoles) = run_many(&booted, &blk_shrink_prog(), &blk_write_prog(), 256);
     assert!(
         consoles

@@ -786,16 +786,12 @@ mod tests {
         }
     }
 
-    /// splitmix64.
-    struct Rng(u64);
+    /// The seeded stream of the sweeps below, with the shapes they draw.
+    struct Rng(sb_vmm::rng::SplitMix64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.0.next_u64()
         }
 
         fn below(&mut self, n: usize) -> usize {
@@ -881,10 +877,9 @@ mod tests {
             "{", "}", "[", "]", ":", ",", "\"", " ", "\n", "0", "7", "18446744073709551615", "18446744073709551616",
             "1.5", "-", "true", "false", "null", "nul", "\"k\"", "\\u00e9", "\\n", "\\", "λ",
         ];
-        let mut rng = Rng(0x5EED_0021);
+        let mut rng = Rng(sb_vmm::rng::SplitMix64::new(0x5EED_0021));
         for case in 0..10_000u32 {
-            let seed = rng.0;
-            let what = format!("case {case} (rng state {seed:#x})");
+            let what = format!("case {case} ({:x?})", rng.0);
             // Raw bytes (made a `str` the lossy way), a token soup, and a
             // rendered random document cut or flipped somewhere.
             let raw: Vec<u8> = (0..rng.below(4097)).map(|_| rng.next() as u8).collect();

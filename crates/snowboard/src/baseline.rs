@@ -6,11 +6,8 @@
 //! identical copy of itself. Without a scheduling hint, trials explore
 //! interleavings with an unguided random scheduler.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-
 use sb_kernel::{BootedKernel, Program};
+use sb_vmm::rng::SplitMix64;
 use sb_vmm::sched::RandomSched;
 use sb_vmm::Executor;
 
@@ -48,7 +45,7 @@ pub fn run_baseline(
     stop_on_finding: bool,
 ) -> CampaignReport {
     assert!(!corpus.is_empty(), "baseline needs a corpus");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let pairs: Vec<(u32, u32)> = (0..n_tests)
         .map(|_| {
             let a = rng.gen_range(0..corpus.len()) as u32;

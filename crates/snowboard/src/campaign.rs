@@ -39,13 +39,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 use sb_detect::{Finding, OracleCtx, OracleSet};
 use sb_kernel::{BootedKernel, Program};
 use sb_vmm::replay::{RecordingSched, Schedule};
+use sb_vmm::rng::SplitMix64;
 use sb_vmm::sched::{HintAccess, Scheduler as _, SnowboardSched};
 use sb_vmm::site::Site;
 use sb_vmm::Executor;
@@ -399,7 +396,7 @@ impl IncidentalScan {
         &mut self,
         trace: &[sb_vmm::Access],
         index: &IncidentalIndex,
-        rng: &mut StdRng,
+        rng: &mut SplitMix64,
     ) -> Option<PmcId> {
         const MAX_CANDIDATES: usize = 256;
         self.writes.clear();
@@ -431,7 +428,7 @@ impl IncidentalScan {
                 }
             }
         }
-        let pick = self.candidates.choose(rng).copied();
+        let pick = rng.choose(&self.candidates).copied();
         if let Some(id) = pick {
             self.watch(id);
         }
@@ -472,12 +469,11 @@ fn run_trials(
     seed: u64,
     cfg: &CampaignCfg,
     dog: &Watchdog,
-) -> SbResult<(PmcTestOutcome, SnowboardSched, StdRng)> {
+) -> SbResult<(PmcTestOutcome, SnowboardSched, SplitMix64)> {
     let pmc = set.get(id);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pair = *pmc
-        .pairs
-        .choose(&mut rng)
+    let mut rng = SplitMix64::new(seed);
+    let pair = *rng
+        .choose(&pmc.pairs)
         .ok_or(Error::EmptyPmc { pmc: id })?;
     // One copy of each program per job; its trials share it.
     let fetch = |test: u32| -> SbResult<Arc<Program>> {
@@ -955,7 +951,7 @@ mod tests {
         trace: &[sb_vmm::Access],
         set: &PmcSet,
         watched: &mut Vec<PmcId>,
-        rng: &mut StdRng,
+        rng: &mut SplitMix64,
     ) -> (Vec<PmcId>, Option<PmcId>) {
         let mut candidates: Vec<PmcId> = Vec::new();
         let mut seen_sites = Vec::new();
@@ -975,7 +971,7 @@ mod tests {
             let [hw, hr] = set.get(*id).hints();
             trace.iter().any(|a| hw.matches(a)) && trace.iter().any(|a| hr.matches(a))
         });
-        let pick = candidates.choose(rng).copied();
+        let pick = rng.choose(&candidates).copied();
         watched.extend(pick);
         (candidates, pick)
     }
@@ -987,21 +983,14 @@ mod tests {
     /// than a guest access can be, instructions whose accesses share a chain
     /// — and a sequence of scans per set over one watch set that grows past
     /// its first word. The scan must list the same candidates in the same
-    /// order and, from an equal `StdRng`, pick the same one, every time.
+    /// order and, from an equal `SplitMix64`, pick the same one, every time.
     #[test]
     fn incidental_scan_matches_the_naive_two_scan_filter() {
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         // Eight instructions, the last two chained with the first two:
         // `Site` is a hash, so build the equal low bytes by hand.
         let mut sites: Vec<Site> = (0..6).map(|i| Site::intern(&format!("inc:site{i}"))).collect();
         sites.extend([Site(sites[0].0 ^ 0x100), Site(sites[1].0 ^ 0xAB00)]);
-        let mut state = 0x1AC1_DE47_u64;
+        let mut state = SplitMix64::new(0x1AC1_DE47);
         let (mut picked, mut cut, mut long_hits, mut chained) = (0, 0, 0, 0);
         for round in 0..40 {
             let crowded = round % 8 == 0;
@@ -1016,8 +1005,8 @@ mod tests {
                 pmcs: (0..if crowded { 700 } else { 90 })
                     .map(|_| Pmc {
                         key: PmcKey {
-                            w: side(splitmix64(&mut state)),
-                            r: side(splitmix64(&mut state)),
+                            w: side(state.next_u64()),
+                            r: side(state.next_u64()),
                         },
                         df_leader: false,
                         pairs: vec![(0, 1)],
@@ -1027,12 +1016,12 @@ mod tests {
             let index = IncidentalIndex::build(&set);
             let mut scan = IncidentalScan::default();
             let mut watched = Vec::new();
-            let mut rng = StdRng::seed_from_u64(round);
-            let mut naive_rng = StdRng::seed_from_u64(round);
+            let mut rng = SplitMix64::new(round);
+            let mut naive_rng = SplitMix64::new(round);
             for _ in 0..24 {
-                let trace: Vec<sb_vmm::Access> = (0..splitmix64(&mut state) % 70)
+                let trace: Vec<sb_vmm::Access> = (0..state.next_u64() % 70)
                     .map(|seq| {
-                        let r = splitmix64(&mut state);
+                        let r = state.next_u64();
                         sb_vmm::Access {
                             seq,
                             thread: (r & 1) as usize,
@@ -1097,10 +1086,10 @@ mod tests {
         id: PmcId,
         seed: u64,
         cfg: &CampaignCfg,
-    ) -> (PmcTestOutcome, SnowboardSched, StdRng) {
+    ) -> (PmcTestOutcome, SnowboardSched, SplitMix64) {
         let pmc = p.pmcs.get(id);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pair = *pmc.pairs.choose(&mut rng).expect("a PMC has a pair");
+        let mut rng = SplitMix64::new(seed);
+        let pair = *rng.choose(&pmc.pairs).expect("a PMC has a pair");
         let the_pair = || {
             [pair.0, pair.1]
                 .map(|test| p.booted.kernel.process_job(p.corpus[test as usize].clone()))
@@ -1177,7 +1166,6 @@ mod tests {
     /// counted through the wrapper.
     #[test]
     fn inline_recording_matches_rerunning_the_finding_trial() {
-        use rand::Rng;
         use sb_kernel::KernelConfig;
         use sb_vmm::sched::Scheduler;
         let (mut jobs, mut schedules, mut hits) = (0, 0, 0);
@@ -1256,12 +1244,12 @@ mod tests {
         id: PmcId,
         seed: u64,
         cfg: &CampaignCfg,
-    ) -> (PmcTestOutcome, SnowboardSched, StdRng, u64) {
+    ) -> (PmcTestOutcome, SnowboardSched, SplitMix64, u64) {
         use sb_vmm::exec::Outcome;
         let pmc = p.pmcs.get(id);
         let [hw, hr] = pmc.hints();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pair = *pmc.pairs.choose(&mut rng).expect("a PMC has a pair");
+        let mut rng = SplitMix64::new(seed);
+        let pair = *rng.choose(&pmc.pairs).expect("a PMC has a pair");
         let the_pair = || {
             [pair.0, pair.1]
                 .map(|test| p.booted.kernel.process_job(p.corpus[test as usize].clone()))
@@ -1367,7 +1355,6 @@ mod tests {
     /// detector hits counted as the reference returned.
     #[test]
     fn a_job_is_judged_as_when_every_trial_was_judged_in_full() {
-        use rand::Rng;
         use sb_vmm::sched::Scheduler;
         let (mut findings, mut exercised, mut pickups, mut repeats) = (0, 0, 0, 0);
         for seed in [2021u64, 7, 31_337, 60_606] {

@@ -25,6 +25,7 @@
 use std::collections::BTreeSet;
 
 use sb_obs::spec;
+use sb_vmm::rng::SplitMix64;
 
 use crate::campaign::JobVerdict;
 use crate::error::FailureKind;
@@ -394,15 +395,6 @@ impl Schedule {
     }
 }
 
-/// splitmix64, the workspace's standard deterministic mixer.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Sites eligible per mode. A plain hunt exercises the in-process job
 /// faults plus the store's disk faults; a supervised hunt adds process
 /// faults; a fleet run adds network faults and the coordinator kill
@@ -486,14 +478,14 @@ impl ScheduleGen {
         };
         // One deterministic stream per (seed, index): the same schedule
         // regenerates bit-identically regardless of how we got here.
-        let mut state = self
-            .seed
-            .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03))
-            ^ 0x5EED_C4A0_5C4A_05ED;
+        let mut state = SplitMix64::new(
+            self.seed.wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03))
+                ^ 0x5EED_C4A0_5C4A_05ED,
+        );
 
         let first = self.pick_site(eligible, &[], &mut state);
         let mut sites = vec![first];
-        if splitmix64(&mut state) % 2 == 1 {
+        if state.next_u64() % 2 == 1 {
             let compatible: Vec<&'static str> = eligible
                 .iter()
                 .copied()
@@ -537,7 +529,7 @@ impl ScheduleGen {
         &self,
         pool: &[&'static str],
         taken: &[&'static str],
-        state: &mut u64,
+        state: &mut SplitMix64,
     ) -> &'static str {
         let open: Vec<&'static str> = pool
             .iter()
@@ -550,7 +542,7 @@ impl ScheduleGen {
             .filter(|s| !self.scheduled.contains(s))
             .collect();
         let candidates = if unseen.is_empty() { &open } else { &unseen };
-        candidates[(splitmix64(state) % candidates.len() as u64) as usize]
+        candidates[(state.next_u64() % candidates.len() as u64) as usize]
     }
 
     /// Can `a` and `b` share one schedule? Same-category pairs (other than
@@ -572,9 +564,9 @@ impl ScheduleGen {
     }
 
     /// Picks a target job distinct from every already-used one.
-    fn pick_job(&self, used: &mut BTreeSet<usize>, state: &mut u64) -> usize {
+    fn pick_job(&self, used: &mut BTreeSet<usize>, state: &mut SplitMix64) -> usize {
         loop {
-            let j = (splitmix64(state) % self.jobs as u64) as usize;
+            let j = (state.next_u64() % self.jobs as u64) as usize;
             if used.insert(j) {
                 return j;
             }
@@ -593,7 +585,7 @@ impl ScheduleGen {
     fn apply_site(
         &self,
         site: &'static str,
-        state: &mut u64,
+        state: &mut SplitMix64,
         plan: &mut ChaosPlan,
         expected: &mut Vec<Expectation>,
         quarantine_jobs: &mut Vec<usize>,
@@ -621,7 +613,7 @@ impl ScheduleGen {
             }
             "job.transient" => {
                 let j = self.pick_job(used_jobs, state);
-                let n = 1 + (splitmix64(state) % 2) as u32;
+                let n = 1 + (state.next_u64() % 2) as u32;
                 plan.job.transient_failures.insert(j, n);
                 exact(expected, site, u64::from(n));
             }
@@ -633,7 +625,7 @@ impl ScheduleGen {
             }
             "proc.exit" => {
                 let j = self.pick_job(used_jobs, state);
-                let code = 5 + (splitmix64(state) % 7) as i32;
+                let code = 5 + (state.next_u64() % 7) as i32;
                 plan.job.exit_jobs.insert(j, code);
                 quarantine_jobs.push(j);
                 exact(expected, site, 2);
@@ -645,38 +637,38 @@ impl ScheduleGen {
                 exact(expected, site, 2);
             }
             "net.drop" => {
-                plan.net.drop_after.insert(0, 2 + splitmix64(state) % 5);
+                plan.net.drop_after.insert(0, 2 + state.next_u64() % 5);
                 exact(expected, site, 1);
             }
             "net.delay" => {
-                plan.net.delay_ms.insert(0, 10 + splitmix64(state) % 31);
+                plan.net.delay_ms.insert(0, 10 + state.next_u64() % 31);
                 // One ledger line per delayed connection, however many
                 // frames the delay slows down.
                 exact(expected, site, 1);
             }
             "net.garble" => {
-                plan.net.garble_frame.insert(0, 2 + splitmix64(state) % 2);
+                plan.net.garble_frame.insert(0, 2 + state.next_u64() % 2);
                 exact(expected, site, 1);
             }
             "net.halfclose" => {
-                plan.net.half_close_after.insert(0, 2 + splitmix64(state) % 3);
+                plan.net.half_close_after.insert(0, 2 + state.next_u64() % 3);
                 exact(expected, site, 1);
             }
             "disk.torn" => {
-                plan.disk.torn_write_after = Some(8 + splitmix64(state) % 57);
+                plan.disk.torn_write_after = Some(8 + state.next_u64() % 57);
                 exact(expected, site, 1);
             }
             "disk.flip" => {
-                let mask = (1 + splitmix64(state) % 255) as u8;
+                let mask = (1 + state.next_u64() % 255) as u8;
                 plan.disk.flip_after_write = Some((20, mask));
                 exact(expected, site, 1);
             }
             "disk.short" => {
-                plan.disk.short_read_nth = Some(1 + splitmix64(state) % 8);
+                plan.disk.short_read_nth = Some(1 + state.next_u64() % 8);
                 exact(expected, site, 1);
             }
             "coord.kill-after-journal" => {
-                plan.kill_after_journal = Some(2 + splitmix64(state) % 4);
+                plan.kill_after_journal = Some(2 + state.next_u64() % 4);
                 exact(expected, site, 1);
             }
             other => unreachable!("unknown chaos site {other}"),
@@ -741,12 +733,10 @@ mod tests {
     }
 
     /// Builds a pseudo-random plan touching a random subset of every
-    /// plane's fields — the hand-rolled equivalent of a proptest strategy
-    /// (the offline test harness strips proptest suites, so the round-trip
-    /// property runs as a seeded sweep).
-    fn random_plan(state: &mut u64) -> ChaosPlan {
+    /// plane's fields, for the seeded round-trip sweep below.
+    fn random_plan(state: &mut SplitMix64) -> ChaosPlan {
         let mut plan = ChaosPlan::default();
-        let r = |s: &mut u64, m: u64| splitmix64(s) % m;
+        let r = |s: &mut SplitMix64, m: u64| s.next_u64() % m;
         for _ in 0..r(state, 3) {
             plan.job.panic_jobs.insert(r(state, 50) as usize);
         }
@@ -793,7 +783,7 @@ mod tests {
             plan.disk.flip_after_write = Some((r(state, 200), r(state, 256) as u8));
         }
         for _ in 0..r(state, 3) {
-            plan.disk.short_read_keys.insert(splitmix64(state));
+            plan.disk.short_read_keys.insert(state.next_u64());
         }
         if r(state, 3) == 0 {
             plan.disk.short_read_nth = Some(1 + r(state, 20));
@@ -806,7 +796,7 @@ mod tests {
 
     #[test]
     fn chaos_spec_round_trips_across_all_planes() {
-        let mut state = 0xC4A0_5EEDu64;
+        let mut state = SplitMix64::new(0xC4A0_5EED);
         for case in 0..256 {
             let plan = random_plan(&mut state);
             let spec = plan.to_spec();

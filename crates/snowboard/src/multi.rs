@@ -15,12 +15,9 @@
 //! publication window — with two readers, *either* can dereference the
 //! uninitialized socket, roughly doubling the per-trial exposure odds.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 use sb_detect::Finding;
 use sb_kernel::{BootedKernel, Program};
+use sb_vmm::rng::SplitMix64;
 use sb_vmm::sched::SnowboardSched;
 use sb_vmm::Executor;
 
@@ -123,14 +120,12 @@ pub fn test_triple_traced(
     assert!(exec.vcpus() >= 3, "three-thread testing needs >=3 vCPUs");
     let pa = set.get(triple.a);
     let pb = set.get(triple.b);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (w1, r1) = *pa
-        .pairs
-        .choose(&mut rng)
+    let mut rng = SplitMix64::new(seed);
+    let (w1, r1) = *rng
+        .choose(&pa.pairs)
         .ok_or(Error::EmptyPmc { pmc: triple.a })?;
-    let (_w2, r2) = *pb
-        .pairs
-        .choose(&mut rng)
+    let (_w2, r2) = *rng
+        .choose(&pb.pairs)
         .ok_or(Error::EmptyPmc { pmc: triple.b })?;
     let fetch = |test: u32| -> SbResult<Program> {
         corpus.get(test as usize).cloned().ok_or(Error::BadTestId {

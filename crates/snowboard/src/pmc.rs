@@ -1208,19 +1208,13 @@ mod tests {
         }
     }
 
-    /// A corpus drawn from a splitmix64 stream: half the accesses hit one hot
+    /// A corpus drawn from a seeded stream: half the accesses hit one hot
     /// word through two sites and two values (sides shared by most tests,
     /// PMCs far past the pair cap), the rest spread over sites, values and
     /// widths in three small windows (partial overlaps, double fetches).
     fn random_profiles(seed: u64, tests: u32) -> Vec<SeqProfile> {
-        let mut state = seed;
-        let mut next = move |bound: u64| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % bound
-        };
+        let mut rng = sb_vmm::rng::SplitMix64::new(seed);
+        let mut next = move |bound: u64| rng.next_u64() % bound;
         const SITES: [&str; 6] = ["fz:a", "fz:b", "fz:c", "fz:d", "fz:e", "fz:f"];
         (0..tests)
             .map(|t| {

@@ -10,9 +10,7 @@
 
 use std::collections::HashSet;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use sb_vmm::rng::SplitMix64;
 
 use crate::cluster::{cluster, Cluster, Strategy};
 use crate::pmc::{PmcId, PmcSet};
@@ -33,8 +31,8 @@ pub fn order_clusters(mut clusters: Vec<Cluster>, order: ClusterOrder, seed: u64
             clusters.sort_by_key(|c| (c.len(), c.key));
         }
         ClusterOrder::Random => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            clusters.shuffle(&mut rng);
+            let mut rng = SplitMix64::new(seed);
+            rng.shuffle(&mut clusters);
         }
     }
     clusters
@@ -71,7 +69,7 @@ pub fn exemplars_traced(
     for c in &clusters {
         tracer.hist(sb_obs::keys::CLUSTER_SIZE, c.len() as u64);
     }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xE7E7_5EED);
+    let mut rng = SplitMix64::new(seed ^ 0xE7E7_5EED);
     let mut picked = HashSet::new();
     let mut out = Vec::with_capacity(clusters.len());
     for c in &clusters {
@@ -81,7 +79,7 @@ pub fn exemplars_traced(
             .copied()
             .filter(|id| !exclude.contains(id) && !picked.contains(id))
             .collect();
-        if let Some(&id) = candidates.choose(&mut rng) {
+        if let Some(&id) = rng.choose(&candidates) {
             picked.insert(id);
             out.push(id);
         }

@@ -27,7 +27,7 @@ fn outcome(job: usize, steps: u64) -> PmcTestOutcome {
         pmc: Some(job as u32),
         pair: (1, 2),
         trials_run: 4,
-        exercised: steps % 2 == 0,
+        exercised: steps.is_multiple_of(2),
         findings: vec![],
         steps,
         first_finding_trial: None,

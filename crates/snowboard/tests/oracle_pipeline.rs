@@ -13,7 +13,9 @@ use sb_kernel::KernelConfig;
 
 fn extended_cfg() -> PipelineCfg {
     PipelineCfg {
-        seed: 7,
+        // The corpus of seed 7 never reaches #18's window under any campaign
+        // seed 0-23; 5 and 11 do (EXPERIMENTS.md, "Hermetic workspace").
+        seed: 5,
         corpus_target: 80,
         fuzz_budget: 900,
         workers: 4,

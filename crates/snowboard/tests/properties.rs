@@ -10,9 +10,12 @@ use snowboard::pmc::{df_leaders, identify, PmcId};
 use snowboard::profile::SeqProfile;
 use snowboard::select::{exemplars, ClusterOrder};
 
+/// Site index, write?, address slot, length, value.
+type Acc = (u8, bool, u64, u8, u64);
+
 /// A tiny random access model: few sites, few addresses, small values —
 /// dense enough that overlaps and PMCs actually happen.
-fn arb_access() -> impl proptest::strategy::Strategy<Value = (u8, bool, u64, u8, u64)> {
+fn arb_access() -> impl proptest::strategy::Strategy<Value = Acc> {
     (
         0u8..6,          // site index
         proptest::bool::ANY, // write?
@@ -22,7 +25,7 @@ fn arb_access() -> impl proptest::strategy::Strategy<Value = (u8, bool, u64, u8,
     )
 }
 
-fn build_profiles(tests: Vec<Vec<(u8, bool, u64, u8, u64)>>) -> Vec<SeqProfile> {
+fn build_profiles(tests: Vec<Vec<Acc>>) -> Vec<SeqProfile> {
     tests
         .into_iter()
         .enumerate()

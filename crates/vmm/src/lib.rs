@@ -23,6 +23,8 @@
 //!   deadlocks and livelocks, and produces an [`exec::ExecReport`].
 //! * [`sched`] — schedulers: free-run, random-walk, SKI-style, and the
 //!   Snowboard scheduler implementing the paper's Algorithm 2.
+//! * [`rng`] — the seeded generator every random decision in the workspace
+//!   draws from.
 //!
 //! # Examples
 //!
@@ -49,6 +51,7 @@ pub mod ctx;
 pub mod exec;
 pub mod mem;
 pub mod replay;
+pub mod rng;
 pub mod sched;
 pub mod site;
 pub mod sync;

@@ -526,24 +526,17 @@ mod tests {
     }
 
     /// Deterministic differential fuzz of the CoW overlay and the shared
-    /// allocator books against [`FlatModel`], driven by a splitmix64 stream
-    /// so it runs in every build (the proptest variant lives in
-    /// `tests/cow_props.rs`). Several instances live at once — clones and
-    /// deep clones of one another, each paired with a clone of its source's
-    /// model — and every step reads, writes, allocates, frees or seals one
-    /// of them: whatever leaks from one instance into a sibling or its
-    /// parent shows up as a difference from that instance's own model. The
-    /// first instance starts from a sealed base that already holds pages, so
-    /// the sparse base is read, copied out of and folded from the first step.
+    /// allocator books against [`FlatModel`], driven by a seeded stream (the
+    /// generated variant lives in `tests/cow_props.rs`). Several instances
+    /// live at once — clones and deep clones of one another, each paired
+    /// with a clone of its source's model — and every step reads, writes,
+    /// allocates, frees or seals one of them: whatever leaks from one
+    /// instance into a sibling or its parent shows up as a difference from
+    /// that instance's own model. The first instance starts from a sealed
+    /// base that already holds pages, so the sparse base is read, copied out
+    /// of and folded from the first step.
     #[test]
     fn cow_differential_vs_flat_model() {
-        fn splitmix64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
         const LIVE_INSTANCES: usize = 6;
         let window = (PAGE_SIZE * 12) as usize;
         let mut model = FlatModel {
@@ -567,9 +560,9 @@ mod tests {
         model.dirty.clear();
         assert_eq!((sealed.dirty_pages(), sealed.resident_pages()), (0, 4));
         let mut instances = vec![(sealed, model)];
-        let mut rng = 0xC0FF_EE00_u64;
+        let mut rng = crate::rng::SplitMix64::new(0xC0FF_EE00);
         for step in 0..8_000u32 {
-            let r = splitmix64(&mut rng);
+            let r = rng.next_u64();
             let which = (r >> 40) as usize % instances.len();
             let (cow, flat) = &mut instances[which];
             // Half the offsets hug a page boundary so straddles are common.
@@ -582,7 +575,7 @@ mod tests {
             let len = 1 + ((r >> 16) % 8) as u8;
             match (r >> 8) % 32 {
                 0..=9 => {
-                    let value = splitmix64(&mut rng);
+                    let value = rng.next_u64();
                     cow.write(HEAP_BASE + off, len, value).unwrap();
                     flat.write(off as usize, &value.to_le_bytes()[..len as usize]);
                 }

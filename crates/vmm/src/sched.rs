@@ -25,11 +25,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::access::{Access, AccessKind};
 use crate::mem::MAX_THREADS;
+use crate::rng::SplitMix64;
 use crate::site::{BuildStepHasher, Site};
 
 /// One side of a PMC rendered as a concrete access pattern the scheduler can
@@ -148,7 +146,7 @@ impl Scheduler for FreeRun {
 
 /// Preempts with probability `p` after every access — unguided exploration.
 pub struct RandomSched {
-    rng: StdRng,
+    rng: SplitMix64,
     p: f64,
     observer: Option<Arc<dyn DecisionObserver>>,
 }
@@ -157,7 +155,7 @@ impl RandomSched {
     /// Creates a random scheduler with switch probability `p`.
     pub fn new(seed: u64, p: f64) -> Self {
         RandomSched {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             p,
             observer: None,
         }
@@ -194,7 +192,7 @@ impl Scheduler for RandomSched {
 pub struct SkiSched {
     /// Only ever probed with `contains`, never iterated.
     sites: HashSet<Site, BuildStepHasher>,
-    rng: StdRng,
+    rng: SplitMix64,
     observer: Option<Arc<dyn DecisionObserver>>,
 }
 
@@ -203,14 +201,14 @@ impl SkiSched {
     pub fn new(seed: u64, sites: impl IntoIterator<Item = Site>) -> Self {
         SkiSched {
             sites: sites.into_iter().collect(),
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             observer: None,
         }
     }
 
     /// Reseeds the randomness for a new trial.
     pub fn begin_trial(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
+        self.rng = SplitMix64::new(seed);
     }
 }
 
@@ -255,7 +253,7 @@ pub struct PctSched {
     change_points: Vec<u64>,
     executed: u64,
     next_low: u64,
-    rng: StdRng,
+    rng: SplitMix64,
     observer: Option<Arc<dyn DecisionObserver>>,
 }
 
@@ -263,7 +261,7 @@ impl PctSched {
     /// Creates a PCT scheduler for executions of roughly `k` accesses and
     /// bug depth `d` (the number of ordering constraints to hit).
     pub fn new(seed: u64, k: u64, d: u32) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut priorities = [0u64; MAX_THREADS];
         for p in priorities.iter_mut() {
             // High random starting priorities, well above change-point lows.
@@ -361,7 +359,7 @@ pub struct SnowboardSched {
     /// Probed once per access and inserted into; never iterated.
     flags: HashSet<(Site, u64), BuildStepHasher>,
     last: [Option<(Site, u64)>; MAX_THREADS],
-    rng: StdRng,
+    rng: SplitMix64,
     switch_p: f64,
     learn_flags: bool,
     observer: Option<Arc<dyn DecisionObserver>>,
@@ -374,7 +372,7 @@ impl SnowboardSched {
             pmcs: pmcs.into_iter().collect(),
             flags: HashSet::default(),
             last: [None; MAX_THREADS],
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             switch_p: 0.5,
             learn_flags: true,
             observer: None,
@@ -393,7 +391,7 @@ impl SnowboardSched {
     /// Starts a new trial: reseeds randomness (`random.seed(SEED + trial)`)
     /// and clears per-execution state. `flags` and the PMC set persist.
     pub fn begin_trial(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
+        self.rng = SplitMix64::new(seed);
         self.last = [None; MAX_THREADS];
     }
 

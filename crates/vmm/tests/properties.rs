@@ -45,7 +45,7 @@ proptest! {
         let m = GuestMem::new();
         let r = m.read(addr, len);
         let in_bounds = addr >= NULL_GUARD_END
-            && addr.checked_add(u64::from(len)).map_or(false, |e| e <= GUEST_MEM_SIZE);
+            && addr.checked_add(u64::from(len)).is_some_and(|e| e <= GUEST_MEM_SIZE);
         prop_assert_eq!(r.is_ok(), in_bounds);
     }
 

@@ -141,10 +141,9 @@ fn a_trial_stays_within_its_allocation_budget() {
     );
 }
 
-/// Measured at the change that set these budgets and at its parent, under
-/// the stand-in `rand` (the published one draws other schedules; the counts
-/// per trial move by a few). Of the measured counts the executor's run is
-/// 21.4 and 20.2: the two boxed thread futures, the job closures.
+/// Measured at the change that set these budgets and at its parent. Of the
+/// measured counts the executor's run is 21.4 and 20.2: the two boxed thread
+/// futures, the job closures.
 const HUNT_MEASURED: f64 = 40.1;
 const HUNT_PARENT: f64 = 59.7;
 const HUNT_BUDGET: f64 = HUNT_MEASURED + 2.0;

@@ -117,7 +117,7 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
     // Measure the new record's full on-disk size once, via a clean insert.
     let full = {
         let dir = scratch("torn-measure", 0);
-        copy_store(&base, &dir);
+        copy_store(base, &dir);
         let mut st = Store::open(&dir).expect("open");
         st.insert_profiles(&[(4, Some(profile(3, 0x5000)))]).expect("insert");
         st.flush().expect("flush");
@@ -132,7 +132,7 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
 
     for cut in 0..=full {
         let dir = scratch("torn", cut as usize);
-        copy_store(&base, &dir);
+        copy_store(base, &dir);
         {
             let mut st = Store::open(&dir).expect("open");
             st.set_fault_plan(DiskFaultPlan {
@@ -181,7 +181,7 @@ fn every_byte_flip_heals_back_to_a_clean_store() {
 
     for off in 0..seg.1.len() {
         let dir = scratch("flip", off);
-        copy_store(&base, &dir);
+        copy_store(base, &dir);
         let mut mutated = seg.1.clone();
         mutated[off] ^= 0xA5;
         std::fs::write(dir.join(&seg.0), &mutated).expect("flip");
@@ -232,7 +232,7 @@ fn damaged_pmc_record_heals_on_save() {
     let base = pristine();
     let pmc = base.iter().find(|(n, _)| n.starts_with("pmc-")).expect("pmc segment");
     let dir = scratch("pmcflip", 0);
-    copy_store(&base, &dir);
+    copy_store(base, &dir);
     let mut mutated = pmc.1.clone();
     mutated[20] ^= 0xFF; // CRC word of the first record
     std::fs::write(dir.join(&pmc.0), &mutated).expect("flip");
