@@ -88,13 +88,12 @@ pub fn prepare(version: KernelConfig, scale: &Scale, seed: u64) -> Pipeline {
     eprintln!("[prep] booting {:?}, fuzzing corpus (target {})...", version.version, scale.corpus_target);
     let p = Pipeline::prepare(version, scale.pipeline_cfg(seed));
     eprintln!(
-        "[prep] corpus {} tests, {} edges; {} shared accesses; {} PMCs ({:.1?} fuzz, {:.1?} profile, {:.1?} identify)",
+        "[prep] corpus {} tests, {} edges; {} shared accesses; {} PMCs ({:.1?} fuzz + profile, {:.1?} identify)",
         p.corpus.len(),
         p.stats.edges,
         p.stats.shared_accesses,
         p.stats.pmcs_identified,
         p.stats.fuzz_time,
-        p.stats.profile_time,
         p.stats.identify_time,
     );
     p

@@ -131,6 +131,33 @@ fn store_fsck_and_repair_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store changes where profiles and the PMC set come from, never which
+/// corpus is hunted: the store-backed prepare once fuzzed the stock catalog
+/// whatever the oracle set asked for, so `--store` under the default oracles
+/// hunted another corpus than the same command without it and found none of
+/// the sync bugs.
+#[test]
+fn hunt_with_a_store_prints_what_hunt_without_one_prints() {
+    for oracles in ["all", "race"] {
+        let flags = ["hunt", "--seed", "2021", "--workers", "1", "--oracles", oracles];
+        let plain = bin().args(flags).output().expect("run hunt");
+        assert!(plain.status.success(), "stderr: {}", String::from_utf8_lossy(&plain.stderr));
+        let dir = scratch_dir(&format!("store-parity-{oracles}"));
+        for (run, expect) in [("cold", "profile-hit-rate 0.0%"), ("warm", "profile-hit-rate 100.0%")] {
+            let stored = bin().args(flags).arg("--store").arg(&dir).output().expect("run hunt --store");
+            assert!(stored.status.success(), "stderr: {}", String::from_utf8_lossy(&stored.stderr));
+            let out = stdout(&stored);
+            assert!(out.contains(expect), "--oracles {oracles}, {run}: no `{expect}` in\n{out}");
+            let campaign: String = (out.lines())
+                .filter(|l| !l.starts_with("[store]"))
+                .flat_map(|l| [l, "\n"])
+                .collect();
+            assert_eq!(campaign, stdout(&plain), "--oracles {oracles}, {run} store");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn hunt_survives_an_unwritable_trace_destination() {
     // A trace dir whose path runs through a regular file can never be

@@ -4,12 +4,14 @@
 //! the fixed boot snapshot, measure their edge coverage, and keep a subset
 //! with "high coverage but low overlap of exercised behaviors".
 
+use std::sync::Arc;
+
 use sb_kernel::prog::{Domain, IoctlCmd, MsgCmd, Path, Program, Res, Syscall};
 use sb_kernel::BootedKernel;
 use sb_vmm::sched::FreeRun;
-use sb_vmm::Executor;
+use sb_vmm::{ExecReport, Executor};
 
-use crate::coverage::{edges_of_trace, CoverageMap};
+use crate::coverage::CoverageMap;
 use crate::gen::{Catalog, ProgGen};
 use crate::mutate::mutate;
 
@@ -150,23 +152,14 @@ pub fn seed_programs_extended() -> Vec<Program> {
     seeds
 }
 
-/// Builds a coverage-distilled corpus of sequential tests.
+/// Builds a coverage-distilled corpus of sequential tests from `catalog`
+/// ([`Catalog::Stock`] keeps corpora byte-identical to pre-oracle builds,
+/// [`Catalog::Extended`] adds seeds and generated calls for the sync-oracle
+/// subsystems).
 ///
 /// Runs seeds first, then generator/mutator candidates, executing each from
 /// the boot snapshot and keeping those that add edge coverage, until
 /// `target_kept` tests are kept or `budget` candidates have executed.
-pub fn build_corpus(
-    booted: &BootedKernel,
-    seed: u64,
-    target_kept: usize,
-    budget: u64,
-) -> (Vec<Program>, CorpusStats) {
-    build_corpus_with(booted, seed, target_kept, budget, Catalog::Stock)
-}
-
-/// [`build_corpus`] with an explicit syscall [`Catalog`]. The stock catalog
-/// produces byte-identical corpora to [`build_corpus`]; the extended one
-/// adds seeds and generated calls for the sync-oracle subsystems.
 pub fn build_corpus_with(
     booted: &BootedKernel,
     seed: u64,
@@ -174,57 +167,87 @@ pub fn build_corpus_with(
     budget: u64,
     catalog: Catalog,
 ) -> (Vec<Program>, CorpusStats) {
-    let mut exec = Executor::new(1);
+    build_corpus_kept(booted, seed, target_kept, budget, catalog, |_, _| {})
+}
+
+/// [`build_corpus_with`], handing the finished run of every program it keeps
+/// to `kept` with the program's corpus index, before the executor takes the
+/// run's buffers back. The run is the one a profiler would make of that
+/// program — same snapshot, same job, one vCPU, [`FreeRun`] — so a caller
+/// that cuts its profiles here never executes the corpus a second time.
+pub fn build_corpus_kept(
+    booted: &BootedKernel,
+    seed: u64,
+    target_kept: usize,
+    budget: u64,
+    catalog: Catalog,
+    kept: impl FnMut(u32, &ExecReport),
+) -> (Vec<Program>, CorpusStats) {
     let mut g = ProgGen::with_catalog(seed, catalog);
-    let mut coverage = CoverageMap::new();
-    let mut corpus: Vec<Program> = Vec::new();
-    let mut stats = CorpusStats::default();
-
-    let try_program = |prog: Program,
-                           exec: &mut Executor,
-                           coverage: &mut CoverageMap,
-                           corpus: &mut Vec<Program>,
-                           stats: &mut CorpusStats| {
-        if prog.is_empty() {
-            return;
-        }
-        let r = exec.run(
-            booted.snapshot.clone(),
-            vec![booted.kernel.process_job(prog.clone())],
-            &mut FreeRun,
-        );
-        stats.executed += 1;
-        // Panicking sequential tests would poison profiling; the simulated
-        // kernel has no sequential panics, but guard anyway.
-        if r.report.outcome.is_completed() {
-            let edges = edges_of_trace(&r.report.trace, 0);
-            if coverage.merge(&edges) > 0 {
-                corpus.push(prog);
-                stats.kept += 1;
-            }
-        }
-        exec.recycle(r);
+    let mut b = Builder {
+        booted,
+        exec: Executor::new(1),
+        coverage: CoverageMap::new(),
+        corpus: Vec::new(),
+        stats: CorpusStats::default(),
+        kept,
     };
-
     let seeds = match catalog {
         Catalog::Stock => seed_programs(),
         Catalog::Extended => seed_programs_extended(),
     };
     for s in seeds {
-        try_program(s, &mut exec, &mut coverage, &mut corpus, &mut stats);
+        b.try_program(s);
     }
-    while stats.executed < budget && corpus.len() < target_kept {
-        let prog = if corpus.is_empty() || g.rng().gen_bool(0.4) {
+    while b.stats.executed < budget && b.corpus.len() < target_kept {
+        let prog = if b.corpus.is_empty() || g.rng().gen_bool(0.4) {
             g.gen_program(6)
         } else {
-            let base = g.rng().choose(&corpus).cloned().expect("non-empty corpus");
-            let other = g.rng().choose(&corpus).cloned();
-            mutate(&mut g, &base, other.as_ref(), 8)
+            let base = g.rng().choose(&b.corpus).expect("non-empty corpus");
+            let other = g.rng().choose(&b.corpus);
+            mutate(&mut g, base, other, 8)
         };
-        try_program(prog, &mut exec, &mut coverage, &mut corpus, &mut stats);
+        b.try_program(prog);
     }
-    stats.edges = coverage.len();
-    (corpus, stats)
+    b.stats.edges = b.coverage.len();
+    (b.corpus, b.stats)
+}
+
+/// What one corpus build carries from candidate to candidate.
+struct Builder<'a, K> {
+    booted: &'a BootedKernel,
+    exec: Executor,
+    coverage: CoverageMap,
+    corpus: Vec<Program>,
+    stats: CorpusStats,
+    kept: K,
+}
+
+impl<K: FnMut(u32, &ExecReport)> Builder<'_, K> {
+    /// Executes `prog` from the boot snapshot and keeps it if it completes
+    /// and covers an edge no kept program covered.
+    fn try_program(&mut self, prog: Program) {
+        if prog.is_empty() {
+            return;
+        }
+        // The job's share of the program is dropped with the run's threads,
+        // so a kept program moves into the corpus without a copy.
+        let prog = Arc::new(prog);
+        let r = self.exec.run(
+            self.booted.snapshot.clone(),
+            vec![self.booted.kernel.process_job_shared(Arc::clone(&prog))],
+            &mut FreeRun,
+        );
+        self.stats.executed += 1;
+        // Panicking sequential tests would poison profiling; the simulated
+        // kernel has no sequential panics, but guard anyway.
+        if r.report.outcome.is_completed() && self.coverage.merge_trace(&r.report.trace, 0) > 0 {
+            (self.kept)(self.corpus.len() as u32, &r.report);
+            self.corpus.push(Arc::unwrap_or_clone(prog));
+            self.stats.kept += 1;
+        }
+        self.exec.recycle(r);
+    }
 }
 
 #[cfg(test)]
@@ -243,13 +266,33 @@ mod tests {
     }
 
     #[test]
-    fn stock_catalog_corpus_matches_build_corpus_exactly() {
+    fn kept_runs_arrive_once_each_in_corpus_order_and_change_nothing() {
         let booted = boot(KernelConfig::v5_12_rc3());
-        let (c1, s1) = build_corpus(&booted, 7, 25, 150);
-        let (c2, s2) = build_corpus_with(&booted, 7, 25, 150, Catalog::Stock);
-        assert_eq!(c1, c2);
-        assert_eq!(s1.executed, s2.executed);
-        assert_eq!(s1.edges, s2.edges);
+        for catalog in [Catalog::Stock, Catalog::Extended] {
+            let (plain, plain_stats) = build_corpus_with(&booted, 7, 25, 150, catalog);
+            let mut runs = Vec::new();
+            let (corpus, stats) = build_corpus_kept(&booted, 7, 25, 150, catalog, |test, run| {
+                assert!(run.outcome.is_completed());
+                runs.push((test, run.trace.len(), run.steps));
+            });
+            assert_eq!(corpus, plain);
+            assert_eq!(
+                (stats.executed, stats.kept, stats.edges),
+                (plain_stats.executed, plain_stats.kept, plain_stats.edges)
+            );
+            // Each run is the one a second execution of the program records.
+            let mut exec = Executor::new(1);
+            for ((test, accesses, steps), (i, prog)) in runs.iter().zip(corpus.iter().enumerate()) {
+                let job = booted.kernel.process_job(prog.clone());
+                let again = exec.run(booted.snapshot.clone(), vec![job], &mut FreeRun);
+                assert_eq!(
+                    (*test as usize, *accesses, *steps),
+                    (i, again.report.trace.len(), again.report.steps),
+                    "{catalog:?}, test {i}"
+                );
+            }
+            assert_eq!(runs.len(), corpus.len());
+        }
     }
 
     #[test]
@@ -274,7 +317,7 @@ mod tests {
     #[test]
     fn corpus_build_distills_by_coverage() {
         let booted = boot(KernelConfig::v5_12_rc3());
-        let (corpus, stats) = build_corpus(&booted, 42, 40, 300);
+        let (corpus, stats) = build_corpus_with(&booted, 42, 40, 300, Catalog::Stock);
         assert!(corpus.len() >= seed_programs().len() / 2, "seeds should mostly be kept");
         assert!(stats.kept <= stats.executed);
         assert!(stats.edges > 50, "expected meaningful edge diversity, got {}", stats.edges);
@@ -285,8 +328,8 @@ mod tests {
     #[test]
     fn corpus_build_is_deterministic() {
         let booted = boot(KernelConfig::v5_12_rc3());
-        let (c1, _) = build_corpus(&booted, 7, 25, 150);
-        let (c2, _) = build_corpus(&booted, 7, 25, 150);
+        let (c1, _) = build_corpus_with(&booted, 7, 25, 150, Catalog::Stock);
+        let (c2, _) = build_corpus_with(&booted, 7, 25, 150, Catalog::Stock);
         assert_eq!(c1, c2);
     }
 }

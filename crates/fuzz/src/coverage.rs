@@ -9,6 +9,7 @@
 use std::collections::HashSet;
 
 use sb_vmm::access::Access;
+use sb_vmm::site::BuildStepHasher;
 
 /// Hashes an ordered site pair into an edge id.
 fn edge_id(prev: u64, cur: u64) -> u64 {
@@ -16,23 +17,23 @@ fn edge_id(prev: u64, cur: u64) -> u64 {
     prev.rotate_left(17) ^ cur.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Extracts the edge set of one thread's accesses in `trace`.
-pub fn edges_of_trace(trace: &[Access], thread: usize) -> HashSet<u64> {
-    let mut edges = HashSet::new();
-    let mut prev: Option<u64> = None;
-    for a in trace.iter().filter(|a| a.thread == thread) {
-        if let Some(p) = prev {
-            edges.insert(edge_id(p, a.site.0));
-        }
-        prev = Some(a.site.0);
-    }
-    edges
+/// The edges `thread` takes through `trace`, in order, repeats included.
+fn edges(trace: &[Access], thread: usize) -> impl Iterator<Item = u64> + '_ {
+    let mut sites = trace.iter().filter(move |a| a.thread == thread).map(|a| a.site.0);
+    let mut prev = sites.next();
+    sites.map(move |cur| edge_id(prev.replace(cur).expect("a first site"), cur))
 }
 
-/// Accumulated coverage across a corpus.
+/// Extracts the edge set of one thread's accesses in `trace`.
+pub fn edges_of_trace(trace: &[Access], thread: usize) -> HashSet<u64> {
+    edges(trace, thread).collect()
+}
+
+/// Accumulated coverage across a corpus. Edge ids are mixes of site hashes,
+/// so the set uses the in-crate hasher.
 #[derive(Default, Clone)]
 pub struct CoverageMap {
-    edges: HashSet<u64>,
+    edges: HashSet<u64, BuildStepHasher>,
 }
 
 impl CoverageMap {
@@ -41,16 +42,13 @@ impl CoverageMap {
         Self::default()
     }
 
-    /// Merges `new_edges`, returning how many were previously unseen.
-    pub fn merge(&mut self, new_edges: &HashSet<u64>) -> usize {
+    /// Merges the edges of `thread`'s accesses in `trace` — the set
+    /// [`edges_of_trace`] names, without building it — returning how many
+    /// were previously unseen.
+    pub fn merge_trace(&mut self, trace: &[Access], thread: usize) -> usize {
         let before = self.edges.len();
-        self.edges.extend(new_edges);
+        self.edges.extend(edges(trace, thread));
         self.edges.len() - before
-    }
-
-    /// Returns how many of `edges` are unseen without merging them.
-    pub fn novelty(&self, edges: &HashSet<u64>) -> usize {
-        edges.iter().filter(|e| !self.edges.contains(e)).count()
     }
 
     /// Total distinct edges seen.
@@ -105,10 +103,30 @@ mod tests {
     #[test]
     fn coverage_map_counts_novelty() {
         let mut m = CoverageMap::new();
-        let e1 = edges_of_trace(&[acc(0, "a"), acc(0, "b"), acc(0, "c")], 0);
-        assert_eq!(m.novelty(&e1), 2);
-        assert_eq!(m.merge(&e1), 2);
-        assert_eq!(m.merge(&e1), 0, "re-merging adds nothing");
+        let trace = [acc(0, "a"), acc(0, "b"), acc(0, "c")];
+        assert_eq!(m.merge_trace(&trace, 0), 2);
+        assert_eq!(m.merge_trace(&trace, 0), 0, "re-merging adds nothing");
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn merging_a_trace_is_merging_its_edge_set() {
+        // Traces over few sites, so edges repeat within and across traces;
+        // two threads interleaved, so the per-thread filter matters.
+        let mut rng = sb_vmm::rng::SplitMix64::new(24);
+        let names = ["a", "b", "c", "d", "e"];
+        let (mut merged, mut reference) = (CoverageMap::new(), HashSet::new());
+        for _ in 0..200 {
+            let trace: Vec<Access> = (0..rng.gen_range(0..12usize))
+                .map(|_| acc(rng.gen_range(0..2usize), rng.choose(&names).expect("names")))
+                .collect();
+            for thread in 0..2 {
+                let edges = edges_of_trace(&trace, thread);
+                let novel = edges.iter().filter(|e| reference.insert(**e)).count();
+                assert_eq!(merged.merge_trace(&trace, thread), novel);
+                assert_eq!(merged.len(), reference.len());
+            }
+        }
+        assert!(reference.len() > 20, "the traces must overlap: {}", reference.len());
     }
 }

@@ -4,8 +4,6 @@
 //! keys share a cluster; filtered-out PMCs are discarded entirely. One
 //! exemplar per cluster is later tested, least-populous cluster first.
 
-use std::collections::HashMap;
-
 use crate::pmc::{Pmc, PmcId, PmcSet};
 
 /// The clustering strategies of Table 1 (S-INS contributes two clusters per
@@ -59,7 +57,7 @@ impl std::fmt::Display for Strategy {
 }
 
 /// One cluster: a key (rendered opaque) and its member PMCs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cluster {
     /// Hash of the clustering key (stable across runs).
     pub key: u64,
@@ -99,38 +97,24 @@ fn channel_key(p: &Pmc) -> u64 {
     h
 }
 
-/// The clustering key(s) of `p` under `strategy`, or empty when the filter
+/// The clustering key(s) of `p` under `strategy`, none when the filter
 /// rejects it. (Only S-INS yields two keys.)
-pub fn keys_of(p: &Pmc, strategy: Strategy) -> Vec<u64> {
-    match strategy {
+pub fn keys_of(p: &Pmc, strategy: Strategy) -> impl Iterator<Item = u64> {
+    let channel_if = |keep: bool| keep.then(|| channel_key(p));
+    let (first, second) = match strategy {
         Strategy::SFull => {
             let mut h = channel_key(p);
             mix(&mut h, p.key.w.value);
             mix(&mut h, p.key.r.value);
-            vec![h]
+            (Some(h), None)
         }
-        Strategy::SCh => vec![channel_key(p)],
-        Strategy::SChNull => {
-            if p.key.w.value == 0 {
-                vec![channel_key(p)]
-            } else {
-                vec![]
-            }
-        }
-        Strategy::SChUnaligned => {
-            if p.key.w.addr != p.key.r.addr || p.key.w.len != p.key.r.len {
-                vec![channel_key(p)]
-            } else {
-                vec![]
-            }
-        }
-        Strategy::SChDouble => {
-            if p.df_leader {
-                vec![channel_key(p)]
-            } else {
-                vec![]
-            }
-        }
+        Strategy::SCh => (Some(channel_key(p)), None),
+        Strategy::SChNull => (channel_if(p.key.w.value == 0), None),
+        Strategy::SChUnaligned => (
+            channel_if(p.key.w.addr != p.key.r.addr || p.key.w.len != p.key.r.len),
+            None,
+        ),
+        Strategy::SChDouble => (channel_if(p.df_leader), None),
         Strategy::SIns => {
             // Tag the two sub-spaces so a site used for both reading and
             // writing forms two clusters, per "this strategy pair (one for
@@ -141,13 +125,13 @@ pub fn keys_of(p: &Pmc, strategy: Strategy) -> Vec<u64> {
             let mut hr = 0u64;
             mix(&mut hr, 2);
             mix(&mut hr, p.key.r.ins.0);
-            vec![hw, hr]
+            (Some(hw), Some(hr))
         }
         Strategy::SInsPair => {
             let mut h = 0u64;
             mix(&mut h, p.key.w.ins.0);
             mix(&mut h, p.key.r.ins.0);
-            vec![h]
+            (Some(h), None)
         }
         Strategy::SMem => {
             let mut h = 0u64;
@@ -159,26 +143,129 @@ pub fn keys_of(p: &Pmc, strategy: Strategy) -> Vec<u64> {
             ] {
                 mix(&mut h, v);
             }
-            vec![h]
+            (Some(h), None)
         }
-    }
+    };
+    first.into_iter().chain(second)
 }
 
-/// Clusters the whole PMC set under `strategy`.
-pub fn cluster(set: &PmcSet, strategy: Strategy) -> Vec<Cluster> {
-    let mut map: HashMap<u64, Vec<PmcId>> = HashMap::new();
+/// Every `(clustering key, PMC)` membership of `set` under `strategy`,
+/// sorted: each run of equal keys is one cluster, clusters in key order,
+/// members in id order.
+pub(crate) fn memberships(set: &PmcSet, strategy: Strategy) -> Vec<(u64, PmcId)> {
+    let mut pairs = Vec::with_capacity(set.len());
     for (id, p) in set.pmcs.iter().enumerate() {
-        for k in keys_of(p, strategy) {
-            map.entry(k).or_default().push(id as PmcId);
+        pairs.extend(keys_of(p, strategy).map(|k| (k, id as PmcId)));
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// The clusters of sorted `memberships`, as runs.
+pub(crate) fn runs(memberships: &[(u64, PmcId)]) -> impl Iterator<Item = &[(u64, PmcId)]> {
+    memberships.chunk_by(|a, b| a.0 == b.0)
+}
+
+/// Clusters the whole PMC set under `strategy`, in key order.
+pub fn cluster(set: &PmcSet, strategy: Strategy) -> Vec<Cluster> {
+    runs(&memberships(set, strategy))
+        .map(|run| Cluster {
+            key: run[0].0,
+            members: run.iter().map(|(_, id)| *id).collect(),
+        })
+        .collect()
+}
+
+/// `keys_of` and `cluster` as they were while a key list was a heap vector
+/// and clusters were grouped through a hash map, then sorted: the
+/// definitions `select::tests` compares the sorted-run forms against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::HashMap;
+
+    use super::{channel_key, mix, Cluster, Pmc, PmcId, PmcSet, Strategy};
+
+    /// The clustering key(s) of `p` under `strategy`, or empty when the filter
+    /// rejects it. (Only S-INS yields two keys.)
+    pub fn keys_of(p: &Pmc, strategy: Strategy) -> Vec<u64> {
+        match strategy {
+            Strategy::SFull => {
+                let mut h = channel_key(p);
+                mix(&mut h, p.key.w.value);
+                mix(&mut h, p.key.r.value);
+                vec![h]
+            }
+            Strategy::SCh => vec![channel_key(p)],
+            Strategy::SChNull => {
+                if p.key.w.value == 0 {
+                    vec![channel_key(p)]
+                } else {
+                    vec![]
+                }
+            }
+            Strategy::SChUnaligned => {
+                if p.key.w.addr != p.key.r.addr || p.key.w.len != p.key.r.len {
+                    vec![channel_key(p)]
+                } else {
+                    vec![]
+                }
+            }
+            Strategy::SChDouble => {
+                if p.df_leader {
+                    vec![channel_key(p)]
+                } else {
+                    vec![]
+                }
+            }
+            Strategy::SIns => {
+                // Tag the two sub-spaces so a site used for both reading and
+                // writing forms two clusters, per "this strategy pair (one for
+                // reads and one for writes)".
+                let mut hw = 0u64;
+                mix(&mut hw, 1);
+                mix(&mut hw, p.key.w.ins.0);
+                let mut hr = 0u64;
+                mix(&mut hr, 2);
+                mix(&mut hr, p.key.r.ins.0);
+                vec![hw, hr]
+            }
+            Strategy::SInsPair => {
+                let mut h = 0u64;
+                mix(&mut h, p.key.w.ins.0);
+                mix(&mut h, p.key.r.ins.0);
+                vec![h]
+            }
+            Strategy::SMem => {
+                let mut h = 0u64;
+                for v in [
+                    p.key.w.addr,
+                    u64::from(p.key.w.len),
+                    p.key.r.addr,
+                    u64::from(p.key.r.len),
+                ] {
+                    mix(&mut h, v);
+                }
+                vec![h]
+            }
         }
     }
-    let mut clusters: Vec<Cluster> = map
-        .into_iter()
-        .map(|(key, members)| Cluster { key, members })
-        .collect();
-    // Deterministic order regardless of hash-map iteration.
-    clusters.sort_by_key(|c| c.key);
-    clusters
+
+    /// Clusters the whole PMC set under `strategy`.
+    pub fn cluster(set: &PmcSet, strategy: Strategy) -> Vec<Cluster> {
+        let mut map: HashMap<u64, Vec<PmcId>> = HashMap::new();
+        for (id, p) in set.pmcs.iter().enumerate() {
+            for k in keys_of(p, strategy) {
+                map.entry(k).or_default().push(id as PmcId);
+            }
+        }
+        let mut clusters: Vec<Cluster> = map
+            .into_iter()
+            .map(|(key, members)| Cluster { key, members })
+            .collect();
+        // Deterministic order regardless of hash-map iteration.
+        clusters.sort_by_key(|c| c.key);
+        clusters
+    }
 }
 
 #[cfg(test)]

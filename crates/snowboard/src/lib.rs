@@ -4,9 +4,12 @@
 //!
 //! The pipeline mirrors Figure 2 of the paper:
 //!
-//! 1. **Sequential test generation and profiling** (§4.1) — a
-//!    coverage-distilled corpus from [`sb_fuzz`], each test profiled from
-//!    the boot snapshot ([`profile`]).
+//! 1. **Sequential test generation and profiling** (§4.1) — one pass: a
+//!    coverage-distilled corpus from [`sb_fuzz`], the profile of each kept
+//!    test cut from the run that kept it ([`profile`]). The paper profiles
+//!    after an external fuzzer; here both are the same deterministic
+//!    executor on the same boot snapshot, so a second run would record the
+//!    same trace.
 //! 2. **PMC identification** (§4.2, Algorithm 1) — [`pmc::identify`] finds
 //!    every write/read pair with overlapping ranges and differing values.
 //! 3. **PMC selection** (§4.3, Table 1) — [`cluster`] implements the eight
@@ -117,7 +120,8 @@ pub struct PipelineCfg {
     pub corpus_target: usize,
     /// Fuzzing candidate budget.
     pub fuzz_budget: u64,
-    /// Worker threads for profiling.
+    /// Worker threads for profiling an explicit job list (store misses);
+    /// [`Pipeline::prepare`] itself profiles inside the fuzz loop.
     pub workers: usize,
     /// Syscall catalog for corpus generation. [`Catalog::Stock`] (the
     /// default) keeps corpora byte-identical to pre-oracle builds;
@@ -167,58 +171,63 @@ pub struct PrepStats {
     pub shared_accesses: usize,
     /// PMCs identified.
     pub pmcs_identified: usize,
-    /// Wall time of corpus building.
+    /// Wall time of corpus building; in [`Pipeline::prepare`] that pass also
+    /// cuts every profile, so there is no separate profiling time.
     pub fuzz_time: std::time::Duration,
-    /// Wall time of profiling.
-    pub profile_time: std::time::Duration,
     /// Wall time of PMC identification.
     pub identify_time: std::time::Duration,
 }
 
 impl Pipeline {
-    /// Runs stages 1–2: boot, fuzz a corpus, profile it, identify PMCs.
+    /// Runs stages 1–2: boot, fuzz and profile a corpus, identify PMCs.
+    ///
+    /// Each program is executed once. The fuzzer and the profiler are the
+    /// same deterministic executor on the same snapshot, so the run that
+    /// earned a program its place in the corpus is its profile run, and the
+    /// profile is cut from it before the next candidate starts
+    /// (DESIGN.md §7). [`profile::profile_corpus`] remains for callers that
+    /// hold programs but no runs.
     pub fn prepare(config: KernelConfig, cfg: PipelineCfg) -> Self {
         let tracer = cfg.tracer.clone();
         let prep = tracer.span("prepare");
         let booted = boot(config);
         let t0 = std::time::Instant::now();
+        let filter = SharedAccessFilter::new();
+        let mut profiles: Vec<SeqProfile> = Vec::new();
+        let mut traced = 0u64;
         let (corpus, fuzz_stats) = {
             let _s = prep.child("fuzz");
-            sb_fuzz::build_corpus_with(
+            sb_fuzz::build_corpus_kept(
                 &booted,
                 cfg.seed,
                 cfg.corpus_target,
                 cfg.fuzz_budget,
                 cfg.catalog,
+                |test, run| {
+                    traced += run.trace.len() as u64;
+                    profiles.push(filter.cut(test, run));
+                },
             )
         };
         let fuzz_time = t0.elapsed();
+        let shared_accesses: usize = profiles.iter().map(|p| p.accesses.len()).sum();
+        profile::count_profiles(&tracer, profiles.len() as u64, 0, shared_accesses as u64, traced);
         let t1 = std::time::Instant::now();
-        let profiles = {
-            let _s = prep.child("profile");
-            profile::profile_corpus_traced(&booted, &corpus, cfg.workers, &tracer)
-        };
-        let profile_time = t1.elapsed();
-        let t2 = std::time::Instant::now();
         let pmcs = {
             let _s = prep.child("identify");
             pmc::identify_traced(&profiles, &tracer)
         };
-        let identify_time = t2.elapsed();
+        let identify_time = t1.elapsed();
         tracer.count(trace_keys::PIPELINE_PROFILES, profiles.len() as u64);
-        tracer.count(
-            trace_keys::PIPELINE_SHARED_ACCESSES,
-            profiles.iter().map(|p| p.accesses.len() as u64).sum(),
-        );
+        tracer.count(trace_keys::PIPELINE_SHARED_ACCESSES, shared_accesses as u64);
         tracer.count(trace_keys::PIPELINE_PMCS, pmcs.len() as u64);
         let stats = PrepStats {
             fuzz_executed: fuzz_stats.executed,
             corpus_kept: fuzz_stats.kept,
             edges: fuzz_stats.edges,
-            shared_accesses: profiles.iter().map(|p| p.accesses.len()).sum(),
+            shared_accesses,
             pmcs_identified: pmcs.len(),
             fuzz_time,
-            profile_time,
             identify_time,
         };
         Pipeline {
@@ -265,5 +274,41 @@ impl Pipeline {
     /// column).
     pub fn cluster_count(&self, strategy: Strategy) -> usize {
         cluster::cluster(&self.pmcs, strategy).len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A prepare executes the guest `stats.fuzz_executed` times: the fuzz
+    /// loop counts its runs there (one `Executor::run` per increment), and
+    /// the only other code on this path that runs a program — the profile
+    /// pass — is not reached.
+    #[test]
+    fn prepare_runs_the_guest_once_per_fuzzed_program() {
+        let config = KernelConfig::v5_12_rc3();
+        let profile_runs = || profile::GUEST_RUNS.with(std::cell::Cell::get);
+        for catalog in [Catalog::Stock, Catalog::Extended] {
+            let cfg = PipelineCfg {
+                seed: 2021,
+                corpus_target: 100,
+                fuzz_budget: 1500,
+                workers: 1,
+                catalog,
+                ..PipelineCfg::default()
+            };
+            let before = profile_runs();
+            let p = Pipeline::prepare(config, cfg);
+            assert_eq!(profile_runs(), before, "{catalog:?}: prepare ran a profile pass");
+            assert_eq!(p.profiles.len(), p.corpus.len());
+            let (corpus, fuzz) = sb_fuzz::build_corpus_with(&p.booted, 2021, 100, 1500, catalog);
+            assert_eq!((p.stats.fuzz_executed, &p.corpus), (fuzz.executed, &corpus));
+            assert!(fuzz.executed > fuzz.kept, "{catalog:?}: some candidate must be dropped");
+            // The explicit pass is what the counter counts: one run a program.
+            let profiles = profile::profile_corpus(&p.booted, &p.corpus, 1);
+            assert_eq!(profile_runs() - before, corpus.len() as u64);
+            assert_eq!(profiles, p.profiles);
+        }
     }
 }

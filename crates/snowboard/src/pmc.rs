@@ -50,7 +50,7 @@ use std::ops::Range;
 
 use sb_vmm::access::{range_overlap, AccessKind};
 use sb_vmm::sched::HintAccess;
-use sb_vmm::site::Site;
+use sb_vmm::site::{BuildStepHasher, Site};
 
 use crate::profile::SeqProfile;
 
@@ -180,36 +180,56 @@ fn write_side(index: &mut WriteIndex, key: SideKey) -> &mut Side {
 /// adding information — any pair is an equally valid exemplar source.
 const MAX_PAIRS_PER_PMC: usize = 32;
 
-/// Computes, per profile, the trace indices (into `accesses`) of df_leader
+/// The trace indices (into `accesses`, ascending) of `profile`'s df_leader
 /// reads: a read followed by a later read of the same range by a
 /// *different* instruction, with no intervening write to that range and the
 /// same value (§4.3, S-CH-DOUBLE).
-pub fn df_leaders(profile: &SeqProfile) -> HashSet<usize> {
-    let mut leaders = HashSet::new();
-    // Per exact range: (index, site, value) of the last read, and whether a
-    // write intervened since.
-    let mut last_read: HashMap<(u64, u8), (usize, Site, u64)> = HashMap::new();
-    for (i, a) in profile.accesses.iter().enumerate() {
-        match a.kind {
-            AccessKind::Write => {
+pub fn df_leaders(profile: &SeqProfile) -> Vec<usize> {
+    let mut scratch = DfScratch::default();
+    scratch.mark(profile);
+    let leaders = scratch.leader.iter().enumerate();
+    leaders.filter_map(|(i, is)| is.then_some(i)).collect()
+}
+
+/// The working memory of the df_leader pass, kept across the profiles of a
+/// batch so that a ~27-access profile costs no allocation.
+#[derive(Default)]
+struct DfScratch {
+    /// `leader[i]`: access `i` of the profile last marked is a df_leader.
+    leader: Vec<bool>,
+    /// Per exact range with no write since: `(addr, len, index, site,
+    /// value)` of its last read, looked through linearly — the longest
+    /// profile of a 250-program corpus reads 60 distinct ranges, the median
+    /// one a handful, and a write clears what it overlaps.
+    last_read: Vec<(u64, u8, usize, Site, u64)>,
+}
+
+impl DfScratch {
+    fn mark(&mut self, profile: &SeqProfile) {
+        let DfScratch { leader, last_read } = self;
+        leader.clear();
+        leader.resize(profile.accesses.len(), false);
+        last_read.clear();
+        for (i, a) in profile.accesses.iter().enumerate() {
+            match a.kind {
                 // A write invalidates pending first-reads on any
                 // overlapping range.
-                last_read.retain(|(addr, len), _| {
+                AccessKind::Write => last_read.retain(|(addr, len, ..)| {
                     range_overlap(*addr, *len, a.addr, a.len).is_none()
-                });
-            }
-            AccessKind::Read => {
-                let key = (a.addr, a.len);
-                if let Some((first_idx, first_site, first_val)) = last_read.get(&key).copied() {
-                    if first_site != a.site && first_val == a.value {
-                        leaders.insert(first_idx);
+                }),
+                AccessKind::Read => {
+                    let seen = (last_read.iter_mut()).find(|r| (r.0, r.1) == (a.addr, a.len));
+                    match seen {
+                        Some((_, _, first, site, value)) => {
+                            leader[*first] |= *site != a.site && *value == a.value;
+                            (*first, *site, *value) = (i, a.site, a.value);
+                        }
+                        None => last_read.push((a.addr, a.len, i, a.site, a.value)),
                     }
                 }
-                last_read.insert(key, (i, a.site, a.value));
             }
         }
     }
-    leaders
 }
 
 /// How the write×read join of one [`JoinState::add_profiles`] call runs.
@@ -291,12 +311,21 @@ pub struct JoinState {
     /// Read sides in first-occurrence order.
     reads: Vec<Side>,
     /// Position in `reads` of each read side.
-    read_pos: HashMap<SideKey, usize>,
-    seen_w: HashSet<(u32, u64, u64, u8, u64)>,
-    seen_r: HashSet<(u32, u64, u64, u8, u64)>,
+    read_pos: HashMap<SideKey, usize, BuildStepHasher>,
+    seen_w: SeenRecords,
+    seen_r: SeenRecords,
     set: PmcSet,
-    index: HashMap<PmcKey, PmcId>,
+    index: PmcIndex,
 }
+
+/// The (test, instruction, address, length, value) records already filed.
+/// Like every hashed container of the join it is keyed by sites, guest
+/// addresses and corpus indices — all from inside the program — and uses
+/// the in-crate hasher.
+type SeenRecords = HashSet<(u32, u64, u64, u8, u64), BuildStepHasher>;
+
+/// The id of each PMC key in the folded set.
+type PmcIndex = HashMap<PmcKey, PmcId, BuildStepHasher>;
 
 /// A read side's position in [`JoinState::reads`] and the records of it
 /// (a range of its `tests`) that one join pass pairs up.
@@ -348,9 +377,16 @@ impl JoinState {
     /// in `batch_writes`, leaving `self.writes` untouched so the caller can
     /// join old reads against only the new writes.
     fn ingest(&mut self, profiles: &[SeqProfile], batch_writes: &mut WriteIndex) {
+        // Sized once for the batch, as if no record repeated.
+        let accesses = || profiles.iter().flat_map(|p| &p.accesses);
+        let writes = accesses().filter(|a| a.kind == AccessKind::Write).count();
+        let reads = accesses().count() - writes;
+        self.seen_w.reserve(writes);
+        self.seen_r.reserve(reads);
+        let mut df = DfScratch::default();
         for p in profiles {
-            let leaders = df_leaders(p);
-            for (i, a) in p.accesses.iter().enumerate() {
+            df.mark(p);
+            for (a, df) in p.accesses.iter().zip(&df.leader) {
                 let sig = (p.test, a.site.0, a.addr, a.len, a.value);
                 let key = SideKey {
                     ins: a.site,
@@ -365,17 +401,16 @@ impl JoinState {
                         }
                     }
                     AccessKind::Read => {
-                        let df = leaders.contains(&i);
                         // A df_leader read and a plain read with the same
                         // signature must both survive, so a leader is kept
                         // whether or not its signature was seen.
-                        if self.seen_r.insert(sig) || df {
+                        if self.seen_r.insert(sig) || *df {
                             let reads = &mut self.reads;
                             let pos = *self.read_pos.entry(key).or_insert_with(|| {
                                 reads.push(Side::new(key));
                                 reads.len() - 1
                             });
-                            reads[pos].df_leader |= df;
+                            reads[pos].df_leader |= *df;
                             reads[pos].tests.push(p.test);
                         }
                     }
@@ -492,23 +527,24 @@ impl JoinState {
 /// Returns how many record pairs that is, stored or not.
 fn fold_match(
     set: &mut PmcSet,
-    index: &mut HashMap<PmcKey, PmcId>,
+    index: &mut PmcIndex,
     w: &Side,
     r: &Side,
     recs: Range<usize>,
 ) -> u64 {
     let key = PmcKey { w: w.key, r: r.key };
+    let folded = w.tests.len() * recs.len();
     let id = *index.entry(key).or_insert_with(|| {
         set.pmcs.push(Pmc {
             key,
             df_leader: r.df_leader,
-            pairs: Vec::new(),
+            // Most PMCs are folded once: sized for this fold's pairs.
+            pairs: Vec::with_capacity(folded.min(MAX_PAIRS_PER_PMC)),
         });
         (set.pmcs.len() - 1) as PmcId
     });
     let pmc = &mut set.pmcs[id as usize];
     pmc.df_leader |= r.df_leader;
-    let folded = (w.tests.len() * recs.len()) as u64;
     // Pairs are only ever stored under the cap, so the stored list is the
     // whole of what has been seen.
     'cap: for rt in &r.tests[recs] {
@@ -521,7 +557,7 @@ fn fold_match(
             }
         }
     }
-    folded
+    folded as u64
 }
 
 /// Scans the ordered nested write index for sides that communicate with
@@ -561,6 +597,11 @@ fn scan_read<'w>(
 /// first-occurrence order of sides within each (addr, len) bucket and
 /// ingest order of tests within each side.
 fn merge_writes(into: &mut WriteIndex, batch: WriteIndex) {
+    if into.is_empty() {
+        // The first batch of a state, i.e. every from-scratch identify.
+        *into = batch;
+        return;
+    }
     for side in batch.into_values().flat_map(BTreeMap::into_values).flatten() {
         write_side(into, side.key).tests.extend(side.tests);
     }
@@ -667,6 +708,36 @@ mod tests {
 
     use AccessKind::{Read, Write};
 
+    /// `df_leaders` as it was while it built a hash set and a hash map per
+    /// profile: the definition [`DfScratch::mark`] is compared against.
+    fn df_leaders_reference(profile: &SeqProfile) -> HashSet<usize> {
+        let mut leaders = HashSet::new();
+        // Per exact range: (index, site, value) of the last read, and whether a
+        // write intervened since.
+        let mut last_read: HashMap<(u64, u8), (usize, Site, u64)> = HashMap::new();
+        for (i, a) in profile.accesses.iter().enumerate() {
+            match a.kind {
+                AccessKind::Write => {
+                    // A write invalidates pending first-reads on any
+                    // overlapping range.
+                    last_read.retain(|(addr, len), _| {
+                        range_overlap(*addr, *len, a.addr, a.len).is_none()
+                    });
+                }
+                AccessKind::Read => {
+                    let key = (a.addr, a.len);
+                    if let Some((first_idx, first_site, first_val)) = last_read.get(&key).copied() {
+                        if first_site != a.site && first_val == a.value {
+                            leaders.insert(first_idx);
+                        }
+                    }
+                    last_read.insert(key, (i, a.site, a.value));
+                }
+            }
+        }
+        leaders
+    }
+
     /// The join as it was before sides: one record per (test, access
     /// signature), every read record scanned against every write record,
     /// one fold per matching record pair with a per-PMC `pair_seen` set.
@@ -725,7 +796,7 @@ mod tests {
             fn ingest(&mut self, profiles: &[SeqProfile], batch_writes: &mut WriteIndex) -> usize {
                 let first_new_read = self.reads.len();
                 for p in profiles {
-                    let leaders = df_leaders(p);
+                    let leaders = super::df_leaders_reference(p);
                     for (i, a) in p.accesses.iter().enumerate() {
                         let sig = (p.test, a.site.0, a.addr, a.len, a.value);
                         let rec = |df_leader| Rec {
@@ -1043,6 +1114,44 @@ mod tests {
         assert!(df_leaders(&diff_val).is_empty());
     }
 
+    #[test]
+    fn df_leader_scratch_matches_the_hashed_reference() {
+        // One scratch across all profiles, as `ingest` uses it: what an
+        // earlier, longer profile left behind must not leak into the next.
+        let mut scratch = DfScratch::default();
+        let mut check = |p: &SeqProfile, what: &str| -> usize {
+            scratch.mark(p);
+            let reference = df_leaders_reference(p);
+            for (i, is) in scratch.leader.iter().enumerate() {
+                assert_eq!(*is, reference.contains(&i), "{what}, test {}, access {i}", p.test);
+            }
+            assert_eq!(scratch.leader.len(), p.accesses.len());
+            let mut sorted: Vec<usize> = reference.into_iter().collect();
+            sorted.sort_unstable();
+            assert_eq!(df_leaders(p), sorted, "{what}, test {}", p.test);
+            sorted.len()
+        };
+        let mut leaders = 0;
+        for seed in [1, 2, 3, 4, 5] {
+            for p in &random_profiles(seed, 40) {
+                leaders += check(p, &format!("random corpus {seed}"));
+            }
+        }
+        assert!(leaders > 50, "the random corpora hold {leaders} leaders");
+        let booted = sb_kernel::boot(sb_kernel::KernelConfig::v5_12_rc3());
+        for (seed, catalog) in [
+            (3, sb_fuzz::Catalog::Stock),
+            (17, sb_fuzz::Catalog::Extended),
+            (2021, sb_fuzz::Catalog::Extended),
+        ] {
+            let (corpus, _) = sb_fuzz::build_corpus_with(&booted, seed, 100, 1500, catalog);
+            let profiles = crate::profile::profile_corpus(&booted, &corpus, 1);
+            let what = format!("fuzzed corpus {seed}");
+            let leaders: usize = profiles.iter().map(|p| check(p, &what)).sum();
+            assert!(leaders > 0, "{what} holds no double fetch");
+        }
+    }
+
     /// Canonical view of a PMC set: keys + df flags + sorted pair lists,
     /// order-independent. Incremental joins are compared this way because
     /// their id assignment order differs from a from-scratch rebuild.
@@ -1249,7 +1358,7 @@ mod tests {
         }
         let booted = sb_kernel::boot(sb_kernel::KernelConfig::v5_12_rc3());
         for seed in [3, 17, 71] {
-            let (corpus, _) = sb_fuzz::build_corpus(&booted, seed, 24, 360);
+            let (corpus, _) = sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Stock);
             let profiles = crate::profile::profile_corpus(&booted, &corpus, 1);
             assert!(identify(&profiles).len() > 50, "seed {seed}: thin corpus");
             assert_matches_reference(&profiles, &format!("fuzzed corpus {seed}"));

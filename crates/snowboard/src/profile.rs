@@ -12,7 +12,7 @@ use sb_obs::{keys, Tracer};
 use sb_vmm::access::Access;
 use sb_vmm::mem::{stack_base, stack_range_of, MAX_THREADS};
 use sb_vmm::sched::FreeRun;
-use sb_vmm::Executor;
+use sb_vmm::{ExecReport, Executor};
 
 /// The memory-access profile of one sequential test.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,6 +48,22 @@ impl SharedAccessFilter {
         let (lo, hi) = self.ranges[a.thread];
         !(a.addr >= lo && a.addr < hi)
     }
+
+    /// The profile of `test` cut from `report`, the finished run of its
+    /// program alone from the boot snapshot: the shared accesses, copied out
+    /// at their exact size rather than filtered in place — a profile lives as
+    /// long as the pipeline, and the trace it is cut from is a buffer sized
+    /// for the longest run so far, which the executor takes back.
+    pub fn cut(&self, test: u32, report: &ExecReport) -> SeqProfile {
+        let shared = || report.trace.iter().filter(|a| self.is_shared(a));
+        let mut accesses = Vec::with_capacity(shared().count());
+        accesses.extend(shared().cloned());
+        SeqProfile {
+            test,
+            accesses,
+            steps: report.steps,
+        }
+    }
 }
 
 impl Default for SharedAccessFilter {
@@ -60,6 +76,15 @@ impl Default for SharedAccessFilter {
 /// §4.1.1 mask: `[sp & !(STACK_SIZE-1), (sp & !(STACK_SIZE-1)) + STACK_SIZE)`.
 pub fn is_shared_access(a: &Access) -> bool {
     SharedAccessFilter::new().is_shared(a)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Guest executions [`profile_one_counted`] made on this thread: the
+    /// profile pass is the one place of this crate's prepare path besides
+    /// the fuzz loop that runs a program, and `Pipeline::prepare` must not
+    /// reach it.
+    pub(crate) static GUEST_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Profiles one program from the snapshot. Panicking or non-completing
@@ -89,24 +114,14 @@ pub fn profile_one_counted(
     prog: &Program,
     filter: &SharedAccessFilter,
 ) -> (Option<SeqProfile>, u64) {
+    #[cfg(test)]
+    GUEST_RUNS.with(|n| n.set(n.get() + 1));
     let r = exec.run(
         booted.snapshot.clone(),
         vec![booted.kernel.process_job(prog.clone())],
         &mut FreeRun,
     );
-    let profile = r.report.outcome.is_completed().then(|| {
-        // Copied out at its exact size, not filtered in place: a profile
-        // lives as long as the pipeline, and the trace it was cut from is a
-        // buffer sized for the longest run so far.
-        let shared = || r.report.trace.iter().filter(|a| filter.is_shared(a));
-        let mut accesses = Vec::with_capacity(shared().count());
-        accesses.extend(shared().cloned());
-        SeqProfile {
-            test,
-            accesses,
-            steps: r.report.steps,
-        }
-    });
+    let profile = (r.report.outcome.is_completed()).then(|| filter.cut(test, &r.report));
     let total = if profile.is_some() { r.report.trace.len() as u64 } else { 0 };
     // The next program records into this one's buffers.
     exec.recycle(r);
@@ -144,23 +159,25 @@ pub fn profile_jobs_traced(
             (*i, p, total)
         },
     );
-    let (mut ok, mut failed, mut kept) = (0u64, 0u64, 0u64);
-    let mut dropped = 0u64;
+    let (mut ok, mut kept, mut traced) = (0u64, 0u64, 0u64);
     for (_, p, total) in &out {
-        match p {
-            Some(p) => {
-                ok += 1;
-                kept += p.accesses.len() as u64;
-                dropped += total - p.accesses.len() as u64;
-            }
-            None => failed += 1,
+        if let Some(p) = p {
+            ok += 1;
+            kept += p.accesses.len() as u64;
+            traced += total;
         }
     }
+    count_profiles(tracer, ok, out.len() as u64 - ok, kept, traced);
+    out.into_iter().map(|(i, p, _)| (i, p)).collect()
+}
+
+/// Emits the profile counters of a batch: `ok` profiles holding `kept` of
+/// the `traced` accesses their runs recorded, and `failed` programs.
+pub(crate) fn count_profiles(tracer: &Tracer, ok: u64, failed: u64, kept: u64, traced: u64) {
     tracer.count(keys::PROFILES_OK, ok);
     tracer.count(keys::PROFILES_FAILED, failed);
     tracer.count(keys::ACCESSES_KEPT, kept);
-    tracer.count(keys::ACCESSES_DROPPED, dropped);
-    out.into_iter().map(|(i, p, _)| (i, p)).collect()
+    tracer.count(keys::ACCESSES_DROPPED, traced - kept);
 }
 
 /// Profiles a whole corpus, fanning out across `workers` executors (the

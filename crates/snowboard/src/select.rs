@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use sb_vmm::rng::SplitMix64;
 
-use crate::cluster::{cluster, Cluster, Strategy};
+use crate::cluster::{memberships, runs, Cluster, Strategy};
 use crate::pmc::{PmcId, PmcSet};
 
 /// How clusters are ordered before exemplar selection.
@@ -24,17 +24,23 @@ pub enum ClusterOrder {
     Random,
 }
 
+/// Orders `clusters` per `order` (stable and deterministic for a given
+/// seed), given the `(cardinality, key)` of each.
+fn order_by<T>(
+    clusters: &mut [T],
+    size_and_key: impl Fn(&T) -> (usize, u64),
+    order: ClusterOrder,
+    seed: u64,
+) {
+    match order {
+        ClusterOrder::UncommonFirst => clusters.sort_by_key(size_and_key),
+        ClusterOrder::Random => SplitMix64::new(seed).shuffle(clusters),
+    }
+}
+
 /// Orders clusters per `order` (stable and deterministic for a given seed).
 pub fn order_clusters(mut clusters: Vec<Cluster>, order: ClusterOrder, seed: u64) -> Vec<Cluster> {
-    match order {
-        ClusterOrder::UncommonFirst => {
-            clusters.sort_by_key(|c| (c.len(), c.key));
-        }
-        ClusterOrder::Random => {
-            let mut rng = SplitMix64::new(seed);
-            rng.shuffle(&mut clusters);
-        }
-    }
+    order_by(&mut clusters, |c| (c.len(), c.key), order, seed);
     clusters
 }
 
@@ -64,23 +70,29 @@ pub fn exemplars_traced(
     exclude: &HashSet<PmcId>,
     tracer: &sb_obs::Tracer,
 ) -> Vec<PmcId> {
-    let clusters = order_clusters(cluster(set, strategy), order, seed);
+    // The clusters [`cluster`](crate::cluster::cluster) returns, as runs of
+    // one sorted vector: S-FULL makes about a cluster per PMC, and a vector
+    // per cluster was most of what a selection allocated.
+    let memberships = memberships(set, strategy);
+    let mut clusters: Vec<&[(u64, PmcId)]> = runs(&memberships).collect();
+    order_by(&mut clusters, |c| (c.len(), c[0].0), order, seed);
     tracer.count(sb_obs::keys::CLUSTERS, clusters.len() as u64);
     for c in &clusters {
         tracer.hist(sb_obs::keys::CLUSTER_SIZE, c.len() as u64);
     }
     let mut rng = SplitMix64::new(seed ^ 0xE7E7_5EED);
-    let mut picked = HashSet::new();
+    let mut picked = vec![false; set.len()];
     let mut out = Vec::with_capacity(clusters.len());
     for c in &clusters {
-        let candidates: Vec<PmcId> = c
-            .members
-            .iter()
-            .copied()
-            .filter(|id| !exclude.contains(id) && !picked.contains(id))
-            .collect();
-        if let Some(&id) = rng.choose(&candidates) {
-            picked.insert(id);
+        // A uniform draw among the cluster's candidates — one
+        // `gen_range`, none when there is no candidate — without listing
+        // them.
+        let free = |id: &PmcId| !picked[*id as usize] && !exclude.contains(id);
+        let candidates = || c.iter().map(|(_, id)| *id).filter(free);
+        let n = candidates().count();
+        if n > 0 {
+            let id = candidates().nth(rng.gen_range(0..n)).expect("n candidates");
+            picked[id as usize] = true;
             out.push(id);
         }
     }
@@ -114,6 +126,63 @@ mod tests {
     use super::*;
     use crate::pmc::{Pmc, PmcKey, SideKey};
     use sb_vmm::site;
+
+    /// Selection as it was while every cluster was a vector, the candidates
+    /// of each a second one and `picked` a hash set, over the hash-grouped
+    /// [`crate::cluster::reference`]: what the run-based selection must equal.
+    mod reference {
+        use super::super::*;
+        use crate::cluster::reference::cluster;
+
+        /// Orders clusters per `order` (stable and deterministic for a given seed).
+        pub fn order_clusters(mut clusters: Vec<Cluster>, order: ClusterOrder, seed: u64) -> Vec<Cluster> {
+            match order {
+                ClusterOrder::UncommonFirst => {
+                    clusters.sort_by_key(|c| (c.len(), c.key));
+                }
+                ClusterOrder::Random => {
+                    let mut rng = SplitMix64::new(seed);
+                    rng.shuffle(&mut clusters);
+                }
+            }
+            clusters
+        }
+
+        /// [`exemplars`], emitting selection metrics to `tracer`: the number of
+        /// clusters (`select.clusters`), one `select.cluster_size` histogram sample
+        /// per cluster, and the exemplar count (`select.exemplars`).
+        pub fn exemplars_traced(
+            set: &PmcSet,
+            strategy: Strategy,
+            order: ClusterOrder,
+            seed: u64,
+            exclude: &HashSet<PmcId>,
+            tracer: &sb_obs::Tracer,
+        ) -> Vec<PmcId> {
+            let clusters = order_clusters(cluster(set, strategy), order, seed);
+            tracer.count(sb_obs::keys::CLUSTERS, clusters.len() as u64);
+            for c in &clusters {
+                tracer.hist(sb_obs::keys::CLUSTER_SIZE, c.len() as u64);
+            }
+            let mut rng = SplitMix64::new(seed ^ 0xE7E7_5EED);
+            let mut picked = HashSet::new();
+            let mut out = Vec::with_capacity(clusters.len());
+            for c in &clusters {
+                let candidates: Vec<PmcId> = c
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|id| !exclude.contains(id) && !picked.contains(id))
+                    .collect();
+                if let Some(&id) = rng.choose(&candidates) {
+                    picked.insert(id);
+                    out.push(id);
+                }
+            }
+            tracer.count(sb_obs::keys::EXEMPLARS, out.len() as u64);
+            out
+        }
+    }
 
     fn pmc(wins: &str, val: u64) -> Pmc {
         Pmc {
@@ -199,5 +268,67 @@ mod tests {
         assert_eq!(ids.len(), dedup.len(), "no PMC tested twice: {ids:?}");
         // S-FULL covers everything eventually: all 6 PMCs appear.
         assert_eq!(ids.len(), 6);
+    }
+
+    /// A PMC from small feature alphabets, so that every strategy both
+    /// merges and separates PMCs and every filter passes some.
+    fn arb_pmc() -> impl proptest::strategy::Strategy<Value = Pmc> {
+        use proptest::prelude::*;
+        let side = || (0u8..4, 0u64..3, 0usize..3, 0u64..3);
+        (side(), side(), proptest::bool::ANY).prop_map(|(w, r, df_leader)| {
+            let side = |role: &str, (ins, slot, len, value): (u8, u64, usize, u64)| SideKey {
+                ins: sb_vmm::Site::intern(&format!("sel:{role}{ins}")),
+                addr: 0x40 + slot * 4,
+                len: [2, 4, 8][len],
+                value,
+            };
+            Pmc {
+                key: PmcKey {
+                    w: side("w", w),
+                    r: side("r", r),
+                },
+                df_leader,
+                pairs: vec![(0, 1)],
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Clusters from one sorted membership vector and an exemplar drawn
+        /// by counting are the hash-grouped clusters and the exemplar
+        /// chosen from a listed candidate vector: every strategy, both
+        /// orders, any exclusion set.
+        #[test]
+        fn sorted_runs_select_what_hash_grouping_selected(
+            pmcs in proptest::collection::vec(arb_pmc(), 0..80),
+            excluded in proptest::collection::vec(proptest::prelude::any::<proptest::sample::Index>(), 0..40),
+            seed: u64,
+        ) {
+            use proptest::prelude::*;
+            let set = PmcSet { pmcs };
+            let exclude: HashSet<PmcId> = (excluded.iter())
+                .filter(|_| !set.is_empty())
+                .map(|i| i.index(set.len()) as PmcId)
+                .collect();
+            let tracer = sb_obs::Tracer::disabled();
+            for strategy in crate::cluster::ALL_STRATEGIES {
+                prop_assert_eq!(
+                    crate::cluster::cluster(&set, strategy),
+                    crate::cluster::reference::cluster(&set, strategy),
+                    "{:?}", strategy
+                );
+                for order in [ClusterOrder::UncommonFirst, ClusterOrder::Random] {
+                    for exclude in [&HashSet::new(), &exclude] {
+                        prop_assert_eq!(
+                            exemplars(&set, strategy, order, seed, exclude),
+                            reference::exemplars_traced(&set, strategy, order, seed, exclude, &tracer),
+                            "{:?} {:?} excluding {:?}", strategy, order, exclude
+                        );
+                    }
+                }
+            }
+        }
     }
 }

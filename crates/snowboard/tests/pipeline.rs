@@ -3,7 +3,7 @@
 
 use snowboard::cluster::Strategy;
 use snowboard::select::ClusterOrder;
-use snowboard::{CampaignCfg, Pipeline, PipelineCfg};
+use snowboard::{CampaignCfg, Catalog, Pipeline, PipelineCfg};
 
 use sb_kernel::KernelConfig;
 
@@ -14,6 +14,58 @@ fn small_cfg() -> PipelineCfg {
         fuzz_budget: 600,
         workers: 4,
         ..PipelineCfg::default()
+    }
+}
+
+/// `Pipeline::prepare` cuts each profile out of the fuzz run that kept the
+/// program. The pipeline it replaced — build the corpus, then run every kept
+/// program a second time to profile it, then join — must give the same
+/// corpus, profiles, PMC set and counted statistics: at `hunt` scale, at the
+/// benchmark's scale, and when the budget runs out before the target.
+#[test]
+fn prepare_equals_fuzz_then_profile_then_identify() {
+    let config = KernelConfig::v5_12_rc3();
+    let booted = sb_kernel::boot(config);
+    for (corpus_target, fuzz_budget) in [(100, 1500), (250, 6000), (60, 40)] {
+        for catalog in [Catalog::Stock, Catalog::Extended] {
+            for seed in (0..16).map(|i| 2021 + 97 * i) {
+                let what = format!("seed {seed}, {catalog:?}, {corpus_target}/{fuzz_budget}");
+                let fused = Pipeline::prepare(
+                    config,
+                    PipelineCfg {
+                        seed,
+                        corpus_target,
+                        fuzz_budget,
+                        workers: 1,
+                        catalog,
+                        ..PipelineCfg::default()
+                    },
+                );
+                let (corpus, fuzz) =
+                    sb_fuzz::build_corpus_with(&booted, seed, corpus_target, fuzz_budget, catalog);
+                let profiles = snowboard::profile::profile_corpus(&booted, &corpus, 1);
+                let pmcs = snowboard::pmc::identify(&profiles);
+                assert_eq!(fused.corpus, corpus, "{what}");
+                assert_eq!(fused.profiles, profiles, "{what}");
+                assert_eq!(fused.pmcs, pmcs, "{what}");
+                let stats = &fused.stats;
+                assert_eq!(
+                    (stats.fuzz_executed, stats.corpus_kept, stats.edges),
+                    (fuzz.executed, fuzz.kept, fuzz.edges),
+                    "{what}"
+                );
+                assert_eq!(
+                    (stats.shared_accesses, stats.pmcs_identified),
+                    (profiles.iter().map(|p| p.accesses.len()).sum(), pmcs.len()),
+                    "{what}"
+                );
+                if fuzz_budget < 100 {
+                    assert!(corpus.len() < corpus_target, "{what}: the budget must run out");
+                } else {
+                    assert!(corpus.len() >= corpus_target, "{what}: the target must be met");
+                }
+            }
+        }
     }
 }
 

@@ -118,7 +118,7 @@ proptest! {
                 }
             }
             for (id, count) in membership.iter().enumerate() {
-                let expected = keys_of(set.get(id as PmcId), strategy).len();
+                let expected = keys_of(set.get(id as PmcId), strategy).count();
                 prop_assert_eq!(
                     *count, expected,
                     "PMC {} under {:?}: in {} clusters, keyed {} times",
@@ -145,7 +145,7 @@ proptest! {
         let profiles = build_profiles(tests);
         let set = identify(&profiles);
         let full = cluster(&set, Strategy::SFull);
-        let ch_key = |id: PmcId| keys_of(set.get(id), Strategy::SCh);
+        let ch_key = |id: PmcId| keys_of(set.get(id), Strategy::SCh).collect::<Vec<u64>>();
         for c in &full {
             let first = ch_key(c.members[0]);
             for m in &c.members {

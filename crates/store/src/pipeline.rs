@@ -36,12 +36,17 @@ pub fn prepare(
     let t0 = Instant::now();
     let (corpus, fuzz_stats) = {
         let _s = prep.child("fuzz");
-        sb_fuzz::build_corpus(&booted, cfg.seed, cfg.corpus_target, cfg.fuzz_budget)
+        sb_fuzz::build_corpus_with(
+            &booted,
+            cfg.seed,
+            cfg.corpus_target,
+            cfg.fuzz_budget,
+            cfg.catalog,
+        )
     };
     let fuzz_time = t0.elapsed();
 
     // Stage 1: profile, serving unchanged tests from the store.
-    let t1 = Instant::now();
     let profile_span = prep.child("profile");
     let keys: Vec<u64> = corpus
         .iter()
@@ -72,7 +77,6 @@ pub fn prepare(
         .filter_map(|s| s.expect("every corpus entry resolved"))
         .collect();
     drop(profile_span);
-    let profile_time = t1.elapsed();
 
     // Stage 2: identify, reusing a stored set when possible.
     let t2 = Instant::now();
@@ -142,7 +146,6 @@ pub fn prepare(
         shared_accesses: profiles.iter().map(|p| p.accesses.len()).sum(),
         pmcs_identified: pmcs.len(),
         fuzz_time,
-        profile_time,
         identify_time,
     };
     Ok((

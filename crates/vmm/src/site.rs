@@ -111,6 +111,16 @@ impl Hasher for StepHasher {
         self.write_u64(word as u64);
     }
 
+    // A narrow field of a derived key (an access length, a test id) is one
+    // word too, not a trip through the byte loop.
+    fn write_u8(&mut self, word: u8) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
     /// The multiply leaves its best bits at the top and nothing in the low
     /// three of an 8-aligned address's; a table indexes with the low ones.
     fn finish(&self) -> u64 {
@@ -214,6 +224,15 @@ mod tests {
         // A name longer than one word is hashed whole, tail included.
         assert_ne!(hash.hash_one("slab.alloc_count"), hash.hash_one("slab.alloc_counts"));
         assert_ne!(hash.hash_one("slab.alloc_count"), hash.hash_one("slab.free_count"));
+        // A one- or four-byte field takes the word path and hashes as its
+        // bytes did through the byte loop.
+        let bytes = |b: &[u8]| {
+            let mut h = StepHasher::default();
+            h.write(b);
+            h.finish()
+        };
+        assert_eq!(hash.hash_one(0xA7u8), bytes(&[0xA7]));
+        assert_eq!(hash.hash_one(0xAABB_CCDDu32), bytes(&0xAABB_CCDDu32.to_le_bytes()));
     }
 
     #[test]

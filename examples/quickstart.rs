@@ -26,14 +26,15 @@ fn main() {
         },
     );
     println!(
-        "      corpus: {} tests ({} fuzz executions, {} edges)",
+        "      corpus: {} tests ({} fuzz executions, {} edges) in {:.2?}",
         pipeline.corpus.len(),
         pipeline.stats.fuzz_executed,
-        pipeline.stats.edges
+        pipeline.stats.edges,
+        pipeline.stats.fuzz_time
     );
     println!(
-        "      profiled {} shared accesses in {:.2?}",
-        pipeline.stats.shared_accesses, pipeline.stats.profile_time
+        "      profiled {} shared accesses, each test from the run that kept it",
+        pipeline.stats.shared_accesses
     );
 
     println!("\n[2/4] PMC identification (§4.2, Algorithm 1)");

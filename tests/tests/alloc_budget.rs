@@ -1,6 +1,6 @@
 //! Allocation budget of the hot paths, counted: what a trial, a lock
-//! operation, a wake or a sleep, a race scan and a profiled program may ask
-//! of the allocator.
+//! operation, a wake or a sleep, a race scan, a profiled program, a whole
+//! prepare and a round of selections may ask of the allocator.
 //!
 //! A counting `#[global_allocator]` over `System` tallies requests per
 //! thread, so the tests here can run side by side — and so a one-worker
@@ -277,3 +277,37 @@ fn a_profile_pass_allocates_in_proportion_to_what_it_keeps() {
         allocations as f64 / corpus.len() as f64
     );
 }
+
+#[test]
+fn a_prepare_and_its_selections_stay_within_their_allocation_budgets() {
+    hunt_pipeline();
+    let ((prepare, _), p) = counted(hunt_pipeline);
+    assert_eq!(p.profiles.len(), p.corpus.len());
+    assert!(
+        (PREPARE_FLOOR..=PREPARE_BUDGET).contains(&prepare),
+        "a hunt-scale prepare asked for {prepare} allocations; measured {PREPARE_MEASURED} when \
+         the budget of {PREPARE_BUDGET} was set ({PREPARE_PARENT} = 4 017 fuzz + 1 689 profile + \
+         2 885 identify while every kept program ran twice, coverage built a set per candidate \
+         and the join a hash set and a hash map per profile; below {PREPARE_FLOOR} means the \
+         one worker is not this thread)"
+    );
+    let ((select, _), picks) = counted(|| {
+        snowboard::cluster::ALL_STRATEGIES.map(|s| p.exemplars(s, ClusterOrder::UncommonFirst))
+    });
+    assert!(picks.iter().all(|ids| !ids.is_empty()));
+    assert!(
+        (8..=SELECT_BUDGET).contains(&select),
+        "eight selections asked for {select} allocations; measured {SELECT_MEASURED} when the \
+         budget of {SELECT_BUDGET} was set ({SELECT_PARENT} while a key list was a vector per PMC, \
+         a cluster a vector and its candidates another)"
+    );
+}
+
+/// Measured at the change that set these budgets and at its parent.
+const PREPARE_MEASURED: u64 = 4_911;
+const PREPARE_PARENT: u64 = 8_591;
+const PREPARE_BUDGET: u64 = 5_200;
+const PREPARE_FLOOR: u64 = 3_000;
+const SELECT_MEASURED: u64 = 76;
+const SELECT_PARENT: u64 = 5_111;
+const SELECT_BUDGET: u64 = 120;

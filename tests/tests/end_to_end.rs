@@ -142,7 +142,7 @@ fn fuzz_corpus_feeds_pipeline_without_panics() {
     // Sequential tests generated by the fuzzer must never panic the
     // simulated kernel: all planted bugs are concurrency bugs.
     let booted = shared_old_kernel();
-    let (corpus, _) = sb_fuzz::build_corpus(booted, 99, 50, 400);
+    let (corpus, _) = sb_fuzz::build_corpus_with(booted, 99, 50, 400, sb_fuzz::Catalog::Stock);
     let mut exec = Executor::new(1);
     for (i, prog) in corpus.iter().enumerate() {
         let r = exec.run(
