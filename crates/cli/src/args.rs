@@ -54,9 +54,12 @@ OPTIONS (hunt):
     --store <DIR>                 persist/reuse profiles and PMCs in DIR
     --no-cache                    with --store: write results but serve no reads
     --trace-dir <DIR>             write structured JSONL trace events to DIR
-    --supervise                   run the campaign as separate worker
-                                  processes, supervised with heartbeats,
-                                  restart budgets, and crash quarantine
+    --supervise                   run the campaign on --workers child
+                                  processes ('hunt join' workers of a
+                                  loopback coordinator), with heartbeats,
+                                  restarts, and crash quarantine; the
+                                  checkpoint's write-ahead journal is
+                                  PATH.wal, as under 'hunt serve'
     --stop-file <PATH>            with --supervise: finish in-flight jobs,
                                   checkpoint, and exit 0 once PATH exists
     --heartbeat-ms <N>            with --supervise: kill and restart a worker
@@ -177,8 +180,9 @@ pub struct HuntOpts {
     /// Directory to write structured JSONL trace events to; `None` disables
     /// tracing entirely (the near-no-op path).
     pub trace_dir: Option<PathBuf>,
-    /// Run the campaign as supervised worker *processes* instead of the
-    /// in-process thread pool.
+    /// Run the campaign on supervised worker *processes* (`hunt join`
+    /// children of a loopback coordinator) instead of the in-process
+    /// thread pool.
     pub supervise: bool,
     /// With `--supervise`: graceful-shutdown trigger — finish in-flight
     /// jobs, save the checkpoint, and exit cleanly once this file exists.
@@ -189,10 +193,6 @@ pub struct HuntOpts {
     /// Scripted fault injection, every plane (`--chaos`). Parse time
     /// already checked that each plane has somewhere to act.
     pub chaos: ChaosPlan,
-    /// Hidden worker entrypoint `(shard, of)`: run one deterministic shard
-    /// of the campaign and speak the worker protocol on stdout. Set only by
-    /// the supervisor's re-exec; never by hand.
-    pub worker_shard: Option<(usize, usize)>,
 }
 
 /// Options for `hunt serve` (fleet coordinator).
@@ -414,18 +414,6 @@ fn parse_chaos(argv: &[String]) -> Result<Cmd, String> {
     Ok(Cmd::Chaos(ChaosOpts { seeds, seed, quick, replay, dir }))
 }
 
-/// Parses the hidden `--worker-shard K/N` value.
-fn parse_shard(v: &str) -> Result<(usize, usize), String> {
-    let bad = || format!("--worker-shard: expected K/N with K < N, got '{v}'");
-    let (k, n) = v.split_once('/').ok_or_else(bad)?;
-    let shard: usize = k.trim().parse().map_err(|_| bad())?;
-    let of: usize = n.trim().parse().map_err(|_| bad())?;
-    if of == 0 || shard >= of {
-        return Err(bad());
-    }
-    Ok((shard, of))
-}
-
 /// Parses a full command line (without `argv[0]`).
 pub fn parse(argv: &[String]) -> Result<Cmd, String> {
     let Some(cmd) = argv.first() else {
@@ -558,7 +546,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut stop_file: Option<PathBuf> = None;
             let mut heartbeat_ms = 10_000u64;
             let mut chaos = ChaosPlan::default();
-            let mut worker_shard: Option<(usize, usize)> = None;
             let mut i = start;
             while i < argv.len() {
                 match argv[i].as_str() {
@@ -653,9 +640,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         chaos = ChaosPlan::parse_spec(take_value(argv, &mut i, "--chaos")?)
                             .map_err(|e| format!("--chaos: {e}"))?
                     }
-                    "--worker-shard" if is_hunt => {
-                        worker_shard = Some(parse_shard(take_value(argv, &mut i, "--worker-shard")?)?)
-                    }
                     other => return Err(format!("unknown option '{other}'")),
                 }
                 i += 1;
@@ -663,21 +647,13 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             if no_cache && store.is_none() {
                 return Err("--no-cache requires --store <dir>".into());
             }
-            if supervise && worker_shard.is_some() {
-                return Err("--worker-shard is the supervisor's internal entrypoint; \
-                            it cannot be combined with --supervise"
-                    .into());
-            }
-            if stop_file.is_some() && !supervise && worker_shard.is_none() && !fleet {
+            if stop_file.is_some() && !supervise && !fleet {
                 return Err("--stop-file requires --supervise, serve, or join".into());
             }
             if fleet && supervise {
                 return Err("hunt serve/join already distribute the campaign; \
                             drop --supervise"
                     .into());
-            }
-            if fleet && worker_shard.is_some() {
-                return Err("--worker-shard cannot be combined with serve/join".into());
             }
             if mode == Mode::Serve && listen.is_none() {
                 return Err("hunt serve requires --listen <addr>".into());
@@ -745,7 +721,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     stop_file,
                     heartbeat_ms,
                     chaos,
-                    worker_shard,
                 };
                 Ok(match mode {
                     Mode::Local => Cmd::Hunt(Box::new(hunt)),
@@ -953,7 +928,6 @@ mod tests {
                 assert_eq!(o.heartbeat_ms, 500);
                 assert!(o.chaos.job.should_abort(2));
                 assert!(o.chaos.job.should_stall(3));
-                assert_eq!(o.worker_shard, None);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -969,24 +943,6 @@ mod tests {
         assert!(parse(&argv("hunt --stop-file /tmp/stop")).is_err(), "needs --supervise");
         assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
         assert!(parse(&argv("strategies --supervise")).is_err(), "hunt-only");
-    }
-
-    #[test]
-    fn parses_the_hidden_worker_shard_entrypoint() {
-        match parse(&argv("hunt --worker-shard 1/3 --stop-file /tmp/stop")).unwrap() {
-            Cmd::Hunt(o) => {
-                assert_eq!(o.worker_shard, Some((1, 3)));
-                assert!(!o.supervise);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&argv("hunt --worker-shard 3/3")).is_err(), "shard must be < of");
-        assert!(parse(&argv("hunt --worker-shard 0/0")).is_err());
-        assert!(parse(&argv("hunt --worker-shard nope")).is_err());
-        assert!(
-            parse(&argv("hunt --supervise --worker-shard 0/2")).is_err(),
-            "the internal entrypoint cannot itself supervise"
-        );
     }
 
     #[test]
@@ -1047,7 +1003,6 @@ mod tests {
         assert!(parse(&argv("hunt join --batch 3")).is_err(), "address before flags");
         assert!(parse(&argv("hunt join x:1 --connect-retries 0")).is_err());
         assert!(parse(&argv("hunt join x:1 --checkpoint /tmp/cp")).is_err());
-        assert!(parse(&argv("hunt join x:1 --worker-shard 0/2")).is_err());
         assert!(parse(&argv("hunt --connect-retries 2")).is_err(), "join-only flag");
         assert!(parse(&argv("hunt --spool /tmp/s")).is_err(), "join-only flag");
         assert!(parse(&argv("hunt serve --listen x --spool /tmp/s")).is_err());

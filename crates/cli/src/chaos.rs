@@ -201,7 +201,7 @@ fn run_campaign(env: &mut Env, o: &ChaosOpts) -> Result<Vec<ChaosMode>, Fail> {
         }
         let result = match s.mode {
             ChaosMode::Plain => run_plain(env, &s, &trial),
-            ChaosMode::Supervised => run_supervised(env, &s, &trial),
+            ChaosMode::Supervised => run_hunt(env, &s, &trial, true),
             ChaosMode::Fleet => run_fleet(env, &s, &trial),
         };
         match result {
@@ -257,15 +257,7 @@ fn run_baseline(env: &mut Env) -> Result<(), String> {
 /// damaged, after which `store fsck` must come back clean.
 fn run_plain(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     if s.plan.disk.is_empty() {
-        let tdir = trial.join("trace");
-        let mut args = hunt_args(env);
-        args.extend(trace_args(&tdir));
-        args.extend(chaos_args(&s.plan));
-        let out = run_to_end(env, &args, trial, "hunt")?;
-        let ledger = tally(&[&out.stderr]);
-        check_outcome(env, s, &out)?;
-        check_expectations(s, &ledger)?;
-        check_counters(env, s, &[tdir], &ledger, trial)
+        run_hunt(env, s, trial, false)
     } else {
         let store = trial.join("store");
         let torn = s.plan.disk.torn_write_after.is_some();
@@ -346,22 +338,31 @@ fn run_plain(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     }
 }
 
-/// `hunt --supervise`: job faults retry in-process, process faults kill
-/// the worker out from under the supervisor, which must respawn it and
-/// quarantine the poisoned job once the crash budget runs out.
-fn run_supervised(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
+/// One storeless `hunt` under the schedule's faults. Supervised, job faults
+/// retry in-process and process faults kill a worker out from under its
+/// loopback coordinator, which must respawn it and quarantine the poisoned
+/// job once the crash budget runs out — and leave no worker behind.
+fn run_hunt(env: &Env, s: &Schedule, trial: &Path, supervise: bool) -> Result<(), String> {
     let tdir = trial.join("trace");
     let mut args = hunt_args(env);
-    args.push("--supervise".into());
+    if supervise {
+        args.push("--supervise".into());
+    }
     args.extend(trace_args(&tdir));
     args.extend(chaos_args(&s.plan));
-    let (mut child, out_path, err_path) = spawn_to_files(env, &args, trial, "hunt")?;
-    // Workers re-exec with `--resume <tmp>/sb-supervise-<pid>.json`; the
-    // supervisor pid makes that marker unique to this trial.
-    let marker = format!("sb-supervise-{}.json", child.id());
-    let status = wait_deadline(&mut child, "supervised hunt")?;
-    let out = collect(status, &out_path, &err_path)?;
-    no_orphans(&marker, "orphan worker process(es) outlived the supervisor")?;
+    let out = run_to_end(env, &args, trial, "hunt")?;
+    if supervise {
+        // Workers are `hunt join <addr>` children of a coordinator on a
+        // port of its own; they announce the address on the stderr they
+        // share with the supervisor, a marker unique to this trial.
+        let addr = out
+            .stderr
+            .lines()
+            .find_map(|l| l.split("joining coordinator at ").nth(1))
+            .ok_or("the supervised hunt started no worker process")?;
+        let marker = format!("join {} ", addr.trim());
+        no_orphans(&marker, "orphan worker process(es) outlived the supervisor")?;
+    }
     let ledger = tally(&[&out.stderr]);
     check_outcome(env, s, &out)?;
     check_expectations(s, &ledger)?;

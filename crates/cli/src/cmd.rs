@@ -1,5 +1,6 @@
 //! Command implementations.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sb_kernel::prog::{IoctlCmd, MsgCmd, Path, Res};
@@ -14,7 +15,7 @@ use snowboard::select::ClusterOrder;
 use snowboard::{
     config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, Catalog,
     ChaosPlan, CheckpointCfg, FleetCfg, FleetWork, IdentifyOpts, JobBudget, JoinCfg, OracleSet,
-    Pipeline, PipelineCfg, RetryPolicy, SuperviseCfg, WorkerCfg,
+    Pipeline, PipelineCfg, PmcId, RetryPolicy, SbResult, SuperviseCfg,
 };
 
 use crate::args::{Cmd, HuntOpts, JoinOpts, ServeOpts, USAGE};
@@ -265,8 +266,6 @@ fn hunt_campaign_cfg(opts: &HuntOpts) -> CampaignCfg {
         trials_per_pmc: opts.trials,
         max_tested_pmcs: opts.budget,
         workers: opts.workers,
-        stop_on_finding: true,
-        incidental: true,
         oracles: opts.oracles,
         retry: RetryPolicy {
             max_attempts: opts.retries,
@@ -277,12 +276,8 @@ fn hunt_campaign_cfg(opts: &HuntOpts) -> CampaignCfg {
             deadline: (opts.job_deadline_secs > 0)
                 .then(|| std::time::Duration::from_secs(opts.job_deadline_secs)),
         },
-        checkpoint: None,
-        resume_from: None,
-        resume_lenient: false,
         fault_plan: opts.chaos.job.clone(),
-        deep_snapshots: false,
-        tracer: sb_obs::Tracer::disabled(),
+        ..CampaignCfg::default()
     }
 }
 
@@ -320,49 +315,6 @@ fn print_detect_summary(report: &CampaignReport, oracles: OracleSet) {
         report.duplicate_findings(),
         report.quarantined.len()
     );
-}
-
-/// The hidden `--worker-shard K/N` entrypoint the supervisor re-execs the
-/// binary into: silently prepare the same pipeline, then run one shard of
-/// the campaign speaking the worker protocol on stdout. Everything
-/// human-readable stays off stdout — the supervisor owns that pipe.
-fn hunt_worker(opts: HuntOpts, shard: usize, of: usize) -> ExitCode {
-    let p = Pipeline::prepare(
-        opts.config,
-        PipelineCfg {
-            seed: opts.seed,
-            corpus_target: opts.corpus,
-            fuzz_budget: (opts.corpus as u64) * 15,
-            workers: opts.workers,
-            catalog: hunt_catalog(opts.oracles),
-            ..PipelineCfg::default()
-        },
-    );
-    let order = if opts.random_order {
-        ClusterOrder::Random
-    } else {
-        ClusterOrder::UncommonFirst
-    };
-    let exemplars = p.exemplars(opts.strategy, order);
-    let mut cfg = hunt_campaign_cfg(&opts);
-    // The supervisor saves its merged checkpoint immediately before every
-    // spawn and passes it as --resume; strict validation here turns any
-    // supervisor/worker disagreement into a loud early death.
-    cfg.resume_from = opts.resume.clone();
-    cfg.resume_lenient = opts.resume_lenient;
-    let wcfg = WorkerCfg {
-        shard,
-        of,
-        heartbeat: std::time::Duration::from_millis((opts.heartbeat_ms / 4).max(25)),
-        stop_file: opts.stop_file.clone(),
-    };
-    match snowboard::run_worker_shard(&p.booted, &p.corpus, &p.pmcs, &exemplars, &cfg, &wcfg) {
-        Ok(_stopped) => ExitCode::SUCCESS,
-        Err(e) => {
-            print_campaign_error(&e);
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Opens the JSONL tracer for `--trace-dir`, degrading to a disabled
@@ -535,154 +487,67 @@ fn print_report(report: &CampaignReport) -> ExitCode {
     final_code
 }
 
-fn hunt(opts: HuntOpts) -> ExitCode {
-    if let Some((shard, of)) = opts.worker_shard {
-        return hunt_worker(opts, shard, of);
+/// What every campaign-running hunt mode prepares: stages 1–3 (from the
+/// store with `--store`) and the stage-4 configuration.
+struct Prepared {
+    tracer: sb_obs::Tracer,
+    p: Pipeline,
+    store_stats: Option<StoreStats>,
+    clusters: usize,
+    exemplars: Vec<PmcId>,
+    cfg: CampaignCfg,
+}
+
+/// The corpus settings every hunt mode prepares its pipeline with.
+fn hunt_pipeline_cfg(o: &HuntOpts) -> PipelineCfg {
+    PipelineCfg {
+        seed: o.seed,
+        corpus_target: o.corpus,
+        fuzz_budget: (o.corpus as u64) * 15,
+        workers: o.workers,
+        catalog: hunt_catalog(o.oracles),
+        ..PipelineCfg::default()
     }
-    let base_cfg = hunt_campaign_cfg(&opts);
-    let version_str = opts.config.version.to_string();
-    let patched = opts.config.patched;
-    let HuntOpts {
-        config,
-        strategy,
-        seed,
-        corpus,
-        budget,
-        trials,
-        workers,
-        oracles,
-        random_order,
-        retries,
-        job_deadline_secs,
-        checkpoint,
-        resume,
-        resume_lenient,
-        store,
-        no_cache,
-        trace_dir,
-        supervise,
-        stop_file,
-        heartbeat_ms,
-        worker_shard: _,
-        chaos,
-    } = opts;
-    let tracer = open_tracer(&trace_dir);
-    let disk_faults = sb_store::DiskFaultPlan::from(chaos.disk);
-    eprintln!("[hunt] preparing pipeline ({:?})...", config.version);
-    let pipeline_cfg = PipelineCfg {
-        seed,
-        corpus_target: corpus,
-        fuzz_budget: (corpus as u64) * 15,
-        workers,
-        catalog: hunt_catalog(oracles),
-        tracer: tracer.clone(),
-    };
+}
+
+fn cluster_order(o: &HuntOpts) -> ClusterOrder {
+    if o.random_order {
+        ClusterOrder::Random
+    } else {
+        ClusterOrder::UncommonFirst
+    }
+}
+
+/// Stages 1–3 and the campaign configuration for `hunt` and `hunt serve`.
+fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
+    let tracer = open_tracer(&o.trace_dir);
+    eprintln!("[hunt] preparing pipeline ({:?})...", o.config.version);
+    let pipeline_cfg = PipelineCfg { tracer: tracer.clone(), ..hunt_pipeline_cfg(o) };
+    let disk_faults = sb_store::DiskFaultPlan::from(o.chaos.disk.clone());
     let (p, store_stats, disk_fired) =
-        match prepare_hunt_pipeline(config, pipeline_cfg, &store, no_cache, workers, disk_faults) {
-            Ok(r) => r,
-            Err(code) => return code,
-        };
+        prepare_hunt_pipeline(o.config, pipeline_cfg, &o.store, o.no_cache, o.workers, disk_faults)?;
     count_disk_fired(&tracer, &disk_fired);
-    let clusters = p.cluster_count(strategy);
+    let clusters = p.cluster_count(o.strategy);
     eprintln!(
         "[hunt] {} tests, {} PMCs, {clusters} {} clusters",
         p.corpus.len(),
         p.pmcs.len(),
-        strategy
+        o.strategy
     );
-    let order = if random_order {
-        ClusterOrder::Random
-    } else {
-        ClusterOrder::UncommonFirst
+    let exemplars = p.exemplars_traced(o.strategy, cluster_order(o), &tracer);
+    let cfg = CampaignCfg {
+        checkpoint: o.checkpoint.clone().map(CheckpointCfg::new),
+        resume_from: o.resume.clone(),
+        resume_lenient: o.resume_lenient,
+        tracer: tracer.clone(),
+        ..hunt_campaign_cfg(o)
     };
-    let exemplars = p.exemplars_traced(strategy, order, &tracer);
-    let mut cfg = base_cfg;
-    cfg.checkpoint = checkpoint.clone().map(CheckpointCfg::new);
-    cfg.resume_from = resume;
-    cfg.resume_lenient = resume_lenient;
-    cfg.tracer = tracer.clone();
-    // The supervisor's merged checkpoint: the user's --checkpoint path when
-    // given, else a private temp file removed after a clean finish.
-    let sup_ckpt = checkpoint.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("sb-supervise-{}.json", std::process::id()))
-    });
-    let sup_ckpt_is_temp = checkpoint.is_none();
-    let report = if supervise {
-        let exe = match std::env::current_exe() {
-            Ok(exe) => exe,
-            Err(e) => {
-                eprintln!("error: cannot locate own binary to re-exec workers: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let scfg = SuperviseCfg {
-            workers: workers.max(1),
-            heartbeat_timeout: std::time::Duration::from_millis(heartbeat_ms),
-            stop_file: stop_file.clone(),
-            checkpoint: sup_ckpt.clone(),
-            ..SuperviseCfg::default()
-        };
-        eprintln!(
-            "[supervise] {} worker process(es), heartbeat timeout {heartbeat_ms} ms",
-            scfg.workers
-        );
-        // Workers re-exec this binary into the hidden --worker-shard
-        // entrypoint with everything that shapes campaign results; --store
-        // and --trace-dir stay supervisor-only (one writer per resource).
-        let mut wargs: Vec<String> = vec![
-            "hunt".into(),
-            "--version".into(),
-            version_str,
-            "--strategy".into(),
-            strategy.to_string(),
-            "--seed".into(),
-            seed.to_string(),
-            "--corpus".into(),
-            corpus.to_string(),
-            "--budget".into(),
-            budget.to_string(),
-            "--trials".into(),
-            trials.to_string(),
-            "--workers".into(),
-            workers.to_string(),
-            "--oracles".into(),
-            oracles.to_spec(),
-            "--retries".into(),
-            retries.to_string(),
-            "--job-deadline".into(),
-            job_deadline_secs.to_string(),
-            "--heartbeat-ms".into(),
-            heartbeat_ms.to_string(),
-            "--resume".into(),
-            sup_ckpt.display().to_string(),
-        ];
-        if patched {
-            wargs.push("--patched".into());
-        }
-        if random_order {
-            wargs.push("--random-order".into());
-        }
-        if let Some(sf) = &stop_file {
-            wargs.push("--stop-file".into());
-            wargs.push(sf.display().to_string());
-        }
-        if !chaos.job.is_empty() {
-            // Only the job/proc plane travels: workers run storeless.
-            let plan = ChaosPlan { job: chaos.job, ..ChaosPlan::default() };
-            wargs.push("--chaos".into());
-            wargs.push(plan.to_spec());
-        }
-        let spawn = |shard: usize| {
-            let mut c = std::process::Command::new(&exe);
-            c.args(&wargs)
-                .arg("--worker-shard")
-                .arg(format!("{shard}/{}", scfg.workers));
-            c
-        };
-        snowboard::run_supervised(&exemplars, &cfg, &scfg, spawn)
-    } else {
-        p.campaign(&exemplars, &cfg)
-    };
+    Ok(Prepared { tracer, p, store_stats, clusters, exemplars, cfg })
+}
+
+/// Reports a finished campaign: the trace summary, the `[detect]` line, and
+/// the stdout report with its exit code.
+fn conclude(prep: Prepared, report: SbResult<CampaignReport>, o: &HuntOpts) -> ExitCode {
     let mut report = match report {
         Ok(r) => r,
         Err(e) => {
@@ -690,26 +555,124 @@ fn hunt(opts: HuntOpts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(s) = &report.supervise {
+    report.store = prep.store_stats;
+    emit_summary(&prep.tracer, &prep.p, prep.clusters, &report, &o.trace_dir);
+    print_detect_summary(&report, o.oracles);
+    print_report(&report)
+}
+
+/// A coordinator's merged checkpoint (its write-ahead journal lives
+/// beside it): the user's `--checkpoint` path when given, else a private
+/// temporary one that [`remove_temp_checkpoint`] deletes after a clean
+/// finish.
+fn coordinator_checkpoint(o: &HuntOpts, tag: &str) -> PathBuf {
+    o.checkpoint.clone().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("sb-{tag}-{}.json", std::process::id()))
+    })
+}
+
+fn remove_temp_checkpoint(o: &HuntOpts, ckpt: &std::path::Path) {
+    if o.checkpoint.is_none() {
+        let _ = std::fs::remove_file(ckpt);
+        let _ = std::fs::remove_file(snowboard::journal::journal_path_for(ckpt));
+    }
+}
+
+fn hunt(opts: HuntOpts) -> ExitCode {
+    let prep = match prepare_campaign(&opts) {
+        Ok(prep) => prep,
+        Err(code) => return code,
+    };
+    let report = if opts.supervise {
+        supervise(&opts, &prep)
+    } else {
+        prep.p.campaign(&prep.exemplars, &prep.cfg)
+    };
+    conclude(prep, report, &opts)
+}
+
+/// `hunt --supervise`: the campaign on `--workers` child processes, each a
+/// `hunt join` worker of a coordinator on a loopback port of its own. Same
+/// report, same stdout as a plain `hunt`.
+fn supervise(o: &HuntOpts, prep: &Prepared) -> SbResult<CampaignReport> {
+    let exe = std::env::current_exe().map_err(|e| snowboard::Error::Supervise {
+        detail: format!("cannot locate own binary to re-exec workers: {e}"),
+    })?;
+    let ckpt = coordinator_checkpoint(o, "supervise");
+    let scfg = SuperviseCfg {
+        workers: o.workers.max(1),
+        fleet: FleetCfg {
+            heartbeat_timeout: std::time::Duration::from_millis(o.heartbeat_ms),
+            stop_file: o.stop_file.clone(),
+            checkpoint: ckpt.clone(),
+            config_hash: fleet_fingerprint(o),
+            ..FleetCfg::default()
+        },
+    };
+    eprintln!(
+        "[supervise] {} worker process(es), heartbeat timeout {} ms",
+        scfg.workers, o.heartbeat_ms
+    );
+    let args = worker_args(o);
+    let report = snowboard::run_supervised(&prep.exemplars, &prep.cfg, &scfg, |addr| {
+        let mut c = std::process::Command::new(&exe);
+        c.args(["hunt", "join", addr]).args(&args);
+        c
+    })?;
+    if let (Some(s), Some(f)) = (&report.supervise, &report.fleet) {
         eprintln!(
             "[supervise] {} spawn(s) + {} respawn(s), {} crash(es), \
-             {} heartbeat miss(es), {} shard(s) abandoned",
-            s.spawns, s.respawns, s.crashes, s.heartbeat_misses, s.shards_abandoned
+             {} heartbeat miss(es), {} job(s) abandoned",
+            s.spawns, s.respawns, s.crashes, s.heartbeat_misses, f.gave_up_jobs
         );
-        if s.stopped {
+        if f.stopped {
             eprintln!(
-                "[supervise] stopped by stop file; resume with --supervise --resume {}",
-                sup_ckpt.display()
+                "[supervise] stopped by stop file; resume with --supervise --resume {0} \
+                 --checkpoint {0} (the write-ahead journal rides along)",
+                ckpt.display()
             );
-        } else if sup_ckpt_is_temp {
-            // Clean finish: the private checkpoint has served its purpose.
-            let _ = std::fs::remove_file(&sup_ckpt);
+        } else {
+            remove_temp_checkpoint(o, &ckpt);
         }
     }
-    report.store = store_stats;
-    emit_summary(&tracer, &p, clusters, &report, &trace_dir);
-    print_detect_summary(&report, oracles);
-    print_report(&report)
+    Ok(report)
+}
+
+/// A supervised child's flags: everything that shapes campaign results
+/// (its handshake fingerprint checks them), its heartbeat and stop file,
+/// and the job/process faults. `--store` and `--trace-dir` stay with the
+/// supervisor: one writer per resource.
+fn worker_args(o: &HuntOpts) -> Vec<String> {
+    let mut args: Vec<String> = [
+        ("--version", o.config.version.to_string()),
+        ("--strategy", o.strategy.to_string()),
+        ("--seed", o.seed.to_string()),
+        ("--corpus", o.corpus.to_string()),
+        ("--budget", o.budget.to_string()),
+        ("--trials", o.trials.to_string()),
+        ("--workers", o.workers.to_string()),
+        ("--oracles", o.oracles.to_spec()),
+        ("--retries", o.retries.to_string()),
+        ("--job-deadline", o.job_deadline_secs.to_string()),
+        ("--heartbeat-ms", o.heartbeat_ms.to_string()),
+    ]
+    .into_iter()
+    .flat_map(|(flag, value)| [flag.to_owned(), value])
+    .collect();
+    if o.config.patched {
+        args.push("--patched".into());
+    }
+    if o.random_order {
+        args.push("--random-order".into());
+    }
+    if let Some(sf) = &o.stop_file {
+        args.extend(["--stop-file".into(), sf.display().to_string()]);
+    }
+    if !o.chaos.job.is_empty() {
+        let plan = ChaosPlan { job: o.chaos.job.clone(), ..ChaosPlan::default() };
+        args.extend(["--chaos".into(), plan.to_spec()]);
+    }
+    args
 }
 
 /// The campaign-shaping parameters a fleet worker must share with its
@@ -748,53 +711,11 @@ fn serve(opts: ServeOpts) -> ExitCode {
         Err(_) => eprintln!("[fleet] listening on {}", opts.listen),
     }
     let o = &opts.hunt;
-    let tracer = open_tracer(&o.trace_dir);
-    eprintln!("[hunt] preparing pipeline ({:?})...", o.config.version);
-    let pipeline_cfg = PipelineCfg {
-        seed: o.seed,
-        corpus_target: o.corpus,
-        fuzz_budget: (o.corpus as u64) * 15,
-        workers: o.workers,
-        catalog: hunt_catalog(o.oracles),
-        tracer: tracer.clone(),
-    };
-    let disk_faults = sb_store::DiskFaultPlan::from(o.chaos.disk.clone());
-    let (p, store_stats, disk_fired) = match prepare_hunt_pipeline(
-        o.config,
-        pipeline_cfg,
-        &o.store,
-        o.no_cache,
-        o.workers,
-        disk_faults,
-    ) {
-        Ok(r) => r,
+    let prep = match prepare_campaign(o) {
+        Ok(prep) => prep,
         Err(code) => return code,
     };
-    count_disk_fired(&tracer, &disk_fired);
-    let clusters = p.cluster_count(o.strategy);
-    eprintln!(
-        "[hunt] {} tests, {} PMCs, {clusters} {} clusters",
-        p.corpus.len(),
-        p.pmcs.len(),
-        o.strategy
-    );
-    let order = if o.random_order {
-        ClusterOrder::Random
-    } else {
-        ClusterOrder::UncommonFirst
-    };
-    let exemplars = p.exemplars_traced(o.strategy, order, &tracer);
-    let mut cfg = hunt_campaign_cfg(o);
-    cfg.checkpoint = o.checkpoint.clone().map(CheckpointCfg::new);
-    cfg.resume_from = o.resume.clone();
-    cfg.resume_lenient = o.resume_lenient;
-    cfg.tracer = tracer.clone();
-    // The coordinator's merged checkpoint: the user's --checkpoint path
-    // when given, else a private temp file removed after a clean finish.
-    let ckpt = o.checkpoint.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("sb-fleet-{}.json", std::process::id()))
-    });
-    let ckpt_is_temp = o.checkpoint.is_none();
+    let ckpt = coordinator_checkpoint(o, "fleet");
     let fcfg = FleetCfg {
         heartbeat_timeout: std::time::Duration::from_millis(o.heartbeat_ms),
         lease_deadline: std::time::Duration::from_millis(opts.lease_ms),
@@ -810,14 +731,8 @@ fn serve(opts: ServeOpts) -> ExitCode {
         "[fleet] heartbeat timeout {} ms, lease {} ms, batch {}",
         o.heartbeat_ms, opts.lease_ms, opts.batch
     );
-    let mut report = match run_coordinator(listener, &exemplars, &cfg, &fcfg) {
-        Ok(r) => r,
-        Err(e) => {
-            print_campaign_error(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(s) = &report.fleet {
+    let report = run_coordinator(listener, &prep.exemplars, &prep.cfg, &fcfg);
+    if let Ok(CampaignReport { fleet: Some(s), .. }) = &report {
         eprintln!(
             "[fleet] {} worker(s) joined, {} rejected; {} lease(s), {} eviction(s), \
              {} reassigned job(s), {} duplicate result(s), {} abandoned",
@@ -845,15 +760,11 @@ fn serve(opts: ServeOpts) -> ExitCode {
                  (the write-ahead journal rides along)",
                 ckpt.display()
             );
-        } else if ckpt_is_temp {
-            let _ = std::fs::remove_file(&ckpt);
-            let _ = std::fs::remove_file(snowboard::journal::journal_path_for(&ckpt));
+        } else {
+            remove_temp_checkpoint(o, &ckpt);
         }
     }
-    report.store = store_stats;
-    emit_summary(&tracer, &p, clusters, &report, &o.trace_dir);
-    print_detect_summary(&report, o.oracles);
-    print_report(&report)
+    conclude(prep, report, o)
 }
 
 /// `hunt join`: run jobs for a fleet coordinator until it drains. Produces
@@ -873,32 +784,17 @@ fn join(opts: JoinOpts) -> ExitCode {
         ..JoinCfg::default()
     };
     eprintln!("[fleet] joining coordinator at {}", opts.addr);
-    let prep = {
-        let config = o.config;
-        let pipeline_cfg = PipelineCfg {
-            seed: o.seed,
-            corpus_target: o.corpus,
-            fuzz_budget: (o.corpus as u64) * 15,
-            workers: o.workers,
-            catalog: hunt_catalog(o.oracles),
-            ..PipelineCfg::default()
-        };
-        let strategy = o.strategy;
-        let order = if o.random_order {
-            ClusterOrder::Random
-        } else {
-            ClusterOrder::UncommonFirst
-        };
-        move || {
-            let p = Pipeline::prepare(config, pipeline_cfg);
-            let exemplars = p.exemplars(strategy, order);
-            Ok(FleetWork {
-                booted: p.booted,
-                corpus: p.corpus,
-                set: p.pmcs,
-                exemplars,
-            })
-        }
+    let (config, pipeline_cfg, strategy, order) =
+        (o.config, hunt_pipeline_cfg(o), o.strategy, cluster_order(o));
+    let prep = move || {
+        let p = Pipeline::prepare(config, pipeline_cfg);
+        let exemplars = p.exemplars(strategy, order);
+        Ok(FleetWork {
+            booted: p.booted,
+            corpus: p.corpus,
+            set: p.pmcs,
+            exemplars,
+        })
     };
     match run_join(&cfg, &jcfg, prep) {
         Ok(s) => {

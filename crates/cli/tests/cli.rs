@@ -213,7 +213,7 @@ fn small_hunt(seed: &str) -> Vec<String> {
 
 /// Shared teardown oracle for process-spawning tests: after a run finishes,
 /// no worker process tagged with our `--seed <seed>` plus `marker` (e.g.
-/// `--worker-shard` for supervised shards, `join` for fleet workers) may
+/// `join`: supervised children and fleet workers are both `hunt join`) may
 /// still be alive. A short grace period absorbs exit races; anything that
 /// outlives it is an orphan and fails the test.
 fn no_orphans(seed: &str, marker: &str) {
@@ -262,7 +262,7 @@ fn supervised_hunt_matches_the_in_process_run_bit_for_bit() {
     assert_eq!(stdout(&clean), stdout(&sup), "supervised stdout diverged");
     let err = String::from_utf8_lossy(&sup.stderr);
     assert!(err.contains("[supervise]"), "missing supervise summary: {err}");
-    no_orphans("3", "--worker-shard");
+    no_orphans("3", "join");
 }
 
 #[test]
@@ -279,8 +279,8 @@ fn supervised_hunt_survives_a_worker_sigkill() {
         .spawn()
         .expect("spawn supervised hunt");
 
-    // Find one of our worker processes (cmdline has --worker-shard and our
-    // seed) and SIGKILL it, simulating an external OOM kill. Best effort:
+    // Find one of our worker processes (cmdline has join and our seed) and
+    // SIGKILL it, simulating an external OOM kill. Best effort:
     // if the campaign finishes before we catch a worker, the diff below
     // still validates the run.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -297,7 +297,7 @@ fn supervised_hunt_survives_a_worker_sigkill() {
                 .filter_map(|a| std::str::from_utf8(a).ok())
                 .collect();
             let ours = args.windows(2).any(|w| w == ["--seed", "11"]);
-            if ours && args.contains(&"--worker-shard") {
+            if ours && args.contains(&"join") {
                 let _ = std::process::Command::new("kill").args(["-9", pid]).status();
                 break 'hunt;
             }
@@ -314,7 +314,7 @@ fn supervised_hunt_survives_a_worker_sigkill() {
     // The respawned worker resumed from the supervisor's checkpoint and
     // reran the in-flight job with identical seeds: bit-identical output.
     assert_eq!(stdout(&clean), stdout(&out), "post-kill report diverged from the clean run");
-    no_orphans("11", "--worker-shard");
+    no_orphans("11", "join");
 }
 
 #[test]
@@ -362,7 +362,7 @@ fn supervised_stop_file_checkpoints_then_resumes() {
     );
     let clean = bin().args(small_hunt("7")).output().expect("run hunt");
     assert_eq!(stdout(&clean), stdout(&resumed), "resumed run diverged");
-    no_orphans("7", "--worker-shard");
+    no_orphans("7", "join");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -428,7 +428,49 @@ fn supervised_crash_injection_quarantines_and_exits_3() {
         text.contains("worker process died while job 2 was in flight"),
         "quarantine must name the in-flight job: {text}"
     );
-    no_orphans("5", "--worker-shard");
+    no_orphans("5", "join");
+}
+
+#[test]
+fn supervised_stall_is_evicted_killed_and_quarantined() {
+    // The one child parks on job 2 and falls silent. Its coordinator evicts
+    // it at the heartbeat timeout and the pool kills it and starts another,
+    // which parks on job 2 again: the second death quarantines the job, and
+    // a third child finishes the campaign. A child that kept heartbeating
+    // while parked would never be evicted: the deadline turns that hang
+    // into a failure.
+    use std::time::{Duration, Instant};
+    let mut sup = bin()
+        .args([
+            "hunt", "--corpus", "12", "--budget", "10", "--trials", "2", "--workers", "1",
+            "--seed", "13", "--heartbeat-ms", "1500", "--supervise", "--chaos", "proc:stall=2",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn stalling hunt");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while sup.try_wait().expect("poll stalling hunt").is_none() {
+        if Instant::now() > deadline {
+            let _ = sup.kill();
+            panic!("the stalled child was never evicted");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let out = sup.wait_with_output().expect("await stalling hunt");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {err}");
+    let text = stdout(&out);
+    assert!(text.contains("quarantined 1 job(s)") && text.contains("crash: 1"), "{text}");
+    assert!(
+        text.contains("worker process died while job 2 was in flight: killed after heartbeat timeout"),
+        "{text}"
+    );
+    assert!(
+        err.contains("1 spawn(s) + 2 respawn(s), 2 crash(es), 2 heartbeat miss(es)"),
+        "stderr: {err}"
+    );
+    no_orphans("13", "join");
 }
 
 #[test]

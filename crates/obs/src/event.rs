@@ -86,12 +86,11 @@ pub enum Event {
         quarantined: bool,
     },
     /// One supervised-worker lifecycle transition (multi-process campaigns
-    /// only). Actions: `spawn`, `restart`, `exit`, `heartbeat-miss`,
-    /// `give-up`.
+    /// only). Actions: `spawn`, `restart`, `exit`, `heartbeat-miss`.
     Worker {
         /// Microseconds since tracer origin.
         t: u64,
-        /// Worker shard index.
+        /// The pool slot the process runs in.
         worker: u64,
         /// Lifecycle action.
         action: String,

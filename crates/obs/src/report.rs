@@ -100,7 +100,7 @@ pub struct TraceReport {
     /// Per-job totals, in emission order.
     pub jobs: Vec<JobSummary>,
     /// Supervised-worker lifecycle action counts (`spawn`, `restart`,
-    /// `exit`, `heartbeat-miss`, `give-up`), by action. Empty for
+    /// `exit`, `heartbeat-miss`), by action. Empty for
     /// single-process runs.
     pub worker_actions: BTreeMap<String, u64>,
     /// Fleet-worker lifecycle/lease action counts (`join`, `reject`,
@@ -312,7 +312,6 @@ impl TraceReport {
             action("heartbeat-miss"),
             self.counter(keys::SUPERVISE_HEARTBEAT_MISSES),
         );
-        check("abandoned shards", action("give-up"), self.counter(keys::SUPERVISE_GAVE_UP));
         // Every process that started (spawn or restart) must have exited by
         // the time the trace completes — the no-orphans invariant.
         check("worker exits", action("exit"), action("spawn") + action("restart"));
@@ -432,7 +431,6 @@ impl TraceReport {
             keys::SUPERVISE_RESPAWNS,
             keys::SUPERVISE_CRASHES,
             keys::SUPERVISE_HEARTBEAT_MISSES,
-            keys::SUPERVISE_GAVE_UP,
             keys::FLEET_JOINS,
             keys::FLEET_REJECTS,
             keys::FLEET_LEASES,

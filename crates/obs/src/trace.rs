@@ -106,8 +106,6 @@ pub mod keys {
     pub const SUPERVISE_CRASHES: &str = "supervise.crashes";
     /// Workers killed for heartbeat silence.
     pub const SUPERVISE_HEARTBEAT_MISSES: &str = "supervise.heartbeat_misses";
-    /// Shards abandoned by the crash-loop circuit breaker.
-    pub const SUPERVISE_GAVE_UP: &str = "supervise.gave_up";
     /// Fleet workers admitted after a successful handshake.
     pub const FLEET_JOINS: &str = "fleet.joins";
     /// Fleet handshakes refused (version/config mismatch, draining).

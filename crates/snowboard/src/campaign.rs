@@ -50,7 +50,7 @@ use sb_vmm::Executor;
 use crate::checkpoint::CheckpointCfg;
 use crate::error::{Error, FailureKind, SbResult};
 use crate::fault::FaultPlan;
-use crate::ledger::{JobLedger, Scope};
+use crate::ledger::JobLedger;
 use crate::pmc::{Pmc, PmcId, PmcSet};
 use crate::retry::{reseed, RetryPolicy};
 use crate::triage::{triage, IssueRecord};
@@ -189,8 +189,8 @@ pub struct CampaignReport {
     /// Profile/PMC store counters, when the pipeline ran against a persistent
     /// store (`None` for in-memory runs).
     pub store: Option<crate::metrics::StoreStats>,
-    /// Process-supervision counters, when the campaign ran under the
-    /// multi-process supervisor (`None` for in-process runs).
+    /// Process-pool counters, when the campaign ran under `--supervise`
+    /// (`None` otherwise).
     pub supervise: Option<crate::metrics::SuperviseStats>,
     /// Fleet-fabric counters, when the campaign ran under a TCP
     /// coordinator (`None` otherwise).
@@ -738,54 +738,6 @@ pub(crate) fn run_one_job(
     }
 }
 
-/// The job-running half of a remote worker process (a supervised shard or
-/// a fleet joiner). Process-level faults belong to the process boundary,
-/// so they fire here, before the job, from the *full* plan; the job itself
-/// runs under a config stripped to the in-process faults and with tracing
-/// off — the parent emits every trace event from the merged result stream.
-pub(crate) struct RemoteJobs<'a> {
-    env: JobEnv<'a>,
-    faults: &'a FaultPlan,
-    job_cfg: CampaignCfg,
-}
-
-impl<'a> RemoteJobs<'a> {
-    pub(crate) fn new(env: JobEnv<'a>, cfg: &'a CampaignCfg) -> Self {
-        let mut job_cfg = cfg.clone();
-        job_cfg.fault_plan = cfg.fault_plan.in_process();
-        job_cfg.tracer = sb_obs::Tracer::disabled();
-        RemoteJobs { env, faults: &cfg.fault_plan, job_cfg }
-    }
-
-    /// Fires `job`'s process faults, then runs it. `before_stall` runs
-    /// just before a stalled worker parks forever (the supervised worker
-    /// silences its heartbeat there).
-    pub(crate) fn run(
-        &self,
-        exec: &mut Executor,
-        job: usize,
-        id: PmcId,
-        before_stall: impl FnOnce(),
-    ) -> JobVerdict {
-        if self.faults.should_abort(job) {
-            crate::chaos::fired("proc.abort", &format!("job {job}"));
-            std::process::abort();
-        }
-        if let Some(code) = self.faults.exit_code(job) {
-            crate::chaos::fired("proc.exit", &format!("job {job} code {code}"));
-            std::process::exit(code);
-        }
-        if self.faults.should_stall(job) {
-            crate::chaos::fired("proc.stall", &format!("job {job}"));
-            before_stall();
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
-        run_one_job(exec, self.env, job, id, &self.job_cfg)
-    }
-}
-
 /// Runs a full campaign over an ordered exemplar list.
 ///
 /// Never aborts on per-job failure: jobs that exhaust their retry budget
@@ -808,7 +760,7 @@ pub fn run_campaign(
         ledger.close_from(cut);
     }
     let jobs: Vec<(usize, PmcId)> = ledger
-        .lease(0, Scope::All, usize::MAX, None)
+        .lease(0, usize::MAX, None)
         .into_iter()
         .map(|job| (job, ledger.universe()[job]))
         .collect();
@@ -833,9 +785,7 @@ fn drive(
         || Executor::new(2),
         |exec, (job, id)| work(exec, *job, *id),
         |slot, verdict| {
-            ledger
-                .deliver(Scope::All, jobs[slot].0, verdict)
-                .expect("leased jobs are in the universe");
+            ledger.deliver(jobs[slot].0, verdict).expect("leased jobs are in the universe");
         },
     );
 }

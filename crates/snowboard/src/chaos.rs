@@ -85,8 +85,8 @@ pub fn count_fired(tracer: &sb_obs::Tracer, site: &str, n: u64) {
 }
 
 /// Attributes the `job.*` fault firings behind one resolved job verdict to
-/// the chaos counter family. Called at verdict-fold time (in-process pool
-/// and supervisor merge loop) where the attempt count is known:
+/// the chaos counter family. Called at verdict-fold time (the ledger, for
+/// every transport) where the attempt count is known:
 ///
 /// * a completed job that was scripted transient fired once per failed
 ///   attempt (`attempts - 1`);
@@ -547,7 +547,7 @@ impl ScheduleGen {
 
     /// Can `a` and `b` share one schedule? Same-category pairs (other than
     /// two job faults on distinct jobs) would interfere with each other's
-    /// expected counts: two process faults can trip the supervisor's
+    /// expected counts: two process faults can trip the campaign's
     /// instant-death circuit breaker, two net faults race for the same
     /// connection, two disk faults for the same write. The coordinator
     /// kill switch pairs only with a pure link delay — anything else
@@ -577,7 +577,7 @@ impl ScheduleGen {
     /// records its expected fire count.
     ///
     /// The exact counts encode the retry and crash budgets the
-    /// meta-campaign runs with (`--retries 3`, supervisor crash budget 2):
+    /// meta-campaign runs with (`--retries 3`, coordinator crash budget 2):
     /// a scripted panic fires on all 3 attempts before quarantine, a hang
     /// is not retryable so fires once, a transient fires `n < 3` times
     /// then completes, and every process fault kills the worker twice
@@ -927,7 +927,7 @@ mod tests {
         attribute_verdict(&tracer, &plan, 1, &quarantine(1, 3, FailureKind::Panic));
         attribute_verdict(&tracer, &plan, 2, &quarantine(2, 1, FailureKind::Hang));
         // A crash quarantine on a scripted job is attributed at the proc
-        // site by the supervisor, never here.
+        // site when its worker is reaped, never here.
         attribute_verdict(&tracer, &plan, 1, &quarantine(1, 2, FailureKind::Crash));
         tracer.flush();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();

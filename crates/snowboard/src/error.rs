@@ -91,7 +91,7 @@ pub enum Error {
         detail: String,
     },
     /// The process supervisor itself failed (a worker could not be spawned,
-    /// a stdout pipe could not be set up). Campaign-level: per-worker
+    /// the loopback coordinator could not bind). Campaign-level: per-worker
     /// crashes are quarantine data, not errors.
     Supervise {
         /// What went wrong.
@@ -236,10 +236,10 @@ pub enum FailureKind {
     /// The worker *process* running the job died (nonzero exit, signal, or
     /// heartbeat-timeout kill) and the job's crash budget is exhausted.
     Crash,
-    /// The worker process crash-looped and its shard was abandoned; this
-    /// job never got a verdict. Like [`FailureKind::Rejected`], gave-up
-    /// records are *not* persisted to checkpoints — a resumed campaign
-    /// retries the shard.
+    /// Worker processes crash-looped and the breaker abandoned what was
+    /// left; this job never got a verdict. Like [`FailureKind::Rejected`],
+    /// gave-up records are *not* persisted to checkpoints — a resumed
+    /// campaign retries the job.
     GaveUp,
 }
 

@@ -8,11 +8,11 @@
 //! Plans are plain data, always compiled in, and empty by default, so
 //! production campaigns pay only a couple of set lookups per job.
 //!
-//! The supervised (multi-process) campaign adds *process-level* faults that
-//! fire in the worker entrypoint before the job is attempted: `abort`
+//! A remote worker (`hunt join`, which is what `--supervise` spawns) adds
+//! *process-level* faults that fire before the job is attempted: `abort`
 //! (SIGABRT, no unwinding — the failure PR 1's catch-unwind cannot catch),
 //! `exit` with a chosen code, and `stall` (the worker goes silent without
-//! dying, exercising the supervisor's heartbeat timeout). Plans are
+//! dying, exercising the coordinator's heartbeat timeout). Plans are
 //! scripted through the one `--chaos` grammar
 //! ([`crate::chaos::ChaosPlan::parse_spec`]), whose `job:`/`proc:`/`net:`
 //! clauses route to the `apply_clause` methods here.
@@ -39,15 +39,14 @@ pub struct FaultPlan {
     /// later jobs are rejected. Exercises queue-closure handling.
     pub close_queue_before: Option<usize>,
     /// Jobs on which a worker *process* calls `abort()` before attempting
-    /// the job. Only honoured in the supervised worker entrypoint.
+    /// the job. Only honoured by a remote worker.
     pub abort_jobs: BTreeSet<usize>,
     /// Jobs on which a worker process exits with the given code before
-    /// attempting the job. Only honoured in the supervised worker
-    /// entrypoint.
+    /// attempting the job. Only honoured by a remote worker.
     pub exit_jobs: BTreeMap<usize, i32>,
     /// Jobs on which a worker process stops heartbeating and parks forever,
-    /// so the supervisor must detect the silence and kill it. Only honoured
-    /// in the supervised worker entrypoint.
+    /// so the coordinator must detect the silence and evict it. Only
+    /// honoured by a remote worker.
     pub stall_jobs: BTreeSet<usize>,
 }
 

@@ -1,11 +1,11 @@
 //! The campaign job lifecycle, written once.
 //!
 //! A campaign is a fixed universe of jobs (the budgeted exemplar list) that
-//! each end in exactly one verdict. Three transports move jobs and verdicts
-//! around — scoped threads ([`crate::campaign`]), child processes
-//! ([`crate::supervise`]) and TCP peers ([`crate::fleet`]) — and all of them
-//! drive the same [`JobLedger`], which is the only place that knows the
-//! rules:
+//! each end in exactly one verdict. Two transports move jobs and verdicts
+//! around — scoped threads ([`crate::campaign`]) and TCP peers
+//! ([`crate::fleet`], which [`crate::supervise`] runs over loopback for its
+//! own child processes) — and both drive the same [`JobLedger`], which is
+//! the only place that knows the rules:
 //!
 //! ```text
 //!             lease / hold                  deliver
@@ -31,8 +31,8 @@
 //! * **Crash budget** — an owner that dies charges every job it held; at
 //!   the budget the job is quarantined as `Crash` (checkpointed, never
 //!   retried), below it the job returns to the pending pool.
-//! * **Breaker** — consecutive deaths without progress are counted per
-//!   [`Scope`]; the transport decides when its precondition holds and
+//! * **Breaker** — consecutive deaths without progress are counted across
+//!   the campaign; the transport decides when its precondition holds and
 //!   [`JobLedger::abandon`]s what is left as `GaveUp`.
 //! * **Stop** — once stopping, deaths no longer charge: winding a campaign
 //!   down quarantines nothing.
@@ -64,32 +64,7 @@ pub fn universe(exemplars: &[PmcId], cfg: &CampaignCfg) -> Vec<PmcId> {
         .collect()
 }
 
-/// Which jobs an owner may take and report on, and the domain its deaths
-/// are counted in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Scope {
-    /// Any job of the universe.
-    All,
-    /// The deterministic shard `job % of == shard` (`of` must be nonzero).
-    Shard {
-        /// This shard (0-based).
-        shard: usize,
-        /// Total shard count.
-        of: usize,
-    },
-}
-
-impl Scope {
-    fn admits(self, job: usize) -> bool {
-        match self {
-            Scope::All => true,
-            Scope::Shard { shard, of } => job % of == shard,
-        }
-    }
-}
-
-/// A verdict or hold for a job its sender has no business with: outside
-/// the universe, or outside the sender's shard. Transports treat it as a
+/// A verdict for a job outside the universe. Transports treat it as a
 /// protocol violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutOfScope {
@@ -97,19 +72,11 @@ pub struct OutOfScope {
     pub job: usize,
     /// Size of the universe.
     pub jobs: usize,
-    /// The sender's scope.
-    pub scope: Scope,
 }
 
 impl std::fmt::Display for OutOfScope {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let OutOfScope { job, jobs, scope } = self;
-        match scope {
-            Scope::Shard { shard, of } if job < jobs => {
-                write!(f, "job {job} is outside shard {shard}/{of}")
-            }
-            _ => write!(f, "job {job} is outside the {jobs}-job universe"),
-        }
+        write!(f, "job {} is outside the {}-job universe", self.job, self.jobs)
     }
 }
 
@@ -162,7 +129,7 @@ pub struct JobLedger {
     pending: BTreeSet<usize>,
     owners: BTreeMap<u64, Owner>,
     crash_counts: BTreeMap<usize, u32>,
-    instant_deaths: BTreeMap<Scope, u32>,
+    instant_deaths: u32,
     results_seen: usize,
     duplicates: u64,
     stopping: bool,
@@ -209,7 +176,7 @@ impl JobLedger {
             pending,
             owners: BTreeMap::new(),
             crash_counts: BTreeMap::new(),
-            instant_deaths: BTreeMap::new(),
+            instant_deaths: 0,
             results_seen: 0,
             duplicates: 0,
             stopping: false,
@@ -250,50 +217,28 @@ impl JobLedger {
         }
     }
 
-    /// True when `job` is in the universe and in `scope`.
-    pub fn check(&self, scope: Scope, job: usize) -> Result<(), OutOfScope> {
-        if job < self.universe.len() && scope.admits(job) {
+    /// True when `job` is in the universe.
+    pub fn check(&self, job: usize) -> Result<(), OutOfScope> {
+        if job < self.universe.len() {
             Ok(())
         } else {
-            Err(OutOfScope { job, jobs: self.universe.len(), scope })
+            Err(OutOfScope { job, jobs: self.universe.len() })
         }
     }
 
-    /// Hands `owner` the first `take` pending jobs of `scope`, in job
-    /// order. A lease with a deadline is reclaimed by
-    /// [`JobLedger::expire`]; one without is held until its owner reports,
-    /// releases or dies.
-    pub fn lease(
-        &mut self,
-        owner: u64,
-        scope: Scope,
-        take: usize,
-        until: Option<Instant>,
-    ) -> Vec<usize> {
-        let jobs: Vec<usize> = self
-            .pending
-            .iter()
-            .copied()
-            .filter(|job| scope.admits(*job))
-            .take(take)
-            .collect();
-        self.hold(owner, scope, &jobs, until)
+    /// Hands `owner` the first `take` pending jobs, in job order. A lease
+    /// with a deadline is reclaimed by [`JobLedger::expire`]; one without
+    /// is held until its owner reports, releases or dies.
+    pub fn lease(&mut self, owner: u64, take: usize, until: Option<Instant>) -> Vec<usize> {
+        let jobs: Vec<usize> = self.pending.iter().copied().take(take).collect();
+        self.hold(owner, &jobs, until)
     }
 
-    /// Marks the still-pending jobs among `jobs` (and within `scope`) as
-    /// held by `owner`, returning them. Replaces the owner's deadline.
-    pub fn hold(
-        &mut self,
-        owner: u64,
-        scope: Scope,
-        jobs: &[usize],
-        until: Option<Instant>,
-    ) -> Vec<usize> {
-        let taken: Vec<usize> = jobs
-            .iter()
-            .copied()
-            .filter(|job| scope.admits(*job) && self.pending.remove(job))
-            .collect();
+    /// Marks the still-pending jobs among `jobs` as held by `owner`,
+    /// returning them. Replaces the owner's deadline.
+    pub fn hold(&mut self, owner: u64, jobs: &[usize], until: Option<Instant>) -> Vec<usize> {
+        let taken: Vec<usize> =
+            jobs.iter().copied().filter(|job| self.pending.remove(job)).collect();
         if !taken.is_empty() {
             let entry = self.owners.entry(owner).or_insert(Owner { jobs: BTreeSet::new(), until });
             entry.jobs.extend(&taken);
@@ -319,14 +264,9 @@ impl JobLedger {
         self.owners.get(&owner).map_or_else(Vec::new, |o| o.jobs.iter().copied().collect())
     }
 
-    /// Accepts one verdict for `job` from a sender confined to `scope`.
-    pub fn deliver(
-        &mut self,
-        scope: Scope,
-        job: usize,
-        verdict: JobVerdict,
-    ) -> Result<Delivered, OutOfScope> {
-        self.check(scope, job)?;
+    /// Accepts one verdict for `job`.
+    pub fn deliver(&mut self, job: usize, verdict: JobVerdict) -> Result<Delivered, OutOfScope> {
+        self.check(job)?;
         if self.resolved_against(job, &verdict) {
             self.duplicates += 1;
             return Ok(Delivered::Duplicate);
@@ -355,7 +295,7 @@ impl JobLedger {
                 kind: err.failure_kind(),
                 chain: err.chain(),
             };
-            let delivered = self.deliver(Scope::All, job, JobVerdict::Quarantined(record));
+            let delivered = self.deliver(job, JobVerdict::Quarantined(record));
             debug_assert!(matches!(delivered, Ok(Delivered::Merged { .. })));
         }
     }
@@ -421,24 +361,22 @@ impl JobLedger {
         charges
     }
 
-    /// Counts one owner death in `scope`'s breaker domain: a death after
-    /// progress resets the run of instant deaths, one without extends it.
-    pub fn note_death(&mut self, scope: Scope, progressed: bool) {
-        let run = self.instant_deaths.entry(scope).or_insert(0);
-        *run = if progressed { 0 } else { *run + 1 };
+    /// Counts one owner death in the breaker: a death after progress
+    /// resets the run of instant deaths, one without extends it.
+    pub fn note_death(&mut self, progressed: bool) {
+        self.instant_deaths = if progressed { 0 } else { self.instant_deaths + 1 };
     }
 
-    /// The current run of deaths without progress in `scope`'s domain.
-    pub fn instant_deaths(&self, scope: Scope) -> u32 {
-        self.instant_deaths.get(&scope).copied().unwrap_or(0)
+    /// The current run of deaths without progress.
+    pub fn instant_deaths(&self) -> u32 {
+        self.instant_deaths
     }
 
-    /// The breaker tripped: every pending job of `scope` is abandoned as
-    /// `GaveUp` (reported, not checkpointed) with `why` as its chain.
-    /// Returns how many.
-    pub fn abandon(&mut self, scope: Scope, why: &str) -> usize {
-        let jobs: Vec<usize> =
-            self.pending.iter().copied().filter(|job| scope.admits(*job)).collect();
+    /// The breaker tripped: every pending job is abandoned as `GaveUp`
+    /// (reported, not checkpointed) with `why` as its chain. Returns how
+    /// many.
+    pub fn abandon(&mut self, why: &str) -> usize {
+        let jobs: Vec<usize> = self.pending.iter().copied().collect();
         for job in &jobs {
             let verdict = JobVerdict::Quarantined(QuarantineRecord {
                 job: *job,
@@ -453,12 +391,9 @@ impl JobLedger {
         jobs.len()
     }
 
-    /// Pending jobs of `scope`.
-    pub fn pending(&self, scope: Scope) -> usize {
-        match scope {
-            Scope::All => self.pending.len(),
-            _ => self.pending.iter().filter(|job| scope.admits(**job)).count(),
-        }
+    /// Pending jobs.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
     }
 
     /// Verdicts dropped because their job already had one.
@@ -658,35 +593,21 @@ mod tests {
         let cfg = CampaignCfg { max_tested_pmcs: 3, ..CampaignCfg::default() };
         let ledger = JobLedger::open(&exemplars(5), &cfg, None).unwrap();
         assert_eq!(ledger.universe(), &[100, 101, 102]);
-        assert_eq!(ledger.pending(Scope::All), 3);
-        assert!(ledger.check(Scope::All, 2).is_ok());
-        assert!(ledger.check(Scope::All, 3).is_err());
-    }
-
-    #[test]
-    fn shard_scopes_partition_the_universe() {
-        let mut ledger = JobLedger::open(&exemplars(7), &CampaignCfg::default(), None).unwrap();
-        let shard = |shard| Scope::Shard { shard, of: 3 };
-        assert_eq!(ledger.lease(0, shard(0), usize::MAX, None), vec![0, 3, 6]);
-        assert_eq!(ledger.lease(1, shard(1), usize::MAX, None), vec![1, 4]);
-        assert_eq!(ledger.lease(2, shard(2), usize::MAX, None), vec![2, 5]);
-        assert_eq!(ledger.pending(Scope::All), 0);
-        // A shard may neither hold nor report on a neighbour's job.
-        assert!(ledger.check(shard(0), 1).is_err());
-        assert!(ledger.deliver(shard(0), 1, done(1, 1)).is_err());
-        assert_eq!(ledger.held_by(1), vec![1, 4], "the rejected verdict touched nothing");
+        assert_eq!(ledger.pending(), 3);
+        assert!(ledger.check(2).is_ok());
+        assert!(ledger.check(3).is_err());
     }
 
     #[test]
     fn resume_skips_covered_jobs() {
         let path = scratch("resume");
         let mut first = JobLedger::open(&exemplars(3), &saving_to(&path, 1), None).unwrap();
-        first.deliver(Scope::All, 1, done(1, 11)).unwrap();
+        first.deliver(1, done(1, 11)).unwrap();
         first.finish().unwrap();
 
         let cfg = CampaignCfg { resume_from: Some(path.clone()), ..CampaignCfg::default() };
         let mut resumed = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
-        assert_eq!(resumed.lease(0, Scope::All, usize::MAX, None), vec![0, 2]);
+        assert_eq!(resumed.lease(0, usize::MAX, None), vec![0, 2]);
         assert_eq!(resumed.census().covered, vec![1]);
         let _ = std::fs::remove_file(&path);
     }
@@ -695,7 +616,7 @@ mod tests {
     fn strict_resume_refuses_what_lenient_resume_replaces() {
         let path = scratch("lenient");
         let mut other = JobLedger::open(&exemplars(2), &saving_to(&path, 1), None).unwrap();
-        other.deliver(Scope::All, 0, done(0, 10)).unwrap();
+        other.deliver(0, done(0, 10)).unwrap();
         other.finish().unwrap();
 
         // Same file, different universe.
@@ -706,7 +627,7 @@ mod tests {
         ));
         let lenient = CampaignCfg { resume_lenient: true, ..strict };
         let fresh = JobLedger::open(&exemplars(3), &lenient, None).unwrap();
-        assert_eq!(fresh.pending(Scope::All), 3, "started over");
+        assert_eq!(fresh.pending(), 3, "started over");
         // A missing file is tolerated the same way.
         let missing = CampaignCfg {
             resume_from: Some(path.with_extension("gone")),
@@ -720,12 +641,12 @@ mod tests {
     fn first_verdict_wins_and_duplicates_are_counted() {
         let mut ledger = JobLedger::open(&exemplars(2), &CampaignCfg::default(), None).unwrap();
         assert_eq!(
-            ledger.deliver(Scope::All, 0, done(0, 100)),
+            ledger.deliver(0, done(0, 100)),
             Ok(Delivered::Merged { saved: true })
         );
-        assert_eq!(ledger.deliver(Scope::All, 0, done(0, 999)), Ok(Delivered::Duplicate));
+        assert_eq!(ledger.deliver(0, done(0, 999)), Ok(Delivered::Duplicate));
         assert_eq!(
-            ledger.deliver(Scope::All, 0, quarantine(0, FailureKind::Panic)),
+            ledger.deliver(0, quarantine(0, FailureKind::Panic)),
             Ok(Delivered::Duplicate)
         );
         assert_eq!(ledger.duplicates(), 2);
@@ -737,7 +658,7 @@ mod tests {
     #[test]
     fn verdicts_outside_the_universe_are_rejected() {
         let mut ledger = JobLedger::open(&exemplars(2), &CampaignCfg::default(), None).unwrap();
-        let err = ledger.deliver(Scope::All, 9, done(9, 1)).unwrap_err();
+        let err = ledger.deliver(9, done(9, 1)).unwrap_err();
         assert_eq!(err.to_string(), "job 9 is outside the 2-job universe");
         ledger.restore(9, done(9, 1));
         assert_eq!(ledger.census().covered, Vec::<usize>::new());
@@ -750,15 +671,15 @@ mod tests {
         let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path, 1), None).unwrap();
         ledger.close_from(2);
         assert_eq!(ledger.census().reported, vec![2, 3]);
-        assert_eq!(ledger.abandon(Scope::All, "nobody left"), 2);
+        assert_eq!(ledger.abandon("nobody left"), 2);
         // A second reported-only verdict for such a job is a duplicate; a
         // real one supersedes it.
         assert_eq!(
-            ledger.deliver(Scope::All, 3, quarantine(3, FailureKind::Rejected)),
+            ledger.deliver(3, quarantine(3, FailureKind::Rejected)),
             Ok(Delivered::Duplicate)
         );
         assert!(matches!(
-            ledger.deliver(Scope::All, 3, done(3, 103)),
+            ledger.deliver(3, done(3, 103)),
             Ok(Delivered::Merged { .. })
         ));
         let report = ledger.finish().unwrap();
@@ -786,14 +707,14 @@ mod tests {
         let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path, 1), None).unwrap();
         let cause = |job| format!("owner died holding job {job}");
 
-        assert_eq!(ledger.lease(7, Scope::All, 2, None), vec![0, 1]);
-        ledger.deliver(Scope::All, 0, done(0, 100)).unwrap();
+        assert_eq!(ledger.lease(7, 2, None), vec![0, 1]);
+        ledger.deliver(0, done(0, 100)).unwrap();
         // Only the job still held is charged; under the budget it requeues.
         assert_eq!(ledger.owner_died(7, 2, cause), vec![Charge::Requeued(1)]);
         assert!(!ledger.holds(7));
         assert_eq!(ledger.census().pending, vec![1, 2]);
 
-        assert_eq!(ledger.lease(8, Scope::All, 1, None), vec![1]);
+        assert_eq!(ledger.lease(8, 1, None), vec![1]);
         let charges = ledger.owner_died(8, 2, cause);
         let [Charge::Quarantined(record)] = charges.as_slice() else {
             panic!("expected a crash quarantine, got {charges:?}")
@@ -805,32 +726,33 @@ mod tests {
         );
         // Crash is a real verdict: saved at once, never handed out again.
         assert!(Checkpoint::load(&path).unwrap().quarantined.contains_key(&1));
-        assert_eq!(ledger.lease(9, Scope::All, usize::MAX, None), vec![2]);
+        assert_eq!(ledger.lease(9, usize::MAX, None), vec![2]);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn the_breaker_counts_per_domain_and_resets_on_progress() {
+        // The domain is the whole campaign.
         let mut ledger = JobLedger::open(&exemplars(4), &CampaignCfg::default(), None).unwrap();
-        let (even, odd) = (Scope::Shard { shard: 0, of: 2 }, Scope::Shard { shard: 1, of: 2 });
-        ledger.note_death(even, false);
-        ledger.note_death(even, false);
-        ledger.note_death(odd, false);
-        assert_eq!((ledger.instant_deaths(even), ledger.instant_deaths(odd)), (2, 1));
-        ledger.note_death(even, true);
-        assert_eq!(ledger.instant_deaths(even), 0, "a death after progress restarts the run");
-        assert_eq!(ledger.instant_deaths(Scope::All), 0, "domains are separate");
+        ledger.note_death(false);
+        ledger.note_death(false);
+        assert_eq!(ledger.instant_deaths(), 2);
+        ledger.note_death(true);
+        assert_eq!(ledger.instant_deaths(), 0, "a death after progress restarts the run");
+        ledger.note_death(false);
+        assert_eq!(ledger.instant_deaths(), 1);
 
-        // Abandoning a domain takes its pending jobs only, and records how
-        // often each had crashed.
-        ledger.lease(1, odd, 1, None);
+        // Abandoning takes the pending jobs only — not a held one — and
+        // records how often each had crashed.
+        assert_eq!(ledger.lease(2, 1, None), vec![0]);
+        assert_eq!(ledger.lease(1, 1, None), vec![1]);
         ledger.owner_died(1, 5, |_| String::new());
-        assert_eq!(ledger.abandon(odd, "shard 1 abandoned"), 2);
-        assert_eq!(ledger.census().pending, vec![0, 2]);
+        assert_eq!(ledger.abandon("nobody left"), 3);
+        assert_eq!(ledger.census().held, vec![0]);
         let report = ledger.finish().unwrap();
         let attempts: Vec<(usize, u32)> =
             report.quarantined.iter().map(|q| (q.job, q.attempts)).collect();
-        assert_eq!(attempts, vec![(1, 1), (3, 0)]);
+        assert_eq!(attempts, vec![(1, 1), (2, 0), (3, 0)]);
         assert!(report.quarantined.iter().all(|q| q.kind == FailureKind::GaveUp));
     }
 
@@ -839,8 +761,8 @@ mod tests {
         let mut ledger = JobLedger::open(&exemplars(3), &CampaignCfg::default(), None).unwrap();
         let t0 = Instant::now();
         let at = |secs| t0 + Duration::from_secs(secs);
-        assert_eq!(ledger.lease(1, Scope::All, 2, Some(at(30))), vec![0, 1]);
-        assert_eq!(ledger.lease(2, Scope::All, 2, None), vec![2], "no deadline: never expires");
+        assert_eq!(ledger.lease(1, 2, Some(at(30))), vec![0, 1]);
+        assert_eq!(ledger.lease(2, 2, None), vec![2], "no deadline: never expires");
         assert!(ledger.expire(at(29)).is_empty());
         ledger.extend(1, at(60));
         assert!(ledger.expire(at(30)).is_empty(), "the deadline moved");
@@ -849,19 +771,19 @@ mod tests {
         assert_eq!(ledger.census().held, vec![2]);
         // The old holder's late verdict still merges; the new holder's is
         // then the duplicate.
-        assert_eq!(ledger.lease(3, Scope::All, 1, Some(at(90))), vec![0]);
-        assert!(matches!(ledger.deliver(Scope::All, 0, done(0, 100)), Ok(Delivered::Merged { .. })));
+        assert_eq!(ledger.lease(3, 1, Some(at(90))), vec![0]);
+        assert!(matches!(ledger.deliver(0, done(0, 100)), Ok(Delivered::Merged { .. })));
         assert!(!ledger.holds(3), "the delivery emptied the new lease");
-        assert_eq!(ledger.deliver(Scope::All, 0, done(0, 999)), Ok(Delivered::Duplicate));
+        assert_eq!(ledger.deliver(0, done(0, 999)), Ok(Delivered::Duplicate));
     }
 
     #[test]
     fn hold_takes_only_pending_jobs() {
         let mut ledger = JobLedger::open(&exemplars(3), &CampaignCfg::default(), None).unwrap();
-        ledger.deliver(Scope::All, 0, done(0, 100)).unwrap();
-        assert_eq!(ledger.lease(1, Scope::All, 1, None), vec![1]);
+        ledger.deliver(0, done(0, 100)).unwrap();
+        assert_eq!(ledger.lease(1, 1, None), vec![1]);
         // Covered, held by someone else, outside the universe: all skipped.
-        assert_eq!(ledger.hold(2, Scope::All, &[0, 1, 2, 9], None), vec![2]);
+        assert_eq!(ledger.hold(2, &[0, 1, 2, 9], None), vec![2]);
         assert_eq!(ledger.release(2), vec![2]);
         assert_eq!(ledger.census().pending, vec![2]);
     }
@@ -874,7 +796,7 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path, every), None).unwrap();
             for (job, expect) in after_each.into_iter().enumerate() {
-                let merged = ledger.deliver(Scope::All, job, done(job, 1)).unwrap();
+                let merged = ledger.deliver(job, done(job, 1)).unwrap();
                 assert_eq!(merged, Delivered::Merged { saved: (job + 1) % every == 0 });
                 assert_eq!(saved_outcomes(&path), expect, "every {every}, after job {job}");
             }
@@ -884,7 +806,7 @@ mod tests {
         }
         // Nowhere to save: nothing is written, finish still reports.
         let mut ledger = JobLedger::open(&exemplars(1), &CampaignCfg::default(), None).unwrap();
-        ledger.deliver(Scope::All, 0, done(0, 1)).unwrap();
+        ledger.deliver(0, done(0, 1)).unwrap();
         assert_eq!(ledger.finish().unwrap().outcomes.len(), 1);
         // A transport's merged checkpoint outranks the configured one.
         let (own, configured) = (scratch("own"), scratch("configured"));
@@ -900,8 +822,8 @@ mod tests {
         let path = scratch("stop");
         let _ = std::fs::remove_file(&path);
         let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path, 100), None).unwrap();
-        ledger.deliver(Scope::All, 0, done(0, 100)).unwrap();
-        ledger.lease(1, Scope::All, 1, None);
+        ledger.deliver(0, done(0, 100)).unwrap();
+        ledger.lease(1, 1, None);
         assert!(!path.exists(), "the cadence has not fired");
         ledger.stop().unwrap();
         assert!(ledger.stopping());
@@ -923,7 +845,7 @@ mod tests {
         ledger.restore(0, done(0, 999));
         ledger.restore(1, quarantine(1, FailureKind::Rejected));
         assert_eq!(ledger.duplicates(), 0, "replay counts nothing");
-        assert_eq!(ledger.lease(0, Scope::All, usize::MAX, None), vec![2]);
+        assert_eq!(ledger.lease(0, usize::MAX, None), vec![2]);
         let job_events = |sink: &sb_obs::MemorySink| {
             sink.lines().iter().filter(|l| l.contains("\"job\"")).count()
         };

@@ -30,15 +30,15 @@
 //! provides deterministic fault injection for testing that machinery.
 //! The job lifecycle — resume, lease, merge, crash budget, breaker,
 //! checkpoint cadence, report — is one state machine ([`ledger`]) driven
-//! by three transports: scoped threads ([`campaign`]), and
-//! [`supervise`], which extends the same guarantees across *process* boundaries:
-//! the campaign can run as a supervised pool of worker processes speaking
-//! the [`protocol`] wire format, surviving aborts, OOM kills, and wedged
-//! workers that in-process catch-unwind cannot. [`fleet`] extends them
-//! across *machine* boundaries: a TCP coordinator leases jobs to joining
-//! workers with heartbeat eviction, exactly-once merging of late results,
+//! by two transports: scoped threads ([`campaign`]), and [`fleet`], which
+//! extends the same guarantees across *machine* boundaries: a TCP
+//! coordinator leases jobs to joining workers over the [`protocol`] wire
+//! format with heartbeat eviction, exactly-once merging of late results,
 //! and deterministic network fault injection, while keeping the merged
-//! report bit-identical to a single-process run. [`chaos`] unifies every
+//! report bit-identical to a single-process run. [`supervise`] runs that
+//! coordinator on loopback over a pool of its own worker processes,
+//! surviving aborts, OOM kills, and wedged workers that in-process
+//! catch-unwind cannot. [`chaos`] unifies every
 //! fault plane behind one `plane:kind=args` spec grammar and generates
 //! deterministic fault schedules for `hunt chaos` self-chaos campaigns.
 //!
@@ -105,10 +105,10 @@ pub use metrics::{FleetStats, StoreStats, SuperviseStats};
 pub use pmc::{identify_sharded, IdentifyOpts, JoinReport, JoinState, Pmc, PmcId, PmcSet};
 pub use profile::{SeqProfile, SharedAccessFilter};
 pub use protocol::{
-    read_frame, write_frame, JoinMsg, ProtocolError, ServeMsg, WorkerMsg, FLEET_PROTO_VERSION,
+    read_frame, write_frame, JoinMsg, ProtocolError, ServeMsg, FLEET_PROTO_VERSION,
 };
 pub use retry::RetryPolicy;
-pub use supervise::{run_supervised, run_worker_shard, SuperviseCfg, WorkerCfg};
+pub use supervise::{run_supervised, SuperviseCfg};
 pub use watchdog::JobBudget;
 
 /// Configuration for pipeline preparation (stages 1–2).

@@ -99,7 +99,9 @@ impl StoreStats {
     }
 }
 
-/// Process-supervision counters for one supervised campaign run.
+/// Process-supervision counters for one supervised campaign run: the facts
+/// only the process pool knows. Connection, lease and breaker facts of the
+/// same run are in its [`FleetStats`].
 ///
 /// Produced by [`crate::supervise::run_supervised`] and surfaced through
 /// `CampaignReport::supervise` and the CLI's `[supervise]` summary line
@@ -107,27 +109,18 @@ impl StoreStats {
 /// run).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SuperviseStats {
-    /// Worker processes in the pool (shards).
-    pub workers: u64,
-    /// Initial worker spawns (== `workers` unless a shard had no work).
+    /// Initial worker spawns (== `workers` unless there was no work).
     pub spawns: u64,
     /// Respawns after a worker death.
     pub respawns: u64,
-    /// Worker deaths treated as crashes (nonzero exit, signal, or
-    /// heartbeat-timeout kill).
+    /// Worker deaths treated as crashes (nonzero exit, signal, or kill).
     pub crashes: u64,
     /// Workers killed for going silent past the heartbeat timeout.
     pub heartbeat_misses: u64,
-    /// Shards abandoned by the crash-loop circuit breaker.
-    pub shards_abandoned: u64,
-    /// Results dropped because their job already had a verdict (a respawned
-    /// shard re-delivering a covered job).
-    pub duplicate_results: u64,
-    /// True when the run ended early because the stop file appeared.
-    pub stopped: bool,
 }
 
-/// Fleet-fabric counters for one coordinated (`hunt serve`) campaign run.
+/// Fleet-fabric counters for one coordinated campaign run (`hunt serve`,
+/// or the loopback coordinator of `hunt --supervise`).
 ///
 /// Produced by [`crate::fleet::run_coordinator`] and surfaced through
 /// `CampaignReport::fleet` and the CLI's `[fleet]` summary line (stderr,

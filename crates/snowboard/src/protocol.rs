@@ -1,37 +1,9 @@
-//! The supervisor↔worker and coordinator↔worker wire protocols.
+//! The coordinator↔worker wire protocol of [`crate::fleet`] — the one remote
+//! transport, whether the workers are `hunt join` peers of a `hunt serve`
+//! or the children of `hunt --supervise`.
 //!
-//! A supervised campaign re-execs the CLI as worker processes; each worker
-//! streams its progress to the supervisor as JSONL over its stdout pipe —
-//! one [`WorkerMsg`] per line, rendered with the workspace's u64-exact
-//! [`crate::json`] codec and parsed strictly (unknown discriminators,
-//! missing fields, and mistyped fields are all protocol errors; a worker
-//! that emits garbage is killed and treated as crashed).
-//!
-//! The message flow for one worker process:
-//!
-//! ```text
-//! hello ─▶ (heartbeat)* ─▶ [ start ─▶ (done | quarantine) ]* ─▶ bye
-//! ```
-//!
-//! * `hello` announces the shard and how many jobs it still has pending.
-//! * `heartbeat` is emitted from a dedicated thread on a fixed interval; a
-//!   supervisor that hears *nothing* (no message of any kind) for longer
-//!   than its heartbeat timeout kills the worker.
-//! * `start` names the job now in flight — this is the crash-attribution
-//!   record: if the process dies before the matching `done`/`quarantine`,
-//!   the supervisor charges the death to exactly this job.
-//! * `done` / `quarantine` carry the job's verdict, serialized with the
-//!   same JSON shape the checkpoint file uses, so the supervisor merges
-//!   results with the code paths PR 1 already trusts.
-//! * `bye` ends a shard cleanly (all pending jobs resolved, or a stop-file
-//!   shutdown). A worker that exits without `bye` crashed.
-//!
-//! # Fleet framing
-//!
-//! The TCP fabric ([`crate::fleet`]) promotes the same JSONL payloads onto
-//! a socket. Pipes give the supervisor free message boundaries; a TCP
-//! stream does not, and a partition can cut a message anywhere, so fleet
-//! traffic is *length-prefixed framed*:
+//! A TCP stream has no message boundaries, and a partition can cut a
+//! message anywhere, so traffic is *length-prefixed framed*:
 //!
 //! ```text
 //! <decimal payload length>\n<payload>\n
@@ -41,9 +13,13 @@
 //! (`Ok(None)`) from every way a hostile or partitioned peer can mangle
 //! the stream — truncation mid-frame, an oversized or non-numeric length,
 //! a missing terminator, non-UTF-8 payload — each of which is a typed
-//! [`ProtocolError`], never a panic. Fleet messages are [`JoinMsg`]
-//! (worker→coordinator) and [`ServeMsg`] (coordinator→worker), validated
-//! with the same strictness as [`WorkerMsg`].
+//! [`ProtocolError`], never a panic. Payloads are [`JoinMsg`]
+//! (worker→coordinator) and [`ServeMsg`] (coordinator→worker), rendered
+//! with the workspace's u64-exact [`crate::json`] codec and parsed strictly:
+//! unknown discriminators, missing fields and mistyped fields are all
+//! protocol errors. Verdicts travel in the JSON shape the checkpoint file
+//! uses, so the coordinator merges them with the code paths it already
+//! trusts.
 
 use std::io::{BufRead, Read, Write};
 
@@ -60,8 +36,10 @@ use crate::json::{self, Json};
 /// token, `done`/`quarantine` carry a per-session sequence number plus a
 /// redelivery flag, and `welcome`/`lease` carry the coordinator's highest
 /// journaled sequence number (`ack`) so a reconnecting worker can trim its
-/// result spool. v1 workers are cleanly rejected at the handshake.
-pub const FLEET_PROTO_VERSION: u64 = 2;
+/// result spool. v3 added the worker's process id to `join`, so a
+/// supervising coordinator can kill the child behind a connection it
+/// evicts. Older workers are cleanly rejected at the handshake.
+pub const FLEET_PROTO_VERSION: u64 = 3;
 
 /// Hard ceiling on one frame's payload (1 MiB). Real messages are a few
 /// KiB; anything larger is a corrupt length prefix or an attack, and
@@ -223,140 +201,6 @@ fn read_exact_or(
     })
 }
 
-/// One worker→supervisor message (one JSONL line on the worker's stdout).
-#[derive(Clone, Debug, PartialEq)]
-pub enum WorkerMsg {
-    /// First message after startup: shard identity and pending job count.
-    Hello {
-        /// This worker's shard index (0-based).
-        shard: usize,
-        /// Total shard count.
-        of: usize,
-        /// Jobs this worker still has to run (shard minus checkpoint).
-        pending: usize,
-    },
-    /// Liveness signal, emitted on a fixed interval.
-    Heartbeat,
-    /// Job `job` is now in flight.
-    Start {
-        /// Campaign job index.
-        job: usize,
-    },
-    /// Job `job` completed with an outcome.
-    Done {
-        /// Campaign job index.
-        job: usize,
-        /// The completed outcome.
-        outcome: PmcTestOutcome,
-    },
-    /// A job failed permanently *in process* (hang, retry exhaustion) and
-    /// was quarantined by the worker itself.
-    Quarantine {
-        /// The quarantine record (carries its own job index).
-        record: QuarantineRecord,
-    },
-    /// Clean end of shard.
-    Bye {
-        /// Jobs resolved (done + quarantined) this process lifetime.
-        completed: usize,
-        /// True when the worker exited early because the stop file
-        /// appeared; remaining jobs are intentionally unrun.
-        stopped: bool,
-    },
-}
-
-impl WorkerMsg {
-    /// The `msg` discriminator.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WorkerMsg::Hello { .. } => "hello",
-            WorkerMsg::Heartbeat => "heartbeat",
-            WorkerMsg::Start { .. } => "start",
-            WorkerMsg::Done { .. } => "done",
-            WorkerMsg::Quarantine { .. } => "quarantine",
-            WorkerMsg::Bye { .. } => "bye",
-        }
-    }
-
-    /// Renders the message as one JSON object (one line, sans newline).
-    pub fn to_json(&self) -> Json {
-        let msg = ("msg".to_string(), Json::Str(self.kind().to_owned()));
-        match self {
-            WorkerMsg::Hello { shard, of, pending } => Json::Obj(vec![
-                msg,
-                ("shard".into(), Json::U64(*shard as u64)),
-                ("of".into(), Json::U64(*of as u64)),
-                ("pending".into(), Json::U64(*pending as u64)),
-            ]),
-            WorkerMsg::Heartbeat => Json::Obj(vec![msg]),
-            WorkerMsg::Start { job } => {
-                Json::Obj(vec![msg, ("job".into(), Json::U64(*job as u64))])
-            }
-            WorkerMsg::Done { job, outcome } => Json::Obj(vec![
-                msg,
-                // The outcome object embeds the job index, matching the
-                // checkpoint's on-disk shape.
-                ("outcome".into(), outcome_to_json(*job, outcome)),
-            ]),
-            WorkerMsg::Quarantine { record } => {
-                Json::Obj(vec![msg, ("record".into(), quarantine_to_json(record))])
-            }
-            WorkerMsg::Bye { completed, stopped } => Json::Obj(vec![
-                msg,
-                ("completed".into(), Json::U64(*completed as u64)),
-                ("stopped".into(), Json::Bool(*stopped)),
-            ]),
-        }
-    }
-
-    /// Renders the message as one protocol line.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Parses and schema-validates one protocol line.
-    pub fn parse_line(line: &str) -> Result<WorkerMsg, String> {
-        let doc = json::parse(line)?;
-        Self::from_json(&doc)
-    }
-
-    /// Parses and schema-validates one protocol JSON object.
-    pub fn from_json(doc: &Json) -> Result<WorkerMsg, String> {
-        let kind = doc
-            .get("msg")
-            .and_then(Json::as_str)
-            .ok_or("missing 'msg' discriminator")?;
-        let usize_field = |key: &str| -> Result<usize, String> {
-            usize::try_from(req_u64(doc, key)?).map_err(|_| format!("'{key}' overflows usize"))
-        };
-        match kind {
-            "hello" => Ok(WorkerMsg::Hello {
-                shard: usize_field("shard")?,
-                of: usize_field("of")?,
-                pending: usize_field("pending")?,
-            }),
-            "heartbeat" => Ok(WorkerMsg::Heartbeat),
-            "start" => Ok(WorkerMsg::Start { job: usize_field("job")? }),
-            "done" => {
-                let (job, outcome) =
-                    outcome_from_json(doc.get("outcome").ok_or("done without outcome")?)?;
-                Ok(WorkerMsg::Done { job, outcome })
-            }
-            "quarantine" => Ok(WorkerMsg::Quarantine {
-                record: quarantine_from_json(doc.get("record").ok_or("quarantine without record")?)?,
-            }),
-            "bye" => Ok(WorkerMsg::Bye {
-                completed: usize_field("completed")?,
-                stopped: doc
-                    .get("stopped")
-                    .and_then(Json::as_bool)
-                    .ok_or("bye without stopped flag")?,
-            }),
-            other => Err(format!("unknown worker message '{other}'")),
-        }
-    }
-}
-
 /// One worker→coordinator fleet message (one frame on the socket).
 #[derive(Clone, Debug, PartialEq)]
 pub enum JoinMsg {
@@ -374,6 +218,10 @@ pub enum JoinMsg {
         /// under this session acks them in the `welcome`, letting the
         /// worker trim its spool instead of redelivering everything.
         session: u64,
+        /// The worker's process id. A supervising coordinator admits only
+        /// its own live children, and kills the one behind a connection it
+        /// evicts.
+        pid: u64,
     },
     /// Liveness signal, emitted on a fixed interval.
     Heartbeat,
@@ -432,11 +280,12 @@ impl JoinMsg {
     pub fn to_json(&self) -> Json {
         let msg = ("msg".to_string(), Json::Str(self.kind().to_owned()));
         match self {
-            JoinMsg::Join { proto, config, session } => Json::Obj(vec![
+            JoinMsg::Join { proto, config, session, pid } => Json::Obj(vec![
                 msg,
                 ("proto".into(), Json::U64(*proto)),
                 ("config".into(), Json::U64(*config)),
                 ("session".into(), Json::U64(*session)),
+                ("pid".into(), Json::U64(*pid)),
             ]),
             JoinMsg::Heartbeat => Json::Obj(vec![msg]),
             JoinMsg::Request { max } => {
@@ -444,8 +293,8 @@ impl JoinMsg {
             }
             JoinMsg::Done { job, outcome, seq, redelivery } => Json::Obj(vec![
                 msg,
-                // Same checkpoint-shaped outcome object the pipe protocol
-                // uses; the job index is embedded in it.
+                // The checkpoint-shaped outcome object; the job index is
+                // embedded in it.
                 ("outcome".into(), outcome_to_json(*job, outcome)),
                 ("seq".into(), Json::U64(*seq)),
                 ("redelivery".into(), Json::Bool(*redelivery)),
@@ -488,13 +337,15 @@ impl JoinMsg {
                 .ok_or_else(|| detail(format!("missing field '{key}'")))
         };
         match kind {
-            // `session` is deliberately lenient (default 0): a v1 worker's
-            // join must still parse so the version check can send it a
-            // clean `reject` instead of evicting it for a schema error.
+            // `session` and `pid` are deliberately lenient (default 0): an
+            // older worker's join must still parse so the version check can
+            // send it a clean `reject` instead of evicting it for a schema
+            // error.
             "join" => Ok(JoinMsg::Join {
                 proto: req_u64(&doc, "proto").map_err(detail)?,
                 config: req_u64(&doc, "config").map_err(detail)?,
                 session: doc.get("session").and_then(Json::as_u64).unwrap_or(0),
+                pid: doc.get("pid").and_then(Json::as_u64).unwrap_or(0),
             }),
             "heartbeat" => Ok(JoinMsg::Heartbeat),
             "request" => Ok(JoinMsg::Request { max: usize_field("max")? }),
@@ -673,11 +524,6 @@ mod tests {
     use super::*;
     use crate::error::FailureKind;
 
-    fn roundtrip(msg: WorkerMsg) {
-        let line = msg.render();
-        assert_eq!(WorkerMsg::parse_line(&line).unwrap(), msg, "line: {line}");
-    }
-
     fn outcome() -> PmcTestOutcome {
         PmcTestOutcome {
             pmc: Some(7),
@@ -690,42 +536,6 @@ mod tests {
             repro_schedule: None,
             attempts: 2,
         }
-    }
-
-    #[test]
-    fn all_kinds_round_trip() {
-        roundtrip(WorkerMsg::Hello { shard: 1, of: 3, pending: 14 });
-        roundtrip(WorkerMsg::Heartbeat);
-        roundtrip(WorkerMsg::Start { job: 42 });
-        roundtrip(WorkerMsg::Done { job: 42, outcome: outcome() });
-        roundtrip(WorkerMsg::Quarantine {
-            record: QuarantineRecord {
-                job: 9,
-                pmc: Some(3),
-                attempts: 3,
-                kind: FailureKind::Hang,
-                chain: vec!["job hang: watchdog tripped".into()],
-            },
-        });
-        roundtrip(WorkerMsg::Bye { completed: 14, stopped: false });
-        roundtrip(WorkerMsg::Bye { completed: 2, stopped: true });
-    }
-
-    #[test]
-    fn rejects_schema_violations() {
-        assert!(WorkerMsg::parse_line("not json").is_err());
-        assert!(WorkerMsg::parse_line("{\"msg\":\"nope\"}").is_err());
-        assert!(WorkerMsg::parse_line("{\"job\":1}").is_err(), "no discriminator");
-        assert!(WorkerMsg::parse_line("{\"msg\":\"start\"}").is_err(), "missing job");
-        assert!(
-            WorkerMsg::parse_line("{\"msg\":\"start\",\"job\":\"x\"}").is_err(),
-            "mistyped job"
-        );
-        assert!(WorkerMsg::parse_line("{\"msg\":\"done\"}").is_err(), "missing outcome");
-        assert!(
-            WorkerMsg::parse_line("{\"msg\":\"bye\",\"completed\":1}").is_err(),
-            "missing stopped"
-        );
     }
 
     fn frame_roundtrip(payloads: &[&str]) {
@@ -787,6 +597,7 @@ mod tests {
             proto: FLEET_PROTO_VERSION,
             config: u64::MAX,
             session: 0xDEAD_BEEF,
+            pid: 4242,
         });
         join_roundtrip(JoinMsg::Heartbeat);
         join_roundtrip(JoinMsg::Request { max: 4 });
@@ -819,11 +630,11 @@ mod tests {
 
     #[test]
     fn v1_join_still_parses_for_a_clean_version_reject() {
-        // A v1 worker's join has no `session`; it must parse (session 0)
-        // so the coordinator can answer with a `reject` rather than
-        // treating the old worker as a protocol violator.
+        // A v1 worker's join has no `session` and no `pid`; it must parse
+        // (both 0) so the coordinator can answer with a `reject` rather
+        // than treating the old worker as a protocol violator.
         let msg = JoinMsg::parse_line("{\"msg\":\"join\",\"proto\":1,\"config\":99}").unwrap();
-        assert_eq!(msg, JoinMsg::Join { proto: 1, config: 99, session: 0 });
+        assert_eq!(msg, JoinMsg::Join { proto: 1, config: 99, session: 0, pid: 0 });
     }
 
     #[test]

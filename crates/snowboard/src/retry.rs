@@ -65,6 +65,23 @@ impl RetryPolicy {
     }
 }
 
+/// Wait before attempt `n` (1-based) of a deterministic retry loop — a
+/// worker respawn or a fleet reconnect: `base` doubling per attempt,
+/// clamped at `max`, plus up to a quarter of that in jitter drawn from
+/// `mix` (the caller's seed blend). No wall-clock entropy: identical inputs
+/// always wait the same.
+pub fn jittered_backoff(base: Duration, max: Duration, mix: u64, n: u64) -> Duration {
+    let shift = n.saturating_sub(1).min(20) as u32;
+    let capped = base.saturating_mul(1u32.checked_shl(shift).unwrap_or(u32::MAX)).min(max);
+    let quarter_ms = capped.as_millis() as u64 / 4;
+    let jitter_ms = if quarter_ms == 0 {
+        0
+    } else {
+        reseed(mix, n as u32) % (quarter_ms + 1)
+    };
+    capped + Duration::from_millis(jitter_ms)
+}
+
 /// Derives the trial seed for a retry attempt.
 ///
 /// Attempt 0 returns `seed` unchanged — the invariant that keeps clean

@@ -1,143 +1,131 @@
 //! Process-isolated campaign execution: a crash-proof worker pool.
 //!
-//! The in-process pool (PR 1) survives worker *panics*, but a kernel-fuzzing
+//! The in-process pool survives worker *panics*, but a kernel-fuzzing
 //! campaign also sees failures Rust cannot unwind from: `abort()`, OOM
 //! kills, stack overflow, a wedged loop that never reaches a watchdog
-//! check. This module runs the campaign across real OS processes: the CLI
-//! re-execs itself as N worker children, each running the deterministic
-//! shard `job % N == shard` of the budgeted job list and streaming
-//! [`WorkerMsg`] JSONL over stdout. The supervisor ([`run_supervised`])
-//! feeds what they report into the same [`JobLedger`] the single-process
-//! campaign drives, so a clean supervised run aggregates **bit-identically**
-//! to `run_campaign` over the same exemplars.
+//! check. [`run_supervised`] runs the campaign across real OS processes
+//! with the one remote transport there is: it binds a loopback fleet
+//! coordinator ([`crate::fleet`]) and keeps a [`Pool`] of its own
+//! `hunt join` children beside it. Every job's seeds come from
+//! `(campaign seed, job index)` alone, so a clean supervised run
+//! aggregates **bit-identically** to `run_campaign` over the same
+//! exemplars, however the jobs land on the children.
 //!
-//! The lifecycle rules (merge, crash budget, breaker, checkpoint cadence)
-//! are the ledger's; this module is the transport:
+//! Leases, heartbeats, evictions, the journal and the lifecycle rules are
+//! the coordinator's and the ledger's; the pool knows only processes:
 //!
-//! * **Heartbeats** — a worker that sends nothing (not even a heartbeat)
-//!   for longer than [`SuperviseCfg::heartbeat_timeout`] is presumed wedged,
-//!   killed, and handled as a crash.
-//! * **Crash attribution** — the `start` message marks the job held by its
-//!   shard; a death before its `done`/`quarantine` charges exactly that
-//!   job against [`SuperviseCfg::crash_budget`].
-//! * **Protocol violations** — a line that fails validation, or a result
-//!   for a job outside the worker's shard, gets the worker killed and its
-//!   death handled as a crash.
-//! * **Restart backoff** — respawns wait `base * 2^(n-1)` clamped to
-//!   `backoff_max`, plus a deterministic splitmix64 jitter derived from
-//!   `(campaign seed, shard, respawn count)` — no wall-clock entropy.
-//! * **Circuit breaker** — the breaker domain is the shard:
-//!   [`SuperviseCfg::max_instant_deaths`] consecutive deaths with zero
-//!   completed jobs abandon what is left of it.
-//! * **Graceful shutdown** — when [`SuperviseCfg::stop_file`] appears, the
-//!   checkpoint is flushed immediately, workers get one heartbeat interval
-//!   to exit on their own stop-file poll, stragglers are killed, and
-//!   nothing is quarantined.
+//! * **One job in flight** — children lease one job at a time, so a death
+//!   charges exactly the job it interrupted against the crash budget
+//!   ([`crate::fleet::FleetCfg::crash_budget`]).
+//! * **Kill what is evicted** — a connection the coordinator evicts
+//!   (heartbeat silence, protocol violation, unexpected close) gets its
+//!   child killed; the child's death is charged once, when it is reaped.
+//! * **Restart backoff** — respawns wait 50 ms · 2^(n-1) clamped to 2 s,
+//!   plus a deterministic jitter derived from
+//!   `(campaign seed, slot, respawn count)` — no wall-clock entropy.
+//! * **Circuit breaker** — the breaker domain is the whole campaign, and a
+//!   child that dies before it ever joins counts too: a binary that cannot
+//!   start ends the campaign as `GaveUp` instead of respawning forever.
 //! * **No orphans** — every child is held by a kill-on-drop guard; even a
 //!   supervisor panic reaps the pool and flushes the checkpoint first.
 
-use std::io::{BufRead, BufReader, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::TcpListener;
+use std::process::{Child as Process, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
-use sb_kernel::{BootedKernel, Program};
-use sb_vmm::Executor;
-
-use crate::campaign::{
-    CampaignCfg, CampaignReport, IncidentalIndex, JobEnv, JobVerdict, RemoteJobs,
-};
+use crate::campaign::{CampaignCfg, CampaignReport};
 use crate::error::{Error, SbResult};
-use crate::ledger::{JobLedger, Scope};
+use crate::fleet::{coordinate, FleetCfg};
 use crate::metrics::SuperviseStats;
-use crate::pmc::{PmcId, PmcSet};
-use crate::protocol::WorkerMsg;
-use crate::retry::reseed;
+use crate::pmc::PmcId;
+use crate::retry::jittered_backoff;
 
-/// Supervisor tuning. Defaults suit production; tests shrink every timing
-/// knob to milliseconds.
+/// Supervisor tuning. Defaults suit production; tests shrink the
+/// coordinator's timing knobs to milliseconds.
 #[derive(Clone, Debug)]
 pub struct SuperviseCfg {
-    /// Worker processes (= shards). Job `i` belongs to shard `i % workers`.
+    /// Child processes kept running.
     pub workers: usize,
-    /// Kill a worker heard from not at all for this long.
-    pub heartbeat_timeout: Duration,
-    /// Supervisor tick: stop-file polls, respawn deadlines, timeout checks.
-    pub poll: Duration,
-    /// First respawn delay; doubles per consecutive respawn.
-    pub backoff_base: Duration,
-    /// Ceiling on the exponential respawn delay (before jitter).
-    pub backoff_max: Duration,
-    /// Worker deaths charged to one job before it is quarantined as
-    /// [`crate::error::FailureKind::Crash`].
-    pub crash_budget: u32,
-    /// Consecutive zero-completion deaths before a shard is abandoned.
-    pub max_instant_deaths: u32,
-    /// Graceful-shutdown trigger: stop when this file exists.
-    pub stop_file: Option<PathBuf>,
-    /// The supervisor's merged checkpoint — saved before every (re)spawn so
-    /// children resume past covered jobs, and after every result.
-    pub checkpoint: PathBuf,
+    /// The loopback coordinator: heartbeat timeout, tick, crash budget,
+    /// breaker, stop file, checkpoint and fingerprint. Its lease batch and
+    /// deadline are the pool's own: one job at a time, held until the
+    /// child reports or dies.
+    pub fleet: FleetCfg,
 }
 
 impl Default for SuperviseCfg {
     fn default() -> Self {
-        SuperviseCfg {
-            workers: 4,
-            heartbeat_timeout: Duration::from_secs(10),
-            poll: Duration::from_millis(25),
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-            crash_budget: 2,
-            max_instant_deaths: 3,
-            stop_file: None,
-            checkpoint: std::env::temp_dir().join("sb-supervise.json"),
-        }
+        SuperviseCfg { workers: 4, fleet: FleetCfg::default() }
     }
 }
 
-/// Respawn delay before respawn `n` (1-based) of `shard`: exponential
-/// backoff clamped at `backoff_max`, plus up to 25% deterministic jitter
-/// derived from the campaign seed — identical inputs always wait the same.
-pub fn respawn_backoff(cfg: &SuperviseCfg, seed: u64, shard: usize, respawn: u64) -> Duration {
-    let shift = respawn.saturating_sub(1).min(20) as u32;
-    let grown = cfg
-        .backoff_base
-        .saturating_mul(1u32.checked_shl(shift).unwrap_or(u32::MAX));
-    let capped = grown.min(cfg.backoff_max);
-    let quarter_ms = capped.as_millis() as u64 / 4;
-    let jitter_ms = if quarter_ms == 0 {
-        0
-    } else {
-        reseed(seed ^ ((shard as u64) << 32), respawn as u32) % (quarter_ms + 1)
+/// First respawn delay of a slot; it doubles per respawn up to
+/// [`BACKOFF_MAX`] (before jitter).
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
+
+/// How long a child may hold its one job before the coordinator hands it
+/// to another. A child holds a job until it reports or dies; the deadline
+/// only bounds one that is wedged but still heartbeating.
+const LEASE_DEADLINE: Duration = Duration::from_secs(3600);
+
+/// Runs a campaign over `exemplars` across `scfg.workers` child processes.
+/// `spawn(addr)` builds the command for one child that joins the loopback
+/// coordinator at `addr` (the CLI re-execs itself as `hunt join <addr>`
+/// with the campaign flags).
+///
+/// Like [`crate::campaign::run_campaign`], per-job failures never surface
+/// as `Err` — they land in [`CampaignReport::quarantined`]. `Err` means a
+/// campaign-level problem: an unusable resume checkpoint, a checkpoint
+/// write failure, or a child that could not be spawned at all.
+pub fn run_supervised(
+    exemplars: &[PmcId],
+    cfg: &CampaignCfg,
+    scfg: &SuperviseCfg,
+    mut spawn: impl FnMut(&str) -> Command,
+) -> SbResult<CampaignReport> {
+    if scfg.workers == 0 {
+        return Err(Error::Supervise {
+            detail: "supervised campaign needs at least one worker".into(),
+        });
+    }
+    let bind_failed = |e: std::io::Error| Error::Supervise {
+        detail: format!("cannot bind the loopback coordinator: {e}"),
     };
-    capped + Duration::from_millis(jitter_ms)
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(bind_failed)?;
+    let addr = listener.local_addr().map_err(bind_failed)?.to_string();
+    let fcfg = FleetCfg { batch: 1, lease_deadline: LEASE_DEADLINE, ..scfg.fleet.clone() };
+    let pool = Pool {
+        addr,
+        seed: cfg.seed,
+        slots: (0..scfg.workers)
+            .map(|_| Slot { child: None, respawns: 0, spawn_at: Instant::now() })
+            .collect(),
+        spawn: &mut spawn,
+        tracer: cfg.tracer.clone(),
+        stats: SuperviseStats::default(),
+    };
+    coordinate(listener, exemplars, cfg, &fcfg, Some(pool))
 }
 
 /// A child process reaped (kill + wait) on drop, so no exit path — panic
-/// included — leaks a worker.
-struct ChildGuard {
-    child: Option<Child>,
-}
+/// included — leaks a worker. Killing or waiting again once it has been
+/// reaped is a no-op.
+struct ChildGuard(Process);
 
 impl ChildGuard {
-    fn new(child: Child) -> Self {
-        ChildGuard { child: Some(child) }
-    }
-
     fn kill(&mut self) {
-        if let Some(c) = &mut self.child {
-            let _ = c.kill();
-        }
+        let _ = self.0.kill();
     }
 
-    /// Reaps the child, returning its exit status (None if already reaped
-    /// or wait failed).
+    /// The exit status once the child has exited, without blocking.
+    fn try_wait(&mut self) -> Option<ExitStatus> {
+        self.0.try_wait().ok().flatten()
+    }
+
+    /// Waits for the child, returning its exit status.
     fn reap(&mut self) -> Option<ExitStatus> {
-        self.child.take().and_then(|mut c| c.wait().ok())
+        self.0.wait().ok()
     }
 }
 
@@ -148,513 +136,203 @@ impl Drop for ChildGuard {
     }
 }
 
-/// What a reader thread forwards for its worker.
-enum Note {
-    Msg(WorkerMsg),
-    /// A line that failed strict protocol validation.
-    Bad(String),
-    /// The worker's stdout closed (it died or is about to).
-    Eof,
+/// One child's death as the coordinator charges it.
+#[derive(Debug, Default)]
+pub(crate) struct Dead {
+    /// The worker id its connection joined as (`u64::MAX` if it never
+    /// joined).
+    pub(crate) worker: u64,
+    /// Leases its evicted connection held.
+    pub(crate) leases: Vec<u64>,
+    /// Results it delivered.
+    pub(crate) completed: u64,
+    /// Exited 0 without being killed: nothing to charge.
+    pub(crate) clean: bool,
+    /// Killed for heartbeat silence.
+    pub(crate) hb_killed: bool,
+    /// How it ended, for the quarantine chain.
+    pub(crate) detail: String,
 }
 
-#[derive(Debug, PartialEq)]
-enum Phase {
-    Running,
-    /// Waiting out the respawn backoff until the deadline.
-    Backoff(Instant),
-    Done,
+struct Child {
+    guard: ChildGuard,
+    pid: u64,
+    /// Filled in as the child's connection is evicted and it exits.
+    dead: Dead,
 }
 
-struct ShardState {
-    /// The shard's jobs; its index doubles as its ledger owner id.
-    scope: Scope,
-    phase: Phase,
-    guard: Option<ChildGuard>,
-    /// Spawn generation; messages from dead readers are discarded by it.
-    gen: u64,
-    last_msg: Instant,
-    completed_since_spawn: u64,
+struct Slot {
+    child: Option<Child>,
     respawns: u64,
-    said_bye: Option<bool>,
-    hb_killed: bool,
-    proto_error: Option<String>,
+    spawn_at: Instant,
 }
 
-impl ShardState {
-    /// A worker speaking garbage is as untrustworthy as a dead one: kill
-    /// it and let the Eof path handle the crash.
-    fn violation(&mut self, detail: String) {
-        self.proto_error = Some(detail);
-        if let Some(guard) = &mut self.guard {
-            guard.kill();
-        }
-    }
-}
-
-/// Runs a campaign over `exemplars` across `scfg.workers` child processes,
-/// spawning each shard with `spawn(shard)` (the CLI passes a closure that
-/// re-execs the current binary with a hidden `--worker-shard` flag; tests
-/// pass `/bin/sh` scripts).
-///
-/// Like [`crate::campaign::run_campaign`], per-job failures never surface
-/// as `Err` — they land in [`CampaignReport::quarantined`]. `Err` means a
-/// campaign-level problem: an unusable resume checkpoint, a checkpoint
-/// write failure, or a worker that could not be spawned at all.
-pub fn run_supervised(
-    exemplars: &[PmcId],
-    cfg: &CampaignCfg,
-    scfg: &SuperviseCfg,
-    mut spawn: impl FnMut(usize) -> Command,
-) -> SbResult<CampaignReport> {
-    if scfg.workers == 0 {
-        return Err(Error::Supervise {
-            detail: "supervised campaign needs at least one worker".into(),
-        });
-    }
-    let mut ledger = JobLedger::open(exemplars, cfg, Some(&scfg.checkpoint))?;
-    ledger.trace_restored();
-    let _span = cfg.tracer.span("campaign");
-    let (tx, rx) = mpsc::channel();
-    let mut sup = Supervisor {
-        cfg,
-        scfg,
-        ledger: &mut ledger,
-        stats: SuperviseStats {
-            workers: scfg.workers as u64,
-            ..SuperviseStats::default()
-        },
-        spawn: &mut spawn,
-        tx,
-    };
-    // A supervisor bug must not cost completed work: the checkpoint is
-    // persisted before the panic propagates. Children are reaped by their
-    // ChildGuards as the loop's state unwinds.
-    let looped = catch_unwind(AssertUnwindSafe(|| sup.run(&rx)));
-    let mut stats = sup.stats;
-    match looped {
-        Ok(r) => r?,
-        Err(payload) => {
-            let _ = ledger.save();
-            std::panic::resume_unwind(payload);
-        }
-    }
-    stats.duplicate_results = ledger.duplicates();
-    let mut report = ledger.finish()?;
-    report.supervise = Some(stats);
-    Ok(report)
-}
-
-/// The supervisor's loop state, minus the per-shard table (kept apart so a
-/// shard and the supervisor can be borrowed together).
-struct Supervisor<'a> {
-    cfg: &'a CampaignCfg,
-    scfg: &'a SuperviseCfg,
-    ledger: &'a mut JobLedger,
+/// The process half of a supervised campaign, tended by the coordinator
+/// loop once per tick.
+pub(crate) struct Pool<'a> {
+    addr: String,
+    seed: u64,
+    slots: Vec<Slot>,
+    spawn: &'a mut dyn FnMut(&str) -> Command,
+    tracer: sb_obs::Tracer,
     stats: SuperviseStats,
-    spawn: &'a mut dyn FnMut(usize) -> Command,
-    tx: mpsc::Sender<(usize, u64, Note)>,
 }
 
-impl Supervisor<'_> {
-    fn run(&mut self, rx: &mpsc::Receiver<(usize, u64, Note)>) -> SbResult<()> {
-        let (tracer, scfg) = (&self.cfg.tracer, self.scfg);
-        let mut shards: Vec<ShardState> = (0..scfg.workers)
-            .map(|shard| ShardState {
-                scope: Scope::Shard { shard, of: scfg.workers },
-                phase: Phase::Done,
-                guard: None,
-                gen: 0,
-                last_msg: Instant::now(),
-                completed_since_spawn: 0,
-                respawns: 0,
-                said_bye: None,
-                hb_killed: false,
-                proto_error: None,
-            })
-            .collect();
-        let mut stop_deadline = Instant::now();
-        let mut stragglers_killed = false;
-
-        // Initial spawns: only shards with uncovered work.
-        for (shard, state) in shards.iter_mut().enumerate() {
-            if self.ledger.pending(state.scope) > 0 {
-                self.spawn_shard(shard, state)?;
-            }
-        }
-
-        loop {
-            let now = Instant::now();
-
-            // Graceful shutdown: flush the checkpoint the moment the stop
-            // file appears, then give workers one heartbeat interval to
-            // notice it themselves before killing stragglers.
-            if !self.ledger.stopping() && scfg.stop_file.as_deref().is_some_and(Path::exists) {
-                self.stats.stopped = true;
-                stop_deadline = now + scfg.heartbeat_timeout;
-                self.ledger.stop()?;
-            }
-            let stopping = self.ledger.stopping();
-            if stopping && now >= stop_deadline && !stragglers_killed {
-                stragglers_killed = true;
-                for state in &mut shards {
-                    if let Some(guard) = &mut state.guard {
-                        guard.kill();
-                    }
-                }
-            }
-
-            for (shard, state) in shards.iter_mut().enumerate() {
-                match state.phase {
-                    Phase::Backoff(_) if stopping => state.phase = Phase::Done,
-                    Phase::Backoff(at) if now >= at => self.spawn_shard(shard, state)?,
-                    Phase::Running
-                        if !state.hb_killed
-                            && now.duration_since(state.last_msg) > scfg.heartbeat_timeout =>
-                    {
-                        state.hb_killed = true;
-                        self.stats.heartbeat_misses += 1;
-                        tracer.count(sb_obs::keys::SUPERVISE_HEARTBEAT_MISSES, 1);
-                        tracer.emit(&sb_obs::Event::Worker {
-                            t: tracer.now_us(),
-                            worker: shard as u64,
-                            action: "heartbeat-miss".into(),
-                            detail: format!(
-                                "silent for {:.1}s",
-                                now.duration_since(state.last_msg).as_secs_f64()
-                            ),
-                        });
-                        if let Some(guard) = &mut state.guard {
-                            guard.kill();
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            if shards.iter().all(|s| s.phase == Phase::Done) {
-                return Ok(());
-            }
-
-            let (shard, gen, note) = match rx.recv_timeout(scfg.poll) {
-                Ok(item) => item,
-                Err(_) => continue,
-            };
-            let state = &mut shards[shard];
-            if gen != state.gen {
-                continue; // stale message from a reaped incarnation
-            }
-            state.last_msg = Instant::now();
-            match note {
-                // Nothing a violator says after its violation counts.
-                Note::Msg(_) if state.proto_error.is_some() => {}
-                Note::Msg(WorkerMsg::Hello { .. } | WorkerMsg::Heartbeat) => {}
-                Note::Msg(WorkerMsg::Start { job }) => {
-                    self.ledger.hold(shard as u64, state.scope, &[job], None);
-                }
-                Note::Msg(WorkerMsg::Done { job, outcome }) => {
-                    self.result(state, job, JobVerdict::Completed(outcome));
-                }
-                Note::Msg(WorkerMsg::Quarantine { record }) => {
-                    self.result(state, record.job, JobVerdict::Quarantined(record));
-                }
-                Note::Msg(WorkerMsg::Bye { stopped, .. }) => {
-                    state.said_bye = Some(stopped);
-                }
-                Note::Bad(e) => state.violation(e),
-                Note::Eof => {
-                    let status = state.guard.take().and_then(|mut g| g.reap());
-                    self.handle_exit(shard, state, status);
-                }
-            }
-        }
-    }
-
-    /// One reported verdict: the ledger merges it, or rejects a job the
-    /// shard has no business reporting on.
-    fn result(&mut self, state: &mut ShardState, job: usize, verdict: JobVerdict) {
-        match self.ledger.deliver(state.scope, job, verdict) {
-            Ok(_) => state.completed_since_spawn += 1,
-            Err(e) => state.violation(e.to_string()),
-        }
-    }
-
-    /// Saves the merged checkpoint, spawns one worker process for `shard`,
-    /// and starts its stdout reader thread.
-    fn spawn_shard(&mut self, shard: usize, state: &mut ShardState) -> SbResult<()> {
-        let tracer = &self.cfg.tracer;
-        // Persist merged progress first: the child resumes from this file
-        // and skips everything already covered.
-        self.ledger.save()?;
-        let mut command = (self.spawn)(shard);
-        command.stdout(Stdio::piped()).stdin(Stdio::null());
-        let mut child = command.spawn().map_err(|e| Error::Supervise {
-            detail: format!("failed to spawn worker {shard}: {e}"),
-        })?;
-        let stdout = child.stdout.take().expect("stdout was piped");
-        state.gen += 1;
-        let gen = state.gen;
-        let tx = self.tx.clone();
-        std::thread::spawn(move || {
-            for line in BufReader::new(stdout).lines() {
-                let note = match line {
-                    Ok(l) => match WorkerMsg::parse_line(&l) {
-                        Ok(msg) => Note::Msg(msg),
-                        Err(e) => Note::Bad(format!("{e} (line: {l:?})")),
-                    },
-                    Err(e) => Note::Bad(format!("stdout read error: {e}")),
-                };
-                let fatal = matches!(note, Note::Bad(_));
-                if tx.send((shard, gen, note)).is_err() || fatal {
-                    break;
-                }
-            }
-            let _ = tx.send((shard, gen, Note::Eof));
-        });
-        state.guard = Some(ChildGuard::new(child));
-        state.phase = Phase::Running;
-        state.last_msg = Instant::now();
-        state.completed_since_spawn = 0;
-        state.said_bye = None;
-        state.hb_killed = false;
-        state.proto_error = None;
-        let (action, detail) = if state.respawns == 0 {
-            self.stats.spawns += 1;
-            tracer.count(sb_obs::keys::SUPERVISE_SPAWNS, 1);
-            ("spawn", format!("shard {shard}/{}", self.scfg.workers))
-        } else {
-            self.stats.respawns += 1;
-            tracer.count(sb_obs::keys::SUPERVISE_RESPAWNS, 1);
-            ("restart", format!("respawn #{}", state.respawns))
-        };
-        tracer.emit(&sb_obs::Event::Worker {
-            t: tracer.now_us(),
-            worker: shard as u64,
+impl Pool<'_> {
+    fn event(&self, slot: usize, action: &str, detail: String) {
+        self.tracer.emit(&sb_obs::Event::Worker {
+            t: self.tracer.now_us(),
+            worker: slot as u64,
             action: action.into(),
             detail,
         });
+    }
+
+    /// The slot whose child is `pid`.
+    fn slot_of(&self, pid: u64) -> Option<usize> {
+        self.slots.iter().position(|s| s.child.as_ref().is_some_and(|c| c.pid == pid))
+    }
+
+    /// True when `pid` is a child of this pool that has not been reaped.
+    pub(crate) fn admit(&self, pid: u64) -> bool {
+        self.slot_of(pid).is_some()
+    }
+
+    /// The coordinator is evicting the connection of child `pid` for
+    /// silence.
+    pub(crate) fn heartbeat_kill(&mut self, pid: u64, silence: Duration) {
+        let Some(slot) = self.slot_of(pid) else {
+            return;
+        };
+        let child = self.slots[slot].child.as_mut().expect("found above");
+        child.dead.hb_killed = true;
+        child.guard.kill();
+        self.stats.heartbeat_misses += 1;
+        self.tracer.count(sb_obs::keys::SUPERVISE_HEARTBEAT_MISSES, 1);
+        self.event(slot, "heartbeat-miss", format!("silent for {:.1}s", silence.as_secs_f64()));
+    }
+
+    /// The coordinator evicted the connection of child `pid`: kill the
+    /// child, and keep what the connection held until it is reaped.
+    pub(crate) fn orphan(&mut self, pid: u64, worker: u64, leases: Vec<u64>, completed: u64) {
+        let Some(slot) = self.slot_of(pid) else {
+            return;
+        };
+        let child = self.slots[slot].child.as_mut().expect("found above");
+        child.guard.kill();
+        child.dead.worker = worker;
+        child.dead.leases.extend(leases);
+        child.dead.completed += completed;
+    }
+
+    /// Reaps every child that has exited and has no connection left
+    /// (`connected` says which pids still have one: a dead child's last
+    /// frames and its end-of-stream are still on their way). Their deaths
+    /// are ready to be charged.
+    pub(crate) fn reap(&mut self, connected: impl Fn(u64) -> bool) -> Vec<Dead> {
+        let mut dead = Vec::new();
+        for slot in 0..self.slots.len() {
+            let status = match self.slots[slot].child.as_mut() {
+                Some(child) if !connected(child.pid) => child.guard.try_wait(),
+                _ => None,
+            };
+            if let Some(status) = status {
+                let child = self.slots[slot].child.take().expect("exited above");
+                dead.push(self.exited(slot, child, Some(status)));
+            }
+        }
+        dead
+    }
+
+    /// Records how a child ended and schedules its slot's respawn.
+    fn exited(&mut self, slot: usize, child: Child, status: Option<ExitStatus>) -> Dead {
+        let mut dead = child.dead;
+        dead.clean = status.is_some_and(|s| s.success()) && !dead.hb_killed;
+        let status = status.map_or_else(|| "unknown".to_owned(), |s| s.to_string());
+        dead.detail = if dead.clean {
+            "clean".to_owned()
+        } else if dead.hb_killed {
+            format!("killed after heartbeat timeout ({status})")
+        } else {
+            format!("crashed ({status})")
+        };
+        if !dead.clean {
+            self.stats.crashes += 1;
+            self.tracer.count(sb_obs::keys::SUPERVISE_CRASHES, 1);
+        }
+        self.event(slot, "exit", dead.detail.clone());
+        let s = &mut self.slots[slot];
+        s.respawns += 1;
+        let mix = self.seed ^ ((slot as u64) << 32);
+        s.spawn_at = Instant::now() + jittered_backoff(BACKOFF_BASE, BACKOFF_MAX, mix, s.respawns);
+        dead
+    }
+
+    /// Starts a child in every empty slot whose backoff has passed, if
+    /// `wanted` (work is left and the campaign is not stopping).
+    pub(crate) fn spawn_due(&mut self, wanted: bool) -> SbResult<()> {
+        if !wanted {
+            return Ok(());
+        }
+        let now = Instant::now();
+        for slot in 0..self.slots.len() {
+            let s = &self.slots[slot];
+            if s.child.is_some() || now < s.spawn_at {
+                continue;
+            }
+            let mut command = (self.spawn)(&self.addr);
+            command.stdin(Stdio::null()).stdout(Stdio::null());
+            let process = command.spawn().map_err(|e| Error::Supervise {
+                detail: format!("failed to spawn worker {slot}: {e}"),
+            })?;
+            let pid = u64::from(process.id());
+            let guard = ChildGuard(process);
+            let dead = Dead { worker: u64::MAX, ..Dead::default() };
+            self.slots[slot].child = Some(Child { guard, pid, dead });
+            let respawns = self.slots[slot].respawns;
+            let (action, detail) = if respawns == 0 {
+                self.stats.spawns += 1;
+                self.tracer.count(sb_obs::keys::SUPERVISE_SPAWNS, 1);
+                ("spawn", format!("slot {slot}/{}, pid {pid}", self.slots.len()))
+            } else {
+                self.stats.respawns += 1;
+                self.tracer.count(sb_obs::keys::SUPERVISE_RESPAWNS, 1);
+                ("restart", format!("respawn #{respawns}, pid {pid}"))
+            };
+            self.event(slot, action, detail);
+        }
         Ok(())
     }
 
-    /// Classifies one worker death, reports it to the ledger, and decides
-    /// the shard's next phase.
-    fn handle_exit(&mut self, shard: usize, state: &mut ShardState, status: Option<ExitStatus>) {
-        let (cfg, scfg) = (self.cfg, self.scfg);
-        let tracer = &cfg.tracer;
-        let owner = shard as u64;
-        let stopping = self.ledger.stopping();
-        let status_str = status.map_or_else(|| "unknown".to_owned(), |s| s.to_string());
-        let clean = state.said_bye.is_some()
-            && status.is_some_and(|s| s.success())
-            && state.proto_error.is_none()
-            && !state.hb_killed;
-        let detail = if clean {
-            match state.said_bye {
-                Some(true) => "clean (stop file)".to_owned(),
-                _ => "clean".to_owned(),
-            }
-        } else if let Some(e) = &state.proto_error {
-            format!("protocol violation: {e}")
-        } else if state.hb_killed {
-            format!("killed after heartbeat timeout ({status_str})")
-        } else {
-            format!("crashed ({status_str})")
-        };
-        tracer.emit(&sb_obs::Event::Worker {
-            t: tracer.now_us(),
-            worker: shard as u64,
-            action: "exit".into(),
-            detail: detail.clone(),
-        });
-        let respawn = |state: &mut ShardState| {
-            state.respawns += 1;
-            state.phase = Phase::Backoff(
-                Instant::now() + respawn_backoff(scfg, cfg.seed, shard, state.respawns),
-            );
-        };
-
-        if clean {
-            self.ledger.release(owner);
-            // A worker that said bye without stopping but left work
-            // uncovered disagrees with the supervisor about its shard;
-            // respawning is the safe reconciliation (the child recomputes
-            // pending from the freshly saved checkpoint).
-            if !stopping && state.said_bye == Some(false) && self.ledger.pending(state.scope) > 0 {
-                respawn(state);
-            } else {
-                state.phase = Phase::Done;
-            }
-            return;
-        }
-
-        self.stats.crashes += 1;
-        tracer.count(sb_obs::keys::SUPERVISE_CRASHES, 1);
-        for job in self.ledger.held_by(owner) {
-            // Attribute scripted process faults: the worker printed the
-            // ledger line before dying; the supervisor owns the trace
-            // counters. A stall surfaces as a heartbeat kill, abort/exit
-            // as a plain crash.
-            let site = if state.hb_killed && cfg.fault_plan.should_stall(job) {
-                Some("proc.stall")
-            } else if cfg.fault_plan.should_abort(job) {
-                Some("proc.abort")
-            } else if cfg.fault_plan.exit_code(job).is_some() {
-                Some("proc.exit")
-            } else {
-                None
-            };
-            if let Some(site) = site {
-                crate::chaos::count_fired(tracer, site, 1);
-            }
-        }
-        self.ledger.owner_died(owner, scfg.crash_budget, |job| {
-            format!("worker process died while job {job} was in flight: {detail}")
-        });
-        self.ledger.note_death(state.scope, state.completed_since_spawn > 0);
-
-        let remaining = self.ledger.pending(state.scope);
-        let instant_deaths = self.ledger.instant_deaths(state.scope);
-        if stopping || remaining == 0 {
-            state.phase = Phase::Done;
-        } else if instant_deaths >= scfg.max_instant_deaths {
-            // Crash-loop circuit breaker: whatever is left of this shard is
-            // not going to run.
-            tracer.emit(&sb_obs::Event::Worker {
-                t: tracer.now_us(),
-                worker: shard as u64,
-                action: "give-up".into(),
-                detail: format!(
-                    "{instant_deaths} consecutive instant deaths; abandoning {remaining} job(s)"
-                ),
-            });
-            tracer.count(sb_obs::keys::SUPERVISE_GAVE_UP, 1);
-            self.stats.shards_abandoned += 1;
-            self.ledger.abandon(
-                state.scope,
-                &format!(
-                    "shard {shard} abandoned after {instant_deaths} consecutive instant worker deaths (last: {detail})"
-                ),
-            );
-            state.phase = Phase::Done;
-        } else {
-            respawn(state);
-        }
-    }
-}
-
-/// Worker-side configuration (the hidden `--worker-shard` entrypoint).
-#[derive(Clone, Debug)]
-pub struct WorkerCfg {
-    /// This worker's shard (0-based).
-    pub shard: usize,
-    /// Total shard count.
-    pub of: usize,
-    /// Heartbeat emission interval (the supervisor's timeout / 4 or so).
-    pub heartbeat: Duration,
-    /// Exit cleanly between jobs when this file exists.
-    pub stop_file: Option<PathBuf>,
-}
-
-/// Writes one protocol line to stdout, flushed immediately so the
-/// supervisor sees it even if this process dies on the next instruction.
-fn emit(msg: &WorkerMsg) {
-    let mut line = msg.render();
-    line.push('\n');
-    let mut out = std::io::stdout().lock();
-    let _ = out.write_all(line.as_bytes());
-    let _ = out.flush();
-}
-
-/// Runs one shard of the campaign in this process, speaking the worker
-/// protocol on stdout. Returns `Ok(true)` when it exited early because the
-/// stop file appeared.
-///
-/// The job list is the deterministic shard `job % of == shard` of the
-/// budgeted exemplars, minus whatever the resume checkpoint
-/// (`cfg.resume_from`, saved by the supervisor immediately before this
-/// spawn) already covers. Jobs run with the exact same seeds and retry
-/// machinery as the in-process pool, so a merged supervised report is
-/// bit-identical to a single-process run. The plan's process-level faults
-/// (abort/exit/stall) fire *after* the `start` message, so the supervisor
-/// charges the death to that job.
-pub fn run_worker_shard(
-    booted: &BootedKernel,
-    corpus: &[Program],
-    set: &PmcSet,
-    exemplars: &[PmcId],
-    cfg: &CampaignCfg,
-    wcfg: &WorkerCfg,
-) -> SbResult<bool> {
-    if wcfg.of == 0 || wcfg.shard >= wcfg.of {
-        return Err(Error::Supervise {
-            detail: format!("bad worker shard {}/{}", wcfg.shard, wcfg.of),
-        });
-    }
-    let mut ledger = JobLedger::open(exemplars, cfg, None)?;
-    let scope = Scope::Shard { shard: wcfg.shard, of: wcfg.of };
-    let jobs = ledger.lease(wcfg.shard as u64, scope, usize::MAX, None);
-    emit(&WorkerMsg::Hello {
-        shard: wcfg.shard,
-        of: wcfg.of,
-        pending: jobs.len(),
-    });
-
-    // The heartbeat thread keeps the supervisor satisfied through long
-    // jobs. `silenced` models the stall fault; `finished` stops the thread
-    // at shard end (best effort — a late heartbeat is ignored anyway).
-    let silenced = Arc::new(AtomicBool::new(false));
-    let finished = Arc::new(AtomicBool::new(false));
-    {
-        let silenced = silenced.clone();
-        let finished = finished.clone();
-        let interval = wcfg.heartbeat.max(Duration::from_millis(10));
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            if finished.load(Ordering::Relaxed) || silenced.load(Ordering::Relaxed) {
-                break;
-            }
-            emit(&WorkerMsg::Heartbeat);
-        });
+    /// No child is left to reap.
+    pub(crate) fn idle(&self) -> bool {
+        self.slots.iter().all(|s| s.child.is_none())
     }
 
-    let index = IncidentalIndex::build(set);
-    let remote = RemoteJobs::new(JobEnv { booted, corpus, set, index: &index }, cfg);
-    let mut exec = Executor::new(2);
-    let mut completed = 0usize;
-    let mut stopped = false;
-    // Every result line is already flushed as it is emitted, so a panic
-    // below loses only the in-flight job; this guard makes the ordering
-    // explicit and re-raises.
-    let ran = catch_unwind(AssertUnwindSafe(|| {
-        for job in jobs {
-            if wcfg.stop_file.as_deref().is_some_and(Path::exists) {
-                stopped = true;
-                break;
+    /// Kills and reaps whatever still runs, and returns the counters.
+    pub(crate) fn finish(mut self) -> SuperviseStats {
+        for slot in 0..self.slots.len() {
+            if let Some(mut child) = self.slots[slot].child.take() {
+                child.guard.kill();
+                let status = child.guard.reap();
+                self.exited(slot, child, status);
             }
-            emit(&WorkerMsg::Start { job });
-            let silence = || silenced.store(true, Ordering::Relaxed);
-            match remote.run(&mut exec, job, ledger.universe()[job], silence) {
-                JobVerdict::Completed(outcome) => emit(&WorkerMsg::Done { job, outcome }),
-                JobVerdict::Quarantined(record) => emit(&WorkerMsg::Quarantine { record }),
-            }
-            completed += 1;
         }
-    }));
-    finished.store(true, Ordering::Relaxed);
-    if let Err(payload) = ran {
-        let _ = std::io::stdout().lock().flush();
-        std::panic::resume_unwind(payload);
+        self.stats
     }
-    emit(&WorkerMsg::Bye { completed, stopped });
-    Ok(stopped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::PmcTestOutcome;
-    use crate::checkpoint::{outcome_to_json, Checkpoint};
+    use crate::checkpoint::Checkpoint;
     use crate::error::FailureKind;
+    use crate::protocol::{read_frame, write_frame, JoinMsg, ServeMsg, FLEET_PROTO_VERSION};
     use std::collections::BTreeMap;
+    use std::io::BufReader;
+    use std::net::TcpStream;
+    use std::path::{Path, PathBuf};
 
     fn outcome(job: usize) -> PmcTestOutcome {
         PmcTestOutcome {
@@ -670,22 +348,82 @@ mod tests {
         }
     }
 
-    fn done_line(job: usize) -> String {
-        WorkerMsg::Done {
-            job,
-            outcome: outcome(job),
+    /// Not a test of its own: the body of a scripted pool child. A child is
+    /// this test binary re-run on this one test with `SB_SUPERVISE_SCRIPT`
+    /// set to `<action> <job|*> [stop-file]`, where the action — `done`,
+    /// `die` (exit 7), `stall` (silence) or `stop` (write the stop file and
+    /// leave) — applies to the matching leased jobs and every other job
+    /// completes. The child speaks the real protocol, heartbeats excepted.
+    #[test]
+    fn scripted_child() {
+        let Ok(script) = std::env::var("SB_SUPERVISE_SCRIPT") else { return };
+        let addr = std::env::var("SB_SUPERVISE_ADDR").expect("coordinator address");
+        let words: Vec<&str> = script.split_whitespace().collect();
+        let (action, target) = (words[0], words[1]);
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut send = |msg: &JoinMsg| {
+            let _ = write_frame(&mut stream, &msg.render());
+        };
+        let mut read = || {
+            let frame = read_frame(&mut reader).ok().flatten();
+            frame.and_then(|f| ServeMsg::parse_line(&f).ok())
+        };
+        let pid = u64::from(std::process::id());
+        send(&JoinMsg::Join { proto: FLEET_PROTO_VERSION, config: 0, session: pid, pid });
+        let Some(ServeMsg::Welcome { .. }) = read() else { std::process::exit(1) };
+        let mut seq = 0;
+        loop {
+            send(&JoinMsg::Request { max: 1 });
+            match read() {
+                Some(ServeMsg::Lease { jobs, .. }) if jobs.is_empty() => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Some(ServeMsg::Lease { jobs, .. }) => {
+                    for job in jobs {
+                        match action {
+                            _ if target != "*" && target != job.to_string() => {}
+                            "die" => std::process::exit(7),
+                            "stall" => loop {
+                                std::thread::sleep(Duration::from_secs(3600));
+                            },
+                            "stop" => {
+                                std::fs::write(words[2], b"").unwrap();
+                                send(&JoinMsg::Leaving { reason: "stop file".into() });
+                                std::process::exit(0);
+                            }
+                            _ => {}
+                        }
+                        seq += 1;
+                        let outcome = outcome(job);
+                        send(&JoinMsg::Done { job, outcome, seq, redelivery: false });
+                    }
+                }
+                Some(ServeMsg::Drain { .. }) => {
+                    send(&JoinMsg::Leaving { reason: "drained".into() });
+                    std::process::exit(0);
+                }
+                _ => std::process::exit(1),
+            }
         }
-        .render()
     }
 
-    /// A /bin/sh "worker" that prints prepared protocol lines from a file
-    /// and then runs `epilogue` (e.g. `exit 7`, `sleep 60`).
-    fn fake_worker(dir: &Path, name: &str, lines: &[String], epilogue: &str) -> Command {
-        let path = dir.join(name);
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    /// Spawns scripted children (see [`scripted_child`]).
+    fn scripted(script: &str) -> impl FnMut(&str) -> Command {
+        let script = script.to_owned();
+        move |addr| {
+            let mut c = Command::new(std::env::current_exe().unwrap());
+            c.args(["supervise::tests::scripted_child", "--exact", "--nocapture"])
+                .env("SB_SUPERVISE_SCRIPT", &script)
+                .env("SB_SUPERVISE_ADDR", addr);
+            c
+        }
+    }
+
+    /// Children that exit before they ever connect.
+    fn exit_7(_addr: &str) -> Command {
         let mut c = Command::new("/bin/sh");
-        c.arg("-c")
-            .arg(format!("cat '{}'; {epilogue}", path.display()));
+        c.args(["-c", "exit 7"]);
         c
     }
 
@@ -695,152 +433,117 @@ mod tests {
         dir
     }
 
-    /// Millisecond backoffs, but a heartbeat timeout no `cargo test` load
-    /// can trip: only the fixtures that are *about* silence shorten it.
+    /// A millisecond tick, but a heartbeat timeout no `cargo test` load can
+    /// trip: only the fixtures that are *about* silence shorten it.
     fn fast_cfg(dir: &Path, workers: usize) -> SuperviseCfg {
         SuperviseCfg {
             workers,
-            heartbeat_timeout: Duration::from_secs(10),
-            poll: Duration::from_millis(5),
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(4),
-            crash_budget: 2,
-            max_instant_deaths: 3,
-            stop_file: None,
-            checkpoint: dir.join("supervise.json"),
+            fleet: FleetCfg {
+                poll: Duration::from_millis(5),
+                checkpoint: dir.join("supervise.json"),
+                ..FleetCfg::default()
+            },
         }
+    }
+
+    /// Runs the campaign on a thread and fails instead of hanging.
+    fn run_bounded(
+        jobs: u32,
+        scfg: SuperviseCfg,
+        spawn: impl FnMut(&str) -> Command + Send + 'static,
+    ) -> CampaignReport {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let budgeted: Vec<PmcId> = (0..jobs).map(|i| i + 100).collect();
+            let _ = tx.send(run_supervised(&budgeted, &CampaignCfg::default(), &scfg, spawn));
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the supervised campaign hung")
+            .expect("supervised run")
+    }
+
+    fn kinds(report: &CampaignReport) -> BTreeMap<usize, FailureKind> {
+        report.quarantined.iter().map(|q| (q.job, q.kind)).collect()
     }
 
     #[test]
     fn backoff_is_deterministic_grows_and_clamps() {
-        let cfg = SuperviseCfg {
-            backoff_base: Duration::from_millis(40),
-            backoff_max: Duration::from_millis(200),
-            ..SuperviseCfg::default()
+        // The respawn wait of `slot`: the campaign seed mixed with the slot.
+        let respawn_backoff = |seed: u64, slot: u64, respawn| {
+            let (base, max) = (Duration::from_millis(40), Duration::from_millis(200));
+            jittered_backoff(base, max, seed ^ (slot << 32), respawn)
         };
-        let b1 = respawn_backoff(&cfg, 2021, 0, 1);
-        let b2 = respawn_backoff(&cfg, 2021, 0, 2);
-        let b9 = respawn_backoff(&cfg, 2021, 0, 9);
-        assert_eq!(b1, respawn_backoff(&cfg, 2021, 0, 1), "pure function");
+        let b1 = respawn_backoff(2021, 0, 1);
+        let b2 = respawn_backoff(2021, 0, 2);
+        let b9 = respawn_backoff(2021, 0, 9);
+        assert_eq!(b1, respawn_backoff(2021, 0, 1), "pure function");
         assert!(b1 >= Duration::from_millis(40) && b1 <= Duration::from_millis(50));
         assert!(b2 >= Duration::from_millis(80) && b2 <= Duration::from_millis(100));
         assert!(b9 >= Duration::from_millis(200) && b9 <= Duration::from_millis(250), "{b9:?}");
         assert_ne!(
-            respawn_backoff(&cfg, 2021, 0, 2),
-            respawn_backoff(&cfg, 2021, 1, 2),
-            "shards jitter independently"
+            respawn_backoff(2021, 0, 2),
+            respawn_backoff(2021, 1, 2),
+            "slots jitter independently"
         );
     }
 
     #[test]
     fn clean_workers_merge_into_a_complete_report() {
         let dir = test_dir("clean");
-        let budgeted: Vec<PmcId> = (0..4).map(|i| i + 100).collect();
-        let cfg = CampaignCfg::default();
         let scfg = fast_cfg(&dir, 2);
-        let report = run_supervised(&budgeted, &cfg, &scfg, |shard| {
-            let lines: Vec<String> = std::iter::once(
-                WorkerMsg::Hello { shard, of: 2, pending: 2 }.render(),
-            )
-            .chain((0..4).filter(|j| j % 2 == shard).flat_map(|j| {
-                [WorkerMsg::Start { job: j }.render(), done_line(j)]
-            }))
-            .chain(std::iter::once(
-                WorkerMsg::Bye { completed: 2, stopped: false }.render(),
-            ))
-            .collect();
-            fake_worker(&dir, &format!("w{shard}.txt"), &lines, "exit 0")
-        })
-        .expect("supervised run");
+        let checkpoint = scfg.fleet.checkpoint.clone();
+        let report = run_bounded(4, scfg, scripted("done *"));
         assert_eq!(report.tested(), 4);
         assert!(report.quarantined.is_empty());
-        assert_eq!(report.outcomes[0].steps, 100, "job order preserved");
+        let steps: Vec<u64> = report.outcomes.iter().map(|o| o.steps).collect();
+        assert_eq!(steps, vec![100, 101, 102, 103], "job order preserved");
         let stats = report.supervise.expect("supervise stats");
-        assert_eq!(stats.spawns, 2);
-        assert_eq!(stats.crashes, 0);
-        assert_eq!(stats.respawns, 0);
+        assert_eq!((stats.spawns, stats.respawns, stats.crashes), (2, 0, 0));
+        let fleet = report.fleet.expect("fleet stats");
+        assert_eq!((fleet.workers_joined, fleet.leases_granted, fleet.evictions), (2, 4, 0));
         // The checkpoint on disk covers everything.
-        let cp = Checkpoint::load(&scfg.checkpoint).unwrap();
-        assert_eq!(cp.outcomes.len(), 4);
+        assert_eq!(Checkpoint::load(&checkpoint).unwrap().outcomes.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn crash_charges_in_flight_job_then_breaker_abandons_shard() {
+    fn crash_charges_the_in_flight_job_and_the_rest_completes() {
         let dir = test_dir("crash");
-        let budgeted: Vec<PmcId> = (0..4).map(|i| i + 100).collect();
-        let cfg = CampaignCfg::default();
         let scfg = fast_cfg(&dir, 2);
-        // Shard 1 always announces job 1 and dies; shard 0 is clean.
-        let report = run_supervised(&budgeted, &cfg, &scfg, |shard| {
-            if shard == 0 {
-                let lines = vec![
-                    WorkerMsg::Hello { shard: 0, of: 2, pending: 2 }.render(),
-                    WorkerMsg::Start { job: 0 }.render(),
-                    done_line(0),
-                    WorkerMsg::Start { job: 2 }.render(),
-                    done_line(2),
-                    WorkerMsg::Bye { completed: 2, stopped: false }.render(),
-                ];
-                fake_worker(&dir, "w0.txt", &lines, "exit 0")
-            } else {
-                let lines = vec![
-                    WorkerMsg::Hello { shard: 1, of: 2, pending: 2 }.render(),
-                    WorkerMsg::Start { job: 1 }.render(),
-                ];
-                fake_worker(&dir, "w1.txt", &lines, "exit 7")
-            }
-        })
-        .expect("supervised run");
-        assert_eq!(report.tested(), 2, "shard 0's jobs completed");
-        // Job 1 crashed past its budget → Crash; job 3 was abandoned by the
-        // circuit breaker → GaveUp.
-        let kinds: BTreeMap<usize, FailureKind> = report
-            .quarantined
-            .iter()
-            .map(|q| (q.job, q.kind))
-            .collect();
-        assert_eq!(kinds.get(&1), Some(&FailureKind::Crash));
-        assert_eq!(kinds.get(&3), Some(&FailureKind::GaveUp));
+        let checkpoint = scfg.fleet.checkpoint.clone();
+        // Whichever child leases job 1 dies with it.
+        let report = run_bounded(4, scfg, scripted("die 1"));
+        // Job 1 crashed through its budget → Crash; its neighbours ran on
+        // the surviving and respawned children.
+        assert_eq!(kinds(&report), BTreeMap::from([(1, FailureKind::Crash)]));
+        assert_eq!(report.tested(), 3);
+        assert!(
+            report.quarantined[0].chain[0]
+                .starts_with("worker process died while job 1 was in flight: crashed"),
+            "{:?}",
+            report.quarantined[0].chain
+        );
         let stats = report.supervise.unwrap();
-        assert_eq!(stats.crashes, 3, "budget 2 + breaker's third");
-        assert_eq!(stats.respawns, 2);
-        assert_eq!(stats.shards_abandoned, 1);
-        // Crash is checkpointed (never retried); GaveUp is not (retried on
-        // resume).
-        let cp = Checkpoint::load(&scfg.checkpoint).unwrap();
-        assert!(cp.quarantined.contains_key(&1));
-        assert!(!cp.quarantined.contains_key(&3));
+        assert_eq!(stats.crashes, 2, "one death per charge of the budget");
+        assert_eq!(report.fleet.unwrap().gave_up_jobs, 0);
+        // Crash is checkpointed (never retried).
+        assert!(Checkpoint::load(&checkpoint).unwrap().quarantined.contains_key(&1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn silent_worker_is_killed_and_charged() {
         let dir = test_dir("hb");
-        let budgeted: Vec<PmcId> = vec![100];
-        let cfg = CampaignCfg::default();
-        let scfg = SuperviseCfg {
-            heartbeat_timeout: Duration::from_millis(150),
-            crash_budget: 1,
-            max_instant_deaths: 1,
-            ..fast_cfg(&dir, 1)
-        };
-        let lines = vec![
-            WorkerMsg::Hello { shard: 0, of: 1, pending: 1 }.render(),
-            WorkerMsg::Start { job: 0 }.render(),
-        ];
-        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
-            // `exec` so the kill lands on the process holding the pipe.
-            fake_worker(&dir, "stall.txt", &lines, "exec sleep 60")
-        })
-        .expect("supervised run");
+        let mut scfg = fast_cfg(&dir, 1);
+        scfg.fleet.heartbeat_timeout = Duration::from_millis(150);
+        scfg.fleet.crash_budget = 1;
+        scfg.fleet.max_instant_deaths = 1;
+        let report = run_bounded(1, scfg, scripted("stall 0"));
         let stats = report.supervise.as_ref().unwrap();
-        assert_eq!(stats.heartbeat_misses, 1);
-        assert_eq!(stats.crashes, 1);
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.quarantined[0].kind, FailureKind::Crash);
+        assert_eq!((stats.heartbeat_misses, stats.crashes), (1, 1));
+        assert_eq!(kinds(&report), BTreeMap::from([(0, FailureKind::Crash)]));
         assert!(
-            report.quarantined[0].chain[0].contains("heartbeat"),
+            report.quarantined[0].chain[0].contains("killed after heartbeat timeout"),
             "{:?}",
             report.quarantined[0].chain
         );
@@ -848,153 +551,69 @@ mod tests {
     }
 
     #[test]
-    fn garbage_on_stdout_is_treated_as_a_crash() {
-        let dir = test_dir("proto");
-        let budgeted: Vec<PmcId> = vec![100];
-        let cfg = CampaignCfg::default();
-        let scfg = SuperviseCfg {
-            crash_budget: 1,
-            max_instant_deaths: 1,
-            ..fast_cfg(&dir, 1)
-        };
-        let lines = vec!["this is not a protocol message".to_owned()];
-        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
-            fake_worker(&dir, "garbage.txt", &lines, "exec sleep 60")
-        })
-        .expect("supervised run");
-        let stats = report.supervise.as_ref().unwrap();
-        assert_eq!(stats.crashes, 1);
-        assert_eq!(stats.shards_abandoned, 1, "instant death trips the breaker");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stop_file_ends_the_run_with_checkpoint_and_no_quarantines() {
         let dir = test_dir("stop");
-        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let cfg = CampaignCfg::default();
         let stop = dir.join("stop");
-        let scfg = SuperviseCfg {
-            stop_file: Some(stop.clone()),
-            heartbeat_timeout: Duration::from_millis(100),
-            ..fast_cfg(&dir, 1)
-        };
-        // The worker completes job 0 and then lingers; the stop file
-        // appears (written up front) and the supervisor shuts down.
-        std::fs::write(&stop, b"").unwrap();
-        let lines = vec![
-            WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
-            WorkerMsg::Start { job: 0 }.render(),
-            done_line(0),
-        ];
-        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
-            fake_worker(&dir, "stop.txt", &lines, "exec sleep 60")
-        })
-        .expect("supervised run");
-        let stats = report.supervise.as_ref().unwrap();
-        assert!(stats.stopped);
-        assert_eq!(stats.respawns, 0, "no respawns while stopping");
-        assert!(
-            report.quarantined.is_empty(),
-            "stop-kills are not failures: {:?}",
-            report.quarantined
-        );
+        let mut scfg = fast_cfg(&dir, 1);
+        scfg.fleet.stop_file = Some(stop.clone());
+        let checkpoint = scfg.fleet.checkpoint.clone();
+        // The child completes job 0, then finds the stop file on job 1 and
+        // leaves the way `hunt join` does.
+        let script = format!("stop 1 {}", stop.display());
+        let report = run_bounded(2, scfg, scripted(&script));
+        assert!(report.fleet.as_ref().unwrap().stopped);
+        assert_eq!(report.supervise.as_ref().unwrap().respawns, 0, "no respawns while stopping");
+        assert!(report.quarantined.is_empty(), "stopping is not failing: {:?}", report.quarantined);
         assert_eq!(report.tested(), 1, "completed work is kept");
         // The resumable checkpoint covers job 0 and leaves job 1 pending.
-        let cp = Checkpoint::load(&scfg.checkpoint).unwrap();
-        assert!(cp.covers(0));
-        assert!(!cp.covers(1));
+        let cp = Checkpoint::load(&checkpoint).unwrap();
+        assert!(cp.covers(0) && !cp.covers(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_result_outside_the_shard_kills_the_worker_and_is_never_merged() {
-        let dir = test_dir("foreign");
-        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let cfg = CampaignCfg::default();
-        let scfg = SuperviseCfg {
-            crash_budget: 1,
-            max_instant_deaths: 1,
-            ..fast_cfg(&dir, 1)
-        };
-        // A schema-valid `done` for job universe + 7, then the worker lingers:
-        // only the supervisor's kill ends it.
-        let lines = vec![
-            WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
-            WorkerMsg::Start { job: 0 }.render(),
-            done_line(9),
-            done_line(0),
-        ];
-        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
-            fake_worker(&dir, "foreign.txt", &lines, "exec sleep 60")
-        })
-        .expect("supervised run");
-        assert_eq!(report.tested(), 0, "nothing the violator said afterwards counts");
-        let stats = report.supervise.as_ref().unwrap();
-        assert_eq!(stats.crashes, 1, "handled as a crash");
-        // The death is charged to the job the worker held.
-        let crash = report.quarantined.iter().find(|q| q.job == 0).expect("job 0 charged");
-        assert_eq!(crash.kind, FailureKind::Crash);
-        assert!(
-            crash.chain[0].contains("protocol violation: job 9 is outside the 2-job universe"),
-            "{:?}",
-            crash.chain
-        );
-        assert!(report.quarantined.iter().all(|q| q.job < 2));
-        let cp = Checkpoint::load(&scfg.checkpoint).unwrap();
-        assert!(cp.outcomes.is_empty() && !cp.covers(9));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_respawned_shard_redelivering_a_covered_job_is_a_counted_duplicate() {
-        let dir = test_dir("redeliver");
-        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let cfg = CampaignCfg::default();
-        let scfg = fast_cfg(&dir, 1);
-        let mut calls = 0usize;
-        let report = run_supervised(&budgeted, &cfg, &scfg, |_| {
-            calls += 1;
-            if calls == 1 {
-                let lines = vec![
-                    WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
-                    WorkerMsg::Start { job: 0 }.render(),
-                    done_line(0),
-                    WorkerMsg::Start { job: 1 }.render(),
-                ];
-                fake_worker(&dir, "life1.txt", &lines, "exit 9")
-            } else {
-                // The second life ignores the checkpoint and re-runs job 0
-                // to a different outcome.
-                let mut again = outcome(0);
-                again.steps = 999;
-                let lines = vec![
-                    WorkerMsg::Hello { shard: 0, of: 1, pending: 2 }.render(),
-                    WorkerMsg::Start { job: 0 }.render(),
-                    WorkerMsg::Done { job: 0, outcome: again }.render(),
-                    WorkerMsg::Start { job: 1 }.render(),
-                    done_line(1),
-                    WorkerMsg::Bye { completed: 2, stopped: false }.render(),
-                ];
-                fake_worker(&dir, "life2.txt", &lines, "exit 0")
-            }
-        })
-        .expect("supervised run");
-        assert_eq!(calls, 2);
-        assert_eq!(report.tested(), 2, "both jobs completed across lives");
-        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
-        assert_eq!(report.outcomes[0].steps, 100, "the first verdict stands");
+    fn children_that_never_join_end_the_campaign_as_gave_up() {
+        let dir = test_dir("nojoin");
+        let report = run_bounded(3, fast_cfg(&dir, 1), exit_7);
+        assert_eq!(kinds(&report).into_values().collect::<Vec<_>>(), vec![FailureKind::GaveUp; 3]);
         let stats = report.supervise.unwrap();
-        assert_eq!((stats.crashes, stats.respawns, stats.duplicate_results), (1, 1, 1));
+        assert_eq!(
+            (stats.spawns, stats.respawns, stats.crashes),
+            (1, 2, 3),
+            "the breaker trips at max_instant_deaths deaths"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_death_counts_once_in_the_breaker_joined_or_not() {
+        // Children alternate: one joins, leases a job and dies with it, the
+        // next dies before it connects. Four deaths trip a breaker of four
+        // — not three (a joined death counted at eviction and at reaping),
+        // not seven (deaths before joining not counted).
+        let dir = test_dir("once");
+        let mut scfg = fast_cfg(&dir, 1);
+        scfg.fleet.max_instant_deaths = 4;
+        scfg.fleet.crash_budget = 100;
+        let mut joined = scripted("die *");
+        let mut spawned = 0;
+        let report = run_bounded(2, scfg, move |addr| {
+            spawned += 1;
+            if spawned % 2 == 1 {
+                joined(addr)
+            } else {
+                exit_7(addr)
+            }
+        });
+        assert_eq!(kinds(&report).into_values().collect::<Vec<_>>(), vec![FailureKind::GaveUp; 2]);
+        assert_eq!(report.supervise.unwrap().crashes, 4);
+        assert_eq!(report.fleet.unwrap().evictions, 2, "the joined children's connections");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn zero_workers_is_a_campaign_level_error() {
-        let scfg = SuperviseCfg {
-            workers: 0,
-            ..SuperviseCfg::default()
-        };
+        let scfg = SuperviseCfg { workers: 0, ..SuperviseCfg::default() };
         let err = run_supervised(&[1], &CampaignCfg::default(), &scfg, |_| {
             Command::new("/bin/true")
         })
@@ -1012,14 +631,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, Error::Supervise { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn done_outcome_wire_shape_matches_checkpoint_shape() {
-        // The supervisor trusts this equivalence when merging.
-        let o = outcome(3);
-        let msg = WorkerMsg::Done { job: 3, outcome: o.clone() };
-        let rendered = msg.render();
-        assert!(rendered.contains(&outcome_to_json(3, &o).render()));
     }
 }

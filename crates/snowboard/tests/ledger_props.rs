@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use snowboard::campaign::{aggregate, JobVerdict, PmcTestOutcome, QuarantineRecord};
 use snowboard::error::FailureKind;
-use snowboard::ledger::{Charge, Delivered, JobLedger, Scope};
+use snowboard::ledger::{Charge, Delivered, JobLedger};
 use snowboard::CampaignCfg;
 
 const JOBS: usize = 8;
@@ -109,11 +109,11 @@ proptest! {
             match kind {
                 0 => {
                     let until = (x % 4 != 0).then(|| at(x));
-                    let taken = ledger.lease(owner, Scope::All, 1 + (x % 3) as usize, until);
+                    let taken = ledger.lease(owner, 1 + (x % 3) as usize, until);
                     assert!(taken.iter().all(|j| ledger.held_by(owner).contains(j)));
                 }
                 1 => {
-                    let taken = ledger.hold(owner, Scope::All, &[job], None);
+                    let taken = ledger.hold(owner, &[job], None);
                     assert!(taken.len() <= 1);
                 }
                 2 => {
@@ -122,7 +122,7 @@ proptest! {
                         1 => JobVerdict::Quarantined(quarantine(job, FailureKind::Rejected, x)),
                         _ => JobVerdict::Completed(outcome(job, x)),
                     };
-                    let delivered = ledger.deliver(Scope::All, job, verdict.clone());
+                    let delivered = ledger.deliver(job, verdict.clone());
                     if job >= JOBS {
                         assert!(delivered.is_err(), "job {job} is outside the universe");
                     } else if model.deliver(job, &verdict) {

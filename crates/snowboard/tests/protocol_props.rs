@@ -180,10 +180,11 @@ proptest! {
         proto in any::<u64>(),
         config in any::<u64>(),
         session in any::<u64>(),
+        pid in any::<u64>(),
         max in any::<usize>(),
     ) {
         let msgs = [
-            JoinMsg::Join { proto, config, session },
+            JoinMsg::Join { proto, config, session, pid },
             JoinMsg::Heartbeat,
             JoinMsg::Request { max },
             JoinMsg::Leaving { reason: format!("reason-{proto}") },

@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use sb_kernel::{KernelConfig, Program};
+use sb_vmm::site::fnv1a;
 use snowboard::pmc::PmcSet;
 use snowboard::profile::SeqProfile;
 
@@ -30,16 +31,6 @@ use crate::fault::DiskFaultPlan;
 use crate::manifest::{Manifest, PmcEntry, ProfileStatus};
 use crate::segment::{self, SegmentKind, SegmentReader, SegmentWriter, PMC_MAGIC, PROFILE_MAGIC};
 use crate::Error;
-
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Content key of one sequential test: hash of (boot config, fuzz seed,
 /// program). Debug renderings are derived and contain no addresses or other

@@ -17,10 +17,17 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Site(pub u64);
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// 64-bit FNV-1a over `bytes`: the workspace's one stable, process-free
+/// hash — site ids, store content keys and the fleet's config fingerprint.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 fn registry() -> &'static Mutex<HashMap<u64, String>> {
     static REGISTRY: OnceLock<Mutex<HashMap<u64, String>>> = OnceLock::new();
@@ -32,13 +39,9 @@ impl Site {
     ///
     /// Useful for tests and for building lookup keys for sites that are known
     /// to have been interned elsewhere.
+    #[inline]
     pub fn hash_of(name: &str) -> u64 {
-        let mut h = FNV_OFFSET;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        fnv1a(name.as_bytes())
     }
 
     /// Interns `name`, returning its stable [`Site`] identity.
