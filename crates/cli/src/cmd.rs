@@ -13,9 +13,9 @@ use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
 use snowboard::{
-    config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, Catalog,
-    ChaosPlan, CheckpointCfg, FleetCfg, FleetWork, IdentifyOpts, JobBudget, JoinCfg, OracleSet,
-    Pipeline, PipelineCfg, PmcId, RetryPolicy, SbResult, SuperviseCfg,
+    config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, Catalog, ChaosPlan,
+    FleetCfg, FleetWork, IdentifyOpts, JobBudget, JoinCfg, OracleSet, Pipeline, PipelineCfg, PmcId,
+    RetryPolicy, SbResult, SuperviseCfg,
 };
 
 use crate::args::{Cmd, HuntOpts, JoinOpts, ServeOpts, USAGE};
@@ -240,7 +240,6 @@ fn strategies(config: KernelConfig, seed: u64, corpus: usize) -> ExitCode {
             seed,
             corpus_target: corpus,
             fuzz_budget: (corpus as u64) * 15,
-            workers: 4,
             ..PipelineCfg::default()
         },
     );
@@ -352,7 +351,7 @@ fn prepare_hunt_pipeline(
     store: &Option<std::path::PathBuf>,
     no_cache: bool,
     workers: usize,
-    disk_faults: sb_store::DiskFaultPlan,
+    disk_faults: snowboard::DiskFaults,
 ) -> Result<(Pipeline, Option<StoreStats>, Vec<&'static str>), ExitCode> {
     match store {
         Some(dir) => {
@@ -504,7 +503,6 @@ fn hunt_pipeline_cfg(o: &HuntOpts) -> PipelineCfg {
         seed: o.seed,
         corpus_target: o.corpus,
         fuzz_budget: (o.corpus as u64) * 15,
-        workers: o.workers,
         catalog: hunt_catalog(o.oracles),
         ..PipelineCfg::default()
     }
@@ -523,9 +521,14 @@ fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
     let tracer = open_tracer(&o.trace_dir);
     eprintln!("[hunt] preparing pipeline ({:?})...", o.config.version);
     let pipeline_cfg = PipelineCfg { tracer: tracer.clone(), ..hunt_pipeline_cfg(o) };
-    let disk_faults = sb_store::DiskFaultPlan::from(o.chaos.disk.clone());
-    let (p, store_stats, disk_fired) =
-        prepare_hunt_pipeline(o.config, pipeline_cfg, &o.store, o.no_cache, o.workers, disk_faults)?;
+    let (p, store_stats, disk_fired) = prepare_hunt_pipeline(
+        o.config,
+        pipeline_cfg,
+        &o.store,
+        o.no_cache,
+        o.workers,
+        o.chaos.disk.clone(),
+    )?;
     count_disk_fired(&tracer, &disk_fired);
     let clusters = p.cluster_count(o.strategy);
     eprintln!(
@@ -536,7 +539,7 @@ fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
     );
     let exemplars = p.exemplars_traced(o.strategy, cluster_order(o), &tracer);
     let cfg = CampaignCfg {
-        checkpoint: o.checkpoint.clone().map(CheckpointCfg::new),
+        checkpoint: o.checkpoint.clone(),
         resume_from: o.resume.clone(),
         resume_lenient: o.resume_lenient,
         tracer: tracer.clone(),

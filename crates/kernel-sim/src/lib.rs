@@ -323,24 +323,6 @@ impl Kernel {
     /// campaign job runs its pair once per trial): the job holds the
     /// program by reference count instead of owning a copy.
     pub fn process_job_shared(self: &Arc<Self>, prog: Arc<Program>) -> Job {
-        self.user_process(prog, None)
-    }
-
-    /// Like [`Kernel::process_job`], also publishing each call's result into
-    /// `out`.
-    pub fn process_job_with_results(
-        self: &Arc<Self>,
-        prog: Program,
-        out: Arc<Mutex<Vec<u64>>>,
-    ) -> Job {
-        self.user_process(Arc::new(prog), Some(out))
-    }
-
-    fn user_process(
-        self: &Arc<Self>,
-        prog: Arc<Program>,
-        out: Option<Arc<Mutex<Vec<u64>>>>,
-    ) -> Job {
         let kernel = Arc::clone(self);
         job(move |ctx| async move {
             let mut proc = ProcState::default();
@@ -350,9 +332,6 @@ impl Kernel {
                     Err(f) if f.is_fatal() => return Err(f),
                     Err(_) => proc.regs.push(EINVAL),
                 }
-            }
-            if let Some(mut o) = out.as_ref().and_then(|out| out.lock().ok()) {
-                *o = proc.regs;
             }
             Ok(())
         })

@@ -6,19 +6,29 @@
 use std::sync::{Arc, Mutex};
 
 use sb_kernel::prog::{Domain, IoctlCmd, MsgCmd, Path, Res, SockOpt, Syscall};
-use sb_kernel::{boot, BootedKernel, KernelConfig, Program, EBADF, EINVAL, ENOENT};
+use sb_kernel::{boot, BootedKernel, KernelConfig, ProcState, Program, EBADF, EINVAL, ENOENT};
+use sb_vmm::exec::job;
 use sb_vmm::sched::FreeRun;
 use sb_vmm::Executor;
 
-/// Runs a program sequentially, returning each call's result.
+/// Runs a program sequentially, returning each call's result: the job
+/// `Kernel::process_job` builds, publishing the results it keeps.
 fn run(booted: &BootedKernel, prog: Program) -> Vec<u64> {
-    let mut exec = Executor::new(1);
     let out = Arc::new(Mutex::new(Vec::new()));
-    let r = exec.run(
-        booted.snapshot.clone(),
-        vec![booted.kernel.process_job_with_results(prog, Arc::clone(&out))],
-        &mut FreeRun,
-    );
+    let (kernel, regs) = (Arc::clone(&booted.kernel), Arc::clone(&out));
+    let process = job(move |ctx| async move {
+        let mut proc = ProcState::default();
+        for call in &prog.calls {
+            match kernel.dispatch(&ctx, &mut proc, call).await {
+                Ok(v) => proc.regs.push(v),
+                Err(f) if f.is_fatal() => return Err(f),
+                Err(_) => proc.regs.push(EINVAL),
+            }
+        }
+        *regs.lock().unwrap() = proc.regs;
+        Ok(())
+    });
+    let r = Executor::new(1).run(booted.snapshot.clone(), vec![process], &mut FreeRun);
     assert!(
         r.report.outcome.is_completed(),
         "{:?} {:?}",

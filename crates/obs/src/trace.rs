@@ -26,10 +26,9 @@ use crate::event::Event;
 /// Keys are plain strings in the event schema; these constants keep the
 /// emission sites and the report reader agreeing on spelling.
 pub mod keys {
-    /// Sequential tests profiled successfully this run (store hits excluded).
+    /// Sequential tests profiled this run: every kept program, its profile
+    /// cut from the fuzz run that kept it (a store hit included).
     pub const PROFILES_OK: &str = "profile.ok";
-    /// Sequential tests that failed to profile (panic / non-completion).
-    pub const PROFILES_FAILED: &str = "profile.failed";
     /// Accesses kept by the `SharedAccessFilter` (potentially shared).
     pub const ACCESSES_KEPT: &str = "profile.accesses_kept";
     /// Accesses dropped by the stack filter.

@@ -21,12 +21,12 @@
 //! clean runs are bit-identical to pre-fault-tolerance builds), and jobs
 //! that exhaust their budget land in [`CampaignReport::quarantined`] with a
 //! full error chain instead of killing the campaign. Progress checkpoints
-//! ([`CheckpointCfg`]) let a killed campaign resume without repeating
+//! ([`CampaignCfg::checkpoint`]) let a killed campaign resume without repeating
 //! finished jobs, and a [`FaultPlan`] can inject panics, hangs, transient
 //! errors, and queue closure at chosen job indices to exercise all of the
 //! above deterministically.
 //!
-//! The job *lifecycle* — resume, merge, checkpoint cadence, the report —
+//! The job *lifecycle* — resume, merge, checkpoint, the report —
 //! lives in [`crate::ledger`]; this module is the in-process transport
 //! (the calling thread plus scoped helpers) plus the code every transport's
 //! workers share:
@@ -47,7 +47,6 @@ use sb_vmm::sched::{HintAccess, Scheduler as _, SnowboardSched};
 use sb_vmm::site::Site;
 use sb_vmm::Executor;
 
-use crate::checkpoint::CheckpointCfg;
 use crate::error::{Error, FailureKind, SbResult};
 use crate::fault::FaultPlan;
 use crate::ledger::JobLedger;
@@ -82,8 +81,9 @@ pub struct CampaignCfg {
     pub retry: RetryPolicy,
     /// Per-job step/wall-clock budget enforced by the watchdog.
     pub budget: JobBudget,
-    /// Periodic progress checkpointing; `None` disables it.
-    pub checkpoint: Option<CheckpointCfg>,
+    /// Checkpoint file, rewritten after every merged verdict and once more
+    /// at the end; `None` disables checkpointing.
+    pub checkpoint: Option<PathBuf>,
     /// Resume from this checkpoint file: jobs it covers are not re-run.
     pub resume_from: Option<PathBuf>,
     /// Lenient resume (`--resume-or-fresh`): a missing, corrupt, or

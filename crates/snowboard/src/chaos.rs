@@ -2,16 +2,16 @@
 //! schedule generation, and fire-site attribution for self-chaos campaigns.
 //!
 //! Five fault planes — job faults, process faults, network faults
-//! ([`crate::fault`]), disk faults (`sb_store::DiskFaultPlan`) and the
-//! coordinator kill switch — each implement their own injection; this
-//! module is the one way to script them:
+//! ([`crate::fault`]), disk faults ([`DiskFaults`], armed on an
+//! `sb_store::Store`) and the coordinator kill switch — each implement
+//! their own injection; this module is the one way to script them:
 //!
 //! * [`ChaosPlan`] — a single spec grammar covering every plane with
 //!   `plane:kind=args` clauses, e.g.
 //!   `"job:panic=3;proc:exit=1:9;net:drop=0:6;disk:torn=20;coord:kill-after-journal=4"`.
 //!   `--chaos` is the only fault input the CLI has.
-//! * [`DiskFaults`] — the spec-level disk plane (`sb_store` depends on
-//!   this crate, so the grammar lives here and `DiskFaultPlan` converts).
+//! * [`DiskFaults`] — the disk plane (`sb_store` depends on this crate, so
+//!   the plan lives here and the store consults it as parsed).
 //! * Fire-site attribution — every injection hook reports a stable site id
 //!   (see [`SITES`]) through two channels: a stderr ledger line
 //!   ([`fired`]) visible even from worker processes with disabled tracers,
@@ -125,10 +125,9 @@ pub(crate) fn attribute_verdict(
     count_fired(tracer, site, fires);
 }
 
-/// Spec-level disk faults: the grammar behind `disk:*` chaos clauses.
-/// `sb_store::DiskFaultPlan` (the plan the store actually consults)
-/// converts from this struct; the split exists because `sb-store` depends
-/// on this crate, not the other way around.
+/// Disk faults: the plan behind `disk:*` chaos clauses, armed on a store
+/// with `sb_store::Store::set_fault_plan` (which keeps the read count and
+/// the fired list beside it).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiskFaults {
     /// Truncate the next segment write to this many bytes (a torn write).

@@ -1,7 +1,7 @@
-//! Campaign checkpointing: periodic progress snapshots and resume.
+//! Campaign checkpointing: progress snapshots and resume.
 //!
 //! Long campaigns (§4.4 runs for days) must survive a killed process.
-//! The campaign driver periodically serializes completed work — which PMC
+//! After every merged verdict the campaign serializes completed work — which PMC
 //! jobs finished, their outcomes, and the quarantine set — to a JSON file
 //! written atomically (temp file + rename), so the file on disk is always a
 //! complete snapshot. `run_campaign` can then resume: already-completed
@@ -13,7 +13,7 @@
 //! them rather than inherit the dead queue's verdict.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use sb_detect::Finding;
 use sb_vmm::replay::Schedule;
@@ -25,26 +25,6 @@ use crate::pmc::PmcId;
 
 /// Current checkpoint format version.
 const VERSION: u64 = 1;
-
-/// When and where to checkpoint a campaign.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckpointCfg {
-    /// Checkpoint file path.
-    pub path: PathBuf,
-    /// Write a snapshot after every `every` completed jobs (and always once
-    /// more at campaign end).
-    pub every: usize,
-}
-
-impl CheckpointCfg {
-    /// Checkpoint to `path` after every completed job.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointCfg {
-            path: path.into(),
-            every: 1,
-        }
-    }
-}
 
 /// A campaign progress snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]

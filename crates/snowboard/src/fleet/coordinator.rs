@@ -531,13 +531,11 @@ impl Coordinator<'_> {
             self.sessions.insert(session, seq);
         }
         match self.ledger.deliver(job, verdict) {
-            Ok(Delivered::Merged { saved }) => {
+            Ok(Delivered::Merged) => {
                 // The job may have sat in the deliverer's lease or (after
                 // reassignment) someone else's; drop leases it emptied.
                 self.leases.retain(|id, _| self.ledger.holds(*id));
-                if saved {
-                    self.sync_journal();
-                }
+                self.sync_journal();
             }
             Ok(Delivered::Duplicate) => {
                 self.stats.duplicate_results += 1;

@@ -152,7 +152,7 @@ mod tests {
     use super::outbox::{msg_seq, Outbox};
     use super::*;
     use crate::campaign::{CampaignCfg, CampaignReport, JobVerdict, PmcTestOutcome};
-    use crate::checkpoint::{Checkpoint, CheckpointCfg};
+    use crate::checkpoint::Checkpoint;
     use crate::cluster::Strategy;
     use crate::error::{FailureKind, SbResult};
     use crate::fault::NetFaultPlan;
@@ -868,7 +868,7 @@ mod tests {
             trials_per_pmc: 4,
             max_tested_pmcs: 6,
             workers: 2,
-            checkpoint: Some(CheckpointCfg { path: dir.join("solo.json"), every: 4 }),
+            checkpoint: Some(dir.join("solo.json")),
             ..CampaignCfg::default()
         };
         let solo = pipeline.campaign(&exemplars, &cfg).expect("solo campaign");

@@ -36,8 +36,8 @@
 //!   [`JobLedger::abandon`]s what is left as `GaveUp`.
 //! * **Stop** — once stopping, deaths no longer charge: winding a campaign
 //!   down quarantines nothing.
-//! * **Persistence** — the checkpoint file is saved every `every` merged
-//!   verdicts (best effort), on every `Crash` quarantine, on
+//! * **Persistence** — the checkpoint file is saved after every merged
+//!   verdict (best effort), on every `Crash` quarantine, on
 //!   [`JobLedger::stop`], and by [`JobLedger::finish`] (authoritative).
 //!
 //! The ledger does no I/O beyond that checkpoint file and reads no clock:
@@ -83,12 +83,9 @@ impl std::fmt::Display for OutOfScope {
 /// What [`JobLedger::deliver`] did with a verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Delivered {
-    /// First verdict for the job: merged. `saved` says the checkpoint
-    /// cadence fired (a transport with a journal syncs it alongside).
-    Merged {
-        /// A cadence save was attempted.
-        saved: bool,
-    },
+    /// First verdict for the job: merged, and a checkpoint save attempted
+    /// (a transport with a journal syncs it alongside).
+    Merged,
     /// The job already had a verdict; this one was dropped and counted.
     Duplicate,
 }
@@ -130,11 +127,9 @@ pub struct JobLedger {
     owners: BTreeMap<u64, Owner>,
     crash_counts: BTreeMap<usize, u32>,
     instant_deaths: u32,
-    results_seen: usize,
     duplicates: u64,
     stopping: bool,
     save_to: Option<PathBuf>,
-    every: usize,
     tracer: sb_obs::Tracer,
     fault_plan: FaultPlan,
 }
@@ -177,13 +172,11 @@ impl JobLedger {
             owners: BTreeMap::new(),
             crash_counts: BTreeMap::new(),
             instant_deaths: 0,
-            results_seen: 0,
             duplicates: 0,
             stopping: false,
             save_to: save_to
                 .map(Path::to_path_buf)
-                .or_else(|| cfg.checkpoint.as_ref().map(|c| c.path.clone())),
-            every: cfg.checkpoint.as_ref().map_or(1, |c| c.every.max(1)),
+                .or_else(|| cfg.checkpoint.clone()),
             tracer: cfg.tracer.clone(),
             fault_plan: cfg.fault_plan.clone(),
         })
@@ -195,7 +188,7 @@ impl JobLedger {
     }
 
     /// Merges a verdict recovered from a write-ahead journal: same merge
-    /// rule as [`JobLedger::deliver`], but silent — no trace, no cadence,
+    /// rule as [`JobLedger::deliver`], but silent — no trace, no save,
     /// no duplicate count — and lenient about jobs outside the universe
     /// (a foreign record is dropped, not fatal).
     pub fn restore(&mut self, job: usize, verdict: JobVerdict) {
@@ -273,13 +266,9 @@ impl JobLedger {
         }
         self.trace(job, &verdict);
         self.merge(job, verdict);
-        self.results_seen += 1;
-        let saved = self.results_seen.is_multiple_of(self.every);
-        if saved {
-            // Cadence saves are best effort; `finish` is authoritative.
-            let _ = self.save();
-        }
-        Ok(Delivered::Merged { saved })
+        // Best effort; `finish` is authoritative.
+        let _ = self.save();
+        Ok(Delivered::Merged)
     }
 
     /// The `job:close` fault: the queue closes before job `cut`, so every
@@ -296,7 +285,7 @@ impl JobLedger {
                 chain: err.chain(),
             };
             let delivered = self.deliver(job, JobVerdict::Quarantined(record));
-            debug_assert!(matches!(delivered, Ok(Delivered::Merged { .. })));
+            debug_assert_eq!(delivered, Ok(Delivered::Merged));
         }
     }
 
@@ -540,7 +529,6 @@ fn trace_quarantine(tracer: &sb_obs::Tracer, job: usize, q: &QuarantineRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointCfg;
     use std::time::Duration;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -577,9 +565,9 @@ mod tests {
         })
     }
 
-    fn saving_to(path: &Path, every: usize) -> CampaignCfg {
+    fn saving_to(path: &Path) -> CampaignCfg {
         CampaignCfg {
-            checkpoint: Some(CheckpointCfg { path: path.to_path_buf(), every }),
+            checkpoint: Some(path.to_path_buf()),
             ..CampaignCfg::default()
         }
     }
@@ -601,7 +589,7 @@ mod tests {
     #[test]
     fn resume_skips_covered_jobs() {
         let path = scratch("resume");
-        let mut first = JobLedger::open(&exemplars(3), &saving_to(&path, 1), None).unwrap();
+        let mut first = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         first.deliver(1, done(1, 11)).unwrap();
         first.finish().unwrap();
 
@@ -615,7 +603,7 @@ mod tests {
     #[test]
     fn strict_resume_refuses_what_lenient_resume_replaces() {
         let path = scratch("lenient");
-        let mut other = JobLedger::open(&exemplars(2), &saving_to(&path, 1), None).unwrap();
+        let mut other = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
         other.deliver(0, done(0, 10)).unwrap();
         other.finish().unwrap();
 
@@ -640,10 +628,7 @@ mod tests {
     #[test]
     fn first_verdict_wins_and_duplicates_are_counted() {
         let mut ledger = JobLedger::open(&exemplars(2), &CampaignCfg::default(), None).unwrap();
-        assert_eq!(
-            ledger.deliver(0, done(0, 100)),
-            Ok(Delivered::Merged { saved: true })
-        );
+        assert_eq!(ledger.deliver(0, done(0, 100)), Ok(Delivered::Merged));
         assert_eq!(ledger.deliver(0, done(0, 999)), Ok(Delivered::Duplicate));
         assert_eq!(
             ledger.deliver(0, quarantine(0, FailureKind::Panic)),
@@ -668,7 +653,7 @@ mod tests {
     #[test]
     fn rejected_and_gave_up_are_reported_but_not_checkpointed() {
         let path = scratch("reported");
-        let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path, 1), None).unwrap();
+        let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path), None).unwrap();
         ledger.close_from(2);
         assert_eq!(ledger.census().reported, vec![2, 3]);
         assert_eq!(ledger.abandon("nobody left"), 2);
@@ -678,10 +663,7 @@ mod tests {
             ledger.deliver(3, quarantine(3, FailureKind::Rejected)),
             Ok(Delivered::Duplicate)
         );
-        assert!(matches!(
-            ledger.deliver(3, done(3, 103)),
-            Ok(Delivered::Merged { .. })
-        ));
+        assert_eq!(ledger.deliver(3, done(3, 103)), Ok(Delivered::Merged));
         let report = ledger.finish().unwrap();
         let kinds: Vec<(usize, FailureKind)> =
             report.quarantined.iter().map(|q| (q.job, q.kind)).collect();
@@ -704,7 +686,7 @@ mod tests {
     #[test]
     fn a_death_charges_held_jobs_and_the_budget_quarantines_them() {
         let path = scratch("crash");
-        let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path, 1), None).unwrap();
+        let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         let cause = |job| format!("owner died holding job {job}");
 
         assert_eq!(ledger.lease(7, 2, None), vec![0, 1]);
@@ -772,7 +754,7 @@ mod tests {
         // The old holder's late verdict still merges; the new holder's is
         // then the duplicate.
         assert_eq!(ledger.lease(3, 1, Some(at(90))), vec![0]);
-        assert!(matches!(ledger.deliver(0, done(0, 100)), Ok(Delivered::Merged { .. })));
+        assert_eq!(ledger.deliver(0, done(0, 100)), Ok(Delivered::Merged));
         assert!(!ledger.holds(3), "the delivery emptied the new lease");
         assert_eq!(ledger.deliver(0, done(0, 999)), Ok(Delivered::Duplicate));
     }
@@ -789,21 +771,23 @@ mod tests {
     }
 
     #[test]
-    fn the_cadence_saves_every_nth_merge_and_finish_saves_last() {
+    fn every_merge_saves_and_finish_saves_last() {
         let saved_outcomes = |path: &Path| Checkpoint::load(path).map(|cp| cp.outcomes.len()).ok();
-        for (every, after_each) in [(1, [Some(1), Some(2), Some(3), Some(4)]), (3, [None, None, Some(3), Some(3)])] {
-            let path = scratch(&format!("cadence-{every}"));
-            let _ = std::fs::remove_file(&path);
-            let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path, every), None).unwrap();
-            for (job, expect) in after_each.into_iter().enumerate() {
-                let merged = ledger.deliver(job, done(job, 1)).unwrap();
-                assert_eq!(merged, Delivered::Merged { saved: (job + 1) % every == 0 });
-                assert_eq!(saved_outcomes(&path), expect, "every {every}, after job {job}");
-            }
-            ledger.finish().unwrap();
-            assert_eq!(saved_outcomes(&path), Some(4), "finish is the authoritative save");
-            let _ = std::fs::remove_file(&path);
+        let path = scratch("every-merge");
+        let _ = std::fs::remove_file(&path);
+        let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path), None).unwrap();
+        for job in 0..4 {
+            assert_eq!(ledger.deliver(job, done(job, 1)), Ok(Delivered::Merged));
+            assert_eq!(saved_outcomes(&path), Some(job + 1), "after job {job}");
         }
+        std::fs::remove_file(&path).unwrap();
+        ledger.finish().unwrap();
+        assert_eq!(
+            saved_outcomes(&path),
+            Some(4),
+            "finish is the authoritative save"
+        );
+        let _ = std::fs::remove_file(&path);
         // Nowhere to save: nothing is written, finish still reports.
         let mut ledger = JobLedger::open(&exemplars(1), &CampaignCfg::default(), None).unwrap();
         ledger.deliver(0, done(0, 1)).unwrap();
@@ -811,7 +795,7 @@ mod tests {
         // A transport's merged checkpoint outranks the configured one.
         let (own, configured) = (scratch("own"), scratch("configured"));
         let _ = std::fs::remove_file(&configured);
-        let ledger = JobLedger::open(&exemplars(1), &saving_to(&configured, 1), Some(&own)).unwrap();
+        let ledger = JobLedger::open(&exemplars(1), &saving_to(&configured), Some(&own)).unwrap();
         ledger.finish().unwrap();
         assert!(own.exists() && !configured.exists());
         let _ = std::fs::remove_file(&own);
@@ -821,10 +805,10 @@ mod tests {
     fn stopping_saves_at_once_and_quarantines_nothing() {
         let path = scratch("stop");
         let _ = std::fs::remove_file(&path);
-        let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path, 100), None).unwrap();
+        let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
         ledger.deliver(0, done(0, 100)).unwrap();
         ledger.lease(1, 1, None);
-        assert!(!path.exists(), "the cadence has not fired");
+        std::fs::remove_file(&path).unwrap();
         ledger.stop().unwrap();
         assert!(ledger.stopping());
         assert_eq!(Checkpoint::load(&path).unwrap().outcomes.len(), 1);

@@ -29,7 +29,7 @@
 //! periodically checkpointed for kill/resume ([`checkpoint`]); [`fault`]
 //! provides deterministic fault injection for testing that machinery.
 //! The job lifecycle — resume, lease, merge, crash budget, breaker,
-//! checkpoint cadence, report — is one state machine ([`ledger`]) driven
+//! checkpoint, report — is one state machine ([`ledger`]) driven
 //! by two transports: scoped threads ([`campaign`]), and [`fleet`], which
 //! extends the same guarantees across *machine* boundaries: a TCP
 //! coordinator leases jobs to joining workers over the [`protocol`] wire
@@ -92,7 +92,7 @@ pub use sb_obs::{keys as trace_keys, Tracer};
 
 pub use campaign::{CampaignCfg, CampaignReport, QuarantineRecord};
 pub use chaos::{ChaosMode, ChaosPlan, DiskFaults, Expectation, Schedule, ScheduleGen};
-pub use checkpoint::{Checkpoint, CheckpointCfg};
+pub use checkpoint::Checkpoint;
 pub use cluster::Strategy;
 pub use error::{Error, FailureKind, SbResult};
 pub use fault::{FaultPlan, NetFaultPlan};
@@ -120,8 +120,10 @@ pub struct PipelineCfg {
     pub corpus_target: usize,
     /// Fuzzing candidate budget.
     pub fuzz_budget: u64,
-    /// Worker threads for profiling an explicit job list (store misses);
-    /// [`Pipeline::prepare`] itself profiles inside the fuzz loop.
+    /// Read by no pipeline code: every prepare, store-backed or not,
+    /// profiles inside the one-threaded fuzz loop. Kept because the
+    /// benchmark builds this struct by name and sizes its own explicit
+    /// [`profile::profile_corpus`] passes with it.
     pub workers: usize,
     /// Syscall catalog for corpus generation. [`Catalog::Stock`] (the
     /// default) keeps corpora byte-identical to pre-oracle builds;
@@ -189,6 +191,23 @@ impl Pipeline {
     /// hold programs but no runs.
     pub fn prepare(config: KernelConfig, cfg: PipelineCfg) -> Self {
         let tracer = cfg.tracer.clone();
+        let Ok(p) = Self::prepare_with(config, cfg, |_, profiles| {
+            Ok::<_, std::convert::Infallible>(pmc::identify_traced(profiles, &tracer))
+        });
+        p
+    }
+
+    /// [`Pipeline::prepare`] with stage 2 supplied by the caller: `identify`
+    /// receives the corpus and the profiles cut from its runs (one per
+    /// program, in corpus order) and returns their PMC set. The store-backed
+    /// prepare records profiles and reuses stored sets there; its error
+    /// ends the prepare.
+    pub fn prepare_with<E>(
+        config: KernelConfig,
+        cfg: PipelineCfg,
+        identify: impl FnOnce(&[Program], &[SeqProfile]) -> Result<PmcSet, E>,
+    ) -> Result<Self, E> {
+        let tracer = cfg.tracer;
         let prep = tracer.span("prepare");
         let booted = boot(config);
         let t0 = std::time::Instant::now();
@@ -211,11 +230,16 @@ impl Pipeline {
         };
         let fuzz_time = t0.elapsed();
         let shared_accesses: usize = profiles.iter().map(|p| p.accesses.len()).sum();
-        profile::count_profiles(&tracer, profiles.len() as u64, 0, shared_accesses as u64, traced);
+        tracer.count(trace_keys::PROFILES_OK, profiles.len() as u64);
+        tracer.count(trace_keys::ACCESSES_KEPT, shared_accesses as u64);
+        tracer.count(
+            trace_keys::ACCESSES_DROPPED,
+            traced - shared_accesses as u64,
+        );
         let t1 = std::time::Instant::now();
         let pmcs = {
             let _s = prep.child("identify");
-            pmc::identify_traced(&profiles, &tracer)
+            identify(&corpus, &profiles)?
         };
         let identify_time = t1.elapsed();
         tracer.count(trace_keys::PIPELINE_PROFILES, profiles.len() as u64);
@@ -230,13 +254,13 @@ impl Pipeline {
             fuzz_time,
             identify_time,
         };
-        Pipeline {
+        Ok(Pipeline {
             booted,
             corpus,
             profiles,
             pmcs,
             stats,
-        }
+        })
     }
 
     /// Stage 3: ordered exemplars for one strategy.

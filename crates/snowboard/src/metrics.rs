@@ -38,7 +38,8 @@ impl std::fmt::Display for SchedKind {
 pub struct StoreStats {
     /// Sequential tests whose profile was served from the store.
     pub profile_hits: u64,
-    /// Sequential tests that had to be re-profiled.
+    /// Sequential tests the store held no intact record of; their profiles
+    /// were written this run.
     pub profile_misses: u64,
     /// Of the hits, how many were cached *failures* (tests known not to
     /// complete sequentially — skipped without re-execution).

@@ -8,7 +8,6 @@
 //! formula of §4.1.1.
 
 use sb_kernel::{BootedKernel, Program};
-use sb_obs::{keys, Tracer};
 use sb_vmm::access::Access;
 use sb_vmm::mem::{stack_base, stack_range_of, MAX_THREADS};
 use sb_vmm::sched::FreeRun;
@@ -43,7 +42,8 @@ impl SharedAccessFilter {
         SharedAccessFilter { ranges }
     }
 
-    /// True if `a` falls outside the accessing thread's kernel stack.
+    /// True if `a` falls outside the accessing thread's kernel stack, the
+    /// §4.1.1 mask: `[sp & !(STACK_SIZE-1), (sp & !(STACK_SIZE-1)) + STACK_SIZE)`.
     pub fn is_shared(&self, a: &Access) -> bool {
         let (lo, hi) = self.ranges[a.thread];
         !(a.addr >= lo && a.addr < hi)
@@ -72,12 +72,6 @@ impl Default for SharedAccessFilter {
     }
 }
 
-/// True if `a` falls outside the accessing thread's kernel stack, using the
-/// §4.1.1 mask: `[sp & !(STACK_SIZE-1), (sp & !(STACK_SIZE-1)) + STACK_SIZE)`.
-pub fn is_shared_access(a: &Access) -> bool {
-    SharedAccessFilter::new().is_shared(a)
-}
-
 #[cfg(test)]
 thread_local! {
     /// Guest executions [`profile_one_counted`] made on this thread: the
@@ -90,23 +84,13 @@ thread_local! {
 /// Profiles one program from the snapshot. Panicking or non-completing
 /// sequential tests yield `None` — they cannot serve as profile sources.
 pub fn profile_one(exec: &mut Executor, booted: &BootedKernel, test: u32, prog: &Program) -> Option<SeqProfile> {
-    profile_one_filtered(exec, booted, test, prog, &SharedAccessFilter::new())
+    profile_one_counted(exec, booted, test, prog, &SharedAccessFilter::new()).0
 }
 
-/// [`profile_one`] with a caller-provided (hoisted) stack filter.
-pub fn profile_one_filtered(
-    exec: &mut Executor,
-    booted: &BootedKernel,
-    test: u32,
-    prog: &Program,
-    filter: &SharedAccessFilter,
-) -> Option<SeqProfile> {
-    profile_one_counted(exec, booted, test, prog, filter).0
-}
-
-/// [`profile_one_filtered`], also returning the pre-filter trace length of a
-/// completed run so callers can account for stack-filter attrition
-/// (`dropped = total - accesses.len()`). Failed runs report a total of 0.
+/// [`profile_one`] with a caller-provided (hoisted) stack filter, also
+/// returning the pre-filter trace length of a completed run so callers can
+/// account for stack-filter attrition (`dropped = total - accesses.len()`).
+/// Failed runs report a total of 0.
 pub fn profile_one_counted(
     exec: &mut Executor,
     booted: &BootedKernel,
@@ -128,82 +112,26 @@ pub fn profile_one_counted(
     (profile, total)
 }
 
-/// Profiles an explicit job list, fanning out across `workers` executors (one
-/// scoped thread each). Unlike [`profile_corpus`] the result keeps failed tests as
-/// `(test, None)` — callers that cache profiles need the negative outcome —
-/// and is in job order.
-pub fn profile_jobs(
-    booted: &BootedKernel,
-    jobs: Vec<(u32, Program)>,
-    workers: usize,
-) -> Vec<(u32, Option<SeqProfile>)> {
-    profile_jobs_traced(booted, jobs, workers, &Tracer::disabled())
-}
-
-/// [`profile_jobs`], emitting profile counters (`profile.ok`,
-/// `profile.failed`, `profile.accesses_kept`, `profile.accesses_dropped`)
-/// to `tracer` once the batch completes.
-pub fn profile_jobs_traced(
-    booted: &BootedKernel,
-    jobs: Vec<(u32, Program)>,
-    workers: usize,
-    tracer: &Tracer,
-) -> Vec<(u32, Option<SeqProfile>)> {
-    let filter = SharedAccessFilter::new();
-    let out: Vec<(u32, Option<SeqProfile>, u64)> = crate::pool::map_jobs(
-        &jobs,
-        workers,
-        || Executor::new(1),
-        |exec, (i, prog)| {
-            let (p, total) = profile_one_counted(exec, booted, *i, prog, &filter);
-            (*i, p, total)
-        },
-    );
-    let (mut ok, mut kept, mut traced) = (0u64, 0u64, 0u64);
-    for (_, p, total) in &out {
-        if let Some(p) = p {
-            ok += 1;
-            kept += p.accesses.len() as u64;
-            traced += total;
-        }
-    }
-    count_profiles(tracer, ok, out.len() as u64 - ok, kept, traced);
-    out.into_iter().map(|(i, p, _)| (i, p)).collect()
-}
-
-/// Emits the profile counters of a batch: `ok` profiles holding `kept` of
-/// the `traced` accesses their runs recorded, and `failed` programs.
-pub(crate) fn count_profiles(tracer: &Tracer, ok: u64, failed: u64, kept: u64, traced: u64) {
-    tracer.count(keys::PROFILES_OK, ok);
-    tracer.count(keys::PROFILES_FAILED, failed);
-    tracer.count(keys::ACCESSES_KEPT, kept);
-    tracer.count(keys::ACCESSES_DROPPED, traced - kept);
-}
-
 /// Profiles a whole corpus, fanning out across `workers` executors (the
-/// paper profiles on one big machine; we parallelize the
-/// same way its later stages do).
-pub fn profile_corpus(booted: &BootedKernel, corpus: &[Program], workers: usize) -> Vec<SeqProfile> {
-    profile_corpus_traced(booted, corpus, workers, &Tracer::disabled())
-}
-
-/// [`profile_corpus`] with profile-counter emission (see
-/// [`profile_jobs_traced`]).
-pub fn profile_corpus_traced(
+/// paper profiles on one big machine; we parallelize the same way its later
+/// stages do). Tests that fail sequentially have no profile; the others
+/// keep their corpus index as `test`.
+pub fn profile_corpus(
     booted: &BootedKernel,
     corpus: &[Program],
     workers: usize,
-    tracer: &Tracer,
 ) -> Vec<SeqProfile> {
-    let jobs: Vec<(u32, Program)> = corpus
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (i as u32, p.clone()))
-        .collect();
-    profile_jobs_traced(booted, jobs, workers, tracer)
-        .into_iter()
-        .filter_map(|(_, p)| p)
-        .collect()
+    let filter = SharedAccessFilter::new();
+    let indexed: Vec<(u32, &Program)> = (0..).zip(corpus).collect();
+    crate::pool::map_jobs(
+        &indexed,
+        workers,
+        || Executor::new(1),
+        |exec, (i, prog)| profile_one_counted(exec, booted, *i, prog, &filter).0,
+    )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
@@ -228,10 +156,11 @@ mod tests {
             locks: vec![].into(),
             rcu_depth: 0,
         };
-        assert!(!is_shared_access(&a));
+        let filter = SharedAccessFilter::new();
+        assert!(!filter.is_shared(&a));
         let mut b = a.clone();
         b.addr = 0x2_0000;
-        assert!(is_shared_access(&b));
+        assert!(filter.is_shared(&b));
     }
 
     #[test]
@@ -287,26 +216,7 @@ mod tests {
                 let (lo, hi) = stack_range_of(sp);
                 let reference = !(a.addr >= lo && a.addr < hi);
                 assert_eq!(filter.is_shared(&a), reference, "tid {tid} addr {addr:#x}");
-                assert_eq!(is_shared_access(&a), reference);
             }
-        }
-    }
-
-    #[test]
-    fn profile_jobs_keeps_failures_in_job_order() {
-        let booted = boot(KernelConfig::v5_12_rc3());
-        let jobs = vec![
-            (7u32, Program::new(vec![Syscall::Msgget { key: 1 }])),
-            (9u32, Program::new(vec![Syscall::Mount])),
-        ];
-        let out = profile_jobs(&booted, jobs, 2);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 7);
-        assert_eq!(out[1].0, 9);
-        for (id, p) in &out {
-            let p = p.as_ref().expect("both programs complete");
-            assert_eq!(p.test, *id);
-            assert!(!p.accesses.is_empty());
         }
     }
 

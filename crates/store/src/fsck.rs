@@ -262,7 +262,7 @@ pub fn repair(root: &Path) -> Result<RepairReport, Error> {
 mod tests {
     use super::*;
     use crate::store::Store;
-    use crate::DiskFaultPlan;
+    use snowboard::chaos::DiskFaults;
     use snowboard::pmc::PmcSet;
     use snowboard::profile::SeqProfile;
     use std::path::PathBuf;
@@ -337,7 +337,7 @@ mod tests {
         {
             // Crash mid-insert: a torn segment the manifest never saw.
             let mut store = Store::open(&dir).expect("open");
-            store.set_fault_plan(DiskFaultPlan {
+            store.set_fault_plan(DiskFaults {
                 torn_write_after: Some(7),
                 ..Default::default()
             });

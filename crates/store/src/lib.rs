@@ -7,8 +7,8 @@
 //!
 //! * **Compact on-disk profiles** ([`codec`], [`segment`]) — access streams
 //!   as varint + zigzag wrapping-delta records in append-only segment
-//!   files, content-keyed by (boot config, fuzz seed, program) so unchanged
-//!   tests are never re-profiled ([`manifest`], [`store`]).
+//!   files, content-keyed by (boot config, fuzz seed, program) so the next
+//!   run finds an unchanged test's record again ([`manifest`], [`store`]).
 //! * **Sharded parallel identification** — re-exported from
 //!   `snowboard::pmc`: the write index partitioned by address range, each
 //!   shard joined on its own worker, merged bit-identically to the
@@ -16,10 +16,12 @@
 //! * **Incremental re-indexing** ([`pipeline`]) — a grown corpus resumes
 //!   the stored PMC set (`JoinState::resume`) and joins only the new
 //!   profiles; an unchanged corpus loads the stored set outright.
-//! * **Self-healing durability** ([`crc`], [`fsck`], [`fault`]) — every
-//!   record carries a CRC32C, writers fsync before the manifest can
-//!   reference them, opening truncates torn tails, and damaged records
-//!   degrade to recompute-and-heal instead of failing the campaign.
+//! * **Self-healing durability** ([`crc`], [`fsck`]) — every record
+//!   carries a CRC32C, writers fsync before the manifest can reference
+//!   them, opening truncates torn tails, and damaged records degrade to
+//!   recompute-and-heal instead of failing the campaign; a
+//!   `snowboard::DiskFaults` plan armed on a [`Store`] tears, flips and
+//!   shortens its I/O at exact positions to prove it.
 //!
 //! See DESIGN.md §9 for the format and the merge-determinism argument, and
 //! §11 for the durability and degradation model.
@@ -28,7 +30,6 @@
 mod arbitrary;
 pub mod codec;
 pub mod crc;
-pub mod fault;
 pub mod fsck;
 pub mod manifest;
 pub mod pipeline;
@@ -36,7 +37,6 @@ pub mod segment;
 pub mod store;
 pub mod varint;
 
-pub use fault::DiskFaultPlan;
 pub use fsck::{fsck, repair, FsckReport, RepairReport};
 pub use pipeline::prepare;
 pub use store::{corpus_key, profile_key, PmcLookup, ProfileLookup, SegmentStats, Store};
@@ -64,7 +64,7 @@ pub enum Error {
         /// What was wrong.
         detail: String,
     },
-    /// A deterministic fault injected by a [`DiskFaultPlan`] (tests only).
+    /// A deterministic fault injected by [`Store::set_fault_plan`].
     Injected(&'static str),
 }
 

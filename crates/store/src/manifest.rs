@@ -5,7 +5,7 @@
 //! of `snowboard::json`, whose numbers are unsigned integers only — content
 //! keys are 64-bit hashes and must survive u64-exactly. Writes go through
 //! `snowboard::json::atomic_write`, so a killed process never leaves a torn
-//! manifest; at worst the last run's additions are lost and re-profiled.
+//! manifest; at worst the last run's additions are lost and written again.
 //!
 //! The document is never a `Json` tree: [`Manifest::render`] streams it
 //! into one string and [`Manifest::load`] pulls it through a

@@ -23,11 +23,11 @@ use std::path::{Path, PathBuf};
 
 use sb_kernel::{KernelConfig, Program};
 use sb_vmm::site::fnv1a;
+use snowboard::chaos::{self, DiskFaults};
 use snowboard::pmc::PmcSet;
 use snowboard::profile::SeqProfile;
 
 use crate::codec;
-use crate::fault::DiskFaultPlan;
 use crate::manifest::{Manifest, PmcEntry, ProfileStatus};
 use crate::segment::{self, SegmentKind, SegmentReader, SegmentWriter, PMC_MAGIC, PROFILE_MAGIC};
 use crate::Error;
@@ -56,11 +56,10 @@ pub enum ProfileLookup {
     Hit(SeqProfile),
     /// The store remembers this test failing sequentially — skip it.
     FailedCached,
-    /// Not in the store (or reads disabled); profile it.
+    /// Not in the store (or reads disabled); write the profile in hand.
     Miss,
     /// The manifest points at a record that is corrupt, truncated, or
-    /// missing. Quarantined: treat as a miss, recompute, and the rewrite
-    /// heals the entry.
+    /// missing. Quarantined: treat as a miss; the rewrite heals the entry.
     Damaged,
 }
 
@@ -117,8 +116,13 @@ pub struct Store {
     /// corpus order, the order segments were written in, so one slot (one
     /// descriptor) serves runs of them with a single `open`.
     open_segment: Option<(SegmentKind, u64, SegmentReader)>,
-    /// Injected disk faults (empty by default).
-    fault: DiskFaultPlan,
+    /// Injected disk faults (empty by default; see [`Store::set_fault_plan`]).
+    fault: DiskFaults,
+    /// Verified record reads since the plan was armed, counted only while a
+    /// read fault is armed (drives `short_read_nth`).
+    fault_reads: u64,
+    /// Site ids of the plan's faults that fired, in fire order.
+    fault_fired: Vec<&'static str>,
     /// Profile keys whose records were found damaged this run.
     damaged_keys: BTreeSet<u64>,
     /// Corpus keys of PMC entries found damaged this run.
@@ -215,7 +219,9 @@ impl Store {
             seg_meta,
             pmc_meta,
             open_segment: None,
-            fault: DiskFaultPlan::default(),
+            fault: DiskFaults::default(),
+            fault_reads: 0,
+            fault_fired: Vec::new(),
             damaged_keys: BTreeSet::new(),
             damaged_pmc_corpora: BTreeSet::new(),
             profile_hits: 0,
@@ -235,15 +241,51 @@ impl Store {
     }
 
     /// Arms a deterministic disk-fault plan (fault-injection runs only;
-    /// empty by default).
-    pub fn set_fault_plan(&mut self, plan: DiskFaultPlan) {
+    /// empty by default), restarting the read count and the fired list.
+    /// A torn write fails the next segment write as a kill would (the
+    /// partial file synced, the manifest never updated); a flip corrupts
+    /// the next finished segment; the torn write and the flip fire once,
+    /// the short reads on every matching record read. Each firing prints a
+    /// `[chaos] fired` ledger line.
+    pub fn set_fault_plan(&mut self, plan: DiskFaults) {
         self.fault = plan;
+        self.fault_reads = 0;
+        self.fault_fired.clear();
     }
 
     /// Site ids of the armed plan's faults that actually fired, in fire
     /// order (`hunt chaos` attribution).
     pub fn fault_fired(&self) -> Vec<&'static str> {
-        self.fault.fired()
+        self.fault_fired.clone()
+    }
+
+    fn fire(&mut self, site: &'static str, detail: &str) {
+        self.fault_fired.push(site);
+        chaos::fired(site, detail);
+    }
+
+    /// Consumes the one-shot torn-write cutoff, if armed.
+    fn take_torn_write(&mut self) -> Option<u64> {
+        let cut = self.fault.torn_write_after.take()?;
+        self.fire("disk.torn", &format!("cut={cut}"));
+        Some(cut)
+    }
+
+    /// Whether this verified record read of `key` comes up short. Reads are
+    /// counted only while a read fault is armed, so the production path is
+    /// a branch on an empty plan.
+    fn short_read(&mut self, key: u64) -> bool {
+        if self.fault.short_read_keys.is_empty() && self.fault.short_read_nth.is_none() {
+            return false;
+        }
+        self.fault_reads += 1;
+        let read = self.fault_reads;
+        let hit =
+            self.fault.short_read_keys.contains(&key) || self.fault.short_read_nth == Some(read);
+        if hit {
+            self.fire("disk.short", &format!("key={key} read={read}"));
+        }
+        hit
     }
 
     /// The store's root directory.
@@ -293,7 +335,7 @@ impl Store {
         if end > meta.valid_len {
             return Err(Error::Truncated);
         }
-        let eof_at = self.fault.short_read(key).then(|| end - 1);
+        let eof_at = self.short_read(key).then(|| end - 1);
         if !matches!(&self.open_segment, Some((k, n, _)) if (*k, *n) == (kind, seg_no)) {
             let path = self.segment_path(kind, seg_no);
             // Dropping the previous handle first keeps it at one descriptor.
@@ -354,7 +396,7 @@ impl Store {
         let seg_no = self.manifest.next_segment;
         let path = self.segment_path(SegmentKind::Profile, seg_no);
         let mut writer = SegmentWriter::create(&path, PROFILE_MAGIC)?;
-        if let Some(cut) = self.fault.take_torn_write() {
+        if let Some(cut) = self.take_torn_write() {
             writer.set_torn_after(cut);
         }
         let mut buf = Vec::new();
@@ -448,7 +490,7 @@ impl Store {
         let seg_no = self.manifest.next_segment;
         let path = self.segment_path(SegmentKind::Pmc, seg_no);
         let mut writer = SegmentWriter::create(&path, PMC_MAGIC)?;
-        if let Some(cut) = self.fault.take_torn_write() {
+        if let Some(cut) = self.take_torn_write() {
             writer.set_torn_after(cut);
         }
         let mut buf = Vec::new();
@@ -477,9 +519,10 @@ impl Store {
     /// `path` (injection only; no-op for an empty plan).
     fn apply_flip_fault(&mut self, path: &Path) {
         use std::io::{Read, Seek, SeekFrom, Write};
-        let Some((offset, mask)) = self.fault.take_flip() else {
+        let Some((offset, mask)) = self.fault.flip_after_write.take() else {
             return;
         };
+        self.fire("disk.flip", &format!("offset={offset} mask={mask}"));
         let Ok(mut file) = std::fs::OpenOptions::new().read(true).write(true).open(path) else {
             return;
         };
@@ -803,7 +846,7 @@ mod tests {
         let mut probe = Vec::new();
         codec::encode_profile(&p1, &mut probe);
         let first_record_bytes = 16 + probe.len() as u64;
-        store.set_fault_plan(DiskFaultPlan {
+        store.set_fault_plan(DiskFaults {
             torn_write_after: Some(first_record_bytes + 5),
             ..Default::default()
         });
@@ -866,12 +909,12 @@ mod tests {
     fn short_read_injection_degrades_to_damaged() {
         let (dir, mut store) = tmp_store("shortread");
         store.insert_profiles(&[(21, Some(profile(0, 0x7000)))]).expect("insert");
-        let mut plan = DiskFaultPlan::default();
+        let mut plan = DiskFaults::default();
         plan.short_read_keys.insert(21);
         store.set_fault_plan(plan);
         assert_eq!(store.lookup_profile(21, 0).expect("lookup"), ProfileLookup::Damaged);
         assert_eq!(store.records_damaged, 1);
-        store.set_fault_plan(DiskFaultPlan::default());
+        store.set_fault_plan(DiskFaults::default());
         assert!(matches!(store.lookup_profile(21, 0).expect("lookup"), ProfileLookup::Hit(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -879,7 +922,7 @@ mod tests {
     #[test]
     fn flip_after_write_fault_corrupts_the_new_segment() {
         let (dir, mut store) = tmp_store("flipfault");
-        store.set_fault_plan(DiskFaultPlan {
+        store.set_fault_plan(DiskFaults {
             // Offset 20 is the CRC word of the first record.
             flip_after_write: Some((20, 0xFF)),
             ..Default::default()
@@ -893,6 +936,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn default_plan_is_empty_and_one_shots_disarm() {
+        let (dir, mut store) = tmp_store("oneshot");
+        assert!(store.fault.is_empty());
+        store.set_fault_plan(DiskFaults {
+            torn_write_after: Some(5),
+            flip_after_write: Some((8, 0x01)),
+            short_read_keys: BTreeSet::from([42]),
+            ..DiskFaults::default()
+        });
+        let one = |key: u64| [(key, Some(profile(0, key << 12)))];
+        assert!(matches!(
+            store.insert_profiles(&one(41)),
+            Err(Error::Injected(_))
+        ));
+        store
+            .insert_profiles(&one(41))
+            .expect("the tear is spent; the flip fires");
+        store
+            .insert_profiles(&[one(42)[0].clone(), one(43)[0].clone()])
+            .expect("nothing left to fire");
+        assert_eq!(hit(&mut store, 42), None);
+        assert_eq!(hit(&mut store, 43), Some(profile(0, 43 << 12)));
+        assert_eq!(hit(&mut store, 42), None, "short reads persist");
+        assert_eq!(
+            store.fault_fired(),
+            ["disk.torn", "disk.flip", "disk.short", "disk.short"]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nth_read_fault_fires_once_at_the_exact_ordinal() {
+        let (dir, mut store) = tmp_store("nth");
+        let batch: Vec<_> = (10..13u64)
+            .map(|k| (k, Some(profile(0, k << 12))))
+            .collect();
+        store.insert_profiles(&batch).expect("insert");
+        store.set_fault_plan(DiskFaults {
+            short_read_nth: Some(3),
+            ..DiskFaults::default()
+        });
+        assert!(hit(&mut store, 10).is_some(), "read 1");
+        assert!(hit(&mut store, 11).is_some(), "read 2");
+        assert!(
+            hit(&mut store, 12).is_none(),
+            "read 3 fires whatever the key"
+        );
+        assert!(hit(&mut store, 12).is_some(), "read 4 does not");
+        assert_eq!(store.fault_fired(), ["disk.short"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_chaos_grammars_disk_plane_arms_the_store() {
+        let spec = snowboard::ChaosPlan::parse_spec("disk:torn=20;disk:shortn=1").unwrap();
+        let (dir, mut store) = tmp_store("grammar");
+        store.set_fault_plan(spec.disk);
+        assert!(store
+            .insert_profiles(&[(31, Some(profile(0, 0x8000)))])
+            .is_err());
+        store
+            .insert_profiles(&[(31, Some(profile(0, 0x8000)))])
+            .expect("insert");
+        assert_eq!(
+            hit(&mut store, 31),
+            None,
+            "the first record read comes up short"
+        );
+        assert_eq!(store.fault_fired(), ["disk.torn", "disk.short"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
     /// A profile whose encoding is about `accesses * 10` bytes.
     fn wide_profile(salt: u64, accesses: u64) -> SeqProfile {
         let mut p = profile(0, salt);
@@ -1020,17 +1135,17 @@ mod tests {
         store.insert_profiles(&[(1, Some(profile(0, 0x100))), (2, Some(profile(0, 0x200)))]).expect("insert");
         assert!(hit(&mut store, 1).is_some());
         assert_eq!(store.segment_reads, 1, "the window now holds both records");
-        let mut plan = DiskFaultPlan::default();
+        let mut plan = DiskFaults::default();
         plan.short_read_keys.insert(2);
         store.set_fault_plan(plan);
         assert_eq!(hit(&mut store, 2), None);
         assert!(hit(&mut store, 1).is_some());
         // The nth-read fault counts record reads, not window fills.
-        store.set_fault_plan(DiskFaultPlan { short_read_nth: Some(2), ..DiskFaultPlan::default() });
+        store.set_fault_plan(DiskFaults { short_read_nth: Some(2), ..DiskFaults::default() });
         assert!(hit(&mut store, 1).is_some());
         assert_eq!(hit(&mut store, 1), None, "the second record read, out of a window that has it");
         assert_eq!(store.fault_fired(), ["disk.short"]);
-        store.set_fault_plan(DiskFaultPlan::default());
+        store.set_fault_plan(DiskFaults::default());
         assert!(hit(&mut store, 2).is_some());
         assert_eq!((store.records_damaged, store.segment_reads), (2, 1));
         std::fs::remove_dir_all(&dir).ok();
@@ -1130,7 +1245,7 @@ mod tests {
                 std::fs::write(torn_dir.join(name), bytes).expect("write");
             }
             let mut store = Store::open(&torn_dir).expect("open");
-            store.set_fault_plan(DiskFaultPlan { torn_write_after: Some(cut), ..Default::default() });
+            store.set_fault_plan(DiskFaults { torn_write_after: Some(cut), ..Default::default() });
             let _ = store.insert_profiles(&[(4, Some(profile(4, 4 << 12))), (5, Some(profile(5, 5 << 12)))]);
             drop(store);
             both_opens_agree(&files_of(&torn_dir), &format!("insert torn after {cut} bytes"));

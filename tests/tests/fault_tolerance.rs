@@ -14,7 +14,7 @@ use sb_kernel::{BootedKernel, Kernel, Program, Symbols, Syscall};
 use snowboard::campaign::run_campaign;
 use snowboard::pmc::{identify, PmcId, PmcSet};
 use snowboard::profile::profile_corpus;
-use snowboard::{CampaignCfg, CheckpointCfg, FailureKind, FaultPlan, RetryPolicy};
+use snowboard::{CampaignCfg, FailureKind, FaultPlan, RetryPolicy};
 
 const JOBS: usize = 6;
 
@@ -206,7 +206,7 @@ fn killed_campaign_resumes_from_checkpoint_to_identical_aggregates() {
     // First half: the queue closes before job 3, simulating a mid-campaign
     // kill. Jobs 3.. are rejected (never ran) and quarantined as such.
     let first_cfg = CampaignCfg {
-        checkpoint: Some(CheckpointCfg::new(path.clone())),
+        checkpoint: Some(path.clone()),
         fault_plan: FaultPlan {
             close_queue_before: Some(3),
             ..FaultPlan::default()
@@ -225,7 +225,7 @@ fn killed_campaign_resumes_from_checkpoint_to_identical_aggregates() {
     // Second half: resume from the checkpoint. Rejected jobs were not
     // persisted, so they are re-run; finished jobs are not repeated.
     let resume_cfg = CampaignCfg {
-        checkpoint: Some(CheckpointCfg::new(path.clone())),
+        checkpoint: Some(path.clone()),
         resume_from: Some(path.clone()),
         ..base_cfg()
     };
@@ -253,7 +253,7 @@ fn lenient_resume_survives_a_corrupt_checkpoint() {
     // Write a real checkpoint, then truncate it mid-file — the torn state a
     // kill during a non-atomic write would leave behind.
     let first_cfg = CampaignCfg {
-        checkpoint: Some(CheckpointCfg::new(path.clone())),
+        checkpoint: Some(path.clone()),
         ..base_cfg()
     };
     run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &first_cfg).expect("campaign");
@@ -296,7 +296,7 @@ fn resume_rejects_a_checkpoint_from_a_different_campaign() {
     let _ = std::fs::remove_file(&path);
 
     let first_cfg = CampaignCfg {
-        checkpoint: Some(CheckpointCfg::new(path.clone())),
+        checkpoint: Some(path.clone()),
         ..base_cfg()
     };
     run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &first_cfg)

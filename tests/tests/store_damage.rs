@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 
 use sb_kernel::KernelConfig;
-use sb_store::{DiskFaultPlan, PmcLookup, ProfileLookup, Store};
+use sb_store::{PmcLookup, ProfileLookup, Store};
 use sb_vmm::access::{Access, AccessKind};
 use sb_vmm::site::Site;
 use snowboard::pmc::{IdentifyOpts, Pmc, PmcKey, PmcSet, SideKey};
@@ -135,7 +135,7 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
         copy_store(base, &dir);
         {
             let mut st = Store::open(&dir).expect("open");
-            st.set_fault_plan(DiskFaultPlan {
+            st.set_fault_plan(snowboard::DiskFaults {
                 torn_write_after: Some(cut),
                 ..Default::default()
             });

@@ -1,16 +1,18 @@
-//! Cold/warm store runs: a warm run against the same store directory must
-//! skip all profiling (100% hit rate), load the identical PMC set, and
-//! produce identical campaign aggregates; corpus growth reuses the stored
-//! set incrementally.
+//! Cold/warm store runs: a store-backed prepare is `Pipeline::prepare` plus
+//! records — cold, warm, bypassed or damaged it returns the fused prepare's
+//! corpus, profiles and PMC set and leaves those profiles in the store; a
+//! warm run serves every lookup (100% hit rate) and loads the identical PMC
+//! set; corpus growth reuses the stored set incrementally.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use sb_kernel::KernelConfig;
-use sb_store::Store;
+use sb_obs::{Event, TraceReport, Tracer};
+use sb_store::{profile_key, ProfileLookup, Store};
 use snowboard::cluster::Strategy;
 use snowboard::pmc::{identify, IdentifyOpts, PmcKey, PmcSet};
 use snowboard::select::ClusterOrder;
-use snowboard::{CampaignCfg, CampaignReport, Pipeline, PipelineCfg};
+use snowboard::{CampaignCfg, CampaignReport, DiskFaults, Pipeline, PipelineCfg};
 
 fn store_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sb-store-it-{tag}-{}", std::process::id()));
@@ -40,6 +42,136 @@ fn run_campaign(p: &Pipeline) -> CampaignReport {
         ..CampaignCfg::default()
     };
     p.campaign(&exemplars, &cfg).expect("campaign")
+}
+
+/// One store-backed prepare against `dir` after `arm` has set the store up.
+fn prepare_in(dir: &Path, arm: impl FnOnce(&mut Store)) -> (Pipeline, snowboard::StoreStats) {
+    let mut store = Store::open(dir).expect("open");
+    arm(&mut store);
+    sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(24),
+        &IdentifyOpts::sharded(2, 2),
+        &mut store,
+    )
+    .expect("store-backed prepare")
+}
+
+#[test]
+fn a_store_backed_prepare_is_the_fused_prepare_plus_records() {
+    let fused = Pipeline::prepare(KernelConfig::v5_12_rc3(), small_cfg(24));
+    let n = fused.corpus.len() as u64;
+    let same = |what: &str, p: &Pipeline| {
+        assert_eq!(p.corpus, fused.corpus, "{what}");
+        assert_eq!(p.profiles, fused.profiles, "{what}");
+        assert_eq!(p.pmcs, fused.pmcs, "{what}");
+        let counts = |p: &Pipeline| (p.stats.fuzz_executed, p.stats.corpus_kept, p.stats.edges);
+        assert_eq!(counts(p), counts(&fused), "{what}");
+    };
+    let dir = store_dir("fused");
+    // What a fresh process finds: every kept program's record decodes to
+    // the profile the fuzz loop cut.
+    let records_are_the_fused_profiles = |what: &str| {
+        let mut store = Store::open(&dir).expect("reopen");
+        for (i, (prog, profile)) in fused.corpus.iter().zip(&fused.profiles).enumerate() {
+            let key = profile_key(&KernelConfig::v5_12_rc3(), 7, prog);
+            let got = store.lookup_profile(key, i as u32).expect("lookup");
+            assert_eq!(got, ProfileLookup::Hit(profile.clone()), "{what}: test {i}");
+        }
+    };
+
+    let (cold, stats) = prepare_in(&dir, |_| {});
+    same("cold", &cold);
+    assert_eq!((stats.profile_hits, stats.profile_misses), (0, n));
+    records_are_the_fused_profiles("cold");
+
+    let (warm, stats) = prepare_in(&dir, |_| {});
+    same("warm", &warm);
+    assert_eq!(
+        (
+            stats.profile_hits,
+            stats.profile_misses,
+            stats.pmc_cache_hit
+        ),
+        (n, 0, true)
+    );
+    records_are_the_fused_profiles("warm");
+
+    let (bypassed, stats) = prepare_in(&dir, |s| s.set_read_cache(false));
+    same("no cache", &bypassed);
+    assert_eq!((stats.profile_hits, stats.profile_misses), (0, n));
+    records_are_the_fused_profiles("no cache");
+
+    // A bypassed run rewrites every profile into a fresh segment; offset 20
+    // is the CRC word of its first record, so one record is stored damaged.
+    prepare_in(&dir, |s| {
+        s.set_read_cache(false);
+        s.set_fault_plan(DiskFaults {
+            flip_after_write: Some((20, 0xFF)),
+            ..DiskFaults::default()
+        });
+    });
+    let (healed, stats) = prepare_in(&dir, |_| {});
+    same("damaged", &healed);
+    assert_eq!(
+        (
+            stats.records_damaged,
+            stats.records_healed,
+            stats.profile_misses
+        ),
+        (1, 1, 1)
+    );
+    records_are_the_fused_profiles("healed");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each program executes once: the profiles of a store-backed prepare are
+/// cut inside the fuzz loop, cold or warm — no `profile` span under
+/// `prepare`, and `profile.ok` counts every kept program.
+#[test]
+fn a_store_backed_prepare_runs_no_profile_pass() {
+    let dir = store_dir("onepass");
+    for run in ["cold", "warm"] {
+        let (tracer, sink) = Tracer::memory();
+        let cfg = PipelineCfg {
+            tracer,
+            ..small_cfg(24)
+        };
+        let mut store = Store::open(&dir).expect("open");
+        let (p, _) = sb_store::prepare(
+            KernelConfig::v5_12_rc3(),
+            &cfg,
+            &IdentifyOpts::sharded(2, 2),
+            &mut store,
+        )
+        .expect("prepare");
+        let lines = sink.lines();
+        let events: Vec<Event> = lines
+            .iter()
+            .map(|l| Event::parse_line(l).expect("event"))
+            .collect();
+        let prepare = events.iter().find_map(|e| match e {
+            Event::SpanStart { span, name, .. } if name == "prepare" => Some(*span),
+            _ => None,
+        });
+        let children: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanStart { parent, name, .. } if Some(*parent) == prepare => {
+                    Some(name.as_str())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(children, ["fuzz", "identify"], "{run}");
+        let tr = TraceReport::from_lines(lines.iter().map(String::as_str)).expect("parse trace");
+        assert_eq!(
+            tr.counter(sb_obs::keys::PROFILES_OK),
+            p.stats.corpus_kept,
+            "{run}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
