@@ -47,7 +47,7 @@ OPTIONS (hunt):
     --random-order                randomize cluster order
     --retries <N>                 attempts per job before quarantine [default: 3]
     --job-deadline <SECS>         per-job wall-clock watchdog [default: 60]
-    --checkpoint <PATH>           write progress checkpoints to PATH
+    --checkpoint <PATH>           log every verdict to the checkpoint PATH
     --resume <PATH>               resume from a checkpoint written by --checkpoint
     --resume-or-fresh <PATH>      like --resume, but a corrupt or missing
                                   checkpoint warns and starts fresh
@@ -57,9 +57,7 @@ OPTIONS (hunt):
     --supervise                   run the campaign on --workers child
                                   processes ('hunt join' workers of a
                                   loopback coordinator), with heartbeats,
-                                  restarts, and crash quarantine; the
-                                  checkpoint's write-ahead journal is
-                                  PATH.wal, as under 'hunt serve'
+                                  restarts, and crash quarantine
     --stop-file <PATH>            with --supervise: finish in-flight jobs,
                                   checkpoint, and exit 0 once PATH exists
     --heartbeat-ms <N>            with --supervise: kill and restart a worker
@@ -88,12 +86,12 @@ OPTIONS (hunt serve), in addition to the hunt options:
                                   before it is quarantined [default: 2]
     --stop-file and --heartbeat-ms apply as under --supervise; the merged
     report is bit-identical to a plain hunt with the same flags.
-    --checkpoint <PATH> is the durable option: the checkpoint and its
-    write-ahead journal (PATH.wal) survive a coordinator crash and are
-    picked up by 'hunt serve --resume PATH'. Without it the coordinator
-    uses a per-run temporary pair, deleted after a clean finish.
+    --checkpoint <PATH> is the durable option: the checkpoint logs every
+    lease and result, survives a coordinator crash, and is picked up by
+    'hunt serve --resume PATH'. Without it the coordinator uses a per-run
+    temporary file, deleted after a clean finish.
     --chaos coord:kill-after-journal=<N> simulates a coordinator kill -9
-    right after the Nth journal append — a failover-test hook.
+    right after the Nth record it logs — a failover-test hook.
 
 OPTIONS (hunt join <ADDR>), in addition to the hunt options:
     --batch <N>                   jobs requested per lease [default: 4]

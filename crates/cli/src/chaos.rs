@@ -371,9 +371,9 @@ fn run_hunt(env: &Env, s: &Schedule, trial: &Path, supervise: bool) -> Result<()
 
 /// `hunt serve` + `hunt join` over TCP. Net faults act on the worker's
 /// outbound link; the coordinator kill switch crashes the coordinator
-/// after a journaled append, after which a second coordinator resumes
-/// from the checkpoint + write-ahead journal on the same address and the
-/// spooling worker redelivers across the outage.
+/// after a logged record, after which a second coordinator resumes from
+/// the checkpoint log on the same address and the spooling worker
+/// redelivers across the outage.
 fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     let worker_plan = ChaosPlan {
         job: s.plan.job.clone(),
@@ -483,7 +483,7 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     }
 
     // Kill-switch path: the first coordinator must die loudly, leaving a
-    // checkpoint + journal for a second one to resume on the same address.
+    // checkpoint log for a second one to resume on the same address.
     let status1 = wait_deadline(&mut serve, "fleet coordinator (pre-kill)")?;
     let out1 = collect(status1, &serve_out, &serve_err)?;
     if out1.status.success() {
@@ -496,10 +496,10 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
         let _ = worker.wait();
         return Err("coordinator died, but not by the kill switch".into());
     }
-    if !snowboard::journal::journal_path_for(&ckpt).exists() {
+    if snowboard::Checkpoint::load(&ckpt).is_err() {
         let _ = worker.kill();
         let _ = worker.wait();
-        return Err("killed coordinator left no write-ahead journal beside the checkpoint".into());
+        return Err("killed coordinator left no loadable checkpoint".into());
     }
 
     // Resume on the same port; the dead listener can leave it in

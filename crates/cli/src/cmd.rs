@@ -564,10 +564,9 @@ fn conclude(prep: Prepared, report: SbResult<CampaignReport>, o: &HuntOpts) -> E
     print_report(&report)
 }
 
-/// A coordinator's merged checkpoint (its write-ahead journal lives
-/// beside it): the user's `--checkpoint` path when given, else a private
-/// temporary one that [`remove_temp_checkpoint`] deletes after a clean
-/// finish.
+/// A coordinator's checkpoint: the user's `--checkpoint` path when given,
+/// else a private temporary one that [`remove_temp_checkpoint`] deletes
+/// after a clean finish.
 fn coordinator_checkpoint(o: &HuntOpts, tag: &str) -> PathBuf {
     o.checkpoint.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("sb-{tag}-{}.json", std::process::id()))
@@ -577,7 +576,6 @@ fn coordinator_checkpoint(o: &HuntOpts, tag: &str) -> PathBuf {
 fn remove_temp_checkpoint(o: &HuntOpts, ckpt: &std::path::Path) {
     if o.checkpoint.is_none() {
         let _ = std::fs::remove_file(ckpt);
-        let _ = std::fs::remove_file(snowboard::journal::journal_path_for(ckpt));
     }
 }
 
@@ -631,7 +629,7 @@ fn supervise(o: &HuntOpts, prep: &Prepared) -> SbResult<CampaignReport> {
         if f.stopped {
             eprintln!(
                 "[supervise] stopped by stop file; resume with --supervise --resume {0} \
-                 --checkpoint {0} (the write-ahead journal rides along)",
+                 --checkpoint {0}",
                 ckpt.display()
             );
         } else {
@@ -759,8 +757,7 @@ fn serve(opts: ServeOpts) -> ExitCode {
         );
         if s.stopped {
             eprintln!(
-                "[fleet] stopped by stop file; resume with hunt serve --resume {} \
-                 (the write-ahead journal rides along)",
+                "[fleet] stopped by stop file; resume with hunt serve --resume {}",
                 ckpt.display()
             );
         } else {

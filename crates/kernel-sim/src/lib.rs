@@ -30,8 +30,10 @@ pub mod bugs;
 pub mod prog;
 pub mod subsys;
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use sb_vmm::ctx::{Ctx, Fault, KResult};
 use sb_vmm::exec::{job, Executor, Job};
@@ -355,12 +357,14 @@ pub struct BootedKernel {
 /// Panics if the simulated boot itself fails — that is a model bug.
 pub fn boot(config: KernelConfig) -> BootedKernel {
     let mut exec = Executor::new(1);
-    let out: Arc<Mutex<Option<Symbols>>> = Arc::new(Mutex::new(None));
-    let out2 = Arc::clone(&out);
+    // The executor runs the job on this thread, so a plain cell carries
+    // the symbols back out.
+    let out: Rc<Cell<Option<Symbols>>> = Rc::default();
+    let out2 = Rc::clone(&out);
     let boot_job = job(move |ctx| async move {
         let mut syms = Symbols::default();
         subsys::boot_all(&ctx, &mut syms, config).await?;
-        *out2.lock().expect("boot symbol channel poisoned") = Some(syms);
+        out2.set(Some(syms));
         Ok(())
     });
     let r = exec.run(GuestMem::new(), vec![boot_job], &mut FreeRun);
@@ -370,11 +374,7 @@ pub fn boot(config: KernelConfig) -> BootedKernel {
         r.report.outcome,
         r.report.console
     );
-    let syms = out
-        .lock()
-        .expect("boot symbol channel poisoned")
-        .take()
-        .expect("boot did not publish symbols");
+    let syms = out.take().expect("boot did not publish symbols");
     // Fold boot-time writes and allocations into a fresh shared base: a
     // per-trial snapshot clone then copies nothing but an empty overlay.
     let mut snapshot = r.mem;

@@ -4,8 +4,8 @@
 //! same one iSCSI/ext4/LevelDB use — because its error-detection profile is
 //! well studied for exactly this "short record in a log file" shape. It
 //! lives in `sb-obs` (the workspace's dependency root alongside the JSON
-//! codec) so both the store's segment files and the fleet coordinator's
-//! write-ahead journal share one implementation; `sb_store::crc` re-exports
+//! codec) so both the store's segment files and the campaign checkpoint
+//! log share one implementation; `sb_store::crc` re-exports
 //! it for its original callers. The walk is slicing-by-8: eight const-built
 //! tables fold eight input bytes per step, and the classic byte-at-a-time
 //! step finishes the < 8-byte tail. Every record is checksummed once per

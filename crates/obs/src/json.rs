@@ -436,10 +436,10 @@ impl<'a> Reader<'a> {
 /// types.
 pub fn atomic_write(
     path: &std::path::Path,
-    text: &str,
+    contents: impl AsRef<[u8]>,
 ) -> Result<(), (&'static str, std::path::PathBuf, std::io::Error)> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text.as_bytes()).map_err(|source| ("write", tmp.clone(), source))?;
+    std::fs::write(&tmp, contents).map_err(|source| ("write", tmp.clone(), source))?;
     let f = std::fs::File::open(&tmp).map_err(|source| ("fsync", tmp.clone(), source))?;
     f.sync_all().map_err(|source| ("fsync", tmp.clone(), source))?;
     std::fs::rename(&tmp, path).map_err(|source| ("rename", path.to_path_buf(), source))?;

@@ -21,7 +21,7 @@
 //!   funnel attrition from a trace file and cross-checks them against the
 //!   run's own summary (`sb trace report`).
 //! * [`crc`] — table-driven CRC32C, shared by the store's segment files
-//!   and the fleet coordinator's write-ahead journal.
+//!   and the campaign checkpoint log.
 //! * [`spec`] — the shared `kind=args;...` grammar behind the `--chaos`
 //!   spec string (job, process, network, disk, coordinator), so all planes
 //!   parse and report errors identically.

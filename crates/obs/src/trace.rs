@@ -123,15 +123,15 @@ pub mod keys {
     pub const FLEET_REDELIVERED: &str = "fleet.spool.redelivered";
     /// Workers that re-registered with a known session token.
     pub const FLEET_SESSIONS_RESUMED: &str = "fleet.sessions.resumed";
-    /// Coordinator write-ahead journal records appended (lease grants,
+    /// Records a coordinator appended to its checkpoint log (lease grants,
     /// result deliveries, lease releases).
     pub const FLEET_JOURNAL_RECORDS: &str = "fleet.journal.records";
-    /// Result verdicts replayed from the journal at `serve --resume`.
+    /// Result verdicts replayed from the checkpoint log at `serve --resume`.
     pub const FLEET_JOURNAL_REPLAYED: &str = "fleet.journal.replayed";
-    /// Journal damage incidents (torn/corrupt suffix truncated, foreign
-    /// file discarded, or an append failure that disabled journaling).
+    /// Checkpoint log damage incidents (a torn/corrupt tail cut off at
+    /// resume, or an append failure that ended the log).
     pub const FLEET_JOURNAL_DAMAGED: &str = "fleet.journal.damaged";
-    /// Outstanding leases rebuilt from the journal at `serve --resume`.
+    /// Outstanding leases rebuilt from the checkpoint log at `serve --resume`.
     pub const FLEET_LEASES_RESTORED: &str = "fleet.leases.restored";
     /// Detector findings (pre-dedup), all kinds.
     pub const FINDINGS: &str = "detect.findings";

@@ -1,18 +1,26 @@
-//! Campaign checkpointing: progress snapshots and resume.
+//! Campaign checkpointing: the append-only verdict log and resume.
 //!
-//! Long campaigns (§4.4 runs for days) must survive a killed process.
-//! After every merged verdict the campaign serializes completed work — which PMC
-//! jobs finished, their outcomes, and the quarantine set — to a JSON file
-//! written atomically (temp file + rename), so the file on disk is always a
-//! complete snapshot. `run_campaign` can then resume: already-completed
-//! jobs are replayed from the checkpoint instead of re-executed, and the
-//! final report aggregates identically to an uninterrupted run.
+//! Long campaigns (§4.4 runs for days) must survive a killed process. The
+//! checkpoint is one file in the [`FrameLog`] framing: a campaign header
+//! (format version, seed, exemplar universe), then [`JournalRecord`]s —
+//! every real verdict and, under a fleet coordinator, lease grants and
+//! releases. [`crate::ledger::JobLedger`] appends and syncs each verdict
+//! before merging it, and at the end replaces the file atomically with the
+//! compact form ([`Checkpoint::save`]: the header plus one record per
+//! verdict, in job order), which is the same bytes whichever runner wrote
+//! it. Every resume goes through one loader, [`read`]: it never modifies
+//! the file, refuses a missing or foreign header, and replays the intact
+//! records with the first verdict winning; a damaged tail is cut off and
+//! counted. Completed jobs are then replayed from the checkpoint instead
+//! of re-executed, and the final report aggregates identically to an
+//! uninterrupted run.
 //!
 //! Jobs quarantined as `rejected` (queue closed before enqueue — they never
-//! ran) are deliberately *not* persisted: a resumed campaign should retry
-//! them rather than inherit the dead queue's verdict.
+//! ran) or `gave-up` are deliberately *not* persisted: a resumed campaign
+//! should retry them rather than inherit the dead queue's verdict.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::path::Path;
 
 use sb_detect::Finding;
@@ -20,11 +28,14 @@ use sb_vmm::replay::Schedule;
 
 use crate::campaign::{PmcTestOutcome, QuarantineRecord};
 use crate::error::{Error, FailureKind, SbResult};
+use crate::journal::{
+    self, done_line, quarantine_line, FrameLog, JournalRecord, Replay, ReplayLease,
+};
 use crate::json::{self, Json};
 use crate::pmc::PmcId;
 
-/// Current checkpoint format version.
-const VERSION: u64 = 1;
+/// Current checkpoint format version (1 was a whole-file JSON document).
+const VERSION: u64 = 2;
 
 /// A campaign progress snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -100,71 +111,52 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Atomically writes this snapshot: serialize to `<path>.tmp`, then
-    /// rename over `path`, so readers never observe a torn file.
+    /// Atomically replaces `path` with the compact form of this snapshot
+    /// (temp file + rename, so readers never observe a torn file).
     pub fn save(&self, path: &Path) -> SbResult<()> {
-        let text = self.to_json().render();
-        json::atomic_write(path, &text)
-            .map_err(|(op, path, source)| Error::CheckpointIo { path, op, source })
+        write(path, self.image())
     }
 
-    /// Loads and validates the shape of a snapshot from disk.
+    /// Loads the snapshot a checkpoint log holds (see [`read`]).
     pub fn load(path: &Path) -> SbResult<Self> {
-        let text = std::fs::read_to_string(path).map_err(|source| Error::CheckpointIo {
-            path: path.to_path_buf(),
-            op: "read",
-            source,
-        })?;
-        let doc = json::parse(&text).map_err(|detail| Error::CheckpointFormat {
-            path: path.to_path_buf(),
-            detail,
-        })?;
-        Self::from_json(&doc).map_err(|detail| Error::CheckpointFormat {
-            path: path.to_path_buf(),
-            detail,
-        })
+        read(path).map(|loaded| loaded.checkpoint)
     }
 
-    fn to_json(&self) -> Json {
+    /// The compact form as file bytes: the header, then one record per
+    /// verdict in job order, with no session numbers.
+    pub(crate) fn image(&self) -> io::Result<Vec<u8>> {
+        let mut verdicts: Vec<(usize, String)> = self
+            .outcomes
+            .iter()
+            .map(|(job, o)| (*job, done_line(0, 0, *job, o)))
+            .chain(self.quarantined.iter().map(|(job, q)| (*job, quarantine_line(0, 0, q))))
+            .collect();
+        verdicts.sort_by_key(|(job, _)| *job);
+        let header = self.header();
+        let lines = std::iter::once(&header).chain(verdicts.iter().map(|(_, line)| line));
+        journal::image(lines.map(String::as_str))
+    }
+
+    fn header(&self) -> String {
+        let exemplars = self.exemplars.iter().map(|id| Json::U64(u64::from(*id))).collect();
         Json::Obj(vec![
+            ("rec".into(), Json::Str("header".into())),
             ("version".into(), Json::U64(VERSION)),
             ("seed".into(), Json::U64(self.seed)),
-            (
-                "exemplars".into(),
-                Json::Arr(
-                    self.exemplars
-                        .iter()
-                        .map(|id| Json::U64(u64::from(*id)))
-                        .collect(),
-                ),
-            ),
-            (
-                "outcomes".into(),
-                Json::Arr(
-                    self.outcomes
-                        .iter()
-                        .map(|(job, o)| outcome_to_json(*job, o))
-                        .collect(),
-                ),
-            ),
-            (
-                "quarantined".into(),
-                Json::Arr(
-                    self.quarantined
-                        .values()
-                        .map(quarantine_to_json)
-                        .collect(),
-                ),
-            ),
+            ("exemplars".into(), Json::Arr(exemplars)),
         ])
+        .render()
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
-        let version = req_u64(doc, "version")?;
+    fn from_header(line: &str) -> Result<Self, String> {
+        let doc = json::parse(line)?;
+        if doc.get("rec").and_then(Json::as_str) != Some("header") {
+            return Err("the first record is not a campaign header".into());
+        }
+        let version = req_u64(&doc, "version")?;
         if version != VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let seed = req_u64(doc, "seed")?;
         let exemplars = doc
             .get("exemplars")
             .and_then(Json::as_arr)
@@ -176,31 +168,103 @@ impl Checkpoint {
                     .ok_or_else(|| "bad exemplar id".to_string())
             })
             .collect::<Result<Vec<PmcId>, String>>()?;
-        let mut outcomes = BTreeMap::new();
-        for item in doc
-            .get("outcomes")
-            .and_then(Json::as_arr)
-            .ok_or("missing outcomes array")?
-        {
-            let (job, outcome) = outcome_from_json(item)?;
-            outcomes.insert(job, outcome);
-        }
-        let mut quarantined = BTreeMap::new();
-        for item in doc
-            .get("quarantined")
-            .and_then(Json::as_arr)
-            .ok_or("missing quarantined array")?
-        {
-            let rec = quarantine_from_json(item)?;
-            quarantined.insert(rec.job, rec);
-        }
-        Ok(Checkpoint {
-            seed,
-            exemplars,
-            outcomes,
-            quarantined,
-        })
+        Ok(Checkpoint { seed: req_u64(&doc, "seed")?, exemplars, ..Checkpoint::default() })
     }
+}
+
+/// What [`read`] recovered from a checkpoint log.
+#[derive(Debug)]
+pub struct Loaded {
+    /// The header's campaign with every intact verdict merged, the first
+    /// verdict for a job winning.
+    pub checkpoint: Checkpoint,
+    /// The file's bytes up to the end of its last intact record.
+    pub intact: Vec<u8>,
+    /// Open leases, session acks and counts, for a resuming transport.
+    pub replay: Replay,
+}
+
+/// The one checkpoint loader. Reads `path` whole and never modifies it. A
+/// file without the log magic, or whose first record is not an intact
+/// campaign header, is an [`Error::CheckpointFormat`]. After the header,
+/// the first record that is damaged, unparseable or names a job outside
+/// the universe ends the intact prefix, and the cut is counted once in
+/// [`Replay::damaged`].
+pub fn read(path: &Path) -> SbResult<Loaded> {
+    let mut bytes = std::fs::read(path).map_err(|source| Error::CheckpointIo {
+        path: path.to_path_buf(),
+        op: "read",
+        source,
+    })?;
+    let format = |detail: String| Error::CheckpointFormat { path: path.to_path_buf(), detail };
+    let frames = journal::decode(&bytes)
+        .ok_or_else(|| format("not a checkpoint log (format 1 checkpoints are not read)".into()))?;
+    let (header, mut end) =
+        *frames.first().ok_or_else(|| format("no intact campaign header".into()))?;
+    let mut checkpoint = Checkpoint::from_header(header).map_err(format)?;
+    let mut replay = Replay::default();
+    for (line, next) in &frames[1..] {
+        if !replay_record(&mut checkpoint, &mut replay, line) {
+            break;
+        }
+        end = *next;
+    }
+    replay.damaged = u64::from(end < bytes.len());
+    bytes.truncate(end);
+    Ok(Loaded { checkpoint, intact: bytes, replay })
+}
+
+/// Replays one record after the header; `false` when it does not parse or
+/// names a job outside the universe.
+fn replay_record(cp: &mut Checkpoint, replay: &mut Replay, line: &str) -> bool {
+    let universe = cp.exemplars.len();
+    let (session, seq) = match JournalRecord::parse(line) {
+        Ok(JournalRecord::Lease { lease, session, jobs }) => {
+            replay.leases.push(ReplayLease { lease, session, jobs });
+            return true;
+        }
+        Ok(JournalRecord::Release { lease }) => {
+            replay.leases.retain(|l| l.lease != lease);
+            return true;
+        }
+        Ok(JournalRecord::Done { session, seq, job, outcome }) if job < universe => {
+            cp.merge_outcome(job, outcome);
+            (session, seq)
+        }
+        Ok(JournalRecord::Quarantine { session, seq, record }) if record.job < universe => {
+            cp.merge_quarantine(record);
+            (session, seq)
+        }
+        _ => return false,
+    };
+    replay.verdicts += 1;
+    if session != 0 {
+        let acked = replay.acked.entry(session).or_insert(0);
+        *acked = (*acked).max(seq);
+    }
+    true
+}
+
+/// Atomically replaces `path` with the log `image`.
+fn write(path: &Path, image: io::Result<Vec<u8>>) -> SbResult<()> {
+    let bytes = image.map_err(|source| Error::CheckpointIo {
+        path: path.to_path_buf(),
+        op: "write",
+        source,
+    })?;
+    json::atomic_write(path, bytes)
+        .map_err(|(op, path, source)| Error::CheckpointIo { path, op, source })
+}
+
+/// Atomically replaces `path` with the log `image` and opens it for the
+/// appends that follow.
+pub(crate) fn install(path: &Path, image: io::Result<Vec<u8>>) -> SbResult<FrameLog> {
+    write(path, image)?;
+    FrameLog::append_to(path).map_err(|source| Error::CheckpointIo {
+        path: path.to_path_buf(),
+        op: "open",
+        source,
+    })
 }
 
 pub(crate) fn req_u64(doc: &Json, key: &str) -> Result<u64, String> {
@@ -562,10 +626,16 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_everything() {
+        // The per-verdict objects, which both the log and the wire carry.
         let cp = sample();
-        let parsed = Checkpoint::from_json(&json::parse(&cp.to_json().render()).unwrap())
-            .expect("round trip");
-        assert_eq!(parsed, cp);
+        for (job, o) in &cp.outcomes {
+            let doc = json::parse(&outcome_to_json(*job, o).render()).unwrap();
+            assert_eq!(outcome_from_json(&doc).unwrap(), (*job, o.clone()));
+        }
+        for q in cp.quarantined.values() {
+            let doc = json::parse(&quarantine_to_json(q).render()).unwrap();
+            assert_eq!(&quarantine_from_json(&doc).unwrap(), q);
+        }
     }
 
     #[test]
@@ -617,16 +687,94 @@ mod tests {
         let dir = std::env::temp_dir().join("sb-checkpoint-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cp-corrupt.json");
-        std::fs::write(&path, b"{\"version\":1,").unwrap();
-        assert!(matches!(
-            Checkpoint::load(&path),
-            Err(Error::CheckpointFormat { .. })
-        ));
-        std::fs::write(&path, b"{\"version\":99}").unwrap();
-        assert!(matches!(
-            Checkpoint::load(&path),
-            Err(Error::CheckpointFormat { .. })
-        ));
+        let header_damage: [&[u8]; 4] = [
+            // A format-1 checkpoint, a torn magic, a torn header, and a
+            // log whose first record is no header.
+            b"{\"version\":1,\"seed\":1}",
+            b"SBWAL0",
+            &journal::image([sample().header().as_str()]).unwrap()[..20],
+            &journal::image(["{\"rec\":\"release\",\"lease\":1}"]).unwrap(),
+        ];
+        for bytes in header_damage {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(
+                matches!(Checkpoint::load(&path), Err(Error::CheckpointFormat { .. })),
+                "{bytes:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a failed load writes nothing");
+        }
+        let future = sample().header().replace("\"version\":2", "\"version\":99");
+        std::fs::write(&path, journal::image([future.as_str()]).unwrap()).unwrap();
+        assert!(matches!(Checkpoint::load(&path), Err(Error::CheckpointFormat { .. })));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn replay_rebuilds_outstanding_leases_and_acks() {
+        let cp = Checkpoint::begin(2021, &[7, 3, 9, 4]);
+        let sample = sample();
+        let records = [
+            cp.header(),
+            JournalRecord::Lease { lease: 1, session: 7, jobs: vec![0, 1] }.render(),
+            JournalRecord::Lease { lease: 2, session: 8, jobs: vec![2, 3] }.render(),
+            done_line(7, 1, 0, &sample.outcomes[&0]),
+            // Lease 2 expires and its jobs are re-granted to session 7.
+            JournalRecord::Release { lease: 2 }.render(),
+            JournalRecord::Lease { lease: 3, session: 7, jobs: vec![2, 3] }.render(),
+            quarantine_line(7, 2, &QuarantineRecord { job: 2, ..sample.quarantined[&1].clone() }),
+            // A late duplicate: counted as replayed, the first verdict kept.
+            done_line(8, 5, 0, &sample.outcomes[&2]),
+            // An in-process verdict carries no session.
+            done_line(0, 0, 3, &sample.outcomes[&2]),
+        ];
+        let dir = std::env::temp_dir().join("sb-checkpoint-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("cp-replay-{}.log", std::process::id()));
+        let bytes = journal::image(records.iter().map(String::as_str)).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = read(&path).unwrap();
+        assert_eq!(loaded.intact, bytes);
+        let replay = loaded.replay;
+        assert_eq!((replay.verdicts, replay.damaged), (4, 0));
+        assert_eq!(
+            replay.leases,
+            vec![
+                ReplayLease { lease: 1, session: 7, jobs: vec![0, 1] },
+                ReplayLease { lease: 3, session: 7, jobs: vec![2, 3] },
+            ]
+        );
+        assert_eq!(replay.acked, BTreeMap::from([(7, 2), (8, 5)]));
+        assert_eq!(loaded.checkpoint.outcomes[&0], sample.outcomes[&0], "first verdict wins");
+        assert_eq!(loaded.checkpoint.outcomes.len(), 2);
+        assert!(loaded.checkpoint.quarantined.contains_key(&2));
+
+        // The compact form keeps the verdicts and nothing else.
+        loaded.checkpoint.save(&path).unwrap();
+        let compact = read(&path).unwrap();
+        assert_eq!(compact.checkpoint, loaded.checkpoint);
+        assert_eq!((compact.replay.verdicts, compact.replay.leases.len()), (3, 0));
+        assert!(compact.replay.acked.is_empty());
+
+        // A verdict outside the universe ends the intact prefix.
+        let foreign = done_line(7, 9, 4, &sample.outcomes[&0]);
+        let bytes = journal::image(records[..4].iter().chain([&foreign]).map(String::as_str));
+        std::fs::write(&path, bytes.unwrap()).unwrap();
+        let loaded = read(&path).unwrap();
+        assert_eq!((loaded.replay.verdicts, loaded.replay.damaged), (1, 1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_million_exemplar_universe_round_trips() {
+        let exemplars: Vec<PmcId> = (0..1_000_000).map(|i| i * 7 + 1).collect();
+        let mut cp = Checkpoint::begin(5, &exemplars);
+        cp.outcomes = sample().outcomes;
+        let dir = std::env::temp_dir().join("sb-checkpoint-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("cp-million-{}.log", std::process::id()));
+        cp.save(&path).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() > 1 << 20, "the header outgrows a frame");
+        assert_eq!(Checkpoint::load(&path).unwrap(), cp);
         let _ = std::fs::remove_file(&path);
     }
 }

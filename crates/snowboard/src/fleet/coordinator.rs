@@ -1,11 +1,10 @@
-//! The coordinator half of the fleet: one loop owning the ledger, the lease
-//! table, the write-ahead journal and every connection — and, under
+//! The coordinator half of the fleet: one loop owning the ledger (and with
+//! it the checkpoint log), the lease table and every connection — and, under
 //! `hunt --supervise`, the [`Pool`] of child processes behind them.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -14,7 +13,7 @@ use std::time::{Duration, Instant};
 use super::FleetCfg;
 use crate::campaign::{CampaignCfg, CampaignReport, JobVerdict};
 use crate::error::{Error, SbResult};
-use crate::journal::{journal_path_for, Journal, JournalRecord, ReplayVerdict};
+use crate::journal::JournalRecord;
 use crate::ledger::{Charge, Delivered, JobLedger};
 use crate::metrics::FleetStats;
 use crate::pmc::PmcId;
@@ -55,14 +54,14 @@ struct Conn {
 /// The transport half of one outstanding lease; the ledger holds its jobs
 /// and deadline under the lease id.
 struct Lease {
-    /// Holding connection. `None` for a lease restored from the journal
+    /// Holding connection. `None` for a lease restored from the log
     /// whose session has not reconnected yet — the worker may still be
     /// alive and working, so the jobs stay off the pending pool until the
     /// session re-joins (reattaching the lease) or the deadline reclaims
     /// them — and for a lease whose supervised child is waiting to be
     /// reaped.
     conn: Option<u64>,
-    /// Holder's session token (journaled with the grant).
+    /// Holder's session token (logged with the grant).
     session: u64,
 }
 
@@ -74,14 +73,9 @@ struct Coordinator<'a> {
     stats: FleetStats,
     leases: BTreeMap<u64, Lease>,
     conns: BTreeMap<u64, Conn>,
-    /// Write-ahead journal; `None` after an append failure (journaling
-    /// degrades to checkpoint-only operation rather than killing the run).
-    wal: Option<Journal>,
-    /// Per-session highest journaled result sequence number.
+    /// Per-session highest logged result sequence number.
     sessions: BTreeMap<u64, u64>,
-    /// Journal appends this run (drives [`FleetCfg::fail_after_journal`]).
-    journal_appends: u64,
-    /// The kill-switch hook fired: unwind without saving anything.
+    /// The kill-switch hook fired: unwind without writing anything more.
     killed: bool,
     next_worker: u64,
     next_lease: u64,
@@ -117,55 +111,29 @@ impl Coordinator<'_> {
         true
     }
 
-    /// Appends one record to the write-ahead journal (flushed before the
-    /// caller acts on the event it records). An append failure disables
-    /// journaling for the rest of the run — counted and reported, never
-    /// fatal: the checkpoint alone still gives the pre-journal guarantees.
-    ///
-    /// Returns `false` when the [`FleetCfg::fail_after_journal`] kill
-    /// switch fired: the caller must stop without acting on the record,
-    /// exactly as if the process died right after the append.
+    /// Logs a lease grant or release in the checkpoint (before the caller
+    /// acts on it); `false` when the kill switch fired.
     fn journal(&mut self, rec: &JournalRecord) -> bool {
-        if let Some(wal) = self.wal.as_mut() {
-            match wal.append(rec) {
-                Ok(()) => {
-                    self.stats.journal_records += 1;
-                    self.tracer().count(sb_obs::keys::FLEET_JOURNAL_RECORDS, 1);
-                }
-                Err(e) => {
-                    let path = wal.path().display().to_string();
-                    self.wal = None;
-                    self.stats.journal_damaged += 1;
-                    self.tracer().count(sb_obs::keys::FLEET_JOURNAL_DAMAGED, 1);
-                    self.fleet_event(
-                        u64::MAX,
-                        "journal-error",
-                        format!("append to {path} failed ({e}); journaling disabled"),
-                    );
-                }
-            }
-        }
-        self.journal_appends += 1;
-        if self.fcfg.fail_after_journal.is_some_and(|n| self.journal_appends >= n) {
+        self.ledger.journal(rec);
+        self.survived()
+    }
+
+    /// The [`FleetCfg::fail_after_journal`] kill switch, checked after
+    /// every ledger call that may log a record: `false` once the log holds
+    /// that many records after its header, and the caller must stop
+    /// without acting on the last one, exactly as if the process died
+    /// right after the append.
+    fn survived(&mut self) -> bool {
+        let (appends, _) = self.ledger.logged();
+        if self.fcfg.fail_after_journal.is_some_and(|n| appends >= n) {
             if !self.killed {
-                crate::chaos::fired(
-                    "coord.kill-after-journal",
-                    &format!("append {}", self.journal_appends),
-                );
+                crate::chaos::fired("coord.kill-after-journal", &format!("append {appends}"));
                 crate::chaos::count_fired(&self.cfg.tracer, "coord.kill-after-journal", 1);
             }
             self.killed = true;
             return false;
         }
         true
-    }
-
-    /// Durably syncs the journal; piggybacked on checkpoint saves so both
-    /// files hit disk together.
-    fn sync_journal(&mut self) {
-        if let Some(wal) = self.wal.as_mut() {
-            let _ = wal.sync();
-        }
     }
 
     /// Removes a connection and hands its leases back to the ledger.
@@ -213,7 +181,7 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Ends lease `lease_id`, journaled first: its jobs return to the
+    /// Ends lease `lease_id`, logged first: its jobs return to the
     /// pending pool, or — when `cause` says how the holder died — are
     /// charged against the crash budget with `cause(job)` heading the
     /// chain.
@@ -222,20 +190,16 @@ impl Coordinator<'_> {
             return; // the deadline reclaimed it meanwhile
         }
         self.journal(&JournalRecord::Release { lease: lease_id });
+        // A crash quarantine is logged by the ledger with no session, so a
+        // resume replays it without touching any ack watermark.
         let charges = match cause {
             Some(cause) => self.ledger.owner_died(lease_id, self.fcfg.crash_budget, cause),
             None => self.ledger.release(lease_id).into_iter().map(Charge::Requeued).collect(),
         };
+        self.survived();
         for charge in charges {
-            match charge {
-                Charge::Requeued(job) => self.note_requeued(job, worker),
-                // Coordinator-originated verdict: journaled with no
-                // session/sequence, so a resume replays it without
-                // touching any ack watermark.
-                Charge::Quarantined(record) => {
-                    self.journal(&JournalRecord::Quarantine { session: 0, seq: 0, record });
-                    self.sync_journal();
-                }
+            if let Charge::Requeued(job) = charge {
+                self.note_requeued(job, worker);
             }
         }
     }
@@ -305,15 +269,14 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Begins the drain: flush the checkpoint, tell every connection, and
+    /// Begins the drain: sync the checkpoint, tell every connection, and
     /// start the goodbye clock.
-    fn start_drain(&mut self, reason: &str) -> SbResult<()> {
+    fn start_drain(&mut self, reason: &str) {
         if self.ledger.stopping() {
-            return Ok(());
+            return;
         }
         self.drain_deadline = Instant::now() + self.fcfg.heartbeat_timeout;
-        self.ledger.stop()?;
-        self.sync_journal();
+        self.ledger.stop();
         self.fleet_event(u64::MAX, "drain", reason.to_owned());
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
@@ -322,7 +285,6 @@ impl Coordinator<'_> {
             }
             self.send(id, &ServeMsg::Drain { reason: reason.to_owned() });
         }
-        Ok(())
     }
 
     fn handle_join(&mut self, conn_id: u64, proto: u64, config: u64, session: u64, pid: u64) {
@@ -388,7 +350,7 @@ impl Coordinator<'_> {
         let mut ack = 0;
         if session != 0 {
             if self.sessions.contains_key(&session) {
-                // A known session re-registering: ack what the journal
+                // A known session re-registering: ack what the log
                 // already holds and hand its restored leases back, so the
                 // worker trims its spool and keeps its in-flight jobs.
                 self.stats.sessions_resumed += 1;
@@ -453,7 +415,7 @@ impl Coordinator<'_> {
             return;
         }
         self.next_lease += 1;
-        // Journal the grant before the worker can learn of it: a resume
+        // Log the grant before the worker can learn of it: a resume
         // must know these jobs are out even if the kill lands between the
         // append and the send.
         if !self.journal(&JournalRecord::Lease { lease, session, jobs: jobs.clone() }) {
@@ -475,9 +437,9 @@ impl Coordinator<'_> {
     }
 
     /// One delivered result frame: refuse jobs outside the universe, count
-    /// redeliveries, drop frames whose sequence number the journal already
-    /// holds (the worker will trim them at the next ack), journal fresh
-    /// ones, then hand the verdict to the ledger.
+    /// redeliveries, drop frames whose sequence number the log already
+    /// holds (the worker will trim them at the next ack), then hand fresh
+    /// ones to the ledger, which logs them before merging.
     fn handle_result(&mut self, conn_id: u64, job: usize, verdict: JobVerdict, seq: u64, redelivery: bool) {
         let Some((worker, session)) = self
             .conns
@@ -506,36 +468,23 @@ impl Coordinator<'_> {
         if session != 0 && seq != 0 {
             let acked = self.sessions.entry(session).or_insert(0);
             if seq <= *acked {
-                // Already journaled (merged live or replayed at resume):
+                // Already logged (merged live or replayed at resume):
                 // idempotent skip, nothing new to record.
                 return;
             }
         }
-        let rec = match &verdict {
-            JobVerdict::Completed(outcome) => JournalRecord::Done {
-                session,
-                seq,
-                job,
-                outcome: outcome.clone(),
-            },
-            JobVerdict::Quarantined(record) => JournalRecord::Quarantine {
-                session,
-                seq,
-                record: record.clone(),
-            },
-        };
-        if !self.journal(&rec) {
+        let delivered = self.ledger.deliver_from(session, seq, job, verdict);
+        if !self.survived() {
             return;
         }
         if session != 0 && seq != 0 {
             self.sessions.insert(session, seq);
         }
-        match self.ledger.deliver(job, verdict) {
+        match delivered {
             Ok(Delivered::Merged) => {
                 // The job may have sat in the deliverer's lease or (after
                 // reassignment) someone else's; drop leases it emptied.
                 self.leases.retain(|id, _| self.ledger.holds(*id));
-                self.sync_journal();
             }
             Ok(Delivered::Duplicate) => {
                 self.stats.duplicate_results += 1;
@@ -589,7 +538,7 @@ impl Coordinator<'_> {
 
     /// The crash-loop circuit breaker: if every worker keeps dying without
     /// completing anything and nobody is left, stop waiting and abandon
-    /// the remaining jobs. Deliberately not journaled: an abandoned job is
+    /// the remaining jobs. Deliberately not logged: an abandoned job is
     /// reported but never persisted, so a resumed campaign retries it.
     fn maybe_give_up(&mut self) {
         let instant_deaths = self.ledger.instant_deaths();
@@ -614,40 +563,24 @@ impl Coordinator<'_> {
         ));
     }
 
-    /// Applies a journal replay on top of the loaded checkpoint: restores
-    /// the replayed verdicts, persists the caught-up checkpoint, restores
-    /// the session ack watermarks, and rebuilds the outstanding lease
-    /// table (pruned of jobs the replay resolved).
-    fn apply_replay(&mut self, replay: crate::journal::Replay) -> SbResult<()> {
+    /// Applies what the resumed checkpoint log holds besides verdicts (the
+    /// ledger merged those): counts the replay, restores the session ack
+    /// watermarks, and rebuilds the outstanding lease table (pruned of
+    /// jobs the log resolved).
+    fn apply_replay(&mut self) {
+        let replay = self.ledger.take_replay();
         self.stats.journal_damaged += replay.damaged;
         if replay.damaged > 0 {
             self.tracer().count(sb_obs::keys::FLEET_JOURNAL_DAMAGED, replay.damaged);
             self.fleet_event(
                 u64::MAX,
                 "journal-damage",
-                "journal had a damaged or foreign suffix; resuming from the intact prefix \
-                 plus the merged checkpoint"
-                    .into(),
+                "checkpoint log had a damaged tail; resuming from the intact prefix".into(),
             );
         }
-        let replayed = replay.results.len() as u64;
-        self.stats.journal_replayed = replayed;
-        if replayed > 0 {
-            self.tracer().count(sb_obs::keys::FLEET_JOURNAL_REPLAYED, replayed);
-        }
-        for verdict in replay.results {
-            match verdict {
-                ReplayVerdict::Done { job, outcome } => {
-                    self.ledger.restore(job, JobVerdict::Completed(outcome));
-                }
-                ReplayVerdict::Quarantine { record } => {
-                    self.ledger.restore(record.job, JobVerdict::Quarantined(record));
-                }
-            }
-        }
-        if replayed > 0 {
-            self.ledger.save()?;
-            self.sync_journal();
+        self.stats.journal_replayed = replay.verdicts;
+        if replay.verdicts > 0 {
+            self.tracer().count(sb_obs::keys::FLEET_JOURNAL_REPLAYED, replay.verdicts);
         }
         self.sessions.extend(replay.acked);
         // Leases granted but never released stay out: their holders may
@@ -678,7 +611,6 @@ impl Coordinator<'_> {
             );
             self.leases.insert(restored.lease, Lease { conn: None, session: restored.session });
         }
-        Ok(())
     }
 }
 
@@ -712,23 +644,6 @@ pub(crate) fn coordinate<'a>(
     let ledger = JobLedger::open(exemplars, cfg, Some(&fcfg.checkpoint))?;
     let _span = cfg.tracer.span("campaign");
 
-    // The write-ahead journal travels with the checkpoint. A resume
-    // replays it (the helper below); a fresh run truncates any leftover.
-    // Journal trouble is never fatal — the run degrades to checkpoint-only
-    // durability with the damage counted.
-    let jpath = journal_path_for(&fcfg.checkpoint);
-    let resuming = cfg.resume_from.is_some();
-    let jobs_total = ledger.universe().len() as u64;
-    let (wal, replay) = if resuming {
-        match Journal::open(&jpath, cfg.seed, fcfg.config_hash, jobs_total) {
-            Ok((wal, replay)) => (Some(wal), Some(replay)),
-            Err(_) => (None, None),
-        }
-    } else {
-        (Journal::create(&jpath, cfg.seed, fcfg.config_hash, jobs_total).ok(), None)
-    };
-    let wal_failed = wal.is_none();
-
     let shutdown = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<(u64, Note)>();
     spawn_acceptor(listener, tx, shutdown.clone(), fcfg.poll);
@@ -740,46 +655,30 @@ pub(crate) fn coordinate<'a>(
         stats: FleetStats::default(),
         leases: BTreeMap::new(),
         conns: BTreeMap::new(),
-        wal,
         sessions: BTreeMap::new(),
-        journal_appends: 0,
         killed: false,
         next_worker: 0,
         next_lease: 1,
         drain_deadline: Instant::now(),
         pool,
     };
-    if wal_failed {
-        state.stats.journal_damaged += 1;
-        state.tracer().count(sb_obs::keys::FLEET_JOURNAL_DAMAGED, 1);
-        state.fleet_event(
-            u64::MAX,
-            "journal-error",
-            format!("cannot open journal at {}; journaling disabled", jpath.display()),
-        );
-    }
-    if let Some(replay) = replay {
-        state.apply_replay(replay)?;
-    }
-    // Everything restored so far — checkpoint verdicts plus the replayed
-    // journal suffix — lands in the merged summary, so it emits the same
-    // per-job trace records as a live delivery would.
+    state.apply_replay();
+    // Every verdict the resumed log holds lands in the merged summary, so
+    // it emits the same per-job trace records as a live delivery would.
     state.ledger.trace_restored();
-    // Persist the (possibly empty) checkpoint up front: the file exists
-    // from the first moment the coordinator serves, so a kill at *any*
-    // later point leaves something for `--resume` to load — the journal
-    // supplies whatever the checkpoint had not caught up to.
-    state.ledger.save()?;
 
-    // Flush guard: a coordinator bug must not cost the fleet's completed
-    // work — persist the checkpoint before the panic propagates.
-    let looped = catch_unwind(AssertUnwindSafe(|| coordinator_loop(&mut state, &rx)));
+    let looped = coordinator_loop(&mut state, &rx);
     shutdown.store(true, Ordering::Relaxed);
-    match looped {
-        Ok(r) => r?,
-        Err(payload) => {
-            let _ = state.ledger.save();
-            std::panic::resume_unwind(payload);
+    looped?;
+    let (records, failed) = state.ledger.logged();
+    state.stats.journal_records = records;
+    state.stats.journal_damaged += u64::from(failed);
+    for (key, n) in [
+        (sb_obs::keys::FLEET_JOURNAL_RECORDS, records),
+        (sb_obs::keys::FLEET_JOURNAL_DAMAGED, u64::from(failed)),
+    ] {
+        if n > 0 {
+            cfg.tracer.count(key, n);
         }
     }
     let supervise = state.pool.map(Pool::finish);
@@ -854,7 +753,7 @@ fn coordinator_loop(
     loop {
         if state.killed {
             // The fail-after-journal kill switch: unwind immediately,
-            // skipping every save, exactly as a `kill -9` would.
+            // writing nothing more, exactly as a `kill -9` would.
             return Err(Error::Fleet {
                 detail: "fleet kill switch: simulated coordinator crash".into(),
             });
@@ -863,14 +762,14 @@ fn coordinator_loop(
 
         if !state.ledger.stopping() && state.fcfg.stop_file.as_deref().is_some_and(Path::exists) {
             state.stats.stopped = true;
-            state.start_drain("stop file")?;
+            state.start_drain("stop file");
         }
         state.sweep_leases(now);
         state.sweep_heartbeats(now);
         state.tend()?;
 
         if state.ledger.pending() == 0 && state.leases.is_empty() {
-            state.start_drain("campaign complete")?;
+            state.start_drain("campaign complete");
         }
         // A supervisor also waits for its children to exit on their own.
         let settled = state.conns.is_empty() && state.pool.as_ref().is_none_or(Pool::idle);

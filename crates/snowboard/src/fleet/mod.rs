@@ -12,7 +12,7 @@
 //! network faults.
 //!
 //! The job lifecycle is [`crate::ledger`]'s; this module is the transport —
-//! connections, sessions, lease deadlines, the journal and the spool. The
+//! connections, sessions, lease deadlines and the spool. The
 //! failure model (see DESIGN.md):
 //!
 //! * **Handshake** — a joiner announces its protocol version and a
@@ -39,17 +39,17 @@
 //!   only trips with no surviving worker: consecutive zero-completion
 //!   deaths then abandon the remaining jobs instead of waiting forever
 //!   for a fleet that keeps dying on arrival.
-//! * **Graceful drain** — the stop file (or campaign completion) flushes
+//! * **Graceful drain** — the stop file (or campaign completion) syncs
 //!   the checkpoint, answers every request with `drain`, and gives
 //!   stragglers one heartbeat timeout to say goodbye.
 //!
-//! * **Write-ahead journal** — the coordinator records every lease grant,
-//!   result delivery, and lease release in a CRC32C-framed journal
-//!   ([`crate::journal`]) *before* acting on it, so a `kill -9` mid-lease
-//!   loses nothing: `serve --resume` replays the journal on top of the
-//!   merged checkpoint and rebuilds the exact lease table — re-granted
-//!   leases, session ack watermarks, and the first-verdict-wins merge all
-//!   land bit-identically to an uninterrupted run.
+//! * **The checkpoint log** — every lease grant, result delivery, and lease
+//!   release lands in the checkpoint, an append-only CRC32C-framed log
+//!   ([`crate::checkpoint`]), *before* the coordinator acts on it, so a
+//!   `kill -9` mid-lease loses nothing: `serve --resume` replays the log
+//!   and rebuilds the exact lease table — re-granted leases, session ack
+//!   watermarks, and the first-verdict-wins merge all land bit-identically
+//!   to an uninterrupted run.
 //! * **Session resumption and result spooling** — each worker picks a
 //!   session token at startup and numbers its results with a per-session
 //!   sequence. Results are spooled (in memory, and to disk when
@@ -57,7 +57,7 @@
 //!   that loses the coordinator finishes its leased jobs into the spool
 //!   and reconnects indefinitely, then re-registers with the same token
 //!   and redelivers everything past the coordinator's ack. Redeliveries
-//!   are idempotent (journaled sequence numbers and the first-wins merge
+//!   are idempotent (logged sequence numbers and the first-wins merge
 //!   absorb them) and counted in [`crate::FleetStats::redelivered`].
 //!
 //! Workers reconnect through deterministic exponential backoff and resume
@@ -109,19 +109,19 @@ pub struct FleetCfg {
     pub max_instant_deaths: u32,
     /// Graceful-shutdown trigger: drain when this file exists.
     pub stop_file: Option<PathBuf>,
-    /// The coordinator's merged checkpoint, saved as results arrive so a
-    /// killed coordinator resumes mid-fleet. The write-ahead journal lives
-    /// next to it ([`crate::journal::journal_path_for`]). The default is
-    /// unique per construction — two coordinators sharing one checkpoint
-    /// (and journal) would silently merge unrelated campaigns; pass an
-    /// explicit durable path when resume across runs is wanted.
+    /// The coordinator's checkpoint log, appended to as results arrive so
+    /// a killed coordinator resumes mid-fleet. The default is unique per
+    /// construction — two coordinators sharing one checkpoint would
+    /// silently merge unrelated campaigns; pass an explicit durable path
+    /// when resume across runs is wanted.
     pub checkpoint: PathBuf,
     /// Expected [`config_fingerprint`] of joining workers.
     pub config_hash: u64,
-    /// Test hook: simulate `kill -9` after this many journal appends —
-    /// the coordinator returns [`crate::Error::Fleet`] without saving the
-    /// checkpoint or draining, leaving exactly the on-disk state a killed
-    /// process would. `None` (the default) disables the hook.
+    /// Test hook: simulate `kill -9` once this many records follow the
+    /// checkpoint header — the coordinator returns [`crate::Error::Fleet`]
+    /// without acting on the last one, finishing the checkpoint or
+    /// draining, leaving exactly the on-disk state a killed process would.
+    /// `None` (the default) disables the hook.
     pub fail_after_journal: Option<u64>,
 }
 
@@ -156,7 +156,6 @@ mod tests {
     use crate::cluster::Strategy;
     use crate::error::{FailureKind, SbResult};
     use crate::fault::NetFaultPlan;
-    use crate::journal::{journal_path_for, Journal, ReplayVerdict};
     use crate::pmc::PmcId;
     use crate::protocol::{read_frame, write_frame, JoinMsg, ServeMsg, FLEET_PROTO_VERSION};
     use crate::retry::jittered_backoff;
@@ -688,16 +687,6 @@ mod tests {
         assert_eq!(report.fleet.unwrap().evictions, 1);
         let cp = Checkpoint::load(&fcfg.checkpoint).unwrap();
         assert_eq!(cp.outcomes.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
-        let (_, replay) = Journal::open(&journal_path_for(&fcfg.checkpoint), 2021, 0, 2)
-            .expect("journal reopens");
-        assert!(
-            replay.results.iter().all(|v| match v {
-                ReplayVerdict::Done { job, .. } => *job < 2,
-                ReplayVerdict::Quarantine { record } => record.job < 2,
-            }),
-            "the foreign verdict was never journaled"
-        );
-        assert_eq!(replay.results.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -921,7 +910,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // -- crash recovery (journal + spool) --------------------------------
+    // -- crash recovery (checkpoint log + spool) -------------------------
 
     #[test]
     fn outbox_spool_adopts_undelivered_frames_across_restarts() {
@@ -978,7 +967,7 @@ mod tests {
         let budgeted: Vec<PmcId> = (0..3).map(|i| i + 100).collect();
         let fcfg = FleetCfg { batch: 2, ..fast_fcfg(&dir) };
 
-        // Run 1: the kill switch fires on the third journal append — the
+        // Run 1: the kill switch fires on the third logged record — the
         // lease grant (#1) and job 0's delivery (#2) land normally, then
         // job 1's delivery (#3) is journaled and the coordinator dies
         // before merging or acknowledging it.
@@ -1031,6 +1020,47 @@ mod tests {
         assert_eq!(stats.redelivered, 1);
         assert_eq!(stats.duplicate_results, 0, "seq dedup fires before the merge");
         assert_eq!(stats.journal_damaged, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A resume into another checkpoint path reads the log it resumes from:
+    /// the delivery logged but not merged before the kill is neither lost
+    /// nor re-leased, and the new checkpoint holds every verdict of run 1.
+    #[test]
+    fn resuming_into_another_path_keeps_every_verdict() {
+        let dir = test_dir("reroute");
+        let budgeted: Vec<PmcId> = (0..3).map(|i| i + 100).collect();
+        let fcfg = FleetCfg { batch: 2, ..fast_fcfg(&dir) };
+
+        // Run 1: lease [0,1] (record 1), job 0 (record 2), job 1 (record 3,
+        // where the kill lands: logged, never merged).
+        let fcfg1 = FleetCfg { fail_after_journal: Some(3), ..fcfg.clone() };
+        let (addr, coord) =
+            start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
+        let (mut a, _) = Client::join(&addr, 0);
+        assert_eq!(a.lease(2).expect("lease"), vec![0, 1]);
+        a.done(0, 100);
+        a.done(1, 101);
+        assert!(coord.join().unwrap().is_err(), "kill switch fired");
+        drop(a);
+
+        // Run 2 resumes P into Q.
+        let moved = dir.join("moved.json");
+        let cfg2 = CampaignCfg {
+            resume_from: Some(fcfg.checkpoint.clone()),
+            ..CampaignCfg::default()
+        };
+        let fcfg2 = FleetCfg { checkpoint: moved.clone(), ..fcfg.clone() };
+        let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg2);
+        let (mut b, _) = Client::join(&addr, 0);
+        assert_eq!(b.lease(2).expect("remaining work"), vec![2], "job 1 is not re-leased");
+        b.done(2, 102);
+        b.drain();
+
+        let report = coord.join().unwrap().expect("resumed report");
+        assert_eq!(report.fleet.unwrap().journal_replayed, 2);
+        let steps = |cp: &Checkpoint| cp.outcomes.values().map(|o| o.steps).collect::<Vec<_>>();
+        assert_eq!(steps(&Checkpoint::load(&moved).unwrap()), vec![100, 101, 102]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,13 +1,10 @@
-//! Write-ahead journal for the fleet coordinator and result spool for
-//! fleet workers.
+//! The record framing under the campaign checkpoint and the fleet worker's
+//! result spool, and the typed records a checkpoint log holds.
 //!
-//! The PR 6 fleet checkpointed only *merged results*: a killed coordinator
-//! forgot which jobs were out on lease and which results it had received
-//! but not yet saved, and a worker that lost the coordinator discarded its
-//! completed-but-undelivered verdicts. Both gaps are closed by the same
-//! primitive — [`FrameLog`], an append-only file of CRC32C-framed records
-//! with torn-tail truncation at open, reusing the checksum discipline of
-//! the store segments (PR 4, shared via [`sb_obs::crc`]).
+//! Both files are the same primitive — [`FrameLog`], an append-only file of
+//! CRC32C-framed records with torn-tail truncation at open, reusing the
+//! checksum discipline of the store segments (shared via
+//! [`sb_obs::crc`]).
 //!
 //! # On-disk format
 //!
@@ -17,20 +14,18 @@
 //!
 //! `crc` is the CRC32C of `len‖payload` (little-endian length bytes
 //! followed by the payload), mirroring the store's `key‖len‖payload`
-//! discipline minus the key. Every append is written and flushed before
-//! the coordinator acknowledges the event it records, so a `kill -9`
-//! can lose at most the record being appended — which truncation at the
-//! next open discards cleanly, leaving the previous acknowledged state.
+//! discipline minus the key. A file is always read whole, so a record is
+//! bounded by the bytes left, not by a cap of its own. An append is written
+//! before the event it records is acted on, so a `kill -9` can lose at most
+//! the record being appended — which the next reader discards cleanly,
+//! leaving the previous state.
 //!
-//! Payloads are single-line JSON objects. The coordinator journals typed
-//! [`JournalRecord`]s (lease grants, result deliveries, lease releases);
-//! the worker spool stores rendered [`crate::protocol::JoinMsg`] frames
-//! verbatim. [`Journal::open`] replays the record stream into a
-//! [`Replay`] — outstanding leases (grants minus releases), replayed
-//! results, and per-session ack watermarks — from which `serve --resume`
-//! rebuilds the exact lease table. Any damage (flipped byte, truncation)
-//! drops the damaged suffix and is *counted*, never a panic: resume then
-//! degrades to whatever prefix survived plus the merged checkpoint.
+//! Payloads are single-line JSON objects. A checkpoint log
+//! ([`crate::checkpoint`]) starts with a campaign header and then holds
+//! [`JournalRecord`]s (verdicts, lease grants, lease releases); the worker
+//! spool stores rendered [`crate::protocol::JoinMsg`] frames verbatim. Any
+//! damage (flipped byte, truncation) ends the intact prefix and is
+//! *counted*, never a panic.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -44,18 +39,14 @@ use crate::checkpoint::{
 };
 use crate::json::{self, Json};
 
-/// Journal file magic (8 bytes, versioned).
+/// Log file magic (8 bytes, versioned).
 pub const MAGIC: &[u8; 8] = b"SBWAL001";
-
-/// Hard ceiling on one journal record's payload — same bound as a fleet
-/// frame, since spooled records *are* fleet frames.
-pub const MAX_RECORD_LEN: usize = 1 << 20;
 
 /// An append-only log of CRC32C-framed string records.
 ///
 /// Open-time recovery is physical: the first record whose header is
-/// short, whose declared length is absurd, or whose CRC disagrees marks
-/// the damage point; everything from there on is truncated away and
+/// short, whose declared length overruns the file, or whose CRC disagrees
+/// marks the damage point; everything from there on is truncated away and
 /// counted, and appends continue at the cut.
 #[derive(Debug)]
 pub struct FrameLog {
@@ -70,8 +61,9 @@ pub struct Recovered {
     pub log: FrameLog,
     /// Every intact record's payload, in append order.
     pub records: Vec<String>,
-    /// 1 if a damaged/torn suffix was truncated away, else 0. (At most
-    /// one cut is possible: everything after the first bad frame goes.)
+    /// 1 if a damaged/torn suffix (or a foreign file) was discarded, else
+    /// 0. (At most one cut is possible: everything after the first bad
+    /// frame goes.)
     pub damaged: u64,
 }
 
@@ -85,85 +77,51 @@ impl FrameLog {
         Ok(FrameLog { file, path: path.to_path_buf() })
     }
 
+    /// Opens the existing log at `path` for appends, reading nothing.
+    pub(crate) fn append_to(path: &Path) -> io::Result<FrameLog> {
+        let file = OpenOptions::new().append(true).open(path)?;
+        Ok(FrameLog { file, path: path.to_path_buf() })
+    }
+
     /// Opens the log at `path` (creating it if absent), replays every
-    /// intact record, and truncates any damaged or torn suffix.
+    /// intact record, and truncates any damaged or torn suffix. A file
+    /// without the magic is foreign: it is started over, never replayed.
     pub fn open(path: &Path) -> io::Result<Recovered> {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        if bytes.is_empty() {
-            // Fresh file: stamp the magic and report an empty log.
-            file.write_all(MAGIC)?;
-            file.flush()?;
-            return Ok(Recovered {
-                log: FrameLog { file, path: path.to_path_buf() },
-                records: Vec::new(),
-                damaged: 0,
-            });
-        }
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            // Unrecognizable header: treat the whole file as damage and
-            // start over. (A foreign or pre-format file must not be
-            // silently replayed as campaign state.)
+        let log = |file| FrameLog { file, path: path.to_path_buf() };
+        let Some(frames) = decode(&bytes) else {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(MAGIC)?;
             file.flush()?;
-            return Ok(Recovered {
-                log: FrameLog { file, path: path.to_path_buf() },
-                records: Vec::new(),
-                damaged: 1,
-            });
-        }
-        let mut records = Vec::new();
-        let mut pos = MAGIC.len();
-        let mut damaged = 0u64;
-        while pos < bytes.len() {
-            let Some(rec) = read_record(&bytes, pos) else {
-                damaged = 1;
-                break;
-            };
-            let (payload, next) = rec;
-            records.push(payload);
-            pos = next;
-        }
-        if pos < bytes.len() || damaged == 1 {
-            // Torn tail or mid-record damage: physically cut it off so the
-            // next append starts at a clean boundary.
-            file.set_len(pos as u64)?;
+            let damaged = u64::from(!bytes.is_empty());
+            return Ok(Recovered { log: log(file), records: Vec::new(), damaged });
+        };
+        let end = frames.last().map_or(MAGIC.len(), |f| f.1);
+        if end < bytes.len() {
+            // Physically cut the damage off so the next append starts at a
+            // clean boundary.
+            file.set_len(end as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
-        Ok(Recovered { log: FrameLog { file, path: path.to_path_buf() }, records, damaged })
+        let records = frames.iter().map(|(payload, _)| (*payload).to_owned()).collect();
+        Ok(Recovered { log: log(file), records, damaged: u64::from(end < bytes.len()) })
     }
 
     /// Appends one record and flushes it to the OS. Called before the
-    /// event it records is acknowledged.
+    /// event it records is acted on.
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
-        let bytes = payload.as_bytes();
-        if bytes.len() > MAX_RECORD_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("journal record of {} bytes exceeds {MAX_RECORD_LEN}", bytes.len()),
-            ));
-        }
-        let len = (bytes.len() as u32).to_le_bytes();
-        let mut c = Crc32c::new();
-        c.update(&len);
-        c.update(bytes);
-        let crc = c.finish().to_le_bytes();
-        let mut frame = Vec::with_capacity(8 + bytes.len());
-        frame.extend_from_slice(&len);
-        frame.extend_from_slice(&crc);
-        frame.extend_from_slice(bytes);
+        let mut frame = Vec::with_capacity(8 + payload.len());
+        push_frame(&mut frame, payload)?;
         self.file.write_all(&frame)?;
         self.file.flush()
     }
 
-    /// Durably syncs appended records to disk (used at checkpoint saves;
-    /// per-append we only flush, trading a window of OS buffering for
-    /// throughput — a machine crash can lose that window, a process kill
-    /// cannot).
+    /// Durably syncs appended records to disk (per append we only flush: a
+    /// machine crash can lose what was not synced, a process kill cannot).
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
     }
@@ -181,47 +139,67 @@ impl FrameLog {
     }
 }
 
-/// Decodes one record at `pos`; `None` on any damage (short header,
-/// absurd length, overrun, CRC mismatch, non-UTF-8 payload).
-fn read_record(bytes: &[u8], pos: usize) -> Option<(String, usize)> {
-    let header_end = pos.checked_add(8)?;
-    if header_end > bytes.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().ok()?);
-    if len > MAX_RECORD_LEN {
-        return None;
-    }
-    let end = header_end.checked_add(len)?;
-    if end > bytes.len() {
-        return None;
-    }
-    let payload = &bytes[header_end..end];
+/// Appends the frame of `payload` to `out`.
+fn push_frame(out: &mut Vec<u8>, payload: &str) -> io::Result<()> {
+    let bytes = payload.as_bytes();
+    let len = u32::try_from(bytes.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record exceeds 4 GiB"))?
+        .to_le_bytes();
     let mut c = Crc32c::new();
-    c.update(&bytes[pos..pos + 4]);
+    c.update(&len);
+    c.update(bytes);
+    out.extend_from_slice(&len);
+    out.extend_from_slice(&c.finish().to_le_bytes());
+    out.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// A whole log file holding `records`, magic first.
+pub(crate) fn image<'a>(records: impl IntoIterator<Item = &'a str>) -> io::Result<Vec<u8>> {
+    let mut out = MAGIC.to_vec();
+    for record in records {
+        push_frame(&mut out, record)?;
+    }
+    Ok(out)
+}
+
+/// Decodes a log read whole: every intact record's payload with the offset
+/// just past it, in file order, up to the first damaged frame. `None` when
+/// `bytes` does not start with the magic. Reads nothing but `bytes`.
+pub(crate) fn decode(bytes: &[u8]) -> Option<Vec<(&str, usize)>> {
+    if bytes.get(..MAGIC.len()) != Some(MAGIC.as_slice()) {
+        return None;
+    }
+    let mut frames = Vec::new();
+    let mut pos = MAGIC.len();
+    while let Some((payload, next)) = read_record(bytes, pos) {
+        frames.push((payload, next));
+        pos = next;
+    }
+    Some(frames)
+}
+
+/// Decodes one record at `pos`; `None` on any damage (short header,
+/// length past the end, CRC mismatch, non-UTF-8 payload).
+fn read_record(bytes: &[u8], pos: usize) -> Option<(&str, usize)> {
+    let header = bytes.get(pos..pos.checked_add(8)?)?;
+    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().ok()?);
+    let end = (pos + 8).checked_add(len)?;
+    let payload = bytes.get(pos + 8..end)?;
+    let mut c = Crc32c::new();
+    c.update(&header[..4]);
     c.update(payload);
     if c.finish() != crc {
         return None;
     }
-    Some((String::from_utf8(payload.to_vec()).ok()?, end))
+    Some((std::str::from_utf8(payload).ok()?, end))
 }
 
-/// One typed coordinator journal record.
+/// One typed checkpoint-log record after the header.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
-    /// First record: binds the journal to one campaign. A journal whose
-    /// meta disagrees with the resuming coordinator belongs to some other
-    /// run and is discarded (counted as damage) instead of replayed.
-    Meta {
-        /// Campaign seed.
-        seed: u64,
-        /// `config_fingerprint` of the campaign-shaping parameters.
-        config: u64,
-        /// Number of budgeted jobs.
-        jobs: u64,
-    },
-    /// A lease was granted (journaled *before* the lease frame is sent).
+    /// A lease was granted (logged *before* the lease frame is sent).
     Lease {
         /// Lease id.
         lease: u64,
@@ -230,12 +208,12 @@ pub enum JournalRecord {
         /// Leased campaign job indices.
         jobs: Vec<usize>,
     },
-    /// A completed result was delivered (journaled *before* it is merged
-    /// and before any ack can reach the worker).
+    /// A completed result was delivered (logged *before* it is merged and
+    /// before any ack can reach the worker).
     Done {
-        /// Sender's session token.
+        /// Sender's session token (0: no session).
         session: u64,
-        /// Sender's per-session sequence number.
+        /// Sender's per-session sequence number (0: none).
         seq: u64,
         /// Campaign job index.
         job: usize,
@@ -244,9 +222,9 @@ pub enum JournalRecord {
     },
     /// A quarantine verdict was delivered.
     Quarantine {
-        /// Sender's session token.
+        /// Sender's session token (0: no session).
         session: u64,
-        /// Sender's per-session sequence number.
+        /// Sender's per-session sequence number (0: none).
         seq: u64,
         /// The quarantine record (carries its own job index).
         record: QuarantineRecord,
@@ -259,57 +237,52 @@ pub enum JournalRecord {
     },
 }
 
+/// One record as a JSON line: `rec` names the kind, `fields` follow.
+fn line(kind: &str, fields: Vec<(&str, Json)>) -> String {
+    let mut all = vec![("rec".to_string(), Json::Str(kind.to_owned()))];
+    all.extend(fields.into_iter().map(|(k, v)| (k.to_owned(), v)));
+    Json::Obj(all).render()
+}
+
+/// A verdict's line: `kind` with the sender's `session` and `seq`, and the
+/// verdict object under `key`.
+fn verdict(kind: &str, session: u64, seq: u64, key: &str, body: Json) -> String {
+    line(kind, vec![("session", Json::U64(session)), ("seq", Json::U64(seq)), (key, body)])
+}
+
+/// The `done` line of `job`'s outcome.
+pub(crate) fn done_line(session: u64, seq: u64, job: usize, outcome: &PmcTestOutcome) -> String {
+    verdict("done", session, seq, "outcome", outcome_to_json(job, outcome))
+}
+
+/// The `quarantine` line of `record`.
+pub(crate) fn quarantine_line(session: u64, seq: u64, record: &QuarantineRecord) -> String {
+    verdict("quarantine", session, seq, "record", quarantine_to_json(record))
+}
+
 impl JournalRecord {
     /// Renders the record as one JSON line.
     pub fn render(&self) -> String {
-        let obj = |kind: &str, mut fields: Vec<(String, Json)>| {
-            let mut all = vec![("rec".to_string(), Json::Str(kind.to_owned()))];
-            all.append(&mut fields);
-            Json::Obj(all).render()
-        };
         match self {
-            JournalRecord::Meta { seed, config, jobs } => obj(
-                "meta",
-                vec![
-                    ("seed".into(), Json::U64(*seed)),
-                    ("config".into(), Json::U64(*config)),
-                    ("jobs".into(), Json::U64(*jobs)),
-                ],
-            ),
-            JournalRecord::Lease { lease, session, jobs } => obj(
+            JournalRecord::Lease { lease, session, jobs } => line(
                 "lease",
                 vec![
-                    ("lease".into(), Json::U64(*lease)),
-                    ("session".into(), Json::U64(*session)),
-                    (
-                        "jobs".into(),
-                        Json::Arr(jobs.iter().map(|j| Json::U64(*j as u64)).collect()),
-                    ),
+                    ("lease", Json::U64(*lease)),
+                    ("session", Json::U64(*session)),
+                    ("jobs", Json::Arr(jobs.iter().map(|j| Json::U64(*j as u64)).collect())),
                 ],
             ),
-            JournalRecord::Done { session, seq, job, outcome } => obj(
-                "done",
-                vec![
-                    ("session".into(), Json::U64(*session)),
-                    ("seq".into(), Json::U64(*seq)),
-                    ("outcome".into(), outcome_to_json(*job, outcome)),
-                ],
-            ),
-            JournalRecord::Quarantine { session, seq, record } => obj(
-                "quarantine",
-                vec![
-                    ("session".into(), Json::U64(*session)),
-                    ("seq".into(), Json::U64(*seq)),
-                    ("record".into(), quarantine_to_json(record)),
-                ],
-            ),
-            JournalRecord::Release { lease } => {
-                obj("release", vec![("lease".into(), Json::U64(*lease))])
+            JournalRecord::Done { session, seq, job, outcome } => {
+                done_line(*session, *seq, *job, outcome)
             }
+            JournalRecord::Quarantine { session, seq, record } => {
+                quarantine_line(*session, *seq, record)
+            }
+            JournalRecord::Release { lease } => line("release", vec![("lease", Json::U64(*lease))]),
         }
     }
 
-    /// Parses one journal line.
+    /// Parses one record line.
     pub fn parse(line: &str) -> Result<JournalRecord, String> {
         let doc = json::parse(line)?;
         let kind = doc
@@ -317,11 +290,6 @@ impl JournalRecord {
             .and_then(Json::as_str)
             .ok_or("journal record without 'rec' discriminator")?;
         match kind {
-            "meta" => Ok(JournalRecord::Meta {
-                seed: req_u64(&doc, "seed")?,
-                config: req_u64(&doc, "config")?,
-                jobs: req_u64(&doc, "jobs")?,
-            }),
             "lease" => {
                 let jobs = doc
                     .get("jobs")
@@ -363,24 +331,7 @@ impl JournalRecord {
     }
 }
 
-/// One replayed result verdict, in journal (= delivery) order.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ReplayVerdict {
-    /// A completed outcome for `job`.
-    Done {
-        /// Campaign job index.
-        job: usize,
-        /// The verdict.
-        outcome: PmcTestOutcome,
-    },
-    /// A quarantine verdict.
-    Quarantine {
-        /// The quarantine record.
-        record: QuarantineRecord,
-    },
-}
-
-/// An outstanding lease reconstructed from the journal.
+/// An outstanding lease reconstructed from a checkpoint log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplayLease {
     /// Lease id.
@@ -391,125 +342,25 @@ pub struct ReplayLease {
     pub jobs: Vec<usize>,
 }
 
-/// Everything `serve --resume` reconstructs from the journal.
-#[derive(Debug, Default)]
+/// What a resume recovers from a checkpoint log besides its verdicts.
+#[derive(Debug, Default, PartialEq)]
 pub struct Replay {
-    /// Result verdicts in delivery order (the merge is first-wins, so
-    /// replaying in order reproduces the uninterrupted merge exactly).
-    pub results: Vec<ReplayVerdict>,
     /// Leases granted but never released, in grant order. Jobs already
-    /// resolved by a replayed result still appear here; the caller prunes
+    /// resolved by a logged verdict still appear here; the caller prunes
     /// against coverage.
     pub leases: Vec<ReplayLease>,
-    /// Per-session highest journaled result sequence number.
+    /// Per-session highest logged result sequence number.
     pub acked: std::collections::BTreeMap<u64, u64>,
-    /// Intact records replayed (including meta).
-    pub records: u64,
-    /// 1 if a damaged suffix (or an unrecognizable/foreign file) was
-    /// discarded, else 0.
+    /// Verdict records replayed (duplicates included).
+    pub verdicts: u64,
+    /// 1 if a damaged suffix was cut off, else 0.
     pub damaged: u64,
 }
 
-/// The coordinator's typed write-ahead journal.
-#[derive(Debug)]
-pub struct Journal {
-    log: FrameLog,
-}
-
-impl Journal {
-    /// Starts a fresh journal for this campaign, discarding any previous
-    /// contents at `path`.
-    pub fn create(path: &Path, seed: u64, config: u64, jobs: u64) -> io::Result<Journal> {
-        let mut log = FrameLog::create(path)?;
-        log.append(&JournalRecord::Meta { seed, config, jobs }.render())?;
-        Ok(Journal { log })
-    }
-
-    /// Opens the journal at `path` for a resuming coordinator and replays
-    /// it. A missing file yields an empty replay; a damaged suffix is
-    /// truncated and counted; a journal whose meta does not match this
-    /// campaign (or whose records fail to parse) is discarded entirely —
-    /// `damaged` is counted and the caller proceeds from the merged
-    /// checkpoint alone. Never panics on any file contents.
-    pub fn open(path: &Path, seed: u64, config: u64, jobs: u64) -> io::Result<(Journal, Replay)> {
-        let recovered = FrameLog::open(path)?;
-        let mut replay = Replay { damaged: recovered.damaged, ..Replay::default() };
-        let mut log = recovered.log;
-        let mut foreign = recovered.records.is_empty();
-        let mut parsed = Vec::with_capacity(recovered.records.len());
-        for (i, line) in recovered.records.iter().enumerate() {
-            match JournalRecord::parse(line) {
-                Ok(rec) => {
-                    if i == 0 {
-                        foreign = rec
-                            != JournalRecord::Meta { seed, config, jobs };
-                    }
-                    parsed.push(rec);
-                }
-                Err(_) => {
-                    // A CRC-intact but unparseable record means the file
-                    // is not (this version of) a journal: discard it.
-                    foreign = true;
-                    break;
-                }
-            }
-        }
-        if foreign {
-            // Start the journal over, bound to this campaign. Counted as
-            // damage when there was anything to discard.
-            if !recovered.records.is_empty() {
-                replay = Replay { damaged: 1, ..Replay::default() };
-            }
-            log.reset()?;
-            log.append(&JournalRecord::Meta { seed, config, jobs }.render())?;
-            return Ok((Journal { log }, replay));
-        }
-        let mut open_leases: Vec<ReplayLease> = Vec::new();
-        for rec in parsed {
-            replay.records += 1;
-            match rec {
-                JournalRecord::Meta { .. } => {}
-                JournalRecord::Lease { lease, session, jobs } => {
-                    open_leases.push(ReplayLease { lease, session, jobs });
-                }
-                JournalRecord::Done { session, seq, job, outcome } => {
-                    let acked = replay.acked.entry(session).or_insert(0);
-                    *acked = (*acked).max(seq);
-                    replay.results.push(ReplayVerdict::Done { job, outcome });
-                }
-                JournalRecord::Quarantine { session, seq, record } => {
-                    let acked = replay.acked.entry(session).or_insert(0);
-                    *acked = (*acked).max(seq);
-                    replay.results.push(ReplayVerdict::Quarantine { record });
-                }
-                JournalRecord::Release { lease } => {
-                    open_leases.retain(|l| l.lease != lease);
-                }
-            }
-        }
-        replay.leases = open_leases;
-        Ok((Journal { log }, replay))
-    }
-
-    /// Appends one record, flushed before the caller acknowledges it.
-    pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        self.log.append(&rec.render())
-    }
-
-    /// Durably syncs the journal (piggybacked on checkpoint saves).
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.log.sync()
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        self.log.path()
-    }
-}
-
-/// The default journal path for a given coordinator checkpoint path:
-/// the checkpoint file name with `.wal` appended (`sb-fleet.json` →
-/// `sb-fleet.json.wal`), so checkpoint and journal travel together.
+/// The path a checkpoint's write-ahead journal had before the checkpoint
+/// became the log itself: the checkpoint file name with `.wal` appended
+/// (`sb-fleet.json` → `sb-fleet.json.wal`). Only clean-up code still
+/// names it.
 pub fn journal_path_for(checkpoint: &Path) -> PathBuf {
     let mut os = checkpoint.as_os_str().to_owned();
     os.push(".wal");
@@ -564,6 +415,12 @@ mod tests {
         let r = FrameLog::open(&path).unwrap();
         assert_eq!(r.records, vec!["alpha", "", "payload\nwith\nnewlines"]);
         assert_eq!(r.damaged, 0);
+        // `image` writes what the appends wrote.
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(image(["alpha", "", "payload\nwith\nnewlines"]).unwrap(), bytes);
+        let mut log = FrameLog::append_to(&path).unwrap();
+        log.append("more").unwrap();
+        assert_eq!(FrameLog::open(&path).unwrap().records.len(), 4);
     }
 
     #[test]
@@ -624,9 +481,23 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_bounded_by_the_bytes_left_not_a_cap() {
+        let big = "x".repeat(3 << 20);
+        let bytes = image([big.as_str(), "tail"]).unwrap();
+        let frames = decode(&bytes).unwrap();
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[0].0.len(), big.len());
+        assert_eq!(frames[1], ("tail", bytes.len()));
+        // A length claiming more than is left ends the prefix.
+        let mut lying = bytes.clone();
+        lying[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&lying).unwrap(), vec![]);
+        assert_eq!(decode(b"SBWAL00"), None);
+    }
+
+    #[test]
     fn journal_records_round_trip() {
         for rec in [
-            JournalRecord::Meta { seed: 2021, config: u64::MAX, jobs: 60 },
             JournalRecord::Lease { lease: 3, session: 9, jobs: vec![0, 5, 17] },
             JournalRecord::Lease { lease: 4, session: 9, jobs: vec![] },
             JournalRecord::Done { session: 9, seq: 1, job: 5, outcome: outcome(5) },
@@ -637,68 +508,9 @@ mod tests {
             assert_eq!(JournalRecord::parse(&line).unwrap(), rec, "line: {line}");
         }
         assert!(JournalRecord::parse("{\"rec\":\"nope\"}").is_err());
+        assert!(JournalRecord::parse("{\"rec\":\"meta\",\"seed\":1}").is_err());
         assert!(JournalRecord::parse("{\"seed\":1}").is_err());
         assert!(JournalRecord::parse("not json").is_err());
-    }
-
-    #[test]
-    fn replay_rebuilds_outstanding_leases_and_acks() {
-        let d = dir("replay");
-        let path = d.join("fleet.json.wal");
-        let mut j = Journal::create(&path, 2021, 42, 10).unwrap();
-        j.append(&JournalRecord::Lease { lease: 1, session: 7, jobs: vec![0, 1] }).unwrap();
-        j.append(&JournalRecord::Lease { lease: 2, session: 8, jobs: vec![2, 3] }).unwrap();
-        j.append(&JournalRecord::Done { session: 7, seq: 1, job: 0, outcome: outcome(0) })
-            .unwrap();
-        // Lease 2 expires and its jobs are re-granted to session 7.
-        j.append(&JournalRecord::Release { lease: 2 }).unwrap();
-        j.append(&JournalRecord::Lease { lease: 3, session: 7, jobs: vec![2, 3] }).unwrap();
-        j.append(&JournalRecord::Quarantine { session: 7, seq: 2, record: quarantine(2) })
-            .unwrap();
-        drop(j);
-        let (_j, replay) = Journal::open(&path, 2021, 42, 10).unwrap();
-        assert_eq!(replay.damaged, 0);
-        assert_eq!(replay.records, 7);
-        assert_eq!(replay.results.len(), 2);
-        assert_eq!(
-            replay.leases,
-            vec![
-                ReplayLease { lease: 1, session: 7, jobs: vec![0, 1] },
-                ReplayLease { lease: 3, session: 7, jobs: vec![2, 3] },
-            ]
-        );
-        assert_eq!(replay.acked.get(&7), Some(&2));
-        assert_eq!(replay.acked.get(&8), None);
-    }
-
-    #[test]
-    fn mismatched_meta_degrades_to_an_empty_replay() {
-        let d = dir("meta");
-        let path = d.join("fleet.json.wal");
-        let mut j = Journal::create(&path, 2021, 42, 10).unwrap();
-        j.append(&JournalRecord::Done { session: 7, seq: 1, job: 0, outcome: outcome(0) })
-            .unwrap();
-        drop(j);
-        // Different campaign fingerprint: nothing may be replayed.
-        let (_j, replay) = Journal::open(&path, 2021, 43, 10).unwrap();
-        assert_eq!(replay.damaged, 1);
-        assert!(replay.results.is_empty());
-        assert!(replay.leases.is_empty());
-        // And the journal was rebound: reopening with the *new* meta is
-        // clean and empty.
-        let (_j, replay) = Journal::open(&path, 2021, 43, 10).unwrap();
-        assert_eq!(replay.damaged, 0);
-        assert_eq!(replay.records, 1, "just the fresh meta");
-    }
-
-    #[test]
-    fn missing_journal_is_a_clean_empty_replay() {
-        let d = dir("missing");
-        let path = d.join("fleet.json.wal");
-        let (_j, replay) = Journal::open(&path, 2021, 42, 10).unwrap();
-        assert_eq!(replay.damaged, 0);
-        assert_eq!(replay.records, 0);
-        assert!(replay.results.is_empty());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * **Universe** — the first `max_tested_pmcs` exemplars ([`universe`]);
 //!   job `i` tests exemplar `i`. Nothing outside it is ever accepted.
 //! * **Resume** — a checkpoint must match `(seed, universe)`; a lenient
-//!   resume replaces an unusable one with a fresh start. Covered jobs are
+//!   resume replaces an unusable one with a fresh start, and a damaged
+//!   tail is cut off with a warning. Covered jobs are
 //!   never handed out again, and their verdicts are traced once
 //!   ([`JobLedger::trace_restored`]) so a resumed trace balances.
 //! * **First verdict wins** — a verdict for a covered job is a counted
@@ -36,9 +37,16 @@
 //!   [`JobLedger::abandon`]s what is left as `GaveUp`.
 //! * **Stop** — once stopping, deaths no longer charge: winding a campaign
 //!   down quarantines nothing.
-//! * **Persistence** — the checkpoint file is saved after every merged
-//!   verdict (best effort), on every `Crash` quarantine, on
-//!   [`JobLedger::stop`], and by [`JobLedger::finish`] (authoritative).
+//! * **Persistence** — the checkpoint is one append-only log
+//!   ([`crate::checkpoint`]) that the ledger owns for every runner. Opening
+//!   writes it atomically: the header alone when fresh, the resumed log's
+//!   intact prefix on resume. Every real verdict handed over (a `Crash`
+//!   quarantine included, duplicates too) is appended and synced *before*
+//!   it is merged, so no acknowledgement can leave ahead of it; lease
+//!   records ride the same handle ([`JobLedger::journal`]).
+//!   [`JobLedger::stop`] syncs, and [`JobLedger::finish`] swaps in the
+//!   compact form atomically (authoritative). A failed append stops the
+//!   log for the rest of the run with one warning; the campaign goes on.
 //!
 //! The ledger does no I/O beyond that checkpoint file and reads no clock:
 //! lease deadlines are [`Instant`]s passed in by the transport.
@@ -50,9 +58,10 @@ use std::time::Instant;
 use crate::campaign::{
     aggregate, CampaignCfg, CampaignReport, JobVerdict, PmcTestOutcome, QuarantineRecord,
 };
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{self, Checkpoint, Loaded};
 use crate::error::{Error, FailureKind, SbResult};
 use crate::fault::FaultPlan;
+use crate::journal::{done_line, quarantine_line, FrameLog, JournalRecord, Replay};
 use crate::pmc::PmcId;
 
 /// The budgeted job universe: job `i` tests `universe[i]`.
@@ -83,8 +92,7 @@ impl std::fmt::Display for OutOfScope {
 /// What [`JobLedger::deliver`] did with a verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Delivered {
-    /// First verdict for the job: merged, and a checkpoint save attempted
-    /// (a transport with a journal syncs it alongside).
+    /// First verdict for the job: merged.
     Merged,
     /// The job already had a verdict; this one was dropped and counted.
     Duplicate,
@@ -95,7 +103,7 @@ pub enum Delivered {
 pub enum Charge {
     /// Back in the pending pool.
     Requeued(usize),
-    /// The crash budget ran out: quarantined as `Crash`, merged and saved.
+    /// The crash budget ran out: quarantined as `Crash`, logged and merged.
     Quarantined(QuarantineRecord),
 }
 
@@ -129,39 +137,66 @@ pub struct JobLedger {
     instant_deaths: u32,
     duplicates: u64,
     stopping: bool,
+    /// The checkpoint path: [`JobLedger::finish`] writes the compact form
+    /// here.
     save_to: Option<PathBuf>,
+    /// The checkpoint log appends go to; `None` without a checkpoint, and
+    /// after an append failed.
+    log: Option<FrameLog>,
+    /// Records the log took after its header.
+    written: u64,
+    /// What the resume recovered besides verdicts, until the transport
+    /// takes it.
+    replay: Replay,
     tracer: sb_obs::Tracer,
     fault_plan: FaultPlan,
 }
 
 impl JobLedger {
-    /// Builds the universe and loads the resume checkpoint named by `cfg`
-    /// (or begins a fresh one). `save_to` is the merged checkpoint a remote
-    /// transport owns; without it the ledger saves to `cfg.checkpoint`, or
-    /// nowhere.
+    /// Builds the universe, loads the resume checkpoint named by `cfg` (or
+    /// begins a fresh one), and writes the checkpoint log the run appends
+    /// to. `save_to` is the checkpoint a remote transport owns; without it
+    /// the ledger logs to `cfg.checkpoint`, or nowhere.
     pub fn open(
         exemplars: &[PmcId],
         cfg: &CampaignCfg,
         save_to: Option<&Path>,
     ) -> SbResult<JobLedger> {
         let universe = universe(exemplars, cfg);
-        let cp = match &cfg.resume_from {
-            None => Checkpoint::begin(cfg.seed, &universe),
+        let resumed = match &cfg.resume_from {
+            None => None,
             Some(path) => {
-                let loaded = Checkpoint::load(path)
-                    .and_then(|cp| cp.validate(cfg.seed, &universe).map(|()| cp));
+                let loaded = checkpoint::read(path)
+                    .and_then(|l| l.checkpoint.validate(cfg.seed, &universe).map(|()| l));
                 match loaded {
-                    Ok(cp) => cp,
+                    Ok(l) if l.replay.damaged > 0 => {
+                        eprintln!(
+                            "[campaign] warning: checkpoint {} ends in a damaged record — \
+                             resuming from its intact prefix",
+                            path.display()
+                        );
+                        Some(l)
+                    }
+                    Ok(l) => Some(l),
                     Err(e) if cfg.resume_lenient => {
                         eprintln!(
                             "[campaign] warning: ignoring unusable checkpoint {}: {e} — starting fresh",
                             path.display()
                         );
-                        Checkpoint::begin(cfg.seed, &universe)
+                        None
                     }
                     Err(e) => return Err(e),
                 }
             }
+        };
+        let (cp, intact, replay) = match resumed {
+            Some(Loaded { checkpoint, intact, replay }) => (checkpoint, Some(intact), replay),
+            None => (Checkpoint::begin(cfg.seed, &universe), None, Replay::default()),
+        };
+        let save_to = save_to.map(Path::to_path_buf).or_else(|| cfg.checkpoint.clone());
+        let log = match &save_to {
+            Some(path) => Some(checkpoint::install(path, intact.map_or_else(|| cp.image(), Ok))?),
+            None => None,
         };
         let pending = (0..universe.len()).filter(|job| !cp.covers(*job)).collect();
         Ok(JobLedger {
@@ -174,9 +209,10 @@ impl JobLedger {
             instant_deaths: 0,
             duplicates: 0,
             stopping: false,
-            save_to: save_to
-                .map(Path::to_path_buf)
-                .or_else(|| cfg.checkpoint.clone()),
+            save_to,
+            log,
+            written: 0,
+            replay,
             tracer: cfg.tracer.clone(),
             fault_plan: cfg.fault_plan.clone(),
         })
@@ -187,18 +223,14 @@ impl JobLedger {
         &self.universe
     }
 
-    /// Merges a verdict recovered from a write-ahead journal: same merge
-    /// rule as [`JobLedger::deliver`], but silent — no trace, no save,
-    /// no duplicate count — and lenient about jobs outside the universe
-    /// (a foreign record is dropped, not fatal).
-    pub fn restore(&mut self, job: usize, verdict: JobVerdict) {
-        if job < self.universe.len() && !self.resolved_against(job, &verdict) {
-            self.merge(job, verdict);
-        }
+    /// Hands the transport what the resume recovered besides verdicts:
+    /// open leases, session acks, and the replay counts (empty when fresh).
+    pub fn take_replay(&mut self) -> Replay {
+        std::mem::take(&mut self.replay)
     }
 
     /// Emits the per-job trace records for every verdict the campaign
-    /// starts with (checkpoint plus restored journal suffix). They are part
+    /// starts with (those of the resumed checkpoint). They are part
     /// of the final summary, so their events must be in the trace for
     /// `trace report` to balance.
     pub fn trace_restored(&self) {
@@ -257,18 +289,73 @@ impl JobLedger {
         self.owners.get(&owner).map_or_else(Vec::new, |o| o.jobs.iter().copied().collect())
     }
 
-    /// Accepts one verdict for `job`.
+    /// Accepts one verdict for `job` from a transport without sessions.
     pub fn deliver(&mut self, job: usize, verdict: JobVerdict) -> Result<Delivered, OutOfScope> {
+        self.deliver_from(0, 0, job, verdict)
+    }
+
+    /// Accepts one verdict for `job`, sent as sequence number `seq` of
+    /// `session` (0 and 0 for a transport that has neither). A real
+    /// verdict is logged and synced before it is merged, duplicate or not,
+    /// so a resume rebuilds the session's ack from the log.
+    pub fn deliver_from(
+        &mut self,
+        session: u64,
+        seq: u64,
+        job: usize,
+        verdict: JobVerdict,
+    ) -> Result<Delivered, OutOfScope> {
         self.check(job)?;
+        if !reported_only(&verdict) {
+            self.log_verdict(session, seq, job, &verdict);
+        }
         if self.resolved_against(job, &verdict) {
             self.duplicates += 1;
             return Ok(Delivered::Duplicate);
         }
         self.trace(job, &verdict);
         self.merge(job, verdict);
-        // Best effort; `finish` is authoritative.
-        let _ = self.save();
         Ok(Delivered::Merged)
+    }
+
+    /// Logs a transport record (a lease grant or release), flushed but not
+    /// synced: the next verdict's sync carries it to disk.
+    pub fn journal(&mut self, rec: &JournalRecord) {
+        self.append(false, || rec.render());
+    }
+
+    /// Records the checkpoint log took after its header so far, and
+    /// whether an append failed (after which nothing more was logged).
+    pub fn logged(&self) -> (u64, bool) {
+        (self.written, self.save_to.is_some() && self.log.is_none())
+    }
+
+    fn log_verdict(&mut self, session: u64, seq: u64, job: usize, verdict: &JobVerdict) {
+        self.append(true, || match verdict {
+            JobVerdict::Completed(outcome) => done_line(session, seq, job, outcome),
+            JobVerdict::Quarantined(record) => quarantine_line(session, seq, record),
+        });
+    }
+
+    /// Appends the record `line` renders (only rendered when there is a
+    /// log), syncing it when `sync`. The first failure ends the log.
+    fn append(&mut self, sync: bool, line: impl FnOnce() -> String) {
+        let Some(log) = self.log.as_mut() else { return };
+        let written = log.append(&line()).and_then(|()| if sync { log.sync() } else { Ok(()) });
+        match written {
+            Ok(()) => self.written += 1,
+            Err(e) => self.log_failed(&e),
+        }
+    }
+
+    fn log_failed(&mut self, e: &std::io::Error) {
+        if let Some(log) = self.log.take() {
+            eprintln!(
+                "[campaign] warning: checkpoint {} stopped taking records ({e}); \
+                 the rest of this run is not logged",
+                log.path().display()
+            );
+        }
     }
 
     /// The `job:close` fault: the queue closes before job `cut`, so every
@@ -342,9 +429,9 @@ impl JobLedger {
                 chain: vec![cause(job), format!("crash budget ({crash_budget}) exhausted")],
             };
             let verdict = JobVerdict::Quarantined(record.clone());
+            self.log_verdict(0, 0, job, &verdict);
             self.trace(job, &verdict);
             self.merge(job, verdict);
-            let _ = self.save();
             charges.push(Charge::Quarantined(record));
         }
         charges
@@ -390,25 +477,18 @@ impl JobLedger {
         self.duplicates
     }
 
-    /// Begins winding down: flushes the checkpoint; deaths from here on
+    /// Begins winding down: syncs the checkpoint log; deaths from here on
     /// charge nothing.
-    pub fn stop(&mut self) -> SbResult<()> {
+    pub fn stop(&mut self) {
         self.stopping = true;
-        self.save()
+        if let Some(Err(e)) = self.log.as_mut().map(FrameLog::sync) {
+            self.log_failed(&e);
+        }
     }
 
     /// True once [`JobLedger::stop`] was called.
     pub fn stopping(&self) -> bool {
         self.stopping
-    }
-
-    /// Writes the checkpoint now (a no-op for a ledger with nowhere to
-    /// save).
-    pub fn save(&self) -> SbResult<()> {
-        match &self.save_to {
-            Some(path) => self.cp.save(path),
-            None => Ok(()),
-        }
     }
 
     /// Where every job currently is. The four lists partition the universe.
@@ -421,10 +501,13 @@ impl JobLedger {
         }
     }
 
-    /// Final save, then the report: outcomes in job order, quarantines from
-    /// the checkpoint plus the reported-only verdicts.
+    /// Replaces the checkpoint log with its compact form, then the report:
+    /// outcomes in job order, quarantines from the checkpoint plus the
+    /// reported-only verdicts.
     pub fn finish(self) -> SbResult<CampaignReport> {
-        self.save()?;
+        if let Some(path) = &self.save_to {
+            self.cp.save(path)?;
+        }
         let mut quarantined = self.cp.quarantined;
         for (job, q) in self.reported {
             quarantined.entry(job).or_insert(q);
@@ -642,12 +725,16 @@ mod tests {
 
     #[test]
     fn verdicts_outside_the_universe_are_rejected() {
-        let mut ledger = JobLedger::open(&exemplars(2), &CampaignCfg::default(), None).unwrap();
+        let path = scratch("foreign");
+        let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
+        let before = std::fs::read(&path).unwrap();
         let err = ledger.deliver(9, done(9, 1)).unwrap_err();
         assert_eq!(err.to_string(), "job 9 is outside the 2-job universe");
-        ledger.restore(9, done(9, 1));
+        assert_eq!(std::fs::read(&path).unwrap(), before, "never logged");
+        assert_eq!(ledger.logged(), (0, false));
         assert_eq!(ledger.census().covered, Vec::<usize>::new());
         assert!(ledger.finish().unwrap().outcomes.is_empty());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -808,9 +895,11 @@ mod tests {
         let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
         ledger.deliver(0, done(0, 100)).unwrap();
         ledger.lease(1, 1, None);
-        std::fs::remove_file(&path).unwrap();
-        ledger.stop().unwrap();
+        let logged = std::fs::read(&path).unwrap();
+        ledger.stop();
         assert!(ledger.stopping());
+        // Stopping rewrites nothing: the verdict was already on disk.
+        assert_eq!(std::fs::read(&path).unwrap(), logged);
         assert_eq!(Checkpoint::load(&path).unwrap().outcomes.len(), 1);
         // Killing the straggler charges nothing, even at a budget of one.
         assert_eq!(ledger.owner_died(1, 1, |_| String::new()), vec![Charge::Requeued(1)]);
@@ -822,14 +911,22 @@ mod tests {
 
     #[test]
     fn restored_verdicts_merge_silently_and_are_traced_once() {
+        // A run killed before `finish`: its log holds job 0 twice (the
+        // duplicate is logged too) and not the reported-only job 1.
+        let path = scratch("restore");
+        let mut killed = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
+        killed.deliver(0, done(0, 100)).unwrap();
+        killed.deliver(0, done(0, 999)).unwrap();
+        killed.deliver(1, quarantine(1, FailureKind::Rejected)).unwrap();
+        assert_eq!(killed.logged(), (2, false));
+        drop(killed);
+
         let (tracer, sink) = sb_obs::Tracer::memory();
-        let cfg = CampaignCfg { tracer, ..CampaignCfg::default() };
+        let cfg = CampaignCfg { tracer, resume_from: Some(path.clone()), ..CampaignCfg::default() };
         let mut ledger = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
-        ledger.restore(0, done(0, 100));
-        ledger.restore(0, done(0, 999));
-        ledger.restore(1, quarantine(1, FailureKind::Rejected));
         assert_eq!(ledger.duplicates(), 0, "replay counts nothing");
-        assert_eq!(ledger.lease(0, usize::MAX, None), vec![2]);
+        assert_eq!(ledger.take_replay().verdicts, 2);
+        assert_eq!(ledger.lease(0, usize::MAX, None), vec![1, 2]);
         let job_events = |sink: &sb_obs::MemorySink| {
             sink.lines().iter().filter(|l| l.contains("\"job\"")).count()
         };
@@ -837,7 +934,70 @@ mod tests {
         assert_eq!(job_events(&sink), 0);
         ledger.trace_restored();
         cfg.tracer.flush();
-        assert_eq!(job_events(&sink), 2);
+        assert_eq!(job_events(&sink), 1);
         assert_eq!(steps(&ledger.finish().unwrap()), vec![100]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn each_verdict_appends_one_record() {
+        let path = scratch("append");
+        let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
+        let mut before = std::fs::read(&path).unwrap();
+        for job in 0..3 {
+            assert_eq!(ledger.deliver(job, done(job, 10 + job as u64)), Ok(Delivered::Merged));
+            let after = std::fs::read(&path).unwrap();
+            assert!(after.starts_with(&before), "job {job}: the file was rewritten");
+            let mut tail = crate::journal::MAGIC.to_vec();
+            tail.extend_from_slice(&after[before.len()..]);
+            let frames = crate::journal::decode(&tail)
+                .unwrap()
+                .into_iter()
+                .map(|(line, _)| JournalRecord::parse(line).unwrap())
+                .collect::<Vec<_>>();
+            assert!(
+                matches!(frames.as_slice(), [JournalRecord::Done { job: j, .. }] if *j == job),
+                "job {job}: {frames:?}"
+            );
+            before = after;
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_copies_the_intact_prefix_and_leaves_the_source_alone() {
+        let (src, dst) = (scratch("src"), scratch("dst"));
+        let mut first = JobLedger::open(&exemplars(3), &saving_to(&src), None).unwrap();
+        first.deliver(0, done(0, 100)).unwrap();
+        first.deliver(1, done(1, 101)).unwrap();
+        drop(first);
+        // Tear the last record: a strict resume keeps the intact prefix.
+        let bytes = std::fs::read(&src).unwrap();
+        std::fs::write(&src, &bytes[..bytes.len() - 5]).unwrap();
+        let torn = std::fs::read(&src).unwrap();
+        let cfg = CampaignCfg { resume_from: Some(src.clone()), ..saving_to(&dst) };
+        let mut resumed = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
+        assert_eq!(std::fs::read(&src).unwrap(), torn, "loading modifies nothing");
+        assert_eq!(resumed.take_replay().damaged, 1);
+        assert_eq!(resumed.census().covered, vec![0]);
+        let copied = std::fs::read(&dst).unwrap();
+        assert!(torn.starts_with(&copied) && copied.len() < torn.len(), "the prefix, cut");
+        resumed.deliver(2, done(2, 102)).unwrap();
+        assert_eq!(Checkpoint::load(&dst).unwrap().outcomes.len(), 2);
+        // A strict resume that fails touches neither file.
+        let foreign = CampaignCfg { seed: 1, ..cfg };
+        let dst_now = std::fs::read(&dst).unwrap();
+        assert!(JobLedger::open(&exemplars(3), &foreign, None).is_err());
+        assert_eq!((std::fs::read(&src).unwrap(), std::fs::read(&dst).unwrap()), (torn, dst_now));
+        let _ = (std::fs::remove_file(&src), std::fs::remove_file(&dst));
+    }
+
+    #[test]
+    fn a_bad_checkpoint_path_fails_before_any_job() {
+        let cfg = saving_to(Path::new("/nonexistent/sb-ledger/ckpt.json"));
+        assert!(matches!(
+            JobLedger::open(&exemplars(1), &cfg, None),
+            Err(Error::CheckpointIo { .. })
+        ));
     }
 }

@@ -26,7 +26,7 @@
 //! Campaign execution is fault tolerant: per-job failures are typed
 //! ([`error`]), bounded by a watchdog ([`watchdog`]), retried with
 //! deterministic reseeds ([`retry`]), quarantined when permanent, and
-//! periodically checkpointed for kill/resume ([`checkpoint`]); [`fault`]
+//! logged to an append-only checkpoint for kill/resume ([`checkpoint`]); [`fault`]
 //! provides deterministic fault injection for testing that machinery.
 //! The job lifecycle — resume, lease, merge, crash budget, breaker,
 //! checkpoint, report — is one state machine ([`ledger`]) driven
@@ -99,7 +99,7 @@ pub use fault::{FaultPlan, NetFaultPlan};
 pub use fleet::{
     config_fingerprint, run_coordinator, run_join, FleetCfg, FleetWork, JoinCfg, JoinSummary,
 };
-pub use journal::{FrameLog, Journal, JournalRecord};
+pub use journal::{FrameLog, JournalRecord};
 pub use ledger::JobLedger;
 pub use metrics::{FleetStats, StoreStats, SuperviseStats};
 pub use pmc::{identify_sharded, IdentifyOpts, JoinReport, JoinState, Pmc, PmcId, PmcSet};

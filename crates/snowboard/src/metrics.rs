@@ -3,6 +3,7 @@
 
 use sb_kernel::{BootedKernel, Program};
 use sb_vmm::sched::{RandomSched, Scheduler, SkiSched, SnowboardSched};
+use sb_vmm::exec::ExecReport;
 use sb_vmm::Executor;
 
 use sb_detect::Finding;
@@ -154,15 +155,15 @@ pub struct FleetStats {
     /// Workers that re-registered with a session token the coordinator
     /// already knew (from a live run or a journal replay).
     pub sessions_resumed: u64,
-    /// Write-ahead journal records appended this run (lease grants,
-    /// result deliveries, lease releases; the meta stamp is not counted).
+    /// Records the checkpoint log took this run (lease grants, result
+    /// deliveries, lease releases; the header is not counted).
     pub journal_records: u64,
-    /// Result verdicts replayed from the journal at `--resume`.
+    /// Verdict records replayed from the checkpoint log at `--resume`.
     pub journal_replayed: u64,
-    /// Journal damage incidents: a torn/corrupt suffix or foreign file
-    /// discarded at open, or an append failure that disabled journaling.
+    /// Checkpoint log damage incidents: a torn/corrupt tail cut off at
+    /// resume, or an append failure that ended the log.
     pub journal_damaged: u64,
-    /// Outstanding leases rebuilt from the journal at `--resume`.
+    /// Outstanding leases rebuilt from the checkpoint log at `--resume`.
     pub leases_restored: u64,
     /// True when the run ended early because the stop file appeared.
     pub stopped: bool,
@@ -195,45 +196,12 @@ pub fn interleavings_to_expose(
     max_trials: u32,
     hit: impl Fn(&[Finding]) -> bool,
 ) -> Option<ExposeResult> {
-    let hints = pmc.hints();
-    let mut snowboard = SnowboardSched::new(seed, hints);
-    let mut ski = SkiSched::new(seed, hints.iter().map(|h| h.site));
     let mut steps = 0u64;
-    for trial in 0..max_trials {
-        let trial_seed = seed.wrapping_add(u64::from(trial));
-        let mut random;
-        let sched: &mut dyn Scheduler = match kind {
-            SchedKind::Snowboard => {
-                snowboard.begin_trial(trial_seed);
-                &mut snowboard
-            }
-            SchedKind::Ski => {
-                ski.begin_trial(trial_seed);
-                &mut ski
-            }
-            SchedKind::Random => {
-                random = RandomSched::new(trial_seed, 0.005);
-                &mut random
-            }
-        };
-        let r = exec.run(
-            booted.snapshot.clone(),
-            vec![
-                booted.kernel.process_job(writer.clone()),
-                booted.kernel.process_job(reader.clone()),
-            ],
-            sched,
-        );
-        steps += r.report.steps;
-        let findings = sb_detect::analyze(&r.report);
-        if hit(&findings) {
-            return Some(ExposeResult {
-                interleavings: trial + 1,
-                steps,
-            });
-        }
-    }
-    None
+    let trials = run_trials(exec, booted, writer, reader, pmc, kind, seed, max_trials, |r| {
+        steps += r.steps;
+        hit(&sb_detect::analyze(r))
+    });
+    (trials < max_trials).then(|| ExposeResult { interleavings: trials + 1, steps })
 }
 
 /// Convenience predicate: any finding triaging to `bug_id`.
@@ -270,12 +238,35 @@ pub fn measure_throughput(
     n: u32,
 ) -> ThroughputStats {
     let start = std::time::Instant::now();
-    let mut steps = 0u64;
-    let mut switches = 0u64;
-    let hints = set_hints.hints();
+    let (mut steps, mut switches) = (0u64, 0u64);
+    run_trials(exec, booted, writer, reader, set_hints, kind, seed, n, |r| {
+        steps += r.steps;
+        switches += r.switches;
+        false
+    });
+    ThroughputStats { executions: n, steps, switches, elapsed: start.elapsed() }
+}
+
+/// The §5.4 trial loop: up to `max_trials` runs of the writer/reader pair
+/// from the boot snapshot, trial `t` under `kind` seeded `seed + t`. Each
+/// report goes to `stop`; the loop ends at the first `true`. Returns the
+/// index of that trial, or `max_trials` when none stopped it.
+#[allow(clippy::too_many_arguments)]
+fn run_trials(
+    exec: &mut Executor,
+    booted: &BootedKernel,
+    writer: &Program,
+    reader: &Program,
+    pmc: &Pmc,
+    kind: SchedKind,
+    seed: u64,
+    max_trials: u32,
+    mut stop: impl FnMut(&ExecReport) -> bool,
+) -> u32 {
+    let hints = pmc.hints();
     let mut snowboard = SnowboardSched::new(seed, hints);
     let mut ski = SkiSched::new(seed, hints.iter().map(|h| h.site));
-    for trial in 0..n {
+    for trial in 0..max_trials {
         let trial_seed = seed.wrapping_add(u64::from(trial));
         let mut random;
         let sched: &mut dyn Scheduler = match kind {
@@ -292,23 +283,15 @@ pub fn measure_throughput(
                 &mut random
             }
         };
-        let r = exec.run(
-            booted.snapshot.clone(),
-            vec![
-                booted.kernel.process_job(writer.clone()),
-                booted.kernel.process_job(reader.clone()),
-            ],
-            sched,
-        );
-        steps += r.report.steps;
-        switches += r.report.switches;
+        let jobs = vec![
+            booted.kernel.process_job(writer.clone()),
+            booted.kernel.process_job(reader.clone()),
+        ];
+        if stop(&exec.run(booted.snapshot.clone(), jobs, sched).report) {
+            return trial;
+        }
     }
-    ThroughputStats {
-        executions: n,
-        steps,
-        switches,
-        elapsed: start.elapsed(),
-    }
+    max_trials
 }
 
 /// Picks the PMC whose hint *instructions* dynamically touch the most

@@ -1,7 +1,7 @@
 //! CRC32C for segment records — re-exported from [`sb_obs::crc`].
 //!
 //! The implementation moved to `sb-obs` (the workspace's dependency root)
-//! so the fleet coordinator's write-ahead journal in `snowboard` can share
+//! so the campaign checkpoint log in `snowboard` can share
 //! it; `sb-store` depends on `snowboard`, so the checksum has to live
 //! *below* both. Segment records still checksum `key‖len‖payload` with
 //! the same Castagnoli polynomial as before — the format on disk is

@@ -95,7 +95,7 @@ impl Manifest {
 
     /// Atomically writes the manifest to `path`.
     pub fn save(&self, path: &Path) -> Result<(), Error> {
-        json::atomic_write(path, &self.render()).map_err(|(op, path, source)| Error::Io { op, path, source })
+        json::atomic_write(path, self.render()).map_err(|(op, path, source)| Error::Io { op, path, source })
     }
 
     /// The manifest document, streamed into one pre-sized string.

@@ -250,16 +250,17 @@ fn lenient_resume_survives_a_corrupt_checkpoint() {
     let clean = run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &base_cfg())
         .expect("clean campaign");
 
-    // Write a real checkpoint, then truncate it mid-file — the torn state a
-    // kill during a non-atomic write would leave behind.
+    // Write a real checkpoint, then damage its campaign header (a damaged
+    // tail would resume from the intact prefix instead).
     let first_cfg = CampaignCfg {
         checkpoint: Some(path.clone()),
         ..base_cfg()
     };
     run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &first_cfg).expect("campaign");
-    let bytes = std::fs::read(&path).expect("checkpoint written");
-    assert!(bytes.len() > 2);
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
+    let mut bytes = std::fs::read(&path).expect("checkpoint written");
+    assert!(bytes.len() > 20);
+    bytes[20] ^= 0x40;
+    std::fs::write(&path, &bytes).expect("damage");
 
     // Strict resume refuses the unparseable checkpoint.
     let strict_cfg = CampaignCfg {
