@@ -30,13 +30,26 @@ fn expose_12(
     cap: u32,
 ) -> (f64, u64) {
     let writer = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
     ]);
     let reader = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
-        Syscall::Sendmsg { sock: Res(0), len: 1 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
+        Syscall::Sendmsg {
+            sock: Res(0),
+            len: 1,
+        },
     ]);
     let mut exec = Executor::new(2);
     let mut total = 0u64;
@@ -79,13 +92,26 @@ fn main() {
 
     // Derive the l2tp PMC for hint-based schedulers.
     let writer = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
     ]);
     let reader = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
-        Syscall::Sendmsg { sock: Res(0), len: 1 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
+        Syscall::Sendmsg {
+            sock: Res(0),
+            len: 1,
+        },
     ]);
     let profiles = profile_corpus(&booted, &[writer, reader], 2);
     let set = identify(&profiles);
@@ -93,7 +119,9 @@ fn main() {
         .expect("l2tp PMC");
     let hints = pmc.hints();
 
-    println!("\nAblation 1+2 — scheduler variants vs bug #12 (avg trials over 10 seeds, cap 2048)\n");
+    println!(
+        "\nAblation 1+2 — scheduler variants vs bug #12 (avg trials over 10 seeds, cap 2048)\n"
+    );
     let seeds = 10;
     let cap = 2048;
     let mut rows = Vec::new();
@@ -107,7 +135,11 @@ fn main() {
             })
         };
         let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
-        rows.push(vec!["Snowboard (full)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
+        rows.push(vec![
+            "Snowboard (full)".into(),
+            format!("{avg:.1}"),
+            format!("{hits}/{seeds}"),
+        ]);
     }
     {
         let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
@@ -120,7 +152,11 @@ fn main() {
             })
         };
         let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
-        rows.push(vec!["Snowboard w/o flags".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
+        rows.push(vec![
+            "Snowboard w/o flags".into(),
+            format!("{avg:.1}"),
+            format!("{hits}/{seeds}"),
+        ]);
     }
     {
         let sites: Vec<_> = hints.iter().map(|h| h.site).collect();
@@ -129,21 +165,33 @@ fn main() {
             Box::new(move |trial| Box::new(SkiSched::new(seed ^ trial, sites.clone())))
         };
         let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
-        rows.push(vec!["SKI (site-only)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
+        rows.push(vec![
+            "SKI (site-only)".into(),
+            format!("{avg:.1}"),
+            format!("{hits}/{seeds}"),
+        ]);
     }
     {
         let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
             Box::new(move |trial| Box::new(PctSched::new(seed ^ (trial << 17), 300, 3)))
         };
         let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
-        rows.push(vec!["PCT (d=3)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
+        rows.push(vec![
+            "PCT (d=3)".into(),
+            format!("{avg:.1}"),
+            format!("{hits}/{seeds}"),
+        ]);
     }
     {
         let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
             Box::new(move |trial| Box::new(RandomSched::new(seed ^ (trial << 13), 0.005)))
         };
         let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
-        rows.push(vec!["Random (unguided)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
+        rows.push(vec![
+            "Random (unguided)".into(),
+            format!("{avg:.1}"),
+            format!("{hits}/{seeds}"),
+        ]);
     }
     print_table(&["Scheduler", "Avg trials to #12", "Exposed"], &rows);
 
@@ -151,8 +199,16 @@ fn main() {
     let p = prepare(KernelConfig::v5_12_rc3(), &scale, 2021);
     let mut rows = Vec::new();
     for (label, order, incidental) in [
-        ("uncommon-first + incidental", ClusterOrder::UncommonFirst, true),
-        ("uncommon-first, no incidental", ClusterOrder::UncommonFirst, false),
+        (
+            "uncommon-first + incidental",
+            ClusterOrder::UncommonFirst,
+            true,
+        ),
+        (
+            "uncommon-first, no incidental",
+            ClusterOrder::UncommonFirst,
+            false,
+        ),
         ("random order + incidental", ClusterOrder::Random, true),
     ] {
         let exemplars = p.exemplars(Strategy::SInsPair, order);

@@ -39,8 +39,26 @@ fn main() {
     // Baseline inputs involve no prediction; they dilute overall accuracy
     // exactly as in the paper's accounting.
     let baseline_tests = {
-        let r1 = run_baseline(&p.booted, &p.corpus, Pairing::Random, scale.max_tested / 2, scale.trials / 4, 23, scale.workers, true);
-        let r2 = run_baseline(&p.booted, &p.corpus, Pairing::Duplicate, scale.max_tested / 2, scale.trials / 4, 29, scale.workers, true);
+        let r1 = run_baseline(
+            &p.booted,
+            &p.corpus,
+            Pairing::Random,
+            scale.max_tested / 2,
+            scale.trials / 4,
+            23,
+            scale.workers,
+            true,
+        );
+        let r2 = run_baseline(
+            &p.booted,
+            &p.corpus,
+            Pairing::Duplicate,
+            scale.max_tested / 2,
+            scale.trials / 4,
+            29,
+            scale.workers,
+            true,
+        );
         r1.tested() + r2.tested()
     };
 

@@ -11,10 +11,10 @@
 use sb_bench::print_table;
 use sb_kernel::prog::{Domain, IoctlCmd, MsgCmd, Path, Res};
 use sb_kernel::{boot, KernelConfig, Program, Syscall};
+use sb_vmm::Executor;
 use snowboard::metrics::{hits_bug, interleavings_to_expose, SchedKind};
 use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
-use sb_vmm::Executor;
 
 struct Case {
     bug: u8,
@@ -33,13 +33,26 @@ fn cases() -> Vec<Case> {
             label: "#12 l2tp order violation",
             config: KernelConfig::v5_12_rc3(),
             writer: Program::new(vec![
-                Syscall::Socket { domain: Domain::L2tp },
-                Syscall::Connect { sock: Res(0), tunnel_id: 2 },
+                Syscall::Socket {
+                    domain: Domain::L2tp,
+                },
+                Syscall::Connect {
+                    sock: Res(0),
+                    tunnel_id: 2,
+                },
             ]),
             reader: Program::new(vec![
-                Syscall::Socket { domain: Domain::L2tp },
-                Syscall::Connect { sock: Res(0), tunnel_id: 2 },
-                Syscall::Sendmsg { sock: Res(0), len: 1 },
+                Syscall::Socket {
+                    domain: Domain::L2tp,
+                },
+                Syscall::Connect {
+                    sock: Res(0),
+                    tunnel_id: 2,
+                },
+                Syscall::Sendmsg {
+                    sock: Res(0),
+                    len: 1,
+                },
             ]),
             write_fn: "list_add_rcu",
             read_fn: "l2tp_tunnel_get",
@@ -50,7 +63,10 @@ fn cases() -> Vec<Case> {
             config: KernelConfig::v5_3_10(),
             writer: Program::new(vec![
                 Syscall::Msgget { key: 3 },
-                Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
+                Syscall::Msgctl {
+                    id: Res(0),
+                    cmd: MsgCmd::Rmid,
+                },
             ]),
             reader: Program::new(vec![Syscall::Msgget { key: 3 }]),
             write_fn: "rht_assign_unlock",
@@ -60,13 +76,12 @@ fn cases() -> Vec<Case> {
             bug: 11,
             label: "#11 configfs null deref",
             config: KernelConfig::v5_12_rc3(),
-            writer: Program::new(vec![
-                Syscall::Mkdir { item: 1 },
-                Syscall::Rmdir { item: 1 },
-            ]),
+            writer: Program::new(vec![Syscall::Mkdir { item: 1 }, Syscall::Rmdir { item: 1 }]),
             reader: Program::new(vec![
                 Syscall::Mkdir { item: 1 },
-                Syscall::Open { path: Path::Configfs(1) },
+                Syscall::Open {
+                    path: Path::Configfs(1),
+                },
             ]),
             write_fn: "configfs_detach",
             read_fn: "configfs_lookup",
@@ -76,14 +91,34 @@ fn cases() -> Vec<Case> {
             label: "#2 ext4 swap boot loader",
             config: KernelConfig::v5_12_rc3(),
             writer: Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(1) },
-                Syscall::Write { fd: Res(0), off: 1, val: 7 },
-                Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+                Syscall::Open {
+                    path: Path::Ext4File(1),
+                },
+                Syscall::Write {
+                    fd: Res(0),
+                    off: 1,
+                    val: 7,
+                },
+                Syscall::Ioctl {
+                    fd: Res(0),
+                    cmd: IoctlCmd::Ext4SwapBoot,
+                    arg: 0,
+                },
             ]),
             reader: Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(1) },
-                Syscall::Write { fd: Res(0), off: 1, val: 7 },
-                Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+                Syscall::Open {
+                    path: Path::Ext4File(1),
+                },
+                Syscall::Write {
+                    fd: Res(0),
+                    off: 1,
+                    val: 7,
+                },
+                Syscall::Ioctl {
+                    fd: Res(0),
+                    cmd: IoctlCmd::Ext4SwapBoot,
+                    arg: 0,
+                },
             ]),
             write_fn: "ext4_mark_inode_dirty",
             read_fn: "swap_inode_boot_loader",
@@ -93,12 +128,24 @@ fn cases() -> Vec<Case> {
             label: "#4 blk capacity shrink",
             config: KernelConfig::v5_3_10(),
             writer: Program::new(vec![
-                Syscall::Open { path: Path::BlockDev },
-                Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkSetSize, arg: 0 },
+                Syscall::Open {
+                    path: Path::BlockDev,
+                },
+                Syscall::Ioctl {
+                    fd: Res(0),
+                    cmd: IoctlCmd::BlkSetSize,
+                    arg: 0,
+                },
             ]),
             reader: Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(0) },
-                Syscall::Write { fd: Res(0), off: 9, val: 3 },
+                Syscall::Open {
+                    path: Path::Ext4File(0),
+                },
+                Syscall::Write {
+                    fd: Res(0),
+                    off: 9,
+                    val: 3,
+                },
             ]),
             write_fn: "blkdev_set_capacity",
             read_fn: "blk_update_request",
@@ -119,7 +166,8 @@ fn main() {
         // tests sequentially and identify.
         let profiles = profile_corpus(&booted, &[case.writer.clone(), case.reader.clone()], 2);
         let set = identify(&profiles);
-        let Some((_, pmc)) = snowboard::metrics::find_pmc_by_sites(&set, case.write_fn, case.read_fn)
+        let Some((_, pmc)) =
+            snowboard::metrics::find_pmc_by_sites(&set, case.write_fn, case.read_fn)
         else {
             eprintln!("[skip] no PMC for {}", case.label);
             continue;
@@ -161,7 +209,9 @@ fn main() {
         }
         rows.push(row);
     }
-    println!("\n§5.4 interleavings needed to expose each bug (avg of {SEEDS} seeds, cap {MAX_TRIALS})\n");
+    println!(
+        "\n§5.4 interleavings needed to expose each bug (avg of {SEEDS} seeds, cap {MAX_TRIALS})\n"
+    );
     print_table(&["Bug", "Snowboard", "SKI", "Random"], &rows);
     let avg = |k: SchedKind| {
         totals

@@ -11,11 +11,11 @@ use std::time::Instant;
 
 use sb_bench::{prepare, print_table, Scale};
 use sb_kernel::KernelConfig;
+use sb_vmm::Executor;
 use snowboard::cluster::{cluster, ALL_STRATEGIES};
 use snowboard::metrics::{measure_throughput, SchedKind};
 use snowboard::profile::profile_corpus;
 use snowboard::select::{exemplars, ClusterOrder};
-use sb_vmm::Executor;
 
 fn main() {
     let scale = Scale::from_env();
@@ -45,7 +45,11 @@ fn main() {
     for s in ALL_STRATEGIES {
         let t = Instant::now();
         let n = cluster(&p.pmcs, s).len();
-        rows.push(vec![s.to_string(), n.to_string(), format!("{:.2?}", t.elapsed())]);
+        rows.push(vec![
+            s.to_string(),
+            n.to_string(),
+            format!("{:.2?}", t.elapsed()),
+        ]);
     }
     println!();
     print_table(&["Strategy", "Clusters", "Clustering time"], &rows);
@@ -95,7 +99,10 @@ fn main() {
             kind.to_string(),
             format!("{per_min:.0} exec/min"),
             format!("{:.0} steps/exec", t.steps as f64 / f64::from(t.executions)),
-            format!("{:.1} switches/exec", t.switches as f64 / f64::from(t.executions)),
+            format!(
+                "{:.1} switches/exec",
+                t.switches as f64 / f64::from(t.executions)
+            ),
         ]);
     }
     print_table(&["Scheduler", "Throughput", "Cost", "vCPU switches"], &rows);

@@ -68,7 +68,13 @@ fn main() {
                 .or_insert_with(|| format!("duplicate/{}", config.version));
         }
         // An S-INS-PAIR focused pass (the best strategy per Table 3).
-        let focused = sb_bench::run_strategy(&p, Strategy::SInsPair, ClusterOrder::UncommonFirst, &scale, 7);
+        let focused = sb_bench::run_strategy(
+            &p,
+            Strategy::SInsPair,
+            ClusterOrder::UncommonFirst,
+            &scale,
+            7,
+        );
         for id in focused.bug_ids() {
             found
                 .entry(id)
@@ -92,8 +98,18 @@ fn main() {
                 versions,
                 b.subsystem.to_owned(),
                 b.kind.to_string(),
-                if b.harmful { "Harmful" } else { "Benign/Reported" }.to_owned(),
-                if b.distinct_input { "Distinct" } else { "Duplicate" }.to_owned(),
+                if b.harmful {
+                    "Harmful"
+                } else {
+                    "Benign/Reported"
+                }
+                .to_owned(),
+                if b.distinct_input {
+                    "Distinct"
+                } else {
+                    "Duplicate"
+                }
+                .to_owned(),
                 found
                     .get(&b.id)
                     .cloned()
@@ -102,7 +118,16 @@ fn main() {
         })
         .collect();
     print_table(
-        &["ID", "Summary", "Version", "Subsystem", "Type", "Status", "Input", "Found by"],
+        &[
+            "ID",
+            "Summary",
+            "Version",
+            "Subsystem",
+            "Type",
+            "Status",
+            "Input",
+            "Found by",
+        ],
         &rows,
     );
     let total_found = found.len();

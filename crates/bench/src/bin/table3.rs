@@ -65,7 +65,12 @@ fn main() {
 
     println!("\nTable 3 — testing results on 5.12-rc3 per generation method (reproduction)\n");
     print_table(
-        &["Clustering strategy", "Exemplar PMCs", "Tested PMCs", "Issues found (days)"],
+        &[
+            "Clustering strategy",
+            "Exemplar PMCs",
+            "Tested PMCs",
+            "Issues found (days)",
+        ],
         &rows,
     );
     println!(

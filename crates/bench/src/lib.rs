@@ -85,7 +85,10 @@ impl Scale {
 
 /// Prepares a pipeline for one kernel version at the given scale.
 pub fn prepare(version: KernelConfig, scale: &Scale, seed: u64) -> Pipeline {
-    eprintln!("[prep] booting {:?}, fuzzing corpus (target {})...", version.version, scale.corpus_target);
+    eprintln!(
+        "[prep] booting {:?}, fuzzing corpus (target {})...",
+        version.version, scale.corpus_target
+    );
     let p = Pipeline::prepare(version, scale.pipeline_cfg(seed));
     eprintln!(
         "[prep] corpus {} tests, {} edges; {} shared accesses; {} PMCs ({:.1?} fuzz + profile, {:.1?} identify)",

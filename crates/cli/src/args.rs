@@ -351,11 +351,7 @@ fn parse_strategy(s: &str) -> Result<Strategy, String> {
     }
 }
 
-fn take_value<'a>(
-    argv: &'a [String],
-    i: &mut usize,
-    flag: &str,
-) -> Result<&'a str, String> {
+fn take_value<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
     *i += 1;
     argv.get(*i)
         .map(String::as_str)
@@ -409,7 +405,13 @@ fn parse_chaos(argv: &[String]) -> Result<Cmd, String> {
             ));
         }
     }
-    Ok(Cmd::Chaos(ChaosOpts { seeds, seed, quick, replay, dir }))
+    Ok(Cmd::Chaos(ChaosOpts {
+        seeds,
+        seed,
+        quick,
+        replay,
+        dir,
+    }))
 }
 
 /// Parses a full command line (without `argv[0]`).
@@ -580,7 +582,9 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         strategy = parse_strategy(take_value(argv, &mut i, "--strategy")?)?
                     }
                     "--seed" => seed = parse_num(take_value(argv, &mut i, "--seed")?, "--seed")?,
-                    "--corpus" => corpus = parse_num(take_value(argv, &mut i, "--corpus")?, "--corpus")?,
+                    "--corpus" => {
+                        corpus = parse_num(take_value(argv, &mut i, "--corpus")?, "--corpus")?
+                    }
                     "--budget" if is_hunt => {
                         budget = parse_num(take_value(argv, &mut i, "--budget")?, "--budget")?
                     }
@@ -602,8 +606,10 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         }
                     }
                     "--job-deadline" if is_hunt => {
-                        job_deadline_secs =
-                            parse_num(take_value(argv, &mut i, "--job-deadline")?, "--job-deadline")?
+                        job_deadline_secs = parse_num(
+                            take_value(argv, &mut i, "--job-deadline")?,
+                            "--job-deadline",
+                        )?
                     }
                     "--checkpoint" if is_hunt => {
                         checkpoint = Some(PathBuf::from(take_value(argv, &mut i, "--checkpoint")?))
@@ -612,8 +618,11 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         resume = Some(PathBuf::from(take_value(argv, &mut i, "--resume")?))
                     }
                     "--resume-or-fresh" if is_hunt => {
-                        resume =
-                            Some(PathBuf::from(take_value(argv, &mut i, "--resume-or-fresh")?));
+                        resume = Some(PathBuf::from(take_value(
+                            argv,
+                            &mut i,
+                            "--resume-or-fresh",
+                        )?));
                         resume_lenient = true;
                     }
                     "--store" if is_hunt => {
@@ -628,8 +637,10 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         stop_file = Some(PathBuf::from(take_value(argv, &mut i, "--stop-file")?))
                     }
                     "--heartbeat-ms" if is_hunt => {
-                        heartbeat_ms =
-                            parse_num(take_value(argv, &mut i, "--heartbeat-ms")?, "--heartbeat-ms")?;
+                        heartbeat_ms = parse_num(
+                            take_value(argv, &mut i, "--heartbeat-ms")?,
+                            "--heartbeat-ms",
+                        )?;
                         if heartbeat_ms == 0 {
                             return Err("--heartbeat-ms must be positive".into());
                         }
@@ -738,7 +749,11 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     })),
                 })
             } else {
-                Ok(Cmd::Strategies { config, seed, corpus })
+                Ok(Cmd::Strategies {
+                    config,
+                    seed,
+                    corpus,
+                })
             }
         }
         other => Err(format!("unknown command '{other}'")),
@@ -809,10 +824,19 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Bad specs are usage errors, and the flag is hunt-only.
-        assert!(parse(&argv("hunt --oracles")).is_err(), "flag needs a value");
-        assert!(parse(&argv("hunt --oracles frob")).is_err(), "unknown oracle");
+        assert!(
+            parse(&argv("hunt --oracles")).is_err(),
+            "flag needs a value"
+        );
+        assert!(
+            parse(&argv("hunt --oracles frob")).is_err(),
+            "unknown oracle"
+        );
         assert!(parse(&argv("hunt --oracles ''")).is_err(), "empty spec");
-        assert!(parse(&argv("strategies --oracles race")).is_err(), "hunt-only");
+        assert!(
+            parse(&argv("strategies --oracles race")).is_err(),
+            "hunt-only"
+        );
     }
 
     #[test]
@@ -842,19 +866,29 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&argv("hunt --resume-or-fresh")).is_err(), "needs a value");
-        assert!(parse(&argv("strategies --resume-or-fresh /x")).is_err(), "hunt-only");
+        assert!(
+            parse(&argv("hunt --resume-or-fresh")).is_err(),
+            "needs a value"
+        );
+        assert!(
+            parse(&argv("strategies --resume-or-fresh /x")).is_err(),
+            "hunt-only"
+        );
     }
 
     #[test]
     fn parses_store_fsck_and_repair() {
         assert_eq!(
             parse(&argv("store fsck --store /tmp/sbstore")).unwrap(),
-            Cmd::StoreFsck { store: PathBuf::from("/tmp/sbstore") }
+            Cmd::StoreFsck {
+                store: PathBuf::from("/tmp/sbstore")
+            }
         );
         assert_eq!(
             parse(&argv("store repair --store /tmp/sbstore")).unwrap(),
-            Cmd::StoreRepair { store: PathBuf::from("/tmp/sbstore") }
+            Cmd::StoreRepair {
+                store: PathBuf::from("/tmp/sbstore")
+            }
         );
         assert!(parse(&argv("store fsck")).is_err(), "--store is required");
         assert!(parse(&argv("store repair")).is_err(), "--store is required");
@@ -881,13 +915,21 @@ mod tests {
         }
         assert_eq!(
             parse(&argv("store stats --store /tmp/sbstore")).unwrap(),
-            Cmd::StoreStats { store: PathBuf::from("/tmp/sbstore") }
+            Cmd::StoreStats {
+                store: PathBuf::from("/tmp/sbstore")
+            }
         );
-        assert!(parse(&argv("hunt --no-cache")).is_err(), "--no-cache needs --store");
+        assert!(
+            parse(&argv("hunt --no-cache")).is_err(),
+            "--no-cache needs --store"
+        );
         assert!(parse(&argv("store")).is_err());
         assert!(parse(&argv("store frobnicate")).is_err());
         assert!(parse(&argv("store stats")).is_err());
-        assert!(parse(&argv("strategies --store /x")).is_err(), "hunt-only flag");
+        assert!(
+            parse(&argv("strategies --store /x")).is_err(),
+            "hunt-only flag"
+        );
     }
 
     #[test]
@@ -904,13 +946,24 @@ mod tests {
         }
         assert_eq!(
             parse(&argv("trace report --trace-dir /tmp/sbtrace")).unwrap(),
-            Cmd::TraceReport { trace_dir: PathBuf::from("/tmp/sbtrace") }
+            Cmd::TraceReport {
+                trace_dir: PathBuf::from("/tmp/sbtrace")
+            }
         );
         assert!(parse(&argv("trace")).is_err());
         assert!(parse(&argv("trace frobnicate")).is_err());
-        assert!(parse(&argv("trace report")).is_err(), "--trace-dir is required");
-        assert!(parse(&argv("hunt --trace-dir")).is_err(), "flag needs a value");
-        assert!(parse(&argv("strategies --trace-dir /x")).is_err(), "hunt-only flag");
+        assert!(
+            parse(&argv("trace report")).is_err(),
+            "--trace-dir is required"
+        );
+        assert!(
+            parse(&argv("hunt --trace-dir")).is_err(),
+            "flag needs a value"
+        );
+        assert!(
+            parse(&argv("strategies --trace-dir /x")).is_err(),
+            "hunt-only flag"
+        );
     }
 
     #[test]
@@ -938,7 +991,10 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&argv("hunt --stop-file /tmp/stop")).is_err(), "needs --supervise");
+        assert!(
+            parse(&argv("hunt --stop-file /tmp/stop")).is_err(),
+            "needs --supervise"
+        );
         assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
         assert!(parse(&argv("strategies --supervise")).is_err(), "hunt-only");
     }
@@ -972,7 +1028,10 @@ mod tests {
         }
         assert!(parse(&argv("hunt serve")).is_err(), "--listen is required");
         assert!(parse(&argv("hunt serve --listen x --supervise")).is_err());
-        assert!(parse(&argv("hunt --lease-ms 5000")).is_err(), "serve-only flag");
+        assert!(
+            parse(&argv("hunt --lease-ms 5000")).is_err(),
+            "serve-only flag"
+        );
     }
 
     #[test]
@@ -998,11 +1057,20 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&argv("hunt join")).is_err(), "address is required");
-        assert!(parse(&argv("hunt join --batch 3")).is_err(), "address before flags");
+        assert!(
+            parse(&argv("hunt join --batch 3")).is_err(),
+            "address before flags"
+        );
         assert!(parse(&argv("hunt join x:1 --connect-retries 0")).is_err());
         assert!(parse(&argv("hunt join x:1 --checkpoint /tmp/cp")).is_err());
-        assert!(parse(&argv("hunt --connect-retries 2")).is_err(), "join-only flag");
-        assert!(parse(&argv("hunt --spool /tmp/s")).is_err(), "join-only flag");
+        assert!(
+            parse(&argv("hunt --connect-retries 2")).is_err(),
+            "join-only flag"
+        );
+        assert!(
+            parse(&argv("hunt --spool /tmp/s")).is_err(),
+            "join-only flag"
+        );
         assert!(parse(&argv("hunt serve --listen x --spool /tmp/s")).is_err());
     }
 
@@ -1050,18 +1118,34 @@ mod tests {
             Cmd::Hunt(o) => assert_eq!(o.chaos.disk.torn_write_after, Some(20)),
             other => panic!("unexpected {other:?}"),
         }
-        match parse(&argv("hunt serve --listen x --chaos coord:kill-after-journal=4")).unwrap() {
+        match parse(&argv(
+            "hunt serve --listen x --chaos coord:kill-after-journal=4",
+        ))
+        .unwrap()
+        {
             Cmd::Serve(o) => assert_eq!(o.hunt.chaos.kill_after_journal, Some(4)),
             other => panic!("unexpected {other:?}"),
         }
         // Each plane must go where it can be injected.
-        assert!(parse(&argv("hunt --chaos net:drop=0:6")).is_err(), "net needs join");
+        assert!(
+            parse(&argv("hunt --chaos net:drop=0:6")).is_err(),
+            "net needs join"
+        );
         assert!(parse(&argv("hunt --chaos coord:kill-after-journal=2")).is_err());
-        assert!(parse(&argv("hunt --chaos disk:torn=20")).is_err(), "disk needs --store");
+        assert!(
+            parse(&argv("hunt --chaos disk:torn=20")).is_err(),
+            "disk needs --store"
+        );
         assert!(parse(&argv("hunt join x:1 --store /s --chaos disk:torn=20")).is_err());
         // Bad specs are usage errors, and the flag is hunt-family-only.
-        assert!(parse(&argv("hunt --chaos frob=1")).is_err(), "missing plane");
-        assert!(parse(&argv("hunt --chaos job:abort=1")).is_err(), "misrouted plane");
+        assert!(
+            parse(&argv("hunt --chaos frob=1")).is_err(),
+            "missing plane"
+        );
+        assert!(
+            parse(&argv("hunt --chaos job:abort=1")).is_err(),
+            "misrouted plane"
+        );
         assert!(parse(&argv("strategies --chaos job:panic=1")).is_err());
     }
 
@@ -1091,14 +1175,26 @@ mod tests {
         }
         assert!(parse(&argv("hunt chaos --seeds 0")).is_err());
         assert!(parse(&argv("hunt chaos --replay nope")).is_err());
-        assert!(parse(&argv("hunt chaos --replay 7")).is_err(), "needs SEED/INDEX");
-        assert!(parse(&argv("hunt chaos --seed 9 --replay 7/4")).is_err(), "seed conflict");
-        assert!(parse(&argv("hunt chaos --budget 5")).is_err(), "not a hunt option");
+        assert!(
+            parse(&argv("hunt chaos --replay 7")).is_err(),
+            "needs SEED/INDEX"
+        );
+        assert!(
+            parse(&argv("hunt chaos --seed 9 --replay 7/4")).is_err(),
+            "seed conflict"
+        );
+        assert!(
+            parse(&argv("hunt chaos --budget 5")).is_err(),
+            "not a hunt option"
+        );
     }
 
     #[test]
     fn parses_repro_and_validates_bug_ids() {
-        assert_eq!(parse(&argv("repro --bug 12")).unwrap(), Cmd::Repro { bug: 12 });
+        assert_eq!(
+            parse(&argv("repro --bug 12")).unwrap(),
+            Cmd::Repro { bug: 12 }
+        );
         assert!(parse(&argv("repro --bug 9")).is_err());
         assert!(parse(&argv("repro")).is_err());
     }

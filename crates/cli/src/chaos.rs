@@ -50,9 +50,19 @@ struct Profile {
 impl Profile {
     fn new(quick: bool) -> Profile {
         if quick {
-            Profile { corpus: 12, budget: 6, trials: 2, workers: 2 }
+            Profile {
+                corpus: 12,
+                budget: 6,
+                trials: 2,
+                workers: 2,
+            }
         } else {
-            Profile { corpus: 24, budget: 12, trials: 3, workers: 2 }
+            Profile {
+                corpus: 24,
+                budget: 12,
+                trials: 3,
+                workers: 2,
+            }
         }
     }
 }
@@ -96,7 +106,10 @@ pub fn run_chaos(o: ChaosOpts) -> ExitCode {
         ),
     };
     if let Err(e) = std::fs::create_dir_all(&scratch) {
-        eprintln!("error: cannot create scratch dir {}: {e}", scratch.display());
+        eprintln!(
+            "error: cannot create scratch dir {}: {e}",
+            scratch.display()
+        );
         return ExitCode::FAILURE;
     }
 
@@ -131,7 +144,11 @@ pub fn run_chaos(o: ChaosOpts) -> ExitCode {
                 Fail::Setup(msg) => {
                     eprintln!("error: {msg}");
                 }
-                Fail::Schedule { seed, schedule, detail } => {
+                Fail::Schedule {
+                    seed,
+                    schedule,
+                    detail,
+                } => {
                     // The failure report is the product: stable, path-free,
                     // and bit-identical under --replay.
                     println!(
@@ -210,7 +227,11 @@ fn run_campaign(env: &mut Env, o: &ChaosOpts) -> Result<Vec<ChaosMode>, Fail> {
                 survived.push(s.mode);
             }
             Err(detail) => {
-                return Err(Fail::Schedule { seed: o.seed, schedule: Box::new(s), detail });
+                return Err(Fail::Schedule {
+                    seed: o.seed,
+                    schedule: Box::new(s),
+                    detail,
+                });
             }
         }
     }
@@ -232,8 +253,8 @@ fn run_baseline(env: &mut Env) -> Result<(), String> {
             out.status.code()
         ));
     }
-    let jobs = parse_tested(&out.stdout)
-        .ok_or("baseline report is missing the 'tested N PMCs' line")?;
+    let jobs =
+        parse_tested(&out.stdout).ok_or("baseline report is missing the 'tested N PMCs' line")?;
     if jobs < 2 {
         return Err(format!(
             "baseline tested only {jobs} PMC(s); chaos schedules need at least 2 \
@@ -385,7 +406,12 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     let spool = trial.join("spool.wal");
 
     let serve_base = |listen: &str| {
-        let mut args = vec!["hunt".to_string(), "serve".into(), "--listen".into(), listen.into()];
+        let mut args = vec![
+            "hunt".to_string(),
+            "serve".into(),
+            "--listen".into(),
+            listen.into(),
+        ];
         args.extend(hunt_args(env).split_off(1));
         args.extend([
             "--lease-ms".into(),
@@ -406,7 +432,10 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
             "--checkpoint".into(),
             ckpt.display().to_string(),
             "--chaos".into(),
-            format!("coord:kill-after-journal={}", s.plan.kill_after_journal.unwrap()),
+            format!(
+                "coord:kill-after-journal={}",
+                s.plan.kill_after_journal.unwrap()
+            ),
         ]);
     } else {
         args1.extend(trace_args(&tdir));
@@ -763,7 +792,11 @@ fn run_to_end(env: &Env, args: &[String], dir: &Path, label: &str) -> Result<Run
 fn collect(status: ExitStatus, out_path: &Path, err_path: &Path) -> Result<RunOut, String> {
     let stdout = std::fs::read_to_string(out_path).map_err(|e| format!("scratch: {e}"))?;
     let stderr = std::fs::read_to_string(err_path).map_err(|e| format!("scratch: {e}"))?;
-    Ok(RunOut { status, stdout, stderr })
+    Ok(RunOut {
+        status,
+        stdout,
+        stderr,
+    })
 }
 
 /// Waits for a child within [`CHILD_DEADLINE`]; a blown deadline kills

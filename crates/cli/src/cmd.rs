@@ -28,7 +28,11 @@ pub fn run(cmd: Cmd) -> ExitCode {
             ExitCode::SUCCESS
         }
         Cmd::ListBugs => list_bugs(),
-        Cmd::Strategies { config, seed, corpus } => strategies(config, seed, corpus),
+        Cmd::Strategies {
+            config,
+            seed,
+            corpus,
+        } => strategies(config, seed, corpus),
         Cmd::Repro { bug } => repro(bug),
         Cmd::StoreStats { store } => store_stats(&store),
         Cmd::StoreFsck { store } => store_fsck(&store),
@@ -104,7 +108,10 @@ fn store_stats(dir: &std::path::Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("{} segment file(s), {} bytes total", stats.segments, stats.bytes);
+    println!(
+        "{} segment file(s), {} bytes total",
+        stats.segments, stats.bytes
+    );
     for (name, bytes) in sizes {
         println!("  {name:<14} {bytes:>12} B");
     }
@@ -213,7 +220,10 @@ fn print_hunt_store_stats(s: &StoreStats) {
 }
 
 fn list_bugs() -> ExitCode {
-    println!("{:<5} {:<4} {:<16} {:<9} summary", "id", "type", "versions", "status");
+    println!(
+        "{:<5} {:<4} {:<16} {:<9} summary",
+        "id", "type", "versions", "status"
+    );
     for b in bugs::registry() {
         let versions = b
             .versions
@@ -520,7 +530,10 @@ fn cluster_order(o: &HuntOpts) -> ClusterOrder {
 fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
     let tracer = open_tracer(&o.trace_dir);
     eprintln!("[hunt] preparing pipeline ({:?})...", o.config.version);
-    let pipeline_cfg = PipelineCfg { tracer: tracer.clone(), ..hunt_pipeline_cfg(o) };
+    let pipeline_cfg = PipelineCfg {
+        tracer: tracer.clone(),
+        ..hunt_pipeline_cfg(o)
+    };
     let (p, store_stats, disk_fired) = prepare_hunt_pipeline(
         o.config,
         pipeline_cfg,
@@ -545,7 +558,14 @@ fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
         tracer: tracer.clone(),
         ..hunt_campaign_cfg(o)
     };
-    Ok(Prepared { tracer, p, store_stats, clusters, exemplars, cfg })
+    Ok(Prepared {
+        tracer,
+        p,
+        store_stats,
+        clusters,
+        exemplars,
+        cfg,
+    })
 }
 
 /// Reports a finished campaign: the trace summary, the `[detect]` line, and
@@ -670,7 +690,10 @@ fn worker_args(o: &HuntOpts) -> Vec<String> {
         args.extend(["--stop-file".into(), sf.display().to_string()]);
     }
     if !o.chaos.job.is_empty() {
-        let plan = ChaosPlan { job: o.chaos.job.clone(), ..ChaosPlan::default() };
+        let plan = ChaosPlan {
+            job: o.chaos.job.clone(),
+            ..ChaosPlan::default()
+        };
         args.extend(["--chaos".into(), plan.to_spec()]);
     }
     args
@@ -806,7 +829,11 @@ fn join(opts: JoinOpts) -> ExitCode {
                 s.reconnects,
                 s.spooled,
                 s.redelivered,
-                if s.stopped { " (stopped by stop file)" } else { "" }
+                if s.stopped {
+                    " (stopped by stop file)"
+                } else {
+                    ""
+                }
             );
             if s.stopped && s.undelivered > 0 {
                 // Distinct exit code: the work is done but not delivered —
@@ -839,7 +866,10 @@ fn repro_recipe(bug: u8) -> (KernelConfig, Program, Program, &'static str, &'sta
             KernelConfig::v5_3_10(),
             Program::new(vec![
                 Syscall::Msgget { key: 3 },
-                Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
+                Syscall::Msgctl {
+                    id: Res(0),
+                    cmd: MsgCmd::Rmid,
+                },
             ]),
             Program::new(vec![Syscall::Msgget { key: 3 }]),
             "rht_assign_unlock",
@@ -848,14 +878,34 @@ fn repro_recipe(bug: u8) -> (KernelConfig, Program, Program, &'static str, &'sta
         2 => (
             KernelConfig::v5_12_rc3(),
             Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(1) },
-                Syscall::Write { fd: Res(0), off: 1, val: 7 },
-                Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+                Syscall::Open {
+                    path: Path::Ext4File(1),
+                },
+                Syscall::Write {
+                    fd: Res(0),
+                    off: 1,
+                    val: 7,
+                },
+                Syscall::Ioctl {
+                    fd: Res(0),
+                    cmd: IoctlCmd::Ext4SwapBoot,
+                    arg: 0,
+                },
             ]),
             Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(1) },
-                Syscall::Write { fd: Res(0), off: 1, val: 7 },
-                Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+                Syscall::Open {
+                    path: Path::Ext4File(1),
+                },
+                Syscall::Write {
+                    fd: Res(0),
+                    off: 1,
+                    val: 7,
+                },
+                Syscall::Ioctl {
+                    fd: Res(0),
+                    cmd: IoctlCmd::Ext4SwapBoot,
+                    arg: 0,
+                },
             ]),
             "ext4_mark_inode_dirty",
             "swap_inode_boot_loader",
@@ -863,11 +913,19 @@ fn repro_recipe(bug: u8) -> (KernelConfig, Program, Program, &'static str, &'sta
         3 => (
             KernelConfig::v5_3_10(),
             Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(2) },
-                Syscall::Write { fd: Res(0), off: 0, val: 1 },
+                Syscall::Open {
+                    path: Path::Ext4File(2),
+                },
+                Syscall::Write {
+                    fd: Res(0),
+                    off: 0,
+                    val: 1,
+                },
             ]),
             Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(2) },
+                Syscall::Open {
+                    path: Path::Ext4File(2),
+                },
                 Syscall::Read { fd: Res(0), off: 0 },
             ]),
             "ext4_ext_insert",
@@ -876,25 +934,36 @@ fn repro_recipe(bug: u8) -> (KernelConfig, Program, Program, &'static str, &'sta
         4 => (
             KernelConfig::v5_3_10(),
             Program::new(vec![
-                Syscall::Open { path: Path::BlockDev },
-                Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkSetSize, arg: 0 },
+                Syscall::Open {
+                    path: Path::BlockDev,
+                },
+                Syscall::Ioctl {
+                    fd: Res(0),
+                    cmd: IoctlCmd::BlkSetSize,
+                    arg: 0,
+                },
             ]),
             Program::new(vec![
-                Syscall::Open { path: Path::Ext4File(0) },
-                Syscall::Write { fd: Res(0), off: 9, val: 3 },
+                Syscall::Open {
+                    path: Path::Ext4File(0),
+                },
+                Syscall::Write {
+                    fd: Res(0),
+                    off: 9,
+                    val: 3,
+                },
             ]),
             "blkdev_set_capacity",
             "blk_update_request",
         ),
         11 => (
             KernelConfig::v5_12_rc3(),
+            Program::new(vec![Syscall::Mkdir { item: 1 }, Syscall::Rmdir { item: 1 }]),
             Program::new(vec![
                 Syscall::Mkdir { item: 1 },
-                Syscall::Rmdir { item: 1 },
-            ]),
-            Program::new(vec![
-                Syscall::Mkdir { item: 1 },
-                Syscall::Open { path: Path::Configfs(1) },
+                Syscall::Open {
+                    path: Path::Configfs(1),
+                },
             ]),
             "configfs_detach",
             "configfs_lookup",
@@ -902,13 +971,26 @@ fn repro_recipe(bug: u8) -> (KernelConfig, Program, Program, &'static str, &'sta
         12 => (
             KernelConfig::v5_12_rc3(),
             Program::new(vec![
-                Syscall::Socket { domain: sb_kernel::prog::Domain::L2tp },
-                Syscall::Connect { sock: Res(0), tunnel_id: 2 },
+                Syscall::Socket {
+                    domain: sb_kernel::prog::Domain::L2tp,
+                },
+                Syscall::Connect {
+                    sock: Res(0),
+                    tunnel_id: 2,
+                },
             ]),
             Program::new(vec![
-                Syscall::Socket { domain: sb_kernel::prog::Domain::L2tp },
-                Syscall::Connect { sock: Res(0), tunnel_id: 2 },
-                Syscall::Sendmsg { sock: Res(0), len: 1 },
+                Syscall::Socket {
+                    domain: sb_kernel::prog::Domain::L2tp,
+                },
+                Syscall::Connect {
+                    sock: Res(0),
+                    tunnel_id: 2,
+                },
+                Syscall::Sendmsg {
+                    sock: Res(0),
+                    len: 1,
+                },
             ]),
             "list_add_rcu",
             "l2tp_tunnel_get",
@@ -921,7 +1003,10 @@ fn repro(bug: u8) -> ExitCode {
     let b = bugs::by_id(bug).expect("registry id");
     println!("reproducing #{bug}: {}\n", b.title);
     let (config, writer, reader, wfn, rfn) = repro_recipe(bug);
-    println!("kernel {:?}\n\ntest 1 (writer):\n{writer}\ntest 2 (reader):\n{reader}", config.version);
+    println!(
+        "kernel {:?}\n\ntest 1 (writer):\n{writer}\ntest 2 (reader):\n{reader}",
+        config.version
+    );
     let booted = boot(config);
     let profiles = profile_corpus(&booted, &[writer.clone(), reader.clone()], 2);
     let set = identify(&profiles);
@@ -936,7 +1021,15 @@ fn repro(bug: u8) -> ExitCode {
     );
     let mut exec = Executor::new(2);
     match interleavings_to_expose(
-        &mut exec, &booted, &writer, &reader, pmc, SchedKind::Snowboard, 1, 4096, hits_bug(bug),
+        &mut exec,
+        &booted,
+        &writer,
+        &reader,
+        pmc,
+        SchedKind::Snowboard,
+        1,
+        4096,
+        hits_bug(bug),
     ) {
         Some(r) => {
             println!("exposed after {} interleavings", r.interleavings);

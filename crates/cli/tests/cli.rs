@@ -39,7 +39,11 @@ fn store_stats_prints_zero_hit_rate_for_zero_lookups() {
         .arg(&dir)
         .output()
         .expect("run store stats");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = stdout(&out);
     assert!(
         text.contains("profile-hit-rate 0.0% (0/0)"),
@@ -60,13 +64,19 @@ fn store_commands_reject_a_missing_or_empty_dir() {
             .arg(&missing)
             .output()
             .expect("run store subcommand");
-        assert!(!out.status.success(), "store {sub} on a missing dir must fail");
+        assert!(
+            !out.status.success(),
+            "store {sub} on a missing dir must fail"
+        );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains("does not exist"),
             "store {sub}: expected a friendly error, got: {err}"
         );
-        assert!(!missing.exists(), "store {sub} must not create the directory");
+        assert!(
+            !missing.exists(),
+            "store {sub} must not create the directory"
+        );
     }
 
     // An existing directory that is not a store (no manifest) is also an
@@ -97,7 +107,11 @@ fn store_fsck_and_repair_round_trip() {
         .output()
         .expect("run fsck");
     assert!(clean.status.success(), "fresh store must fsck clean");
-    assert!(stdout(&clean).contains("store is clean"), "{}", stdout(&clean));
+    assert!(
+        stdout(&clean).contains("store is clean"),
+        "{}",
+        stdout(&clean)
+    );
 
     // A manifest entry pointing at a segment that no longer exists: fsck
     // reports it and exits nonzero; repair drops it; fsck is clean again.
@@ -111,23 +125,41 @@ fn store_fsck_and_repair_round_trip() {
         .arg(&dir)
         .output()
         .expect("run fsck");
-    assert!(!dirty.status.success(), "damage must make fsck exit nonzero");
-    assert!(stdout(&dirty).contains("store is dirty"), "{}", stdout(&dirty));
+    assert!(
+        !dirty.status.success(),
+        "damage must make fsck exit nonzero"
+    );
+    assert!(
+        stdout(&dirty).contains("store is dirty"),
+        "{}",
+        stdout(&dirty)
+    );
 
     let repair = bin()
         .args(["store", "repair", "--store"])
         .arg(&dir)
         .output()
         .expect("run repair");
-    assert!(repair.status.success(), "stderr: {}", String::from_utf8_lossy(&repair.stderr));
-    assert!(stdout(&repair).contains("dropped 1 profile record(s)"), "{}", stdout(&repair));
+    assert!(
+        repair.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&repair.stderr)
+    );
+    assert!(
+        stdout(&repair).contains("dropped 1 profile record(s)"),
+        "{}",
+        stdout(&repair)
+    );
 
     let clean_again = bin()
         .args(["store", "fsck", "--store"])
         .arg(&dir)
         .output()
         .expect("run fsck");
-    assert!(clean_again.status.success(), "repair must leave a clean store");
+    assert!(
+        clean_again.status.success(),
+        "repair must leave a clean store"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -139,15 +171,42 @@ fn store_fsck_and_repair_round_trip() {
 #[test]
 fn hunt_with_a_store_prints_what_hunt_without_one_prints() {
     for oracles in ["all", "race"] {
-        let flags = ["hunt", "--seed", "2021", "--workers", "1", "--oracles", oracles];
+        let flags = [
+            "hunt",
+            "--seed",
+            "2021",
+            "--workers",
+            "1",
+            "--oracles",
+            oracles,
+        ];
         let plain = bin().args(flags).output().expect("run hunt");
-        assert!(plain.status.success(), "stderr: {}", String::from_utf8_lossy(&plain.stderr));
+        assert!(
+            plain.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&plain.stderr)
+        );
         let dir = scratch_dir(&format!("store-parity-{oracles}"));
-        for (run, expect) in [("cold", "profile-hit-rate 0.0%"), ("warm", "profile-hit-rate 100.0%")] {
-            let stored = bin().args(flags).arg("--store").arg(&dir).output().expect("run hunt --store");
-            assert!(stored.status.success(), "stderr: {}", String::from_utf8_lossy(&stored.stderr));
+        for (run, expect) in [
+            ("cold", "profile-hit-rate 0.0%"),
+            ("warm", "profile-hit-rate 100.0%"),
+        ] {
+            let stored = bin()
+                .args(flags)
+                .arg("--store")
+                .arg(&dir)
+                .output()
+                .expect("run hunt --store");
+            assert!(
+                stored.status.success(),
+                "stderr: {}",
+                String::from_utf8_lossy(&stored.stderr)
+            );
             let out = stdout(&stored);
-            assert!(out.contains(expect), "--oracles {oracles}, {run}: no `{expect}` in\n{out}");
+            assert!(
+                out.contains(expect),
+                "--oracles {oracles}, {run}: no `{expect}` in\n{out}"
+            );
             let campaign: String = (out.lines())
                 .filter(|l| !l.starts_with("[store]"))
                 .flat_map(|l| [l, "\n"])
@@ -169,15 +228,31 @@ fn hunt_survives_an_unwritable_trace_destination() {
     std::fs::write(&file, b"not a directory").unwrap();
     let out = bin()
         .args([
-            "hunt", "--corpus", "6", "--budget", "4", "--trials", "1", "--workers", "2",
-            "--seed", "3", "--trace-dir",
+            "hunt",
+            "--corpus",
+            "6",
+            "--budget",
+            "4",
+            "--trials",
+            "1",
+            "--workers",
+            "2",
+            "--seed",
+            "3",
+            "--trace-dir",
         ])
         .arg(file.join("trace"))
         .output()
         .expect("run hunt");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "hunt must not abort on a bad trace dir: {err}");
-    assert!(err.contains("tracing disabled"), "expected a one-time warning, got: {err}");
+    assert!(
+        out.status.success(),
+        "hunt must not abort on a bad trace dir: {err}"
+    );
+    assert!(
+        err.contains("tracing disabled"),
+        "expected a one-time warning, got: {err}"
+    );
     assert!(
         !err.contains("events written"),
         "must not claim a trace was written: {err}"
@@ -203,8 +278,19 @@ fn trace_report_fails_without_a_trace() {
 /// processes apart in /proc.
 fn small_hunt(seed: &str) -> Vec<String> {
     [
-        "hunt", "--corpus", "12", "--budget", "10", "--trials", "2", "--workers", "2", "--seed",
-        seed, "--heartbeat-ms", "30000",
+        "hunt",
+        "--corpus",
+        "12",
+        "--budget",
+        "10",
+        "--trials",
+        "2",
+        "--workers",
+        "2",
+        "--seed",
+        seed,
+        "--heartbeat-ms",
+        "30000",
     ]
     .iter()
     .map(|s| (*s).to_string())
@@ -223,10 +309,15 @@ fn no_orphans(seed: &str, marker: &str) {
         let mut alive: Vec<String> = Vec::new();
         for entry in std::fs::read_dir("/proc").expect("read /proc").flatten() {
             let name = entry.file_name();
-            if !name.to_str().is_some_and(|s| s.bytes().all(|b| b.is_ascii_digit())) {
+            if !name
+                .to_str()
+                .is_some_and(|s| s.bytes().all(|b| b.is_ascii_digit()))
+            {
                 continue;
             }
-            let Ok(raw) = std::fs::read(entry.path().join("cmdline")) else { continue };
+            let Ok(raw) = std::fs::read(entry.path().join("cmdline")) else {
+                continue;
+            };
             let args: Vec<&str> = raw
                 .split(|&b| b == 0)
                 .filter_map(|a| std::str::from_utf8(a).ok())
@@ -252,16 +343,27 @@ fn supervised_hunt_matches_the_in_process_run_bit_for_bit() {
     // running a deterministic shard with the same per-job seeds, must merge
     // into exactly the report a single-process run produces.
     let clean = bin().args(small_hunt("3")).output().expect("run hunt");
-    assert!(clean.status.success(), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
+    assert!(
+        clean.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&clean.stderr)
+    );
     let sup = bin()
         .args(small_hunt("3"))
         .arg("--supervise")
         .output()
         .expect("run supervised hunt");
-    assert!(sup.status.success(), "stderr: {}", String::from_utf8_lossy(&sup.stderr));
+    assert!(
+        sup.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&sup.stderr)
+    );
     assert_eq!(stdout(&clean), stdout(&sup), "supervised stdout diverged");
     let err = String::from_utf8_lossy(&sup.stderr);
-    assert!(err.contains("[supervise]"), "missing supervise summary: {err}");
+    assert!(
+        err.contains("[supervise]"),
+        "missing supervise summary: {err}"
+    );
     no_orphans("3", "join");
 }
 
@@ -287,18 +389,24 @@ fn supervised_hunt_survives_a_worker_sigkill() {
     'hunt: while Instant::now() < deadline {
         for entry in std::fs::read_dir("/proc").expect("read /proc").flatten() {
             let name = entry.file_name();
-            let Some(pid) = name.to_str().filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
+            let Some(pid) = name
+                .to_str()
+                .filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
             else {
                 continue;
             };
-            let Ok(raw) = std::fs::read(entry.path().join("cmdline")) else { continue };
+            let Ok(raw) = std::fs::read(entry.path().join("cmdline")) else {
+                continue;
+            };
             let args: Vec<&str> = raw
                 .split(|&b| b == 0)
                 .filter_map(|a| std::str::from_utf8(a).ok())
                 .collect();
             let ours = args.windows(2).any(|w| w == ["--seed", "11"]);
             if ours && args.contains(&"join") {
-                let _ = std::process::Command::new("kill").args(["-9", pid]).status();
+                let _ = std::process::Command::new("kill")
+                    .args(["-9", pid])
+                    .status();
                 break 'hunt;
             }
         }
@@ -313,7 +421,11 @@ fn supervised_hunt_survives_a_worker_sigkill() {
     );
     // The respawned worker resumed from the supervisor's checkpoint and
     // reran the in-flight job with identical seeds: bit-identical output.
-    assert_eq!(stdout(&clean), stdout(&out), "post-kill report diverged from the clean run");
+    assert_eq!(
+        stdout(&clean),
+        stdout(&out),
+        "post-kill report diverged from the clean run"
+    );
     no_orphans("11", "join");
 }
 
@@ -372,7 +484,10 @@ fn exit_codes_are_pinned() {
     let help = bin().arg("help").output().expect("run help");
     assert_eq!(help.status.code(), Some(0));
     // 2: usage error.
-    let usage = bin().args(["hunt", "--frobnicate"]).output().expect("run bad flag");
+    let usage = bin()
+        .args(["hunt", "--frobnicate"])
+        .output()
+        .expect("run bad flag");
     assert_eq!(usage.status.code(), Some(2), "usage errors exit 2");
     // 1: runtime failure (no trace to report on).
     let dir = scratch_dir("exit-codes");
@@ -386,8 +501,19 @@ fn exit_codes_are_pinned() {
     // 3: hunt completed, but a job was quarantined (injected panic).
     let quarantined = bin()
         .args([
-            "hunt", "--corpus", "6", "--budget", "4", "--trials", "1", "--workers", "2",
-            "--seed", "3", "--chaos", "job:panic=1",
+            "hunt",
+            "--corpus",
+            "6",
+            "--budget",
+            "4",
+            "--trials",
+            "1",
+            "--workers",
+            "2",
+            "--seed",
+            "3",
+            "--chaos",
+            "job:panic=1",
         ])
         .output()
         .expect("run faulted hunt");
@@ -423,7 +549,10 @@ fn supervised_crash_injection_quarantines_and_exits_3() {
     );
     let text = stdout(&out);
     assert!(text.contains("quarantined 1 job(s)"), "stdout: {text}");
-    assert!(text.contains("crash: 1"), "quarantine must be crash-kinded: {text}");
+    assert!(
+        text.contains("crash: 1"),
+        "quarantine must be crash-kinded: {text}"
+    );
     assert!(
         text.contains("worker process died while job 2 was in flight"),
         "quarantine must name the in-flight job: {text}"
@@ -442,8 +571,22 @@ fn supervised_stall_is_evicted_killed_and_quarantined() {
     use std::time::{Duration, Instant};
     let mut sup = bin()
         .args([
-            "hunt", "--corpus", "12", "--budget", "10", "--trials", "2", "--workers", "1",
-            "--seed", "13", "--heartbeat-ms", "1500", "--supervise", "--chaos", "proc:stall=2",
+            "hunt",
+            "--corpus",
+            "12",
+            "--budget",
+            "10",
+            "--trials",
+            "2",
+            "--workers",
+            "1",
+            "--seed",
+            "13",
+            "--heartbeat-ms",
+            "1500",
+            "--supervise",
+            "--chaos",
+            "proc:stall=2",
         ])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -461,9 +604,14 @@ fn supervised_stall_is_evicted_killed_and_quarantined() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "stderr: {err}");
     let text = stdout(&out);
-    assert!(text.contains("quarantined 1 job(s)") && text.contains("crash: 1"), "{text}");
     assert!(
-        text.contains("worker process died while job 2 was in flight: killed after heartbeat timeout"),
+        text.contains("quarantined 1 job(s)") && text.contains("crash: 1"),
+        "{text}"
+    );
+    assert!(
+        text.contains(
+            "worker process died while job 2 was in flight: killed after heartbeat timeout"
+        ),
         "{text}"
     );
     assert!(
@@ -478,8 +626,18 @@ fn hunt_trace_round_trips_through_trace_report() {
     let dir = scratch_dir("hunt-trace");
     let hunt = bin()
         .args([
-            "hunt", "--corpus", "12", "--budget", "10", "--trials", "2", "--workers", "2",
-            "--seed", "3", "--trace-dir",
+            "hunt",
+            "--corpus",
+            "12",
+            "--budget",
+            "10",
+            "--trials",
+            "2",
+            "--workers",
+            "2",
+            "--seed",
+            "3",
+            "--trace-dir",
         ])
         .arg(&dir)
         .output()
@@ -499,7 +657,10 @@ fn hunt_trace_round_trips_through_trace_report() {
         kinds.insert(ev.kind());
     }
     for expected in ["span_start", "span_end", "count", "job", "summary"] {
-        assert!(kinds.contains(expected), "no {expected} event in trace; kinds: {kinds:?}");
+        assert!(
+            kinds.contains(expected),
+            "no {expected} event in trace; kinds: {kinds:?}"
+        );
     }
 
     // The reconstruction must agree with the run's own summary record,
@@ -515,7 +676,10 @@ fn hunt_trace_round_trips_through_trace_report() {
         "trace report exited nonzero:\n{text}\n{}",
         String::from_utf8_lossy(&report.stderr)
     );
-    assert!(text.contains("verification: OK"), "unexpected report:\n{text}");
+    assert!(
+        text.contains("verification: OK"),
+        "unexpected report:\n{text}"
+    );
     assert!(text.contains("funnel:"), "missing funnel section:\n{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -532,11 +696,7 @@ fn hunt_trace_round_trips_through_trace_report() {
 fn spawn_serve(
     tail: &[String],
     extra: &[&str],
-) -> (
-    std::process::Child,
-    String,
-    std::thread::JoinHandle<String>,
-) {
+) -> (std::process::Child, String, std::thread::JoinHandle<String>) {
     use std::io::BufRead;
     let mut child = bin()
         .args(["hunt", "serve", "--listen", "127.0.0.1:0"])
@@ -577,7 +737,11 @@ fn fleet_hunt_matches_the_in_process_run_bit_for_bit() {
     // The acceptance bar for fleet mode: a coordinator plus two TCP worker
     // processes must print exactly the report a single-process run prints.
     let clean = bin().args(small_hunt("17")).output().expect("run hunt");
-    assert!(clean.status.success(), "stderr: {}", String::from_utf8_lossy(&clean.stderr));
+    assert!(
+        clean.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&clean.stderr)
+    );
 
     let (serve, addr, serve_err) = spawn_serve(&fleet_tail("17"), &["--batch", "2"]);
     let workers: Vec<_> = (0..2)
@@ -594,7 +758,11 @@ fn fleet_hunt_matches_the_in_process_run_bit_for_bit() {
     let out = serve.wait_with_output().expect("await serve");
     let err = serve_err.join().expect("stderr drain thread");
     assert!(out.status.success(), "serve failed: {err}");
-    assert_eq!(stdout(&clean), stdout(&out), "fleet report diverged from the clean run");
+    assert_eq!(
+        stdout(&clean),
+        stdout(&out),
+        "fleet report diverged from the clean run"
+    );
     assert!(err.contains("[fleet]"), "missing fleet summary: {err}");
     // The campaign is a tenth of a second of work: one worker can drain it,
     // and the coordinator exit, before the other has connected. That worker
@@ -612,7 +780,9 @@ fn fleet_hunt_matches_the_in_process_run_bit_for_bit() {
         }
         let errors: Vec<&str> = werr.lines().filter(|l| l.starts_with("error:")).collect();
         assert!(
-            out.status.code() == Some(1) && errors.len() == 1 && errors[0].contains("cannot reach coordinator"),
+            out.status.code() == Some(1)
+                && errors.len() == 1
+                && errors[0].contains("cannot reach coordinator"),
             "a worker may only fail by arriving after the coordinator left: {werr}"
         );
     }
@@ -637,10 +807,13 @@ fn join_fails_fast_against_an_unreachable_coordinator() {
         .args(fleet_tail("3"))
         .output()
         .expect("run hunt join");
-    assert_eq!(out.status.code(), Some(1), "unreachable coordinator exits 1");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "unreachable coordinator exits 1"
+    );
     let err = String::from_utf8_lossy(&out.stderr);
-    let error_lines: Vec<&str> =
-        err.lines().filter(|l| l.starts_with("error:")).collect();
+    let error_lines: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
     assert_eq!(error_lines.len(), 1, "exactly one error line, got: {err}");
     assert!(
         error_lines[0].contains("cannot reach coordinator")
@@ -688,8 +861,7 @@ fn fleet_handshake_rejects_a_config_mismatch() {
     std::fs::create_dir_all(&dir).unwrap();
     let stop = dir.join("stop");
     let stop_flag = stop.display().to_string();
-    let (serve, addr, _serve_err) =
-        spawn_serve(&fleet_tail("17"), &["--stop-file", &stop_flag]);
+    let (serve, addr, _serve_err) = spawn_serve(&fleet_tail("17"), &["--stop-file", &stop_flag]);
 
     // Different --seed → different config fingerprint → immediate, fatal
     // rejection (no retry loop).
@@ -720,18 +892,27 @@ fn fleet_usage_errors_exit_2() {
     // Parse-time validation of the timing/lease knobs (for serve, join, and
     // --supervise) must reject nonsense before any socket or pipeline work.
     let cases: &[&[&str]] = &[
-        &["hunt", "serve"],                                          // no --listen
-        &["hunt", "serve", "--listen", "x", "--lease-ms", "0"],      // zero lease
-        &["hunt", "serve", "--listen", "x", "--batch", "0"],         // zero batch
-        &["hunt", "serve", "--listen", "x", "--batch", "9999"],      // absurd batch
-        &["hunt", "serve", "--listen", "x", "--heartbeat-ms", "0"],  // zero heartbeat
+        &["hunt", "serve"],                                         // no --listen
+        &["hunt", "serve", "--listen", "x", "--lease-ms", "0"],     // zero lease
+        &["hunt", "serve", "--listen", "x", "--batch", "0"],        // zero batch
+        &["hunt", "serve", "--listen", "x", "--batch", "9999"],     // absurd batch
+        &["hunt", "serve", "--listen", "x", "--heartbeat-ms", "0"], // zero heartbeat
         // Lease shorter than the worker heartbeat interval (hb/4).
-        &["hunt", "serve", "--listen", "x", "--heartbeat-ms", "40000", "--lease-ms", "5000"],
-        &["hunt", "join"],                                           // no address
-        &["hunt", "join", "x:1", "--batch", "0"],                    // zero batch
-        &["hunt", "join", "x:1", "--connect-retries", "0"],          // zero retries
-        &["hunt", "join", "x:1", "--chaos", "net:frob=1:2"],         // bad fault spec
-        &["hunt", "--supervise", "--heartbeat-ms", "0"],             // supervise too
+        &[
+            "hunt",
+            "serve",
+            "--listen",
+            "x",
+            "--heartbeat-ms",
+            "40000",
+            "--lease-ms",
+            "5000",
+        ],
+        &["hunt", "join"],                                   // no address
+        &["hunt", "join", "x:1", "--batch", "0"],            // zero batch
+        &["hunt", "join", "x:1", "--connect-retries", "0"],  // zero retries
+        &["hunt", "join", "x:1", "--chaos", "net:frob=1:2"], // bad fault spec
+        &["hunt", "--supervise", "--heartbeat-ms", "0"],     // supervise too
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run usage case");
@@ -766,7 +947,11 @@ fn scripted_coordinator(
         while let Ok(Some(payload)) = read_frame(&mut reader) {
             match JoinMsg::parse_line(&payload).expect("worker frame") {
                 JoinMsg::Join { .. } => {
-                    let hello = ServeMsg::Welcome { worker: 0, jobs: jobs.len(), ack: 0 };
+                    let hello = ServeMsg::Welcome {
+                        worker: 0,
+                        jobs: jobs.len(),
+                        ack: 0,
+                    };
                     write_frame(&mut write, &hello.render()).unwrap();
                 }
                 JoinMsg::Request { .. } if results < wanted => {
@@ -884,10 +1069,10 @@ fn stopped_worker_holding_spooled_results_exits_4() {
 #[test]
 fn chaos_flag_rejects_unknown_planes_and_misplaced_planes_with_exit_2() {
     let cases: &[&[&str]] = &[
-        &["hunt", "--chaos", "cpu:melt=1"],       // unknown plane
-        &["hunt", "--chaos", "job:panic"],        // missing value
-        &["hunt", "--chaos", "net:drop=0:6"],     // net plane needs `hunt join`
-        &["hunt", "--chaos", "disk:torn=20"],     // disk plane needs --store
+        &["hunt", "--chaos", "cpu:melt=1"],   // unknown plane
+        &["hunt", "--chaos", "job:panic"],    // missing value
+        &["hunt", "--chaos", "net:drop=0:6"], // net plane needs `hunt join`
+        &["hunt", "--chaos", "disk:torn=20"], // disk plane needs --store
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run bad --chaos case");

@@ -23,7 +23,10 @@ pub fn detect_sleep_in_atomic(events: &[SyncEvent]) -> Vec<Finding> {
     for e in events {
         match e.kind {
             SyncKind::AtomicEnter => {
-                atomic.entry(e.thread).or_default().push(e.site.display_name());
+                atomic
+                    .entry(e.thread)
+                    .or_default()
+                    .push(e.site.display_name());
             }
             SyncKind::AtomicExit => {
                 atomic.entry(e.thread).or_default().pop();

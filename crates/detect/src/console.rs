@@ -46,7 +46,9 @@ mod tests {
     #[test]
     fn error_lines_are_flagged() {
         assert!(is_error_line("EXT4-fs error (device sda): bad header"));
-        assert!(is_error_line("Blk_update_request: IO error, dev sda, sector 3"));
+        assert!(is_error_line(
+            "Blk_update_request: IO error, dev sda, sector 3"
+        ));
         assert!(is_error_line("BUG: kernel NULL pointer dereference"));
         assert!(is_error_line("WARNING: thread 0 exited holding lock 0x40"));
         assert!(!is_error_line("EXT4-fs (sda): mounted filesystem"));

@@ -391,7 +391,10 @@ impl OracleCtx {
     pub fn analyze_traced(&mut self, report: &ExecReport, tracer: &sb_obs::Tracer) -> Vec<Finding> {
         let before = self.repeats;
         let findings = self.analyze(report);
-        tracer.count(sb_obs::keys::FINDINGS, findings.len() as u64 + self.repeats - before);
+        tracer.count(
+            sb_obs::keys::FINDINGS,
+            findings.len() as u64 + self.repeats - before,
+        );
         findings
     }
 }
@@ -464,8 +467,10 @@ mod tests {
             site: "s".into(),
             enter_site: "e".into(),
         };
-        let keys: std::collections::HashSet<String> =
-            [&lr, &inv, &mw, &sa].iter().map(|f| f.dedup_key()).collect();
+        let keys: std::collections::HashSet<String> = [&lr, &inv, &mw, &sa]
+            .iter()
+            .map(|f| f.dedup_key())
+            .collect();
         assert_eq!(keys.len(), 4);
         assert_eq!(lr.kind_tag(), "lockrule");
         assert_eq!(inv.kind_tag(), "lockorder");
@@ -530,9 +535,16 @@ mod tests {
         // the console line is per execution, the site pair was returned.
         assert_eq!(ctx.analyze(&report), stock[..1]);
         let mut swapped = report.clone();
-        swapped.trace = vec![mk(0, 0, "eq:r", AccessKind::Write), mk(1, 1, "eq:w", AccessKind::Read)];
+        swapped.trace = vec![
+            mk(0, 0, "eq:r", AccessKind::Write),
+            mk(1, 1, "eq:w", AccessKind::Read),
+        ];
         assert_eq!(ctx.analyze(&swapped), stock[..1]);
-        assert_eq!(analyze(&swapped).len(), 2, "the stateless analysis forgets nothing");
+        assert_eq!(
+            analyze(&swapped).len(),
+            2,
+            "the stateless analysis forgets nothing"
+        );
         // A repeat is still a hit of the detector.
         let (tracer, sink) = sb_obs::Tracer::memory();
         assert_eq!(ctx.analyze_traced(&report, &tracer), stock[..1]);

@@ -198,7 +198,10 @@ impl RuleMiner {
             }
             // This site's place on the address's chain, or the chain's end.
             let (mut at, mut last) = (stats.first, None);
-            while let Some(i) = (at as usize).checked_sub(1).filter(|i| self.sites[*i].site != a.site) {
+            while let Some(i) = (at as usize)
+                .checked_sub(1)
+                .filter(|i| self.sites[*i].site != a.site)
+            {
                 (at, last) = (self.sites[i].next, Some(i));
             }
             match (at as usize).checked_sub(1) {
@@ -210,7 +213,12 @@ impl RuleMiner {
                 None => {
                     let new = self.sites.len() as u32 + 1;
                     *last.map_or(&mut stats.first, |i| &mut self.sites[i].next) = new;
-                    self.sites.push(SiteStats { site: a.site, count: 1, always: a.locks.clone(), next: 0 });
+                    self.sites.push(SiteStats {
+                        site: a.site,
+                        count: 1,
+                        always: a.locks.clone(),
+                        next: 0,
+                    });
                 }
             }
         }
@@ -236,7 +244,11 @@ impl RuleMiner {
     /// Records that `site` acquired the lock at `lock`; the site's name is
     /// resolved only the first time the pair is seen.
     fn note_acquire_site(&mut self, lock: u64, site: Site) {
-        if self.locks.get(&lock).is_some_and(|ident| ident.sites.contains(&site)) {
+        if self
+            .locks
+            .get(&lock)
+            .is_some_and(|ident| ident.sites.contains(&site))
+        {
             return;
         }
         self.order_changed = true;
@@ -246,7 +258,11 @@ impl RuleMiner {
             Entry::Vacant(e) => {
                 // "lock@<addr>" until now.
                 self.renamed = true;
-                e.insert(LockIdent { sites: vec![site], name, named });
+                e.insert(LockIdent {
+                    sites: vec![site],
+                    name,
+                    named,
+                });
             }
             Entry::Occupied(e) => {
                 let ident = e.into_mut();
@@ -283,11 +299,15 @@ impl RuleMiner {
             .map(|(lock, site)| (lock, site.display_name()))
             .collect();
         named.sort();
-        out.extend(named.into_iter().map(|(lock, site)| Finding::LockRuleViolation {
-            site,
-            lock: self.lock_name(lock),
-            addr,
-        }));
+        out.extend(
+            named
+                .into_iter()
+                .map(|(lock, site)| Finding::LockRuleViolation {
+                    site,
+                    lock: self.lock_name(lock),
+                    addr,
+                }),
+        );
     }
 
     /// Every pair of distinctly named locks the corpus acquires in both
@@ -346,7 +366,10 @@ impl RuleMiner {
         }
         touched.sort_unstable();
         for addr in touched.drain(..) {
-            let stats = self.addrs.get_mut(&addr).expect("touched addresses have statistics");
+            let stats = self
+                .addrs
+                .get_mut(&addr)
+                .expect("touched addresses have statistics");
             stats.touched = false;
             let mut fresh = Vec::new();
             stats.rule_breakers(&self.sites, |lock, site| {
@@ -362,7 +385,10 @@ impl RuleMiner {
         self.touched = touched;
         if std::mem::take(&mut self.order_changed) {
             for (first, second) in self.inversions() {
-                if self.returned_inversions.insert((first.clone(), second.clone())) {
+                if self
+                    .returned_inversions
+                    .insert((first.clone(), second.clone()))
+                {
                     out.push(Finding::LockOrderInversion { first, second });
                 }
             }
@@ -432,7 +458,9 @@ mod tests {
     #[test]
     fn below_support_or_below_majority_mines_nothing() {
         let mut sparse = RuleMiner::new();
-        let trace: Vec<Access> = (0..4).map(|_| acc(0, "ls:locked", 0x2000, vec![L])).collect();
+        let trace: Vec<Access> = (0..4)
+            .map(|_| acc(0, "ls:locked", 0x2000, vec![L]))
+            .collect();
         sparse.observe_parts(&trace, &[]);
         assert!(sparse.violations().is_empty(), "support below MIN_SUPPORT");
 
@@ -482,7 +510,10 @@ mod tests {
             ev(1, "ord:lock_b", SyncKind::LockRelease, M),
         ];
         miner.observe_parts(&[], &ab);
-        assert!(miner.violations().is_empty(), "one direction is no inversion");
+        assert!(
+            miner.violations().is_empty(),
+            "one direction is no inversion"
+        );
         miner.observe_parts(&[], &ba);
         let v = miner.violations();
         assert_eq!(v.len(), 1);
@@ -573,7 +604,10 @@ mod tests {
                 let stack = held.entry(e.thread).or_default();
                 match e.kind {
                     SyncKind::LockAcquire => {
-                        lock_sites.entry(e.obj).or_default().insert(e.site.display_name());
+                        lock_sites
+                            .entry(e.obj)
+                            .or_default()
+                            .insert(e.site.display_name());
                         edges.extend(stack.iter().filter(|h| **h != e.obj).map(|h| (*h, e.obj)));
                         stack.push(e.obj);
                     }
@@ -587,12 +621,18 @@ mod tests {
             None => format!("lock@{addr:#x}"),
         };
         let generic = |name: &String| GENERIC_LOCK_SITES.contains(&name.as_str());
-        let named = |addr: u64| lock_sites.get(&addr).is_some_and(|names| !names.iter().all(generic));
+        let named = |addr: u64| {
+            lock_sites
+                .get(&addr)
+                .is_some_and(|names| !names.iter().all(generic))
+        };
         let mut out = Vec::new();
         for (addr, sites) in &per {
             let total: u64 = sites.values().map(|(count, _)| count).sum();
-            let candidates: BTreeSet<u64> =
-                sites.values().flat_map(|(_, always)| always.iter().copied()).collect();
+            let candidates: BTreeSet<u64> = sites
+                .values()
+                .flat_map(|(_, always)| always.iter().copied())
+                .collect();
             for lock in candidates {
                 let support: u64 = sites
                     .values()
@@ -659,37 +699,68 @@ mod tests {
             full.observe_parts(trace, events);
             let all = full.violations();
             assert_eq!(all, reference(&corpus[..=i]), "after execution {i}");
-            assert_eq!(incremental.violations(), all, "asking does not change the answer");
+            assert_eq!(
+                incremental.violations(),
+                all,
+                "asking does not change the answer"
+            );
             kept_incremental.offer(incremental.new_violations());
             kept_full.offer(all);
-            assert_eq!(kept_incremental.findings, kept_full.findings, "after execution {i}");
+            assert_eq!(
+                kept_incremental.findings, kept_full.findings,
+                "after execution {i}"
+            );
         }
-        assert!(incremental.new_violations().is_empty(), "nothing observed, nothing new");
+        assert!(
+            incremental.new_violations().is_empty(),
+            "nothing observed, nothing new"
+        );
         kept_full.findings
     }
 
     #[test]
     fn a_lower_acquire_site_name_returns_the_violation_under_its_new_key() {
-        let mut locked_and_bare: Vec<Access> =
-            (0..8).map(|_| acc(0, "rn:locked", 0x2000, vec![L])).collect();
+        let mut locked_and_bare: Vec<Access> = (0..8)
+            .map(|_| acc(0, "rn:locked", 0x2000, vec![L]))
+            .collect();
         locked_and_bare.push(acc(1, "rn:bare", 0x2000, vec![]));
         let corpus = vec![
-            (locked_and_bare, vec![ev(0, "rn:zz_acquire", SyncKind::LockAcquire, L)]),
+            (
+                locked_and_bare,
+                vec![ev(0, "rn:zz_acquire", SyncKind::LockAcquire, L)],
+            ),
             // Nothing touches 0x2000 here; only the lock's identity moves.
-            (vec![], vec![ev(0, "rn:aa_acquire", SyncKind::LockAcquire, L)]),
+            (
+                vec![],
+                vec![ev(0, "rn:aa_acquire", SyncKind::LockAcquire, L)],
+            ),
             (vec![acc(0, "rn:locked", 0x2000, vec![L])], vec![]),
         ];
-        let keys: Vec<String> = kept_either_way(&corpus).iter().map(Finding::dedup_key).collect();
+        let keys: Vec<String> = kept_either_way(&corpus)
+            .iter()
+            .map(Finding::dedup_key)
+            .collect();
         assert_eq!(
             keys,
-            ["lockrule:rn:bare@rn:zz_acquire", "lockrule:rn:bare@rn:aa_acquire"]
+            [
+                "lockrule:rn:bare@rn:zz_acquire",
+                "lockrule:rn:bare@rn:aa_acquire"
+            ]
         );
     }
 
     #[test]
     fn a_rule_that_loses_and_regains_its_majority_is_returned_once() {
-        let locked = |n| (0..n).map(|_| acc(0, "mj:locked", 0x2000, vec![L])).collect::<Vec<_>>();
-        let bare = |n| (0..n).map(|_| acc(1, "mj:bare", 0x2000, vec![])).collect::<Vec<_>>();
+        let locked = |n| {
+            (0..n)
+                .map(|_| acc(0, "mj:locked", 0x2000, vec![L]))
+                .collect::<Vec<_>>()
+        };
+        let bare = |n| {
+            (0..n)
+                .map(|_| acc(1, "mj:bare", 0x2000, vec![]))
+                .collect::<Vec<_>>()
+        };
         let mut first = locked(8);
         first.extend(bare(1));
         let corpus = vec![
@@ -720,10 +791,12 @@ mod tests {
     #[test]
     fn incremental_emissions_dedup_like_the_full_recompute_on_random_corpora() {
         const LOCKS: [u64; 3] = [L, M, 0x9200];
-        const SITES: [&str; 8] =
-            ["rd:s0", "rd:s0", "rd:s0", "rd:s0", "rd:s1", "rd:s1", "rd:s2", "rd:slips"];
-        const ACQUIRE_SITES: [&str; 7] =
-            ["lock", "rd:m_acq", "rd:c_acq", "rd:x_acq", "rd:a_acq", "rd:t_acq", "rd:f_acq"];
+        const SITES: [&str; 8] = [
+            "rd:s0", "rd:s0", "rd:s0", "rd:s0", "rd:s1", "rd:s1", "rd:s2", "rd:slips",
+        ];
+        const ACQUIRE_SITES: [&str; 7] = [
+            "lock", "rd:m_acq", "rd:c_acq", "rd:x_acq", "rd:a_acq", "rd:t_acq", "rd:f_acq",
+        ];
         let mut rng = SplitMix64::new(0x5EED_1E55);
         let (mut renamed, mut inverted, mut regained) = (0, 0, 0);
         for _ in 0..60 {
@@ -733,9 +806,16 @@ mod tests {
                 let trace: Vec<Access> = (0..rng.next_u64() % 24)
                     .map(|_| {
                         let r = rng.next_u64();
-                        let careless = if careless_burst { r & 3 != 0 } else { r & 15 == 0 };
-                        let site =
-                            if careless { "rd:careless" } else { SITES[(r >> 4 & 7) as usize] };
+                        let careless = if careless_burst {
+                            r & 3 != 0
+                        } else {
+                            r & 15 == 0
+                        };
+                        let site = if careless {
+                            "rd:careless"
+                        } else {
+                            SITES[(r >> 4 & 7) as usize]
+                        };
                         let slot = r >> 8 & 3;
                         let forgets = match site {
                             "rd:careless" => r >> 12 & 7 != 0,
@@ -759,10 +839,18 @@ mod tests {
                 let events: Vec<SyncEvent> = (0..rng.next_u64() % 8)
                     .map(|_| {
                         let r = rng.next_u64();
-                        let kind =
-                            if r & 3 == 0 { SyncKind::LockRelease } else { SyncKind::LockAcquire };
+                        let kind = if r & 3 == 0 {
+                            SyncKind::LockRelease
+                        } else {
+                            SyncKind::LockAcquire
+                        };
                         let name = names[(r >> 8) as usize % names.len()];
-                        ev((r >> 2 & 1) as usize, name, kind, LOCKS[(r >> 16) as usize % 3])
+                        ev(
+                            (r >> 2 & 1) as usize,
+                            name,
+                            kind,
+                            LOCKS[(r >> 16) as usize % 3],
+                        )
                     })
                     .collect();
                 corpus.push((trace, events));
@@ -781,15 +869,25 @@ mod tests {
             let is_inversion = |f: &Finding| matches!(f, Finding::LockOrderInversion { .. });
             inverted += usize::from(kept.iter().any(is_inversion));
             regained += usize::from(held_after.iter().enumerate().any(|(j, now)| {
-                let lost: Vec<&String> =
-                    held_after[..j].iter().flat_map(|earlier| earlier.difference(now)).collect();
-                held_after[j..].iter().any(|later| lost.iter().any(|key| later.contains(*key)))
+                let lost: Vec<&String> = held_after[..j]
+                    .iter()
+                    .flat_map(|earlier| earlier.difference(now))
+                    .collect();
+                held_after[j..]
+                    .iter()
+                    .any(|later| lost.iter().any(|key| later.contains(*key)))
             }));
         }
         // The generator is only worth its keep while it reaches the cases
         // the incremental path can get wrong.
-        assert!(renamed >= 10, "only {renamed} corpora kept a violation under a name lowered later");
+        assert!(
+            renamed >= 10,
+            "only {renamed} corpora kept a violation under a name lowered later"
+        );
         assert!(inverted >= 10, "only {inverted} corpora mined an inversion");
-        assert!(regained >= 10, "only {regained} corpora lost violations and got some back");
+        assert!(
+            regained >= 10,
+            "only {regained} corpora lost violations and got some back"
+        );
     }
 }

@@ -94,7 +94,10 @@ pub fn detect_races(trace: &[Access]) -> Vec<RaceReport> {
 /// `trace` must be in strictly increasing `seq` order (see the module docs).
 /// Cost: one pass, plus at most `window`² pair tests per change of thread.
 pub fn detect_races_windowed(trace: &[Access], window: u64) -> Vec<RaceReport> {
-    debug_assert!(trace.windows(2).all(|w| w[0].seq < w[1].seq), "seq increases along a trace");
+    debug_assert!(
+        trace.windows(2).all(|w| w[0].seq < w[1].seq),
+        "seq increases along a trace"
+    );
     let reach = usize::try_from(window).unwrap_or(usize::MAX);
     // Racing pairs as (a, b), `a` the one an address-sorted scan meets first.
     let mut hits: Vec<(&Access, &Access)> = Vec::new();
@@ -120,8 +123,16 @@ pub fn detect_races_windowed(trace: &[Access], window: u64) -> Vec<RaceReport> {
     for (a, b) in hits {
         let (w, o) = if a.kind.is_write() { (a, b) } else { (b, a) };
         let (addr, seqs) = (b.addr, (a.seq, b.seq));
-        let report = RaceReport { write_site: w.site, other_site: o.site, addr, seqs };
-        if !out.iter().any(|r| r.addr == report.addr && r.pair_key() == report.pair_key()) {
+        let report = RaceReport {
+            write_site: w.site,
+            other_site: o.site,
+            addr,
+            seqs,
+        };
+        if !out
+            .iter()
+            .any(|r| r.addr == report.addr && r.pair_key() == report.pair_key())
+        {
             out.push(report);
         }
     }
@@ -263,8 +274,24 @@ mod tests {
     fn duplicate_site_pairs_dedup() {
         let mut t = Vec::new();
         for i in 0..10 {
-            t.push(acc(2 * i, 0, "dd:w", AccessKind::Write, 0x2000, vec![], false));
-            t.push(acc(2 * i + 1, 1, "dd:r", AccessKind::Read, 0x2000, vec![], false));
+            t.push(acc(
+                2 * i,
+                0,
+                "dd:w",
+                AccessKind::Write,
+                0x2000,
+                vec![],
+                false,
+            ));
+            t.push(acc(
+                2 * i + 1,
+                1,
+                "dd:r",
+                AccessKind::Read,
+                0x2000,
+                vec![],
+                false,
+            ));
         }
         assert_eq!(detect_races(&t).len(), 1);
     }
@@ -285,12 +312,28 @@ mod tests {
     fn window_boundary_is_inclusive() {
         let t = vec![
             acc(0, 0, "bd:w", AccessKind::Write, 0x2000, vec![], false),
-            acc(PROXIMITY_WINDOW, 1, "bd:r", AccessKind::Read, 0x2000, vec![], false),
+            acc(
+                PROXIMITY_WINDOW,
+                1,
+                "bd:r",
+                AccessKind::Read,
+                0x2000,
+                vec![],
+                false,
+            ),
         ];
         assert_eq!(detect_races(&t).len(), 1);
         let t2 = vec![
             acc(0, 0, "bd2:w", AccessKind::Write, 0x2000, vec![], false),
-            acc(PROXIMITY_WINDOW + 1, 1, "bd2:r", AccessKind::Read, 0x2000, vec![], false),
+            acc(
+                PROXIMITY_WINDOW + 1,
+                1,
+                "bd2:r",
+                AccessKind::Read,
+                0x2000,
+                vec![],
+                false,
+            ),
         ];
         assert!(detect_races(&t2).is_empty());
     }
@@ -402,8 +445,16 @@ mod tests {
     /// All three scans over `trace`, which must agree; returns the reports.
     fn agreed(trace: &[Access], window: u64) -> Vec<RaceReport> {
         let races = detect_races_windowed(trace, window);
-        assert_eq!(races, sorted_scan(trace, window), "window {window} over {trace:#?}");
-        assert_eq!(races, naive_scan(trace, window), "window {window} over {trace:#?}");
+        assert_eq!(
+            races,
+            sorted_scan(trace, window),
+            "window {window} over {trace:#?}"
+        );
+        assert_eq!(
+            races,
+            naive_scan(trace, window),
+            "window {window} over {trace:#?}"
+        );
         races
     }
 
@@ -415,7 +466,9 @@ mod tests {
     /// windows 0, 1, 8, 9 and 50. Equal reports, in equal order.
     #[test]
     fn switch_scan_matches_the_sorted_scan_and_the_definition() {
-        let sites: Vec<Site> = (0..8).map(|i| Site::intern(&format!("eq:site{i}"))).collect();
+        let sites: Vec<Site> = (0..8)
+            .map(|i| Site::intern(&format!("eq:site{i}")))
+            .collect();
         let mut state = SplitMix64::new(0x5EED_2ACE);
         let (mut reports, mut racy, mut two_addr, mut three_way) = (0, 0, 0, 0);
         for _ in 0..2000 {
@@ -441,7 +494,9 @@ mod tests {
                         len: 1 + ((r >> 21) % 8) as u8,
                         value: 0,
                         atomic: r >> 24 & 3 == 0,
-                        locks: (0..(r >> 26) % 3).map(|i| 0x9_0000 + ((r >> (28 + 2 * i)) % 3) * 8).collect(),
+                        locks: (0..(r >> 26) % 3)
+                            .map(|i| 0x9_0000 + ((r >> (28 + 2 * i)) % 3) * 8)
+                            .collect(),
                         rcu_depth: 0,
                     }
                 })
@@ -451,27 +506,53 @@ mod tests {
                 reports += races.len();
                 racy += usize::from(!races.is_empty());
                 two_addr += usize::from(races.iter().enumerate().any(|(i, r)| {
-                    races[..i].iter().any(|q| q.pair_key() == r.pair_key() && q.addr != r.addr)
+                    races[..i]
+                        .iter()
+                        .any(|q| q.pair_key() == r.pair_key() && q.addr != r.addr)
                 }));
                 let thread_of = |seq| trace.iter().find(|a| a.seq == seq).map(|a| a.thread);
                 three_way += usize::from(races.iter().any(|r| {
                     let (lo, hi) = (r.seqs.0.min(r.seqs.1), r.seqs.0.max(r.seqs.1));
                     let between = |a: &&Access| lo < a.seq && a.seq < hi;
                     let (t0, t1) = (thread_of(r.seqs.0), thread_of(r.seqs.1));
-                    trace.iter().filter(between).any(|a| Some(a.thread) != t0 && Some(a.thread) != t1)
+                    trace
+                        .iter()
+                        .filter(between)
+                        .any(|a| Some(a.thread) != t0 && Some(a.thread) != t1)
                 }));
             }
         }
-        assert!(reports >= 20_000 && racy >= 4000, "{reports} reports over {racy} racy scans");
-        assert!(two_addr >= 500, "only {two_addr} scans saw one site pair race on two addresses");
-        assert!(three_way >= 500, "only {three_way} scans saw a third thread inside a racing pair");
+        assert!(
+            reports >= 20_000 && racy >= 4000,
+            "{reports} reports over {racy} racy scans"
+        );
+        assert!(
+            two_addr >= 500,
+            "only {two_addr} scans saw one site pair race on two addresses"
+        );
+        assert!(
+            three_way >= 500,
+            "only {three_way} scans saw a third thread inside a racing pair"
+        );
     }
 
     /// `n` accesses of thread `thread` to words nobody else touches,
     /// numbered from `seq`.
     fn filler(seq: u64, thread: usize, n: u64) -> Vec<Access> {
         let word = 0x8000 + 16 * thread as u64;
-        (0..n).map(|i| acc(seq + i, thread, "fl:w", AccessKind::Write, word, vec![], false)).collect()
+        (0..n)
+            .map(|i| {
+                acc(
+                    seq + i,
+                    thread,
+                    "fl:w",
+                    AccessKind::Write,
+                    word,
+                    vec![],
+                    false,
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -481,12 +562,20 @@ mod tests {
             let mut t = vec![acc(0, 0, "xw:w", AccessKind::Write, 0x2000, vec![], false)];
             t.extend(filler(1, 0, gap - 1));
             t.push(acc(gap, 1, "xw:r", AccessKind::Read, 0x2000, vec![], false));
-            assert_eq!(agreed(&t, PROXIMITY_WINDOW).len(), seen, "gap {gap}, switch last");
+            assert_eq!(
+                agreed(&t, PROXIMITY_WINDOW).len(),
+                seen,
+                "gap {gap}, switch last"
+            );
             // ... or the switch comes first and the reader takes its time.
             let mut t = vec![acc(0, 0, "xw:w", AccessKind::Write, 0x2000, vec![], false)];
             t.extend(filler(1, 1, gap - 1));
             t.push(acc(gap, 1, "xw:r", AccessKind::Read, 0x2000, vec![], false));
-            assert_eq!(agreed(&t, PROXIMITY_WINDOW).len(), seen, "gap {gap}, switch first");
+            assert_eq!(
+                agreed(&t, PROXIMITY_WINDOW).len(),
+                seen,
+                "gap {gap}, switch first"
+            );
         }
     }
 
@@ -498,7 +587,10 @@ mod tests {
             acc(2, 0, "tw:w2", AccessKind::Write, 0x2004, vec![], false),
             acc(3, 1, "tw:r3", AccessKind::Read, 0x2004, vec![], false),
         ];
-        let seqs: Vec<(u64, u64)> = agreed(&t, PROXIMITY_WINDOW).iter().map(|r| r.seqs).collect();
+        let seqs: Vec<(u64, u64)> = agreed(&t, PROXIMITY_WINDOW)
+            .iter()
+            .map(|r| r.seqs)
+            .collect();
         // 0x2000 first: the write against both reads and against nothing
         // of its own thread; then what starts at 0x2004.
         assert_eq!(seqs, vec![(0, 1), (0, 3), (1, 2), (2, 3)]);
@@ -513,7 +605,11 @@ mod tests {
         let races = agreed(&t, PROXIMITY_WINDOW);
         let seqs: Vec<(u64, u64)> = races.iter().map(|r| r.seqs).collect();
         assert_eq!(seqs, vec![(0, 4), (0, 5), (4, 5)]);
-        assert_eq!(races[2].write_site, site!("th:w2"), "the write of a read/write pair");
+        assert_eq!(
+            races[2].write_site,
+            site!("th:w2"),
+            "the write of a read/write pair"
+        );
     }
 
     #[test]
@@ -524,16 +620,35 @@ mod tests {
         ];
         let races = agreed(&t, PROXIMITY_WINDOW);
         assert_eq!(races.len(), 1);
-        assert_eq!((races[0].write_site, races[0].other_site), (site!("bw:lo"), site!("bw:hi")));
+        assert_eq!(
+            (races[0].write_site, races[0].other_site),
+            (site!("bw:lo"), site!("bw:hi"))
+        );
         assert_eq!((races[0].addr, races[0].seqs), (0x2004, (1, 0)));
     }
 
     #[test]
     fn ranges_at_the_top_of_the_address_space_race_without_wrapping() {
         let t = vec![
-            acc(0, 0, "top:w", AccessKind::Write, u64::MAX - 4, vec![], false),
+            acc(
+                0,
+                0,
+                "top:w",
+                AccessKind::Write,
+                u64::MAX - 4,
+                vec![],
+                false,
+            ),
             acc(1, 1, "top:r", AccessKind::Read, u64::MAX - 2, vec![], false),
-            acc(2, 0, "top:far", AccessKind::Write, u64::MAX - 16, vec![], false),
+            acc(
+                2,
+                0,
+                "top:far",
+                AccessKind::Write,
+                u64::MAX - 16,
+                vec![],
+                false,
+            ),
             // Would overlap the others if its end wrapped to 3.
             acc(3, 1, "top:low", AccessKind::Read, 0, vec![], false),
         ];

@@ -28,11 +28,9 @@ pub fn detect_missed_wakeups(events: &[SyncEvent]) -> Vec<Finding> {
         }
         // The commit this timeout ends: latest SleepCommit by the same
         // thread on the same queue, at or before the timeout.
-        let commit_idx = events[..i]
-            .iter()
-            .rposition(|c| {
-                c.kind == SyncKind::SleepCommit && c.thread == e.thread && c.obj == e.obj
-            });
+        let commit_idx = events[..i].iter().rposition(|c| {
+            c.kind == SyncKind::SleepCommit && c.thread == e.thread && c.obj == e.obj
+        });
         let Some(ci) = commit_idx else { continue };
         // A signal on this queue that reached nobody, delivered before the
         // sleeper was listening.

@@ -30,7 +30,11 @@ fn reference(trace: &[Access], window: u64) -> Vec<RaceReport> {
                 && !x.shares_lock_with(y)
                 && x.seq.abs_diff(y.seq) <= window;
             if race {
-                pairs.push(if (x.addr, x.seq) <= (y.addr, y.seq) { (x, y) } else { (y, x) });
+                pairs.push(if (x.addr, x.seq) <= (y.addr, y.seq) {
+                    (x, y)
+                } else {
+                    (y, x)
+                });
             }
         }
     }
@@ -44,7 +48,10 @@ fn reference(trace: &[Access], window: u64) -> Vec<RaceReport> {
             addr: b.addr,
             seqs: (a.seq, b.seq),
         };
-        if !out.iter().any(|q| q.pair_key() == r.pair_key() && q.addr == r.addr) {
+        if !out
+            .iter()
+            .any(|q| q.pair_key() == r.pair_key() && q.addr == r.addr)
+        {
             out.push(r);
         }
     }
@@ -54,12 +61,12 @@ fn reference(trace: &[Access], window: u64) -> Vec<RaceReport> {
 fn arb_trace() -> impl Strategy<Value = Vec<Access>> {
     proptest::collection::vec(
         (
-            0usize..3,                     // thread
-            0u8..8,                        // site index
-            0u64..12,                      // addr slot (overlap-dense)
-            1u8..=8,                       // len
-            proptest::bool::ANY,           // write?
-            proptest::bool::ANY,           // atomic?
+            0usize..3,                                // thread
+            0u8..8,                                   // site index
+            0u64..12,                                 // addr slot (overlap-dense)
+            1u8..=8,                                  // len
+            proptest::bool::ANY,                      // write?
+            proptest::bool::ANY,                      // atomic?
             proptest::collection::vec(0u64..3, 0..2), // lock indices
         ),
         0..40,
@@ -73,7 +80,11 @@ fn arb_trace() -> impl Strategy<Value = Vec<Access>> {
                 seq: i as u64,
                 thread,
                 site: Site::intern(&format!("eq:site{s}")),
-                kind: if write { AccessKind::Write } else { AccessKind::Read },
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 addr: 0x2_0000 + slot * 4,
                 len,
                 value: 0,

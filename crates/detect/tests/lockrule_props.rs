@@ -50,7 +50,10 @@ fn reference(corpus: &[Exec]) -> BTreeSet<String> {
         for e in events {
             match e.kind {
                 SyncKind::LockAcquire => {
-                    lock_sites.entry(e.obj).or_default().insert(e.site.display_name());
+                    lock_sites
+                        .entry(e.obj)
+                        .or_default()
+                        .insert(e.site.display_name());
                     let stack = held.entry(e.thread).or_default();
                     for h in stack.iter().filter(|h| **h != e.obj) {
                         edges.insert((*h, e.obj));
@@ -175,7 +178,11 @@ fn arb_exec() -> impl Strategy<Value = Exec> {
                 } else {
                     Site::intern(&format!("lp:acq{s}"))
                 },
-                kind: if acquire { SyncKind::LockAcquire } else { SyncKind::LockRelease },
+                kind: if acquire {
+                    SyncKind::LockAcquire
+                } else {
+                    SyncKind::LockRelease
+                },
                 obj: if which { LOCK_A } else { LOCK_B },
                 arg: 0,
             })

@@ -33,77 +33,173 @@ pub fn seed_programs() -> Vec<Program> {
     vec![
         // l2tp: create + connect (+ transmit).
         Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 1 },
-            Syscall::Sendmsg { sock: Res(0), len: 2 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 1,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 2,
+            },
         ]),
         // ipc/rhashtable.
         Program::new(vec![
             Syscall::Msgget { key: 3 },
-            Syscall::Msgsnd { id: Res(0), mtype: 1, val: 42 },
-            Syscall::Msgrcv { id: Res(0), mtype: 1 },
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Stat },
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
+            Syscall::Msgsnd {
+                id: Res(0),
+                mtype: 1,
+                val: 42,
+            },
+            Syscall::Msgrcv {
+                id: Res(0),
+                mtype: 1,
+            },
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Stat,
+            },
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Rmid,
+            },
         ]),
         // netdev MAC paths.
         Program::new(vec![
-            Syscall::Socket { domain: Domain::Packet },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocSifHwAddr, arg: 5 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocGifHwAddr, arg: 0 },
+            Syscall::Socket {
+                domain: Domain::Packet,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SiocSifHwAddr,
+                arg: 5,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SiocGifHwAddr,
+                arg: 0,
+            },
             Syscall::Getsockname { sock: Res(0) },
         ]),
         // MTU / raw v6.
         Program::new(vec![
-            Syscall::Socket { domain: Domain::RawV6 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocSifMtu, arg: 3 },
-            Syscall::Sendmsg { sock: Res(0), len: 9 },
+            Syscall::Socket {
+                domain: Domain::RawV6,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SiocSifMtu,
+                arg: 3,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 9,
+            },
         ]),
         // Packet fanout.
         Program::new(vec![
-            Syscall::Socket { domain: Domain::Packet },
-            Syscall::Setsockopt { sock: Res(0), opt: sb_kernel::prog::SockOpt::PacketFanout, val: 0 },
-            Syscall::Sendmsg { sock: Res(0), len: 1 },
+            Syscall::Socket {
+                domain: Domain::Packet,
+            },
+            Syscall::Setsockopt {
+                sock: Res(0),
+                opt: sb_kernel::prog::SockOpt::PacketFanout,
+                val: 0,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 1,
+            },
             Syscall::Close { fd: Res(0) },
         ]),
         // TCP congestion control + fib6.
         Program::new(vec![
-            Syscall::Socket { domain: Domain::Inet },
-            Syscall::Setsockopt { sock: Res(0), opt: sb_kernel::prog::SockOpt::TcpCongestion, val: 1 },
-            Syscall::Connect { sock: Res(0), tunnel_id: 0 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocAddRt, arg: 0 },
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
+            Syscall::Setsockopt {
+                sock: Res(0),
+                opt: sb_kernel::prog::SockOpt::TcpCongestion,
+                val: 1,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 0,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SiocAddRt,
+                arg: 0,
+            },
         ]),
         // ext4 file IO + swap boot.
         Program::new(vec![
-            Syscall::Open { path: Path::Ext4File(1) },
-            Syscall::Write { fd: Res(0), off: 1, val: 7 },
+            Syscall::Open {
+                path: Path::Ext4File(1),
+            },
+            Syscall::Write {
+                fd: Res(0),
+                off: 1,
+                val: 7,
+            },
             Syscall::Read { fd: Res(0), off: 1 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::Ext4SwapBoot,
+                arg: 0,
+            },
         ]),
         // Block device controls.
         Program::new(vec![
-            Syscall::Open { path: Path::BlockDev },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkBszSet, arg: 1 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkRaSet, arg: 4 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkSetSize, arg: 2 },
+            Syscall::Open {
+                path: Path::BlockDev,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::BlkBszSet,
+                arg: 1,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::BlkRaSet,
+                arg: 4,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::BlkSetSize,
+                arg: 2,
+            },
             Syscall::Read { fd: Res(0), off: 2 },
             Syscall::Fadvise { fd: Res(0) },
         ]),
         // configfs.
         Program::new(vec![
             Syscall::Mkdir { item: 1 },
-            Syscall::Open { path: Path::Configfs(1) },
+            Syscall::Open {
+                path: Path::Configfs(1),
+            },
             Syscall::Rmdir { item: 1 },
         ]),
         // tty.
         Program::new(vec![
             Syscall::Open { path: Path::Tty },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::TiocSerConfig, arg: 0 },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::TiocSerConfig,
+                arg: 0,
+            },
             Syscall::Close { fd: Res(0) },
         ]),
         // sound.
         Program::new(vec![
             Syscall::Open { path: Path::SndCtl },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SndCtlElemAdd, arg: 1 },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SndCtlElemAdd,
+                arg: 1,
+            },
         ]),
         // mount (heavy).
         Program::new(vec![Syscall::Mount]),
@@ -305,8 +401,14 @@ mod tests {
                 .any(|p| p.calls.iter().any(|c| c.name() == name))
         };
         for expect in [
-            "futex_wait", "futex_wake", "epoll_add", "nbd_send", "vsock_connect",
-            "kernfs_activate", "wq_queue", "wq_flush",
+            "futex_wait",
+            "futex_wake",
+            "epoll_add",
+            "nbd_send",
+            "vsock_connect",
+            "kernfs_activate",
+            "wq_queue",
+            "wq_flush",
         ] {
             assert!(has(expect), "extended corpus never kept a {expect} program");
         }
@@ -318,9 +420,16 @@ mod tests {
     fn corpus_build_distills_by_coverage() {
         let booted = boot(KernelConfig::v5_12_rc3());
         let (corpus, stats) = build_corpus_with(&booted, 42, 40, 300, Catalog::Stock);
-        assert!(corpus.len() >= seed_programs().len() / 2, "seeds should mostly be kept");
+        assert!(
+            corpus.len() >= seed_programs().len() / 2,
+            "seeds should mostly be kept"
+        );
         assert!(stats.kept <= stats.executed);
-        assert!(stats.edges > 50, "expected meaningful edge diversity, got {}", stats.edges);
+        assert!(
+            stats.edges > 50,
+            "expected meaningful edge diversity, got {}",
+            stats.edges
+        );
         // Distillation: strictly fewer kept than executed.
         assert!(stats.kept < stats.executed);
     }

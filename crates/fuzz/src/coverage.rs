@@ -19,7 +19,10 @@ fn edge_id(prev: u64, cur: u64) -> u64 {
 
 /// The edges `thread` takes through `trace`, in order, repeats included.
 fn edges(trace: &[Access], thread: usize) -> impl Iterator<Item = u64> + '_ {
-    let mut sites = trace.iter().filter(move |a| a.thread == thread).map(|a| a.site.0);
+    let mut sites = trace
+        .iter()
+        .filter(move |a| a.thread == thread)
+        .map(|a| a.site.0);
     let mut prev = sites.next();
     sites.map(move |cur| edge_id(prev.replace(cur).expect("a first site"), cur))
 }
@@ -127,6 +130,10 @@ mod tests {
                 assert_eq!(merged.len(), reference.len());
             }
         }
-        assert!(reference.len() > 20, "the traces must overlap: {}", reference.len());
+        assert!(
+            reference.len() > 20,
+            "the traces must overlap: {}",
+            reference.len()
+        );
     }
 }

@@ -6,9 +6,7 @@
 //! repair pass ([`fix_program`]) restores well-formedness after structural
 //! mutations.
 
-use sb_kernel::prog::{
-    MsgCmd, Path, Program, Res, Syscall, DOMAINS, IOCTL_CMDS, SOCK_OPTS,
-};
+use sb_kernel::prog::{MsgCmd, Path, Program, Res, Syscall, DOMAINS, IOCTL_CMDS, SOCK_OPTS};
 use sb_vmm::rng::SplitMix64;
 
 /// The resource classes a call can produce.
@@ -61,9 +59,9 @@ pub fn with_res(c: &Syscall, r: Res) -> Syscall {
         | Syscall::Read { fd, .. }
         | Syscall::Write { fd, .. }
         | Syscall::Fadvise { fd } => *fd = r,
-        Syscall::Msgctl { id, .. }
-        | Syscall::Msgsnd { id, .. }
-        | Syscall::Msgrcv { id, .. } => *id = r,
+        Syscall::Msgctl { id, .. } | Syscall::Msgsnd { id, .. } | Syscall::Msgrcv { id, .. } => {
+            *id = r
+        }
         _ => {}
     }
     c
@@ -129,7 +127,9 @@ impl ProgGen {
                         domain: *self.rng.choose(&DOMAINS).expect("non-empty"),
                     }
                 } else {
-                    Syscall::Open { path: self.gen_path() }
+                    Syscall::Open {
+                        path: self.gen_path(),
+                    }
                 }
             }
             ResKind::MsqId => Syscall::Msgget {
@@ -172,7 +172,9 @@ impl ProgGen {
                 cmd: *self.rng.choose(&IOCTL_CMDS).expect("non-empty"),
                 arg: self.rng.gen_range(0..16),
             },
-            6 => Syscall::Open { path: self.gen_path() },
+            6 => Syscall::Open {
+                path: self.gen_path(),
+            },
             7 => Syscall::Close { fd: r },
             8 => Syscall::Read {
                 fd: r,
@@ -353,8 +355,24 @@ mod tests {
             }
         }
         for expect in [
-            "socket", "connect", "sendmsg", "setsockopt", "getsockname", "ioctl", "open",
-            "close", "read", "write", "fadvise", "msgget", "msgctl", "msgsnd", "msgrcv", "mkdir", "rmdir", "mount",
+            "socket",
+            "connect",
+            "sendmsg",
+            "setsockopt",
+            "getsockname",
+            "ioctl",
+            "open",
+            "close",
+            "read",
+            "write",
+            "fadvise",
+            "msgget",
+            "msgctl",
+            "msgsnd",
+            "msgrcv",
+            "mkdir",
+            "rmdir",
+            "mount",
         ] {
             assert!(names.contains(expect), "never generated {expect}");
         }
@@ -363,9 +381,18 @@ mod tests {
     #[test]
     fn stock_catalog_stream_is_unchanged_and_never_emits_oracle_calls() {
         let extended_only = [
-            "futex_wait", "futex_wake", "epoll_add", "epoll_wake", "nbd_send",
-            "nbd_disconnect", "vsock_connect", "vsock_send", "kernfs_activate",
-            "kernfs_notify", "wq_queue", "wq_flush",
+            "futex_wait",
+            "futex_wake",
+            "epoll_add",
+            "epoll_wake",
+            "nbd_send",
+            "nbd_disconnect",
+            "vsock_connect",
+            "vsock_send",
+            "kernfs_activate",
+            "kernfs_notify",
+            "wq_queue",
+            "wq_flush",
         ];
         let mut a = ProgGen::new(99);
         let mut b = ProgGen::with_catalog(99, Catalog::Stock);
@@ -373,7 +400,11 @@ mod tests {
             let (pa, pb) = (a.gen_program(6), b.gen_program(6));
             assert_eq!(pa, pb, "with_catalog(Stock) must not perturb the stream");
             for c in pa.calls {
-                assert!(!extended_only.contains(&c.name()), "stock emitted {}", c.name());
+                assert!(
+                    !extended_only.contains(&c.name()),
+                    "stock emitted {}",
+                    c.name()
+                );
             }
         }
     }
@@ -388,9 +419,20 @@ mod tests {
             }
         }
         for expect in [
-            "futex_wait", "futex_wake", "epoll_add", "epoll_wake", "nbd_send",
-            "nbd_disconnect", "vsock_connect", "vsock_send", "kernfs_activate",
-            "kernfs_notify", "wq_queue", "wq_flush", "socket", "mount",
+            "futex_wait",
+            "futex_wake",
+            "epoll_add",
+            "epoll_wake",
+            "nbd_send",
+            "nbd_disconnect",
+            "vsock_connect",
+            "vsock_send",
+            "kernfs_activate",
+            "kernfs_notify",
+            "wq_queue",
+            "wq_flush",
+            "socket",
+            "mount",
         ] {
             assert!(names.contains(expect), "never generated {expect}");
         }
@@ -401,8 +443,13 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         // sendmsg referencing call 5 which does not exist.
         let broken = Program::new(vec![
-            Syscall::Socket { domain: Domain::Inet },
-            Syscall::Sendmsg { sock: Res(5), len: 1 },
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
+            Syscall::Sendmsg {
+                sock: Res(5),
+                len: 1,
+            },
         ]);
         let fixed = fix_program(&broken, &mut rng);
         assert!(fixed.is_well_formed());
@@ -412,7 +459,10 @@ mod tests {
     #[test]
     fn fix_program_drops_unsatisfiable_calls() {
         let mut rng = SplitMix64::new(3);
-        let broken = Program::new(vec![Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid }]);
+        let broken = Program::new(vec![Syscall::Msgctl {
+            id: Res(0),
+            cmd: MsgCmd::Rmid,
+        }]);
         let fixed = fix_program(&broken, &mut rng);
         assert!(fixed.is_empty());
     }
@@ -422,9 +472,14 @@ mod tests {
         let mut rng = SplitMix64::new(4);
         // msgctl pointing at a socket: must be re-pointed at the msgget.
         let broken = Program::new(vec![
-            Syscall::Socket { domain: Domain::Inet },
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
             Syscall::Msgget { key: 1 },
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Stat },
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Stat,
+            },
         ]);
         let fixed = fix_program(&broken, &mut rng);
         assert!(fixed.is_well_formed());

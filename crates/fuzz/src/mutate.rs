@@ -138,7 +138,12 @@ mod tests {
         let mut g = ProgGen::new(13);
         let base = g.gen_program(6);
         let other = g.gen_program(6);
-        for op in [MutOp::Insert, MutOp::Remove, MutOp::MutateArgs, MutOp::Splice] {
+        for op in [
+            MutOp::Insert,
+            MutOp::Remove,
+            MutOp::MutateArgs,
+            MutOp::Splice,
+        ] {
             for _ in 0..200 {
                 let q = apply(&mut g, op, &base, Some(&other), 8);
                 assert!(q.is_well_formed(), "{op:?} broke {q}");

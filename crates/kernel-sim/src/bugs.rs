@@ -192,7 +192,10 @@ static REGISTRY: &[KnownBug] = &[
         harmful: false,
         versions: &[V5_3_10],
         distinct_input: true,
-        signatures: &[Signature::RacePair("fib6_get_cookie_safe", "fib6_clean_node")],
+        signatures: &[Signature::RacePair(
+            "fib6_get_cookie_safe",
+            "fib6_clean_node",
+        )],
     },
     KnownBug {
         id: 11,
@@ -385,9 +388,7 @@ pub fn match_race(site_a: &str, site_b: &str) -> Option<u8> {
     let fb = site_function(site_b);
     REGISTRY.iter().find_map(|b| {
         b.signatures.iter().find_map(|s| match s {
-            Signature::RacePair(x, y)
-                if (fa == *x && fb == *y) || (fa == *y && fb == *x) =>
-            {
+            Signature::RacePair(x, y) if (fa == *x && fb == *y) || (fa == *y && fb == *x) => {
                 Some(b.id)
             }
             _ => None,
@@ -490,15 +491,24 @@ mod tests {
     #[test]
     fn race_matching_is_unordered_and_function_scoped() {
         assert_eq!(
-            match_race("eth_commit_mac_addr_change:memcpy", "dev_ifsioc_locked:memcpy"),
+            match_race(
+                "eth_commit_mac_addr_change:memcpy",
+                "dev_ifsioc_locked:memcpy"
+            ),
             Some(9)
         );
         assert_eq!(
-            match_race("dev_ifsioc_locked:memcpy", "eth_commit_mac_addr_change:memcpy"),
+            match_race(
+                "dev_ifsioc_locked:memcpy",
+                "eth_commit_mac_addr_change:memcpy"
+            ),
             Some(9)
         );
         assert_eq!(
-            match_race("cache_alloc_refill:stat_write", "cache_alloc_refill:stat_read"),
+            match_race(
+                "cache_alloc_refill:stat_write",
+                "cache_alloc_refill:stat_read"
+            ),
             Some(13)
         );
         assert_eq!(match_race("foo:a", "bar:b"), None);
@@ -511,22 +521,37 @@ mod tests {
             .filter(|b| b.versions.contains(&KernelVersion::V5_3_10))
             .map(|b| b.id)
             .collect();
-        assert_eq!(v5_3, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 19, 20, 21, 22, 23]);
+        assert_eq!(
+            v5_3,
+            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 18, 19, 20, 21, 22, 23]
+        );
         let rc: Vec<u8> = registry()
             .iter()
             .filter(|b| b.versions.contains(&KernelVersion::V5_12Rc3))
             .map(|b| b.id)
             .collect();
-        assert_eq!(rc, vec![2, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]);
+        assert_eq!(
+            rc,
+            vec![2, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]
+        );
     }
 
     #[test]
     fn sync_oracle_signature_matching() {
-        assert_eq!(match_wakeup("futex_wake:wake_up", "futex_wait:queue_me"), Some(18));
-        // Wakeup matching is directional: wake and sleep roles don't swap.
-        assert_eq!(match_wakeup("futex_wait:queue_me", "futex_wake:wake_up"), None);
         assert_eq!(
-            match_wakeup("pwq_dec_nr_in_flight:wake_flushers", "flush_workqueue:wait_completion"),
+            match_wakeup("futex_wake:wake_up", "futex_wait:queue_me"),
+            Some(18)
+        );
+        // Wakeup matching is directional: wake and sleep roles don't swap.
+        assert_eq!(
+            match_wakeup("futex_wait:queue_me", "futex_wake:wake_up"),
+            None
+        );
+        assert_eq!(
+            match_wakeup(
+                "pwq_dec_nr_in_flight:wake_flushers",
+                "flush_workqueue:wait_completion"
+            ),
             Some(23)
         );
         assert_eq!(
@@ -534,19 +559,31 @@ mod tests {
             Some(19)
         );
         assert_eq!(
-            match_sleep_atomic("nbd_disconnect:wait_requests", "nbd_disconnect:spin_lock_irq"),
+            match_sleep_atomic(
+                "nbd_disconnect:wait_requests",
+                "nbd_disconnect:spin_lock_irq"
+            ),
             Some(20)
         );
-        assert_eq!(match_lockrule("vsock_stream_connect:set_established"), Some(21));
+        assert_eq!(
+            match_lockrule("vsock_stream_connect:set_established"),
+            Some(21)
+        );
         assert_eq!(match_lockrule("kernfs_notify:flags_set_notified"), Some(22));
         assert_eq!(match_lockrule("tty_port_open:flags_set"), None);
         // The bare stores also race against their locked peers.
         assert_eq!(
-            match_race("vsock_stream_connect:set_established", "virtio_transport_send:state_check"),
+            match_race(
+                "vsock_stream_connect:set_established",
+                "virtio_transport_send:state_check"
+            ),
             Some(21)
         );
         assert_eq!(
-            match_race("kernfs_notify:flags_set_notified", "kernfs_activate:flags_check"),
+            match_race(
+                "kernfs_notify:flags_set_notified",
+                "kernfs_activate:flags_check"
+            ),
             Some(22)
         );
     }

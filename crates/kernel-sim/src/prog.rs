@@ -351,7 +351,9 @@ impl std::fmt::Display for Syscall {
             Syscall::Open { path } => write!(f, "open({path:?})"),
             Syscall::Close { fd } => write!(f, "close(r{})", fd.0),
             Syscall::Read { fd, off } => write!(f, "read(r{}, off={})", fd.0, off),
-            Syscall::Write { fd, off, val } => write!(f, "write(r{}, off={}, val={})", fd.0, off, val),
+            Syscall::Write { fd, off, val } => {
+                write!(f, "write(r{}, off={}, val={})", fd.0, off, val)
+            }
             Syscall::Fadvise { fd } => write!(f, "fadvise(r{})", fd.0),
             Syscall::Msgget { key } => write!(f, "msgget(key={key})"),
             Syscall::Msgctl { id, cmd } => write!(f, "msgctl(r{}, {cmd:?})", id.0),
@@ -427,15 +429,28 @@ mod tests {
     #[test]
     fn well_formedness_checks_res_ordering() {
         let good = Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 1 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 1,
+            },
         ]);
         assert!(good.is_well_formed());
-        let bad = Program::new(vec![Syscall::Connect { sock: Res(0), tunnel_id: 1 }]);
+        let bad = Program::new(vec![Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 1,
+        }]);
         assert!(!bad.is_well_formed());
         let fwd = Program::new(vec![
-            Syscall::Sendmsg { sock: Res(1), len: 1 },
-            Syscall::Socket { domain: Domain::Inet },
+            Syscall::Sendmsg {
+                sock: Res(1),
+                len: 1,
+            },
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
         ]);
         assert!(!fwd.is_well_formed());
     }
@@ -443,9 +458,17 @@ mod tests {
     #[test]
     fn display_is_syz_like() {
         let p = Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 3 },
-            Syscall::Sendmsg { sock: Res(0), len: 9 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 3,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 9,
+            },
         ]);
         let s = p.to_string();
         assert!(s.contains("r0 = socket(L2tp)"));
@@ -456,9 +479,19 @@ mod tests {
     #[test]
     fn res_args_cover_all_consuming_calls() {
         let p = Program::new(vec![
-            Syscall::Open { path: Path::Ext4File(2) },
-            Syscall::Write { fd: Res(0), off: 3, val: 7 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+            Syscall::Open {
+                path: Path::Ext4File(2),
+            },
+            Syscall::Write {
+                fd: Res(0),
+                off: 3,
+                val: 7,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::Ext4SwapBoot,
+                arg: 0,
+            },
         ]);
         assert!(p.calls[0].res_args().is_empty());
         assert_eq!(p.calls[1].res_args(), vec![Res(0)]);

@@ -242,10 +242,7 @@ mod tests {
     use sb_vmm::sched::FreeRun;
     use sb_vmm::{Executor, KResult};
 
-    fn run_seq(
-        config: KernelConfig,
-        f: impl AsyncFnOnce(&Env<'_>) -> KResult<()> + 'static,
-    ) {
+    fn run_seq(config: KernelConfig, f: impl AsyncFnOnce(&Env<'_>) -> KResult<()> + 'static) {
         let booted = boot(config);
         let mut exec = Executor::new(1);
         let kernel = booted.kernel.clone();

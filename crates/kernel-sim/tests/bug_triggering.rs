@@ -12,12 +12,7 @@ use sb_vmm::Executor;
 /// Runs `a` and `b` concurrently under random schedules with seeds
 /// `0..attempts`, returning the consoles of every run plus whether any run
 /// panicked.
-fn run_many(
-    booted: &BootedKernel,
-    a: &Program,
-    b: &Program,
-    attempts: u64,
-) -> (bool, Vec<String>) {
+fn run_many(booted: &BootedKernel, a: &Program, b: &Program, attempts: u64) -> (bool, Vec<String>) {
     let mut exec = Executor::new(2);
     let mut any_panic = false;
     let mut consoles = Vec::new();
@@ -39,16 +34,29 @@ fn run_many(
 
 fn l2tp_writer() -> Program {
     Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
     ])
 }
 
 fn l2tp_reader() -> Program {
     Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
-        Syscall::Sendmsg { sock: Res(0), len: 1 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
+        Syscall::Sendmsg {
+            sock: Res(0),
+            len: 1,
+        },
     ])
 }
 
@@ -58,11 +66,15 @@ fn bug12_l2tp_order_violation_panics_under_some_interleaving() {
     let (panicked, consoles) = run_many(&booted, &l2tp_writer(), &l2tp_reader(), 64);
     assert!(panicked, "bug #12 should panic under some schedule");
     assert!(
-        consoles.iter().any(|l| l.contains("NULL pointer dereference")),
+        consoles
+            .iter()
+            .any(|l| l.contains("NULL pointer dereference")),
         "expected a null-deref console line"
     );
     assert!(
-        consoles.iter().any(|l| sb_kernel::bugs::match_console(l) == Some(12)),
+        consoles
+            .iter()
+            .any(|l| sb_kernel::bugs::match_console(l) == Some(12)),
         "console should match registry entry #12: {consoles:?}"
     );
 }
@@ -86,7 +98,10 @@ fn bug12_gone_in_5_3_10() {
 fn rhash_writer() -> Program {
     Program::new(vec![
         Syscall::Msgget { key: 3 },
-        Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
+        Syscall::Msgctl {
+            id: Res(0),
+            cmd: MsgCmd::Rmid,
+        },
     ])
 }
 
@@ -100,7 +115,9 @@ fn bug1_rhashtable_double_fetch_panics_under_some_interleaving() {
     let (panicked, consoles) = run_many(&booted, &rhash_writer(), &rhash_reader(), 200);
     assert!(panicked, "bug #1 should panic under some schedule");
     assert!(
-        consoles.iter().any(|l| l.contains("unable to handle page fault")),
+        consoles
+            .iter()
+            .any(|l| l.contains("unable to handle page fault")),
         "expected the page-fault console line: {consoles:?}"
     );
     assert!(consoles
@@ -118,16 +135,15 @@ fn bug1_gone_in_5_12_rc3_and_patched() {
 }
 
 fn configfs_writer() -> Program {
-    Program::new(vec![
-        Syscall::Mkdir { item: 1 },
-        Syscall::Rmdir { item: 1 },
-    ])
+    Program::new(vec![Syscall::Mkdir { item: 1 }, Syscall::Rmdir { item: 1 }])
 }
 
 fn configfs_reader() -> Program {
     Program::new(vec![
         Syscall::Mkdir { item: 1 },
-        Syscall::Open { path: Path::Configfs(1) },
+        Syscall::Open {
+            path: Path::Configfs(1),
+        },
     ])
 }
 
@@ -150,9 +166,19 @@ fn bug11_gone_in_patched_build() {
 
 fn ext4_swap_prog() -> Program {
     Program::new(vec![
-        Syscall::Open { path: Path::Ext4File(1) },
-        Syscall::Write { fd: Res(0), off: 1, val: 7 },
-        Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+        Syscall::Open {
+            path: Path::Ext4File(1),
+        },
+        Syscall::Write {
+            fd: Res(0),
+            off: 1,
+            val: 7,
+        },
+        Syscall::Ioctl {
+            fd: Res(0),
+            cmd: IoctlCmd::Ext4SwapBoot,
+            arg: 0,
+        },
     ])
 }
 
@@ -162,7 +188,9 @@ fn bug2_swap_boot_loader_checksum_error_under_some_interleaving() {
     // Duplicate pairing, as Table 2 records for #2.
     let (_panicked, consoles) = run_many(&booted, &ext4_swap_prog(), &ext4_swap_prog(), 128);
     assert!(
-        consoles.iter().any(|l| l.contains("swap_inode_boot_loader")),
+        consoles
+            .iter()
+            .any(|l| l.contains("swap_inode_boot_loader")),
         "expected the checksum-invalid console line"
     );
     assert!(consoles
@@ -179,8 +207,14 @@ fn bug2_gone_in_patched_build() {
 
 fn ext4_write_prog() -> Program {
     Program::new(vec![
-        Syscall::Open { path: Path::Ext4File(2) },
-        Syscall::Write { fd: Res(0), off: 0, val: 1 },
+        Syscall::Open {
+            path: Path::Ext4File(2),
+        },
+        Syscall::Write {
+            fd: Res(0),
+            off: 0,
+            val: 1,
+        },
         Syscall::Read { fd: Res(0), off: 0 },
     ])
 }
@@ -197,15 +231,27 @@ fn bug3_extent_magic_error_under_some_interleaving() {
 
 fn blk_shrink_prog() -> Program {
     Program::new(vec![
-        Syscall::Open { path: Path::BlockDev },
-        Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkSetSize, arg: 0 },
+        Syscall::Open {
+            path: Path::BlockDev,
+        },
+        Syscall::Ioctl {
+            fd: Res(0),
+            cmd: IoctlCmd::BlkSetSize,
+            arg: 0,
+        },
     ])
 }
 
 fn blk_write_prog() -> Program {
     Program::new(vec![
-        Syscall::Open { path: Path::Ext4File(0) },
-        Syscall::Write { fd: Res(0), off: 9, val: 3 },
+        Syscall::Open {
+            path: Path::Ext4File(0),
+        },
+        Syscall::Write {
+            fd: Res(0),
+            off: 9,
+            val: 3,
+        },
     ])
 }
 

@@ -29,7 +29,10 @@ fn outcome_kind(r: &ExecReport) -> &'static str {
 #[test]
 fn a_reused_executor_reports_what_a_fresh_one_does() {
     let seeds = seed_programs_extended();
-    let tight = ExecLimits { max_steps: 40, ..ExecLimits::default() };
+    let tight = ExecLimits {
+        max_steps: 40,
+        ..ExecLimits::default()
+    };
     let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
     let mut slept = 0;
     for config in [KernelConfig::v5_12_rc3(), KernelConfig::v5_3_10()] {
@@ -61,7 +64,11 @@ fn a_reused_executor_reports_what_a_fresh_one_does() {
                     assert_eq!(again.mem.brk(), fresh.mem.brk());
                     *outcomes.entry(outcome_kind(&fresh.report)).or_default() += 1;
                     slept += usize::from(
-                        fresh.report.sync_events.iter().any(|e| e.kind == SyncKind::SleepCommit),
+                        fresh
+                            .report
+                            .sync_events
+                            .iter()
+                            .any(|e| e.kind == SyncKind::SleepCommit),
                     );
                     reused.recycle(again);
                 }
@@ -70,7 +77,13 @@ fn a_reused_executor_reports_what_a_fresh_one_does() {
     }
     // The comparison is only worth its keep while the runs differ in how
     // they end and in what they record.
-    assert!(outcomes.get("completed").is_some_and(|n| *n >= 50), "{outcomes:?}");
-    assert!(outcomes.get("stuck").is_some_and(|n| *n >= 20), "{outcomes:?}");
+    assert!(
+        outcomes.get("completed").is_some_and(|n| *n >= 50),
+        "{outcomes:?}"
+    );
+    assert!(
+        outcomes.get("stuck").is_some_and(|n| *n >= 20),
+        "{outcomes:?}"
+    );
     assert!(slept >= 10, "only {slept} runs put a thread to sleep");
 }

@@ -49,10 +49,18 @@ fn socket_returns_sequential_fds() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Socket { domain: Domain::Inet },
-            Syscall::Socket { domain: Domain::Packet },
-            Syscall::Socket { domain: Domain::RawV6 },
-            Syscall::Socket { domain: Domain::L2tp },
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
+            Syscall::Socket {
+                domain: Domain::Packet,
+            },
+            Syscall::Socket {
+                domain: Domain::RawV6,
+            },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
         ]),
     );
     assert_eq!(rets, vec![0, 1, 2, 3]);
@@ -70,7 +78,10 @@ fn connect_on_wrong_and_dangling_descriptors() {
             // returns EBADF only for non-descriptors.
             Syscall::Msgget { key: 1 },
             // Connect referencing the msgget result (an id, not an fd).
-            Syscall::Connect { sock: Res(1), tunnel_id: 0 },
+            Syscall::Connect {
+                sock: Res(1),
+                tunnel_id: 0,
+            },
         ]),
     );
     assert_eq!(rets[2], EBADF, "msq ids are not descriptors");
@@ -82,11 +93,24 @@ fn sendmsg_per_domain_behaviors() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Socket { domain: Domain::Inet },
-            Syscall::Sendmsg { sock: Res(0), len: 3 }, // tx counter 1
-            Syscall::Sendmsg { sock: Res(0), len: 3 }, // tx counter 2
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Sendmsg { sock: Res(3), len: 3 }, // unconnected: EINVAL
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 3,
+            }, // tx counter 1
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 3,
+            }, // tx counter 2
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Sendmsg {
+                sock: Res(3),
+                len: 3,
+            }, // unconnected: EINVAL
         ]),
     );
     assert_eq!(rets[1], 1);
@@ -100,15 +124,35 @@ fn setsockopt_rejects_mismatched_options() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Socket { domain: Domain::Inet },
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
             // Packet fanout on an inet socket.
-            Syscall::Setsockopt { sock: Res(0), opt: SockOpt::PacketFanout, val: 0 },
-            Syscall::Socket { domain: Domain::Packet },
+            Syscall::Setsockopt {
+                sock: Res(0),
+                opt: SockOpt::PacketFanout,
+                val: 0,
+            },
+            Syscall::Socket {
+                domain: Domain::Packet,
+            },
             // Congestion control on a packet socket.
-            Syscall::Setsockopt { sock: Res(2), opt: SockOpt::TcpCongestion, val: 0 },
+            Syscall::Setsockopt {
+                sock: Res(2),
+                opt: SockOpt::TcpCongestion,
+                val: 0,
+            },
             // And the matching combinations succeed.
-            Syscall::Setsockopt { sock: Res(0), opt: SockOpt::TcpCongestion, val: 1 },
-            Syscall::Setsockopt { sock: Res(2), opt: SockOpt::PacketFanout, val: 0 },
+            Syscall::Setsockopt {
+                sock: Res(0),
+                opt: SockOpt::TcpCongestion,
+                val: 1,
+            },
+            Syscall::Setsockopt {
+                sock: Res(2),
+                opt: SockOpt::PacketFanout,
+                val: 0,
+            },
         ]),
     );
     assert_eq!(rets[1], EINVAL);
@@ -123,25 +167,67 @@ fn ioctl_requires_the_right_descriptor_kind() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Open { path: Path::Ext4File(0) },  // 0
-            Syscall::Open { path: Path::BlockDev },     // 1
-            Syscall::Open { path: Path::Tty },          // 2
-            Syscall::Open { path: Path::SndCtl },       // 3
-            Syscall::Socket { domain: Domain::Packet }, // 4
+            Syscall::Open {
+                path: Path::Ext4File(0),
+            }, // 0
+            Syscall::Open {
+                path: Path::BlockDev,
+            }, // 1
+            Syscall::Open { path: Path::Tty },    // 2
+            Syscall::Open { path: Path::SndCtl }, // 3
+            Syscall::Socket {
+                domain: Domain::Packet,
+            }, // 4
             // Block ioctls on a file fd.
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkBszSet, arg: 1 },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::BlkBszSet,
+                arg: 1,
+            },
             // Net ioctls on a file fd.
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocSifHwAddr, arg: 1 },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SiocSifHwAddr,
+                arg: 1,
+            },
             // Ext4 swap-boot on the block device.
-            Syscall::Ioctl { fd: Res(1), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+            Syscall::Ioctl {
+                fd: Res(1),
+                cmd: IoctlCmd::Ext4SwapBoot,
+                arg: 0,
+            },
             // TTY config on the sound device.
-            Syscall::Ioctl { fd: Res(3), cmd: IoctlCmd::TiocSerConfig, arg: 0 },
+            Syscall::Ioctl {
+                fd: Res(3),
+                cmd: IoctlCmd::TiocSerConfig,
+                arg: 0,
+            },
             // The right pairings all succeed.
-            Syscall::Ioctl { fd: Res(1), cmd: IoctlCmd::BlkBszSet, arg: 1 },
-            Syscall::Ioctl { fd: Res(4), cmd: IoctlCmd::SiocSifHwAddr, arg: 1 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
-            Syscall::Ioctl { fd: Res(2), cmd: IoctlCmd::TiocSerConfig, arg: 0 },
-            Syscall::Ioctl { fd: Res(3), cmd: IoctlCmd::SndCtlElemAdd, arg: 0 },
+            Syscall::Ioctl {
+                fd: Res(1),
+                cmd: IoctlCmd::BlkBszSet,
+                arg: 1,
+            },
+            Syscall::Ioctl {
+                fd: Res(4),
+                cmd: IoctlCmd::SiocSifHwAddr,
+                arg: 1,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::Ext4SwapBoot,
+                arg: 0,
+            },
+            Syscall::Ioctl {
+                fd: Res(2),
+                cmd: IoctlCmd::TiocSerConfig,
+                arg: 0,
+            },
+            Syscall::Ioctl {
+                fd: Res(3),
+                cmd: IoctlCmd::SndCtlElemAdd,
+                arg: 0,
+            },
         ]),
     );
     assert_eq!(&rets[5..9], &[EBADF, EBADF, EBADF, EBADF]);
@@ -173,16 +259,30 @@ fn read_write_fadvise_on_files_and_devices() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Open { path: Path::Ext4File(2) },
-            Syscall::Write { fd: Res(0), off: 5, val: 0xAB },
+            Syscall::Open {
+                path: Path::Ext4File(2),
+            },
+            Syscall::Write {
+                fd: Res(0),
+                off: 5,
+                val: 0xAB,
+            },
             Syscall::Read { fd: Res(0), off: 5 },
-            Syscall::Open { path: Path::BlockDev },
-            Syscall::Write { fd: Res(3), off: 2, val: 0x11 },
+            Syscall::Open {
+                path: Path::BlockDev,
+            },
+            Syscall::Write {
+                fd: Res(3),
+                off: 2,
+                val: 0x11,
+            },
             Syscall::Read { fd: Res(3), off: 2 },
             Syscall::Fadvise { fd: Res(0) },
             Syscall::Fadvise { fd: Res(3) },
             // fadvise on a socket: EINVAL.
-            Syscall::Socket { domain: Domain::Inet },
+            Syscall::Socket {
+                domain: Domain::Inet,
+            },
             Syscall::Fadvise { fd: Res(8) },
         ]),
     );
@@ -197,10 +297,19 @@ fn msg_queue_lifecycle_and_errors() {
         &b,
         Program::new(vec![
             Syscall::Msgget { key: 5 },
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Stat },
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Stat,
+            },
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Rmid,
+            },
             // Stat after removal: ENOENT.
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Rmid,
+            },
         ]),
     );
     assert!(rets[0] > 0, "msgget returns the queue id");
@@ -215,9 +324,13 @@ fn configfs_open_of_absent_item_is_enoent() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Open { path: Path::Configfs(2) },
+            Syscall::Open {
+                path: Path::Configfs(2),
+            },
             Syscall::Mkdir { item: 2 },
-            Syscall::Open { path: Path::Configfs(2) },
+            Syscall::Open {
+                path: Path::Configfs(2),
+            },
             Syscall::Rmdir { item: 2 },
         ]),
     );
@@ -225,7 +338,11 @@ fn configfs_open_of_absent_item_is_enoent() {
     assert_eq!(rets[1], 0);
     // The successful open returns an fd (index 1 after the failed open
     // consumed no slot... the failed open returns ENOENT, not an fd).
-    assert!(rets[2] < 64, "successful open returns an fd, got {:#x}", rets[2]);
+    assert!(
+        rets[2] < 64,
+        "successful open returns an fd, got {:#x}",
+        rets[2]
+    );
     assert_eq!(rets[3], 0);
 }
 
@@ -235,9 +352,15 @@ fn getsockname_and_mac_io_round_trip() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Socket { domain: Domain::Packet },
+            Syscall::Socket {
+                domain: Domain::Packet,
+            },
             Syscall::Getsockname { sock: Res(0) }, // boot MAC
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::EthtoolSMac, arg: 9 },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::EthtoolSMac,
+                arg: 9,
+            },
             Syscall::Getsockname { sock: Res(0) }, // new MAC
         ]),
     );
@@ -249,10 +372,7 @@ fn getsockname_and_mac_io_round_trip() {
 #[test]
 fn mount_is_idempotent_and_heavy() {
     let b = rc();
-    let rets = run(
-        &b,
-        Program::new(vec![Syscall::Mount, Syscall::Mount]),
-    );
+    let rets = run(&b, Program::new(vec![Syscall::Mount, Syscall::Mount]));
     assert_eq!(rets[0], rets[1], "mount result is stable");
     assert_eq!(rets[0], 5, "all five inodes live");
 }
@@ -263,11 +383,27 @@ fn mtu_ioctl_bounds_sendmsg_payload() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Socket { domain: Domain::RawV6 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocSifMtu, arg: 0 }, // mtu 576
-            Syscall::Sendmsg { sock: Res(0), len: 15 },
-            Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocSifMtu, arg: 7 }, // mtu 1472
-            Syscall::Sendmsg { sock: Res(0), len: 15 },
+            Syscall::Socket {
+                domain: Domain::RawV6,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SiocSifMtu,
+                arg: 0,
+            }, // mtu 576
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 15,
+            },
+            Syscall::Ioctl {
+                fd: Res(0),
+                cmd: IoctlCmd::SiocSifMtu,
+                arg: 7,
+            }, // mtu 1472
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 15,
+            },
         ]),
     );
     assert!(rets[2] <= rets[4], "larger MTU permits a larger payload");
@@ -280,16 +416,37 @@ fn every_syscall_has_a_total_dispatch() {
     let b = rc();
     let all_with_bad_refs = Program::new(vec![
         Syscall::Msgget { key: 0 },
-        Syscall::Connect { sock: Res(0), tunnel_id: 0 },
-        Syscall::Sendmsg { sock: Res(0), len: 0 },
-        Syscall::Setsockopt { sock: Res(0), opt: SockOpt::PacketFanout, val: 0 },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 0,
+        },
+        Syscall::Sendmsg {
+            sock: Res(0),
+            len: 0,
+        },
+        Syscall::Setsockopt {
+            sock: Res(0),
+            opt: SockOpt::PacketFanout,
+            val: 0,
+        },
         Syscall::Getsockname { sock: Res(0) },
-        Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::BlkRaSet, arg: 0 },
+        Syscall::Ioctl {
+            fd: Res(0),
+            cmd: IoctlCmd::BlkRaSet,
+            arg: 0,
+        },
         Syscall::Close { fd: Res(0) },
         Syscall::Read { fd: Res(0), off: 0 },
-        Syscall::Write { fd: Res(0), off: 0, val: 0 },
+        Syscall::Write {
+            fd: Res(0),
+            off: 0,
+            val: 0,
+        },
         Syscall::Fadvise { fd: Res(0) },
-        Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Stat },
+        Syscall::Msgctl {
+            id: Res(0),
+            cmd: MsgCmd::Stat,
+        },
         Syscall::Mkdir { item: 9 },
         Syscall::Rmdir { item: 9 },
         Syscall::Mount,
@@ -304,10 +461,22 @@ fn results_are_identical_across_kernel_versions_for_neutral_programs() {
     // in both kernels — the gating only changes synchronization, not
     // semantics.
     let prog = Program::new(vec![
-        Syscall::Socket { domain: Domain::Inet },
-        Syscall::Setsockopt { sock: Res(0), opt: SockOpt::TcpCongestion, val: 2 },
-        Syscall::Open { path: Path::Ext4File(1) },
-        Syscall::Write { fd: Res(2), off: 3, val: 9 },
+        Syscall::Socket {
+            domain: Domain::Inet,
+        },
+        Syscall::Setsockopt {
+            sock: Res(0),
+            opt: SockOpt::TcpCongestion,
+            val: 2,
+        },
+        Syscall::Open {
+            path: Path::Ext4File(1),
+        },
+        Syscall::Write {
+            fd: Res(2),
+            off: 3,
+            val: 9,
+        },
         Syscall::Read { fd: Res(2), off: 3 },
         Syscall::Mount,
     ]);
@@ -322,15 +491,42 @@ fn msgsnd_msgrcv_fifo_semantics() {
     let rets = run(
         &b,
         Program::new(vec![
-            Syscall::Msgget { key: 2 },                              // 0
-            Syscall::Msgsnd { id: Res(0), mtype: 1, val: 10 },       // 1
-            Syscall::Msgsnd { id: Res(0), mtype: 2, val: 20 },       // 2
-            Syscall::Msgsnd { id: Res(0), mtype: 1, val: 30 },       // 3
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Stat },       // 4: qnum 3
-            Syscall::Msgrcv { id: Res(0), mtype: 2 },                // 5: 20
-            Syscall::Msgrcv { id: Res(0), mtype: 0 },                // 6: FIFO: 10
-            Syscall::Msgrcv { id: Res(0), mtype: 0 },                // 7: 30
-            Syscall::Msgrcv { id: Res(0), mtype: 0 },                // 8: ENOMSG
+            Syscall::Msgget { key: 2 }, // 0
+            Syscall::Msgsnd {
+                id: Res(0),
+                mtype: 1,
+                val: 10,
+            }, // 1
+            Syscall::Msgsnd {
+                id: Res(0),
+                mtype: 2,
+                val: 20,
+            }, // 2
+            Syscall::Msgsnd {
+                id: Res(0),
+                mtype: 1,
+                val: 30,
+            }, // 3
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Stat,
+            }, // 4: qnum 3
+            Syscall::Msgrcv {
+                id: Res(0),
+                mtype: 2,
+            }, // 5: 20
+            Syscall::Msgrcv {
+                id: Res(0),
+                mtype: 0,
+            }, // 6: FIFO: 10
+            Syscall::Msgrcv {
+                id: Res(0),
+                mtype: 0,
+            }, // 7: 30
+            Syscall::Msgrcv {
+                id: Res(0),
+                mtype: 0,
+            }, // 8: ENOMSG
         ]),
     );
     assert_eq!(rets[4], 3);
@@ -345,7 +541,11 @@ fn msgsnd_queue_capacity_is_bounded() {
     let b = rc();
     let mut calls = vec![Syscall::Msgget { key: 1 }];
     for i in 0..10 {
-        calls.push(Syscall::Msgsnd { id: Res(0), mtype: 1, val: i });
+        calls.push(Syscall::Msgsnd {
+            id: Res(0),
+            mtype: 1,
+            val: i,
+        });
     }
     let rets = run(&b, Program::new(calls));
     // 8 sends succeed, the 9th and 10th hit EAGAIN.
@@ -361,9 +561,19 @@ fn msg_ops_on_removed_queue_fail_cleanly() {
         &b,
         Program::new(vec![
             Syscall::Msgget { key: 4 },
-            Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
-            Syscall::Msgsnd { id: Res(0), mtype: 1, val: 1 },
-            Syscall::Msgrcv { id: Res(0), mtype: 0 },
+            Syscall::Msgctl {
+                id: Res(0),
+                cmd: MsgCmd::Rmid,
+            },
+            Syscall::Msgsnd {
+                id: Res(0),
+                mtype: 1,
+                val: 1,
+            },
+            Syscall::Msgrcv {
+                id: Res(0),
+                mtype: 0,
+            },
         ]),
     );
     assert_eq!(rets[2], ENOENT);

@@ -181,7 +181,12 @@ impl Event {
     pub fn to_json(&self) -> Json {
         let ev = Json::Str(self.kind().to_owned());
         match self {
-            Event::SpanStart { t, span, parent, name } => obj(vec![
+            Event::SpanStart {
+                t,
+                span,
+                parent,
+                name,
+            } => obj(vec![
                 ("t", Json::U64(*t)),
                 ("ev", ev),
                 ("span", Json::U64(*span)),
@@ -207,7 +212,15 @@ impl Event {
                 ("key", Json::Str(key.clone())),
                 ("v", Json::U64(*v)),
             ]),
-            Event::Job { t, job, trials, steps, findings, attempts, quarantined } => obj(vec![
+            Event::Job {
+                t,
+                job,
+                trials,
+                steps,
+                findings,
+                attempts,
+                quarantined,
+            } => obj(vec![
                 ("t", Json::U64(*t)),
                 ("ev", ev),
                 ("job", Json::U64(*job)),
@@ -217,8 +230,18 @@ impl Event {
                 ("attempts", Json::U64(*attempts)),
                 ("quarantined", Json::Bool(*quarantined)),
             ]),
-            Event::Worker { t, worker, action, detail }
-            | Event::Fleet { t, worker, action, detail } => obj(vec![
+            Event::Worker {
+                t,
+                worker,
+                action,
+                detail,
+            }
+            | Event::Fleet {
+                t,
+                worker,
+                action,
+                detail,
+            } => obj(vec![
                 ("t", Json::U64(*t)),
                 ("ev", ev),
                 ("worker", Json::U64(*worker)),
@@ -334,10 +357,28 @@ mod tests {
 
     #[test]
     fn all_kinds_round_trip() {
-        roundtrip(Event::SpanStart { t: 1, span: 1, parent: 0, name: "campaign".into() });
-        roundtrip(Event::SpanEnd { t: 9, span: 1, name: "campaign".into(), dur: 8 });
-        roundtrip(Event::Count { t: 2, key: "profile.ok".into(), n: 3 });
-        roundtrip(Event::Hist { t: 2, key: "select.cluster_size".into(), v: u64::MAX });
+        roundtrip(Event::SpanStart {
+            t: 1,
+            span: 1,
+            parent: 0,
+            name: "campaign".into(),
+        });
+        roundtrip(Event::SpanEnd {
+            t: 9,
+            span: 1,
+            name: "campaign".into(),
+            dur: 8,
+        });
+        roundtrip(Event::Count {
+            t: 2,
+            key: "profile.ok".into(),
+            n: 3,
+        });
+        roundtrip(Event::Hist {
+            t: 2,
+            key: "select.cluster_size".into(),
+            v: u64::MAX,
+        });
         roundtrip(Event::Job {
             t: 3,
             job: 7,
@@ -383,9 +424,17 @@ mod tests {
         // Mistyped field.
         assert!(Event::parse_line("{\"t\":0,\"ev\":\"count\",\"key\":\"k\",\"n\":\"1\"}").is_err());
         // Missing field.
-        assert!(Event::parse_line("{\"t\":0,\"ev\":\"span_end\",\"span\":1,\"name\":\"x\"}").is_err());
-        assert!(Event::parse_line("{\"t\":0,\"ev\":\"worker\",\"worker\":1,\"action\":\"spawn\"}").is_err());
-        assert!(Event::parse_line("{\"t\":0,\"ev\":\"fleet\",\"worker\":1,\"action\":\"join\"}").is_err());
+        assert!(
+            Event::parse_line("{\"t\":0,\"ev\":\"span_end\",\"span\":1,\"name\":\"x\"}").is_err()
+        );
+        assert!(
+            Event::parse_line("{\"t\":0,\"ev\":\"worker\",\"worker\":1,\"action\":\"spawn\"}")
+                .is_err()
+        );
+        assert!(
+            Event::parse_line("{\"t\":0,\"ev\":\"fleet\",\"worker\":1,\"action\":\"join\"}")
+                .is_err()
+        );
         // Not JSON at all.
         assert!(Event::parse_line("not json").is_err());
     }

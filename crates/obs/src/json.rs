@@ -441,7 +441,8 @@ pub fn atomic_write(
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, contents).map_err(|source| ("write", tmp.clone(), source))?;
     let f = std::fs::File::open(&tmp).map_err(|source| ("fsync", tmp.clone(), source))?;
-    f.sync_all().map_err(|source| ("fsync", tmp.clone(), source))?;
+    f.sync_all()
+        .map_err(|source| ("fsync", tmp.clone(), source))?;
     std::fs::rename(&tmp, path).map_err(|source| ("rename", path.to_path_buf(), source))?;
     // Durability of the rename itself requires syncing the directory entry.
     // A path with no parent (or an empty one, e.g. a bare file name) means
@@ -463,7 +464,10 @@ mod tests {
         let doc = Json::Obj(vec![
             ("seed".to_string(), Json::U64(u64::MAX)),
             ("done".to_string(), Json::Bool(false)),
-            ("note".to_string(), Json::Str("line\n\"two\" \\ λ".to_string())),
+            (
+                "note".to_string(),
+                Json::Str("line\n\"two\" \\ λ".to_string()),
+            ),
             (
                 "items".to_string(),
                 Json::Arr(vec![Json::Null, Json::U64(0), Json::Arr(vec![])]),
@@ -809,7 +813,12 @@ mod tests {
                 4 => Json::Arr((0..self.below(4)).map(|_| self.doc(depth - 1)).collect()),
                 _ => Json::Obj(
                     (0..self.below(4))
-                        .map(|_| (STRINGS[self.below(STRINGS.len())].to_string(), self.doc(depth - 1)))
+                        .map(|_| {
+                            (
+                                STRINGS[self.below(STRINGS.len())].to_string(),
+                                self.doc(depth - 1),
+                            )
+                        })
                         .collect(),
                 ),
             }
@@ -824,7 +833,9 @@ mod tests {
             // Ask for a type the value is not: it is skipped, whatever it is.
             return match doc {
                 Json::U64(_) => r.str().map(|s| assert_eq!(s, None)),
-                Json::Arr(_) => r.obj(|_, _| panic!("not an object")).map(|was| assert!(!was)),
+                Json::Arr(_) => r
+                    .obj(|_, _| panic!("not an object"))
+                    .map(|was| assert!(!was)),
                 Json::Obj(_) => r.arr(|_| panic!("not an array")).map(|was| assert!(!was)),
                 _ => r.u64().map(|n| assert_eq!(n, None)),
             };
@@ -832,7 +843,9 @@ mod tests {
         match doc {
             Json::Null | Json::Bool(_) => r.skip(),
             Json::U64(n) => r.u64().map(|got| assert_eq!(got, Some(*n))),
-            Json::Str(s) => r.str().map(|got| assert_eq!(got.as_deref(), Some(s.as_str()))),
+            Json::Str(s) => r
+                .str()
+                .map(|got| assert_eq!(got.as_deref(), Some(s.as_str()))),
             Json::Arr(items) => {
                 let mut at = 0;
                 let was = r.arr(|r| {
@@ -863,19 +876,47 @@ mod tests {
         assert_eq!(parsed, reference::parse(text), "{what}: {text:?}");
         let mut r = Reader::new(text);
         let skipped = r.skip().and_then(|()| r.finish());
-        assert_eq!(skipped.as_ref().err(), parsed.as_ref().err(), "{what}: {text:?}");
+        assert_eq!(
+            skipped.as_ref().err(),
+            parsed.as_ref().err(),
+            "{what}: {text:?}"
+        );
         if let Ok(doc) = parsed {
             assert_eq!(parse(&doc.render()).as_ref(), Ok(&doc), "{what}: {text:?}");
             let mut r = Reader::new(text);
-            pull(&mut r, &doc, false).and_then(|()| r.finish()).unwrap_or_else(|e| panic!("{what}: {e}: {text:?}"));
+            pull(&mut r, &doc, false)
+                .and_then(|()| r.finish())
+                .unwrap_or_else(|e| panic!("{what}: {e}: {text:?}"));
         }
     }
 
     #[test]
     fn arbitrary_bytes_parse_like_the_reference_and_never_panic() {
         const TOKENS: [&str; 24] = [
-            "{", "}", "[", "]", ":", ",", "\"", " ", "\n", "0", "7", "18446744073709551615", "18446744073709551616",
-            "1.5", "-", "true", "false", "null", "nul", "\"k\"", "\\u00e9", "\\n", "\\", "λ",
+            "{",
+            "}",
+            "[",
+            "]",
+            ":",
+            ",",
+            "\"",
+            " ",
+            "\n",
+            "0",
+            "7",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1.5",
+            "-",
+            "true",
+            "false",
+            "null",
+            "nul",
+            "\"k\"",
+            "\\u00e9",
+            "\\n",
+            "\\",
+            "λ",
         ];
         let mut rng = Rng(sb_vmm::rng::SplitMix64::new(0x5EED_0021));
         for case in 0..10_000u32 {
@@ -884,7 +925,9 @@ mod tests {
             // rendered random document cut or flipped somewhere.
             let raw: Vec<u8> = (0..rng.below(4097)).map(|_| rng.next() as u8).collect();
             check(&String::from_utf8_lossy(&raw), &what);
-            let soup: String = (0..rng.below(48)).map(|_| TOKENS[rng.below(TOKENS.len())]).collect();
+            let soup: String = (0..rng.below(48))
+                .map(|_| TOKENS[rng.below(TOKENS.len())])
+                .collect();
             check(&soup, &what);
             let mut text = rng.doc(4).render().into_bytes();
             check(&String::from_utf8_lossy(&text), &what);
@@ -904,19 +947,39 @@ mod tests {
     fn every_truncation_and_flip_of_a_real_document_parses_like_the_reference() {
         let doc = Json::Obj(vec![
             ("seed".to_string(), Json::U64(u64::MAX)),
-            ("note".to_string(), Json::Str("line\n\"two\" \\ λ \u{1}".to_string())),
-            ("items".to_string(), Json::Arr(vec![Json::Null, Json::Bool(true), Json::U64(0), Json::Arr(vec![])])),
-            ("nested".to_string(), Json::Obj(vec![("k".to_string(), Json::Obj(vec![]))])),
+            (
+                "note".to_string(),
+                Json::Str("line\n\"two\" \\ λ \u{1}".to_string()),
+            ),
+            (
+                "items".to_string(),
+                Json::Arr(vec![
+                    Json::Null,
+                    Json::Bool(true),
+                    Json::U64(0),
+                    Json::Arr(vec![]),
+                ]),
+            ),
+            (
+                "nested".to_string(),
+                Json::Obj(vec![("k".to_string(), Json::Obj(vec![]))]),
+            ),
         ]);
         let text = doc.render().into_bytes();
         for cut in 0..=text.len() {
-            check(&String::from_utf8_lossy(&text[..cut]), &format!("truncated to {cut}"));
+            check(
+                &String::from_utf8_lossy(&text[..cut]),
+                &format!("truncated to {cut}"),
+            );
         }
         let mut flipped = text.clone();
         for at in 0..text.len() {
             for mask in [0x01, 0x04, 0x20, 0x80] {
                 flipped[at] ^= mask;
-                check(&String::from_utf8_lossy(&flipped), &format!("byte {at} ^ {mask:#04x}"));
+                check(
+                    &String::from_utf8_lossy(&flipped),
+                    &format!("byte {at} ^ {mask:#04x}"),
+                );
                 flipped[at] ^= mask;
             }
         }
@@ -924,7 +987,18 @@ mod tests {
 
     #[test]
     fn write_u64_renders_what_the_formatter_renders() {
-        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+        for n in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             let mut out = String::from("x");
             write_u64(n, &mut out);
             assert_eq!(out, format!("x{n}"));

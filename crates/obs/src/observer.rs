@@ -60,11 +60,20 @@ impl CountingObserver {
     /// Emits the aggregate counts to `tracer` and resets them, so one
     /// observer can be published per job without double counting.
     pub fn publish(&self, tracer: &Tracer) {
-        tracer.count(keys::SCHED_HINT_HITS, self.hint_hits.swap(0, Ordering::Relaxed));
-        tracer.count(keys::SCHED_VOLUNTARY, self.voluntary.swap(0, Ordering::Relaxed));
+        tracer.count(
+            keys::SCHED_HINT_HITS,
+            self.hint_hits.swap(0, Ordering::Relaxed),
+        );
+        tracer.count(
+            keys::SCHED_VOLUNTARY,
+            self.voluntary.swap(0, Ordering::Relaxed),
+        );
         tracer.count(keys::SCHED_FORCED, self.forced.swap(0, Ordering::Relaxed));
         tracer.count(keys::SCHED_PICKS, self.picks.swap(0, Ordering::Relaxed));
-        tracer.count(keys::INCIDENTAL_PMCS, self.incidental.swap(0, Ordering::Relaxed));
+        tracer.count(
+            keys::INCIDENTAL_PMCS,
+            self.incidental.swap(0, Ordering::Relaxed),
+        );
     }
 }
 
@@ -130,12 +139,21 @@ mod tests {
         let obs = CountingObserver::new();
         obs.on_decision(SchedDecision::HintHit { thread: 0 });
         obs.on_decision(SchedDecision::HintHit { thread: 1 });
-        obs.on_decision(SchedDecision::Preempt { thread: 0, hinted: true });
+        obs.on_decision(SchedDecision::Preempt {
+            thread: 0,
+            hinted: true,
+        });
         obs.on_decision(SchedDecision::Forced { thread: 1 });
         obs.on_decision(SchedDecision::Pick { from: 0, to: 1 });
         obs.on_decision(SchedDecision::PmcAdded { count: 2 });
         assert_eq!(
-            (obs.hint_hits(), obs.voluntary(), obs.forced(), obs.picks(), obs.incidental()),
+            (
+                obs.hint_hits(),
+                obs.voluntary(),
+                obs.forced(),
+                obs.picks(),
+                obs.incidental()
+            ),
             (2, 1, 1, 1, 2)
         );
         let (tracer, sink) = Tracer::memory();

@@ -138,8 +138,23 @@ impl TraceReport {
                 Event::Hist { ref key, v, .. } => {
                     r.hists.entry(key.clone()).or_default().observe(v);
                 }
-                Event::Job { job, trials, steps, findings, attempts, quarantined, .. } => {
-                    r.jobs.push(JobSummary { job, trials, steps, findings, attempts, quarantined });
+                Event::Job {
+                    job,
+                    trials,
+                    steps,
+                    findings,
+                    attempts,
+                    quarantined,
+                    ..
+                } => {
+                    r.jobs.push(JobSummary {
+                        job,
+                        trials,
+                        steps,
+                        findings,
+                        attempts,
+                        quarantined,
+                    });
                 }
                 Event::Worker { ref action, .. } => {
                     *r.worker_actions.entry(action.clone()).or_insert(0) += 1;
@@ -305,8 +320,16 @@ impl TraceReport {
                 ));
             }
         };
-        check("worker spawns", action("spawn"), self.counter(keys::SUPERVISE_SPAWNS));
-        check("worker restarts", action("restart"), self.counter(keys::SUPERVISE_RESPAWNS));
+        check(
+            "worker spawns",
+            action("spawn"),
+            self.counter(keys::SUPERVISE_SPAWNS),
+        );
+        check(
+            "worker restarts",
+            action("restart"),
+            self.counter(keys::SUPERVISE_RESPAWNS),
+        );
         check(
             "worker heartbeat misses",
             action("heartbeat-miss"),
@@ -314,7 +337,11 @@ impl TraceReport {
         );
         // Every process that started (spawn or restart) must have exited by
         // the time the trace completes — the no-orphans invariant.
-        check("worker exits", action("exit"), action("spawn") + action("restart"));
+        check(
+            "worker exits",
+            action("exit"),
+            action("spawn") + action("restart"),
+        );
     }
 
     /// Cross-checks fleet lifecycle events against the `fleet.*` counters.
@@ -322,8 +349,8 @@ impl TraceReport {
     /// nor fleet counters passes vacuously.
     fn verify_fleet(&self, mismatches: &mut Vec<String>) {
         let action = |a: &str| self.fleet_actions.get(a).copied().unwrap_or(0);
-        let fleet = !self.fleet_actions.is_empty()
-            || self.counters.keys().any(|k| k.starts_with("fleet."));
+        let fleet =
+            !self.fleet_actions.is_empty() || self.counters.keys().any(|k| k.starts_with("fleet."));
         if !fleet {
             return;
         }
@@ -334,18 +361,46 @@ impl TraceReport {
                 ));
             }
         };
-        check("fleet joins", action("join"), self.counter(keys::FLEET_JOINS));
-        check("fleet rejects", action("reject"), self.counter(keys::FLEET_REJECTS));
-        check("fleet leases", action("lease"), self.counter(keys::FLEET_LEASES));
-        check("fleet evictions", action("evict"), self.counter(keys::FLEET_EVICTIONS));
+        check(
+            "fleet joins",
+            action("join"),
+            self.counter(keys::FLEET_JOINS),
+        );
+        check(
+            "fleet rejects",
+            action("reject"),
+            self.counter(keys::FLEET_REJECTS),
+        );
+        check(
+            "fleet leases",
+            action("lease"),
+            self.counter(keys::FLEET_LEASES),
+        );
+        check(
+            "fleet evictions",
+            action("evict"),
+            self.counter(keys::FLEET_EVICTIONS),
+        );
         // Reassignments are emitted one event per job, so the event count
         // must equal the per-job counter exactly.
-        check("fleet reassignments", action("reassign"), self.counter(keys::FLEET_REASSIGNED));
-        check("fleet duplicates", action("duplicate"), self.counter(keys::FLEET_DUPLICATES));
+        check(
+            "fleet reassignments",
+            action("reassign"),
+            self.counter(keys::FLEET_REASSIGNED),
+        );
+        check(
+            "fleet duplicates",
+            action("duplicate"),
+            self.counter(keys::FLEET_DUPLICATES),
+        );
         // Failover bookkeeping: redeliveries, session resumptions, and
         // restored leases each emit one event per counter increment, so a
         // resumed run's trace must still balance exactly.
-        check("fleet redeliveries", action("redeliver"), self.counter(keys::FLEET_REDELIVERED));
+        check(
+            "fleet redeliveries",
+            action("redeliver"),
+            self.counter(keys::FLEET_REDELIVERED),
+        );
         check(
             "fleet session resumptions",
             action("resume-session"),
@@ -469,7 +524,11 @@ impl TraceReport {
                 let _ = write!(out, "  {k:<28} {:>10.3} ms", ns as f64 / 1e6);
                 let _ = match campaign_ns {
                     0 => writeln!(out),
-                    span => writeln!(out, " {:>6.1}% of campaign", ns as f64 * 100.0 / span as f64),
+                    span => writeln!(
+                        out,
+                        " {:>6.1}% of campaign",
+                        ns as f64 * 100.0 / span as f64
+                    ),
                 };
             }
         }
@@ -505,13 +564,20 @@ impl TraceReport {
                 "\n{k}: n={} min={} mean={:.1} max={}",
                 h.count,
                 h.min,
-                if h.count == 0 { 0.0 } else { h.sum as f64 / h.count as f64 },
+                if h.count == 0 {
+                    0.0
+                } else {
+                    h.sum as f64 / h.count as f64
+                },
                 h.max
             );
         }
         let mismatches = self.verify();
         if mismatches.is_empty() {
-            let _ = writeln!(out, "\nverification: OK (events agree with the run summary)");
+            let _ = writeln!(
+                out,
+                "\nverification: OK (events agree with the run summary)"
+            );
         } else {
             let _ = writeln!(out, "\nverification: FAILED");
             for m in &mismatches {
@@ -602,7 +668,10 @@ mod tests {
         lines[idx] = lines[idx].replace("\"trials\":8", "\"trials\":0");
         let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         let mismatches = r.verify();
-        assert!(mismatches.iter().any(|m| m.starts_with("trials:")), "{mismatches:?}");
+        assert!(
+            mismatches.iter().any(|m| m.starts_with("trials:")),
+            "{mismatches:?}"
+        );
         assert!(r.render().contains("verification: FAILED"));
     }
 
@@ -616,7 +685,8 @@ mod tests {
 
     #[test]
     fn malformed_lines_fail_with_position() {
-        let err = TraceReport::from_lines(["{\"t\":0,\"ev\":\"count\",\"key\":\"k\"}"]).unwrap_err();
+        let err =
+            TraceReport::from_lines(["{\"t\":0,\"ev\":\"count\",\"key\":\"k\"}"]).unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
         let err = TraceReport::from_lines(["", "garbage"]).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
@@ -625,13 +695,29 @@ mod tests {
     #[test]
     fn trial_phases_render_with_their_share_of_the_campaign_span() {
         let count = |key: &str, n: u64| {
-            Event::Count { t: 0, key: key.into(), n }.to_json().render()
+            Event::Count {
+                t: 0,
+                key: key.into(),
+                n,
+            }
+            .to_json()
+            .render()
         };
         let span_end = |name: &str, dur: u64| {
-            Event::SpanEnd { t: dur, span: 1, name: name.into(), dur }.to_json().render()
+            Event::SpanEnd {
+                t: dur,
+                span: 1,
+                name: name.into(),
+                dur,
+            }
+            .to_json()
+            .render()
         };
         let plain = TraceReport::from_lines(traced_run().iter().map(String::as_str)).unwrap();
-        assert!(!plain.render().contains("trial phases"), "no counters, no table");
+        assert!(
+            !plain.render().contains("trial phases"),
+            "no counters, no table"
+        );
 
         // Two jobs' worth of run time, one of oracle time, in a 4 ms span.
         let lines = [
@@ -640,21 +726,40 @@ mod tests {
             count(keys::TRIAL_PHASE_NS[2], 1_000_000),
             span_end("campaign", 4_000),
         ];
-        let text = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap().render();
+        let text = TraceReport::from_lines(lines.iter().map(String::as_str))
+            .unwrap()
+            .render();
         let row = |key: &str| {
-            let line = text.lines().find(|l| l.contains(key)).unwrap_or_else(|| panic!("{text}"));
-            line.split_whitespace().map(str::to_owned).collect::<Vec<_>>()
+            let line = text
+                .lines()
+                .find(|l| l.contains(key))
+                .unwrap_or_else(|| panic!("{text}"));
+            line.split_whitespace()
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
         };
-        assert_eq!(row("trial.run_ns")[1..], ["2.000", "ms", "50.0%", "of", "campaign"]);
+        assert_eq!(
+            row("trial.run_ns")[1..],
+            ["2.000", "ms", "50.0%", "of", "campaign"]
+        );
         assert_eq!(row("trial.oracle_ns")[1..4], ["1.000", "ms", "25.0%"]);
         assert_eq!(row("(all phases)")[2..5], ["3.000", "ms", "75.0%"]);
-        assert!(!text.contains("trial.incidental_ns"), "phases that never ran are left out");
+        assert!(
+            !text.contains("trial.incidental_ns"),
+            "phases that never ran are left out"
+        );
     }
 
     #[test]
     fn snapshot_counters_verify_against_job_trials() {
         let count = |key: &str, n: u64| {
-            Event::Count { t: 0, key: key.into(), n }.to_json().render()
+            Event::Count {
+                t: 0,
+                key: key.into(),
+                n,
+            }
+            .to_json()
+            .render()
         };
         // Consistent: clones cover every trial (32) plus one of an attempt
         // that was retried, and pages were copied.
@@ -711,7 +816,13 @@ mod tests {
     fn supervision_events_verify_against_counters() {
         let mut lines = traced_run();
         let count = |key: &str, n: u64| {
-            Event::Count { t: 0, key: key.into(), n }.to_json().render()
+            Event::Count {
+                t: 0,
+                key: key.into(),
+                n,
+            }
+            .to_json()
+            .render()
         };
         lines.insert(0, worker_line("spawn", 0));
         lines.insert(1, worker_line("spawn", 1));
@@ -761,7 +872,13 @@ mod tests {
     fn fleet_events_verify_against_counters() {
         let mut lines = traced_run();
         let count = |key: &str, n: u64| {
-            Event::Count { t: 0, key: key.into(), n }.to_json().render()
+            Event::Count {
+                t: 0,
+                key: key.into(),
+                n,
+            }
+            .to_json()
+            .render()
         };
         lines.insert(0, fleet_line("join", 0));
         lines.insert(1, fleet_line("join", 1));
@@ -809,7 +926,9 @@ mod tests {
         let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         let mismatches = r.verify();
         assert!(
-            mismatches.iter().any(|m| m.starts_with("fleet redeliveries:")),
+            mismatches
+                .iter()
+                .any(|m| m.starts_with("fleet redeliveries:")),
             "{mismatches:?}"
         );
     }
@@ -829,7 +948,13 @@ mod tests {
     fn reported_finding_counters_verify_against_job_events() {
         let mut lines = traced_run();
         let count = |key: &str, n: u64| {
-            Event::Count { t: 0, key: key.into(), n }.to_json().render()
+            Event::Count {
+                t: 0,
+                key: key.into(),
+                n,
+            }
+            .to_json()
+            .render()
         };
         // The completed job reported 1 finding; claim it was a data race.
         lines.insert(0, count(&keys::reported("race"), 1));
@@ -843,14 +968,22 @@ mod tests {
     fn reported_finding_mismatches_are_detected() {
         let mut lines = traced_run();
         let count = |key: &str, n: u64| {
-            Event::Count { t: 0, key: key.into(), n }.to_json().render()
+            Event::Count {
+                t: 0,
+                key: key.into(),
+                n,
+            }
+            .to_json()
+            .render()
         };
         // Claim 3 wakeup findings when the job events only account for 1.
         lines.insert(0, count(&keys::reported("wakeup"), 3));
         let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         let mismatches = r.verify();
         assert!(
-            mismatches.iter().any(|m| m.starts_with("reported findings:")),
+            mismatches
+                .iter()
+                .any(|m| m.starts_with("reported findings:")),
             "{mismatches:?}"
         );
     }

@@ -53,12 +53,7 @@ impl<'a> Clause<'a> {
     /// Parses `s` as a number, or errors with the standard bad-number
     /// message (`what` names the field, e.g. `"job index"`; `plane` names
     /// the grammar, e.g. `"fault"`).
-    pub fn num<T: std::str::FromStr>(
-        &self,
-        s: &str,
-        what: &str,
-        plane: &str,
-    ) -> Result<T, String> {
+    pub fn num<T: std::str::FromStr>(&self, s: &str, what: &str, plane: &str) -> Result<T, String> {
         s.trim()
             .parse()
             .map_err(|_| format!("bad {what} '{s}' in {plane} clause '{}'", self.text))

@@ -469,8 +469,18 @@ mod tests {
         assert_eq!(events.len(), 6, "{lines:?}");
         match (&events[0], &events[1]) {
             (
-                Event::SpanStart { span: root, parent: 0, name: n0, .. },
-                Event::SpanStart { span: child, parent, name: n1, .. },
+                Event::SpanStart {
+                    span: root,
+                    parent: 0,
+                    name: n0,
+                    ..
+                },
+                Event::SpanStart {
+                    span: child,
+                    parent,
+                    name: n1,
+                    ..
+                },
             ) => {
                 assert_eq!(n0, "campaign");
                 assert_eq!(n1, "job");
@@ -506,7 +516,10 @@ mod tests {
         if !full.exists() {
             return; // non-Linux fallback: nothing to exercise
         }
-        let file = OpenOptions::new().append(true).open(full).expect("open /dev/full");
+        let file = OpenOptions::new()
+            .append(true)
+            .open(full)
+            .expect("open /dev/full");
         let sink = JsonlSink {
             writer: Mutex::new(BufWriter::with_capacity(8, file)),
             path: full.to_path_buf(),

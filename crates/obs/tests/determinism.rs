@@ -19,14 +19,22 @@ use sb_vmm::site;
 /// stream itself is seed-independent so any divergence between two runs
 /// comes from the scheduler's internal RNG alone.
 fn drive(sched: &mut dyn Scheduler) {
-    let sites = [site!("det:alloc"), site!("det:publish"), site!("det:lookup")];
+    let sites = [
+        site!("det:alloc"),
+        site!("det:publish"),
+        site!("det:lookup"),
+    ];
     let mut cur = 0usize;
     for i in 0..400u64 {
         let a = Access {
             seq: i,
             thread: cur,
             site: sites[(i % 3) as usize],
-            kind: if i % 2 == 0 { AccessKind::Write } else { AccessKind::Read },
+            kind: if i % 2 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
             addr: 0x4000 + (i % 7) * 8,
             len: 8,
             value: i,
@@ -83,7 +91,11 @@ fn ski_sched_is_deterministic_per_seed_and_hint() {
     };
     let a = run(11);
     assert!(!a.is_empty(), "workload must provoke decisions");
-    assert_eq!(a, run(11), "same seed + same hint must replay bit-identically");
+    assert_eq!(
+        a,
+        run(11),
+        "same seed + same hint must replay bit-identically"
+    );
 }
 
 #[test]
@@ -97,7 +109,11 @@ fn snowboard_sched_is_deterministic_per_seed_and_hint() {
     };
     let a = run(21);
     assert!(!a.is_empty(), "workload must provoke decisions");
-    assert_eq!(a, run(21), "same seed + same hint must replay bit-identically");
+    assert_eq!(
+        a,
+        run(21),
+        "same seed + same hint must replay bit-identically"
+    );
     // The PMC hint is on the workload's write path, so the guided scheduler
     // must report hint hits — not only random preemptions.
     assert!(
@@ -114,18 +130,28 @@ fn observer_installation_does_not_change_decisions() {
     let lands = |observe: bool| {
         let mut sched = SnowboardSched::new(5, [hint()]);
         if observe {
-            sched.set_observer(Some(Arc::new(RecordingObserver::new()) as Arc<dyn DecisionObserver>));
+            sched.set_observer(Some(
+                Arc::new(RecordingObserver::new()) as Arc<dyn DecisionObserver>
+            ));
         }
         sched.begin_trial(5);
         let mut landed = Vec::new();
-        let sites = [site!("det:alloc"), site!("det:publish"), site!("det:lookup")];
+        let sites = [
+            site!("det:alloc"),
+            site!("det:publish"),
+            site!("det:lookup"),
+        ];
         let mut cur = 0usize;
         for i in 0..200u64 {
             let a = Access {
                 seq: i,
                 thread: cur,
                 site: sites[(i % 3) as usize],
-                kind: if i % 2 == 0 { AccessKind::Write } else { AccessKind::Read },
+                kind: if i % 2 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 addr: 0x4000 + (i % 7) * 8,
                 len: 8,
                 value: i,

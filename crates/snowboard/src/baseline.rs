@@ -63,7 +63,15 @@ pub fn run_baseline(
         || Executor::new(2),
         |exec, &(i, pair)| {
             let test_seed = seed.wrapping_add((i as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-            run_baseline_test(exec, booted, corpus, pair, test_seed, trials, stop_on_finding)
+            run_baseline_test(
+                exec,
+                booted,
+                corpus,
+                pair,
+                test_seed,
+                trials,
+                stop_on_finding,
+            )
         },
     );
     aggregate(outcomes)

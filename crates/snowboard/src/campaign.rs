@@ -306,10 +306,14 @@ pub fn channel_exercised(trace: &[sb_vmm::Access], pmc: &Pmc) -> bool {
             trace
                 .iter()
                 .filter(|w| w.thread == 0 && w.seq < r.seq && hw.matches(w))
-                .any(|w| match sb_vmm::access::range_overlap(w.addr, w.len, r.addr, r.len) {
-                    Some((start, len)) => w.project_value(start, len) == r.project_value(start, len),
-                    None => false,
-                })
+                .any(
+                    |w| match sb_vmm::access::range_overlap(w.addr, w.len, r.addr, r.len) {
+                        Some((start, len)) => {
+                            w.project_value(start, len) == r.project_value(start, len)
+                        }
+                        None => false,
+                    },
+                )
         })
 }
 
@@ -350,7 +354,8 @@ impl SeenBySite {
 
     /// True if some access is of `h`'s instruction and overlaps its range.
     fn any_match(&self, h: &HintAccess) -> bool {
-        self.chain(h.site).any(|s| s.0 == h.site && h.addr < s.2 && s.1 < h.end())
+        self.chain(h.site)
+            .any(|s| s.0 == h.site && h.addr < s.2 && s.1 < h.end())
     }
 }
 
@@ -380,7 +385,9 @@ impl IncidentalScan {
     }
 
     fn is_watched(&self, id: PmcId) -> bool {
-        self.watched.get(id as usize / 64).is_some_and(|w| w >> (id % 64) & 1 == 1)
+        self.watched
+            .get(id as usize / 64)
+            .is_some_and(|w| w >> (id % 64) & 1 == 1)
     }
 
     /// Scans a trial trace for PMCs (other than those already watched) whose
@@ -472,9 +479,7 @@ fn run_trials(
 ) -> SbResult<(PmcTestOutcome, SnowboardSched, SplitMix64)> {
     let pmc = set.get(id);
     let mut rng = SplitMix64::new(seed);
-    let pair = *rng
-        .choose(&pmc.pairs)
-        .ok_or(Error::EmptyPmc { pmc: id })?;
+    let pair = *rng.choose(&pmc.pairs).ok_or(Error::EmptyPmc { pmc: id })?;
     // One copy of each program per job; its trials share it.
     let fetch = |test: u32| -> SbResult<Arc<Program>> {
         corpus
@@ -496,7 +501,9 @@ fn run_trials(
     // counter events when the job ends — never one trace line per access.
     let decisions = Arc::new(sb_obs::CountingObserver::new());
     if cfg.tracer.enabled() {
-        sched.set_observer(Some(decisions.clone() as Arc<dyn sb_vmm::sched::DecisionObserver>));
+        sched.set_observer(Some(
+            decisions.clone() as Arc<dyn sb_vmm::sched::DecisionObserver>
+        ));
     }
     let mut incidental = IncidentalScan::default();
     incidental.watch(id);
@@ -551,7 +558,9 @@ fn run_trials(
         costs.clones += 1;
         costs.lap(Phase::Snapshot);
         sched.restart();
-        sched.inner_mut().begin_trial(seed.wrapping_add(u64::from(trial)));
+        sched
+            .inner_mut()
+            .begin_trial(seed.wrapping_add(u64::from(trial)));
         let r = exec.try_run(snapshot, the_pair(), &mut sched)?;
         costs.pages += r.mem.dirty_pages();
         costs.lap(Phase::Run);
@@ -714,7 +723,9 @@ pub(crate) fn run_one_job(
                 crate::chaos::fired("job.hang", &format!("job {job} attempt {attempt}"));
                 dog.force_expired();
             }
-            test_one_pmc(exec, env.booted, env.corpus, env.set, env.index, id, seed, cfg, &dog)
+            test_one_pmc(
+                exec, env.booted, env.corpus, env.set, env.index, id, seed, cfg, &dog,
+            )
         }));
         let err = match result {
             Ok(Ok(mut out)) => {
@@ -752,7 +763,12 @@ pub fn run_campaign(
     cfg: &CampaignCfg,
 ) -> SbResult<CampaignReport> {
     let index = IncidentalIndex::build(set);
-    let env = JobEnv { booted, corpus, set, index: &index };
+    let env = JobEnv {
+        booted,
+        corpus,
+        set,
+        index: &index,
+    };
     let _campaign_span = cfg.tracer.span("campaign");
     let mut ledger = JobLedger::open(exemplars, cfg, None)?;
     ledger.trace_restored();
@@ -785,7 +801,9 @@ fn drive(
         || Executor::new(2),
         |exec, (job, id)| work(exec, *job, *id),
         |slot, verdict| {
-            ledger.deliver(jobs[slot].0, verdict).expect("leased jobs are in the universe");
+            ledger
+                .deliver(jobs[slot].0, verdict)
+                .expect("leased jobs are in the universe");
         },
     );
 }
@@ -938,7 +956,9 @@ mod tests {
     fn incidental_scan_matches_the_naive_two_scan_filter() {
         // Eight instructions, the last two chained with the first two:
         // `Site` is a hash, so build the equal low bytes by hand.
-        let mut sites: Vec<Site> = (0..6).map(|i| Site::intern(&format!("inc:site{i}"))).collect();
+        let mut sites: Vec<Site> = (0..6)
+            .map(|i| Site::intern(&format!("inc:site{i}")))
+            .collect();
         sites.extend([Site(sites[0].0 ^ 0x100), Site(sites[1].0 ^ 0xAB00)]);
         let mut state = SplitMix64::new(0x1AC1_DE47);
         let (mut picked, mut cut, mut long_hits, mut chained) = (0, 0, 0, 0);
@@ -946,7 +966,11 @@ mod tests {
             let crowded = round % 8 == 0;
             let side = |r: u64| SideKey {
                 // A crowded set has most of its writes on one instruction.
-                ins: if crowded && r & 3 != 0 { sites[0] } else { sites[(r >> 2) as usize % 8] },
+                ins: if crowded && r & 3 != 0 {
+                    sites[0]
+                } else {
+                    sites[(r >> 2) as usize % 8]
+                },
                 addr: 0x2000 + (r >> 8) % 96,
                 len: 1 + ((r >> 16) % 8) as u8,
                 value: r >> 24,
@@ -980,7 +1004,11 @@ mod tests {
                             addr: 0x2000 + (r >> 8) % 96,
                             // Now and then far past 8 bytes: `matches` takes
                             // any `u8`, so the scan must too.
-                            len: if r >> 20 & 31 == 0 { 200 } else { 1 + ((r >> 16) % 8) as u8 },
+                            len: if r >> 20 & 31 == 0 {
+                                200
+                            } else {
+                                1 + ((r >> 16) % 8) as u8
+                            },
                             value: 0,
                             atomic: false,
                             locks: vec![].into(),
@@ -995,12 +1023,18 @@ mod tests {
                     trace.iter().any(|a| hw.matches(a)) && trace.iter().any(|a| hr.matches(a))
                 };
                 let ids = 0..set.pmcs.len() as PmcId;
-                let uncut = ids.filter(|id| !watched.contains(id) && appeared(id)).count();
+                let uncut = ids
+                    .filter(|id| !watched.contains(id) && appeared(id))
+                    .count();
                 let (candidates, pick) = naive_pick(&trace, &set, &mut watched, &mut naive_rng);
                 assert_eq!(scan.pick(&trace, &index, &mut rng), pick, "round {round}");
                 assert_eq!(scan.candidates, candidates, "round {round}");
                 for id in 0..set.pmcs.len() as PmcId + 70 {
-                    assert_eq!(scan.is_watched(id), watched.contains(&id), "round {round} PMC {id}");
+                    assert_eq!(
+                        scan.is_watched(id),
+                        watched.contains(&id),
+                        "round {round} PMC {id}"
+                    );
                 }
                 picked += usize::from(pick.is_some());
                 cut += usize::from(uncut > candidates.len());
@@ -1014,14 +1048,30 @@ mod tests {
                 // started: walking it must tell the two apart.
                 let reads = |s: Site| trace.iter().any(|a| !a.kind.is_write() && a.site == s);
                 let pairs = [(0, 6), (6, 0), (1, 7), (7, 1)];
-                chained += usize::from(pairs.iter().any(|(a, b)| reads(sites[*a]) && !reads(sites[*b])));
+                chained += usize::from(
+                    pairs
+                        .iter()
+                        .any(|(a, b)| reads(sites[*a]) && !reads(sites[*b])),
+                );
             }
-            assert!(watched.iter().any(|id| *id >= 64) && watched.len() >= 12, "round {round}: {watched:?}");
+            assert!(
+                watched.iter().any(|id| *id >= 64) && watched.len() >= 12,
+                "round {round}: {watched:?}"
+            );
         }
         assert!(picked >= 600, "only {picked} scans picked anything");
-        assert!(cut >= 60, "only {cut} scans lost a candidate to the 256 cut");
-        assert!(long_hits >= 10, "only {long_hits} scans owed a candidate to an over-long access");
-        assert!(chained >= 100, "only {chained} scans chained a present instruction with an absent one");
+        assert!(
+            cut >= 60,
+            "only {cut} scans lost a candidate to the 256 cut"
+        );
+        assert!(
+            long_hits >= 10,
+            "only {long_hits} scans owed a candidate to an over-long access"
+        );
+        assert!(
+            chained >= 100,
+            "only {chained} scans chained a present instruction with an absent one"
+        );
     }
 
     /// What a job did before its scheduler ran inside the recorder: copy the
@@ -1101,9 +1151,15 @@ mod tests {
         let lines = sink.lines();
         let trace = sb_obs::TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         use sb_obs::keys::*;
-        [SCHED_HINT_HITS, SCHED_VOLUNTARY, SCHED_FORCED, SCHED_PICKS, INCIDENTAL_PMCS]
-            .map(|key| (key, trace.counter(key)))
-            .into()
+        [
+            SCHED_HINT_HITS,
+            SCHED_VOLUNTARY,
+            SCHED_FORCED,
+            SCHED_PICKS,
+            INCIDENTAL_PMCS,
+        ]
+        .map(|key| (key, trace.counter(key)))
+        .into()
     }
 
     /// Recording inside the trial against re-running the finding trial under
@@ -1138,8 +1194,10 @@ mod tests {
                         },
                     );
                     let index = IncidentalIndex::build(&p.pmcs);
-                    let exemplars =
-                        p.exemplars(crate::Strategy::SInsPair, crate::select::ClusterOrder::UncommonFirst);
+                    let exemplars = p.exemplars(
+                        crate::Strategy::SInsPair,
+                        crate::select::ClusterOrder::UncommonFirst,
+                    );
                     let (tracer, sink) = sb_obs::Tracer::memory();
                     let (ref_tracer, ref_sink) = sb_obs::Tracer::memory();
                     let traced = n % 2 == 1;
@@ -1147,16 +1205,22 @@ mod tests {
                         trials_per_pmc: 12,
                         stop_on_finding: n < 2,
                         oracles,
-                        tracer: if traced { tracer.clone() } else { sb_obs::Tracer::disabled() },
+                        tracer: if traced {
+                            tracer.clone()
+                        } else {
+                            sb_obs::Tracer::disabled()
+                        },
                         ..CampaignCfg::default()
                     };
                     let (cfg, ref_cfg) = (cfg(&tracer), cfg(&ref_tracer));
                     let mut exec = Executor::new(2);
                     for (job, id) in exemplars.iter().take(40).enumerate() {
-                        let job_seed = seed.wrapping_add((job as u64).wrapping_mul(JOB_SEED_STRIDE));
+                        let job_seed =
+                            seed.wrapping_add((job as u64).wrapping_mul(JOB_SEED_STRIDE));
                         let dog = Watchdog::start(cfg.budget);
                         let (out, mut sched, mut rng) = run_trials(
-                            &mut exec, &p.booted, &p.corpus, &p.pmcs, &index, *id, job_seed, &cfg, &dog,
+                            &mut exec, &p.booted, &p.corpus, &p.pmcs, &index, *id, job_seed, &cfg,
+                            &dog,
                         )
                         .expect("no job fails");
                         let (ref_out, mut ref_sched, mut ref_rng) =
@@ -1165,8 +1229,16 @@ mod tests {
                         assert_eq!(out, ref_out, "{at}");
                         assert_eq!(sched.flag_count(), ref_sched.flag_count(), "{at}");
                         for _ in 0..4 {
-                            assert_eq!(sched.pick(0, &[0, 1, 2, 3]), ref_sched.pick(0, &[0, 1, 2, 3]), "{at}");
-                            assert_eq!(rng.gen_range(0..u64::MAX), ref_rng.gen_range(0..u64::MAX), "{at}");
+                            assert_eq!(
+                                sched.pick(0, &[0, 1, 2, 3]),
+                                ref_sched.pick(0, &[0, 1, 2, 3]),
+                                "{at}"
+                            );
+                            assert_eq!(
+                                rng.gen_range(0..u64::MAX),
+                                ref_rng.gen_range(0..u64::MAX),
+                                "{at}"
+                            );
                         }
                         jobs += 1;
                         schedules += usize::from(out.repro_schedule.is_some_and(|s| !s.is_empty()));
@@ -1174,12 +1246,22 @@ mod tests {
                     let counted = sched_counters(&sink);
                     assert_eq!(counted, sched_counters(&ref_sink), "seed {seed} {config:?}");
                     hits += counted[0].1;
-                    assert_eq!(counted[0].1 > 0, traced, "hint hits reach the observer when traced");
+                    assert_eq!(
+                        counted[0].1 > 0,
+                        traced,
+                        "hint hits reach the observer when traced"
+                    );
                 }
             }
         }
-        assert!(jobs >= 400 && schedules >= 200, "{jobs} jobs, {schedules} with a schedule");
-        assert!(hits > 1000, "only {hits} hint hits observed through the recorder");
+        assert!(
+            jobs >= 400 && schedules >= 200,
+            "{jobs} jobs, {schedules} with a schedule"
+        );
+        assert!(
+            hits > 1000,
+            "only {hits} hint hits observed through the recorder"
+        );
     }
 
     /// A job as it was judged before this module and `sb_detect` looked only
@@ -1214,20 +1296,29 @@ mod tests {
         let mut raw_hits = 0;
         for trial in 0..cfg.trials_per_pmc {
             sched.restart();
-            sched.inner_mut().begin_trial(seed.wrapping_add(u64::from(trial)));
+            sched
+                .inner_mut()
+                .begin_trial(seed.wrapping_add(u64::from(trial)));
             let r = exec.run(p.booted.snapshot.clone(), the_pair(), &mut sched);
             let (report, trace) = (&r.report, &r.report.trace);
             out.trials_run += 1;
             out.steps += report.steps;
-            let writes: Vec<&sb_vmm::Access> =
-                trace.iter().filter(|a| a.thread == 0 && hw.matches(a)).collect();
-            out.exercised |= trace.iter().filter(|r| r.thread == 1 && hr.matches(r)).any(|r| {
-                writes.iter().any(|w| {
-                    w.seq < r.seq
-                        && sb_vmm::access::range_overlap(w.addr, w.len, r.addr, r.len)
-                            .is_some_and(|(at, len)| w.project_value(at, len) == r.project_value(at, len))
-                })
-            });
+            let writes: Vec<&sb_vmm::Access> = trace
+                .iter()
+                .filter(|a| a.thread == 0 && hw.matches(a))
+                .collect();
+            out.exercised |= trace
+                .iter()
+                .filter(|r| r.thread == 1 && hr.matches(r))
+                .any(|r| {
+                    writes.iter().any(|w| {
+                        w.seq < r.seq
+                            && sb_vmm::access::range_overlap(w.addr, w.len, r.addr, r.len)
+                                .is_some_and(|(at, len)| {
+                                    w.project_value(at, len) == r.project_value(at, len)
+                                })
+                    })
+                });
             let mut findings = match &report.outcome {
                 Outcome::Panic { msg } => vec![Finding::KernelPanic { msg: msg.clone() }],
                 Outcome::Deadlock => vec![Finding::Deadlock],
@@ -1236,8 +1327,10 @@ mod tests {
             };
             findings.extend(sb_detect::scan_console(&report.console));
             if cfg.oracles.race {
-                let mut sorted: Vec<&sb_vmm::Access> =
-                    trace.iter().filter(|a| !sb_vmm::mem::is_stack_addr(a.addr)).collect();
+                let mut sorted: Vec<&sb_vmm::Access> = trace
+                    .iter()
+                    .filter(|a| !sb_vmm::mem::is_stack_addr(a.addr))
+                    .collect();
                 sorted.sort_by_key(|a| a.addr);
                 let mut seen = std::collections::HashSet::new();
                 for (i, a) in sorted.iter().enumerate() {
@@ -1335,29 +1428,48 @@ mod tests {
             for (job, id) in exemplars.iter().take(64).enumerate() {
                 let job_seed = seed.wrapping_add((job as u64).wrapping_mul(JOB_SEED_STRIDE));
                 let dog = Watchdog::start(cfg.budget);
-                let (out, mut sched, mut rng) =
-                    run_trials(&mut exec, &p.booted, &p.corpus, &p.pmcs, &index, *id, job_seed, &cfg, &dog)
-                        .expect("no job fails");
+                let (out, mut sched, mut rng) = run_trials(
+                    &mut exec, &p.booted, &p.corpus, &p.pmcs, &index, *id, job_seed, &cfg, &dog,
+                )
+                .expect("no job fails");
                 let (ref_out, mut ref_sched, mut ref_rng, hits) =
                     test_one_pmc_judging_everything(&mut exec, &p, *id, job_seed, &cfg);
                 let at = format!("seed {seed} job {job}");
                 assert_eq!(out, ref_out, "{at}");
                 assert_eq!(sched.flag_count(), ref_sched.flag_count(), "{at}");
-                assert_eq!(sched.pick(0, &[0, 1, 2, 3]), ref_sched.pick(0, &[0, 1, 2, 3]), "{at}");
-                assert_eq!(rng.gen_range(0..u64::MAX), ref_rng.gen_range(0..u64::MAX), "{at}");
+                assert_eq!(
+                    sched.pick(0, &[0, 1, 2, 3]),
+                    ref_sched.pick(0, &[0, 1, 2, 3]),
+                    "{at}"
+                );
+                assert_eq!(
+                    rng.gen_range(0..u64::MAX),
+                    ref_rng.gen_range(0..u64::MAX),
+                    "{at}"
+                );
                 raw_hits += hits;
                 findings += out.findings.len() as u64;
                 exercised += u64::from(out.exercised);
             }
             let lines = sink.lines();
             let trace = sb_obs::TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
-            assert_eq!(trace.counter(sb_obs::keys::FINDINGS), raw_hits, "seed {seed}");
+            assert_eq!(
+                trace.counter(sb_obs::keys::FINDINGS),
+                raw_hits,
+                "seed {seed}"
+            );
             pickups += trace.counter(sb_obs::keys::INCIDENTAL_PMCS);
             repeats += raw_hits;
         }
         repeats -= findings;
-        assert!(findings >= 200 && repeats >= 2000, "{findings} findings kept, {repeats} repeats");
-        assert!(exercised >= 40 && pickups >= 2000, "{exercised} jobs exercised, {pickups} pickups");
+        assert!(
+            findings >= 200 && repeats >= 2000,
+            "{findings} findings kept, {repeats} repeats"
+        );
+        assert!(
+            exercised >= 40 && pickups >= 2000,
+            "{exercised} jobs exercised, {pickups} pickups"
+        );
     }
 
     #[test]

@@ -112,9 +112,7 @@ pub(crate) fn attribute_verdict(
             }
         }
         JobVerdict::Quarantined(q) => match q.kind {
-            FailureKind::Panic if plan.should_panic(job) => {
-                ("job.panic", u64::from(q.attempts))
-            }
+            FailureKind::Panic if plan.should_panic(job) => ("job.panic", u64::from(q.attempts)),
             FailureKind::Hang if plan.should_hang(job) => ("job.hang", u64::from(q.attempts)),
             FailureKind::Injected if plan.transient_failures.contains_key(&job) => {
                 ("job.transient", u64::from(q.attempts))
@@ -189,7 +187,9 @@ impl DiskFaults {
         vec![
             (
                 "torn",
-                self.torn_write_after.map(|n| n.to_string()).unwrap_or_default(),
+                self.torn_write_after
+                    .map(|n| n.to_string())
+                    .unwrap_or_default(),
             ),
             (
                 "flip",
@@ -200,7 +200,9 @@ impl DiskFaults {
             ("short", spec::join_items(&self.short_read_keys)),
             (
                 "shortn",
-                self.short_read_nth.map(|n| n.to_string()).unwrap_or_default(),
+                self.short_read_nth
+                    .map(|n| n.to_string())
+                    .unwrap_or_default(),
             ),
         ]
     }
@@ -325,7 +327,9 @@ impl ChaosPlan {
         }
         parts.push((
             "coord:kill-after-journal",
-            self.kill_after_journal.map(|n| n.to_string()).unwrap_or_default(),
+            self.kill_after_journal
+                .map(|n| n.to_string())
+                .unwrap_or_default(),
         ));
         spec::join_clauses(&parts)
     }
@@ -441,7 +445,10 @@ impl ScheduleGen {
     /// A generator for `seed` over a campaign with `jobs` budgeted jobs.
     /// `jobs` must be at least 2 (schedules may target two distinct jobs).
     pub fn new(seed: u64, jobs: usize) -> ScheduleGen {
-        assert!(jobs >= 2, "chaos schedules need at least 2 jobs, got {jobs}");
+        assert!(
+            jobs >= 2,
+            "chaos schedules need at least 2 jobs, got {jobs}"
+        );
         ScheduleGen {
             seed,
             jobs,
@@ -478,7 +485,8 @@ impl ScheduleGen {
         // One deterministic stream per (seed, index): the same schedule
         // regenerates bit-identically regardless of how we got here.
         let mut state = SplitMix64::new(
-            self.seed.wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03))
+            self.seed
+                .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03))
                 ^ 0x5EED_C4A0_5C4A_05ED,
         );
 
@@ -650,7 +658,9 @@ impl ScheduleGen {
                 exact(expected, site, 1);
             }
             "net.halfclose" => {
-                plan.net.half_close_after.insert(0, 2 + state.next_u64() % 3);
+                plan.net
+                    .half_close_after
+                    .insert(0, 2 + state.next_u64() % 3);
                 exact(expected, site, 1);
             }
             "disk.torn" => {
@@ -707,14 +717,22 @@ mod tests {
         let err = ChaosPlan::parse_spec("proc:panic=1").unwrap_err();
         assert!(err.contains("job:panic"), "{err}");
         // Unknown plane and unknown kinds within known planes.
-        assert!(ChaosPlan::parse_spec("cpu:melt=1").unwrap_err().contains("unknown chaos plane"));
+        assert!(ChaosPlan::parse_spec("cpu:melt=1")
+            .unwrap_err()
+            .contains("unknown chaos plane"));
         assert!(ChaosPlan::parse_spec("job:frob=1").is_err());
         assert!(ChaosPlan::parse_spec("net:frob=1:2").is_err());
         assert!(ChaosPlan::parse_spec("disk:frob=1").is_err());
         assert!(ChaosPlan::parse_spec("coord:frob=1").is_err());
         // Malformed args surface the per-plane grammar errors.
-        assert!(ChaosPlan::parse_spec("net:drop=1").is_err(), "missing value");
-        assert!(ChaosPlan::parse_spec("disk:flip=1").is_err(), "missing mask");
+        assert!(
+            ChaosPlan::parse_spec("net:drop=1").is_err(),
+            "missing value"
+        );
+        assert!(
+            ChaosPlan::parse_spec("disk:flip=1").is_err(),
+            "missing mask"
+        );
         assert!(ChaosPlan::parse_spec("coord:kill-after-journal=x").is_err());
     }
 
@@ -744,7 +762,9 @@ mod tests {
         }
         for _ in 0..r(state, 3) {
             let j = r(state, 50) as usize;
-            plan.job.transient_failures.insert(j, 1 + r(state, 4) as u32);
+            plan.job
+                .transient_failures
+                .insert(j, 1 + r(state, 4) as u32);
         }
         if r(state, 4) == 0 {
             plan.job.close_queue_before = Some(r(state, 50) as usize);
@@ -808,7 +828,10 @@ mod tests {
 
     #[test]
     fn ledger_lines_round_trip_site_ids() {
-        assert_eq!(ledger_site("[chaos] fired job.panic job 3 attempt 1"), Some("job.panic"));
+        assert_eq!(
+            ledger_site("[chaos] fired job.panic job 3 attempt 1"),
+            Some("job.panic")
+        );
         assert_eq!(ledger_site("  [chaos] fired disk.torn"), Some("disk.torn"));
         assert_eq!(ledger_site("[fleet] listening on x"), None);
         assert_eq!(ledger_site("[chaos] fired "), None);
@@ -823,7 +846,10 @@ mod tests {
             assert_eq!(streamed.index, i);
             assert_eq!(replayed.index, i);
             assert_eq!(replayed.mode, streamed.mode);
-            assert_eq!(replayed.plan, streamed.plan, "schedule {i} diverged on replay");
+            assert_eq!(
+                replayed.plan, streamed.plan,
+                "schedule {i} diverged on replay"
+            );
             assert_eq!(replayed.expected, streamed.expected);
             assert_eq!(replayed.quarantine_jobs, streamed.quarantine_jobs);
         }
@@ -840,17 +866,34 @@ mod tests {
                 ChaosMode::Supervised => SUPERVISED_SITES,
                 ChaosMode::Fleet => FLEET_SITES,
             };
-            assert!(!s.expected.is_empty() && s.expected.len() <= 2, "1-2 sites per schedule");
+            assert!(
+                !s.expected.is_empty() && s.expected.len() <= 2,
+                "1-2 sites per schedule"
+            );
             for e in &s.expected {
-                assert!(eligible.contains(&e.site), "{} invalid for {}", e.site, s.mode.label());
+                assert!(
+                    eligible.contains(&e.site),
+                    "{} invalid for {}",
+                    e.site,
+                    s.mode.label()
+                );
                 assert!(SITES.contains(&e.site));
                 assert!(e.exact.is_none() || e.exact == Some(e.min));
                 assert!(e.min >= 1, "every scheduled site must fire");
             }
             let count = |pred: fn(&&Expectation) -> bool| s.expected.iter().filter(pred).count();
-            assert!(count(|e| e.site.starts_with("disk.")) <= 1, "at most one disk site");
-            assert!(count(|e| e.site.starts_with("proc.")) <= 1, "at most one proc site");
-            assert!(count(|e| e.site.starts_with("net.")) <= 1, "at most one net site");
+            assert!(
+                count(|e| e.site.starts_with("disk.")) <= 1,
+                "at most one disk site"
+            );
+            assert!(
+                count(|e| e.site.starts_with("proc.")) <= 1,
+                "at most one proc site"
+            );
+            assert!(
+                count(|e| e.site.starts_with("net.")) <= 1,
+                "at most one net site"
+            );
             if s.plan.kill_after_journal.is_some() && s.expected.len() == 2 {
                 assert!(
                     s.expectation("net.delay").is_some(),
@@ -896,7 +939,9 @@ mod tests {
     #[test]
     fn attribution_counts_fires_per_verdict() {
         use crate::campaign::{PmcTestOutcome, QuarantineRecord};
-        let plan = ChaosPlan::parse_spec("job:panic=1;job:hang=2;job:transient=3:2").unwrap().job;
+        let plan = ChaosPlan::parse_spec("job:panic=1;job:hang=2;job:transient=3:2")
+            .unwrap()
+            .job;
         let (tracer, sink) = sb_obs::Tracer::memory();
         let outcome = |attempts| PmcTestOutcome {
             pmc: None,

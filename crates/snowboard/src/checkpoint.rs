@@ -129,7 +129,11 @@ impl Checkpoint {
             .outcomes
             .iter()
             .map(|(job, o)| (*job, done_line(0, 0, *job, o)))
-            .chain(self.quarantined.iter().map(|(job, q)| (*job, quarantine_line(0, 0, q))))
+            .chain(
+                self.quarantined
+                    .iter()
+                    .map(|(job, q)| (*job, quarantine_line(0, 0, q))),
+            )
             .collect();
         verdicts.sort_by_key(|(job, _)| *job);
         let header = self.header();
@@ -138,7 +142,11 @@ impl Checkpoint {
     }
 
     fn header(&self) -> String {
-        let exemplars = self.exemplars.iter().map(|id| Json::U64(u64::from(*id))).collect();
+        let exemplars = self
+            .exemplars
+            .iter()
+            .map(|id| Json::U64(u64::from(*id)))
+            .collect();
         Json::Obj(vec![
             ("rec".into(), Json::Str("header".into())),
             ("version".into(), Json::U64(VERSION)),
@@ -168,7 +176,11 @@ impl Checkpoint {
                     .ok_or_else(|| "bad exemplar id".to_string())
             })
             .collect::<Result<Vec<PmcId>, String>>()?;
-        Ok(Checkpoint { seed: req_u64(&doc, "seed")?, exemplars, ..Checkpoint::default() })
+        Ok(Checkpoint {
+            seed: req_u64(&doc, "seed")?,
+            exemplars,
+            ..Checkpoint::default()
+        })
     }
 }
 
@@ -196,11 +208,15 @@ pub fn read(path: &Path) -> SbResult<Loaded> {
         op: "read",
         source,
     })?;
-    let format = |detail: String| Error::CheckpointFormat { path: path.to_path_buf(), detail };
+    let format = |detail: String| Error::CheckpointFormat {
+        path: path.to_path_buf(),
+        detail,
+    };
     let frames = journal::decode(&bytes)
         .ok_or_else(|| format("not a checkpoint log (format 1 checkpoints are not read)".into()))?;
-    let (header, mut end) =
-        *frames.first().ok_or_else(|| format("no intact campaign header".into()))?;
+    let (header, mut end) = *frames
+        .first()
+        .ok_or_else(|| format("no intact campaign header".into()))?;
     let mut checkpoint = Checkpoint::from_header(header).map_err(format)?;
     let mut replay = Replay::default();
     for (line, next) in &frames[1..] {
@@ -211,7 +227,11 @@ pub fn read(path: &Path) -> SbResult<Loaded> {
     }
     replay.damaged = u64::from(end < bytes.len());
     bytes.truncate(end);
-    Ok(Loaded { checkpoint, intact: bytes, replay })
+    Ok(Loaded {
+        checkpoint,
+        intact: bytes,
+        replay,
+    })
 }
 
 /// Replays one record after the header; `false` when it does not parse or
@@ -219,19 +239,36 @@ pub fn read(path: &Path) -> SbResult<Loaded> {
 fn replay_record(cp: &mut Checkpoint, replay: &mut Replay, line: &str) -> bool {
     let universe = cp.exemplars.len();
     let (session, seq) = match JournalRecord::parse(line) {
-        Ok(JournalRecord::Lease { lease, session, jobs }) => {
-            replay.leases.push(ReplayLease { lease, session, jobs });
+        Ok(JournalRecord::Lease {
+            lease,
+            session,
+            jobs,
+        }) => {
+            replay.leases.push(ReplayLease {
+                lease,
+                session,
+                jobs,
+            });
             return true;
         }
         Ok(JournalRecord::Release { lease }) => {
             replay.leases.retain(|l| l.lease != lease);
             return true;
         }
-        Ok(JournalRecord::Done { session, seq, job, outcome }) if job < universe => {
+        Ok(JournalRecord::Done {
+            session,
+            seq,
+            job,
+            outcome,
+        }) if job < universe => {
             cp.merge_outcome(job, outcome);
             (session, seq)
         }
-        Ok(JournalRecord::Quarantine { session, seq, record }) if record.job < universe => {
+        Ok(JournalRecord::Quarantine {
+            session,
+            seq,
+            record,
+        }) if record.job < universe => {
             cp.merge_quarantine(record);
             (session, seq)
         }
@@ -252,8 +289,11 @@ fn write(path: &Path, image: io::Result<Vec<u8>>) -> SbResult<()> {
         op: "write",
         source,
     })?;
-    json::atomic_write(path, bytes)
-        .map_err(|(op, path, source)| Error::CheckpointIo { path, op, source })
+    json::atomic_write(path, bytes).map_err(|(op, path, source)| Error::CheckpointIo {
+        path,
+        op,
+        source,
+    })
 }
 
 /// Atomically replaces `path` with the log `image` and opens it for the
@@ -339,9 +379,12 @@ pub(crate) fn outcome_from_json(doc: &Json) -> Result<(usize, PmcTestOutcome), S
         .iter()
         .map(finding_from_json)
         .collect::<Result<Vec<Finding>, String>>()?;
-    let first_finding_trial = opt_u64(doc.get("first_finding_trial").ok_or("missing first_finding_trial")?)?
-        .map(|n| u32::try_from(n).map_err(|_| "trial overflows u32".to_string()))
-        .transpose()?;
+    let first_finding_trial = opt_u64(
+        doc.get("first_finding_trial")
+            .ok_or("missing first_finding_trial")?,
+    )?
+    .map(|n| u32::try_from(n).map_err(|_| "trial overflows u32".to_string()))
+    .transpose()?;
     let repro_schedule = match doc.get("repro_schedule").ok_or("missing repro_schedule")? {
         Json::Null => None,
         other => Some(schedule_from_json(other)?),
@@ -427,8 +470,12 @@ fn finding_from_json(doc: &Json) -> Result<Finding, String> {
             .ok_or_else(|| format!("missing finding field \"{key}\""))
     };
     match doc.get("type").and_then(Json::as_str) {
-        Some("kernel-panic") => Ok(Finding::KernelPanic { msg: req_str("msg")? }),
-        Some("console-error") => Ok(Finding::ConsoleError { line: req_str("line")? }),
+        Some("kernel-panic") => Ok(Finding::KernelPanic {
+            msg: req_str("msg")?,
+        }),
+        Some("console-error") => Ok(Finding::ConsoleError {
+            line: req_str("line")?,
+        }),
         Some("data-race") => Ok(Finding::DataRace {
             write_site: req_str("write_site")?,
             other_site: req_str("other_site")?,
@@ -520,8 +567,7 @@ pub(crate) fn quarantine_from_json(doc: &Json) -> Result<QuarantineRecord, Strin
         pmc: opt_u64(doc.get("pmc").ok_or("missing pmc")?)?
             .map(|n| u32::try_from(n).map_err(|_| "pmc id overflows u32".to_string()))
             .transpose()?,
-        attempts: u32::try_from(req_u64(doc, "attempts")?)
-            .map_err(|_| "attempts overflows u32")?,
+        attempts: u32::try_from(req_u64(doc, "attempts")?).map_err(|_| "attempts overflows u32")?,
         kind: FailureKind::from_tag(kind_tag)
             .ok_or_else(|| format!("unknown failure kind \"{kind_tag}\""))?,
         chain: doc
@@ -585,7 +631,9 @@ mod tests {
                         other_site: "b:r".into(),
                         addr: 0x40,
                     },
-                    Finding::KernelPanic { msg: "BUG: \"quoted\"".into() },
+                    Finding::KernelPanic {
+                        msg: "BUG: \"quoted\"".into(),
+                    },
                     Finding::Deadlock,
                 ],
                 steps: 12345,
@@ -701,11 +749,18 @@ mod tests {
                 matches!(Checkpoint::load(&path), Err(Error::CheckpointFormat { .. })),
                 "{bytes:?}"
             );
-            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a failed load writes nothing");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "a failed load writes nothing"
+            );
         }
         let future = sample().header().replace("\"version\":2", "\"version\":99");
         std::fs::write(&path, journal::image([future.as_str()]).unwrap()).unwrap();
-        assert!(matches!(Checkpoint::load(&path), Err(Error::CheckpointFormat { .. })));
+        assert!(matches!(
+            Checkpoint::load(&path),
+            Err(Error::CheckpointFormat { .. })
+        ));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -715,13 +770,35 @@ mod tests {
         let sample = sample();
         let records = [
             cp.header(),
-            JournalRecord::Lease { lease: 1, session: 7, jobs: vec![0, 1] }.render(),
-            JournalRecord::Lease { lease: 2, session: 8, jobs: vec![2, 3] }.render(),
+            JournalRecord::Lease {
+                lease: 1,
+                session: 7,
+                jobs: vec![0, 1],
+            }
+            .render(),
+            JournalRecord::Lease {
+                lease: 2,
+                session: 8,
+                jobs: vec![2, 3],
+            }
+            .render(),
             done_line(7, 1, 0, &sample.outcomes[&0]),
             // Lease 2 expires and its jobs are re-granted to session 7.
             JournalRecord::Release { lease: 2 }.render(),
-            JournalRecord::Lease { lease: 3, session: 7, jobs: vec![2, 3] }.render(),
-            quarantine_line(7, 2, &QuarantineRecord { job: 2, ..sample.quarantined[&1].clone() }),
+            JournalRecord::Lease {
+                lease: 3,
+                session: 7,
+                jobs: vec![2, 3],
+            }
+            .render(),
+            quarantine_line(
+                7,
+                2,
+                &QuarantineRecord {
+                    job: 2,
+                    ..sample.quarantined[&1].clone()
+                },
+            ),
             // A late duplicate: counted as replayed, the first verdict kept.
             done_line(8, 5, 0, &sample.outcomes[&2]),
             // An in-process verdict carries no session.
@@ -739,12 +816,23 @@ mod tests {
         assert_eq!(
             replay.leases,
             vec![
-                ReplayLease { lease: 1, session: 7, jobs: vec![0, 1] },
-                ReplayLease { lease: 3, session: 7, jobs: vec![2, 3] },
+                ReplayLease {
+                    lease: 1,
+                    session: 7,
+                    jobs: vec![0, 1]
+                },
+                ReplayLease {
+                    lease: 3,
+                    session: 7,
+                    jobs: vec![2, 3]
+                },
             ]
         );
         assert_eq!(replay.acked, BTreeMap::from([(7, 2), (8, 5)]));
-        assert_eq!(loaded.checkpoint.outcomes[&0], sample.outcomes[&0], "first verdict wins");
+        assert_eq!(
+            loaded.checkpoint.outcomes[&0], sample.outcomes[&0],
+            "first verdict wins"
+        );
         assert_eq!(loaded.checkpoint.outcomes.len(), 2);
         assert!(loaded.checkpoint.quarantined.contains_key(&2));
 
@@ -752,7 +840,10 @@ mod tests {
         loaded.checkpoint.save(&path).unwrap();
         let compact = read(&path).unwrap();
         assert_eq!(compact.checkpoint, loaded.checkpoint);
-        assert_eq!((compact.replay.verdicts, compact.replay.leases.len()), (3, 0));
+        assert_eq!(
+            (compact.replay.verdicts, compact.replay.leases.len()),
+            (3, 0)
+        );
         assert!(compact.replay.acked.is_empty());
 
         // A verdict outside the universe ends the intact prefix.
@@ -773,7 +864,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("cp-million-{}.log", std::process::id()));
         cp.save(&path).unwrap();
-        assert!(std::fs::metadata(&path).unwrap().len() > 1 << 20, "the header outgrows a frame");
+        assert!(
+            std::fs::metadata(&path).unwrap().len() > 1 << 20,
+            "the header outgrows a frame"
+        );
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
         let _ = std::fs::remove_file(&path);
     }

@@ -79,7 +79,10 @@ impl Cluster {
 }
 
 fn mix(h: &mut u64, v: u64) {
-    *h ^= v.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(*h << 6).wrapping_add(*h >> 2);
+    *h ^= v
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(*h << 6)
+        .wrapping_add(*h >> 2);
 }
 
 fn channel_key(p: &Pmc) -> u64 {
@@ -275,11 +278,31 @@ mod tests {
     use sb_vmm::site;
 
     #[allow(clippy::too_many_arguments)]
-    fn pmc(wins: &str, waddr: u64, wlen: u8, wval: u64, rins: &str, raddr: u64, rlen: u8, rval: u64, df: bool) -> Pmc {
+    fn pmc(
+        wins: &str,
+        waddr: u64,
+        wlen: u8,
+        wval: u64,
+        rins: &str,
+        raddr: u64,
+        rlen: u8,
+        rval: u64,
+        df: bool,
+    ) -> Pmc {
         Pmc {
             key: PmcKey {
-                w: SideKey { ins: site!(wins), addr: waddr, len: wlen, value: wval },
-                r: SideKey { ins: site!(rins), addr: raddr, len: rlen, value: rval },
+                w: SideKey {
+                    ins: site!(wins),
+                    addr: waddr,
+                    len: wlen,
+                    value: wval,
+                },
+                r: SideKey {
+                    ins: site!(rins),
+                    addr: raddr,
+                    len: rlen,
+                    value: rval,
+                },
             },
             df_leader: df,
             pairs: vec![(0, 1)],

@@ -49,7 +49,11 @@ pub fn diagnose(report: &ExecReport, set: &PmcSet) -> Vec<Diagnosis> {
         .into_iter()
         .map(|finding| {
             let caused_by: Vec<PmcId> = match &finding {
-                Finding::DataRace { write_site, other_site, .. } => {
+                Finding::DataRace {
+                    write_site,
+                    other_site,
+                    ..
+                } => {
                     // Exact site-pair correspondence first; the race was
                     // predicted iff some identified PMC names both sites.
                     races
@@ -101,7 +105,11 @@ fn render(finding: &Finding, caused_by: &[PmcId], set: &PmcSet, bug_id: Option<u
         Finding::ConsoleError { line } => {
             let _ = writeln!(s, "CONSOLE ERROR: {line}");
         }
-        Finding::DataRace { write_site, other_site, addr } => {
+        Finding::DataRace {
+            write_site,
+            other_site,
+            addr,
+        } => {
             let _ = writeln!(s, "DATA RACE on {addr:#x}: {write_site} <-> {other_site}");
         }
         Finding::Deadlock => {
@@ -117,7 +125,10 @@ fn render(finding: &Finding, caused_by: &[PmcId], set: &PmcSet, bug_id: Option<u
             );
         }
         Finding::LockOrderInversion { first, second } => {
-            let _ = writeln!(s, "LOCK ORDER INVERSION: {first} <-> {second} (latent ABBA)");
+            let _ = writeln!(
+                s,
+                "LOCK ORDER INVERSION: {first} <-> {second} (latent ABBA)"
+            );
         }
         Finding::MissedWakeup {
             queue,
@@ -185,13 +196,26 @@ mod tests {
     fn l2tp_panic_is_explained_by_the_publication_pmc() {
         let booted = boot(KernelConfig::v5_12_rc3());
         let writer = Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 2 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 2,
+            },
         ]);
         let reader = Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 2 },
-            Syscall::Sendmsg { sock: Res(0), len: 1 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 2,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 1,
+            },
         ]);
         let profiles =
             crate::profile::profile_corpus(&booted, &[writer.clone(), reader.clone()], 2);

@@ -138,8 +138,7 @@ impl Error {
     /// Renders this error and its source chain, outermost first.
     pub fn chain(&self) -> Vec<String> {
         let mut out = vec![self.to_string()];
-        let mut cur: Option<&(dyn std::error::Error + 'static)> =
-            std::error::Error::source(self);
+        let mut cur: Option<&(dyn std::error::Error + 'static)> = std::error::Error::source(self);
         while let Some(e) = cur {
             out.push(e.to_string());
             cur = e.source();
@@ -208,7 +207,9 @@ impl From<ExecError> for Error {
 
 impl From<crate::protocol::ProtocolError> for Error {
     fn from(source: crate::protocol::ProtocolError) -> Self {
-        Error::Fleet { detail: source.to_string() }
+        Error::Fleet {
+            detail: source.to_string(),
+        }
     }
 }
 
@@ -303,7 +304,10 @@ mod tests {
 
     #[test]
     fn retryability_classification() {
-        assert!(Error::WorkerPanic { message: "x".into() }.is_retryable());
+        assert!(Error::WorkerPanic {
+            message: "x".into()
+        }
+        .is_retryable());
         assert!(Error::Injected { attempt: 0 }.is_retryable());
         assert!(!Error::Exec {
             source: ExecError::BadJobCount { jobs: 3, vcpus: 2 }

@@ -149,11 +149,17 @@ impl FaultPlan {
             ("hang", spec::join_items(&self.hang_jobs)),
             (
                 "transient",
-                spec::join_items(self.transient_failures.iter().map(|(j, n)| format!("{j}:{n}"))),
+                spec::join_items(
+                    self.transient_failures
+                        .iter()
+                        .map(|(j, n)| format!("{j}:{n}")),
+                ),
             ),
             (
                 "close",
-                self.close_queue_before.map(|j| j.to_string()).unwrap_or_default(),
+                self.close_queue_before
+                    .map(|j| j.to_string())
+                    .unwrap_or_default(),
             ),
             ("abort", spec::join_items(&self.abort_jobs)),
             (
@@ -331,11 +337,11 @@ mod tests {
     #[test]
     fn malformed_job_and_proc_clauses_are_rejected() {
         for bad in [
-            "proc:abort",       // missing =
-            "proc:abort=x",     // bad index
-            "proc:exit=3",      // missing code
-            "proc:exit=3:x",    // bad code
-            "job:transient=3",  // missing count
+            "proc:abort",      // missing =
+            "proc:abort=x",    // bad index
+            "proc:exit=3",     // missing code
+            "proc:exit=3:x",   // bad code
+            "job:transient=3", // missing count
         ] {
             assert!(ChaosPlan::parse_spec(bad).is_err(), "{bad}");
         }
@@ -363,7 +369,10 @@ mod tests {
         assert!(!plan.drop_now(0, 6), "the sixth frame still goes out");
         assert!(plan.drop_now(0, 7), "the seventh does not");
         assert!(!plan.drop_now(1, 7), "other connections are untouched");
-        assert_eq!(plan.delay_for(1), Some(std::time::Duration::from_millis(50)));
+        assert_eq!(
+            plan.delay_for(1),
+            Some(std::time::Duration::from_millis(50))
+        );
         assert_eq!(plan.delay_for(0), None);
         assert!(plan.garble_now(2, 3) && !plan.garble_now(2, 4));
         assert!(plan.half_close_now(3, 4) && !plan.half_close_now(3, 5));

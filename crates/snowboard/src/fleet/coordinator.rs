@@ -193,8 +193,15 @@ impl Coordinator<'_> {
         // A crash quarantine is logged by the ledger with no session, so a
         // resume replays it without touching any ack watermark.
         let charges = match cause {
-            Some(cause) => self.ledger.owner_died(lease_id, self.fcfg.crash_budget, cause),
-            None => self.ledger.release(lease_id).into_iter().map(Charge::Requeued).collect(),
+            Some(cause) => self
+                .ledger
+                .owner_died(lease_id, self.fcfg.crash_budget, cause),
+            None => self
+                .ledger
+                .release(lease_id)
+                .into_iter()
+                .map(Charge::Requeued)
+                .collect(),
         };
         self.survived();
         for charge in charges {
@@ -230,7 +237,10 @@ impl Coordinator<'_> {
             self.ledger.note_death(dead.completed > 0);
         }
         let died = |job| {
-            format!("worker process died while job {job} was in flight: {}", dead.detail)
+            format!(
+                "worker process died while job {job} was in flight: {}",
+                dead.detail
+            )
         };
         let cause = (!dead.clean).then_some(&died as &dyn Fn(usize) -> String);
         for lease_id in dead.leases.iter().copied() {
@@ -251,7 +261,9 @@ impl Coordinator<'_> {
         }
         self.maybe_give_up();
         let wanted = !self.ledger.stopping() && self.ledger.pending() > 0;
-        self.pool.as_mut().map_or(Ok(()), |pool| pool.spawn_due(wanted))
+        self.pool
+            .as_mut()
+            .map_or(Ok(()), |pool| pool.spawn_due(wanted))
     }
 
     /// A job went back to the pending pool. During a drain it is simply
@@ -283,7 +295,12 @@ impl Coordinator<'_> {
             if let Some(c) = self.conns.get_mut(&id) {
                 c.drained = true;
             }
-            self.send(id, &ServeMsg::Drain { reason: reason.to_owned() });
+            self.send(
+                id,
+                &ServeMsg::Drain {
+                    reason: reason.to_owned(),
+                },
+            );
         }
     }
 
@@ -295,12 +312,12 @@ impl Coordinator<'_> {
             this.send(conn_id, &ServeMsg::Reject { reason });
             this.drop_conn(conn_id, None);
         };
-        let already_joined = self
-            .conns
-            .get(&conn_id)
-            .is_some_and(|c| c.worker.is_some());
+        let already_joined = self.conns.get(&conn_id).is_some_and(|c| c.worker.is_some());
         if already_joined {
-            self.drop_conn(conn_id, Some("protocol violation: second join on one connection"));
+            self.drop_conn(
+                conn_id,
+                Some("protocol violation: second join on one connection"),
+            );
             return;
         }
         if proto != FLEET_PROTO_VERSION {
@@ -328,7 +345,10 @@ impl Coordinator<'_> {
         // like the others instead of failing them.
         match &self.pool {
             Some(pool) if !pool.admit(pid) => {
-                reject(self, format!("process {pid} is not a live child of this supervisor"));
+                reject(
+                    self,
+                    format!("process {pid} is not a live child of this supervisor"),
+                );
                 return;
             }
             None if self.ledger.stopping() => {
@@ -390,7 +410,9 @@ impl Coordinator<'_> {
             }
             self.send(
                 conn_id,
-                &ServeMsg::Drain { reason: "coordinator is draining".into() },
+                &ServeMsg::Drain {
+                    reason: "coordinator is draining".into(),
+                },
             );
             return;
         }
@@ -418,10 +440,20 @@ impl Coordinator<'_> {
         // Log the grant before the worker can learn of it: a resume
         // must know these jobs are out even if the kill lands between the
         // append and the send.
-        if !self.journal(&JournalRecord::Lease { lease, session, jobs: jobs.clone() }) {
+        if !self.journal(&JournalRecord::Lease {
+            lease,
+            session,
+            jobs: jobs.clone(),
+        }) {
             return;
         }
-        self.leases.insert(lease, Lease { conn: Some(conn_id), session });
+        self.leases.insert(
+            lease,
+            Lease {
+                conn: Some(conn_id),
+                session,
+            },
+        );
         self.stats.leases_granted += 1;
         self.tracer().count(sb_obs::keys::FLEET_LEASES, 1);
         self.fleet_event(worker, "lease", format!("lease {lease}: jobs {jobs:?}"));
@@ -440,7 +472,14 @@ impl Coordinator<'_> {
     /// redeliveries, drop frames whose sequence number the log already
     /// holds (the worker will trim them at the next ack), then hand fresh
     /// ones to the ledger, which logs them before merging.
-    fn handle_result(&mut self, conn_id: u64, job: usize, verdict: JobVerdict, seq: u64, redelivery: bool) {
+    fn handle_result(
+        &mut self,
+        conn_id: u64,
+        job: usize,
+        verdict: JobVerdict,
+        seq: u64,
+        redelivery: bool,
+    ) {
         let Some((worker, session)) = self
             .conns
             .get(&conn_id)
@@ -531,7 +570,10 @@ impl Coordinator<'_> {
             if let (Some(pool), Some(conn)) = (self.pool.as_mut(), self.conns.get(&conn_id)) {
                 pool.heartbeat_kill(conn.pid, silence);
             }
-            let detail = format!("silent for {:.1}s (heartbeat timeout)", silence.as_secs_f64());
+            let detail = format!(
+                "silent for {:.1}s (heartbeat timeout)",
+                silence.as_secs_f64()
+            );
             self.drop_conn(conn_id, Some(&detail));
         }
     }
@@ -571,7 +613,8 @@ impl Coordinator<'_> {
         let replay = self.ledger.take_replay();
         self.stats.journal_damaged += replay.damaged;
         if replay.damaged > 0 {
-            self.tracer().count(sb_obs::keys::FLEET_JOURNAL_DAMAGED, replay.damaged);
+            self.tracer()
+                .count(sb_obs::keys::FLEET_JOURNAL_DAMAGED, replay.damaged);
             self.fleet_event(
                 u64::MAX,
                 "journal-damage",
@@ -580,7 +623,8 @@ impl Coordinator<'_> {
         }
         self.stats.journal_replayed = replay.verdicts;
         if replay.verdicts > 0 {
-            self.tracer().count(sb_obs::keys::FLEET_JOURNAL_REPLAYED, replay.verdicts);
+            self.tracer()
+                .count(sb_obs::keys::FLEET_JOURNAL_REPLAYED, replay.verdicts);
         }
         self.sessions.extend(replay.acked);
         // Leases granted but never released stay out: their holders may
@@ -594,7 +638,9 @@ impl Coordinator<'_> {
             if self.pool.is_some() {
                 continue;
             }
-            let jobs = self.ledger.hold(restored.lease, &restored.jobs, Some(deadline));
+            let jobs = self
+                .ledger
+                .hold(restored.lease, &restored.jobs, Some(deadline));
             if jobs.is_empty() {
                 continue;
             }
@@ -609,7 +655,13 @@ impl Coordinator<'_> {
                     restored.lease, restored.session
                 ),
             );
-            self.leases.insert(restored.lease, Lease { conn: None, session: restored.session });
+            self.leases.insert(
+                restored.lease,
+                Lease {
+                    conn: None,
+                    session: restored.session,
+                },
+            );
         }
     }
 }
@@ -746,10 +798,7 @@ fn spawn_acceptor(
     });
 }
 
-fn coordinator_loop(
-    state: &mut Coordinator<'_>,
-    rx: &mpsc::Receiver<(u64, Note)>,
-) -> SbResult<()> {
+fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)>) -> SbResult<()> {
     loop {
         if state.killed {
             // The fail-after-journal kill switch: unwind immediately,
@@ -790,7 +839,9 @@ fn coordinator_loop(
             Ok(item) => item,
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(Error::Fleet { detail: "acceptor thread died".into() });
+                return Err(Error::Fleet {
+                    detail: "acceptor thread died".into(),
+                });
             }
         };
         match note {
@@ -816,12 +867,22 @@ fn coordinator_loop(
                     continue; // already evicted; late frames are moot
                 }
                 match msg {
-                    JoinMsg::Join { proto, config, session, pid } => {
+                    JoinMsg::Join {
+                        proto,
+                        config,
+                        session,
+                        pid,
+                    } => {
                         state.handle_join(conn_id, proto, config, session, pid);
                     }
                     JoinMsg::Heartbeat => {}
                     JoinMsg::Request { max } => state.handle_request(conn_id, max),
-                    JoinMsg::Done { job, outcome, seq, redelivery } => {
+                    JoinMsg::Done {
+                        job,
+                        outcome,
+                        seq,
+                        redelivery,
+                    } => {
                         state.handle_result(
                             conn_id,
                             job,
@@ -830,7 +891,11 @@ fn coordinator_loop(
                             redelivery,
                         );
                     }
-                    JoinMsg::Quarantine { record, seq, redelivery } => {
+                    JoinMsg::Quarantine {
+                        record,
+                        seq,
+                        redelivery,
+                    } => {
                         let job = record.job;
                         state.handle_result(
                             conn_id,
@@ -851,7 +916,10 @@ fn coordinator_loop(
             // our last frame unread, which resets the socket instead of
             // ending it: still a clean close.
             Note::Eof | Note::Bad(ProtocolError::Io { .. })
-                if state.conns.get(&conn_id).is_some_and(|c| c.leaving || c.drained) =>
+                if state
+                    .conns
+                    .get(&conn_id)
+                    .is_some_and(|c| c.leaving || c.drained) =>
             {
                 state.drop_conn(conn_id, None);
             }

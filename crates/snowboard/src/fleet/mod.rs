@@ -84,7 +84,10 @@ pub use worker::{run_join, FleetWork, JoinCfg, JoinSummary};
 /// cheap stable way for both ends to notice they were launched with
 /// different flags before any results are merged.
 pub fn config_fingerprint(parts: &[(&str, String)]) -> u64 {
-    let text: String = parts.iter().map(|(key, value)| format!("{key}={value};")).collect();
+    let text: String = parts
+        .iter()
+        .map(|(key, value)| format!("{key}={value};"))
+        .collect();
     sb_vmm::site::fnv1a(text.as_bytes())
 }
 
@@ -222,9 +225,16 @@ mod tests {
     impl Client {
         fn connect(addr: &std::net::SocketAddr) -> Client {
             let write = TcpStream::connect(addr).expect("connect");
-            write.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            write
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
             let reader = BufReader::new(write.try_clone().unwrap());
-            Client { write, reader, session: fresh_test_session(), seq: 0 }
+            Client {
+                write,
+                reader,
+                session: fresh_test_session(),
+                seq: 0,
+            }
         }
 
         fn send(&mut self, msg: &JoinMsg) {
@@ -252,7 +262,12 @@ mod tests {
         fn join(addr: &std::net::SocketAddr, config: u64) -> (Client, ServeMsg) {
             let mut c = Client::connect(addr);
             let session = c.session;
-            c.send(&JoinMsg::Join { proto: FLEET_PROTO_VERSION, config, session, pid: 0 });
+            c.send(&JoinMsg::Join {
+                proto: FLEET_PROTO_VERSION,
+                config,
+                session,
+                pid: 0,
+            });
             let reply = c.read();
             (c, reply)
         }
@@ -268,7 +283,12 @@ mod tests {
             let mut c = Client::connect(addr);
             c.session = session;
             c.seq = seq;
-            c.send(&JoinMsg::Join { proto: FLEET_PROTO_VERSION, config, session, pid: 0 });
+            c.send(&JoinMsg::Join {
+                proto: FLEET_PROTO_VERSION,
+                config,
+                session,
+                pid: 0,
+            });
             let reply = c.read();
             (c, reply)
         }
@@ -301,7 +321,9 @@ mod tests {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            self.send(&JoinMsg::Leaving { reason: "drained".into() });
+            self.send(&JoinMsg::Leaving {
+                reason: "drained".into(),
+            });
         }
     }
 
@@ -310,11 +332,13 @@ mod tests {
         budgeted: Vec<PmcId>,
         cfg: CampaignCfg,
         fcfg: FleetCfg,
-    ) -> (std::net::SocketAddr, std::thread::JoinHandle<SbResult<CampaignReport>>) {
+    ) -> (
+        std::net::SocketAddr,
+        std::thread::JoinHandle<SbResult<CampaignReport>>,
+    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle =
-            std::thread::spawn(move || run_coordinator(listener, &budgeted, &cfg, &fcfg));
+        let handle = std::thread::spawn(move || run_coordinator(listener, &budgeted, &cfg, &fcfg));
         (addr, handle)
     }
 
@@ -351,12 +375,18 @@ mod tests {
     fn scripted_workers_complete_a_fleet_campaign() {
         let dir = test_dir("clean");
         let budgeted: Vec<PmcId> = (0..4).map(|i| i + 100).collect();
-        let (addr, coord) =
-            start_coordinator(budgeted, CampaignCfg::default(), fast_fcfg(&dir));
+        let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fast_fcfg(&dir));
 
         let (mut a, reply) = Client::join(&addr, 0);
         assert!(
-            matches!(reply, ServeMsg::Welcome { worker: 0, jobs: 4, ack: 0 }),
+            matches!(
+                reply,
+                ServeMsg::Welcome {
+                    worker: 0,
+                    jobs: 4,
+                    ack: 0
+                }
+            ),
             "{reply:?}"
         );
         let jobs = a.lease(2).expect("first lease");
@@ -392,8 +422,7 @@ mod tests {
     fn dead_worker_is_evicted_and_its_jobs_reassigned() {
         let dir = test_dir("evict");
         let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let (addr, coord) =
-            start_coordinator(budgeted, CampaignCfg::default(), fast_fcfg(&dir));
+        let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fast_fcfg(&dir));
 
         // Worker A leases both jobs, finishes one, and dies mid-lease.
         let (mut a, _) = Client::join(&addr, 0);
@@ -512,7 +541,10 @@ mod tests {
         assert_eq!(report.quarantined[0].attempts, 2);
         let stats = report.fleet.unwrap();
         assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.jobs_reassigned, 1, "one reassign before the budget hit");
+        assert_eq!(
+            stats.jobs_reassigned, 1,
+            "one reassign before the budget hit"
+        );
         // Crash quarantines are checkpointed (never retried on resume).
         let cp = Checkpoint::load(&fcfg.checkpoint).unwrap();
         assert!(cp.quarantined.contains_key(&0));
@@ -539,7 +571,10 @@ mod tests {
         let report = coord.join().unwrap().expect("fleet report");
         assert_eq!(report.tested(), 0);
         assert_eq!(report.quarantined.len(), 2);
-        assert!(report.quarantined.iter().all(|q| q.kind == FailureKind::GaveUp));
+        assert!(report
+            .quarantined
+            .iter()
+            .all(|q| q.kind == FailureKind::GaveUp));
         let stats = report.fleet.unwrap();
         assert_eq!(stats.gave_up_jobs, 2);
         // GaveUp is reported but not checkpointed: a resumed campaign
@@ -571,7 +606,9 @@ mod tests {
             ServeMsg::Drain { .. } => {}
             other => panic!("unexpected reply {other:?}"),
         }
-        a.send(&JoinMsg::Leaving { reason: "drained".into() });
+        a.send(&JoinMsg::Leaving {
+            reason: "drained".into(),
+        });
         drop(a);
 
         let report = coord.join().unwrap().expect("fleet report");
@@ -592,11 +629,19 @@ mod tests {
     fn handshake_rejects_version_and_config_mismatches() {
         let dir = test_dir("reject");
         let budgeted: Vec<PmcId> = vec![100];
-        let fcfg = FleetCfg { config_hash: 0xBEEF, ..fast_fcfg(&dir) };
+        let fcfg = FleetCfg {
+            config_hash: 0xBEEF,
+            ..fast_fcfg(&dir)
+        };
         let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fcfg);
 
         let mut bad_proto = Client::connect(&addr);
-        bad_proto.send(&JoinMsg::Join { proto: 99, config: 0xBEEF, session: 0, pid: 0 });
+        bad_proto.send(&JoinMsg::Join {
+            proto: 99,
+            config: 0xBEEF,
+            session: 0,
+            pid: 0,
+        });
         let reply = bad_proto.read();
         assert!(
             matches!(&reply, ServeMsg::Reject { reason } if reason.contains("version")),
@@ -627,8 +672,7 @@ mod tests {
     fn garbage_frames_evict_the_sender() {
         let dir = test_dir("garbage");
         let budgeted: Vec<PmcId> = vec![100];
-        let (addr, coord) =
-            start_coordinator(budgeted, CampaignCfg::default(), fast_fcfg(&dir));
+        let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fast_fcfg(&dir));
 
         let (mut evil, _) = Client::join(&addr, 0);
         let _ = evil.lease(1).expect("lease");
@@ -655,8 +699,7 @@ mod tests {
         let dir = test_dir("foreign");
         let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
         let fcfg = fast_fcfg(&dir);
-        let (addr, coord) =
-            start_coordinator(budgeted, CampaignCfg::default(), fcfg.clone());
+        let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fcfg.clone());
 
         // A schema-valid `done` for job universe + 7.
         let (mut evil, _) = Client::join(&addr, 0);
@@ -672,7 +715,9 @@ mod tests {
                 seen.push(job);
             }
         }
-        good.send(&JoinMsg::Leaving { reason: "drained".into() });
+        good.send(&JoinMsg::Leaving {
+            reason: "drained".into(),
+        });
         drop((good, evil));
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1], "the evicted worker's job was reassigned");
@@ -736,9 +781,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let mut accepted = 0u32;
-            listener
-                .set_nonblocking(false)
-                .expect("blocking listener");
+            listener.set_nonblocking(false).expect("blocking listener");
             let deadline = Instant::now() + Duration::from_secs(2);
             listener.set_nonblocking(true).unwrap();
             while Instant::now() < deadline {
@@ -749,8 +792,10 @@ mod tests {
                         let _ = read_frame(&mut reader); // the join
                         let _ = write_frame(
                             &mut stream,
-                            &ServeMsg::Reject { reason: "config fingerprint mismatch".into() }
-                                .render(),
+                            &ServeMsg::Reject {
+                                reason: "config fingerprint mismatch".into(),
+                            }
+                            .render(),
                         );
                     }
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
@@ -776,18 +821,41 @@ mod tests {
             let (mut s1, _) = listener.accept().unwrap();
             let mut r1 = BufReader::new(s1.try_clone().unwrap());
             let _ = read_frame(&mut r1); // join
-            write_frame(&mut s1, &ServeMsg::Welcome { worker: 0, jobs: 0, ack: 0 }.render())
-                .unwrap();
+            write_frame(
+                &mut s1,
+                &ServeMsg::Welcome {
+                    worker: 0,
+                    jobs: 0,
+                    ack: 0,
+                }
+                .render(),
+            )
+            .unwrap();
             let _ = read_frame(&mut r1); // request
             drop(s1);
             // Session 2: welcome, then drain.
             let (mut s2, _) = listener.accept().unwrap();
             let mut r2 = BufReader::new(s2.try_clone().unwrap());
             let _ = read_frame(&mut r2); // join
-            write_frame(&mut s2, &ServeMsg::Welcome { worker: 1, jobs: 0, ack: 0 }.render())
-                .unwrap();
+            write_frame(
+                &mut s2,
+                &ServeMsg::Welcome {
+                    worker: 1,
+                    jobs: 0,
+                    ack: 0,
+                }
+                .render(),
+            )
+            .unwrap();
             let _ = read_frame(&mut r2); // request
-            write_frame(&mut s2, &ServeMsg::Drain { reason: "done".into() }.render()).unwrap();
+            write_frame(
+                &mut s2,
+                &ServeMsg::Drain {
+                    reason: "done".into(),
+                }
+                .render(),
+            )
+            .unwrap();
             // Absorb the goodbye.
             let _ = read_frame(&mut r2);
         });
@@ -815,22 +883,37 @@ mod tests {
                 }
                 let _ = write_frame(
                     &mut s,
-                    &ServeMsg::Welcome { worker: round, jobs: 0, ack: 0 }.render(),
+                    &ServeMsg::Welcome {
+                        worker: round,
+                        jobs: 0,
+                        ack: 0,
+                    }
+                    .render(),
                 );
                 match read_frame(&mut r) {
                     Ok(Some(_)) => {}
                     _ => continue,
                 }
-                let _ =
-                    write_frame(&mut s, &ServeMsg::Drain { reason: "done".into() }.render());
+                let _ = write_frame(
+                    &mut s,
+                    &ServeMsg::Drain {
+                        reason: "done".into(),
+                    }
+                    .render(),
+                );
                 let _ = read_frame(&mut r);
             }
         });
         // drop=0:1 — connection 0 closes after 1 substantive frame, so its
         // request (frame 2) hits the injected drop.
-        let faults =
-            NetFaultPlan { drop_after: BTreeMap::from([(0, 1)]), ..NetFaultPlan::default() };
-        let jcfg = JoinCfg { net_faults: faults, ..fast_jcfg(addr) };
+        let faults = NetFaultPlan {
+            drop_after: BTreeMap::from([(0, 1)]),
+            ..NetFaultPlan::default()
+        };
+        let jcfg = JoinCfg {
+            net_faults: faults,
+            ..fast_jcfg(addr)
+        };
         let summary = run_join(&CampaignCfg::default(), &jcfg, empty_work).expect("join");
         assert!(summary.drained);
         assert_eq!(summary.reconnects, 1, "the injected drop cost one session");
@@ -862,10 +945,16 @@ mod tests {
         };
         let solo = pipeline.campaign(&exemplars, &cfg).expect("solo campaign");
 
-        let fcfg = FleetCfg { batch: 2, ..fast_fcfg(&dir) };
+        let fcfg = FleetCfg {
+            batch: 2,
+            ..fast_fcfg(&dir)
+        };
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let fleet_cfg = CampaignCfg { checkpoint: None, ..cfg.clone() };
+        let fleet_cfg = CampaignCfg {
+            checkpoint: None,
+            ..cfg.clone()
+        };
         let coord = {
             let exemplars = exemplars.clone();
             let fleet_cfg = fleet_cfg.clone();
@@ -897,7 +986,11 @@ mod tests {
             assert!(summary.drained);
             fleet_jobs += summary.jobs_completed;
         }
-        assert_eq!(fleet_jobs as usize, solo.tested(), "all jobs ran exactly once");
+        assert_eq!(
+            fleet_jobs as usize,
+            solo.tested(),
+            "all jobs ran exactly once"
+        );
 
         assert_eq!(fleet.outcomes, solo.outcomes, "bit-identical outcomes");
         assert_eq!(fleet.quarantined, solo.quarantined);
@@ -938,7 +1031,14 @@ mod tests {
         assert_eq!(o2.next_seq, 3);
         let redeliveries = o2.redeliveries();
         assert!(
-            matches!(redeliveries[0], JoinMsg::Done { seq: 2, redelivery: true, .. }),
+            matches!(
+                redeliveries[0],
+                JoinMsg::Done {
+                    seq: 2,
+                    redelivery: true,
+                    ..
+                }
+            ),
             "{:?}",
             redeliveries[0]
         );
@@ -965,15 +1065,20 @@ mod tests {
     fn killed_coordinator_resumes_without_losing_journaled_results() {
         let dir = test_dir("failover");
         let budgeted: Vec<PmcId> = (0..3).map(|i| i + 100).collect();
-        let fcfg = FleetCfg { batch: 2, ..fast_fcfg(&dir) };
+        let fcfg = FleetCfg {
+            batch: 2,
+            ..fast_fcfg(&dir)
+        };
 
         // Run 1: the kill switch fires on the third logged record — the
         // lease grant (#1) and job 0's delivery (#2) land normally, then
         // job 1's delivery (#3) is journaled and the coordinator dies
         // before merging or acknowledging it.
-        let fcfg1 = FleetCfg { fail_after_journal: Some(3), ..fcfg.clone() };
-        let (addr, coord) =
-            start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
+        let fcfg1 = FleetCfg {
+            fail_after_journal: Some(3),
+            ..fcfg.clone()
+        };
+        let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
         let (mut a, _) = Client::join(&addr, 0);
         let session = a.session;
         let jobs = a.lease(2).expect("lease");
@@ -991,7 +1096,9 @@ mod tests {
         };
         let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg.clone());
         let (mut a, reply) = Client::rejoin(&addr, 0, session, 2);
-        let ServeMsg::Welcome { ack, .. } = reply else { panic!("{reply:?}") };
+        let ServeMsg::Welcome { ack, .. } = reply else {
+            panic!("{reply:?}")
+        };
         assert_eq!(ack, 2, "the journal already holds both run-1 deliveries");
         // A worker whose spool lagged the ack would redeliver anyway; do
         // so here (with a poisoned steps count) to prove the seq dedup
@@ -1018,7 +1125,10 @@ mod tests {
         assert_eq!(stats.journal_replayed, 2);
         assert_eq!(stats.sessions_resumed, 1);
         assert_eq!(stats.redelivered, 1);
-        assert_eq!(stats.duplicate_results, 0, "seq dedup fires before the merge");
+        assert_eq!(
+            stats.duplicate_results, 0,
+            "seq dedup fires before the merge"
+        );
         assert_eq!(stats.journal_damaged, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1030,13 +1140,18 @@ mod tests {
     fn resuming_into_another_path_keeps_every_verdict() {
         let dir = test_dir("reroute");
         let budgeted: Vec<PmcId> = (0..3).map(|i| i + 100).collect();
-        let fcfg = FleetCfg { batch: 2, ..fast_fcfg(&dir) };
+        let fcfg = FleetCfg {
+            batch: 2,
+            ..fast_fcfg(&dir)
+        };
 
         // Run 1: lease [0,1] (record 1), job 0 (record 2), job 1 (record 3,
         // where the kill lands: logged, never merged).
-        let fcfg1 = FleetCfg { fail_after_journal: Some(3), ..fcfg.clone() };
-        let (addr, coord) =
-            start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
+        let fcfg1 = FleetCfg {
+            fail_after_journal: Some(3),
+            ..fcfg.clone()
+        };
+        let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
         let (mut a, _) = Client::join(&addr, 0);
         assert_eq!(a.lease(2).expect("lease"), vec![0, 1]);
         a.done(0, 100);
@@ -1050,17 +1165,27 @@ mod tests {
             resume_from: Some(fcfg.checkpoint.clone()),
             ..CampaignCfg::default()
         };
-        let fcfg2 = FleetCfg { checkpoint: moved.clone(), ..fcfg.clone() };
+        let fcfg2 = FleetCfg {
+            checkpoint: moved.clone(),
+            ..fcfg.clone()
+        };
         let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg2);
         let (mut b, _) = Client::join(&addr, 0);
-        assert_eq!(b.lease(2).expect("remaining work"), vec![2], "job 1 is not re-leased");
+        assert_eq!(
+            b.lease(2).expect("remaining work"),
+            vec![2],
+            "job 1 is not re-leased"
+        );
         b.done(2, 102);
         b.drain();
 
         let report = coord.join().unwrap().expect("resumed report");
         assert_eq!(report.fleet.unwrap().journal_replayed, 2);
         let steps = |cp: &Checkpoint| cp.outcomes.values().map(|o| o.steps).collect::<Vec<_>>();
-        assert_eq!(steps(&Checkpoint::load(&moved).unwrap()), vec![100, 101, 102]);
+        assert_eq!(
+            steps(&Checkpoint::load(&moved).unwrap()),
+            vec![100, 101, 102]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1072,14 +1197,19 @@ mod tests {
     fn restored_lease_keeps_in_flight_jobs_off_the_market() {
         let dir = test_dir("restore");
         let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let fcfg = FleetCfg { batch: 2, ..fast_fcfg(&dir) };
+        let fcfg = FleetCfg {
+            batch: 2,
+            ..fast_fcfg(&dir)
+        };
 
         // Run 1: lease [0,1] granted (append #1); job 0's delivery is
         // append #2, where the kill lands — journaled, never merged, and
         // the lease is never released.
-        let fcfg1 = FleetCfg { fail_after_journal: Some(2), ..fcfg.clone() };
-        let (addr, coord) =
-            start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
+        let fcfg1 = FleetCfg {
+            fail_after_journal: Some(2),
+            ..fcfg.clone()
+        };
+        let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
         let (mut a, _) = Client::join(&addr, 0);
         let session = a.session;
         let jobs = a.lease(2).expect("lease");
@@ -1099,7 +1229,10 @@ mod tests {
         b.send(&JoinMsg::Request { max: 2 });
         match b.read() {
             ServeMsg::Lease { jobs, .. } => {
-                assert!(jobs.is_empty(), "in-flight job leaked to a stranger: {jobs:?}");
+                assert!(
+                    jobs.is_empty(),
+                    "in-flight job leaked to a stranger: {jobs:?}"
+                );
             }
             other => panic!("unexpected reply {other:?}"),
         }
@@ -1108,7 +1241,9 @@ mod tests {
         // The original session returns: its ack covers job 0, and it
         // redelivers job 1, which it finished during the outage.
         let (mut a, reply) = Client::rejoin(&addr, 0, session, 1);
-        let ServeMsg::Welcome { ack, .. } = reply else { panic!("{reply:?}") };
+        let ServeMsg::Welcome { ack, .. } = reply else {
+            panic!("{reply:?}")
+        };
         assert_eq!(ack, 1, "job 0's journaled delivery is acknowledged");
         a.seq += 1;
         a.send(&JoinMsg::Done {

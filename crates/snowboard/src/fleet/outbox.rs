@@ -58,13 +58,17 @@ impl Outbox {
             spooled: 0,
         };
         let Some(path) = path else { return out };
-        let Ok(rec) = FrameLog::open(path) else { return out };
+        let Ok(rec) = FrameLog::open(path) else {
+            return out;
+        };
         let mut log = rec.log;
         let mut stored_session = 0u64;
         let mut acked = 0u64;
         let mut frames: Vec<JoinMsg> = Vec::new();
         for payload in &rec.records {
-            let Ok(doc) = json::parse(payload) else { continue };
+            let Ok(doc) = json::parse(payload) else {
+                continue;
+            };
             if doc.get("msg").is_some() {
                 if let Ok(msg) = JoinMsg::parse_line(payload) {
                     if msg_seq(&msg).is_some() {
@@ -80,8 +84,10 @@ impl Outbox {
             }
         }
         let max_seq = frames.iter().filter_map(msg_seq).max().unwrap_or(0);
-        let live: VecDeque<JoinMsg> =
-            frames.into_iter().filter(|m| msg_seq(m).unwrap_or(0) > acked).collect();
+        let live: VecDeque<JoinMsg> = frames
+            .into_iter()
+            .filter(|m| msg_seq(m).unwrap_or(0) > acked)
+            .collect();
         if stored_session != 0 && !live.is_empty() {
             // Undelivered frames survive: resume their session. next_seq
             // must clear even *acked* seqs — reusing one would make the
@@ -104,12 +110,17 @@ impl Outbox {
         let seq = self.next_seq;
         self.next_seq += 1;
         let msg = match verdict {
-            JobVerdict::Completed(outcome) => {
-                JoinMsg::Done { job, outcome, seq, redelivery: false }
-            }
-            JobVerdict::Quarantined(record) => {
-                JoinMsg::Quarantine { record, seq, redelivery: false }
-            }
+            JobVerdict::Completed(outcome) => JoinMsg::Done {
+                job,
+                outcome,
+                seq,
+                redelivery: false,
+            },
+            JobVerdict::Quarantined(record) => JoinMsg::Quarantine {
+                record,
+                seq,
+                redelivery: false,
+            },
         };
         if let Some(log) = self.spool.as_mut() {
             if log.append(&msg.render()).is_ok() {
@@ -164,12 +175,19 @@ pub(super) fn msg_seq(msg: &JoinMsg) -> Option<u64> {
 /// Clones a result frame with the `redelivery` flag raised.
 fn mark_redelivery(msg: &JoinMsg) -> JoinMsg {
     match msg {
-        JoinMsg::Done { job, outcome, seq, .. } => {
-            JoinMsg::Done { job: *job, outcome: outcome.clone(), seq: *seq, redelivery: true }
-        }
-        JoinMsg::Quarantine { record, seq, .. } => {
-            JoinMsg::Quarantine { record: record.clone(), seq: *seq, redelivery: true }
-        }
+        JoinMsg::Done {
+            job, outcome, seq, ..
+        } => JoinMsg::Done {
+            job: *job,
+            outcome: outcome.clone(),
+            seq: *seq,
+            redelivery: true,
+        },
+        JoinMsg::Quarantine { record, seq, .. } => JoinMsg::Quarantine {
+            record: record.clone(),
+            seq: *seq,
+            redelivery: true,
+        },
         other => other.clone(),
     }
 }

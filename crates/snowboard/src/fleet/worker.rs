@@ -152,10 +152,7 @@ impl WriteHalf {
         if substantive && self.faults.drop_now(self.ordinal, frame) {
             if !self.dropped {
                 self.dropped = true;
-                crate::chaos::fired(
-                    "net.drop",
-                    &format!("conn {} frame {frame}", self.ordinal),
-                );
+                crate::chaos::fired("net.drop", &format!("conn {} frame {frame}", self.ordinal));
             }
             let _ = self.stream.shutdown(Shutdown::Both);
             return Err(std::io::Error::new(
@@ -255,7 +252,12 @@ pub fn run_join(
         }
         if failures > 0 {
             let mix = cfg.seed ^ 0xF1EE_7000;
-            std::thread::sleep(jittered_backoff(jcfg.backoff_base, jcfg.backoff_max, mix, failures));
+            std::thread::sleep(jittered_backoff(
+                jcfg.backoff_base,
+                jcfg.backoff_max,
+                mix,
+                failures,
+            ));
         }
         let connected = connect_and_join(jcfg, ordinal, outbox.session);
         let ((mut write, mut reader), welcome_ack) = match connected {
@@ -356,8 +358,7 @@ fn connect_and_join(
     ordinal: u64,
     session: u64,
 ) -> Result<(Halves, u64), HandshakeFail> {
-    let stream = TcpStream::connect(&jcfg.addr)
-        .map_err(|e| HandshakeFail::Retry(e.to_string()))?;
+    let stream = TcpStream::connect(&jcfg.addr).map_err(|e| HandshakeFail::Retry(e.to_string()))?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(jcfg.io_timeout));
     let read_half = stream
@@ -471,9 +472,14 @@ impl Session<'_> {
         if matches!(end, SessionEnd::Drained | SessionEnd::Stopped) {
             // Best effort: the coordinator may already be gone.
             if let Ok(mut w) = write.lock() {
-                let reason =
-                    if matches!(end, SessionEnd::Stopped) { "stop file" } else { "drained" };
-                let _ = w.send(&JoinMsg::Leaving { reason: reason.into() });
+                let reason = if matches!(end, SessionEnd::Stopped) {
+                    "stop file"
+                } else {
+                    "drained"
+                };
+                let _ = w.send(&JoinMsg::Leaving {
+                    reason: reason.into(),
+                });
             }
         }
         if let Ok(w) = write.lock() {
@@ -504,7 +510,12 @@ impl Session<'_> {
             if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
                 return SessionEnd::Stopped;
             }
-            if !send(write, &JoinMsg::Request { max: jcfg.batch.max(1) }) {
+            if !send(
+                write,
+                &JoinMsg::Request {
+                    max: jcfg.batch.max(1),
+                },
+            ) {
                 return SessionEnd::Lost;
             }
             let reply = match read_frame(reader) {

@@ -70,35 +70,56 @@ pub struct Recovered {
 impl FrameLog {
     /// Creates (or truncates) the log at `path` and writes the magic.
     pub fn create(path: &Path) -> io::Result<FrameLog> {
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)?;
         file.write_all(MAGIC)?;
         file.flush()?;
-        Ok(FrameLog { file, path: path.to_path_buf() })
+        Ok(FrameLog {
+            file,
+            path: path.to_path_buf(),
+        })
     }
 
     /// Opens the existing log at `path` for appends, reading nothing.
     pub(crate) fn append_to(path: &Path) -> io::Result<FrameLog> {
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(FrameLog { file, path: path.to_path_buf() })
+        Ok(FrameLog {
+            file,
+            path: path.to_path_buf(),
+        })
     }
 
     /// Opens the log at `path` (creating it if absent), replays every
     /// intact record, and truncates any damaged or torn suffix. A file
     /// without the magic is foreign: it is started over, never replayed.
     pub fn open(path: &Path) -> io::Result<Recovered> {
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let log = |file| FrameLog { file, path: path.to_path_buf() };
+        let log = |file| FrameLog {
+            file,
+            path: path.to_path_buf(),
+        };
         let Some(frames) = decode(&bytes) else {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(MAGIC)?;
             file.flush()?;
             let damaged = u64::from(!bytes.is_empty());
-            return Ok(Recovered { log: log(file), records: Vec::new(), damaged });
+            return Ok(Recovered {
+                log: log(file),
+                records: Vec::new(),
+                damaged,
+            });
         };
         let end = frames.last().map_or(MAGIC.len(), |f| f.1);
         if end < bytes.len() {
@@ -107,8 +128,15 @@ impl FrameLog {
             file.set_len(end as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
-        let records = frames.iter().map(|(payload, _)| (*payload).to_owned()).collect();
-        Ok(Recovered { log: log(file), records, damaged: u64::from(end < bytes.len()) })
+        let records = frames
+            .iter()
+            .map(|(payload, _)| (*payload).to_owned())
+            .collect();
+        Ok(Recovered {
+            log: log(file),
+            records,
+            damaged: u64::from(end < bytes.len()),
+        })
     }
 
     /// Appends one record and flushes it to the OS. Called before the
@@ -247,37 +275,68 @@ fn line(kind: &str, fields: Vec<(&str, Json)>) -> String {
 /// A verdict's line: `kind` with the sender's `session` and `seq`, and the
 /// verdict object under `key`.
 fn verdict(kind: &str, session: u64, seq: u64, key: &str, body: Json) -> String {
-    line(kind, vec![("session", Json::U64(session)), ("seq", Json::U64(seq)), (key, body)])
+    line(
+        kind,
+        vec![
+            ("session", Json::U64(session)),
+            ("seq", Json::U64(seq)),
+            (key, body),
+        ],
+    )
 }
 
 /// The `done` line of `job`'s outcome.
 pub(crate) fn done_line(session: u64, seq: u64, job: usize, outcome: &PmcTestOutcome) -> String {
-    verdict("done", session, seq, "outcome", outcome_to_json(job, outcome))
+    verdict(
+        "done",
+        session,
+        seq,
+        "outcome",
+        outcome_to_json(job, outcome),
+    )
 }
 
 /// The `quarantine` line of `record`.
 pub(crate) fn quarantine_line(session: u64, seq: u64, record: &QuarantineRecord) -> String {
-    verdict("quarantine", session, seq, "record", quarantine_to_json(record))
+    verdict(
+        "quarantine",
+        session,
+        seq,
+        "record",
+        quarantine_to_json(record),
+    )
 }
 
 impl JournalRecord {
     /// Renders the record as one JSON line.
     pub fn render(&self) -> String {
         match self {
-            JournalRecord::Lease { lease, session, jobs } => line(
+            JournalRecord::Lease {
+                lease,
+                session,
+                jobs,
+            } => line(
                 "lease",
                 vec![
                     ("lease", Json::U64(*lease)),
                     ("session", Json::U64(*session)),
-                    ("jobs", Json::Arr(jobs.iter().map(|j| Json::U64(*j as u64)).collect())),
+                    (
+                        "jobs",
+                        Json::Arr(jobs.iter().map(|j| Json::U64(*j as u64)).collect()),
+                    ),
                 ],
             ),
-            JournalRecord::Done { session, seq, job, outcome } => {
-                done_line(*session, *seq, *job, outcome)
-            }
-            JournalRecord::Quarantine { session, seq, record } => {
-                quarantine_line(*session, *seq, record)
-            }
+            JournalRecord::Done {
+                session,
+                seq,
+                job,
+                outcome,
+            } => done_line(*session, *seq, *job, outcome),
+            JournalRecord::Quarantine {
+                session,
+                seq,
+                record,
+            } => quarantine_line(*session, *seq, record),
             JournalRecord::Release { lease } => line("release", vec![("lease", Json::U64(*lease))]),
         }
     }
@@ -322,10 +381,13 @@ impl JournalRecord {
                 session: req_u64(&doc, "session")?,
                 seq: req_u64(&doc, "seq")?,
                 record: quarantine_from_json(
-                    doc.get("record").ok_or("quarantine record without record")?,
+                    doc.get("record")
+                        .ok_or("quarantine record without record")?,
                 )?,
             }),
-            "release" => Ok(JournalRecord::Release { lease: req_u64(&doc, "lease")? }),
+            "release" => Ok(JournalRecord::Release {
+                lease: req_u64(&doc, "lease")?,
+            }),
             other => Err(format!("unknown journal record '{other}'")),
         }
     }
@@ -417,7 +479,10 @@ mod tests {
         assert_eq!(r.damaged, 0);
         // `image` writes what the appends wrote.
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(image(["alpha", "", "payload\nwith\nnewlines"]).unwrap(), bytes);
+        assert_eq!(
+            image(["alpha", "", "payload\nwith\nnewlines"]).unwrap(),
+            bytes
+        );
         let mut log = FrameLog::append_to(&path).unwrap();
         log.append("more").unwrap();
         assert_eq!(FrameLog::open(&path).unwrap().records.len(), 4);
@@ -498,10 +563,27 @@ mod tests {
     #[test]
     fn journal_records_round_trip() {
         for rec in [
-            JournalRecord::Lease { lease: 3, session: 9, jobs: vec![0, 5, 17] },
-            JournalRecord::Lease { lease: 4, session: 9, jobs: vec![] },
-            JournalRecord::Done { session: 9, seq: 1, job: 5, outcome: outcome(5) },
-            JournalRecord::Quarantine { session: 9, seq: 2, record: quarantine(17) },
+            JournalRecord::Lease {
+                lease: 3,
+                session: 9,
+                jobs: vec![0, 5, 17],
+            },
+            JournalRecord::Lease {
+                lease: 4,
+                session: 9,
+                jobs: vec![],
+            },
+            JournalRecord::Done {
+                session: 9,
+                seq: 1,
+                job: 5,
+                outcome: outcome(5),
+            },
+            JournalRecord::Quarantine {
+                session: 9,
+                seq: 2,
+                record: quarantine(17),
+            },
             JournalRecord::Release { lease: 3 },
         ] {
             let line = rec.render();

@@ -85,7 +85,11 @@ pub struct OutOfScope {
 
 impl std::fmt::Display for OutOfScope {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} is outside the {}-job universe", self.job, self.jobs)
+        write!(
+            f,
+            "job {} is outside the {}-job universe",
+            self.job, self.jobs
+        )
     }
 }
 
@@ -190,12 +194,25 @@ impl JobLedger {
             }
         };
         let (cp, intact, replay) = match resumed {
-            Some(Loaded { checkpoint, intact, replay }) => (checkpoint, Some(intact), replay),
-            None => (Checkpoint::begin(cfg.seed, &universe), None, Replay::default()),
+            Some(Loaded {
+                checkpoint,
+                intact,
+                replay,
+            }) => (checkpoint, Some(intact), replay),
+            None => (
+                Checkpoint::begin(cfg.seed, &universe),
+                None,
+                Replay::default(),
+            ),
         };
-        let save_to = save_to.map(Path::to_path_buf).or_else(|| cfg.checkpoint.clone());
+        let save_to = save_to
+            .map(Path::to_path_buf)
+            .or_else(|| cfg.checkpoint.clone());
         let log = match &save_to {
-            Some(path) => Some(checkpoint::install(path, intact.map_or_else(|| cp.image(), Ok))?),
+            Some(path) => Some(checkpoint::install(
+                path,
+                intact.map_or_else(|| cp.image(), Ok),
+            )?),
             None => None,
         };
         let pending = (0..universe.len()).filter(|job| !cp.covers(*job)).collect();
@@ -247,7 +264,10 @@ impl JobLedger {
         if job < self.universe.len() {
             Ok(())
         } else {
-            Err(OutOfScope { job, jobs: self.universe.len() })
+            Err(OutOfScope {
+                job,
+                jobs: self.universe.len(),
+            })
         }
     }
 
@@ -262,10 +282,16 @@ impl JobLedger {
     /// Marks the still-pending jobs among `jobs` as held by `owner`,
     /// returning them. Replaces the owner's deadline.
     pub fn hold(&mut self, owner: u64, jobs: &[usize], until: Option<Instant>) -> Vec<usize> {
-        let taken: Vec<usize> =
-            jobs.iter().copied().filter(|job| self.pending.remove(job)).collect();
+        let taken: Vec<usize> = jobs
+            .iter()
+            .copied()
+            .filter(|job| self.pending.remove(job))
+            .collect();
         if !taken.is_empty() {
-            let entry = self.owners.entry(owner).or_insert(Owner { jobs: BTreeSet::new(), until });
+            let entry = self.owners.entry(owner).or_insert(Owner {
+                jobs: BTreeSet::new(),
+                until,
+            });
             entry.jobs.extend(&taken);
             entry.until = until;
         }
@@ -286,7 +312,9 @@ impl JobLedger {
 
     /// The jobs `owner` holds, in job order.
     pub fn held_by(&self, owner: u64) -> Vec<usize> {
-        self.owners.get(&owner).map_or_else(Vec::new, |o| o.jobs.iter().copied().collect())
+        self.owners
+            .get(&owner)
+            .map_or_else(Vec::new, |o| o.jobs.iter().copied().collect())
     }
 
     /// Accepts one verdict for `job` from a transport without sessions.
@@ -341,7 +369,9 @@ impl JobLedger {
     /// log), syncing it when `sync`. The first failure ends the log.
     fn append(&mut self, sync: bool, line: impl FnOnce() -> String) {
         let Some(log) = self.log.as_mut() else { return };
-        let written = log.append(&line()).and_then(|()| if sync { log.sync() } else { Ok(()) });
+        let written = log
+            .append(&line())
+            .and_then(|()| if sync { log.sync() } else { Ok(()) });
         match written {
             Ok(()) => self.written += 1,
             Err(e) => self.log_failed(&e),
@@ -379,8 +409,10 @@ impl JobLedger {
     /// `owner` let go of its jobs without dying (clean exit, drain): they
     /// return to the pending pool uncharged.
     pub fn release(&mut self, owner: u64) -> Vec<usize> {
-        let jobs: Vec<usize> =
-            self.owners.remove(&owner).map_or_else(Vec::new, |o| o.jobs.into_iter().collect());
+        let jobs: Vec<usize> = self
+            .owners
+            .remove(&owner)
+            .map_or_else(Vec::new, |o| o.jobs.into_iter().collect());
         self.pending.extend(&jobs);
         jobs
     }
@@ -395,7 +427,10 @@ impl JobLedger {
             .filter(|(_, o)| o.until.is_some_and(|until| now >= until))
             .map(|(id, _)| *id)
             .collect();
-        expired.into_iter().map(|id| (id, self.release(id))).collect()
+        expired
+            .into_iter()
+            .map(|id| (id, self.release(id)))
+            .collect()
     }
 
     /// `owner` died holding jobs. Each is charged one crash; a job at
@@ -426,7 +461,10 @@ impl JobLedger {
                 pmc: Some(self.universe[job]),
                 attempts: count,
                 kind: FailureKind::Crash,
-                chain: vec![cause(job), format!("crash budget ({crash_budget}) exhausted")],
+                chain: vec![
+                    cause(job),
+                    format!("crash budget ({crash_budget}) exhausted"),
+                ],
             };
             let verdict = JobVerdict::Quarantined(record.clone());
             self.log_verdict(0, 0, job, &verdict);
@@ -440,7 +478,11 @@ impl JobLedger {
     /// Counts one owner death in the breaker: a death after progress
     /// resets the run of instant deaths, one without extends it.
     pub fn note_death(&mut self, progressed: bool) {
-        self.instant_deaths = if progressed { 0 } else { self.instant_deaths + 1 };
+        self.instant_deaths = if progressed {
+            0
+        } else {
+            self.instant_deaths + 1
+        };
     }
 
     /// The current run of deaths without progress.
@@ -495,8 +537,14 @@ impl JobLedger {
     pub fn census(&self) -> Census {
         Census {
             pending: self.pending.iter().copied().collect(),
-            held: self.owners.values().flat_map(|o| o.jobs.iter().copied()).collect(),
-            covered: (0..self.universe.len()).filter(|job| self.cp.covers(*job)).collect(),
+            held: self
+                .owners
+                .values()
+                .flat_map(|o| o.jobs.iter().copied())
+                .collect(),
+            covered: (0..self.universe.len())
+                .filter(|job| self.cp.covers(*job))
+                .collect(),
             reported: self.reported.keys().copied().collect(),
         }
     }
@@ -661,7 +709,10 @@ mod tests {
 
     #[test]
     fn the_universe_is_the_budgeted_prefix() {
-        let cfg = CampaignCfg { max_tested_pmcs: 3, ..CampaignCfg::default() };
+        let cfg = CampaignCfg {
+            max_tested_pmcs: 3,
+            ..CampaignCfg::default()
+        };
         let ledger = JobLedger::open(&exemplars(5), &cfg, None).unwrap();
         assert_eq!(ledger.universe(), &[100, 101, 102]);
         assert_eq!(ledger.pending(), 3);
@@ -676,7 +727,10 @@ mod tests {
         first.deliver(1, done(1, 11)).unwrap();
         first.finish().unwrap();
 
-        let cfg = CampaignCfg { resume_from: Some(path.clone()), ..CampaignCfg::default() };
+        let cfg = CampaignCfg {
+            resume_from: Some(path.clone()),
+            ..CampaignCfg::default()
+        };
         let mut resumed = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
         assert_eq!(resumed.lease(0, usize::MAX, None), vec![0, 2]);
         assert_eq!(resumed.census().covered, vec![1]);
@@ -691,12 +745,18 @@ mod tests {
         other.finish().unwrap();
 
         // Same file, different universe.
-        let strict = CampaignCfg { resume_from: Some(path.clone()), ..CampaignCfg::default() };
+        let strict = CampaignCfg {
+            resume_from: Some(path.clone()),
+            ..CampaignCfg::default()
+        };
         assert!(matches!(
             JobLedger::open(&exemplars(3), &strict, None),
             Err(Error::ResumeMismatch { .. })
         ));
-        let lenient = CampaignCfg { resume_lenient: true, ..strict };
+        let lenient = CampaignCfg {
+            resume_lenient: true,
+            ..strict
+        };
         let fresh = JobLedger::open(&exemplars(3), &lenient, None).unwrap();
         assert_eq!(fresh.pending(), 3, "started over");
         // A missing file is tolerated the same way.
@@ -788,13 +848,22 @@ mod tests {
         let [Charge::Quarantined(record)] = charges.as_slice() else {
             panic!("expected a crash quarantine, got {charges:?}")
         };
-        assert_eq!((record.job, record.kind, record.attempts), (1, FailureKind::Crash, 2));
+        assert_eq!(
+            (record.job, record.kind, record.attempts),
+            (1, FailureKind::Crash, 2)
+        );
         assert_eq!(
             record.chain,
-            vec!["owner died holding job 1".to_owned(), "crash budget (2) exhausted".to_owned()]
+            vec![
+                "owner died holding job 1".to_owned(),
+                "crash budget (2) exhausted".to_owned()
+            ]
         );
         // Crash is a real verdict: saved at once, never handed out again.
-        assert!(Checkpoint::load(&path).unwrap().quarantined.contains_key(&1));
+        assert!(Checkpoint::load(&path)
+            .unwrap()
+            .quarantined
+            .contains_key(&1));
         assert_eq!(ledger.lease(9, usize::MAX, None), vec![2]);
         let _ = std::fs::remove_file(&path);
     }
@@ -807,7 +876,11 @@ mod tests {
         ledger.note_death(false);
         assert_eq!(ledger.instant_deaths(), 2);
         ledger.note_death(true);
-        assert_eq!(ledger.instant_deaths(), 0, "a death after progress restarts the run");
+        assert_eq!(
+            ledger.instant_deaths(),
+            0,
+            "a death after progress restarts the run"
+        );
         ledger.note_death(false);
         assert_eq!(ledger.instant_deaths(), 1);
 
@@ -819,10 +892,16 @@ mod tests {
         assert_eq!(ledger.abandon("nobody left"), 3);
         assert_eq!(ledger.census().held, vec![0]);
         let report = ledger.finish().unwrap();
-        let attempts: Vec<(usize, u32)> =
-            report.quarantined.iter().map(|q| (q.job, q.attempts)).collect();
+        let attempts: Vec<(usize, u32)> = report
+            .quarantined
+            .iter()
+            .map(|q| (q.job, q.attempts))
+            .collect();
         assert_eq!(attempts, vec![(1, 1), (2, 0), (3, 0)]);
-        assert!(report.quarantined.iter().all(|q| q.kind == FailureKind::GaveUp));
+        assert!(report
+            .quarantined
+            .iter()
+            .all(|q| q.kind == FailureKind::GaveUp));
     }
 
     #[test]
@@ -831,7 +910,11 @@ mod tests {
         let t0 = Instant::now();
         let at = |secs| t0 + Duration::from_secs(secs);
         assert_eq!(ledger.lease(1, 2, Some(at(30))), vec![0, 1]);
-        assert_eq!(ledger.lease(2, 2, None), vec![2], "no deadline: never expires");
+        assert_eq!(
+            ledger.lease(2, 2, None),
+            vec![2],
+            "no deadline: never expires"
+        );
         assert!(ledger.expire(at(29)).is_empty());
         ledger.extend(1, at(60));
         assert!(ledger.expire(at(30)).is_empty(), "the deadline moved");
@@ -902,10 +985,16 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), logged);
         assert_eq!(Checkpoint::load(&path).unwrap().outcomes.len(), 1);
         // Killing the straggler charges nothing, even at a budget of one.
-        assert_eq!(ledger.owner_died(1, 1, |_| String::new()), vec![Charge::Requeued(1)]);
+        assert_eq!(
+            ledger.owner_died(1, 1, |_| String::new()),
+            vec![Charge::Requeued(1)]
+        );
         let report = ledger.finish().unwrap();
         assert!(report.quarantined.is_empty());
-        assert!(!Checkpoint::load(&path).unwrap().covers(1), "job 1 is retried on resume");
+        assert!(
+            !Checkpoint::load(&path).unwrap().covers(1),
+            "job 1 is retried on resume"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -917,18 +1006,27 @@ mod tests {
         let mut killed = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         killed.deliver(0, done(0, 100)).unwrap();
         killed.deliver(0, done(0, 999)).unwrap();
-        killed.deliver(1, quarantine(1, FailureKind::Rejected)).unwrap();
+        killed
+            .deliver(1, quarantine(1, FailureKind::Rejected))
+            .unwrap();
         assert_eq!(killed.logged(), (2, false));
         drop(killed);
 
         let (tracer, sink) = sb_obs::Tracer::memory();
-        let cfg = CampaignCfg { tracer, resume_from: Some(path.clone()), ..CampaignCfg::default() };
+        let cfg = CampaignCfg {
+            tracer,
+            resume_from: Some(path.clone()),
+            ..CampaignCfg::default()
+        };
         let mut ledger = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
         assert_eq!(ledger.duplicates(), 0, "replay counts nothing");
         assert_eq!(ledger.take_replay().verdicts, 2);
         assert_eq!(ledger.lease(0, usize::MAX, None), vec![1, 2]);
         let job_events = |sink: &sb_obs::MemorySink| {
-            sink.lines().iter().filter(|l| l.contains("\"job\"")).count()
+            sink.lines()
+                .iter()
+                .filter(|l| l.contains("\"job\""))
+                .count()
         };
         cfg.tracer.flush();
         assert_eq!(job_events(&sink), 0);
@@ -945,9 +1043,15 @@ mod tests {
         let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         let mut before = std::fs::read(&path).unwrap();
         for job in 0..3 {
-            assert_eq!(ledger.deliver(job, done(job, 10 + job as u64)), Ok(Delivered::Merged));
+            assert_eq!(
+                ledger.deliver(job, done(job, 10 + job as u64)),
+                Ok(Delivered::Merged)
+            );
             let after = std::fs::read(&path).unwrap();
-            assert!(after.starts_with(&before), "job {job}: the file was rewritten");
+            assert!(
+                after.starts_with(&before),
+                "job {job}: the file was rewritten"
+            );
             let mut tail = crate::journal::MAGIC.to_vec();
             tail.extend_from_slice(&after[before.len()..]);
             let frames = crate::journal::decode(&tail)
@@ -975,20 +1079,33 @@ mod tests {
         let bytes = std::fs::read(&src).unwrap();
         std::fs::write(&src, &bytes[..bytes.len() - 5]).unwrap();
         let torn = std::fs::read(&src).unwrap();
-        let cfg = CampaignCfg { resume_from: Some(src.clone()), ..saving_to(&dst) };
+        let cfg = CampaignCfg {
+            resume_from: Some(src.clone()),
+            ..saving_to(&dst)
+        };
         let mut resumed = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
-        assert_eq!(std::fs::read(&src).unwrap(), torn, "loading modifies nothing");
+        assert_eq!(
+            std::fs::read(&src).unwrap(),
+            torn,
+            "loading modifies nothing"
+        );
         assert_eq!(resumed.take_replay().damaged, 1);
         assert_eq!(resumed.census().covered, vec![0]);
         let copied = std::fs::read(&dst).unwrap();
-        assert!(torn.starts_with(&copied) && copied.len() < torn.len(), "the prefix, cut");
+        assert!(
+            torn.starts_with(&copied) && copied.len() < torn.len(),
+            "the prefix, cut"
+        );
         resumed.deliver(2, done(2, 102)).unwrap();
         assert_eq!(Checkpoint::load(&dst).unwrap().outcomes.len(), 2);
         // A strict resume that fails touches neither file.
         let foreign = CampaignCfg { seed: 1, ..cfg };
         let dst_now = std::fs::read(&dst).unwrap();
         assert!(JobLedger::open(&exemplars(3), &foreign, None).is_err());
-        assert_eq!((std::fs::read(&src).unwrap(), std::fs::read(&dst).unwrap()), (torn, dst_now));
+        assert_eq!(
+            (std::fs::read(&src).unwrap(), std::fs::read(&dst).unwrap()),
+            (torn, dst_now)
+        );
         let _ = (std::fs::remove_file(&src), std::fs::remove_file(&dst));
     }
 

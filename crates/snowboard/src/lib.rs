@@ -324,11 +324,18 @@ mod tests {
             };
             let before = profile_runs();
             let p = Pipeline::prepare(config, cfg);
-            assert_eq!(profile_runs(), before, "{catalog:?}: prepare ran a profile pass");
+            assert_eq!(
+                profile_runs(),
+                before,
+                "{catalog:?}: prepare ran a profile pass"
+            );
             assert_eq!(p.profiles.len(), p.corpus.len());
             let (corpus, fuzz) = sb_fuzz::build_corpus_with(&p.booted, 2021, 100, 1500, catalog);
             assert_eq!((p.stats.fuzz_executed, &p.corpus), (fuzz.executed, &corpus));
-            assert!(fuzz.executed > fuzz.kept, "{catalog:?}: some candidate must be dropped");
+            assert!(
+                fuzz.executed > fuzz.kept,
+                "{catalog:?}: some candidate must be dropped"
+            );
             // The explicit pass is what the counter counts: one run a program.
             let profiles = profile::profile_corpus(&p.booted, &p.corpus, 1);
             assert_eq!(profile_runs() - before, corpus.len() as u64);

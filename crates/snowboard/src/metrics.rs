@@ -2,8 +2,8 @@
 //! interleavings-to-expose comparison between Snowboard and SKI.
 
 use sb_kernel::{BootedKernel, Program};
-use sb_vmm::sched::{RandomSched, Scheduler, SkiSched, SnowboardSched};
 use sb_vmm::exec::ExecReport;
+use sb_vmm::sched::{RandomSched, Scheduler, SkiSched, SnowboardSched};
 use sb_vmm::Executor;
 
 use sb_detect::Finding;
@@ -197,11 +197,24 @@ pub fn interleavings_to_expose(
     hit: impl Fn(&[Finding]) -> bool,
 ) -> Option<ExposeResult> {
     let mut steps = 0u64;
-    let trials = run_trials(exec, booted, writer, reader, pmc, kind, seed, max_trials, |r| {
-        steps += r.steps;
-        hit(&sb_detect::analyze(r))
-    });
-    (trials < max_trials).then(|| ExposeResult { interleavings: trials + 1, steps })
+    let trials = run_trials(
+        exec,
+        booted,
+        writer,
+        reader,
+        pmc,
+        kind,
+        seed,
+        max_trials,
+        |r| {
+            steps += r.steps;
+            hit(&sb_detect::analyze(r))
+        },
+    );
+    (trials < max_trials).then(|| ExposeResult {
+        interleavings: trials + 1,
+        steps,
+    })
 }
 
 /// Convenience predicate: any finding triaging to `bug_id`.
@@ -239,12 +252,27 @@ pub fn measure_throughput(
 ) -> ThroughputStats {
     let start = std::time::Instant::now();
     let (mut steps, mut switches) = (0u64, 0u64);
-    run_trials(exec, booted, writer, reader, set_hints, kind, seed, n, |r| {
-        steps += r.steps;
-        switches += r.switches;
-        false
-    });
-    ThroughputStats { executions: n, steps, switches, elapsed: start.elapsed() }
+    run_trials(
+        exec,
+        booted,
+        writer,
+        reader,
+        set_hints,
+        kind,
+        seed,
+        n,
+        |r| {
+            steps += r.steps;
+            switches += r.switches;
+            false
+        },
+    );
+    ThroughputStats {
+        executions: n,
+        steps,
+        switches,
+        elapsed: start.elapsed(),
+    }
 }
 
 /// The §5.4 trial loop: up to `max_trials` runs of the writer/reader pair
@@ -310,8 +338,14 @@ pub fn hottest_pmc<'a>(
         }
     }
     let score = |p: &Pmc| {
-        let w = addrs_of_site.get(&p.key.w.ins).map(HashSet::len).unwrap_or(0);
-        let r = addrs_of_site.get(&p.key.r.ins).map(HashSet::len).unwrap_or(0);
+        let w = addrs_of_site
+            .get(&p.key.w.ins)
+            .map(HashSet::len)
+            .unwrap_or(0);
+        let r = addrs_of_site
+            .get(&p.key.r.ins)
+            .map(HashSet::len)
+            .unwrap_or(0);
         w + r
     };
     set.pmcs

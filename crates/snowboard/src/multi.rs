@@ -53,7 +53,10 @@ pub fn shared_write_triples(set: &PmcSet) -> Vec<TriplePmc> {
                 // Distinct read sides only: same-read pairs add nothing.
                 let (pa, pb) = (&set.pmcs[ids[i] as usize], &set.pmcs[ids[j] as usize]);
                 if pa.key.r != pb.key.r {
-                    out.push(TriplePmc { a: ids[i], b: ids[j] });
+                    out.push(TriplePmc {
+                        a: ids[i],
+                        b: ids[j],
+                    });
                 }
             }
         }
@@ -197,11 +200,39 @@ mod tests {
         let w = side("m:w", 0x10, 1);
         let set = PmcSet {
             pmcs: vec![
-                Pmc { key: PmcKey { w, r: side("m:r1", 0x10, 0) }, df_leader: false, pairs: vec![(0, 1)] },
-                Pmc { key: PmcKey { w, r: side("m:r2", 0x10, 2) }, df_leader: false, pairs: vec![(0, 2)] },
-                Pmc { key: PmcKey { w: side("m:w2", 0x20, 1), r: side("m:r3", 0x20, 0) }, df_leader: false, pairs: vec![(0, 1)] },
+                Pmc {
+                    key: PmcKey {
+                        w,
+                        r: side("m:r1", 0x10, 0),
+                    },
+                    df_leader: false,
+                    pairs: vec![(0, 1)],
+                },
+                Pmc {
+                    key: PmcKey {
+                        w,
+                        r: side("m:r2", 0x10, 2),
+                    },
+                    df_leader: false,
+                    pairs: vec![(0, 2)],
+                },
+                Pmc {
+                    key: PmcKey {
+                        w: side("m:w2", 0x20, 1),
+                        r: side("m:r3", 0x20, 0),
+                    },
+                    df_leader: false,
+                    pairs: vec![(0, 1)],
+                },
                 // Duplicate of the first read side: must not pair with it.
-                Pmc { key: PmcKey { w, r: side("m:r1", 0x10, 0) }, df_leader: false, pairs: vec![(3, 1)] },
+                Pmc {
+                    key: PmcKey {
+                        w,
+                        r: side("m:r1", 0x10, 0),
+                    },
+                    df_leader: false,
+                    pairs: vec![(3, 1)],
+                },
             ],
         };
         let triples = shared_write_triples(&set);
@@ -219,7 +250,10 @@ mod tests {
         let set = PmcSet {
             pmcs: (0..6)
                 .map(|i| Pmc {
-                    key: PmcKey { w, r: side(&format!("m:rd{i}"), 0x10, i) },
+                    key: PmcKey {
+                        w,
+                        r: side(&format!("m:rd{i}"), 0x10, i),
+                    },
                     df_leader: false,
                     pairs: vec![(0, 1)],
                 })

@@ -167,11 +167,18 @@ type WriteIndex = BTreeMap<u64, BTreeMap<u8, Vec<Side>>>;
 /// `(addr, len)` bucket. A bucket holds the distinct (instruction, value)
 /// pairs seen at one range — a handful — so the probe is a short scan.
 fn write_side(index: &mut WriteIndex, key: SideKey) -> &mut Side {
-    let bucket = index.entry(key.addr).or_default().entry(key.len).or_default();
-    let at = bucket.iter().position(|side| side.key == key).unwrap_or_else(|| {
-        bucket.push(Side::new(key));
-        bucket.len() - 1
-    });
+    let bucket = index
+        .entry(key.addr)
+        .or_default()
+        .entry(key.len)
+        .or_default();
+    let at = bucket
+        .iter()
+        .position(|side| side.key == key)
+        .unwrap_or_else(|| {
+            bucket.push(Side::new(key));
+            bucket.len() - 1
+        });
     &mut bucket[at]
 }
 
@@ -214,9 +221,8 @@ impl DfScratch {
             match a.kind {
                 // A write invalidates pending first-reads on any
                 // overlapping range.
-                AccessKind::Write => last_read.retain(|(addr, len, ..)| {
-                    range_overlap(*addr, *len, a.addr, a.len).is_none()
-                }),
+                AccessKind::Write => last_read
+                    .retain(|(addr, len, ..)| range_overlap(*addr, *len, a.addr, a.len).is_none()),
                 AccessKind::Read => {
                     let seen = (last_read.iter_mut()).find(|r| (r.0, r.1) == (a.addr, a.len));
                     match seen {
@@ -602,7 +608,11 @@ fn merge_writes(into: &mut WriteIndex, batch: WriteIndex) {
         *into = batch;
         return;
     }
-    for side in batch.into_values().flat_map(BTreeMap::into_values).flatten() {
+    for side in batch
+        .into_values()
+        .flat_map(BTreeMap::into_values)
+        .flatten()
+    {
         write_side(into, side.key).tests.extend(side.tests);
     }
 }
@@ -1106,10 +1116,7 @@ mod tests {
         assert!(df_leaders(&same_site).is_empty());
         let diff_val = prof(
             0,
-            vec![
-                ("df:a", Read, 0x2000, 8, 9),
-                ("df:b", Read, 0x2000, 8, 8),
-            ],
+            vec![("df:a", Read, 0x2000, 8, 9), ("df:b", Read, 0x2000, 8, 8)],
         );
         assert!(df_leaders(&diff_val).is_empty());
     }
@@ -1123,7 +1130,12 @@ mod tests {
             scratch.mark(p);
             let reference = df_leaders_reference(p);
             for (i, is) in scratch.leader.iter().enumerate() {
-                assert_eq!(*is, reference.contains(&i), "{what}, test {}, access {i}", p.test);
+                assert_eq!(
+                    *is,
+                    reference.contains(&i),
+                    "{what}, test {}, access {i}",
+                    p.test
+                );
             }
             assert_eq!(scratch.leader.len(), p.accesses.len());
             let mut sorted: Vec<usize> = reference.into_iter().collect();
@@ -1167,7 +1179,11 @@ mod tests {
                 (p.key, p.df_leader, pairs)
             })
             .collect();
-        v.sort_unstable_by_key(|(k, _, _)| (k.w.ins.0, k.w.addr, k.r.ins.0, k.r.addr, k.w.value, k.r.value));
+        v.sort_unstable_by_key(|(k, _, _)| {
+            (
+                k.w.ins.0, k.w.addr, k.r.ins.0, k.r.addr, k.w.value, k.r.value,
+            )
+        });
         v
     }
 
@@ -1358,7 +1374,8 @@ mod tests {
         }
         let booted = sb_kernel::boot(sb_kernel::KernelConfig::v5_12_rc3());
         for seed in [3, 17, 71] {
-            let (corpus, _) = sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Stock);
+            let (corpus, _) =
+                sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Stock);
             let profiles = crate::profile::profile_corpus(&booted, &corpus, 1);
             assert!(identify(&profiles).len() > 50, "seed {seed}: thin corpus");
             assert_matches_reference(&profiles, &format!("fuzzed corpus {seed}"));

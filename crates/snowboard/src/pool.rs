@@ -125,7 +125,11 @@ mod tests {
         assert_eq!(map_jobs(&[1, 2, 3], 1, init, running_sum), vec![1, 3, 6]);
         assert_eq!(inits.load(Ordering::SeqCst), 1);
         map_jobs(&[1; 64], 4, init, running_sum);
-        assert_eq!(inits.load(Ordering::SeqCst), 5, "one state per spawned worker");
+        assert_eq!(
+            inits.load(Ordering::SeqCst),
+            5,
+            "one state per spawned worker"
+        );
     }
 
     #[test]
@@ -134,10 +138,17 @@ mod tests {
         let inits = AtomicUsize::new(0);
         let init = || inits.fetch_add(1, Ordering::SeqCst);
         let ran_on = map_jobs(&[(); 16], 1, init, |_, ()| std::thread::current().id());
-        assert!(ran_on.iter().all(|id| *id == caller), "one worker spawns no thread");
+        assert!(
+            ran_on.iter().all(|id| *id == caller),
+            "one worker spawns no thread"
+        );
         assert_eq!(inits.load(Ordering::SeqCst), 1);
         map_jobs(&[(); 64], 4, init, |_, ()| ());
-        assert_eq!(inits.load(Ordering::SeqCst), 1 + 4, "the caller's state and three helpers'");
+        assert_eq!(
+            inits.load(Ordering::SeqCst),
+            1 + 4,
+            "the caller's state and three helpers'"
+        );
     }
 
     #[test]
@@ -148,19 +159,32 @@ mod tests {
         // panics, with eleven jobs unclaimed and the helper mid-job.
         let both_claimed = std::sync::Barrier::new(2);
         let run = catch_unwind(AssertUnwindSafe(|| {
-            map_jobs(&[(); 13], 2, || true, |first, ()| {
-                if std::mem::take(first) {
-                    both_claimed.wait();
-                    if std::thread::current().id() == caller {
-                        panic!("caller boom");
+            map_jobs(
+                &[(); 13],
+                2,
+                || true,
+                |first, ()| {
+                    if std::mem::take(first) {
+                        both_claimed.wait();
+                        if std::thread::current().id() == caller {
+                            panic!("caller boom");
+                        }
                     }
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-            })
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+            )
         }));
         let payload = run.expect_err("the panic must reach the caller");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller boom"), "with its own payload");
-        assert_eq!(done.load(Ordering::SeqCst), 12, "the helper finished the rest first");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"caller boom"),
+            "with its own payload"
+        );
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            12,
+            "the helper finished the rest first"
+        );
     }
 
     #[test]
@@ -223,14 +247,23 @@ mod tests {
         let done = AtomicUsize::new(0);
         let jobs: Vec<u32> = (0..8).collect();
         let run = catch_unwind(AssertUnwindSafe(|| {
-            map_jobs(&jobs, 2, || (), |(), j| {
-                if *j == 1 {
-                    panic!("boom");
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-            })
+            map_jobs(
+                &jobs,
+                2,
+                || (),
+                |(), j| {
+                    if *j == 1 {
+                        panic!("boom");
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                },
+            )
         }));
         assert!(run.is_err(), "the panic must reach the caller");
-        assert_eq!(done.load(Ordering::SeqCst), 7, "the surviving worker finished the rest");
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            7,
+            "the surviving worker finished the rest"
+        );
     }
 }

@@ -83,7 +83,12 @@ thread_local! {
 
 /// Profiles one program from the snapshot. Panicking or non-completing
 /// sequential tests yield `None` — they cannot serve as profile sources.
-pub fn profile_one(exec: &mut Executor, booted: &BootedKernel, test: u32, prog: &Program) -> Option<SeqProfile> {
+pub fn profile_one(
+    exec: &mut Executor,
+    booted: &BootedKernel,
+    test: u32,
+    prog: &Program,
+) -> Option<SeqProfile> {
     profile_one_counted(exec, booted, test, prog, &SharedAccessFilter::new()).0
 }
 
@@ -106,7 +111,11 @@ pub fn profile_one_counted(
         &mut FreeRun,
     );
     let profile = (r.report.outcome.is_completed()).then(|| filter.cut(test, &r.report));
-    let total = if profile.is_some() { r.report.trace.len() as u64 } else { 0 };
+    let total = if profile.is_some() {
+        r.report.trace.len() as u64
+    } else {
+        0
+    };
     // The next program records into this one's buffers.
     exec.recycle(r);
     (profile, total)
@@ -168,8 +177,13 @@ mod tests {
         let booted = boot(KernelConfig::v5_12_rc3());
         let mut exec = Executor::new(1);
         let prog = Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 1 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 1,
+            },
         ]);
         let p = profile_one(&mut exec, &booted, 0, &prog).expect("profile");
         assert!(!p.accesses.is_empty());
@@ -233,8 +247,14 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1]);
         // mount is the heavy one.
-        let mount = profiles.iter().find(|p| p.test == 1).expect("mount profile");
-        let msg = profiles.iter().find(|p| p.test == 0).expect("msgget profile");
+        let mount = profiles
+            .iter()
+            .find(|p| p.test == 1)
+            .expect("mount profile");
+        let msg = profiles
+            .iter()
+            .find(|p| p.test == 0)
+            .expect("msgget profile");
         assert!(mount.accesses.len() > msg.accesses.len());
     }
 }

@@ -94,7 +94,10 @@ impl std::fmt::Display for ProtocolError {
         match self {
             ProtocolError::BadHeader { detail } => write!(f, "bad frame header: {detail}"),
             ProtocolError::Oversized { len } => {
-                write!(f, "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit")
+                write!(
+                    f,
+                    "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
+                )
             }
             ProtocolError::Truncated { context } => {
                 write!(f, "stream truncated mid-frame ({context})")
@@ -137,7 +140,9 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<String>, ProtocolError>
                 return if header.is_empty() {
                     Ok(None)
                 } else {
-                    Err(ProtocolError::Truncated { context: "length header" })
+                    Err(ProtocolError::Truncated {
+                        context: "length header",
+                    })
                 };
             }
             Ok(_) => {
@@ -157,17 +162,26 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<String>, ProtocolError>
                 header.push(byte[0]);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ProtocolError::Io { detail: e.to_string() }),
+            Err(e) => {
+                return Err(ProtocolError::Io {
+                    detail: e.to_string(),
+                })
+            }
         }
     }
     if header.is_empty() {
-        return Err(ProtocolError::BadHeader { detail: "empty length header".into() });
+        return Err(ProtocolError::BadHeader {
+            detail: "empty length header".into(),
+        });
     }
     // The digits are ASCII and capped at MAX_HEADER_DIGITS, so this parse
     // cannot overflow u64.
-    let len: u64 = String::from_utf8_lossy(&header).parse().map_err(|_| {
-        ProtocolError::BadHeader { detail: "unparsable length".into() }
-    })?;
+    let len: u64 =
+        String::from_utf8_lossy(&header)
+            .parse()
+            .map_err(|_| ProtocolError::BadHeader {
+                detail: "unparsable length".into(),
+            })?;
     if len as usize > MAX_FRAME_LEN {
         return Err(ProtocolError::Oversized { len });
     }
@@ -177,12 +191,17 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<String>, ProtocolError>
     read_exact_or(r, &mut terminator, "terminator")?;
     if terminator[0] != b'\n' {
         return Err(ProtocolError::BadFrame {
-            detail: format!("payload not terminated by newline (got 0x{:02x})", terminator[0]),
+            detail: format!(
+                "payload not terminated by newline (got 0x{:02x})",
+                terminator[0]
+            ),
         });
     }
     match String::from_utf8(payload) {
         Ok(s) => Ok(Some(s)),
-        Err(_) => Err(ProtocolError::BadMessage { detail: "payload is not UTF-8".into() }),
+        Err(_) => Err(ProtocolError::BadMessage {
+            detail: "payload is not UTF-8".into(),
+        }),
     }
 }
 
@@ -196,7 +215,9 @@ fn read_exact_or(
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             ProtocolError::Truncated { context }
         } else {
-            ProtocolError::Io { detail: e.to_string() }
+            ProtocolError::Io {
+                detail: e.to_string(),
+            }
         }
     })
 }
@@ -280,7 +301,12 @@ impl JoinMsg {
     pub fn to_json(&self) -> Json {
         let msg = ("msg".to_string(), Json::Str(self.kind().to_owned()));
         match self {
-            JoinMsg::Join { proto, config, session, pid } => Json::Obj(vec![
+            JoinMsg::Join {
+                proto,
+                config,
+                session,
+                pid,
+            } => Json::Obj(vec![
                 msg,
                 ("proto".into(), Json::U64(*proto)),
                 ("config".into(), Json::U64(*config)),
@@ -291,7 +317,12 @@ impl JoinMsg {
             JoinMsg::Request { max } => {
                 Json::Obj(vec![msg, ("max".into(), Json::U64(*max as u64))])
             }
-            JoinMsg::Done { job, outcome, seq, redelivery } => Json::Obj(vec![
+            JoinMsg::Done {
+                job,
+                outcome,
+                seq,
+                redelivery,
+            } => Json::Obj(vec![
                 msg,
                 // The checkpoint-shaped outcome object; the job index is
                 // embedded in it.
@@ -299,7 +330,11 @@ impl JoinMsg {
                 ("seq".into(), Json::U64(*seq)),
                 ("redelivery".into(), Json::Bool(*redelivery)),
             ]),
-            JoinMsg::Quarantine { record, seq, redelivery } => Json::Obj(vec![
+            JoinMsg::Quarantine {
+                record,
+                seq,
+                redelivery,
+            } => Json::Obj(vec![
                 msg,
                 ("record".into(), quarantine_to_json(record)),
                 ("seq".into(), Json::U64(*seq)),
@@ -326,9 +361,7 @@ impl JoinMsg {
             .ok_or_else(|| detail("missing 'msg' discriminator".into()))?;
         let usize_field = |key: &str| -> Result<usize, ProtocolError> {
             req_u64(&doc, key)
-                .and_then(|v| {
-                    usize::try_from(v).map_err(|_| format!("'{key}' overflows usize"))
-                })
+                .and_then(|v| usize::try_from(v).map_err(|_| format!("'{key}' overflows usize")))
                 .map_err(detail)
         };
         let bool_field = |key: &str| -> Result<bool, ProtocolError> {
@@ -348,7 +381,9 @@ impl JoinMsg {
                 pid: doc.get("pid").and_then(Json::as_u64).unwrap_or(0),
             }),
             "heartbeat" => Ok(JoinMsg::Heartbeat),
-            "request" => Ok(JoinMsg::Request { max: usize_field("max")? }),
+            "request" => Ok(JoinMsg::Request {
+                max: usize_field("max")?,
+            }),
             "done" => {
                 let outcome = doc
                     .get("outcome")
@@ -451,7 +486,12 @@ impl ServeMsg {
             ServeMsg::Reject { reason } => {
                 Json::Obj(vec![msg, ("reason".into(), Json::Str(reason.clone()))])
             }
-            ServeMsg::Lease { lease, jobs, deadline_ms, ack } => Json::Obj(vec![
+            ServeMsg::Lease {
+                lease,
+                jobs,
+                deadline_ms,
+                ack,
+            } => Json::Obj(vec![
                 msg,
                 ("lease".into(), Json::U64(*lease)),
                 (
@@ -493,7 +533,9 @@ impl ServeMsg {
                     .map_err(|_| detail("'jobs' overflows usize".into()))?,
                 ack: req_u64(&doc, "ack").map_err(detail)?,
             }),
-            "reject" => Ok(ServeMsg::Reject { reason: reason_field(&doc)? }),
+            "reject" => Ok(ServeMsg::Reject {
+                reason: reason_field(&doc)?,
+            }),
             "lease" => {
                 let jobs = doc
                     .get("jobs")
@@ -513,7 +555,9 @@ impl ServeMsg {
                     ack: req_u64(&doc, "ack").map_err(detail)?,
                 })
             }
-            "drain" => Ok(ServeMsg::Drain { reason: reason_field(&doc)? }),
+            "drain" => Ok(ServeMsg::Drain {
+                reason: reason_field(&doc)?,
+            }),
             other => Err(detail(format!("unknown fleet message '{other}'"))),
         }
     }
@@ -566,19 +610,38 @@ mod tests {
         ));
         assert!(matches!(
             read(b"12"),
-            Err(ProtocolError::Truncated { context: "length header" })
+            Err(ProtocolError::Truncated {
+                context: "length header"
+            })
         ));
         assert!(matches!(
             read(b"3\nabc"),
-            Err(ProtocolError::Truncated { context: "terminator" })
+            Err(ProtocolError::Truncated {
+                context: "terminator"
+            })
         ));
-        assert!(matches!(read(b"3\nabcX"), Err(ProtocolError::BadFrame { .. })));
+        assert!(matches!(
+            read(b"3\nabcX"),
+            Err(ProtocolError::BadFrame { .. })
+        ));
         assert!(matches!(read(b"x\n"), Err(ProtocolError::BadHeader { .. })));
-        assert!(matches!(read(b"-3\nab\n"), Err(ProtocolError::BadHeader { .. })));
+        assert!(matches!(
+            read(b"-3\nab\n"),
+            Err(ProtocolError::BadHeader { .. })
+        ));
         assert!(matches!(read(b"\n"), Err(ProtocolError::BadHeader { .. })));
-        assert!(matches!(read(b"999999999\nx"), Err(ProtocolError::BadHeader { .. })));
-        assert!(matches!(read(b"99999999\nx"), Err(ProtocolError::Oversized { .. })));
-        assert!(matches!(read(b"2\n\xff\xfe\n"), Err(ProtocolError::BadMessage { .. })));
+        assert!(matches!(
+            read(b"999999999\nx"),
+            Err(ProtocolError::BadHeader { .. })
+        ));
+        assert!(matches!(
+            read(b"99999999\nx"),
+            Err(ProtocolError::Oversized { .. })
+        ));
+        assert!(matches!(
+            read(b"2\n\xff\xfe\n"),
+            Err(ProtocolError::BadMessage { .. })
+        ));
     }
 
     fn join_roundtrip(msg: JoinMsg) {
@@ -601,8 +664,18 @@ mod tests {
         });
         join_roundtrip(JoinMsg::Heartbeat);
         join_roundtrip(JoinMsg::Request { max: 4 });
-        join_roundtrip(JoinMsg::Done { job: 42, outcome: outcome(), seq: 7, redelivery: false });
-        join_roundtrip(JoinMsg::Done { job: 43, outcome: outcome(), seq: 8, redelivery: true });
+        join_roundtrip(JoinMsg::Done {
+            job: 42,
+            outcome: outcome(),
+            seq: 7,
+            redelivery: false,
+        });
+        join_roundtrip(JoinMsg::Done {
+            job: 43,
+            outcome: outcome(),
+            seq: 8,
+            redelivery: true,
+        });
         join_roundtrip(JoinMsg::Quarantine {
             record: QuarantineRecord {
                 job: 9,
@@ -614,18 +687,37 @@ mod tests {
             seq: 9,
             redelivery: true,
         });
-        join_roundtrip(JoinMsg::Leaving { reason: "drained".into() });
-        serve_roundtrip(ServeMsg::Welcome { worker: 7, jobs: 120, ack: 0 });
-        serve_roundtrip(ServeMsg::Welcome { worker: 7, jobs: 120, ack: 42 });
-        serve_roundtrip(ServeMsg::Reject { reason: "config mismatch".into() });
-        serve_roundtrip(ServeMsg::Lease { lease: 3, jobs: vec![], deadline_ms: 1, ack: 0 });
+        join_roundtrip(JoinMsg::Leaving {
+            reason: "drained".into(),
+        });
+        serve_roundtrip(ServeMsg::Welcome {
+            worker: 7,
+            jobs: 120,
+            ack: 0,
+        });
+        serve_roundtrip(ServeMsg::Welcome {
+            worker: 7,
+            jobs: 120,
+            ack: 42,
+        });
+        serve_roundtrip(ServeMsg::Reject {
+            reason: "config mismatch".into(),
+        });
+        serve_roundtrip(ServeMsg::Lease {
+            lease: 3,
+            jobs: vec![],
+            deadline_ms: 1,
+            ack: 0,
+        });
         serve_roundtrip(ServeMsg::Lease {
             lease: 4,
             jobs: vec![0, 5, 17],
             deadline_ms: 30_000,
             ack: 11,
         });
-        serve_roundtrip(ServeMsg::Drain { reason: "campaign complete".into() });
+        serve_roundtrip(ServeMsg::Drain {
+            reason: "campaign complete".into(),
+        });
     }
 
     #[test]
@@ -634,7 +726,15 @@ mod tests {
         // (both 0) so the coordinator can answer with a `reject` rather
         // than treating the old worker as a protocol violator.
         let msg = JoinMsg::parse_line("{\"msg\":\"join\",\"proto\":1,\"config\":99}").unwrap();
-        assert_eq!(msg, JoinMsg::Join { proto: 1, config: 99, session: 0, pid: 0 });
+        assert_eq!(
+            msg,
+            JoinMsg::Join {
+                proto: 1,
+                config: 99,
+                session: 0,
+                pid: 0
+            }
+        );
     }
 
     #[test]
@@ -661,7 +761,10 @@ mod tests {
             "{\"msg\":\"leaving\"}",
         ] {
             assert!(
-                matches!(JoinMsg::parse_line(line), Err(ProtocolError::BadMessage { .. })),
+                matches!(
+                    JoinMsg::parse_line(line),
+                    Err(ProtocolError::BadMessage { .. })
+                ),
                 "line: {line}"
             );
         }
@@ -677,7 +780,10 @@ mod tests {
             "{\"msg\":\"drain\"}",
         ] {
             assert!(
-                matches!(ServeMsg::parse_line(line), Err(ProtocolError::BadMessage { .. })),
+                matches!(
+                    ServeMsg::parse_line(line),
+                    Err(ProtocolError::BadMessage { .. })
+                ),
                 "line: {line}"
             );
         }

@@ -72,7 +72,9 @@ impl RetryPolicy {
 /// always wait the same.
 pub fn jittered_backoff(base: Duration, max: Duration, mix: u64, n: u64) -> Duration {
     let shift = n.saturating_sub(1).min(20) as u32;
-    let capped = base.saturating_mul(1u32.checked_shl(shift).unwrap_or(u32::MAX)).min(max);
+    let capped = base
+        .saturating_mul(1u32.checked_shl(shift).unwrap_or(u32::MAX))
+        .min(max);
     let quarter_ms = capped.as_millis() as u64 / 4;
     let jitter_ms = if quarter_ms == 0 {
         0

@@ -56,7 +56,14 @@ pub fn exemplars(
     seed: u64,
     exclude: &HashSet<PmcId>,
 ) -> Vec<PmcId> {
-    exemplars_traced(set, strategy, order, seed, exclude, &sb_obs::Tracer::disabled())
+    exemplars_traced(
+        set,
+        strategy,
+        order,
+        seed,
+        exclude,
+        &sb_obs::Tracer::disabled(),
+    )
 }
 
 /// [`exemplars`], emitting selection metrics to `tracer`: the number of
@@ -112,7 +119,13 @@ pub fn combined_exemplars(
     let mut tested: HashSet<PmcId> = HashSet::new();
     let mut out = Vec::new();
     for (i, s) in strategies.iter().enumerate() {
-        let picks = exemplars(set, *s, ClusterOrder::UncommonFirst, seed.wrapping_add(i as u64), &tested);
+        let picks = exemplars(
+            set,
+            *s,
+            ClusterOrder::UncommonFirst,
+            seed.wrapping_add(i as u64),
+            &tested,
+        );
         for id in picks {
             tested.insert(id);
             out.push((*s, id));
@@ -135,7 +148,11 @@ mod tests {
         use crate::cluster::reference::cluster;
 
         /// Orders clusters per `order` (stable and deterministic for a given seed).
-        pub fn order_clusters(mut clusters: Vec<Cluster>, order: ClusterOrder, seed: u64) -> Vec<Cluster> {
+        pub fn order_clusters(
+            mut clusters: Vec<Cluster>,
+            order: ClusterOrder,
+            seed: u64,
+        ) -> Vec<Cluster> {
             match order {
                 ClusterOrder::UncommonFirst => {
                     clusters.sort_by_key(|c| (c.len(), c.key));
@@ -187,8 +204,18 @@ mod tests {
     fn pmc(wins: &str, val: u64) -> Pmc {
         Pmc {
             key: PmcKey {
-                w: SideKey { ins: site!(wins), addr: 0x10, len: 8, value: val },
-                r: SideKey { ins: site!("r"), addr: 0x10, len: 8, value: 0 },
+                w: SideKey {
+                    ins: site!(wins),
+                    addr: 0x10,
+                    len: 8,
+                    value: val,
+                },
+                r: SideKey {
+                    ins: site!("r"),
+                    addr: 0x10,
+                    len: 8,
+                    value: 0,
+                },
             },
             df_leader: false,
             pairs: vec![(0, 1)],
@@ -237,8 +264,20 @@ mod tests {
     #[test]
     fn selection_is_seed_deterministic() {
         let set = uneven_set();
-        let a = exemplars(&set, Strategy::SFull, ClusterOrder::UncommonFirst, 3, &HashSet::new());
-        let b = exemplars(&set, Strategy::SFull, ClusterOrder::UncommonFirst, 3, &HashSet::new());
+        let a = exemplars(
+            &set,
+            Strategy::SFull,
+            ClusterOrder::UncommonFirst,
+            3,
+            &HashSet::new(),
+        );
+        let b = exemplars(
+            &set,
+            Strategy::SFull,
+            ClusterOrder::UncommonFirst,
+            3,
+            &HashSet::new(),
+        );
         assert_eq!(a, b);
     }
 
@@ -247,8 +286,20 @@ mod tests {
         let set = PmcSet {
             pmcs: (0..32).map(|i| pmc(&format!("w{i}"), 1)).collect(),
         };
-        let u = exemplars(&set, Strategy::SInsPair, ClusterOrder::UncommonFirst, 5, &HashSet::new());
-        let r = exemplars(&set, Strategy::SInsPair, ClusterOrder::Random, 5, &HashSet::new());
+        let u = exemplars(
+            &set,
+            Strategy::SInsPair,
+            ClusterOrder::UncommonFirst,
+            5,
+            &HashSet::new(),
+        );
+        let r = exemplars(
+            &set,
+            Strategy::SInsPair,
+            ClusterOrder::Random,
+            5,
+            &HashSet::new(),
+        );
         assert_eq!(u.len(), r.len());
         assert_ne!(u, r, "random order should differ for 32 singleton clusters");
     }

@@ -55,7 +55,10 @@ pub struct SuperviseCfg {
 
 impl Default for SuperviseCfg {
     fn default() -> Self {
-        SuperviseCfg { workers: 4, fleet: FleetCfg::default() }
+        SuperviseCfg {
+            workers: 4,
+            fleet: FleetCfg::default(),
+        }
     }
 }
 
@@ -94,12 +97,20 @@ pub fn run_supervised(
     };
     let listener = TcpListener::bind("127.0.0.1:0").map_err(bind_failed)?;
     let addr = listener.local_addr().map_err(bind_failed)?.to_string();
-    let fcfg = FleetCfg { batch: 1, lease_deadline: LEASE_DEADLINE, ..scfg.fleet.clone() };
+    let fcfg = FleetCfg {
+        batch: 1,
+        lease_deadline: LEASE_DEADLINE,
+        ..scfg.fleet.clone()
+    };
     let pool = Pool {
         addr,
         seed: cfg.seed,
         slots: (0..scfg.workers)
-            .map(|_| Slot { child: None, respawns: 0, spawn_at: Instant::now() })
+            .map(|_| Slot {
+                child: None,
+                respawns: 0,
+                spawn_at: Instant::now(),
+            })
             .collect(),
         spawn: &mut spawn,
         tracer: cfg.tracer.clone(),
@@ -190,7 +201,9 @@ impl Pool<'_> {
 
     /// The slot whose child is `pid`.
     fn slot_of(&self, pid: u64) -> Option<usize> {
-        self.slots.iter().position(|s| s.child.as_ref().is_some_and(|c| c.pid == pid))
+        self.slots
+            .iter()
+            .position(|s| s.child.as_ref().is_some_and(|c| c.pid == pid))
     }
 
     /// True when `pid` is a child of this pool that has not been reaped.
@@ -208,8 +221,13 @@ impl Pool<'_> {
         child.dead.hb_killed = true;
         child.guard.kill();
         self.stats.heartbeat_misses += 1;
-        self.tracer.count(sb_obs::keys::SUPERVISE_HEARTBEAT_MISSES, 1);
-        self.event(slot, "heartbeat-miss", format!("silent for {:.1}s", silence.as_secs_f64()));
+        self.tracer
+            .count(sb_obs::keys::SUPERVISE_HEARTBEAT_MISSES, 1);
+        self.event(
+            slot,
+            "heartbeat-miss",
+            format!("silent for {:.1}s", silence.as_secs_f64()),
+        );
     }
 
     /// The coordinator evicted the connection of child `pid`: kill the
@@ -287,13 +305,19 @@ impl Pool<'_> {
             })?;
             let pid = u64::from(process.id());
             let guard = ChildGuard(process);
-            let dead = Dead { worker: u64::MAX, ..Dead::default() };
+            let dead = Dead {
+                worker: u64::MAX,
+                ..Dead::default()
+            };
             self.slots[slot].child = Some(Child { guard, pid, dead });
             let respawns = self.slots[slot].respawns;
             let (action, detail) = if respawns == 0 {
                 self.stats.spawns += 1;
                 self.tracer.count(sb_obs::keys::SUPERVISE_SPAWNS, 1);
-                ("spawn", format!("slot {slot}/{}, pid {pid}", self.slots.len()))
+                (
+                    "spawn",
+                    format!("slot {slot}/{}, pid {pid}", self.slots.len()),
+                )
             } else {
                 self.stats.respawns += 1;
                 self.tracer.count(sb_obs::keys::SUPERVISE_RESPAWNS, 1);
@@ -356,7 +380,9 @@ mod tests {
     /// completes. The child speaks the real protocol, heartbeats excepted.
     #[test]
     fn scripted_child() {
-        let Ok(script) = std::env::var("SB_SUPERVISE_SCRIPT") else { return };
+        let Ok(script) = std::env::var("SB_SUPERVISE_SCRIPT") else {
+            return;
+        };
         let addr = std::env::var("SB_SUPERVISE_ADDR").expect("coordinator address");
         let words: Vec<&str> = script.split_whitespace().collect();
         let (action, target) = (words[0], words[1]);
@@ -370,8 +396,15 @@ mod tests {
             frame.and_then(|f| ServeMsg::parse_line(&f).ok())
         };
         let pid = u64::from(std::process::id());
-        send(&JoinMsg::Join { proto: FLEET_PROTO_VERSION, config: 0, session: pid, pid });
-        let Some(ServeMsg::Welcome { .. }) = read() else { std::process::exit(1) };
+        send(&JoinMsg::Join {
+            proto: FLEET_PROTO_VERSION,
+            config: 0,
+            session: pid,
+            pid,
+        });
+        let Some(ServeMsg::Welcome { .. }) = read() else {
+            std::process::exit(1)
+        };
         let mut seq = 0;
         loop {
             send(&JoinMsg::Request { max: 1 });
@@ -389,18 +422,27 @@ mod tests {
                             },
                             "stop" => {
                                 std::fs::write(words[2], b"").unwrap();
-                                send(&JoinMsg::Leaving { reason: "stop file".into() });
+                                send(&JoinMsg::Leaving {
+                                    reason: "stop file".into(),
+                                });
                                 std::process::exit(0);
                             }
                             _ => {}
                         }
                         seq += 1;
                         let outcome = outcome(job);
-                        send(&JoinMsg::Done { job, outcome, seq, redelivery: false });
+                        send(&JoinMsg::Done {
+                            job,
+                            outcome,
+                            seq,
+                            redelivery: false,
+                        });
                     }
                 }
                 Some(ServeMsg::Drain { .. }) => {
-                    send(&JoinMsg::Leaving { reason: "drained".into() });
+                    send(&JoinMsg::Leaving {
+                        reason: "drained".into(),
+                    });
                     std::process::exit(0);
                 }
                 _ => std::process::exit(1),
@@ -455,7 +497,12 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let budgeted: Vec<PmcId> = (0..jobs).map(|i| i + 100).collect();
-            let _ = tx.send(run_supervised(&budgeted, &CampaignCfg::default(), &scfg, spawn));
+            let _ = tx.send(run_supervised(
+                &budgeted,
+                &CampaignCfg::default(),
+                &scfg,
+                spawn,
+            ));
         });
         rx.recv_timeout(Duration::from_secs(60))
             .expect("the supervised campaign hung")
@@ -479,7 +526,10 @@ mod tests {
         assert_eq!(b1, respawn_backoff(2021, 0, 1), "pure function");
         assert!(b1 >= Duration::from_millis(40) && b1 <= Duration::from_millis(50));
         assert!(b2 >= Duration::from_millis(80) && b2 <= Duration::from_millis(100));
-        assert!(b9 >= Duration::from_millis(200) && b9 <= Duration::from_millis(250), "{b9:?}");
+        assert!(
+            b9 >= Duration::from_millis(200) && b9 <= Duration::from_millis(250),
+            "{b9:?}"
+        );
         assert_ne!(
             respawn_backoff(2021, 0, 2),
             respawn_backoff(2021, 1, 2),
@@ -500,7 +550,10 @@ mod tests {
         let stats = report.supervise.expect("supervise stats");
         assert_eq!((stats.spawns, stats.respawns, stats.crashes), (2, 0, 0));
         let fleet = report.fleet.expect("fleet stats");
-        assert_eq!((fleet.workers_joined, fleet.leases_granted, fleet.evictions), (2, 4, 0));
+        assert_eq!(
+            (fleet.workers_joined, fleet.leases_granted, fleet.evictions),
+            (2, 4, 0)
+        );
         // The checkpoint on disk covers everything.
         assert_eq!(Checkpoint::load(&checkpoint).unwrap().outcomes.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -527,7 +580,10 @@ mod tests {
         assert_eq!(stats.crashes, 2, "one death per charge of the budget");
         assert_eq!(report.fleet.unwrap().gave_up_jobs, 0);
         // Crash is checkpointed (never retried).
-        assert!(Checkpoint::load(&checkpoint).unwrap().quarantined.contains_key(&1));
+        assert!(Checkpoint::load(&checkpoint)
+            .unwrap()
+            .quarantined
+            .contains_key(&1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -562,8 +618,16 @@ mod tests {
         let script = format!("stop 1 {}", stop.display());
         let report = run_bounded(2, scfg, scripted(&script));
         assert!(report.fleet.as_ref().unwrap().stopped);
-        assert_eq!(report.supervise.as_ref().unwrap().respawns, 0, "no respawns while stopping");
-        assert!(report.quarantined.is_empty(), "stopping is not failing: {:?}", report.quarantined);
+        assert_eq!(
+            report.supervise.as_ref().unwrap().respawns,
+            0,
+            "no respawns while stopping"
+        );
+        assert!(
+            report.quarantined.is_empty(),
+            "stopping is not failing: {:?}",
+            report.quarantined
+        );
         assert_eq!(report.tested(), 1, "completed work is kept");
         // The resumable checkpoint covers job 0 and leaves job 1 pending.
         let cp = Checkpoint::load(&checkpoint).unwrap();
@@ -575,7 +639,10 @@ mod tests {
     fn children_that_never_join_end_the_campaign_as_gave_up() {
         let dir = test_dir("nojoin");
         let report = run_bounded(3, fast_cfg(&dir, 1), exit_7);
-        assert_eq!(kinds(&report).into_values().collect::<Vec<_>>(), vec![FailureKind::GaveUp; 3]);
+        assert_eq!(
+            kinds(&report).into_values().collect::<Vec<_>>(),
+            vec![FailureKind::GaveUp; 3]
+        );
         let stats = report.supervise.unwrap();
         assert_eq!(
             (stats.spawns, stats.respawns, stats.crashes),
@@ -605,15 +672,25 @@ mod tests {
                 exit_7(addr)
             }
         });
-        assert_eq!(kinds(&report).into_values().collect::<Vec<_>>(), vec![FailureKind::GaveUp; 2]);
+        assert_eq!(
+            kinds(&report).into_values().collect::<Vec<_>>(),
+            vec![FailureKind::GaveUp; 2]
+        );
         assert_eq!(report.supervise.unwrap().crashes, 4);
-        assert_eq!(report.fleet.unwrap().evictions, 2, "the joined children's connections");
+        assert_eq!(
+            report.fleet.unwrap().evictions,
+            2,
+            "the joined children's connections"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn zero_workers_is_a_campaign_level_error() {
-        let scfg = SuperviseCfg { workers: 0, ..SuperviseCfg::default() };
+        let scfg = SuperviseCfg {
+            workers: 0,
+            ..SuperviseCfg::default()
+        };
         let err = run_supervised(&[1], &CampaignCfg::default(), &scfg, |_| {
             Command::new("/bin/true")
         })

@@ -37,7 +37,13 @@ fn outcome(job: usize, steps: u64) -> PmcTestOutcome {
 }
 
 fn quarantine(job: usize, kind: FailureKind) -> QuarantineRecord {
-    QuarantineRecord { job, pmc: Some(3), attempts: 2, kind, chain: vec!["worker died".into()] }
+    QuarantineRecord {
+        job,
+        pmc: Some(3),
+        attempts: 2,
+        kind,
+        chain: vec!["worker died".into()],
+    }
 }
 
 /// A fresh file name in this process's scratch directory.
@@ -56,7 +62,11 @@ fn exemplars() -> Vec<u32> {
 /// unfinished (a kill), and returns the log's bytes.
 fn killed_log(script: impl FnOnce(&mut JobLedger)) -> Vec<u8> {
     let path = scratch();
-    let cfg = CampaignCfg { seed: SEED, checkpoint: Some(path.clone()), ..CampaignCfg::default() };
+    let cfg = CampaignCfg {
+        seed: SEED,
+        checkpoint: Some(path.clone()),
+        ..CampaignCfg::default()
+    };
     let mut ledger = JobLedger::open(&exemplars(), &cfg, None).expect("fresh ledger");
     script(&mut ledger);
     drop(ledger);
@@ -72,11 +82,22 @@ fn in_process() -> &'static [u8] {
     BYTES.get_or_init(|| {
         killed_log(|l| {
             l.lease(0, usize::MAX, None);
-            l.deliver(0, JobVerdict::Completed(outcome(0, 100))).unwrap();
-            l.deliver(1, JobVerdict::Quarantined(quarantine(1, FailureKind::Panic))).unwrap();
-            l.deliver(0, JobVerdict::Completed(outcome(0, 999))).unwrap();
-            l.deliver(2, JobVerdict::Quarantined(quarantine(2, FailureKind::Rejected))).unwrap();
-            l.deliver(3, JobVerdict::Completed(outcome(3, 103))).unwrap();
+            l.deliver(0, JobVerdict::Completed(outcome(0, 100)))
+                .unwrap();
+            l.deliver(
+                1,
+                JobVerdict::Quarantined(quarantine(1, FailureKind::Panic)),
+            )
+            .unwrap();
+            l.deliver(0, JobVerdict::Completed(outcome(0, 999)))
+                .unwrap();
+            l.deliver(
+                2,
+                JobVerdict::Quarantined(quarantine(2, FailureKind::Rejected)),
+            )
+            .unwrap();
+            l.deliver(3, JobVerdict::Completed(outcome(3, 103)))
+                .unwrap();
         })
     })
 }
@@ -90,18 +111,30 @@ fn coordinator() -> &'static [u8] {
         killed_log(|l| {
             let grant = |l: &mut JobLedger, lease: u64, session: u64, take: usize| {
                 let jobs = l.lease(lease, take, None);
-                l.journal(&JournalRecord::Lease { lease, session, jobs });
+                l.journal(&JournalRecord::Lease {
+                    lease,
+                    session,
+                    jobs,
+                });
             };
             grant(l, 1, 7, 2);
-            l.deliver_from(7, 1, 0, JobVerdict::Completed(outcome(0, 100))).unwrap();
-            grant(l, 2, 9, 2);
-            l.deliver_from(9, 1, 2, JobVerdict::Quarantined(quarantine(2, FailureKind::Hang)))
+            l.deliver_from(7, 1, 0, JobVerdict::Completed(outcome(0, 100)))
                 .unwrap();
-            l.deliver_from(7, 2, 1, JobVerdict::Completed(outcome(1, 101))).unwrap();
+            grant(l, 2, 9, 2);
+            l.deliver_from(
+                9,
+                1,
+                2,
+                JobVerdict::Quarantined(quarantine(2, FailureKind::Hang)),
+            )
+            .unwrap();
+            l.deliver_from(7, 2, 1, JobVerdict::Completed(outcome(1, 101)))
+                .unwrap();
             l.journal(&JournalRecord::Release { lease: 2 });
             l.owner_died(2, 1, |job| format!("lease 2 died on {job}"));
             grant(l, 3, 7, 2);
-            l.deliver_from(9, 2, 0, JobVerdict::Completed(outcome(0, 999))).unwrap();
+            l.deliver_from(9, 2, 0, JobVerdict::Completed(outcome(0, 999)))
+                .unwrap();
             grant(l, 4, 9, 2);
         })
     })
@@ -130,19 +163,36 @@ fn expected(bytes: &[u8], k: usize) -> (Checkpoint, Replay) {
     for i in 1..=k {
         let line = std::str::from_utf8(&bytes[ends[i - 1] + 8..ends[i]]).unwrap();
         let (session, seq) = match JournalRecord::parse(line).unwrap() {
-            JournalRecord::Lease { lease, session, jobs } => {
-                replay.leases.push(ReplayLease { lease, session, jobs });
+            JournalRecord::Lease {
+                lease,
+                session,
+                jobs,
+            } => {
+                replay.leases.push(ReplayLease {
+                    lease,
+                    session,
+                    jobs,
+                });
                 continue;
             }
             JournalRecord::Release { lease } => {
                 replay.leases.retain(|l| l.lease != lease);
                 continue;
             }
-            JournalRecord::Done { session, seq, job, outcome } => {
+            JournalRecord::Done {
+                session,
+                seq,
+                job,
+                outcome,
+            } => {
                 cp.merge_outcome(job, outcome);
                 (session, seq)
             }
-            JournalRecord::Quarantine { session, seq, record } => {
+            JournalRecord::Quarantine {
+                session,
+                seq,
+                record,
+            } => {
                 cp.merge_quarantine(record);
                 (session, seq)
             }
@@ -161,7 +211,11 @@ fn load(bytes: &[u8]) -> Result<Loaded, Error> {
     let path = scratch();
     std::fs::write(&path, bytes).expect("write log");
     let loaded = std::panic::catch_unwind(|| read(&path)).expect("the loader never panics");
-    assert_eq!(std::fs::read(&path).expect("reread"), bytes, "a load changed the file");
+    assert_eq!(
+        std::fs::read(&path).expect("reread"),
+        bytes,
+        "a load changed the file"
+    );
     std::fs::remove_file(&path).ok();
     loaded
 }
@@ -182,8 +236,14 @@ fn check(pristine: &[u8], damaged: &[u8], cut: usize) {
     let k = ends[1..].iter().take_while(|end| **end <= cut).count();
     let (cp, mut replay) = expected(pristine, k);
     replay.damaged = u64::from(damaged.len() > ends[k]);
-    assert_eq!(loaded.checkpoint, cp, "verdicts of the {k}-record prefix (cut {cut})");
-    assert_eq!(loaded.replay, replay, "replay of the {k}-record prefix (cut {cut})");
+    assert_eq!(
+        loaded.checkpoint, cp,
+        "verdicts of the {k}-record prefix (cut {cut})"
+    );
+    assert_eq!(
+        loaded.replay, replay,
+        "replay of the {k}-record prefix (cut {cut})"
+    );
     assert_eq!(loaded.intact, &pristine[..ends[k]]);
 }
 
@@ -203,8 +263,15 @@ fn the_pristine_logs_replay_whole() {
     assert_eq!(coord.replay.acked, BTreeMap::from([(7, 2), (9, 2)]));
     let open: Vec<u64> = coord.replay.leases.iter().map(|l| l.lease).collect();
     assert_eq!(open, vec![1, 3, 4]);
-    assert_eq!(coord.checkpoint.outcomes[&0].steps, 100, "first verdict wins");
-    assert_eq!(load(in_process()).unwrap().replay.verdicts, 4, "the rejected job is not logged");
+    assert_eq!(
+        coord.checkpoint.outcomes[&0].steps, 100,
+        "first verdict wins"
+    );
+    assert_eq!(
+        load(in_process()).unwrap().replay.verdicts,
+        4,
+        "the rejected job is not logged"
+    );
 }
 
 #[test]
@@ -243,7 +310,10 @@ fn random_bytes_never_panic_and_never_write() {
             Ok(loaded) => {
                 assert!(bytes.starts_with(&loaded.intact));
                 assert!(loaded.replay.damaged <= 1);
-                assert_eq!(loaded.replay.damaged, u64::from(loaded.intact.len() < bytes.len()));
+                assert_eq!(
+                    loaded.replay.damaged,
+                    u64::from(loaded.intact.len() < bytes.len())
+                );
             }
             Err(e) => assert!(matches!(e, Error::CheckpointFormat { .. }), "{e}"),
         }

@@ -87,7 +87,11 @@ fn assert_partition(ledger: &JobLedger) {
         .flatten()
         .collect();
     all.sort_unstable();
-    assert_eq!(all, (0..JOBS).collect::<Vec<_>>(), "every job in exactly one state");
+    assert_eq!(
+        all,
+        (0..JOBS).collect::<Vec<_>>(),
+        "every job in exactly one state"
+    );
 }
 
 proptest! {

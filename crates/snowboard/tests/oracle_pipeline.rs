@@ -50,7 +50,11 @@ fn extended_catalog_campaign_finds_the_six_oracle_bugs() {
         ..CampaignCfg::default()
     };
     let report = p.campaign(&exemplars, &cfg).expect("campaign");
-    assert!(report.quarantined.is_empty(), "no job should fail: {:?}", report.quarantined);
+    assert!(
+        report.quarantined.is_empty(),
+        "no job should fail: {:?}",
+        report.quarantined
+    );
     // bug id -> set of oracle kinds (dedup-key prefixes) that reported it.
     let mut by_bug: BTreeMap<u8, Vec<&str>> = BTreeMap::new();
     for issue in &report.issues {
@@ -67,7 +71,11 @@ fn extended_catalog_campaign_finds_the_six_oracle_bugs() {
         );
     }
     // The stock bugs stay reachable under the extended catalog too.
-    assert!(report.bug_ids().contains(&13), "slab bug lost: {:?}", report.bug_ids());
+    assert!(
+        report.bug_ids().contains(&13),
+        "slab bug lost: {:?}",
+        report.bug_ids()
+    );
 }
 
 #[test]
@@ -87,8 +95,13 @@ fn race_only_oracles_reproduce_the_stock_findings_exactly() {
         incidental: true,
         ..CampaignCfg::default()
     };
-    let race_cfg = CampaignCfg { oracles: OracleSet::race_only(), ..base.clone() };
-    let race = p.campaign(&exemplars, &race_cfg).expect("race-only campaign");
+    let race_cfg = CampaignCfg {
+        oracles: OracleSet::race_only(),
+        ..base.clone()
+    };
+    let race = p
+        .campaign(&exemplars, &race_cfg)
+        .expect("race-only campaign");
     let all = p.campaign(&exemplars, &base).expect("all-oracles campaign");
     let stock = ["panic", "console", "race", "deadlock", "livelock"];
     let race_keys: Vec<&str> = race.issues.iter().map(|i| i.key.as_str()).collect();
@@ -98,10 +111,18 @@ fn race_only_oracles_reproduce_the_stock_findings_exactly() {
         .map(|i| i.key.as_str())
         .filter(|k| stock.contains(&k.split(':').next().unwrap_or("")))
         .collect();
-    assert_eq!(race_keys, all_stock_keys, "stock findings changed under extra oracles");
+    assert_eq!(
+        race_keys, all_stock_keys,
+        "stock findings changed under extra oracles"
+    );
     assert!(
-        race.issues.iter().all(|i| stock.contains(&i.key.split(':').next().unwrap_or(""))),
+        race.issues
+            .iter()
+            .all(|i| stock.contains(&i.key.split(':').next().unwrap_or(""))),
         "race-only run produced an oracle-kind finding"
     );
-    assert_eq!(race.executions, all.executions, "oracle selection changed the trial plan");
+    assert_eq!(
+        race.executions, all.executions,
+        "oracle selection changed the trial plan"
+    );
 }

@@ -60,9 +60,15 @@ fn prepare_equals_fuzz_then_profile_then_identify() {
                     "{what}"
                 );
                 if fuzz_budget < 100 {
-                    assert!(corpus.len() < corpus_target, "{what}: the budget must run out");
+                    assert!(
+                        corpus.len() < corpus_target,
+                        "{what}: the budget must run out"
+                    );
                 } else {
-                    assert!(corpus.len() >= corpus_target, "{what}: the target must be met");
+                    assert!(
+                        corpus.len() >= corpus_target,
+                        "{what}: the target must be met"
+                    );
                 }
             }
         }
@@ -72,7 +78,11 @@ fn prepare_equals_fuzz_then_profile_then_identify() {
 #[test]
 fn pipeline_identifies_known_channels() {
     let p = Pipeline::prepare(KernelConfig::v5_12_rc3(), small_cfg());
-    assert!(p.pmcs.len() > 100, "expected a rich PMC universe, got {}", p.pmcs.len());
+    assert!(
+        p.pmcs.len() > 100,
+        "expected a rich PMC universe, got {}",
+        p.pmcs.len()
+    );
     // The l2tp publication channel from Figure 1 must be predicted.
     let hit = snowboard::metrics::find_pmc_by_sites(&p.pmcs, "list_add_rcu", "l2tp_tunnel_get");
     assert!(hit.is_some(), "l2tp publish/lookup PMC missing");
@@ -112,14 +122,22 @@ fn sinspair_campaign_finds_panic_and_race_bugs() {
         ..CampaignCfg::default()
     };
     let report = p.campaign(&exemplars, &cfg).expect("campaign");
-    assert!(report.quarantined.is_empty(), "no job should fail: {:?}", report.quarantined);
+    assert!(
+        report.quarantined.is_empty(),
+        "no job should fail: {:?}",
+        report.quarantined
+    );
     let bugs = report.bug_ids();
     // #13 (slab stats) is found by everything.
     assert!(bugs.contains(&13), "missing #13 in {bugs:?}");
     // The campaign must find several of the 5.12-rc3 bugs (#2, #11..#17).
     assert!(bugs.len() >= 4, "expected >=4 distinct bugs, got {bugs:?}");
     // And some tests exercised their predicted channels.
-    assert!(report.accuracy() > 0.05, "accuracy {:.3} too low", report.accuracy());
+    assert!(
+        report.accuracy() > 0.05,
+        "accuracy {:.3} too low",
+        report.accuracy()
+    );
 }
 
 #[test]
@@ -161,22 +179,29 @@ fn campaign_repro_schedules_replay_their_findings() {
     let report = p.campaign(&exemplars, &cfg).expect("campaign");
     let mut exec = sb_vmm::Executor::new(2);
     let mut replayed = 0;
-    for o in report.outcomes.iter().filter(|o| o.repro_schedule.is_some()) {
+    for o in report
+        .outcomes
+        .iter()
+        .filter(|o| o.repro_schedule.is_some())
+    {
         let schedule = o.repro_schedule.clone().unwrap();
         let mut replay = sb_vmm::replay::ReplaySched::new(schedule);
         let r = exec.run(
             p.booted.snapshot.clone(),
             vec![
-                p.booted.kernel.process_job(p.corpus[o.pair.0 as usize].clone()),
-                p.booted.kernel.process_job(p.corpus[o.pair.1 as usize].clone()),
+                p.booted
+                    .kernel
+                    .process_job(p.corpus[o.pair.0 as usize].clone()),
+                p.booted
+                    .kernel
+                    .process_job(p.corpus[o.pair.1 as usize].clone()),
             ],
             &mut replay,
         );
         let mut found = sb_detect::analyze(&r.report);
         found.extend(sb_detect::detect_missed_wakeups(&r.report.sync_events));
         found.extend(sb_detect::detect_sleep_in_atomic(&r.report.sync_events));
-        let keys: std::collections::HashSet<String> =
-            found.iter().map(|f| f.dedup_key()).collect();
+        let keys: std::collections::HashSet<String> = found.iter().map(|f| f.dedup_key()).collect();
         for f in &o.findings {
             // Lock-rule findings are corpus-statistical (mined from the
             // whole job's trials), not per-execution reproducible.
@@ -202,10 +227,18 @@ fn campaign_repro_schedules_replay_their_findings() {
 fn baselines_find_the_easy_race_only_mostly() {
     let p = Pipeline::prepare(KernelConfig::v5_12_rc3(), small_cfg());
     let report = snowboard::baseline::run_baseline(
-        &p.booted, &p.corpus,
+        &p.booted,
+        &p.corpus,
         snowboard::baseline::Pairing::Duplicate,
-        150, 4, 3, 4, true,
+        150,
+        4,
+        3,
+        4,
+        true,
     );
     let bugs = report.bug_ids();
-    assert!(bugs.contains(&13), "duplicate pairing should stumble into #13: {bugs:?}");
+    assert!(
+        bugs.contains(&13),
+        "duplicate pairing should stumble into #13: {bugs:?}"
+    );
 }

@@ -17,11 +17,11 @@ type Acc = (u8, bool, u64, u8, u64);
 /// dense enough that overlaps and PMCs actually happen.
 fn arb_access() -> impl proptest::strategy::Strategy<Value = Acc> {
     (
-        0u8..6,          // site index
+        0u8..6,              // site index
         proptest::bool::ANY, // write?
-        0u64..6,         // address slot (8-byte spaced, plus jitter below)
-        1u8..=8,         // length
-        0u64..4,         // value
+        0u64..6,             // address slot (8-byte spaced, plus jitter below)
+        1u8..=8,             // length
+        0u64..4,             // value
     )
 }
 
@@ -38,7 +38,11 @@ fn build_profiles(tests: Vec<Vec<Acc>>) -> Vec<SeqProfile> {
                     seq: i as u64,
                     thread: 0,
                     site: Site::intern(&format!("prop:site{s}")),
-                    kind: if w { AccessKind::Write } else { AccessKind::Read },
+                    kind: if w {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
                     addr: 0x2_0000 + slot * 4,
                     len,
                     value: val,
@@ -181,38 +185,34 @@ fn df_leader_respects_writes_property() {
     use proptest::test_runner::{Config, TestRunner};
     let mut runner = TestRunner::new(Config::with_cases(128));
     runner
-        .run(
-            &proptest::collection::vec(arb_access(), 2..16),
-            |accs| {
-                let profiles = build_profiles(vec![accs]);
-                let p = &profiles[0];
-                for idx in df_leaders(p) {
-                    let leader = &p.accesses[idx];
-                    prop_assert_eq!(leader.kind, AccessKind::Read);
-                    // There must exist a later read of the same range, same
-                    // value, different site, with no intervening write.
-                    let mut ok = false;
-                    for later in &p.accesses[idx + 1..] {
-                        if later.kind == AccessKind::Write
-                            && range_overlap(later.addr, later.len, leader.addr, leader.len)
-                                .is_some()
-                        {
-                            break;
-                        }
-                        if later.kind == AccessKind::Read
-                            && later.addr == leader.addr
-                            && later.len == leader.len
-                        {
-                            if later.site != leader.site && later.value == leader.value {
-                                ok = true;
-                            }
-                            break;
-                        }
+        .run(&proptest::collection::vec(arb_access(), 2..16), |accs| {
+            let profiles = build_profiles(vec![accs]);
+            let p = &profiles[0];
+            for idx in df_leaders(p) {
+                let leader = &p.accesses[idx];
+                prop_assert_eq!(leader.kind, AccessKind::Read);
+                // There must exist a later read of the same range, same
+                // value, different site, with no intervening write.
+                let mut ok = false;
+                for later in &p.accesses[idx + 1..] {
+                    if later.kind == AccessKind::Write
+                        && range_overlap(later.addr, later.len, leader.addr, leader.len).is_some()
+                    {
+                        break;
                     }
-                    prop_assert!(ok, "df_leader {idx} lacks a matching second fetch");
+                    if later.kind == AccessKind::Read
+                        && later.addr == leader.addr
+                        && later.len == leader.len
+                    {
+                        if later.site != leader.site && later.value == leader.value {
+                            ok = true;
+                        }
+                        break;
+                    }
                 }
-                Ok(())
-            },
-        )
+                prop_assert!(ok, "df_leader {idx} lacks a matching second fetch");
+            }
+            Ok(())
+        })
         .unwrap();
 }

@@ -23,7 +23,9 @@ fn printable_ascii(max: usize) -> impl Strategy<Value = String> {
 /// surrogate or a control becomes U+FFFD.
 fn non_control(max: usize) -> impl Strategy<Value = String> {
     let scalar = prop_oneof![0x20u64..0x7F, 0xA0u64..0x250, 0u64..0x11_0000].prop_map(|c| {
-        char::from_u32(c as u32).filter(|c| !c.is_control()).unwrap_or(char::REPLACEMENT_CHARACTER)
+        char::from_u32(c as u32)
+            .filter(|c| !c.is_control())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
     });
     prop::collection::vec(scalar, 0..max + 1).prop_map(|chars| chars.into_iter().collect())
 }
@@ -32,7 +34,13 @@ fn non_control(max: usize) -> impl Strategy<Value = String> {
 /// their newlines.
 fn jsonl_lookalikes() -> impl Strategy<Value = String> {
     prop::collection::vec(prop::bool::ANY, 1..4).prop_map(|newlines| {
-        let line = |newline| if newline { "{\"msg\":\"heartbeat\"}\n" } else { "{\"msg\":\"heartbeat\"}" };
+        let line = |newline| {
+            if newline {
+                "{\"msg\":\"heartbeat\"}\n"
+            } else {
+                "{\"msg\":\"heartbeat\"}"
+            }
+        };
         newlines.into_iter().map(line).collect()
     })
 }

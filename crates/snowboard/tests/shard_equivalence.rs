@@ -9,7 +9,11 @@ use snowboard::profile::{profile_corpus, SeqProfile};
 fn fuzzed_profiles(seed: u64) -> Vec<SeqProfile> {
     let booted = boot(KernelConfig::v5_12_rc3());
     let (corpus, _) = sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Stock);
-    assert!(corpus.len() >= 8, "seed {seed}: corpus too small ({})", corpus.len());
+    assert!(
+        corpus.len() >= 8,
+        "seed {seed}: corpus too small ({})",
+        corpus.len()
+    );
     profile_corpus(&booted, &corpus, 4)
 }
 
@@ -36,7 +40,9 @@ fn canonical(set: &PmcSet) -> Vec<CanonicalPmc> {
         })
         .collect();
     v.sort_unstable_by_key(|(k, _, _, _)| {
-        (k.w.ins.0, k.w.addr, k.w.len, k.w.value, k.r.ins.0, k.r.addr, k.r.len, k.r.value)
+        (
+            k.w.ins.0, k.w.addr, k.w.len, k.w.value, k.r.ins.0, k.r.addr, k.r.len, k.r.value,
+        )
     });
     v
 }
@@ -47,7 +53,10 @@ fn sharded_equals_sequential_on_fuzzed_corpora() {
     for seed in [3u64, 17, 71] {
         let profiles = fuzzed_profiles(seed);
         let sequential = identify(&profiles);
-        assert!(!sequential.pmcs.is_empty(), "seed {seed}: empty PMC universe");
+        assert!(
+            !sequential.pmcs.is_empty(),
+            "seed {seed}: empty PMC universe"
+        );
         for shards in [2usize, 4] {
             let sharded = identify_sharded(&profiles, shards, 4);
             assert_eq!(

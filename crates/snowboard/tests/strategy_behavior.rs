@@ -53,7 +53,10 @@ fn sch_unaligned_selects_only_differing_ranges() {
             total += 1;
         }
     }
-    assert!(total > 0, "the per-byte memcpys must produce unaligned PMCs");
+    assert!(
+        total > 0,
+        "the per-byte memcpys must produce unaligned PMCs"
+    );
 }
 
 #[test]
@@ -87,13 +90,20 @@ fn smem_clusters_unify_distinct_instructions_on_one_region() {
         pairs.dedup();
         pairs.len() > 1
     });
-    assert!(found, "expected a memory region written/read by several instruction pairs");
+    assert!(
+        found,
+        "expected a memory region written/read by several instruction pairs"
+    );
 }
 
 #[test]
 fn uncommon_first_order_is_monotone_in_cluster_size() {
     let p = pipeline();
-    let ordered = order_clusters(cluster(&p.pmcs, Strategy::SInsPair), ClusterOrder::UncommonFirst, 1);
+    let ordered = order_clusters(
+        cluster(&p.pmcs, Strategy::SInsPair),
+        ClusterOrder::UncommonFirst,
+        1,
+    );
     for w in ordered.windows(2) {
         assert!(w[0].len() <= w[1].len());
     }
@@ -103,7 +113,13 @@ fn uncommon_first_order_is_monotone_in_cluster_size() {
 fn every_strategy_produces_testable_exemplars() {
     let p = pipeline();
     for strategy in snowboard::cluster::ALL_STRATEGIES {
-        let picks = exemplars(&p.pmcs, strategy, ClusterOrder::UncommonFirst, 3, &Default::default());
+        let picks = exemplars(
+            &p.pmcs,
+            strategy,
+            ClusterOrder::UncommonFirst,
+            3,
+            &Default::default(),
+        );
         for id in &picks {
             assert!(
                 !p.pmcs.get(*id).pairs.is_empty(),
@@ -114,7 +130,10 @@ fn every_strategy_produces_testable_exemplars() {
         // exclusions were provided, and exemplars never repeat).
         let n_clusters = cluster(&p.pmcs, strategy).len();
         assert!(picks.len() <= n_clusters);
-        if matches!(strategy, Strategy::SFull | Strategy::SCh | Strategy::SInsPair | Strategy::SMem) {
+        if matches!(
+            strategy,
+            Strategy::SFull | Strategy::SCh | Strategy::SInsPair | Strategy::SMem
+        ) {
             assert_eq!(picks.len(), n_clusters, "{strategy}");
         }
     }
@@ -141,11 +160,11 @@ fn pmc_universe_covers_every_buggy_subsystem() {
     // needed by the 5.12-rc3 bugs.
     let p = pipeline();
     for (wfn, rfn) in [
-        ("list_add_rcu", "l2tp_tunnel_get"),            // #12
-        ("configfs_detach", "configfs_lookup"),          // #11
-        ("tty_port_open", "uart_do_autoconfig"),         // #14 (either order)
-        ("snd_ctl_elem_add", "snd_ctl_elem_add"),        // #15
-        ("cache_alloc_refill", "cache_alloc_refill"),    // #13
+        ("list_add_rcu", "l2tp_tunnel_get"),          // #12
+        ("configfs_detach", "configfs_lookup"),       // #11
+        ("tty_port_open", "uart_do_autoconfig"),      // #14 (either order)
+        ("snd_ctl_elem_add", "snd_ctl_elem_add"),     // #15
+        ("cache_alloc_refill", "cache_alloc_refill"), // #13
     ] {
         let found = snowboard::metrics::find_pmc_by_sites(&p.pmcs, wfn, rfn).is_some()
             || snowboard::metrics::find_pmc_by_sites(&p.pmcs, rfn, wfn).is_some();

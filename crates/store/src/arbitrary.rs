@@ -50,12 +50,39 @@ impl Rng {
     /// parser past its first character.
     fn jsonish(&mut self) -> String {
         const TOKENS: [&str; 28] = [
-            "{", "}", "[", "]", ":", ",", "\"", " ", "0", "1", "7", "18446744073709551615", "\"version\"",
-            "\"profiles\"", "\"pmcs\"", "\"status\"", "\"ok\"", "\"failed\"", "\"segment\"", "\"offset\"",
-            "\"len\"", "\"corpus\"", "\"next_segment\"", "\"last_hits\"", "\"last_misses\"", "null", "\\u00e9", "\n",
+            "{",
+            "}",
+            "[",
+            "]",
+            ":",
+            ",",
+            "\"",
+            " ",
+            "0",
+            "1",
+            "7",
+            "18446744073709551615",
+            "\"version\"",
+            "\"profiles\"",
+            "\"pmcs\"",
+            "\"status\"",
+            "\"ok\"",
+            "\"failed\"",
+            "\"segment\"",
+            "\"offset\"",
+            "\"len\"",
+            "\"corpus\"",
+            "\"next_segment\"",
+            "\"last_hits\"",
+            "\"last_misses\"",
+            "null",
+            "\\u00e9",
+            "\n",
         ];
         let len = (self.next() % 64) as usize;
-        (0..len).map(|_| TOKENS[(self.next() % TOKENS.len() as u64) as usize]).collect()
+        (0..len)
+            .map(|_| TOKENS[(self.next() % TOKENS.len() as u64) as usize])
+            .collect()
     }
 }
 
@@ -63,7 +90,10 @@ impl Rng {
 /// under every mask; `what` names the variant in a failing assertion.
 fn for_each_mutation(input: &[u8], mut check: impl FnMut(&[u8], &str)) {
     for cut in 0..=input.len() {
-        check(&input[..cut], &format!("truncated to {cut} of {}", input.len()));
+        check(
+            &input[..cut],
+            &format!("truncated to {cut} of {}", input.len()),
+        );
     }
     let mut flipped = input.to_vec();
     for at in 0..input.len() {
@@ -76,11 +106,18 @@ fn for_each_mutation(input: &[u8], mut check: impl FnMut(&[u8], &str)) {
 }
 
 /// New and reference decoder agree: same value, or the same typed error.
-fn agree<T: PartialEq + std::fmt::Debug>(new: &Result<T, Error>, reference: &Result<T, Error>, what: &str) {
+fn agree<T: PartialEq + std::fmt::Debug>(
+    new: &Result<T, Error>,
+    reference: &Result<T, Error>,
+    what: &str,
+) {
     match (new, reference) {
         (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}: values differ"),
         (Err(a), Err(b)) => {
-            assert!(matches!(a, Error::Truncated | Error::Corrupt(_)), "{what}: untyped error {a:?}");
+            assert!(
+                matches!(a, Error::Truncated | Error::Corrupt(_)),
+                "{what}: untyped error {a:?}"
+            );
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: errors differ");
         }
         _ => panic!("{what}: new decoder {new:?}, reference {reference:?}"),
@@ -101,7 +138,11 @@ fn encodes_back<T: PartialEq + std::fmt::Debug>(
     if encoded.len() == input.len() {
         assert_eq!(encoded, input, "{what}: re-encoding differs");
     }
-    assert_eq!(decode(encoded).as_ref().ok(), Some(value), "{what}: re-encoding decodes differently");
+    assert_eq!(
+        decode(encoded).as_ref().ok(),
+        Some(value),
+        "{what}: re-encoding decodes differently"
+    );
 }
 
 fn check_profile(input: &[u8], what: &str) {
@@ -132,22 +173,45 @@ fn check_pmc_set(input: &[u8], what: &str) {
 fn check_scan(input: &[u8], kind: SegmentKind, what: &str) {
     let full = scan_bytes(input, kind, |_, _, _| false);
     let lazy = scan_bytes(input, kind, |_, _, _| true);
-    assert_eq!((full.recognized, full.file_len), (lazy.recognized, lazy.file_len), "{what}");
-    assert_eq!(full.valid_len, lazy.valid_len, "{what}: valid prefix depends on vouching");
+    assert_eq!(
+        (full.recognized, full.file_len),
+        (lazy.recognized, lazy.file_len),
+        "{what}"
+    );
+    assert_eq!(
+        full.valid_len, lazy.valid_len,
+        "{what}: valid prefix depends on vouching"
+    );
     assert!(full.valid_len <= full.file_len, "{what}");
     assert_eq!(full.records.len(), lazy.records.len(), "{what}");
     let mut at = 8;
     for (i, (f, l)) in full.records.iter().zip(&lazy.records).enumerate() {
-        assert_eq!((f.key, f.offset, f.len), (l.key, l.offset, l.len), "{what}: record {i}");
-        assert_eq!(f.offset, at, "{what}: record {i} does not follow its predecessor");
+        assert_eq!(
+            (f.key, f.offset, f.len),
+            (l.key, l.offset, l.len),
+            "{what}: record {i}"
+        );
+        assert_eq!(
+            f.offset, at,
+            "{what}: record {i} does not follow its predecessor"
+        );
         at += HEADER_LEN + f.len;
-        assert!(f.crc_ok.is_some(), "{what}: record {i} unverified by a scan that vouches for nothing");
+        assert!(
+            f.crc_ok.is_some(),
+            "{what}: record {i} unverified by a scan that vouches for nothing"
+        );
         let last = i + 1 == full.records.len();
         // A vouched-for record is checksummed only in last place — the
         // scan's last, or the one a torn last record left last.
-        assert!(l.crc_ok.is_none() || (last && l.crc_ok == f.crc_ok), "{what}: record {i}");
+        assert!(
+            l.crc_ok.is_none() || (last && l.crc_ok == f.crc_ok),
+            "{what}: record {i}"
+        );
     }
-    assert!(!full.recognized || at == full.valid_len, "{what}: records do not tile the valid prefix");
+    assert!(
+        !full.recognized || at == full.valid_len,
+        "{what}: records do not tile the valid prefix"
+    );
     assert!(lazy.crc_bytes <= full.crc_bytes, "{what}");
 }
 
@@ -161,8 +225,16 @@ fn check_manifest(text: &str, what: &str) {
     }
     if let Ok(m) = new {
         let rendered = m.render();
-        assert_eq!(rendered, m.to_json().render(), "{what}: render differs from the tree's");
-        assert_eq!(Manifest::parse(&rendered).as_ref(), Ok(&m), "{what}: render does not read back");
+        assert_eq!(
+            rendered,
+            m.to_json().render(),
+            "{what}: render differs from the tree's"
+        );
+        assert_eq!(
+            Manifest::parse(&rendered).as_ref(),
+            Ok(&m),
+            "{what}: render does not read back"
+        );
     }
 }
 
@@ -192,7 +264,10 @@ fn invalid_utf8_in_a_manifest_file_is_an_error_not_a_panic() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("manifest.json");
     std::fs::write(&path, b"{\"version\":1,\"\xFF\":0}").expect("write");
-    assert!(matches!(Manifest::load(&path), Err(Error::Io { op: "read", .. })));
+    assert!(matches!(
+        Manifest::load(&path),
+        Err(Error::Io { op: "read", .. })
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -201,17 +276,33 @@ fn invalid_utf8_in_a_manifest_file_is_an_error_not_a_panic() {
 /// first PMCs identified from the whole corpus: real encodings, kept small
 /// because the mutation sweep below is quadratic in them.
 fn small_real_store(seed: u64, dir: &std::path::Path) -> PmcSet {
-    let cfg = PipelineCfg { seed, corpus_target: 24, fuzz_budget: 400, workers: 1, ..PipelineCfg::default() };
+    let cfg = PipelineCfg {
+        seed,
+        corpus_target: 24,
+        fuzz_budget: 400,
+        workers: 1,
+        ..PipelineCfg::default()
+    };
     let config = KernelConfig::v5_12_rc3();
     let pipeline = Pipeline::prepare(config, cfg);
     let tail = &pipeline.profiles[pipeline.profiles.len().saturating_sub(4)..];
     let mut batch: Vec<_> = tail
         .iter()
-        .map(|p| (profile_key(&config, seed, &pipeline.corpus[p.test as usize]), Some(p.clone())))
+        .map(|p| {
+            (
+                profile_key(&config, seed, &pipeline.corpus[p.test as usize]),
+                Some(p.clone()),
+            )
+        })
         .collect();
     batch.push((seed, None));
-    let pmcs = PmcSet { pmcs: pipeline.pmcs.pmcs.iter().take(24).cloned().collect() };
-    assert!(tail.len() == 4 && !pmcs.is_empty(), "seed {seed}: nothing to mutate");
+    let pmcs = PmcSet {
+        pmcs: pipeline.pmcs.pmcs.iter().take(24).cloned().collect(),
+    };
+    assert!(
+        tail.len() == 4 && !pmcs.is_empty(),
+        "seed {seed}: nothing to mutate"
+    );
     let keys: Vec<u64> = batch.iter().map(|(key, _)| *key).collect();
     let mut store = Store::open(dir).expect("open");
     store.insert_profiles(&batch).expect("insert");
@@ -231,8 +322,13 @@ fn every_truncation_and_flip_of_three_real_stores_is_survived() {
         for (name, kind, _) in crate::store::list_segment_files(&dir).expect("list") {
             let file = std::fs::read(dir.join(&name)).expect("read");
             let records = scan_bytes(&file, kind, |_, _, _| false).records;
-            assert!(!records.is_empty() && records.iter().all(|r| r.crc_ok == Some(true)), "{name}");
-            for_each_mutation(&file, |bytes, how| check_scan(bytes, kind, &format!("seed {seed} {name} {how}")));
+            assert!(
+                !records.is_empty() && records.iter().all(|r| r.crc_ok == Some(true)),
+                "{name}"
+            );
+            for_each_mutation(&file, |bytes, how| {
+                check_scan(bytes, kind, &format!("seed {seed} {name} {how}"))
+            });
             for rec in records {
                 let payload = &file[(rec.offset + HEADER_LEN) as usize..][..rec.len as usize];
                 let what = |how: &str| format!("seed {seed} {name} record at {} {how}", rec.offset);
@@ -241,7 +337,10 @@ fn every_truncation_and_flip_of_three_real_stores_is_survived() {
                     SegmentKind::Profile => {
                         // What the store wrote is canonical: it encodes back exactly.
                         let mut encoded = Vec::new();
-                        codec::encode_profile(&codec::decode_profile(payload).expect("own record"), &mut encoded);
+                        codec::encode_profile(
+                            &codec::decode_profile(payload).expect("own record"),
+                            &mut encoded,
+                        );
                         assert_eq!(encoded, payload, "{}", what("re-encoded"));
                         for_each_mutation(payload, |bytes, how| check_profile(bytes, &what(how)));
                     }
@@ -254,9 +353,16 @@ fn every_truncation_and_flip_of_three_real_stores_is_survived() {
         }
         let manifest = std::fs::read(dir.join("manifest.json")).expect("manifest");
         for_each_mutation(&manifest, |bytes, how| {
-            check_manifest(&String::from_utf8_lossy(bytes), &format!("seed {seed} manifest {how}"));
+            check_manifest(
+                &String::from_utf8_lossy(bytes),
+                &format!("seed {seed} manifest {how}"),
+            );
         });
         std::fs::remove_dir_all(&dir).ok();
     }
-    assert!(payloads.len() >= 12, "the three corpora should not repeat each other: {} distinct payloads", payloads.len());
+    assert!(
+        payloads.len() >= 12,
+        "the three corpora should not repeat each other: {} distinct payloads",
+        payloads.len()
+    );
 }

@@ -37,7 +37,11 @@ pub fn encode_profile(p: &SeqProfile, out: &mut Vec<u8>) {
     put_u64(p.accesses.len() as u64, out);
     let mut prev = AccessPrev::default();
     for a in &p.accesses {
-        assert!(a.len <= 15, "access length {} exceeds the 4-bit field", a.len);
+        assert!(
+            a.len <= 15,
+            "access length {} exceeds the 4-bit field",
+            a.len
+        );
         let mut flags = a.len << LEN_SHIFT;
         if a.kind.is_write() {
             flags |= FLAG_WRITE;
@@ -77,7 +81,11 @@ const MIN_PAIR_BYTES: usize = 2;
 
 /// Reads an element count and rejects one the rest of the payload cannot
 /// hold at `min_bytes` per element.
-fn bounded_count(cur: &mut Cursor<'_>, min_bytes: usize, too_many: &'static str) -> Result<usize, DecodeError> {
+fn bounded_count(
+    cur: &mut Cursor<'_>,
+    min_bytes: usize,
+    too_many: &'static str,
+) -> Result<usize, DecodeError> {
     let count = cur.u64()?;
     if count > (cur.remaining() / min_bytes) as u64 {
         return Err(DecodeError::Corrupt(too_many));
@@ -92,7 +100,8 @@ pub fn decode_profile(buf: &[u8]) -> Result<SeqProfile, Error> {
 }
 
 fn profile_from(cur: &mut Cursor<'_>) -> Result<SeqProfile, DecodeError> {
-    let test = u32::try_from(cur.u64()?).map_err(|_| DecodeError::Corrupt("test id exceeds u32"))?;
+    let test =
+        u32::try_from(cur.u64()?).map_err(|_| DecodeError::Corrupt("test id exceeds u32"))?;
     let steps = cur.u64()?;
     let count = bounded_count(cur, MIN_ACCESS_BYTES, "access count exceeds payload size")?;
     let mut accesses = Vec::with_capacity(count);
@@ -146,12 +155,21 @@ fn profile_from(cur: &mut Cursor<'_>) -> Result<SeqProfile, DecodeError> {
             locks: locks.clone(),
             rcu_depth,
         });
-        prev = AccessPrev { seq, site, addr, value };
+        prev = AccessPrev {
+            seq,
+            site,
+            addr,
+            value,
+        };
     }
     if cur.remaining() != 0 {
         return Err(DecodeError::Corrupt("trailing bytes after profile"));
     }
-    Ok(SeqProfile { test, accesses, steps })
+    Ok(SeqProfile {
+        test,
+        accesses,
+        steps,
+    })
 }
 
 /// Drops every lock past the first `keep`.
@@ -183,7 +201,12 @@ fn get_side(prev: &mut AccessPrev, cur: &mut Cursor<'_>) -> Result<SideKey, Deco
     prev.site = ins;
     prev.addr = addr;
     prev.value = value;
-    Ok(SideKey { ins: Site(ins), addr, len, value })
+    Ok(SideKey {
+        ins: Site(ins),
+        addr,
+        len,
+        value,
+    })
 }
 
 /// Encodes a PMC set into `out`. Ids are positional, so the encoding
@@ -295,7 +318,11 @@ pub(crate) mod reference {
             // Lock sets change on acquire/release only: share the previous
             // access's set when equal, as the executor that recorded them did.
             if *locks != *scratch {
-                locks = if scratch.is_empty() { LockSet::default() } else { scratch.clone().into() };
+                locks = if scratch.is_empty() {
+                    LockSet::default()
+                } else {
+                    scratch.clone().into()
+                };
             }
             accesses.push(Access {
                 seq,
@@ -309,12 +336,21 @@ pub(crate) mod reference {
                 locks: locks.clone(),
                 rcu_depth,
             });
-            prev = AccessPrev { seq, site, addr, value };
+            prev = AccessPrev {
+                seq,
+                site,
+                addr,
+                value,
+            };
         }
         if pos != buf.len() {
             return Err(Error::Corrupt("trailing bytes after profile"));
         }
-        Ok(SeqProfile { test, accesses, steps })
+        Ok(SeqProfile {
+            test,
+            accesses,
+            steps,
+        })
     }
 
     fn get_side(prev: &mut AccessPrev, buf: &[u8], pos: &mut usize) -> Result<SideKey, Error> {
@@ -326,7 +362,12 @@ pub(crate) mod reference {
         prev.site = ins;
         prev.addr = addr;
         prev.value = value;
-        Ok(SideKey { ins: Site(ins), addr, len, value })
+        Ok(SideKey {
+            ins: Site(ins),
+            addr,
+            len,
+            value,
+        })
     }
 
     pub fn decode_pmc_set(buf: &[u8]) -> Result<PmcSet, Error> {
@@ -385,7 +426,11 @@ mod tests {
             len: 8,
             value,
             atomic: seq.is_multiple_of(2),
-            locks: if seq.is_multiple_of(2) { vec![0x9000, 0x9010].into() } else { vec![].into() },
+            locks: if seq.is_multiple_of(2) {
+                vec![0x9000, 0x9010].into()
+            } else {
+                vec![].into()
+            },
             rcu_depth: (seq % 4) as u8,
         }
     }
@@ -409,8 +454,17 @@ mod tests {
 
     #[test]
     fn lock_sets_round_trip_whether_shared_or_not() {
-        let sets: [&[u64]; 9] =
-            [&[], &[], &[0x9000], &[0x9000], &[], &[0x9000], &[0x9000, 0x9010], &[0x9010], &[0x9010]];
+        let sets: [&[u64]; 9] = [
+            &[],
+            &[],
+            &[0x9000],
+            &[0x9000],
+            &[],
+            &[0x9000],
+            &[0x9000, 0x9010],
+            &[0x9010],
+            &[0x9010],
+        ];
         let accesses = sets
             .iter()
             .enumerate()
@@ -420,7 +474,11 @@ mod tests {
                 a
             })
             .collect();
-        let p = SeqProfile { test: 1, steps: 9, accesses };
+        let p = SeqProfile {
+            test: 1,
+            steps: 9,
+            accesses,
+        };
         let mut buf = vec![];
         encode_profile(&p, &mut buf);
         assert_eq!(decode_profile(&buf).unwrap(), p);
@@ -428,7 +486,11 @@ mod tests {
 
     #[test]
     fn empty_profile_round_trips() {
-        let p = SeqProfile { test: 0, steps: 0, accesses: vec![] };
+        let p = SeqProfile {
+            test: 0,
+            steps: 0,
+            accesses: vec![],
+        };
         let mut buf = vec![];
         encode_profile(&p, &mut buf);
         assert_eq!(decode_profile(&buf).unwrap(), p);
@@ -460,7 +522,11 @@ mod tests {
                 a
             })
             .collect();
-        let p = SeqProfile { test: 0, steps: 200, accesses };
+        let p = SeqProfile {
+            test: 0,
+            steps: 200,
+            accesses,
+        };
         let mut buf = vec![];
         encode_profile(&p, &mut buf);
         // Fixed-width lower bound: 4 u64 fields alone would be 32 B/access.
@@ -540,14 +606,24 @@ mod tests {
             let fits = rest / MIN_ACCESS_BYTES;
             match decode_profile(&payload(fits)) {
                 // Eight zero bytes are one access with no locks.
-                Ok(p) => assert_eq!((p.accesses.len(), rest % MIN_ACCESS_BYTES), (fits, 0), "rest {rest}"),
+                Ok(p) => assert_eq!(
+                    (p.accesses.len(), rest % MIN_ACCESS_BYTES),
+                    (fits, 0),
+                    "rest {rest}"
+                ),
                 Err(e) => {
-                    assert!(matches!(e, Error::Corrupt("trailing bytes after profile")), "rest {rest}: {e:?}");
+                    assert!(
+                        matches!(e, Error::Corrupt("trailing bytes after profile")),
+                        "rest {rest}: {e:?}"
+                    );
                     assert_ne!(rest % MIN_ACCESS_BYTES, 0);
                 }
             }
             let e = decode_profile(&payload(fits + 1)).expect_err("one access too many");
-            assert!(matches!(e, Error::Corrupt("access count exceeds payload size")), "rest {rest}: {e:?}");
+            assert!(
+                matches!(e, Error::Corrupt("access count exceeds payload size")),
+                "rest {rest}: {e:?}"
+            );
         }
         // The same count over multi-byte fields runs out of bytes mid-access.
         let mut starved = varints(&[1, 2, 2]);
@@ -561,9 +637,18 @@ mod tests {
             buf.resize(buf.len() + rest, 0);
             buf
         };
-        assert_eq!(decode_pmc_set(&pmcs(3, 30)).expect("three empty PMCs").pmcs.len(), 3);
+        assert_eq!(
+            decode_pmc_set(&pmcs(3, 30))
+                .expect("three empty PMCs")
+                .pmcs
+                .len(),
+            3
+        );
         let e = decode_pmc_set(&pmcs(4, 39)).expect_err("39 bytes hold three PMCs");
-        assert!(matches!(e, Error::Corrupt("PMC count exceeds payload size")), "{e:?}");
+        assert!(
+            matches!(e, Error::Corrupt("PMC count exceeds payload size")),
+            "{e:?}"
+        );
         let pairs = |n_pairs: u64, rest: usize| {
             let mut buf = varints(&[1]);
             buf.extend_from_slice(&[0; 9]); // two sides and the flag
@@ -571,9 +656,15 @@ mod tests {
             buf.resize(buf.len() + rest, 0);
             buf
         };
-        assert_eq!(decode_pmc_set(&pairs(3, 6)).expect("three pairs").pmcs[0].pairs, [(0, 0); 3]);
+        assert_eq!(
+            decode_pmc_set(&pairs(3, 6)).expect("three pairs").pmcs[0].pairs,
+            [(0, 0); 3]
+        );
         let e = decode_pmc_set(&pairs(4, 7)).expect_err("seven bytes hold three pairs");
-        assert!(matches!(e, Error::Corrupt("pair count exceeds payload size")), "{e:?}");
+        assert!(
+            matches!(e, Error::Corrupt("pair count exceeds payload size")),
+            "{e:?}"
+        );
     }
 
     #[test]
@@ -583,6 +674,9 @@ mod tests {
         let mut payload = varints(&[0, 0, 1 << 20]);
         payload.resize(1 << 20, 0);
         let e = decode_profile(&payload).expect_err("refused");
-        assert!(matches!(e, Error::Corrupt("access count exceeds payload size")), "{e:?}");
+        assert!(
+            matches!(e, Error::Corrupt("access count exceeds payload size")),
+            "{e:?}"
+        );
     }
 }

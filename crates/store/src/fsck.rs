@@ -125,15 +125,21 @@ fn entry_damage(
         return Some(format!("segment file missing for record {key:#x}"));
     };
     if !scan.recognized {
-        return Some(format!("record {key:#x} in a segment with unrecognized magic"));
+        return Some(format!(
+            "record {key:#x} in a segment with unrecognized magic"
+        ));
     }
     // `offset` and `len` come from the manifest file: saturate, never wrap.
     if offset.saturating_add(HEADER_LEN).saturating_add(len) > scan.valid_len {
-        return Some(format!("record {key:#x} at offset {offset} is past the valid prefix"));
+        return Some(format!(
+            "record {key:#x} at offset {offset} is past the valid prefix"
+        ));
     }
     // A scan lists records in file order, so offsets ascend.
     let Ok(at) = scan.records.binary_search_by_key(&offset, |r| r.offset) else {
-        return Some(format!("no record boundary at offset {offset} for {key:#x}"));
+        return Some(format!(
+            "no record boundary at offset {offset} for {key:#x}"
+        ));
     };
     let rec = &scan.records[at];
     if rec.key != key {
@@ -149,7 +155,9 @@ fn entry_damage(
         ));
     }
     if rec.crc_ok != Some(true) {
-        return Some(format!("checksum mismatch for record {key:#x} at offset {offset}"));
+        return Some(format!(
+            "checksum mismatch for record {key:#x} at offset {offset}"
+        ));
     }
     None
 }
@@ -171,7 +179,12 @@ fn walk(root: &Path) -> Result<Walk, Error> {
     let mut bad_profiles = Vec::new();
     let mut bad_pmcs = Vec::new();
     for (key, status) in &manifest.profiles {
-        let ProfileStatus::Ok { segment, offset, len } = status else {
+        let ProfileStatus::Ok {
+            segment,
+            offset,
+            len,
+        } = status
+        else {
             continue; // negative entries have no record to verify
         };
         match entry_damage(&scans.profile, *segment, *offset, *len, *key) {
@@ -200,7 +213,13 @@ fn walk(root: &Path) -> Result<Walk, Error> {
             None => report.records_ok += 1,
         }
     }
-    Ok(Walk { manifest, scans, report, bad_profiles, bad_pmcs })
+    Ok(Walk {
+        manifest,
+        scans,
+        report,
+        bad_profiles,
+        bad_pmcs,
+    })
 }
 
 /// Walks every manifest entry of the store at `root`, verifying magic, key,
@@ -216,13 +235,24 @@ pub fn fsck(root: &Path) -> Result<FsckReport, Error> {
 /// atomically. Dropped entries cost a recompute on the next run — never
 /// correctness.
 pub fn repair(root: &Path) -> Result<RepairReport, Error> {
-    let Walk { mut manifest, scans, bad_profiles, bad_pmcs, .. } = walk(root)?;
+    let Walk {
+        mut manifest,
+        scans,
+        bad_profiles,
+        bad_pmcs,
+        ..
+    } = walk(root)?;
     let mut report = RepairReport::default();
     let files = scans
         .profile
         .iter()
         .map(|(n, s)| (format!("seg-{n:04}.bin"), s))
-        .chain(scans.pmc.iter().map(|(n, s)| (format!("pmc-{n:04}.bin"), s)));
+        .chain(
+            scans
+                .pmc
+                .iter()
+                .map(|(n, s)| (format!("pmc-{n:04}.bin"), s)),
+        );
     for (name, scan) in files {
         let path = root.join(&name);
         if !scan.recognized {
@@ -245,12 +275,7 @@ pub fn repair(root: &Path) -> Result<RepairReport, Error> {
     });
     report.dropped_pmcs += bad_pmcs.len() as u64;
     // Never let a rewound manifest reuse an on-disk segment number.
-    let max_seen = scans
-        .profile
-        .keys()
-        .chain(scans.pmc.keys())
-        .max()
-        .copied();
+    let max_seen = scans.profile.keys().chain(scans.pmc.keys()).max().copied();
     if let Some(m) = max_seen {
         manifest.next_segment = manifest.next_segment.max(m + 1);
     }
@@ -286,7 +311,9 @@ mod tests {
         store
             .insert_profiles(&[(1, Some(profile(0))), (2, Some(profile(1))), (3, None)])
             .expect("insert");
-        store.save_pmcs(&[1, 2, 3], &PmcSet::default()).expect("save");
+        store
+            .save_pmcs(&[1, 2, 3], &PmcSet::default())
+            .expect("save");
         store.flush().expect("flush");
     }
 
@@ -296,7 +323,10 @@ mod tests {
         populate(&dir);
         let report = fsck(&dir).expect("fsck");
         assert!(report.clean(), "problems: {:?}", report.problems);
-        assert_eq!(report.records_ok, 3, "two profile records plus one PMC record");
+        assert_eq!(
+            report.records_ok, 3,
+            "two profile records plus one PMC record"
+        );
         assert_eq!(report.segments, 2);
         assert!(repair(&dir).expect("repair").untouched());
         std::fs::remove_dir_all(&dir).ok();
@@ -314,7 +344,11 @@ mod tests {
         // arithmetic overflows is one more damaged record, not a panic.
         let manifest_path = dir.join("manifest.json");
         let mut manifest = Manifest::load(&manifest_path).expect("load");
-        let wild = ProfileStatus::Ok { segment: 0, offset: u64::MAX - 4, len: 9 };
+        let wild = ProfileStatus::Ok {
+            segment: 0,
+            offset: u64::MAX - 4,
+            len: 9,
+        };
         manifest.profiles.insert(2, wild);
         manifest.save(&manifest_path).expect("save");
 
@@ -326,7 +360,10 @@ mod tests {
 
         let rep = repair(&dir).expect("repair");
         assert_eq!(rep.dropped_profiles, 2);
-        assert!(fsck(&dir).expect("re-fsck").clean(), "repair makes fsck clean");
+        assert!(
+            fsck(&dir).expect("re-fsck").clean(),
+            "repair makes fsck clean"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -384,10 +421,16 @@ mod tests {
     #[test]
     fn fsck_errors_only_when_the_walk_cannot_run() {
         let dir = tmp("nodir");
-        assert!(matches!(fsck(&dir), Err(Error::Io { .. })), "missing directory");
+        assert!(
+            matches!(fsck(&dir), Err(Error::Io { .. })),
+            "missing directory"
+        );
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("manifest.json"), "{broken").expect("write");
-        assert!(matches!(fsck(&dir), Err(Error::Format { .. })), "unreadable manifest");
+        assert!(
+            matches!(fsck(&dir), Err(Error::Format { .. })),
+            "unreadable manifest"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -76,9 +76,7 @@ impl Manifest {
     pub fn load(path: &Path) -> Result<Manifest, Error> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Manifest::default())
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Manifest::default()),
             Err(source) => {
                 return Err(Error::Io {
                     op: "read",
@@ -95,7 +93,11 @@ impl Manifest {
 
     /// Atomically writes the manifest to `path`.
     pub fn save(&self, path: &Path) -> Result<(), Error> {
-        json::atomic_write(path, self.render()).map_err(|(op, path, source)| Error::Io { op, path, source })
+        json::atomic_write(path, self.render()).map_err(|(op, path, source)| Error::Io {
+            op,
+            path,
+            source,
+        })
     }
 
     /// The manifest document, streamed into one pre-sized string.
@@ -111,8 +113,9 @@ impl Manifest {
             out.push('}');
         }
         let corpus_keys: usize = self.pmcs.iter().map(|e| e.corpus.len()).sum();
-        let mut out =
-            String::with_capacity(128 + 96 * self.profiles.len() + 64 * self.pmcs.len() + 21 * corpus_keys);
+        let mut out = String::with_capacity(
+            128 + 96 * self.profiles.len() + 64 * self.pmcs.len() + 21 * corpus_keys,
+        );
         field(&mut out, "{\"version\":", VERSION);
         field(&mut out, ",\"next_segment\":", self.next_segment);
         field(&mut out, ",\"last_hits\":", self.last_hits);
@@ -121,7 +124,11 @@ impl Manifest {
         for (i, (key, status)) in self.profiles.iter().enumerate() {
             field(&mut out, if i == 0 { "\"" } else { ",\"" }, *key);
             match status {
-                ProfileStatus::Ok { segment, offset, len } => {
+                ProfileStatus::Ok {
+                    segment,
+                    offset,
+                    len,
+                } => {
                     out.push_str("\":{\"status\":\"ok\",");
                     address(&mut out, *segment, *offset, *len);
                 }
@@ -130,7 +137,11 @@ impl Manifest {
         }
         out.push_str("},\"pmcs\":[");
         for (i, e) in self.pmcs.iter().enumerate() {
-            out.push_str(if i == 0 { "{\"corpus\":[" } else { ",{\"corpus\":[" });
+            out.push_str(if i == 0 {
+                "{\"corpus\":["
+            } else {
+                ",{\"corpus\":["
+            });
             for (j, k) in e.corpus.iter().enumerate() {
                 field(&mut out, if j == 0 { "" } else { "," }, *k);
             }
@@ -148,7 +159,8 @@ impl Manifest {
     /// earlier equal one.
     pub(crate) fn parse(text: &str) -> Result<Manifest, String> {
         let mut r = Reader::new(text);
-        let (mut version, mut next_segment, mut last_hits, mut last_misses) = (None, None, None, None);
+        let (mut version, mut next_segment, mut last_hits, mut last_misses) =
+            (None, None, None, None);
         let (mut profiles, mut pmcs) = (None, None);
         r.obj(|r, name| match name {
             "version" => first(&mut version, r, Reader::u64),
@@ -158,7 +170,9 @@ impl Manifest {
             "profiles" => first(&mut profiles, r, |r| {
                 let mut map = BTreeMap::new();
                 let is_obj = r.obj(|r, key| {
-                    let key: u64 = key.parse().map_err(|_| format!("bad profile key {key:?}"))?;
+                    let key: u64 = key
+                        .parse()
+                        .map_err(|_| format!("bad profile key {key:?}"))?;
                     map.insert(key, profile_status(r)?);
                     Ok(())
                 })?;
@@ -264,7 +278,11 @@ impl Manifest {
             .iter()
             .map(|(key, status)| {
                 let value = match status {
-                    ProfileStatus::Ok { segment, offset, len } => Json::Obj(vec![
+                    ProfileStatus::Ok {
+                        segment,
+                        offset,
+                        len,
+                    } => Json::Obj(vec![
                         ("status".into(), Json::Str("ok".into())),
                         ("segment".into(), Json::U64(*segment)),
                         ("offset".into(), Json::U64(*offset)),
@@ -320,7 +338,9 @@ impl Manifest {
             return Err("missing profiles object".into());
         };
         for (key, value) in fields {
-            let key: u64 = key.parse().map_err(|_| format!("bad profile key {key:?}"))?;
+            let key: u64 = key
+                .parse()
+                .map_err(|_| format!("bad profile key {key:?}"))?;
             let status = match value.get("status").and_then(Json::as_str) {
                 Some("ok") => ProfileStatus::Ok {
                     segment: u64_field(value, "segment")?,
@@ -369,7 +389,11 @@ mod tests {
         let mut profiles = BTreeMap::new();
         profiles.insert(
             u64::MAX,
-            ProfileStatus::Ok { segment: 0, offset: 8, len: 123 },
+            ProfileStatus::Ok {
+                segment: 0,
+                offset: 8,
+                len: 123,
+            },
         );
         profiles.insert(7, ProfileStatus::Failed);
         Manifest {
@@ -406,7 +430,10 @@ mod tests {
     fn manifest_round_trips_through_json() {
         let m = sample();
         assert_eq!(same_as_the_tree(&m.render()), Ok(m));
-        assert_eq!(same_as_the_tree(&Manifest::default().render()), Ok(Manifest::default()));
+        assert_eq!(
+            same_as_the_tree(&Manifest::default().render()),
+            Ok(Manifest::default())
+        );
     }
 
     #[test]
@@ -416,11 +443,21 @@ mod tests {
         let mut m = sample();
         for i in 0..20_000u64 {
             let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            m.profiles.insert(key, ProfileStatus::Ok { segment: i / 50, offset: 8 + 900 * (i % 50), len: 884 });
+            m.profiles.insert(
+                key,
+                ProfileStatus::Ok {
+                    segment: i / 50,
+                    offset: 8 + 900 * (i % 50),
+                    len: 884,
+                },
+            );
         }
         let text = m.render();
         assert!(text.len() >= 1 << 20, "{} bytes", text.len());
-        assert!(text.len() <= text.capacity() && text.capacity() < 2 * text.len(), "one allocation, sized to fit");
+        assert!(
+            text.len() <= text.capacity() && text.capacity() < 2 * text.len(),
+            "one allocation, sized to fit"
+        );
         assert_eq!(same_as_the_tree(&text), Ok(m));
     }
 
@@ -432,10 +469,22 @@ mod tests {
         let fresh = r#"{"version":1,"next_segment":0,"last_hits":0,"last_misses":0,"profiles":{},"pmcs":[]}"#;
         assert_eq!(ok(fresh), Manifest::default());
         let dangling = r#"{"version":1,"next_segment":1,"last_hits":0,"last_misses":0,"profiles":{"42":{"status":"ok","segment":0,"offset":8,"len":5}},"pmcs":[]}"#;
-        assert_eq!(ok(dangling).profiles[&42], ProfileStatus::Ok { segment: 0, offset: 8, len: 5 });
+        assert_eq!(
+            ok(dangling).profiles[&42],
+            ProfileStatus::Ok {
+                segment: 0,
+                offset: 8,
+                len: 5
+            }
+        );
 
         // Whitespace between any two tokens.
-        let spaced = sample().render().replace(':', " :\t").replace(',', "\n, ").replace('{', "{ ").replace('[', "[\r\n");
+        let spaced = sample()
+            .render()
+            .replace(':', " :\t")
+            .replace(',', "\n, ")
+            .replace('{', "{ ")
+            .replace('[', "[\r\n");
         assert_eq!(ok(&format!(" \n{spaced}\t ")), sample());
 
         // Members in any order, unknown members of any shape at every level.
@@ -443,33 +492,84 @@ mod tests {
             "profiles":{"7":{"len":3,"offset":8,"note":"n","segment":0,"status":"ok"},"9":{"why":[true,false],"status":"failed"}},
             "last_misses":2,"last_hits":1,"next_segment":2,"version":1,"z":"\u00e9"}"#;
         let m = ok(reordered);
-        assert_eq!(m.profiles[&7], ProfileStatus::Ok { segment: 0, offset: 8, len: 3 });
+        assert_eq!(
+            m.profiles[&7],
+            ProfileStatus::Ok {
+                segment: 0,
+                offset: 8,
+                len: 3
+            }
+        );
         assert_eq!(m.profiles[&9], ProfileStatus::Failed);
-        assert_eq!(m.pmcs, [PmcEntry { corpus: vec![7, 9], segment: 1, offset: 8, len: 4 }]);
+        assert_eq!(
+            m.pmcs,
+            [PmcEntry {
+                corpus: vec![7, 9],
+                segment: 1,
+                offset: 8,
+                len: 4
+            }]
+        );
         assert_eq!((m.next_segment, m.last_hits, m.last_misses), (2, 1, 2));
 
         // The first of two scalars of a name is the one read — even when the
         // second is of the wrong type, and even for `status`; a first of the
         // wrong type is a missing member.
         let dup = |member: &str| fresh.replacen("\"next_segment\":0", member, 1);
-        assert_eq!(ok(&dup(r#""next_segment":5,"next_segment":"six""#)).next_segment, 5);
+        assert_eq!(
+            ok(&dup(r#""next_segment":5,"next_segment":"six""#)).next_segment,
+            5
+        );
         assert_eq!(ok(&dup(r#""next_segment":5,"version":2"#)).next_segment, 5);
         refused(&dup(r#""next_segment":"six","next_segment":5"#));
         refused(&dup(r#""next_segment":null"#));
-        let entry = |body: &str| fresh.replacen("\"profiles\":{}", &format!("\"profiles\":{{\"3\":{body}}}"), 1);
-        assert_eq!(ok(&entry(r#"{"status":"failed","status":"ok"}"#)).profiles[&3], ProfileStatus::Failed);
-        assert_eq!(ok(&entry(r#"{"status":"failed","segment":"unread"}"#)).profiles[&3], ProfileStatus::Failed);
+        let entry = |body: &str| {
+            fresh.replacen(
+                "\"profiles\":{}",
+                &format!("\"profiles\":{{\"3\":{body}}}"),
+                1,
+            )
+        };
         assert_eq!(
-            ok(&entry(r#"{"segment":1,"segment":[],"status":"ok","offset":2,"len":3,"len":4}"#)).profiles[&3],
-            ProfileStatus::Ok { segment: 1, offset: 2, len: 3 }
+            ok(&entry(r#"{"status":"failed","status":"ok"}"#)).profiles[&3],
+            ProfileStatus::Failed
         );
-        for body in [r#"{"status":"ok","segment":"1","offset":2,"len":3}"#, r#"{"status":"ok","offset":2,"len":3}"#,
-            r#"{"status":7}"#, r#"{"status":"gone"}"#, r#"{}"#, r#"[]"#, r#""ok""#, r#"3"#]
-        {
+        assert_eq!(
+            ok(&entry(r#"{"status":"failed","segment":"unread"}"#)).profiles[&3],
+            ProfileStatus::Failed
+        );
+        assert_eq!(
+            ok(&entry(
+                r#"{"segment":1,"segment":[],"status":"ok","offset":2,"len":3,"len":4}"#
+            ))
+            .profiles[&3],
+            ProfileStatus::Ok {
+                segment: 1,
+                offset: 2,
+                len: 3
+            }
+        );
+        for body in [
+            r#"{"status":"ok","segment":"1","offset":2,"len":3}"#,
+            r#"{"status":"ok","offset":2,"len":3}"#,
+            r#"{"status":7}"#,
+            r#"{"status":"gone"}"#,
+            r#"{}"#,
+            r#"[]"#,
+            r#""ok""#,
+            r#"3"#,
+        ] {
             refused(&entry(body));
         }
         // A second `profiles` or `pmcs` member is not read at all.
-        assert_eq!(ok(&fresh.replacen("\"pmcs\":[]", r#""pmcs":[],"pmcs":[7],"profiles":{"x":1}"#, 1)), Manifest::default());
+        assert_eq!(
+            ok(&fresh.replacen(
+                "\"pmcs\":[]",
+                r#""pmcs":[],"pmcs":[7],"profiles":{"x":1}"#,
+                1
+            )),
+            Manifest::default()
+        );
         refused(&fresh.replacen("\"profiles\":{}", r#""profiles":[],"profiles":{}"#, 1));
         refused(&fresh.replacen("\"pmcs\":[]", r#""pmcs":{}"#, 1));
 
@@ -477,31 +577,91 @@ mod tests {
         let twice = fresh.replacen("\"profiles\":{}", r#""profiles":{"3":{"status":"failed"},"+3":{"status":"ok","segment":1,"offset":2,"len":3},"0004":{"status":"failed"},"\u0034":{"status":"ok","segment":4,"offset":4,"len":4}}"#, 1);
         let m = ok(&twice);
         assert_eq!(m.profiles.len(), 2);
-        assert_eq!(m.profiles[&3], ProfileStatus::Ok { segment: 1, offset: 2, len: 3 });
-        assert_eq!(m.profiles[&4], ProfileStatus::Ok { segment: 4, offset: 4, len: 4 }, "an escaped key is the key it spells");
+        assert_eq!(
+            m.profiles[&3],
+            ProfileStatus::Ok {
+                segment: 1,
+                offset: 2,
+                len: 3
+            }
+        );
+        assert_eq!(
+            m.profiles[&4],
+            ProfileStatus::Ok {
+                segment: 4,
+                offset: 4,
+                len: 4
+            },
+            "an escaped key is the key it spells"
+        );
         for key in ["", "x", "-1", "1.0", "18446744073709551616", " 1"] {
-            refused(&fresh.replacen("\"profiles\":{}", &format!("\"profiles\":{{\"{key}\":{{\"status\":\"failed\"}}}}"), 1));
+            refused(&fresh.replacen(
+                "\"profiles\":{}",
+                &format!("\"profiles\":{{\"{key}\":{{\"status\":\"failed\"}}}}"),
+                1,
+            ));
         }
 
         // PMC entries.
         let pmc = |body: &str| fresh.replacen("\"pmcs\":[]", &format!("\"pmcs\":[{body}]"), 1);
-        assert_eq!(ok(&pmc(r#"{"corpus":[],"corpus":[1],"segment":1,"offset":2,"len":3}"#)).pmcs[0].corpus, Vec::<u64>::new());
-        for body in [r#"{"corpus":[1,"2"],"segment":1,"offset":2,"len":3}"#, r#"{"corpus":{},"segment":1,"offset":2,"len":3}"#,
-            r#"{"segment":1,"offset":2,"len":3}"#, r#"{"corpus":[1],"segment":1,"offset":2}"#, r#"[]"#, r#"7"#]
-        {
+        assert_eq!(
+            ok(&pmc(
+                r#"{"corpus":[],"corpus":[1],"segment":1,"offset":2,"len":3}"#
+            ))
+            .pmcs[0]
+                .corpus,
+            Vec::<u64>::new()
+        );
+        for body in [
+            r#"{"corpus":[1,"2"],"segment":1,"offset":2,"len":3}"#,
+            r#"{"corpus":{},"segment":1,"offset":2,"len":3}"#,
+            r#"{"segment":1,"offset":2,"len":3}"#,
+            r#"{"corpus":[1],"segment":1,"offset":2}"#,
+            r#"[]"#,
+            r#"7"#,
+        ] {
             refused(&pmc(body));
         }
 
         // Versions, numbers the grammar has no room for, depth, the document's ends.
-        assert!(refused(&fresh.replacen("\"version\":1", "\"version\":2", 1)).contains("unsupported manifest version 2"));
+        assert!(
+            refused(&fresh.replacen("\"version\":1", "\"version\":2", 1))
+                .contains("unsupported manifest version 2")
+        );
         refused(&fresh.replacen("\"version\":1,", "", 1));
         refused(&fresh.replacen("\"last_hits\":0", "\"last_hits\":0.5", 1));
         refused(&fresh.replacen("\"last_hits\":0", "\"last_hits\":-1", 1));
         refused(&fresh.replacen("\"last_hits\":0", "\"extra\":1e3,\"last_hits\":0", 1));
-        let nested = |depth: usize| fresh.replacen("\"pmcs\"", &format!("\"deep\":{}1{},\"pmcs\"", "[".repeat(depth), "]".repeat(depth)), 1);
-        assert_eq!(ok(&nested(127)), Manifest::default(), "127 arrays inside the document: depth 128");
-        assert!(refused(&nested(128)).contains("nesting deeper than 128"), "depth 129");
-        for text in ["", "[]", "7", "null", "{", &fresh[..fresh.len() - 1], &format!("{fresh}{fresh}"), &format!("{fresh} x")] {
+        let nested = |depth: usize| {
+            fresh.replacen(
+                "\"pmcs\"",
+                &format!(
+                    "\"deep\":{}1{},\"pmcs\"",
+                    "[".repeat(depth),
+                    "]".repeat(depth)
+                ),
+                1,
+            )
+        };
+        assert_eq!(
+            ok(&nested(127)),
+            Manifest::default(),
+            "127 arrays inside the document: depth 128"
+        );
+        assert!(
+            refused(&nested(128)).contains("nesting deeper than 128"),
+            "depth 129"
+        );
+        for text in [
+            "",
+            "[]",
+            "7",
+            "null",
+            "{",
+            &fresh[..fresh.len() - 1],
+            &format!("{fresh}{fresh}"),
+            &format!("{fresh} x"),
+        ] {
             refused(text);
         }
     }

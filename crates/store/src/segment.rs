@@ -103,7 +103,8 @@ impl SegmentWriter {
             .map_err(|_| Error::Corrupt("record payload exceeds u32 bytes"))?;
         self.records.extend_from_slice(&key.to_le_bytes());
         self.records.extend_from_slice(&len.to_le_bytes());
-        self.records.extend_from_slice(&record_crc(key, payload).to_le_bytes());
+        self.records
+            .extend_from_slice(&record_crc(key, payload).to_le_bytes());
         self.records.extend_from_slice(payload);
         if let Some(budget) = self.torn_budget {
             if self.records.len() as u64 > budget {
@@ -123,7 +124,9 @@ impl SegmentWriter {
     /// bytes. A finished segment is durable before the caller references it
     /// from the manifest.
     pub fn finish(mut self) -> Result<u64, Error> {
-        self.file.write_all(&self.records).map_err(io_err("write", &self.path))?;
+        self.file
+            .write_all(&self.records)
+            .map_err(io_err("write", &self.path))?;
         self.file.sync_all().map_err(io_err("fsync", &self.path))?;
         Ok(8 + self.records.len() as u64)
     }
@@ -163,7 +166,13 @@ impl SegmentReader {
     pub fn open(path: &Path) -> Result<SegmentReader, Error> {
         let file = File::open(path).map_err(io_err("open", path))?;
         let file_len = file.metadata().map_err(io_err("stat", path))?.len();
-        Ok(SegmentReader { file, file_len, path: path.to_path_buf(), window: Vec::new(), window_at: 0 })
+        Ok(SegmentReader {
+            file,
+            file_len,
+            path: path.to_path_buf(),
+            window: Vec::new(),
+            window_at: 0,
+        })
     }
 
     /// Returns the payload of the record at `(offset, len)`, verifying that
@@ -194,13 +203,16 @@ impl SegmentReader {
             self.fill(offset, total)?;
         }
         let path = &self.path;
-        let (head, payload) = self.window[(offset - self.window_at) as usize..][..total].split_at(header);
+        let (head, payload) =
+            self.window[(offset - self.window_at) as usize..][..total].split_at(header);
         let key = u64::from_le_bytes(head[..8].try_into().expect("8-byte slice"));
         let stored_len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice"));
         if key != expected_key {
             return Err(Error::Format {
                 path: path.clone(),
-                detail: format!("key mismatch at offset {offset}: expected {expected_key:#x}, found {key:#x}"),
+                detail: format!(
+                    "key mismatch at offset {offset}: expected {expected_key:#x}, found {key:#x}"
+                ),
             });
         }
         if u64::from(stored_len) != len {
@@ -223,7 +235,10 @@ impl SegmentReader {
     /// if that is more, or what the file has left. Fewer than `need` is a
     /// failed read, as it was when each record had its own `read_exact`.
     fn fill(&mut self, offset: u64, need: usize) -> Result<(), Error> {
-        let left = self.file_len.saturating_sub(offset).min(need.max(WINDOW) as u64) as usize;
+        let left = self
+            .file_len
+            .saturating_sub(offset)
+            .min(need.max(WINDOW) as u64) as usize;
         self.window_at = offset;
         // A record running past the length the file had at `open`, or a
         // file cut short since: an unexpected EOF either way.
@@ -338,7 +353,12 @@ pub(crate) fn scan_bytes(
         if end > bytes.len() {
             break; // payload runs past EOF: torn
         }
-        let mut rec = ScannedRecord { key, offset: pos as u64, len: u64::from(len), crc_ok: None };
+        let mut rec = ScannedRecord {
+            key,
+            offset: pos as u64,
+            len: u64::from(len),
+            crc_ok: None,
+        };
         if !vouched(key, rec.offset, rec.len) {
             rec.crc_ok = crc_of(&rec);
         }
@@ -403,12 +423,25 @@ mod tests {
         let (o2, l2) = w.append(0xBBBB, b"second").expect("append");
         let total = w.finish().expect("finish");
         assert_eq!(total, std::fs::metadata(&path).expect("meta").len());
-        assert!(scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan").recognized);
+        assert!(
+            scan(&path, SegmentKind::Profile, |_, _, _| false)
+                .expect("scan")
+                .recognized
+        );
         let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
         // One handle and one window serve any order of addresses.
-        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"), b"second");
-        assert_eq!(r.read_at(o1, l1, 0xAAAA, None, &mut reads).expect("r1"), b"first payload");
-        assert_eq!(r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"), b"second");
+        assert_eq!(
+            r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"),
+            b"second"
+        );
+        assert_eq!(
+            r.read_at(o1, l1, 0xAAAA, None, &mut reads).expect("r1"),
+            b"first payload"
+        );
+        assert_eq!(
+            r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"),
+            b"second"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -421,12 +454,29 @@ mod tests {
         let (o2, l2) = w.append(9, b"last").expect("append");
         w.finish().expect("finish");
         let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
-        assert!(matches!(r.read_at(o, l, 8, None, &mut reads), Err(Error::Format { .. })));
-        assert!(matches!(r.read_at(o, l + 1, 7, None, &mut reads), Err(Error::Format { .. })));
+        assert!(matches!(
+            r.read_at(o, l, 8, None, &mut reads),
+            Err(Error::Format { .. })
+        ));
+        assert!(matches!(
+            r.read_at(o, l + 1, 7, None, &mut reads),
+            Err(Error::Format { .. })
+        ));
         // A length that runs past the end of the file is a failed read.
-        assert!(matches!(r.read_at(o2, l2 + 1, 9, None, &mut reads), Err(Error::Io { .. })));
-        assert!(matches!(r.read_at(o2, u64::MAX, 9, None, &mut reads), Err(Error::Truncated)));
-        assert!(!scan(&path, SegmentKind::Pmc, |_, _, _| false).expect("scan").recognized, "wrong magic");
+        assert!(matches!(
+            r.read_at(o2, l2 + 1, 9, None, &mut reads),
+            Err(Error::Io { .. })
+        ));
+        assert!(matches!(
+            r.read_at(o2, u64::MAX, 9, None, &mut reads),
+            Err(Error::Truncated)
+        ));
+        assert!(
+            !scan(&path, SegmentKind::Pmc, |_, _, _| false)
+                .expect("scan")
+                .recognized,
+            "wrong magic"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -510,7 +560,10 @@ mod tests {
             std::fs::write(&path, unrecognized).expect("garbage");
             let s = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
             assert_eq!((s.recognized, s.valid_len), (false, 0));
-            assert!(!truncate_torn_tail(&path, &s), "never truncate unrecognized files");
+            assert!(
+                !truncate_torn_tail(&path, &s),
+                "never truncate unrecognized files"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -182,7 +182,12 @@ impl Store {
             let scan = segment::scan(&path, kind, |key, offset, len| {
                 !every_record
                     && kind == SegmentKind::Profile
-                    && manifest.profiles.get(&key) == Some(&ProfileStatus::Ok { segment: n, offset, len })
+                    && manifest.profiles.get(&key)
+                        == Some(&ProfileStatus::Ok {
+                            segment: n,
+                            offset,
+                            len,
+                        })
             })?;
             open_crc_bytes += scan.crc_bytes;
             if scan.torn_bytes() > 0 {
@@ -195,12 +200,19 @@ impl Store {
                     if rec.crc_ok == Some(true) && !manifest.profiles.contains_key(&rec.key) {
                         manifest.profiles.insert(
                             rec.key,
-                            ProfileStatus::Ok { segment: n, offset: rec.offset, len: rec.len },
+                            ProfileStatus::Ok {
+                                segment: n,
+                                offset: rec.offset,
+                                len: rec.len,
+                            },
                         );
                     }
                 }
             }
-            let meta = SegMeta { recognized: scan.recognized, valid_len: scan.valid_len };
+            let meta = SegMeta {
+                recognized: scan.recognized,
+                valid_len: scan.valid_len,
+            };
             match kind {
                 SegmentKind::Profile => seg_meta.insert(n, meta),
                 SegmentKind::Pmc => pmc_meta.insert(n, meta),
@@ -331,7 +343,9 @@ impl Store {
         if !meta.recognized {
             return Err(Error::Corrupt("unrecognized segment magic"));
         }
-        let end = offset.saturating_add(segment::HEADER_LEN).saturating_add(len);
+        let end = offset
+            .saturating_add(segment::HEADER_LEN)
+            .saturating_add(len);
         if end > meta.valid_len {
             return Err(Error::Truncated);
         }
@@ -355,7 +369,11 @@ impl Store {
             return Ok(ProfileLookup::Miss);
         }
         match self.manifest.profiles.get(&key).copied() {
-            Some(ProfileStatus::Ok { segment, offset, len }) => {
+            Some(ProfileStatus::Ok {
+                segment,
+                offset,
+                len,
+            }) => {
                 let decoded = self
                     .read_verified(SegmentKind::Profile, segment, offset, len, key)
                     .and_then(codec::decode_profile);
@@ -407,7 +425,11 @@ impl Store {
                     buf.clear();
                     codec::encode_profile(p, &mut buf);
                     let (offset, len) = writer.append(*key, &buf)?;
-                    ProfileStatus::Ok { segment: seg_no, offset, len }
+                    ProfileStatus::Ok {
+                        segment: seg_no,
+                        offset,
+                        len,
+                    }
                 }
                 None => ProfileStatus::Failed,
             };
@@ -416,7 +438,13 @@ impl Store {
         let total = writer.finish()?;
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
-        self.seg_meta.insert(seg_no, SegMeta { recognized: true, valid_len: total });
+        self.seg_meta.insert(
+            seg_no,
+            SegMeta {
+                recognized: true,
+                valid_len: total,
+            },
+        );
         self.manifest.next_segment = seg_no + 1;
         // A key the batch repeats heals once: its first entry takes it out
         // of `damaged_keys`; in the manifest its last entry wins.
@@ -458,12 +486,22 @@ impl Store {
                 }
             }
             let Some(idx) = best else {
-                return Ok(if damage_seen { PmcLookup::Damaged } else { PmcLookup::Miss });
+                return Ok(if damage_seen {
+                    PmcLookup::Damaged
+                } else {
+                    PmcLookup::Miss
+                });
             };
             let entry = self.manifest.pmcs[idx].clone();
             let key = corpus_key(&entry.corpus);
             let decoded = self
-                .read_verified(SegmentKind::Pmc, entry.segment, entry.offset, entry.len, key)
+                .read_verified(
+                    SegmentKind::Pmc,
+                    entry.segment,
+                    entry.offset,
+                    entry.len,
+                    key,
+                )
                 .and_then(codec::decode_pmc_set);
             match decoded {
                 Ok(set) => {
@@ -500,7 +538,13 @@ impl Store {
         let total = writer.finish()?;
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
-        self.pmc_meta.insert(seg_no, SegMeta { recognized: true, valid_len: total });
+        self.pmc_meta.insert(
+            seg_no,
+            SegMeta {
+                recognized: true,
+                valid_len: total,
+            },
+        );
         self.manifest.next_segment = seg_no + 1;
         self.manifest.pmcs.retain(|e| e.corpus != corpus_keys);
         self.manifest.pmcs.push(PmcEntry {
@@ -523,7 +567,11 @@ impl Store {
             return;
         };
         self.fire("disk.flip", &format!("offset={offset} mask={mask}"));
-        let Ok(mut file) = std::fs::OpenOptions::new().read(true).write(true).open(path) else {
+        let Ok(mut file) = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+        else {
             return;
         };
         let mut byte = [0u8; 1];
@@ -549,7 +597,9 @@ impl Store {
         let mut sizes = Vec::new();
         let mut stats = SegmentStats::default();
         for n in 0..self.manifest.next_segment {
-            for path in [SegmentKind::Profile, SegmentKind::Pmc].map(|kind| self.segment_path(kind, n)) {
+            for path in
+                [SegmentKind::Profile, SegmentKind::Pmc].map(|kind| self.segment_path(kind, n))
+            {
                 match std::fs::metadata(&path) {
                     Ok(meta) => {
                         let name = path
@@ -678,7 +728,10 @@ mod tests {
             store.lookup_profile(222, 1).expect("lookup"),
             ProfileLookup::FailedCached
         );
-        assert_eq!(store.lookup_profile(333, 2).expect("lookup"), ProfileLookup::Miss);
+        assert_eq!(
+            store.lookup_profile(333, 2).expect("lookup"),
+            ProfileLookup::Miss
+        );
         assert_eq!((store.profile_hits, store.profile_misses), (2, 1));
         assert_eq!(store.failed_cached, 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -687,9 +740,14 @@ mod tests {
     #[test]
     fn no_cache_forces_misses_but_still_writes() {
         let (dir, mut store) = tmp_store("nocache");
-        store.insert_profiles(&[(5, Some(profile(0, 0x3000)))]).expect("insert");
+        store
+            .insert_profiles(&[(5, Some(profile(0, 0x3000)))])
+            .expect("insert");
         store.set_read_cache(false);
-        assert_eq!(store.lookup_profile(5, 0).expect("lookup"), ProfileLookup::Miss);
+        assert_eq!(
+            store.lookup_profile(5, 0).expect("lookup"),
+            ProfileLookup::Miss
+        );
         assert_eq!(store.lookup_pmcs(&[5]).expect("lookup"), PmcLookup::Miss);
         assert_eq!(store.profile_misses, 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -703,16 +761,25 @@ mod tests {
         large.pmcs.push(sample_pmc());
         store.save_pmcs(&[1, 2], &small).expect("save small");
         store.save_pmcs(&[1, 2, 3], &large).expect("save large");
-        assert_eq!(store.lookup_pmcs(&[1, 2, 3]).expect("exact"), PmcLookup::Exact(large.clone()));
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2, 3]).expect("exact"),
+            PmcLookup::Exact(large.clone())
+        );
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3, 4]).expect("prefix"),
             PmcLookup::Prefix(large.clone(), 3)
         );
-        assert_eq!(store.lookup_pmcs(&[1, 2]).expect("exact small"), PmcLookup::Exact(small));
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2]).expect("exact small"),
+            PmcLookup::Exact(small)
+        );
         assert_eq!(store.lookup_pmcs(&[9, 9]).expect("miss"), PmcLookup::Miss);
         // Replacing the same corpus keeps one entry.
         store.save_pmcs(&[1, 2, 3], &large).expect("replace");
-        assert_eq!(store.lookup_pmcs(&[1, 2, 3]).expect("exact"), PmcLookup::Exact(large));
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2, 3]).expect("exact"),
+            PmcLookup::Exact(large)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -725,7 +792,10 @@ mod tests {
             value: 7,
         };
         snowboard::pmc::Pmc {
-            key: PmcKey { w: side("w"), r: side("r") },
+            key: PmcKey {
+                w: side("w"),
+                r: side("r"),
+            },
             df_leader: false,
             pairs: vec![(0, 1)],
         }
@@ -734,7 +804,9 @@ mod tests {
     #[test]
     fn segment_sizes_and_persisted_counters() {
         let (dir, mut store) = tmp_store("sizes");
-        store.insert_profiles(&[(1, Some(profile(0, 0x2000)))]).expect("insert");
+        store
+            .insert_profiles(&[(1, Some(profile(0, 0x2000)))])
+            .expect("insert");
         store.save_pmcs(&[1], &PmcSet::default()).expect("save");
         let _ = store.lookup_profile(1, 0).expect("hit");
         let _ = store.lookup_profile(2, 1).expect("miss");
@@ -753,7 +825,9 @@ mod tests {
     fn flipped_profile_record_degrades_to_damaged_and_heals() {
         let (dir, mut store) = tmp_store("flip");
         let p = profile(0, 0x4000);
-        store.insert_profiles(&[(77, Some(p.clone()))]).expect("insert");
+        store
+            .insert_profiles(&[(77, Some(p.clone()))])
+            .expect("insert");
         store.flush().expect("flush");
 
         // Flip one payload byte of the only record.
@@ -764,16 +838,27 @@ mod tests {
         std::fs::write(&seg, &bytes).expect("flip");
 
         let mut store = Store::open(&dir).expect("reopen");
-        assert_eq!(store.lookup_profile(77, 0).expect("lookup"), ProfileLookup::Damaged);
+        assert_eq!(
+            store.lookup_profile(77, 0).expect("lookup"),
+            ProfileLookup::Damaged
+        );
         assert_eq!((store.records_damaged, store.records_healed), (1, 0));
-        assert_eq!(store.profile_misses, 1, "damage counts as a miss for hit-rate purposes");
+        assert_eq!(
+            store.profile_misses, 1,
+            "damage counts as a miss for hit-rate purposes"
+        );
 
         // Recompute-and-rewrite heals.
-        store.insert_profiles(&[(77, Some(p.clone()))]).expect("heal");
+        store
+            .insert_profiles(&[(77, Some(p.clone()))])
+            .expect("heal");
         assert_eq!(store.records_healed, 1);
         store.flush().expect("flush");
         let mut store = Store::open(&dir).expect("reopen again");
-        assert!(matches!(store.lookup_profile(77, 0).expect("lookup"), ProfileLookup::Hit(_)));
+        assert!(matches!(
+            store.lookup_profile(77, 0).expect("lookup"),
+            ProfileLookup::Hit(_)
+        ));
         assert_eq!(store.records_damaged, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -781,11 +866,16 @@ mod tests {
     #[test]
     fn missing_segment_file_degrades_to_damaged() {
         let (dir, mut store) = tmp_store("missing");
-        store.insert_profiles(&[(8, Some(profile(0, 0x5000)))]).expect("insert");
+        store
+            .insert_profiles(&[(8, Some(profile(0, 0x5000)))])
+            .expect("insert");
         store.flush().expect("flush");
         std::fs::remove_file(dir.join("seg-0000.bin")).expect("remove");
         let mut store = Store::open(&dir).expect("reopen");
-        assert_eq!(store.lookup_profile(8, 0).expect("lookup"), ProfileLookup::Damaged);
+        assert_eq!(
+            store.lookup_profile(8, 0).expect("lookup"),
+            ProfileLookup::Damaged
+        );
         assert_eq!(store.records_damaged, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -827,7 +917,10 @@ mod tests {
         }
         store.flush().expect("flush");
         let mut store = Store::open(&dir).expect("reopen");
-        assert_eq!(store.lookup_pmcs(&[1, 2, 3]).expect("lookup"), PmcLookup::Damaged);
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
+            PmcLookup::Damaged
+        );
         assert_eq!(store.records_damaged, 2, "both candidates damaged");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -836,7 +929,9 @@ mod tests {
     fn torn_insert_preserves_prefix_and_orphans_are_adopted() {
         let (dir, mut store) = tmp_store("torn");
         let p0 = profile(0, 0x6000);
-        store.insert_profiles(&[(10, Some(p0.clone()))]).expect("first batch");
+        store
+            .insert_profiles(&[(10, Some(p0.clone()))])
+            .expect("first batch");
         store.flush().expect("flush");
 
         // Second batch: two records, killed mid-second (after the first
@@ -858,11 +953,20 @@ mod tests {
 
         let mut store = Store::open(&dir).expect("reopen");
         // The completed first batch still serves.
-        assert!(matches!(store.lookup_profile(10, 0).expect("lookup"), ProfileLookup::Hit(_)));
+        assert!(matches!(
+            store.lookup_profile(10, 0).expect("lookup"),
+            ProfileLookup::Hit(_)
+        ));
         // The batch's first record survived the tear and was adopted.
-        assert!(matches!(store.lookup_profile(11, 1).expect("lookup"), ProfileLookup::Hit(_)));
+        assert!(matches!(
+            store.lookup_profile(11, 1).expect("lookup"),
+            ProfileLookup::Hit(_)
+        ));
         // The torn second record is simply gone — a miss, not damage.
-        assert_eq!(store.lookup_profile(12, 2).expect("lookup"), ProfileLookup::Miss);
+        assert_eq!(
+            store.lookup_profile(12, 2).expect("lookup"),
+            ProfileLookup::Miss
+        );
         // The torn tail was truncated on open.
         let torn_seg = dir.join("seg-0001.bin");
         assert_eq!(
@@ -870,8 +974,13 @@ mod tests {
             8 + first_record_bytes
         );
         // New inserts never clobber the adopted segment.
-        store.insert_profiles(&[(13, Some(profile(3, 0x6300)))]).expect("insert");
-        assert!(matches!(store.lookup_profile(11, 1).expect("lookup"), ProfileLookup::Hit(_)));
+        store
+            .insert_profiles(&[(13, Some(profile(3, 0x6300)))])
+            .expect("insert");
+        assert!(matches!(
+            store.lookup_profile(11, 1).expect("lookup"),
+            ProfileLookup::Hit(_)
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -880,7 +989,9 @@ mod tests {
         let (dir, mut store) = tmp_store("handle");
         // Segments A, B, C, each its own file; key k holds address k << 12.
         for key in [1u64, 2, 3] {
-            store.insert_profiles(&[(key, Some(profile(0, key << 12)))]).expect("insert");
+            store
+                .insert_profiles(&[(key, Some(profile(0, key << 12)))])
+                .expect("insert");
         }
         store.flush().expect("flush");
         let mut bytes = std::fs::read(dir.join("seg-0001.bin")).expect("read");
@@ -889,33 +1000,59 @@ mod tests {
         std::fs::write(dir.join("seg-0001.bin"), &bytes).expect("damage B");
 
         let mut store = Store::open(&dir).expect("reopen");
-        let addr_of = |store: &mut Store, key: u64| match store.lookup_profile(key, 0).expect("lookup") {
-            ProfileLookup::Hit(p) => Some(p.accesses[0].addr),
-            ProfileLookup::Damaged => None,
-            other => panic!("key {key}: {other:?}"),
-        };
-        let got: Vec<_> = [1, 2, 1, 3, 2].iter().map(|k| addr_of(&mut store, *k)).collect();
-        assert_eq!(got, [Some(1 << 12), None, Some(1 << 12), Some(3 << 12), None]);
+        let addr_of =
+            |store: &mut Store, key: u64| match store.lookup_profile(key, 0).expect("lookup") {
+                ProfileLookup::Hit(p) => Some(p.accesses[0].addr),
+                ProfileLookup::Damaged => None,
+                other => panic!("key {key}: {other:?}"),
+            };
+        let got: Vec<_> = [1, 2, 1, 3, 2]
+            .iter()
+            .map(|k| addr_of(&mut store, *k))
+            .collect();
+        assert_eq!(
+            got,
+            [Some(1 << 12), None, Some(1 << 12), Some(3 << 12), None]
+        );
         // The heal lands in a new segment while C's handle is the one held.
-        store.insert_profiles(&[(2, Some(profile(0, 2 << 12)))]).expect("heal");
+        store
+            .insert_profiles(&[(2, Some(profile(0, 2 << 12)))])
+            .expect("heal");
         assert_eq!(store.records_healed, 1);
-        assert!(dir.join("seg-0003.bin").exists(), "a heal never rewrites seg-0001");
-        let got: Vec<_> = [3, 2, 1, 2].iter().map(|k| addr_of(&mut store, *k)).collect();
-        assert_eq!(got, [Some(3 << 12), Some(2 << 12), Some(1 << 12), Some(2 << 12)]);
+        assert!(
+            dir.join("seg-0003.bin").exists(),
+            "a heal never rewrites seg-0001"
+        );
+        let got: Vec<_> = [3, 2, 1, 2]
+            .iter()
+            .map(|k| addr_of(&mut store, *k))
+            .collect();
+        assert_eq!(
+            got,
+            [Some(3 << 12), Some(2 << 12), Some(1 << 12), Some(2 << 12)]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn short_read_injection_degrades_to_damaged() {
         let (dir, mut store) = tmp_store("shortread");
-        store.insert_profiles(&[(21, Some(profile(0, 0x7000)))]).expect("insert");
+        store
+            .insert_profiles(&[(21, Some(profile(0, 0x7000)))])
+            .expect("insert");
         let mut plan = DiskFaults::default();
         plan.short_read_keys.insert(21);
         store.set_fault_plan(plan);
-        assert_eq!(store.lookup_profile(21, 0).expect("lookup"), ProfileLookup::Damaged);
+        assert_eq!(
+            store.lookup_profile(21, 0).expect("lookup"),
+            ProfileLookup::Damaged
+        );
         assert_eq!(store.records_damaged, 1);
         store.set_fault_plan(DiskFaults::default());
-        assert!(matches!(store.lookup_profile(21, 0).expect("lookup"), ProfileLookup::Hit(_)));
+        assert!(matches!(
+            store.lookup_profile(21, 0).expect("lookup"),
+            ProfileLookup::Hit(_)
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -927,12 +1064,17 @@ mod tests {
             flip_after_write: Some((20, 0xFF)),
             ..Default::default()
         });
-        store.insert_profiles(&[(31, Some(profile(0, 0x8000)))]).expect("insert");
+        store
+            .insert_profiles(&[(31, Some(profile(0, 0x8000)))])
+            .expect("insert");
         store.flush().expect("flush");
         // Same process still trusts its in-memory meta; a reopen rescans
         // and the CRC catches the flip.
         let mut store = Store::open(&dir).expect("reopen");
-        assert_eq!(store.lookup_profile(31, 0).expect("lookup"), ProfileLookup::Damaged);
+        assert_eq!(
+            store.lookup_profile(31, 0).expect("lookup"),
+            ProfileLookup::Damaged
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1013,7 +1155,12 @@ mod tests {
         let mut p = profile(0, salt);
         let first = p.accesses[0].clone();
         p.accesses = (0..accesses)
-            .map(|i| Access { seq: i, addr: salt.wrapping_mul(i + 1) << 3, value: salt.wrapping_mul(i), ..first.clone() })
+            .map(|i| Access {
+                seq: i,
+                addr: salt.wrapping_mul(i + 1) << 3,
+                value: salt.wrapping_mul(i),
+                ..first.clone()
+            })
             .collect();
         p
     }
@@ -1031,11 +1178,22 @@ mod tests {
         let (dir, mut store) = tmp_store("counts");
         let key = |seg: u64, i: u64| (seg * 100 + i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         for seg in 0..25 {
-            let batch: Vec<_> = (0..100).map(|i| (key(seg, i), Some(wide_profile(key(seg, i), 25)))).collect();
+            let batch: Vec<_> = (0..100)
+                .map(|i| (key(seg, i), Some(wide_profile(key(seg, i), 25))))
+                .collect();
             store.insert_profiles(&batch).expect("insert");
         }
-        let corpus: Vec<u64> = (0..25).flat_map(|seg| (0..100).map(move |i| key(seg, i))).collect();
-        store.save_pmcs(&corpus, &PmcSet { pmcs: vec![sample_pmc()] }).expect("save");
+        let corpus: Vec<u64> = (0..25)
+            .flat_map(|seg| (0..100).map(move |i| key(seg, i)))
+            .collect();
+        store
+            .save_pmcs(
+                &corpus,
+                &PmcSet {
+                    pmcs: vec![sample_pmc()],
+                },
+            )
+            .expect("save");
         store.flush().expect("flush");
         drop(store);
 
@@ -1044,20 +1202,34 @@ mod tests {
         let (mut every_record, mut last_records) = (0, 0);
         for (name, kind, _) in list_segment_files(&dir).expect("list") {
             let scan = segment::scan(&dir.join(name), kind, |_, _, _| false).expect("scan");
-            assert!(scan.file_len < 64 * 1024, "one window holds a segment of this test");
+            assert!(
+                scan.file_len < 64 * 1024,
+                "one window holds a segment of this test"
+            );
             every_record += scan.crc_bytes;
             last_records += segment::HEADER_LEN + scan.records.last().expect("records").len;
         }
         let mut store = Store::open(&dir).expect("reopen");
         assert_eq!(store.open_crc_bytes, last_records);
-        assert!(every_record > 20 * last_records, "{every_record} bytes on disk, {last_records} checksummed");
-        assert_eq!(Store::open_checking_every_record(&dir).expect("reopen").open_crc_bytes, every_record);
+        assert!(
+            every_record > 20 * last_records,
+            "{every_record} bytes on disk, {last_records} checksummed"
+        );
+        assert_eq!(
+            Store::open_checking_every_record(&dir)
+                .expect("reopen")
+                .open_crc_bytes,
+            every_record
+        );
 
         for k in &corpus {
             assert_eq!(hit(&mut store, *k), Some(wide_profile(*k, 25)));
         }
         assert_eq!((store.profile_hits, store.segment_reads), (2_500, 25));
-        assert!(matches!(store.lookup_pmcs(&corpus).expect("pmcs"), PmcLookup::Exact(_)));
+        assert!(matches!(
+            store.lookup_pmcs(&corpus).expect("pmcs"),
+            PmcLookup::Exact(_)
+        ));
         assert_eq!(store.segment_reads, 26);
         // Out of order costs a read per change of direction, never a wrong answer.
         for k in corpus.iter().rev().step_by(7) {
@@ -1073,32 +1245,69 @@ mod tests {
         // seg-0000: 300 records of ~400 bytes — two windows' worth, so some
         // record straddles the first window's end. seg-0001: a record larger
         // than a window between two small ones. seg-0002: one small file.
-        let long: Vec<_> = (1..=300u64).map(|k| (k, Some(wide_profile(k, 40)))).collect();
+        let long: Vec<_> = (1..=300u64)
+            .map(|k| (k, Some(wide_profile(k, 40))))
+            .collect();
         store.insert_profiles(&long).expect("insert");
-        let big = [(1001, Some(wide_profile(1, 3))), (1002, Some(wide_profile(2, 9_000))), (1003, Some(wide_profile(3, 3)))];
+        let big = [
+            (1001, Some(wide_profile(1, 3))),
+            (1002, Some(wide_profile(2, 9_000))),
+            (1003, Some(wide_profile(3, 3))),
+        ];
         store.insert_profiles(&big).expect("insert");
-        store.insert_profiles(&[(2001, Some(wide_profile(4, 3))), (2002, Some(wide_profile(5, 3)))]).expect("insert");
+        store
+            .insert_profiles(&[
+                (2001, Some(wide_profile(4, 3))),
+                (2002, Some(wide_profile(5, 3))),
+            ])
+            .expect("insert");
         store.flush().expect("flush");
         let mut store = Store::open(&dir).expect("reopen");
 
-        let scan = segment::scan(&dir.join("seg-0000.bin"), SegmentKind::Profile, |_, _, _| false).expect("scan");
+        let scan = segment::scan(
+            &dir.join("seg-0000.bin"),
+            SegmentKind::Profile,
+            |_, _, _| false,
+        )
+        .expect("scan");
         let window_end = 8 + 64 * 1024;
         assert!(scan.file_len > window_end && scan.file_len < 2 * 64 * 1024);
-        assert!(scan.records.iter().any(|r| r.offset < window_end && r.offset + 16 + r.len > window_end), "a straddler");
+        assert!(
+            scan.records
+                .iter()
+                .any(|r| r.offset < window_end && r.offset + 16 + r.len > window_end),
+            "a straddler"
+        );
         for (k, p) in &long {
             assert_eq!(hit(&mut store, *k).as_ref(), p.as_ref(), "key {k}");
         }
-        assert_eq!(store.segment_reads, 2, "the straddler starts the second window");
+        assert_eq!(
+            store.segment_reads, 2,
+            "the straddler starts the second window"
+        );
 
-        let scan = segment::scan(&dir.join("seg-0001.bin"), SegmentKind::Profile, |_, _, _| false).expect("scan");
-        assert!(scan.records[1].len > 64 * 1024, "{} bytes", scan.records[1].len);
+        let scan = segment::scan(
+            &dir.join("seg-0001.bin"),
+            SegmentKind::Profile,
+            |_, _, _| false,
+        )
+        .expect("scan");
+        assert!(
+            scan.records[1].len > 64 * 1024,
+            "{} bytes",
+            scan.records[1].len
+        );
         for (k, p) in &big {
             assert_eq!(hit(&mut store, *k).as_ref(), p.as_ref(), "key {k}");
         }
         // One read holds the first record and a window of the second's
         // head, one the whole second, one the third.
         assert_eq!(store.segment_reads, 2 + 3);
-        assert_eq!(hit(&mut store, 1002), big[1].1, "the big record again, after a smaller window");
+        assert_eq!(
+            hit(&mut store, 1002),
+            big[1].1,
+            "the big record again, after a smaller window"
+        );
 
         // The last record of a short file: the window stops at EOF. Going
         // back to the first moves the window, not the answer.
@@ -1106,7 +1315,11 @@ mod tests {
         assert_eq!(hit(&mut store, 2002), Some(wide_profile(5, 3)));
         assert_eq!(hit(&mut store, 2001), Some(wide_profile(4, 3)));
         assert_eq!(hit(&mut store, 2002), Some(wide_profile(5, 3)));
-        assert_eq!(store.segment_reads - before, 2, "the window at the first record holds the second");
+        assert_eq!(
+            store.segment_reads - before,
+            2,
+            "the window at the first record holds the second"
+        );
         assert_eq!(store.records_damaged, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1120,10 +1333,26 @@ mod tests {
         let mut store = Store::open(&dir).expect("reopen");
         let seg = dir.join("seg-0000.bin");
         let len = std::fs::metadata(&seg).expect("meta").len();
-        std::fs::OpenOptions::new().write(true).open(&seg).expect("open").set_len(len - 5).expect("cut");
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&seg)
+            .expect("open")
+            .set_len(len - 5)
+            .expect("cut");
         assert_eq!(hit(&mut store, 3), None, "the record the cut runs through");
-        assert_eq!((store.records_damaged, store.profile_misses, store.segment_reads), (1, 1, 1));
-        assert_eq!(hit(&mut store, 1), Some(wide_profile(1, 10)), "records before the cut still serve");
+        assert_eq!(
+            (
+                store.records_damaged,
+                store.profile_misses,
+                store.segment_reads
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!(
+            hit(&mut store, 1),
+            Some(wide_profile(1, 10)),
+            "records before the cut still serve"
+        );
         assert_eq!(hit(&mut store, 2), Some(wide_profile(2, 10)));
         assert_eq!(store.records_damaged, 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -1132,7 +1361,9 @@ mod tests {
     #[test]
     fn a_short_read_is_injected_into_a_filled_window_too() {
         let (dir, mut store) = tmp_store("shortwindow");
-        store.insert_profiles(&[(1, Some(profile(0, 0x100))), (2, Some(profile(0, 0x200)))]).expect("insert");
+        store
+            .insert_profiles(&[(1, Some(profile(0, 0x100))), (2, Some(profile(0, 0x200)))])
+            .expect("insert");
         assert!(hit(&mut store, 1).is_some());
         assert_eq!(store.segment_reads, 1, "the window now holds both records");
         let mut plan = DiskFaults::default();
@@ -1141,9 +1372,16 @@ mod tests {
         assert_eq!(hit(&mut store, 2), None);
         assert!(hit(&mut store, 1).is_some());
         // The nth-read fault counts record reads, not window fills.
-        store.set_fault_plan(DiskFaults { short_read_nth: Some(2), ..DiskFaults::default() });
+        store.set_fault_plan(DiskFaults {
+            short_read_nth: Some(2),
+            ..DiskFaults::default()
+        });
         assert!(hit(&mut store, 1).is_some());
-        assert_eq!(hit(&mut store, 1), None, "the second record read, out of a window that has it");
+        assert_eq!(
+            hit(&mut store, 1),
+            None,
+            "the second record read, out of a window that has it"
+        );
         assert_eq!(store.fault_fired(), ["disk.short"]);
         store.set_fault_plan(DiskFaults::default());
         assert!(hit(&mut store, 2).is_some());
@@ -1155,10 +1393,19 @@ mod tests {
     /// what is on disk, and what a lookup of every key then answers.
     fn observe(mut store: Store, keys: &[u64], corpora: &[&[u64]]) -> String {
         let on_disk = files_of(store.root());
-        let known = format!("{:?} {:?} {:?}", store.manifest, store.seg_meta, store.pmc_meta);
-        let mut lookups: Vec<String> =
-            keys.iter().map(|k| format!("{:?}", store.lookup_profile(*k, 0).expect("lookup"))).collect();
-        lookups.extend(corpora.iter().map(|c| format!("{:?}", store.lookup_pmcs(c).expect("lookup"))));
+        let known = format!(
+            "{:?} {:?} {:?}",
+            store.manifest, store.seg_meta, store.pmc_meta
+        );
+        let mut lookups: Vec<String> = keys
+            .iter()
+            .map(|k| format!("{:?}", store.lookup_profile(*k, 0).expect("lookup")))
+            .collect();
+        lookups.extend(
+            corpora
+                .iter()
+                .map(|c| format!("{:?}", store.lookup_pmcs(c).expect("lookup"))),
+        );
         let counters = (
             store.profile_hits,
             store.profile_misses,
@@ -1174,7 +1421,10 @@ mod tests {
         static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let copies = ["lazy", "full"].map(|rule| {
-            let dir = std::env::temp_dir().join(format!("sb-store-diff-{rule}-{case}-{}", std::process::id()));
+            let dir = std::env::temp_dir().join(format!(
+                "sb-store-diff-{rule}-{case}-{}",
+                std::process::id()
+            ));
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).expect("mkdir");
             for (name, bytes) in files {
@@ -1187,7 +1437,11 @@ mod tests {
         let lazy = Store::open(&copies[0]).expect("open");
         let full = Store::open_checking_every_record(&copies[1]).expect("open");
         assert!(lazy.open_crc_bytes <= full.open_crc_bytes, "{what}");
-        assert_eq!(observe(lazy, &keys, &corpora), observe(full, &keys, &corpora), "{what}");
+        assert_eq!(
+            observe(lazy, &keys, &corpora),
+            observe(full, &keys, &corpora),
+            "{what}"
+        );
         for dir in copies {
             std::fs::remove_dir_all(dir).ok();
         }
@@ -1197,7 +1451,12 @@ mod tests {
         let mut files: Vec<_> = std::fs::read_dir(dir)
             .expect("read dir")
             .map(|e| e.expect("entry"))
-            .map(|e| (e.file_name().into_string().expect("utf-8"), std::fs::read(e.path()).expect("read")))
+            .map(|e| {
+                (
+                    e.file_name().into_string().expect("utf-8"),
+                    std::fs::read(e.path()).expect("read"),
+                )
+            })
             .collect();
         files.sort();
         files
@@ -1208,9 +1467,18 @@ mod tests {
         // The store `tests/tests/store_damage.rs` starts from: three
         // profiles in one segment, one PMC set, flushed.
         let (dir, mut store) = tmp_store("diffbase");
-        let three: Vec<_> = (1..=3u64).map(|k| (k, Some(profile(k as u32, k << 12)))).collect();
+        let three: Vec<_> = (1..=3u64)
+            .map(|k| (k, Some(profile(k as u32, k << 12))))
+            .collect();
         store.insert_profiles(&three).expect("insert");
-        store.save_pmcs(&[1, 2, 3], &PmcSet { pmcs: vec![sample_pmc()] }).expect("save");
+        store
+            .save_pmcs(
+                &[1, 2, 3],
+                &PmcSet {
+                    pmcs: vec![sample_pmc()],
+                },
+            )
+            .expect("save");
         store.flush().expect("flush");
         drop(store);
         let base = files_of(&dir);
@@ -1245,10 +1513,19 @@ mod tests {
                 std::fs::write(torn_dir.join(name), bytes).expect("write");
             }
             let mut store = Store::open(&torn_dir).expect("open");
-            store.set_fault_plan(DiskFaults { torn_write_after: Some(cut), ..Default::default() });
-            let _ = store.insert_profiles(&[(4, Some(profile(4, 4 << 12))), (5, Some(profile(5, 5 << 12)))]);
+            store.set_fault_plan(DiskFaults {
+                torn_write_after: Some(cut),
+                ..Default::default()
+            });
+            let _ = store.insert_profiles(&[
+                (4, Some(profile(4, 4 << 12))),
+                (5, Some(profile(5, 5 << 12))),
+            ]);
             drop(store);
-            both_opens_agree(&files_of(&torn_dir), &format!("insert torn after {cut} bytes"));
+            both_opens_agree(
+                &files_of(&torn_dir),
+                &format!("insert torn after {cut} bytes"),
+            );
             std::fs::remove_dir_all(&torn_dir).ok();
         }
 
@@ -1256,13 +1533,20 @@ mod tests {
         // Then the same files under the manifest from before the heal (a
         // crash before the flush): the old address is the vouched one.
         let mut damaged = base.clone();
-        let seg = damaged.iter_mut().find(|(n, _)| n == "seg-0000.bin").expect("segment");
+        let seg = damaged
+            .iter_mut()
+            .find(|(n, _)| n == "seg-0000.bin")
+            .expect("segment");
         seg.1[30] ^= 0x01;
         for (name, bytes) in &damaged {
             std::fs::write(dir.join(name), bytes).expect("write");
         }
         let mut store = Store::open(&dir).expect("open");
-        let to_heal: Vec<_> = three.iter().filter(|(k, _)| hit(&mut store, *k).is_none()).cloned().collect();
+        let to_heal: Vec<_> = three
+            .iter()
+            .filter(|(k, _)| hit(&mut store, *k).is_none())
+            .cloned()
+            .collect();
         assert!(!to_heal.is_empty());
         store.insert_profiles(&to_heal).expect("heal");
         store.flush().expect("flush");
@@ -1274,15 +1558,30 @@ mod tests {
         // the record the manifest still addresses and that is not last, key
         // 2's, goes unread.
         assert_eq!(to_heal[0].0, 1, "byte 30 is in the first record");
-        let scan = segment::scan(&dir.join("seg-0000.bin"), SegmentKind::Profile, |_, _, _| false).expect("scan");
+        let scan = segment::scan(
+            &dir.join("seg-0000.bin"),
+            SegmentKind::Profile,
+            |_, _, _| false,
+        )
+        .expect("scan");
         assert_eq!(
-            Store::open_checking_every_record(&dir).expect("open").open_crc_bytes
+            Store::open_checking_every_record(&dir)
+                .expect("open")
+                .open_crc_bytes
                 - Store::open(&dir).expect("open").open_crc_bytes,
             segment::HEADER_LEN + scan.records[1].len
         );
         let mut stale = healed.clone();
-        let manifest = stale.iter_mut().find(|(n, _)| n == "manifest.json").expect("manifest");
-        manifest.1 = base.iter().find(|(n, _)| n == "manifest.json").expect("manifest").1.clone();
+        let manifest = stale
+            .iter_mut()
+            .find(|(n, _)| n == "manifest.json")
+            .expect("manifest");
+        manifest.1 = base
+            .iter()
+            .find(|(n, _)| n == "manifest.json")
+            .expect("manifest")
+            .1
+            .clone();
         both_opens_agree(&stale, "stale manifest");
         std::fs::remove_dir_all(&dir).ok();
     }

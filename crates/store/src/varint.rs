@@ -197,10 +197,15 @@ mod tests {
         put_u64(u64::MAX, &mut buf);
         for cut in 0..buf.len() {
             let mut pos = 0;
-            assert!(matches!(get_u64(&buf[..cut], &mut pos), Err(Error::Truncated)));
+            assert!(matches!(
+                get_u64(&buf[..cut], &mut pos),
+                Err(Error::Truncated)
+            ));
         }
         // 10 continuation bytes then a terminator: too long.
-        let long = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        let long = [
+            0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+        ];
         let mut pos = 0;
         assert!(get_u64(&long, &mut pos).is_err());
         // 10th byte with payload > 1 overflows bit 63.
@@ -224,7 +229,11 @@ mod tests {
             let mut buf = vec![];
             put_delta(prev, cur, &mut buf);
             let mut pos = 0;
-            assert_eq!(get_delta(prev, &buf, &mut pos).unwrap(), cur, "{prev} -> {cur}");
+            assert_eq!(
+                get_delta(prev, &buf, &mut pos).unwrap(),
+                cur,
+                "{prev} -> {cur}"
+            );
         }
     }
 

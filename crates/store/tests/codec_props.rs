@@ -12,15 +12,31 @@ use snowboard::profile::SeqProfile;
 
 fn arb_access() -> impl Strategy<Value = Access> {
     (
-        (any::<u64>(), 0usize..4, any::<u64>(), any::<bool>(), any::<u64>()),
-        (1u8..=8, any::<u64>(), any::<bool>(), prop::collection::vec(any::<u64>(), 0..4), any::<u8>()),
+        (
+            any::<u64>(),
+            0usize..4,
+            any::<u64>(),
+            any::<bool>(),
+            any::<u64>(),
+        ),
+        (
+            1u8..=8,
+            any::<u64>(),
+            any::<bool>(),
+            prop::collection::vec(any::<u64>(), 0..4),
+            any::<u8>(),
+        ),
     )
         .prop_map(
             |((seq, thread, site, write, addr), (len, value, atomic, locks, rcu_depth))| Access {
                 seq,
                 thread,
                 site: Site(site),
-                kind: if write { AccessKind::Write } else { AccessKind::Read },
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 addr,
                 len,
                 value,
@@ -32,8 +48,16 @@ fn arb_access() -> impl Strategy<Value = Access> {
 }
 
 fn arb_profile() -> impl Strategy<Value = SeqProfile> {
-    (any::<u32>(), any::<u64>(), prop::collection::vec(arb_access(), 0..48))
-        .prop_map(|(test, steps, accesses)| SeqProfile { test, accesses, steps })
+    (
+        any::<u32>(),
+        any::<u64>(),
+        prop::collection::vec(arb_access(), 0..48),
+    )
+        .prop_map(|(test, steps, accesses)| SeqProfile {
+            test,
+            accesses,
+            steps,
+        })
 }
 
 fn arb_side() -> impl Strategy<Value = SideKey> {

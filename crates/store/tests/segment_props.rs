@@ -43,7 +43,10 @@ fn pmc_set() -> PmcSet {
     };
     PmcSet {
         pmcs: vec![Pmc {
-            key: PmcKey { w: side("segprops:pmc:w"), r: side("segprops:pmc:r") },
+            key: PmcKey {
+                w: side("segprops:pmc:w"),
+                r: side("segprops:pmc:r"),
+            },
             df_leader: false,
             pairs: vec![(0, 1)],
         }],
@@ -98,7 +101,10 @@ fn materialize(files: &[(String, Vec<u8>)]) -> PathBuf {
 /// wrong data, never a panic, never an error.
 fn check_lookups(dir: &Path) {
     let mut st = Store::open(dir).expect("damaged store must still open");
-    for (i, (key, addr)) in [(KEYS[0], 0x2000u64), (KEYS[1], 0x3000u64)].iter().enumerate() {
+    for (i, (key, addr)) in [(KEYS[0], 0x2000u64), (KEYS[1], 0x3000u64)]
+        .iter()
+        .enumerate()
+    {
         match st.lookup_profile(*key, 7).expect("lookup must not error") {
             ProfileLookup::Hit(p) => {
                 assert_eq!(p.test, 7, "test id remapped");
@@ -111,7 +117,10 @@ fn check_lookups(dir: &Path) {
     }
     // The failed entry lives only in the manifest, which is never damaged
     // here, so it must always be served.
-    match st.lookup_profile(KEYS[2], 2).expect("lookup must not error") {
+    match st
+        .lookup_profile(KEYS[2], 2)
+        .expect("lookup must not error")
+    {
         ProfileLookup::FailedCached => {}
         other => panic!("expected FailedCached, got {other:?}"),
     }

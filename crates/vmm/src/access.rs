@@ -31,7 +31,10 @@ pub struct LockSet(Repr);
 #[derive(Clone)]
 enum Repr {
     /// The first `len` of `addrs`.
-    Inline { len: u8, addrs: [u64; INLINE_LOCKS] },
+    Inline {
+        len: u8,
+        addrs: [u64; INLINE_LOCKS],
+    },
     Spilled(Vec<u64>),
 }
 
@@ -77,7 +80,10 @@ impl LockSet {
 
 impl Default for LockSet {
     fn default() -> Self {
-        LockSet(Repr::Inline { len: 0, addrs: [0; INLINE_LOCKS] })
+        LockSet(Repr::Inline {
+            len: 0,
+            addrs: [0; INLINE_LOCKS],
+        })
     }
 }
 
@@ -106,7 +112,10 @@ impl From<Vec<u64>> for LockSet {
         }
         let mut addrs = [0; INLINE_LOCKS];
         addrs[..v.len()].copy_from_slice(&v);
-        LockSet(Repr::Inline { len: v.len() as u8, addrs })
+        LockSet(Repr::Inline {
+            len: v.len() as u8,
+            addrs,
+        })
     }
 }
 
@@ -284,7 +293,10 @@ mod tests {
         assert_eq!(hi.end(), u64::MAX);
         let other = acc(u64::MAX - 2, 8, 0, AccessKind::Read);
         assert!(hi.overlaps(&other));
-        assert_eq!(range_overlap(u64::MAX - 4, 8, u64::MAX - 2, 8), Some((u64::MAX - 2, 2)));
+        assert_eq!(
+            range_overlap(u64::MAX - 4, 8, u64::MAX - 2, 8),
+            Some((u64::MAX - 2, 2))
+        );
         assert_eq!(range_overlap(u64::MAX - 16, 8, u64::MAX - 4, 8), None);
     }
 
@@ -310,7 +322,12 @@ mod tests {
             addrs.iter().for_each(|a| pushed.push(*a));
             let mut shrunk: LockSet = (0..depth + 7).map(|i| 0x9000 + 8 * i).collect();
             shrunk.retain(|a| *a < 0x9000 + 8 * depth);
-            for set in [&pushed, &addrs.clone().into(), &addrs.iter().copied().collect(), &shrunk] {
+            for set in [
+                &pushed,
+                &addrs.clone().into(),
+                &addrs.iter().copied().collect(),
+                &shrunk,
+            ] {
                 assert_eq!(**set, *addrs);
                 assert_eq!(*set, pushed);
                 assert_eq!(*set, addrs);

@@ -105,7 +105,11 @@ pub(crate) enum Request {
     /// Commit to sleeping on `queue` for at most `timeout` coordinator
     /// steps. Replies `Value(1)` when woken, `Value(0)` on timeout, and
     /// immediately when a banked wakeup is pending.
-    WaitCommit { queue: u64, site: Site, timeout: u64 },
+    WaitCommit {
+        queue: u64,
+        site: Site,
+        timeout: u64,
+    },
     /// Deregister from `queue` without sleeping (`finish_wait`).
     WaitCancel { queue: u64, site: Site },
     /// Wake sleepers on `queue`: one (`all == false`) or every one.
@@ -207,7 +211,10 @@ impl Ctx {
     /// Parks `req` for the executor and resumes with its reply: the one
     /// suspension point every operation below goes through.
     fn request(&self, req: Request) -> Roundtrip<'_> {
-        Roundtrip { mail: &self.mail, req: Some(req) }
+        Roundtrip {
+            mail: &self.mail,
+            req: Some(req),
+        }
     }
 
     /// [`Ctx::request`] for operations whose reply carries no value.
@@ -225,28 +232,41 @@ impl Ctx {
         value: u64,
         atomic: bool,
     ) -> Roundtrip<'_> {
-        self.request(Request::Access { site, kind, addr, len, value, atomic })
+        self.request(Request::Access {
+            site,
+            kind,
+            addr,
+            len,
+            value,
+            atomic,
+        })
     }
 
     /// Reads `len` bytes (1..=8) at `addr`, little-endian.
     pub async fn read(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
-        self.access(site, AccessKind::Read, addr, len, 0, false).await
+        self.access(site, AccessKind::Read, addr, len, 0, false)
+            .await
     }
 
     /// Writes the low `len` bytes of `value` at `addr`, little-endian.
     pub async fn write(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
-        self.access(site, AccessKind::Write, addr, len, value, false).await.map(|_| ())
+        self.access(site, AccessKind::Write, addr, len, value, false)
+            .await
+            .map(|_| ())
     }
 
     /// Marked load (`READ_ONCE`); exempt from data-race reports when paired
     /// with another marked access.
     pub async fn read_atomic(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
-        self.access(site, AccessKind::Read, addr, len, 0, true).await
+        self.access(site, AccessKind::Read, addr, len, 0, true)
+            .await
     }
 
     /// Marked store (`WRITE_ONCE`).
     pub async fn write_atomic(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
-        self.access(site, AccessKind::Write, addr, len, value, true).await.map(|_| ())
+        self.access(site, AccessKind::Write, addr, len, value, true)
+            .await
+            .map(|_| ())
     }
 
     /// Reads a u8 at `addr`.
@@ -313,11 +333,7 @@ impl Ctx {
 
     /// Runs `f` with the lock at `addr` held, releasing it afterwards even if
     /// `f` fails with a non-fatal fault.
-    pub async fn with_lock<T>(
-        &self,
-        addr: u64,
-        f: impl Future<Output = KResult<T>>,
-    ) -> KResult<T> {
+    pub async fn with_lock<T>(&self, addr: u64, f: impl Future<Output = KResult<T>>) -> KResult<T> {
         self.with_lock_at(crate::site!("lock"), addr, f).await
     }
 
@@ -353,9 +369,13 @@ impl Ctx {
     /// steps. Returns `true` when woken by a signal (banked or live),
     /// `false` when the timeout expired first.
     pub async fn wait_commit(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
-        self.request(Request::WaitCommit { queue, site, timeout })
-            .await
-            .map(|v| v != 0)
+        self.request(Request::WaitCommit {
+            queue,
+            site,
+            timeout,
+        })
+        .await
+        .map(|v| v != 0)
     }
 
     /// Deregisters from `queue` without sleeping (`finish_wait`), dropping
@@ -375,13 +395,23 @@ impl Ctx {
     /// Wakes at most one thread sleeping on (or prepared for) `queue`.
     /// Returns how many threads the signal reached; zero means it was lost.
     pub async fn wake_one(&self, site: Site, queue: u64) -> KResult<u64> {
-        self.request(Request::Wake { queue, site, all: false }).await
+        self.request(Request::Wake {
+            queue,
+            site,
+            all: false,
+        })
+        .await
     }
 
     /// Wakes every thread sleeping on (or prepared for) `queue`, returning
     /// the delivery count.
     pub async fn wake_all(&self, site: Site, queue: u64) -> KResult<u64> {
-        self.request(Request::Wake { queue, site, all: true }).await
+        self.request(Request::Wake {
+            queue,
+            site,
+            all: true,
+        })
+        .await
     }
 
     /// Enters atomic (non-sleepable) context — the simulated equivalent of

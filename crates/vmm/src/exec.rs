@@ -283,7 +283,11 @@ impl Executor {
             (1..=MAX_THREADS).contains(&vcpus),
             "vCPU count must be in 1..={MAX_THREADS}"
         );
-        Executor { vcpus, limits, spare: Spare::default() }
+        Executor {
+            vcpus,
+            limits,
+            spare: Spare::default(),
+        }
     }
 
     /// Number of vCPUs.
@@ -300,7 +304,8 @@ impl Executor {
     /// [`Executor::try_run`]. A Rust panic inside a job body unwinds out of
     /// either.
     pub fn run(&mut self, mem: GuestMem, jobs: Vec<Job>, sched: &mut dyn Scheduler) -> RunResult {
-        self.try_run(mem, jobs, sched).expect("execution machinery failed")
+        self.try_run(mem, jobs, sched)
+            .expect("execution machinery failed")
     }
 
     /// Fallible variant of [`Executor::run`]: a bad job count comes back as
@@ -450,8 +455,7 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
     st.steps += 1;
     st.thread_steps[t] += 1;
     if !st.aborting
-        && (st.steps > st.limits.max_steps
-            || st.thread_steps[t] > st.limits.max_thread_steps)
+        && (st.steps > st.limits.max_steps || st.thread_steps[t] > st.limits.max_thread_steps)
     {
         st.abort(Outcome::Livelock);
     }
@@ -465,7 +469,13 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
             for &addr in held.iter() {
                 st.console
                     .push(format!("WARNING: thread {t} exited holding lock {addr:#x}"));
-                st.sync_event(t, crate::site!("thread_exit"), SyncKind::LockRelease, addr, 0);
+                st.sync_event(
+                    t,
+                    crate::site!("thread_exit"),
+                    SyncKind::LockRelease,
+                    addr,
+                    0,
+                );
                 st.release_lock(t, addr);
             }
             if st.rcu_depth[t] > 0 {
@@ -568,7 +578,10 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
                 vcpu.reply(Reply::Fault(Fault::LockError { addr }));
             }
             Some(_) => {
-                st.lock_waiters.entry(addr).or_default().push_back((t, site));
+                st.lock_waiters
+                    .entry(addr)
+                    .or_default()
+                    .push_back((t, site));
                 st.status[t] = TStat::Blocked;
                 // No reply: the thread stays parked until the lock is
                 // handed over or the run aborts. The LockAcquire event
@@ -608,7 +621,11 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
             st.sync_event(t, site, SyncKind::SleepPrepare, queue, 0);
             vcpu.reply(Reply::Unit);
         }
-        Request::WaitCommit { queue, site, timeout } => {
+        Request::WaitCommit {
+            queue,
+            site,
+            timeout,
+        } => {
             if let Some(prep) = st.prepared.get_mut(&queue) {
                 prep.retain(|u| *u != t);
             }
@@ -620,7 +637,10 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
                 vcpu.reply(Reply::Value(1));
             } else {
                 let deadline = st.steps.saturating_add(timeout.max(1));
-                st.wait_sleepers.entry(queue).or_default().push_back((t, site));
+                st.wait_sleepers
+                    .entry(queue)
+                    .or_default()
+                    .push_back((t, site));
                 st.sleep_deadline[t] = Some(deadline);
                 st.status[t] = TStat::Blocked;
                 st.sync_event(t, site, SyncKind::SleepCommit, queue, timeout);
@@ -764,7 +784,8 @@ impl RunState<'_> {
             .wait_sleepers
             .iter()
             .filter_map(|(q, sleepers)| {
-                let due = |(w, _): &(usize, Site)| self.sleep_deadline[*w].is_some_and(|d| d <= now);
+                let due =
+                    |(w, _): &(usize, Site)| self.sleep_deadline[*w].is_some_and(|d| d <= now);
                 Some((*q, sleepers.iter().position(due)?))
             })
             .min()

@@ -321,7 +321,10 @@ impl GuestMem {
     fn check_range(addr: u64, len: u8) -> Result<(), Fault> {
         let len = u64::from(len);
         if len == 0 || len > 8 {
-            return Err(Fault::BadAccess { addr, len: len as u8 });
+            return Err(Fault::BadAccess {
+                addr,
+                len: len as u8,
+            });
         }
         if addr < NULL_GUARD_END {
             if addr < 0x1000 {
@@ -581,9 +584,8 @@ mod tests {
                 }
                 10..=17 => {
                     let mut bytes = [0u8; 8];
-                    bytes[..len as usize].copy_from_slice(
-                        &flat.bytes[off as usize..off as usize + len as usize],
-                    );
+                    bytes[..len as usize]
+                        .copy_from_slice(&flat.bytes[off as usize..off as usize + len as usize]);
                     assert_eq!(
                         cow.read(HEAP_BASE + off, len).unwrap(),
                         u64::from_le_bytes(bytes),
@@ -650,7 +652,11 @@ mod tests {
             }
             let (cow, flat) = &instances[which];
             assert_eq!(cow.brk(), flat.brk, "step {step}, instance {which}");
-            assert_eq!(cow.live_allocations(), flat.allocs.len() as u64, "step {step}");
+            assert_eq!(
+                cow.live_allocations(),
+                flat.allocs.len() as u64,
+                "step {step}"
+            );
             assert_eq!(cow.dirty_pages(), flat.dirty.len() as u64, "step {step}");
             // A page in both the base and the overlay is resident twice.
             let resident = cow.resident_pages();
@@ -781,7 +787,10 @@ mod tests {
         // In-heap but never handed out by kmalloc.
         assert!(matches!(m.kfree(a + 8, 64), Err(Fault::BadAccess { .. })));
         // Outside the heap entirely.
-        assert!(matches!(m.kfree(stack_base(0), 64), Err(Fault::PageFault { .. })));
+        assert!(matches!(
+            m.kfree(stack_base(0), 64),
+            Err(Fault::PageFault { .. })
+        ));
         assert_eq!(m.live_allocations(), 1);
     }
 
@@ -789,8 +798,8 @@ mod tests {
     fn wrong_size_class_free_faults() {
         let mut m = GuestMem::new();
         let a = m.kmalloc(100).unwrap(); // class 128
-        // 64 rounds to class 64 ≠ 128: filing under the wrong list would
-        // corrupt reuse determinism for both classes.
+                                         // 64 rounds to class 64 ≠ 128: filing under the wrong list would
+                                         // corrupt reuse determinism for both classes.
         assert!(matches!(m.kfree(a, 64), Err(Fault::BadAccess { .. })));
         // Any length rounding to the allocation's class is fine.
         m.kfree(a, 128).unwrap();

@@ -177,7 +177,10 @@ mod tests {
     }
 
     fn trace_sig(r: &crate::exec::ExecReport) -> Vec<(usize, u64, u64)> {
-        r.trace.iter().map(|a| (a.thread, a.addr, a.value)).collect()
+        r.trace
+            .iter()
+            .map(|a| (a.thread, a.addr, a.value))
+            .collect()
     }
 
     #[test]
@@ -214,7 +217,11 @@ mod tests {
         exec.run(m, two_jobs(cell), &mut fresh);
         assert_eq!(kept.schedule(), fresh.schedule());
         assert_ne!(*kept.schedule(), first);
-        assert_eq!(kept.schedule().len(), first.len(), "two_jobs makes 120 accesses");
+        assert_eq!(
+            kept.schedule().len(),
+            first.len(),
+            "two_jobs makes 120 accesses"
+        );
     }
 
     #[test]
@@ -235,7 +242,11 @@ mod tests {
         Executor::new(2).run(m, two_jobs(cell), &mut rec);
         let seen = picks.0.load(std::sync::atomic::Ordering::Relaxed);
         assert!(seen > 0);
-        assert_eq!(seen, rec.schedule().picks.len(), "one report per recorded pick");
+        assert_eq!(
+            seen,
+            rec.schedule().picks.len(),
+            "one report per recorded pick"
+        );
     }
 
     #[test]

@@ -166,7 +166,13 @@ impl Scheduler for RandomSched {
     fn after_access(&mut self, t: usize, _access: &Access) -> bool {
         let switch = self.rng.gen_bool(self.p);
         if switch {
-            notify(&self.observer, SchedDecision::Preempt { thread: t, hinted: false });
+            notify(
+                &self.observer,
+                SchedDecision::Preempt {
+                    thread: t,
+                    hinted: false,
+                },
+            );
         }
         switch
     }
@@ -220,7 +226,13 @@ impl Scheduler for SkiSched {
         notify(&self.observer, SchedDecision::HintHit { thread: t });
         let switch = self.rng.gen_bool(0.5);
         if switch {
-            notify(&self.observer, SchedDecision::Preempt { thread: t, hinted: true });
+            notify(
+                &self.observer,
+                SchedDecision::Preempt {
+                    thread: t,
+                    hinted: true,
+                },
+            );
         }
         switch
     }
@@ -302,7 +314,13 @@ impl Scheduler for PctSched {
             // Drop the running thread below everyone else.
             self.next_low = self.next_low.saturating_sub(1);
             self.priorities[t] = self.next_low;
-            notify(&self.observer, SchedDecision::Preempt { thread: t, hinted: false });
+            notify(
+                &self.observer,
+                SchedDecision::Preempt {
+                    thread: t,
+                    hinted: false,
+                },
+            );
             return true;
         }
         false
@@ -442,7 +460,13 @@ impl Scheduler for SnowboardSched {
             notify(&self.observer, SchedDecision::HintHit { thread: t });
         }
         if switch {
-            notify(&self.observer, SchedDecision::Preempt { thread: t, hinted: true });
+            notify(
+                &self.observer,
+                SchedDecision::Preempt {
+                    thread: t,
+                    hinted: true,
+                },
+            );
         }
         switch
     }
@@ -548,11 +572,19 @@ mod tests {
         }]);
         s.on_forced_switch(1);
         let seen = rec.0.lock().unwrap().clone();
-        assert!(seen.iter().any(|d| matches!(d, SchedDecision::HintHit { thread: 0 })));
         assert!(seen
             .iter()
-            .any(|d| matches!(d, SchedDecision::Preempt { thread: 0, hinted: true })));
-        assert!(seen.iter().any(|d| matches!(d, SchedDecision::Pick { from: 0, .. })));
+            .any(|d| matches!(d, SchedDecision::HintHit { thread: 0 })));
+        assert!(seen.iter().any(|d| matches!(
+            d,
+            SchedDecision::Preempt {
+                thread: 0,
+                hinted: true
+            }
+        )));
+        assert!(seen
+            .iter()
+            .any(|d| matches!(d, SchedDecision::Pick { from: 0, .. })));
         assert!(seen.contains(&SchedDecision::PmcAdded { count: 1 }));
         assert!(seen.contains(&SchedDecision::Forced { thread: 1 }));
     }

@@ -80,7 +80,8 @@ impl Site {
     /// Returns the site name, or the raw hash rendered in hex when the site
     /// was never interned in this process.
     pub fn display_name(self) -> String {
-        self.name().unwrap_or_else(|| format!("site#{:016x}", self.0))
+        self.name()
+            .unwrap_or_else(|| format!("site#{:016x}", self.0))
     }
 }
 
@@ -212,7 +213,11 @@ mod tests {
         assert_eq!(first.name().as_deref(), Some("macro:cached"));
         assert_eq!(at(), first);
         let name = String::from("macro:cached");
-        assert_eq!(site!(&name), first, "the expression arm interns the same identity");
+        assert_eq!(
+            site!(&name),
+            first,
+            "the expression arm interns the same identity"
+        );
     }
 
     #[test]
@@ -222,11 +227,19 @@ mod tests {
         let hash = BuildStepHasher::default();
         // What a hash table indexes with: 64 lock addresses one word apart
         // must not pile into a few of 64 buckets.
-        let buckets: HashSet<u64> = (0..64u64).map(|i| hash.hash_one(0x2000 + i * 8) & 63).collect();
+        let buckets: HashSet<u64> = (0..64u64)
+            .map(|i| hash.hash_one(0x2000 + i * 8) & 63)
+            .collect();
         assert!(buckets.len() >= 32, "{} of 64 buckets used", buckets.len());
         // A name longer than one word is hashed whole, tail included.
-        assert_ne!(hash.hash_one("slab.alloc_count"), hash.hash_one("slab.alloc_counts"));
-        assert_ne!(hash.hash_one("slab.alloc_count"), hash.hash_one("slab.free_count"));
+        assert_ne!(
+            hash.hash_one("slab.alloc_count"),
+            hash.hash_one("slab.alloc_counts")
+        );
+        assert_ne!(
+            hash.hash_one("slab.alloc_count"),
+            hash.hash_one("slab.free_count")
+        );
         // A one- or four-byte field takes the word path and hashes as its
         // bytes did through the byte loop.
         let bytes = |b: &[u8]| {
@@ -235,7 +248,10 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash.hash_one(0xA7u8), bytes(&[0xA7]));
-        assert_eq!(hash.hash_one(0xAABB_CCDDu32), bytes(&0xAABB_CCDDu32.to_le_bytes()));
+        assert_eq!(
+            hash.hash_one(0xAABB_CCDDu32),
+            bytes(&0xAABB_CCDDu32.to_le_bytes())
+        );
     }
 
     #[test]
@@ -247,10 +263,18 @@ mod tests {
             .unwrap()
             .insert(Site::hash_of("collide:x"), "collide:other".to_owned());
         let err = std::panic::catch_unwind(|| Site::intern("collide:x")).unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("formatted panic message");
-        assert!(msg.contains("collide:x") && msg.contains("collide:other"), "{msg}");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            msg.contains("collide:x") && msg.contains("collide:other"),
+            "{msg}"
+        );
         // The registry survives (the check runs unlocked) and the first
         // name keeps the identity.
-        assert_eq!(Site(Site::hash_of("collide:x")).display_name(), "collide:other");
+        assert_eq!(
+            Site(Site::hash_of("collide:x")).display_name(),
+            "collide:other"
+        );
     }
 }

@@ -49,14 +49,12 @@ impl FlatModel {
 
     fn write(&mut self, off: u64, len: u8, value: u64) {
         let bytes = value.to_le_bytes();
-        self.0[off as usize..off as usize + len as usize]
-            .copy_from_slice(&bytes[..len as usize]);
+        self.0[off as usize..off as usize + len as usize].copy_from_slice(&bytes[..len as usize]);
     }
 
     fn read(&self, off: u64, len: u8) -> u64 {
         let mut bytes = [0u8; 8];
-        bytes[..len as usize]
-            .copy_from_slice(&self.0[off as usize..off as usize + len as usize]);
+        bytes[..len as usize].copy_from_slice(&self.0[off as usize..off as usize + len as usize]);
         u64::from_le_bytes(bytes)
     }
 }

@@ -247,7 +247,9 @@ fn null_dereference_panics_with_console_bug_line() {
         &mut FreeRun,
     );
     assert!(r.report.outcome.is_panic());
-    assert!(r.report.console_contains("BUG: kernel NULL pointer dereference"));
+    assert!(r
+        .report
+        .console_contains("BUG: kernel NULL pointer dereference"));
     assert!(matches!(
         r.report.thread_faults[0],
         Some(Fault::NullDeref { .. })
@@ -401,7 +403,11 @@ fn identical_seeds_give_identical_traces() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(11), run(11));
-    assert_ne!(run(11), run(12), "different seeds should interleave differently");
+    assert_ne!(
+        run(11),
+        run(12),
+        "different seeds should interleave differently"
+    );
 }
 
 #[test]
@@ -467,7 +473,8 @@ fn rust_panic_in_a_job_body_unwinds_out_of_try_run() {
     });
     let mut sched = RandomSched::new(3, 0.5);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        exec.try_run(mem, vec![bystander, buggy], &mut sched).map(|r| r.report)
+        exec.try_run(mem, vec![bystander, buggy], &mut sched)
+            .map(|r| r.report)
     }));
     let payload = caught.expect_err("the panic must unwind out of try_run");
     assert_eq!(
@@ -479,7 +486,9 @@ fn rust_panic_in_a_job_body_unwinds_out_of_try_run() {
     let (mem, cell) = mem_with_cell();
     let r = exec.run(
         mem,
-        vec![job(move |ctx| async move { ctx.write_u64(site!("rp:after"), cell, 2).await })],
+        vec![job(move |ctx| async move {
+            ctx.write_u64(site!("rp:after"), cell, 2).await
+        })],
         &mut FreeRun,
     );
     assert_eq!(r.report.outcome, Outcome::Completed);

@@ -126,7 +126,12 @@ fn rcu_grace_period_waits_for_all_readers() {
         vec![reader("rcu3:r1"), reader("rcu3:r2"), writer],
         &mut Handoff,
     );
-    assert_eq!(r.report.outcome, Outcome::Completed, "{:?}", r.report.console);
+    assert_eq!(
+        r.report.outcome,
+        Outcome::Completed,
+        "{:?}",
+        r.report.console
+    );
     assert_eq!(r.mem.read(data, 8).unwrap(), 99);
 }
 

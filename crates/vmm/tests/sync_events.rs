@@ -4,8 +4,8 @@
 use sb_vmm::exec::{job, Executor, Job};
 use sb_vmm::mem::GuestMem;
 use sb_vmm::sched::{FreeRun, RandomSched};
-use sb_vmm::sync::SyncKind;
 use sb_vmm::site;
+use sb_vmm::sync::SyncKind;
 
 const Q: u64 = 0xABCD;
 
@@ -22,7 +22,8 @@ fn kinds(r: &sb_vmm::ExecReport) -> Vec<SyncKind> {
 fn lock_events_carry_site_and_identity() {
     let r = run(vec![job(|ctx| async move {
         let l = ctx.kmalloc(8).await?;
-        ctx.with_lock_at(site!("sync_test:my_lock"), l, async { Ok(()) }).await?;
+        ctx.with_lock_at(site!("sync_test:my_lock"), l, async { Ok(()) })
+            .await?;
         Ok(())
     })]);
     assert!(r.outcome.is_completed());
@@ -47,7 +48,8 @@ fn contended_lock_records_acquire_at_grant() {
             // Both threads use the same well-known low heap cell as lock:
             // first kmalloc in each thread returns a distinct address, so
             // use a fixed address in the shared data region instead.
-            ctx.with_lock_at(site!(name), 0x40_0000, async { Ok(()) }).await?;
+            ctx.with_lock_at(site!(name), 0x40_0000, async { Ok(()) })
+                .await?;
             Ok(())
         })
     };
@@ -76,7 +78,9 @@ fn prepared_sleeper_banks_wakeup_and_never_blocks() {
         ctx.wait_prepare(site!("sync_test:prep"), Q).await?;
         let n = ctx.wake_one(site!("sync_test:wake"), Q).await?;
         assert_eq!(n, 1, "wake reaches the prepared thread");
-        let woken = ctx.wait_commit(site!("sync_test:commit"), Q, 10_000).await?;
+        let woken = ctx
+            .wait_commit(site!("sync_test:commit"), Q, 10_000)
+            .await?;
         assert!(woken, "banked wakeup satisfies the commit");
         Ok(())
     })]);
@@ -98,7 +102,10 @@ fn unprepared_sleep_loses_the_wakeup_and_times_out() {
         assert!(!woken, "sleep can only time out");
         Ok(())
     })]);
-    assert!(r.outcome.is_completed(), "timeout prevents a deadlock verdict");
+    assert!(
+        r.outcome.is_completed(),
+        "timeout prevents a deadlock verdict"
+    );
     let k = kinds(&r);
     assert!(k.contains(&SyncKind::SleepCommit));
     assert!(k.contains(&SyncKind::SleepTimeout));
@@ -144,8 +151,14 @@ fn atomic_context_nests_and_unbalanced_exit_faults() {
         Ok(())
     })]);
     assert!(r.outcome.is_completed());
-    let enters = kinds(&r).iter().filter(|k| **k == SyncKind::AtomicEnter).count();
-    let exits = kinds(&r).iter().filter(|k| **k == SyncKind::AtomicExit).count();
+    let enters = kinds(&r)
+        .iter()
+        .filter(|k| **k == SyncKind::AtomicEnter)
+        .count();
+    let exits = kinds(&r)
+        .iter()
+        .filter(|k| **k == SyncKind::AtomicExit)
+        .count();
     assert_eq!((enters, exits), (2, 2));
 }
 
@@ -165,7 +178,8 @@ fn sleeping_while_holding_a_lock_still_times_out() {
         for i in 0..4 {
             ctx.write_u64(site!("sync_test:peer_spin"), a, i).await?;
         }
-        ctx.with_lock_at(site!("sync_test:hold"), 0x40_0000, async { Ok(()) }).await?;
+        ctx.with_lock_at(site!("sync_test:hold"), 0x40_0000, async { Ok(()) })
+            .await?;
         Ok(())
     });
     let r = run(vec![sleeper, peer]);

@@ -28,19 +28,20 @@ fn main() {
         },
     );
     let exemplars = p.exemplars(Strategy::SInsPair, ClusterOrder::UncommonFirst);
-    let report = p.campaign(
-        &exemplars,
-        &CampaignCfg {
-            seed: 31,
-            trials_per_pmc: 24,
-            max_tested_pmcs: 250,
-            workers: 4,
-            stop_on_finding: true,
-            incidental: true,
-            ..CampaignCfg::default()
-        },
-    )
-    .expect("campaign");
+    let report = p
+        .campaign(
+            &exemplars,
+            &CampaignCfg {
+                seed: 31,
+                trials_per_pmc: 24,
+                max_tested_pmcs: 250,
+                workers: 4,
+                stop_on_finding: true,
+                incidental: true,
+                ..CampaignCfg::default()
+            },
+        )
+        .expect("campaign");
     println!(
         "campaign: {} PMCs tested, {} issues found\n",
         report.tested(),
@@ -53,7 +54,10 @@ fn main() {
         let Some(schedule) = o.repro_schedule.clone() else {
             continue;
         };
-        println!("--- concurrent test (corpus #{} vs #{}) ---", o.pair.0, o.pair.1);
+        println!(
+            "--- concurrent test (corpus #{} vs #{}) ---",
+            o.pair.0, o.pair.1
+        );
         println!("test 1:\n{}", p.corpus[o.pair.0 as usize]);
         println!("test 2:\n{}", p.corpus[o.pair.1 as usize]);
         println!(
@@ -66,8 +70,12 @@ fn main() {
         let r = exec.run(
             p.booted.snapshot.clone(),
             vec![
-                p.booted.kernel.process_job(p.corpus[o.pair.0 as usize].clone()),
-                p.booted.kernel.process_job(p.corpus[o.pair.1 as usize].clone()),
+                p.booted
+                    .kernel
+                    .process_job(p.corpus[o.pair.0 as usize].clone()),
+                p.booted
+                    .kernel
+                    .process_job(p.corpus[o.pair.1 as usize].clone()),
             ],
             &mut replay,
         );

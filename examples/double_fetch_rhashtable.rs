@@ -21,7 +21,10 @@ fn main() {
     println!("== Figure 4: rhashtable double fetch (bug #1) ==\n");
     let writer = Program::new(vec![
         Syscall::Msgget { key: 3 },
-        Syscall::Msgctl { id: Res(0), cmd: MsgCmd::Rmid },
+        Syscall::Msgctl {
+            id: Res(0),
+            cmd: MsgCmd::Rmid,
+        },
     ]);
     let reader = Program::new(vec![Syscall::Msgget { key: 3 }]);
     println!("Test 1 (writer):\n{writer}");
@@ -42,9 +45,20 @@ fn main() {
 
     for kind in [SchedKind::Snowboard, SchedKind::Ski, SchedKind::Random] {
         match interleavings_to_expose(
-            &mut exec, &booted, &writer, &reader, pmc, kind, 3, 8192, hits_bug(1),
+            &mut exec,
+            &booted,
+            &writer,
+            &reader,
+            pmc,
+            kind,
+            3,
+            8192,
+            hits_bug(1),
         ) {
-            Some(r) => println!("{kind:<10} exposed the page fault after {} interleavings", r.interleavings),
+            Some(r) => println!(
+                "{kind:<10} exposed the page fault after {} interleavings",
+                r.interleavings
+            ),
             None => println!("{kind:<10} did not expose it within 8192 interleavings"),
         }
     }
@@ -73,10 +87,22 @@ fn main() {
     // 5.12-rc3 carries Herbert Xu's fix (single fetch): no panic.
     let fixed = boot(KernelConfig::v5_12_rc3());
     let exposed = interleavings_to_expose(
-        &mut exec, &fixed, &writer, &reader, pmc, SchedKind::Snowboard, 3, 1024, hits_bug(1),
+        &mut exec,
+        &fixed,
+        &writer,
+        &reader,
+        pmc,
+        SchedKind::Snowboard,
+        3,
+        1024,
+        hits_bug(1),
     );
     println!(
         "\n5.12-rc3 (fix 1748f6a2, single fetch): {}",
-        if exposed.is_none() { "no panic in 1024 interleavings" } else { "STILL PANICS?!" }
+        if exposed.is_none() {
+            "no panic in 1024 interleavings"
+        } else {
+            "STILL PANICS?!"
+        }
     );
 }

@@ -23,13 +23,26 @@ use snowboard::profile::profile_corpus;
 
 fn programs() -> (Program, Program) {
     let writer = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
     ]);
     let reader = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 2 },
-        Syscall::Sendmsg { sock: Res(0), len: 1 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 2,
+        },
+        Syscall::Sendmsg {
+            sock: Res(0),
+            len: 1,
+        },
     ]);
     (writer, reader)
 }
@@ -59,9 +72,20 @@ fn main() {
 
     for kind in [SchedKind::Snowboard, SchedKind::Ski, SchedKind::Random] {
         match interleavings_to_expose(
-            &mut exec, &booted, &writer, &reader, pmc, kind, 7, 4096, hits_bug(12),
+            &mut exec,
+            &booted,
+            &writer,
+            &reader,
+            pmc,
+            kind,
+            7,
+            4096,
+            hits_bug(12),
         ) {
-            Some(r) => println!("{kind:<10} exposed the panic after {} interleavings", r.interleavings),
+            Some(r) => println!(
+                "{kind:<10} exposed the panic after {} interleavings",
+                r.interleavings
+            ),
             None => println!("{kind:<10} did not expose it within 4096 interleavings"),
         }
     }
@@ -76,7 +100,14 @@ fn main() {
         "l2tp_tunnel_get",
     ) {
         Some((_, fixed_pmc)) => interleavings_to_expose(
-            &mut exec, &fixed, &writer, &reader, fixed_pmc, SchedKind::Snowboard, 7, 512,
+            &mut exec,
+            &fixed,
+            &writer,
+            &reader,
+            fixed_pmc,
+            SchedKind::Snowboard,
+            7,
+            512,
             hits_bug(12),
         )
         .is_none(),
@@ -84,6 +115,10 @@ fn main() {
     };
     println!(
         "\npatched kernel (init before publish): {}",
-        if survived { "no panic in 512 interleavings — fix verified" } else { "STILL PANICS?!" }
+        if survived {
+            "no panic in 512 interleavings — fix verified"
+        } else {
+            "STILL PANICS?!"
+        }
     );
 }

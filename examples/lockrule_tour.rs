@@ -107,8 +107,5 @@ fn main() {
     let mut quiet = sweep(&patched, &vsock, &vsock, 16, &mut miner);
     quiet.extend(sweep(&patched, &waiter, &waker, 64, &mut RuleMiner::new()));
     quiet.extend(miner.violations());
-    println!(
-        "patched kernel: {} sync findings (expected 0)",
-        quiet.len()
-    );
+    println!("patched kernel: {} sync findings (expected 0)", quiet.len());
 }

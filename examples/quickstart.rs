@@ -53,19 +53,20 @@ fn main() {
     );
 
     println!("\n[4/4] concurrent test execution (§4.4, Algorithm 2)");
-    let report = pipeline.campaign(
-        &exemplars,
-        &CampaignCfg {
-            seed: 42,
-            trials_per_pmc: 24,
-            max_tested_pmcs: 300,
-            workers: 4,
-            stop_on_finding: true,
-            incidental: true,
-            ..CampaignCfg::default()
-        },
-    )
-    .expect("campaign");
+    let report = pipeline
+        .campaign(
+            &exemplars,
+            &CampaignCfg {
+                seed: 42,
+                trials_per_pmc: 24,
+                max_tested_pmcs: 300,
+                workers: 4,
+                stop_on_finding: true,
+                incidental: true,
+                ..CampaignCfg::default()
+            },
+        )
+        .expect("campaign");
     println!(
         "      tested {} PMCs in {} executions; {:.0}% exercised their predicted channel",
         report.tested(),

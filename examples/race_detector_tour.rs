@@ -45,7 +45,11 @@ fn show(booted: &BootedKernel, title: &str, a: &Program, b: &Program, attempts: 
             None => "-> untriaged".to_owned(),
         };
         match f {
-            Finding::DataRace { write_site, other_site, addr } => {
+            Finding::DataRace {
+                write_site,
+                other_site,
+                addr,
+            } => {
                 println!("  data race {write_site} / {other_site} @ {addr:#x} {tag}")
             }
             Finding::KernelPanic { msg } => println!("  panic: {msg} {tag}"),
@@ -63,29 +67,74 @@ fn main() {
 
     // #9 / Figure 3: torn MAC read — writer under RTNL, reader under RCU.
     let mac_writer = Program::new(vec![
-        Syscall::Socket { domain: Domain::Packet },
-        Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocSifHwAddr, arg: 9 },
+        Syscall::Socket {
+            domain: Domain::Packet,
+        },
+        Syscall::Ioctl {
+            fd: Res(0),
+            cmd: IoctlCmd::SiocSifHwAddr,
+            arg: 9,
+        },
     ]);
     let mac_reader = Program::new(vec![
-        Syscall::Socket { domain: Domain::Packet },
-        Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::SiocGifHwAddr, arg: 0 },
+        Syscall::Socket {
+            domain: Domain::Packet,
+        },
+        Syscall::Ioctl {
+            fd: Res(0),
+            cmd: IoctlCmd::SiocGifHwAddr,
+            arg: 0,
+        },
     ]);
-    show(&old, "Figure 3: dev_ifsioc_locked vs eth_commit_mac_addr_change (5.3.10)",
-         &mac_writer, &mac_reader, 200);
+    show(
+        &old,
+        "Figure 3: dev_ifsioc_locked vs eth_commit_mac_addr_change (5.3.10)",
+        &mac_writer,
+        &mac_reader,
+        200,
+    );
 
     // #13: the benign race every concurrent test can trip.
     let alloc = Program::new(vec![Syscall::Msgget { key: 1 }]);
-    show(&rc, "allocator statistics (any two allocating tests, 5.12-rc3)", &alloc, &alloc, 200);
+    show(
+        &rc,
+        "allocator statistics (any two allocating tests, 5.12-rc3)",
+        &alloc,
+        &alloc,
+        200,
+    );
 
     // #2: atomicity violation — marked accesses, console-only detection.
     let swap = Program::new(vec![
-        Syscall::Open { path: Path::Ext4File(1) },
-        Syscall::Write { fd: Res(0), off: 1, val: 7 },
-        Syscall::Ioctl { fd: Res(0), cmd: IoctlCmd::Ext4SwapBoot, arg: 0 },
+        Syscall::Open {
+            path: Path::Ext4File(1),
+        },
+        Syscall::Write {
+            fd: Res(0),
+            off: 1,
+            val: 7,
+        },
+        Syscall::Ioctl {
+            fd: Res(0),
+            cmd: IoctlCmd::Ext4SwapBoot,
+            arg: 0,
+        },
     ]);
-    show(&rc, "EXT4_IOC_SWAP_BOOT vs itself (duplicate input, 5.12-rc3)", &swap, &swap, 200);
+    show(
+        &rc,
+        "EXT4_IOC_SWAP_BOOT vs itself (duplicate input, 5.12-rc3)",
+        &swap,
+        &swap,
+        200,
+    );
 
     // The patched kernel under the same workloads.
     let patched = boot(KernelConfig::v5_3_10().patched());
-    show(&patched, "same MAC workload on the fully patched kernel", &mac_writer, &mac_reader, 200);
+    show(
+        &patched,
+        "same MAC workload on the fully patched kernel",
+        &mac_writer,
+        &mac_reader,
+        200,
+    );
 }

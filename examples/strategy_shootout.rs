@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run -p sb-examples --bin strategy_shootout`
 
-use snowboard::cluster::{ALL_STRATEGIES};
+use snowboard::cluster::ALL_STRATEGIES;
 use snowboard::select::ClusterOrder;
 use snowboard::{CampaignCfg, Pipeline, PipelineCfg};
 
@@ -36,19 +36,20 @@ fn main() {
     for strategy in ALL_STRATEGIES {
         let clusters = pipeline.cluster_count(strategy);
         let exemplars = pipeline.exemplars(strategy, ClusterOrder::UncommonFirst);
-        let report = pipeline.campaign(
-            &exemplars,
-            &CampaignCfg {
-                seed: 5,
-                trials_per_pmc: 16,
-                max_tested_pmcs: 150,
-                workers: 4,
-                stop_on_finding: true,
-                incidental: true,
-                ..CampaignCfg::default()
-            },
-        )
-        .expect("campaign");
+        let report = pipeline
+            .campaign(
+                &exemplars,
+                &CampaignCfg {
+                    seed: 5,
+                    trials_per_pmc: 16,
+                    max_tested_pmcs: 150,
+                    workers: 4,
+                    stop_on_finding: true,
+                    incidental: true,
+                    ..CampaignCfg::default()
+                },
+            )
+            .expect("campaign");
         println!(
             "{:<16} {:>9} {:>8}  {:?}",
             strategy.to_string(),

@@ -95,7 +95,11 @@ fn allocations_per_trial(p: &Pipeline, jobs: usize, cfg: &CampaignCfg) -> f64 {
     let warm_up = p.campaign(&exemplars, cfg).expect("campaign");
     let ((allocations, _), report) = counted(|| p.campaign(&exemplars, cfg).expect("campaign"));
     assert_eq!(report, warm_up);
-    assert!(report.executions >= 500, "only {} trials", report.executions);
+    assert!(
+        report.executions >= 500,
+        "only {} trials",
+        report.executions
+    );
     allocations as f64 / report.executions as f64
 }
 
@@ -163,7 +167,11 @@ fn a_trial_whose_threads_share_no_memory_allocates_nothing_in_the_race_scan() {
                 seq,
                 thread,
                 site: site!("alloc_budget:apart"),
-                kind: if seq % 3 == 0 { AccessKind::Write } else { AccessKind::Read },
+                kind: if seq % 3 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 addr: 0x2000 + 0x100 * thread as u64 + 8 * (seq % 5),
                 len: 8,
                 value: seq,
@@ -175,9 +183,15 @@ fn a_trial_whose_threads_share_no_memory_allocates_nothing_in_the_race_scan() {
         .collect();
     let ((allocations, _), races) = counted(|| sb_detect::detect_races(&trace));
     assert!(races.is_empty());
-    assert_eq!(allocations, 0, "29 switches, no race: nothing to collect (6 with the sorted scan)");
+    assert_eq!(
+        allocations, 0,
+        "29 switches, no race: nothing to collect (6 with the sorted scan)"
+    );
     // The same trial with the two threads on the same words does collect.
-    let shared = |a: Access| Access { addr: 0x2000 + 8 * (a.seq % 5), ..a };
+    let shared = |a: Access| Access {
+        addr: 0x2000 + 8 * (a.seq % 5),
+        ..a
+    };
     let together: Vec<Access> = trace.iter().cloned().map(shared).collect();
     assert!(!sb_detect::detect_races(&together).is_empty());
 }
@@ -202,8 +216,13 @@ fn lock_operations_allocate_nothing_per_acquire_or_release() {
     let [outer, inner, cell] = [(); 3].map(|()| mem.kmalloc(8).expect("guest heap"));
     let mut exec = Executor::new(1);
     let mut run = |pairs: u64| {
-        let ((allocations, _), r) =
-            counted(|| exec.run(mem.clone(), locking_job(outer, inner, cell, pairs), &mut FreeRun));
+        let ((allocations, _), r) = counted(|| {
+            exec.run(
+                mem.clone(),
+                locking_job(outer, inner, cell, pairs),
+                &mut FreeRun,
+            )
+        });
         assert!(r.report.outcome.is_completed());
         assert_eq!(r.report.trace.len() as u64, pairs);
         assert_eq!(r.report.trace[0].locks, vec![outer, inner]);
@@ -228,9 +247,11 @@ fn lock_operations_allocate_nothing_per_acquire_or_release() {
 fn waking_job(queue: u64, rounds: u64) -> Vec<Job> {
     vec![job(move |ctx| async move {
         for _ in 0..rounds {
-            ctx.wait_prepare(site!("alloc_budget:prepare"), queue).await?;
+            ctx.wait_prepare(site!("alloc_budget:prepare"), queue)
+                .await?;
             ctx.wake_all(site!("alloc_budget:wake"), queue).await?;
-            ctx.wait_commit(site!("alloc_budget:commit"), queue, 3).await?;
+            ctx.wait_commit(site!("alloc_budget:commit"), queue, 3)
+                .await?;
             ctx.sleep_on(site!("alloc_budget:sleep"), queue, 3).await?;
         }
         Ok(())

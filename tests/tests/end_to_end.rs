@@ -18,19 +18,31 @@ fn figure1_pmc_predicted_and_exercised() {
     // write before the read.
     let booted = shared_rc_kernel();
     let writer = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 1 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 1,
+        },
     ]);
     let reader = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 1 },
-        Syscall::Sendmsg { sock: Res(0), len: 0 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 1,
+        },
+        Syscall::Sendmsg {
+            sock: Res(0),
+            len: 0,
+        },
     ]);
     let profiles = profile_corpus(booted, &[writer.clone(), reader.clone()], 2);
     let set = identify(&profiles);
-    let (_, pmc) =
-        snowboard::metrics::find_pmc_by_sites(&set, "list_add_rcu", "l2tp_tunnel_get")
-            .expect("PMC predicted");
+    let (_, pmc) = snowboard::metrics::find_pmc_by_sites(&set, "list_add_rcu", "l2tp_tunnel_get")
+        .expect("PMC predicted");
     // Under enough Snowboard-scheduled trials, the channel must be
     // exercised at least once (and usually quickly).
     let mut exec = Executor::new(2);
@@ -60,10 +72,7 @@ fn profiles_are_reproducible_across_snapshot_restores() {
     // predictive. Run the same test 5 times; the shared-access profile must
     // be byte-identical.
     let booted = shared_rc_kernel();
-    let prog = Program::new(vec![
-        Syscall::Msgget { key: 2 },
-        Syscall::Mount,
-    ]);
+    let prog = Program::new(vec![Syscall::Msgget { key: 2 }, Syscall::Mount]);
     let sig = |p: &snowboard::SeqProfile| {
         p.accesses
             .iter()
@@ -84,13 +93,26 @@ fn deterministic_reproduction_of_a_found_bug() {
     // exposes a bug, replaying the same seed reproduces it exactly.
     let booted = shared_rc_kernel();
     let writer = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 3 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 3,
+        },
     ]);
     let reader = Program::new(vec![
-        Syscall::Socket { domain: Domain::L2tp },
-        Syscall::Connect { sock: Res(0), tunnel_id: 3 },
-        Syscall::Sendmsg { sock: Res(0), len: 0 },
+        Syscall::Socket {
+            domain: Domain::L2tp,
+        },
+        Syscall::Connect {
+            sock: Res(0),
+            tunnel_id: 3,
+        },
+        Syscall::Sendmsg {
+            sock: Res(0),
+            len: 0,
+        },
     ]);
     let mut exec = Executor::new(2);
     // Find a panicking seed.
@@ -134,7 +156,10 @@ fn incidental_index_covers_every_pmc_write_site() {
     let profiles = profile_corpus(booted, &corpus, 2);
     let set = identify(&profiles);
     let _index = IncidentalIndex::build(&set);
-    assert!(set.len() > 50, "seed corpus should already induce many PMCs");
+    assert!(
+        set.len() > 50,
+        "seed corpus should already induce many PMCs"
+    );
 }
 
 #[test]

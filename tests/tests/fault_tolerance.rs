@@ -89,16 +89,18 @@ fn injected_panics_and_hangs_quarantine_exactly_those_jobs() {
         .expect("faulted campaign must still complete");
 
     // Exactly the injected jobs are quarantined, with the right kinds.
-    let mut quarantined: Vec<(usize, FailureKind)> =
-        faulted.quarantined.iter().map(|q| (q.job, q.kind)).collect();
+    let mut quarantined: Vec<(usize, FailureKind)> = faulted
+        .quarantined
+        .iter()
+        .map(|q| (q.job, q.kind))
+        .collect();
     quarantined.sort_by_key(|(job, _)| *job);
     assert_eq!(
         quarantined,
         vec![(1, FailureKind::Panic), (3, FailureKind::Hang)]
     );
     // The panic is retryable and exhausts its budget; the hang is not.
-    let by_job =
-        |j: usize| faulted.quarantined.iter().find(|q| q.job == j).unwrap();
+    let by_job = |j: usize| faulted.quarantined.iter().find(|q| q.job == j).unwrap();
     assert_eq!(by_job(1).attempts, 3, "panics retry to exhaustion");
     assert_eq!(by_job(3).attempts, 1, "hangs are permanent");
     assert!(by_job(1).chain[0].contains("forced worker panic"));
@@ -123,7 +125,13 @@ fn rust_panic_in_a_kernel_job_body_quarantines_exactly_that_job() {
     // keeps serving the jobs behind it on the same worker.
     let fx = fixture();
     let mut syms = Symbols::default();
-    for (name, addr) in fx.booted.kernel.syms.iter().filter(|(n, _)| !n.starts_with("wq.")) {
+    for (name, addr) in fx
+        .booted
+        .kernel
+        .syms
+        .iter()
+        .filter(|(n, _)| !n.starts_with("wq."))
+    {
         syms.register(name, addr);
     }
     let broken = BootedKernel {
@@ -139,8 +147,8 @@ fn rust_panic_in_a_kernel_job_body_quarantines_exactly_that_job() {
     };
     // No stock seed touches the workqueue, so the broken build is as good
     // as the real one until a job is pointed at the poisoned program.
-    let clean = run_campaign(&broken, &fx.corpus, &fx.set, &fx.exemplars, &cfg)
-        .expect("clean campaign");
+    let clean =
+        run_campaign(&broken, &fx.corpus, &fx.set, &fx.exemplars, &cfg).expect("clean campaign");
     assert!(clean.quarantined.is_empty());
     assert_eq!(clean.tested(), JOBS);
 
@@ -181,8 +189,8 @@ fn transient_failures_are_retried_to_success() {
         },
         ..base_cfg()
     };
-    let report = run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &cfg)
-        .expect("campaign");
+    let report =
+        run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &cfg).expect("campaign");
     assert!(
         report.quarantined.is_empty(),
         "transient failures within the retry budget must not quarantine: {:?}",
@@ -300,8 +308,7 @@ fn resume_rejects_a_checkpoint_from_a_different_campaign() {
         checkpoint: Some(path.clone()),
         ..base_cfg()
     };
-    run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &first_cfg)
-        .expect("campaign");
+    run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &first_cfg).expect("campaign");
 
     // Same checkpoint, different seed: the resume must be refused rather
     // than silently mixing two campaigns' results.

@@ -64,7 +64,10 @@ fn pmc_set() -> PmcSet {
     };
     PmcSet {
         pmcs: vec![Pmc {
-            key: PmcKey { w: side("dmg:pmc:w"), r: side("dmg:pmc:r") },
+            key: PmcKey {
+                w: side("dmg:pmc:w"),
+                r: side("dmg:pmc:r"),
+            },
             df_leader: false,
             pairs: vec![(0, 1)],
         }],
@@ -119,7 +122,8 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
         let dir = scratch("torn-measure", 0);
         copy_store(base, &dir);
         let mut st = Store::open(&dir).expect("open");
-        st.insert_profiles(&[(4, Some(profile(3, 0x5000)))]).expect("insert");
+        st.insert_profiles(&[(4, Some(profile(3, 0x5000)))])
+            .expect("insert");
         st.flush().expect("flush");
         let grown = read_store(&dir)
             .into_iter()
@@ -140,7 +144,11 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
                 ..Default::default()
             });
             let r = st.insert_profiles(&[(4, Some(profile(3, 0x5000)))]);
-            assert_eq!(r.is_err(), cut < full, "cut {cut}: fault fires iff mid-record");
+            assert_eq!(
+                r.is_err(),
+                cut < full,
+                "cut {cut}: fault fires iff mid-record"
+            );
         }
 
         // The acceptance sequence: repair, then fsck must be clean.
@@ -162,7 +170,10 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
             ProfileLookup::Miss => assert!(cut < full),
             other => panic!("cut {cut}: unexpected {other:?}"),
         }
-        assert_eq!(st.records_damaged, 0, "cut {cut}: repair left damage behind");
+        assert_eq!(
+            st.records_damaged, 0,
+            "cut {cut}: repair left damage behind"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -188,12 +199,17 @@ fn every_byte_flip_heals_back_to_a_clean_store() {
 
         let mut st = Store::open(&dir).expect("damaged store must open");
         let mut to_heal = Vec::new();
-        for (i, (key, addr)) in
-            [(KEYS[0], 0x2000u64), (KEYS[1], 0x3000), (KEYS[2], 0x4000)].iter().enumerate()
+        for (i, (key, addr)) in [(KEYS[0], 0x2000u64), (KEYS[1], 0x3000), (KEYS[2], 0x4000)]
+            .iter()
+            .enumerate()
         {
             match st.lookup_profile(*key, 7).expect("lookup") {
                 ProfileLookup::Hit(p) => {
-                    assert_eq!(p.accesses, profile(i as u32, *addr).accesses, "offset {off}");
+                    assert_eq!(
+                        p.accesses,
+                        profile(i as u32, *addr).accesses,
+                        "offset {off}"
+                    );
                 }
                 ProfileLookup::Damaged => to_heal.push((*key, Some(profile(i as u32, *addr)))),
                 other => panic!("offset {off}, key {key}: unexpected {other:?}"),
@@ -230,7 +246,10 @@ fn every_byte_flip_heals_back_to_a_clean_store() {
 #[test]
 fn damaged_pmc_record_heals_on_save() {
     let base = pristine();
-    let pmc = base.iter().find(|(n, _)| n.starts_with("pmc-")).expect("pmc segment");
+    let pmc = base
+        .iter()
+        .find(|(n, _)| n.starts_with("pmc-"))
+        .expect("pmc segment");
     let dir = scratch("pmcflip", 0);
     copy_store(base, &dir);
     let mut mutated = pmc.1.clone();
@@ -243,7 +262,10 @@ fn damaged_pmc_record_heals_on_save() {
     st.save_pmcs(&KEYS, &pmc_set()).expect("heal");
     st.flush().expect("flush");
     assert_eq!(st.records_healed, 1);
-    assert_eq!(st.lookup_pmcs(&KEYS).expect("lookup"), PmcLookup::Exact(pmc_set()));
+    assert_eq!(
+        st.lookup_pmcs(&KEYS).expect("lookup"),
+        PmcLookup::Exact(pmc_set())
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -266,9 +288,13 @@ fn pipeline_heals_a_flipped_store_bit_identically() {
     let opts = IdentifyOpts::sharded(2, 2);
 
     let mut cold_store = Store::open(&dir).expect("open cold");
-    let (cold, cold_stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &opts, &mut cold_store)
-            .expect("cold prepare");
+    let (cold, cold_stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(),
+        &opts,
+        &mut cold_store,
+    )
+    .expect("cold prepare");
     assert_eq!(cold_stats.records_damaged, 0);
     drop(cold_store);
 
@@ -287,9 +313,13 @@ fn pipeline_heals_a_flipped_store_bit_identically() {
     assert!(flipped >= 2, "expected profile and PMC segments");
 
     let mut warm_store = Store::open(&dir).expect("open warm");
-    let (warm, warm_stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &opts, &mut warm_store)
-            .expect("a damaged store must not fail preparation");
+    let (warm, warm_stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(),
+        &opts,
+        &mut warm_store,
+    )
+    .expect("a damaged store must not fail preparation");
     assert!(warm_stats.records_damaged > 0, "damage must be reported");
     assert!(warm_stats.records_healed > 0, "damage must be healed");
     assert_eq!(
@@ -306,11 +336,18 @@ fn pipeline_heals_a_flipped_store_bit_identically() {
     let report = sb_store::fsck(&dir).expect("fsck");
     assert!(report.clean(), "{:?}", report.problems);
     let mut third_store = Store::open(&dir).expect("open third");
-    let (_, third_stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &opts, &mut third_store)
-            .expect("third prepare");
+    let (_, third_stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(),
+        &opts,
+        &mut third_store,
+    )
+    .expect("third prepare");
     assert_eq!(third_stats.records_damaged, 0);
-    assert_eq!(third_stats.profile_misses, 0, "healed store serves everything");
+    assert_eq!(
+        third_stats.profile_misses, 0,
+        "healed store serves everything"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -324,9 +361,13 @@ fn pipeline_survives_a_deleted_segment_file() {
     let opts = IdentifyOpts::sharded(2, 2);
 
     let mut cold_store = Store::open(&dir).expect("open cold");
-    let (cold, _) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &opts, &mut cold_store)
-            .expect("cold prepare");
+    let (cold, _) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(),
+        &opts,
+        &mut cold_store,
+    )
+    .expect("cold prepare");
     drop(cold_store);
 
     let victim = read_store(&dir)
@@ -337,9 +378,13 @@ fn pipeline_survives_a_deleted_segment_file() {
     std::fs::remove_file(dir.join(&victim)).expect("remove");
 
     let mut warm_store = Store::open(&dir).expect("open warm");
-    let (warm, warm_stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &opts, &mut warm_store)
-            .expect("a missing segment must not fail preparation");
+    let (warm, warm_stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(),
+        &opts,
+        &mut warm_store,
+    )
+    .expect("a missing segment must not fail preparation");
     assert!(warm_stats.records_damaged > 0);
     assert_eq!(warm_stats.records_healed, warm_stats.records_damaged);
     assert_eq!(cold.profiles, warm.profiles);

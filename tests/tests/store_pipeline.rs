@@ -180,21 +180,32 @@ fn warm_run_skips_all_profiling_and_matches_cold_run() {
     let opts = IdentifyOpts::sharded(4, 2);
 
     let mut cold_store = Store::open(&dir).expect("open cold");
-    let (cold, cold_stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(24), &opts, &mut cold_store)
-            .expect("cold prepare");
+    let (cold, cold_stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(24),
+        &opts,
+        &mut cold_store,
+    )
+    .expect("cold prepare");
     assert_eq!(cold_stats.profile_hits, 0, "cold run cannot hit");
     assert_eq!(cold_stats.profile_misses as usize, cold.corpus.len());
     assert!(!cold_stats.pmc_cache_hit && !cold_stats.pmc_incremental);
     assert!(cold_stats.stored_bytes > 0 && cold_stats.segments > 0);
 
     let mut warm_store = Store::open(&dir).expect("open warm");
-    let (warm, warm_stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(24), &opts, &mut warm_store)
-            .expect("warm prepare");
+    let (warm, warm_stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(24),
+        &opts,
+        &mut warm_store,
+    )
+    .expect("warm prepare");
 
     // 100% profile hit rate: every lookup served from the store.
-    assert_eq!(warm_stats.profile_misses, 0, "warm run re-profiled something");
+    assert_eq!(
+        warm_stats.profile_misses, 0,
+        "warm run re-profiled something"
+    );
     // Failed profiles count as hits too (negative caching), so hits alone
     // must cover the whole corpus.
     assert_eq!(
@@ -203,7 +214,10 @@ fn warm_run_skips_all_profiling_and_matches_cold_run() {
         "every corpus entry must be served from the store"
     );
     assert!((warm_stats.hit_rate() - 1.0).abs() < f64::EPSILON);
-    assert!(warm_stats.pmc_cache_hit, "exact corpus match must reuse the stored set");
+    assert!(
+        warm_stats.pmc_cache_hit,
+        "exact corpus match must reuse the stored set"
+    );
 
     // Bit-identical pipeline outputs...
     assert_eq!(cold.corpus, warm.corpus);
@@ -233,12 +247,22 @@ fn corpus_growth_reuses_the_stored_prefix_incrementally() {
     // Same seed + budget with a larger target: the kept corpus grows by
     // appending, so the stored keys are a strict prefix of the new ones.
     let mut second = Store::open(&dir).expect("reopen");
-    let (grown, stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(24), &opts, &mut second)
-            .expect("grown prepare");
-    assert!(grown.corpus.len() > small.corpus.len(), "corpus did not grow");
+    let (grown, stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(24),
+        &opts,
+        &mut second,
+    )
+    .expect("grown prepare");
+    assert!(
+        grown.corpus.len() > small.corpus.len(),
+        "corpus did not grow"
+    );
     assert_eq!(&grown.corpus[..small.corpus.len()], &small.corpus[..]);
-    assert!(stats.pmc_incremental, "prefix match must take the incremental path");
+    assert!(
+        stats.pmc_incremental,
+        "prefix match must take the incremental path"
+    );
     assert!(!stats.pmc_cache_hit);
     assert!(
         stats.profile_hits >= small.corpus.len() as u64,
@@ -261,18 +285,32 @@ fn no_cache_forces_reprofiling_but_keeps_outputs_equal() {
     let opts = IdentifyOpts::sharded(2, 2);
 
     let mut cold_store = Store::open(&dir).expect("open");
-    let (cold, _) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(16), &opts, &mut cold_store)
-            .expect("cold prepare");
+    let (cold, _) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(16),
+        &opts,
+        &mut cold_store,
+    )
+    .expect("cold prepare");
 
     let mut bypass = Store::open(&dir).expect("reopen");
     bypass.set_read_cache(false);
-    let (fresh, stats) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(16), &opts, &mut bypass)
-            .expect("bypass prepare");
-    assert_eq!(stats.profile_hits, 0, "--no-cache must not serve cached profiles");
+    let (fresh, stats) = sb_store::prepare(
+        KernelConfig::v5_12_rc3(),
+        &small_cfg(16),
+        &opts,
+        &mut bypass,
+    )
+    .expect("bypass prepare");
+    assert_eq!(
+        stats.profile_hits, 0,
+        "--no-cache must not serve cached profiles"
+    );
     assert_eq!(stats.profile_misses as usize, fresh.corpus.len());
-    assert_eq!(cold.profiles, fresh.profiles, "re-profiling must be deterministic");
+    assert_eq!(
+        cold.profiles, fresh.profiles,
+        "re-profiling must be deterministic"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -300,7 +338,9 @@ fn canonical(set: &PmcSet) -> Vec<CanonicalPmc> {
         })
         .collect();
     v.sort_unstable_by_key(|(k, _, _, _)| {
-        (k.w.ins.0, k.w.addr, k.w.len, k.w.value, k.r.ins.0, k.r.addr, k.r.len, k.r.value)
+        (
+            k.w.ins.0, k.w.addr, k.w.len, k.w.value, k.r.ins.0, k.r.addr, k.r.len, k.r.value,
+        )
     });
     v
 }

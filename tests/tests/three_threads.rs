@@ -13,20 +13,41 @@ fn l2tp_corpus() -> Vec<Program> {
     vec![
         // 0: the writer (registers the tunnel).
         Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 1 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 1,
+            },
         ]),
         // 1, 2: two readers that connect and transmit — the paper's DoS
         // scenario of many processes requesting the same tunnel id.
         Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 1 },
-            Syscall::Sendmsg { sock: Res(0), len: 0 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 1,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 0,
+            },
         ]),
         Program::new(vec![
-            Syscall::Socket { domain: Domain::L2tp },
-            Syscall::Connect { sock: Res(0), tunnel_id: 1 },
-            Syscall::Sendmsg { sock: Res(0), len: 7 },
+            Syscall::Socket {
+                domain: Domain::L2tp,
+            },
+            Syscall::Connect {
+                sock: Res(0),
+                tunnel_id: 1,
+            },
+            Syscall::Sendmsg {
+                sock: Res(0),
+                len: 7,
+            },
         ]),
     ]
 }
@@ -104,8 +125,8 @@ fn three_thread_execution_is_deterministic() {
     let t = triples[0];
     let run = || {
         let mut exec = Executor::new(3);
-        let out = test_triple(&mut exec, booted, &corpus, &set, t, 77, 8, false)
-            .expect("triple test");
+        let out =
+            test_triple(&mut exec, booted, &corpus, &set, t, 77, 8, false).expect("triple test");
         (out.tests, out.trials_run, out.findings.len(), out.steps)
     };
     assert_eq!(run(), run());

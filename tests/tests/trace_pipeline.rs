@@ -53,7 +53,10 @@ fn traced_hunt_reconstructs_to_report_totals() {
     let lines = sink.lines();
     let tr = TraceReport::from_lines(lines.iter().map(String::as_str)).expect("parse trace");
     let mismatches = tr.verify();
-    assert!(mismatches.is_empty(), "trace disagrees with run totals: {mismatches:?}");
+    assert!(
+        mismatches.is_empty(),
+        "trace disagrees with run totals: {mismatches:?}"
+    );
 
     // The funnel reconstructed purely from fine-grained events must equal
     // the values the pipeline itself reports.
@@ -75,14 +78,26 @@ fn traced_hunt_reconstructs_to_report_totals() {
     // two workers' time inside the campaign span, so they cannot add up to
     // more than twice its length.
     let [snapshot, run, oracle, ..] = sb_obs::keys::TRIAL_PHASE_NS.map(|k| tr.counter(k));
-    assert!(snapshot > 0 && run > 0 && oracle > 0, "{snapshot} {run} {oracle}");
-    let phases: u64 = sb_obs::keys::TRIAL_PHASE_NS.iter().map(|k| tr.counter(k)).sum();
+    assert!(
+        snapshot > 0 && run > 0 && oracle > 0,
+        "{snapshot} {run} {oracle}"
+    );
+    let phases: u64 = sb_obs::keys::TRIAL_PHASE_NS
+        .iter()
+        .map(|k| tr.counter(k))
+        .sum();
     let span_us = tr.spans["campaign"].total_us;
-    assert!(phases <= 2 * (span_us + 1) * 1000, "{phases} ns in a {span_us} us span");
+    assert!(
+        phases <= 2 * (span_us + 1) * 1000,
+        "{phases} ns in a {span_us} us span"
+    );
     // The rendered report has the phase table and ends in the verification
     // verdict.
     let text = tr.render();
-    assert!(text.contains("trial phases:") && text.contains("% of campaign"), "{text}");
+    assert!(
+        text.contains("trial phases:") && text.contains("% of campaign"),
+        "{text}"
+    );
     assert!(text.contains("verification: OK"));
 }
 
