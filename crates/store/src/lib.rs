@@ -16,10 +16,10 @@
 //! * **Incremental re-indexing** ([`pipeline`]) — a grown corpus resumes
 //!   the stored PMC set (`JoinState::resume`) and joins only the new
 //!   profiles; an unchanged corpus loads the stored set outright.
-//! * **Self-healing durability** ([`crc`], [`fsck`]) — every record
-//!   carries a CRC32C, writers fsync before the manifest can reference
-//!   them, opening truncates torn tails, and damaged records degrade to
-//!   recompute-and-heal instead of failing the campaign; a
+//! * **Self-healing durability** ([`fsck`]) — every record carries a
+//!   CRC32C ([`sb_obs::crc`]), writers fsync before the manifest can
+//!   reference them, opening truncates torn tails, and damaged records
+//!   degrade to recompute-and-heal instead of failing the campaign; a
 //!   `snowboard::DiskFaults` plan armed on a [`Store`] tears, flips and
 //!   shortens its I/O at exact positions to prove it.
 //!
@@ -29,7 +29,6 @@
 #[cfg(test)]
 mod arbitrary;
 pub mod codec;
-pub mod crc;
 pub mod fsck;
 pub mod manifest;
 pub mod pipeline;

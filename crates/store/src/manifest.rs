@@ -168,15 +168,18 @@ impl Manifest {
             "last_hits" => first(&mut last_hits, r, Reader::u64),
             "last_misses" => first(&mut last_misses, r, Reader::u64),
             "profiles" => first(&mut profiles, r, |r| {
-                let mut map = BTreeMap::new();
+                // `render` writes the keys in order, so `collect` builds the
+                // map in one pass; its stable sort keeps the later of two
+                // equal keys, as `insert` would.
+                let mut entries = Vec::new();
                 let is_obj = r.obj(|r, key| {
                     let key: u64 = key
                         .parse()
                         .map_err(|_| format!("bad profile key {key:?}"))?;
-                    map.insert(key, profile_status(r)?);
+                    entries.push((key, profile_status(r)?));
                     Ok(())
                 })?;
-                Ok(is_obj.then_some(map))
+                Ok(is_obj.then(|| entries.into_iter().collect()))
             }),
             "pmcs" => first(&mut pmcs, r, |r| {
                 let mut entries = Vec::new();
@@ -459,6 +462,25 @@ mod tests {
             "one allocation, sized to fit"
         );
         assert_eq!(same_as_the_tree(&text), Ok(m));
+    }
+
+    #[test]
+    fn a_duplicate_profile_key_parses_to_the_later_entry_in_any_order() {
+        let at = |segment| ProfileStatus::Ok {
+            segment,
+            offset: 8,
+            len: 1,
+        };
+        let mut m = Manifest::default();
+        m.profiles.insert(9, at(0));
+        let text = m.render().replacen(
+            r#""9":{"status":"ok","segment":0,"offset":8,"len":1}"#,
+            r#""9":{"status":"ok","segment":0,"offset":8,"len":1},"5":{"status":"failed"},"9":{"status":"ok","segment":1,"offset":8,"len":1},"2":{"status":"failed"},"5":{"status":"ok","segment":2,"offset":8,"len":1},"9":{"status":"ok","segment":3,"offset":8,"len":1}"#,
+            1,
+        );
+        let m = same_as_the_tree(&text).expect("parses");
+        let want = BTreeMap::from([(2, ProfileStatus::Failed), (5, at(2)), (9, at(3))]);
+        assert_eq!(m.profiles, want);
     }
 
     #[test]

@@ -18,16 +18,21 @@
 //! Writers fsync on [`SegmentWriter::finish`], so a completed segment is
 //! durable before the manifest can reference it; [`scan`] classifies a
 //! file's valid record prefix so the store can truncate torn tails left by
-//! a crash mid-write. It is the one record walker: `fsck` has it checksum
-//! every record, `Store::open` only those it acts on — the last record of
-//! the file and any the manifest does not vouch for (DESIGN.md §11).
+//! a crash mid-write. It is the one record walker.
+//!
+//! A record is checksummed ([`sb_obs::crc`]) once when it is written and
+//! once by each lookup that serves it. Opening a store checksums only the
+//! records `open` acts on — the last of each file and any the manifest
+//! does not address — and `fsck` all of them (DESIGN.md §11 has the
+//! table).
 
 use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use crate::crc::Crc32c;
+use sb_obs::crc::Crc32c;
+
 use crate::Error;
 
 /// Magic prefix of profile segment files.
