@@ -12,8 +12,7 @@
 //!    what the campaign reports.
 
 use sb_bench::{prepare, print_table, Scale};
-use sb_kernel::prog::{Domain, Res};
-use sb_kernel::{boot, KernelConfig, Program, Syscall};
+use sb_kernel::{boot, bugs, KernelConfig};
 use sb_vmm::sched::{PctSched, RandomSched, Scheduler, SkiSched, SnowboardSched};
 use sb_vmm::Executor;
 use snowboard::cluster::Strategy;
@@ -21,36 +20,15 @@ use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
 
-/// Trials to expose bug #12 with a given scheduler factory, averaged over
+/// Trials to expose bug #12 by its trigger `t` with a given scheduler factory, averaged over
 /// seeds. Returns (average trials, hits).
 fn expose_12(
     booted: &sb_kernel::BootedKernel,
+    t: &bugs::Trigger,
     make: &mut dyn FnMut(u64) -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>>,
     seeds: u64,
     cap: u32,
 ) -> (f64, u64) {
-    let writer = Program::new(vec![
-        Syscall::Socket {
-            domain: Domain::L2tp,
-        },
-        Syscall::Connect {
-            sock: Res(0),
-            tunnel_id: 2,
-        },
-    ]);
-    let reader = Program::new(vec![
-        Syscall::Socket {
-            domain: Domain::L2tp,
-        },
-        Syscall::Connect {
-            sock: Res(0),
-            tunnel_id: 2,
-        },
-        Syscall::Sendmsg {
-            sock: Res(0),
-            len: 1,
-        },
-    ]);
     let mut exec = Executor::new(2);
     let mut total = 0u64;
     let mut hits = 0u64;
@@ -62,8 +40,8 @@ fn expose_12(
             let r = exec.run(
                 booted.snapshot.clone(),
                 vec![
-                    booted.kernel.process_job(writer.clone()),
-                    booted.kernel.process_job(reader.clone()),
+                    booted.kernel.process_job(t.writer.clone()),
+                    booted.kernel.process_job(t.reader.clone()),
                 ],
                 sched.as_mut(),
             );
@@ -88,35 +66,14 @@ fn expose_12(
 
 fn main() {
     let scale = Scale::from_env();
-    let booted = boot(KernelConfig::v5_12_rc3());
+    let t = bugs::trigger(12).expect("#12 has a trigger recipe");
+    let booted = boot(t.config);
 
     // Derive the l2tp PMC for hint-based schedulers.
-    let writer = Program::new(vec![
-        Syscall::Socket {
-            domain: Domain::L2tp,
-        },
-        Syscall::Connect {
-            sock: Res(0),
-            tunnel_id: 2,
-        },
-    ]);
-    let reader = Program::new(vec![
-        Syscall::Socket {
-            domain: Domain::L2tp,
-        },
-        Syscall::Connect {
-            sock: Res(0),
-            tunnel_id: 2,
-        },
-        Syscall::Sendmsg {
-            sock: Res(0),
-            len: 1,
-        },
-    ]);
-    let profiles = profile_corpus(&booted, &[writer, reader], 2);
+    let profiles = profile_corpus(&booted, &[t.writer.clone(), t.reader.clone()], 2);
     let set = identify(&profiles);
-    let (_, pmc) = snowboard::metrics::find_pmc_by_sites(&set, "list_add_rcu", "l2tp_tunnel_get")
-        .expect("l2tp PMC");
+    let (_, pmc) =
+        snowboard::metrics::find_pmc_by_sites(&set, t.write_fn, t.read_fn).expect("l2tp PMC");
     let hints = pmc.hints();
 
     println!(
@@ -134,7 +91,7 @@ fn main() {
                 Box::new(SharedSched(std::rc::Rc::clone(&sched)))
             })
         };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(&booted, &t, &mut make, seeds, cap);
         rows.push(vec![
             "Snowboard (full)".into(),
             format!("{avg:.1}"),
@@ -151,7 +108,7 @@ fn main() {
                 Box::new(SharedSched(std::rc::Rc::clone(&sched)))
             })
         };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(&booted, &t, &mut make, seeds, cap);
         rows.push(vec![
             "Snowboard w/o flags".into(),
             format!("{avg:.1}"),
@@ -164,7 +121,7 @@ fn main() {
             let sites = sites.clone();
             Box::new(move |trial| Box::new(SkiSched::new(seed ^ trial, sites.clone())))
         };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(&booted, &t, &mut make, seeds, cap);
         rows.push(vec![
             "SKI (site-only)".into(),
             format!("{avg:.1}"),
@@ -175,7 +132,7 @@ fn main() {
         let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
             Box::new(move |trial| Box::new(PctSched::new(seed ^ (trial << 17), 300, 3)))
         };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(&booted, &t, &mut make, seeds, cap);
         rows.push(vec![
             "PCT (d=3)".into(),
             format!("{avg:.1}"),
@@ -186,7 +143,7 @@ fn main() {
         let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
             Box::new(move |trial| Box::new(RandomSched::new(seed ^ (trial << 13), 0.005)))
         };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(&booted, &t, &mut make, seeds, cap);
         rows.push(vec![
             "Random (unguided)".into(),
             format!("{avg:.1}"),

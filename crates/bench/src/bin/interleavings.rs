@@ -9,149 +9,21 @@
 //! memory target, counting trials until the bug manifests.
 
 use sb_bench::print_table;
-use sb_kernel::prog::{Domain, IoctlCmd, MsgCmd, Path, Res};
-use sb_kernel::{boot, KernelConfig, Program, Syscall};
+use sb_kernel::{boot, bugs};
 use sb_vmm::Executor;
 use snowboard::metrics::{hits_bug, interleavings_to_expose, SchedKind};
 use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 
-struct Case {
-    bug: u8,
-    label: &'static str,
-    config: KernelConfig,
-    writer: Program,
-    reader: Program,
-    write_fn: &'static str,
-    read_fn: &'static str,
-}
-
-fn cases() -> Vec<Case> {
-    vec![
-        Case {
-            bug: 12,
-            label: "#12 l2tp order violation",
-            config: KernelConfig::v5_12_rc3(),
-            writer: Program::new(vec![
-                Syscall::Socket {
-                    domain: Domain::L2tp,
-                },
-                Syscall::Connect {
-                    sock: Res(0),
-                    tunnel_id: 2,
-                },
-            ]),
-            reader: Program::new(vec![
-                Syscall::Socket {
-                    domain: Domain::L2tp,
-                },
-                Syscall::Connect {
-                    sock: Res(0),
-                    tunnel_id: 2,
-                },
-                Syscall::Sendmsg {
-                    sock: Res(0),
-                    len: 1,
-                },
-            ]),
-            write_fn: "list_add_rcu",
-            read_fn: "l2tp_tunnel_get",
-        },
-        Case {
-            bug: 1,
-            label: "#1 rhashtable double fetch",
-            config: KernelConfig::v5_3_10(),
-            writer: Program::new(vec![
-                Syscall::Msgget { key: 3 },
-                Syscall::Msgctl {
-                    id: Res(0),
-                    cmd: MsgCmd::Rmid,
-                },
-            ]),
-            reader: Program::new(vec![Syscall::Msgget { key: 3 }]),
-            write_fn: "rht_assign_unlock",
-            read_fn: "rht_ptr",
-        },
-        Case {
-            bug: 11,
-            label: "#11 configfs null deref",
-            config: KernelConfig::v5_12_rc3(),
-            writer: Program::new(vec![Syscall::Mkdir { item: 1 }, Syscall::Rmdir { item: 1 }]),
-            reader: Program::new(vec![
-                Syscall::Mkdir { item: 1 },
-                Syscall::Open {
-                    path: Path::Configfs(1),
-                },
-            ]),
-            write_fn: "configfs_detach",
-            read_fn: "configfs_lookup",
-        },
-        Case {
-            bug: 2,
-            label: "#2 ext4 swap boot loader",
-            config: KernelConfig::v5_12_rc3(),
-            writer: Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(1),
-                },
-                Syscall::Write {
-                    fd: Res(0),
-                    off: 1,
-                    val: 7,
-                },
-                Syscall::Ioctl {
-                    fd: Res(0),
-                    cmd: IoctlCmd::Ext4SwapBoot,
-                    arg: 0,
-                },
-            ]),
-            reader: Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(1),
-                },
-                Syscall::Write {
-                    fd: Res(0),
-                    off: 1,
-                    val: 7,
-                },
-                Syscall::Ioctl {
-                    fd: Res(0),
-                    cmd: IoctlCmd::Ext4SwapBoot,
-                    arg: 0,
-                },
-            ]),
-            write_fn: "ext4_mark_inode_dirty",
-            read_fn: "swap_inode_boot_loader",
-        },
-        Case {
-            bug: 4,
-            label: "#4 blk capacity shrink",
-            config: KernelConfig::v5_3_10(),
-            writer: Program::new(vec![
-                Syscall::Open {
-                    path: Path::BlockDev,
-                },
-                Syscall::Ioctl {
-                    fd: Res(0),
-                    cmd: IoctlCmd::BlkSetSize,
-                    arg: 0,
-                },
-            ]),
-            reader: Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(0),
-                },
-                Syscall::Write {
-                    fd: Res(0),
-                    off: 9,
-                    val: 3,
-                },
-            ]),
-            write_fn: "blkdev_set_capacity",
-            read_fn: "blk_update_request",
-        },
-    ]
-}
+/// The bugs of the comparison, in table order, with their row labels; each
+/// replays its [`bugs::trigger`].
+const CASES: [(u8, &str); 5] = [
+    (12, "#12 l2tp order violation"),
+    (1, "#1 rhashtable double fetch"),
+    (11, "#11 configfs null deref"),
+    (2, "#2 ext4 swap boot loader"),
+    (4, "#4 blk capacity shrink"),
+];
 
 fn main() {
     const MAX_TRIALS: u32 = 4096;
@@ -159,7 +31,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut totals: std::collections::HashMap<SchedKind, (f64, u32)> =
         std::collections::HashMap::new();
-    for case in cases() {
+    for (bug, label) in CASES {
+        let case = bugs::trigger(bug).expect("every case has a trigger");
         let booted = boot(case.config);
         let mut exec = Executor::new(2);
         // Derive the PMC exactly as the pipeline would: profile the two
@@ -169,10 +42,10 @@ fn main() {
         let Some((_, pmc)) =
             snowboard::metrics::find_pmc_by_sites(&set, case.write_fn, case.read_fn)
         else {
-            eprintln!("[skip] no PMC for {}", case.label);
+            eprintln!("[skip] no PMC for {label}");
             continue;
         };
-        let mut row = vec![case.label.to_owned()];
+        let mut row = vec![label.to_owned()];
         for kind in [SchedKind::Snowboard, SchedKind::Ski, SchedKind::Random] {
             // Average over seeds; count failures at the cap.
             let mut sum = 0u64;
@@ -187,7 +60,7 @@ fn main() {
                     kind,
                     1000 + seed,
                     MAX_TRIALS,
-                    hits_bug(case.bug),
+                    hits_bug(bug),
                 ) {
                     Some(r) => {
                         sum += u64::from(r.interleavings);

@@ -2,8 +2,8 @@
 
 use std::path::PathBuf;
 
-use sb_kernel::{KernelConfig, KernelVersion};
-use snowboard::cluster::Strategy;
+use sb_kernel::{bugs, KernelConfig, KernelVersion};
+use snowboard::cluster::{Strategy, ALL_STRATEGIES};
 use snowboard::{ChaosPlan, OracleSet};
 
 /// Top-level usage text.
@@ -68,7 +68,7 @@ OPTIONS (hunt):
                                   'job:panic=3;job:transient=1:2;proc:exit=1:9;
                                   net:drop=0:6;disk:torn=20;
                                   coord:kill-after-journal=4'. Planes: job:
-                                  (panic, hang, transient, close), proc:
+                                  (panic, hang, transient), proc:
                                   (abort, exit, stall; need --supervise or
                                   hunt join), net: (drop, delay, garble,
                                   halfclose; need hunt join), disk: (torn,
@@ -329,26 +329,22 @@ pub enum Cmd {
     Help,
 }
 
+/// A kernel version by the name its `Display` prints, case-insensitive,
+/// with or without a leading `v`.
 fn parse_version(s: &str) -> Result<KernelVersion, String> {
-    match s {
-        "5.3.10" | "v5.3.10" => Ok(KernelVersion::V5_3_10),
-        "5.12-rc3" | "v5.12-rc3" => Ok(KernelVersion::V5_12Rc3),
-        other => Err(format!("unknown kernel version '{other}'")),
-    }
+    let name = s.strip_prefix(['v', 'V']).unwrap_or(s);
+    [KernelVersion::V5_3_10, KernelVersion::V5_12Rc3]
+        .into_iter()
+        .find(|v| v.to_string().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown kernel version '{s}'"))
 }
 
+/// A strategy by the name its `Display` prints, case-insensitive.
 fn parse_strategy(s: &str) -> Result<Strategy, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "s-full" => Ok(Strategy::SFull),
-        "s-ch" => Ok(Strategy::SCh),
-        "s-ch-null" => Ok(Strategy::SChNull),
-        "s-ch-unaligned" => Ok(Strategy::SChUnaligned),
-        "s-ch-double" => Ok(Strategy::SChDouble),
-        "s-ins" => Ok(Strategy::SIns),
-        "s-ins-pair" => Ok(Strategy::SInsPair),
-        "s-mem" => Ok(Strategy::SMem),
-        other => Err(format!("unknown strategy '{other}'")),
-    }
+    ALL_STRATEGIES
+        .into_iter()
+        .find(|st| st.to_string().eq_ignore_ascii_case(s))
+        .ok_or_else(|| format!("unknown strategy '{}'", s.to_ascii_lowercase()))
 }
 
 fn take_value<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
@@ -433,9 +429,15 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                 i += 1;
             }
             let bug = bug.ok_or("repro requires --bug <id>")?;
-            if ![1, 2, 3, 4, 11, 12].contains(&bug) {
+            if bugs::trigger(bug).is_none() {
+                let known: Vec<String> = bugs::registry()
+                    .iter()
+                    .filter(|b| bugs::trigger(b.id).is_some())
+                    .map(|b| b.id.to_string())
+                    .collect();
                 return Err(format!(
-                    "bug #{bug} is not console-detectable; choose one of 1, 2, 3, 4, 11, 12"
+                    "bug #{bug} is not console-detectable; choose one of {}",
+                    known.join(", ")
                 ));
             }
             Ok(Cmd::Repro { bug })

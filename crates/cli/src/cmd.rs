@@ -3,8 +3,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sb_kernel::prog::{IoctlCmd, MsgCmd, Path, Res};
-use sb_kernel::{boot, bugs, KernelConfig, Program, Syscall};
+use sb_kernel::{boot, bugs, KernelConfig};
 use sb_store::Store;
 use sb_vmm::Executor;
 use snowboard::cluster::ALL_STRATEGIES;
@@ -659,33 +658,54 @@ fn supervise(o: &HuntOpts, prep: &Prepared) -> SbResult<CampaignReport> {
     Ok(report)
 }
 
-/// A supervised child's flags: everything that shapes campaign results
-/// (its handshake fingerprint checks them), its heartbeat and stop file,
-/// and the job/process faults. `--store` and `--trace-dir` stay with the
+/// One campaign-shaping flag's value: a value to pass, or a presence flag
+/// that is on or off.
+#[derive(Debug, PartialEq)]
+enum Flag {
+    Value(String),
+    Present(bool),
+}
+
+/// Every flag that shapes what a completed job computes, in one list: a
+/// supervised child is launched with them ([`worker_args`]) and a fleet
+/// handshake compares their hash ([`fleet_fingerprint`]). Workers,
+/// heartbeats, stop files and `--chaos` change how a campaign runs or
+/// fails, never what a completed job computes, so they are not here.
+fn campaign_flags(o: &HuntOpts) -> [(&'static str, Flag); 11] {
+    use Flag::{Present, Value};
+    [
+        ("--version", Value(o.config.version.to_string())),
+        ("--patched", Present(o.config.patched)),
+        ("--strategy", Value(o.strategy.to_string())),
+        ("--seed", Value(o.seed.to_string())),
+        ("--corpus", Value(o.corpus.to_string())),
+        ("--budget", Value(o.budget.to_string())),
+        ("--trials", Value(o.trials.to_string())),
+        ("--oracles", Value(o.oracles.to_spec())),
+        ("--random-order", Present(o.random_order)),
+        ("--retries", Value(o.retries.to_string())),
+        ("--job-deadline", Value(o.job_deadline_secs.to_string())),
+    ]
+}
+
+/// A supervised child's flags: the campaign-shaping ones (its handshake
+/// fingerprint checks them), its pool size, heartbeat and stop file, and
+/// the job/process faults. `--store` and `--trace-dir` stay with the
 /// supervisor: one writer per resource.
 fn worker_args(o: &HuntOpts) -> Vec<String> {
-    let mut args: Vec<String> = [
-        ("--version", o.config.version.to_string()),
-        ("--strategy", o.strategy.to_string()),
-        ("--seed", o.seed.to_string()),
-        ("--corpus", o.corpus.to_string()),
-        ("--budget", o.budget.to_string()),
-        ("--trials", o.trials.to_string()),
-        ("--workers", o.workers.to_string()),
-        ("--oracles", o.oracles.to_spec()),
-        ("--retries", o.retries.to_string()),
-        ("--job-deadline", o.job_deadline_secs.to_string()),
-        ("--heartbeat-ms", o.heartbeat_ms.to_string()),
-    ]
-    .into_iter()
-    .flat_map(|(flag, value)| [flag.to_owned(), value])
-    .collect();
-    if o.config.patched {
-        args.push("--patched".into());
+    let mut args = Vec::new();
+    for (flag, value) in campaign_flags(o) {
+        match value {
+            Flag::Value(v) => args.extend([flag.to_owned(), v]),
+            Flag::Present(on) => args.extend(on.then(|| flag.to_owned())),
+        }
     }
-    if o.random_order {
-        args.push("--random-order".into());
-    }
+    args.extend([
+        "--workers".to_owned(),
+        o.workers.to_string(),
+        "--heartbeat-ms".to_owned(),
+        o.heartbeat_ms.to_string(),
+    ]);
     if let Some(sf) = &o.stop_file {
         args.extend(["--stop-file".into(), sf.display().to_string()]);
     }
@@ -699,24 +719,17 @@ fn worker_args(o: &HuntOpts) -> Vec<String> {
     args
 }
 
-/// The campaign-shaping parameters a fleet worker must share with its
-/// coordinator for merged results to make sense, hashed for the handshake.
-/// The `--chaos` plan is deliberately excluded: faults change *how*
-/// a worker fails, never what a completed job computes.
+/// [`campaign_flags`] hashed for the fleet handshake: a worker must share
+/// them with its coordinator for merged results to make sense.
 fn fleet_fingerprint(o: &HuntOpts) -> u64 {
-    config_fingerprint(&[
-        ("version", o.config.version.to_string()),
-        ("patched", o.config.patched.to_string()),
-        ("strategy", o.strategy.to_string()),
-        ("seed", o.seed.to_string()),
-        ("corpus", o.corpus.to_string()),
-        ("budget", o.budget.to_string()),
-        ("trials", o.trials.to_string()),
-        ("oracles", o.oracles.to_spec()),
-        ("random_order", o.random_order.to_string()),
-        ("retries", o.retries.to_string()),
-        ("job_deadline", o.job_deadline_secs.to_string()),
-    ])
+    let parts: Vec<(&str, String)> = campaign_flags(o)
+        .into_iter()
+        .map(|(flag, value)| match value {
+            Flag::Value(v) => (flag, v),
+            Flag::Present(on) => (flag, on.to_string()),
+        })
+        .collect();
+    config_fingerprint(&parts)
 }
 
 /// `hunt serve`: run the campaign as a fleet coordinator. Same pipeline,
@@ -859,150 +872,16 @@ fn join(opts: JoinOpts) -> ExitCode {
     }
 }
 
-/// Known reproduction recipes for the console-detectable bugs.
-fn repro_recipe(bug: u8) -> (KernelConfig, Program, Program, &'static str, &'static str) {
-    match bug {
-        1 => (
-            KernelConfig::v5_3_10(),
-            Program::new(vec![
-                Syscall::Msgget { key: 3 },
-                Syscall::Msgctl {
-                    id: Res(0),
-                    cmd: MsgCmd::Rmid,
-                },
-            ]),
-            Program::new(vec![Syscall::Msgget { key: 3 }]),
-            "rht_assign_unlock",
-            "rht_ptr",
-        ),
-        2 => (
-            KernelConfig::v5_12_rc3(),
-            Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(1),
-                },
-                Syscall::Write {
-                    fd: Res(0),
-                    off: 1,
-                    val: 7,
-                },
-                Syscall::Ioctl {
-                    fd: Res(0),
-                    cmd: IoctlCmd::Ext4SwapBoot,
-                    arg: 0,
-                },
-            ]),
-            Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(1),
-                },
-                Syscall::Write {
-                    fd: Res(0),
-                    off: 1,
-                    val: 7,
-                },
-                Syscall::Ioctl {
-                    fd: Res(0),
-                    cmd: IoctlCmd::Ext4SwapBoot,
-                    arg: 0,
-                },
-            ]),
-            "ext4_mark_inode_dirty",
-            "swap_inode_boot_loader",
-        ),
-        3 => (
-            KernelConfig::v5_3_10(),
-            Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(2),
-                },
-                Syscall::Write {
-                    fd: Res(0),
-                    off: 0,
-                    val: 1,
-                },
-            ]),
-            Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(2),
-                },
-                Syscall::Read { fd: Res(0), off: 0 },
-            ]),
-            "ext4_ext_insert",
-            "ext4_ext_check_inode",
-        ),
-        4 => (
-            KernelConfig::v5_3_10(),
-            Program::new(vec![
-                Syscall::Open {
-                    path: Path::BlockDev,
-                },
-                Syscall::Ioctl {
-                    fd: Res(0),
-                    cmd: IoctlCmd::BlkSetSize,
-                    arg: 0,
-                },
-            ]),
-            Program::new(vec![
-                Syscall::Open {
-                    path: Path::Ext4File(0),
-                },
-                Syscall::Write {
-                    fd: Res(0),
-                    off: 9,
-                    val: 3,
-                },
-            ]),
-            "blkdev_set_capacity",
-            "blk_update_request",
-        ),
-        11 => (
-            KernelConfig::v5_12_rc3(),
-            Program::new(vec![Syscall::Mkdir { item: 1 }, Syscall::Rmdir { item: 1 }]),
-            Program::new(vec![
-                Syscall::Mkdir { item: 1 },
-                Syscall::Open {
-                    path: Path::Configfs(1),
-                },
-            ]),
-            "configfs_detach",
-            "configfs_lookup",
-        ),
-        12 => (
-            KernelConfig::v5_12_rc3(),
-            Program::new(vec![
-                Syscall::Socket {
-                    domain: sb_kernel::prog::Domain::L2tp,
-                },
-                Syscall::Connect {
-                    sock: Res(0),
-                    tunnel_id: 2,
-                },
-            ]),
-            Program::new(vec![
-                Syscall::Socket {
-                    domain: sb_kernel::prog::Domain::L2tp,
-                },
-                Syscall::Connect {
-                    sock: Res(0),
-                    tunnel_id: 2,
-                },
-                Syscall::Sendmsg {
-                    sock: Res(0),
-                    len: 1,
-                },
-            ]),
-            "list_add_rcu",
-            "l2tp_tunnel_get",
-        ),
-        other => unreachable!("validated at parse time: {other}"),
-    }
-}
-
 fn repro(bug: u8) -> ExitCode {
     let b = bugs::by_id(bug).expect("registry id");
     println!("reproducing #{bug}: {}\n", b.title);
-    let (config, writer, reader, wfn, rfn) = repro_recipe(bug);
+    let bugs::Trigger {
+        config,
+        writer,
+        reader,
+        write_fn: wfn,
+        read_fn: rfn,
+    } = bugs::trigger(bug).expect("validated at parse time");
     println!(
         "kernel {:?}\n\ntest 1 (writer):\n{writer}\ntest 2 (reader):\n{reader}",
         config.version
@@ -1038,6 +917,40 @@ fn repro(bug: u8) -> ExitCode {
         None => {
             eprintln!("not exposed within 4096 interleavings");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::args::parse;
+    use sb_kernel::KernelVersion;
+
+    /// A supervised child parses back every campaign-shaping flag its
+    /// supervisor renders, for every strategy and kernel version, with the
+    /// presence flags on and off.
+    #[test]
+    fn worker_args_parse_back_to_the_same_campaign() {
+        let Ok(Cmd::Hunt(base)) = parse(&["hunt".to_owned()]) else {
+            panic!("a bare hunt parses")
+        };
+        for strategy in ALL_STRATEGIES {
+            for version in [KernelVersion::V5_3_10, KernelVersion::V5_12Rc3] {
+                for on in [false, true] {
+                    let mut o = base.clone();
+                    o.strategy = strategy;
+                    o.config.version = version;
+                    o.config.patched = on;
+                    o.random_order = on;
+                    let argv = [vec!["hunt".to_owned()], worker_args(&o)].concat();
+                    let Ok(Cmd::Hunt(child)) = parse(&argv) else {
+                        panic!("{argv:?} does not parse")
+                    };
+                    assert_eq!(campaign_flags(&child), campaign_flags(&o), "{argv:?}");
+                    assert_eq!(fleet_fingerprint(&child), fleet_fingerprint(&o));
+                }
+            }
         }
     }
 }

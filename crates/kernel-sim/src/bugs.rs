@@ -7,7 +7,7 @@
 //! and to classify them as harmful or benign — the role the authors' 80
 //! person-hours of manual inspection play in §5.2.
 
-use crate::KernelVersion;
+use crate::{KernelConfig, KernelVersion, Program, Syscall};
 
 /// Concurrency-bug classes, following Lu et al.'s taxonomy used in Table 2.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -446,6 +446,124 @@ pub fn match_lockorder(lock_a: &str, lock_b: &str) -> Option<u8> {
             }
             _ => None,
         })
+    })
+}
+
+/// The concurrent test that exposes one console-detectable bug: two
+/// sequential tests, the kernel they run on, and the functions of the PMC's
+/// write and read that a hinted schedule must order.
+#[derive(Clone, Debug)]
+pub struct Trigger {
+    /// The kernel to boot.
+    pub config: KernelConfig,
+    /// The test that performs the PMC's write.
+    pub writer: Program,
+    /// The test that performs the PMC's read.
+    pub reader: Program,
+    /// Function part of the write instruction's site name.
+    pub write_fn: &'static str,
+    /// Function part of the read instruction's site name.
+    pub read_fn: &'static str,
+}
+
+/// The known trigger of issue `id`, for the console bugs #1–#4, #11 and
+/// #12 (what `repro` and experiment E5 replay); `None` for any other id.
+pub fn trigger(id: u8) -> Option<Trigger> {
+    use crate::prog::{Domain, IoctlCmd, MsgCmd, Path, Res};
+    use Syscall::*;
+    let open = |path| Open { path };
+    let write = |off, val| Write {
+        fd: Res(0),
+        off,
+        val,
+    };
+    let ioctl = |cmd| Ioctl {
+        fd: Res(0),
+        cmd,
+        arg: 0,
+    };
+    let l2tp = || {
+        vec![
+            Socket {
+                domain: Domain::L2tp,
+            },
+            Connect {
+                sock: Res(0),
+                tunnel_id: 2,
+            },
+        ]
+    };
+    let (config, writer, reader, write_fn, read_fn) = match id {
+        1 => (
+            KernelConfig::v5_3_10(),
+            vec![
+                Msgget { key: 3 },
+                Msgctl {
+                    id: Res(0),
+                    cmd: MsgCmd::Rmid,
+                },
+            ],
+            vec![Msgget { key: 3 }],
+            "rht_assign_unlock",
+            "rht_ptr",
+        ),
+        2 => {
+            let swap = vec![
+                open(Path::Ext4File(1)),
+                write(1, 7),
+                ioctl(IoctlCmd::Ext4SwapBoot),
+            ];
+            (
+                KernelConfig::v5_12_rc3(),
+                swap.clone(),
+                swap,
+                "ext4_mark_inode_dirty",
+                "swap_inode_boot_loader",
+            )
+        }
+        3 => (
+            KernelConfig::v5_3_10(),
+            vec![open(Path::Ext4File(2)), write(0, 1)],
+            vec![open(Path::Ext4File(2)), Read { fd: Res(0), off: 0 }],
+            "ext4_ext_insert",
+            "ext4_ext_check_inode",
+        ),
+        4 => (
+            KernelConfig::v5_3_10(),
+            vec![open(Path::BlockDev), ioctl(IoctlCmd::BlkSetSize)],
+            vec![open(Path::Ext4File(0)), write(9, 3)],
+            "blkdev_set_capacity",
+            "blk_update_request",
+        ),
+        11 => (
+            KernelConfig::v5_12_rc3(),
+            vec![Mkdir { item: 1 }, Rmdir { item: 1 }],
+            vec![Mkdir { item: 1 }, open(Path::Configfs(1))],
+            "configfs_detach",
+            "configfs_lookup",
+        ),
+        12 => (
+            KernelConfig::v5_12_rc3(),
+            l2tp(),
+            [
+                l2tp(),
+                vec![Sendmsg {
+                    sock: Res(0),
+                    len: 1,
+                }],
+            ]
+            .concat(),
+            "list_add_rcu",
+            "l2tp_tunnel_get",
+        ),
+        _ => return None,
+    };
+    Some(Trigger {
+        config,
+        writer: Program::new(writer),
+        reader: Program::new(reader),
+        write_fn,
+        read_fn,
     })
 }
 

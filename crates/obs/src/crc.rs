@@ -1,18 +1,17 @@
 //! CRC32C (Castagnoli), the checksum of every framed record in the workspace.
 //!
-//! Two record kinds carry it: the store's segment records
-//! (`sb_store::segment`, over `key‖len‖payload`) and the frames of a
-//! `FrameLog` — the campaign checkpoint log and the worker spool
-//! (`snowboard::journal`, over `len‖payload`). The polynomial is the one
-//! iSCSI, ext4 and LevelDB use, chosen for its error-detection profile on
-//! exactly this "short record in a log file" shape. It lives in `sb-obs`,
-//! the dependency root beside the JSON codec, so both share one function.
+//! Its one caller is [`crate::frame`], the frame under store segment
+//! records, the checkpoint log, the worker spool and the fleet socket. The
+//! polynomial is the one iSCSI, ext4 and LevelDB use, chosen for its
+//! error-detection profile on exactly this "short record in a log file"
+//! shape.
 //!
 //! Who checksums what: a segment record once when it is written and once
 //! by each lookup that serves it; `Store::open` only the records it acts
 //! on (the last of each file and any the manifest does not address), and
-//! `store fsck` all of them. A frame once when it is appended and once by
-//! every load of its log (a resume, a spool replay).
+//! `store fsck` all of them. A log frame once when it is appended and once
+//! by every load of its log (a resume, a spool replay); a socket frame once
+//! by each side.
 //!
 //! [`Crc32c::update`] has two walks with the same result: the reflected
 //! polynomial, a `!0` seed and a final inversion either way, so a record

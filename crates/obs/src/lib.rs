@@ -20,14 +20,17 @@
 //! * [`report`] — [`TraceReport`]: reconstructs per-stage wall clock and
 //!   funnel attrition from a trace file and cross-checks them against the
 //!   run's own summary (`sb trace report`).
-//! * [`crc`] — table-driven CRC32C, shared by the store's segment files
-//!   and the campaign checkpoint log.
+//! * [`frame`] — the one record frame (`prefix ‖ len ‖ crc ‖ payload`)
+//!   under store segments, the checkpoint log, the worker spool and the
+//!   fleet socket; [`crc`] is its CRC32C (the SSE4.2 `crc32` instruction
+//!   where the CPU has it, slicing-by-8 elsewhere).
 //! * [`spec`] — the shared `kind=args;...` grammar behind the `--chaos`
 //!   spec string (job, process, network, disk, coordinator), so all planes
 //!   parse and report errors identically.
 
 pub mod crc;
 pub mod event;
+pub mod frame;
 pub mod json;
 pub mod observer;
 pub mod report;

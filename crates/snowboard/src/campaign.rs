@@ -81,8 +81,9 @@ pub struct CampaignCfg {
     pub retry: RetryPolicy,
     /// Per-job step/wall-clock budget enforced by the watchdog.
     pub budget: JobBudget,
-    /// Checkpoint file, rewritten after every merged verdict and once more
-    /// at the end; `None` disables checkpointing.
+    /// Checkpoint file: an append-only log; each verdict is appended and
+    /// synced before it is merged, and the log is compacted once at the
+    /// end. `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
     /// Resume from this checkpoint file: jobs it covers are not re-run.
     pub resume_from: Option<PathBuf>,
@@ -772,9 +773,6 @@ pub fn run_campaign(
     let _campaign_span = cfg.tracer.span("campaign");
     let mut ledger = JobLedger::open(exemplars, cfg, None)?;
     ledger.trace_restored();
-    if let Some(cut) = cfg.fault_plan.close_queue_before {
-        ledger.close_from(cut);
-    }
     let jobs: Vec<(usize, PmcId)> = ledger
         .lease(0, usize::MAX, None)
         .into_iter()

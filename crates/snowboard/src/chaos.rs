@@ -33,9 +33,7 @@ use crate::fault::{FaultPlan, NetFaultPlan};
 
 /// Every injection-site id a chaos schedule can exercise, in plane order.
 /// Site ids are stable: they name ledger lines, `chaos.fired.<site>` trace
-/// counters, and the coverage axis of the schedule generator. (`job:close`
-/// stays in the grammar for compatibility but is not a generated site — it
-/// changes which jobs run at all, so no standing invariant survives it.)
+/// counters, and the coverage axis of the schedule generator.
 pub const SITES: &[&str] = &[
     "job.panic",
     "job.hang",
@@ -92,7 +90,7 @@ pub fn count_fired(tracer: &sb_obs::Tracer, site: &str, n: u64) {
 ///   attempt (`attempts - 1`);
 /// * a quarantined job fired once per attempt, but only when the
 ///   quarantine kind matches what the plan scripted for that job —
-///   crash/gave-up/rejected records are process-level outcomes attributed
+///   crash/gave-up records are process-level outcomes attributed
 ///   at their own sites, not here.
 pub(crate) fn attribute_verdict(
     tracer: &sb_obs::Tracer,
@@ -226,11 +224,10 @@ pub struct ChaosPlan {
 }
 
 /// The `plane:kind` clause keys of [`FaultPlan::spec_parts`], in order.
-const JOB_KEYS: [&str; 7] = [
+const JOB_KEYS: [&str; 6] = [
     "job:panic",
     "job:hang",
     "job:transient",
-    "job:close",
     "proc:abort",
     "proc:exit",
     "proc:stall",
@@ -251,7 +248,7 @@ impl ChaosPlan {
 
     /// Parses the unified chaos spec: semicolon-separated
     /// `plane:kind=args` clauses. Planes are `job:` (panic, hang,
-    /// transient, close), `proc:` (abort, exit, stall), `net:` (drop,
+    /// transient), `proc:` (abort, exit, stall), `net:` (drop,
     /// delay, garble, halfclose), `disk:` (torn, flip, short, shortn), and
     /// `coord:` (kill-after-journal). The per-plane argument grammars are
     /// documented on each plane's `apply_clause`.
@@ -277,7 +274,7 @@ impl ChaosPlan {
         };
         match plane.trim() {
             "job" => match inner.kind {
-                "panic" | "hang" | "transient" | "close" => self.job.apply_clause(&inner, "chaos"),
+                "panic" | "hang" | "transient" => self.job.apply_clause(&inner, "chaos"),
                 "abort" | "exit" | "stall" => Err(format!(
                     "'{0}' is a proc: fault, not job: — write proc:{0}=...",
                     inner.kind
@@ -286,7 +283,7 @@ impl ChaosPlan {
             },
             "proc" => match inner.kind {
                 "abort" | "exit" | "stall" => self.job.apply_clause(&inner, "chaos"),
-                "panic" | "hang" | "transient" | "close" => Err(format!(
+                "panic" | "hang" | "transient" => Err(format!(
                     "'{0}' is a job: fault, not proc: — write job:{0}=...",
                     inner.kind
                 )),
@@ -766,9 +763,6 @@ mod tests {
                 .transient_failures
                 .insert(j, 1 + r(state, 4) as u32);
         }
-        if r(state, 4) == 0 {
-            plan.job.close_queue_before = Some(r(state, 50) as usize);
-        }
         for _ in 0..r(state, 3) {
             plan.job.abort_jobs.insert(r(state, 50) as usize);
         }
@@ -926,9 +920,6 @@ mod tests {
             }
         }
         for site in SITES {
-            if *site == "job.close" {
-                continue;
-            }
             assert!(
                 seen.contains_key(site),
                 "site {site} never scheduled in 60 schedules; got {seen:?}"

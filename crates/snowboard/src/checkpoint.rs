@@ -15,9 +15,9 @@
 //! of re-executed, and the final report aggregates identically to an
 //! uninterrupted run.
 //!
-//! Jobs quarantined as `rejected` (queue closed before enqueue — they never
-//! ran) or `gave-up` are deliberately *not* persisted: a resumed campaign
-//! should retry them rather than inherit the dead queue's verdict.
+//! Jobs quarantined as `gave-up` (the breaker abandoned them; they never
+//! got a verdict) are deliberately *not* persisted: a resumed campaign
+//! retries them rather than inherit a dead pool's verdict.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -46,7 +46,7 @@ pub struct Checkpoint {
     pub exemplars: Vec<PmcId>,
     /// Completed job outcomes, keyed by job index.
     pub outcomes: BTreeMap<usize, PmcTestOutcome>,
-    /// Quarantined jobs (minus `rejected` entries, which are retried on
+    /// Quarantined jobs (minus `gave-up` entries, which are retried on
     /// resume), keyed by job index.
     pub quarantined: BTreeMap<usize, QuarantineRecord>,
 }
@@ -165,20 +165,9 @@ impl Checkpoint {
         if version != VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let exemplars = doc
-            .get("exemplars")
-            .and_then(Json::as_arr)
-            .ok_or("missing exemplars array")?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| "bad exemplar id".to_string())
-            })
-            .collect::<Result<Vec<PmcId>, String>>()?;
         Ok(Checkpoint {
             seed: req_u64(&doc, "seed")?,
-            exemplars,
+            exemplars: req_uints(&doc, "exemplars")?,
             ..Checkpoint::default()
         })
     }
@@ -311,6 +300,15 @@ pub(crate) fn req_u64(doc: &Json, key: &str) -> Result<u64, String> {
     doc.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer field \"{key}\""))
+}
+
+/// The array of unsigned integers at `key`, each one a `T`.
+pub(crate) fn req_uints<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<Vec<T>, String> {
+    let bad = || format!("missing or non-integer array \"{key}\"");
+    let arr = doc.get(key).and_then(Json::as_arr).ok_or_else(bad)?;
+    arr.iter()
+        .map(|v| v.as_u64().and_then(|n| T::try_from(n).ok()).ok_or_else(bad))
+        .collect()
 }
 
 fn opt_u64(value: &Json) -> Result<Option<u64>, String> {
@@ -527,17 +525,7 @@ fn schedule_from_json(doc: &Json) -> Result<Schedule, String> {
         .iter()
         .map(|v| v.as_bool().ok_or_else(|| "bad switch entry".to_string()))
         .collect::<Result<Vec<bool>, String>>()?;
-    let picks = doc
-        .get("picks")
-        .and_then(Json::as_arr)
-        .ok_or("schedule missing picks")?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| "bad pick entry".to_string())
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
+    let picks = req_uints(doc, "picks")?;
     Ok(Schedule { switches, picks })
 }
 

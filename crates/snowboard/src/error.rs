@@ -46,8 +46,6 @@ pub enum Error {
         /// Captured panic payload.
         message: String,
     },
-    /// The work queue closed before the job could be enqueued.
-    QueueClosed,
     /// The per-job watchdog expired: the job overran its step budget or
     /// wall-clock deadline and is classified as a hang.
     Hang {
@@ -125,7 +123,6 @@ impl Error {
             Error::BadTestId { .. } => FailureKind::BadTest,
             Error::Exec { .. } => FailureKind::Exec,
             Error::WorkerPanic { .. } => FailureKind::Panic,
-            Error::QueueClosed => FailureKind::Rejected,
             Error::Hang { .. } => FailureKind::Hang,
             Error::Injected { .. } => FailureKind::Injected,
             Error::CheckpointIo { .. }
@@ -156,7 +153,6 @@ impl std::fmt::Display for Error {
             }
             Error::Exec { .. } => write!(f, "execution machinery failed"),
             Error::WorkerPanic { message } => write!(f, "campaign worker panicked: {message}"),
-            Error::QueueClosed => write!(f, "work queue closed before the job was enqueued"),
             Error::Hang {
                 steps,
                 elapsed,
@@ -225,9 +221,6 @@ pub enum FailureKind {
     Exec,
     /// Worker panic.
     Panic,
-    /// Queue closed before enqueue; the job never ran and is *not*
-    /// persisted to checkpoints, so a resumed campaign retries it.
-    Rejected,
     /// Watchdog-detected hang.
     Hang,
     /// Fault-injection hook.
@@ -238,7 +231,7 @@ pub enum FailureKind {
     /// heartbeat-timeout kill) and the job's crash budget is exhausted.
     Crash,
     /// Worker processes crash-looped and the breaker abandoned what was
-    /// left; this job never got a verdict. Like [`FailureKind::Rejected`],
+    /// left; this job never got a verdict. The one reported-only kind:
     /// gave-up records are *not* persisted to checkpoints — a resumed
     /// campaign retries the job.
     GaveUp,
@@ -252,7 +245,6 @@ impl FailureKind {
             FailureKind::BadTest => "bad-test",
             FailureKind::Exec => "exec",
             FailureKind::Panic => "panic",
-            FailureKind::Rejected => "rejected",
             FailureKind::Hang => "hang",
             FailureKind::Injected => "injected",
             FailureKind::Checkpoint => "checkpoint",
@@ -268,7 +260,6 @@ impl FailureKind {
             "bad-test" => FailureKind::BadTest,
             "exec" => FailureKind::Exec,
             "panic" => FailureKind::Panic,
-            "rejected" => FailureKind::Rejected,
             "hang" => FailureKind::Hang,
             "injected" => FailureKind::Injected,
             "checkpoint" => FailureKind::Checkpoint,
@@ -321,7 +312,6 @@ mod tests {
             tripped: "steps"
         }
         .is_retryable());
-        assert!(!Error::QueueClosed.is_retryable());
     }
 
     #[test]
@@ -331,7 +321,6 @@ mod tests {
             FailureKind::BadTest,
             FailureKind::Exec,
             FailureKind::Panic,
-            FailureKind::Rejected,
             FailureKind::Hang,
             FailureKind::Injected,
             FailureKind::Checkpoint,

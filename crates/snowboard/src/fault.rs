@@ -4,7 +4,7 @@
 //! checkpointing) only earns trust if it can be driven through its failure
 //! paths on demand. A [`FaultPlan`] names campaign job indices at which the
 //! driver manufactures specific failures — worker panics, forced watchdog
-//! expiry, transient errors that succeed on retry, and early queue closure.
+//! expiry, and transient errors that succeed on retry.
 //! Plans are plain data, always compiled in, and empty by default, so
 //! production campaigns pay only a couple of set lookups per job.
 //!
@@ -35,9 +35,6 @@ pub struct FaultPlan {
     /// for the first `n` attempts, then run normally. Exercises
     /// retry-then-success.
     pub transient_failures: BTreeMap<usize, u32>,
-    /// Close the work queue before enqueueing this job index; it and all
-    /// later jobs are rejected. Exercises queue-closure handling.
-    pub close_queue_before: Option<usize>,
     /// Jobs on which a worker *process* calls `abort()` before attempting
     /// the job. Only honoured by a remote worker.
     pub abort_jobs: BTreeSet<usize>,
@@ -56,7 +53,6 @@ impl FaultPlan {
         self.panic_jobs.is_empty()
             && self.hang_jobs.is_empty()
             && self.transient_failures.is_empty()
-            && self.close_queue_before.is_none()
             && self.abort_jobs.is_empty()
             && self.exit_jobs.is_empty()
             && self.stall_jobs.is_empty()
@@ -103,7 +99,6 @@ impl FaultPlan {
     /// * `panic=J[,J...]` — in-process panic at each job index `J`
     /// * `hang=J[,J...]` — forced watchdog expiry
     /// * `transient=J:N[,J:N...]` — fail job `J`'s first `N` attempts
-    /// * `close=J` — close the work queue before job `J`
     /// * `abort=J[,J...]` — worker process aborts before job `J`
     /// * `exit=J:C[,J:C...]` — worker process exits with code `C` before `J`
     /// * `stall=J[,J...]` — worker process goes silent before job `J`
@@ -133,9 +128,6 @@ impl FaultPlan {
                     }
                 }
             }
-            "close" => {
-                self.close_queue_before = Some(c.num(c.args.trim(), "job index", plane)?);
-            }
             _ => return Err(c.unknown_kind(plane)),
         }
         Ok(())
@@ -154,12 +146,6 @@ impl FaultPlan {
                         .iter()
                         .map(|(j, n)| format!("{j}:{n}")),
                 ),
-            ),
-            (
-                "close",
-                self.close_queue_before
-                    .map(|j| j.to_string())
-                    .unwrap_or_default(),
             ),
             ("abort", spec::join_items(&self.abort_jobs)),
             (
@@ -319,14 +305,13 @@ mod tests {
     #[test]
     fn every_job_and_proc_kind_parses_into_its_field() {
         let plan = chaos(
-            "job:panic=1,2;job:hang=3;job:transient=4:2;job:close=5;\
+            "job:panic=1,2;job:hang=3;job:transient=4:2;\
              proc:abort=6;proc:exit=7:9;proc:stall=8",
         )
         .job;
         assert_eq!(plan.panic_jobs, BTreeSet::from([1, 2]));
         assert_eq!(plan.hang_jobs, BTreeSet::from([3]));
         assert_eq!(plan.transient_failures, BTreeMap::from([(4, 2)]));
-        assert_eq!(plan.close_queue_before, Some(5));
         assert!(plan.should_abort(6));
         assert!(!plan.should_abort(5));
         assert_eq!(plan.exit_code(7), Some(9));
@@ -349,17 +334,14 @@ mod tests {
 
     #[test]
     fn in_process_strips_process_level_faults() {
-        let plan = chaos(
-            "job:panic=1;job:transient=2:1;proc:abort=3;proc:exit=4:9;proc:stall=5;job:close=6",
-        )
-        .job;
+        let plan =
+            chaos("job:panic=1;job:transient=2:1;proc:abort=3;proc:exit=4:9;proc:stall=5").job;
         let inner = plan.in_process();
         assert!(inner.should_panic(1));
         assert!(inner.should_fail_transiently(2, 0));
         assert!(!inner.should_abort(3));
         assert_eq!(inner.exit_code(4), None);
         assert!(!inner.should_stall(5));
-        assert_eq!(inner.close_queue_before, None);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! result spool, and the typed records a checkpoint log holds.
 //!
 //! Both files are the same primitive — [`FrameLog`], an append-only file of
-//! CRC32C-framed records with torn-tail truncation at open, reusing the
-//! checksum discipline of the store segments (shared via
-//! [`sb_obs::crc`]).
+//! [`sb_obs::frame`] frames with torn-tail truncation at open: the frame
+//! the store's segment records use, without their key prefix.
 //!
 //! # On-disk format
 //!
@@ -12,13 +11,11 @@
 //! [magic "SBWAL001" 8B] ( [len u32 LE] [crc u32 LE] [payload len B] )*
 //! ```
 //!
-//! `crc` is the CRC32C of `len‖payload` (little-endian length bytes
-//! followed by the payload), mirroring the store's `key‖len‖payload`
-//! discipline minus the key. A file is always read whole, so a record is
-//! bounded by the bytes left, not by a cap of its own. An append is written
-//! before the event it records is acted on, so a `kill -9` can lose at most
-//! the record being appended — which the next reader discards cleanly,
-//! leaving the previous state.
+//! `crc` is the CRC32C of `len‖payload`. A file is always read whole, so a
+//! record is bounded by the bytes left, not by a cap of its own. An append
+//! is written before the event it records is acted on, so a `kill -9` can
+//! lose at most the record being appended — which the next reader discards
+//! cleanly, leaving the previous state.
 //!
 //! Payloads are single-line JSON objects. A checkpoint log
 //! ([`crate::checkpoint`]) starts with a campaign header and then holds
@@ -31,11 +28,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use sb_obs::crc::Crc32c;
+use sb_obs::frame;
 
 use crate::campaign::{PmcTestOutcome, QuarantineRecord};
 use crate::checkpoint::{
     outcome_from_json, outcome_to_json, quarantine_from_json, quarantine_to_json, req_u64,
+    req_uints,
 };
 use crate::json::{self, Json};
 
@@ -142,9 +140,7 @@ impl FrameLog {
     /// Appends one record and flushes it to the OS. Called before the
     /// event it records is acted on.
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        push_frame(&mut frame, payload)?;
-        self.file.write_all(&frame)?;
+        self.file.write_all(&framed(Vec::new(), [payload])?)?;
         self.file.flush()
     }
 
@@ -167,28 +163,18 @@ impl FrameLog {
     }
 }
 
-/// Appends the frame of `payload` to `out`.
-fn push_frame(out: &mut Vec<u8>, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record exceeds 4 GiB"))?
-        .to_le_bytes();
-    let mut c = Crc32c::new();
-    c.update(&len);
-    c.update(bytes);
-    out.extend_from_slice(&len);
-    out.extend_from_slice(&c.finish().to_le_bytes());
-    out.extend_from_slice(bytes);
-    Ok(())
+/// `out` with the frames of `records` appended.
+fn framed<'a>(mut out: Vec<u8>, records: impl IntoIterator<Item = &'a str>) -> io::Result<Vec<u8>> {
+    for record in records {
+        frame::push(&mut out, &[], record.as_bytes())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record exceeds 4 GiB"))?;
+    }
+    Ok(out)
 }
 
 /// A whole log file holding `records`, magic first.
 pub(crate) fn image<'a>(records: impl IntoIterator<Item = &'a str>) -> io::Result<Vec<u8>> {
-    let mut out = MAGIC.to_vec();
-    for record in records {
-        push_frame(&mut out, record)?;
-    }
-    Ok(out)
+    framed(MAGIC.to_vec(), records)
 }
 
 /// Decodes a log read whole: every intact record's payload with the offset
@@ -200,28 +186,16 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<Vec<(&str, usize)>> {
     }
     let mut frames = Vec::new();
     let mut pos = MAGIC.len();
-    while let Some((payload, next)) = read_record(bytes, pos) {
-        frames.push((payload, next));
-        pos = next;
+    // Damage — a short header, a length past the end, a CRC mismatch, a
+    // non-UTF-8 payload — ends the intact prefix.
+    while let Some(f) = frame::split(&bytes[pos..], 0).filter(frame::Frame::intact) {
+        let Ok(payload) = std::str::from_utf8(f.payload) else {
+            break;
+        };
+        pos += f.end;
+        frames.push((payload, pos));
     }
     Some(frames)
-}
-
-/// Decodes one record at `pos`; `None` on any damage (short header,
-/// length past the end, CRC mismatch, non-UTF-8 payload).
-fn read_record(bytes: &[u8], pos: usize) -> Option<(&str, usize)> {
-    let header = bytes.get(pos..pos.checked_add(8)?)?;
-    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(header[4..].try_into().ok()?);
-    let end = (pos + 8).checked_add(len)?;
-    let payload = bytes.get(pos + 8..end)?;
-    let mut c = Crc32c::new();
-    c.update(&header[..4]);
-    c.update(payload);
-    if c.finish() != crc {
-        return None;
-    }
-    Some((std::str::from_utf8(payload).ok()?, end))
 }
 
 /// One typed checkpoint-log record after the header.
@@ -349,24 +323,11 @@ impl JournalRecord {
             .and_then(Json::as_str)
             .ok_or("journal record without 'rec' discriminator")?;
         match kind {
-            "lease" => {
-                let jobs = doc
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or("lease record without jobs array")?
-                    .iter()
-                    .map(|j| {
-                        j.as_u64()
-                            .and_then(|v| usize::try_from(v).ok())
-                            .ok_or_else(|| "non-numeric job in lease record".to_string())
-                    })
-                    .collect::<Result<Vec<usize>, String>>()?;
-                Ok(JournalRecord::Lease {
-                    lease: req_u64(&doc, "lease")?,
-                    session: req_u64(&doc, "session")?,
-                    jobs,
-                })
-            }
+            "lease" => Ok(JournalRecord::Lease {
+                lease: req_u64(&doc, "lease")?,
+                session: req_u64(&doc, "session")?,
+                jobs: req_uints(&doc, "jobs")?,
+            }),
             "done" => {
                 let (job, outcome) =
                     outcome_from_json(doc.get("outcome").ok_or("done record without outcome")?)?;

@@ -25,9 +25,8 @@
 //!   ([`JobLedger::trace_restored`]) so a resumed trace balances.
 //! * **First verdict wins** — a verdict for a covered job is a counted
 //!   duplicate, never an overwrite.
-//! * **Reported-only** — `Rejected` (the queue closed before the job ran)
-//!   and `GaveUp` (the breaker abandoned it) verdicts are reported but
-//!   never checkpointed, so a resumed campaign retries those jobs; a real
+//! * **Reported-only** — `GaveUp` verdicts (the breaker abandoned the
+//!   job) are reported but never checkpointed, so a resumed campaign retries those jobs; a real
 //!   verdict arriving later supersedes them.
 //! * **Crash budget** — an owner that dies charges every job it held; at
 //!   the budget the job is quarantined as `Crash` (checkpointed, never
@@ -59,7 +58,7 @@ use crate::campaign::{
     aggregate, CampaignCfg, CampaignReport, JobVerdict, PmcTestOutcome, QuarantineRecord,
 };
 use crate::checkpoint::{self, Checkpoint, Loaded};
-use crate::error::{Error, FailureKind, SbResult};
+use crate::error::{FailureKind, SbResult};
 use crate::fault::FaultPlan;
 use crate::journal::{done_line, quarantine_line, FrameLog, JournalRecord, Replay};
 use crate::pmc::PmcId;
@@ -133,7 +132,7 @@ struct Owner {
 pub struct JobLedger {
     universe: Vec<PmcId>,
     cp: Checkpoint,
-    /// Reported-but-not-checkpointed verdicts (`Rejected`, `GaveUp`).
+    /// Reported-but-not-checkpointed verdicts (`GaveUp`).
     reported: BTreeMap<usize, QuarantineRecord>,
     pending: BTreeSet<usize>,
     owners: BTreeMap<u64, Owner>,
@@ -388,24 +387,6 @@ impl JobLedger {
         }
     }
 
-    /// The `job:close` fault: the queue closes before job `cut`, so every
-    /// pending job at or after it resolves as `Rejected` without running.
-    pub fn close_from(&mut self, cut: usize) {
-        let late: Vec<usize> = self.pending.range(cut..).copied().collect();
-        for job in late {
-            let err = Error::QueueClosed;
-            let record = QuarantineRecord {
-                job,
-                pmc: Some(self.universe[job]),
-                attempts: 0,
-                kind: err.failure_kind(),
-                chain: err.chain(),
-            };
-            let delivered = self.deliver(job, JobVerdict::Quarantined(record));
-            debug_assert_eq!(delivered, Ok(Delivered::Merged));
-        }
-    }
-
     /// `owner` let go of its jobs without dying (clean exit, drain): they
     /// return to the pending pool uncharged.
     pub fn release(&mut self, owner: u64) -> Vec<usize> {
@@ -606,7 +587,7 @@ impl JobLedger {
 fn reported_only(verdict: &JobVerdict) -> bool {
     matches!(
         verdict,
-        JobVerdict::Quarantined(q) if matches!(q.kind, FailureKind::Rejected | FailureKind::GaveUp)
+        JobVerdict::Quarantined(q) if q.kind == FailureKind::GaveUp
     )
 }
 
@@ -660,6 +641,7 @@ fn trace_quarantine(tracer: &sb_obs::Tracer, job: usize, q: &QuarantineRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use std::time::Duration;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -801,13 +783,12 @@ mod tests {
     fn rejected_and_gave_up_are_reported_but_not_checkpointed() {
         let path = scratch("reported");
         let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path), None).unwrap();
-        ledger.close_from(2);
-        assert_eq!(ledger.census().reported, vec![2, 3]);
-        assert_eq!(ledger.abandon("nobody left"), 2);
+        assert_eq!(ledger.abandon("nobody left"), 4);
+        assert_eq!(ledger.census().reported, vec![0, 1, 2, 3]);
         // A second reported-only verdict for such a job is a duplicate; a
         // real one supersedes it.
         assert_eq!(
-            ledger.deliver(3, quarantine(3, FailureKind::Rejected)),
+            ledger.deliver(3, quarantine(3, FailureKind::GaveUp)),
             Ok(Delivered::Duplicate)
         );
         assert_eq!(ledger.deliver(3, done(3, 103)), Ok(Delivered::Merged));
@@ -819,10 +800,9 @@ mod tests {
             vec![
                 (0, FailureKind::GaveUp),
                 (1, FailureKind::GaveUp),
-                (2, FailureKind::Rejected)
+                (2, FailureKind::GaveUp)
             ]
         );
-        assert_eq!(report.quarantined[2].attempts, 0, "rejected jobs never ran");
         assert_eq!(steps(&report), vec![103]);
         let saved = Checkpoint::load(&path).unwrap();
         assert!(saved.quarantined.is_empty(), "a resume retries all three");
@@ -1007,7 +987,7 @@ mod tests {
         killed.deliver(0, done(0, 100)).unwrap();
         killed.deliver(0, done(0, 999)).unwrap();
         killed
-            .deliver(1, quarantine(1, FailureKind::Rejected))
+            .deliver(1, quarantine(1, FailureKind::GaveUp))
             .unwrap();
         assert_eq!(killed.logged(), (2, false));
         drop(killed);

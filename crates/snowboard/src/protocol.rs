@@ -3,17 +3,20 @@
 //! or the children of `hunt --supervise`.
 //!
 //! A TCP stream has no message boundaries, and a partition can cut a
-//! message anywhere, so traffic is *length-prefixed framed*:
+//! message anywhere, so each message travels as one [`sb_obs::frame`]
+//! frame, the one the checkpoint log and the worker spool write:
 //!
 //! ```text
-//! <decimal payload length>\n<payload>\n
+//! [len u32 LE][crc u32 LE][payload]      crc = CRC32C(len ‖ payload)
 //! ```
 //!
 //! [`read_frame`] distinguishes a clean end-of-stream at a frame boundary
 //! (`Ok(None)`) from every way a hostile or partitioned peer can mangle
-//! the stream — truncation mid-frame, an oversized or non-numeric length,
-//! a missing terminator, non-UTF-8 payload — each of which is a typed
-//! [`ProtocolError`], never a panic. Payloads are [`JoinMsg`]
+//! the stream — truncation mid-frame, an oversized length, a checksum
+//! that does not match, non-UTF-8 payload — each of which is a typed
+//! [`ProtocolError`], never a panic. A v3 peer's ASCII `<len>\n` header
+//! reads as a length far past [`MAX_FRAME_LEN`]: it fails at framing,
+//! before any handshake. Payloads are [`JoinMsg`]
 //! (worker→coordinator) and [`ServeMsg`] (coordinator→worker), rendered
 //! with the workspace's u64-exact [`crate::json`] codec and parsed strictly:
 //! unknown discriminators, missing fields and mistyped fields are all
@@ -21,11 +24,14 @@
 //! uses, so the coordinator merges them with the code paths it already
 //! trusts.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
+
+use sb_obs::frame;
 
 use crate::campaign::{PmcTestOutcome, QuarantineRecord};
 use crate::checkpoint::{
     outcome_from_json, outcome_to_json, quarantine_from_json, quarantine_to_json, req_u64,
+    req_uints,
 };
 use crate::json::{self, Json};
 
@@ -38,28 +44,21 @@ use crate::json::{self, Json};
 /// journaled sequence number (`ack`) so a reconnecting worker can trim its
 /// result spool. v3 added the worker's process id to `join`, so a
 /// supervising coordinator can kill the child behind a connection it
-/// evicts. Older workers are cleanly rejected at the handshake.
-pub const FLEET_PROTO_VERSION: u64 = 3;
+/// evicts. v4 replaced the ASCII `<len>\n<payload>\n` framing with the
+/// CRC32C frame; a v3 peer's first frame is a framing error, so it is
+/// dropped before any handshake or lease.
+pub const FLEET_PROTO_VERSION: u64 = 4;
 
 /// Hard ceiling on one frame's payload (1 MiB). Real messages are a few
 /// KiB; anything larger is a corrupt length prefix or an attack, and
 /// honoring it would let one bad peer balloon coordinator memory.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// Longest accepted length header (digits before the `\n`); 8 digits
-/// already overshoots [`MAX_FRAME_LEN`], so more is garbage.
-const MAX_HEADER_DIGITS: usize = 8;
-
 /// A typed failure decoding fleet frames or messages. Decoding garbage
 /// must yield one of these — never a panic — because the bytes come from
 /// the network.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProtocolError {
-    /// The length prefix was not a plain decimal number.
-    BadHeader {
-        /// What the decoder saw instead.
-        detail: String,
-    },
     /// The declared payload length exceeds [`MAX_FRAME_LEN`].
     Oversized {
         /// The declared length.
@@ -70,8 +69,8 @@ pub enum ProtocolError {
         /// Which part of the frame was cut short.
         context: &'static str,
     },
-    /// The payload was not followed by the `\n` terminator — the peer's
-    /// framing is out of sync.
+    /// The frame's checksum does not match its bytes — the peer's framing
+    /// is out of sync, or the bytes were damaged.
     BadFrame {
         /// What was wrong.
         detail: String,
@@ -92,7 +91,6 @@ pub enum ProtocolError {
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtocolError::BadHeader { detail } => write!(f, "bad frame header: {detail}"),
             ProtocolError::Oversized { len } => {
                 write!(
                     f,
@@ -111,115 +109,44 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Writes one length-prefixed frame and flushes it, so a frame is either
-/// fully queued to the kernel or reported as an error.
+/// Writes one frame and flushes it, so a frame is either fully queued to
+/// the kernel or reported as an error.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(payload.len() + 12);
-    buf.extend_from_slice(payload.len().to_string().as_bytes());
-    buf.push(b'\n');
-    buf.extend_from_slice(payload.as_bytes());
-    buf.push(b'\n');
+    let mut buf = Vec::new();
+    frame::push(&mut buf, &[], payload.as_bytes()).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame exceeds 4 GiB")
+    })?;
     w.write_all(&buf)?;
     w.flush()
 }
 
-/// Reads one length-prefixed frame.
+/// Reads one frame.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream *at a frame boundary*; an
-/// EOF anywhere inside a frame is [`ProtocolError::Truncated`]. Every
-/// malformed input maps to a typed error — this function must not panic
-/// on any byte sequence.
+/// EOF anywhere inside a frame is [`ProtocolError::Truncated`]. A length
+/// past [`MAX_FRAME_LEN`] is refused after the header, before anything is
+/// allocated for the payload. Every malformed input maps to a typed error —
+/// this function must not panic on any byte sequence.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<String>, ProtocolError> {
-    // Header: decimal digits terminated by '\n', read byte-wise so a
-    // mid-header cut is distinguishable from a boundary EOF.
-    let mut header: Vec<u8> = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return if header.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::Truncated {
-                        context: "length header",
-                    })
-                };
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                if !byte[0].is_ascii_digit() {
-                    return Err(ProtocolError::BadHeader {
-                        detail: format!("unexpected byte 0x{:02x}", byte[0]),
-                    });
-                }
-                if header.len() >= MAX_HEADER_DIGITS {
-                    return Err(ProtocolError::BadHeader {
-                        detail: format!("length header longer than {MAX_HEADER_DIGITS} digits"),
-                    });
-                }
-                header.push(byte[0]);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                return Err(ProtocolError::Io {
-                    detail: e.to_string(),
-                })
-            }
-        }
-    }
-    if header.is_empty() {
-        return Err(ProtocolError::BadHeader {
-            detail: "empty length header".into(),
-        });
-    }
-    // The digits are ASCII and capped at MAX_HEADER_DIGITS, so this parse
-    // cannot overflow u64.
-    let len: u64 =
-        String::from_utf8_lossy(&header)
-            .parse()
-            .map_err(|_| ProtocolError::BadHeader {
-                detail: "unparsable length".into(),
-            })?;
-    if len as usize > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len });
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload, "payload")?;
-    let mut terminator = [0u8; 1];
-    read_exact_or(r, &mut terminator, "terminator")?;
-    if terminator[0] != b'\n' {
-        return Err(ProtocolError::BadFrame {
-            detail: format!(
-                "payload not terminated by newline (got 0x{:02x})",
-                terminator[0]
-            ),
-        });
-    }
-    match String::from_utf8(payload) {
-        Ok(s) => Ok(Some(s)),
-        Err(_) => Err(ProtocolError::BadMessage {
+    let Some(mut buf) = frame::read(r, 0, MAX_FRAME_LEN).map_err(|e| match e {
+        frame::ReadError::Truncated(context) => ProtocolError::Truncated { context },
+        frame::ReadError::Oversized(len) => ProtocolError::Oversized { len },
+        frame::ReadError::Damaged => ProtocolError::BadFrame {
+            detail: "checksum mismatch".into(),
+        },
+        frame::ReadError::Io(e) => ProtocolError::Io {
+            detail: e.to_string(),
+        },
+    })?
+    else {
+        return Ok(None);
+    };
+    buf.drain(..frame::HEADER);
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| ProtocolError::BadMessage {
             detail: "payload is not UTF-8".into(),
-        }),
-    }
-}
-
-/// `read_exact` with EOF mapped to [`ProtocolError::Truncated`].
-fn read_exact_or(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), ProtocolError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ProtocolError::Truncated { context }
-        } else {
-            ProtocolError::Io {
-                detail: e.to_string(),
-            }
-        }
-    })
+        })
 }
 
 /// One worker→coordinator fleet message (one frame on the socket).
@@ -536,25 +463,12 @@ impl ServeMsg {
             "reject" => Ok(ServeMsg::Reject {
                 reason: reason_field(&doc)?,
             }),
-            "lease" => {
-                let jobs = doc
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| detail("lease without jobs array".into()))?
-                    .iter()
-                    .map(|j| {
-                        j.as_u64()
-                            .and_then(|v| usize::try_from(v).ok())
-                            .ok_or_else(|| detail("non-numeric job in lease".into()))
-                    })
-                    .collect::<Result<Vec<usize>, ProtocolError>>()?;
-                Ok(ServeMsg::Lease {
-                    lease: req_u64(&doc, "lease").map_err(detail)?,
-                    jobs,
-                    deadline_ms: req_u64(&doc, "deadline_ms").map_err(detail)?,
-                    ack: req_u64(&doc, "ack").map_err(detail)?,
-                })
-            }
+            "lease" => Ok(ServeMsg::Lease {
+                lease: req_u64(&doc, "lease").map_err(detail)?,
+                jobs: req_uints(&doc, "jobs").map_err(detail)?,
+                deadline_ms: req_u64(&doc, "deadline_ms").map_err(detail)?,
+                ack: req_u64(&doc, "ack").map_err(detail)?,
+            }),
             "drain" => Ok(ServeMsg::Drain {
                 reason: reason_field(&doc)?,
             }),
@@ -604,42 +518,37 @@ mod tests {
     #[test]
     fn frame_decoder_rejects_mangled_streams() {
         let read = |bytes: &[u8]| read_frame(&mut std::io::Cursor::new(bytes.to_vec()));
+        let mut abc = Vec::new();
+        write_frame(&mut abc, "abc").unwrap();
         assert!(matches!(
-            read(b"12\n"),
+            read(&abc[..5]),
+            Err(ProtocolError::Truncated { context: "header" })
+        ));
+        assert!(matches!(
+            read(&abc[..9]),
             Err(ProtocolError::Truncated { context: "payload" })
         ));
+        let mut flipped = abc.clone();
+        flipped[9] ^= 0x01;
         assert!(matches!(
-            read(b"12"),
-            Err(ProtocolError::Truncated {
-                context: "length header"
-            })
-        ));
-        assert!(matches!(
-            read(b"3\nabc"),
-            Err(ProtocolError::Truncated {
-                context: "terminator"
-            })
-        ));
-        assert!(matches!(
-            read(b"3\nabcX"),
+            read(&flipped),
             Err(ProtocolError::BadFrame { .. })
         ));
-        assert!(matches!(read(b"x\n"), Err(ProtocolError::BadHeader { .. })));
+        let mut oversized = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes().to_vec();
+        oversized.extend_from_slice(&[0; 4]);
         assert!(matches!(
-            read(b"-3\nab\n"),
-            Err(ProtocolError::BadHeader { .. })
-        ));
-        assert!(matches!(read(b"\n"), Err(ProtocolError::BadHeader { .. })));
-        assert!(matches!(
-            read(b"999999999\nx"),
-            Err(ProtocolError::BadHeader { .. })
-        ));
-        assert!(matches!(
-            read(b"99999999\nx"),
+            read(&oversized),
             Err(ProtocolError::Oversized { .. })
         ));
+        // A v3 peer's ASCII header is a length past the cap.
         assert!(matches!(
-            read(b"2\n\xff\xfe\n"),
+            read(b"19\n{\"msg\":\"heartbeat\"}\n"),
+            Err(ProtocolError::Oversized { .. })
+        ));
+        let mut not_utf8 = Vec::new();
+        frame::push(&mut not_utf8, &[], b"\xff\xfe").unwrap();
+        assert!(matches!(
+            read(&not_utf8),
             Err(ProtocolError::BadMessage { .. })
         ));
     }

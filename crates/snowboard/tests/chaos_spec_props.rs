@@ -16,7 +16,6 @@ const CLAUSES: &[(&str, Shape)] = &[
     ("job:panic", Shape::List),
     ("job:hang", Shape::List),
     ("job:transient", Shape::Pairs),
-    ("job:close", Shape::One),
     ("proc:abort", Shape::List),
     ("proc:exit", Shape::Pairs),
     ("proc:stall", Shape::List),

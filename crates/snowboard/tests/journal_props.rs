@@ -93,7 +93,7 @@ fn in_process() -> &'static [u8] {
                 .unwrap();
             l.deliver(
                 2,
-                JobVerdict::Quarantined(quarantine(2, FailureKind::Rejected)),
+                JobVerdict::Quarantined(quarantine(2, FailureKind::GaveUp)),
             )
             .unwrap();
             l.deliver(3, JobVerdict::Completed(outcome(3, 103)))
@@ -270,7 +270,7 @@ fn the_pristine_logs_replay_whole() {
     assert_eq!(
         load(in_process()).unwrap().replay.verdicts,
         4,
-        "the rejected job is not logged"
+        "the gave-up job is not logged"
     );
 }
 

@@ -62,7 +62,7 @@ impl Model {
         let reported_only = matches!(
             verdict,
             JobVerdict::Quarantined(q)
-                if matches!(q.kind, FailureKind::Rejected | FailureKind::GaveUp)
+                if q.kind == FailureKind::GaveUp
         );
         if self.real.contains_key(&job) || (reported_only && self.reported.contains_key(&job)) {
             return false;
@@ -123,7 +123,7 @@ proptest! {
                 2 => {
                     let verdict = match x % 5 {
                         0 => JobVerdict::Quarantined(quarantine(job, FailureKind::Panic, x)),
-                        1 => JobVerdict::Quarantined(quarantine(job, FailureKind::Rejected, x)),
+                        1 => JobVerdict::Quarantined(quarantine(job, FailureKind::GaveUp, x)),
                         _ => JobVerdict::Completed(outcome(job, x)),
                     };
                     let delivered = ledger.deliver(job, verdict.clone());

@@ -115,31 +115,25 @@ proptest! {
             None => prop_assert!(frames.len() <= payloads.len()),
             // Anywhere else must surface as a framing error, and decoding
             // must have stopped before inventing extra frames.
-            Some(
-                ProtocolError::Truncated { .. }
-                | ProtocolError::BadHeader { .. }
-                | ProtocolError::BadFrame { .. },
-            ) => prop_assert!(frames.len() < payloads.len()),
+            Some(ProtocolError::Truncated { .. } | ProtocolError::BadFrame { .. }) => {
+                prop_assert!(frames.len() < payloads.len())
+            }
             Some(other) => prop_assert!(false, "unexpected error on truncation: {other}"),
         }
     }
 
     /// A declared length beyond the frame cap is rejected as `Oversized`
-    /// (or `BadHeader` once the digit count itself is absurd) without
-    /// allocating the claimed buffer.
+    /// without allocating the claimed buffer.
     #[test]
-    fn oversized_lengths_are_rejected(extra in 1u64..u32::MAX as u64) {
+    fn oversized_lengths_are_rejected(
+        extra in 1u64..u32::MAX as u64 - snowboard::protocol::MAX_FRAME_LEN as u64 + 1,
+    ) {
         let len = snowboard::protocol::MAX_FRAME_LEN as u64 + extra;
-        let bytes = format!("{len}\nx");
-        let (frames, err) = drain(bytes.as_bytes());
+        let mut bytes = (len as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(b"\0\0\0\0x");
+        let (frames, err) = drain(&bytes);
         prop_assert!(frames.is_empty());
-        prop_assert!(
-            matches!(
-                err,
-                Some(ProtocolError::Oversized { .. } | ProtocolError::BadHeader { .. })
-            ),
-            "got {err:?}"
-        );
+        prop_assert_eq!(err, Some(ProtocolError::Oversized { len }));
     }
 
     /// Garbage interleaved *between* valid frames is caught at the point
@@ -208,4 +202,17 @@ proptest! {
         }
         prop_assert_eq!(read_frame(&mut r).unwrap(), None);
     }
+}
+
+/// A v3 peer framed each message as `<decimal len>\n<payload>\n`; under v4
+/// its first frame is a typed framing error, so it never reaches the
+/// handshake, let alone a lease.
+#[test]
+fn a_v3_ascii_frame_is_a_typed_error() {
+    let (frames, err) = drain(b"19\n{\"msg\":\"heartbeat\"}\n");
+    assert!(frames.is_empty());
+    assert!(
+        matches!(err, Some(ProtocolError::Oversized { .. })),
+        "got {err:?}"
+    );
 }

@@ -9,11 +9,13 @@
 //! wrong payload.
 //!
 //! Format (`SBSEG002`/`SBPMC002`, the only one read or written): 8-byte
-//! magic, then records of `[key: u64 LE][len: u32 LE][crc: u32 LE][payload]`
-//! where `crc` is CRC32C over `key‖len‖payload`. Any other magic — the
-//! checksum-less `SBSEG001`/`SBPMC001` of early stores included — is an
-//! unrecognized file: its records are damaged, recomputed and healed into
-//! a new segment, and `store repair` removes it.
+//! magic, then records that are [`sb_obs::frame`] frames with the content
+//! key (`u64 LE`) as their prefix —
+//! `[key][len: u32 LE][crc: u32 LE][payload]`, `crc` over
+//! `key‖len‖payload`. Any other magic — the checksum-less
+//! `SBSEG001`/`SBPMC001` of early stores included — is an unrecognized
+//! file: its records are damaged, recomputed and healed into a new
+//! segment, and `store repair` removes it.
 //!
 //! Writers fsync on [`SegmentWriter::finish`], so a completed segment is
 //! durable before the manifest can reference it; [`scan`] classifies a
@@ -31,7 +33,7 @@ use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use sb_obs::crc::Crc32c;
+use sb_obs::frame;
 
 use crate::Error;
 
@@ -49,16 +51,15 @@ pub enum SegmentKind {
     Pmc,
 }
 
-/// Record header size: key + len + crc.
-pub const HEADER_LEN: u64 = 16;
+/// Bytes of a record's key prefix.
+const KEY_LEN: usize = 8;
 
-/// CRC32C over `key‖len‖payload` — the integrity scope of one record.
-pub fn record_crc(key: u64, payload: &[u8]) -> u32 {
-    let mut c = Crc32c::new();
-    c.update(&key.to_le_bytes());
-    c.update(&(payload.len() as u32).to_le_bytes());
-    c.update(payload);
-    c.finish()
+/// Record header size: key + len + crc.
+pub const HEADER_LEN: u64 = (KEY_LEN + frame::HEADER) as u64;
+
+/// The content key a record's frame carries as its prefix.
+fn key_of(prefix: &[u8]) -> u64 {
+    u64::from_le_bytes(prefix[..KEY_LEN].try_into().expect("8-byte key"))
 }
 
 fn io_err<'a>(op: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -> Error + 'a {
@@ -104,13 +105,8 @@ impl SegmentWriter {
     /// Appends one record; returns its `(offset, payload_len)` address.
     pub fn append(&mut self, key: u64, payload: &[u8]) -> Result<(u64, u64), Error> {
         let offset = 8 + self.records.len() as u64;
-        let len = u32::try_from(payload.len())
+        frame::push(&mut self.records, &key.to_le_bytes(), payload)
             .map_err(|_| Error::Corrupt("record payload exceeds u32 bytes"))?;
-        self.records.extend_from_slice(&key.to_le_bytes());
-        self.records.extend_from_slice(&len.to_le_bytes());
-        self.records
-            .extend_from_slice(&record_crc(key, payload).to_le_bytes());
-        self.records.extend_from_slice(payload);
         if let Some(budget) = self.torn_budget {
             if self.records.len() as u64 > budget {
                 // Persist exactly the torn prefix, like a crash would.
@@ -122,7 +118,7 @@ impl SegmentWriter {
                 return Err(Error::Injected("torn write"));
             }
         }
-        Ok((offset, u64::from(len)))
+        Ok((offset, payload.len() as u64))
     }
 
     /// Writes the records, fsyncs, and returns the total file size in
@@ -196,9 +192,9 @@ impl SegmentReader {
         eof_at: Option<u64>,
         reads: &mut u64,
     ) -> Result<&[u8], Error> {
-        let header = HEADER_LEN as usize;
         // A record's length word is a u32; anything larger is not a record.
-        let total = header + u32::try_from(len).map_err(|_| Error::Truncated)? as usize;
+        let total =
+            HEADER_LEN as usize + u32::try_from(len).map_err(|_| Error::Truncated)? as usize;
         let end = offset.saturating_add(total as u64);
         if eof_at.is_some_and(|eof| end > eof) {
             return Err(Error::Truncated);
@@ -208,10 +204,8 @@ impl SegmentReader {
             self.fill(offset, total)?;
         }
         let path = &self.path;
-        let (head, payload) =
-            self.window[(offset - self.window_at) as usize..][..total].split_at(header);
-        let key = u64::from_le_bytes(head[..8].try_into().expect("8-byte slice"));
-        let stored_len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice"));
+        let rec = &self.window[(offset - self.window_at) as usize..][..total];
+        let key = key_of(rec);
         if key != expected_key {
             return Err(Error::Format {
                 path: path.clone(),
@@ -220,20 +214,20 @@ impl SegmentReader {
                 ),
             });
         }
-        if u64::from(stored_len) != len {
+        let Some(frame) = frame::split(rec, KEY_LEN).filter(|f| f.end == total) else {
+            let stored_len = frame::declared_len(rec, KEY_LEN).expect("a whole header");
             return Err(Error::Format {
                 path: path.clone(),
                 detail: format!("length mismatch at offset {offset}: manifest says {len}, record says {stored_len}"),
             });
-        }
-        let stored_crc = u32::from_le_bytes(head[12..16].try_into().expect("4-byte slice"));
-        if stored_crc != record_crc(key, payload) {
+        };
+        if !frame.intact() {
             return Err(Error::Format {
                 path: path.clone(),
                 detail: format!("checksum mismatch for record {key:#x} at offset {offset}"),
             });
         }
-        Ok(payload)
+        Ok(frame.payload)
     }
 
     /// Points the window at `offset`: a window's worth of bytes, or `need`
@@ -338,41 +332,31 @@ pub(crate) fn scan_bytes(
             crc_bytes: 0,
         };
     }
-    let header = HEADER_LEN as usize;
     let mut crc_bytes = 0;
-    let mut crc_of = |rec: &ScannedRecord| {
-        let at = rec.offset as usize;
-        let stored = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().expect("4-byte slice"));
-        let payload = &bytes[at + header..at + header + rec.len as usize];
-        crc_bytes += HEADER_LEN + rec.len;
-        Some(stored == record_crc(rec.key, payload))
+    let mut crc_of = |at: u64| {
+        let frame = frame::split(&bytes[at as usize..], KEY_LEN).expect("a scanned record");
+        crc_bytes += frame.end as u64;
+        Some(frame.intact())
     };
     let mut records = Vec::new();
     let mut pos = 8usize;
-    while bytes.len() - pos >= header {
-        let key = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8-byte slice"));
-        let len = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().expect("4-byte slice"));
-        let Some(end) = (pos + header).checked_add(len as usize) else {
-            break; // length overflows: treat as torn
-        };
-        if end > bytes.len() {
-            break; // payload runs past EOF: torn
-        }
+    // A short header or a payload running past EOF ends the walk: torn.
+    while let Some(frame) = frame::split(&bytes[pos..], KEY_LEN) {
         let mut rec = ScannedRecord {
-            key,
+            key: key_of(frame.prefix),
             offset: pos as u64,
-            len: u64::from(len),
+            len: frame.payload.len() as u64,
             crc_ok: None,
         };
-        if !vouched(key, rec.offset, rec.len) {
-            rec.crc_ok = crc_of(&rec);
+        if !vouched(rec.key, rec.offset, rec.len) {
+            rec.crc_ok = crc_of(rec.offset);
         }
         records.push(rec);
-        pos = end;
+        pos += frame.end;
     }
     if let Some(last) = records.last_mut() {
         if last.crc_ok.is_none() {
-            last.crc_ok = crc_of(last);
+            last.crc_ok = crc_of(last.offset);
         }
         // A final record with a bad CRC that runs to EOF is a torn write
         // whose length field survived: drop it from the valid prefix too.

@@ -14,7 +14,7 @@ use sb_kernel::{BootedKernel, Kernel, Program, Symbols, Syscall};
 use snowboard::campaign::run_campaign;
 use snowboard::pmc::{identify, PmcId, PmcSet};
 use snowboard::profile::profile_corpus;
-use snowboard::{CampaignCfg, FailureKind, FaultPlan, RetryPolicy};
+use snowboard::{CampaignCfg, Checkpoint, FailureKind, FaultPlan, RetryPolicy};
 
 const JOBS: usize = 6;
 
@@ -211,27 +211,27 @@ fn killed_campaign_resumes_from_checkpoint_to_identical_aggregates() {
     let clean = run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &base_cfg())
         .expect("clean campaign");
 
-    // First half: the queue closes before job 3, simulating a mid-campaign
-    // kill. Jobs 3.. are rejected (never ran) and quarantined as such.
+    // First half: the finished checkpoint log cut after its header and
+    // three verdict frames, which is what a kill after job 2 leaves behind.
     let first_cfg = CampaignCfg {
         checkpoint: Some(path.clone()),
-        fault_plan: FaultPlan {
-            close_queue_before: Some(3),
-            ..FaultPlan::default()
-        },
         ..base_cfg()
     };
-    let first = run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &first_cfg)
-        .expect("interrupted campaign");
-    assert_eq!(first.tested(), 3, "only the pre-kill jobs completed");
-    assert_eq!(first.quarantined.len(), JOBS - 3);
-    assert!(first
-        .quarantined
-        .iter()
-        .all(|q| q.kind == FailureKind::Rejected && q.attempts == 0));
+    run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &first_cfg)
+        .expect("first campaign");
+    let bytes = std::fs::read(&path).expect("checkpoint written");
+    let mut cut = snowboard::journal::MAGIC.len();
+    for _ in 0..4 {
+        cut += sb_obs::frame::split(&bytes[cut..], 0)
+            .expect("a whole frame")
+            .end;
+    }
+    std::fs::write(&path, &bytes[..cut]).expect("cut the log");
+    let first = Checkpoint::load(&path).expect("the cut log loads");
+    assert_eq!(first.outcomes.len(), 3, "only the pre-kill jobs completed");
 
-    // Second half: resume from the checkpoint. Rejected jobs were not
-    // persisted, so they are re-run; finished jobs are not repeated.
+    // Second half: resume from the checkpoint. The jobs past the cut were
+    // never logged, so they are re-run; finished jobs are not repeated.
     let resume_cfg = CampaignCfg {
         checkpoint: Some(path.clone()),
         resume_from: Some(path.clone()),
