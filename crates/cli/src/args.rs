@@ -22,7 +22,7 @@ COMMANDS:
     strategies    show per-strategy cluster counts for a corpus
     list-bugs     print the ground-truth issue registry (Table 2)
     repro         reproduce one known bug with its PMC-hinted schedule
-    store stats   print profile/PMC store hit rate and segment sizes
+    store stats   print the last run's profile hit rate and segment sizes
     store fsck    verify store integrity (read-only); exits nonzero if dirty
     store repair  drop damaged records and truncate torn segment tails
     trace report  reconstruct stage timings and the funnel from a trace dir
@@ -305,7 +305,8 @@ pub enum Cmd {
         /// Table 2 id.
         bug: u8,
     },
-    /// Store inspection: manifest hit rate and segment sizes.
+    /// Store inspection: the last run's hit rate (the manifest's two
+    /// counters) and segment sizes.
     StoreStats {
         /// Store directory.
         store: PathBuf,

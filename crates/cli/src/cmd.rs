@@ -162,10 +162,10 @@ fn store_repair(dir: &std::path::Path) -> ExitCode {
         println!("nothing to repair");
     } else {
         println!(
-            "dropped {} profile record(s) and {} PMC record(s); \
+            "dropped {} damaged record(s) from {} rewritten segment(s); \
              truncated {} torn segment(s), removed {} unrecognizable segment(s)",
-            report.dropped_profiles,
-            report.dropped_pmcs,
+            report.dropped_records,
+            report.rewritten_segments,
             report.truncated_segments,
             report.removed_segments
         );
@@ -862,10 +862,11 @@ fn join(opts: JoinOpts) -> ExitCode {
         }
         Err(e) => {
             // One line, exit 1: scripts pointed at a dead coordinator get a
-            // bounded, parseable failure, never a hang. (A worker that made
-            // progress gets the distinct lost-coordinator wording from
-            // run_join; one holding undelivered results never gives up and
-            // cannot reach this arm by retry exhaustion.)
+            // bounded, parseable failure, never a hang. `--connect-retries`
+            // bounds every reconnect loop: a worker that made progress gets
+            // the lost-coordinator wording from run_join, and one holding
+            // undelivered results names how many and the --spool that
+            // keeps them.
             eprintln!("error: {}", e.chain().join("; "));
             ExitCode::FAILURE
         }

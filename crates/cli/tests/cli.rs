@@ -23,7 +23,7 @@ fn write_fresh_store(dir: &std::path::Path) {
     std::fs::create_dir_all(dir).unwrap();
     std::fs::write(
         dir.join("manifest.json"),
-        r#"{"version":1,"next_segment":0,"last_hits":0,"last_misses":0,"profiles":{},"pmcs":[]}"#,
+        r#"{"version":2,"last_hits":0,"last_misses":0}"#,
     )
     .unwrap();
 }
@@ -113,13 +113,23 @@ fn store_fsck_and_repair_round_trip() {
         stdout(&clean)
     );
 
-    // A manifest entry pointing at a segment that no longer exists: fsck
-    // reports it and exits nonzero; repair drops it; fsck is clean again.
-    std::fs::write(
-        dir.join("manifest.json"),
-        r#"{"version":1,"next_segment":1,"last_hits":0,"last_misses":0,"profiles":{"42":{"status":"ok","segment":0,"offset":8,"len":5}},"pmcs":[]}"#,
-    )
-    .unwrap();
+    // A record a hunt wrote, damaged: fsck reports it and exits nonzero;
+    // repair drops it; fsck is clean again.
+    let hunt = bin()
+        .args(["hunt", "--corpus", "12", "--budget", "10", "--trials", "2"])
+        .args(["--workers", "1", "--seed", "5", "--store"])
+        .arg(&dir)
+        .output()
+        .expect("run hunt --store");
+    assert!(
+        hunt.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&hunt.stderr)
+    );
+    let seg = dir.join("seg-0000.bin");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[8 + 16] ^= 0x01; // the first payload byte of the first record
+    std::fs::write(&seg, &bytes).unwrap();
     let dirty = bin()
         .args(["store", "fsck", "--store"])
         .arg(&dir)
@@ -146,7 +156,7 @@ fn store_fsck_and_repair_round_trip() {
         String::from_utf8_lossy(&repair.stderr)
     );
     assert!(
-        stdout(&repair).contains("dropped 1 profile record(s)"),
+        stdout(&repair).contains("dropped 1 damaged record(s) from 1 rewritten segment(s)"),
         "{}",
         stdout(&repair)
     );

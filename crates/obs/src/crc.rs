@@ -7,9 +7,8 @@
 //! shape.
 //!
 //! Who checksums what: a segment record once when it is written and once
-//! by each lookup that serves it; `Store::open` only the records it acts
-//! on (the last of each file and any the manifest does not address), and
-//! `store fsck` all of them. A log frame once when it is appended and once
+//! by each lookup that serves it; `Store::open` only the last record of
+//! each file (what the torn-tail rule needs), and `store fsck` all of them. A log frame once when it is appended and once
 //! by every load of its log (a resume, a spool replay); a socket frame once
 //! by each side.
 //!

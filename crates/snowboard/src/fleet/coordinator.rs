@@ -2,7 +2,7 @@
 //! it the checkpoint log), the lease table and every connection — and, under
 //! `hunt --supervise`, the [`Pool`] of child processes behind them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::Path;
@@ -75,6 +75,12 @@ struct Coordinator<'a> {
     conns: BTreeMap<u64, Conn>,
     /// Per-session highest logged result sequence number.
     sessions: BTreeMap<u64, u64>,
+    /// Sessions of workers evicted uncleanly that have not joined again. A
+    /// drain waits for them (up to its deadline), welcomes their rejoin and
+    /// answers its next request with `drain`, so a worker that lost its
+    /// connection in the last moments of a campaign exits cleanly instead
+    /// of retrying a coordinator that is gone.
+    evicted: BTreeSet<u64>,
     /// The kill-switch hook fired: unwind without writing anything more.
     killed: bool,
     next_worker: u64,
@@ -169,6 +175,9 @@ impl Coordinator<'_> {
             }
             if conn.worker.is_some() {
                 self.ledger.note_death(conn.completed > 0);
+                if conn.session != 0 {
+                    self.evicted.insert(conn.session);
+                }
             }
         }
         let died = |job| {
@@ -351,7 +360,7 @@ impl Coordinator<'_> {
                 );
                 return;
             }
-            None if self.ledger.stopping() => {
+            None if self.ledger.stopping() && !self.evicted.contains(&session) => {
                 reject(self, "coordinator is draining".to_owned());
                 return;
             }
@@ -359,6 +368,7 @@ impl Coordinator<'_> {
         }
         let worker = self.next_worker;
         self.next_worker += 1;
+        self.evicted.remove(&session);
         if let Some(c) = self.conns.get_mut(&conn_id) {
             c.worker = Some(worker);
             c.session = session;
@@ -708,6 +718,7 @@ pub(crate) fn coordinate<'a>(
         leases: BTreeMap::new(),
         conns: BTreeMap::new(),
         sessions: BTreeMap::new(),
+        evicted: BTreeSet::new(),
         killed: false,
         next_worker: 0,
         next_lease: 1,
@@ -820,8 +831,11 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
         if state.ledger.pending() == 0 && state.leases.is_empty() {
             state.start_drain("campaign complete");
         }
-        // A supervisor also waits for its children to exit on their own.
-        let settled = state.conns.is_empty() && state.pool.as_ref().is_none_or(Pool::idle);
+        // A supervisor also waits for its children to exit on their own, a
+        // fleet for its uncleanly evicted workers to come back and drain.
+        let settled = state.conns.is_empty()
+            && state.evicted.is_empty()
+            && state.pool.as_ref().is_none_or(Pool::idle);
         if state.ledger.stopping() && (settled || now >= state.drain_deadline) {
             // Stragglers past the deadline are cut off; no charges — the
             // campaign is over either way.

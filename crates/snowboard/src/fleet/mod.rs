@@ -55,15 +55,18 @@
 //!   sequence. Results are spooled (in memory, and to disk when
 //!   [`JoinCfg::spool`] is set) until the coordinator acks them; a worker
 //!   that loses the coordinator finishes its leased jobs into the spool
-//!   and reconnects indefinitely, then re-registers with the same token
-//!   and redelivers everything past the coordinator's ack. Redeliveries
+//!   and reconnects, then re-registers with the same token and redelivers
+//!   everything past the coordinator's ack. Redeliveries
 //!   are idempotent (logged sequence numbers and the first-wins merge
 //!   absorb them) and counted in [`crate::FleetStats::redelivered`].
 //!
 //! Workers reconnect through deterministic exponential backoff and resume
-//! leasing; a worker that cannot reach the coordinator at all gives up
-//! after a bounded number of attempts with a typed error (a worker holding
-//! undelivered results never gives up — it would lose them). Network fault
+//! leasing; a worker that cannot reach the coordinator gives up after a
+//! bounded number of attempts (`--connect-retries`) with a typed error,
+//! which for a worker holding undelivered results says how many and names
+//! the spool that keeps them. A coordinator whose campaign completes while
+//! an uncleanly evicted worker is away waits for it (one heartbeat timeout,
+//! the drain window) and answers its rejoin with `drain`. Network fault
 //! injection ([`crate::NetFaultPlan`]) lets tests (and CI) drop, delay,
 //! garble, or half-close specific connections deterministically.
 
@@ -918,6 +921,77 @@ mod tests {
         assert!(summary.drained);
         assert_eq!(summary.reconnects, 1, "the injected drop cost one session");
         server.join().unwrap();
+    }
+
+    /// A worker whose last result frame is lost is evicted; the job's
+    /// crash budget of one quarantines it, which completes the campaign
+    /// before the worker's rejoin arrives (its reconnection writes each
+    /// frame 300 ms late). The drain waits for the evicted session and
+    /// answers its rejoin with `drain`: the worker exits cleanly instead of
+    /// being turned away, or retrying a coordinator that is gone.
+    #[test]
+    fn a_worker_evicted_as_the_campaign_completes_is_drained_on_rejoin() {
+        let dir = test_dir("evicted-drain");
+        let pcfg = PipelineCfg {
+            seed: 7,
+            corpus_target: 30,
+            fuzz_budget: 300,
+            workers: 1,
+            ..PipelineCfg::default()
+        };
+        let p = Pipeline::prepare(sb_kernel::KernelConfig::v5_12_rc3(), pcfg);
+        let exemplars = p.exemplars(Strategy::SInsPair, ClusterOrder::UncommonFirst)[..1].to_vec();
+        let cfg = CampaignCfg {
+            seed: 7,
+            trials_per_pmc: 2,
+            workers: 1,
+            ..CampaignCfg::default()
+        };
+        let fcfg = FleetCfg {
+            crash_budget: 1,
+            ..fast_fcfg(&dir)
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let coord = {
+            let (exemplars, cfg) = (exemplars.clone(), cfg.clone());
+            std::thread::spawn(move || run_coordinator(listener, &exemplars, &cfg, &fcfg))
+        };
+        // Connection 0 sends the join, the request, then the one result —
+        // the frame `drop=0:2` cuts.
+        let jcfg = JoinCfg {
+            net_faults: NetFaultPlan {
+                drop_after: BTreeMap::from([(0, 2)]),
+                delay_ms: BTreeMap::from([(1, 300)]),
+                ..NetFaultPlan::default()
+            },
+            ..fast_jcfg(addr)
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let work = FleetWork {
+                booted: p.booted,
+                corpus: p.corpus,
+                set: p.pmcs,
+                exemplars,
+            };
+            let _ = tx.send(run_join(&cfg, &jcfg, move || Ok(work)));
+        });
+        let summary = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the worker exits within 30 s")
+            .expect("the worker exits cleanly");
+        assert!(summary.drained);
+        assert_eq!((summary.reconnects, summary.undelivered), (1, 0));
+        let report = coord.join().unwrap().expect("fleet campaign");
+        let stats = report.fleet.expect("fleet stats");
+        assert_eq!(
+            (stats.workers_joined, stats.evictions),
+            (2, 1),
+            "the rejoin was welcomed"
+        );
+        assert_eq!(report.quarantined.len(), 1, "the job the eviction charged");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The acceptance test in miniature: a real (tiny) pipeline run as a

@@ -214,7 +214,9 @@ enum SessionEnd {
 
 /// Joins a fleet: connect and handshake with bounded retries, then lease
 /// and run jobs until the coordinator drains (or the stop file appears),
-/// transparently re-registering after lost connections.
+/// transparently re-registering after lost connections. Every reconnect
+/// loop is bounded by [`JoinCfg::connect_attempts`]; a worker that gives up
+/// holding undelivered results says how many, and where they are kept.
 ///
 /// `prepare` builds the (expensive) kernel/corpus/PMC state and is only
 /// invoked after the first successful handshake, so a worker pointed at a
@@ -265,31 +267,32 @@ pub fn run_join(
             Err(HandshakeFail::Fatal(e)) => return Err(e),
             Err(HandshakeFail::Retry(detail)) => {
                 failures += 1;
-                if !outbox.pending.is_empty() {
-                    // Holding undelivered results: never give up. Keep
-                    // retrying on the capped jittered backoff until the
-                    // coordinator comes back or the stop file ends us.
+                if failures < u64::from(jcfg.connect_attempts.max(1)) {
                     continue;
                 }
-                if failures >= u64::from(jcfg.connect_attempts.max(1)) {
-                    if sessions == 0 {
-                        return Err(Error::Fleet {
-                            detail: format!(
-                                "cannot reach coordinator at {} after {failures} attempt(s): \
-                                 {detail}",
-                                jcfg.addr
-                            ),
-                        });
-                    }
-                    return Err(Error::Fleet {
-                        detail: format!(
-                            "lost coordinator at {} after completing {} job(s) (all \
-                             delivered); {failures} reconnect attempt(s) failed: {detail}",
-                            jcfg.addr, summary.jobs_completed
-                        ),
-                    });
-                }
-                continue;
+                let addr = &jcfg.addr;
+                let held = outbox.pending.len();
+                let detail = if held > 0 {
+                    let kept = match &jcfg.spool {
+                        Some(path) => format!("kept in the spool {}", path.display()),
+                        None => "lost with this process (no --spool)".to_owned(),
+                    };
+                    format!(
+                        "gave up on coordinator at {addr} holding {held} undelivered \
+                         result(s), {kept}; {failures} attempt(s) failed: {detail}"
+                    )
+                } else if sessions == 0 {
+                    format!(
+                        "cannot reach coordinator at {addr} after {failures} attempt(s): {detail}"
+                    )
+                } else {
+                    format!(
+                        "lost coordinator at {addr} after completing {} job(s) (all \
+                         delivered); {failures} reconnect attempt(s) failed: {detail}",
+                        summary.jobs_completed
+                    )
+                };
+                return Err(Error::Fleet { detail });
             }
         };
         failures = 0;

@@ -42,9 +42,6 @@ pub struct StoreStats {
     /// Sequential tests the store held no intact record of; their profiles
     /// were written this run.
     pub profile_misses: u64,
-    /// Of the hits, how many were cached *failures* (tests known not to
-    /// complete sequentially — skipped without re-execution).
-    pub failed_cached: u64,
     /// True when the PMC set was loaded whole from the store (exact corpus
     /// match) instead of being identified.
     pub pmc_cache_hit: bool,

@@ -265,6 +265,29 @@ fn pmc_set_from(cur: &mut Cursor<'_>) -> Result<PmcSet, DecodeError> {
     Ok(PmcSet { pmcs })
 }
 
+/// Encodes the payload of a PMC record: the corpus it was identified from
+/// (a count, then each profile key as `u64 LE`), then the set.
+pub fn encode_pmc_record(corpus: &[u64], set: &PmcSet, out: &mut Vec<u8>) {
+    put_u64(corpus.len() as u64, out);
+    for key in corpus {
+        out.extend_from_slice(&key.to_le_bytes());
+    }
+    encode_pmc_set(set, out);
+}
+
+/// Splits a PMC record payload into its corpus key list and the bytes of
+/// the encoded set behind it ([`decode_pmc_set`] reads those).
+pub fn decode_pmc_corpus(buf: &[u8]) -> Result<(Vec<u64>, &[u8]), Error> {
+    let mut cur = Cursor::new(buf);
+    let count = bounded_count(&mut cur, 8, "corpus key count exceeds payload size")?;
+    let (keys, set) = buf[buf.len() - cur.remaining()..].split_at(8 * count);
+    let corpus = keys
+        .chunks_exact(8)
+        .map(|k| u64::from_le_bytes(k.try_into().expect("8-byte key")))
+        .collect();
+    Ok((corpus, set))
+}
+
 /// The decoders the cursor ones replaced — a `(buf, pos)` pair threaded
 /// through `Result<u64, Error>` reads, each lock set collected into a
 /// scratch `Vec` — kept as the reference the arbitrary-bytes suite compares

@@ -1,25 +1,27 @@
 //! Offline store checking and repair (`store fsck` / `store repair`).
 //!
 //! Both operate directly on the files — they never go through
-//! [`crate::Store::open`], which would itself truncate torn tails and adopt
-//! orphans. `fsck` is strictly read-only: it walks every manifest entry,
-//! verifies magic/key/len/CRC against a full segment scan, and reports
-//! per-segment damage. `repair` applies the destructive subset a campaign
-//! would heal anyway: truncate torn tails, drop manifest entries whose
-//! records are damaged, and rewrite the manifest atomically.
+//! [`crate::Store::open`], which would itself truncate torn tails. `fsck`
+//! is strictly read-only: it checksums every record of every segment file
+//! and reports unrecognized files, torn tails, and every *live* record —
+//! the latest of its key, the one a lookup would serve — that fails its
+//! CRC. A superseded record is garbage, damaged or not. `repair` applies
+//! the destructive subset a campaign would heal anyway: it removes
+//! unrecognized files, truncates torn tails, and rewrites each file that
+//! holds a damaged live record into a fresh segment without it.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::manifest::{Manifest, ProfileStatus};
-use crate::segment::{self, SegmentKind, SegmentScan, HEADER_LEN};
-use crate::store::{corpus_key, list_segment_files};
+use crate::manifest::Manifest;
+use crate::segment::{self, SegmentKind, SegmentScan, SegmentWriter};
+use crate::store::{list_segment_files, segment_name};
 use crate::Error;
 
 /// One damage observation, tied to the file it was seen in.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Problem {
-    /// Segment file name (or `manifest.json`).
+    /// Segment file name.
     pub file: String,
     /// What is wrong.
     pub detail: String,
@@ -31,19 +33,18 @@ impl std::fmt::Display for Problem {
     }
 }
 
-/// Result of walking every manifest entry against the segment files.
+/// Result of checksumming every record of a store.
 #[derive(Clone, Debug, Default)]
 pub struct FsckReport {
     /// Segment files scanned.
     pub segments: u64,
-    /// Manifest entries whose records verified clean.
+    /// Live records that verified clean.
     pub records_ok: u64,
-    /// Manifest entries whose records are damaged (missing file, bad magic,
-    /// torn region, key/len/CRC mismatch).
+    /// Live records that fail their CRC.
     pub records_damaged: u64,
     /// Bytes of torn tail across all segments.
     pub torn_bytes: u64,
-    /// Every damage observation, in walk order.
+    /// Every damage observation, in segment-number order.
     pub problems: Vec<Problem>,
 }
 
@@ -57,15 +58,14 @@ impl FsckReport {
 /// What [`repair`] changed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Profile entries dropped from the manifest.
-    pub dropped_profiles: u64,
-    /// PMC entries dropped from the manifest.
-    pub dropped_pmcs: u64,
+    /// Damaged live records dropped.
+    pub dropped_records: u64,
+    /// Segment files rewritten without their damaged live records (into a
+    /// fresh segment, or not at all when nothing intact was left).
+    pub rewritten_segments: u64,
     /// Segment files whose torn tails were truncated.
     pub truncated_segments: u64,
-    /// Segment files with unrecognizable magic that were removed (every
-    /// manifest entry pointing into one is necessarily damaged and dropped,
-    /// so nothing references the file afterwards).
+    /// Segment files with unrecognizable magic that were removed.
     pub removed_segments: u64,
 }
 
@@ -76,28 +76,61 @@ impl RepairReport {
     }
 }
 
-struct Scans {
-    profile: BTreeMap<u64, SegmentScan>,
-    pmc: BTreeMap<u64, SegmentScan>,
+/// One segment file as fsck read it.
+struct File {
+    n: u64,
+    kind: SegmentKind,
+    name: String,
+    bytes: Vec<u8>,
+    scan: SegmentScan,
+    /// Live records that fail their CRC.
+    damaged: u64,
+    /// Whether each record is the latest of its key.
+    live: Vec<bool>,
 }
 
-fn scan_all(root: &Path, report: &mut FsckReport) -> Result<Scans, Error> {
-    let mut scans = Scans {
-        profile: BTreeMap::new(),
-        pmc: BTreeMap::new(),
-    };
-    for (name, kind, n) in list_segment_files(root)? {
-        let scan = segment::scan(&root.join(&name), kind, |_, _, _| false)?;
+/// Reads and checksums every segment file, and marks each record live or
+/// superseded as `Store::open` would index it.
+fn walk(root: &Path) -> Result<(Vec<File>, FsckReport), Error> {
+    // The manifest holds only counters, but a store must have a readable one.
+    Manifest::load(&root.join("manifest.json"))?;
+    let mut report = FsckReport::default();
+    let mut files = Vec::new();
+    for (n, kind, name) in list_segment_files(root)? {
+        let bytes = segment::read(&root.join(&name))?;
+        let scan = segment::scan(&bytes, kind, true);
+        let live = vec![false; scan.records.len()];
+        files.push(File {
+            n,
+            kind,
+            name,
+            bytes,
+            scan,
+            damaged: 0,
+            live,
+        });
+    }
+    let mut latest = BTreeMap::new();
+    for (f, file) in files.iter().enumerate() {
+        for (r, rec) in file.scan.records.iter().enumerate() {
+            latest.insert((file.kind, rec.key), (f, r));
+        }
+    }
+    for (f, r) in latest.into_values() {
+        files[f].live[r] = true;
+    }
+    for file in &mut files {
         report.segments += 1;
+        let scan = &file.scan;
         if !scan.recognized {
             report.problems.push(Problem {
-                file: name.clone(),
+                file: file.name.clone(),
                 detail: "unrecognized magic".into(),
             });
         } else if scan.torn_bytes() > 0 {
             report.torn_bytes += scan.torn_bytes();
             report.problems.push(Problem {
-                file: name.clone(),
+                file: file.name.clone(),
                 detail: format!(
                     "torn tail: {} trailing byte(s) past the valid prefix at {}",
                     scan.torn_bytes(),
@@ -105,188 +138,91 @@ fn scan_all(root: &Path, report: &mut FsckReport) -> Result<Scans, Error> {
                 ),
             });
         }
-        match kind {
-            SegmentKind::Profile => scans.profile.insert(n, scan),
-            SegmentKind::Pmc => scans.pmc.insert(n, scan),
-        };
-    }
-    Ok(scans)
-}
-
-/// Verdict for one manifest entry against the scans. `None` means clean.
-fn entry_damage(
-    scans: &BTreeMap<u64, SegmentScan>,
-    seg_no: u64,
-    offset: u64,
-    len: u64,
-    key: u64,
-) -> Option<String> {
-    let Some(scan) = scans.get(&seg_no) else {
-        return Some(format!("segment file missing for record {key:#x}"));
-    };
-    if !scan.recognized {
-        return Some(format!(
-            "record {key:#x} in a segment with unrecognized magic"
-        ));
-    }
-    // `offset` and `len` come from the manifest file: saturate, never wrap.
-    if offset.saturating_add(HEADER_LEN).saturating_add(len) > scan.valid_len {
-        return Some(format!(
-            "record {key:#x} at offset {offset} is past the valid prefix"
-        ));
-    }
-    // A scan lists records in file order, so offsets ascend.
-    let Ok(at) = scan.records.binary_search_by_key(&offset, |r| r.offset) else {
-        return Some(format!(
-            "no record boundary at offset {offset} for {key:#x}"
-        ));
-    };
-    let rec = &scan.records[at];
-    if rec.key != key {
-        return Some(format!(
-            "key mismatch at offset {offset}: manifest says {key:#x}, record says {:#x}",
-            rec.key
-        ));
-    }
-    if rec.len != len {
-        return Some(format!(
-            "length mismatch at offset {offset}: manifest says {len}, record says {}",
-            rec.len
-        ));
-    }
-    if rec.crc_ok != Some(true) {
-        return Some(format!(
-            "checksum mismatch for record {key:#x} at offset {offset}"
-        ));
-    }
-    None
-}
-
-/// Everything one pass over the store yields: the manifest, per-segment
-/// scans, the fsck verdict, and which entries the verdict condemned.
-struct Walk {
-    manifest: Manifest,
-    scans: Scans,
-    report: FsckReport,
-    bad_profiles: Vec<u64>,
-    bad_pmcs: Vec<usize>,
-}
-
-fn walk(root: &Path) -> Result<Walk, Error> {
-    let mut report = FsckReport::default();
-    let manifest = Manifest::load(&root.join("manifest.json"))?;
-    let scans = scan_all(root, &mut report)?;
-    let mut bad_profiles = Vec::new();
-    let mut bad_pmcs = Vec::new();
-    for (key, status) in &manifest.profiles {
-        let ProfileStatus::Ok {
-            segment,
-            offset,
-            len,
-        } = status
-        else {
-            continue; // negative entries have no record to verify
-        };
-        match entry_damage(&scans.profile, *segment, *offset, *len, *key) {
-            Some(detail) => {
-                report.records_damaged += 1;
-                report.problems.push(Problem {
-                    file: format!("seg-{segment:04}.bin"),
-                    detail,
-                });
-                bad_profiles.push(*key);
+        for (rec, live) in scan.records.iter().zip(&file.live) {
+            if !live {
+                continue;
             }
-            None => report.records_ok += 1,
+            if rec.crc_ok == Some(true) {
+                report.records_ok += 1;
+                continue;
+            }
+            report.records_damaged += 1;
+            report.problems.push(Problem {
+                file: file.name.clone(),
+                detail: format!(
+                    "checksum mismatch for record {:#x} at offset {}",
+                    rec.key, rec.offset
+                ),
+            });
+            file.damaged += 1;
         }
     }
-    for (idx, entry) in manifest.pmcs.iter().enumerate() {
-        let key = corpus_key(&entry.corpus);
-        match entry_damage(&scans.pmc, entry.segment, entry.offset, entry.len, key) {
-            Some(detail) => {
-                report.records_damaged += 1;
-                report.problems.push(Problem {
-                    file: format!("pmc-{:04}.bin", entry.segment),
-                    detail,
-                });
-                bad_pmcs.push(idx);
-            }
-            None => report.records_ok += 1,
-        }
-    }
-    Ok(Walk {
-        manifest,
-        scans,
-        report,
-        bad_profiles,
-        bad_pmcs,
-    })
+    Ok((files, report))
 }
 
-/// Walks every manifest entry of the store at `root`, verifying magic, key,
-/// length, and CRC of each record, plus torn tails. Read-only. `Err` means
-/// the walk itself could not run (missing directory, unreadable manifest) —
-/// damage is reported in the `Ok` report, not as an error.
+/// Checksums every record of the store at `root` and reports unrecognized
+/// files, torn tails, and damaged live records. Read-only. `Err` means the
+/// walk itself could not run (missing directory, unreadable manifest or
+/// segment) — damage
+/// is reported in the `Ok` report, not as an error.
 pub fn fsck(root: &Path) -> Result<FsckReport, Error> {
-    Ok(walk(root)?.report)
+    Ok(walk(root)?.1)
 }
 
-/// Repairs the store at `root`: truncates torn segment tails, drops
-/// manifest entries whose records are damaged, and rewrites the manifest
-/// atomically. Dropped entries cost a recompute on the next run — never
-/// correctness.
+/// Repairs the store at `root`: removes unrecognized files, truncates torn
+/// tails, and rewrites every file that holds a damaged live record into a
+/// fresh segment that keeps only its intact live records (superseded ones
+/// are dropped with it, so no older copy of a key takes over). Dropped
+/// records cost a recompute on the next run — never correctness.
 pub fn repair(root: &Path) -> Result<RepairReport, Error> {
-    let Walk {
-        mut manifest,
-        scans,
-        bad_profiles,
-        bad_pmcs,
-        ..
-    } = walk(root)?;
+    let (files, _) = walk(root)?;
     let mut report = RepairReport::default();
-    let files = scans
-        .profile
-        .iter()
-        .map(|(n, s)| (format!("seg-{n:04}.bin"), s))
-        .chain(
-            scans
-                .pmc
-                .iter()
-                .map(|(n, s)| (format!("pmc-{n:04}.bin"), s)),
-        );
-    for (name, scan) in files {
-        let path = root.join(&name);
-        if !scan.recognized {
+    let mut next = files.last().map_or(0, |f| f.n + 1);
+    for file in files {
+        let path = root.join(&file.name);
+        if !file.scan.recognized {
             if std::fs::remove_file(&path).is_ok() {
                 report.removed_segments += 1;
             }
-        } else if scan.torn_bytes() > 0 && segment::truncate_torn_tail(&path, scan) {
+        } else if file.damaged > 0 {
+            let keep: Vec<_> = file
+                .scan
+                .records
+                .iter()
+                .zip(&file.live)
+                .filter(|(rec, live)| **live && rec.crc_ok == Some(true))
+                .map(|(rec, _)| rec)
+                .collect();
+            if !keep.is_empty() {
+                let fresh = root.join(segment_name(file.kind, next));
+                let mut writer = SegmentWriter::create(&fresh, file.kind.magic())?;
+                for rec in keep {
+                    writer.append(rec.key, rec.payload(&file.bytes))?;
+                }
+                writer.finish()?;
+                segment::sync_dir(root);
+                next += 1;
+            }
+            std::fs::remove_file(&path).map_err(|source| Error::Io {
+                op: "remove",
+                path,
+                source,
+            })?;
+            report.rewritten_segments += 1;
+            report.dropped_records += file.damaged;
+        } else if file.scan.torn_bytes() > 0 && segment::truncate_torn_tail(&path, &file.scan) {
             report.truncated_segments += 1;
         }
     }
-    for key in &bad_profiles {
-        manifest.profiles.remove(key);
-        report.dropped_profiles += 1;
-    }
-    let mut idx = 0usize;
-    manifest.pmcs.retain(|_| {
-        let drop = bad_pmcs.contains(&idx);
-        idx += 1;
-        !drop
-    });
-    report.dropped_pmcs += bad_pmcs.len() as u64;
-    // Never let a rewound manifest reuse an on-disk segment number.
-    let max_seen = scans.profile.keys().chain(scans.pmc.keys()).max().copied();
-    if let Some(m) = max_seen {
-        manifest.next_segment = manifest.next_segment.max(m + 1);
-    }
-    manifest.save(&root.join("manifest.json"))?;
+    segment::sync_dir(root);
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Store;
+    use crate::segment::HEADER_LEN;
+    use crate::store::{ProfileLookup, Store};
     use snowboard::chaos::DiskFaults;
     use snowboard::pmc::PmcSet;
     use snowboard::profile::SeqProfile;
@@ -340,30 +276,96 @@ mod tests {
         let mut bytes = std::fs::read(&seg).expect("read");
         bytes[20] ^= 0xFF; // CRC word of the first record
         std::fs::write(&seg, &bytes).expect("flip");
-        // The manifest is outside input too: an entry whose address
-        // arithmetic overflows is one more damaged record, not a panic.
-        let manifest_path = dir.join("manifest.json");
-        let mut manifest = Manifest::load(&manifest_path).expect("load");
-        let wild = ProfileStatus::Ok {
-            segment: 0,
-            offset: u64::MAX - 4,
-            len: 9,
-        };
-        manifest.profiles.insert(2, wild);
-        manifest.save(&manifest_path).expect("save");
 
         let report = fsck(&dir).expect("fsck");
         assert!(!report.clean());
-        assert_eq!(report.records_damaged, 2);
+        assert_eq!((report.records_ok, report.records_damaged), (2, 1));
         assert!(report.problems[0].detail.contains("checksum"));
-        assert!(report.problems[1].detail.contains("past the valid prefix"));
 
+        // The file is rewritten into a fresh segment holding only the
+        // intact record; the damaged one is gone with the old file.
         let rep = repair(&dir).expect("repair");
-        assert_eq!(rep.dropped_profiles, 2);
+        assert_eq!(
+            rep,
+            RepairReport {
+                dropped_records: 1,
+                rewritten_segments: 1,
+                ..RepairReport::default()
+            }
+        );
+        assert!(!seg.exists(), "the damaged file is removed");
+        let rewritten = std::fs::read(dir.join("seg-0002.bin")).expect("fresh segment");
+        let scan = segment::scan(&rewritten, SegmentKind::Profile, true);
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(
+            (scan.records[0].key, scan.records[0].crc_ok),
+            (2, Some(true))
+        );
         assert!(
             fsck(&dir).expect("re-fsck").clean(),
             "repair makes fsck clean"
         );
+        let mut store = Store::open(&dir).expect("open");
+        assert_eq!(
+            store.lookup_profile(1, 0).expect("lookup"),
+            ProfileLookup::Miss
+        );
+        assert!(matches!(
+            store.lookup_profile(2, 1).expect("lookup"),
+            ProfileLookup::Hit(p) if p.steps == 5
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_superseded_record_is_garbage_and_a_rewrite_keeps_the_later_copy() {
+        let dir = tmp("superseded");
+        let mut store = Store::open(&dir).expect("open");
+        store
+            .insert_profiles(&[
+                (1, Some(profile(0))),
+                (2, Some(profile(1))),
+                (3, Some(profile(2))),
+            ])
+            .expect("insert");
+        let newer = SeqProfile {
+            steps: 6,
+            ..profile(0)
+        };
+        store
+            .insert_profiles(&[(1, Some(newer))])
+            .expect("newer copy of key 1");
+        store.flush().expect("flush");
+        drop(store);
+        // Damage key 1's superseded record in seg-0000: garbage, unreported.
+        let seg = dir.join("seg-0000.bin");
+        let mut bytes = std::fs::read(&seg).expect("read");
+        let records = segment::scan(&bytes, SegmentKind::Profile, true).records;
+        let flip = |bytes: &mut Vec<u8>, i: usize| {
+            bytes[(records[i].offset + HEADER_LEN) as usize] ^= 0x01;
+        };
+        flip(&mut bytes, 0);
+        std::fs::write(&seg, &bytes).expect("flip");
+        assert!(fsck(&dir).expect("fsck").clean());
+
+        // Damage key 2's live record too: the rewrite keeps only key 3's, so
+        // the stale copy of key 1 cannot outrank the later one.
+        flip(&mut bytes, 1);
+        std::fs::write(&seg, &bytes).expect("flip");
+        let report = fsck(&dir).expect("fsck");
+        assert_eq!((report.records_ok, report.records_damaged), (2, 1));
+        assert_eq!(repair(&dir).expect("repair").dropped_records, 1);
+        assert!(fsck(&dir).expect("re-fsck").clean());
+        let mut store = Store::open(&dir).expect("open");
+        let steps_of = |store: &mut Store, key| match store.lookup_profile(key, 0).expect("lookup")
+        {
+            ProfileLookup::Hit(p) => Some(p.steps),
+            ProfileLookup::Miss => None,
+            other => panic!("key {key}: {other:?}"),
+        };
+        assert_eq!(steps_of(&mut store, 1), Some(6), "the later copy serves");
+        assert_eq!(steps_of(&mut store, 2), None);
+        assert_eq!(steps_of(&mut store, 3), Some(5));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -372,7 +374,7 @@ mod tests {
         let dir = tmp("torn");
         populate(&dir);
         {
-            // Crash mid-insert: a torn segment the manifest never saw.
+            // Crash mid-insert: a torn segment.
             let mut store = Store::open(&dir).expect("open");
             store.set_fault_plan(DiskFaults {
                 torn_write_after: Some(7),
@@ -386,13 +388,8 @@ mod tests {
         assert!(!report.clean());
         assert!(report.torn_bytes > 0);
 
-        std::fs::remove_file(dir.join("pmc-0001.bin")).expect("remove");
-        let report = fsck(&dir).expect("fsck");
-        assert!(report.problems.iter().any(|p| p.detail.contains("missing")));
-
         let rep = repair(&dir).expect("repair");
         assert!(rep.truncated_segments >= 1);
-        assert_eq!(rep.dropped_pmcs, 1);
         assert!(fsck(&dir).expect("re-fsck").clean());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -408,11 +405,14 @@ mod tests {
 
         let report = fsck(&dir).expect("fsck");
         assert!(report.problems.iter().any(|p| p.detail.contains("magic")));
-        assert_eq!(report.records_damaged, 2, "both profile records unreadable");
+        assert_eq!(
+            (report.records_ok, report.records_damaged),
+            (1, 0),
+            "an unrecognized file has no records: only the PMC record is seen"
+        );
 
         let rep = repair(&dir).expect("repair");
         assert_eq!(rep.removed_segments, 1);
-        assert_eq!(rep.dropped_profiles, 2);
         assert!(!seg.exists(), "unrecognizable segment removed");
         assert!(fsck(&dir).expect("re-fsck").clean());
         std::fs::remove_dir_all(&dir).ok();

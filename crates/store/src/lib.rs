@@ -8,7 +8,9 @@
 //! * **Compact on-disk profiles** ([`codec`], [`segment`]) — access streams
 //!   as varint + zigzag wrapping-delta records in append-only segment
 //!   files, content-keyed by (boot config, fuzz seed, program) so the next
-//!   run finds an unchanged test's record again ([`manifest`], [`store`]).
+//!   run finds an unchanged test's record again. The records carry their
+//!   keys, so the segment files are also the index ([`store`]); the
+//!   [`manifest`] keeps only the last run's hit and miss counters.
 //! * **Sharded parallel identification** — re-exported from
 //!   `snowboard::pmc`: the write index partitioned by address range, each
 //!   shard joined on its own worker, merged bit-identically to the
@@ -17,9 +19,9 @@
 //!   the stored PMC set (`JoinState::resume`) and joins only the new
 //!   profiles; an unchanged corpus loads the stored set outright.
 //! * **Self-healing durability** ([`fsck`]) — every record carries a
-//!   CRC32C ([`sb_obs::crc`]), writers fsync before the manifest can
-//!   reference them, opening truncates torn tails, and damaged records
-//!   degrade to recompute-and-heal instead of failing the campaign; a
+//!   CRC32C ([`sb_obs::crc`]), writers fsync before a record is indexed,
+//!   opening truncates torn tails, and damaged records degrade to
+//!   recompute-and-heal instead of failing the campaign; a
 //!   `snowboard::DiskFaults` plan armed on a [`Store`] tears, flips and
 //!   shortens its I/O at exact positions to prove it.
 //!

@@ -82,7 +82,6 @@ pub fn prepare(
     let store_stats = StoreStats {
         profile_hits: store.profile_hits,
         profile_misses: store.profile_misses,
-        failed_cached: store.failed_cached,
         pmc_cache_hit,
         pmc_incremental,
         segments: seg_stats.segments,

@@ -1,31 +1,32 @@
-//! Append-only segment files.
+//! Append-only segment files: the store's records, and its only index.
 //!
 //! One segment file is written per corpus chunk (one `insert_profiles`
-//! call). Records are offset-addressable — the manifest remembers
-//! `(segment, offset, len)` per content key, and a [`SegmentReader`] serves
-//! header and payload out of a read-ahead window: one positioned read per
-//! 64 KiB of in-order lookups, not one per record. Each record embeds its
-//! content key so a stale or rewritten manifest cannot silently serve the
-//! wrong payload.
+//! call) and one per saved PMC set. Each record embeds its content key, so
+//! [`scan`] alone tells which key lives where: `Store::open` walks every
+//! file in segment-number order and the latest record of a key wins. A
+//! [`SegmentReader`] then serves header and payload by address out of a
+//! read-ahead window: one positioned read per 64 KiB of in-order lookups,
+//! not one per record.
 //!
-//! Format (`SBSEG002`/`SBPMC002`, the only one read or written): 8-byte
+//! Format (`SBSEG002`/`SBPMC003`, the only ones read or written): 8-byte
 //! magic, then records that are [`sb_obs::frame`] frames with the content
 //! key (`u64 LE`) as their prefix —
 //! `[key][len: u32 LE][crc: u32 LE][payload]`, `crc` over
-//! `key‖len‖payload`. Any other magic — the checksum-less
-//! `SBSEG001`/`SBPMC001` of early stores included — is an unrecognized
-//! file: its records are damaged, recomputed and healed into a new
-//! segment, and `store repair` removes it.
+//! `key‖len‖payload`. A PMC file holds one record, keyed by its corpus's
+//! `corpus_key`, whose payload is the corpus key list and then the set
+//! (`codec::encode_pmc_record`). Any other magic — the checksum-less
+//! `SBSEG001`/`SBPMC001` and the list-less `SBPMC002` of earlier stores
+//! included — is an unrecognized file: its records are recomputed into a
+//! new segment, and `store repair` removes it.
 //!
-//! Writers fsync on [`SegmentWriter::finish`], so a completed segment is
-//! durable before the manifest can reference it; [`scan`] classifies a
+//! Writers fsync on [`SegmentWriter::finish`]; [`scan`] classifies a
 //! file's valid record prefix so the store can truncate torn tails left by
 //! a crash mid-write. It is the one record walker.
 //!
 //! A record is checksummed ([`sb_obs::crc`]) once when it is written and
-//! once by each lookup that serves it. Opening a store checksums only the
-//! records `open` acts on — the last of each file and any the manifest
-//! does not address — and `fsck` all of them (DESIGN.md §11 has the
+//! once by each lookup that serves it. Opening a store checksums only what
+//! the torn-tail rule needs — the last record of each file, which for a PMC
+//! file is its one record — and `fsck` all of them (DESIGN.md §11 has the
 //! table).
 
 use std::fs::File;
@@ -40,7 +41,7 @@ use crate::Error;
 /// Magic prefix of profile segment files.
 pub const PROFILE_MAGIC: &[u8; 8] = b"SBSEG002";
 /// Magic prefix of PMC-set segment files.
-pub const PMC_MAGIC: &[u8; 8] = b"SBPMC002";
+pub const PMC_MAGIC: &[u8; 8] = b"SBPMC003";
 
 /// What a segment file stores; selects which magic is acceptable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,6 +50,16 @@ pub enum SegmentKind {
     Profile,
     /// PMC sets (`pmc-<n>.bin`).
     Pmc,
+}
+
+impl SegmentKind {
+    /// The magic a file of this kind starts with.
+    pub fn magic(self) -> &'static [u8; 8] {
+        match self {
+            SegmentKind::Profile => PROFILE_MAGIC,
+            SegmentKind::Pmc => PMC_MAGIC,
+        }
+    }
 }
 
 /// Bytes of a record's key prefix.
@@ -122,8 +133,7 @@ impl SegmentWriter {
     }
 
     /// Writes the records, fsyncs, and returns the total file size in
-    /// bytes. A finished segment is durable before the caller references it
-    /// from the manifest.
+    /// bytes. A finished segment is durable before the caller indexes it.
     pub fn finish(mut self) -> Result<u64, Error> {
         self.file
             .write_all(&self.records)
@@ -218,7 +228,7 @@ impl SegmentReader {
             let stored_len = frame::declared_len(rec, KEY_LEN).expect("a whole header");
             return Err(Error::Format {
                 path: path.clone(),
-                detail: format!("length mismatch at offset {offset}: manifest says {len}, record says {stored_len}"),
+                detail: format!("length mismatch at offset {offset}: index says {len}, record says {stored_len}"),
             });
         };
         if !frame.intact() {
@@ -263,9 +273,16 @@ pub struct ScannedRecord {
     pub offset: u64,
     /// Payload length.
     pub len: u64,
-    /// CRC32C verdict; `None` for a record [`scan`] did not checksum
-    /// because its caller vouched for it.
+    /// CRC32C verdict; `None` for a record [`scan`] was not asked to
+    /// checksum.
     pub crc_ok: Option<bool>,
+}
+
+impl ScannedRecord {
+    /// This record's payload within `bytes`, the file [`scan`] walked.
+    pub fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[(self.offset + HEADER_LEN) as usize..][..self.len as usize]
+    }
 }
 
 /// Structural classification of one segment file.
@@ -293,36 +310,20 @@ impl SegmentScan {
     }
 }
 
-/// Walks every record header of the segment at `path`, classifying the
-/// valid prefix and any torn tail. `Err` only for real I/O failures —
-/// damage is data, not an error.
-///
-/// A record is checksummed unless `vouched(key, offset, len)` says the
-/// caller addresses exactly that record and will have it verified by the
-/// read that serves it. The last record of the file is checksummed
-/// whatever the caller says: its verdict decides whether it is a torn
-/// write.
-pub fn scan(
-    path: &Path,
-    kind: SegmentKind,
-    vouched: impl Fn(u64, u64, u64) -> bool,
-) -> Result<SegmentScan, Error> {
-    let bytes = std::fs::read(path).map_err(io_err("read", path))?;
-    Ok(scan_bytes(&bytes, kind, vouched))
+/// Reads a whole segment file for [`scan`].
+pub fn read(path: &Path) -> Result<Vec<u8>, Error> {
+    std::fs::read(path).map_err(io_err("read", path))
 }
 
-/// [`scan`] of a file's contents.
-pub(crate) fn scan_bytes(
-    bytes: &[u8],
-    kind: SegmentKind,
-    vouched: impl Fn(u64, u64, u64) -> bool,
-) -> SegmentScan {
+/// Walks every record header of a segment file's `bytes`, classifying the
+/// valid prefix and any torn tail. Damage is data, not an error.
+///
+/// Every record is checksummed when `every_record`; otherwise only the
+/// last, whose verdict decides whether it is a torn write. A record left
+/// unchecked is verified by the lookup that serves it.
+pub fn scan(bytes: &[u8], kind: SegmentKind, every_record: bool) -> SegmentScan {
     let file_len = bytes.len() as u64;
-    let magic = match kind {
-        SegmentKind::Profile => PROFILE_MAGIC,
-        SegmentKind::Pmc => PMC_MAGIC,
-    };
-    if !bytes.starts_with(magic) {
+    if !bytes.starts_with(kind.magic()) {
         // Unrecognized or truncated magic: no valid prefix at all.
         return SegmentScan {
             recognized: false,
@@ -348,7 +349,7 @@ pub(crate) fn scan_bytes(
             len: frame.payload.len() as u64,
             crc_ok: None,
         };
-        if !vouched(rec.key, rec.offset, rec.len) {
+        if every_record {
             rec.crc_ok = crc_of(rec.offset);
         }
         records.push(rec);
@@ -412,11 +413,7 @@ mod tests {
         let (o2, l2) = w.append(0xBBBB, b"second").expect("append");
         let total = w.finish().expect("finish");
         assert_eq!(total, std::fs::metadata(&path).expect("meta").len());
-        assert!(
-            scan(&path, SegmentKind::Profile, |_, _, _| false)
-                .expect("scan")
-                .recognized
-        );
+        assert!(scan(&read(&path).expect("scan"), SegmentKind::Profile, true).recognized);
         let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
         // One handle and one window serve any order of addresses.
         assert_eq!(
@@ -461,9 +458,7 @@ mod tests {
             Err(Error::Truncated)
         ));
         assert!(
-            !scan(&path, SegmentKind::Pmc, |_, _, _| false)
-                .expect("scan")
-                .recognized,
+            !scan(&read(&path).expect("scan"), SegmentKind::Pmc, true).recognized,
             "wrong magic"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -513,7 +508,7 @@ mod tests {
         let (o2, _) = w.append(2, b"second record").expect("append");
         let total = w.finish().expect("finish");
 
-        let full = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
+        let full = scan(&read(&path).expect("scan"), SegmentKind::Profile, true);
         assert!(full.recognized);
         assert_eq!(full.valid_len, total);
         assert_eq!(full.records.len(), 2);
@@ -523,12 +518,12 @@ mod tests {
         let bytes = std::fs::read(&path).expect("read");
         for cut in (o2 + 1)..total {
             std::fs::write(&path, &bytes[..cut as usize]).expect("cut");
-            let s = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
+            let s = scan(&read(&path).expect("scan"), SegmentKind::Profile, true);
             assert_eq!(s.valid_len, o2, "cut at {cut}");
             assert_eq!(s.records.len(), 1);
             assert!(s.torn_bytes() > 0);
             assert!(truncate_torn_tail(&path, &s));
-            let healed = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("rescan");
+            let healed = scan(&read(&path).expect("rescan"), SegmentKind::Profile, true);
             assert_eq!(healed.torn_bytes(), 0);
             std::fs::write(&path, &bytes).expect("restore");
         }
@@ -538,7 +533,7 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         std::fs::write(&path, &flipped).expect("flip");
-        let s = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
+        let s = scan(&read(&path).expect("scan"), SegmentKind::Profile, true);
         assert_eq!(s.valid_len, o2, "bad CRC at EOF drops the final record");
 
         // Unrecognized magic — garbage, or the retired checksum-less
@@ -547,7 +542,7 @@ mod tests {
         v1.extend_from_slice(&bytes[8..]);
         for unrecognized in [b"NOTMAGICxxxx".as_slice(), v1.as_slice()] {
             std::fs::write(&path, unrecognized).expect("garbage");
-            let s = scan(&path, SegmentKind::Profile, |_, _, _| false).expect("scan");
+            let s = scan(&read(&path).expect("scan"), SegmentKind::Profile, true);
             assert_eq!((s.recognized, s.valid_len), (false, 0));
             assert!(
                 !truncate_torn_tail(&path, &s),

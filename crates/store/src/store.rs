@@ -1,4 +1,5 @@
-//! The store: a directory of segment files plus a manifest.
+//! The store: a directory of segment files, which are also its index, plus
+//! the manifest with the last run's counters.
 //!
 //! Content addressing: a profile's key is the FNV-1a hash of the boot
 //! config, fuzz seed, and program text. `Site` ids are themselves FNV
@@ -6,16 +7,24 @@
 //! process match those of any other — nothing in a record depends on
 //! process-local interning state.
 //!
-//! Cached state is *advisory*: damage (bit flips, torn tails, missing
-//! segments) surfaces as [`ProfileLookup::Damaged`]/[`PmcLookup::Damaged`],
-//! never as an error, and the pipeline recomputes and heals it. Opening a
-//! store truncates torn segment tails left by a crash and adopts intact
-//! orphan records the manifest missed, so a kill mid-`insert_profiles`
-//! costs at most the interrupted batch.
+//! Every record carries its key, so [`Store::open`] builds the key →
+//! (segment, offset, len) index from the recovery scan it runs anyway,
+//! visiting files in segment-number order: the latest record of a key
+//! wins, which is how a heal or a replaced PMC set takes over. A record is
+//! in the index as soon as its segment is finished, so a kill before
+//! [`Store::flush`] loses nothing written.
 //!
-//! Cost follows bytes: `open` checksums the records it acts on and leaves
-//! the ones the manifest addresses to the lookups that serve them; lookups
-//! in corpus order share one positioned read per 64 KiB of segment
+//! Cached state is *advisory*: a record that fails its checks surfaces as
+//! [`ProfileLookup::Damaged`]/[`PmcLookup::Damaged`], never as an error,
+//! and the pipeline recomputes and heals it. Damage the scan cannot see —
+//! a deleted file, records behind a mangled length or key — reads as a
+//! miss and is recomputed the same way. Opening a store truncates torn
+//! segment tails left by a crash, so a kill mid-`insert_profiles` costs at
+//! most the interrupted record.
+//!
+//! Cost follows bytes: `open` checksums the last record of each file and
+//! leaves the rest to the lookups that serve them; lookups in corpus order
+//! share one positioned read per 64 KiB of segment
 //! ([`Store::segment_reads`], [`Store::open_crc_bytes`] count both).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,8 +37,8 @@ use snowboard::pmc::PmcSet;
 use snowboard::profile::SeqProfile;
 
 use crate::codec;
-use crate::manifest::{Manifest, PmcEntry, ProfileStatus};
-use crate::segment::{self, SegmentKind, SegmentReader, SegmentWriter, PMC_MAGIC, PROFILE_MAGIC};
+use crate::manifest::Manifest;
+use crate::segment::{self, SegmentKind, SegmentReader, SegmentWriter};
 use crate::Error;
 
 /// Content key of one sequential test: hash of (boot config, fuzz seed,
@@ -54,12 +63,10 @@ pub fn corpus_key(keys: &[u64]) -> u64 {
 pub enum ProfileLookup {
     /// Served from the store, test id remapped to the current corpus index.
     Hit(SeqProfile),
-    /// The store remembers this test failing sequentially — skip it.
-    FailedCached,
     /// Not in the store (or reads disabled); write the profile in hand.
     Miss,
-    /// The manifest points at a record that is corrupt, truncated, or
-    /// missing. Quarantined: treat as a miss; the rewrite heals the entry.
+    /// The latest record of this key is corrupt or unreadable.
+    /// Quarantined: treat as a miss; the rewrite heals the entry.
     Damaged,
 }
 
@@ -74,8 +81,8 @@ pub enum PmcLookup {
     Prefix(PmcSet, usize),
     /// Nothing reusable stored.
     Miss,
-    /// Every reusable candidate was corrupt, truncated, or missing.
-    /// Quarantined: rebuild from scratch; the save heals the entry.
+    /// Every reusable candidate was corrupt or unreadable. Quarantined:
+    /// rebuild from scratch; the save heals the entry.
     Damaged,
 }
 
@@ -88,30 +95,45 @@ pub struct SegmentStats {
     pub bytes: u64,
 }
 
-/// What `Store::open` learned about one segment file.
+/// Where one record lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SegMeta {
-    /// False for an unrecognized magic: every record in it is damaged.
-    recognized: bool,
-    /// Valid record prefix length; addresses past this are damaged.
-    valid_len: u64,
+struct Addr {
+    /// Segment file number (`seg-<n>.bin` or `pmc-<n>.bin`).
+    segment: u64,
+    /// Record offset within the segment.
+    offset: u64,
+    /// Payload length in bytes.
+    len: u64,
+}
+
+/// One stored PMC set and the exact corpus (as profile keys, in order) it
+/// was identified from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PmcEntry {
+    corpus: Vec<u64>,
+    at: Addr,
 }
 
 /// A persistent profile/PMC store rooted at one directory.
 ///
 /// A `Store` never rewrites a segment file it may hold open: inserts, saves
-/// and heals always allocate a fresh `seg_no`, and torn-tail truncation
-/// happens in [`Store::open`] before any handle exists. That is what lets
-/// lookups keep one segment handle across calls — and what makes the file
-/// bytes that handle read ahead ([`SegmentReader`]'s window) as good as the
-/// file itself for as long as it is held.
+/// and heals always allocate a fresh segment number, and torn-tail
+/// truncation happens in [`Store::open`] before any handle exists. That is
+/// what lets lookups keep one segment handle across calls — and what makes
+/// the file bytes that handle read ahead ([`SegmentReader`]'s window) as
+/// good as the file itself for as long as it is held.
 pub struct Store {
     root: PathBuf,
-    manifest: Manifest,
+    /// The counters the most recent completed run persisted.
+    last_run: Manifest,
     read_cache: bool,
-    /// Per-segment scan results from open (and this run's writes).
-    seg_meta: BTreeMap<u64, SegMeta>,
-    pmc_meta: BTreeMap<u64, SegMeta>,
+    /// Profile key → its latest record.
+    profiles: BTreeMap<u64, Addr>,
+    /// Stored PMC sets, oldest first, one per corpus.
+    pmcs: Vec<PmcEntry>,
+    /// Next segment file number to allocate (shared by profile and PMC
+    /// segments): one past the largest on disk.
+    next_segment: u64,
     /// The segment the last lookup read, still open: lookups arrive in
     /// corpus order, the order segments were written in, so one slot (one
     /// descriptor) serves runs of them with a single `open`.
@@ -131,9 +153,7 @@ pub struct Store {
     pub profile_hits: u64,
     /// Profile lookups that missed this run.
     pub profile_misses: u64,
-    /// Of the hits, cached sequential failures.
-    pub failed_cached: u64,
-    /// Records found corrupt, truncated, or missing this run.
+    /// Records found corrupt or unreadable this run.
     pub records_damaged: u64,
     /// Damaged records recomputed and rewritten this run.
     pub records_healed: u64,
@@ -145,21 +165,20 @@ pub struct Store {
 
 impl Store {
     /// Opens (or initializes) the store in `root`, creating the directory
-    /// if needed. Scans every segment file, truncates torn tails left by a
-    /// crash, and reconciles the manifest with surviving records (intact
-    /// records the manifest missed are adopted).
+    /// if needed. Scans every segment file in number order, truncates torn
+    /// tails left by a crash, and indexes every record the scan finds.
     ///
-    /// The scan checksums the records `open` itself acts on: the last of
-    /// each file (a torn write?) and any the manifest does not address (an
-    /// orphan to adopt?). A record the manifest addresses is verified by
-    /// the lookup that serves it, so none is served, adopted, or used to
-    /// place a truncation unverified.
+    /// The scan checksums what the torn-tail rule needs: the last record of
+    /// each file. That is also a PMC file's one record, so its corpus list
+    /// is read from verified bytes. Every other record is verified by the
+    /// lookup that serves it, so none is served or used to place a
+    /// truncation unverified.
     pub fn open(root: &Path) -> Result<Store, Error> {
         Store::open_scanning(root, false)
     }
 
-    /// [`Store::open`] as it was when the scan checksummed every record:
-    /// the reference the differential tests hold it against.
+    /// [`Store::open`] with a scan that checksums every record: the
+    /// reference the differential tests hold it against.
     #[cfg(test)]
     fn open_checking_every_record(root: &Path) -> Result<Store, Error> {
         Store::open_scanning(root, true)
@@ -171,65 +190,59 @@ impl Store {
             path: root.to_path_buf(),
             source,
         })?;
-        let mut manifest = Manifest::load(&root.join("manifest.json"))?;
-        let mut seg_meta = BTreeMap::new();
-        let mut pmc_meta = BTreeMap::new();
-        let mut max_seen: Option<u64> = None;
+        let last_run = Manifest::load(&root.join("manifest.json"))?;
+        let mut profiles = BTreeMap::new();
+        let mut pmcs: Vec<PmcEntry> = Vec::new();
+        let mut next_segment = 0;
         let mut open_crc_bytes = 0;
-        for (name, kind, n) in list_segment_files(root)? {
+        for (n, kind, name) in list_segment_files(root)? {
             let path = root.join(&name);
-            // A PMC file holds one record, its last: nothing to vouch for.
-            let scan = segment::scan(&path, kind, |key, offset, len| {
-                !every_record
-                    && kind == SegmentKind::Profile
-                    && manifest.profiles.get(&key)
-                        == Some(&ProfileStatus::Ok {
-                            segment: n,
-                            offset,
-                            len,
-                        })
-            })?;
+            let bytes = segment::read(&path)?;
+            // A PMC file's one record is its last: checksummed either way.
+            let scan = segment::scan(&bytes, kind, every_record || kind == SegmentKind::Pmc);
             open_crc_bytes += scan.crc_bytes;
             if scan.torn_bytes() > 0 {
                 segment::truncate_torn_tail(&path, &scan);
             }
-            if kind == SegmentKind::Profile {
-                // Adopt intact records the manifest missed (a crash after
-                // the segment fsync but before the manifest write).
-                for rec in &scan.records {
-                    if rec.crc_ok == Some(true) && !manifest.profiles.contains_key(&rec.key) {
-                        manifest.profiles.insert(
-                            rec.key,
-                            ProfileStatus::Ok {
-                                segment: n,
-                                offset: rec.offset,
-                                len: rec.len,
-                            },
-                        );
+            // Never reuse a number an on-disk file already claims.
+            next_segment = n + 1;
+            match kind {
+                SegmentKind::Profile => {
+                    for rec in &scan.records {
+                        let at = Addr {
+                            segment: n,
+                            offset: rec.offset,
+                            len: rec.len,
+                        };
+                        profiles.insert(rec.key, at);
                     }
                 }
+                SegmentKind::Pmc => {
+                    let Some(rec) = scan.records.last().filter(|r| r.crc_ok == Some(true)) else {
+                        continue;
+                    };
+                    let Ok((corpus, _)) = codec::decode_pmc_corpus(rec.payload(&bytes)) else {
+                        continue;
+                    };
+                    pmcs.retain(|e| e.corpus != corpus);
+                    pmcs.push(PmcEntry {
+                        corpus,
+                        at: Addr {
+                            segment: n,
+                            offset: rec.offset,
+                            len: rec.len,
+                        },
+                    });
+                }
             }
-            let meta = SegMeta {
-                recognized: scan.recognized,
-                valid_len: scan.valid_len,
-            };
-            match kind {
-                SegmentKind::Profile => seg_meta.insert(n, meta),
-                SegmentKind::Pmc => pmc_meta.insert(n, meta),
-            };
-            max_seen = Some(max_seen.map_or(n, |m| m.max(n)));
-        }
-        // Never reuse a segment number an on-disk file already claims, even
-        // if the manifest never learned about it.
-        if let Some(m) = max_seen {
-            manifest.next_segment = manifest.next_segment.max(m + 1);
         }
         Ok(Store {
             root: root.to_path_buf(),
-            manifest,
+            last_run,
             read_cache: true,
-            seg_meta,
-            pmc_meta,
+            profiles,
+            pmcs,
+            next_segment,
             open_segment: None,
             fault: DiskFaults::default(),
             fault_reads: 0,
@@ -238,7 +251,6 @@ impl Store {
             damaged_pmc_corpora: BTreeSet::new(),
             profile_hits: 0,
             profile_misses: 0,
-            failed_cached: 0,
             records_damaged: 0,
             records_healed: 0,
             segment_reads: 0,
@@ -255,7 +267,7 @@ impl Store {
     /// Arms a deterministic disk-fault plan (fault-injection runs only;
     /// empty by default), restarting the read count and the fired list.
     /// A torn write fails the next segment write as a kill would (the
-    /// partial file synced, the manifest never updated); a flip corrupts
+    /// partial file synced, its records never indexed); a flip corrupts
     /// the next finished segment; the torn write and the flip fire once,
     /// the short reads on every matching record read. Each firing prints a
     /// `[chaos] fired` ledger line.
@@ -307,153 +319,108 @@ impl Store {
 
     /// Profile cache hit rate persisted by the most recent completed run.
     pub fn last_hit_rate(&self) -> Option<f64> {
-        let total = self.manifest.last_hits + self.manifest.last_misses;
-        (total > 0).then(|| self.manifest.last_hits as f64 / total as f64)
+        let total = self.last_run.last_hits + self.last_run.last_misses;
+        (total > 0).then(|| self.last_run.last_hits as f64 / total as f64)
     }
 
     /// (hits, misses) persisted by the most recent completed run.
     pub fn last_counters(&self) -> (u64, u64) {
-        (self.manifest.last_hits, self.manifest.last_misses)
+        (self.last_run.last_hits, self.last_run.last_misses)
     }
 
     fn segment_path(&self, kind: SegmentKind, n: u64) -> PathBuf {
-        let prefix = match kind {
-            SegmentKind::Profile => "seg",
-            SegmentKind::Pmc => "pmc",
-        };
-        self.root.join(format!("{prefix}-{n:04}.bin"))
+        self.root.join(segment_name(kind, n))
     }
 
-    /// Reads and verifies one record's payload, honoring scan results and
-    /// injected short reads. Any failure means the record is damaged.
-    fn read_verified(
-        &mut self,
-        kind: SegmentKind,
-        seg_no: u64,
-        offset: u64,
-        len: u64,
-        key: u64,
-    ) -> Result<&[u8], Error> {
-        let meta = match kind {
-            SegmentKind::Profile => self.seg_meta.get(&seg_no),
-            SegmentKind::Pmc => self.pmc_meta.get(&seg_no),
-        };
-        // No meta: the segment file was missing at open.
-        let meta = *meta.ok_or(Error::Truncated)?;
-        if !meta.recognized {
-            return Err(Error::Corrupt("unrecognized segment magic"));
-        }
-        let end = offset
-            .saturating_add(segment::HEADER_LEN)
-            .saturating_add(len);
-        if end > meta.valid_len {
-            return Err(Error::Truncated);
-        }
+    /// Reads and verifies one record's payload, honoring injected short
+    /// reads. Any failure means the record is damaged.
+    fn read_verified(&mut self, kind: SegmentKind, at: Addr, key: u64) -> Result<&[u8], Error> {
+        let end = at.offset + segment::HEADER_LEN + at.len;
         let eof_at = self.short_read(key).then(|| end - 1);
-        if !matches!(&self.open_segment, Some((k, n, _)) if (*k, *n) == (kind, seg_no)) {
-            let path = self.segment_path(kind, seg_no);
+        if !matches!(&self.open_segment, Some((k, n, _)) if (*k, *n) == (kind, at.segment)) {
+            let path = self.segment_path(kind, at.segment);
             // Dropping the previous handle first keeps it at one descriptor.
             self.open_segment = None;
-            self.open_segment = Some((kind, seg_no, SegmentReader::open(&path)?));
+            self.open_segment = Some((kind, at.segment, SegmentReader::open(&path)?));
         }
         let (_, _, reader) = self.open_segment.as_mut().expect("opened above");
-        reader.read_at(offset, len, key, eof_at, &mut self.segment_reads)
+        reader.read_at(at.offset, at.len, key, eof_at, &mut self.segment_reads)
     }
 
     /// Looks up the profile stored under `key`, remapping its test id to
     /// `test` (the corpus index of the *current* run). Damage is reported
     /// as [`ProfileLookup::Damaged`] (and counted), never as `Err`.
     pub fn lookup_profile(&mut self, key: u64, test: u32) -> Result<ProfileLookup, Error> {
-        if !self.read_cache {
-            self.profile_misses += 1;
-            return Ok(ProfileLookup::Miss);
-        }
-        match self.manifest.profiles.get(&key).copied() {
-            Some(ProfileStatus::Ok {
-                segment,
-                offset,
-                len,
-            }) => {
-                let decoded = self
-                    .read_verified(SegmentKind::Profile, segment, offset, len, key)
-                    .and_then(codec::decode_profile);
-                match decoded {
-                    Ok(mut profile) => {
-                        profile.test = test;
-                        self.profile_hits += 1;
-                        Ok(ProfileLookup::Hit(profile))
-                    }
-                    Err(_) => {
-                        self.records_damaged += 1;
-                        self.damaged_keys.insert(key);
-                        self.profile_misses += 1;
-                        Ok(ProfileLookup::Damaged)
-                    }
-                }
-            }
-            Some(ProfileStatus::Failed) => {
-                self.profile_hits += 1;
-                self.failed_cached += 1;
-                Ok(ProfileLookup::FailedCached)
-            }
-            None => {
+        let at = match self.profiles.get(&key) {
+            Some(at) if self.read_cache => *at,
+            _ => {
                 self.profile_misses += 1;
-                Ok(ProfileLookup::Miss)
+                return Ok(ProfileLookup::Miss);
+            }
+        };
+        match self
+            .read_verified(SegmentKind::Profile, at, key)
+            .and_then(codec::decode_profile)
+        {
+            Ok(mut profile) => {
+                profile.test = test;
+                self.profile_hits += 1;
+                Ok(ProfileLookup::Hit(profile))
+            }
+            Err(_) => {
+                self.records_damaged += 1;
+                self.damaged_keys.insert(key);
+                self.profile_misses += 1;
+                Ok(ProfileLookup::Damaged)
             }
         }
     }
 
-    /// Persists one corpus chunk of freshly profiled tests (failures
-    /// included — they are cached as negative entries) into a new segment
-    /// file. No-op when `batch` is empty. Rewriting a key whose record was
-    /// found damaged this run counts as a heal.
+    /// Persists one corpus chunk of freshly profiled tests into a new
+    /// segment file. Rewriting a key whose record was found damaged this
+    /// run counts as a heal.
+    ///
+    /// A `None` entry stores nothing, and a batch of nothing but `None`
+    /// writes no file: no caller in this workspace passes one (the fuzz
+    /// loop keeps only runs that complete). The `Option` is kept because
+    /// the benchmark builds these batches by type.
     pub fn insert_profiles(&mut self, batch: &[(u64, Option<SeqProfile>)]) -> Result<(), Error> {
-        if batch.is_empty() {
+        if batch.iter().all(|(_, p)| p.is_none()) {
             return Ok(());
         }
-        let seg_no = self.manifest.next_segment;
+        let seg_no = self.next_segment;
         let path = self.segment_path(SegmentKind::Profile, seg_no);
-        let mut writer = SegmentWriter::create(&path, PROFILE_MAGIC)?;
+        let mut writer = SegmentWriter::create(&path, SegmentKind::Profile.magic())?;
         if let Some(cut) = self.take_torn_write() {
             writer.set_torn_after(cut);
         }
         let mut buf = Vec::new();
-        let mut new_entries = Vec::with_capacity(batch.len());
+        let mut written = Vec::with_capacity(batch.len());
         for (key, profile) in batch {
-            let status = match profile {
-                Some(p) => {
-                    buf.clear();
-                    codec::encode_profile(p, &mut buf);
-                    let (offset, len) = writer.append(*key, &buf)?;
-                    ProfileStatus::Ok {
-                        segment: seg_no,
-                        offset,
-                        len,
-                    }
-                }
-                None => ProfileStatus::Failed,
-            };
-            new_entries.push((*key, status));
+            if let Some(p) = profile {
+                buf.clear();
+                codec::encode_profile(p, &mut buf);
+                let (offset, len) = writer.append(*key, &buf)?;
+                let at = Addr {
+                    segment: seg_no,
+                    offset,
+                    len,
+                };
+                written.push((*key, at));
+            }
         }
-        let total = writer.finish()?;
+        writer.finish()?;
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
-        self.seg_meta.insert(
-            seg_no,
-            SegMeta {
-                recognized: true,
-                valid_len: total,
-            },
-        );
-        self.manifest.next_segment = seg_no + 1;
+        self.next_segment = seg_no + 1;
         // A key the batch repeats heals once: its first entry takes it out
-        // of `damaged_keys`; in the manifest its last entry wins.
-        for (key, _) in &new_entries {
+        // of `damaged_keys`; in the index its last entry wins.
+        for (key, _) in &written {
             if self.damaged_keys.remove(key) {
                 self.records_healed += 1;
             }
         }
-        self.manifest.profiles.extend(new_entries);
+        self.profiles.extend(written);
         Ok(())
     }
 
@@ -469,7 +436,7 @@ impl Store {
         let mut damage_seen = false;
         loop {
             let mut best: Option<usize> = None;
-            for (idx, entry) in self.manifest.pmcs.iter().enumerate().rev() {
+            for (idx, entry) in self.pmcs.iter().enumerate().rev() {
                 if excluded.contains(&idx) {
                     continue;
                 }
@@ -477,7 +444,7 @@ impl Store {
                     best = Some(idx);
                     break;
                 }
-                let better = best.map_or(0, |b| self.manifest.pmcs[b].corpus.len());
+                let better = best.map_or(0, |b| self.pmcs[b].corpus.len());
                 if entry.corpus.len() > better
                     && entry.corpus.len() < corpus_keys.len()
                     && corpus_keys.starts_with(&entry.corpus)
@@ -492,25 +459,15 @@ impl Store {
                     PmcLookup::Miss
                 });
             };
-            let entry = self.manifest.pmcs[idx].clone();
-            let key = corpus_key(&entry.corpus);
+            let (prefix_len, at) = (self.pmcs[idx].corpus.len(), self.pmcs[idx].at);
+            let key = corpus_key(&self.pmcs[idx].corpus);
             let decoded = self
-                .read_verified(
-                    SegmentKind::Pmc,
-                    entry.segment,
-                    entry.offset,
-                    entry.len,
-                    key,
-                )
-                .and_then(codec::decode_pmc_set);
+                .read_verified(SegmentKind::Pmc, at, key)
+                .and_then(codec::decode_pmc_corpus)
+                .and_then(|(_, set)| codec::decode_pmc_set(set));
             match decoded {
-                Ok(set) => {
-                    return Ok(if entry.corpus == corpus_keys {
-                        PmcLookup::Exact(set)
-                    } else {
-                        PmcLookup::Prefix(set, entry.corpus.len())
-                    });
-                }
+                Ok(set) if prefix_len == corpus_keys.len() => return Ok(PmcLookup::Exact(set)),
+                Ok(set) => return Ok(PmcLookup::Prefix(set, prefix_len)),
                 Err(_) => {
                     self.records_damaged += 1;
                     self.damaged_pmc_corpora.insert(key);
@@ -525,33 +482,28 @@ impl Store {
     /// entry stored for the same corpus. Replacing a corpus whose record
     /// was found damaged this run counts as a heal.
     pub fn save_pmcs(&mut self, corpus_keys: &[u64], set: &PmcSet) -> Result<(), Error> {
-        let seg_no = self.manifest.next_segment;
+        let seg_no = self.next_segment;
         let path = self.segment_path(SegmentKind::Pmc, seg_no);
-        let mut writer = SegmentWriter::create(&path, PMC_MAGIC)?;
+        let mut writer = SegmentWriter::create(&path, SegmentKind::Pmc.magic())?;
         if let Some(cut) = self.take_torn_write() {
             writer.set_torn_after(cut);
         }
         let mut buf = Vec::new();
-        codec::encode_pmc_set(set, &mut buf);
+        codec::encode_pmc_record(corpus_keys, set, &mut buf);
         let record_key = corpus_key(corpus_keys);
         let (offset, len) = writer.append(record_key, &buf)?;
-        let total = writer.finish()?;
+        writer.finish()?;
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
-        self.pmc_meta.insert(
-            seg_no,
-            SegMeta {
-                recognized: true,
-                valid_len: total,
-            },
-        );
-        self.manifest.next_segment = seg_no + 1;
-        self.manifest.pmcs.retain(|e| e.corpus != corpus_keys);
-        self.manifest.pmcs.push(PmcEntry {
+        self.next_segment = seg_no + 1;
+        self.pmcs.retain(|e| e.corpus != corpus_keys);
+        self.pmcs.push(PmcEntry {
             corpus: corpus_keys.to_vec(),
-            segment: seg_no,
-            offset,
-            len,
+            at: Addr {
+                segment: seg_no,
+                offset,
+                len,
+            },
         });
         if self.damaged_pmc_corpora.remove(&record_key) {
             self.records_healed += 1;
@@ -584,11 +536,15 @@ impl Store {
         }
     }
 
-    /// Writes the manifest (with this run's hit/miss counters) atomically.
+    /// Writes this run's hit/miss counters to the manifest, atomically.
+    /// The records need nothing: each was durable and indexed when its
+    /// segment finished.
     pub fn flush(&mut self) -> Result<(), Error> {
-        self.manifest.last_hits = self.profile_hits;
-        self.manifest.last_misses = self.profile_misses;
-        self.manifest.save(&self.root.join("manifest.json"))
+        self.last_run = Manifest {
+            last_hits: self.profile_hits,
+            last_misses: self.profile_misses,
+        };
+        self.last_run.save(&self.root.join("manifest.json"))
     }
 
     /// Sizes of all segment files currently on disk, smallest number first.
@@ -596,38 +552,36 @@ impl Store {
     pub fn segment_sizes(&self) -> Result<(Vec<(String, u64)>, SegmentStats), Error> {
         let mut sizes = Vec::new();
         let mut stats = SegmentStats::default();
-        for n in 0..self.manifest.next_segment {
-            for path in
-                [SegmentKind::Profile, SegmentKind::Pmc].map(|kind| self.segment_path(kind, n))
-            {
-                match std::fs::metadata(&path) {
-                    Ok(meta) => {
-                        let name = path
-                            .file_name()
-                            .map(|n| n.to_string_lossy().into_owned())
-                            .unwrap_or_default();
-                        sizes.push((name, meta.len()));
-                        stats.segments += 1;
-                        stats.bytes += meta.len();
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(source) => {
-                        return Err(Error::Io {
-                            op: "stat",
-                            path,
-                            source,
-                        })
-                    }
-                }
-            }
+        for (_, _, name) in list_segment_files(&self.root)? {
+            let path = self.root.join(&name);
+            let len = std::fs::metadata(&path)
+                .map_err(|source| Error::Io {
+                    op: "stat",
+                    path,
+                    source,
+                })?
+                .len();
+            sizes.push((name, len));
+            stats.segments += 1;
+            stats.bytes += len;
         }
         Ok((sizes, stats))
     }
 }
 
-/// Lists `(file name, kind, segment number)` for every segment file in
-/// `root`, in name order.
-pub(crate) fn list_segment_files(root: &Path) -> Result<Vec<(String, SegmentKind, u64)>, Error> {
+/// The file name of segment `n` of `kind`.
+pub(crate) fn segment_name(kind: SegmentKind, n: u64) -> String {
+    let prefix = match kind {
+        SegmentKind::Profile => "seg",
+        SegmentKind::Pmc => "pmc",
+    };
+    format!("{prefix}-{n:04}.bin")
+}
+
+/// Lists `(segment number, kind, file name)` for every segment file in
+/// `root`, in number order: the order in which a later record of a key
+/// replaces an earlier one. Profile and PMC files share the number space.
+pub(crate) fn list_segment_files(root: &Path) -> Result<Vec<(u64, SegmentKind, String)>, Error> {
     let entries = std::fs::read_dir(root).map_err(|source| Error::Io {
         op: "read-dir",
         path: root.to_path_buf(),
@@ -655,7 +609,7 @@ pub(crate) fn list_segment_files(root: &Path) -> Result<Vec<(String, SegmentKind
         else {
             continue;
         };
-        files.push((name, kind, num));
+        files.push((num, kind, name));
     }
     files.sort();
     Ok(files)
@@ -711,7 +665,7 @@ mod tests {
         let (dir, mut store) = tmp_store("prof");
         let p = profile(3, 0x2000);
         store
-            .insert_profiles(&[(111, Some(p.clone())), (222, None)])
+            .insert_profiles(&[(111, Some(p.clone()))])
             .expect("insert");
         store.flush().expect("flush");
 
@@ -725,15 +679,96 @@ mod tests {
             other => panic!("expected hit, got {other:?}"),
         }
         assert_eq!(
-            store.lookup_profile(222, 1).expect("lookup"),
-            ProfileLookup::FailedCached
-        );
-        assert_eq!(
             store.lookup_profile(333, 2).expect("lookup"),
             ProfileLookup::Miss
         );
-        assert_eq!((store.profile_hits, store.profile_misses), (2, 1));
-        assert_eq!(store.failed_cached, 1);
+        assert_eq!((store.profile_hits, store.profile_misses), (1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_kill_before_flush_loses_no_record_written() {
+        let (dir, mut store) = tmp_store("noflush");
+        let batch: Vec<_> = (1..=5u64).map(|k| (k, Some(profile(0, k << 12)))).collect();
+        store.insert_profiles(&batch).expect("insert");
+        let mut set = PmcSet::default();
+        set.pmcs.push(sample_pmc());
+        store.save_pmcs(&[1, 2, 3, 4, 5], &set).expect("save");
+        drop(store); // killed: no flush
+
+        let mut store = Store::open(&dir).expect("reopen");
+        for (k, p) in &batch {
+            assert_eq!(hit(&mut store, *k).as_ref(), p.as_ref(), "key {k}");
+        }
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2, 3, 4, 5]).expect("lookup"),
+            PmcLookup::Exact(set)
+        );
+        assert_eq!(
+            store.last_counters(),
+            (0, 0),
+            "the counters were never written"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flush_writes_only_the_counters_whatever_the_store_holds() {
+        for records in [10u64, 10_000] {
+            let (dir, mut store) = tmp_store(&format!("flushsize{records}"));
+            for chunk in 0..records.div_ceil(1_000) {
+                let batch: Vec<_> = (chunk * 1_000..records.min((chunk + 1) * 1_000))
+                    .map(|k| (k, Some(profile(0, k << 4))))
+                    .collect();
+                store.insert_profiles(&batch).expect("insert");
+            }
+            for k in 0..records {
+                assert!(hit(&mut store, k).is_some());
+            }
+            let before = store.segment_sizes().expect("sizes");
+            store.flush().expect("flush");
+            let manifest = std::fs::read(dir.join("manifest.json")).expect("manifest");
+            assert!(
+                manifest.len() <= 64,
+                "{records} records: {} bytes",
+                manifest.len()
+            );
+            assert_eq!(store.segment_sizes().expect("sizes"), before);
+            assert_eq!(
+                Store::open(&dir).expect("reopen").last_counters(),
+                (records, 0)
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn segments_are_ordered_by_number_not_by_name() {
+        let (dir, mut store) = tmp_store("order");
+        store
+            .insert_profiles(&[(5, Some(profile(0, 0x1000)))])
+            .expect("older");
+        store
+            .insert_profiles(&[(5, Some(profile(0, 0x2000)))])
+            .expect("newer");
+        drop(store);
+        // `seg-10000.bin` sorts before `seg-9999.bin` by name.
+        std::fs::rename(dir.join("seg-0000.bin"), dir.join("seg-9999.bin")).expect("rename");
+        std::fs::rename(dir.join("seg-0001.bin"), dir.join("seg-10000.bin")).expect("rename");
+        let mut store = Store::open(&dir).expect("reopen");
+        assert_eq!(hit(&mut store, 5), Some(profile(0, 0x2000)));
+        store
+            .insert_profiles(&[(6, Some(profile(0, 0x3000)))])
+            .expect("insert");
+        assert!(dir.join("seg-10001.bin").exists());
+        let names: Vec<_> = store
+            .segment_sizes()
+            .expect("sizes")
+            .0
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(names, ["seg-9999.bin", "seg-10000.bin", "seg-10001.bin"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -826,15 +861,15 @@ mod tests {
         let (dir, mut store) = tmp_store("flip");
         let p = profile(0, 0x4000);
         store
-            .insert_profiles(&[(77, Some(p.clone()))])
+            .insert_profiles(&[(77, Some(p.clone())), (78, Some(profile(1, 0x4100)))])
             .expect("insert");
         store.flush().expect("flush");
 
-        // Flip one payload byte of the only record.
+        // Flip one payload byte of the first record. (The same flip in a
+        // file's last record reads as a torn tail: a miss.)
         let seg = dir.join("seg-0000.bin");
         let mut bytes = std::fs::read(&seg).expect("read");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x10;
+        bytes[8 + segment::HEADER_LEN as usize] ^= 0x10;
         std::fs::write(&seg, &bytes).expect("flip");
 
         let mut store = Store::open(&dir).expect("reopen");
@@ -871,12 +906,13 @@ mod tests {
             .expect("insert");
         store.flush().expect("flush");
         std::fs::remove_file(dir.join("seg-0000.bin")).expect("remove");
+        // With the file goes the only record of its keys: a miss.
         let mut store = Store::open(&dir).expect("reopen");
         assert_eq!(
             store.lookup_profile(8, 0).expect("lookup"),
-            ProfileLookup::Damaged
+            ProfileLookup::Miss
         );
-        assert_eq!(store.records_damaged, 1);
+        assert_eq!(store.records_damaged, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -888,40 +924,50 @@ mod tests {
         store.save_pmcs(&[1, 2], &set).expect("save prefix");
         store.save_pmcs(&[1, 2, 3], &set).expect("save exact");
         store.flush().expect("flush");
+        let flip_last_byte = |name: &str| {
+            let path = dir.join(name);
+            let mut bytes = std::fs::read(&path).expect("read");
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x08;
+            std::fs::write(&path, &bytes).expect("flip");
+        };
 
-        // Damage the exact entry (pmc-0001); the [1,2] prefix still serves.
-        let exact_path = dir.join("pmc-0001.bin");
-        let mut bytes = std::fs::read(&exact_path).expect("read");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x08;
-        std::fs::write(&exact_path, &bytes).expect("flip");
+        // Damage the exact entry (pmc-0001), the one record of its file:
+        // open finds a torn record and drops it, and the [1,2] prefix
+        // still serves.
+        flip_last_byte("pmc-0001.bin");
         let mut store = Store::open(&dir).expect("reopen");
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
             PmcLookup::Prefix(set.clone(), 2),
             "damaged exact falls back to the intact prefix"
         );
-        assert_eq!(store.records_damaged, 1);
+        assert_eq!(store.records_damaged, 0, "a one-record file misses");
 
-        // Saving the exact corpus again heals it.
+        // Saving the exact corpus again restores it.
         store.save_pmcs(&[1, 2, 3], &set).expect("heal");
-        assert_eq!(store.records_healed, 1);
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
+            PmcLookup::Exact(set.clone())
+        );
 
-        // Damage everything: lookup reports Damaged, not Miss.
-        for name in ["pmc-0000.bin", "pmc-0002.bin"] {
-            let path = dir.join(name);
-            let mut bytes = std::fs::read(&path).expect("read");
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x08;
-            std::fs::write(&path, &bytes).expect("flip");
-        }
-        store.flush().expect("flush");
+        // Damage everything after open: lookup reads both candidates, counts
+        // both, and reports Damaged, not Miss.
         let mut store = Store::open(&dir).expect("reopen");
+        for name in ["pmc-0000.bin", "pmc-0002.bin"] {
+            flip_last_byte(name);
+        }
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
             PmcLookup::Damaged
         );
         assert_eq!(store.records_damaged, 2, "both candidates damaged");
+        // The same damage seen by open: nothing left to serve.
+        let mut store = Store::open(&dir).expect("reopen");
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
+            PmcLookup::Miss
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -949,7 +995,7 @@ mod tests {
             .insert_profiles(&[(11, Some(p1.clone())), (12, Some(p2))])
             .expect_err("torn write kills the insert");
         assert!(matches!(err, Error::Injected(_)));
-        drop(store); // crash: no flush, manifest never saw the batch
+        drop(store); // crash: no flush
 
         let mut store = Store::open(&dir).expect("reopen");
         // The completed first batch still serves.
@@ -957,7 +1003,7 @@ mod tests {
             store.lookup_profile(10, 0).expect("lookup"),
             ProfileLookup::Hit(_)
         ));
-        // The batch's first record survived the tear and was adopted.
+        // The batch's first record survived the tear and is indexed.
         assert!(matches!(
             store.lookup_profile(11, 1).expect("lookup"),
             ProfileLookup::Hit(_)
@@ -973,7 +1019,7 @@ mod tests {
             std::fs::metadata(&torn_seg).expect("meta").len(),
             8 + first_record_bytes
         );
-        // New inserts never clobber the adopted segment.
+        // New inserts never clobber the torn segment.
         store
             .insert_profiles(&[(13, Some(profile(3, 0x6300)))])
             .expect("insert");
@@ -994,12 +1040,14 @@ mod tests {
                 .expect("insert");
         }
         store.flush().expect("flush");
+
+        // B is damaged after open: a one-record file damaged before it
+        // would read as a torn tail, a miss.
+        let mut store = Store::open(&dir).expect("reopen");
         let mut bytes = std::fs::read(dir.join("seg-0001.bin")).expect("read");
         let last = bytes.len() - 1;
         bytes[last] ^= 0x04;
         std::fs::write(dir.join("seg-0001.bin"), &bytes).expect("damage B");
-
-        let mut store = Store::open(&dir).expect("reopen");
         let addr_of =
             |store: &mut Store, key: u64| match store.lookup_profile(key, 0).expect("lookup") {
                 ProfileLookup::Hit(p) => Some(p.accesses[0].addr),
@@ -1065,11 +1113,15 @@ mod tests {
             ..Default::default()
         });
         store
-            .insert_profiles(&[(31, Some(profile(0, 0x8000)))])
+            .insert_profiles(&[
+                (31, Some(profile(0, 0x8000))),
+                (32, Some(profile(0, 0x8100))),
+            ])
             .expect("insert");
         store.flush().expect("flush");
-        // Same process still trusts its in-memory meta; a reopen rescans
-        // and the CRC catches the flip.
+        // The lookup that serves the record checksums it: the CRC catches
+        // the flip (of a record that is not its file's last, so open's
+        // torn-tail rule leaves it in place).
         let mut store = Store::open(&dir).expect("reopen");
         assert_eq!(
             store.lookup_profile(31, 0).expect("lookup"),
@@ -1165,6 +1217,15 @@ mod tests {
         p
     }
 
+    /// Every record of the profile segment at `path`, checksummed.
+    fn scan_of(path: &Path) -> segment::SegmentScan {
+        segment::scan(
+            &segment::read(path).expect("read"),
+            SegmentKind::Profile,
+            true,
+        )
+    }
+
     fn hit(store: &mut Store, key: u64) -> Option<SeqProfile> {
         match store.lookup_profile(key, 0).expect("lookup") {
             ProfileLookup::Hit(p) => Some(p),
@@ -1200,8 +1261,9 @@ mod tests {
         // What a scan that trusts nobody checksums, and the slice of it
         // `open` has to: the last record of each of the 26 files.
         let (mut every_record, mut last_records) = (0, 0);
-        for (name, kind, _) in list_segment_files(&dir).expect("list") {
-            let scan = segment::scan(&dir.join(name), kind, |_, _, _| false).expect("scan");
+        for (_, kind, name) in list_segment_files(&dir).expect("list") {
+            let bytes = segment::read(&dir.join(name)).expect("read");
+            let scan = segment::scan(&bytes, kind, true);
             assert!(
                 scan.file_len < 64 * 1024,
                 "one window holds a segment of this test"
@@ -1264,12 +1326,7 @@ mod tests {
         store.flush().expect("flush");
         let mut store = Store::open(&dir).expect("reopen");
 
-        let scan = segment::scan(
-            &dir.join("seg-0000.bin"),
-            SegmentKind::Profile,
-            |_, _, _| false,
-        )
-        .expect("scan");
+        let scan = scan_of(&dir.join("seg-0000.bin"));
         let window_end = 8 + 64 * 1024;
         assert!(scan.file_len > window_end && scan.file_len < 2 * 64 * 1024);
         assert!(
@@ -1286,12 +1343,7 @@ mod tests {
             "the straddler starts the second window"
         );
 
-        let scan = segment::scan(
-            &dir.join("seg-0001.bin"),
-            SegmentKind::Profile,
-            |_, _, _| false,
-        )
-        .expect("scan");
+        let scan = scan_of(&dir.join("seg-0001.bin"));
         assert!(
             scan.records[1].len > 64 * 1024,
             "{} bytes",
@@ -1394,8 +1446,8 @@ mod tests {
     fn observe(mut store: Store, keys: &[u64], corpora: &[&[u64]]) -> String {
         let on_disk = files_of(store.root());
         let known = format!(
-            "{:?} {:?} {:?}",
-            store.manifest, store.seg_meta, store.pmc_meta
+            "{:?} {:?} {:?} {}",
+            store.last_run, store.profiles, store.pmcs, store.next_segment
         );
         let mut lookups: Vec<String> = keys
             .iter()
@@ -1409,7 +1461,6 @@ mod tests {
         let counters = (
             store.profile_hits,
             store.profile_misses,
-            store.failed_cached,
             store.records_damaged,
             store.records_healed,
         );
@@ -1496,15 +1547,15 @@ mod tests {
                 let mut files = base.clone();
                 files[i].1[at] ^= 0xA5;
                 both_opens_agree(&files, &format!("{name} byte {at} flipped"));
-                // The same flip seen by a store whose manifest is gone:
-                // nothing is vouched for, everything intact is adopted.
+                // The same flip seen by a store whose manifest is gone: the
+                // segments index the same records without it.
                 files.retain(|(n, _)| n.ends_with(".bin"));
                 both_opens_agree(&files, &format!("{name} byte {at} flipped, no manifest"));
             }
         }
 
-        // A fourth record torn at every boundary, and whole (an orphan the
-        // manifest never saw): the store a killed insert leaves behind.
+        // A fourth record torn at every boundary, and whole (never
+        // flushed): the store a killed insert leaves behind.
         let mut probe = Vec::new();
         codec::encode_profile(&profile(4, 4 << 12), &mut probe);
         for cut in 0..=16 + probe.len() as u64 + 1 {
@@ -1531,7 +1582,7 @@ mod tests {
 
         // A healed key: damaged in seg-0000, rewritten into a new segment.
         // Then the same files under the manifest from before the heal (a
-        // crash before the flush): the old address is the vouched one.
+        // crash before the flush): the counters are the only difference.
         let mut damaged = base.clone();
         let seg = damaged
             .iter_mut()
@@ -1553,23 +1604,18 @@ mod tests {
         drop(store);
         let healed = files_of(&dir);
         both_opens_agree(&healed, "healed key");
-        // Vouching is by address, not by key: the stale copy of a healed key
-        // is checksummed (and neither adopted nor served); of seg-0000 only
-        // the record the manifest still addresses and that is not last, key
-        // 2's, goes unread.
+        // Open checksums by position, not by key: of seg-0000 only the last
+        // record is read, so the stale copy of the healed key and key 2's
+        // go unread. The stale copy is never served either: the heal in
+        // seg-0001 is the later record of its key.
         assert_eq!(to_heal[0].0, 1, "byte 30 is in the first record");
-        let scan = segment::scan(
-            &dir.join("seg-0000.bin"),
-            SegmentKind::Profile,
-            |_, _, _| false,
-        )
-        .expect("scan");
+        let scan = scan_of(&dir.join("seg-0000.bin"));
         assert_eq!(
             Store::open_checking_every_record(&dir)
                 .expect("open")
                 .open_crc_bytes
                 - Store::open(&dir).expect("open").open_crc_bytes,
-            segment::HEADER_LEN + scan.records[1].len
+            2 * segment::HEADER_LEN + scan.records[0].len + scan.records[1].len
         );
         let mut stale = healed.clone();
         let manifest = stale

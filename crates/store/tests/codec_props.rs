@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use sb_store::codec::{decode_pmc_set, decode_profile, encode_pmc_set, encode_profile};
+use sb_store::codec::{
+    decode_pmc_corpus, decode_pmc_set, decode_profile, encode_pmc_record, encode_pmc_set,
+    encode_profile,
+};
 use sb_store::varint::{get_delta, get_u64, put_delta, put_u64};
 use sb_vmm::access::{Access, AccessKind};
 use sb_vmm::site::Site;
@@ -135,6 +138,7 @@ proptest! {
     fn garbage_never_panics_the_decoders(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_profile(&bytes);
         let _ = decode_pmc_set(&bytes);
+        let _ = decode_pmc_corpus(&bytes);
     }
 
     #[test]
@@ -142,5 +146,17 @@ proptest! {
         let mut buf = vec![];
         encode_pmc_set(&set, &mut buf);
         prop_assert_eq!(decode_pmc_set(&buf).unwrap(), set);
+    }
+
+    #[test]
+    fn pmc_records_round_trip(
+        corpus in prop::collection::vec(any::<u64>(), 0..64),
+        set in arb_pmc_set(),
+    ) {
+        let mut buf = vec![];
+        encode_pmc_record(&corpus, &set, &mut buf);
+        let (keys, rest) = decode_pmc_corpus(&buf).unwrap();
+        prop_assert_eq!(keys, corpus);
+        prop_assert_eq!(decode_pmc_set(rest).unwrap(), set);
     }
 }

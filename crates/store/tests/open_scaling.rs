@@ -1,7 +1,7 @@
 //! `Store::open` is linear in the number of records it reopens: the
-//! manifest reader passes over its text once, the recovery scan visits each
-//! record's header once and one map entry per record, and checksums only
-//! the last record of each file (the manifest vouches for the rest).
+//! recovery scan, which is also the index, visits each record's header once
+//! and inserts one map entry per record, and checksums only the last record
+//! of each file (the lookups that serve the rest verify them).
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -69,7 +69,7 @@ fn open_time_grows_linearly_with_records() {
     let n = 3_000;
     let small = best_open(&dir, n);
     let large = best_open(&dir, 4 * n);
-    // Linear is 4; a manifest parse quadratic in the document measures ~16.
+    // Linear is 4; an index build quadratic in the records measures ~16.
     let ratio = large.as_secs_f64() / small.as_secs_f64();
     assert!(
         ratio <= 8.0,

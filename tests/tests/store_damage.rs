@@ -1,12 +1,14 @@
 //! Self-healing store under injected damage: torn writes at every byte
 //! boundary, byte flips over a whole segment, missing segment files, and a
 //! full pipeline run against a corrupted store — all must degrade to
-//! recompute-and-heal, never to a panic, an error, or wrong data.
+//! recompute-and-heal, never to a panic, an error, or wrong data. Damage
+//! the segment scan can see is `Damaged`; damage it cannot (a deleted
+//! file, a mangled key or length, a torn last record) is a miss.
 
 use std::path::{Path, PathBuf};
 
 use sb_kernel::KernelConfig;
-use sb_store::{PmcLookup, ProfileLookup, Store};
+use sb_store::{segment, PmcLookup, ProfileLookup, Store};
 use sb_vmm::access::{Access, AccessKind};
 use sb_vmm::site::Site;
 use snowboard::pmc::{IdentifyOpts, Pmc, PmcKey, PmcSet, SideKey};
@@ -157,7 +159,7 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
         assert!(report.clean(), "cut {cut}: {:?}", report.problems);
 
         // Every record from before the kill is still served; the torn one
-        // is a Miss (complete-but-unreferenced ones are adopted as Hits).
+        // is a Miss (a complete one is indexed and served, flush or not).
         let mut st = Store::open(&dir).expect("reopen");
         expect_profile(&mut st, KEYS[0], 0x2000, 0);
         expect_profile(&mut st, KEYS[1], 0x3000, 1);
@@ -180,7 +182,9 @@ fn torn_write_at_every_boundary_repairs_to_a_clean_store() {
 
 /// Flipping every single byte of the profile segment must never panic,
 /// never serve wrong data, and always heal back to a store that passes
-/// fsck and serves everything.
+/// fsck and serves everything. A flip in the magic, a key or a length hides
+/// records from the scan, and one in the last record makes it a torn tail:
+/// those read as misses; any other is `Damaged`.
 #[test]
 fn every_byte_flip_heals_back_to_a_clean_store() {
     let base = pristine();
@@ -211,8 +215,9 @@ fn every_byte_flip_heals_back_to_a_clean_store() {
                         "offset {off}"
                     );
                 }
-                ProfileLookup::Damaged => to_heal.push((*key, Some(profile(i as u32, *addr)))),
-                other => panic!("offset {off}, key {key}: unexpected {other:?}"),
+                ProfileLookup::Damaged | ProfileLookup::Miss => {
+                    to_heal.push((*key, Some(profile(i as u32, *addr))))
+                }
             }
         }
         assert!(
@@ -220,7 +225,7 @@ fn every_byte_flip_heals_back_to_a_clean_store() {
             "offset {off}: every byte of the segment should protect something"
         );
         let damaged = st.records_damaged;
-        assert_eq!(damaged, to_heal.len() as u64);
+        assert!(damaged <= to_heal.len() as u64, "offset {off}");
 
         // Heal: recompute (here: re-supply) the damaged profiles.
         st.insert_profiles(&to_heal).expect("heal");
@@ -256,12 +261,13 @@ fn damaged_pmc_record_heals_on_save() {
     mutated[20] ^= 0xFF; // CRC word of the first record
     std::fs::write(dir.join(&pmc.0), &mutated).expect("flip");
 
+    // The file's one record is also its last: a bad CRC there is a torn
+    // tail, so the set reads as a miss and the save rewrites it.
     let mut st = Store::open(&dir).expect("open");
-    assert_eq!(st.lookup_pmcs(&KEYS).expect("lookup"), PmcLookup::Damaged);
-    assert_eq!(st.records_damaged, 1);
+    assert_eq!(st.lookup_pmcs(&KEYS).expect("lookup"), PmcLookup::Miss);
+    assert_eq!(st.records_damaged, 0);
     st.save_pmcs(&KEYS, &pmc_set()).expect("heal");
     st.flush().expect("flush");
-    assert_eq!(st.records_healed, 1);
     assert_eq!(
         st.lookup_pmcs(&KEYS).expect("lookup"),
         PmcLookup::Exact(pmc_set())
@@ -354,7 +360,7 @@ fn pipeline_heals_a_flipped_store_bit_identically() {
 
 /// A missing segment file is the coarsest damage: every record in it
 /// degrades to a miss, the run still completes bit-identically, and the
-/// records are healed into fresh segments.
+/// records are rewritten into fresh segments.
 #[test]
 fn pipeline_survives_a_deleted_segment_file() {
     let dir = scratch("missing", 0);
@@ -370,11 +376,19 @@ fn pipeline_survives_a_deleted_segment_file() {
     .expect("cold prepare");
     drop(cold_store);
 
-    let victim = read_store(&dir)
+    let (victim, bytes) = read_store(&dir)
         .into_iter()
-        .map(|(n, _)| n)
-        .find(|n| n.starts_with("seg-"))
+        .find(|(n, _)| n.starts_with("seg-"))
         .expect("profile segment");
+    let keys_in = |bytes: &[u8]| -> Vec<u64> {
+        segment::scan(bytes, segment::SegmentKind::Profile, true)
+            .records
+            .iter()
+            .map(|r| r.key)
+            .collect()
+    };
+    let victim_keys = keys_in(&bytes);
+    assert!(!victim_keys.is_empty());
     std::fs::remove_file(dir.join(&victim)).expect("remove");
 
     let mut warm_store = Store::open(&dir).expect("open warm");
@@ -385,8 +399,16 @@ fn pipeline_survives_a_deleted_segment_file() {
         &mut warm_store,
     )
     .expect("a missing segment must not fail preparation");
-    assert!(warm_stats.records_damaged > 0);
-    assert_eq!(warm_stats.records_healed, warm_stats.records_damaged);
+    assert_eq!(warm_stats.profile_misses, victim_keys.len() as u64);
+    let rewritten: Vec<u64> = read_store(&dir)
+        .iter()
+        .filter(|(n, _)| n.starts_with("seg-"))
+        .flat_map(|(_, bytes)| keys_in(bytes))
+        .collect();
+    assert!(
+        victim_keys.iter().all(|k| rewritten.contains(k)),
+        "the deleted file's records are rewritten"
+    );
     assert_eq!(cold.profiles, warm.profiles);
     assert_eq!(cold.pmcs, warm.pmcs);
 
