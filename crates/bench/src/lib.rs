@@ -217,7 +217,6 @@ mod tests {
             executions: 1,
             quarantined: vec![],
             store: None,
-            supervise: None,
             fleet: None,
         };
         assert_eq!(issues_cell(&report), "#13 (1.0)");

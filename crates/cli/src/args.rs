@@ -677,6 +677,15 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                             link; they need hunt join"
                     .into());
             }
+            let proc = &chaos.job;
+            let proc_faults = !(proc.abort_jobs.is_empty()
+                && proc.exit_jobs.is_empty()
+                && proc.stall_jobs.is_empty());
+            if proc_faults && !supervise && mode != Mode::Join {
+                return Err("--chaos proc:* faults fire in a worker process; \
+                            they need --supervise or hunt join"
+                    .into());
+            }
             if chaos.kill_after_journal.is_some() && mode != Mode::Serve {
                 return Err("--chaos coord:* targets the coordinator; it needs \
                             hunt serve"
@@ -1135,6 +1144,11 @@ mod tests {
             "net needs join"
         );
         assert!(parse(&argv("hunt --chaos coord:kill-after-journal=2")).is_err());
+        // Process faults fire only in a worker process: a plain hunt and a
+        // coordinator (whose workers are not its children) refuse them.
+        assert!(parse(&argv("hunt --chaos proc:abort=1")).is_err());
+        assert!(parse(&argv("hunt serve --listen x --chaos proc:exit=1:9")).is_err());
+        assert!(parse(&argv("hunt join x:1 --chaos proc:stall=1")).is_ok());
         assert!(
             parse(&argv("hunt --chaos disk:torn=20")).is_err(),
             "disk needs --store"

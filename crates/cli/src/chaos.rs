@@ -625,22 +625,15 @@ fn check_outcome(env: &Env, s: &Schedule, out: &RunOut) -> Result<(), String> {
     Ok(())
 }
 
-/// Every scheduled fault fired within its budget, and nothing unscheduled
-/// fired at all.
+/// Every scheduled fault fired exactly as often as budgeted, and nothing
+/// unscheduled fired at all.
 fn check_expectations(s: &Schedule, ledger: &BTreeMap<String, u64>) -> Result<(), String> {
     for e in &s.expected {
         let got = ledger.get(e.site).copied().unwrap_or(0);
-        if let Some(x) = e.exact {
-            if got != x {
-                return Err(format!(
-                    "site {}: fired {got} time(s), schedule budgeted exactly {x}",
-                    e.site
-                ));
-            }
-        } else if got < e.min {
+        if got != e.count {
             return Err(format!(
-                "site {}: fired {got} time(s), schedule budgeted at least {}",
-                e.site, e.min
+                "site {}: fired {got} time(s), schedule budgeted exactly {}",
+                e.site, e.count
             ));
         }
     }

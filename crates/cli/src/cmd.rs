@@ -639,11 +639,11 @@ fn supervise(o: &HuntOpts, prep: &Prepared) -> SbResult<CampaignReport> {
         c.args(["hunt", "join", addr]).args(&args);
         c
     })?;
-    if let (Some(s), Some(f)) = (&report.supervise, &report.fleet) {
+    if let Some(f) = &report.fleet {
         eprintln!(
             "[supervise] {} spawn(s) + {} respawn(s), {} crash(es), \
              {} heartbeat miss(es), {} job(s) abandoned",
-            s.spawns, s.respawns, s.crashes, s.heartbeat_misses, f.gave_up_jobs
+            f.spawns, f.respawns, f.crashes, f.heartbeat_misses, f.gave_up_jobs
         );
         if f.stopped {
             eprintln!(

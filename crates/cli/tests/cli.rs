@@ -694,6 +694,88 @@ fn hunt_trace_round_trips_through_trace_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn supervised_trace_records_each_lifecycle_fact_once() {
+    // Job totals live in `job` events and worker/fleet lifecycle steps in
+    // `worker`/`fleet` events; no counter restates them.
+    const RESTATED: [&str; 20] = [
+        "profile.ok",
+        "profile.accesses_kept",
+        "campaign.trials",
+        "campaign.steps",
+        "campaign.jobs_completed",
+        "campaign.jobs_quarantined",
+        "supervise.spawns",
+        "supervise.respawns",
+        "supervise.crashes",
+        "supervise.heartbeat_misses",
+        "fleet.joins",
+        "fleet.rejects",
+        "fleet.leases",
+        "fleet.evictions",
+        "fleet.reassigned",
+        "fleet.duplicates",
+        "fleet.spool.redelivered",
+        "fleet.sessions.resumed",
+        "fleet.leases.restored",
+        "chaos.fired.total",
+    ];
+    let dir = scratch_dir("supervised-trace");
+    let hunt = bin()
+        .args(small_hunt("19"))
+        .arg("--supervise")
+        .arg("--trace-dir")
+        .arg(&dir)
+        .output()
+        .expect("run supervised hunt");
+    assert!(
+        hunt.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&hunt.stderr)
+    );
+    no_orphans("19", "join");
+    let raw = std::fs::read_to_string(dir.join("trace.jsonl")).expect("trace written");
+    let lines: Vec<&str> = raw.lines().collect();
+    for line in &lines {
+        if let Ok(sb_obs::Event::Count { key, .. }) = sb_obs::Event::parse_line(line) {
+            assert!(!RESTATED.contains(&key.as_str()), "restated fact: {line}");
+        }
+    }
+
+    let report = bin()
+        .args(["trace", "report", "--trace-dir"])
+        .arg(&dir)
+        .output()
+        .expect("run trace report");
+    let text = stdout(&report);
+    assert!(text.contains("verification: OK"), "{text}");
+    let block: Vec<(&str, u64)> = text
+        .split("supervised workers:\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no supervised workers block:\n{text}"))
+        .lines()
+        .map_while(|l| {
+            let (action, n) = l.trim().split_once(char::is_whitespace)?;
+            Some((action, n.trim().parse().ok()?))
+        })
+        .collect();
+    assert_eq!(block, [("exit", 2), ("spawn", 2)], "{text}");
+
+    // The no-orphans rule still has two sides: drop one exit and it fails.
+    let exit = lines
+        .iter()
+        .position(|l| l.contains("\"ev\":\"worker\"") && l.contains("\"action\":\"exit\""))
+        .expect("an exit event");
+    let mut cut = lines.clone();
+    cut.remove(exit);
+    let mismatches = sb_obs::TraceReport::from_lines(cut).unwrap().verify();
+    assert!(
+        mismatches.iter().any(|m| m.starts_with("worker exits:")),
+        "{mismatches:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Fleet mode (`hunt serve` / `hunt join`)
 // ---------------------------------------------------------------------------
@@ -1083,6 +1165,7 @@ fn chaos_flag_rejects_unknown_planes_and_misplaced_planes_with_exit_2() {
         &["hunt", "--chaos", "job:panic"],    // missing value
         &["hunt", "--chaos", "net:drop=0:6"], // net plane needs `hunt join`
         &["hunt", "--chaos", "disk:torn=20"], // disk plane needs --store
+        &["hunt", "--chaos", "proc:abort=1"], // proc plane needs a worker process
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run bad --chaos case");

@@ -371,7 +371,7 @@ mod tests {
         });
         roundtrip(Event::Count {
             t: 2,
-            key: "profile.ok".into(),
+            key: "pipeline.profiles".into(),
             n: 3,
         });
         roundtrip(Event::Hist {

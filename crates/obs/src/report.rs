@@ -100,7 +100,7 @@ pub struct TraceReport {
     /// Per-job totals, in emission order.
     pub jobs: Vec<JobSummary>,
     /// Supervised-worker lifecycle action counts (`spawn`, `restart`,
-    /// `exit`, `heartbeat-miss`), by action. Empty for
+    /// `exit`, `crash`, `heartbeat-miss`), by action. Empty for
     /// single-process runs.
     pub worker_actions: BTreeMap<String, u64>,
     /// Fleet-worker lifecycle/lease action counts (`join`, `reject`,
@@ -198,9 +198,12 @@ impl TraceReport {
         }
     }
 
-    /// Cross-checks the reconstruction against the summary event. Returns
-    /// the list of mismatches (empty = consistent). Missing summary is
-    /// itself a mismatch: a complete trace always ends with one.
+    /// Cross-checks the reconstruction against the summary event, and
+    /// records that two separate computations must agree on: snapshot
+    /// clones against trials, per-oracle findings against job findings,
+    /// worker ends against worker starts. Returns the list of mismatches
+    /// (empty = consistent). Missing summary is itself a mismatch: a
+    /// complete trace always ends with one.
     pub fn verify(&self) -> Vec<String> {
         let Some(Event::Summary {
             profiles,
@@ -238,8 +241,6 @@ impl TraceReport {
         self.verify_detect(&mut mismatches);
         self.verify_snapshots(&mut mismatches);
         self.verify_supervision(&mut mismatches);
-        self.verify_fleet(&mut mismatches);
-        self.verify_chaos(&mut mismatches);
         mismatches
     }
 
@@ -303,145 +304,28 @@ impl TraceReport {
         }
     }
 
-    /// Cross-checks supervisor lifecycle events against the `supervise.*`
-    /// counters. Only applies to supervised runs — a trace with neither
-    /// worker events nor supervise counters passes vacuously.
+    /// The no-orphans rule of a supervised run: every process that started
+    /// (`spawn` or `restart`) has ended (`exit` when clean, `crash`
+    /// otherwise) by the time the trace completes. A trace without worker
+    /// events passes vacuously.
     fn verify_supervision(&self, mismatches: &mut Vec<String>) {
         let action = |a: &str| self.worker_actions.get(a).copied().unwrap_or(0);
-        let supervised = !self.worker_actions.is_empty()
-            || self.counters.keys().any(|k| k.starts_with("supervise."));
-        if !supervised {
-            return;
+        let ended = action("exit") + action("crash");
+        let started = action("spawn") + action("restart");
+        if ended != started {
+            mismatches.push(format!(
+                "worker exits: {ended} exit/crash event(s), but {started} spawn/restart event(s)"
+            ));
         }
-        let mut check = |what: &str, events: u64, counter: u64| {
-            if events != counter {
-                mismatches.push(format!(
-                    "{what}: worker events say {events}, counter says {counter}"
-                ));
-            }
-        };
-        check(
-            "worker spawns",
-            action("spawn"),
-            self.counter(keys::SUPERVISE_SPAWNS),
-        );
-        check(
-            "worker restarts",
-            action("restart"),
-            self.counter(keys::SUPERVISE_RESPAWNS),
-        );
-        check(
-            "worker heartbeat misses",
-            action("heartbeat-miss"),
-            self.counter(keys::SUPERVISE_HEARTBEAT_MISSES),
-        );
-        // Every process that started (spawn or restart) must have exited by
-        // the time the trace completes — the no-orphans invariant.
-        check(
-            "worker exits",
-            action("exit"),
-            action("spawn") + action("restart"),
-        );
-    }
-
-    /// Cross-checks fleet lifecycle events against the `fleet.*` counters.
-    /// Only applies to coordinated runs — a trace with neither fleet events
-    /// nor fleet counters passes vacuously.
-    fn verify_fleet(&self, mismatches: &mut Vec<String>) {
-        let action = |a: &str| self.fleet_actions.get(a).copied().unwrap_or(0);
-        let fleet =
-            !self.fleet_actions.is_empty() || self.counters.keys().any(|k| k.starts_with("fleet."));
-        if !fleet {
-            return;
-        }
-        let mut check = |what: &str, events: u64, counter: u64| {
-            if events != counter {
-                mismatches.push(format!(
-                    "{what}: fleet events say {events}, counter says {counter}"
-                ));
-            }
-        };
-        check(
-            "fleet joins",
-            action("join"),
-            self.counter(keys::FLEET_JOINS),
-        );
-        check(
-            "fleet rejects",
-            action("reject"),
-            self.counter(keys::FLEET_REJECTS),
-        );
-        check(
-            "fleet leases",
-            action("lease"),
-            self.counter(keys::FLEET_LEASES),
-        );
-        check(
-            "fleet evictions",
-            action("evict"),
-            self.counter(keys::FLEET_EVICTIONS),
-        );
-        // Reassignments are emitted one event per job, so the event count
-        // must equal the per-job counter exactly.
-        check(
-            "fleet reassignments",
-            action("reassign"),
-            self.counter(keys::FLEET_REASSIGNED),
-        );
-        check(
-            "fleet duplicates",
-            action("duplicate"),
-            self.counter(keys::FLEET_DUPLICATES),
-        );
-        // Failover bookkeeping: redeliveries, session resumptions, and
-        // restored leases each emit one event per counter increment, so a
-        // resumed run's trace must still balance exactly.
-        check(
-            "fleet redeliveries",
-            action("redeliver"),
-            self.counter(keys::FLEET_REDELIVERED),
-        );
-        check(
-            "fleet session resumptions",
-            action("resume-session"),
-            self.counter(keys::FLEET_SESSIONS_RESUMED),
-        );
-        check(
-            "fleet lease restores",
-            action("restore-lease"),
-            self.counter(keys::FLEET_LEASES_RESTORED),
-        );
     }
 
     /// Per-site injected-fault counters (`chaos.fired.<site>`), by site id.
-    /// Empty for fault-free runs. The aggregate `chaos.fired.total` key is
-    /// excluded — it is the checksum, not a site.
+    /// Empty for fault-free runs.
     pub fn chaos_fired(&self) -> BTreeMap<&str, u64> {
         self.counters
             .iter()
             .filter_map(|(k, v)| k.strip_prefix(keys::CHAOS_FIRED_PREFIX).map(|s| (s, *v)))
-            .filter(|(site, _)| *site != "total")
             .collect()
-    }
-
-    /// Cross-checks the chaos-fault attribution counters: the sum of the
-    /// per-site `chaos.fired.<site>` counters must equal the
-    /// `chaos.fired.total` checksum, so a fault that fired without being
-    /// attributed to a site (or vice versa) fails verification. Fault-free
-    /// traces pass vacuously.
-    fn verify_chaos(&self, mismatches: &mut Vec<String>) {
-        let per_site = self.chaos_fired();
-        let total = self.counter(keys::CHAOS_FIRED_TOTAL);
-        if per_site.is_empty() && total == 0 {
-            return;
-        }
-        let attributed: u64 = per_site.values().sum();
-        if attributed != total {
-            mismatches.push(format!(
-                "chaos faults: per-site chaos.fired.* counters say {attributed}, \
-                 chaos.fired.total says {total}"
-            ));
-        }
     }
 
     /// Renders the human-readable report: per-stage wall clock, funnel
@@ -482,22 +366,9 @@ impl TraceReport {
             keys::RETRIES,
             keys::SNAPSHOT_CLONES,
             keys::SNAPSHOT_PAGES_COPIED,
-            keys::SUPERVISE_SPAWNS,
-            keys::SUPERVISE_RESPAWNS,
-            keys::SUPERVISE_CRASHES,
-            keys::SUPERVISE_HEARTBEAT_MISSES,
-            keys::FLEET_JOINS,
-            keys::FLEET_REJECTS,
-            keys::FLEET_LEASES,
-            keys::FLEET_EVICTIONS,
-            keys::FLEET_REASSIGNED,
-            keys::FLEET_DUPLICATES,
-            keys::FLEET_REDELIVERED,
-            keys::FLEET_SESSIONS_RESUMED,
             keys::FLEET_JOURNAL_RECORDS,
             keys::FLEET_JOURNAL_REPLAYED,
             keys::FLEET_JOURNAL_DAMAGED,
-            keys::FLEET_LEASES_RESTORED,
             keys::FINDINGS,
         ];
         let shown: Vec<(&str, u64)> = interesting
@@ -813,29 +684,20 @@ mod tests {
     }
 
     #[test]
-    fn supervision_events_verify_against_counters() {
+    fn supervision_events_balance_starts_against_ends() {
+        // Two slots: slot 1's first child is killed for silence and its
+        // respawn exits cleanly. Three starts, three ends.
         let mut lines = traced_run();
-        let count = |key: &str, n: u64| {
-            Event::Count {
-                t: 0,
-                key: key.into(),
-                n,
-            }
-            .to_json()
-            .render()
-        };
         lines.insert(0, worker_line("spawn", 0));
         lines.insert(1, worker_line("spawn", 1));
-        lines.insert(2, worker_line("restart", 1));
-        lines.insert(3, worker_line("heartbeat-miss", 1));
-        lines.insert(4, worker_line("exit", 0));
-        lines.insert(5, worker_line("exit", 1));
+        lines.insert(2, worker_line("heartbeat-miss", 1));
+        lines.insert(3, worker_line("crash", 1));
+        lines.insert(4, worker_line("restart", 1));
+        lines.insert(5, worker_line("exit", 0));
         lines.insert(6, worker_line("exit", 1));
-        lines.insert(7, count(keys::SUPERVISE_SPAWNS, 2));
-        lines.insert(8, count(keys::SUPERVISE_RESPAWNS, 1));
-        lines.insert(9, count(keys::SUPERVISE_HEARTBEAT_MISSES, 1));
         let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         assert_eq!(r.worker_actions["spawn"], 2);
+        assert_eq!(r.worker_actions["crash"], 1);
         assert!(r.verify().is_empty(), "{:?}", r.verify());
         assert!(r.render().contains("supervised workers:"));
     }
@@ -851,10 +713,12 @@ mod tests {
             mismatches.iter().any(|m| m.starts_with("worker exits:")),
             "{mismatches:?}"
         );
-        assert!(
-            mismatches.iter().any(|m| m.starts_with("worker spawns:")),
-            "spawn counter missing: {mismatches:?}"
-        );
+        // A crash ends a process as an exit does; an end without a start
+        // trips the same check.
+        let mut lines = traced_run();
+        lines.insert(0, worker_line("crash", 0));
+        let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
+        assert_eq!(r.verify().len(), 1, "{:?}", r.verify());
     }
 
     fn fleet_line(action: &str, worker: u64) -> String {
@@ -869,67 +733,22 @@ mod tests {
     }
 
     #[test]
-    fn fleet_events_verify_against_counters() {
+    fn fleet_events_render_once_per_action() {
         let mut lines = traced_run();
-        let count = |key: &str, n: u64| {
-            Event::Count {
-                t: 0,
-                key: key.into(),
-                n,
-            }
-            .to_json()
-            .render()
-        };
-        lines.insert(0, fleet_line("join", 0));
-        lines.insert(1, fleet_line("join", 1));
-        lines.insert(2, fleet_line("lease", 0));
-        lines.insert(3, fleet_line("evict", 1));
-        lines.insert(4, fleet_line("reassign", 1));
-        lines.insert(5, fleet_line("reassign", 1));
-        lines.insert(6, fleet_line("duplicate", 1));
-        lines.insert(7, fleet_line("redeliver", 0));
-        lines.insert(8, fleet_line("resume-session", 0));
-        lines.insert(9, fleet_line("restore-lease", u64::MAX));
-        lines.insert(10, count(keys::FLEET_JOINS, 2));
-        lines.insert(11, count(keys::FLEET_LEASES, 1));
-        lines.insert(12, count(keys::FLEET_EVICTIONS, 1));
-        lines.insert(13, count(keys::FLEET_REASSIGNED, 2));
-        lines.insert(14, count(keys::FLEET_DUPLICATES, 1));
-        lines.insert(15, count(keys::FLEET_REDELIVERED, 1));
-        lines.insert(16, count(keys::FLEET_SESSIONS_RESUMED, 1));
-        lines.insert(17, count(keys::FLEET_LEASES_RESTORED, 1));
+        for (i, action) in ["join", "join", "lease", "evict", "reassign", "reassign"]
+            .into_iter()
+            .enumerate()
+        {
+            lines.insert(i, fleet_line(action, 0));
+        }
         let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         assert_eq!(r.fleet_actions["reassign"], 2);
         assert!(r.verify().is_empty(), "{:?}", r.verify());
-        assert!(r.render().contains("fleet workers:"));
-    }
-
-    #[test]
-    fn fleet_mismatches_are_detected() {
-        // An eviction event with no matching counter: the cross-check trips.
-        let mut lines = traced_run();
-        lines.insert(0, fleet_line("evict", 0));
-        let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
-        let mismatches = r.verify();
+        let text = r.render();
+        assert!(text.contains("fleet workers:"), "{text}");
         assert!(
-            mismatches.iter().any(|m| m.starts_with("fleet evictions:")),
-            "{mismatches:?}"
-        );
-    }
-
-    #[test]
-    fn fleet_redelivery_mismatches_are_detected() {
-        // A redeliver event with no matching counter: a resumed run whose
-        // failover bookkeeping drifted must fail verification.
-        let mut lines = traced_run();
-        lines.insert(0, fleet_line("redeliver", 0));
-        let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
-        let mismatches = r.verify();
-        assert!(
-            mismatches
-                .iter()
-                .any(|m| m.starts_with("fleet redeliveries:")),
-            "{mismatches:?}"
+            !text.contains("\ncounters:"),
+            "the lifecycle is counted in its own block only: {text}"
         );
     }
 

@@ -24,13 +24,11 @@ use crate::event::Event;
 /// Well-known counter and histogram keys, grouped by pipeline stage.
 ///
 /// Keys are plain strings in the event schema; these constants keep the
-/// emission sites and the report reader agreeing on spelling.
+/// emission sites and the report reader agreeing on spelling. A counter
+/// holds a fact no other record of the trace carries: a job's trials and
+/// steps are in its `job` event, and worker and fleet lifecycle steps are
+/// `worker` and `fleet` events, counted by `trace report` itself.
 pub mod keys {
-    /// Sequential tests profiled this run: every kept program, its profile
-    /// cut from the fuzz run that kept it (a store hit included).
-    pub const PROFILES_OK: &str = "profile.ok";
-    /// Accesses kept by the `SharedAccessFilter` (potentially shared).
-    pub const ACCESSES_KEPT: &str = "profile.accesses_kept";
     /// Accesses dropped by the stack filter.
     pub const ACCESSES_DROPPED: &str = "profile.accesses_dropped";
     /// Profiles entering stage 2 (cached + fresh) — funnel stage 1 output.
@@ -47,10 +45,6 @@ pub mod keys {
     pub const EXEMPLARS: &str = "select.exemplars";
     /// Histogram: members per cluster.
     pub const CLUSTER_SIZE: &str = "select.cluster_size";
-    /// Concurrent trials executed.
-    pub const TRIALS: &str = "campaign.trials";
-    /// Engine steps consumed by campaign trials.
-    pub const TRIAL_STEPS: &str = "campaign.steps";
     /// Boot-snapshot clones taken for trials: one per guest execution, and a
     /// finding's reproduction schedule is recorded by the trial itself, so a
     /// fault-free campaign counts exactly its trials.
@@ -71,10 +65,6 @@ pub mod keys {
         "trial.oracle_ns",
         "trial.incidental_ns",
     ];
-    /// Jobs that completed with an outcome.
-    pub const JOBS_COMPLETED: &str = "campaign.jobs_completed";
-    /// Jobs quarantined after exhausting their retry budget.
-    pub const JOBS_QUARANTINED: &str = "campaign.jobs_quarantined";
     /// Retry attempts beyond each job's first.
     pub const RETRIES: &str = "campaign.retries";
     /// Watchdog overruns observed.
@@ -97,32 +87,6 @@ pub mod keys {
     pub const STORE_RECORDS_DAMAGED: &str = "store.records_damaged";
     /// Damaged store records recomputed and rewritten.
     pub const STORE_RECORDS_HEALED: &str = "store.records_healed";
-    /// Worker processes spawned by the campaign supervisor (initial spawns).
-    pub const SUPERVISE_SPAWNS: &str = "supervise.spawns";
-    /// Worker processes respawned after a death.
-    pub const SUPERVISE_RESPAWNS: &str = "supervise.respawns";
-    /// Worker deaths treated as crashes.
-    pub const SUPERVISE_CRASHES: &str = "supervise.crashes";
-    /// Workers killed for heartbeat silence.
-    pub const SUPERVISE_HEARTBEAT_MISSES: &str = "supervise.heartbeat_misses";
-    /// Fleet workers admitted after a successful handshake.
-    pub const FLEET_JOINS: &str = "fleet.joins";
-    /// Fleet handshakes refused (version/config mismatch, draining).
-    pub const FLEET_REJECTS: &str = "fleet.rejects";
-    /// Non-empty job leases granted by the fleet coordinator.
-    pub const FLEET_LEASES: &str = "fleet.leases";
-    /// Fleet connections evicted (heartbeat timeout, unclean disconnect,
-    /// protocol violation).
-    pub const FLEET_EVICTIONS: &str = "fleet.evictions";
-    /// Jobs returned to the fleet's pending pool after a lease expired or
-    /// its holder was evicted (one increment per job).
-    pub const FLEET_REASSIGNED: &str = "fleet.reassigned";
-    /// Late results dropped by the first-`done`-wins merge rule.
-    pub const FLEET_DUPLICATES: &str = "fleet.duplicates";
-    /// Result frames flagged as spooled re-sends by reconnecting workers.
-    pub const FLEET_REDELIVERED: &str = "fleet.spool.redelivered";
-    /// Workers that re-registered with a known session token.
-    pub const FLEET_SESSIONS_RESUMED: &str = "fleet.sessions.resumed";
     /// Records a coordinator appended to its checkpoint log (lease grants,
     /// result deliveries, lease releases).
     pub const FLEET_JOURNAL_RECORDS: &str = "fleet.journal.records";
@@ -131,8 +95,6 @@ pub mod keys {
     /// Checkpoint log damage incidents (a torn/corrupt tail cut off at
     /// resume, or an append failure that ended the log).
     pub const FLEET_JOURNAL_DAMAGED: &str = "fleet.journal.damaged";
-    /// Outstanding leases rebuilt from the checkpoint log at `serve --resume`.
-    pub const FLEET_LEASES_RESTORED: &str = "fleet.leases.restored";
     /// Detector findings (pre-dedup), all kinds.
     pub const FINDINGS: &str = "detect.findings";
     /// Prefix of the per-kind reported-finding counters: the full key is
@@ -147,10 +109,6 @@ pub mod keys {
     }
     /// Three-thread trials executed.
     pub const MULTI_TRIALS: &str = "multi.trials";
-    /// Total injected faults that actually fired in this process, across
-    /// every chaos plane. Must equal the sum of all `chaos.fired.<site>`
-    /// counters — `trace report` verifies the balance.
-    pub const CHAOS_FIRED_TOTAL: &str = "chaos.fired.total";
     /// Prefix of the per-site chaos-fault counters: the full key is
     /// `chaos.fired.<site>` where `<site>` is an injection-site id such as
     /// `job.panic` or `disk.torn` (see `snowboard::chaos::SITES`).
@@ -441,7 +399,7 @@ mod tests {
     fn disabled_tracer_emits_nothing_and_allocates_nothing() {
         let t = Tracer::disabled();
         assert!(!t.enabled());
-        t.count(keys::TRIALS, 5);
+        t.count(keys::SNAPSHOT_CLONES, 5);
         t.hist(keys::CLUSTER_SIZE, 1);
         let s = t.span("campaign");
         assert_eq!(s.id(), 0);
@@ -456,8 +414,8 @@ mod tests {
         {
             let root = t.span("campaign");
             let child = root.child("job");
-            t.count(keys::TRIALS, 3);
-            t.count(keys::TRIALS, 0); // zero increments are suppressed
+            t.count(keys::SNAPSHOT_CLONES, 3);
+            t.count(keys::SNAPSHOT_CLONES, 0); // zero increments are suppressed
             t.hist(keys::CLUSTER_SIZE, 7);
             drop(child);
         }
@@ -489,7 +447,9 @@ mod tests {
             }
             other => panic!("unexpected head: {other:?}"),
         }
-        assert!(matches!(&events[2], Event::Count { key, n: 3, .. } if key == keys::TRIALS));
+        assert!(
+            matches!(&events[2], Event::Count { key, n: 3, .. } if key == keys::SNAPSHOT_CLONES)
+        );
         assert!(matches!(&events[3], Event::Hist { key, v: 7, .. } if key == keys::CLUSTER_SIZE));
         // Spans close inner-first.
         assert!(matches!(&events[4], Event::SpanEnd { name, .. } if name == "job"));
@@ -540,8 +500,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sb-obs-jsonl-{}", std::process::id()));
         let path = dir.join("trace.jsonl");
         let t = Tracer::jsonl(&path).expect("open");
-        t.count(keys::TRIALS, 1);
-        t.count(keys::TRIALS, 2);
+        t.count(keys::SNAPSHOT_CLONES, 1);
+        t.count(keys::SNAPSHOT_CLONES, 2);
         t.flush();
         let text = std::fs::read_to_string(&path).expect("read");
         let lines: Vec<&str> = text.lines().collect();

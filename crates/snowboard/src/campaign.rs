@@ -190,11 +190,8 @@ pub struct CampaignReport {
     /// Profile/PMC store counters, when the pipeline ran against a persistent
     /// store (`None` for in-memory runs).
     pub store: Option<crate::metrics::StoreStats>,
-    /// Process-pool counters, when the campaign ran under `--supervise`
-    /// (`None` otherwise).
-    pub supervise: Option<crate::metrics::SuperviseStats>,
     /// Fleet-fabric counters, when the campaign ran under a TCP
-    /// coordinator (`None` otherwise).
+    /// coordinator, `hunt --supervise`'s included (`None` otherwise).
     pub fleet: Option<crate::metrics::FleetStats>,
 }
 

@@ -78,7 +78,6 @@ pub fn ledger_site(line: &str) -> Option<&str> {
 pub fn count_fired(tracer: &sb_obs::Tracer, site: &str, n: u64) {
     if n > 0 {
         tracer.count(&sb_obs::keys::chaos_fired(site), n);
-        tracer.count(sb_obs::keys::CHAOS_FIRED_TOTAL, n);
     }
 }
 
@@ -363,12 +362,10 @@ impl ChaosMode {
 pub struct Expectation {
     /// Injection-site id (an entry of [`SITES`]).
     pub site: &'static str,
-    /// The fault must fire at least this many times.
-    pub min: u64,
-    /// When `Some`, the fault must fire *exactly* this many times — every
-    /// site whose fire count is a deterministic function of the plan and
-    /// the retry/crash budgets pins the exact count.
-    pub exact: Option<u64>,
+    /// The fault must fire exactly this many times: every site's fire
+    /// count is a deterministic function of the plan and the retry/crash
+    /// budgets.
+    pub count: u64,
 }
 
 /// One generated fault schedule: the plan to inject, the mode to run it
@@ -595,12 +592,8 @@ impl ScheduleGen {
         quarantine_jobs: &mut Vec<usize>,
         used_jobs: &mut BTreeSet<usize>,
     ) {
-        let exact = |expected: &mut Vec<Expectation>, site, n| {
-            expected.push(Expectation {
-                site,
-                min: n,
-                exact: Some(n),
-            })
+        let exact = |expected: &mut Vec<Expectation>, site, count| {
+            expected.push(Expectation { site, count })
         };
         match site {
             "job.panic" => {
@@ -872,8 +865,7 @@ mod tests {
                     s.mode.label()
                 );
                 assert!(SITES.contains(&e.site));
-                assert!(e.exact.is_none() || e.exact == Some(e.min));
-                assert!(e.min >= 1, "every scheduled site must fire");
+                assert!(e.count >= 1, "every scheduled site must fire");
             }
             let count = |pred: fn(&&Expectation) -> bool| s.expected.iter().filter(pred).count();
             assert!(
@@ -974,6 +966,6 @@ mod tests {
         assert_eq!(counters.get("chaos.fired.job.transient"), Some(&2));
         assert_eq!(counters.get("chaos.fired.job.panic"), Some(&3));
         assert_eq!(counters.get("chaos.fired.job.hang"), Some(&1));
-        assert_eq!(counters.get("chaos.fired.total"), Some(&6));
+        assert_eq!(counters.values().sum::<u64>(), 6, "{counters:?}");
     }
 }

@@ -162,7 +162,6 @@ impl Coordinator<'_> {
             .collect();
         if let Some(detail) = unclean {
             self.stats.evictions += 1;
-            self.tracer().count(sb_obs::keys::FLEET_EVICTIONS, 1);
             self.fleet_event(worker, "evict", detail.to_owned());
             if let (Some(pool), Some(_)) = (self.pool.as_mut(), conn.worker) {
                 for lease_id in &held {
@@ -281,7 +280,6 @@ impl Coordinator<'_> {
     fn note_requeued(&mut self, job: usize, from_worker: u64) {
         if !self.ledger.stopping() {
             self.stats.jobs_reassigned += 1;
-            self.tracer().count(sb_obs::keys::FLEET_REASSIGNED, 1);
             self.fleet_event(
                 from_worker,
                 "reassign",
@@ -316,7 +314,6 @@ impl Coordinator<'_> {
     fn handle_join(&mut self, conn_id: u64, proto: u64, config: u64, session: u64, pid: u64) {
         let reject = |this: &mut Self, reason: String| {
             this.stats.workers_rejected += 1;
-            this.tracer().count(sb_obs::keys::FLEET_REJECTS, 1);
             this.fleet_event(u64::MAX, "reject", reason.clone());
             this.send(conn_id, &ServeMsg::Reject { reason });
             this.drop_conn(conn_id, None);
@@ -375,7 +372,6 @@ impl Coordinator<'_> {
             c.pid = pid;
         }
         self.stats.workers_joined += 1;
-        self.tracer().count(sb_obs::keys::FLEET_JOINS, 1);
         self.fleet_event(worker, "join", format!("connection {conn_id} registered"));
         let mut ack = 0;
         if session != 0 {
@@ -384,7 +380,6 @@ impl Coordinator<'_> {
                 // already holds and hand its restored leases back, so the
                 // worker trims its spool and keeps its in-flight jobs.
                 self.stats.sessions_resumed += 1;
-                self.tracer().count(sb_obs::keys::FLEET_SESSIONS_RESUMED, 1);
                 self.fleet_event(
                     worker,
                     "resume-session",
@@ -465,7 +460,6 @@ impl Coordinator<'_> {
             },
         );
         self.stats.leases_granted += 1;
-        self.tracer().count(sb_obs::keys::FLEET_LEASES, 1);
         self.fleet_event(worker, "lease", format!("lease {lease}: jobs {jobs:?}"));
         self.send(
             conn_id,
@@ -507,7 +501,6 @@ impl Coordinator<'_> {
         }
         if redelivery {
             self.stats.redelivered += 1;
-            self.tracer().count(sb_obs::keys::FLEET_REDELIVERED, 1);
             self.fleet_event(
                 worker,
                 "redeliver",
@@ -537,7 +530,6 @@ impl Coordinator<'_> {
             }
             Ok(Delivered::Duplicate) => {
                 self.stats.duplicate_results += 1;
-                self.tracer().count(sb_obs::keys::FLEET_DUPLICATES, 1);
                 self.fleet_event(
                     worker,
                     "duplicate",
@@ -656,7 +648,6 @@ impl Coordinator<'_> {
             }
             self.sessions.entry(restored.session).or_insert(0);
             self.stats.leases_restored += 1;
-            self.tracer().count(sb_obs::keys::FLEET_LEASES_RESTORED, 1);
             self.fleet_event(
                 u64::MAX,
                 "restore-lease",
@@ -744,10 +735,11 @@ pub(crate) fn coordinate<'a>(
             cfg.tracer.count(key, n);
         }
     }
-    let supervise = state.pool.map(Pool::finish);
+    if let Some(pool) = state.pool {
+        pool.finish(&mut state.stats);
+    }
     let mut report = state.ledger.finish()?;
     report.fleet = Some(state.stats);
-    report.supervise = supervise;
     Ok(report)
 }
 

@@ -759,7 +759,6 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(4),
             io_timeout: Duration::from_secs(5),
-            idle_poll: Duration::from_millis(5),
             ..JoinCfg::default()
         }
     }

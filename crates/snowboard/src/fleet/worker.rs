@@ -20,6 +20,10 @@ use crate::pmc::{PmcId, PmcSet};
 use crate::protocol::{read_frame, write_frame, JoinMsg, ServeMsg, FLEET_PROTO_VERSION};
 use crate::retry::jittered_backoff;
 
+/// The longest nap on an empty lease, whatever interval it advertises: a
+/// stop file is seen, and an idle worker asks again, within this long.
+const MAX_IDLE_NAP: Duration = Duration::from_millis(100);
+
 /// Set once a `proc:stall` fault has parked this process. A wedged process
 /// says nothing, so the heartbeat thread falls silent with it.
 static WEDGED: AtomicBool = AtomicBool::new(false);
@@ -45,8 +49,6 @@ pub struct JoinCfg {
     /// Socket read timeout: a coordinator silent this long counts as a
     /// lost session (and a mid-handshake death cannot hang the worker).
     pub io_timeout: Duration,
-    /// Nap between requests when the coordinator has nothing to lease.
-    pub idle_poll: Duration,
     /// Exit cleanly between jobs when this file exists.
     pub stop_file: Option<PathBuf>,
     /// Disk spool for completed-but-unacked results. `None` keeps the
@@ -69,7 +71,6 @@ impl Default for JoinCfg {
             backoff_base: Duration::from_millis(50),
             backoff_max: Duration::from_secs(2),
             io_timeout: Duration::from_secs(30),
-            idle_poll: Duration::from_millis(100),
             stop_file: None,
             spool: None,
             net_faults: NetFaultPlan::default(),
@@ -537,9 +538,16 @@ impl Session<'_> {
                     outbox.ack(outbox.next_seq.saturating_sub(1));
                     return SessionEnd::Drained;
                 }
-                ServeMsg::Lease { jobs, ack, .. } if jobs.is_empty() => {
+                ServeMsg::Lease {
+                    jobs,
+                    ack,
+                    deadline_ms,
+                    ..
+                } if jobs.is_empty() => {
+                    // Nothing to lease: nap for the interval the coordinator
+                    // advertised (its tick), at most `MAX_IDLE_NAP`.
                     outbox.ack(ack);
-                    std::thread::sleep(jcfg.idle_poll);
+                    std::thread::sleep(Duration::from_millis(deadline_ms).min(MAX_IDLE_NAP));
                 }
                 ServeMsg::Lease { jobs, ack, .. } => {
                     outbox.ack(ack);

@@ -591,7 +591,7 @@ fn reported_only(verdict: &JobVerdict) -> bool {
     )
 }
 
-/// Emits the per-job trace record and counters for a resolved job —
+/// Emits the per-job trace record and finding counters for a resolved job —
 /// identical whichever transport carried the verdict, so every trace
 /// verifies with the same rules.
 fn trace_job_verdict(tracer: &sb_obs::Tracer, job: usize, v: &JobVerdict) {
@@ -611,9 +611,6 @@ fn trace_outcome(tracer: &sb_obs::Tracer, job: usize, out: &PmcTestOutcome) {
         attempts: u64::from(out.attempts),
         quarantined: false,
     });
-    tracer.count(sb_obs::keys::TRIALS, u64::from(out.trials_run));
-    tracer.count(sb_obs::keys::TRIAL_STEPS, out.steps);
-    tracer.count(sb_obs::keys::JOBS_COMPLETED, 1);
     // Per-oracle reported counts: `trace report` cross-checks their sum
     // against the job events' finding totals.
     let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -635,7 +632,6 @@ fn trace_quarantine(tracer: &sb_obs::Tracer, job: usize, q: &QuarantineRecord) {
         attempts: u64::from(q.attempts),
         quarantined: true,
     });
-    tracer.count(sb_obs::keys::JOBS_QUARANTINED, 1);
 }
 
 #[cfg(test)]

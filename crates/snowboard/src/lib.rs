@@ -101,7 +101,7 @@ pub use fleet::{
 };
 pub use journal::{FrameLog, JournalRecord};
 pub use ledger::JobLedger;
-pub use metrics::{FleetStats, StoreStats, SuperviseStats};
+pub use metrics::{FleetStats, StoreStats};
 pub use pmc::{identify_sharded, IdentifyOpts, JoinReport, JoinState, Pmc, PmcId, PmcSet};
 pub use profile::{SeqProfile, SharedAccessFilter};
 pub use protocol::{
@@ -230,8 +230,6 @@ impl Pipeline {
         };
         let fuzz_time = t0.elapsed();
         let shared_accesses: usize = profiles.iter().map(|p| p.accesses.len()).sum();
-        tracer.count(trace_keys::PROFILES_OK, profiles.len() as u64);
-        tracer.count(trace_keys::ACCESSES_KEPT, shared_accesses as u64);
         tracer.count(
             trace_keys::ACCESSES_DROPPED,
             traced - shared_accesses as u64,

@@ -98,32 +98,15 @@ impl StoreStats {
     }
 }
 
-/// Process-supervision counters for one supervised campaign run: the facts
-/// only the process pool knows. Connection, lease and breaker facts of the
-/// same run are in its [`FleetStats`].
-///
-/// Produced by [`crate::supervise::run_supervised`] and surfaced through
-/// `CampaignReport::supervise` and the CLI's `[supervise]` summary line
-/// (stderr, so supervised stdout stays byte-identical to a single-process
-/// run).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SuperviseStats {
-    /// Initial worker spawns (== `workers` unless there was no work).
-    pub spawns: u64,
-    /// Respawns after a worker death.
-    pub respawns: u64,
-    /// Worker deaths treated as crashes (nonzero exit, signal, or kill).
-    pub crashes: u64,
-    /// Workers killed for going silent past the heartbeat timeout.
-    pub heartbeat_misses: u64,
-}
-
 /// Fleet-fabric counters for one coordinated campaign run (`hunt serve`,
-/// or the loopback coordinator of `hunt --supervise`).
+/// or the loopback coordinator of `hunt --supervise`, whose process pool
+/// adds its `spawns`, `respawns` and `crashes`).
 ///
-/// Produced by [`crate::fleet::run_coordinator`] and surfaced through
-/// `CampaignReport::fleet` and the CLI's `[fleet]` summary line (stderr,
-/// so a fleet run's stdout stays byte-identical to a single-process run).
+/// Produced by [`crate::fleet::run_coordinator`] and
+/// [`crate::supervise::run_supervised`], and surfaced through
+/// `CampaignReport::fleet` and the CLI's `[fleet]`/`[supervise]` summary
+/// lines (stderr, so the run's stdout stays byte-identical to a
+/// single-process run).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Workers admitted after a successful handshake (re-joins count).
@@ -164,6 +147,14 @@ pub struct FleetStats {
     pub leases_restored: u64,
     /// True when the run ended early because the stop file appeared.
     pub stopped: bool,
+    /// Supervised child processes started in an empty slot (== `workers`
+    /// unless there was no work).
+    pub spawns: u64,
+    /// Supervised children started again after a death.
+    pub respawns: u64,
+    /// Supervised children that ended uncleanly (nonzero exit, signal, or
+    /// kill).
+    pub crashes: u64,
 }
 
 /// Result of an interleavings-to-expose measurement.

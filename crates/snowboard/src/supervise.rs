@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use crate::campaign::{CampaignCfg, CampaignReport};
 use crate::error::{Error, SbResult};
 use crate::fleet::{coordinate, FleetCfg};
-use crate::metrics::SuperviseStats;
+use crate::metrics::FleetStats;
 use crate::pmc::PmcId;
 use crate::retry::jittered_backoff;
 
@@ -114,7 +114,9 @@ pub fn run_supervised(
             .collect(),
         spawn: &mut spawn,
         tracer: cfg.tracer.clone(),
-        stats: SuperviseStats::default(),
+        spawns: 0,
+        respawns: 0,
+        crashes: 0,
     };
     coordinate(listener, exemplars, cfg, &fcfg, Some(pool))
 }
@@ -186,7 +188,9 @@ pub(crate) struct Pool<'a> {
     slots: Vec<Slot>,
     spawn: &'a mut dyn FnMut(&str) -> Command,
     tracer: sb_obs::Tracer,
-    stats: SuperviseStats,
+    spawns: u64,
+    respawns: u64,
+    crashes: u64,
 }
 
 impl Pool<'_> {
@@ -220,9 +224,6 @@ impl Pool<'_> {
         let child = self.slots[slot].child.as_mut().expect("found above");
         child.dead.hb_killed = true;
         child.guard.kill();
-        self.stats.heartbeat_misses += 1;
-        self.tracer
-            .count(sb_obs::keys::SUPERVISE_HEARTBEAT_MISSES, 1);
         self.event(
             slot,
             "heartbeat-miss",
@@ -262,7 +263,8 @@ impl Pool<'_> {
         dead
     }
 
-    /// Records how a child ended and schedules its slot's respawn.
+    /// Records how a child ended — an `exit` event when clean, a `crash`
+    /// event otherwise — and schedules its slot's respawn.
     fn exited(&mut self, slot: usize, child: Child, status: Option<ExitStatus>) -> Dead {
         let mut dead = child.dead;
         dead.clean = status.is_some_and(|s| s.success()) && !dead.hb_killed;
@@ -274,11 +276,13 @@ impl Pool<'_> {
         } else {
             format!("crashed ({status})")
         };
-        if !dead.clean {
-            self.stats.crashes += 1;
-            self.tracer.count(sb_obs::keys::SUPERVISE_CRASHES, 1);
-        }
-        self.event(slot, "exit", dead.detail.clone());
+        let action = if dead.clean {
+            "exit"
+        } else {
+            self.crashes += 1;
+            "crash"
+        };
+        self.event(slot, action, dead.detail.clone());
         let s = &mut self.slots[slot];
         s.respawns += 1;
         let mix = self.seed ^ ((slot as u64) << 32);
@@ -312,15 +316,13 @@ impl Pool<'_> {
             self.slots[slot].child = Some(Child { guard, pid, dead });
             let respawns = self.slots[slot].respawns;
             let (action, detail) = if respawns == 0 {
-                self.stats.spawns += 1;
-                self.tracer.count(sb_obs::keys::SUPERVISE_SPAWNS, 1);
+                self.spawns += 1;
                 (
                     "spawn",
                     format!("slot {slot}/{}, pid {pid}", self.slots.len()),
                 )
             } else {
-                self.stats.respawns += 1;
-                self.tracer.count(sb_obs::keys::SUPERVISE_RESPAWNS, 1);
+                self.respawns += 1;
                 ("restart", format!("respawn #{respawns}, pid {pid}"))
             };
             self.event(slot, action, detail);
@@ -333,8 +335,9 @@ impl Pool<'_> {
         self.slots.iter().all(|s| s.child.is_none())
     }
 
-    /// Kills and reaps whatever still runs, and returns the counters.
-    pub(crate) fn finish(mut self) -> SuperviseStats {
+    /// Kills and reaps whatever still runs, and adds the pool's counters
+    /// to the run's `stats`.
+    pub(crate) fn finish(mut self, stats: &mut FleetStats) {
         for slot in 0..self.slots.len() {
             if let Some(mut child) = self.slots[slot].child.take() {
                 child.guard.kill();
@@ -342,7 +345,9 @@ impl Pool<'_> {
                 self.exited(slot, child, status);
             }
         }
-        self.stats
+        stats.spawns = self.spawns;
+        stats.respawns = self.respawns;
+        stats.crashes = self.crashes;
     }
 }
 
@@ -547,9 +552,8 @@ mod tests {
         assert!(report.quarantined.is_empty());
         let steps: Vec<u64> = report.outcomes.iter().map(|o| o.steps).collect();
         assert_eq!(steps, vec![100, 101, 102, 103], "job order preserved");
-        let stats = report.supervise.expect("supervise stats");
-        assert_eq!((stats.spawns, stats.respawns, stats.crashes), (2, 0, 0));
         let fleet = report.fleet.expect("fleet stats");
+        assert_eq!((fleet.spawns, fleet.respawns, fleet.crashes), (2, 0, 0));
         assert_eq!(
             (fleet.workers_joined, fleet.leases_granted, fleet.evictions),
             (2, 4, 0)
@@ -576,9 +580,9 @@ mod tests {
             "{:?}",
             report.quarantined[0].chain
         );
-        let stats = report.supervise.unwrap();
+        let stats = report.fleet.unwrap();
         assert_eq!(stats.crashes, 2, "one death per charge of the budget");
-        assert_eq!(report.fleet.unwrap().gave_up_jobs, 0);
+        assert_eq!(stats.gave_up_jobs, 0);
         // Crash is checkpointed (never retried).
         assert!(Checkpoint::load(&checkpoint)
             .unwrap()
@@ -595,7 +599,7 @@ mod tests {
         scfg.fleet.crash_budget = 1;
         scfg.fleet.max_instant_deaths = 1;
         let report = run_bounded(1, scfg, scripted("stall 0"));
-        let stats = report.supervise.as_ref().unwrap();
+        let stats = report.fleet.as_ref().unwrap();
         assert_eq!((stats.heartbeat_misses, stats.crashes), (1, 1));
         assert_eq!(kinds(&report), BTreeMap::from([(0, FailureKind::Crash)]));
         assert!(
@@ -619,7 +623,7 @@ mod tests {
         let report = run_bounded(2, scfg, scripted(&script));
         assert!(report.fleet.as_ref().unwrap().stopped);
         assert_eq!(
-            report.supervise.as_ref().unwrap().respawns,
+            report.fleet.as_ref().unwrap().respawns,
             0,
             "no respawns while stopping"
         );
@@ -643,7 +647,7 @@ mod tests {
             kinds(&report).into_values().collect::<Vec<_>>(),
             vec![FailureKind::GaveUp; 3]
         );
-        let stats = report.supervise.unwrap();
+        let stats = report.fleet.unwrap();
         assert_eq!(
             (stats.spawns, stats.respawns, stats.crashes),
             (1, 2, 3),
@@ -676,12 +680,9 @@ mod tests {
             kinds(&report).into_values().collect::<Vec<_>>(),
             vec![FailureKind::GaveUp; 2]
         );
-        assert_eq!(report.supervise.unwrap().crashes, 4);
-        assert_eq!(
-            report.fleet.unwrap().evictions,
-            2,
-            "the joined children's connections"
-        );
+        let stats = report.fleet.unwrap();
+        assert_eq!(stats.crashes, 4);
+        assert_eq!(stats.evictions, 2, "the joined children's connections");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

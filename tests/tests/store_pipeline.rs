@@ -166,7 +166,7 @@ fn a_store_backed_prepare_runs_no_profile_pass() {
         assert_eq!(children, ["fuzz", "identify"], "{run}");
         let tr = TraceReport::from_lines(lines.iter().map(String::as_str)).expect("parse trace");
         assert_eq!(
-            tr.counter(sb_obs::keys::PROFILES_OK),
+            tr.counter(sb_obs::keys::PIPELINE_PROFILES),
             p.stats.corpus_kept,
             "{run}"
         );
