@@ -94,16 +94,16 @@ OPTIONS (hunt serve), in addition to the hunt options:
     right after the Nth record it logs — a failover-test hook.
 
 OPTIONS (hunt join <ADDR>), in addition to the hunt options:
-    --batch <N>                   jobs requested per lease [default: 4]
     --connect-retries <N>         consecutive failed connect attempts
-                                  before giving up [default: 5] (a worker
-                                  holding undelivered results retries
-                                  forever instead)
+                                  before giving up [default: 5], holding
+                                  undelivered results or not
     --spool <PATH>                persist completed-but-unacknowledged
                                   results to PATH so even a restarted
                                   worker redelivers them
     The campaign flags (--seed, --corpus, --budget, --trials, ...) must
-    match the coordinator's: the handshake rejects a mismatch.
+    match the coordinator's: the handshake rejects a mismatch. The
+    coordinator sets the heartbeat and the lease size; --batch,
+    --heartbeat-ms, --workers, --store, --no-cache, --trace-dir: exit 2.
 
 OPTIONS (hunt chaos):
     --seeds <N>                   schedules to run [default: 25]; each is a
@@ -215,8 +215,6 @@ pub struct JoinOpts {
     pub hunt: HuntOpts,
     /// Coordinator address.
     pub addr: String,
-    /// Jobs requested per lease.
-    pub batch: usize,
     /// Consecutive failed connect attempts before giving up.
     pub connect_retries: u32,
     /// On-disk spool for completed-but-unacknowledged results; `None`
@@ -239,40 +237,36 @@ pub struct ChaosOpts {
     pub dir: Option<PathBuf>,
 }
 
-/// Parse-time sanity for the timing knobs shared by `--supervise` and the
-/// fleet commands. `lease_ms`/`batch` are `None` for modes without those
-/// flags. The lease deadline must exceed the worker heartbeat interval
-/// (`heartbeat_ms / 4`): a shorter lease would expire between two
-/// heartbeats of a perfectly healthy worker, reassigning every job it
-/// holds.
-pub fn validate_timing(
-    heartbeat_ms: u64,
-    lease_ms: Option<u64>,
-    batch: Option<usize>,
-) -> Result<(), String> {
+/// Parse-time sanity for the timing knobs shared by `--supervise` and
+/// `hunt serve`; `serve` is `hunt serve`'s `(lease_ms, batch)`. The lease
+/// deadline must exceed the worker heartbeat interval
+/// ([`snowboard::fleet::heartbeat_interval`]): a shorter lease would expire
+/// between two heartbeats of a perfectly healthy worker, reassigning every
+/// job it holds.
+pub fn validate_timing(heartbeat_ms: u64, serve: Option<(u64, usize)>) -> Result<(), String> {
     if heartbeat_ms == 0 {
         return Err("--heartbeat-ms must be positive".into());
     }
-    if let Some(batch) = batch {
-        if batch == 0 {
-            return Err("--batch must be at least 1".into());
-        }
-        if batch > 4096 {
-            return Err(format!("--batch must be at most 4096, got {batch}"));
-        }
+    let Some((lease_ms, batch)) = serve else {
+        return Ok(());
+    };
+    if batch == 0 {
+        return Err("--batch must be at least 1".into());
     }
-    if let Some(lease_ms) = lease_ms {
-        if lease_ms == 0 {
-            return Err("--lease-ms must be positive".into());
-        }
-        let worker_heartbeat = heartbeat_ms / 4;
-        if lease_ms <= worker_heartbeat {
-            return Err(format!(
-                "--lease-ms ({lease_ms}) must exceed the worker heartbeat interval \
-                 ({worker_heartbeat} ms = --heartbeat-ms / 4); a shorter lease expires \
-                 between two heartbeats of a healthy worker"
-            ));
-        }
+    if batch > 4096 {
+        return Err(format!("--batch must be at most 4096, got {batch}"));
+    }
+    if lease_ms == 0 {
+        return Err("--lease-ms must be positive".into());
+    }
+    let timeout = std::time::Duration::from_millis(heartbeat_ms);
+    let worker_heartbeat = snowboard::fleet::heartbeat_interval(timeout).as_millis();
+    if u128::from(lease_ms) <= worker_heartbeat {
+        return Err(format!(
+            "--lease-ms ({lease_ms}) must exceed the worker heartbeat interval \
+             ({worker_heartbeat} ms: --heartbeat-ms / 4, at least 25); a shorter \
+             lease expires between two heartbeats of a healthy worker"
+        ));
     }
     Ok(())
 }
@@ -409,6 +403,17 @@ fn parse_chaos(argv: &[String]) -> Result<Cmd, String> {
         replay,
         dir,
     }))
+}
+
+/// Where a hunt flag that `hunt join` would read nowhere belongs instead.
+fn refused_by_join(flag: &str) -> Option<&'static str> {
+    match flag {
+        "--batch" | "--heartbeat-ms" | "--store" | "--no-cache" | "--trace-dir" => {
+            Some("the coordinator owns it; set it on hunt serve")
+        }
+        "--workers" => Some("a fleet worker runs one job at a time; start more hunt join workers"),
+        _ => None,
+    }
 }
 
 /// Parses a full command line (without `argv[0]`).
@@ -551,6 +556,9 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut chaos = ChaosPlan::default();
             let mut i = start;
             while i < argv.len() {
+                if let Some(why) = refused_by_join(&argv[i]).filter(|_| mode == Mode::Join) {
+                    return Err(format!("hunt join does not take {}: {why}", argv[i]));
+                }
                 match argv[i].as_str() {
                     "--listen" if mode == Mode::Serve => {
                         listen = Some(take_value(argv, &mut i, "--listen")?.to_owned())
@@ -558,7 +566,7 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     "--lease-ms" if mode == Mode::Serve => {
                         lease_ms = parse_num(take_value(argv, &mut i, "--lease-ms")?, "--lease-ms")?
                     }
-                    "--batch" if fleet => {
+                    "--batch" if mode == Mode::Serve => {
                         batch = parse_num(take_value(argv, &mut i, "--batch")?, "--batch")?
                     }
                     "--crash-budget" if mode == Mode::Serve => {
@@ -691,7 +699,7 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                             hunt serve"
                     .into());
             }
-            if !chaos.disk.is_empty() && (store.is_none() || mode == Mode::Join) {
+            if !chaos.disk.is_empty() && store.is_none() {
                 return Err("--chaos disk:* faults need a --store <dir> to act on \
                             (fleet workers run storeless; inject them on the \
                              serving side)"
@@ -707,10 +715,9 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             // Timing sanity, shared with --supervise (exit code 2 on
             // nonsense instead of a fleet that thrashes at runtime).
             match mode {
-                Mode::Serve => validate_timing(heartbeat_ms, Some(lease_ms), Some(batch))?,
-                Mode::Join => validate_timing(heartbeat_ms, None, Some(batch))?,
-                Mode::Local if supervise => validate_timing(heartbeat_ms, None, None)?,
-                Mode::Local => {}
+                Mode::Serve => validate_timing(heartbeat_ms, Some((lease_ms, batch)))?,
+                Mode::Local if supervise => validate_timing(heartbeat_ms, None)?,
+                Mode::Local | Mode::Join => {}
             }
             let mut config = match version {
                 KernelVersion::V5_3_10 => KernelConfig::v5_3_10(),
@@ -755,7 +762,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     Mode::Join => Cmd::Join(Box::new(JoinOpts {
                         hunt,
                         addr: addr.expect("checked above"),
-                        batch,
                         connect_retries,
                         spool,
                     })),
@@ -1049,14 +1055,13 @@ mod tests {
     #[test]
     fn parses_hunt_join_with_fleet_flags() {
         let cmd = parse(&argv(
-            "hunt join 10.0.0.5:7070 --batch 3 --connect-retries 9 --chaos net:drop=0:6 \
+            "hunt join 10.0.0.5:7070 --connect-retries 9 --chaos net:drop=0:6 \
              --spool /tmp/spool.bin --seed 7",
         ))
         .unwrap();
         match cmd {
             Cmd::Join(o) => {
                 assert_eq!(o.addr, "10.0.0.5:7070");
-                assert_eq!(o.batch, 3);
                 assert_eq!(o.connect_retries, 9);
                 assert_eq!(o.spool, Some(PathBuf::from("/tmp/spool.bin")));
                 assert!(o.hunt.chaos.net.drop_now(0, 7));
@@ -1075,6 +1080,18 @@ mod tests {
         );
         assert!(parse(&argv("hunt join x:1 --connect-retries 0")).is_err());
         assert!(parse(&argv("hunt join x:1 --checkpoint /tmp/cp")).is_err());
+        // The flags a worker would read nowhere name where they belong.
+        for (flag, owner) in [
+            ("--batch 3", "hunt serve"),
+            ("--heartbeat-ms 200", "hunt serve"),
+            ("--store /s", "hunt serve"),
+            ("--no-cache", "hunt serve"),
+            ("--trace-dir /t", "hunt serve"),
+            ("--workers 9", "more hunt join workers"),
+        ] {
+            let err = parse(&argv(&format!("hunt join x:1 {flag}"))).unwrap_err();
+            assert!(err.contains(owner), "{flag}: {err}");
+        }
         assert!(
             parse(&argv("hunt --connect-retries 2")).is_err(),
             "join-only flag"
@@ -1093,8 +1110,6 @@ mod tests {
         assert!(parse(&argv("hunt serve --listen x --batch 0")).is_err());
         assert!(parse(&argv("hunt serve --listen x --batch 5000")).is_err());
         assert!(parse(&argv("hunt serve --listen x --heartbeat-ms 0")).is_err());
-        // ...and for join.
-        assert!(parse(&argv("hunt join x:1 --batch 0")).is_err());
         // The lease must outlive the worker heartbeat interval (hb/4).
         let err = parse(&argv(
             "hunt serve --listen x --heartbeat-ms 40000 --lease-ms 10000",
@@ -1102,10 +1117,10 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("heartbeat interval"), "{err}");
         // Equal-to-interval is still too short; one past it is fine.
-        assert!(validate_timing(40_000, Some(10_000), Some(4)).is_err());
-        assert!(validate_timing(40_000, Some(10_001), Some(4)).is_ok());
+        assert!(validate_timing(40_000, Some((10_000, 4))).is_err());
+        assert!(validate_timing(40_000, Some((10_001, 4))).is_ok());
         // The shared validator also guards --supervise.
-        assert!(validate_timing(0, None, None).is_err());
+        assert!(validate_timing(0, None).is_err());
         assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
     }
 

@@ -453,7 +453,7 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     // One worker, spooling, retrying hard enough to ride out a
     // coordinator outage.
     let mut jargs = vec!["hunt".to_string(), "join".into(), addr.clone()];
-    jargs.extend(hunt_args(env).split_off(1));
+    jargs.extend(campaign_args(env));
     jargs.extend([
         "--connect-retries".into(),
         "200".into(),
@@ -702,34 +702,34 @@ fn check_counters(
 // Command plumbing
 // ---------------------------------------------------------------------------
 
-/// The shared hunt argument vector (baseline and every trial run the
-/// same campaign; fleet fingerprinting requires serve and join to agree
-/// on every one of these).
+/// The shared hunt argument vector: the campaign every run hunts, then the
+/// pool size and heartbeat timeout, which a fleet worker leaves to its
+/// coordinator.
 fn hunt_args(env: &Env) -> Vec<String> {
-    let p = &env.profile;
-    let mut args: Vec<String> = ["hunt", "--version", "5.12-rc3", "--seed", "7"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    for (flag, value) in [
-        ("--corpus", p.corpus),
-        ("--budget", p.budget),
-        ("--trials", p.trials),
-        ("--workers", p.workers),
-    ] {
-        args.push(flag.into());
-        args.push(value.to_string());
-    }
-    for (flag, value) in [
-        ("--oracles", "race"),
-        ("--retries", "3"),
-        ("--job-deadline", "5"),
-        ("--heartbeat-ms", "1500"),
-    ] {
-        args.push(flag.into());
-        args.push(value.into());
-    }
+    let mut args = vec!["hunt".to_owned()];
+    args.extend(campaign_args(env));
+    args.extend(["--workers".into(), env.profile.workers.to_string()]);
+    args.extend(["--heartbeat-ms".into(), "1500".into()]);
     args
+}
+
+/// The campaign flags; fleet fingerprinting requires serve and join to
+/// agree on every one of these.
+fn campaign_args(env: &Env) -> Vec<String> {
+    let p = &env.profile;
+    [
+        ("--version", "5.12-rc3".to_owned()),
+        ("--seed", "7".into()),
+        ("--corpus", p.corpus.to_string()),
+        ("--budget", p.budget.to_string()),
+        ("--trials", p.trials.to_string()),
+        ("--oracles", "race".into()),
+        ("--retries", "3".into()),
+        ("--job-deadline", "5".into()),
+    ]
+    .into_iter()
+    .flat_map(|(flag, value)| [flag.to_owned(), value])
+    .collect()
 }
 
 fn trace_args(dir: &Path) -> Vec<String> {

@@ -689,9 +689,10 @@ fn campaign_flags(o: &HuntOpts) -> [(&'static str, Flag); 11] {
 }
 
 /// A supervised child's flags: the campaign-shaping ones (its handshake
-/// fingerprint checks them), its pool size, heartbeat and stop file, and
-/// the job/process faults. `--store` and `--trace-dir` stay with the
-/// supervisor: one writer per resource.
+/// fingerprint checks them), its stop file, and the job/process faults.
+/// The loopback coordinator hands it its heartbeat interval and lease size;
+/// `--store` and `--trace-dir` stay with the supervisor: one writer per
+/// resource.
 fn worker_args(o: &HuntOpts) -> Vec<String> {
     let mut args = Vec::new();
     for (flag, value) in campaign_flags(o) {
@@ -700,12 +701,6 @@ fn worker_args(o: &HuntOpts) -> Vec<String> {
             Flag::Present(on) => args.extend(on.then(|| flag.to_owned())),
         }
     }
-    args.extend([
-        "--workers".to_owned(),
-        o.workers.to_string(),
-        "--heartbeat-ms".to_owned(),
-        o.heartbeat_ms.to_string(),
-    ]);
     if let Some(sf) = &o.stop_file {
         args.extend(["--stop-file".into(), sf.display().to_string()]);
     }
@@ -811,8 +806,6 @@ fn join(opts: JoinOpts) -> ExitCode {
     let jcfg = JoinCfg {
         addr: opts.addr.clone(),
         config_hash: fleet_fingerprint(o),
-        heartbeat: std::time::Duration::from_millis((o.heartbeat_ms / 4).max(25)),
-        batch: opts.batch,
         connect_attempts: opts.connect_retries,
         stop_file: o.stop_file.clone(),
         spool: opts.spool.clone(),

@@ -818,10 +818,22 @@ fn spawn_serve(
     (child, addr, drain)
 }
 
-/// The hunt flags shared by the coordinator and its workers; the campaign
-/// parameters must match or the handshake rejects the worker.
-fn fleet_tail(seed: &str) -> Vec<String> {
+/// A coordinator's hunt flags: its workers' campaign, plus the pool size
+/// and heartbeat timeout only the coordinator reads.
+fn serve_tail(seed: &str) -> Vec<String> {
     small_hunt(seed)[1..].to_vec()
+}
+
+/// A worker's hunt flags: the campaign alone, which must match the
+/// coordinator's or the handshake rejects the worker. (`hunt join` refuses
+/// the coordinator's own settings.)
+fn join_tail(seed: &str) -> Vec<String> {
+    serve_tail(seed)
+        .chunks(2)
+        .filter(|flag| !["--workers", "--heartbeat-ms"].contains(&flag[0].as_str()))
+        .flatten()
+        .cloned()
+        .collect()
 }
 
 #[test]
@@ -835,12 +847,12 @@ fn fleet_hunt_matches_the_in_process_run_bit_for_bit() {
         String::from_utf8_lossy(&clean.stderr)
     );
 
-    let (serve, addr, serve_err) = spawn_serve(&fleet_tail("17"), &["--batch", "2"]);
+    let (serve, addr, serve_err) = spawn_serve(&serve_tail("17"), &["--batch", "2"]);
     let workers: Vec<_> = (0..2)
         .map(|_| {
             bin()
                 .args(["hunt", "join", &addr])
-                .args(fleet_tail("17"))
+                .args(join_tail("17"))
                 .stdout(std::process::Stdio::piped())
                 .stderr(std::process::Stdio::piped())
                 .spawn()
@@ -896,7 +908,7 @@ fn join_fails_fast_against_an_unreachable_coordinator() {
     };
     let out = bin()
         .args(["hunt", "join", &addr, "--connect-retries", "2"])
-        .args(fleet_tail("3"))
+        .args(join_tail("3"))
         .output()
         .expect("run hunt join");
     assert_eq!(
@@ -935,7 +947,7 @@ fn join_survives_a_coordinator_dying_mid_handshake() {
     });
     let out = bin()
         .args(["hunt", "join", &addr, "--connect-retries", "3"])
-        .args(fleet_tail("3"))
+        .args(join_tail("3"))
         .output()
         .expect("run hunt join");
     assert_eq!(out.status.code(), Some(1), "mid-handshake death exits 1");
@@ -953,13 +965,13 @@ fn fleet_handshake_rejects_a_config_mismatch() {
     std::fs::create_dir_all(&dir).unwrap();
     let stop = dir.join("stop");
     let stop_flag = stop.display().to_string();
-    let (serve, addr, _serve_err) = spawn_serve(&fleet_tail("17"), &["--stop-file", &stop_flag]);
+    let (serve, addr, _serve_err) = spawn_serve(&serve_tail("17"), &["--stop-file", &stop_flag]);
 
     // Different --seed → different config fingerprint → immediate, fatal
     // rejection (no retry loop).
     let out = bin()
         .args(["hunt", "join", &addr])
-        .args(fleet_tail("18"))
+        .args(join_tail("18"))
         .output()
         .expect("run mismatched join");
     assert_eq!(out.status.code(), Some(1), "mismatch exits 1");
@@ -1001,10 +1013,16 @@ fn fleet_usage_errors_exit_2() {
             "5000",
         ],
         &["hunt", "join"],                                   // no address
-        &["hunt", "join", "x:1", "--batch", "0"],            // zero batch
         &["hunt", "join", "x:1", "--connect-retries", "0"],  // zero retries
         &["hunt", "join", "x:1", "--chaos", "net:frob=1:2"], // bad fault spec
-        &["hunt", "--supervise", "--heartbeat-ms", "0"],     // supervise too
+        // The coordinator's settings, which a worker would read nowhere.
+        &["hunt", "join", "x:1", "--batch", "2"],
+        &["hunt", "join", "x:1", "--heartbeat-ms", "200"],
+        &["hunt", "join", "x:1", "--workers", "9"],
+        &["hunt", "join", "x:1", "--store", "/tmp/sb-join-store"],
+        &["hunt", "join", "x:1", "--no-cache"],
+        &["hunt", "join", "x:1", "--trace-dir", "/tmp/sb-join-trace"],
+        &["hunt", "--supervise", "--heartbeat-ms", "0"], // supervise too
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run usage case");
@@ -1040,13 +1058,12 @@ fn scripted_coordinator(
             match JoinMsg::parse_line(&payload).expect("worker frame") {
                 JoinMsg::Join { .. } => {
                     let hello = ServeMsg::Welcome {
-                        worker: 0,
-                        jobs: jobs.len(),
                         ack: 0,
+                        heartbeat_ms: 7_500,
                     };
                     write_frame(&mut write, &hello.render()).unwrap();
                 }
-                JoinMsg::Request { .. } if results < wanted => {
+                JoinMsg::Request if results < wanted => {
                     let lease = ServeMsg::Lease {
                         lease: 1,
                         jobs: jobs.clone(),
@@ -1058,7 +1075,7 @@ fn scripted_coordinator(
                 // The post-lease `request`: the worker has sent every
                 // result (and, with `ack_results`, is about to read the
                 // ack we already wrote). Hang up without draining.
-                JoinMsg::Request { .. } => break,
+                JoinMsg::Request => break,
                 JoinMsg::Done { seq, .. } | JoinMsg::Quarantine { seq, .. } => {
                     results += 1;
                     if ack_results {
@@ -1088,7 +1105,7 @@ fn join_reports_a_lost_coordinator_distinctly_from_a_never_reached_one() {
     let (addr, server) = scripted_coordinator(vec![0], true);
     let out = bin()
         .args(["hunt", "join", &addr, "--connect-retries", "2"])
-        .args(fleet_tail("3"))
+        .args(join_tail("3"))
         .output()
         .expect("run hunt join");
     assert_eq!(server.join().unwrap(), 1, "coordinator saw the one result");
@@ -1112,9 +1129,9 @@ fn join_reports_a_lost_coordinator_distinctly_from_a_never_reached_one() {
 #[test]
 fn stopped_worker_holding_spooled_results_exits_4() {
     // The coordinator takes two results, never acks them, and dies. The
-    // worker spools them, retries forever (it owes results, so the retry
-    // budget does not apply), and when the stop file ends it the exit code
-    // and message must say the spool still holds undelivered work.
+    // worker spools them and reconnects (within its --connect-retries
+    // budget); when the stop file ends it first, the exit code and message
+    // must say the spool still holds undelivered work.
     let dir = scratch_dir("spool-exit-4");
     std::fs::create_dir_all(&dir).unwrap();
     let stop = dir.join("stop");
@@ -1125,7 +1142,7 @@ fn stopped_worker_holding_spooled_results_exits_4() {
         .arg(&spool)
         .args(["--stop-file"])
         .arg(&stop)
-        .args(fleet_tail("3"))
+        .args(join_tail("3"))
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()

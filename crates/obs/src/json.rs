@@ -9,7 +9,6 @@
 //! trial counts, ids, microsecond timestamps) is an unsigned integer, and
 //! keeping them out of `f64` preserves full 64-bit precision.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value restricted to the checkpoint format's needs.
@@ -144,7 +143,7 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Deepest array/object nesting [`parse`] and [`Reader`] accept. `to_json`
+/// Deepest array/object nesting [`parse`] accepts. `to_json`
 /// writers nest a handful of levels; the cap keeps the recursive descent
 /// off the end of the stack when a peer sends a frame of nothing but `[`.
 const MAX_DEPTH: usize = 128;
@@ -152,119 +151,36 @@ const MAX_DEPTH: usize = 128;
 /// Parses a JSON document in time linear in its length. Errors carry the
 /// byte offset and a short reason; nesting deeper than 128 is one of them.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut r = Reader::new(input);
+    let mut r = Reader {
+        text: input,
+        pos: 0,
+        depth: 0,
+    };
+    r.skip_ws();
     let value = r.tree()?;
-    r.finish()?;
+    r.skip_ws();
+    if r.pos != r.text.len() {
+        return Err(format!("trailing data at byte {}", r.pos));
+    }
     Ok(value)
 }
 
-/// A pull reader over the grammar [`parse`] accepts, for documents large
-/// enough that building a [`Json`] tree first is the cost (the store
-/// manifest). The one lexer of this module: `parse` builds its tree on it.
-///
-/// The reader always stands at the start of a value. Each of
-/// [`u64`](Reader::u64), [`str`](Reader::str), [`obj`](Reader::obj),
-/// [`arr`](Reader::arr) and [`skip`](Reader::skip) consumes exactly that
-/// one value, and the typed ones answer `None`/`false` when the value was
-/// of another type — what `Json::get(..).and_then(Json::as_u64)` answers on
-/// a tree — so `Err` always means the *text* is malformed. A callback
-/// handed to `obj`/`arr` must consume one value per call.
-pub struct Reader<'a> {
+/// The recursive descent behind [`parse`].
+struct Reader<'a> {
     text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl<'a> Reader<'a> {
-    /// A reader at the first value of `text`.
-    pub fn new(text: &'a str) -> Reader<'a> {
-        let mut r = Reader {
-            text,
-            pos: 0,
-            depth: 0,
-        };
-        r.skip_ws();
-        r
-    }
-
-    /// Ends the document: only whitespace may follow the value read.
-    pub fn finish(mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos != self.text.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
-        }
-        Ok(())
-    }
-
-    /// Reads a number; `None` (value skipped) for any other type.
-    pub fn u64(&mut self) -> Result<Option<u64>, String> {
-        match self.peek() {
-            Some(b'0'..=b'9') => self.number().map(Some),
-            _ => self.skip().map(|()| None),
-        }
-    }
-
-    /// Reads a string, borrowed from the input unless it holds an escape;
-    /// `None` (value skipped) for any other type.
-    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(Some),
-            _ => self.skip().map(|()| None),
-        }
-    }
-
-    /// Reads an object, calling `field(reader, key)` at each member's
-    /// value, in document order; `false` (value skipped) for any other
-    /// type.
-    pub fn obj(
-        &mut self,
-        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<bool, String> {
-        if self.peek() != Some(b'{') {
-            return self.skip().map(|()| false);
-        }
-        self.nested(b'}', |r| {
-            let key = r.string()?;
-            r.skip_ws();
-            r.expect(b':')?;
-            r.skip_ws();
-            field(r, &key)
-        })?;
-        Ok(true)
-    }
-
-    /// Reads an array, calling `item(reader)` at each element; `false`
-    /// (value skipped) for any other type.
-    pub fn arr(
-        &mut self,
-        item: impl FnMut(&mut Self) -> Result<(), String>,
-    ) -> Result<bool, String> {
-        if self.peek() != Some(b'[') {
-            return self.skip().map(|()| false);
-        }
-        self.nested(b']', item)?;
-        Ok(true)
-    }
-
-    /// Consumes one value of any type.
-    pub fn skip(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(drop),
-            Some(b'[') => self.arr(Self::skip).map(drop),
-            Some(b'{') => self.obj(|r, _| r.skip()).map(drop),
-            Some(b'0'..=b'9') => self.number().map(drop),
-            _ => self.literal().map(drop),
-        }
-    }
-
-    /// Reads one value into a tree ([`parse`]).
+impl Reader<'_> {
+    /// Reads the value that starts here into a tree.
     fn tree(&mut self) -> Result<Json, String> {
         Ok(match self.peek() {
-            Some(b'"') => Json::Str(self.string()?.into_owned()),
+            Some(b'"') => Json::Str(self.string()?),
             Some(b'[') => {
                 let mut items = Vec::new();
-                self.arr(|r| {
+                self.nested(b']', |r| {
                     items.push(r.tree()?);
                     Ok(())
                 })?;
@@ -272,8 +188,12 @@ impl<'a> Reader<'a> {
             }
             Some(b'{') => {
                 let mut fields = Vec::new();
-                self.obj(|r, key| {
-                    fields.push((key.to_string(), r.tree()?));
+                self.nested(b'}', |r| {
+                    let key = r.string()?;
+                    r.skip_ws();
+                    r.expect(b':')?;
+                    r.skip_ws();
+                    fields.push((key, r.tree()?));
                     Ok(())
                 })?;
                 Json::Obj(fields)
@@ -376,25 +296,19 @@ impl<'a> Reader<'a> {
             .map_err(|_| format!("integer out of range at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let text = self.text;
-        // Filled from the first escape on; a string without one is a slice.
         let mut out = String::new();
         loop {
             // Take the whole run up to the next delimiter at once.
             let rest = &text[self.pos..];
             let run = rest.find(['"', '\\']).ok_or("unterminated string")?;
             self.pos += run + 1;
-            if rest.as_bytes()[run] == b'"' {
-                return Ok(if out.is_empty() {
-                    Cow::Borrowed(&rest[..run])
-                } else {
-                    out.push_str(&rest[..run]);
-                    Cow::Owned(out)
-                });
-            }
             out.push_str(&rest[..run]);
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
             match self.peek() {
                 Some(b'"') => out.push('"'),
                 Some(b'\\') => out.push('\\'),
@@ -588,7 +502,7 @@ mod tests {
     }
 
     /// The recursive-descent parser `parse` was before it was re-expressed
-    /// on [`Reader`]: the reference for error strings as much as values.
+    /// on its `Reader`: the reference for error strings as much as values.
     mod reference {
         use super::super::{Json, MAX_DEPTH};
 
@@ -825,68 +739,13 @@ mod tests {
         }
     }
 
-    /// Walks `text` with the public pulls alone, expecting the tree `doc`:
-    /// each typed pull answers the value where the type matches and `None`
-    /// where it does not, consuming the value either way.
-    fn pull(r: &mut Reader<'_>, doc: &Json, wrong_type: bool) -> Result<(), String> {
-        if wrong_type {
-            // Ask for a type the value is not: it is skipped, whatever it is.
-            return match doc {
-                Json::U64(_) => r.str().map(|s| assert_eq!(s, None)),
-                Json::Arr(_) => r
-                    .obj(|_, _| panic!("not an object"))
-                    .map(|was| assert!(!was)),
-                Json::Obj(_) => r.arr(|_| panic!("not an array")).map(|was| assert!(!was)),
-                _ => r.u64().map(|n| assert_eq!(n, None)),
-            };
-        }
-        match doc {
-            Json::Null | Json::Bool(_) => r.skip(),
-            Json::U64(n) => r.u64().map(|got| assert_eq!(got, Some(*n))),
-            Json::Str(s) => r
-                .str()
-                .map(|got| assert_eq!(got.as_deref(), Some(s.as_str()))),
-            Json::Arr(items) => {
-                let mut at = 0;
-                let was = r.arr(|r| {
-                    at += 1;
-                    pull(r, &items[at - 1], at % 3 == 0)
-                })?;
-                assert!(was && at == items.len());
-                Ok(())
-            }
-            Json::Obj(fields) => {
-                let mut at = 0;
-                let was = r.obj(|r, key| {
-                    at += 1;
-                    assert_eq!(key, fields[at - 1].0);
-                    pull(r, &fields[at - 1].1, at % 3 == 0)
-                })?;
-                assert!(was && at == fields.len());
-                Ok(())
-            }
-        }
-    }
-
-    /// `parse` answers what the reference answers, value or error string;
-    /// `skip` + `finish` accept exactly what `parse` accepts, with its
-    /// error; the typed pulls read an accepted document back.
+    /// `parse` answers what the reference answers, value or error string,
+    /// and reads back what it renders.
     fn check(text: &str, what: &str) {
         let parsed = parse(text);
         assert_eq!(parsed, reference::parse(text), "{what}: {text:?}");
-        let mut r = Reader::new(text);
-        let skipped = r.skip().and_then(|()| r.finish());
-        assert_eq!(
-            skipped.as_ref().err(),
-            parsed.as_ref().err(),
-            "{what}: {text:?}"
-        );
         if let Ok(doc) = parsed {
             assert_eq!(parse(&doc.render()).as_ref(), Ok(&doc), "{what}: {text:?}");
-            let mut r = Reader::new(text);
-            pull(&mut r, &doc, false)
-                .and_then(|()| r.finish())
-                .unwrap_or_else(|e| panic!("{what}: {e}: {text:?}"));
         }
     }
 

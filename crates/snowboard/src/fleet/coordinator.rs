@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use super::FleetCfg;
+use super::{heartbeat_interval, FleetCfg};
 use crate::campaign::{CampaignCfg, CampaignReport, JobVerdict};
 use crate::error::{Error, SbResult};
 use crate::journal::JournalRecord;
@@ -395,11 +395,11 @@ impl Coordinator<'_> {
             }
             ack = *self.sessions.entry(session).or_insert(0);
         }
-        let jobs = self.ledger.universe().len();
-        self.send(conn_id, &ServeMsg::Welcome { worker, jobs, ack });
+        let heartbeat_ms = heartbeat_interval(self.fcfg.heartbeat_timeout).as_millis() as u64;
+        self.send(conn_id, &ServeMsg::Welcome { ack, heartbeat_ms });
     }
 
-    fn handle_request(&mut self, conn_id: u64, max: usize) {
+    fn handle_request(&mut self, conn_id: u64) {
         let Some(conn) = self.conns.get(&conn_id) else {
             return;
         };
@@ -422,9 +422,8 @@ impl Coordinator<'_> {
             return;
         }
         let lease = self.next_lease;
-        let want = self.fcfg.batch.min(max.max(1));
         let deadline = Instant::now() + self.fcfg.lease_deadline;
-        let jobs = self.ledger.lease(lease, want, Some(deadline));
+        let jobs = self.ledger.lease(lease, self.fcfg.batch, Some(deadline));
         if jobs.is_empty() {
             // Nothing to hand out right now (everything is leased or
             // covered); the worker naps for the advertised interval and
@@ -882,7 +881,7 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
                         state.handle_join(conn_id, proto, config, session, pid);
                     }
                     JoinMsg::Heartbeat => {}
-                    JoinMsg::Request { max } => state.handle_request(conn_id, max),
+                    JoinMsg::Request => state.handle_request(conn_id),
                     JoinMsg::Done {
                         job,
                         outcome,

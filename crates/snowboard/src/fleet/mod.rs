@@ -19,11 +19,14 @@
 //!   fingerprint of every campaign-shaping parameter
 //!   ([`config_fingerprint`]); mismatches are rejected outright, because
 //!   merging results computed under different parameters would silently
-//!   corrupt the report.
-//! * **Leases, not shards** — jobs are handed out in small leased batches
-//!   with a deadline. A worker that vanishes (crash, partition, kill -9)
-//!   simply stops renewing its claim: expired or evicted leases return
-//!   their unfinished jobs to the pending pool for reassignment.
+//!   corrupt the report. The `welcome` tells the worker the interval to
+//!   heartbeat at ([`heartbeat_interval`]): the coordinator that evicts
+//!   for silence is the one that sets how often a worker must speak.
+//! * **Leases, not shards** — jobs are handed out in leased batches of
+//!   [`FleetCfg::batch`] with a deadline. A worker that vanishes (crash,
+//!   partition, kill -9) simply stops renewing its claim: expired or
+//!   evicted leases return their unfinished jobs to the pending pool for
+//!   reassignment.
 //! * **Exactly-once merge** — reassignment means a slow-but-alive worker
 //!   can deliver a result for a job someone else also ran. The ledger's
 //!   merge rule is *first verdict wins*; duplicates are dropped and
@@ -94,11 +97,19 @@ pub fn config_fingerprint(parts: &[(&str, String)]) -> u64 {
     sb_vmm::site::fnv1a(text.as_bytes())
 }
 
+/// The interval a worker heartbeats at under a coordinator that evicts
+/// after `timeout` of silence: a quarter of it, so three heartbeats may be
+/// lost before an eviction, and never under 25 ms.
+pub fn heartbeat_interval(timeout: Duration) -> Duration {
+    (timeout / 4).max(Duration::from_millis(25))
+}
+
 /// Coordinator tuning. Defaults suit production; tests shrink every timing
 /// knob to milliseconds.
 #[derive(Clone, Debug)]
 pub struct FleetCfg {
-    /// Evict a connection heard from not at all for this long.
+    /// Evict a connection heard from not at all for this long; workers
+    /// heartbeat at [`heartbeat_interval`] of it.
     pub heartbeat_timeout: Duration,
     /// Reclaim a lease's unfinished jobs this long after granting it.
     pub lease_deadline: Duration,
@@ -297,9 +308,9 @@ mod tests {
         }
 
         /// Requests until a non-empty lease or drain arrives.
-        fn lease(&mut self, max: usize) -> Option<Vec<usize>> {
+        fn lease(&mut self) -> Option<Vec<usize>> {
             loop {
-                self.send(&JoinMsg::Request { max });
+                self.send(&JoinMsg::Request);
                 match self.read() {
                     ServeMsg::Lease { jobs, .. } if jobs.is_empty() => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -314,7 +325,7 @@ mod tests {
         /// Reads frames until drain, then leaves cleanly.
         fn drain(mut self) {
             loop {
-                self.send(&JoinMsg::Request { max: 1 });
+                self.send(&JoinMsg::Request);
                 match self.read() {
                     ServeMsg::Drain { .. } => break,
                     ServeMsg::Lease { jobs, .. } => {
@@ -385,19 +396,18 @@ mod tests {
             matches!(
                 reply,
                 ServeMsg::Welcome {
-                    worker: 0,
-                    jobs: 4,
-                    ack: 0
+                    ack: 0,
+                    heartbeat_ms: 2_500
                 }
             ),
             "{reply:?}"
         );
-        let jobs = a.lease(2).expect("first lease");
+        let jobs = a.lease().expect("first lease");
         assert_eq!(jobs, vec![0, 1], "ascending batch");
         for job in jobs {
             a.done(job, 100 + job as u64);
         }
-        let jobs = a.lease(2).expect("second lease");
+        let jobs = a.lease().expect("second lease");
         assert_eq!(jobs, vec![2, 3]);
         for job in jobs {
             a.done(job, 100 + job as u64);
@@ -429,7 +439,7 @@ mod tests {
 
         // Worker A leases both jobs, finishes one, and dies mid-lease.
         let (mut a, _) = Client::join(&addr, 0);
-        let jobs = a.lease(2).expect("lease");
+        let jobs = a.lease().expect("lease");
         assert_eq!(jobs, vec![0, 1]);
         a.done(0, 100);
         drop(a); // unclean close
@@ -437,7 +447,7 @@ mod tests {
         // Worker B picks up the reassigned job (`lease` asks until the
         // eviction has put it back).
         let (mut b, _) = Client::join(&addr, 0);
-        let jobs = b.lease(2).expect("reassigned lease");
+        let jobs = b.lease().expect("reassigned lease");
         assert_eq!(jobs, vec![1]);
         b.done(1, 101);
         b.drain();
@@ -470,17 +480,17 @@ mod tests {
         // A leases job 0 and sits on it (heartbeating, so it is not
         // evicted — it is slow, not dead).
         let (mut a, _) = Client::join(&addr, 0);
-        let jobs = a.lease(1).expect("lease");
+        let jobs = a.lease().expect("lease");
         assert_eq!(jobs, vec![0]);
 
         // B does job 1, then picks up job 0 once A's lease expires.
         let (mut b, _) = Client::join(&addr, 0);
-        let jobs = b.lease(1).expect("lease");
+        let jobs = b.lease().expect("lease");
         assert_eq!(jobs, vec![1]);
         b.done(1, 101);
         let reassigned = loop {
             a.send(&JoinMsg::Heartbeat);
-            b.send(&JoinMsg::Request { max: 1 });
+            b.send(&JoinMsg::Request);
             match b.read() {
                 ServeMsg::Lease { jobs, .. } if jobs.is_empty() => {
                     std::thread::sleep(Duration::from_millis(20));
@@ -496,7 +506,7 @@ mod tests {
         // reply to a later request proves the Done above was merged first
         // (A's note rides a different reader thread and could otherwise
         // race ahead of B's).
-        b.send(&JoinMsg::Request { max: 1 });
+        b.send(&JoinMsg::Request);
         match b.read() {
             ServeMsg::Lease { jobs, .. } => assert!(jobs.is_empty(), "campaign is complete"),
             ServeMsg::Drain { .. } => {}
@@ -532,7 +542,7 @@ mod tests {
 
         for _ in 0..2 {
             let (mut w, _) = Client::join(&addr, 0);
-            let jobs = w.lease(1).expect("lease");
+            let jobs = w.lease().expect("lease");
             assert_eq!(jobs, vec![0]);
             drop(w); // die with the job leased
         }
@@ -567,7 +577,7 @@ mod tests {
 
         for _ in 0..2 {
             let (mut w, _) = Client::join(&addr, 0);
-            let _ = w.lease(2).expect("lease");
+            let _ = w.lease().expect("lease");
             drop(w); // instant death: joined, completed nothing
         }
 
@@ -600,7 +610,7 @@ mod tests {
         let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fcfg.clone());
 
         let (mut a, _) = Client::join(&addr, 0);
-        let jobs = a.lease(2).expect("lease");
+        let jobs = a.lease().expect("lease");
         assert_eq!(jobs, vec![0, 1]);
         a.done(0, 100);
         std::fs::write(&stop, b"").unwrap();
@@ -659,7 +669,7 @@ mod tests {
 
         let (mut good, reply) = Client::join(&addr, 0xBEEF);
         assert!(matches!(reply, ServeMsg::Welcome { .. }), "{reply:?}");
-        let jobs = good.lease(1).expect("lease");
+        let jobs = good.lease().expect("lease");
         good.done(jobs[0], 100);
         good.drain();
 
@@ -678,14 +688,14 @@ mod tests {
         let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fast_fcfg(&dir));
 
         let (mut evil, _) = Client::join(&addr, 0);
-        let _ = evil.lease(1).expect("lease");
+        let _ = evil.lease().expect("lease");
         use std::io::Write as _;
         let _ = evil.write.write_all(b"not a frame at all\n");
         let _ = evil.write.flush();
 
         // The good worker finishes the campaign after the eviction.
         let (mut good, _) = Client::join(&addr, 0);
-        let jobs = good.lease(1).expect("reassigned lease");
+        let jobs = good.lease().expect("reassigned lease");
         good.done(jobs[0], 100);
         good.drain();
 
@@ -701,18 +711,21 @@ mod tests {
     fn a_result_outside_the_universe_evicts_the_sender_and_leaves_no_trace() {
         let dir = test_dir("foreign");
         let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let fcfg = fast_fcfg(&dir);
+        let fcfg = FleetCfg {
+            batch: 1,
+            ..fast_fcfg(&dir)
+        };
         let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fcfg.clone());
 
         // A schema-valid `done` for job universe + 7.
         let (mut evil, _) = Client::join(&addr, 0);
-        let jobs = evil.lease(1).expect("lease");
+        let jobs = evil.lease().expect("lease");
         assert_eq!(jobs, vec![0]);
         evil.done(9, 999);
 
         let (mut good, _) = Client::join(&addr, 0);
         let mut seen = Vec::new();
-        while let Some(jobs) = good.lease(2) {
+        while let Some(jobs) = good.lease() {
             for job in jobs {
                 good.done(job, 100 + job as u64);
                 seen.push(job);
@@ -753,8 +766,6 @@ mod tests {
     fn fast_jcfg(addr: String) -> JoinCfg {
         JoinCfg {
             addr,
-            heartbeat: Duration::from_millis(50),
-            batch: 2,
             connect_attempts: 3,
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(4),
@@ -826,9 +837,8 @@ mod tests {
             write_frame(
                 &mut s1,
                 &ServeMsg::Welcome {
-                    worker: 0,
-                    jobs: 0,
                     ack: 0,
+                    heartbeat_ms: 50,
                 }
                 .render(),
             )
@@ -842,9 +852,8 @@ mod tests {
             write_frame(
                 &mut s2,
                 &ServeMsg::Welcome {
-                    worker: 1,
-                    jobs: 0,
                     ack: 0,
+                    heartbeat_ms: 50,
                 }
                 .render(),
             )
@@ -876,7 +885,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             // Connection 0 dies by injected fault after its first frame
             // (the join); connection 1 is fault-free and drains.
-            for round in 0..2 {
+            for _ in 0..2 {
                 let (mut s, _) = listener.accept().unwrap();
                 let mut r = BufReader::new(s.try_clone().unwrap());
                 match read_frame(&mut r) {
@@ -886,9 +895,8 @@ mod tests {
                 let _ = write_frame(
                     &mut s,
                     &ServeMsg::Welcome {
-                        worker: round,
-                        jobs: 0,
                         ack: 0,
+                        heartbeat_ms: 50,
                     }
                     .render(),
                 );
@@ -990,6 +998,68 @@ mod tests {
             "the rejoin was welcomed"
         );
         assert_eq!(report.quarantined.len(), 1, "the job the eviction charged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A worker keeps the timing and lease size of the coordinator it
+    /// joins, whatever its own defaults: under a 200 ms heartbeat timeout
+    /// it stays heard through an 800 ms job (a transient failure and its
+    /// retry backoff), and a batch of 8 leases all 8 jobs at once.
+    #[test]
+    fn a_default_worker_keeps_the_coordinators_heartbeat_and_lease_size() {
+        let dir = test_dir("owner");
+        let pcfg = PipelineCfg {
+            seed: 7,
+            corpus_target: 30,
+            fuzz_budget: 300,
+            workers: 1,
+            ..PipelineCfg::default()
+        };
+        let p = Pipeline::prepare(sb_kernel::KernelConfig::v5_12_rc3(), pcfg);
+        let exemplars = p.exemplars(Strategy::SInsPair, ClusterOrder::UncommonFirst);
+        let cfg = CampaignCfg {
+            seed: 7,
+            trials_per_pmc: 2,
+            max_tested_pmcs: 8,
+            workers: 1,
+            retry: crate::RetryPolicy {
+                max_attempts: 2,
+                base_backoff: Duration::from_millis(800),
+                max_backoff: Duration::from_millis(800),
+            },
+            fault_plan: crate::FaultPlan {
+                transient_failures: BTreeMap::from([(0, 1)]),
+                ..crate::FaultPlan::default()
+            },
+            ..CampaignCfg::default()
+        };
+        assert_eq!(crate::ledger::universe(&exemplars, &cfg).len(), 8);
+        let fcfg = FleetCfg {
+            heartbeat_timeout: Duration::from_millis(200),
+            batch: 8,
+            ..fast_fcfg(&dir)
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let jcfg = JoinCfg {
+            addr: listener.local_addr().unwrap().to_string(),
+            ..JoinCfg::default()
+        };
+        let coord = {
+            let (exemplars, cfg) = (exemplars.clone(), cfg.clone());
+            std::thread::spawn(move || run_coordinator(listener, &exemplars, &cfg, &fcfg))
+        };
+        let work = FleetWork {
+            booted: p.booted,
+            corpus: p.corpus,
+            set: p.pmcs,
+            exemplars,
+        };
+        let summary = run_join(&cfg, &jcfg, move || Ok(work)).expect("the worker drains");
+        let report = coord.join().unwrap().expect("fleet campaign");
+        assert_eq!(report.tested(), 8);
+        let stats = report.fleet.expect("fleet stats");
+        assert_eq!((stats.evictions, summary.reconnects), (0, 0));
+        assert_eq!((stats.leases_granted, summary.leases), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1154,7 +1224,7 @@ mod tests {
         let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
         let (mut a, _) = Client::join(&addr, 0);
         let session = a.session;
-        let jobs = a.lease(2).expect("lease");
+        let jobs = a.lease().expect("lease");
         assert_eq!(jobs, vec![0, 1]);
         a.done(0, 100);
         a.done(1, 101);
@@ -1182,7 +1252,7 @@ mod tests {
             seq: 2,
             redelivery: true,
         });
-        let jobs = a.lease(2).expect("remaining work");
+        let jobs = a.lease().expect("remaining work");
         assert_eq!(jobs, vec![2], "journaled jobs are never re-leased");
         a.done(2, 102);
         a.drain();
@@ -1226,7 +1296,7 @@ mod tests {
         };
         let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
         let (mut a, _) = Client::join(&addr, 0);
-        assert_eq!(a.lease(2).expect("lease"), vec![0, 1]);
+        assert_eq!(a.lease().expect("lease"), vec![0, 1]);
         a.done(0, 100);
         a.done(1, 101);
         assert!(coord.join().unwrap().is_err(), "kill switch fired");
@@ -1245,7 +1315,7 @@ mod tests {
         let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg2);
         let (mut b, _) = Client::join(&addr, 0);
         assert_eq!(
-            b.lease(2).expect("remaining work"),
+            b.lease().expect("remaining work"),
             vec![2],
             "job 1 is not re-leased"
         );
@@ -1285,7 +1355,7 @@ mod tests {
         let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
         let (mut a, _) = Client::join(&addr, 0);
         let session = a.session;
-        let jobs = a.lease(2).expect("lease");
+        let jobs = a.lease().expect("lease");
         assert_eq!(jobs, vec![0, 1]);
         a.done(0, 100);
         assert!(coord.join().unwrap().is_err(), "kill switch fired");
@@ -1299,7 +1369,7 @@ mod tests {
         };
         let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg.clone());
         let (mut b, _) = Client::join(&addr, 0);
-        b.send(&JoinMsg::Request { max: 2 });
+        b.send(&JoinMsg::Request);
         match b.read() {
             ServeMsg::Lease { jobs, .. } => {
                 assert!(

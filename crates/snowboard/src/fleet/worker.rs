@@ -28,7 +28,8 @@ const MAX_IDLE_NAP: Duration = Duration::from_millis(100);
 /// says nothing, so the heartbeat thread falls silent with it.
 static WEDGED: AtomicBool = AtomicBool::new(false);
 
-/// Worker tuning for [`run_join`].
+/// Worker tuning for [`run_join`]. The heartbeat interval and the lease
+/// size are the coordinator's: its `welcome` and its leases carry them.
 #[derive(Clone, Debug)]
 pub struct JoinCfg {
     /// Coordinator address (`host:port`).
@@ -36,10 +37,6 @@ pub struct JoinCfg {
     /// This worker's [`super::config_fingerprint`]; must match the
     /// coordinator's.
     pub config_hash: u64,
-    /// Heartbeat emission interval.
-    pub heartbeat: Duration,
-    /// Most jobs requested per lease.
-    pub batch: usize,
     /// Consecutive failed connect/handshake attempts before giving up.
     pub connect_attempts: u32,
     /// First reconnect delay; doubles per consecutive failure.
@@ -65,8 +62,6 @@ impl Default for JoinCfg {
         JoinCfg {
             addr: "127.0.0.1:0".into(),
             config_hash: 0,
-            heartbeat: Duration::from_millis(2_500),
-            batch: 4,
             connect_attempts: 5,
             backoff_base: Duration::from_millis(50),
             backoff_max: Duration::from_secs(2),
@@ -263,7 +258,7 @@ pub fn run_join(
             ));
         }
         let connected = connect_and_join(jcfg, ordinal, outbox.session);
-        let ((mut write, mut reader), welcome_ack) = match connected {
+        let ((mut write, mut reader), ack, heartbeat) = match connected {
             Ok(joined) => joined,
             Err(HandshakeFail::Fatal(e)) => return Err(e),
             Err(HandshakeFail::Retry(detail)) => {
@@ -297,7 +292,7 @@ pub fn run_join(
             }
         };
         failures = 0;
-        outbox.ack(welcome_ack);
+        outbox.ack(ack);
         ordinal += 1;
         sessions += 1;
         summary.reconnects = sessions - 1;
@@ -324,7 +319,7 @@ pub fn run_join(
             summary: &mut summary,
             outbox: &mut outbox,
         };
-        let end = session.run(&mut write, &mut reader);
+        let end = session.run(&mut write, &mut reader, heartbeat);
         match end {
             SessionEnd::Drained => {
                 summary.drained = true;
@@ -354,14 +349,15 @@ enum HandshakeFail {
 type Halves = (Arc<Mutex<WriteHalf>>, BufReader<TcpStream>);
 
 /// One connect + handshake attempt against the coordinator. On success
-/// also returns the `Welcome` ack watermark — the highest seq of this
-/// session's results the coordinator has already journaled, so a
-/// reconnecting worker skips redelivering them.
+/// also returns what the `Welcome` says: its ack watermark — the highest
+/// seq of this session's results the coordinator has already journaled, so
+/// a reconnecting worker skips redelivering them — and the interval to
+/// heartbeat at.
 fn connect_and_join(
     jcfg: &JoinCfg,
     ordinal: u64,
     session: u64,
-) -> Result<(Halves, u64), HandshakeFail> {
+) -> Result<(Halves, u64, Duration), HandshakeFail> {
     let stream = TcpStream::connect(&jcfg.addr).map_err(|e| HandshakeFail::Retry(e.to_string()))?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(jcfg.io_timeout));
@@ -392,7 +388,11 @@ fn connect_and_join(
             HandshakeFail::Retry("coordinator closed the connection mid-handshake".into())
         })?;
     match ServeMsg::parse_line(&frame) {
-        Ok(ServeMsg::Welcome { ack, .. }) => Ok(((Arc::new(Mutex::new(write)), reader), ack)),
+        Ok(ServeMsg::Welcome { ack, heartbeat_ms }) => Ok((
+            (Arc::new(Mutex::new(write)), reader),
+            ack,
+            Duration::from_millis(heartbeat_ms),
+        )),
         Ok(ServeMsg::Reject { reason }) => Err(HandshakeFail::Fatal(Error::Fleet {
             detail: format!("coordinator rejected this worker: {reason}"),
         })),
@@ -446,18 +446,18 @@ fn run_job(
 }
 
 impl Session<'_> {
-    /// Heartbeat in the background, lease and run jobs until
-    /// drain/stop/loss.
+    /// Heartbeat in the background every `interval`, lease and run jobs
+    /// until drain/stop/loss.
     fn run(
         &mut self,
         write: &mut Arc<Mutex<WriteHalf>>,
         reader: &mut BufReader<TcpStream>,
+        interval: Duration,
     ) -> SessionEnd {
         let done = Arc::new(AtomicBool::new(false));
         {
             let write = write.clone();
             let done = done.clone();
-            let interval = self.jcfg.heartbeat.max(Duration::from_millis(10));
             std::thread::spawn(move || loop {
                 std::thread::sleep(interval);
                 // A process parked by `proc:stall` is wedged: it says
@@ -514,12 +514,7 @@ impl Session<'_> {
             if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
                 return SessionEnd::Stopped;
             }
-            if !send(
-                write,
-                &JoinMsg::Request {
-                    max: jcfg.batch.max(1),
-                },
-            ) {
+            if !send(write, &JoinMsg::Request) {
                 return SessionEnd::Lost;
             }
             let reply = match read_frame(reader) {

@@ -46,8 +46,11 @@ use crate::json::{self, Json};
 /// supervising coordinator can kill the child behind a connection it
 /// evicts. v4 replaced the ASCII `<len>\n<payload>\n` framing with the
 /// CRC32C frame; a v3 peer's first frame is a framing error, so it is
-/// dropped before any handshake or lease.
-pub const FLEET_PROTO_VERSION: u64 = 4;
+/// dropped before any handshake or lease. v5 made the coordinator the only
+/// owner of the heartbeat interval and the lease size: `welcome` carries
+/// the interval (and no longer the worker id or universe size), and
+/// `request` carries no size.
+pub const FLEET_PROTO_VERSION: u64 = 5;
 
 /// Hard ceiling on one frame's payload (1 MiB). Real messages are a few
 /// KiB; anything larger is a corrupt length prefix or an attack, and
@@ -173,11 +176,8 @@ pub enum JoinMsg {
     },
     /// Liveness signal, emitted on a fixed interval.
     Heartbeat,
-    /// Ask for a lease of up to `max` jobs.
-    Request {
-        /// Most jobs the worker wants in one lease.
-        max: usize,
-    },
+    /// Ask for a lease; the coordinator decides its size.
+    Request,
     /// Job `job` completed with an outcome.
     Done {
         /// Campaign job index.
@@ -217,7 +217,7 @@ impl JoinMsg {
         match self {
             JoinMsg::Join { .. } => "join",
             JoinMsg::Heartbeat => "heartbeat",
-            JoinMsg::Request { .. } => "request",
+            JoinMsg::Request => "request",
             JoinMsg::Done { .. } => "done",
             JoinMsg::Quarantine { .. } => "quarantine",
             JoinMsg::Leaving { .. } => "leaving",
@@ -240,10 +240,7 @@ impl JoinMsg {
                 ("session".into(), Json::U64(*session)),
                 ("pid".into(), Json::U64(*pid)),
             ]),
-            JoinMsg::Heartbeat => Json::Obj(vec![msg]),
-            JoinMsg::Request { max } => {
-                Json::Obj(vec![msg, ("max".into(), Json::U64(*max as u64))])
-            }
+            JoinMsg::Heartbeat | JoinMsg::Request => Json::Obj(vec![msg]),
             JoinMsg::Done {
                 job,
                 outcome,
@@ -286,31 +283,20 @@ impl JoinMsg {
             .get("msg")
             .and_then(Json::as_str)
             .ok_or_else(|| detail("missing 'msg' discriminator".into()))?;
-        let usize_field = |key: &str| -> Result<usize, ProtocolError> {
-            req_u64(&doc, key)
-                .and_then(|v| usize::try_from(v).map_err(|_| format!("'{key}' overflows usize")))
-                .map_err(detail)
-        };
         let bool_field = |key: &str| -> Result<bool, ProtocolError> {
             doc.get(key)
                 .and_then(Json::as_bool)
                 .ok_or_else(|| detail(format!("missing field '{key}'")))
         };
         match kind {
-            // `session` and `pid` are deliberately lenient (default 0): an
-            // older worker's join must still parse so the version check can
-            // send it a clean `reject` instead of evicting it for a schema
-            // error.
             "join" => Ok(JoinMsg::Join {
                 proto: req_u64(&doc, "proto").map_err(detail)?,
                 config: req_u64(&doc, "config").map_err(detail)?,
-                session: doc.get("session").and_then(Json::as_u64).unwrap_or(0),
-                pid: doc.get("pid").and_then(Json::as_u64).unwrap_or(0),
+                session: req_u64(&doc, "session").map_err(detail)?,
+                pid: req_u64(&doc, "pid").map_err(detail)?,
             }),
             "heartbeat" => Ok(JoinMsg::Heartbeat),
-            "request" => Ok(JoinMsg::Request {
-                max: usize_field("max")?,
-            }),
+            "request" => Ok(JoinMsg::Request),
             "done" => {
                 let outcome = doc
                     .get("outcome")
@@ -350,16 +336,14 @@ impl JoinMsg {
 pub enum ServeMsg {
     /// Handshake accepted; the worker is registered.
     Welcome {
-        /// Coordinator-assigned worker id (unique per join, stable for
-        /// log correlation).
-        worker: u64,
-        /// Total jobs in the campaign universe.
-        jobs: usize,
         /// Highest result sequence number the coordinator has journaled
         /// for this worker's session (0 for a fresh session). The worker
         /// drops spooled results at or below this before redelivering the
         /// rest.
         ack: u64,
+        /// The interval, in milliseconds, at which the worker must
+        /// heartbeat (see [`crate::fleet::heartbeat_interval`]).
+        heartbeat_ms: u64,
     },
     /// Handshake refused (version or config mismatch, or the coordinator
     /// is draining). The worker must not retry this coordinator.
@@ -404,11 +388,10 @@ impl ServeMsg {
     pub fn to_json(&self) -> Json {
         let msg = ("msg".to_string(), Json::Str(self.kind().to_owned()));
         match self {
-            ServeMsg::Welcome { worker, jobs, ack } => Json::Obj(vec![
+            ServeMsg::Welcome { ack, heartbeat_ms } => Json::Obj(vec![
                 msg,
-                ("worker".into(), Json::U64(*worker)),
-                ("jobs".into(), Json::U64(*jobs as u64)),
                 ("ack".into(), Json::U64(*ack)),
+                ("heartbeat_ms".into(), Json::U64(*heartbeat_ms)),
             ]),
             ServeMsg::Reject { reason } => {
                 Json::Obj(vec![msg, ("reason".into(), Json::Str(reason.clone()))])
@@ -455,10 +438,8 @@ impl ServeMsg {
         };
         match kind {
             "welcome" => Ok(ServeMsg::Welcome {
-                worker: req_u64(&doc, "worker").map_err(detail)?,
-                jobs: usize::try_from(req_u64(&doc, "jobs").map_err(detail)?)
-                    .map_err(|_| detail("'jobs' overflows usize".into()))?,
                 ack: req_u64(&doc, "ack").map_err(detail)?,
+                heartbeat_ms: req_u64(&doc, "heartbeat_ms").map_err(detail)?,
             }),
             "reject" => Ok(ServeMsg::Reject {
                 reason: reason_field(&doc)?,
@@ -572,7 +553,7 @@ mod tests {
             pid: 4242,
         });
         join_roundtrip(JoinMsg::Heartbeat);
-        join_roundtrip(JoinMsg::Request { max: 4 });
+        join_roundtrip(JoinMsg::Request);
         join_roundtrip(JoinMsg::Done {
             job: 42,
             outcome: outcome(),
@@ -600,14 +581,12 @@ mod tests {
             reason: "drained".into(),
         });
         serve_roundtrip(ServeMsg::Welcome {
-            worker: 7,
-            jobs: 120,
             ack: 0,
+            heartbeat_ms: 25,
         });
         serve_roundtrip(ServeMsg::Welcome {
-            worker: 7,
-            jobs: 120,
             ack: 42,
+            heartbeat_ms: 2_500,
         });
         serve_roundtrip(ServeMsg::Reject {
             reason: "config mismatch".into(),
@@ -630,23 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_join_still_parses_for_a_clean_version_reject() {
-        // A v1 worker's join has no `session` and no `pid`; it must parse
-        // (both 0) so the coordinator can answer with a `reject` rather
-        // than treating the old worker as a protocol violator.
-        let msg = JoinMsg::parse_line("{\"msg\":\"join\",\"proto\":1,\"config\":99}").unwrap();
-        assert_eq!(
-            msg,
-            JoinMsg::Join {
-                proto: 1,
-                config: 99,
-                session: 0,
-                pid: 0
-            }
-        );
-    }
-
-    #[test]
     fn fleet_messages_reject_schema_violations() {
         let done_no_seq = format!(
             "{{\"msg\":\"done\",\"outcome\":{},\"redelivery\":false}}",
@@ -661,8 +623,10 @@ mod tests {
             "{\"msg\":\"nope\"}",
             "{\"job\":1}",
             "{\"msg\":\"join\",\"proto\":1}",
+            "{\"msg\":\"join\",\"proto\":1,\"config\":99}",
+            "{\"msg\":\"join\",\"proto\":5,\"config\":99,\"session\":1}",
+            "{\"msg\":\"join\",\"proto\":5,\"config\":99,\"pid\":1}",
             "{\"msg\":\"join\",\"proto\":\"x\",\"config\":1}",
-            "{\"msg\":\"request\"}",
             "{\"msg\":\"done\"}",
             done_no_seq.as_str(),
             done_no_redelivery.as_str(),
@@ -680,8 +644,9 @@ mod tests {
         for line in [
             "not json",
             "{\"msg\":\"hello\"}",
-            "{\"msg\":\"welcome\",\"worker\":1}",
-            "{\"msg\":\"welcome\",\"worker\":1,\"jobs\":9}",
+            "{\"msg\":\"welcome\",\"ack\":1}",
+            "{\"msg\":\"welcome\",\"heartbeat_ms\":25}",
+            "{\"msg\":\"welcome\",\"ack\":1,\"heartbeat_ms\":\"x\"}",
             "{\"msg\":\"reject\"}",
             "{\"msg\":\"lease\",\"lease\":1,\"deadline_ms\":5}",
             "{\"msg\":\"lease\",\"lease\":1,\"jobs\":[\"x\"],\"deadline_ms\":5}",

@@ -46,7 +46,8 @@ use crate::retry::jittered_backoff;
 pub struct SuperviseCfg {
     /// Child processes kept running.
     pub workers: usize,
-    /// The loopback coordinator: heartbeat timeout, tick, crash budget,
+    /// The loopback coordinator: heartbeat timeout (the children heartbeat
+    /// at the interval its `welcome` gives them), tick, crash budget,
     /// breaker, stop file, checkpoint and fingerprint. Its lease batch and
     /// deadline are the pool's own: one job at a time, held until the
     /// child reports or dies.
@@ -412,7 +413,7 @@ mod tests {
         };
         let mut seq = 0;
         loop {
-            send(&JoinMsg::Request { max: 1 });
+            send(&JoinMsg::Request);
             match read() {
                 Some(ServeMsg::Lease { jobs, .. }) if jobs.is_empty() => {
                     std::thread::sleep(Duration::from_millis(5));

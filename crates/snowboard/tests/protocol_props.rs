@@ -183,23 +183,28 @@ proptest! {
         config in any::<u64>(),
         session in any::<u64>(),
         pid in any::<u64>(),
-        max in any::<usize>(),
+        ack in any::<u64>(),
+        heartbeat_ms in any::<u64>(),
     ) {
         let msgs = [
             JoinMsg::Join { proto, config, session, pid },
             JoinMsg::Heartbeat,
-            JoinMsg::Request { max },
+            JoinMsg::Request,
             JoinMsg::Leaving { reason: format!("reason-{proto}") },
         ];
+        let welcome = ServeMsg::Welcome { ack, heartbeat_ms };
         let mut buf = Vec::new();
         for m in &msgs {
             write_frame(&mut buf, &m.render()).unwrap();
         }
+        write_frame(&mut buf, &welcome.render()).unwrap();
         let mut r = Cursor::new(buf);
         for m in &msgs {
             let payload = read_frame(&mut r).unwrap().expect("frame present");
             prop_assert_eq!(&JoinMsg::parse_line(&payload).unwrap(), m);
         }
+        let payload = read_frame(&mut r).unwrap().expect("frame present");
+        prop_assert_eq!(ServeMsg::parse_line(&payload).unwrap(), welcome);
         prop_assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 }

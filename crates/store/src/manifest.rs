@@ -2,10 +2,9 @@
 //!
 //! The segment files are the store's only index ([`crate::store`]); the
 //! manifest holds what no record can, `{"version":2,"last_hits":H,
-//! "last_misses":M}`, and marks a directory as a store. A version-1
-//! manifest (which also carried a copy of the key map) is read for its two
-//! counters like any other. Writes go through `snowboard::json::atomic_write`,
-//! so a killed process never leaves a torn manifest.
+//! "last_misses":M}`, and marks a directory as a store. Writes go through
+//! `snowboard::json::atomic_write`, so a killed process never leaves a torn
+//! manifest.
 
 use std::path::Path;
 
@@ -63,7 +62,7 @@ impl Manifest {
         )
     }
 
-    /// Reads the counters of a version 1 or 2 document; other members are
+    /// Reads the counters of a version 2 document; other members are
     /// skipped.
     pub(crate) fn parse(text: &str) -> Result<Manifest, String> {
         let doc = json::parse(text)?;
@@ -73,7 +72,7 @@ impl Manifest {
                 .ok_or_else(|| format!("missing {name}"))
         };
         let version = field("version")?;
-        if !(1..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(format!("unsupported manifest version {version}"));
         }
         Ok(Manifest {
@@ -98,17 +97,10 @@ mod tests {
         ] {
             assert_eq!(Manifest::parse(&m.render()), Ok(m));
         }
-        // A version-1 manifest gives up its counters; its key map is not
-        // read.
+        // A version-1 manifest, key map and all, is refused.
         let v1 = r#"{"version":1,"next_segment":2,"last_hits":3,"last_misses":4,"profiles":{"7":{"status":"failed"}},"pmcs":[]}"#;
-        assert_eq!(
-            Manifest::parse(v1),
-            Ok(Manifest {
-                last_hits: 3,
-                last_misses: 4
-            })
-        );
         for text in [
+            v1,
             r#"{"version":3,"last_hits":0,"last_misses":0}"#,
             r#"{"version":0,"last_hits":0,"last_misses":0}"#,
             r#"{"version":2,"last_hits":0}"#,

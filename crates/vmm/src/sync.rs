@@ -64,38 +64,3 @@ pub struct SyncEvent {
     /// delivery count for [`SyncKind::Wake`], zero otherwise.
     pub arg: u64,
 }
-
-impl SyncEvent {
-    /// True for events that begin a sleep (commit), used by detectors
-    /// scanning for sleep/wake pairings.
-    pub fn is_sleep_commit(&self) -> bool {
-        self.kind == SyncKind::SleepCommit
-    }
-
-    /// True for wakeups that reached nobody.
-    pub fn is_lost_wake(&self) -> bool {
-        self.kind == SyncKind::Wake && self.arg == 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::site;
-
-    #[test]
-    fn lost_wake_predicate() {
-        let mk = |kind, arg| SyncEvent {
-            seq: 0,
-            thread: 0,
-            site: site!("sync:test"),
-            kind,
-            obj: 1,
-            arg,
-        };
-        assert!(mk(SyncKind::Wake, 0).is_lost_wake());
-        assert!(!mk(SyncKind::Wake, 1).is_lost_wake());
-        assert!(!mk(SyncKind::SleepCommit, 0).is_lost_wake());
-        assert!(mk(SyncKind::SleepCommit, 0).is_sleep_commit());
-    }
-}
