@@ -12,6 +12,7 @@
 //!    what the campaign reports.
 
 use sb_bench::{prepare, print_table, Scale};
+use sb_detect::{OracleCtx, OracleSet};
 use sb_kernel::{boot, bugs, KernelConfig};
 use sb_vmm::sched::{PctSched, RandomSched, Scheduler, SkiSched, SnowboardSched};
 use sb_vmm::Executor;
@@ -34,6 +35,7 @@ fn expose_12(
     let mut hits = 0u64;
     for seed in 0..seeds {
         let mut per_trial = make(seed);
+        let mut oracle_ctx = OracleCtx::new(OracleSet::default());
         let mut exposed = None;
         for trial in 0..cap {
             let mut sched = per_trial(u64::from(trial));
@@ -45,7 +47,8 @@ fn expose_12(
                 ],
                 sched.as_mut(),
             );
-            if sb_detect::analyze(&r.report)
+            if oracle_ctx
+                .analyze(&r.report)
                 .iter()
                 .any(|f| snowboard::triage::triage(f) == Some(12))
             {

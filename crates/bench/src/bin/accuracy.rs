@@ -44,20 +44,14 @@ fn main() {
             &p.corpus,
             Pairing::Random,
             scale.max_tested / 2,
-            scale.trials / 4,
-            23,
-            scale.workers,
-            true,
+            &scale.baseline_cfg(23),
         );
         let r2 = run_baseline(
             &p.booted,
             &p.corpus,
             Pairing::Duplicate,
             scale.max_tested / 2,
-            scale.trials / 4,
-            29,
-            scale.workers,
-            true,
+            &scale.baseline_cfg(29),
         );
         r1.tested() + r2.tested()
     };

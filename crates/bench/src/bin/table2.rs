@@ -57,10 +57,7 @@ fn main() {
             &p.corpus,
             snowboard::baseline::Pairing::Duplicate,
             scale.max_tested / 4,
-            scale.trials / 4,
-            5,
-            scale.workers,
-            true,
+            &scale.baseline_cfg(5),
         );
         for id in base.bug_ids() {
             found
@@ -140,7 +137,8 @@ fn main() {
         })
         .count();
     println!(
-        "\nFound {total_found}/17 registry issues ({v5_3_found} present in 5.3.10). \
-         Paper: 17 issues total, 9 bugs in the stable kernel."
+        "\nFound {total_found}/{} registry issues ({v5_3_found} present in 5.3.10). \
+         Paper: 17 issues total, 9 bugs in the stable kernel.",
+        bugs::registry().len()
     );
 }

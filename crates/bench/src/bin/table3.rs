@@ -50,10 +50,7 @@ fn main() {
             &p.corpus,
             pairing,
             scale.max_tested,
-            scale.trials / 4,
-            11,
-            scale.workers,
-            true,
+            &scale.baseline_cfg(11),
         );
         rows.push(vec![
             pairing.to_string(),

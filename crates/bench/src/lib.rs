@@ -81,6 +81,15 @@ impl Scale {
             ..CampaignCfg::default()
         }
     }
+
+    /// The configuration the Random/Duplicate baselines run under: the
+    /// strategies' own, at a quarter of the trials per test.
+    pub fn baseline_cfg(&self, seed: u64) -> CampaignCfg {
+        CampaignCfg {
+            trials_per_pmc: self.trials / 4,
+            ..self.campaign_cfg(seed)
+        }
+    }
 }
 
 /// Prepares a pipeline for one kernel version at the given scale.

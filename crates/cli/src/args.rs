@@ -41,9 +41,7 @@ OPTIONS (hunt):
     --workers <N>                 worker threads     [default: 4]
     --oracles <LIST>              bug oracles to run: 'all' or a comma list
                                   of race, lockrule, wakeup, atomic
-                                  [default: all]; '--oracles race' also
-                                  selects the stock syscall catalog, making
-                                  the run bit-identical to pre-oracle builds
+                                  [default: all]
     --random-order                randomize cluster order
     --retries <N>                 attempts per job before quarantine [default: 3]
     --job-deadline <SECS>         per-job wall-clock watchdog [default: 60]
@@ -62,7 +60,8 @@ OPTIONS (hunt):
                                   checkpoint, and exit 0 once PATH exists
     --heartbeat-ms <N>            with --supervise: kill and restart a worker
                                   heard from not at all for N ms
-                                  [default: 10000]
+                                  [default: 10000]; without --supervise
+                                  (or hunt serve): exit 2
     --chaos <SPEC>                inject scripted faults for testing: semicolon-
                                   separated plane:kind=args clauses, e.g.
                                   'job:panic=3;job:transient=1:2;proc:exit=1:9;
@@ -155,8 +154,8 @@ pub struct HuntOpts {
     pub trials: u32,
     /// Worker threads.
     pub workers: usize,
-    /// Selected bug oracles. [`OracleSet::race_only`] reproduces the
-    /// pre-oracle-subsystem pipeline (and selects the stock catalog).
+    /// Selected bug oracles. They judge trials and select nothing else:
+    /// every selection hunts the same corpus.
     pub oracles: OracleSet,
     /// Random cluster order instead of uncommon-first.
     pub random_order: bool,
@@ -552,7 +551,7 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut trace_dir: Option<PathBuf> = None;
             let mut supervise = false;
             let mut stop_file: Option<PathBuf> = None;
-            let mut heartbeat_ms = 10_000u64;
+            let mut heartbeat_ms: Option<u64> = None;
             let mut chaos = ChaosPlan::default();
             let mut i = start;
             while i < argv.len() {
@@ -648,13 +647,14 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         stop_file = Some(PathBuf::from(take_value(argv, &mut i, "--stop-file")?))
                     }
                     "--heartbeat-ms" if is_hunt => {
-                        heartbeat_ms = parse_num(
+                        let ms = parse_num(
                             take_value(argv, &mut i, "--heartbeat-ms")?,
                             "--heartbeat-ms",
                         )?;
-                        if heartbeat_ms == 0 {
+                        if ms == 0 {
                             return Err("--heartbeat-ms must be positive".into());
                         }
+                        heartbeat_ms = Some(ms);
                     }
                     "--chaos" if is_hunt => {
                         chaos = ChaosPlan::parse_spec(take_value(argv, &mut i, "--chaos")?)
@@ -670,6 +670,12 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             if stop_file.is_some() && !supervise && !fleet {
                 return Err("--stop-file requires --supervise, serve, or join".into());
             }
+            if heartbeat_ms.is_some() && mode == Mode::Local && !supervise {
+                return Err("--heartbeat-ms times out worker processes; it needs \
+                            --supervise or hunt serve"
+                    .into());
+            }
+            let heartbeat_ms = heartbeat_ms.unwrap_or(10_000);
             if fleet && supervise {
                 return Err("hunt serve/join already distribute the campaign; \
                             drop --supervise"
@@ -815,12 +821,8 @@ mod tests {
             Cmd::Hunt(o) => assert_eq!(o.oracles, OracleSet::all()),
             other => panic!("unexpected {other:?}"),
         }
-        // The pre-oracle-pipeline escape hatch.
         match parse(&argv("hunt --oracles race")).unwrap() {
-            Cmd::Hunt(o) => {
-                assert_eq!(o.oracles, OracleSet::race_only());
-                assert!(o.oracles.is_race_only());
-            }
+            Cmd::Hunt(o) => assert_eq!(o.oracles, OracleSet::race_only()),
             other => panic!("unexpected {other:?}"),
         }
         // Comma lists and 'all' round-trip through to_spec.
@@ -1015,6 +1017,12 @@ mod tests {
         );
         assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
         assert!(parse(&argv("strategies --supervise")).is_err(), "hunt-only");
+        // A plain hunt has no worker process to time out.
+        let err = parse(&argv("hunt --heartbeat-ms 500")).unwrap_err();
+        assert!(
+            err.contains("--supervise") && err.contains("hunt serve"),
+            "{err}"
+        );
     }
 
     #[test]

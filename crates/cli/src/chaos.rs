@@ -368,6 +368,7 @@ fn run_hunt(env: &Env, s: &Schedule, trial: &Path, supervise: bool) -> Result<()
     let mut args = hunt_args(env);
     if supervise {
         args.push("--supervise".into());
+        args.extend(heartbeat_args());
     }
     args.extend(trace_args(&tdir));
     args.extend(chaos_args(&s.plan));
@@ -413,6 +414,7 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
             listen.into(),
         ];
         args.extend(hunt_args(env).split_off(1));
+        args.extend(heartbeat_args());
         args.extend([
             "--lease-ms".into(),
             "120000".into(),
@@ -703,14 +705,18 @@ fn check_counters(
 // ---------------------------------------------------------------------------
 
 /// The shared hunt argument vector: the campaign every run hunts, then the
-/// pool size and heartbeat timeout, which a fleet worker leaves to its
-/// coordinator.
+/// pool size, which a fleet worker leaves to its coordinator.
 fn hunt_args(env: &Env) -> Vec<String> {
     let mut args = vec!["hunt".to_owned()];
     args.extend(campaign_args(env));
     args.extend(["--workers".into(), env.profile.workers.to_string()]);
-    args.extend(["--heartbeat-ms".into(), "1500".into()]);
     args
+}
+
+/// The heartbeat timeout, for the runs that have worker processes to time
+/// out: `--supervise` and `hunt serve`. A plain hunt refuses the flag.
+fn heartbeat_args() -> [String; 2] {
+    ["--heartbeat-ms".into(), "1500".into()]
 }
 
 /// The campaign flags; fleet fingerprinting requires serve and join to

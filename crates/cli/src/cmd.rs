@@ -12,7 +12,7 @@ use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
 use snowboard::{
-    config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, Catalog, ChaosPlan,
+    config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, ChaosPlan,
     FleetCfg, FleetWork, IdentifyOpts, JobBudget, JoinCfg, OracleSet, Pipeline, PipelineCfg, PmcId,
     RetryPolicy, SbResult, SuperviseCfg,
 };
@@ -289,18 +289,6 @@ fn hunt_campaign_cfg(opts: &HuntOpts) -> CampaignCfg {
     }
 }
 
-/// The syscall catalog implied by an oracle selection. `--oracles race`
-/// promises bit-identical output to pre-oracle builds, so it keeps the
-/// stock catalog; every other selection needs the extended catalog to reach
-/// the sync-oracle subsystems its bugs live in.
-fn hunt_catalog(oracles: OracleSet) -> Catalog {
-    if oracles.is_race_only() {
-        Catalog::Stock
-    } else {
-        Catalog::Extended
-    }
-}
-
 /// Per-oracle finding totals plus what deduplication suppressed — the
 /// `[detect]` diagnostic shared by `hunt` and `hunt serve`. Goes to stderr:
 /// stdout carries only the report, which stays bit-identical across run
@@ -512,7 +500,6 @@ fn hunt_pipeline_cfg(o: &HuntOpts) -> PipelineCfg {
         seed: o.seed,
         corpus_target: o.corpus,
         fuzz_budget: (o.corpus as u64) * 15,
-        catalog: hunt_catalog(o.oracles),
         ..PipelineCfg::default()
     }
 }

@@ -283,6 +283,47 @@ fn trace_report_fails_without_a_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `strategies` describes the corpus `hunt` hunts, and `--oracles` selects
+/// oracles, not a corpus: at one seed and corpus size, `strategies` counts
+/// the PMCs and S-INS-PAIR clusters that the `[hunt]` header of a default
+/// hunt and of a race-only hunt both report.
+#[test]
+fn strategies_and_every_oracle_selection_describe_the_hunted_corpus() {
+    let header = |extra: &[&str]| {
+        let out = bin()
+            .args(["hunt", "--seed", "2021"])
+            .args(extra)
+            .output()
+            .expect("run hunt");
+        assert!(out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        err.lines()
+            .find(|l| l.starts_with("[hunt] 100 tests"))
+            .unwrap_or_else(|| panic!("no corpus header: {err}"))
+            .to_owned()
+    };
+    let hunt = header(&[]);
+    assert_eq!(hunt, "[hunt] 100 tests, 401 PMCs, 191 S-INS-PAIR clusters");
+    assert_eq!(header(&["--oracles", "race"]), hunt);
+    let out = bin()
+        .args(["strategies", "--seed", "2021", "--corpus", "100"])
+        .output()
+        .expect("run strategies");
+    assert!(out.status.success());
+    let text = stdout(&out);
+    assert!(
+        text.starts_with("corpus: 100 tests, ")
+            && text.lines().next().unwrap().ends_with(" 401 PMCs"),
+        "{text}"
+    );
+    let pair = text.lines().find(|l| l.starts_with("S-INS-PAIR "));
+    assert_eq!(
+        pair.map(|l| l.split_whitespace().collect::<Vec<_>>()),
+        Some(vec!["S-INS-PAIR", "191"]),
+        "{text}"
+    );
+}
+
 /// A small, fast hunt configuration shared by the supervision tests.
 /// `seed` varies per test so concurrent tests can tell their worker
 /// processes apart in /proc.
@@ -299,13 +340,24 @@ fn small_hunt(seed: &str) -> Vec<String> {
         "2",
         "--seed",
         seed,
-        "--heartbeat-ms",
-        "30000",
     ]
     .iter()
     .map(|s| (*s).to_string())
     .collect()
 }
+
+/// [`small_hunt`] on supervised worker processes, with a heartbeat timeout
+/// that a loaded machine cannot trip. (A plain hunt refuses the timeout: it
+/// has no worker process to time out.)
+fn supervised_hunt(seed: &str) -> Vec<String> {
+    let mut args = small_hunt(seed);
+    args.push("--supervise".into());
+    args.extend(HEARTBEAT.map(String::from));
+    args
+}
+
+/// The supervisor's and the coordinator's heartbeat timeout in these tests.
+const HEARTBEAT: [&str; 2] = ["--heartbeat-ms", "30000"];
 
 /// Shared teardown oracle for process-spawning tests: after a run finishes,
 /// no worker process tagged with our `--seed <seed>` plus `marker` (e.g.
@@ -359,8 +411,7 @@ fn supervised_hunt_matches_the_in_process_run_bit_for_bit() {
         String::from_utf8_lossy(&clean.stderr)
     );
     let sup = bin()
-        .args(small_hunt("3"))
-        .arg("--supervise")
+        .args(supervised_hunt("3"))
         .output()
         .expect("run supervised hunt");
     assert!(
@@ -384,8 +435,7 @@ fn supervised_hunt_survives_a_worker_sigkill() {
     assert!(clean.status.success());
 
     let sup = bin()
-        .args(small_hunt("11"))
-        .arg("--supervise")
+        .args(supervised_hunt("11"))
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -450,8 +500,8 @@ fn supervised_stop_file_checkpoints_then_resumes() {
     // With the stop file already present, the run must come down gracefully
     // before testing anything, leaving a resumable checkpoint behind.
     let stopped = bin()
-        .args(small_hunt("7"))
-        .args(["--supervise", "--stop-file"])
+        .args(supervised_hunt("7"))
+        .arg("--stop-file")
         .arg(&stop)
         .arg("--checkpoint")
         .arg(&ckpt)
@@ -470,8 +520,8 @@ fn supervised_stop_file_checkpoints_then_resumes() {
     // clean single-process run exactly.
     std::fs::remove_file(&stop).unwrap();
     let resumed = bin()
-        .args(small_hunt("7"))
-        .args(["--supervise", "--resume"])
+        .args(supervised_hunt("7"))
+        .arg("--resume")
         .arg(&ckpt)
         .arg("--checkpoint")
         .arg(&ckpt)
@@ -547,8 +597,8 @@ fn supervised_crash_injection_quarantines_and_exits_3() {
     // quarantines exactly that job, the rest of the campaign completes, and
     // the exit code says "finished with quarantines".
     let out = bin()
-        .args(small_hunt("5"))
-        .args(["--supervise", "--chaos", "proc:abort=2"])
+        .args(supervised_hunt("5"))
+        .args(["--chaos", "proc:abort=2"])
         .output()
         .expect("run aborting hunt");
     assert_eq!(
@@ -722,8 +772,7 @@ fn supervised_trace_records_each_lifecycle_fact_once() {
     ];
     let dir = scratch_dir("supervised-trace");
     let hunt = bin()
-        .args(small_hunt("19"))
-        .arg("--supervise")
+        .args(supervised_hunt("19"))
         .arg("--trace-dir")
         .arg(&dir)
         .output()
@@ -821,7 +870,9 @@ fn spawn_serve(
 /// A coordinator's hunt flags: its workers' campaign, plus the pool size
 /// and heartbeat timeout only the coordinator reads.
 fn serve_tail(seed: &str) -> Vec<String> {
-    small_hunt(seed)[1..].to_vec()
+    let mut tail = small_hunt(seed)[1..].to_vec();
+    tail.extend(HEARTBEAT.map(String::from));
+    tail
 }
 
 /// A worker's hunt flags: the campaign alone, which must match the
@@ -1023,6 +1074,7 @@ fn fleet_usage_errors_exit_2() {
         &["hunt", "join", "x:1", "--no-cache"],
         &["hunt", "join", "x:1", "--trace-dir", "/tmp/sb-join-trace"],
         &["hunt", "--supervise", "--heartbeat-ms", "0"], // supervise too
+        &["hunt", "--heartbeat-ms", "500"],              // no worker process to time out
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run usage case");

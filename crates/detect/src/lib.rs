@@ -2,8 +2,10 @@
 //!
 //! The paper wires "stock bug detectors" into the execution framework
 //! (§3.1, §4.4.1): a kernel-console checker, a DataCollider-style data-race
-//! detector, and liveness monitors. This crate implements them over the
-//! engine's [`ExecReport`]s. The detectors are deliberately ignorant of the
+//! detector, and liveness monitors. This crate implements them, and the
+//! lock-rule, missed-wakeup and sleep-in-atomic oracles, over the engine's
+//! [`ExecReport`]s; [`OracleCtx`] is the one entry point that runs them. The
+//! detectors are deliberately ignorant of the
 //! planted-bug ground truth — triage against the registry happens downstream
 //! (in `snowboard::triage`), mirroring the paper's separation between
 //! detection and manual inspection.
@@ -199,22 +201,6 @@ fn race_finding(race: &RaceReport) -> Finding {
     }
 }
 
-/// Runs the stock oracles (outcome, console, data races) over one execution
-/// report.
-pub fn analyze(report: &ExecReport) -> Vec<Finding> {
-    let mut findings = outcome_findings(report);
-    findings.extend(detect_races(&report.trace).iter().map(race_finding));
-    findings
-}
-
-/// [`analyze`], counting raw (pre-dedup) detector hits as `detect.findings`
-/// on `tracer`.
-pub fn analyze_traced(report: &ExecReport, tracer: &sb_obs::Tracer) -> Vec<Finding> {
-    let findings = analyze(report);
-    tracer.count(sb_obs::keys::FINDINGS, findings.len() as u64);
-    findings
-}
-
 /// Which selectable oracles run over executions. The outcome-level oracles
 /// (panic, console, deadlock, livelock) are not selectable — they always
 /// run; this selects among the trace/sync-event analyses.
@@ -247,8 +233,9 @@ impl OracleSet {
         }
     }
 
-    /// Only the stock data-race detector: byte-identical behavior to the
-    /// pipeline before the oracle subsystem existed.
+    /// Only the data-race detector, the paper's stock set. Its findings are
+    /// the race findings [`OracleSet::all`] makes on the same executions:
+    /// the other oracles never perturb them.
     pub fn race_only() -> Self {
         OracleSet {
             race: true,
@@ -256,11 +243,6 @@ impl OracleSet {
             wakeup: false,
             atomic: false,
         }
-    }
-
-    /// True when this is exactly the stock (race-only) set.
-    pub fn is_race_only(&self) -> bool {
-        *self == Self::race_only()
     }
 
     /// Parses a selector spec: `all`, or a comma-separated subset of
@@ -318,9 +300,9 @@ impl OracleSet {
 /// [`RuleMiner`] the lock-rule oracle accumulates across a job's trials, and
 /// the racing site pairs already reported.
 ///
-/// With [`OracleSet::race_only`] the first [`OracleCtx::analyze`] of a
-/// context returns exactly what the stock [`analyze`] does; later calls leave
-/// out the site pairs an earlier one returned.
+/// A context is the one judge of an execution: a caller that runs trials —
+/// a campaign job, a baseline test, a diagnosis — makes one per job and
+/// hands it every trial's report.
 pub struct OracleCtx {
     /// The selected oracles.
     pub oracles: OracleSet,
@@ -495,12 +477,10 @@ mod tests {
         );
         assert!(OracleSet::parse("bogus").is_err());
         assert!(OracleSet::parse("race,,wakeup").is_err());
-        assert!(OracleSet::race_only().is_race_only());
-        assert!(!OracleSet::all().is_race_only());
     }
 
     #[test]
-    fn race_only_oracle_ctx_matches_stock_analyze() {
+    fn an_oracle_ctx_returns_each_race_site_pair_once() {
         use sb_vmm::access::AccessKind;
         use sb_vmm::site;
         let mk = |seq, thread, name: &str, kind| sb_vmm::Access {
@@ -527,27 +507,35 @@ mod tests {
             switches: 1,
             thread_faults: vec![None, None],
         };
-        let stock = analyze(&report);
         let mut ctx = OracleCtx::new(OracleSet::race_only());
-        assert_eq!(ctx.analyze(&report), stock);
-        assert_eq!(stock.len(), 2, "a console line and a race");
+        let first = ctx.analyze(&report);
+        assert_eq!(first.len(), 2, "a console line and a race");
+        assert!(matches!(first[0], Finding::ConsoleError { .. }));
+        assert!(matches!(first[1], Finding::DataRace { .. }));
+        // A fresh context forgets nothing: it returns both again.
+        assert_eq!(
+            OracleCtx::new(OracleSet::race_only()).analyze(&report),
+            first
+        );
         // The same execution again, and one where the two sites swap roles:
         // the console line is per execution, the site pair was returned.
-        assert_eq!(ctx.analyze(&report), stock[..1]);
+        assert_eq!(ctx.analyze(&report), first[..1]);
         let mut swapped = report.clone();
         swapped.trace = vec![
             mk(0, 0, "eq:r", AccessKind::Write),
             mk(1, 1, "eq:w", AccessKind::Read),
         ];
-        assert_eq!(ctx.analyze(&swapped), stock[..1]);
+        assert_eq!(ctx.analyze(&swapped), first[..1]);
         assert_eq!(
-            analyze(&swapped).len(),
+            OracleCtx::new(OracleSet::race_only())
+                .analyze(&swapped)
+                .len(),
             2,
-            "the stateless analysis forgets nothing"
+            "the swapped pair is a race on its own"
         );
         // A repeat is still a hit of the detector.
         let (tracer, sink) = sb_obs::Tracer::memory();
-        assert_eq!(ctx.analyze_traced(&report, &tracer), stock[..1]);
+        assert_eq!(ctx.analyze_traced(&report, &tracer), first[..1]);
         let lines = sink.lines();
         let trace = sb_obs::TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         assert_eq!(trace.counter(sb_obs::keys::FINDINGS), 2);

@@ -26,9 +26,11 @@ pub struct CorpusStats {
     pub edges: usize,
 }
 
-/// Hand-written seed programs, one per subsystem entry point — the role
-/// Syzkaller's syscall descriptions play in making every subsystem
-/// reachable. The fuzzer mutates outward from these.
+/// Hand-written seed programs, one or two per subsystem entry point — the
+/// role Syzkaller's syscall descriptions play in making every subsystem
+/// reachable. The fuzzer mutates outward from these. The futex waiter and
+/// waker are split across two seeds — the lost wakeup (#18) needs a
+/// concurrent pair where one side only waits.
 pub fn seed_programs() -> Vec<Program> {
     vec![
         // l2tp: create + connect (+ transmit).
@@ -203,16 +205,6 @@ pub fn seed_programs() -> Vec<Program> {
         ]),
         // mount (heavy).
         Program::new(vec![Syscall::Mount]),
-    ]
-}
-
-/// Seed programs for the extended (sync-oracle) catalog: the stock seeds
-/// plus one or two entry points per new subsystem. The futex waiter and
-/// waker are split across two seeds — the lost wakeup (#18) needs a
-/// concurrent pair where one side only waits.
-pub fn seed_programs_extended() -> Vec<Program> {
-    let mut seeds = seed_programs();
-    seeds.extend([
         // futex waiter (the slot-1 wake gives the program a second access,
         // so it carries edges and survives distillation).
         Program::new(vec![
@@ -244,14 +236,11 @@ pub fn seed_programs_extended() -> Vec<Program> {
         ]),
         // workqueue: queue + flush.
         Program::new(vec![Syscall::WqQueue { work: 1 }, Syscall::WqFlush]),
-    ]);
-    seeds
+    ]
 }
 
-/// Builds a coverage-distilled corpus of sequential tests from `catalog`
-/// ([`Catalog::Stock`] keeps corpora byte-identical to pre-oracle builds,
-/// [`Catalog::Extended`] adds seeds and generated calls for the sync-oracle
-/// subsystems).
+/// Builds a coverage-distilled corpus of sequential tests. `catalog` has
+/// one value; the parameter goes with the [`Catalog`] type.
 ///
 /// Runs seeds first, then generator/mutator candidates, executing each from
 /// the boot snapshot and keeping those that add edge coverage, until
@@ -279,7 +268,8 @@ pub fn build_corpus_kept(
     catalog: Catalog,
     kept: impl FnMut(u32, &ExecReport),
 ) -> (Vec<Program>, CorpusStats) {
-    let mut g = ProgGen::with_catalog(seed, catalog);
+    let Catalog::Extended = catalog;
+    let mut g = ProgGen::new(seed);
     let mut b = Builder {
         booted,
         exec: Executor::new(1),
@@ -288,11 +278,7 @@ pub fn build_corpus_kept(
         stats: CorpusStats::default(),
         kept,
     };
-    let seeds = match catalog {
-        Catalog::Stock => seed_programs(),
-        Catalog::Extended => seed_programs_extended(),
-    };
-    for s in seeds {
+    for s in seed_programs() {
         b.try_program(s);
     }
     while b.stats.executed < budget && b.corpus.len() < target_kept {
@@ -356,39 +342,35 @@ mod tests {
         for (i, s) in seed_programs().iter().enumerate() {
             assert!(s.is_well_formed(), "seed {i} malformed: {s}");
         }
-        for (i, s) in seed_programs_extended().iter().enumerate() {
-            assert!(s.is_well_formed(), "extended seed {i} malformed: {s}");
-        }
     }
 
     #[test]
     fn kept_runs_arrive_once_each_in_corpus_order_and_change_nothing() {
         let booted = boot(KernelConfig::v5_12_rc3());
-        for catalog in [Catalog::Stock, Catalog::Extended] {
-            let (plain, plain_stats) = build_corpus_with(&booted, 7, 25, 150, catalog);
-            let mut runs = Vec::new();
-            let (corpus, stats) = build_corpus_kept(&booted, 7, 25, 150, catalog, |test, run| {
-                assert!(run.outcome.is_completed());
-                runs.push((test, run.trace.len(), run.steps));
-            });
-            assert_eq!(corpus, plain);
+        let catalog = Catalog::Extended;
+        let (plain, plain_stats) = build_corpus_with(&booted, 7, 25, 150, catalog);
+        let mut runs = Vec::new();
+        let (corpus, stats) = build_corpus_kept(&booted, 7, 25, 150, catalog, |test, run| {
+            assert!(run.outcome.is_completed());
+            runs.push((test, run.trace.len(), run.steps));
+        });
+        assert_eq!(corpus, plain);
+        assert_eq!(
+            (stats.executed, stats.kept, stats.edges),
+            (plain_stats.executed, plain_stats.kept, plain_stats.edges)
+        );
+        // Each run is the one a second execution of the program records.
+        let mut exec = Executor::new(1);
+        for ((test, accesses, steps), (i, prog)) in runs.iter().zip(corpus.iter().enumerate()) {
+            let job = booted.kernel.process_job(prog.clone());
+            let again = exec.run(booted.snapshot.clone(), vec![job], &mut FreeRun);
             assert_eq!(
-                (stats.executed, stats.kept, stats.edges),
-                (plain_stats.executed, plain_stats.kept, plain_stats.edges)
+                (*test as usize, *accesses, *steps),
+                (i, again.report.trace.len(), again.report.steps),
+                "test {i}"
             );
-            // Each run is the one a second execution of the program records.
-            let mut exec = Executor::new(1);
-            for ((test, accesses, steps), (i, prog)) in runs.iter().zip(corpus.iter().enumerate()) {
-                let job = booted.kernel.process_job(prog.clone());
-                let again = exec.run(booted.snapshot.clone(), vec![job], &mut FreeRun);
-                assert_eq!(
-                    (*test as usize, *accesses, *steps),
-                    (i, again.report.trace.len(), again.report.steps),
-                    "{catalog:?}, test {i}"
-                );
-            }
-            assert_eq!(runs.len(), corpus.len());
         }
+        assert_eq!(runs.len(), corpus.len());
     }
 
     #[test]
@@ -412,14 +394,14 @@ mod tests {
         ] {
             assert!(has(expect), "extended corpus never kept a {expect} program");
         }
-        // Stock programs are still present too.
+        // The classic syscall surface is still present too.
         assert!(has("socket"));
     }
 
     #[test]
     fn corpus_build_distills_by_coverage() {
         let booted = boot(KernelConfig::v5_12_rc3());
-        let (corpus, stats) = build_corpus_with(&booted, 42, 40, 300, Catalog::Stock);
+        let (corpus, stats) = build_corpus_with(&booted, 42, 40, 300, Catalog::Extended);
         assert!(
             corpus.len() >= seed_programs().len() / 2,
             "seeds should mostly be kept"
@@ -437,8 +419,8 @@ mod tests {
     #[test]
     fn corpus_build_is_deterministic() {
         let booted = boot(KernelConfig::v5_12_rc3());
-        let (c1, _) = build_corpus_with(&booted, 7, 25, 150, Catalog::Stock);
-        let (c2, _) = build_corpus_with(&booted, 7, 25, 150, Catalog::Stock);
+        let (c1, _) = build_corpus_with(&booted, 7, 25, 150, Catalog::Extended);
+        let (c2, _) = build_corpus_with(&booted, 7, 25, 150, Catalog::Extended);
         assert_eq!(c1, c2);
     }
 }

@@ -67,45 +67,28 @@ pub fn with_res(c: &Syscall, r: Res) -> Syscall {
     c
 }
 
-/// Which syscall surface the generator draws from.
-///
-/// [`Catalog::Stock`] is the original 18-call surface and keeps the RNG
-/// stream byte-identical to pre-oracle builds, so distilled corpora (and
-/// everything downstream of them) reproduce exactly. [`Catalog::Extended`]
-/// adds the twelve sync-oracle calls (futex, epoll, nbd, vsock, kernfs,
-/// workqueue).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+/// The syscall surface the generator draws from: Syzkaller's classic
+/// 18-call surface plus the twelve sync-oracle calls (futex, epoll, nbd,
+/// vsock, kernfs, workqueue). One variant: the type stays only because
+/// the benchmark names [`Catalog::Extended`], and it goes with the next
+/// change to the benchmark.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Catalog {
-    /// The original syscall surface (default).
-    #[default]
-    Stock,
-    /// Stock plus the sync-oracle subsystem calls.
+    /// The one catalog every corpus is drawn from.
     Extended,
 }
 
 /// Random program generator with typed resources.
 pub struct ProgGen {
     rng: SplitMix64,
-    catalog: Catalog,
 }
 
 impl ProgGen {
-    /// Creates a generator from a seed, drawing from the stock catalog.
+    /// Creates a generator from a seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_catalog(seed, Catalog::Stock)
-    }
-
-    /// Creates a generator from a seed with an explicit catalog.
-    pub fn with_catalog(seed: u64, catalog: Catalog) -> Self {
         ProgGen {
             rng: SplitMix64::new(seed),
-            catalog,
         }
-    }
-
-    /// The catalog this generator draws from.
-    pub fn catalog(&self) -> Catalog {
-        self.catalog
     }
 
     fn gen_path(&mut self) -> Path {
@@ -142,14 +125,7 @@ impl ProgGen {
     /// args, to be fixed up by the caller).
     fn gen_template(&mut self) -> Syscall {
         let r = Res(0);
-        // The stock arm must keep drawing from 0..18 so existing seeds
-        // reproduce the exact same programs; the extended calls only exist
-        // past index 17.
-        let k = match self.catalog {
-            Catalog::Stock => self.rng.gen_range(0..18),
-            Catalog::Extended => self.rng.gen_range(0..30),
-        };
-        match k {
+        match self.rng.gen_range(0..30) {
             0 => Syscall::Socket {
                 domain: *self.rng.choose(&DOMAINS).expect("non-empty"),
             },
@@ -379,39 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn stock_catalog_stream_is_unchanged_and_never_emits_oracle_calls() {
-        let extended_only = [
-            "futex_wait",
-            "futex_wake",
-            "epoll_add",
-            "epoll_wake",
-            "nbd_send",
-            "nbd_disconnect",
-            "vsock_connect",
-            "vsock_send",
-            "kernfs_activate",
-            "kernfs_notify",
-            "wq_queue",
-            "wq_flush",
-        ];
-        let mut a = ProgGen::new(99);
-        let mut b = ProgGen::with_catalog(99, Catalog::Stock);
-        for _ in 0..500 {
-            let (pa, pb) = (a.gen_program(6), b.gen_program(6));
-            assert_eq!(pa, pb, "with_catalog(Stock) must not perturb the stream");
-            for c in pa.calls {
-                assert!(
-                    !extended_only.contains(&c.name()),
-                    "stock emitted {}",
-                    c.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn extended_catalog_covers_the_oracle_calls() {
-        let mut g = ProgGen::with_catalog(1234, Catalog::Extended);
+        let mut g = ProgGen::new(1234);
         let mut names = std::collections::HashSet::new();
         for _ in 0..4000 {
             for c in g.gen_program(6).calls {

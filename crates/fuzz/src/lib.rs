@@ -13,8 +13,6 @@ pub mod coverage;
 pub mod gen;
 pub mod mutate;
 
-pub use corpus::{
-    build_corpus_kept, build_corpus_with, seed_programs, seed_programs_extended, CorpusStats,
-};
+pub use corpus::{build_corpus_kept, build_corpus_with, seed_programs, CorpusStats};
 pub use coverage::{edges_of_trace, CoverageMap};
 pub use gen::{Catalog, ProgGen};

@@ -51,9 +51,10 @@ pub async fn boot_all(ctx: &Ctx, syms: &mut Symbols, config: KernelConfig) -> KR
     pending.extend(blkdev::boot(&env).await?);
     pending.extend(tty::boot(&env).await?);
     pending.extend(sound::boot(&env).await?);
-    // The six sync-oracle subsystems boot after the original twelve so the
-    // guest addresses of everything above stay byte-identical to pre-oracle
-    // builds (`hunt --oracles race` regression baselines depend on this).
+    // The six sync-oracle subsystems boot after the original twelve. Moving
+    // a subsystem in this order moves the guest address of everything booted
+    // after it, and with them every golden digest, PMC address and report
+    // byte that names one.
     pending.extend(futexq::boot(&env).await?);
     pending.extend(epollwake::boot(&env).await?);
     pending.extend(nbd_conn::boot(&env).await?);

@@ -5,10 +5,11 @@
 //! finishing in that window wakes an empty queue and the flusher blocks
 //! until its timeout, the same lost-wakeup shape as issue #18 but on the
 //! workqueue completion path (`pwq_dec_nr_in_flight()` is the waker). The
-//! patched build registers on the queue before re-checking the counter.
+//! patched build registers on the queue before re-checking the counter, and
+//! moves the counter under the pool lock so no update is lost.
 
 use sb_vmm::ctx::KResult;
-use sb_vmm::site;
+use sb_vmm::{site, Site};
 
 use crate::{Env, ETIMEDOUT};
 
@@ -35,13 +36,7 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 pub async fn queue_work(env: &Env<'_>, work: u64) -> KResult<u64> {
     let w = env.sym("wq.queue");
     let fq = env.sym("wq.flush_wq");
-    let p = env
-        .ctx
-        .read_atomic(site!("queue_work:pending_inc"), w + wq::PENDING, 8)
-        .await?;
-    env.ctx
-        .write_atomic(site!("queue_work:pending_inc"), w + wq::PENDING, 8, p + 1)
-        .await?;
+    move_pending(env, site!("queue_work:pending_inc"), |p| p + 1).await?;
     // The work item itself.
     let d = env
         .ctx
@@ -55,22 +50,34 @@ pub async fn queue_work(env: &Env<'_>, work: u64) -> KResult<u64> {
             d + 1 + (work % 2),
         )
         .await?;
-    let p = env
-        .ctx
-        .read_atomic(site!("pwq_dec_nr_in_flight:dec"), w + wq::PENDING, 8)
-        .await?;
-    env.ctx
-        .write_atomic(
-            site!("pwq_dec_nr_in_flight:dec"),
-            w + wq::PENDING,
-            8,
-            p.saturating_sub(1),
-        )
-        .await?;
+    move_pending(env, site!("pwq_dec_nr_in_flight:dec"), |p| {
+        p.saturating_sub(1)
+    })
+    .await?;
     env.ctx
         .wake_all(site!("pwq_dec_nr_in_flight:wake_flushers"), fq)
         .await?;
     Ok(0)
+}
+
+/// One read-modify-write of the in-flight counter at `site`. Patched builds
+/// hold the pool lock across it, as Linux holds `pool->lock` over
+/// `nr_in_flight`. Buggy builds race it: two concurrent `queue_work`s can
+/// lose an update and leave a count no completion brings to zero, so even
+/// a flusher that registered before its check sleeps out the timeout.
+async fn move_pending(env: &Env<'_>, site: Site, next: impl Fn(u64) -> u64) -> KResult<()> {
+    let w = env.sym("wq.queue");
+    let rmw = async {
+        let p = env.ctx.read_atomic(site, w + wq::PENDING, 8).await?;
+        env.ctx
+            .write_atomic(site, w + wq::PENDING, 8, next(p))
+            .await
+    };
+    if env.config.has_bug(23) {
+        rmw.await
+    } else {
+        env.ctx.with_lock_at(site!("pwq:pool_lock"), w, rmw).await
+    }
 }
 
 /// Waits for all in-flight work to finish (#23).

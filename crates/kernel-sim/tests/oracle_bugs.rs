@@ -269,6 +269,18 @@ fn bug23_gone_in_patched_build() {
             "patched flush registers before re-checking"
         );
     }
+    // Two threads that each queue and then flush: a lost update of the
+    // in-flight counter would strand both flushers whatever order they
+    // registered in, so the patched build must move it under its lock.
+    let queue_then_flush = Program::new(vec![Syscall::WqQueue { work: 1 }, Syscall::WqFlush]);
+    let reports = run_reports(&booted, &queue_then_flush, &queue_then_flush, 256);
+    for r in &reports {
+        assert!(
+            detect_missed_wakeups(&r.sync_events).is_empty(),
+            "patched queue_work lost an in-flight update: {:?}",
+            r.sync_events
+        );
+    }
 }
 
 #[test]

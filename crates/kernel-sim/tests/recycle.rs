@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use sb_fuzz::seed_programs_extended;
+use sb_fuzz::seed_programs;
 use sb_kernel::{boot, KernelConfig};
 use sb_vmm::exec::{ExecLimits, ExecReport, RunResult};
 use sb_vmm::sched::RandomSched;
@@ -28,7 +28,7 @@ fn outcome_kind(r: &ExecReport) -> &'static str {
 
 #[test]
 fn a_reused_executor_reports_what_a_fresh_one_does() {
-    let seeds = seed_programs_extended();
+    let seeds = seed_programs();
     let tight = ExecLimits {
         max_steps: 40,
         ..ExecLimits::default()

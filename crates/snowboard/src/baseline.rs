@@ -6,12 +6,13 @@
 //! identical copy of itself. Without a scheduling hint, trials explore
 //! interleavings with an unguided random scheduler.
 
+use sb_detect::{OracleCtx, OracleSet};
 use sb_kernel::{BootedKernel, Program};
 use sb_vmm::rng::SplitMix64;
 use sb_vmm::sched::RandomSched;
 use sb_vmm::Executor;
 
-use crate::campaign::{aggregate, CampaignReport, PmcTestOutcome};
+use crate::campaign::{aggregate, CampaignCfg, CampaignReport, PmcTestOutcome};
 
 /// The two baseline pairing policies.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -31,20 +32,18 @@ impl std::fmt::Display for Pairing {
     }
 }
 
-/// Runs `n_tests` baseline concurrent tests with `trials` interleavings
-/// each.
-#[allow(clippy::too_many_arguments)]
+/// Runs `n_tests` baseline concurrent tests under the campaign settings the
+/// baseline is compared with: `cfg`'s trials per test, seed, workers,
+/// stop-on-finding and oracles. Nothing else of `cfg` applies here.
 pub fn run_baseline(
     booted: &BootedKernel,
     corpus: &[Program],
     pairing: Pairing,
     n_tests: usize,
-    trials: u32,
-    seed: u64,
-    workers: usize,
-    stop_on_finding: bool,
+    cfg: &CampaignCfg,
 ) -> CampaignReport {
     assert!(!corpus.is_empty(), "baseline needs a corpus");
+    let seed = cfg.seed;
     let mut rng = SplitMix64::new(seed);
     let pairs: Vec<(u32, u32)> = (0..n_tests)
         .map(|_| {
@@ -59,7 +58,7 @@ pub fn run_baseline(
     let jobs: Vec<(usize, (u32, u32))> = pairs.into_iter().enumerate().collect();
     let outcomes: Vec<PmcTestOutcome> = crate::pool::map_jobs(
         &jobs,
-        workers,
+        cfg.workers,
         || Executor::new(2),
         |exec, &(i, pair)| {
             let test_seed = seed.wrapping_add((i as u64).wrapping_mul(0xA24B_AED4_963E_E407));
@@ -69,14 +68,16 @@ pub fn run_baseline(
                 corpus,
                 pair,
                 test_seed,
-                trials,
-                stop_on_finding,
+                cfg.trials_per_pmc,
+                cfg.stop_on_finding,
+                cfg.oracles,
             )
         },
     );
     aggregate(outcomes)
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_baseline_test(
     exec: &mut Executor,
     booted: &BootedKernel,
@@ -85,6 +86,7 @@ fn run_baseline_test(
     seed: u64,
     trials: u32,
     stop_on_finding: bool,
+    oracles: OracleSet,
 ) -> PmcTestOutcome {
     let wprog = corpus[pair.0 as usize].clone();
     let rprog = corpus[pair.1 as usize].clone();
@@ -99,6 +101,7 @@ fn run_baseline_test(
         repro_schedule: None,
         attempts: 1,
     };
+    let mut oracle_ctx = OracleCtx::new(oracles);
     let mut dedup = std::collections::HashSet::new();
     for trial in 0..trials {
         let mut sched = RandomSched::new(seed.wrapping_add(u64::from(trial)), 0.005);
@@ -113,7 +116,7 @@ fn run_baseline_test(
         out.trials_run += 1;
         out.steps += r.report.steps;
         let mut found_new = false;
-        for f in sb_detect::analyze(&r.report) {
+        for f in oracle_ctx.analyze(&r.report) {
             if dedup.insert(f.dedup_key()) {
                 out.findings.push(f);
                 found_new = true;

@@ -74,8 +74,8 @@ pub struct CampaignCfg {
     pub stop_on_finding: bool,
     /// Enable incidental-PMC pickup (Algorithm 2 lines 26–27).
     pub incidental: bool,
-    /// Which selectable oracles analyze each trial. [`OracleSet::race_only`]
-    /// reproduces the pre-oracle-subsystem pipeline bit for bit.
+    /// Which selectable oracles analyze each trial. The corpus does not
+    /// depend on it: every selection hunts the same programs.
     pub oracles: OracleSet,
     /// Retry policy for transient job failures.
     pub retry: RetryPolicy,
@@ -1180,11 +1180,6 @@ mod tests {
                             corpus_target: 60,
                             fuzz_budget: 900,
                             workers: 1,
-                            catalog: if oracles.is_race_only() {
-                                crate::Catalog::Stock
-                            } else {
-                                crate::Catalog::Extended
-                            },
                             ..Default::default()
                         },
                     );
@@ -1403,7 +1398,6 @@ mod tests {
                     corpus_target: 100,
                     fuzz_budget: 1500,
                     workers: 1,
-                    catalog: crate::Catalog::Extended,
                     ..Default::default()
                 },
             );

@@ -9,7 +9,7 @@
 //! explain it and renders a human-readable diagnosis with the simulated
 //! kernel's "source" locations (site names).
 
-use sb_detect::{Finding, RaceReport};
+use sb_detect::{Finding, OracleCtx, OracleSet, RaceReport};
 use sb_vmm::access::Access;
 use sb_vmm::exec::ExecReport;
 
@@ -41,9 +41,10 @@ fn race_matches_pmc(race: &RaceReport, pmc: &Pmc) -> bool {
     (a == pmc.key.w.ins && b == pmc.key.r.ins) || (a == pmc.key.r.ins && b == pmc.key.w.ins)
 }
 
-/// Diagnoses every finding of one execution against the PMC universe.
+/// Diagnoses every finding the default oracles make on one execution
+/// against the PMC universe.
 pub fn diagnose(report: &ExecReport, set: &PmcSet) -> Vec<Diagnosis> {
-    let findings = sb_detect::analyze(report);
+    let findings = OracleCtx::new(OracleSet::default()).analyze(report);
     let races = sb_detect::detect_races(&report.trace);
     findings
         .into_iter()

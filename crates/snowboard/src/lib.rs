@@ -16,8 +16,8 @@
 //!    clustering strategies; [`select`] orders clusters uncommon-first and
 //!    picks exemplars.
 //! 4. **Concurrent test execution** (§4.4, Algorithm 2) — [`campaign`]
-//!    executes each exemplar's test pair under the PMC-hinted scheduler
-//!    with the stock detectors from [`sb_detect`].
+//!    executes each exemplar's test pair under the PMC-hinted scheduler,
+//!    judged by the selected oracles of [`sb_detect::OracleCtx`].
 //!
 //! [`baseline`] provides the Random/Duplicate pairing baselines,
 //! [`metrics`] the §5 measurements, and [`triage`] the ground-truth
@@ -125,9 +125,8 @@ pub struct PipelineCfg {
     /// benchmark builds this struct by name and sizes its own explicit
     /// [`profile::profile_corpus`] passes with it.
     pub workers: usize,
-    /// Syscall catalog for corpus generation. [`Catalog::Stock`] (the
-    /// default) keeps corpora byte-identical to pre-oracle builds;
-    /// [`Catalog::Extended`] adds the sync-oracle subsystem calls.
+    /// Syscall catalog for corpus generation. It has one value, and the
+    /// field stays only because the benchmark builds this struct by name.
     pub catalog: Catalog,
     /// Structured tracer; disabled by default ([`Tracer::disabled`]).
     pub tracer: Tracer,
@@ -140,7 +139,7 @@ impl Default for PipelineCfg {
             corpus_target: 120,
             fuzz_budget: 2_000,
             workers: 4,
-            catalog: Catalog::default(),
+            catalog: Catalog::Extended,
             tracer: Tracer::disabled(),
         }
     }
@@ -311,33 +310,24 @@ mod tests {
     fn prepare_runs_the_guest_once_per_fuzzed_program() {
         let config = KernelConfig::v5_12_rc3();
         let profile_runs = || profile::GUEST_RUNS.with(std::cell::Cell::get);
-        for catalog in [Catalog::Stock, Catalog::Extended] {
-            let cfg = PipelineCfg {
-                seed: 2021,
-                corpus_target: 100,
-                fuzz_budget: 1500,
-                workers: 1,
-                catalog,
-                ..PipelineCfg::default()
-            };
-            let before = profile_runs();
-            let p = Pipeline::prepare(config, cfg);
-            assert_eq!(
-                profile_runs(),
-                before,
-                "{catalog:?}: prepare ran a profile pass"
-            );
-            assert_eq!(p.profiles.len(), p.corpus.len());
-            let (corpus, fuzz) = sb_fuzz::build_corpus_with(&p.booted, 2021, 100, 1500, catalog);
-            assert_eq!((p.stats.fuzz_executed, &p.corpus), (fuzz.executed, &corpus));
-            assert!(
-                fuzz.executed > fuzz.kept,
-                "{catalog:?}: some candidate must be dropped"
-            );
-            // The explicit pass is what the counter counts: one run a program.
-            let profiles = profile::profile_corpus(&p.booted, &p.corpus, 1);
-            assert_eq!(profile_runs() - before, corpus.len() as u64);
-            assert_eq!(profiles, p.profiles);
-        }
+        let cfg = PipelineCfg {
+            seed: 2021,
+            corpus_target: 100,
+            fuzz_budget: 1500,
+            workers: 1,
+            ..PipelineCfg::default()
+        };
+        let before = profile_runs();
+        let p = Pipeline::prepare(config, cfg);
+        assert_eq!(profile_runs(), before, "prepare ran a profile pass");
+        assert_eq!(p.profiles.len(), p.corpus.len());
+        let (corpus, fuzz) =
+            sb_fuzz::build_corpus_with(&p.booted, 2021, 100, 1500, Catalog::Extended);
+        assert_eq!((p.stats.fuzz_executed, &p.corpus), (fuzz.executed, &corpus));
+        assert!(fuzz.executed > fuzz.kept, "some candidate must be dropped");
+        // The explicit pass is what the counter counts: one run a program.
+        let profiles = profile::profile_corpus(&p.booted, &p.corpus, 1);
+        assert_eq!(profile_runs() - before, corpus.len() as u64);
+        assert_eq!(profiles, p.profiles);
     }
 }

@@ -6,7 +6,7 @@ use sb_vmm::exec::ExecReport;
 use sb_vmm::sched::{RandomSched, Scheduler, SkiSched, SnowboardSched};
 use sb_vmm::Executor;
 
-use sb_detect::Finding;
+use sb_detect::{Finding, OracleCtx, OracleSet};
 
 use crate::pmc::{Pmc, PmcSet};
 
@@ -167,7 +167,8 @@ pub struct ExposeResult {
 }
 
 /// Runs trials under `kind` until `hit` returns true for some trial's
-/// findings, or `max_trials` is exhausted.
+/// findings, or `max_trials` is exhausted. The trials are one job: one
+/// [`OracleCtx`] under the default oracles judges them all.
 ///
 /// This is the §5.4 experiment: for the bug-triggering concurrent tests,
 /// SKI "requires 84 times more interleavings than Snowboard on average";
@@ -185,6 +186,7 @@ pub fn interleavings_to_expose(
     hit: impl Fn(&[Finding]) -> bool,
 ) -> Option<ExposeResult> {
     let mut steps = 0u64;
+    let mut oracle_ctx = OracleCtx::new(OracleSet::default());
     let trials = run_trials(
         exec,
         booted,
@@ -196,7 +198,7 @@ pub fn interleavings_to_expose(
         max_trials,
         |r| {
             steps += r.steps;
-            hit(&sb_detect::analyze(r))
+            hit(&oracle_ctx.analyze(r))
         },
     );
     (trials < max_trials).then(|| ExposeResult {

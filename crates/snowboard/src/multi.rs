@@ -15,7 +15,7 @@
 //! publication window — with two readers, *either* can dereference the
 //! uninitialized socket, roughly doubling the per-trial exposure odds.
 
-use sb_detect::Finding;
+use sb_detect::{Finding, OracleCtx, OracleSet};
 use sb_kernel::{BootedKernel, Program};
 use sb_vmm::rng::SplitMix64;
 use sb_vmm::sched::SnowboardSched;
@@ -148,6 +148,7 @@ pub fn test_triple_traced(
         first_finding_trial: None,
         steps: 0,
     };
+    let mut oracle_ctx = OracleCtx::new(OracleSet::default());
     let mut dedup = std::collections::HashSet::new();
     for trial in 0..trials {
         sched.begin_trial(seed.wrapping_add(u64::from(trial)));
@@ -163,7 +164,7 @@ pub fn test_triple_traced(
         out.trials_run += 1;
         out.steps += r.report.steps;
         let mut found_new = false;
-        for f in sb_detect::analyze_traced(&r.report, tracer) {
+        for f in oracle_ctx.analyze_traced(&r.report, tracer) {
             if dedup.insert(f.dedup_key()) {
                 out.findings.push(f);
                 found_new = true;

@@ -1151,12 +1151,9 @@ mod tests {
         }
         assert!(leaders > 50, "the random corpora hold {leaders} leaders");
         let booted = sb_kernel::boot(sb_kernel::KernelConfig::v5_12_rc3());
-        for (seed, catalog) in [
-            (3, sb_fuzz::Catalog::Stock),
-            (17, sb_fuzz::Catalog::Extended),
-            (2021, sb_fuzz::Catalog::Extended),
-        ] {
-            let (corpus, _) = sb_fuzz::build_corpus_with(&booted, seed, 100, 1500, catalog);
+        for seed in [3, 17, 2021] {
+            let (corpus, _) =
+                sb_fuzz::build_corpus_with(&booted, seed, 100, 1500, sb_fuzz::Catalog::Extended);
             let profiles = crate::profile::profile_corpus(&booted, &corpus, 1);
             let what = format!("fuzzed corpus {seed}");
             let leaders: usize = profiles.iter().map(|p| check(p, &what)).sum();
@@ -1375,7 +1372,7 @@ mod tests {
         let booted = sb_kernel::boot(sb_kernel::KernelConfig::v5_12_rc3());
         for seed in [3, 17, 71] {
             let (corpus, _) =
-                sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Stock);
+                sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Extended);
             let profiles = crate::profile::profile_corpus(&booted, &corpus, 1);
             assert!(identify(&profiles).len() > 50, "seed {seed}: thin corpus");
             assert_matches_reference(&profiles, &format!("fuzzed corpus {seed}"));

@@ -1,13 +1,13 @@
-//! End-to-end oracle-subsystem tests: a hunt over the extended catalog must
-//! find each of the six planted sync bugs (#18–#23) through its *intended*
-//! oracle, and selecting `--oracles race` must reproduce the pre-oracle
-//! pipeline's findings exactly.
+//! End-to-end oracle-subsystem tests: a hunt must find each of the six
+//! planted sync bugs (#18–#23) through its *intended* oracle, and the extra
+//! oracles must leave the race detector's findings as `--oracles race`
+//! reports them on the same corpus.
 
 use std::collections::BTreeMap;
 
 use snowboard::cluster::Strategy;
 use snowboard::select::ClusterOrder;
-use snowboard::{CampaignCfg, Catalog, OracleSet, Pipeline, PipelineCfg};
+use snowboard::{CampaignCfg, OracleSet, Pipeline, PipelineCfg};
 
 use sb_kernel::KernelConfig;
 
@@ -19,7 +19,6 @@ fn extended_cfg() -> PipelineCfg {
         corpus_target: 80,
         fuzz_budget: 900,
         workers: 4,
-        catalog: Catalog::Extended,
         ..PipelineCfg::default()
     }
 }
@@ -70,7 +69,7 @@ fn extended_catalog_campaign_finds_the_six_oracle_bugs() {
             "bug #{bug} not reported by its {oracle} oracle; found {by_bug:?}"
         );
     }
-    // The stock bugs stay reachable under the extended catalog too.
+    // The race and console bugs stay reachable too.
     assert!(
         report.bug_ids().contains(&13),
         "slab bug lost: {:?}",

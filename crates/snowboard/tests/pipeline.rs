@@ -3,7 +3,7 @@
 
 use snowboard::cluster::Strategy;
 use snowboard::select::ClusterOrder;
-use snowboard::{CampaignCfg, Catalog, Pipeline, PipelineCfg};
+use snowboard::{CampaignCfg, Catalog, OracleCtx, OracleSet, Pipeline, PipelineCfg};
 
 use sb_kernel::KernelConfig;
 
@@ -27,49 +27,51 @@ fn prepare_equals_fuzz_then_profile_then_identify() {
     let config = KernelConfig::v5_12_rc3();
     let booted = sb_kernel::boot(config);
     for (corpus_target, fuzz_budget) in [(100, 1500), (250, 6000), (60, 40)] {
-        for catalog in [Catalog::Stock, Catalog::Extended] {
-            for seed in (0..16).map(|i| 2021 + 97 * i) {
-                let what = format!("seed {seed}, {catalog:?}, {corpus_target}/{fuzz_budget}");
-                let fused = Pipeline::prepare(
-                    config,
-                    PipelineCfg {
-                        seed,
-                        corpus_target,
-                        fuzz_budget,
-                        workers: 1,
-                        catalog,
-                        ..PipelineCfg::default()
-                    },
+        for seed in (0..16).map(|i| 2021 + 97 * i) {
+            let what = format!("seed {seed}, {corpus_target}/{fuzz_budget}");
+            let fused = Pipeline::prepare(
+                config,
+                PipelineCfg {
+                    seed,
+                    corpus_target,
+                    fuzz_budget,
+                    workers: 1,
+                    ..PipelineCfg::default()
+                },
+            );
+            let (corpus, fuzz) = sb_fuzz::build_corpus_with(
+                &booted,
+                seed,
+                corpus_target,
+                fuzz_budget,
+                Catalog::Extended,
+            );
+            let profiles = snowboard::profile::profile_corpus(&booted, &corpus, 1);
+            let pmcs = snowboard::pmc::identify(&profiles);
+            assert_eq!(fused.corpus, corpus, "{what}");
+            assert_eq!(fused.profiles, profiles, "{what}");
+            assert_eq!(fused.pmcs, pmcs, "{what}");
+            let stats = &fused.stats;
+            assert_eq!(
+                (stats.fuzz_executed, stats.corpus_kept, stats.edges),
+                (fuzz.executed, fuzz.kept, fuzz.edges),
+                "{what}"
+            );
+            assert_eq!(
+                (stats.shared_accesses, stats.pmcs_identified),
+                (profiles.iter().map(|p| p.accesses.len()).sum(), pmcs.len()),
+                "{what}"
+            );
+            if fuzz_budget < 100 {
+                assert!(
+                    corpus.len() < corpus_target,
+                    "{what}: the budget must run out"
                 );
-                let (corpus, fuzz) =
-                    sb_fuzz::build_corpus_with(&booted, seed, corpus_target, fuzz_budget, catalog);
-                let profiles = snowboard::profile::profile_corpus(&booted, &corpus, 1);
-                let pmcs = snowboard::pmc::identify(&profiles);
-                assert_eq!(fused.corpus, corpus, "{what}");
-                assert_eq!(fused.profiles, profiles, "{what}");
-                assert_eq!(fused.pmcs, pmcs, "{what}");
-                let stats = &fused.stats;
-                assert_eq!(
-                    (stats.fuzz_executed, stats.corpus_kept, stats.edges),
-                    (fuzz.executed, fuzz.kept, fuzz.edges),
-                    "{what}"
+            } else {
+                assert!(
+                    corpus.len() >= corpus_target,
+                    "{what}: the target must be met"
                 );
-                assert_eq!(
-                    (stats.shared_accesses, stats.pmcs_identified),
-                    (profiles.iter().map(|p| p.accesses.len()).sum(), pmcs.len()),
-                    "{what}"
-                );
-                if fuzz_budget < 100 {
-                    assert!(
-                        corpus.len() < corpus_target,
-                        "{what}: the budget must run out"
-                    );
-                } else {
-                    assert!(
-                        corpus.len() >= corpus_target,
-                        "{what}: the target must be met"
-                    );
-                }
             }
         }
     }
@@ -92,9 +94,19 @@ fn pipeline_identifies_known_channels() {
     assert!(slab.is_some(), "slab stats PMC missing");
 }
 
+/// Table 3's cluster-count shape, on the corpus Table 3 is measured on:
+/// `sb-bench`'s quick scale, which is also `hunt`'s default corpus. The
+/// S-INS-PAIR ≥ S-INS step depends on the corpus: at 60 tests it fails for
+/// seeds 3, 7 and 11 (EXPERIMENTS.md, "One corpus, one judge").
 #[test]
 fn cluster_counts_are_ordered_like_table3() {
-    let p = Pipeline::prepare(KernelConfig::v5_12_rc3(), small_cfg());
+    let cfg = PipelineCfg {
+        seed: 2021,
+        corpus_target: 100,
+        fuzz_budget: 1500,
+        ..small_cfg()
+    };
+    let p = Pipeline::prepare(KernelConfig::v5_12_rc3(), cfg);
     let full = p.cluster_count(Strategy::SFull);
     let ch = p.cluster_count(Strategy::SCh);
     let ins = p.cluster_count(Strategy::SIns);
@@ -198,9 +210,7 @@ fn campaign_repro_schedules_replay_their_findings() {
             ],
             &mut replay,
         );
-        let mut found = sb_detect::analyze(&r.report);
-        found.extend(sb_detect::detect_missed_wakeups(&r.report.sync_events));
-        found.extend(sb_detect::detect_sleep_in_atomic(&r.report.sync_events));
+        let found = OracleCtx::new(OracleSet::all()).analyze(&r.report);
         let keys: std::collections::HashSet<String> = found.iter().map(|f| f.dedup_key()).collect();
         for f in &o.findings {
             // Lock-rule findings are corpus-statistical (mined from the
@@ -231,10 +241,12 @@ fn baselines_find_the_easy_race_only_mostly() {
         &p.corpus,
         snowboard::baseline::Pairing::Duplicate,
         150,
-        4,
-        3,
-        4,
-        true,
+        &CampaignCfg {
+            seed: 3,
+            trials_per_pmc: 4,
+            workers: 4,
+            ..CampaignCfg::default()
+        },
     );
     let bugs = report.bug_ids();
     assert!(

@@ -8,7 +8,8 @@ use snowboard::profile::{profile_corpus, SeqProfile};
 
 fn fuzzed_profiles(seed: u64) -> Vec<SeqProfile> {
     let booted = boot(KernelConfig::v5_12_rc3());
-    let (corpus, _) = sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Stock);
+    let (corpus, _) =
+        sb_fuzz::build_corpus_with(&booted, seed, 24, 360, sb_fuzz::Catalog::Extended);
     assert!(
         corpus.len() >= 8,
         "seed {seed}: corpus too small ({})",

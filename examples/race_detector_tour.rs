@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p sb-examples --bin race_detector_tour`
 
-use sb_detect::Finding;
+use sb_detect::{Finding, OracleCtx, OracleSet};
 use sb_kernel::prog::{Domain, IoctlCmd, Path, Res};
 use sb_kernel::{boot, bugs, BootedKernel, KernelConfig, Program, Syscall};
 use sb_vmm::sched::RandomSched;
@@ -16,6 +16,7 @@ use sb_vmm::Executor;
 fn show(booted: &BootedKernel, title: &str, a: &Program, b: &Program, attempts: u64) {
     println!("--- {title} ---");
     let mut exec = Executor::new(2);
+    let mut oracle_ctx = OracleCtx::new(OracleSet::default());
     let mut seen = std::collections::HashSet::new();
     let mut findings: Vec<Finding> = Vec::new();
     for seed in 0..attempts {
@@ -28,7 +29,7 @@ fn show(booted: &BootedKernel, title: &str, a: &Program, b: &Program, attempts: 
             ],
             &mut sched,
         );
-        for f in sb_detect::analyze(&r.report) {
+        for f in oracle_ctx.analyze(&r.report) {
             if seen.insert(f.dedup_key()) {
                 findings.push(f);
             }

@@ -167,7 +167,7 @@ fn fuzz_corpus_feeds_pipeline_without_panics() {
     // Sequential tests generated by the fuzzer must never panic the
     // simulated kernel: all planted bugs are concurrency bugs.
     let booted = shared_old_kernel();
-    let (corpus, _) = sb_fuzz::build_corpus_with(booted, 99, 50, 400, sb_fuzz::Catalog::Stock);
+    let (corpus, _) = sb_fuzz::build_corpus_with(booted, 99, 50, 400, sb_fuzz::Catalog::Extended);
     let mut exec = Executor::new(1);
     for (i, prog) in corpus.iter().enumerate() {
         let r = exec.run(
@@ -196,7 +196,8 @@ fn detectors_stay_quiet_on_sequential_executions() {
             vec![booted.kernel.process_job(prog.clone())],
             &mut sb_vmm::sched::FreeRun,
         );
-        let findings = sb_detect::analyze(&r.report);
+        let findings =
+            sb_detect::OracleCtx::new(sb_detect::OracleSet::race_only()).analyze(&r.report);
         assert!(
             findings.is_empty(),
             "sequential run of {prog} produced {findings:?}"
