@@ -13,8 +13,8 @@ use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
 use snowboard::{
     config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, ChaosPlan,
-    FleetCfg, FleetWork, IdentifyOpts, JobBudget, JoinCfg, OracleSet, Pipeline, PipelineCfg, PmcId,
-    RetryPolicy, SbResult, SuperviseCfg,
+    FleetCfg, FleetWork, JobBudget, JoinCfg, OracleSet, Pipeline, PipelineCfg, PmcId, RetryPolicy,
+    SbResult, SuperviseCfg,
 };
 
 use crate::args::{Cmd, HuntOpts, JoinOpts, ServeOpts, USAGE};
@@ -199,16 +199,10 @@ fn print_hunt_store_stats(s: &StoreStats) {
         100.0 * s.hit_rate(),
         s.profile_hits
     );
-    let pmc_mode = if s.pmc_cache_hit {
-        "cached"
-    } else if s.pmc_incremental {
-        "incremental"
-    } else {
-        "rebuilt"
-    };
+    let pmc_mode = if s.pmc_cache_hit { "cached" } else { "rebuilt" };
     println!(
-        "[store] pmcs {pmc_mode}; {} segment(s), {} bytes; {} shard(s), skew {:.2}",
-        s.segments, s.stored_bytes, s.shards, s.shard_skew
+        "[store] pmcs {pmc_mode}; {} segment(s), {} bytes",
+        s.segments, s.stored_bytes
     );
     if s.records_damaged > 0 {
         println!(
@@ -347,7 +341,6 @@ fn prepare_hunt_pipeline(
     pipeline_cfg: PipelineCfg,
     store: &Option<std::path::PathBuf>,
     no_cache: bool,
-    workers: usize,
     disk_faults: snowboard::DiskFaults,
 ) -> Result<(Pipeline, Option<StoreStats>, Vec<&'static str>), ExitCode> {
     match store {
@@ -361,13 +354,7 @@ fn prepare_hunt_pipeline(
             };
             st.set_read_cache(!no_cache);
             st.set_fault_plan(disk_faults);
-            let shards = workers.max(1);
-            match sb_store::prepare(
-                config,
-                &pipeline_cfg,
-                &IdentifyOpts::sharded(shards, workers),
-                &mut st,
-            ) {
+            match sb_store::prepare(config, &pipeline_cfg, &mut st) {
                 Ok((p, stats)) => {
                     print_hunt_store_stats(&stats);
                     let fired = st.fault_fired();
@@ -525,7 +512,6 @@ fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
         pipeline_cfg,
         &o.store,
         o.no_cache,
-        o.workers,
         o.chaos.disk.clone(),
     )?;
     count_disk_fired(&tracer, &disk_fired);

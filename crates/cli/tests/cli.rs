@@ -177,7 +177,8 @@ fn store_fsck_and_repair_round_trip() {
 /// corpus is hunted: the store-backed prepare once fuzzed the stock catalog
 /// whatever the oracle set asked for, so `--store` under the default oracles
 /// hunted another corpus than the same command without it and found none of
-/// the sync bugs.
+/// the sync bugs. Nor which PMC set: a store filled at a smaller corpus was
+/// once grown into a set numbered in another order.
 #[test]
 fn hunt_with_a_store_prints_what_hunt_without_one_prints() {
     for oracles in ["all", "race"] {
@@ -197,14 +198,25 @@ fn hunt_with_a_store_prints_what_hunt_without_one_prints() {
             String::from_utf8_lossy(&plain.stderr)
         );
         let dir = scratch_dir(&format!("store-parity-{oracles}"));
-        for (run, expect) in [
-            ("cold", "profile-hit-rate 0.0%"),
-            ("warm", "profile-hit-rate 100.0%"),
+        // A store filled at a smaller corpus, whose keys are a prefix of
+        // this corpus's: its PMC set is not reused.
+        let grown = scratch_dir(&format!("store-parity-grown-{oracles}"));
+        let small = bin()
+            .args(flags)
+            .args(["--corpus", "40", "--store"])
+            .arg(&grown)
+            .output()
+            .expect("run hunt --corpus 40 --store");
+        assert!(small.status.success());
+        for (run, dir, expect) in [
+            ("cold", &dir, "profile-hit-rate 0.0%"),
+            ("warm", &dir, "profile-hit-rate 100.0%"),
+            ("grown", &grown, "pmcs rebuilt"),
         ] {
             let stored = bin()
                 .args(flags)
                 .arg("--store")
-                .arg(&dir)
+                .arg(dir)
                 .output()
                 .expect("run hunt --store");
             assert!(
@@ -224,6 +236,7 @@ fn hunt_with_a_store_prints_what_hunt_without_one_prints() {
             assert_eq!(campaign, stdout(&plain), "--oracles {oracles}, {run} store");
         }
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&grown).ok();
     }
 }
 

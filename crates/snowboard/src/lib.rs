@@ -102,7 +102,7 @@ pub use fleet::{
 pub use journal::{FrameLog, JournalRecord};
 pub use ledger::JobLedger;
 pub use metrics::{FleetStats, StoreStats};
-pub use pmc::{identify_sharded, IdentifyOpts, JoinReport, JoinState, Pmc, PmcId, PmcSet};
+pub use pmc::{JoinState, Pmc, PmcId, PmcSet};
 pub use profile::{SeqProfile, SharedAccessFilter};
 pub use protocol::{
     read_frame, write_frame, JoinMsg, ProtocolError, ServeMsg, FLEET_PROTO_VERSION,

@@ -45,18 +45,10 @@ pub struct StoreStats {
     /// True when the PMC set was loaded whole from the store (exact corpus
     /// match) instead of being identified.
     pub pmc_cache_hit: bool,
-    /// True when the PMC set was grown incrementally from a stored prefix
-    /// index instead of rebuilt from scratch.
-    pub pmc_incremental: bool,
     /// Segment files currently in the store.
     pub segments: u64,
     /// Total bytes across segment files.
     pub stored_bytes: u64,
-    /// Address-range shards used for identification (1 = sequential path).
-    pub shards: u64,
-    /// Max-over-mean shard load during identification; 1.0 is perfectly
-    /// balanced, 0.0 when no sharded join ran.
-    pub shard_skew: f64,
     /// Records found corrupt, truncated, or missing this run and
     /// quarantined (served as misses instead of failing the campaign).
     pub records_damaged: u64,

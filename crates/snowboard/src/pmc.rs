@@ -22,28 +22,20 @@
 //! is quadratic in the tests that share a side, and is kept only as the
 //! reference the unit tests compare this join against.
 //!
-//! Identification is organized around [`JoinState`], the persistent form of
-//! Algorithm 1's index: the write and read sides plus the folded PMC set.
-//! Three execution modes share one scan and one fold:
+//! Identification is organized around [`JoinState`], Algorithm 1's index
+//! in persistent form: the write and read sides plus the folded PMC set.
+//! [`identify`] ingests every profile and then joins every read against
+//! the full write index in read-major, address-minor order; that order *is*
+//! the specification, and it numbers the PMCs. A PMC set is a function of
+//! the corpus it was identified from, so a store reuses one only for
+//! exactly that corpus (`sb_store::prepare`) and identifies any other from
+//! scratch.
 //!
-//! * **Batch** ([`identify`]) — the reference path: every profile ingested,
-//!   then every read joined against the full write index in read-major,
-//!   address-minor order. This order *is* the specification; the other two
-//!   modes reproduce or approximate it.
-//! * **Sharded parallel** ([`identify_sharded`]) — the write index is
-//!   partitioned into contiguous address ranges balanced by record count,
-//!   each shard's write×read join runs on its own worker, and per-read match
-//!   lists are merged back in shard (= address) order before the sequential
-//!   fold assigns ids. The result is bit-identical to the batch path because
-//!   concatenating the per-shard scans of one read in shard order is exactly
-//!   the batch path's single ordered range scan of that read.
-//! * **Incremental** ([`JoinState::resume`] + [`JoinState::add_profiles`]) —
-//!   when a corpus grows, only the new profiles are joined: the records read
-//!   sides already held × the batch's writes first, then the batch's read
-//!   records × the full index. This yields the same PMC universe (same keys,
-//!   same df flags, same pair sets up to the per-PMC pair cap) as a
-//!   from-scratch rebuild, though PMC ids may be permuted because id
-//!   assignment order follows join order.
+//! [`JoinState::add_profiles`] also takes a corpus in several batches
+//! (earlier reads × the batch's writes, then the batch's reads × the full
+//! index). That yields the same PMC universe as one batch, though ids can
+//! be permuted because id assignment follows join order; only the
+//! benchmark's `pmc.incremental_add_ms` probe calls it that way.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
@@ -238,79 +230,19 @@ impl DfScratch {
     }
 }
 
-/// How the write×read join of one [`JoinState::add_profiles`] call runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct IdentifyOpts {
-    /// Address-range shards the write index is partitioned into; 1 runs the
-    /// join inline on the calling thread.
-    pub shards: usize,
-    /// Worker threads the shard jobs fan out across (scoped threads).
-    pub workers: usize,
-}
-
-impl Default for IdentifyOpts {
-    fn default() -> Self {
-        IdentifyOpts {
-            shards: 1,
-            workers: 1,
-        }
-    }
-}
-
-impl IdentifyOpts {
-    /// Sharded-parallel options: `shards` address shards on `workers`
-    /// threads.
-    pub fn sharded(shards: usize, workers: usize) -> Self {
-        IdentifyOpts {
-            shards: shards.max(1),
-            workers: workers.max(1),
-        }
-    }
-}
-
-/// Work accounting from one `add_profiles` join, for shard-skew reporting.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct JoinReport {
-    /// Candidate (write, read) matches folded per shard. Length equals the
-    /// shard count actually used (1 for the inline path).
-    pub shard_matches: Vec<u64>,
-}
-
-impl JoinReport {
-    /// Total matches folded across all shards.
-    pub fn matches(&self) -> u64 {
-        self.shard_matches.iter().sum()
-    }
-
-    /// Load skew: max shard load over mean shard load (1.0 = perfectly
-    /// balanced; 0.0 when no work was done).
-    pub fn skew(&self) -> f64 {
-        let total = self.matches();
-        if total == 0 || self.shard_matches.is_empty() {
-            return 0.0;
-        }
-        let max = *self.shard_matches.iter().max().expect("non-empty") as f64;
-        let mean = total as f64 / self.shard_matches.len() as f64;
-        max / mean
-    }
-
-    fn absorb(&mut self, other: JoinReport) {
-        if self.shard_matches.len() < other.shard_matches.len() {
-            self.shard_matches.resize(other.shard_matches.len(), 0);
-        }
-        for (slot, m) in other.shard_matches.into_iter().enumerate() {
-            self.shard_matches[slot] += m;
-        }
-    }
-}
+/// What [`JoinState::add_profiles`] takes for its join options: nothing,
+/// since the join runs inline. A shim for the benchmark, which still
+/// passes one; ROADMAP item 7's benchmark PR deletes it. Braced, not a unit
+/// struct, because the benchmark writes `IdentifyOpts::default()`, which
+/// clippy refuses for a unit struct.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct IdentifyOpts {}
 
 /// Algorithm 1's state in persistent form: the deduplicated write and read
 /// sides, the ordered nested write index, and the folded PMC set.
 ///
-/// Supports growing a PMC universe across batches: `add_profiles` ingests a
-/// batch and joins only what is new (existing reads × new writes, then new
-/// reads × the full write index), so re-indexing after corpus growth costs
-/// the new joins, not a rebuild.
+/// `add_profiles` ingests a batch and joins only what is new (existing
+/// reads × new writes, then new reads × the full write index).
 #[derive(Clone, Debug, Default)]
 pub struct JoinState {
     writes: WriteIndex,
@@ -357,25 +289,6 @@ impl JoinState {
     /// Number of deduplicated read records indexed so far.
     pub fn reads_indexed(&self) -> usize {
         self.reads.iter().map(|r| r.tests.len()).sum()
-    }
-
-    /// Rebuilds a state from profiles that were *already joined* into `set`
-    /// (e.g. loaded from a persistent store), without re-running the join.
-    /// Only ingest work (linear in total accesses) is paid; subsequent
-    /// `add_profiles` calls join new batches against this index.
-    pub fn resume(profiles: &[SeqProfile], set: PmcSet) -> Self {
-        let mut st = JoinState::new();
-        let mut batch = WriteIndex::new();
-        st.ingest(profiles, &mut batch);
-        merge_writes(&mut st.writes, batch);
-        st.index = set
-            .pmcs
-            .iter()
-            .enumerate()
-            .map(|(id, p)| (p.key, id as PmcId))
-            .collect();
-        st.set = set;
-        st
     }
 
     /// Ingests a batch (Algorithm 1 lines 1–5): deduplicates records per
@@ -426,18 +339,18 @@ impl JoinState {
     }
 
     /// Ingests `profiles` and joins what is new. On an empty state this is
-    /// Algorithm 1 verbatim; on a resumed/grown state it is the incremental
-    /// re-index (old reads × new writes, then new reads × all writes).
-    pub fn add_profiles(&mut self, profiles: &[SeqProfile], opts: &IdentifyOpts) -> JoinReport {
+    /// Algorithm 1 verbatim; on a state that already holds batches it joins
+    /// old reads × new writes, then new reads × all writes. `_opts` is the
+    /// benchmark's shim ([`IdentifyOpts`]).
+    pub fn add_profiles(&mut self, profiles: &[SeqProfile], _opts: &IdentifyOpts) {
         // Records each read side held before this batch.
         let before: Vec<usize> = self.reads.iter().map(|r| r.tests.len()).collect();
         let mut batch_writes = WriteIndex::new();
         self.ingest(profiles, &mut batch_writes);
-        let mut report = JoinReport::default();
         // Phase 1: read records of earlier batches × this batch's writes.
         if !before.is_empty() && !batch_writes.is_empty() {
             let old: Vec<ReadWork> = before.iter().map(|n| 0..*n).enumerate().collect();
-            report.absorb(self.join(&old, &batch_writes, opts));
+            self.join(&old, &batch_writes);
         }
         merge_writes(&mut self.writes, batch_writes);
         // Phase 2: this batch's read records × the full write index. A side
@@ -451,10 +364,9 @@ impl JoinState {
             .collect();
         if !new.is_empty() && !self.writes.is_empty() {
             let writes = std::mem::take(&mut self.writes);
-            report.absorb(self.join(&new, &writes, opts));
+            self.join(&new, &writes);
             self.writes = writes;
         }
-        report
     }
 
     /// Joins the read records in `work` against `writes`, folding matches
@@ -466,86 +378,30 @@ impl JoinState {
     /// append pairs — to pair lists that are independent of one another.
     /// Walking side by side therefore numbers PMCs and orders pairs exactly
     /// as walking record by record would.
-    fn join(&mut self, work: &[ReadWork], writes: &WriteIndex, opts: &IdentifyOpts) -> JoinReport {
+    fn join(&mut self, work: &[ReadWork], writes: &WriteIndex) {
         let JoinState {
             reads, set, index, ..
         } = self;
-        if opts.shards <= 1 {
-            // Inline reference path: fold as the scan produces matches.
-            let mut matches = 0u64;
-            for (pos, recs) in work {
-                let r = &reads[*pos];
-                scan_read(writes, &r.key, 0, u64::MAX, |w| {
-                    matches += fold_match(set, index, w, r, recs.clone());
-                });
-            }
-            return JoinReport {
-                shard_matches: vec![matches],
-            };
-        }
-
-        let bounds = shard_bounds(writes, opts.shards);
-        let reads = &*reads;
-        // Each shard scans every read's window clipped to its own address
-        // interval; within a shard, matches come out read-major and
-        // address-minor, exactly like the reference scan restricted to that
-        // interval.
-        let shard_matches: Vec<Vec<(usize, &Side)>> = crate::pool::map_jobs(
-            &bounds,
-            opts.workers,
-            || (),
-            |(), &(shard_lo, shard_hi)| {
-                let mut out = Vec::new();
-                for (pos, _) in work {
-                    scan_read(writes, &reads[*pos].key, shard_lo, shard_hi, |w| {
-                        out.push((*pos, w));
-                    });
-                }
-                out
-            },
-        );
-        // Merge: for each read in order, drain each shard's matches for that
-        // read in shard (= address) order. Concatenating the clipped scans
-        // in address order reconstructs the reference scan order, so the
-        // fold below assigns identical PMC ids and pair lists.
-        let mut report = JoinReport {
-            shard_matches: vec![0; bounds.len()],
-        };
-        let mut pending: Vec<_> = shard_matches
-            .iter()
-            .map(|ms| ms.iter().peekable())
-            .collect();
         for (pos, recs) in work {
-            for (s, ms) in pending.iter_mut().enumerate() {
-                while let Some((_, w)) = ms.next_if(|(p, _)| p == pos) {
-                    report.shard_matches[s] +=
-                        fold_match(set, index, w, &reads[*pos], recs.clone());
-                }
-            }
+            let r = &reads[*pos];
+            scan_read(writes, &r.key, |w| {
+                fold_match(set, index, w, r, recs.clone())
+            });
         }
-        report
     }
 }
 
 /// Folds one candidate (write side, read side) match into the PMC set: key
 /// build, id assignment, df propagation, then the capped, deduplicated
 /// pairs of the read records `recs` with every write record (lines 11–15).
-/// Returns how many record pairs that is, stored or not.
-fn fold_match(
-    set: &mut PmcSet,
-    index: &mut PmcIndex,
-    w: &Side,
-    r: &Side,
-    recs: Range<usize>,
-) -> u64 {
+fn fold_match(set: &mut PmcSet, index: &mut PmcIndex, w: &Side, r: &Side, recs: Range<usize>) {
     let key = PmcKey { w: w.key, r: r.key };
-    let folded = w.tests.len() * recs.len();
     let id = *index.entry(key).or_insert_with(|| {
         set.pmcs.push(Pmc {
             key,
             df_leader: r.df_leader,
             // Most PMCs are folded once: sized for this fold's pairs.
-            pairs: Vec::with_capacity(folded.min(MAX_PAIRS_PER_PMC)),
+            pairs: Vec::with_capacity((w.tests.len() * recs.len()).min(MAX_PAIRS_PER_PMC)),
         });
         (set.pmcs.len() - 1) as PmcId
     });
@@ -563,26 +419,14 @@ fn fold_match(
             }
         }
     }
-    folded as u64
 }
 
 /// Scans the ordered nested write index for sides that communicate with
-/// read side `r`, clipped to write start addresses in `[shard_lo, shard_hi)`
-/// — the single scan implementation shared by the inline and sharded paths
-/// (lines 6–10).
-fn scan_read<'w>(
-    writes: &'w WriteIndex,
-    r: &SideKey,
-    shard_lo: u64,
-    shard_hi: u64,
-    mut emit: impl FnMut(&'w Side),
-) {
-    let lo = r.addr.saturating_sub(7).max(shard_lo);
+/// read side `r` (lines 6–10).
+fn scan_read<'w>(writes: &'w WriteIndex, r: &SideKey, mut emit: impl FnMut(&'w Side)) {
+    let lo = r.addr.saturating_sub(7);
     // Exclusive upper bound on write starts.
-    let hi = r.addr.saturating_add(u64::from(r.len)).min(shard_hi);
-    if lo >= hi {
-        return;
-    }
+    let hi = r.addr.saturating_add(u64::from(r.len));
     for (_wa, by_len) in writes.range(lo..hi) {
         for w in by_len.values().flatten() {
             let Some((ostart, olen)) = range_overlap(w.key.addr, w.key.len, r.addr, r.len) else {
@@ -617,42 +461,10 @@ fn merge_writes(into: &mut WriteIndex, batch: WriteIndex) {
     }
 }
 
-/// Records filed under one start address of the write index.
-fn records_at(by_len: &BTreeMap<u8, Vec<Side>>) -> usize {
-    by_len.values().flatten().map(|w| w.tests.len()).sum()
-}
-
-/// Partitions the write index's start addresses into up to `shards`
-/// contiguous half-open intervals `[lo, hi)`, balanced by record count.
-/// The final interval's `hi` is `u64::MAX`, which is unreachable as a write
-/// start in practice (an access's range would overflow the address space).
-fn shard_bounds(writes: &WriteIndex, shards: usize) -> Vec<(u64, u64)> {
-    let total: usize = writes.values().map(records_at).sum();
-    if total == 0 {
-        return vec![(0, u64::MAX)];
-    }
-    let per_shard = total.div_ceil(shards.max(1));
-    let mut bounds: Vec<(u64, u64)> = Vec::new();
-    let mut lo = 0u64;
-    let mut load = 0usize;
-    for (addr, by_len) in writes {
-        load += records_at(by_len);
-        if load >= per_shard && bounds.len() + 1 < shards {
-            // Split *after* this address: its records stay in this shard.
-            bounds.push((lo, addr.saturating_add(1)));
-            lo = addr.saturating_add(1);
-            load = 0;
-        }
-    }
-    bounds.push((lo, u64::MAX));
-    bounds
-}
-
-/// Runs Algorithm 1 over the profiles, producing the PMC set — the
-/// single-threaded reference path.
+/// Runs Algorithm 1 over the profiles, producing the PMC set.
 pub fn identify(profiles: &[SeqProfile]) -> PmcSet {
     let mut st = JoinState::new();
-    st.add_profiles(profiles, &IdentifyOpts::default());
+    st.add_profiles(profiles, &IdentifyOpts {});
     st.into_set()
 }
 
@@ -660,19 +472,15 @@ pub fn identify(profiles: &[SeqProfile]) -> PmcSet {
 /// (`pmc.reads_indexed`) to `tracer` when the join completes.
 pub fn identify_traced(profiles: &[SeqProfile], tracer: &sb_obs::Tracer) -> PmcSet {
     let mut st = JoinState::new();
-    st.add_profiles(profiles, &IdentifyOpts::default());
+    st.add_profiles(profiles, &IdentifyOpts {});
     tracer.count(sb_obs::keys::PMC_READS_INDEXED, st.reads_indexed() as u64);
     st.into_set()
 }
 
-/// Runs Algorithm 1 with the write×read join sharded by address range
-/// across `workers` threads. The result is bit-identical to [`identify`]
-/// (same PMC ids, keys, df flags, and pair lists) — property-tested in
-/// `tests/shard_equivalence.rs`.
-pub fn identify_sharded(profiles: &[SeqProfile], shards: usize, workers: usize) -> PmcSet {
-    let mut st = JoinState::new();
-    st.add_profiles(profiles, &IdentifyOpts::sharded(shards, workers));
-    st.into_set()
+/// [`identify`] under the name the benchmark calls; the shard and worker
+/// counts are ignored. A shim: ROADMAP item 7's benchmark PR deletes it.
+pub fn identify_sharded(profiles: &[SeqProfile], _shards: usize, _workers: usize) -> PmcSet {
+    identify(profiles)
 }
 
 /// Projects `value` (stored at `base`) onto the `len`-byte window starting
@@ -752,7 +560,7 @@ mod tests {
     /// signature), every read record scanned against every write record,
     /// one fold per matching record pair with a per-PMC `pair_seen` set.
     /// Kept verbatim as the specification the side-grouped join is compared
-    /// against — PMC ids, df flags, pair order and `JoinReport` alike.
+    /// against — PMC ids, df flags and pair order alike.
     mod reference {
         use super::super::*;
 
@@ -788,21 +596,6 @@ mod tests {
                 self.reads.len()
             }
 
-            pub fn resume(profiles: &[SeqProfile], set: PmcSet) -> Self {
-                let mut st = JoinState::default();
-                let mut batch = WriteIndex::new();
-                st.ingest(profiles, &mut batch);
-                merge_writes(&mut st.writes, batch);
-                st.index = (set.pmcs.iter().enumerate())
-                    .map(|(id, p)| (p.key, id as PmcId))
-                    .collect();
-                st.pair_seen = (set.pmcs.iter().enumerate())
-                    .map(|(id, p)| (id as PmcId, p.pairs.iter().copied().collect()))
-                    .collect();
-                st.set = set;
-                st
-            }
-
             fn ingest(&mut self, profiles: &[SeqProfile], batch_writes: &mut WriteIndex) -> usize {
                 let first_new_read = self.reads.len();
                 for p in profiles {
@@ -836,81 +629,25 @@ mod tests {
                 first_new_read
             }
 
-            pub fn add_profiles(
-                &mut self,
-                profiles: &[SeqProfile],
-                opts: &IdentifyOpts,
-            ) -> JoinReport {
+            pub fn add_profiles(&mut self, profiles: &[SeqProfile]) {
                 let mut batch_writes = WriteIndex::new();
                 let first_new_read = self.ingest(profiles, &mut batch_writes);
-                let mut report = JoinReport::default();
                 if first_new_read > 0 && !batch_writes.is_empty() {
-                    report.absorb(self.join(0..first_new_read, &batch_writes, opts));
+                    self.join(0..first_new_read, &batch_writes);
                 }
                 merge_writes(&mut self.writes, batch_writes);
                 if first_new_read < self.reads.len() && !self.writes.is_empty() {
                     let writes = std::mem::take(&mut self.writes);
-                    report.absorb(self.join(first_new_read..self.reads.len(), &writes, opts));
+                    self.join(first_new_read..self.reads.len(), &writes);
                     self.writes = writes;
                 }
-                report
             }
 
-            fn join(
-                &mut self,
-                read_range: Range<usize>,
-                writes: &WriteIndex,
-                opts: &IdentifyOpts,
-            ) -> JoinReport {
-                if opts.shards <= 1 {
-                    let mut matches = 0u64;
-                    for idx in read_range {
-                        let r = self.reads[idx];
-                        scan_read(writes, r, 0, u64::MAX, |w| {
-                            self.fold_match(w, r);
-                            matches += 1;
-                        });
-                    }
-                    return JoinReport {
-                        shard_matches: vec![matches],
-                    };
-                }
-
-                let bounds = shard_bounds(writes, opts.shards);
-                let nshards = bounds.len();
-                let reads = &self.reads;
-                let range = read_range.clone();
-                let shard_matches: Vec<Vec<(u32, Rec)>> = crate::pool::map_jobs(
-                    &bounds,
-                    opts.workers,
-                    || (),
-                    |(), &(shard_lo, shard_hi)| {
-                        let mut out: Vec<(u32, Rec)> = Vec::new();
-                        for idx in range.clone() {
-                            let r = reads[idx];
-                            scan_read(writes, r, shard_lo, shard_hi, |w| {
-                                out.push((idx as u32, w));
-                            });
-                        }
-                        out
-                    },
-                );
-                let mut report = JoinReport {
-                    shard_matches: vec![0; nshards],
-                };
-                let mut cursors = vec![0usize; nshards];
+            fn join(&mut self, read_range: Range<usize>, writes: &WriteIndex) {
                 for idx in read_range {
                     let r = self.reads[idx];
-                    for (s, ms) in shard_matches.iter().enumerate() {
-                        while cursors[s] < ms.len() && ms[cursors[s]].0 == idx as u32 {
-                            let (_, w) = ms[cursors[s]];
-                            self.fold_match(w, r);
-                            report.shard_matches[s] += 1;
-                            cursors[s] += 1;
-                        }
-                    }
+                    scan_read(writes, r, |w| self.fold_match(w, r));
                 }
-                report
             }
 
             fn fold_match(&mut self, w: Rec, r: Rec) {
@@ -949,18 +686,9 @@ mod tests {
             }
         }
 
-        fn scan_read(
-            writes: &WriteIndex,
-            r: Rec,
-            shard_lo: u64,
-            shard_hi: u64,
-            mut emit: impl FnMut(Rec),
-        ) {
-            let lo = r.addr.saturating_sub(7).max(shard_lo);
-            let hi = r.addr.saturating_add(u64::from(r.len)).min(shard_hi);
-            if lo >= hi {
-                return;
-            }
+        fn scan_read(writes: &WriteIndex, r: Rec, mut emit: impl FnMut(Rec)) {
+            let lo = r.addr.saturating_sub(7);
+            let hi = r.addr.saturating_add(u64::from(r.len));
             for (_wa, by_len) in writes.range(lo..hi) {
                 for w in by_len.values().flatten() {
                     let Some((ostart, olen)) = range_overlap(w.addr, w.len, r.addr, r.len) else {
@@ -983,29 +711,6 @@ mod tests {
                     slot.entry(len).or_default().append(&mut recs);
                 }
             }
-        }
-
-        fn shard_bounds(writes: &WriteIndex, shards: usize) -> Vec<(u64, u64)> {
-            let records_at =
-                |by_len: &BTreeMap<u8, Vec<Rec>>| -> usize { by_len.values().map(Vec::len).sum() };
-            let total: usize = writes.values().map(records_at).sum();
-            if total == 0 {
-                return vec![(0, u64::MAX)];
-            }
-            let per_shard = total.div_ceil(shards.max(1));
-            let mut bounds: Vec<(u64, u64)> = Vec::new();
-            let mut lo = 0u64;
-            let mut load = 0usize;
-            for (addr, by_len) in writes {
-                load += records_at(by_len);
-                if load >= per_shard && bounds.len() + 1 < shards {
-                    bounds.push((lo, addr.saturating_add(1)));
-                    lo = addr.saturating_add(1);
-                    load = 0;
-                }
-            }
-            bounds.push((lo, u64::MAX));
-            bounds
         }
     }
 
@@ -1162,8 +867,8 @@ mod tests {
     }
 
     /// Canonical view of a PMC set: keys + df flags + sorted pair lists,
-    /// order-independent. Incremental joins are compared this way because
-    /// their id assignment order differs from a from-scratch rebuild.
+    /// order-independent. A join in several batches is compared this way
+    /// because its id assignment order differs from one batch's.
     type CanonicalPmc = (PmcKey, bool, Vec<(u32, u32)>);
 
     fn canonical(set: &PmcSet) -> Vec<CanonicalPmc> {
@@ -1207,6 +912,8 @@ mod tests {
             .collect()
     }
 
+    // `identify_sharded` is the benchmark's shim for `identify`; these two
+    // go with it.
     #[test]
     fn sharded_join_is_bit_identical_to_sequential() {
         let profiles = synthetic_profiles(12);
@@ -1229,105 +936,37 @@ mod tests {
         let profiles = synthetic_profiles(10);
         let scratch = identify(&profiles);
         let mut st = JoinState::new();
-        let opts = IdentifyOpts::sharded(3, 2);
-        st.add_profiles(&profiles[..4], &opts);
-        st.add_profiles(&profiles[4..7], &opts);
-        st.add_profiles(&profiles[7..], &opts);
+        st.add_profiles(&profiles[..4], &IdentifyOpts {});
+        st.add_profiles(&profiles[4..7], &IdentifyOpts {});
+        st.add_profiles(&profiles[7..], &IdentifyOpts {});
         assert_eq!(canonical(st.set()), canonical(&scratch));
     }
 
-    #[test]
-    fn resume_then_grow_matches_rebuild() {
-        let profiles = synthetic_profiles(9);
-        let old = identify(&profiles[..5]);
-        // Resume from the persisted set + its source profiles, then join
-        // only the new profiles.
-        let mut st = JoinState::resume(&profiles[..5], old);
-        let report = st.add_profiles(&profiles[5..], &IdentifyOpts::sharded(4, 2));
-        assert!(report.matches() > 0, "growth must produce new joins");
-        assert_eq!(canonical(st.set()), canonical(&identify(&profiles)));
-    }
-
-    #[test]
-    fn resume_with_no_growth_changes_nothing() {
-        // df-free corpus: re-adding already-ingested profiles dedups to zero
-        // new records and zero joins.
-        let profiles: Vec<SeqProfile> = (0..5)
-            .map(|t| {
-                prof(
-                    t,
-                    vec![
-                        ("w", Write, 0x2000, 8, u64::from(t) + 1),
-                        ("r", Read, 0x2002, 4, 0),
-                    ],
-                )
-            })
-            .collect();
-        let set = identify(&profiles);
-        let mut st = JoinState::resume(&profiles, set.clone());
-        let report = st.add_profiles(&profiles, &IdentifyOpts::default());
-        assert_eq!(report.matches(), 0);
-        assert_eq!(*st.set(), set);
-
-        // With double-fetch chains the leader read intentionally escapes the
-        // dedup (`seen_r.insert(sig) || df`), so re-ingest re-joins it — but
-        // the folded set must still be unchanged (pairs dedup per PMC).
-        let dfp = synthetic_profiles(5);
-        let dfset = identify(&dfp);
-        let mut st = JoinState::resume(&dfp, dfset.clone());
-        st.add_profiles(&dfp, &IdentifyOpts::default());
-        assert_eq!(*st.set(), dfset);
-    }
-
     /// Feeds `profiles` to the side-grouped join and to the per-record
-    /// [`reference`] in the same batches (`profiles[..resume_at]` resumed
-    /// from its folded set when `resume_at > 0`, then one `add_profiles` per
-    /// cut) and requires the same `JoinReport`, the same `PmcSet` — ids,
-    /// flags, pair order — and the same record count after every batch.
-    fn assert_batches_match(
-        profiles: &[SeqProfile],
-        resume_at: usize,
-        cuts: &[usize],
-        opts: &IdentifyOpts,
-        what: &str,
-    ) {
-        let old = &profiles[..resume_at];
+    /// [`reference`] in the same batches (one `add_profiles` per cut) and
+    /// requires the same `PmcSet` — ids, flags, pair order — and the same
+    /// record count after every batch.
+    fn assert_batches_match(profiles: &[SeqProfile], cuts: &[usize], what: &str) {
         let (mut sides, mut records) = (JoinState::new(), reference::JoinState::default());
-        if resume_at > 0 {
-            records.add_profiles(old, &IdentifyOpts::default());
-            let set = records.set().clone();
-            sides = JoinState::resume(old, set.clone());
-            records = reference::JoinState::resume(old, set);
-        }
-        let mut from = resume_at;
+        let mut from = 0;
         for to in cuts.iter().copied().chain([profiles.len()]) {
             let batch = &profiles[from..to];
-            let what = format!("{what}, {opts:?}, resumed at {resume_at}, batch {from}..{to}");
-            assert_eq!(
-                sides.add_profiles(batch, opts),
-                records.add_profiles(batch, opts),
-                "{what}"
-            );
+            let what = format!("{what}, batch {from}..{to}");
+            sides.add_profiles(batch, &IdentifyOpts {});
+            records.add_profiles(batch);
             assert_eq!(sides.set(), records.set(), "{what}");
             assert_eq!(sides.reads_indexed(), records.reads_indexed(), "{what}");
             from = to;
         }
     }
 
-    /// Every driver of the join against the reference: inline, sharded
-    /// {2, 3, 4, 7}, a three-batch incremental join and resume + grow.
+    /// Every driver of the join against the reference: one batch, two and
+    /// three.
     fn assert_matches_reference(profiles: &[SeqProfile], what: &str) {
         let n = profiles.len();
-        let inline = IdentifyOpts::default();
-        assert_batches_match(profiles, 0, &[], &inline, what);
-        for shards in [2, 3, 4, 7] {
-            assert_batches_match(profiles, 0, &[], &IdentifyOpts::sharded(shards, 2), what);
-        }
-        for opts in [inline, IdentifyOpts::sharded(3, 2)] {
-            assert_batches_match(profiles, 0, &[n / 3, 2 * n / 3], &opts, what);
-            assert_batches_match(profiles, n / 2, &[], &opts, what);
-            assert_batches_match(profiles, n / 3, &[2 * n / 3], &opts, what);
-        }
+        assert_batches_match(profiles, &[], what);
+        assert_batches_match(profiles, &[n / 2], what);
+        assert_batches_match(profiles, &[n / 3, 2 * n / 3], what);
     }
 
     /// A corpus drawn from a seeded stream: half the accesses hit one hot
@@ -1402,26 +1041,21 @@ mod tests {
             ),
         ];
         let mut st = JoinState::new();
-        let report = st.add_profiles(&profiles, &IdentifyOpts::default());
+        st.add_profiles(&profiles, &IdentifyOpts {});
         assert_eq!(st.reads[0].tests, vec![1, 1, 2], "the leader escaped dedup");
         assert_eq!(st.reads_indexed(), 4);
-        // 2 writer records × (3 `r:a` + 1 `r:b`) reader records.
-        assert_eq!(report.matches(), 8);
         let by_a = &st.set().pmcs[0];
         assert!(by_a.df_leader);
         assert_eq!(by_a.pairs, vec![(0, 1), (2, 1), (0, 2), (2, 2)]);
         assert_matches_reference(&profiles, "df escape");
-        // Re-adding what a resumed state already holds re-joins the leaders
-        // (they escape dedup again) and must change nothing.
-        let set = st.into_set();
-        let mut sides = JoinState::resume(&profiles, set.clone());
-        let mut records = reference::JoinState::resume(&profiles, set.clone());
-        let opts = IdentifyOpts::sharded(2, 2);
-        assert_eq!(
-            sides.add_profiles(&profiles, &opts),
-            records.add_profiles(&profiles, &opts)
-        );
-        assert_eq!((sides.set(), records.set()), (&set, &set));
+        // Re-adding what a state already holds re-joins the leaders (they
+        // escape dedup again) and must change nothing.
+        let set = st.set().clone();
+        let mut records = reference::JoinState::default();
+        records.add_profiles(&profiles);
+        st.add_profiles(&profiles, &IdentifyOpts {});
+        records.add_profiles(&profiles);
+        assert_eq!((st.set(), records.set()), (&set, &set));
     }
 
     #[test]
@@ -1438,15 +1072,11 @@ mod tests {
         assert_eq!(set.pmcs[0].pairs.len(), MAX_PAIRS_PER_PMC);
         assert_eq!(set.pmcs[0].pairs[30..], [(0, 11), (1, 11)]);
         assert_matches_reference(&profiles, "cap, writers first");
-        for opts in [IdentifyOpts::default(), IdentifyOpts::sharded(2, 2)] {
-            assert_batches_match(&profiles, 0, &[3, 9], &opts, "cap, writers first");
-        }
+        assert_batches_match(&profiles, &[3, 9], "cap, writers first");
         let profiles: Vec<SeqProfile> = readers.chain(writers).collect();
         assert_matches_reference(&profiles, "cap, readers first");
-        for opts in [IdentifyOpts::default(), IdentifyOpts::sharded(2, 2)] {
-            assert_batches_match(&profiles, 0, &[7, 10], &opts, "cap, readers first");
-            assert_batches_match(&profiles, 7, &[11], &opts, "cap, readers first");
-        }
+        assert_batches_match(&profiles, &[7, 10], "cap, readers first");
+        assert_batches_match(&profiles, &[7, 11], "cap, readers first");
     }
 
     #[test]
@@ -1467,20 +1097,17 @@ mod tests {
                 ],
             ),
         ];
-        for opts in [IdentifyOpts::default(), IdentifyOpts::sharded(2, 2)] {
-            let mut st = JoinState::new();
-            st.add_profiles(&profiles[..2], &opts);
-            assert_eq!(st.set().len(), 1);
-            assert!(!st.set().pmcs[0].df_leader);
-            st.add_profiles(&profiles[2..], &opts);
-            let by_r: Vec<&Pmc> = (st.set().pmcs.iter())
-                .filter(|p| p.key.r.ins == site!("r"))
-                .collect();
-            assert_eq!(by_r.len(), 2);
-            assert!(by_r.iter().all(|p| p.df_leader), "{by_r:?}");
-            assert_batches_match(&profiles, 0, &[2], &opts, "late df");
-            assert_batches_match(&profiles, 2, &[], &opts, "late df");
-        }
+        let mut st = JoinState::new();
+        st.add_profiles(&profiles[..2], &IdentifyOpts {});
+        assert_eq!(st.set().len(), 1);
+        assert!(!st.set().pmcs[0].df_leader);
+        st.add_profiles(&profiles[2..], &IdentifyOpts {});
+        let by_r: Vec<&Pmc> = (st.set().pmcs.iter())
+            .filter(|p| p.key.r.ins == site!("r"))
+            .collect();
+        assert_eq!(by_r.len(), 2);
+        assert!(by_r.iter().all(|p| p.df_leader), "{by_r:?}");
+        assert_batches_match(&profiles, &[2], "late df");
         assert_matches_reference(&profiles, "late df");
     }
 
@@ -1503,34 +1130,6 @@ mod tests {
         let set = identify(&profiles);
         let readers: Vec<Site> = set.pmcs.iter().map(|p| p.key.r.ins).collect();
         assert_eq!(readers, vec![site!("r"), site!("r:top")]);
-        assert_eq!(identify_sharded(&profiles, 3, 2), set);
-    }
-
-    #[test]
-    fn join_report_skew_is_max_over_mean() {
-        let r = JoinReport {
-            shard_matches: vec![30, 10, 20],
-        };
-        assert_eq!(r.matches(), 60);
-        assert!((r.skew() - 1.5).abs() < 1e-12);
-        assert_eq!(JoinReport::default().skew(), 0.0);
-    }
-
-    #[test]
-    fn shard_bounds_partition_all_write_addresses() {
-        let profiles = synthetic_profiles(8);
-        let mut st = JoinState::new();
-        let mut batch = WriteIndex::new();
-        st.ingest(&profiles, &mut batch);
-        let bounds = shard_bounds(&batch, 4);
-        assert!(!bounds.is_empty() && bounds.len() <= 4);
-        // Contiguous, non-overlapping, covering [0, u64::MAX).
-        assert_eq!(bounds[0].0, 0);
-        assert_eq!(bounds.last().expect("bounds").1, u64::MAX);
-        for w in bounds.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
-            assert!(w[0].0 < w[0].1);
-        }
     }
 
     #[test]

@@ -11,13 +11,10 @@
 //!   run finds an unchanged test's record again. The records carry their
 //!   keys, so the segment files are also the index ([`store`]); the
 //!   [`manifest`] keeps only the last run's hit and miss counters.
-//! * **Sharded parallel identification** — re-exported from
-//!   `snowboard::pmc`: the write index partitioned by address range, each
-//!   shard joined on its own worker, merged bit-identically to the
-//!   sequential build.
-//! * **Incremental re-indexing** ([`pipeline`]) — a grown corpus resumes
-//!   the stored PMC set (`JoinState::resume`) and joins only the new
-//!   profiles; an unchanged corpus loads the stored set outright.
+//! * **Exact PMC reuse** ([`pipeline`]) — a PMC set is a function of the
+//!   corpus it was identified from, so it is stored under that corpus's key
+//!   and reused only for exactly that corpus; any other corpus, a grown
+//!   one included, is identified as `Pipeline::prepare` identifies it.
 //! * **Self-healing durability** ([`fsck`]) — every record carries a
 //!   CRC32C ([`sb_obs::crc`]), writers fsync before a record is indexed,
 //!   opening truncates torn tails, and damaged records degrade to
@@ -25,7 +22,7 @@
 //!   `snowboard::DiskFaults` plan armed on a [`Store`] tears, flips and
 //!   shortens its I/O at exact positions to prove it.
 //!
-//! See DESIGN.md §9 for the format and the merge-determinism argument, and
+//! See DESIGN.md §9 for the format and the reuse rule, and
 //! §11 for the durability and degradation model.
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //! [`prepare`] is `snowboard::Pipeline::prepare` — the same fused fuzz and
 //! profile loop, each program executed once — with the store at its stage-2
 //! seam: every kept program's profile is looked up by content key, misses
-//! are written from the profiles in hand, and PMC identification reuses a
-//! stored set — whole on an exact corpus match, incrementally grown on a
-//! prefix match, rebuilt with the sharded path otherwise.
+//! are written from the profiles in hand, and a stored PMC set is reused
+//! only when it was identified from exactly this corpus. Any other corpus
+//! is identified as `Pipeline::prepare` identifies it, so a store changes
+//! what a run reads from disk, never what it computes.
 //!
 //! Store damage never aborts preparation: a `Damaged` lookup is a miss, and
 //! writing it from the profile in hand heals the record — so a run against a
@@ -13,8 +14,7 @@
 
 use sb_kernel::KernelConfig;
 use snowboard::metrics::StoreStats;
-use snowboard::pmc::{IdentifyOpts, JoinState};
-use snowboard::{trace_keys, Pipeline, PipelineCfg};
+use snowboard::{pmc, trace_keys, Pipeline, PipelineCfg};
 
 use crate::store::{profile_key, PmcLookup, ProfileLookup, Store};
 use crate::Error;
@@ -24,10 +24,9 @@ use crate::Error;
 pub fn prepare(
     config: KernelConfig,
     cfg: &PipelineCfg,
-    identify: &IdentifyOpts,
     store: &mut Store,
 ) -> Result<(Pipeline, StoreStats), Error> {
-    let (mut pmc_cache_hit, mut pmc_incremental, mut shard_report) = (false, false, None);
+    let mut pmc_cache_hit = false;
     let pipeline = Pipeline::prepare_with(config, cfg.clone(), |corpus, profiles| {
         let keys: Vec<u64> = corpus
             .iter()
@@ -46,29 +45,18 @@ pub fn prepare(
             }
         }
         store.insert_profiles(&batch)?;
+        // A damaged PMC record is identified like a miss; the save heals it.
         let pmcs = match store.lookup_pmcs(&keys)? {
             PmcLookup::Exact(set) => {
                 pmc_cache_hit = true;
                 set
             }
-            PmcLookup::Prefix(set, prefix_len) => {
-                pmc_incremental = true;
-                let (old, new) = profiles.split_at(prefix_len);
-                let mut st = JoinState::resume(old, set);
-                shard_report = Some(st.add_profiles(new, identify));
-                st.into_set()
-            }
-            // A damaged PMC record rebuilds like a miss; the save below heals
-            // the entry.
             PmcLookup::Miss | PmcLookup::Damaged => {
-                let mut st = JoinState::new();
-                shard_report = Some(st.add_profiles(profiles, identify));
-                st.into_set()
+                let set = pmc::identify_traced(profiles, &cfg.tracer);
+                store.save_pmcs(&keys, &set)?;
+                set
             }
         };
-        if !pmc_cache_hit {
-            store.save_pmcs(&keys, &pmcs)?;
-        }
         store.flush()?;
         Ok::<_, Error>(pmcs)
     })?;
@@ -83,11 +71,8 @@ pub fn prepare(
         profile_hits: store.profile_hits,
         profile_misses: store.profile_misses,
         pmc_cache_hit,
-        pmc_incremental,
         segments: seg_stats.segments,
         stored_bytes: seg_stats.bytes,
-        shards: identify.shards as u64,
-        shard_skew: shard_report.as_ref().map_or(0.0, |r| r.skew()),
         records_damaged: store.records_damaged,
         records_healed: store.records_healed,
     };

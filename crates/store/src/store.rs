@@ -49,7 +49,7 @@ pub fn profile_key(config: &KernelConfig, seed: u64, prog: &Program) -> u64 {
 }
 
 /// Content key of a whole corpus: hash chain over its profile keys, used as
-/// the embedded record key of persisted PMC sets.
+/// the embedded record key of persisted PMC sets and to index them.
 pub fn corpus_key(keys: &[u64]) -> u64 {
     let mut bytes = Vec::with_capacity(keys.len() * 8);
     for k in keys {
@@ -76,13 +76,10 @@ pub enum PmcLookup {
     /// A stored set identified from exactly this corpus; bit-identical to
     /// what identification would rebuild.
     Exact(PmcSet),
-    /// A stored set identified from a strict prefix of this corpus
-    /// (`prefix_len` corpus entries) — resume it and join only the rest.
-    Prefix(PmcSet, usize),
-    /// Nothing reusable stored.
+    /// No set stored for exactly this corpus.
     Miss,
-    /// Every reusable candidate was corrupt or unreadable. Quarantined:
-    /// rebuild from scratch; the save heals the entry.
+    /// The latest record of this corpus is corrupt or unreadable.
+    /// Quarantined: identify the set again; the save heals the entry.
     Damaged,
 }
 
@@ -106,14 +103,6 @@ struct Addr {
     len: u64,
 }
 
-/// One stored PMC set and the exact corpus (as profile keys, in order) it
-/// was identified from.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct PmcEntry {
-    corpus: Vec<u64>,
-    at: Addr,
-}
-
 /// A persistent profile/PMC store rooted at one directory.
 ///
 /// A `Store` never rewrites a segment file it may hold open: inserts, saves
@@ -129,8 +118,8 @@ pub struct Store {
     read_cache: bool,
     /// Profile key → its latest record.
     profiles: BTreeMap<u64, Addr>,
-    /// Stored PMC sets, oldest first, one per corpus.
-    pmcs: Vec<PmcEntry>,
+    /// Corpus key → its latest PMC record.
+    pmcs: BTreeMap<u64, Addr>,
     /// Next segment file number to allocate (shared by profile and PMC
     /// segments): one past the largest on disk.
     next_segment: u64,
@@ -169,10 +158,8 @@ impl Store {
     /// tails left by a crash, and indexes every record the scan finds.
     ///
     /// The scan checksums what the torn-tail rule needs: the last record of
-    /// each file. That is also a PMC file's one record, so its corpus list
-    /// is read from verified bytes. Every other record is verified by the
-    /// lookup that serves it, so none is served or used to place a
-    /// truncation unverified.
+    /// each file. Every other record is verified by the lookup that serves
+    /// it, so none is served or used to place a truncation unverified.
     pub fn open(root: &Path) -> Result<Store, Error> {
         Store::open_scanning(root, false)
     }
@@ -192,48 +179,30 @@ impl Store {
         })?;
         let last_run = Manifest::load(&root.join("manifest.json"))?;
         let mut profiles = BTreeMap::new();
-        let mut pmcs: Vec<PmcEntry> = Vec::new();
+        let mut pmcs = BTreeMap::new();
         let mut next_segment = 0;
         let mut open_crc_bytes = 0;
         for (n, kind, name) in list_segment_files(root)? {
             let path = root.join(&name);
             let bytes = segment::read(&path)?;
-            // A PMC file's one record is its last: checksummed either way.
-            let scan = segment::scan(&bytes, kind, every_record || kind == SegmentKind::Pmc);
+            let scan = segment::scan(&bytes, kind, every_record);
             open_crc_bytes += scan.crc_bytes;
             if scan.torn_bytes() > 0 {
                 segment::truncate_torn_tail(&path, &scan);
             }
             // Never reuse a number an on-disk file already claims.
             next_segment = n + 1;
-            match kind {
-                SegmentKind::Profile => {
-                    for rec in &scan.records {
-                        let at = Addr {
-                            segment: n,
-                            offset: rec.offset,
-                            len: rec.len,
-                        };
-                        profiles.insert(rec.key, at);
-                    }
-                }
-                SegmentKind::Pmc => {
-                    let Some(rec) = scan.records.last().filter(|r| r.crc_ok == Some(true)) else {
-                        continue;
-                    };
-                    let Ok((corpus, _)) = codec::decode_pmc_corpus(rec.payload(&bytes)) else {
-                        continue;
-                    };
-                    pmcs.retain(|e| e.corpus != corpus);
-                    pmcs.push(PmcEntry {
-                        corpus,
-                        at: Addr {
-                            segment: n,
-                            offset: rec.offset,
-                            len: rec.len,
-                        },
-                    });
-                }
+            let index = match kind {
+                SegmentKind::Profile => &mut profiles,
+                SegmentKind::Pmc => &mut pmcs,
+            };
+            for rec in &scan.records {
+                let at = Addr {
+                    segment: n,
+                    offset: rec.offset,
+                    len: rec.len,
+                };
+                index.insert(rec.key, at);
             }
         }
         Ok(Store {
@@ -424,56 +393,33 @@ impl Store {
         Ok(())
     }
 
-    /// Finds the most recent stored PMC set reusable for `corpus_keys`:
-    /// exact corpus match first, else the longest strict-prefix match.
-    /// Damaged candidates are skipped (and counted); if only damage
-    /// remains, returns [`PmcLookup::Damaged`].
+    /// Looks up the PMC set stored for exactly `corpus_keys`. The record's
+    /// embedded corpus list must equal `corpus_keys`, or it is a miss.
+    /// Damage is reported as [`PmcLookup::Damaged`] (and counted), never as
+    /// `Err`.
     pub fn lookup_pmcs(&mut self, corpus_keys: &[u64]) -> Result<PmcLookup, Error> {
-        if !self.read_cache {
-            return Ok(PmcLookup::Miss);
-        }
-        let mut excluded: BTreeSet<usize> = BTreeSet::new();
-        let mut damage_seen = false;
-        loop {
-            let mut best: Option<usize> = None;
-            for (idx, entry) in self.pmcs.iter().enumerate().rev() {
-                if excluded.contains(&idx) {
-                    continue;
-                }
-                if entry.corpus == corpus_keys {
-                    best = Some(idx);
-                    break;
-                }
-                let better = best.map_or(0, |b| self.pmcs[b].corpus.len());
-                if entry.corpus.len() > better
-                    && entry.corpus.len() < corpus_keys.len()
-                    && corpus_keys.starts_with(&entry.corpus)
-                {
-                    best = Some(idx);
-                }
-            }
-            let Some(idx) = best else {
-                return Ok(if damage_seen {
-                    PmcLookup::Damaged
+        let key = corpus_key(corpus_keys);
+        let at = match self.pmcs.get(&key) {
+            Some(at) if self.read_cache => *at,
+            _ => return Ok(PmcLookup::Miss),
+        };
+        let decoded = self
+            .read_verified(SegmentKind::Pmc, at, key)
+            .and_then(codec::decode_pmc_corpus)
+            .and_then(|(corpus, set)| {
+                if corpus == corpus_keys {
+                    codec::decode_pmc_set(set).map(Some)
                 } else {
-                    PmcLookup::Miss
-                });
-            };
-            let (prefix_len, at) = (self.pmcs[idx].corpus.len(), self.pmcs[idx].at);
-            let key = corpus_key(&self.pmcs[idx].corpus);
-            let decoded = self
-                .read_verified(SegmentKind::Pmc, at, key)
-                .and_then(codec::decode_pmc_corpus)
-                .and_then(|(_, set)| codec::decode_pmc_set(set));
-            match decoded {
-                Ok(set) if prefix_len == corpus_keys.len() => return Ok(PmcLookup::Exact(set)),
-                Ok(set) => return Ok(PmcLookup::Prefix(set, prefix_len)),
-                Err(_) => {
-                    self.records_damaged += 1;
-                    self.damaged_pmc_corpora.insert(key);
-                    damage_seen = true;
-                    excluded.insert(idx);
+                    Ok(None)
                 }
+            });
+        match decoded {
+            Ok(Some(set)) => Ok(PmcLookup::Exact(set)),
+            Ok(None) => Ok(PmcLookup::Miss),
+            Err(_) => {
+                self.records_damaged += 1;
+                self.damaged_pmc_corpora.insert(key);
+                Ok(PmcLookup::Damaged)
             }
         }
     }
@@ -496,15 +442,12 @@ impl Store {
         self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
         self.next_segment = seg_no + 1;
-        self.pmcs.retain(|e| e.corpus != corpus_keys);
-        self.pmcs.push(PmcEntry {
-            corpus: corpus_keys.to_vec(),
-            at: Addr {
-                segment: seg_no,
-                offset,
-                len,
-            },
-        });
+        let at = Addr {
+            segment: seg_no,
+            offset,
+            len,
+        };
+        self.pmcs.insert(record_key, at);
         if self.damaged_pmc_corpora.remove(&record_key) {
             self.records_healed += 1;
         }
@@ -789,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn pmc_lookup_prefers_exact_over_prefix() {
+    fn pmc_lookup_serves_only_the_exact_corpus() {
         let (dir, mut store) = tmp_store("pmc");
         let small = PmcSet::default();
         let mut large = PmcSet::default();
@@ -800,21 +743,43 @@ mod tests {
             store.lookup_pmcs(&[1, 2, 3]).expect("exact"),
             PmcLookup::Exact(large.clone())
         );
+        // A corpus that extends a stored one is identified again, not
+        // grown from it.
         assert_eq!(
-            store.lookup_pmcs(&[1, 2, 3, 4]).expect("prefix"),
-            PmcLookup::Prefix(large.clone(), 3)
+            store.lookup_pmcs(&[1, 2, 3, 4]).expect("longer"),
+            PmcLookup::Miss
         );
         assert_eq!(
             store.lookup_pmcs(&[1, 2]).expect("exact small"),
-            PmcLookup::Exact(small)
+            PmcLookup::Exact(small.clone())
         );
         assert_eq!(store.lookup_pmcs(&[9, 9]).expect("miss"), PmcLookup::Miss);
-        // Replacing the same corpus keeps one entry.
-        store.save_pmcs(&[1, 2, 3], &large).expect("replace");
+        // The latest record of a corpus wins, before and after a reopen.
+        store.save_pmcs(&[1, 2, 3], &small).expect("replace");
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3]).expect("exact"),
-            PmcLookup::Exact(large)
+            PmcLookup::Exact(small.clone())
         );
+        drop(store);
+
+        // A record filed under this corpus's key whose embedded list names
+        // another corpus (a key collision) is a miss, not a reuse.
+        let mut writer = SegmentWriter::create(&dir.join("pmc-0009.bin"), SegmentKind::Pmc.magic())
+            .expect("create");
+        let mut buf = Vec::new();
+        codec::encode_pmc_record(&[7], &large, &mut buf);
+        writer.append(corpus_key(&[1, 2]), &buf).expect("append");
+        writer.finish().expect("finish");
+        let mut store = Store::open(&dir).expect("reopen");
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2, 3]).expect("exact"),
+            PmcLookup::Exact(small)
+        );
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2]).expect("collision"),
+            PmcLookup::Miss
+        );
+        assert_eq!(store.records_damaged, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -917,11 +882,11 @@ mod tests {
     }
 
     #[test]
-    fn damaged_pmc_record_skips_to_prefix_or_reports_damage() {
+    fn damaged_pmc_record_misses_or_reports_damage_and_heals() {
         let (dir, mut store) = tmp_store("pmcdmg");
         let mut set = PmcSet::default();
         set.pmcs.push(sample_pmc());
-        store.save_pmcs(&[1, 2], &set).expect("save prefix");
+        store.save_pmcs(&[1, 2], &set).expect("save shorter");
         store.save_pmcs(&[1, 2, 3], &set).expect("save exact");
         store.flush().expect("flush");
         let flip_last_byte = |name: &str| {
@@ -933,40 +898,41 @@ mod tests {
         };
 
         // Damage the exact entry (pmc-0001), the one record of its file:
-        // open finds a torn record and drops it, and the [1,2] prefix
-        // still serves.
+        // open finds a torn record and drops it, so the corpus misses. The
+        // shorter corpus's set serves that corpus only.
         flip_last_byte("pmc-0001.bin");
         let mut store = Store::open(&dir).expect("reopen");
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
-            PmcLookup::Prefix(set.clone(), 2),
-            "damaged exact falls back to the intact prefix"
+            PmcLookup::Miss
         );
         assert_eq!(store.records_damaged, 0, "a one-record file misses");
+        assert_eq!(
+            store.lookup_pmcs(&[1, 2]).expect("lookup"),
+            PmcLookup::Exact(set.clone())
+        );
 
         // Saving the exact corpus again restores it.
-        store.save_pmcs(&[1, 2, 3], &set).expect("heal");
+        store.save_pmcs(&[1, 2, 3], &set).expect("save");
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
             PmcLookup::Exact(set.clone())
         );
 
-        // Damage everything after open: lookup reads both candidates, counts
-        // both, and reports Damaged, not Miss.
+        // Damage after open: the lookup reads it, counts it and reports
+        // Damaged, not Miss; the save heals it.
         let mut store = Store::open(&dir).expect("reopen");
-        for name in ["pmc-0000.bin", "pmc-0002.bin"] {
-            flip_last_byte(name);
-        }
+        flip_last_byte("pmc-0002.bin");
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
             PmcLookup::Damaged
         );
-        assert_eq!(store.records_damaged, 2, "both candidates damaged");
-        // The same damage seen by open: nothing left to serve.
-        let mut store = Store::open(&dir).expect("reopen");
+        assert_eq!(store.records_damaged, 1);
+        store.save_pmcs(&[1, 2, 3], &set).expect("heal");
+        assert_eq!(store.records_healed, 1);
         assert_eq!(
             store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
-            PmcLookup::Miss
+            PmcLookup::Exact(set)
         );
         std::fs::remove_dir_all(&dir).ok();
     }

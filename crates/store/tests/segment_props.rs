@@ -118,7 +118,6 @@ fn check_lookups(dir: &Path) {
     match st.lookup_pmcs(&KEYS).expect("lookup must not error") {
         PmcLookup::Exact(set) => assert_eq!(set, pmc_set()),
         PmcLookup::Damaged | PmcLookup::Miss => {}
-        other => panic!("expected Exact, Damaged or Miss, got {other:?}"),
     }
 }
 

@@ -11,7 +11,7 @@ use sb_kernel::KernelConfig;
 use sb_store::{segment, PmcLookup, ProfileLookup, Store};
 use sb_vmm::access::{Access, AccessKind};
 use sb_vmm::site::Site;
-use snowboard::pmc::{IdentifyOpts, Pmc, PmcKey, PmcSet, SideKey};
+use snowboard::pmc::{Pmc, PmcKey, PmcSet, SideKey};
 use snowboard::profile::SeqProfile;
 
 fn scratch(tag: &str, n: usize) -> PathBuf {
@@ -291,16 +291,10 @@ fn small_cfg() -> snowboard::PipelineCfg {
 #[test]
 fn pipeline_heals_a_flipped_store_bit_identically() {
     let dir = scratch("pipeline", 0);
-    let opts = IdentifyOpts::sharded(2, 2);
-
     let mut cold_store = Store::open(&dir).expect("open cold");
-    let (cold, cold_stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(),
-        &opts,
-        &mut cold_store,
-    )
-    .expect("cold prepare");
+    let (cold, cold_stats) =
+        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &mut cold_store)
+            .expect("cold prepare");
     assert_eq!(cold_stats.records_damaged, 0);
     drop(cold_store);
 
@@ -319,13 +313,9 @@ fn pipeline_heals_a_flipped_store_bit_identically() {
     assert!(flipped >= 2, "expected profile and PMC segments");
 
     let mut warm_store = Store::open(&dir).expect("open warm");
-    let (warm, warm_stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(),
-        &opts,
-        &mut warm_store,
-    )
-    .expect("a damaged store must not fail preparation");
+    let (warm, warm_stats) =
+        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &mut warm_store)
+            .expect("a damaged store must not fail preparation");
     assert!(warm_stats.records_damaged > 0, "damage must be reported");
     assert!(warm_stats.records_healed > 0, "damage must be healed");
     assert_eq!(
@@ -342,13 +332,9 @@ fn pipeline_heals_a_flipped_store_bit_identically() {
     let report = sb_store::fsck(&dir).expect("fsck");
     assert!(report.clean(), "{:?}", report.problems);
     let mut third_store = Store::open(&dir).expect("open third");
-    let (_, third_stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(),
-        &opts,
-        &mut third_store,
-    )
-    .expect("third prepare");
+    let (_, third_stats) =
+        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &mut third_store)
+            .expect("third prepare");
     assert_eq!(third_stats.records_damaged, 0);
     assert_eq!(
         third_stats.profile_misses, 0,
@@ -364,16 +350,9 @@ fn pipeline_heals_a_flipped_store_bit_identically() {
 #[test]
 fn pipeline_survives_a_deleted_segment_file() {
     let dir = scratch("missing", 0);
-    let opts = IdentifyOpts::sharded(2, 2);
-
     let mut cold_store = Store::open(&dir).expect("open cold");
-    let (cold, _) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(),
-        &opts,
-        &mut cold_store,
-    )
-    .expect("cold prepare");
+    let (cold, _) = sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &mut cold_store)
+        .expect("cold prepare");
     drop(cold_store);
 
     let (victim, bytes) = read_store(&dir)
@@ -392,13 +371,9 @@ fn pipeline_survives_a_deleted_segment_file() {
     std::fs::remove_file(dir.join(&victim)).expect("remove");
 
     let mut warm_store = Store::open(&dir).expect("open warm");
-    let (warm, warm_stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(),
-        &opts,
-        &mut warm_store,
-    )
-    .expect("a missing segment must not fail preparation");
+    let (warm, warm_stats) =
+        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(), &mut warm_store)
+            .expect("a missing segment must not fail preparation");
     assert_eq!(warm_stats.profile_misses, victim_keys.len() as u64);
     let rewritten: Vec<u64> = read_store(&dir)
         .iter()

@@ -2,7 +2,7 @@
 //! records — cold, warm, bypassed or damaged it returns the fused prepare's
 //! corpus, profiles and PMC set and leaves those profiles in the store; a
 //! warm run serves every lookup (100% hit rate) and loads the identical PMC
-//! set; corpus growth reuses the stored set incrementally.
+//! set; a grown corpus is identified as the plain prepare identifies it.
 
 use std::path::{Path, PathBuf};
 
@@ -10,7 +10,6 @@ use sb_kernel::KernelConfig;
 use sb_obs::{Event, TraceReport, Tracer};
 use sb_store::{profile_key, ProfileLookup, Store};
 use snowboard::cluster::Strategy;
-use snowboard::pmc::{identify, IdentifyOpts, PmcKey, PmcSet};
 use snowboard::select::ClusterOrder;
 use snowboard::{CampaignCfg, CampaignReport, DiskFaults, Pipeline, PipelineCfg};
 
@@ -21,8 +20,12 @@ fn store_dir(tag: &str) -> PathBuf {
 }
 
 fn small_cfg(corpus_target: usize) -> PipelineCfg {
+    seeded_cfg(7, corpus_target)
+}
+
+fn seeded_cfg(seed: u64, corpus_target: usize) -> PipelineCfg {
     PipelineCfg {
-        seed: 7,
+        seed,
         corpus_target,
         fuzz_budget: 600,
         workers: 2,
@@ -48,13 +51,8 @@ fn run_campaign(p: &Pipeline) -> CampaignReport {
 fn prepare_in(dir: &Path, arm: impl FnOnce(&mut Store)) -> (Pipeline, snowboard::StoreStats) {
     let mut store = Store::open(dir).expect("open");
     arm(&mut store);
-    sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(24),
-        &IdentifyOpts::sharded(2, 2),
-        &mut store,
-    )
-    .expect("store-backed prepare")
+    sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(24), &mut store)
+        .expect("store-backed prepare")
 }
 
 #[test]
@@ -138,13 +136,8 @@ fn a_store_backed_prepare_runs_no_profile_pass() {
             ..small_cfg(24)
         };
         let mut store = Store::open(&dir).expect("open");
-        let (p, _) = sb_store::prepare(
-            KernelConfig::v5_12_rc3(),
-            &cfg,
-            &IdentifyOpts::sharded(2, 2),
-            &mut store,
-        )
-        .expect("prepare");
+        let (p, _) =
+            sb_store::prepare(KernelConfig::v5_12_rc3(), &cfg, &mut store).expect("prepare");
         let lines = sink.lines();
         let events: Vec<Event> = lines
             .iter()
@@ -177,29 +170,19 @@ fn a_store_backed_prepare_runs_no_profile_pass() {
 #[test]
 fn warm_run_skips_all_profiling_and_matches_cold_run() {
     let dir = store_dir("warm");
-    let opts = IdentifyOpts::sharded(4, 2);
-
     let mut cold_store = Store::open(&dir).expect("open cold");
-    let (cold, cold_stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(24),
-        &opts,
-        &mut cold_store,
-    )
-    .expect("cold prepare");
+    let (cold, cold_stats) =
+        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(24), &mut cold_store)
+            .expect("cold prepare");
     assert_eq!(cold_stats.profile_hits, 0, "cold run cannot hit");
     assert_eq!(cold_stats.profile_misses as usize, cold.corpus.len());
-    assert!(!cold_stats.pmc_cache_hit && !cold_stats.pmc_incremental);
+    assert!(!cold_stats.pmc_cache_hit);
     assert!(cold_stats.stored_bytes > 0 && cold_stats.segments > 0);
 
     let mut warm_store = Store::open(&dir).expect("open warm");
-    let (warm, warm_stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(24),
-        &opts,
-        &mut warm_store,
-    )
-    .expect("warm prepare");
+    let (warm, warm_stats) =
+        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(24), &mut warm_store)
+            .expect("warm prepare");
 
     // 100% profile hit rate: every lookup served from the store.
     assert_eq!(
@@ -234,74 +217,60 @@ fn warm_run_skips_all_profiling_and_matches_cold_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store written at one corpus size and prepared at a larger one: the
+/// stored set is not grown, the grown corpus is identified from scratch, so
+/// the PMC set — ids and pair order included — is `Pipeline::prepare`'s.
 #[test]
-fn corpus_growth_reuses_the_stored_prefix_incrementally() {
-    let dir = store_dir("grow");
-    let opts = IdentifyOpts::sharded(3, 2);
+fn a_grown_corpus_is_identified_as_the_plain_prepare_identifies_it() {
+    for seed in [2021, 5, 7] {
+        let dir = store_dir(&format!("grow{seed}"));
+        let mut first = Store::open(&dir).expect("open");
+        let (small, _) =
+            sb_store::prepare(KernelConfig::v5_12_rc3(), &seeded_cfg(seed, 16), &mut first)
+                .expect("small prepare");
 
-    let mut first = Store::open(&dir).expect("open");
-    let (small, _) =
-        sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(16), &opts, &mut first)
-            .expect("small prepare");
-
-    // Same seed + budget with a larger target: the kept corpus grows by
-    // appending, so the stored keys are a strict prefix of the new ones.
-    let mut second = Store::open(&dir).expect("reopen");
-    let (grown, stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(24),
-        &opts,
-        &mut second,
-    )
-    .expect("grown prepare");
-    assert!(
-        grown.corpus.len() > small.corpus.len(),
-        "corpus did not grow"
-    );
-    assert_eq!(&grown.corpus[..small.corpus.len()], &small.corpus[..]);
-    assert!(
-        stats.pmc_incremental,
-        "prefix match must take the incremental path"
-    );
-    assert!(!stats.pmc_cache_hit);
-    assert!(
-        stats.profile_hits >= small.corpus.len() as u64,
-        "prefix profiles must be served from the store"
-    );
-
-    // The incrementally grown set covers the same universe as a rebuild.
-    assert_eq!(
-        canonical(&grown.pmcs),
-        canonical(&identify(&grown.profiles)),
-        "incremental set diverged from full rebuild"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
+        // Same seed + budget with a larger target: the kept corpus grows by
+        // appending, so the stored keys are a strict prefix of the new ones.
+        let plain = Pipeline::prepare(KernelConfig::v5_12_rc3(), seeded_cfg(seed, 24));
+        for run in ["grown", "warm"] {
+            let mut store = Store::open(&dir).expect("reopen");
+            let (grown, stats) =
+                sb_store::prepare(KernelConfig::v5_12_rc3(), &seeded_cfg(seed, 24), &mut store)
+                    .expect("grown prepare");
+            let what = format!("seed {seed}, {run}");
+            assert!(
+                grown.corpus.len() > small.corpus.len(),
+                "{what}: corpus did not grow"
+            );
+            assert_eq!(
+                &grown.corpus[..small.corpus.len()],
+                &small.corpus[..],
+                "{what}"
+            );
+            assert_eq!(grown.corpus, plain.corpus, "{what}");
+            assert_eq!(grown.profiles, plain.profiles, "{what}");
+            assert_eq!(grown.pmcs, plain.pmcs, "{what}");
+            assert_eq!(stats.pmc_cache_hit, run == "warm", "{what}");
+            assert!(
+                stats.profile_hits >= small.corpus.len() as u64,
+                "{what}: prefix profiles must be served from the store"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn no_cache_forces_reprofiling_but_keeps_outputs_equal() {
     let dir = store_dir("nocache");
-    let opts = IdentifyOpts::sharded(2, 2);
-
     let mut cold_store = Store::open(&dir).expect("open");
-    let (cold, _) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(16),
-        &opts,
-        &mut cold_store,
-    )
-    .expect("cold prepare");
+    let (cold, _) = sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(16), &mut cold_store)
+        .expect("cold prepare");
 
     let mut bypass = Store::open(&dir).expect("reopen");
     bypass.set_read_cache(false);
-    let (fresh, stats) = sb_store::prepare(
-        KernelConfig::v5_12_rc3(),
-        &small_cfg(16),
-        &opts,
-        &mut bypass,
-    )
-    .expect("bypass prepare");
+    let (fresh, stats) = sb_store::prepare(KernelConfig::v5_12_rc3(), &small_cfg(16), &mut bypass)
+        .expect("bypass prepare");
     assert_eq!(
         stats.profile_hits, 0,
         "--no-cache must not serve cached profiles"
@@ -313,34 +282,4 @@ fn no_cache_forces_reprofiling_but_keeps_outputs_equal() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Pairs retained per PMC are capped (join order decides which survive), so
-/// equivalence holds only up to the cap. Mirrors `MAX_PAIRS_PER_PMC`.
-const PAIR_CAP: usize = 32;
-
-/// One PMC reduced for comparison: key, df flag, pair count, pair list.
-type CanonicalPmc = (PmcKey, bool, usize, Vec<(u32, u32)>);
-
-/// Order-independent view of a PMC set: sorted keys with sorted pair lists;
-/// capped pair lists are compared by size only.
-fn canonical(set: &PmcSet) -> Vec<CanonicalPmc> {
-    let mut v: Vec<_> = set
-        .pmcs
-        .iter()
-        .map(|p| {
-            let mut pairs = p.pairs.clone();
-            pairs.sort_unstable();
-            if pairs.len() >= PAIR_CAP {
-                pairs.clear();
-            }
-            (p.key, p.df_leader, p.pairs.len(), pairs)
-        })
-        .collect();
-    v.sort_unstable_by_key(|(k, _, _, _)| {
-        (
-            k.w.ins.0, k.w.addr, k.w.len, k.w.value, k.r.ins.0, k.r.addr, k.r.len, k.r.value,
-        )
-    });
-    v
 }
