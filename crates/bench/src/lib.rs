@@ -133,22 +133,34 @@ pub fn run_strategy(
     report
 }
 
+/// The distinct triaged bugs of a campaign in discovery order, each with
+/// its week-normalized discovery time in days (a campaign's whole run is
+/// seven days).
+pub fn issue_days(report: &CampaignReport) -> Vec<(u8, f64)> {
+    if report.total_steps == 0 {
+        return Vec::new();
+    }
+    let mut seen = std::collections::HashSet::new();
+    report
+        .issues
+        .iter()
+        .filter_map(|issue| {
+            let id = issue.bug_id.filter(|id| seen.insert(*id))?;
+            Some((
+                id,
+                7.0 * issue.found_after_steps as f64 / report.total_steps as f64,
+            ))
+        })
+        .collect()
+}
+
 /// Formats the "issues found (days)" cell of Table 3: triaged bug ids with
 /// week-normalized discovery times.
 pub fn issues_cell(report: &CampaignReport) -> String {
-    if report.total_steps == 0 {
-        return "-".to_owned();
-    }
-    let mut cells: Vec<String> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for issue in &report.issues {
-        if let Some(id) = issue.bug_id {
-            if seen.insert(id) {
-                let days = 7.0 * issue.found_after_steps as f64 / report.total_steps as f64;
-                cells.push(format!("#{id} ({days:.1})"));
-            }
-        }
-    }
+    let cells: Vec<String> = issue_days(report)
+        .iter()
+        .map(|(id, days)| format!("#{id} ({days:.1})"))
+        .collect();
     if cells.is_empty() {
         "-".to_owned()
     } else {

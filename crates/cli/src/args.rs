@@ -52,24 +52,14 @@ OPTIONS (hunt):
     --store <DIR>                 persist/reuse profiles and PMCs in DIR
     --no-cache                    with --store: write results but serve no reads
     --trace-dir <DIR>             write structured JSONL trace events to DIR
-    --supervise                   run the campaign on --workers child
-                                  processes ('hunt join' workers of a
-                                  loopback coordinator), with heartbeats,
-                                  restarts, and crash quarantine
-    --stop-file <PATH>            with --supervise: finish in-flight jobs,
-                                  checkpoint, and exit 0 once PATH exists
-    --heartbeat-ms <N>            with --supervise: kill and restart a worker
-                                  heard from not at all for N ms
-                                  [default: 10000]; without --supervise
-                                  (or hunt serve): exit 2
     --chaos <SPEC>                inject scripted faults for testing: semicolon-
                                   separated plane:kind=args clauses, e.g.
                                   'job:panic=3;job:transient=1:2;proc:exit=1:9;
                                   net:drop=0:6;disk:torn=20;
                                   coord:kill-after-journal=4'. Planes: job:
                                   (panic, hang, transient), proc:
-                                  (abort, exit, stall; need --supervise or
-                                  hunt join), net: (drop, delay, garble,
+                                  (abort, exit, stall; need hunt join),
+                                  net: (drop, delay, garble,
                                   halfclose; need hunt join), disk: (torn,
                                   flip, short, shortn; need --store), coord:
                                   (kill-after-journal; needs hunt serve)
@@ -83,8 +73,13 @@ OPTIONS (hunt serve), in addition to the hunt options:
     --batch <N>                   jobs granted per lease [default: 4]
     --crash-budget <N>            connection deaths charged to one job
                                   before it is quarantined [default: 2]
-    --stop-file and --heartbeat-ms apply as under --supervise; the merged
-    report is bit-identical to a plain hunt with the same flags.
+    --heartbeat-ms <N>            evict a worker heard from not at all for
+                                  N ms and charge its jobs [default: 10000]
+    --stop-file <PATH>            finish in-flight jobs, checkpoint, and
+                                  exit 0 once PATH exists
+    The merged report is bit-identical to a plain hunt with the same flags.
+    A worker that dies or is evicted is not restarted: run the hunt join
+    workers under a process manager that restarts them.
     --checkpoint <PATH> is the durable option: the checkpoint logs every
     lease and result, survives a coordinator crash, and is picked up by
     'hunt serve --resume PATH'. Without it the coordinator uses a per-run
@@ -99,6 +94,8 @@ OPTIONS (hunt join <ADDR>), in addition to the hunt options:
     --spool <PATH>                persist completed-but-unacknowledged
                                   results to PATH so even a restarted
                                   worker redelivers them
+    --stop-file <PATH>            finish the jobs in hand and leave once
+                                  PATH exists
     The campaign flags (--seed, --corpus, --budget, --trials, ...) must
     match the coordinator's: the handshake rejects a mismatch. The
     coordinator sets the heartbeat and the lease size; --batch,
@@ -106,8 +103,8 @@ OPTIONS (hunt join <ADDR>), in addition to the hunt options:
 
 OPTIONS (hunt chaos):
     --seeds <N>                   schedules to run [default: 25]; each is a
-                                  full pipeline run (plain, --supervise, or
-                                  serve/join round-robin) under a generated
+                                  full pipeline run (plain or serve/join,
+                                  alternating) under a generated
                                   fault schedule, checked against the
                                   fault-free baseline, store fsck, trace
                                   verification, fault attribution, and an
@@ -177,15 +174,11 @@ pub struct HuntOpts {
     /// Directory to write structured JSONL trace events to; `None` disables
     /// tracing entirely (the near-no-op path).
     pub trace_dir: Option<PathBuf>,
-    /// Run the campaign on supervised worker *processes* (`hunt join`
-    /// children of a loopback coordinator) instead of the in-process
-    /// thread pool.
-    pub supervise: bool,
-    /// With `--supervise`: graceful-shutdown trigger — finish in-flight
-    /// jobs, save the checkpoint, and exit cleanly once this file exists.
+    /// `hunt serve`/`hunt join`: graceful-shutdown trigger — finish
+    /// in-flight jobs, save the checkpoint, and exit cleanly once this file
+    /// exists.
     pub stop_file: Option<PathBuf>,
-    /// With `--supervise`: a worker silent for this long is killed and
-    /// restarted.
+    /// `hunt serve`: a worker silent for this long is evicted.
     pub heartbeat_ms: u64,
     /// Scripted fault injection, every plane (`--chaos`). Parse time
     /// already checked that each plane has somewhere to act.
@@ -236,19 +229,15 @@ pub struct ChaosOpts {
     pub dir: Option<PathBuf>,
 }
 
-/// Parse-time sanity for the timing knobs shared by `--supervise` and
-/// `hunt serve`; `serve` is `hunt serve`'s `(lease_ms, batch)`. The lease
-/// deadline must exceed the worker heartbeat interval
+/// Parse-time sanity for `hunt serve`'s timing knobs. The lease deadline
+/// must exceed the worker heartbeat interval
 /// ([`snowboard::fleet::heartbeat_interval`]): a shorter lease would expire
 /// between two heartbeats of a perfectly healthy worker, reassigning every
 /// job it holds.
-pub fn validate_timing(heartbeat_ms: u64, serve: Option<(u64, usize)>) -> Result<(), String> {
+pub fn validate_timing(heartbeat_ms: u64, lease_ms: u64, batch: usize) -> Result<(), String> {
     if heartbeat_ms == 0 {
         return Err("--heartbeat-ms must be positive".into());
     }
-    let Some((lease_ms, batch)) = serve else {
-        return Ok(());
-    };
     if batch == 0 {
         return Err("--batch must be at least 1".into());
     }
@@ -549,7 +538,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut store: Option<PathBuf> = None;
             let mut no_cache = false;
             let mut trace_dir: Option<PathBuf> = None;
-            let mut supervise = false;
             let mut stop_file: Option<PathBuf> = None;
             let mut heartbeat_ms: Option<u64> = None;
             let mut chaos = ChaosPlan::default();
@@ -642,7 +630,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     "--trace-dir" if is_hunt => {
                         trace_dir = Some(PathBuf::from(take_value(argv, &mut i, "--trace-dir")?))
                     }
-                    "--supervise" if is_hunt => supervise = true,
                     "--stop-file" if is_hunt => {
                         stop_file = Some(PathBuf::from(take_value(argv, &mut i, "--stop-file")?))
                     }
@@ -667,20 +654,18 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             if no_cache && store.is_none() {
                 return Err("--no-cache requires --store <dir>".into());
             }
-            if stop_file.is_some() && !supervise && !fleet {
-                return Err("--stop-file requires --supervise, serve, or join".into());
+            // A plain hunt has no worker process to stop or time out.
+            if stop_file.is_some() && !fleet {
+                return Err("--stop-file stops a fleet campaign; it needs hunt serve \
+                            or hunt join"
+                    .into());
             }
-            if heartbeat_ms.is_some() && mode == Mode::Local && !supervise {
+            if heartbeat_ms.is_some() && !fleet {
                 return Err("--heartbeat-ms times out worker processes; it needs \
-                            --supervise or hunt serve"
+                            hunt serve (with hunt join workers)"
                     .into());
             }
             let heartbeat_ms = heartbeat_ms.unwrap_or(10_000);
-            if fleet && supervise {
-                return Err("hunt serve/join already distribute the campaign; \
-                            drop --supervise"
-                    .into());
-            }
             if mode == Mode::Serve && listen.is_none() {
                 return Err("hunt serve requires --listen <addr>".into());
             }
@@ -695,9 +680,9 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let proc_faults = !(proc.abort_jobs.is_empty()
                 && proc.exit_jobs.is_empty()
                 && proc.stall_jobs.is_empty());
-            if proc_faults && !supervise && mode != Mode::Join {
+            if proc_faults && mode != Mode::Join {
                 return Err("--chaos proc:* faults fire in a worker process; \
-                            they need --supervise or hunt join"
+                            they need hunt join"
                     .into());
             }
             if chaos.kill_after_journal.is_some() && mode != Mode::Serve {
@@ -718,12 +703,10 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         .into(),
                 );
             }
-            // Timing sanity, shared with --supervise (exit code 2 on
-            // nonsense instead of a fleet that thrashes at runtime).
-            match mode {
-                Mode::Serve => validate_timing(heartbeat_ms, Some((lease_ms, batch)))?,
-                Mode::Local if supervise => validate_timing(heartbeat_ms, None)?,
-                Mode::Local | Mode::Join => {}
+            // Timing sanity (exit code 2 on nonsense instead of a fleet
+            // that thrashes at runtime).
+            if mode == Mode::Serve {
+                validate_timing(heartbeat_ms, lease_ms, batch)?;
             }
             let mut config = match version {
                 KernelVersion::V5_3_10 => KernelConfig::v5_3_10(),
@@ -751,7 +734,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     store,
                     no_cache,
                     trace_dir,
-                    supervise,
                     stop_file,
                     heartbeat_ms,
                     chaos,
@@ -987,42 +969,42 @@ mod tests {
     }
 
     #[test]
-    fn parses_supervision_flags() {
-        let cmd = parse(&argv(
-            "hunt --supervise --stop-file /tmp/stop --heartbeat-ms 500 --chaos proc:abort=2;proc:stall=3",
-        ))
-        .unwrap();
-        match cmd {
-            Cmd::Hunt(o) => {
-                assert!(o.supervise);
-                assert_eq!(o.stop_file, Some(PathBuf::from("/tmp/stop")));
-                assert_eq!(o.heartbeat_ms, 500);
-                assert!(o.chaos.job.should_abort(2));
-                assert!(o.chaos.job.should_stall(3));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+    fn a_plain_hunt_refuses_the_worker_process_flags() {
         // Defaults: in-process pool, inert plan, 10s heartbeat timeout.
         match parse(&argv("hunt")).unwrap() {
             Cmd::Hunt(o) => {
-                assert!(!o.supervise);
                 assert_eq!(o.heartbeat_ms, 10_000);
+                assert_eq!(o.stop_file, None);
                 assert!(o.chaos.is_empty());
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(
-            parse(&argv("hunt --stop-file /tmp/stop")).is_err(),
-            "needs --supervise"
-        );
-        assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
-        assert!(parse(&argv("strategies --supervise")).is_err(), "hunt-only");
-        // A plain hunt has no worker process to time out.
-        let err = parse(&argv("hunt --heartbeat-ms 500")).unwrap_err();
-        assert!(
-            err.contains("--supervise") && err.contains("hunt serve"),
-            "{err}"
-        );
+        // A plain hunt has no worker process to stop, time out or kill:
+        // each refusal names the fleet commands that have one.
+        for (flags, names) in [
+            ("--stop-file /tmp/stop", "hunt serve or hunt join"),
+            ("--heartbeat-ms 500", "hunt serve"),
+            ("--chaos proc:abort=2", "hunt join"),
+            ("--chaos proc:stall=3", "hunt join"),
+        ] {
+            let err = parse(&argv(&format!("hunt {flags}"))).unwrap_err();
+            assert!(err.contains(names), "{flags}: {err}");
+        }
+        let err = parse(&argv("hunt --supervise")).unwrap_err();
+        assert!(err.contains("unknown option '--supervise'"), "{err}");
+        // The worker takes its stop file and its process faults.
+        match parse(&argv(
+            "hunt join x:1 --stop-file /tmp/stop --chaos proc:abort=2;proc:stall=3",
+        ))
+        .unwrap()
+        {
+            Cmd::Join(o) => {
+                assert_eq!(o.hunt.stop_file, Some(PathBuf::from("/tmp/stop")));
+                assert!(o.hunt.chaos.job.should_abort(2));
+                assert!(o.hunt.chaos.job.should_stall(3));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -1041,7 +1023,6 @@ mod tests {
                 assert_eq!(o.hunt.seed, 7);
                 assert_eq!(o.hunt.heartbeat_ms, 2000);
                 assert_eq!(o.hunt.stop_file, Some(PathBuf::from("/tmp/stop")));
-                assert!(!o.hunt.supervise);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1053,7 +1034,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&argv("hunt serve")).is_err(), "--listen is required");
-        assert!(parse(&argv("hunt serve --listen x --supervise")).is_err());
         assert!(
             parse(&argv("hunt --lease-ms 5000")).is_err(),
             "serve-only flag"
@@ -1125,20 +1105,18 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("heartbeat interval"), "{err}");
         // Equal-to-interval is still too short; one past it is fine.
-        assert!(validate_timing(40_000, Some((10_000, 4))).is_err());
-        assert!(validate_timing(40_000, Some((10_001, 4))).is_ok());
-        // The shared validator also guards --supervise.
-        assert!(validate_timing(0, None).is_err());
-        assert!(parse(&argv("hunt --supervise --heartbeat-ms 0")).is_err());
+        assert!(validate_timing(40_000, 10_000, 4).is_err());
+        assert!(validate_timing(40_000, 10_001, 4).is_ok());
+        assert!(validate_timing(0, 10_001, 4).is_err());
     }
 
     #[test]
     fn parses_the_unified_chaos_flag() {
-        match parse(&argv("hunt --supervise --chaos job:panic=3;proc:stall=5")).unwrap() {
-            Cmd::Hunt(o) => {
-                assert!(o.chaos.job.should_panic(3));
-                assert!(o.chaos.job.should_stall(5));
-                assert!(o.chaos.disk.is_empty());
+        match parse(&argv("hunt join x:1 --chaos job:panic=3;proc:stall=5")).unwrap() {
+            Cmd::Join(o) => {
+                assert!(o.hunt.chaos.job.should_panic(3));
+                assert!(o.hunt.chaos.job.should_stall(5));
+                assert!(o.hunt.chaos.disk.is_empty());
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -1,8 +1,8 @@
 //! `hunt chaos` — the self-chaos meta-campaign.
 //!
-//! Runs the real pipeline (plain `hunt`, `hunt --supervise`, and
-//! `hunt serve`/`hunt join` over TCP) under deterministically generated
-//! fault schedules and checks the standing invariants after each one:
+//! Runs the real pipeline (plain `hunt`, and `hunt serve`/`hunt join` over
+//! TCP) under deterministically generated fault schedules and checks the
+//! standing invariants after each one:
 //!
 //! - the merged report is bit-identical to the fault-free baseline, or
 //!   the quarantine set is exactly the jobs the schedule targeted;
@@ -131,7 +131,7 @@ pub fn run_chaos(o: ChaosOpts) -> ExitCode {
             for m in &survived {
                 *by_mode.entry(m.label()).or_insert(0u64) += 1;
             }
-            let detail = ["plain", "supervised", "fleet"]
+            let detail = ["plain", "fleet"]
                 .iter()
                 .map(|m| format!("{m} {}", by_mode.get(m).copied().unwrap_or(0)))
                 .collect::<Vec<_>>()
@@ -218,7 +218,6 @@ fn run_campaign(env: &mut Env, o: &ChaosOpts) -> Result<Vec<ChaosMode>, Fail> {
         }
         let result = match s.mode {
             ChaosMode::Plain => run_plain(env, &s, &trial),
-            ChaosMode::Supervised => run_hunt(env, &s, &trial, true),
             ChaosMode::Fleet => run_fleet(env, &s, &trial),
         };
         match result {
@@ -278,7 +277,7 @@ fn run_baseline(env: &mut Env) -> Result<(), String> {
 /// damaged, after which `store fsck` must come back clean.
 fn run_plain(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     if s.plan.disk.is_empty() {
-        run_hunt(env, s, trial, false)
+        run_hunt(env, s, trial)
     } else {
         let store = trial.join("store");
         let torn = s.plan.disk.torn_write_after.is_some();
@@ -359,32 +358,13 @@ fn run_plain(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     }
 }
 
-/// One storeless `hunt` under the schedule's faults. Supervised, job faults
-/// retry in-process and process faults kill a worker out from under its
-/// loopback coordinator, which must respawn it and quarantine the poisoned
-/// job once the crash budget runs out — and leave no worker behind.
-fn run_hunt(env: &Env, s: &Schedule, trial: &Path, supervise: bool) -> Result<(), String> {
+/// One storeless in-process `hunt` under the schedule's job faults.
+fn run_hunt(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     let tdir = trial.join("trace");
     let mut args = hunt_args(env);
-    if supervise {
-        args.push("--supervise".into());
-        args.extend(heartbeat_args());
-    }
     args.extend(trace_args(&tdir));
     args.extend(chaos_args(&s.plan));
     let out = run_to_end(env, &args, trial, "hunt")?;
-    if supervise {
-        // Workers are `hunt join <addr>` children of a coordinator on a
-        // port of its own; they announce the address on the stderr they
-        // share with the supervisor, a marker unique to this trial.
-        let addr = out
-            .stderr
-            .lines()
-            .find_map(|l| l.split("joining coordinator at ").nth(1))
-            .ok_or("the supervised hunt started no worker process")?;
-        let marker = format!("join {} ", addr.trim());
-        no_orphans(&marker, "orphan worker process(es) outlived the supervisor")?;
-    }
     let ledger = tally(&[&out.stderr]);
     check_outcome(env, s, &out)?;
     check_expectations(s, &ledger)?;
@@ -395,16 +375,20 @@ fn run_hunt(env: &Env, s: &Schedule, trial: &Path, supervise: bool) -> Result<()
 /// outbound link; the coordinator kill switch crashes the coordinator
 /// after a logged record, after which a second coordinator resumes from
 /// the checkpoint log on the same address and the spooling worker
-/// redelivers across the outage.
+/// redelivers across the outage. A process fault kills (or wedges)
+/// whichever worker leases its job, so it runs three workers at one job
+/// per lease under a crash budget of two: the two deaths the schedule
+/// budgets, and one worker that finishes the campaign.
 fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     let worker_plan = ChaosPlan {
         job: s.plan.job.clone(),
         net: s.plan.net.clone(),
         ..Default::default()
     };
+    let procs = s.expected.iter().any(|e| e.site.starts_with("proc."));
+    let (batch, crash_budget, workers) = if procs { ("1", "2", 3) } else { ("2", "3", 1) };
     let tdir = trial.join("trace");
     let ckpt = trial.join("ckpt.json");
-    let spool = trial.join("spool.wal");
 
     let serve_base = |listen: &str| {
         let mut args = vec![
@@ -419,9 +403,9 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
             "--lease-ms".into(),
             "120000".into(),
             "--batch".into(),
-            "2".into(),
+            batch.into(),
             "--crash-budget".into(),
-            "3".into(),
+            crash_budget.into(),
         ]);
         args
     };
@@ -452,18 +436,22 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
         }
     };
 
-    // One worker, spooling, retrying hard enough to ride out a
-    // coordinator outage.
-    let mut jargs = vec!["hunt".to_string(), "join".into(), addr.clone()];
-    jargs.extend(campaign_args(env));
-    jargs.extend([
-        "--connect-retries".into(),
-        "200".into(),
-        "--spool".into(),
-        spool.display().to_string(),
-    ]);
-    jargs.extend(chaos_args(&worker_plan));
-    let (mut worker, _w_out, w_err) = spawn_to_files(env, &jargs, trial, "worker")?;
+    // Spooling workers, retrying hard enough to ride out a coordinator
+    // outage.
+    let mut joins = Vec::new();
+    for i in 0..workers {
+        let mut jargs = vec!["hunt".to_string(), "join".into(), addr.clone()];
+        jargs.extend(campaign_args(env));
+        jargs.extend([
+            "--connect-retries".into(),
+            "200".into(),
+            "--spool".into(),
+            trial.join(format!("spool{i}.wal")).display().to_string(),
+        ]);
+        jargs.extend(chaos_args(&worker_plan));
+        let (child, _w_out, w_err) = spawn_to_files(env, &jargs, trial, &format!("worker{i}"))?;
+        joins.push((child, w_err));
+    }
 
     let trial_marker = trial.display().to_string();
     let finish = |env: &Env,
@@ -498,20 +486,32 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     };
 
     if !killed {
-        let w_status = wait_deadline(&mut worker, "fleet worker")?;
         let s_status = wait_deadline(&mut serve, "fleet coordinator")?;
-        if !w_status.success() {
-            let _ = std::fs::read_to_string(&w_err).map(|s| eprint!("{s}"));
-            return Err(format!(
-                "fleet worker failed (exit {:?}), expected success",
-                w_status.code()
-            ));
-        }
         let out = collect(s_status, &serve_out, &serve_err)?;
-        let worker_err = std::fs::read_to_string(&w_err).unwrap_or_default();
-        let serve_stderr = out.stderr.clone();
-        return finish(env, s, out, vec![serve_stderr, worker_err], tdir);
+        let mut stderrs = vec![out.stderr.clone()];
+        for (mut worker, w_err) in joins {
+            if procs {
+                // The coordinator's verdicts are the outcome; a worker a
+                // stall wedged outlives it and is stopped here.
+                if !matches!(worker.try_wait(), Ok(Some(_))) {
+                    let _ = worker.kill();
+                    let _ = worker.wait();
+                }
+            } else {
+                let w_status = wait_deadline(&mut worker, "fleet worker")?;
+                if !w_status.success() {
+                    let _ = std::fs::read_to_string(&w_err).map(|s| eprint!("{s}"));
+                    return Err(format!(
+                        "fleet worker failed (exit {:?}), expected success",
+                        w_status.code()
+                    ));
+                }
+            }
+            stderrs.push(std::fs::read_to_string(&w_err).unwrap_or_default());
+        }
+        return finish(env, s, out, stderrs, tdir);
     }
+    let (mut worker, w_err) = joins.pop().expect("one worker rides out the kill");
 
     // Kill-switch path: the first coordinator must die loudly, leaving a
     // checkpoint log for a second one to resume on the same address.
@@ -649,8 +649,7 @@ fn check_expectations(s: &Schedule, ledger: &BTreeMap<String, u64>) -> Result<()
 
 /// `trace report` must verify each trace dir, and the `chaos.fired.*`
 /// counter family it renders must agree with the stderr ledger for every
-/// attributable plane (job, proc, disk, coord — net fires inside workers
-/// whose tracers are disabled by design).
+/// site a plain hunt fires in its own process (job and disk).
 fn check_counters(
     env: &Env,
     s: &Schedule,
@@ -682,10 +681,9 @@ fn check_counters(
         }
     }
     for e in &s.expected {
-        // Ledger-only sites: net faults fire inside fleet workers (whose
-        // tracers are disabled by design), and a torn write kills its
-        // process mid-prepare, before any counter could be flushed.
-        if e.site.starts_with("net.") || e.site == "disk.torn" {
+        // Ledger-only: a torn write kills its process mid-prepare, before
+        // any counter could be flushed.
+        if e.site == "disk.torn" {
             continue;
         }
         let counted = counters.get(e.site).copied().unwrap_or(0);
@@ -714,7 +712,7 @@ fn hunt_args(env: &Env) -> Vec<String> {
 }
 
 /// The heartbeat timeout, for the runs that have worker processes to time
-/// out: `--supervise` and `hunt serve`. A plain hunt refuses the flag.
+/// out: `hunt serve`. A plain hunt refuses the flag.
 fn heartbeat_args() -> [String; 2] {
     ["--heartbeat-ms".into(), "1500".into()]
 }

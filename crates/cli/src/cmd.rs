@@ -12,9 +12,8 @@ use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
 use snowboard::{
-    config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, ChaosPlan,
-    FleetCfg, FleetWork, JobBudget, JoinCfg, OracleSet, Pipeline, PipelineCfg, PmcId, RetryPolicy,
-    SbResult, SuperviseCfg,
+    config_fingerprint, run_coordinator, run_join, CampaignCfg, CampaignReport, FleetCfg,
+    FleetWork, JobBudget, JoinCfg, OracleSet, Pipeline, PipelineCfg, PmcId, RetryPolicy, SbResult,
 };
 
 use crate::args::{Cmd, HuntOpts, JoinOpts, ServeOpts, USAGE};
@@ -259,9 +258,9 @@ fn strategies(config: KernelConfig, seed: u64, corpus: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The retry/watchdog configuration shared by every hunt mode — the
-/// supervisor, its workers, and the in-process pool must agree on it for
-/// supervised results to be bit-identical to single-process runs.
+/// The retry/watchdog configuration shared by every hunt mode — a fleet
+/// coordinator, its workers, and the in-process pool must agree on it for
+/// fleet results to be bit-identical to single-process runs.
 fn hunt_campaign_cfg(opts: &HuntOpts) -> CampaignCfg {
     CampaignCfg {
         seed: opts.seed,
@@ -559,9 +558,9 @@ fn conclude(prep: Prepared, report: SbResult<CampaignReport>, o: &HuntOpts) -> E
 /// A coordinator's checkpoint: the user's `--checkpoint` path when given,
 /// else a private temporary one that [`remove_temp_checkpoint`] deletes
 /// after a clean finish.
-fn coordinator_checkpoint(o: &HuntOpts, tag: &str) -> PathBuf {
+fn coordinator_checkpoint(o: &HuntOpts) -> PathBuf {
     o.checkpoint.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("sb-{tag}-{}.json", std::process::id()))
+        std::env::temp_dir().join(format!("sb-fleet-{}.json", std::process::id()))
     })
 }
 
@@ -576,128 +575,35 @@ fn hunt(opts: HuntOpts) -> ExitCode {
         Ok(prep) => prep,
         Err(code) => return code,
     };
-    let report = if opts.supervise {
-        supervise(&opts, &prep)
-    } else {
-        prep.p.campaign(&prep.exemplars, &prep.cfg)
-    };
+    let report = prep.p.campaign(&prep.exemplars, &prep.cfg);
     conclude(prep, report, &opts)
 }
 
-/// `hunt --supervise`: the campaign on `--workers` child processes, each a
-/// `hunt join` worker of a coordinator on a loopback port of its own. Same
-/// report, same stdout as a plain `hunt`.
-fn supervise(o: &HuntOpts, prep: &Prepared) -> SbResult<CampaignReport> {
-    let exe = std::env::current_exe().map_err(|e| snowboard::Error::Supervise {
-        detail: format!("cannot locate own binary to re-exec workers: {e}"),
-    })?;
-    let ckpt = coordinator_checkpoint(o, "supervise");
-    let scfg = SuperviseCfg {
-        workers: o.workers.max(1),
-        fleet: FleetCfg {
-            heartbeat_timeout: std::time::Duration::from_millis(o.heartbeat_ms),
-            stop_file: o.stop_file.clone(),
-            checkpoint: ckpt.clone(),
-            config_hash: fleet_fingerprint(o),
-            ..FleetCfg::default()
-        },
-    };
-    eprintln!(
-        "[supervise] {} worker process(es), heartbeat timeout {} ms",
-        scfg.workers, o.heartbeat_ms
-    );
-    let args = worker_args(o);
-    let report = snowboard::run_supervised(&prep.exemplars, &prep.cfg, &scfg, |addr| {
-        let mut c = std::process::Command::new(&exe);
-        c.args(["hunt", "join", addr]).args(&args);
-        c
-    })?;
-    if let Some(f) = &report.fleet {
-        eprintln!(
-            "[supervise] {} spawn(s) + {} respawn(s), {} crash(es), \
-             {} heartbeat miss(es), {} job(s) abandoned",
-            f.spawns, f.respawns, f.crashes, f.heartbeat_misses, f.gave_up_jobs
-        );
-        if f.stopped {
-            eprintln!(
-                "[supervise] stopped by stop file; resume with --supervise --resume {0} \
-                 --checkpoint {0}",
-                ckpt.display()
-            );
-        } else {
-            remove_temp_checkpoint(o, &ckpt);
-        }
-    }
-    Ok(report)
-}
-
-/// One campaign-shaping flag's value: a value to pass, or a presence flag
-/// that is on or off.
-#[derive(Debug, PartialEq)]
-enum Flag {
-    Value(String),
-    Present(bool),
-}
-
-/// Every flag that shapes what a completed job computes, in one list: a
-/// supervised child is launched with them ([`worker_args`]) and a fleet
-/// handshake compares their hash ([`fleet_fingerprint`]). Workers,
-/// heartbeats, stop files and `--chaos` change how a campaign runs or
-/// fails, never what a completed job computes, so they are not here.
-fn campaign_flags(o: &HuntOpts) -> [(&'static str, Flag); 11] {
-    use Flag::{Present, Value};
+/// Every flag that shapes what a completed job computes, in one list, as
+/// the `(flag, value)` parts of [`fleet_fingerprint`]; a presence flag's
+/// value is `true` or `false`. Workers, heartbeats, stop files and
+/// `--chaos` change how a campaign runs or fails, never what a completed
+/// job computes, so they are not here.
+fn campaign_flags(o: &HuntOpts) -> [(&'static str, String); 11] {
     [
-        ("--version", Value(o.config.version.to_string())),
-        ("--patched", Present(o.config.patched)),
-        ("--strategy", Value(o.strategy.to_string())),
-        ("--seed", Value(o.seed.to_string())),
-        ("--corpus", Value(o.corpus.to_string())),
-        ("--budget", Value(o.budget.to_string())),
-        ("--trials", Value(o.trials.to_string())),
-        ("--oracles", Value(o.oracles.to_spec())),
-        ("--random-order", Present(o.random_order)),
-        ("--retries", Value(o.retries.to_string())),
-        ("--job-deadline", Value(o.job_deadline_secs.to_string())),
+        ("--version", o.config.version.to_string()),
+        ("--patched", o.config.patched.to_string()),
+        ("--strategy", o.strategy.to_string()),
+        ("--seed", o.seed.to_string()),
+        ("--corpus", o.corpus.to_string()),
+        ("--budget", o.budget.to_string()),
+        ("--trials", o.trials.to_string()),
+        ("--oracles", o.oracles.to_spec()),
+        ("--random-order", o.random_order.to_string()),
+        ("--retries", o.retries.to_string()),
+        ("--job-deadline", o.job_deadline_secs.to_string()),
     ]
-}
-
-/// A supervised child's flags: the campaign-shaping ones (its handshake
-/// fingerprint checks them), its stop file, and the job/process faults.
-/// The loopback coordinator hands it its heartbeat interval and lease size;
-/// `--store` and `--trace-dir` stay with the supervisor: one writer per
-/// resource.
-fn worker_args(o: &HuntOpts) -> Vec<String> {
-    let mut args = Vec::new();
-    for (flag, value) in campaign_flags(o) {
-        match value {
-            Flag::Value(v) => args.extend([flag.to_owned(), v]),
-            Flag::Present(on) => args.extend(on.then(|| flag.to_owned())),
-        }
-    }
-    if let Some(sf) = &o.stop_file {
-        args.extend(["--stop-file".into(), sf.display().to_string()]);
-    }
-    if !o.chaos.job.is_empty() {
-        let plan = ChaosPlan {
-            job: o.chaos.job.clone(),
-            ..ChaosPlan::default()
-        };
-        args.extend(["--chaos".into(), plan.to_spec()]);
-    }
-    args
 }
 
 /// [`campaign_flags`] hashed for the fleet handshake: a worker must share
 /// them with its coordinator for merged results to make sense.
 fn fleet_fingerprint(o: &HuntOpts) -> u64 {
-    let parts: Vec<(&str, String)> = campaign_flags(o)
-        .into_iter()
-        .map(|(flag, value)| match value {
-            Flag::Value(v) => (flag, v),
-            Flag::Present(on) => (flag, on.to_string()),
-        })
-        .collect();
-    config_fingerprint(&parts)
+    config_fingerprint(&campaign_flags(o))
 }
 
 /// `hunt serve`: run the campaign as a fleet coordinator. Same pipeline,
@@ -720,7 +626,7 @@ fn serve(opts: ServeOpts) -> ExitCode {
         Ok(prep) => prep,
         Err(code) => return code,
     };
-    let ckpt = coordinator_checkpoint(o, "fleet");
+    let ckpt = coordinator_checkpoint(o);
     let fcfg = FleetCfg {
         heartbeat_timeout: std::time::Duration::from_millis(o.heartbeat_ms),
         lease_deadline: std::time::Duration::from_millis(opts.lease_ms),
@@ -892,32 +798,45 @@ fn repro(bug: u8) -> ExitCode {
 mod tests {
     use super::*;
     use crate::args::parse;
-    use sb_kernel::KernelVersion;
 
-    /// A supervised child parses back every campaign-shaping flag its
-    /// supervisor renders, for every strategy and kernel version, with the
-    /// presence flags on and off.
+    /// The handshake value of a campaign: pinned for the default flags (a
+    /// worker of an older build must still match), equal for `hunt serve`
+    /// and `hunt join` launched with the same campaign flags, and moved by
+    /// every one of them, the presence flags included.
     #[test]
-    fn worker_args_parse_back_to_the_same_campaign() {
-        let Ok(Cmd::Hunt(base)) = parse(&["hunt".to_owned()]) else {
-            panic!("a bare hunt parses")
-        };
-        for strategy in ALL_STRATEGIES {
-            for version in [KernelVersion::V5_3_10, KernelVersion::V5_12Rc3] {
-                for on in [false, true] {
-                    let mut o = base.clone();
-                    o.strategy = strategy;
-                    o.config.version = version;
-                    o.config.patched = on;
-                    o.random_order = on;
-                    let argv = [vec!["hunt".to_owned()], worker_args(&o)].concat();
-                    let Ok(Cmd::Hunt(child)) = parse(&argv) else {
-                        panic!("{argv:?} does not parse")
-                    };
-                    assert_eq!(campaign_flags(&child), campaign_flags(&o), "{argv:?}");
-                    assert_eq!(fleet_fingerprint(&child), fleet_fingerprint(&o));
-                }
+    fn fleet_fingerprint_is_pinned_and_shared_by_serve_and_join() {
+        let fingerprint = |cmd: &str| {
+            let argv: Vec<String> = cmd.split_whitespace().map(str::to_owned).collect();
+            match parse(&argv) {
+                Ok(Cmd::Hunt(o)) => fleet_fingerprint(&o),
+                Ok(Cmd::Serve(o)) => fleet_fingerprint(&o.hunt),
+                Ok(Cmd::Join(o)) => fleet_fingerprint(&o.hunt),
+                other => panic!("{cmd}: {other:?}"),
             }
+        };
+        assert_eq!(fingerprint("hunt"), 0x537f_9b3a_2ed9_1bd1);
+        let campaign = "--seed 7 --corpus 40 --budget 6 --trials 4";
+        let served = fingerprint(&format!(
+            "hunt serve --listen x --heartbeat-ms 500 {campaign}"
+        ));
+        assert_eq!(served, fingerprint(&format!("hunt join x:1 {campaign}")));
+        assert_eq!(served, fingerprint(&format!("hunt --workers 3 {campaign}")));
+        let mut seen = std::collections::BTreeSet::from([served]);
+        for flag in [
+            "--version 5.3.10",
+            "--patched",
+            "--strategy s-full",
+            "--seed 8",
+            "--corpus 41",
+            "--budget 7",
+            "--trials 5",
+            "--oracles race",
+            "--random-order",
+            "--retries 4",
+            "--job-deadline 9",
+        ] {
+            let moved = fingerprint(&format!("hunt {campaign} {flag}"));
+            assert!(seen.insert(moved), "{flag} does not move the fingerprint");
         }
     }
 }

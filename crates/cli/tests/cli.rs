@@ -337,7 +337,7 @@ fn strategies_and_every_oracle_selection_describe_the_hunted_corpus() {
     );
 }
 
-/// A small, fast hunt configuration shared by the supervision tests.
+/// A small, fast hunt configuration shared by the worker-process tests.
 /// `seed` varies per test so concurrent tests can tell their worker
 /// processes apart in /proc.
 fn small_hunt(seed: &str) -> Vec<String> {
@@ -359,22 +359,14 @@ fn small_hunt(seed: &str) -> Vec<String> {
     .collect()
 }
 
-/// [`small_hunt`] on supervised worker processes, with a heartbeat timeout
-/// that a loaded machine cannot trip. (A plain hunt refuses the timeout: it
-/// has no worker process to time out.)
-fn supervised_hunt(seed: &str) -> Vec<String> {
-    let mut args = small_hunt(seed);
-    args.push("--supervise".into());
-    args.extend(HEARTBEAT.map(String::from));
-    args
-}
-
-/// The supervisor's and the coordinator's heartbeat timeout in these tests.
+/// The coordinator's heartbeat timeout in these tests: one a loaded machine
+/// cannot trip. (A plain hunt refuses the timeout: it has no worker process
+/// to time out.)
 const HEARTBEAT: [&str; 2] = ["--heartbeat-ms", "30000"];
 
 /// Shared teardown oracle for process-spawning tests: after a run finishes,
 /// no worker process tagged with our `--seed <seed>` plus `marker` (e.g.
-/// `join`: supervised children and fleet workers are both `hunt join`) may
+/// `join`: fleet workers are `hunt join` processes) may
 /// still be alive. A short grace period absorbs exit races; anything that
 /// outlives it is an orphan and fails the test.
 fn no_orphans(seed: &str, marker: &str) {
@@ -410,145 +402,6 @@ fn no_orphans(seed: &str, marker: &str) {
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-}
-
-#[test]
-fn supervised_hunt_matches_the_in_process_run_bit_for_bit() {
-    // The whole point of the supervised mode: N worker processes, each
-    // running a deterministic shard with the same per-job seeds, must merge
-    // into exactly the report a single-process run produces.
-    let clean = bin().args(small_hunt("3")).output().expect("run hunt");
-    assert!(
-        clean.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-    let sup = bin()
-        .args(supervised_hunt("3"))
-        .output()
-        .expect("run supervised hunt");
-    assert!(
-        sup.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&sup.stderr)
-    );
-    assert_eq!(stdout(&clean), stdout(&sup), "supervised stdout diverged");
-    let err = String::from_utf8_lossy(&sup.stderr);
-    assert!(
-        err.contains("[supervise]"),
-        "missing supervise summary: {err}"
-    );
-    no_orphans("3", "join");
-}
-
-#[test]
-fn supervised_hunt_survives_a_worker_sigkill() {
-    use std::time::{Duration, Instant};
-    let clean = bin().args(small_hunt("11")).output().expect("run hunt");
-    assert!(clean.status.success());
-
-    let sup = bin()
-        .args(supervised_hunt("11"))
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn supervised hunt");
-
-    // Find one of our worker processes (cmdline has join and our seed) and
-    // SIGKILL it, simulating an external OOM kill. Best effort:
-    // if the campaign finishes before we catch a worker, the diff below
-    // still validates the run.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    'hunt: while Instant::now() < deadline {
-        for entry in std::fs::read_dir("/proc").expect("read /proc").flatten() {
-            let name = entry.file_name();
-            let Some(pid) = name
-                .to_str()
-                .filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
-            else {
-                continue;
-            };
-            let Ok(raw) = std::fs::read(entry.path().join("cmdline")) else {
-                continue;
-            };
-            let args: Vec<&str> = raw
-                .split(|&b| b == 0)
-                .filter_map(|a| std::str::from_utf8(a).ok())
-                .collect();
-            let ours = args.windows(2).any(|w| w == ["--seed", "11"]);
-            if ours && args.contains(&"join") {
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", pid])
-                    .status();
-                break 'hunt;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    let out = sup.wait_with_output().expect("await supervised hunt");
-    assert!(
-        out.status.success(),
-        "killed run must still succeed; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // The respawned worker resumed from the supervisor's checkpoint and
-    // reran the in-flight job with identical seeds: bit-identical output.
-    assert_eq!(
-        stdout(&clean),
-        stdout(&out),
-        "post-kill report diverged from the clean run"
-    );
-    no_orphans("11", "join");
-}
-
-#[test]
-fn supervised_stop_file_checkpoints_then_resumes() {
-    let dir = scratch_dir("stop-file");
-    std::fs::create_dir_all(&dir).unwrap();
-    let stop = dir.join("stop");
-    let ckpt = dir.join("ckpt.json");
-    std::fs::write(&stop, b"").unwrap();
-
-    // With the stop file already present, the run must come down gracefully
-    // before testing anything, leaving a resumable checkpoint behind.
-    let stopped = bin()
-        .args(supervised_hunt("7"))
-        .arg("--stop-file")
-        .arg(&stop)
-        .arg("--checkpoint")
-        .arg(&ckpt)
-        .output()
-        .expect("run stoppable hunt");
-    assert!(
-        stopped.status.success(),
-        "graceful stop is exit 0; stderr: {}",
-        String::from_utf8_lossy(&stopped.stderr)
-    );
-    let err = String::from_utf8_lossy(&stopped.stderr);
-    assert!(err.contains("stopped by stop file"), "stderr: {err}");
-    assert!(ckpt.is_file(), "stop must leave the checkpoint behind");
-
-    // Resuming without the stop file finishes the campaign and matches a
-    // clean single-process run exactly.
-    std::fs::remove_file(&stop).unwrap();
-    let resumed = bin()
-        .args(supervised_hunt("7"))
-        .arg("--resume")
-        .arg(&ckpt)
-        .arg("--checkpoint")
-        .arg(&ckpt)
-        .output()
-        .expect("resume hunt");
-    assert!(
-        resumed.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    let clean = bin().args(small_hunt("7")).output().expect("run hunt");
-    assert_eq!(stdout(&clean), stdout(&resumed), "resumed run diverged");
-    no_orphans("7", "join");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -602,96 +455,6 @@ fn exit_codes_are_pinned() {
         stdout(&quarantined)
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn supervised_crash_injection_quarantines_and_exits_3() {
-    // A worker that aborts on job 2 burns the crash budget; the supervisor
-    // quarantines exactly that job, the rest of the campaign completes, and
-    // the exit code says "finished with quarantines".
-    let out = bin()
-        .args(supervised_hunt("5"))
-        .args(["--chaos", "proc:abort=2"])
-        .output()
-        .expect("run aborting hunt");
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = stdout(&out);
-    assert!(text.contains("quarantined 1 job(s)"), "stdout: {text}");
-    assert!(
-        text.contains("crash: 1"),
-        "quarantine must be crash-kinded: {text}"
-    );
-    assert!(
-        text.contains("worker process died while job 2 was in flight"),
-        "quarantine must name the in-flight job: {text}"
-    );
-    no_orphans("5", "join");
-}
-
-#[test]
-fn supervised_stall_is_evicted_killed_and_quarantined() {
-    // The one child parks on job 2 and falls silent. Its coordinator evicts
-    // it at the heartbeat timeout and the pool kills it and starts another,
-    // which parks on job 2 again: the second death quarantines the job, and
-    // a third child finishes the campaign. A child that kept heartbeating
-    // while parked would never be evicted: the deadline turns that hang
-    // into a failure.
-    use std::time::{Duration, Instant};
-    let mut sup = bin()
-        .args([
-            "hunt",
-            "--corpus",
-            "12",
-            "--budget",
-            "10",
-            "--trials",
-            "2",
-            "--workers",
-            "1",
-            "--seed",
-            "13",
-            "--heartbeat-ms",
-            "1500",
-            "--supervise",
-            "--chaos",
-            "proc:stall=2",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn stalling hunt");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while sup.try_wait().expect("poll stalling hunt").is_none() {
-        if Instant::now() > deadline {
-            let _ = sup.kill();
-            panic!("the stalled child was never evicted");
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    let out = sup.wait_with_output().expect("await stalling hunt");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "stderr: {err}");
-    let text = stdout(&out);
-    assert!(
-        text.contains("quarantined 1 job(s)") && text.contains("crash: 1"),
-        "{text}"
-    );
-    assert!(
-        text.contains(
-            "worker process died while job 2 was in flight: killed after heartbeat timeout"
-        ),
-        "{text}"
-    );
-    assert!(
-        err.contains("1 spawn(s) + 2 respawn(s), 2 crash(es), 2 heartbeat miss(es)"),
-        "stderr: {err}"
-    );
-    no_orphans("13", "join");
 }
 
 #[test]
@@ -754,87 +517,6 @@ fn hunt_trace_round_trips_through_trace_report() {
         "unexpected report:\n{text}"
     );
     assert!(text.contains("funnel:"), "missing funnel section:\n{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn supervised_trace_records_each_lifecycle_fact_once() {
-    // Job totals live in `job` events and worker/fleet lifecycle steps in
-    // `worker`/`fleet` events; no counter restates them.
-    const RESTATED: [&str; 20] = [
-        "profile.ok",
-        "profile.accesses_kept",
-        "campaign.trials",
-        "campaign.steps",
-        "campaign.jobs_completed",
-        "campaign.jobs_quarantined",
-        "supervise.spawns",
-        "supervise.respawns",
-        "supervise.crashes",
-        "supervise.heartbeat_misses",
-        "fleet.joins",
-        "fleet.rejects",
-        "fleet.leases",
-        "fleet.evictions",
-        "fleet.reassigned",
-        "fleet.duplicates",
-        "fleet.spool.redelivered",
-        "fleet.sessions.resumed",
-        "fleet.leases.restored",
-        "chaos.fired.total",
-    ];
-    let dir = scratch_dir("supervised-trace");
-    let hunt = bin()
-        .args(supervised_hunt("19"))
-        .arg("--trace-dir")
-        .arg(&dir)
-        .output()
-        .expect("run supervised hunt");
-    assert!(
-        hunt.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&hunt.stderr)
-    );
-    no_orphans("19", "join");
-    let raw = std::fs::read_to_string(dir.join("trace.jsonl")).expect("trace written");
-    let lines: Vec<&str> = raw.lines().collect();
-    for line in &lines {
-        if let Ok(sb_obs::Event::Count { key, .. }) = sb_obs::Event::parse_line(line) {
-            assert!(!RESTATED.contains(&key.as_str()), "restated fact: {line}");
-        }
-    }
-
-    let report = bin()
-        .args(["trace", "report", "--trace-dir"])
-        .arg(&dir)
-        .output()
-        .expect("run trace report");
-    let text = stdout(&report);
-    assert!(text.contains("verification: OK"), "{text}");
-    let block: Vec<(&str, u64)> = text
-        .split("supervised workers:\n")
-        .nth(1)
-        .unwrap_or_else(|| panic!("no supervised workers block:\n{text}"))
-        .lines()
-        .map_while(|l| {
-            let (action, n) = l.trim().split_once(char::is_whitespace)?;
-            Some((action, n.trim().parse().ok()?))
-        })
-        .collect();
-    assert_eq!(block, [("exit", 2), ("spawn", 2)], "{text}");
-
-    // The no-orphans rule still has two sides: drop one exit and it fails.
-    let exit = lines
-        .iter()
-        .position(|l| l.contains("\"ev\":\"worker\"") && l.contains("\"action\":\"exit\""))
-        .expect("an exit event");
-    let mut cut = lines.clone();
-    cut.remove(exit);
-    let mismatches = sb_obs::TraceReport::from_lines(cut).unwrap().verify();
-    assert!(
-        mismatches.iter().any(|m| m.starts_with("worker exits:")),
-        "{mismatches:?}"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -962,6 +644,294 @@ fn fleet_hunt_matches_the_in_process_run_bit_for_bit() {
     no_orphans("17", "join");
 }
 
+/// Starts `n` `hunt join` workers of the coordinator at `addr` on the
+/// campaign of [`small_hunt`]`(seed)`, with `extra` worker flags.
+fn spawn_joins(addr: &str, seed: &str, n: usize, extra: &[&str]) -> Vec<std::process::Child> {
+    (0..n)
+        .map(|_| {
+            bin()
+                .args(["hunt", "join", addr])
+                .args(join_tail(seed))
+                .args(extra)
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn hunt join")
+        })
+        .collect()
+}
+
+/// How many `[chaos] fired <site>` ledger lines `workers` printed. A worker
+/// still running (a stalled one) is killed first: its ledger line was
+/// printed before it stalled.
+fn fired_in(workers: Vec<std::process::Child>, site: &str) -> usize {
+    let prefix = format!("[chaos] fired {site} ");
+    workers
+        .into_iter()
+        .map(|mut w| {
+            if w.try_wait().expect("poll worker").is_none() {
+                let _ = w.kill();
+            }
+            let out = w.wait_with_output().expect("await worker");
+            String::from_utf8_lossy(&out.stderr)
+                .lines()
+                .filter(|l| l.starts_with(&prefix))
+                .count()
+        })
+        .sum()
+}
+
+#[test]
+fn fleet_hunt_survives_a_worker_sigkill() {
+    let clean = bin().args(small_hunt("11")).output().expect("run hunt");
+    assert!(clean.status.success());
+
+    // The drain waits one heartbeat timeout for the killed worker to come
+    // back; a short one keeps that wait short.
+    let (serve, addr, serve_err) = spawn_serve(&serve_tail("11"), &["--heartbeat-ms", "5000"]);
+    // The victim joins alone and parks on job 0, so it holds a lease when
+    // it is SIGKILLed (an external OOM kill); the second worker joins only
+    // then, and must rerun what the victim held.
+    let mut victim = spawn_joins(&addr, "11", 1, &["--chaos", "proc:stall=0"]).remove(0);
+    let mut victim_err = std::io::BufReader::new(victim.stderr.take().expect("piped stderr"));
+    let mut line = String::new();
+    while !line.starts_with("[chaos] fired proc.stall") {
+        line.clear();
+        let read = std::io::BufRead::read_line(&mut victim_err, &mut line).expect("read");
+        assert!(read > 0, "the victim exited before it parked on job 0");
+    }
+    let survivor = spawn_joins(&addr, "11", 1, &[]);
+    victim.kill().expect("SIGKILL the parked worker");
+    let _ = victim.wait();
+
+    let out = serve.wait_with_output().expect("await serve");
+    let err = serve_err.join().expect("stderr drain thread");
+    assert!(out.status.success(), "killed run must still succeed: {err}");
+    assert!(
+        err.contains(" 1 eviction(s)"),
+        "the kill is one eviction: {err}"
+    );
+    // The survivor reran what the dead worker held, with identical seeds:
+    // bit-identical output.
+    assert_eq!(
+        stdout(&clean),
+        stdout(&out),
+        "post-kill report diverged from the clean run"
+    );
+    for w in survivor {
+        assert!(w.wait_with_output().expect("await worker").status.success());
+    }
+    no_orphans("11", "join");
+}
+
+#[test]
+fn fleet_stop_file_checkpoints_then_resumes() {
+    let dir = scratch_dir("stop-file");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stop = dir.join("stop").display().to_string();
+    let ckpt = dir.join("ckpt.json").display().to_string();
+    std::fs::write(&stop, b"").unwrap();
+
+    // With the stop file already present, the coordinator comes down
+    // gracefully before testing anything, leaving a resumable checkpoint.
+    let (serve, _addr, serve_err) = spawn_serve(
+        &serve_tail("7"),
+        &["--stop-file", &stop, "--checkpoint", &ckpt],
+    );
+    let stopped = serve.wait_with_output().expect("await stopped serve");
+    let err = serve_err.join().expect("stderr drain thread");
+    assert!(stopped.status.success(), "graceful stop is exit 0: {err}");
+    assert!(err.contains("stopped by stop file"), "stderr: {err}");
+    assert!(
+        std::path::Path::new(&ckpt).is_file(),
+        "stop must leave the checkpoint behind"
+    );
+
+    // Resuming without the stop file finishes the campaign and matches a
+    // clean single-process run exactly.
+    std::fs::remove_file(&stop).unwrap();
+    let (serve, addr, serve_err) = spawn_serve(
+        &serve_tail("7"),
+        &["--resume", &ckpt, "--checkpoint", &ckpt],
+    );
+    let workers = spawn_joins(&addr, "7", 1, &[]);
+    let resumed = serve.wait_with_output().expect("await resumed serve");
+    let err = serve_err.join().expect("stderr drain thread");
+    assert!(resumed.status.success(), "stderr: {err}");
+    let clean = bin().args(small_hunt("7")).output().expect("run hunt");
+    assert_eq!(stdout(&clean), stdout(&resumed), "resumed run diverged");
+    for w in workers {
+        assert!(w.wait_with_output().expect("await worker").status.success());
+    }
+    no_orphans("7", "join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fleet_crash_injection_quarantines_and_exits_3() {
+    // Every worker aborts on job 2. At one job per lease and a crash budget
+    // of two, two workers die on it, the job is quarantined as a crash, and
+    // the third worker finishes the campaign with the exit code that says
+    // "finished with quarantines". The short heartbeat bounds the drain's
+    // wait for the two dead workers to come back.
+    let (serve, addr, serve_err) = spawn_serve(
+        &serve_tail("5"),
+        &[
+            "--batch",
+            "1",
+            "--crash-budget",
+            "2",
+            "--heartbeat-ms",
+            "3000",
+        ],
+    );
+    let workers = spawn_joins(&addr, "5", 3, &["--chaos", "proc:abort=2"]);
+    let out = serve.wait_with_output().expect("await serve");
+    let err = serve_err.join().expect("stderr drain thread");
+    assert_eq!(out.status.code(), Some(3), "stderr: {err}");
+    let text = stdout(&out);
+    assert!(
+        text.contains("quarantined 1 job(s)") && text.contains("  crash: 1"),
+        "job 2 is the one quarantine, crash-kinded: {text}"
+    );
+    assert!(
+        text.contains(
+            "worker connection died while job 2 was leased: connection closed unexpectedly"
+        ),
+        "the quarantine names the in-flight job: {text}"
+    );
+    assert_eq!(
+        fired_in(workers, "proc.abort"),
+        2,
+        "one abort per budgeted death"
+    );
+    no_orphans("5", "join");
+}
+
+#[test]
+fn fleet_stall_is_evicted_and_quarantined() {
+    // Every worker parks on job 2 and falls silent. The coordinator evicts
+    // the first at the heartbeat timeout, the second parks on job 2 again
+    // and is evicted too, which quarantines the job, and the third finishes
+    // the campaign. A worker that kept heartbeating while parked would
+    // never be evicted: the deadline turns that hang into a failure.
+    use std::time::{Duration, Instant};
+    let (mut serve, addr, serve_err) = spawn_serve(
+        &serve_tail("13"),
+        &[
+            "--batch",
+            "1",
+            "--crash-budget",
+            "2",
+            "--heartbeat-ms",
+            "1500",
+        ],
+    );
+    let workers = spawn_joins(&addr, "13", 3, &["--chaos", "proc:stall=2"]);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while serve.try_wait().expect("poll serve").is_none() {
+        if Instant::now() > deadline {
+            let _ = serve.kill();
+            fired_in(workers, "proc.stall");
+            panic!("the stalled workers were never evicted");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let out = serve.wait_with_output().expect("await serve");
+    let err = serve_err.join().expect("stderr drain thread");
+    assert_eq!(out.status.code(), Some(3), "stderr: {err}");
+    let text = stdout(&out);
+    assert!(
+        text.contains("quarantined 1 job(s)") && text.contains("  crash: 1"),
+        "{text}"
+    );
+    assert!(
+        text.contains("worker connection died while job 2 was leased: silent for"),
+        "{text}"
+    );
+    // The two parked workers outlive the coordinator; they are stopped here.
+    assert_eq!(fired_in(workers, "proc.stall"), 2, "one stall per eviction");
+    no_orphans("13", "join");
+}
+
+#[test]
+fn fleet_trace_records_each_lifecycle_fact_once() {
+    // Job totals live in `job` events and the fleet lifecycle in `fleet`
+    // events; no counter restates them, and the `fleet workers:` block
+    // counts what the coordinator's own summary line reports.
+    const RESTATED: [&str; 16] = [
+        "profile.ok",
+        "profile.accesses_kept",
+        "campaign.trials",
+        "campaign.steps",
+        "campaign.jobs_completed",
+        "campaign.jobs_quarantined",
+        "fleet.joins",
+        "fleet.rejects",
+        "fleet.leases",
+        "fleet.evictions",
+        "fleet.reassigned",
+        "fleet.duplicates",
+        "fleet.spool.redelivered",
+        "fleet.sessions.resumed",
+        "fleet.leases.restored",
+        "chaos.fired.total",
+    ];
+    let dir = scratch_dir("fleet-trace");
+    let trace_dir = dir.display().to_string();
+    let (serve, addr, serve_err) = spawn_serve(&serve_tail("19"), &["--trace-dir", &trace_dir]);
+    let workers = spawn_joins(&addr, "19", 2, &[]);
+    let out = serve.wait_with_output().expect("await serve");
+    let err = serve_err.join().expect("stderr drain thread");
+    assert!(out.status.success(), "stderr: {err}");
+    for w in workers {
+        let _ = w.wait_with_output();
+    }
+    no_orphans("19", "join");
+    let raw = std::fs::read_to_string(dir.join("trace.jsonl")).expect("trace written");
+    for line in raw.lines() {
+        if let Ok(sb_obs::Event::Count { key, .. }) = sb_obs::Event::parse_line(line) {
+            assert!(!RESTATED.contains(&key.as_str()), "restated fact: {line}");
+        }
+    }
+
+    let report = bin()
+        .args(["trace", "report", "--trace-dir"])
+        .arg(&dir)
+        .output()
+        .expect("run trace report");
+    let text = stdout(&report);
+    assert!(text.contains("verification: OK"), "{text}");
+    let block: std::collections::BTreeMap<&str, u64> = text
+        .split("fleet workers:\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no fleet workers block:\n{text}"))
+        .lines()
+        .map_while(|l| {
+            let (action, n) = l.trim().split_once(char::is_whitespace)?;
+            Some((action, n.trim().parse().ok()?))
+        })
+        .collect();
+    // The number right before `what` in the `[fleet]` summary line.
+    let summary = |what: &str| -> u64 {
+        err.split(what)
+            .next()
+            .and_then(|head| head.rsplit(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no count before '{what}': {err}"))
+    };
+    assert_eq!(
+        block.get("join").copied(),
+        Some(summary(" worker(s) joined")),
+        "{text}"
+    );
+    assert_eq!(
+        block.get("lease").copied(),
+        Some(summary(" lease(s),")),
+        "{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn join_fails_fast_against_an_unreachable_coordinator() {
     // Nobody listening: bounded retries, one error line, exit 1 — no hang,
@@ -1057,8 +1027,8 @@ fn fleet_handshake_rejects_a_config_mismatch() {
 
 #[test]
 fn fleet_usage_errors_exit_2() {
-    // Parse-time validation of the timing/lease knobs (for serve, join, and
-    // --supervise) must reject nonsense before any socket or pipeline work.
+    // Parse-time validation of the timing/lease knobs (for serve and join)
+    // must reject nonsense before any socket or pipeline work.
     let cases: &[&[&str]] = &[
         &["hunt", "serve"],                                         // no --listen
         &["hunt", "serve", "--listen", "x", "--lease-ms", "0"],     // zero lease
@@ -1086,8 +1056,9 @@ fn fleet_usage_errors_exit_2() {
         &["hunt", "join", "x:1", "--store", "/tmp/sb-join-store"],
         &["hunt", "join", "x:1", "--no-cache"],
         &["hunt", "join", "x:1", "--trace-dir", "/tmp/sb-join-trace"],
-        &["hunt", "--supervise", "--heartbeat-ms", "0"], // supervise too
-        &["hunt", "--heartbeat-ms", "500"],              // no worker process to time out
+        &["hunt", "--supervise"], // one in-process runner, one fleet
+        &["hunt", "--heartbeat-ms", "500"], // no worker process to time out
+        &["hunt", "--stop-file", "/tmp/sb-stop"], // no worker process to stop
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run usage case");

@@ -6,7 +6,7 @@
 //! directions; `from_json` rejects unknown discriminators and missing or
 //! mistyped fields, which is what the CI trace-validation job leans on.
 //!
-//! Eight event kinds exist:
+//! Seven event kinds exist:
 //!
 //! | `ev`         | payload                                                |
 //! |--------------|--------------------------------------------------------|
@@ -15,7 +15,6 @@
 //! | `count`      | `key`, `n` — a monotonic counter increment             |
 //! | `hist`       | `key`, `v` — one histogram observation                 |
 //! | `job`        | one campaign job's resolution (totals + quarantine bit)|
-//! | `worker`     | one supervised-worker lifecycle transition             |
 //! | `fleet`      | one fleet-worker lifecycle/lease transition            |
 //! | `summary`    | the run's funnel + `CampaignReport` totals             |
 //!
@@ -84,18 +83,6 @@ pub enum Event {
         attempts: u64,
         /// True if the job was quarantined instead of completing.
         quarantined: bool,
-    },
-    /// One supervised-worker lifecycle transition (multi-process campaigns
-    /// only). Actions: `spawn`, `restart`, `exit`, `heartbeat-miss`.
-    Worker {
-        /// Microseconds since tracer origin.
-        t: u64,
-        /// The pool slot the process runs in.
-        worker: u64,
-        /// Lifecycle action.
-        action: String,
-        /// Human-readable context (exit status, pending count, ...).
-        detail: String,
     },
     /// One fleet-worker lifecycle or lease transition (TCP-coordinated
     /// campaigns only). Actions: `join`, `reject`, `lease`, `evict`,
@@ -171,7 +158,6 @@ impl Event {
             Event::Count { .. } => "count",
             Event::Hist { .. } => "hist",
             Event::Job { .. } => "job",
-            Event::Worker { .. } => "worker",
             Event::Fleet { .. } => "fleet",
             Event::Summary { .. } => "summary",
         }
@@ -230,13 +216,7 @@ impl Event {
                 ("attempts", Json::U64(*attempts)),
                 ("quarantined", Json::Bool(*quarantined)),
             ]),
-            Event::Worker {
-                t,
-                worker,
-                action,
-                detail,
-            }
-            | Event::Fleet {
+            Event::Fleet {
                 t,
                 worker,
                 action,
@@ -311,12 +291,6 @@ impl Event {
                 attempts: field_u64(doc, "attempts")?,
                 quarantined: field_bool(doc, "quarantined")?,
             }),
-            "worker" => Ok(Event::Worker {
-                t,
-                worker: field_u64(doc, "worker")?,
-                action: field_str(doc, "action")?,
-                detail: field_str(doc, "detail")?,
-            }),
             "fleet" => Ok(Event::Fleet {
                 t,
                 worker: field_u64(doc, "worker")?,
@@ -388,12 +362,6 @@ mod tests {
             attempts: 2,
             quarantined: false,
         });
-        roundtrip(Event::Worker {
-            t: 5,
-            worker: 2,
-            action: "heartbeat-miss".into(),
-            detail: "silent for 10.2s".into(),
-        });
         roundtrip(Event::Fleet {
             t: 6,
             worker: 3,
@@ -426,10 +394,6 @@ mod tests {
         // Missing field.
         assert!(
             Event::parse_line("{\"t\":0,\"ev\":\"span_end\",\"span\":1,\"name\":\"x\"}").is_err()
-        );
-        assert!(
-            Event::parse_line("{\"t\":0,\"ev\":\"worker\",\"worker\":1,\"action\":\"spawn\"}")
-                .is_err()
         );
         assert!(
             Event::parse_line("{\"t\":0,\"ev\":\"fleet\",\"worker\":1,\"action\":\"join\"}")

@@ -99,10 +99,6 @@ pub struct TraceReport {
     pub spans: BTreeMap<String, SpanSummary>,
     /// Per-job totals, in emission order.
     pub jobs: Vec<JobSummary>,
-    /// Supervised-worker lifecycle action counts (`spawn`, `restart`,
-    /// `exit`, `crash`, `heartbeat-miss`), by action. Empty for
-    /// single-process runs.
-    pub worker_actions: BTreeMap<String, u64>,
     /// Fleet-worker lifecycle/lease action counts (`join`, `reject`,
     /// `lease`, `evict`, `reassign`, `duplicate`, `drain`, `give-up`), by
     /// action. Empty for non-fleet runs.
@@ -156,9 +152,6 @@ impl TraceReport {
                         quarantined,
                     });
                 }
-                Event::Worker { ref action, .. } => {
-                    *r.worker_actions.entry(action.clone()).or_insert(0) += 1;
-                }
                 Event::Fleet { ref action, .. } => {
                     *r.fleet_actions.entry(action.clone()).or_insert(0) += 1;
                 }
@@ -200,8 +193,8 @@ impl TraceReport {
 
     /// Cross-checks the reconstruction against the summary event, and
     /// records that two separate computations must agree on: snapshot
-    /// clones against trials, per-oracle findings against job findings,
-    /// worker ends against worker starts. Returns the list of mismatches
+    /// clones against trials, per-oracle findings against job findings.
+    /// Returns the list of mismatches
     /// (empty = consistent). Missing summary is itself a mismatch: a
     /// complete trace always ends with one.
     pub fn verify(&self) -> Vec<String> {
@@ -240,7 +233,6 @@ impl TraceReport {
         check("quarantined", job_quarantined, quarantined);
         self.verify_detect(&mut mismatches);
         self.verify_snapshots(&mut mismatches);
-        self.verify_supervision(&mut mismatches);
         mismatches
     }
 
@@ -252,9 +244,9 @@ impl TraceReport {
     /// job event reports; and every completed trial dirties at least one
     /// page (threads write their stacks), so a run with trials must copy
     /// pages. Traces
-    /// without snapshot counters pass vacuously — supervised and fleet
-    /// campaigns aggregate job verdicts in the parent process, where the
-    /// workers' per-job snapshot accounting is not visible.
+    /// without snapshot counters pass vacuously — a fleet campaign
+    /// aggregates job verdicts in the coordinator, where the workers'
+    /// per-job snapshot accounting is not visible.
     fn verify_snapshots(&self, mismatches: &mut Vec<String>) {
         let clones = self.counter(keys::SNAPSHOT_CLONES);
         if clones == 0 {
@@ -300,21 +292,6 @@ impl TraceReport {
             mismatches.push(format!(
                 "reported findings: detect.reported.* counters say {reported}, \
                  job events say {job_findings}"
-            ));
-        }
-    }
-
-    /// The no-orphans rule of a supervised run: every process that started
-    /// (`spawn` or `restart`) has ended (`exit` when clean, `crash`
-    /// otherwise) by the time the trace completes. A trace without worker
-    /// events passes vacuously.
-    fn verify_supervision(&self, mismatches: &mut Vec<String>) {
-        let action = |a: &str| self.worker_actions.get(a).copied().unwrap_or(0);
-        let ended = action("exit") + action("crash");
-        let started = action("spawn") + action("restart");
-        if ended != started {
-            mismatches.push(format!(
-                "worker exits: {ended} exit/crash event(s), but {started} spawn/restart event(s)"
             ));
         }
     }
@@ -415,12 +392,6 @@ impl TraceReport {
             let _ = writeln!(out, "\nchaos faults fired:");
             for (site, n) in &chaos {
                 let _ = writeln!(out, "  {site:<28} {n:>10}");
-            }
-        }
-        if !self.worker_actions.is_empty() {
-            let _ = writeln!(out, "\nsupervised workers:");
-            for (action, n) in &self.worker_actions {
-                let _ = writeln!(out, "  {action:<28} {n:>10}");
             }
         }
         if !self.fleet_actions.is_empty() {
@@ -664,61 +635,12 @@ mod tests {
 
     #[test]
     fn traces_without_snapshot_counters_pass_vacuously() {
-        // Supervised/fleet parents re-emit job verdicts but not the
+        // A fleet coordinator re-emits job verdicts but not the
         // workers' snapshot accounting; their traces must still verify.
         let lines = traced_run();
         let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
         assert_eq!(r.counter(keys::SNAPSHOT_CLONES), 0);
         assert!(r.verify().is_empty(), "{:?}", r.verify());
-    }
-
-    fn worker_line(action: &str, worker: u64) -> String {
-        Event::Worker {
-            t: 0,
-            worker,
-            action: action.into(),
-            detail: String::new(),
-        }
-        .to_json()
-        .render()
-    }
-
-    #[test]
-    fn supervision_events_balance_starts_against_ends() {
-        // Two slots: slot 1's first child is killed for silence and its
-        // respawn exits cleanly. Three starts, three ends.
-        let mut lines = traced_run();
-        lines.insert(0, worker_line("spawn", 0));
-        lines.insert(1, worker_line("spawn", 1));
-        lines.insert(2, worker_line("heartbeat-miss", 1));
-        lines.insert(3, worker_line("crash", 1));
-        lines.insert(4, worker_line("restart", 1));
-        lines.insert(5, worker_line("exit", 0));
-        lines.insert(6, worker_line("exit", 1));
-        let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
-        assert_eq!(r.worker_actions["spawn"], 2);
-        assert_eq!(r.worker_actions["crash"], 1);
-        assert!(r.verify().is_empty(), "{:?}", r.verify());
-        assert!(r.render().contains("supervised workers:"));
-    }
-
-    #[test]
-    fn supervision_mismatches_are_detected() {
-        // A spawn event with no matching exit: the no-orphans check trips.
-        let mut lines = traced_run();
-        lines.insert(0, worker_line("spawn", 0));
-        let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
-        let mismatches = r.verify();
-        assert!(
-            mismatches.iter().any(|m| m.starts_with("worker exits:")),
-            "{mismatches:?}"
-        );
-        // A crash ends a process as an exit does; an end without a start
-        // trips the same check.
-        let mut lines = traced_run();
-        lines.insert(0, worker_line("crash", 0));
-        let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
-        assert_eq!(r.verify().len(), 1, "{:?}", r.verify());
     }
 
     fn fleet_line(action: &str, worker: u64) -> String {
@@ -753,13 +675,11 @@ mod tests {
     }
 
     #[test]
-    fn single_process_traces_skip_supervision_checks() {
+    fn single_process_traces_render_no_fleet_section() {
         let lines = traced_run();
         let r = TraceReport::from_lines(lines.iter().map(String::as_str)).unwrap();
-        assert!(r.worker_actions.is_empty());
         assert!(r.fleet_actions.is_empty());
         assert!(r.verify().is_empty());
-        assert!(!r.render().contains("supervised workers:"));
         assert!(!r.render().contains("fleet workers:"));
     }
 

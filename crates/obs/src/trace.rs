@@ -26,8 +26,8 @@ use crate::event::Event;
 /// Keys are plain strings in the event schema; these constants keep the
 /// emission sites and the report reader agreeing on spelling. A counter
 /// holds a fact no other record of the trace carries: a job's trials and
-/// steps are in its `job` event, and worker and fleet lifecycle steps are
-/// `worker` and `fleet` events, counted by `trace report` itself.
+/// steps are in its `job` event, and fleet lifecycle steps are `fleet`
+/// events, counted by `trace report` itself.
 pub mod keys {
     /// Accesses dropped by the stack filter.
     pub const ACCESSES_DROPPED: &str = "profile.accesses_dropped";

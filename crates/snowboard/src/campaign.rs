@@ -172,7 +172,7 @@ pub struct QuarantineRecord {
 ///
 /// `PartialEq` is deliberate: equivalence tests pin entire reports
 /// bit-identical across execution modes (copy-on-write vs deep snapshots,
-/// supervised vs in-process).
+/// fleet vs in-process).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignReport {
     /// Per-test outcomes, in test order.
@@ -191,7 +191,7 @@ pub struct CampaignReport {
     /// store (`None` for in-memory runs).
     pub store: Option<crate::metrics::StoreStats>,
     /// Fleet-fabric counters, when the campaign ran under a TCP
-    /// coordinator, `hunt --supervise`'s included (`None` otherwise).
+    /// coordinator (`None` otherwise).
     pub fleet: Option<crate::metrics::FleetStats>,
 }
 

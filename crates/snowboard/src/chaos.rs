@@ -52,9 +52,9 @@ pub const SITES: &[&str] = &[
 ];
 
 /// Prints the stderr ledger line for one fault firing. The ledger is the
-/// attribution channel that works everywhere — supervised and fleet worker
-/// processes run with disabled tracers, but their stderr is inherited, so
-/// `hunt chaos` can still count every injected fault.
+/// attribution channel that works everywhere — fleet worker processes run
+/// with disabled tracers, but their stderr is captured, so `hunt chaos` can
+/// still count every injected fault.
 pub fn fired(site: &str, detail: &str) {
     if detail.is_empty() {
         eprintln!("[chaos] fired {site}");
@@ -340,9 +340,8 @@ impl ChaosPlan {
 pub enum ChaosMode {
     /// A plain in-process `hunt` (job and disk planes).
     Plain,
-    /// `hunt --supervise` (job and process planes).
-    Supervised,
-    /// `hunt serve` + `hunt join` over TCP (job, net, and coord planes).
+    /// `hunt serve` + `hunt join` over TCP (job, process, net, and coord
+    /// planes).
     Fleet,
 }
 
@@ -351,7 +350,6 @@ impl ChaosMode {
     pub fn label(self) -> &'static str {
         match self {
             ChaosMode::Plain => "plain",
-            ChaosMode::Supervised => "supervised",
             ChaosMode::Fleet => "fleet",
         }
     }
@@ -393,9 +391,10 @@ impl Schedule {
 }
 
 /// Sites eligible per mode. A plain hunt exercises the in-process job
-/// faults plus the store's disk faults; a supervised hunt adds process
-/// faults; a fleet run adds network faults and the coordinator kill
-/// switch (job transients still work — workers retry in-process).
+/// faults plus the store's disk faults; a fleet run swaps the disk faults
+/// for the faults only worker processes have — process deaths and stalls,
+/// network faults — and the coordinator kill switch (job faults still
+/// work: workers retry in-process).
 const PLAIN_SITES: &[&str] = &[
     "job.panic",
     "job.hang",
@@ -404,16 +403,13 @@ const PLAIN_SITES: &[&str] = &[
     "disk.flip",
     "disk.short",
 ];
-const SUPERVISED_SITES: &[&str] = &[
+const FLEET_SITES: &[&str] = &[
     "job.panic",
     "job.hang",
     "job.transient",
     "proc.abort",
     "proc.exit",
     "proc.stall",
-];
-const FLEET_SITES: &[&str] = &[
-    "job.transient",
     "net.drop",
     "net.delay",
     "net.garble",
@@ -466,15 +462,9 @@ impl ScheduleGen {
     pub fn next_schedule(&mut self) -> Schedule {
         let index = self.next_index;
         self.next_index += 1;
-        let mode = match index % 3 {
-            0 => ChaosMode::Plain,
-            1 => ChaosMode::Supervised,
-            _ => ChaosMode::Fleet,
-        };
-        let eligible: &[&str] = match mode {
-            ChaosMode::Plain => PLAIN_SITES,
-            ChaosMode::Supervised => SUPERVISED_SITES,
-            ChaosMode::Fleet => FLEET_SITES,
+        let (mode, eligible) = match index % 2 {
+            0 => (ChaosMode::Plain, PLAIN_SITES),
+            _ => (ChaosMode::Fleet, FLEET_SITES),
         };
         // One deterministic stream per (seed, index): the same schedule
         // regenerates bit-identically regardless of how we got here.
@@ -552,7 +542,8 @@ impl ScheduleGen {
     /// instant-death circuit breaker, two net faults race for the same
     /// connection, two disk faults for the same write. The coordinator
     /// kill switch pairs only with a pure link delay — anything else
-    /// entangles the kill point with reconnect ordering.
+    /// entangles the kill point with reconnect ordering — and a process
+    /// fault only with job faults, whose workers it does not kill.
     fn compatible(a: &str, b: &str) -> bool {
         if a == b {
             return false;
@@ -560,6 +551,9 @@ impl ScheduleGen {
         let cat = |s: &str| s.split('.').next().unwrap_or(s).to_owned();
         if a.starts_with("coord.") || b.starts_with("coord.") {
             return a == "net.delay" || b == "net.delay";
+        }
+        if a.starts_with("proc.") || b.starts_with("proc.") {
+            return a.starts_with("job.") || b.starts_with("job.");
         }
         cat(a) != cat(b) || (a.starts_with("job.") && b.starts_with("job."))
     }
@@ -850,7 +844,6 @@ mod tests {
             let s = gen.next_schedule();
             let eligible: &[&str] = match s.mode {
                 ChaosMode::Plain => PLAIN_SITES,
-                ChaosMode::Supervised => SUPERVISED_SITES,
                 ChaosMode::Fleet => FLEET_SITES,
             };
             assert!(
@@ -901,7 +894,7 @@ mod tests {
 
     #[test]
     fn coverage_bias_reaches_every_site() {
-        // 60 schedules (20 per mode) must schedule every eligible site of
+        // 60 schedules (30 per mode) must schedule every eligible site of
         // every mode at least once: the bias prefers unseen sites, so the
         // whole injection matrix is exercised long before chance would.
         let mut gen = ScheduleGen::new(3, 8);
@@ -953,8 +946,8 @@ mod tests {
         };
         attribute_verdict(&tracer, &plan, 1, &quarantine(1, 3, FailureKind::Panic));
         attribute_verdict(&tracer, &plan, 2, &quarantine(2, 1, FailureKind::Hang));
-        // A crash quarantine on a scripted job is attributed at the proc
-        // site when its worker is reaped, never here.
+        // A crash quarantine on a scripted job is a process death, counted
+        // by the fault ledger of the worker that died, never here.
         attribute_verdict(&tracer, &plan, 1, &quarantine(1, 2, FailureKind::Crash));
         tracer.flush();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();

@@ -88,17 +88,10 @@ pub enum Error {
         /// What differed.
         detail: String,
     },
-    /// The process supervisor itself failed (a worker could not be spawned,
-    /// the loopback coordinator could not bind). Campaign-level: per-worker
-    /// crashes are quarantine data, not errors.
-    Supervise {
-        /// What went wrong.
-        detail: String,
-    },
     /// The fleet fabric itself failed (the coordinator could not listen, a
     /// worker exhausted its reconnect budget, a handshake was rejected).
-    /// Campaign-level for the same reason as [`Error::Supervise`]:
-    /// individual worker deaths are quarantine data, not errors.
+    /// Campaign-level: individual worker deaths are quarantine data, not
+    /// errors.
     Fleet {
         /// What went wrong.
         detail: String,
@@ -128,7 +121,7 @@ impl Error {
             Error::CheckpointIo { .. }
             | Error::CheckpointFormat { .. }
             | Error::ResumeMismatch { .. } => FailureKind::Checkpoint,
-            Error::Supervise { .. } | Error::Fleet { .. } => FailureKind::Crash,
+            Error::Fleet { .. } => FailureKind::Crash,
         }
     }
 
@@ -174,9 +167,6 @@ impl std::fmt::Display for Error {
             }
             Error::ResumeMismatch { detail } => {
                 write!(f, "checkpoint belongs to a different campaign: {detail}")
-            }
-            Error::Supervise { detail } => {
-                write!(f, "process supervisor failed: {detail}")
             }
             Error::Fleet { detail } => {
                 write!(f, "fleet fabric failed: {detail}")

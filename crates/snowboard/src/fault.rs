@@ -8,7 +8,7 @@
 //! Plans are plain data, always compiled in, and empty by default, so
 //! production campaigns pay only a couple of set lookups per job.
 //!
-//! A remote worker (`hunt join`, which is what `--supervise` spawns) adds
+//! A remote worker (`hunt join`) adds
 //! *process-level* faults that fire before the job is attempted: `abort`
 //! (SIGABRT, no unwinding — the failure PR 1's catch-unwind cannot catch),
 //! `exit` with a chosen code, and `stall` (the worker goes silent without

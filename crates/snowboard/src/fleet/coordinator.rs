@@ -1,6 +1,5 @@
 //! The coordinator half of the fleet: one loop owning the ledger (and with
-//! it the checkpoint log), the lease table and every connection — and, under
-//! `hunt --supervise`, the [`Pool`] of child processes behind them.
+//! it the checkpoint log), the lease table and every connection.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufReader;
@@ -20,7 +19,6 @@ use crate::pmc::PmcId;
 use crate::protocol::{
     read_frame, write_frame, JoinMsg, ProtocolError, ServeMsg, FLEET_PROTO_VERSION,
 };
-use crate::supervise::{Dead, Pool};
 
 /// What a connection's reader thread forwards to the coordinator loop.
 enum Note {
@@ -40,8 +38,6 @@ struct Conn {
     worker: Option<u64>,
     /// The worker's session token from its join (0 = no resumption).
     session: u64,
-    /// The worker's process id from its join.
-    pid: u64,
     last_msg: Instant,
     /// Results (fresh or duplicate) delivered over this connection.
     completed: u64,
@@ -58,8 +54,7 @@ struct Lease {
     /// whose session has not reconnected yet — the worker may still be
     /// alive and working, so the jobs stay off the pending pool until the
     /// session re-joins (reattaching the lease) or the deadline reclaims
-    /// them — and for a lease whose supervised child is waiting to be
-    /// reaped.
+    /// them.
     conn: Option<u64>,
     /// Holder's session token (logged with the grant).
     session: u64,
@@ -86,8 +81,6 @@ struct Coordinator<'a> {
     next_worker: u64,
     next_lease: u64,
     drain_deadline: Instant,
-    /// The supervised process pool, when the workers are our children.
-    pool: Option<Pool<'a>>,
 }
 
 impl Coordinator<'_> {
@@ -145,9 +138,7 @@ impl Coordinator<'_> {
     /// Removes a connection and hands its leases back to the ledger.
     /// `unclean` describes an unexpected death — counted as an eviction
     /// and a death in the fleet's breaker domain, its leases dead owners;
-    /// clean closes (after `leaving`/`drained`) just release. A supervised
-    /// child's connection is different only in when its death is charged:
-    /// the child is killed, and its leases wait for [`Coordinator::bury`].
+    /// clean closes (after `leaving`/`drained`) just release.
     fn drop_conn(&mut self, conn_id: u64, unclean: Option<&str>) {
         let Some(conn) = self.conns.remove(&conn_id) else {
             return;
@@ -163,15 +154,6 @@ impl Coordinator<'_> {
         if let Some(detail) = unclean {
             self.stats.evictions += 1;
             self.fleet_event(worker, "evict", detail.to_owned());
-            if let (Some(pool), Some(_)) = (self.pool.as_mut(), conn.worker) {
-                for lease_id in &held {
-                    if let Some(lease) = self.leases.get_mut(lease_id) {
-                        lease.conn = None;
-                    }
-                }
-                pool.orphan(conn.pid, worker, held, conn.completed);
-                return;
-            }
             if conn.worker.is_some() {
                 self.ledger.note_death(conn.completed > 0);
                 if conn.session != 0 {
@@ -219,61 +201,6 @@ impl Coordinator<'_> {
         }
     }
 
-    /// A supervised child was reaped and none of its connections is left:
-    /// its process faults are attributed, the jobs it held are charged,
-    /// and the breaker counts the death — once, joined or not.
-    fn bury(&mut self, dead: Dead) {
-        if !dead.clean {
-            let plan = &self.cfg.fault_plan;
-            for lease_id in &dead.leases {
-                for job in self.ledger.held_by(*lease_id) {
-                    // The child printed the ledger line before dying; the
-                    // coordinator owns the trace counters. A stall surfaces
-                    // as a heartbeat kill, abort/exit as a plain crash.
-                    let site = if dead.hb_killed && plan.should_stall(job) {
-                        "proc.stall"
-                    } else if plan.should_abort(job) {
-                        "proc.abort"
-                    } else if plan.exit_code(job).is_some() {
-                        "proc.exit"
-                    } else {
-                        continue;
-                    };
-                    crate::chaos::count_fired(&self.cfg.tracer, site, 1);
-                }
-            }
-            self.ledger.note_death(dead.completed > 0);
-        }
-        let died = |job| {
-            format!(
-                "worker process died while job {job} was in flight: {}",
-                dead.detail
-            )
-        };
-        let cause = (!dead.clean).then_some(&died as &dyn Fn(usize) -> String);
-        for lease_id in dead.leases.iter().copied() {
-            self.end_lease(lease_id, dead.worker, cause);
-        }
-    }
-
-    /// The deaths of one tick: under a pool, reap exited children and
-    /// charge the ones whose connections are gone; then the breaker; then
-    /// respawn while work is left. The breaker sits between the two, so a
-    /// tripped campaign starts no process it would only have to kill.
-    fn tend(&mut self) -> SbResult<()> {
-        if let Some(pool) = self.pool.as_mut() {
-            let conns = &self.conns;
-            for dead in pool.reap(|pid| conns.values().any(|c| c.pid == pid)) {
-                self.bury(dead);
-            }
-        }
-        self.maybe_give_up();
-        let wanted = !self.ledger.stopping() && self.ledger.pending() > 0;
-        self.pool
-            .as_mut()
-            .map_or(Ok(()), |pool| pool.spawn_due(wanted))
-    }
-
     /// A job went back to the pending pool. During a drain it is simply
     /// released (nobody will run it); otherwise it is a counted, traced
     /// reassignment.
@@ -311,7 +238,7 @@ impl Coordinator<'_> {
         }
     }
 
-    fn handle_join(&mut self, conn_id: u64, proto: u64, config: u64, session: u64, pid: u64) {
+    fn handle_join(&mut self, conn_id: u64, proto: u64, config: u64, session: u64) {
         let reject = |this: &mut Self, reason: String| {
             this.stats.workers_rejected += 1;
             this.fleet_event(u64::MAX, "reject", reason.clone());
@@ -346,22 +273,9 @@ impl Coordinator<'_> {
             );
             return;
         }
-        // Only a live child can be charged when it dies, so a supervising
-        // coordinator works with nobody else — and drains its late children
-        // like the others instead of failing them.
-        match &self.pool {
-            Some(pool) if !pool.admit(pid) => {
-                reject(
-                    self,
-                    format!("process {pid} is not a live child of this supervisor"),
-                );
-                return;
-            }
-            None if self.ledger.stopping() && !self.evicted.contains(&session) => {
-                reject(self, "coordinator is draining".to_owned());
-                return;
-            }
-            _ => {}
+        if self.ledger.stopping() && !self.evicted.contains(&session) {
+            reject(self, "coordinator is draining".to_owned());
+            return;
         }
         let worker = self.next_worker;
         self.next_worker += 1;
@@ -369,7 +283,6 @@ impl Coordinator<'_> {
         if let Some(c) = self.conns.get_mut(&conn_id) {
             c.worker = Some(worker);
             c.session = session;
-            c.pid = pid;
         }
         self.stats.workers_joined += 1;
         self.fleet_event(worker, "join", format!("connection {conn_id} registered"));
@@ -568,9 +481,6 @@ impl Coordinator<'_> {
             .collect();
         for (conn_id, silence) in silent {
             self.stats.heartbeat_misses += 1;
-            if let (Some(pool), Some(conn)) = (self.pool.as_mut(), self.conns.get(&conn_id)) {
-                pool.heartbeat_kill(conn.pid, silence);
-            }
             let detail = format!(
                 "silent for {:.1}s (heartbeat timeout)",
                 silence.as_secs_f64()
@@ -631,14 +541,10 @@ impl Coordinator<'_> {
         // Leases granted but never released stay out: their holders may
         // still be alive and working, and will re-join with their session
         // tokens to deliver. The normal deadline sweep reclaims them if
-        // nobody ever does. A supervisor's children are all new processes,
-        // so under a pool no holder can come back: the jobs stay pending.
+        // nobody ever does.
         let deadline = Instant::now() + self.fcfg.lease_deadline;
         for restored in replay.leases {
             self.next_lease = self.next_lease.max(restored.lease + 1);
-            if self.pool.is_some() {
-                continue;
-            }
             let jobs = self
                 .ledger
                 .hold(restored.lease, &restored.jobs, Some(deadline));
@@ -681,18 +587,6 @@ pub fn run_coordinator(
     cfg: &CampaignCfg,
     fcfg: &FleetCfg,
 ) -> SbResult<CampaignReport> {
-    coordinate(listener, exemplars, cfg, fcfg, None)
-}
-
-/// [`run_coordinator`], optionally tending the supervised process `pool`
-/// whose children are its only workers.
-pub(crate) fn coordinate<'a>(
-    listener: TcpListener,
-    exemplars: &[PmcId],
-    cfg: &'a CampaignCfg,
-    fcfg: &'a FleetCfg,
-    pool: Option<Pool<'a>>,
-) -> SbResult<CampaignReport> {
     let ledger = JobLedger::open(exemplars, cfg, Some(&fcfg.checkpoint))?;
     let _span = cfg.tracer.span("campaign");
 
@@ -713,7 +607,6 @@ pub(crate) fn coordinate<'a>(
         next_worker: 0,
         next_lease: 1,
         drain_deadline: Instant::now(),
-        pool,
     };
     state.apply_replay();
     // Every verdict the resumed log holds lands in the merged summary, so
@@ -733,9 +626,6 @@ pub(crate) fn coordinate<'a>(
         if n > 0 {
             cfg.tracer.count(key, n);
         }
-    }
-    if let Some(pool) = state.pool {
-        pool.finish(&mut state.stats);
     }
     let mut report = state.ledger.finish()?;
     report.fleet = Some(state.stats);
@@ -817,16 +707,14 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
         }
         state.sweep_leases(now);
         state.sweep_heartbeats(now);
-        state.tend()?;
+        state.maybe_give_up();
 
         if state.ledger.pending() == 0 && state.leases.is_empty() {
             state.start_drain("campaign complete");
         }
-        // A supervisor also waits for its children to exit on their own, a
-        // fleet for its uncleanly evicted workers to come back and drain.
-        let settled = state.conns.is_empty()
-            && state.evicted.is_empty()
-            && state.pool.as_ref().is_none_or(Pool::idle);
+        // Uncleanly evicted workers get the drain window to come back and
+        // be told to drain.
+        let settled = state.conns.is_empty() && state.evicted.is_empty();
         if state.ledger.stopping() && (settled || now >= state.drain_deadline) {
             // Stragglers past the deadline are cut off; no charges — the
             // campaign is over either way.
@@ -857,7 +745,6 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
                         stream,
                         worker: None,
                         session: 0,
-                        pid: 0,
                         last_msg: Instant::now(),
                         completed: 0,
                         leaving: false,
@@ -876,10 +763,7 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
                         proto,
                         config,
                         session,
-                        pid,
-                    } => {
-                        state.handle_join(conn_id, proto, config, session, pid);
-                    }
+                    } => state.handle_join(conn_id, proto, config, session),
                     JoinMsg::Heartbeat => {}
                     JoinMsg::Request => state.handle_request(conn_id),
                     JoinMsg::Done {

@@ -1,15 +1,12 @@
-//! Fault-tolerant distributed campaign fabric: `hunt serve` / `hunt join`,
-//! and the loopback transport under `hunt --supervise`.
+//! Fault-tolerant distributed campaign fabric: `hunt serve` / `hunt join`.
 //!
 //! A coordinator ([`run_coordinator`]) owns the job universe and merged
 //! checkpoint; any number of workers ([`run_join`]) connect, lease batches
 //! of jobs, and stream results back over the framed protocol in
-//! [`crate::protocol`]. [`crate::supervise`] runs the same coordinator on
-//! `127.0.0.1` with its own child processes as the workers. Because every
-//! job derives its seeds from `(campaign seed, job index)` alone, a merged
-//! report is identical to a single-process run **no matter how jobs land
-//! on workers** — even under worker kills, partitions, and injected
-//! network faults.
+//! [`crate::protocol`]. Because every job derives its seeds from
+//! `(campaign seed, job index)` alone, a merged report is identical to a
+//! single-process run **no matter how jobs land on workers** — even under
+//! worker kills, partitions, and injected network and process faults.
 //!
 //! The job lifecycle is [`crate::ledger`]'s; this module is the transport —
 //! connections, sessions, lease deadlines and the spool. The
@@ -81,7 +78,6 @@ mod coordinator;
 mod outbox;
 mod worker;
 
-pub(crate) use coordinator::coordinate;
 pub use coordinator::run_coordinator;
 pub use worker::{run_join, FleetWork, JoinCfg, JoinSummary};
 
@@ -280,7 +276,6 @@ mod tests {
                 proto: FLEET_PROTO_VERSION,
                 config,
                 session,
-                pid: 0,
             });
             let reply = c.read();
             (c, reply)
@@ -301,7 +296,6 @@ mod tests {
                 proto: FLEET_PROTO_VERSION,
                 config,
                 session,
-                pid: 0,
             });
             let reply = c.read();
             (c, reply)
@@ -653,7 +647,6 @@ mod tests {
             proto: 99,
             config: 0xBEEF,
             session: 0,
-            pid: 0,
         });
         let reply = bad_proto.read();
         assert!(

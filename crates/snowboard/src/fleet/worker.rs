@@ -1,5 +1,5 @@
-//! The worker half of the fleet: `hunt join`, and every child of
-//! `hunt --supervise`. Connect and handshake, lease jobs, run them, and
+//! The worker half of the fleet: `hunt join`. Connect and handshake, lease
+//! jobs, run them, and
 //! stream the verdicts back through the [`Outbox`].
 
 use std::io::BufReader;
@@ -378,7 +378,6 @@ fn connect_and_join(
             proto: FLEET_PROTO_VERSION,
             config: jcfg.config_hash,
             session,
-            pid: u64::from(std::process::id()),
         })
         .map_err(|e| HandshakeFail::Retry(format!("handshake send failed: {e}")))?;
     let mut reader = BufReader::new(read_half);

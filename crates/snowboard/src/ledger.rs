@@ -3,8 +3,7 @@
 //! A campaign is a fixed universe of jobs (the budgeted exemplar list) that
 //! each end in exactly one verdict. Two transports move jobs and verdicts
 //! around — scoped threads ([`crate::campaign`]) and TCP peers
-//! ([`crate::fleet`], which [`crate::supervise`] runs over loopback for its
-//! own child processes) — and both drive the same [`JobLedger`], which is
+//! ([`crate::fleet`]) — and both drive the same [`JobLedger`], which is
 //! the only place that knows the rules:
 //!
 //! ```text

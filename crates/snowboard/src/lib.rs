@@ -35,10 +35,7 @@
 //! coordinator leases jobs to joining workers over the [`protocol`] wire
 //! format with heartbeat eviction, exactly-once merging of late results,
 //! and deterministic network fault injection, while keeping the merged
-//! report bit-identical to a single-process run. [`supervise`] runs that
-//! coordinator on loopback over a pool of its own worker processes,
-//! surviving aborts, OOM kills, and wedged workers that in-process
-//! catch-unwind cannot. [`chaos`] unifies every
+//! report bit-identical to a single-process run. [`chaos`] unifies every
 //! fault plane behind one `plane:kind=args` spec grammar and generates
 //! deterministic fault schedules for `hunt chaos` self-chaos campaigns.
 //!
@@ -75,7 +72,6 @@ pub mod profile;
 pub mod protocol;
 pub mod retry;
 pub mod select;
-pub mod supervise;
 pub mod triage;
 pub mod watchdog;
 
@@ -108,7 +104,6 @@ pub use protocol::{
     read_frame, write_frame, JoinMsg, ProtocolError, ServeMsg, FLEET_PROTO_VERSION,
 };
 pub use retry::RetryPolicy;
-pub use supervise::{run_supervised, SuperviseCfg};
 pub use watchdog::JobBudget;
 
 /// Configuration for pipeline preparation (stages 1–2).

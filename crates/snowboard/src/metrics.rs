@@ -90,14 +90,10 @@ impl StoreStats {
     }
 }
 
-/// Fleet-fabric counters for one coordinated campaign run (`hunt serve`,
-/// or the loopback coordinator of `hunt --supervise`, whose process pool
-/// adds its `spawns`, `respawns` and `crashes`).
+/// Fleet-fabric counters for one coordinated campaign run (`hunt serve`).
 ///
-/// Produced by [`crate::fleet::run_coordinator`] and
-/// [`crate::supervise::run_supervised`], and surfaced through
-/// `CampaignReport::fleet` and the CLI's `[fleet]`/`[supervise]` summary
-/// lines (stderr, so the run's stdout stays byte-identical to a
+/// Produced by [`crate::fleet::run_coordinator`], and surfaced through
+/// `CampaignReport::fleet` and the CLI's `[fleet]` summary lines (stderr, so the run's stdout stays byte-identical to a
 /// single-process run).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
@@ -139,14 +135,6 @@ pub struct FleetStats {
     pub leases_restored: u64,
     /// True when the run ended early because the stop file appeared.
     pub stopped: bool,
-    /// Supervised child processes started in an empty slot (== `workers`
-    /// unless there was no work).
-    pub spawns: u64,
-    /// Supervised children started again after a death.
-    pub respawns: u64,
-    /// Supervised children that ended uncleanly (nonzero exit, signal, or
-    /// kill).
-    pub crashes: u64,
 }
 
 /// Result of an interleavings-to-expose measurement.

@@ -1,6 +1,6 @@
 //! The coordinator↔worker wire protocol of [`crate::fleet`] — the one remote
-//! transport, whether the workers are `hunt join` peers of a `hunt serve`
-//! or the children of `hunt --supervise`.
+//! transport, between a `hunt serve` coordinator and its `hunt join`
+//! workers.
 //!
 //! A TCP stream has no message boundaries, and a partition can cut a
 //! message anywhere, so each message travels as one [`sb_obs::frame`]
@@ -42,15 +42,15 @@ use crate::json::{self, Json};
 /// token, `done`/`quarantine` carry a per-session sequence number plus a
 /// redelivery flag, and `welcome`/`lease` carry the coordinator's highest
 /// journaled sequence number (`ack`) so a reconnecting worker can trim its
-/// result spool. v3 added the worker's process id to `join`, so a
-/// supervising coordinator can kill the child behind a connection it
-/// evicts. v4 replaced the ASCII `<len>\n<payload>\n` framing with the
+/// result spool. v3 added the worker's process id to `join`, for a
+/// coordinator that supervised its workers as child processes. v4 replaced the ASCII `<len>\n<payload>\n` framing with the
 /// CRC32C frame; a v3 peer's first frame is a framing error, so it is
 /// dropped before any handshake or lease. v5 made the coordinator the only
 /// owner of the heartbeat interval and the lease size: `welcome` carries
 /// the interval (and no longer the worker id or universe size), and
-/// `request` carries no size.
-pub const FLEET_PROTO_VERSION: u64 = 5;
+/// `request` carries no size. v6 dropped the process id from `join`: no
+/// coordinator owns its workers' processes any more.
+pub const FLEET_PROTO_VERSION: u64 = 6;
 
 /// Hard ceiling on one frame's payload (1 MiB). Real messages are a few
 /// KiB; anything larger is a corrupt length prefix or an attack, and
@@ -169,10 +169,6 @@ pub enum JoinMsg {
         /// under this session acks them in the `welcome`, letting the
         /// worker trim its spool instead of redelivering everything.
         session: u64,
-        /// The worker's process id. A supervising coordinator admits only
-        /// its own live children, and kills the one behind a connection it
-        /// evicts.
-        pid: u64,
     },
     /// Liveness signal, emitted on a fixed interval.
     Heartbeat,
@@ -232,13 +228,11 @@ impl JoinMsg {
                 proto,
                 config,
                 session,
-                pid,
             } => Json::Obj(vec![
                 msg,
                 ("proto".into(), Json::U64(*proto)),
                 ("config".into(), Json::U64(*config)),
                 ("session".into(), Json::U64(*session)),
-                ("pid".into(), Json::U64(*pid)),
             ]),
             JoinMsg::Heartbeat | JoinMsg::Request => Json::Obj(vec![msg]),
             JoinMsg::Done {
@@ -293,7 +287,6 @@ impl JoinMsg {
                 proto: req_u64(&doc, "proto").map_err(detail)?,
                 config: req_u64(&doc, "config").map_err(detail)?,
                 session: req_u64(&doc, "session").map_err(detail)?,
-                pid: req_u64(&doc, "pid").map_err(detail)?,
             }),
             "heartbeat" => Ok(JoinMsg::Heartbeat),
             "request" => Ok(JoinMsg::Request),
@@ -550,7 +543,6 @@ mod tests {
             proto: FLEET_PROTO_VERSION,
             config: u64::MAX,
             session: 0xDEAD_BEEF,
-            pid: 4242,
         });
         join_roundtrip(JoinMsg::Heartbeat);
         join_roundtrip(JoinMsg::Request);
@@ -624,8 +616,7 @@ mod tests {
             "{\"job\":1}",
             "{\"msg\":\"join\",\"proto\":1}",
             "{\"msg\":\"join\",\"proto\":1,\"config\":99}",
-            "{\"msg\":\"join\",\"proto\":5,\"config\":99,\"session\":1}",
-            "{\"msg\":\"join\",\"proto\":5,\"config\":99,\"pid\":1}",
+            "{\"msg\":\"join\",\"proto\":6,\"config\":99,\"pid\":1}",
             "{\"msg\":\"join\",\"proto\":\"x\",\"config\":1}",
             "{\"msg\":\"done\"}",
             done_no_seq.as_str(),

@@ -66,7 +66,7 @@ impl RetryPolicy {
 }
 
 /// Wait before attempt `n` (1-based) of a deterministic retry loop — a
-/// worker respawn or a fleet reconnect: `base` doubling per attempt,
+/// fleet worker's reconnect: `base` doubling per attempt,
 /// clamped at `max`, plus up to a quarter of that in jitter drawn from
 /// `mix` (the caller's seed blend). No wall-clock entropy: identical inputs
 /// always wait the same.
@@ -118,7 +118,7 @@ mod tests {
         assert_ne!(s1, s2);
         assert_ne!(s0, s2);
         assert_eq!(s1, reseed(1234, 1), "reseed must be a pure function");
-        // Pinned: retry seeds reach checkpoints and supervisor backoff.
+        // Pinned: retry seeds reach checkpoints.
         assert_eq!((s1, s2), (0xbb0c_f61b_2f18_1cdb, 0x97c7_a136_4df0_6524));
     }
 

@@ -182,12 +182,11 @@ proptest! {
         proto in any::<u64>(),
         config in any::<u64>(),
         session in any::<u64>(),
-        pid in any::<u64>(),
         ack in any::<u64>(),
         heartbeat_ms in any::<u64>(),
     ) {
         let msgs = [
-            JoinMsg::Join { proto, config, session, pid },
+            JoinMsg::Join { proto, config, session },
             JoinMsg::Heartbeat,
             JoinMsg::Request,
             JoinMsg::Leaving { reason: format!("reason-{proto}") },
