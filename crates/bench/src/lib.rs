@@ -237,7 +237,6 @@ mod tests {
             total_steps: 700,
             executions: 1,
             quarantined: vec![],
-            store: None,
             fleet: None,
         };
         assert_eq!(issues_cell(&report), "#13 (1.0)");

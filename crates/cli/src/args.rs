@@ -22,9 +22,6 @@ COMMANDS:
     strategies    show per-strategy cluster counts for a corpus
     list-bugs     print the ground-truth issue registry (Table 2)
     repro         reproduce one known bug with its PMC-hinted schedule
-    store stats   print the last run's profile hit rate and segment sizes
-    store fsck    verify store integrity (read-only); exits nonzero if dirty
-    store repair  drop damaged records and truncate torn segment tails
     trace report  reconstruct stage timings and the funnel from a trace dir
     help          show this message
 
@@ -49,20 +46,16 @@ OPTIONS (hunt):
     --resume <PATH>               resume from a checkpoint written by --checkpoint
     --resume-or-fresh <PATH>      like --resume, but a corrupt or missing
                                   checkpoint warns and starts fresh
-    --store <DIR>                 persist/reuse profiles and PMCs in DIR
-    --no-cache                    with --store: write results but serve no reads
     --trace-dir <DIR>             write structured JSONL trace events to DIR
     --chaos <SPEC>                inject scripted faults for testing: semicolon-
                                   separated plane:kind=args clauses, e.g.
                                   'job:panic=3;job:transient=1:2;proc:exit=1:9;
-                                  net:drop=0:6;disk:torn=20;
-                                  coord:kill-after-journal=4'. Planes: job:
-                                  (panic, hang, transient), proc:
-                                  (abort, exit, stall; need hunt join),
-                                  net: (drop, delay, garble,
-                                  halfclose; need hunt join), disk: (torn,
-                                  flip, short, shortn; need --store), coord:
-                                  (kill-after-journal; needs hunt serve)
+                                  net:drop=0:6;coord:kill-after-journal=4'.
+                                  Planes: job: (panic, hang, transient),
+                                  proc: (abort, exit, stall; need hunt join),
+                                  net: (drop, delay, garble, halfclose; need
+                                  hunt join), coord: (kill-after-journal;
+                                  needs hunt serve)
 
 OPTIONS (hunt serve), in addition to the hunt options:
     --listen <ADDR>               TCP address to listen on, e.g.
@@ -99,35 +92,31 @@ OPTIONS (hunt join <ADDR>), in addition to the hunt options:
     The campaign flags (--seed, --corpus, --budget, --trials, ...) must
     match the coordinator's: the handshake rejects a mismatch. The
     coordinator sets the heartbeat and the lease size; --batch,
-    --heartbeat-ms, --workers, --store, --no-cache, --trace-dir: exit 2.
+    --heartbeat-ms, --workers, --trace-dir: exit 2.
 
 OPTIONS (hunt chaos):
     --seeds <N>                   schedules to run [default: 25]; each is a
                                   full pipeline run (plain or serve/join,
                                   alternating) under a generated
                                   fault schedule, checked against the
-                                  fault-free baseline, store fsck, trace
-                                  verification, fault attribution, and an
-                                  orphan-process scan
+                                  fault-free baseline, trace verification,
+                                  fault attribution, and an orphan-process
+                                  scan
     --seed <N>                    schedule-generator seed [default: 2021]
     --quick                       a smaller pipeline per trial (CI scale)
     --replay <SEED/INDEX>         re-run exactly one schedule by its repro
                                   coordinates, as printed on failure
-    --dir <DIR>                   scratch directory for stores, traces, and
+    --dir <DIR>                   scratch directory for traces and
                                   checkpoints [default: under the system
                                   temp dir; kept on failure]
 
 OPTIONS (strategies):   --version, --patched, --seed, --corpus
 OPTIONS (repro):        --bug <1|2|3|4|11|12> (console-detectable bugs)
-OPTIONS (store stats):  --store <DIR> (required)
-OPTIONS (store fsck):   --store <DIR> (required)
-OPTIONS (store repair): --store <DIR> (required)
 OPTIONS (trace report): --trace-dir <DIR> (required)
 
 EXIT CODES:
     0    success (including a graceful --stop-file shutdown)
-    1    runtime failure: campaign error, unopenable store, dirty fsck,
-         missing or unverifiable trace
+    1    runtime failure: campaign error, missing or unverifiable trace
     2    usage error: unknown command, option, or malformed value
     3    hunt completed, but one or more jobs were quarantined
     4    fleet worker stopped (stop file) while still holding undelivered
@@ -167,10 +156,6 @@ pub struct HuntOpts {
     /// With a resume path: tolerate a corrupt, truncated, or mismatched
     /// checkpoint by warning and starting fresh instead of aborting.
     pub resume_lenient: bool,
-    /// Profile/PMC store directory; `None` runs fully in memory.
-    pub store: Option<PathBuf>,
-    /// With a store: disable cache reads (results are still written back).
-    pub no_cache: bool,
     /// Directory to write structured JSONL trace events to; `None` disables
     /// tracing entirely (the near-no-op path).
     pub trace_dir: Option<PathBuf>,
@@ -287,22 +272,6 @@ pub enum Cmd {
         /// Table 2 id.
         bug: u8,
     },
-    /// Store inspection: the last run's hit rate (the manifest's two
-    /// counters) and segment sizes.
-    StoreStats {
-        /// Store directory.
-        store: PathBuf,
-    },
-    /// Read-only store integrity check.
-    StoreFsck {
-        /// Store directory.
-        store: PathBuf,
-    },
-    /// Destructive store repair: drop damaged records, truncate torn tails.
-    StoreRepair {
-        /// Store directory.
-        store: PathBuf,
-    },
     /// Trace inspection: stage timings, funnel attrition, verification.
     TraceReport {
         /// Directory previously passed to `hunt --trace-dir`.
@@ -396,7 +365,7 @@ fn parse_chaos(argv: &[String]) -> Result<Cmd, String> {
 /// Where a hunt flag that `hunt join` would read nowhere belongs instead.
 fn refused_by_join(flag: &str) -> Option<&'static str> {
     match flag {
-        "--batch" | "--heartbeat-ms" | "--store" | "--no-cache" | "--trace-dir" => {
+        "--batch" | "--heartbeat-ms" | "--trace-dir" => {
             Some("the coordinator owns it; set it on hunt serve")
         }
         "--workers" => Some("a fleet worker runs one job at a time; start more hunt join workers"),
@@ -435,30 +404,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                 ));
             }
             Ok(Cmd::Repro { bug })
-        }
-        "store" => {
-            let Some(sub) = argv.get(1) else {
-                return Err("store requires a subcommand (stats, fsck, repair)".into());
-            };
-            let sub = sub.as_str();
-            if !["stats", "fsck", "repair"].contains(&sub) {
-                return Err(format!("unknown store subcommand '{sub}'"));
-            }
-            let mut store: Option<PathBuf> = None;
-            let mut i = 2;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--store" => store = Some(PathBuf::from(take_value(argv, &mut i, "--store")?)),
-                    other => return Err(format!("unknown option '{other}'")),
-                }
-                i += 1;
-            }
-            let store = store.ok_or_else(|| format!("store {sub} requires --store <dir>"))?;
-            Ok(match sub {
-                "stats" => Cmd::StoreStats { store },
-                "fsck" => Cmd::StoreFsck { store },
-                _ => Cmd::StoreRepair { store },
-            })
         }
         "trace" => {
             let Some(sub) = argv.get(1) else {
@@ -535,8 +480,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut checkpoint: Option<PathBuf> = None;
             let mut resume: Option<PathBuf> = None;
             let mut resume_lenient = false;
-            let mut store: Option<PathBuf> = None;
-            let mut no_cache = false;
             let mut trace_dir: Option<PathBuf> = None;
             let mut stop_file: Option<PathBuf> = None;
             let mut heartbeat_ms: Option<u64> = None;
@@ -623,10 +566,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         )?));
                         resume_lenient = true;
                     }
-                    "--store" if is_hunt => {
-                        store = Some(PathBuf::from(take_value(argv, &mut i, "--store")?))
-                    }
-                    "--no-cache" if is_hunt => no_cache = true,
                     "--trace-dir" if is_hunt => {
                         trace_dir = Some(PathBuf::from(take_value(argv, &mut i, "--trace-dir")?))
                     }
@@ -650,9 +589,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     other => return Err(format!("unknown option '{other}'")),
                 }
                 i += 1;
-            }
-            if no_cache && store.is_none() {
-                return Err("--no-cache requires --store <dir>".into());
             }
             // A plain hunt has no worker process to stop or time out.
             if stop_file.is_some() && !fleet {
@@ -690,12 +626,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                             hunt serve"
                     .into());
             }
-            if !chaos.disk.is_empty() && store.is_none() {
-                return Err("--chaos disk:* faults need a --store <dir> to act on \
-                            (fleet workers run storeless; inject them on the \
-                             serving side)"
-                    .into());
-            }
             if mode == Mode::Join && (checkpoint.is_some() || resume.is_some()) {
                 return Err(
                     "a fleet worker does not checkpoint (the coordinator does); \
@@ -731,8 +661,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                     checkpoint,
                     resume,
                     resume_lenient,
-                    store,
-                    no_cache,
                     trace_dir,
                     stop_file,
                     heartbeat_ms,
@@ -879,24 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_store_fsck_and_repair() {
-        assert_eq!(
-            parse(&argv("store fsck --store /tmp/sbstore")).unwrap(),
-            Cmd::StoreFsck {
-                store: PathBuf::from("/tmp/sbstore")
-            }
-        );
-        assert_eq!(
-            parse(&argv("store repair --store /tmp/sbstore")).unwrap(),
-            Cmd::StoreRepair {
-                store: PathBuf::from("/tmp/sbstore")
-            }
-        );
-        assert!(parse(&argv("store fsck")).is_err(), "--store is required");
-        assert!(parse(&argv("store repair")).is_err(), "--store is required");
-    }
-
-    #[test]
     fn rejects_zero_retries_and_bare_flags() {
         assert!(parse(&argv("hunt --retries 0")).is_err());
         assert!(parse(&argv("hunt --checkpoint")).is_err());
@@ -906,32 +816,19 @@ mod tests {
     }
 
     #[test]
-    fn parses_store_flags_and_subcommand() {
-        let cmd = parse(&argv("hunt --store /tmp/sbstore --no-cache")).unwrap();
-        match cmd {
-            Cmd::Hunt(o) => {
-                assert_eq!(o.store, Some(PathBuf::from("/tmp/sbstore")));
-                assert!(o.no_cache);
-            }
-            other => panic!("unexpected {other:?}"),
+    fn the_removed_store_options_are_refused() {
+        for line in [
+            "hunt --store /tmp/sbstore",
+            "hunt --no-cache",
+            "hunt serve --listen x --store /tmp/sbstore",
+            "hunt join x:1 --store /tmp/sbstore",
+            "store stats --store /tmp/sbstore",
+            "store fsck --store /tmp/sbstore",
+            "store repair --store /tmp/sbstore",
+            "hunt --chaos disk:torn=20",
+        ] {
+            assert!(parse(&argv(line)).is_err(), "{line}");
         }
-        assert_eq!(
-            parse(&argv("store stats --store /tmp/sbstore")).unwrap(),
-            Cmd::StoreStats {
-                store: PathBuf::from("/tmp/sbstore")
-            }
-        );
-        assert!(
-            parse(&argv("hunt --no-cache")).is_err(),
-            "--no-cache needs --store"
-        );
-        assert!(parse(&argv("store")).is_err());
-        assert!(parse(&argv("store frobnicate")).is_err());
-        assert!(parse(&argv("store stats")).is_err());
-        assert!(
-            parse(&argv("strategies --store /x")).is_err(),
-            "hunt-only flag"
-        );
     }
 
     #[test]
@@ -1072,8 +969,6 @@ mod tests {
         for (flag, owner) in [
             ("--batch 3", "hunt serve"),
             ("--heartbeat-ms 200", "hunt serve"),
-            ("--store /s", "hunt serve"),
-            ("--no-cache", "hunt serve"),
             ("--trace-dir /t", "hunt serve"),
             ("--workers 9", "more hunt join workers"),
         ] {
@@ -1116,7 +1011,6 @@ mod tests {
             Cmd::Join(o) => {
                 assert!(o.hunt.chaos.job.should_panic(3));
                 assert!(o.hunt.chaos.job.should_stall(5));
-                assert!(o.hunt.chaos.disk.is_empty());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1125,10 +1019,6 @@ mod tests {
                 assert!(o.hunt.chaos.net.drop_now(0, 7));
                 assert!(o.hunt.chaos.net.delay_for(0).is_some());
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&argv("hunt --store /tmp/s --chaos disk:torn=20")).unwrap() {
-            Cmd::Hunt(o) => assert_eq!(o.chaos.disk.torn_write_after, Some(20)),
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv(
@@ -1150,11 +1040,6 @@ mod tests {
         assert!(parse(&argv("hunt --chaos proc:abort=1")).is_err());
         assert!(parse(&argv("hunt serve --listen x --chaos proc:exit=1:9")).is_err());
         assert!(parse(&argv("hunt join x:1 --chaos proc:stall=1")).is_ok());
-        assert!(
-            parse(&argv("hunt --chaos disk:torn=20")).is_err(),
-            "disk needs --store"
-        );
-        assert!(parse(&argv("hunt join x:1 --store /s --chaos disk:torn=20")).is_err());
         // Bad specs are usage errors, and the flag is hunt-family-only.
         assert!(
             parse(&argv("hunt --chaos frob=1")).is_err(),

@@ -6,7 +6,6 @@
 //!
 //! - the merged report is bit-identical to the fault-free baseline, or
 //!   the quarantine set is exactly the jobs the schedule targeted;
-//! - `store fsck` is clean once the store has healed;
 //! - `trace report` verifies, and its `chaos.fired.*` counters agree
 //!   with the stderr fault ledger;
 //! - every injected fault fired exactly as often as the schedule
@@ -73,7 +72,7 @@ struct Env {
     exe: PathBuf,
     scratch: PathBuf,
     profile: Profile,
-    /// Baseline stdout with `[store]` lines stripped.
+    /// Baseline stdout.
     baseline: String,
     /// Budgeted jobs in the baseline campaign (schedule targets live in
     /// `0..jobs`).
@@ -260,7 +259,7 @@ fn run_baseline(env: &mut Env) -> Result<(), String> {
              (raise --budget/--corpus)"
         ));
     }
-    env.baseline = strip_store_lines(&out.stdout);
+    env.baseline = out.stdout;
     env.jobs = jobs;
     eprintln!("[chaos] baseline: {jobs} job(s)");
     Ok(())
@@ -270,96 +269,8 @@ fn run_baseline(env: &mut Env) -> Result<(), String> {
 // Per-mode trials
 // ---------------------------------------------------------------------------
 
-/// Plain in-process hunt: job faults, and disk faults when the schedule
-/// carries them. Disk schedules run in two phases against one store —
-/// a cold run takes the write-path faults (torn, flip), then a warm run
-/// takes the read-path fault (short) and heals whatever the cold run
-/// damaged, after which `store fsck` must come back clean.
+/// One in-process `hunt` under the schedule's job faults.
 fn run_plain(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
-    if s.plan.disk.is_empty() {
-        run_hunt(env, s, trial)
-    } else {
-        let store = trial.join("store");
-        let torn = s.plan.disk.torn_write_after.is_some();
-        // Cold phase: the store-lifecycle faults. A torn write aborts the
-        // populating run exactly as a mid-write `kill -9` would (partial
-        // segment on disk, manifest untouched); a flip corrupts a record
-        // silently after the write lands, so the cold run itself succeeds.
-        let mut cold_plan = ChaosPlan::default();
-        cold_plan.disk.torn_write_after = s.plan.disk.torn_write_after;
-        cold_plan.disk.flip_after_write = s.plan.disk.flip_after_write;
-        let cold_trace = trial.join("trace-cold");
-        let mut args = hunt_args(env);
-        args.push("--store".into());
-        args.push(store.display().to_string());
-        if !torn {
-            // A torn run dies mid-prepare, before the tracer flushes;
-            // its attribution is ledger-only by construction.
-            args.extend(trace_args(&cold_trace));
-        }
-        args.extend(chaos_args(&cold_plan));
-        let cold = run_to_end(env, &args, trial, "hunt-cold")?;
-        if torn {
-            if cold.status.success() {
-                return Err("torn write did not abort the store-populating run".into());
-            }
-            if !cold.stderr.contains("injected disk fault: torn write") {
-                return Err("store-populating run failed, but not by the torn write".into());
-            }
-        } else {
-            if !cold.status.success() {
-                return Err(format!(
-                    "cold store run failed (exit {:?}), expected success",
-                    cold.status.code()
-                ));
-            }
-            if strip_store_lines(&cold.stdout) != env.baseline {
-                return Err("cold-store run diverged from the fault-free baseline".into());
-            }
-        }
-
-        // Warm phase: the real campaign — the schedule's job faults plus
-        // the read-path fault — against the damaged store, which must
-        // degrade, heal, and leave the report intact.
-        let mut warm_plan = s.plan.clone();
-        warm_plan.disk.torn_write_after = None;
-        warm_plan.disk.flip_after_write = None;
-        let warm_trace = trial.join("trace-warm");
-        let mut args = hunt_args(env);
-        args.push("--store".into());
-        args.push(store.display().to_string());
-        args.extend(trace_args(&warm_trace));
-        args.extend(chaos_args(&warm_plan));
-        let warm = run_to_end(env, &args, trial, "hunt-warm")?;
-        check_outcome(env, s, &warm)?;
-
-        let fsck = run_to_end(
-            env,
-            &[
-                "store".into(),
-                "fsck".into(),
-                "--store".into(),
-                store.display().to_string(),
-            ],
-            trial,
-            "fsck",
-        )?;
-        if !fsck.status.success() {
-            return Err("store fsck found damage after the healing rerun".into());
-        }
-
-        let ledger = tally(&[&cold.stderr, &warm.stderr]);
-        check_expectations(s, &ledger)?;
-        let mut traces = vec![warm_trace];
-        if !torn {
-            traces.push(cold_trace);
-        }
-        check_counters(env, s, &traces, &ledger, trial)
-    }
-}
-
-/// One storeless in-process `hunt` under the schedule's job faults.
-fn run_hunt(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     let tdir = trial.join("trace");
     let mut args = hunt_args(env);
     args.extend(trace_args(&tdir));
@@ -368,7 +279,7 @@ fn run_hunt(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     let ledger = tally(&[&out.stderr]);
     check_outcome(env, s, &out)?;
     check_expectations(s, &ledger)?;
-    check_counters(env, s, &[tdir], &ledger, trial)
+    check_counters(env, s, &tdir, &ledger, trial)
 }
 
 /// `hunt serve` + `hunt join` over TCP. Net faults act on the worker's
@@ -600,7 +511,7 @@ fn check_outcome(env: &Env, s: &Schedule, out: &RunOut) -> Result<(), String> {
         // fresh trials), so its outcome is a different — equally valid —
         // sample. The invariant there is completion, not bit-identity.
         if s.plan.job.transient_failures.is_empty() {
-            if strip_store_lines(&out.stdout) != env.baseline {
+            if out.stdout != env.baseline {
                 return Err("report diverged from the fault-free baseline".into());
             }
         } else if parse_tested(&out.stdout) != Some(env.jobs) {
@@ -647,45 +558,35 @@ fn check_expectations(s: &Schedule, ledger: &BTreeMap<String, u64>) -> Result<()
     Ok(())
 }
 
-/// `trace report` must verify each trace dir, and the `chaos.fired.*`
+/// `trace report` must verify the trace dir, and the `chaos.fired.*`
 /// counter family it renders must agree with the stderr ledger for every
-/// site a plain hunt fires in its own process (job and disk).
+/// site a plain hunt fires in its own process (the job plane).
 fn check_counters(
     env: &Env,
     s: &Schedule,
-    trace_dirs: &[PathBuf],
+    trace_dir: &Path,
     ledger: &BTreeMap<String, u64>,
     trial: &Path,
 ) -> Result<(), String> {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    for dir in trace_dirs {
-        let report = run_to_end(
-            env,
-            &[
-                "trace".into(),
-                "report".into(),
-                "--trace-dir".into(),
-                dir.display().to_string(),
-            ],
-            trial,
-            "trace-report",
-        )?;
-        if !report.status.success() {
-            return Err("trace report failed for an injected-fault run".into());
-        }
-        if !report.stdout.contains("verification: OK") {
-            return Err("trace report verification failed for an injected-fault run".into());
-        }
-        for (site, n) in parse_chaos_section(&report.stdout) {
-            *counters.entry(site).or_insert(0) += n;
-        }
+    let report = run_to_end(
+        env,
+        &[
+            "trace".into(),
+            "report".into(),
+            "--trace-dir".into(),
+            trace_dir.display().to_string(),
+        ],
+        trial,
+        "trace-report",
+    )?;
+    if !report.status.success() {
+        return Err("trace report failed for an injected-fault run".into());
     }
+    if !report.stdout.contains("verification: OK") {
+        return Err("trace report verification failed for an injected-fault run".into());
+    }
+    let counters = parse_chaos_section(&report.stdout);
     for e in &s.expected {
-        // Ledger-only: a torn write kills its process mid-prepare, before
-        // any counter could be flushed.
-        if e.site == "disk.torn" {
-            continue;
-        }
         let counted = counters.get(e.site).copied().unwrap_or(0);
         let fired = ledger.get(e.site).copied().unwrap_or(0);
         if counted != fired {
@@ -876,16 +777,6 @@ fn any_process_matching(marker: &str) -> bool {
 // ---------------------------------------------------------------------------
 // Output parsing
 // ---------------------------------------------------------------------------
-
-/// Drops `[store]` lines: cache statistics legitimately differ between
-/// storeless, cold-store, and warm-store runs of the same campaign.
-fn strip_store_lines(stdout: &str) -> String {
-    stdout
-        .lines()
-        .filter(|l| !l.starts_with("[store]"))
-        .map(|l| format!("{l}\n"))
-        .collect()
-}
 
 /// Job count from the report's `tested N PMCs in M executions` line.
 fn parse_tested(stdout: &str) -> Option<usize> {

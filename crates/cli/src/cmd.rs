@@ -4,10 +4,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sb_kernel::{boot, bugs, KernelConfig};
-use sb_store::Store;
 use sb_vmm::Executor;
 use snowboard::cluster::ALL_STRATEGIES;
-use snowboard::metrics::{hits_bug, interleavings_to_expose, SchedKind, StoreStats};
+use snowboard::metrics::{hits_bug, interleavings_to_expose, SchedKind};
 use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
@@ -32,9 +31,6 @@ pub fn run(cmd: Cmd) -> ExitCode {
             corpus,
         } => strategies(config, seed, corpus),
         Cmd::Repro { bug } => repro(bug),
-        Cmd::StoreStats { store } => store_stats(&store),
-        Cmd::StoreFsck { store } => store_fsck(&store),
-        Cmd::StoreRepair { store } => store_repair(&store),
         Cmd::TraceReport { trace_dir } => trace_report(&trace_dir),
         Cmd::Hunt(opts) => hunt(*opts),
         Cmd::Serve(opts) => serve(*opts),
@@ -55,124 +51,6 @@ fn print_campaign_error(e: &snowboard::Error) {
     eprintln!();
 }
 
-fn print_store_error(context: &str, e: &sb_store::Error) {
-    eprint!("error: {context}: {e}");
-    let mut source = std::error::Error::source(e);
-    while let Some(s) = source {
-        eprint!("; {s}");
-        source = s.source();
-    }
-    eprintln!();
-}
-
-/// `Store::open` creates directories as a side effect, which would silently
-/// turn a typo'd path into a fresh empty store; commands that only *inspect*
-/// must reject a path that isn't an existing store.
-fn require_store_dir(dir: &std::path::Path) -> Result<(), ExitCode> {
-    if !dir.is_dir() {
-        eprintln!("error: store directory {} does not exist", dir.display());
-        return Err(ExitCode::FAILURE);
-    }
-    if !dir.join("manifest.json").is_file() {
-        eprintln!("error: {} is not a store (no manifest.json)", dir.display());
-        return Err(ExitCode::FAILURE);
-    }
-    Ok(())
-}
-
-fn store_stats(dir: &std::path::Path) -> ExitCode {
-    if let Err(code) = require_store_dir(dir) {
-        return code;
-    }
-    let store = match Store::open(dir) {
-        Ok(s) => s,
-        Err(e) => {
-            print_store_error("opening store", &e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let (hits, misses) = store.last_counters();
-    // A run with zero lookups has a 0.0% hit rate, not a vacuous 100%.
-    let rate = store.last_hit_rate().unwrap_or(0.0);
-    println!(
-        "last run: profile-hit-rate {:.1}% ({hits}/{})",
-        100.0 * rate,
-        hits + misses
-    );
-    let (sizes, stats) = match store.segment_sizes() {
-        Ok(r) => r,
-        Err(e) => {
-            print_store_error("reading segments", &e);
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "{} segment file(s), {} bytes total",
-        stats.segments, stats.bytes
-    );
-    for (name, bytes) in sizes {
-        println!("  {name:<14} {bytes:>12} B");
-    }
-    ExitCode::SUCCESS
-}
-
-fn store_fsck(dir: &std::path::Path) -> ExitCode {
-    if let Err(code) = require_store_dir(dir) {
-        return code;
-    }
-    let report = match sb_store::fsck(dir) {
-        Ok(r) => r,
-        Err(e) => {
-            print_store_error("fsck", &e);
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "{} segment file(s): {} record(s) ok, {} damaged, {} torn byte(s)",
-        report.segments, report.records_ok, report.records_damaged, report.torn_bytes
-    );
-    for p in &report.problems {
-        println!("  {p}");
-    }
-    if report.clean() {
-        println!("store is clean");
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "store is dirty; `snowboard-cli store repair --store {}` drops the damage",
-            dir.display()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn store_repair(dir: &std::path::Path) -> ExitCode {
-    if let Err(code) = require_store_dir(dir) {
-        return code;
-    }
-    let report = match sb_store::repair(dir) {
-        Ok(r) => r,
-        Err(e) => {
-            print_store_error("repair", &e);
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.untouched() {
-        println!("nothing to repair");
-    } else {
-        println!(
-            "dropped {} damaged record(s) from {} rewritten segment(s); \
-             truncated {} torn segment(s), removed {} unrecognizable segment(s)",
-            report.dropped_records,
-            report.rewritten_segments,
-            report.truncated_segments,
-            report.removed_segments
-        );
-        println!("dropped records will be recomputed and healed on the next store-backed run");
-    }
-    ExitCode::SUCCESS
-}
-
 fn trace_report(dir: &std::path::Path) -> ExitCode {
     let path = dir.join("trace.jsonl");
     let report = match sb_obs::TraceReport::from_file(&path) {
@@ -188,26 +66,6 @@ fn trace_report(dir: &std::path::Path) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-fn print_hunt_store_stats(s: &StoreStats) {
-    let total = s.profile_hits + s.profile_misses;
-    println!(
-        "[store] profile-hit-rate {:.1}% ({}/{total})",
-        100.0 * s.hit_rate(),
-        s.profile_hits
-    );
-    let pmc_mode = if s.pmc_cache_hit { "cached" } else { "rebuilt" };
-    println!(
-        "[store] pmcs {pmc_mode}; {} segment(s), {} bytes",
-        s.segments, s.stored_bytes
-    );
-    if s.records_damaged > 0 {
-        println!(
-            "[store] damaged {} record(s), healed {}",
-            s.records_damaged, s.records_healed
-        );
     }
 }
 
@@ -330,57 +188,6 @@ fn open_tracer(trace_dir: &Option<std::path::PathBuf>) -> sb_obs::Tracer {
     }
 }
 
-/// Stages 1–2 for the hunt-family commands: in-memory, or store-backed
-/// when `--store` was given. `disk_faults` arms the store's deterministic
-/// fault plan; the returned site list is what actually fired during
-/// prepare (the store drops with this function's scope, so attribution
-/// must leave with the result).
-fn prepare_hunt_pipeline(
-    config: KernelConfig,
-    pipeline_cfg: PipelineCfg,
-    store: &Option<std::path::PathBuf>,
-    no_cache: bool,
-    disk_faults: snowboard::DiskFaults,
-) -> Result<(Pipeline, Option<StoreStats>, Vec<&'static str>), ExitCode> {
-    match store {
-        Some(dir) => {
-            let mut st = match Store::open(dir) {
-                Ok(s) => s,
-                Err(e) => {
-                    print_store_error("opening store", &e);
-                    return Err(ExitCode::FAILURE);
-                }
-            };
-            st.set_read_cache(!no_cache);
-            st.set_fault_plan(disk_faults);
-            match sb_store::prepare(config, &pipeline_cfg, &mut st) {
-                Ok((p, stats)) => {
-                    print_hunt_store_stats(&stats);
-                    let fired = st.fault_fired();
-                    Ok((p, Some(stats), fired))
-                }
-                Err(e) => {
-                    print_store_error("store-backed prepare", &e);
-                    Err(ExitCode::FAILURE)
-                }
-            }
-        }
-        None => Ok((Pipeline::prepare(config, pipeline_cfg), None, Vec::new())),
-    }
-}
-
-/// Counts store-fault firings into the `chaos.fired.*` trace family (the
-/// store prints the stderr ledger itself, at fire time).
-fn count_disk_fired(tracer: &sb_obs::Tracer, fired: &[&'static str]) {
-    let mut tally: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for site in fired {
-        *tally.entry(site).or_insert(0) += 1;
-    }
-    for (site, n) in tally {
-        snowboard::chaos::count_fired(tracer, site, n);
-    }
-}
-
 /// Emits the authoritative end-of-run totals that `trace report` verifies
 /// its event-level reconstruction against, then flushes the tracer.
 fn emit_summary(
@@ -469,12 +276,11 @@ fn print_report(report: &CampaignReport) -> ExitCode {
     final_code
 }
 
-/// What every campaign-running hunt mode prepares: stages 1–3 (from the
-/// store with `--store`) and the stage-4 configuration.
+/// What every campaign-running hunt mode prepares: stages 1–3 and the
+/// stage-4 configuration.
 struct Prepared {
     tracer: sb_obs::Tracer,
     p: Pipeline,
-    store_stats: Option<StoreStats>,
     clusters: usize,
     exemplars: Vec<PmcId>,
     cfg: CampaignCfg,
@@ -506,14 +312,7 @@ fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
         tracer: tracer.clone(),
         ..hunt_pipeline_cfg(o)
     };
-    let (p, store_stats, disk_fired) = prepare_hunt_pipeline(
-        o.config,
-        pipeline_cfg,
-        &o.store,
-        o.no_cache,
-        o.chaos.disk.clone(),
-    )?;
-    count_disk_fired(&tracer, &disk_fired);
+    let p = Pipeline::prepare(o.config, pipeline_cfg);
     let clusters = p.cluster_count(o.strategy);
     eprintln!(
         "[hunt] {} tests, {} PMCs, {clusters} {} clusters",
@@ -532,7 +331,6 @@ fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
     Ok(Prepared {
         tracer,
         p,
-        store_stats,
         clusters,
         exemplars,
         cfg,
@@ -542,14 +340,13 @@ fn prepare_campaign(o: &HuntOpts) -> Result<Prepared, ExitCode> {
 /// Reports a finished campaign: the trace summary, the `[detect]` line, and
 /// the stdout report with its exit code.
 fn conclude(prep: Prepared, report: SbResult<CampaignReport>, o: &HuntOpts) -> ExitCode {
-    let mut report = match report {
+    let report = match report {
         Ok(r) => r,
         Err(e) => {
             print_campaign_error(&e);
             return ExitCode::FAILURE;
         }
     };
-    report.store = prep.store_stats;
     emit_summary(&prep.tracer, &prep.p, prep.clusters, &report, &o.trace_dir);
     print_detect_summary(&report, o.oracles);
     print_report(&report)

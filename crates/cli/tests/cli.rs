@@ -1,243 +1,19 @@
 //! End-to-end CLI tests driving the built `snowboard-cli` binary.
 
-use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use proptest::ScratchDir;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_snowboard-cli"))
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sb-cli-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+fn scratch_dir(name: &str) -> ScratchDir {
+    ScratchDir::new(&format!("cli-{name}"))
 }
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// An empty-but-valid store: what `Store::open` + `flush` leaves behind
-/// before any profiles are inserted.
-fn write_fresh_store(dir: &std::path::Path) {
-    std::fs::create_dir_all(dir).unwrap();
-    std::fs::write(
-        dir.join("manifest.json"),
-        r#"{"version":2,"last_hits":0,"last_misses":0}"#,
-    )
-    .unwrap();
-}
-
-#[test]
-fn store_stats_prints_zero_hit_rate_for_zero_lookups() {
-    // A freshly created store has recorded no profile lookups; the hit rate
-    // must print as 0.0%, not as a vacuous 100% or a special-cased message.
-    let dir = scratch_dir("fresh-store");
-    write_fresh_store(&dir);
-    let out = bin()
-        .args(["store", "stats", "--store"])
-        .arg(&dir)
-        .output()
-        .expect("run store stats");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = stdout(&out);
-    assert!(
-        text.contains("profile-hit-rate 0.0% (0/0)"),
-        "expected explicit 0.0% for 0/0, got:\n{text}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn store_commands_reject_a_missing_or_empty_dir() {
-    // `Store::open` creates directories as a side effect; the inspection
-    // commands must not turn a typo'd path into a fresh store — they print
-    // one friendly line on stderr and exit nonzero.
-    let missing = scratch_dir("no-such-store");
-    for sub in ["stats", "fsck", "repair"] {
-        let out = bin()
-            .args(["store", sub, "--store"])
-            .arg(&missing)
-            .output()
-            .expect("run store subcommand");
-        assert!(
-            !out.status.success(),
-            "store {sub} on a missing dir must fail"
-        );
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("does not exist"),
-            "store {sub}: expected a friendly error, got: {err}"
-        );
-        assert!(
-            !missing.exists(),
-            "store {sub} must not create the directory"
-        );
-    }
-
-    // An existing directory that is not a store (no manifest) is also an
-    // error, not an empty report.
-    let empty = scratch_dir("empty-not-a-store");
-    std::fs::create_dir_all(&empty).unwrap();
-    let out = bin()
-        .args(["store", "stats", "--store"])
-        .arg(&empty)
-        .output()
-        .expect("run store stats");
-    assert!(!out.status.success(), "empty dir is not a store");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not a store"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    std::fs::remove_dir_all(&empty).ok();
-}
-
-#[test]
-fn store_fsck_and_repair_round_trip() {
-    let dir = scratch_dir("fsck-repair");
-    write_fresh_store(&dir);
-    let clean = bin()
-        .args(["store", "fsck", "--store"])
-        .arg(&dir)
-        .output()
-        .expect("run fsck");
-    assert!(clean.status.success(), "fresh store must fsck clean");
-    assert!(
-        stdout(&clean).contains("store is clean"),
-        "{}",
-        stdout(&clean)
-    );
-
-    // A record a hunt wrote, damaged: fsck reports it and exits nonzero;
-    // repair drops it; fsck is clean again.
-    let hunt = bin()
-        .args(["hunt", "--corpus", "12", "--budget", "10", "--trials", "2"])
-        .args(["--workers", "1", "--seed", "5", "--store"])
-        .arg(&dir)
-        .output()
-        .expect("run hunt --store");
-    assert!(
-        hunt.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&hunt.stderr)
-    );
-    let seg = dir.join("seg-0000.bin");
-    let mut bytes = std::fs::read(&seg).unwrap();
-    bytes[8 + 16] ^= 0x01; // the first payload byte of the first record
-    std::fs::write(&seg, &bytes).unwrap();
-    let dirty = bin()
-        .args(["store", "fsck", "--store"])
-        .arg(&dir)
-        .output()
-        .expect("run fsck");
-    assert!(
-        !dirty.status.success(),
-        "damage must make fsck exit nonzero"
-    );
-    assert!(
-        stdout(&dirty).contains("store is dirty"),
-        "{}",
-        stdout(&dirty)
-    );
-
-    let repair = bin()
-        .args(["store", "repair", "--store"])
-        .arg(&dir)
-        .output()
-        .expect("run repair");
-    assert!(
-        repair.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&repair.stderr)
-    );
-    assert!(
-        stdout(&repair).contains("dropped 1 damaged record(s) from 1 rewritten segment(s)"),
-        "{}",
-        stdout(&repair)
-    );
-
-    let clean_again = bin()
-        .args(["store", "fsck", "--store"])
-        .arg(&dir)
-        .output()
-        .expect("run fsck");
-    assert!(
-        clean_again.status.success(),
-        "repair must leave a clean store"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A store changes where profiles and the PMC set come from, never which
-/// corpus is hunted: the store-backed prepare once fuzzed the stock catalog
-/// whatever the oracle set asked for, so `--store` under the default oracles
-/// hunted another corpus than the same command without it and found none of
-/// the sync bugs. Nor which PMC set: a store filled at a smaller corpus was
-/// once grown into a set numbered in another order.
-#[test]
-fn hunt_with_a_store_prints_what_hunt_without_one_prints() {
-    for oracles in ["all", "race"] {
-        let flags = [
-            "hunt",
-            "--seed",
-            "2021",
-            "--workers",
-            "1",
-            "--oracles",
-            oracles,
-        ];
-        let plain = bin().args(flags).output().expect("run hunt");
-        assert!(
-            plain.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&plain.stderr)
-        );
-        let dir = scratch_dir(&format!("store-parity-{oracles}"));
-        // A store filled at a smaller corpus, whose keys are a prefix of
-        // this corpus's: its PMC set is not reused.
-        let grown = scratch_dir(&format!("store-parity-grown-{oracles}"));
-        let small = bin()
-            .args(flags)
-            .args(["--corpus", "40", "--store"])
-            .arg(&grown)
-            .output()
-            .expect("run hunt --corpus 40 --store");
-        assert!(small.status.success());
-        for (run, dir, expect) in [
-            ("cold", &dir, "profile-hit-rate 0.0%"),
-            ("warm", &dir, "profile-hit-rate 100.0%"),
-            ("grown", &grown, "pmcs rebuilt"),
-        ] {
-            let stored = bin()
-                .args(flags)
-                .arg("--store")
-                .arg(dir)
-                .output()
-                .expect("run hunt --store");
-            assert!(
-                stored.status.success(),
-                "stderr: {}",
-                String::from_utf8_lossy(&stored.stderr)
-            );
-            let out = stdout(&stored);
-            assert!(
-                out.contains(expect),
-                "--oracles {oracles}, {run}: no `{expect}` in\n{out}"
-            );
-            let campaign: String = (out.lines())
-                .filter(|l| !l.starts_with("[store]"))
-                .flat_map(|l| [l, "\n"])
-                .collect();
-            assert_eq!(campaign, stdout(&plain), "--oracles {oracles}, {run} store");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&grown).ok();
-    }
 }
 
 #[test]
@@ -280,7 +56,6 @@ fn hunt_survives_an_unwritable_trace_destination() {
         !err.contains("events written"),
         "must not claim a trace was written: {err}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -293,7 +68,6 @@ fn trace_report_fails_without_a_trace() {
         .output()
         .expect("run trace report");
     assert!(!out.status.success(), "missing trace must be an error");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `strategies` describes the corpus `hunt` hunts, and `--oracles` selects
@@ -454,7 +228,6 @@ fn exit_codes_are_pinned() {
         "stdout: {}",
         stdout(&quarantined)
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -517,7 +290,6 @@ fn hunt_trace_round_trips_through_trace_report() {
         "unexpected report:\n{text}"
     );
     assert!(text.contains("funnel:"), "missing funnel section:\n{text}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -764,7 +536,6 @@ fn fleet_stop_file_checkpoints_then_resumes() {
         assert!(w.wait_with_output().expect("await worker").status.success());
     }
     no_orphans("7", "join");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -929,7 +700,6 @@ fn fleet_trace_records_each_lifecycle_fact_once() {
         Some(summary(" lease(s),")),
         "{text}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -999,7 +769,13 @@ fn fleet_handshake_rejects_a_config_mismatch() {
     std::fs::create_dir_all(&dir).unwrap();
     let stop = dir.join("stop");
     let stop_flag = stop.display().to_string();
-    let (serve, addr, _serve_err) = spawn_serve(&serve_tail("17"), &["--stop-file", &stop_flag]);
+    // A stopped coordinator keeps its checkpoint for a resume: this one's
+    // goes to the scratch dir, not to a temporary file left behind.
+    let ckpt = dir.join("ckpt").display().to_string();
+    let (serve, addr, _serve_err) = spawn_serve(
+        &serve_tail("17"),
+        &["--stop-file", &stop_flag, "--checkpoint", &ckpt],
+    );
 
     // Different --seed → different config fingerprint → immediate, fatal
     // rejection (no retry loop).
@@ -1022,7 +798,6 @@ fn fleet_handshake_rejects_a_config_mismatch() {
         "stopped serve must exit 0: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -1053,12 +828,15 @@ fn fleet_usage_errors_exit_2() {
         &["hunt", "join", "x:1", "--batch", "2"],
         &["hunt", "join", "x:1", "--heartbeat-ms", "200"],
         &["hunt", "join", "x:1", "--workers", "9"],
-        &["hunt", "join", "x:1", "--store", "/tmp/sb-join-store"],
-        &["hunt", "join", "x:1", "--no-cache"],
         &["hunt", "join", "x:1", "--trace-dir", "/tmp/sb-join-trace"],
         &["hunt", "--supervise"], // one in-process runner, one fleet
         &["hunt", "--heartbeat-ms", "500"], // no worker process to time out
         &["hunt", "--stop-file", "/tmp/sb-stop"], // no worker process to stop
+        // The profile store is gone from the program: no flag, no command.
+        &["hunt", "--store", "/tmp/sb-store"],
+        &["hunt", "--no-cache"],
+        &["hunt", "join", "x:1", "--store", "/tmp/sb-join-store"],
+        &["store", "stats", "--store", "/tmp/sb-store"],
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run usage case");
@@ -1204,7 +982,6 @@ fn stopped_worker_holding_spooled_results_exits_4() {
     // redeliver from it.
     let spooled = std::fs::metadata(&spool).expect("spool file written").len();
     assert!(spooled > 0, "spool must hold the undelivered frames");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -1217,7 +994,7 @@ fn chaos_flag_rejects_unknown_planes_and_misplaced_planes_with_exit_2() {
         &["hunt", "--chaos", "cpu:melt=1"],   // unknown plane
         &["hunt", "--chaos", "job:panic"],    // missing value
         &["hunt", "--chaos", "net:drop=0:6"], // net plane needs `hunt join`
-        &["hunt", "--chaos", "disk:torn=20"], // disk plane needs --store
+        &["hunt", "--chaos", "disk:torn=20"], // no disk plane
         &["hunt", "--chaos", "proc:abort=1"], // proc plane needs a worker process
     ];
     for case in cases {
@@ -1233,8 +1010,8 @@ fn chaos_flag_rejects_unknown_planes_and_misplaced_planes_with_exit_2() {
 
 #[test]
 fn chaos_meta_campaign_smoke_survives_one_schedule() {
-    // One full schedule end to end: baseline hunt, fault-injected rerun(s),
-    // fsck, trace verification, orphan scan. Survival is the whole point.
+    // One full schedule end to end: baseline hunt, fault-injected rerun,
+    // trace verification, orphan scan. Survival is the whole point.
     let dir = scratch_dir("chaos-smoke");
     let out = bin()
         .args(["hunt", "chaos", "--seeds", "1", "--quick", "--dir"])
@@ -1252,7 +1029,6 @@ fn chaos_meta_campaign_smoke_survives_one_schedule() {
         "unexpected stdout: {}",
         stdout(&out)
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -1276,7 +1052,6 @@ fn chaos_replay_reproduces_a_failing_schedule_bit_identically() {
             "broken schedule exits 1; stderr: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        std::fs::remove_dir_all(&dir).ok();
         runs.push(stdout(&out));
     }
     assert_eq!(runs[0], runs[1], "replay output diverged between runs");

@@ -6,11 +6,11 @@
 //! error-detection profile on exactly this "short record in a log file"
 //! shape.
 //!
-//! Who checksums what: a segment record once when it is written and once
-//! by each lookup that serves it; `Store::open` only the last record of
-//! each file (what the torn-tail rule needs), and `store fsck` all of them. A log frame once when it is appended and once
-//! by every load of its log (a resume, a spool replay); a socket frame once
-//! by each side.
+//! Who checksums what: a log frame once when it is appended and once by
+//! every load of its log (a resume, a spool replay); a socket frame once by
+//! each side; a segment record of the benchmark's store once when it is
+//! written and once by each lookup that serves it, and `Store::open` only
+//! the last record of each file (what the torn-tail rule needs).
 //!
 //! [`Crc32c::update`] has two walks with the same result: the reflected
 //! polynomial, a `!0` seed and a final inversion either way, so a record

@@ -25,7 +25,7 @@
 //!   fleet socket; [`crc`] is its CRC32C (the SSE4.2 `crc32` instruction
 //!   where the CPU has it, slicing-by-8 elsewhere).
 //! * [`spec`] — the shared `kind=args;...` grammar behind the `--chaos`
-//!   spec string (job, process, network, disk, coordinator), so all planes
+//!   spec string (job, process, network, coordinator), so all planes
 //!   parse and report errors identically.
 
 pub mod crc;

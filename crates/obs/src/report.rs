@@ -306,7 +306,7 @@ impl TraceReport {
     }
 
     /// Renders the human-readable report: per-stage wall clock, funnel
-    /// attrition, scheduler/store counters, and the verification verdict.
+    /// attrition, scheduler counters, and the verification verdict.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -335,10 +335,6 @@ impl TraceReport {
             keys::SCHED_VOLUNTARY,
             keys::SCHED_FORCED,
             keys::INCIDENTAL_PMCS,
-            keys::STORE_PROFILE_HITS,
-            keys::STORE_PROFILE_MISSES,
-            keys::STORE_RECORDS_DAMAGED,
-            keys::STORE_RECORDS_HEALED,
             keys::WATCHDOG_FIRES,
             keys::RETRIES,
             keys::SNAPSHOT_CLONES,

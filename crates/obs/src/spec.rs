@@ -1,9 +1,9 @@
 //! Shared grammar for fault spec strings.
 //!
 //! Every fault plane in the workspace — job/process faults
-//! (`snowboard::FaultPlan`), network faults (`snowboard::NetFaultPlan`),
-//! disk faults (`snowboard::DiskFaults`) — is a set of clauses of the
-//! unified chaos plan, in one compact spec language:
+//! (`snowboard::FaultPlan`) and network faults (`snowboard::NetFaultPlan`)
+//! — is a set of clauses of the unified chaos plan, in one compact spec
+//! language:
 //!
 //! ```text
 //! spec   := clause (';' clause)*        -- empty clauses are skipped
@@ -61,8 +61,7 @@ impl<'a> Clause<'a> {
 }
 
 /// Splits a spec into clauses, skipping empty ones. `plane` names the
-/// grammar in error messages (`"fault"`, `"net fault"`, `"disk fault"`,
-/// `"chaos"`). An empty spec yields no clauses (the inert plan).
+/// grammar in error messages (`"fault"`, `"net fault"`, `"chaos"`). An empty spec yields no clauses (the inert plan).
 pub fn clauses<'a>(
     spec: &'a str,
     plane: &'a str,

@@ -79,14 +79,6 @@ pub mod keys {
     pub const SCHED_PICKS: &str = "sched.picks";
     /// Incidental PMCs added to the watch set mid-campaign.
     pub const INCIDENTAL_PMCS: &str = "sched.incidental_pmcs";
-    /// Profiles served from the persistent store.
-    pub const STORE_PROFILE_HITS: &str = "store.profile_hits";
-    /// Profile lookups that missed the store.
-    pub const STORE_PROFILE_MISSES: &str = "store.profile_misses";
-    /// Store records found corrupt, truncated, or missing (quarantined).
-    pub const STORE_RECORDS_DAMAGED: &str = "store.records_damaged";
-    /// Damaged store records recomputed and rewritten.
-    pub const STORE_RECORDS_HEALED: &str = "store.records_healed";
     /// Records a coordinator appended to its checkpoint log (lease grants,
     /// result deliveries, lease releases).
     pub const FLEET_JOURNAL_RECORDS: &str = "fleet.journal.records";
@@ -111,7 +103,7 @@ pub mod keys {
     pub const MULTI_TRIALS: &str = "multi.trials";
     /// Prefix of the per-site chaos-fault counters: the full key is
     /// `chaos.fired.<site>` where `<site>` is an injection-site id such as
-    /// `job.panic` or `disk.torn` (see `snowboard::chaos::SITES`).
+    /// `job.panic` or `net.drop` (see `snowboard::chaos::SITES`).
     pub const CHAOS_FIRED_PREFIX: &str = "chaos.fired.";
 
     /// The per-site chaos counter key for one injection site.

@@ -379,6 +379,51 @@ pub mod test_runner {
     }
 }
 
+/// A directory under the system temp dir that a test owns, removed with
+/// everything in it when dropped, on a panic's unwind too. Its name is
+/// `sb-<tag>-<pid>-<n>`, `n` a process-wide counter, so two tests that pick
+/// the same tag, or one test run twice, never share it.
+#[derive(Debug)]
+pub struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    /// Creates a fresh, empty scratch directory.
+    pub fn new(tag: &str) -> ScratchDir {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("sb-{tag}-{}-{n}", std::process::id()));
+        // A directory a killed run of an earlier process left under this name.
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl AsRef<std::path::Path> for ScratchDir {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl AsRef<std::ffi::OsStr> for ScratchDir {
+    fn as_ref(&self) -> &std::ffi::OsStr {
+        self.0.as_os_str()
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// `proptest::strategy::Strategy`, for a suite whose own `Strategy` hides
 /// the prelude's.
 pub mod strategy {

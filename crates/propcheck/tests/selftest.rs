@@ -185,3 +185,23 @@ fn any_integer_covers_small_and_large() {
         "no value past 32 bits in 256 cases"
     );
 }
+
+#[test]
+fn a_scratch_dir_is_fresh_and_gone_after_drop_or_a_panic() {
+    let (a, b) = (
+        sb_propcheck::ScratchDir::new("selftest"),
+        sb_propcheck::ScratchDir::new("selftest"),
+    );
+    assert_ne!(*a, *b, "one tag, two directories");
+    std::fs::create_dir_all(a.join("nested")).expect("mkdir");
+    std::fs::write(a.join("nested/file"), b"x").expect("write");
+    let (pa, pb) = (a.to_path_buf(), b.to_path_buf());
+    drop(a);
+    assert!(!pa.exists() && pb.is_dir());
+    let unwound = std::panic::catch_unwind(move || {
+        let _held = b;
+        panic!("a failing test");
+    });
+    assert!(unwound.is_err());
+    assert!(!pb.exists(), "the unwind removed it");
+}

@@ -187,9 +187,6 @@ pub struct CampaignReport {
     /// Jobs that failed permanently, in job order. A non-empty list means
     /// the campaign completed *despite* failures, not that it failed.
     pub quarantined: Vec<QuarantineRecord>,
-    /// Profile/PMC store counters, when the pipeline ran against a persistent
-    /// store (`None` for in-memory runs).
-    pub store: Option<crate::metrics::StoreStats>,
     /// Fleet-fabric counters, when the campaign ran under a TCP
     /// coordinator (`None` otherwise).
     pub fleet: Option<crate::metrics::FleetStats>,

@@ -1,17 +1,14 @@
 //! The unified chaos plane: one composable fault grammar, deterministic
 //! schedule generation, and fire-site attribution for self-chaos campaigns.
 //!
-//! Five fault planes — job faults, process faults, network faults
-//! ([`crate::fault`]), disk faults ([`DiskFaults`], armed on an
-//! `sb_store::Store`) and the coordinator kill switch — each implement
+//! Four fault planes — job faults, process faults, network faults
+//! ([`crate::fault`]) and the coordinator kill switch — each implement
 //! their own injection; this module is the one way to script them:
 //!
 //! * [`ChaosPlan`] — a single spec grammar covering every plane with
 //!   `plane:kind=args` clauses, e.g.
-//!   `"job:panic=3;proc:exit=1:9;net:drop=0:6;disk:torn=20;coord:kill-after-journal=4"`.
+//!   `"job:panic=3;proc:exit=1:9;net:drop=0:6;coord:kill-after-journal=4"`.
 //!   `--chaos` is the only fault input the CLI has.
-//! * [`DiskFaults`] — the disk plane (`sb_store` depends on this crate, so
-//!   the plan lives here and the store consults it as parsed).
 //! * Fire-site attribution — every injection hook reports a stable site id
 //!   (see [`SITES`]) through two channels: a stderr ledger line
 //!   ([`fired`]) visible even from worker processes with disabled tracers,
@@ -45,9 +42,6 @@ pub const SITES: &[&str] = &[
     "net.delay",
     "net.garble",
     "net.halfclose",
-    "disk.torn",
-    "disk.flip",
-    "disk.short",
     "coord.kill-after-journal",
 ];
 
@@ -120,92 +114,7 @@ pub(crate) fn attribute_verdict(
     count_fired(tracer, site, fires);
 }
 
-/// Disk faults: the plan behind `disk:*` chaos clauses, armed on a store
-/// with `sb_store::Store::set_fault_plan` (which keeps the read count and
-/// the fired list beside it).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DiskFaults {
-    /// Truncate the next segment write to this many bytes (a torn write).
-    pub torn_write_after: Option<u64>,
-    /// After the next segment write, XOR the byte at `offset` with `mask`.
-    pub flip_after_write: Option<(u64, u8)>,
-    /// Content keys whose reads come back one byte short.
-    pub short_read_keys: BTreeSet<u64>,
-    /// The Nth verified record read (1-based, across the store's lifetime)
-    /// comes back one byte short. Content keys are content hashes, so
-    /// schedules target reads ordinally rather than guessing keys.
-    pub short_read_nth: Option<u64>,
-}
-
-impl DiskFaults {
-    /// True when no disk faults are scripted (the production fast path).
-    pub fn is_empty(&self) -> bool {
-        self.torn_write_after.is_none()
-            && self.flip_after_write.is_none()
-            && self.short_read_keys.is_empty()
-            && self.short_read_nth.is_none()
-    }
-
-    /// Applies one parsed `kind=args` clause to this plan (the chaos
-    /// grammar's `disk:`-prefixed clauses):
-    ///
-    /// * `torn=N` — truncate the next segment write to `N` bytes
-    /// * `flip=OFF:MASK` — XOR byte `OFF` with `MASK` after the next write
-    /// * `short=K[,K...]` — short-read the records with content keys `K`
-    /// * `shortn=N` — short-read the `N`-th record read (1-based)
-    pub(crate) fn apply_clause(&mut self, c: &spec::Clause, plane: &str) -> Result<(), String> {
-        match c.kind {
-            "torn" => {
-                self.torn_write_after = Some(c.num(c.args.trim(), "byte budget", plane)?);
-            }
-            "flip" => {
-                let (off, mask) = c.pair(c.args.trim(), "offset:mask")?;
-                let off: u64 = c.num(off, "byte offset", plane)?;
-                let mask: u8 = c.num(mask, "flip mask", plane)?;
-                self.flip_after_write = Some((off, mask));
-            }
-            "short" => {
-                for item in c.items() {
-                    let key = c.num(item, "content key", plane)?;
-                    self.short_read_keys.insert(key);
-                }
-            }
-            "shortn" => {
-                self.short_read_nth = Some(c.num(c.args.trim(), "read ordinal", plane)?);
-            }
-            _ => return Err(c.unknown_kind(plane)),
-        }
-        Ok(())
-    }
-
-    /// This plan as `(kind, rendered args)` pairs, which the chaos grammar
-    /// renders as prefixed clauses.
-    pub(crate) fn spec_parts(&self) -> Vec<(&'static str, String)> {
-        vec![
-            (
-                "torn",
-                self.torn_write_after
-                    .map(|n| n.to_string())
-                    .unwrap_or_default(),
-            ),
-            (
-                "flip",
-                self.flip_after_write
-                    .map(|(o, m)| format!("{o}:{m}"))
-                    .unwrap_or_default(),
-            ),
-            ("short", spec::join_items(&self.short_read_keys)),
-            (
-                "shortn",
-                self.short_read_nth
-                    .map(|n| n.to_string())
-                    .unwrap_or_default(),
-            ),
-        ]
-    }
-}
-
-/// All five fault planes behind one spec grammar. Parsed from `--chaos`
+/// All four fault planes behind one spec grammar. Parsed from `--chaos`
 /// and rendered back losslessly; each plane's struct stays the
 /// authoritative implementation of its faults.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -215,8 +124,6 @@ pub struct ChaosPlan {
     pub job: FaultPlan,
     /// Network faults for fleet workers (`net:*` clauses).
     pub net: NetFaultPlan,
-    /// Disk faults for the persistent store (`disk:*` clauses).
-    pub disk: DiskFaults,
     /// Coordinator kill switch: simulate `kill -9` at the Nth journal
     /// append (`coord:kill-after-journal=N`).
     pub kill_after_journal: Option<u64>,
@@ -233,23 +140,17 @@ const JOB_KEYS: [&str; 6] = [
 ];
 /// The `net:kind` clause keys of [`NetFaultPlan::spec_parts`], in order.
 const NET_KEYS: [&str; 4] = ["net:drop", "net:delay", "net:garble", "net:halfclose"];
-/// The `disk:kind` clause keys of [`DiskFaults::spec_parts`], in order.
-const DISK_KEYS: [&str; 4] = ["disk:torn", "disk:flip", "disk:short", "disk:shortn"];
 
 impl ChaosPlan {
     /// True when no faults are scripted on any plane.
     pub fn is_empty(&self) -> bool {
-        self.job.is_empty()
-            && self.net.is_empty()
-            && self.disk.is_empty()
-            && self.kill_after_journal.is_none()
+        self.job.is_empty() && self.net.is_empty() && self.kill_after_journal.is_none()
     }
 
     /// Parses the unified chaos spec: semicolon-separated
     /// `plane:kind=args` clauses. Planes are `job:` (panic, hang,
     /// transient), `proc:` (abort, exit, stall), `net:` (drop,
-    /// delay, garble, halfclose), `disk:` (torn, flip, short, shortn), and
-    /// `coord:` (kill-after-journal). The per-plane argument grammars are
+    /// delay, garble, halfclose), and `coord:` (kill-after-journal). The per-plane argument grammars are
     /// documented on each plane's `apply_clause`.
     pub fn parse_spec(s: &str) -> Result<ChaosPlan, String> {
         let mut plan = ChaosPlan::default();
@@ -262,7 +163,7 @@ impl ChaosPlan {
     fn apply_clause(&mut self, c: &spec::Clause) -> Result<(), String> {
         let Some((plane, kind)) = c.kind.split_once(':') else {
             return Err(format!(
-                "chaos clause '{}' needs a plane prefix: job:, proc:, net:, disk:, or coord:",
+                "chaos clause '{}' needs a plane prefix: job:, proc:, net:, or coord:",
                 c.text
             ));
         };
@@ -289,7 +190,6 @@ impl ChaosPlan {
                 _ => Err(inner.unknown_kind("chaos proc")),
             },
             "net" => self.net.apply_clause(&inner, "chaos"),
-            "disk" => self.disk.apply_clause(&inner, "chaos"),
             "coord" => match inner.kind {
                 "kill-after-journal" => {
                     self.kill_after_journal =
@@ -317,10 +217,6 @@ impl ChaosPlan {
             debug_assert!(key.ends_with(kind));
             parts.push((key, args));
         }
-        for (key, (kind, args)) in DISK_KEYS.iter().zip(self.disk.spec_parts()) {
-            debug_assert!(key.ends_with(kind));
-            parts.push((key, args));
-        }
         parts.push((
             "coord:kill-after-journal",
             self.kill_after_journal
@@ -338,7 +234,7 @@ impl ChaosPlan {
 /// Which pipeline shape a schedule runs under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChaosMode {
-    /// A plain in-process `hunt` (job and disk planes).
+    /// A plain in-process `hunt` (the job plane).
     Plain,
     /// `hunt serve` + `hunt join` over TCP (job, process, net, and coord
     /// planes).
@@ -391,18 +287,10 @@ impl Schedule {
 }
 
 /// Sites eligible per mode. A plain hunt exercises the in-process job
-/// faults plus the store's disk faults; a fleet run swaps the disk faults
-/// for the faults only worker processes have — process deaths and stalls,
-/// network faults — and the coordinator kill switch (job faults still
-/// work: workers retry in-process).
-const PLAIN_SITES: &[&str] = &[
-    "job.panic",
-    "job.hang",
-    "job.transient",
-    "disk.torn",
-    "disk.flip",
-    "disk.short",
-];
+/// faults; a fleet run adds the faults only worker processes have —
+/// process deaths and stalls, network faults — and the coordinator kill
+/// switch (job faults still work: workers retry in-process).
+const PLAIN_SITES: &[&str] = &["job.panic", "job.hang", "job.transient"];
 const FLEET_SITES: &[&str] = &[
     "job.panic",
     "job.hang",
@@ -540,7 +428,7 @@ impl ScheduleGen {
     /// two job faults on distinct jobs) would interfere with each other's
     /// expected counts: two process faults can trip the campaign's
     /// instant-death circuit breaker, two net faults race for the same
-    /// connection, two disk faults for the same write. The coordinator
+    /// connection. The coordinator
     /// kill switch pairs only with a pure link delay — anything else
     /// entangles the kill point with reconnect ordering — and a process
     /// fault only with job faults, whose workers it does not kill.
@@ -647,19 +535,6 @@ impl ScheduleGen {
                     .insert(0, 2 + state.next_u64() % 3);
                 exact(expected, site, 1);
             }
-            "disk.torn" => {
-                plan.disk.torn_write_after = Some(8 + state.next_u64() % 57);
-                exact(expected, site, 1);
-            }
-            "disk.flip" => {
-                let mask = (1 + state.next_u64() % 255) as u8;
-                plan.disk.flip_after_write = Some((20, mask));
-                exact(expected, site, 1);
-            }
-            "disk.short" => {
-                plan.disk.short_read_nth = Some(1 + state.next_u64() % 8);
-                exact(expected, site, 1);
-            }
             "coord.kill-after-journal" => {
                 plan.kill_after_journal = Some(2 + state.next_u64() % 4);
                 exact(expected, site, 1);
@@ -677,13 +552,12 @@ mod tests {
     #[test]
     fn chaos_spec_parses_every_plane() {
         let plan = ChaosPlan::parse_spec(
-            "job:panic=3;proc:exit=1:9;net:drop=0:6;disk:torn=20;coord:kill-after-journal=4",
+            "job:panic=3;proc:exit=1:9;net:drop=0:6;coord:kill-after-journal=4",
         )
         .unwrap();
         assert!(plan.job.should_panic(3));
         assert_eq!(plan.job.exit_code(1), Some(9));
         assert!(plan.net.drop_now(0, 7));
-        assert_eq!(plan.disk.torn_write_after, Some(20));
         assert_eq!(plan.kill_after_journal, Some(4));
         assert!(ChaosPlan::parse_spec("").unwrap().is_empty());
         assert!(ChaosPlan::parse_spec(" ; ;").unwrap().is_empty());
@@ -706,31 +580,16 @@ mod tests {
             .contains("unknown chaos plane"));
         assert!(ChaosPlan::parse_spec("job:frob=1").is_err());
         assert!(ChaosPlan::parse_spec("net:frob=1:2").is_err());
-        assert!(ChaosPlan::parse_spec("disk:frob=1").is_err());
+        assert!(ChaosPlan::parse_spec("disk:torn=20")
+            .unwrap_err()
+            .contains("unknown chaos plane"));
         assert!(ChaosPlan::parse_spec("coord:frob=1").is_err());
         // Malformed args surface the per-plane grammar errors.
         assert!(
             ChaosPlan::parse_spec("net:drop=1").is_err(),
             "missing value"
         );
-        assert!(
-            ChaosPlan::parse_spec("disk:flip=1").is_err(),
-            "missing mask"
-        );
         assert!(ChaosPlan::parse_spec("coord:kill-after-journal=x").is_err());
-    }
-
-    #[test]
-    fn disk_clauses_parse_into_their_fields() {
-        let plan =
-            ChaosPlan::parse_spec("disk:torn=20;disk:flip=5:255;disk:short=7,9;disk:shortn=3")
-                .unwrap()
-                .disk;
-        assert_eq!(plan.torn_write_after, Some(20));
-        assert_eq!(plan.flip_after_write, Some((5, 255)));
-        assert_eq!(plan.short_read_keys, BTreeSet::from([7, 9]));
-        assert_eq!(plan.short_read_nth, Some(3));
-        assert!(DiskFaults::default().is_empty());
     }
 
     /// Builds a pseudo-random plan touching a random subset of every
@@ -777,18 +636,6 @@ mod tests {
             plan.net.half_close_after.insert(c, 1 + r(state, 9));
         }
         if r(state, 3) == 0 {
-            plan.disk.torn_write_after = Some(r(state, 200));
-        }
-        if r(state, 3) == 0 {
-            plan.disk.flip_after_write = Some((r(state, 200), r(state, 256) as u8));
-        }
-        for _ in 0..r(state, 3) {
-            plan.disk.short_read_keys.insert(state.next_u64());
-        }
-        if r(state, 3) == 0 {
-            plan.disk.short_read_nth = Some(1 + r(state, 20));
-        }
-        if r(state, 3) == 0 {
             plan.kill_after_journal = Some(1 + r(state, 10));
         }
         plan
@@ -813,7 +660,7 @@ mod tests {
             ledger_site("[chaos] fired job.panic job 3 attempt 1"),
             Some("job.panic")
         );
-        assert_eq!(ledger_site("  [chaos] fired disk.torn"), Some("disk.torn"));
+        assert_eq!(ledger_site("  [chaos] fired net.drop"), Some("net.drop"));
         assert_eq!(ledger_site("[fleet] listening on x"), None);
         assert_eq!(ledger_site("[chaos] fired "), None);
     }
@@ -861,10 +708,6 @@ mod tests {
                 assert!(e.count >= 1, "every scheduled site must fire");
             }
             let count = |pred: fn(&&Expectation) -> bool| s.expected.iter().filter(pred).count();
-            assert!(
-                count(|e| e.site.starts_with("disk.")) <= 1,
-                "at most one disk site"
-            );
             assert!(
                 count(|e| e.site.starts_with("proc.")) <= 1,
                 "at most one proc site"

@@ -676,8 +676,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trip_via_disk() {
-        let dir = std::env::temp_dir().join("sb-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = proptest::ScratchDir::new("checkpoint");
         let path = dir.join("cp-roundtrip.json");
         let cp = sample();
         cp.save(&path).expect("save");
@@ -686,7 +685,6 @@ mod tests {
             "temp file renamed away"
         );
         assert_eq!(Checkpoint::load(&path).expect("load"), cp);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -720,8 +718,7 @@ mod tests {
             Err(Error::CheckpointIo { op: "read", .. })
         ));
 
-        let dir = std::env::temp_dir().join("sb-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = proptest::ScratchDir::new("checkpoint");
         let path = dir.join("cp-corrupt.json");
         let header_damage: [&[u8]; 4] = [
             // A format-1 checkpoint, a torn magic, a torn header, and a
@@ -749,7 +746,6 @@ mod tests {
             Checkpoint::load(&path),
             Err(Error::CheckpointFormat { .. })
         ));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -792,9 +788,8 @@ mod tests {
             // An in-process verdict carries no session.
             done_line(0, 0, 3, &sample.outcomes[&2]),
         ];
-        let dir = std::env::temp_dir().join("sb-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("cp-replay-{}.log", std::process::id()));
+        let dir = proptest::ScratchDir::new("checkpoint");
+        let path = dir.join("cp-replay.log");
         let bytes = journal::image(records.iter().map(String::as_str)).unwrap();
         std::fs::write(&path, &bytes).unwrap();
         let loaded = read(&path).unwrap();
@@ -840,7 +835,6 @@ mod tests {
         std::fs::write(&path, bytes.unwrap()).unwrap();
         let loaded = read(&path).unwrap();
         assert_eq!((loaded.replay.verdicts, loaded.replay.damaged), (1, 1));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -848,15 +842,13 @@ mod tests {
         let exemplars: Vec<PmcId> = (0..1_000_000).map(|i| i * 7 + 1).collect();
         let mut cp = Checkpoint::begin(5, &exemplars);
         cp.outcomes = sample().outcomes;
-        let dir = std::env::temp_dir().join("sb-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("cp-million-{}.log", std::process::id()));
+        let dir = proptest::ScratchDir::new("checkpoint");
+        let path = dir.join("cp-million.log");
         cp.save(&path).unwrap();
         assert!(
             std::fs::metadata(&path).unwrap().len() > 1 << 20,
             "the header outgrows a frame"
         );
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -395,11 +395,8 @@ mod tests {
     use super::*;
     use crate::error::FailureKind;
 
-    fn dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("sb-journal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn dir(tag: &str) -> proptest::ScratchDir {
+        proptest::ScratchDir::new(&format!("journal-{tag}"))
     }
 
     fn outcome(job: usize) -> PmcTestOutcome {

@@ -639,10 +639,12 @@ mod tests {
     use crate::error::Error;
     use std::time::Duration;
 
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sb-ledger-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("ckpt.json")
+    /// A checkpoint path in a scratch directory of its own, which goes when
+    /// the returned guard does.
+    fn scratch(tag: &str) -> (proptest::ScratchDir, PathBuf) {
+        let dir = proptest::ScratchDir::new(&format!("ledger-{tag}"));
+        let path = dir.join("ckpt.json");
+        (dir, path)
     }
 
     fn exemplars(n: u32) -> Vec<PmcId> {
@@ -699,7 +701,7 @@ mod tests {
 
     #[test]
     fn resume_skips_covered_jobs() {
-        let path = scratch("resume");
+        let (_dir, path) = scratch("resume");
         let mut first = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         first.deliver(1, done(1, 11)).unwrap();
         first.finish().unwrap();
@@ -711,12 +713,11 @@ mod tests {
         let mut resumed = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
         assert_eq!(resumed.lease(0, usize::MAX, None), vec![0, 2]);
         assert_eq!(resumed.census().covered, vec![1]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn strict_resume_refuses_what_lenient_resume_replaces() {
-        let path = scratch("lenient");
+        let (_dir, path) = scratch("lenient");
         let mut other = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
         other.deliver(0, done(0, 10)).unwrap();
         other.finish().unwrap();
@@ -742,7 +743,6 @@ mod tests {
             ..lenient
         };
         assert!(JobLedger::open(&exemplars(3), &missing, None).is_ok());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -762,7 +762,7 @@ mod tests {
 
     #[test]
     fn verdicts_outside_the_universe_are_rejected() {
-        let path = scratch("foreign");
+        let (_dir, path) = scratch("foreign");
         let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
         let before = std::fs::read(&path).unwrap();
         let err = ledger.deliver(9, done(9, 1)).unwrap_err();
@@ -771,12 +771,11 @@ mod tests {
         assert_eq!(ledger.logged(), (0, false));
         assert_eq!(ledger.census().covered, Vec::<usize>::new());
         assert!(ledger.finish().unwrap().outcomes.is_empty());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn rejected_and_gave_up_are_reported_but_not_checkpointed() {
-        let path = scratch("reported");
+        let (_dir, path) = scratch("reported");
         let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path), None).unwrap();
         assert_eq!(ledger.abandon("nobody left"), 4);
         assert_eq!(ledger.census().reported, vec![0, 1, 2, 3]);
@@ -802,12 +801,11 @@ mod tests {
         let saved = Checkpoint::load(&path).unwrap();
         assert!(saved.quarantined.is_empty(), "a resume retries all three");
         assert_eq!(saved.outcomes.len(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn a_death_charges_held_jobs_and_the_budget_quarantines_them() {
-        let path = scratch("crash");
+        let (_dir, path) = scratch("crash");
         let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         let cause = |job| format!("owner died holding job {job}");
 
@@ -840,7 +838,6 @@ mod tests {
             .quarantined
             .contains_key(&1));
         assert_eq!(ledger.lease(9, usize::MAX, None), vec![2]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -918,8 +915,7 @@ mod tests {
     #[test]
     fn every_merge_saves_and_finish_saves_last() {
         let saved_outcomes = |path: &Path| Checkpoint::load(path).map(|cp| cp.outcomes.len()).ok();
-        let path = scratch("every-merge");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = scratch("every-merge");
         let mut ledger = JobLedger::open(&exemplars(4), &saving_to(&path), None).unwrap();
         for job in 0..4 {
             assert_eq!(ledger.deliver(job, done(job, 1)), Ok(Delivered::Merged));
@@ -932,24 +928,21 @@ mod tests {
             Some(4),
             "finish is the authoritative save"
         );
-        let _ = std::fs::remove_file(&path);
         // Nowhere to save: nothing is written, finish still reports.
         let mut ledger = JobLedger::open(&exemplars(1), &CampaignCfg::default(), None).unwrap();
         ledger.deliver(0, done(0, 1)).unwrap();
         assert_eq!(ledger.finish().unwrap().outcomes.len(), 1);
         // A transport's merged checkpoint outranks the configured one.
-        let (own, configured) = (scratch("own"), scratch("configured"));
-        let _ = std::fs::remove_file(&configured);
+        let ((_own_dir, own), (_configured_dir, configured)) =
+            (scratch("own"), scratch("configured"));
         let ledger = JobLedger::open(&exemplars(1), &saving_to(&configured), Some(&own)).unwrap();
         ledger.finish().unwrap();
         assert!(own.exists() && !configured.exists());
-        let _ = std::fs::remove_file(&own);
     }
 
     #[test]
     fn stopping_saves_at_once_and_quarantines_nothing() {
-        let path = scratch("stop");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = scratch("stop");
         let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
         ledger.deliver(0, done(0, 100)).unwrap();
         ledger.lease(1, 1, None);
@@ -970,14 +963,13 @@ mod tests {
             !Checkpoint::load(&path).unwrap().covers(1),
             "job 1 is retried on resume"
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn restored_verdicts_merge_silently_and_are_traced_once() {
         // A run killed before `finish`: its log holds job 0 twice (the
         // duplicate is logged too) and not the reported-only job 1.
-        let path = scratch("restore");
+        let (_dir, path) = scratch("restore");
         let mut killed = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         killed.deliver(0, done(0, 100)).unwrap();
         killed.deliver(0, done(0, 999)).unwrap();
@@ -1009,12 +1001,11 @@ mod tests {
         cfg.tracer.flush();
         assert_eq!(job_events(&sink), 1);
         assert_eq!(steps(&ledger.finish().unwrap()), vec![100]);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn each_verdict_appends_one_record() {
-        let path = scratch("append");
+        let (_dir, path) = scratch("append");
         let mut ledger = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         let mut before = std::fs::read(&path).unwrap();
         for job in 0..3 {
@@ -1040,12 +1031,11 @@ mod tests {
             );
             before = after;
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn resume_copies_the_intact_prefix_and_leaves_the_source_alone() {
-        let (src, dst) = (scratch("src"), scratch("dst"));
+        let ((_src_dir, src), (_dst_dir, dst)) = (scratch("src"), scratch("dst"));
         let mut first = JobLedger::open(&exemplars(3), &saving_to(&src), None).unwrap();
         first.deliver(0, done(0, 100)).unwrap();
         first.deliver(1, done(1, 101)).unwrap();
@@ -1081,7 +1071,6 @@ mod tests {
             (std::fs::read(&src).unwrap(), std::fs::read(&dst).unwrap()),
             (torn, dst_now)
         );
-        let _ = (std::fs::remove_file(&src), std::fs::remove_file(&dst));
     }
 
     #[test]

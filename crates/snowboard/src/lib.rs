@@ -87,7 +87,7 @@ pub use sb_obs::json;
 pub use sb_obs::{keys as trace_keys, Tracer};
 
 pub use campaign::{CampaignCfg, CampaignReport, QuarantineRecord};
-pub use chaos::{ChaosMode, ChaosPlan, DiskFaults, Expectation, Schedule, ScheduleGen};
+pub use chaos::{ChaosMode, ChaosPlan, Expectation, Schedule, ScheduleGen};
 pub use checkpoint::Checkpoint;
 pub use cluster::Strategy;
 pub use error::{Error, FailureKind, SbResult};
@@ -97,7 +97,7 @@ pub use fleet::{
 };
 pub use journal::{FrameLog, JournalRecord};
 pub use ledger::JobLedger;
-pub use metrics::{FleetStats, StoreStats};
+pub use metrics::FleetStats;
 pub use pmc::{JoinState, Pmc, PmcId, PmcSet};
 pub use profile::{SeqProfile, SharedAccessFilter};
 pub use protocol::{
@@ -115,8 +115,8 @@ pub struct PipelineCfg {
     pub corpus_target: usize,
     /// Fuzzing candidate budget.
     pub fuzz_budget: u64,
-    /// Read by no pipeline code: every prepare, store-backed or not,
-    /// profiles inside the one-threaded fuzz loop. Kept because the
+    /// Read by no pipeline code: every prepare profiles inside the
+    /// one-threaded fuzz loop. Kept because the
     /// benchmark builds this struct by name and sizes its own explicit
     /// [`profile::profile_corpus`] passes with it.
     pub workers: usize,
@@ -184,23 +184,6 @@ impl Pipeline {
     /// (DESIGN.md §7). [`profile::profile_corpus`] remains for callers that
     /// hold programs but no runs.
     pub fn prepare(config: KernelConfig, cfg: PipelineCfg) -> Self {
-        let tracer = cfg.tracer.clone();
-        let Ok(p) = Self::prepare_with(config, cfg, |_, profiles| {
-            Ok::<_, std::convert::Infallible>(pmc::identify_traced(profiles, &tracer))
-        });
-        p
-    }
-
-    /// [`Pipeline::prepare`] with stage 2 supplied by the caller: `identify`
-    /// receives the corpus and the profiles cut from its runs (one per
-    /// program, in corpus order) and returns their PMC set. The store-backed
-    /// prepare records profiles and reuses stored sets there; its error
-    /// ends the prepare.
-    pub fn prepare_with<E>(
-        config: KernelConfig,
-        cfg: PipelineCfg,
-        identify: impl FnOnce(&[Program], &[SeqProfile]) -> Result<PmcSet, E>,
-    ) -> Result<Self, E> {
         let tracer = cfg.tracer;
         let prep = tracer.span("prepare");
         let booted = boot(config);
@@ -231,7 +214,7 @@ impl Pipeline {
         let t1 = std::time::Instant::now();
         let pmcs = {
             let _s = prep.child("identify");
-            identify(&corpus, &profiles)?
+            pmc::identify_traced(&profiles, &tracer)
         };
         let identify_time = t1.elapsed();
         tracer.count(trace_keys::PIPELINE_PROFILES, profiles.len() as u64);
@@ -246,13 +229,13 @@ impl Pipeline {
             fuzz_time,
             identify_time,
         };
-        Ok(Pipeline {
+        Pipeline {
             booted,
             corpus,
             profiles,
             pmcs,
             stats,
-        })
+        }
     }
 
     /// Stage 3: ordered exemplars for one strategy.

@@ -31,31 +31,6 @@ impl std::fmt::Display for SchedKind {
     }
 }
 
-/// Profile/PMC store effectiveness counters for one pipeline run.
-///
-/// Produced by `sb-store` (which depends on this crate, not vice versa) and
-/// surfaced through `CampaignReport` and the CLI.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StoreStats {
-    /// Sequential tests whose profile was served from the store.
-    pub profile_hits: u64,
-    /// Sequential tests the store held no intact record of; their profiles
-    /// were written this run.
-    pub profile_misses: u64,
-    /// True when the PMC set was loaded whole from the store (exact corpus
-    /// match) instead of being identified.
-    pub pmc_cache_hit: bool,
-    /// Segment files currently in the store.
-    pub segments: u64,
-    /// Total bytes across segment files.
-    pub stored_bytes: u64,
-    /// Records found corrupt, truncated, or missing this run and
-    /// quarantined (served as misses instead of failing the campaign).
-    pub records_damaged: u64,
-    /// Of the damaged records, how many were recomputed and rewritten.
-    pub records_healed: u64,
-}
-
 /// Peak resident set size of this process in KiB (`VmHWM` from
 /// `/proc/self/status`), or 0 when the proc filesystem is unavailable
 /// (non-Linux hosts). The repo benchmark's memory-footprint proxy.
@@ -74,20 +49,6 @@ pub fn peak_rss_kb() -> u64 {
         }
     }
     0
-}
-
-impl StoreStats {
-    /// Fraction of profile lookups served from the store, in `[0, 1]`.
-    /// Returns 0.0 when there were no lookups — a run that never consulted
-    /// the store must not report a (vacuously) perfect hit rate.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.profile_hits + self.profile_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.profile_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Fleet-fabric counters for one coordinated campaign run (`hunt serve`).
@@ -347,22 +308,6 @@ pub fn find_pmc_by_sites<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_rate_with_zero_lookups_is_zero_not_perfect() {
-        let stats = StoreStats::default();
-        assert_eq!(stats.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn hit_rate_divides_hits_by_lookups() {
-        let stats = StoreStats {
-            profile_hits: 3,
-            profile_misses: 1,
-            ..StoreStats::default()
-        };
-        assert!((stats.hit_rate() - 0.75).abs() < f64::EPSILON);
-    }
 
     #[test]
     fn peak_rss_is_nonzero_on_linux() {

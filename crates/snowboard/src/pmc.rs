@@ -27,9 +27,8 @@
 //! [`identify`] ingests every profile and then joins every read against
 //! the full write index in read-major, address-minor order; that order *is*
 //! the specification, and it numbers the PMCs. A PMC set is a function of
-//! the corpus it was identified from, so a store reuses one only for
-//! exactly that corpus (`sb_store::prepare`) and identifies any other from
-//! scratch.
+//! the corpus it was identified from and nothing else; every prepare
+//! identifies its own.
 //!
 //! [`JoinState::add_profiles`] also takes a corpus in several batches
 //! (earlier reads × the batch's writes, then the batch's reads × the full

@@ -1,6 +1,6 @@
 //! Arbitrary-input suite for the fault-spec grammar: [`ChaosPlan::parse_spec`]
-//! and, through it, `sb_obs::spec`, [`snowboard::FaultPlan`],
-//! [`snowboard::NetFaultPlan`] and [`snowboard::DiskFaults`]. Every string
+//! and, through it, `sb_obs::spec`, [`snowboard::FaultPlan`] and
+//! [`snowboard::NetFaultPlan`]. Every string
 //! must give an `Err` with a message, or a plan whose `to_spec()` parses
 //! back to an equal plan; no input may panic.
 
@@ -23,10 +23,6 @@ const CLAUSES: &[(&str, Shape)] = &[
     ("net:delay", Shape::Pairs),
     ("net:garble", Shape::Pairs),
     ("net:halfclose", Shape::Pairs),
-    ("disk:torn", Shape::One),
-    ("disk:flip", Shape::Pair),
-    ("disk:short", Shape::List),
-    ("disk:shortn", Shape::One),
     ("coord:kill-after-journal", Shape::One),
 ];
 
@@ -67,7 +63,8 @@ const NUMBERS: &[&str] = &[
     "18446744073709551616",
 ];
 
-/// The grammar's words and characters, and some that are not its own.
+/// The grammar's words and characters, and some that are not its own
+/// (`disk` and its kinds name a plane the grammar no longer has).
 const WORDS: &[&str] = &[
     "job",
     "proc",

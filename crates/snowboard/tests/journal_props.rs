@@ -9,8 +9,8 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use proptest::ScratchDir;
 use sb_vmm::rng::SplitMix64;
 use snowboard::campaign::{JobVerdict, PmcTestOutcome, QuarantineRecord};
 use snowboard::checkpoint::{read, Checkpoint, Loaded};
@@ -46,12 +46,11 @@ fn quarantine(job: usize, kind: FailureKind) -> QuarantineRecord {
     }
 }
 
-/// A fresh file name in this process's scratch directory.
-fn scratch() -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("sb-jprops-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("ckpt-{}.json", N.fetch_add(1, Ordering::Relaxed)))
+/// A fresh checkpoint path, in a scratch directory that goes with the guard.
+fn scratch() -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new("jprops");
+    let path = dir.join("ckpt.json");
+    (dir, path)
 }
 
 fn exemplars() -> Vec<u32> {
@@ -61,7 +60,7 @@ fn exemplars() -> Vec<u32> {
 /// Runs `script` against a ledger logging to a fresh checkpoint, drops it
 /// unfinished (a kill), and returns the log's bytes.
 fn killed_log(script: impl FnOnce(&mut JobLedger)) -> Vec<u8> {
-    let path = scratch();
+    let (_dir, path) = scratch();
     let cfg = CampaignCfg {
         seed: SEED,
         checkpoint: Some(path.clone()),
@@ -70,9 +69,7 @@ fn killed_log(script: impl FnOnce(&mut JobLedger)) -> Vec<u8> {
     let mut ledger = JobLedger::open(&exemplars(), &cfg, None).expect("fresh ledger");
     script(&mut ledger);
     drop(ledger);
-    let bytes = std::fs::read(&path).expect("read log");
-    std::fs::remove_file(&path).ok();
-    bytes
+    std::fs::read(&path).expect("read log")
 }
 
 /// The in-process transport: verdicts without sessions, a duplicate, a
@@ -208,7 +205,7 @@ fn expected(bytes: &[u8], k: usize) -> (Checkpoint, Replay) {
 
 /// Loads `bytes` from a scratch file; checks the file is unchanged after.
 fn load(bytes: &[u8]) -> Result<Loaded, Error> {
-    let path = scratch();
+    let (_dir, path) = scratch();
     std::fs::write(&path, bytes).expect("write log");
     let loaded = std::panic::catch_unwind(|| read(&path)).expect("the loader never panics");
     assert_eq!(
@@ -216,7 +213,6 @@ fn load(bytes: &[u8]) -> Result<Loaded, Error> {
         bytes,
         "a load changed the file"
     );
-    std::fs::remove_file(&path).ok();
     loaded
 }
 

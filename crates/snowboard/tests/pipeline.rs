@@ -254,3 +254,54 @@ fn baselines_find_the_easy_race_only_mostly() {
         "duplicate pairing should stumble into #13: {bugs:?}"
     );
 }
+
+/// FNV-1a over every PMC of `set`, in id order: the id, both sides' site,
+/// address, length and value, the double-fetch flag, and the pair list.
+fn pmc_set_digest(set: &snowboard::PmcSet) -> u64 {
+    let mut bytes = Vec::new();
+    for (id, pmc) in set.pmcs.iter().enumerate() {
+        bytes.extend_from_slice(&(id as u64).to_le_bytes());
+        for side in [pmc.key.w, pmc.key.r] {
+            bytes.extend_from_slice(&side.ins.0.to_le_bytes());
+            bytes.extend_from_slice(&side.addr.to_le_bytes());
+            bytes.push(side.len);
+            bytes.extend_from_slice(&side.value.to_le_bytes());
+        }
+        bytes.push(u8::from(pmc.df_leader));
+        bytes.extend_from_slice(&(pmc.pairs.len() as u64).to_le_bytes());
+        for (w, r) in &pmc.pairs {
+            bytes.extend_from_slice(&w.to_le_bytes());
+            bytes.extend_from_slice(&r.to_le_bytes());
+        }
+    }
+    sb_vmm::site::fnv1a(&bytes)
+}
+
+/// The identified PMC set, byte for byte, on both kernels: ids, sites,
+/// ranges, values, flags and pairs. A change to the fuzz loop, the profile
+/// cut or the join that moves any of them moves this digest.
+#[test]
+fn the_identified_pmc_set_is_pinned_on_both_kernels() {
+    for (config, pmcs, digest) in [
+        (KernelConfig::v5_12_rc3(), 158, 0x0594_6df9_7d15_cd57),
+        (KernelConfig::v5_3_10(), 160, 0x8823_c011_9868_f3b6),
+    ] {
+        let p = Pipeline::prepare(
+            config,
+            PipelineCfg {
+                seed: 2021,
+                corpus_target: 60,
+                fuzz_budget: 40,
+                workers: 1,
+                ..PipelineCfg::default()
+            },
+        );
+        let got = (p.pmcs.len(), pmc_set_digest(&p.pmcs));
+        assert_eq!(
+            got,
+            (pmcs, digest),
+            "{:?}: {got:?} / {got:#x?}",
+            config.version
+        );
+    }
+}

@@ -1,42 +1,32 @@
-//! Persistent profile/PMC store for the Snowboard pipeline.
+//! The segment-file profile/PMC store, kept only for the benchmark.
 //!
-//! The paper's front end profiles ~300k sequential tests and §5.4 reports
-//! that PMC identification dominates pipeline time; nothing of that work
-//! survives a process exit in the in-memory pipeline. This crate adds the
-//! persistence layer every scaling experiment builds on:
+//! No program path opens a store: every `hunt` runs the in-memory
+//! `snowboard::Pipeline::prepare`, and reuse across strategies happens in
+//! process. The crate remains because `crates/benchmark` times it, in the
+//! `store-cycle` workload and the `store.*` layer rows; it goes with them.
 //!
 //! * **Compact on-disk profiles** ([`codec`], [`segment`]) — access streams
 //!   as varint + zigzag wrapping-delta records in append-only segment
-//!   files, content-keyed by (boot config, fuzz seed, program) so the next
-//!   run finds an unchanged test's record again. The records carry their
-//!   keys, so the segment files are also the index ([`store`]); the
-//!   [`manifest`] keeps only the last run's hit and miss counters.
-//! * **Exact PMC reuse** ([`pipeline`]) — a PMC set is a function of the
-//!   corpus it was identified from, so it is stored under that corpus's key
-//!   and reused only for exactly that corpus; any other corpus, a grown
-//!   one included, is identified as `Pipeline::prepare` identifies it.
-//! * **Self-healing durability** ([`fsck`]) — every record carries a
-//!   CRC32C ([`sb_obs::crc`]), writers fsync before a record is indexed,
-//!   opening truncates torn tails, and damaged records degrade to
-//!   recompute-and-heal instead of failing the campaign; a
-//!   `snowboard::DiskFaults` plan armed on a [`Store`] tears, flips and
-//!   shortens its I/O at exact positions to prove it.
+//!   files, content-keyed by (boot config, fuzz seed, program). The records
+//!   carry their keys, so the segment files are also the index ([`store`]);
+//!   the [`manifest`] keeps only the last run's hit and miss counters.
+//! * **Exact PMC sets** — a PMC set is stored under its corpus's key and
+//!   served only for exactly that corpus.
+//! * **Durability** — every record carries a CRC32C ([`sb_obs::crc`]),
+//!   writers fsync before a record is indexed, opening truncates torn
+//!   tails, and a damaged record reads as `Damaged` or a miss, never as an
+//!   error; rewriting it heals it.
 //!
-//! See DESIGN.md §9 for the format and the reuse rule, and
-//! §11 for the durability and degradation model.
+//! DESIGN.md §9 says why no program path uses it.
 
 #[cfg(test)]
 mod arbitrary;
 pub mod codec;
-pub mod fsck;
 pub mod manifest;
-pub mod pipeline;
 pub mod segment;
 pub mod store;
 pub mod varint;
 
-pub use fsck::{fsck, repair, FsckReport, RepairReport};
-pub use pipeline::prepare;
 pub use store::{corpus_key, profile_key, PmcLookup, ProfileLookup, SegmentStats, Store};
 
 /// Store error: I/O, or a structurally invalid file.
@@ -62,8 +52,6 @@ pub enum Error {
         /// What was wrong.
         detail: String,
     },
-    /// A deterministic fault injected by [`Store::set_fault_plan`].
-    Injected(&'static str),
 }
 
 impl std::fmt::Display for Error {
@@ -77,7 +65,6 @@ impl std::fmt::Display for Error {
             Error::Format { path, detail } => {
                 write!(f, "invalid store file {}: {detail}", path.display())
             }
-            Error::Injected(what) => write!(f, "injected disk fault: {what}"),
         }
     }
 }

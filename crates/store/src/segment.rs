@@ -16,8 +16,8 @@
 //! `corpus_key`, whose payload is the corpus key list and then the set
 //! (`codec::encode_pmc_record`). Any other magic — the checksum-less
 //! `SBSEG001`/`SBPMC001` and the list-less `SBPMC002` of earlier stores
-//! included — is an unrecognized file: its records are recomputed into a
-//! new segment, and `store repair` removes it.
+//! included — is an unrecognized file: its records read as misses, and
+//! a rewrite puts them into a new segment.
 //!
 //! Writers fsync on [`SegmentWriter::finish`]; [`scan`] classifies a
 //! file's valid record prefix so the store can truncate torn tails left by
@@ -25,9 +25,8 @@
 //!
 //! A record is checksummed ([`sb_obs::crc`]) once when it is written and
 //! once by each lookup that serves it. Opening a store checksums only what
-//! the torn-tail rule needs — the last record of each file, which for a PMC
-//! file is its one record — and `fsck` all of them (DESIGN.md §11 has the
-//! table).
+//! the torn-tail rule needs: the last record of each file, which for a PMC
+//! file is its one record.
 
 use std::fs::File;
 use std::io::Write;
@@ -89,8 +88,6 @@ pub struct SegmentWriter {
     path: PathBuf,
     /// The record area so far: everything after the magic.
     records: Vec<u8>,
-    /// Record-area bytes still writable before an injected torn write.
-    torn_budget: Option<u64>,
 }
 
 impl SegmentWriter {
@@ -103,14 +100,7 @@ impl SegmentWriter {
             file,
             path: path.to_path_buf(),
             records: Vec::new(),
-            torn_budget: None,
         })
-    }
-
-    /// Arms an injected torn write: appends stop after `record_bytes` bytes
-    /// past the magic, as if the process were killed mid-write.
-    pub fn set_torn_after(&mut self, record_bytes: u64) {
-        self.torn_budget = Some(record_bytes);
     }
 
     /// Appends one record; returns its `(offset, payload_len)` address.
@@ -118,17 +108,6 @@ impl SegmentWriter {
         let offset = 8 + self.records.len() as u64;
         frame::push(&mut self.records, &key.to_le_bytes(), payload)
             .map_err(|_| Error::Corrupt("record payload exceeds u32 bytes"))?;
-        if let Some(budget) = self.torn_budget {
-            if self.records.len() as u64 > budget {
-                // Persist exactly the torn prefix, like a crash would.
-                self.records.truncate(budget as usize);
-                self.file
-                    .write_all(&self.records)
-                    .and_then(|()| self.file.sync_all())
-                    .map_err(io_err("write", &self.path))?;
-                return Err(Error::Injected("torn write"));
-            }
-        }
         Ok((offset, payload.len() as u64))
     }
 
@@ -191,24 +170,17 @@ impl SegmentReader {
     /// word matches `len`, and the CRC32C of exactly the bytes returned. A
     /// record outside the window refills it from `offset` with one
     /// positioned read, clamped at EOF and counted in `reads`.
-    ///
-    /// `eof_at` simulates a short read: bytes at or past that file offset
-    /// are treated as missing.
     pub fn read_at(
         &mut self,
         offset: u64,
         len: u64,
         expected_key: u64,
-        eof_at: Option<u64>,
         reads: &mut u64,
     ) -> Result<&[u8], Error> {
         // A record's length word is a u32; anything larger is not a record.
         let total =
             HEADER_LEN as usize + u32::try_from(len).map_err(|_| Error::Truncated)? as usize;
         let end = offset.saturating_add(total as u64);
-        if eof_at.is_some_and(|eof| end > eof) {
-            return Err(Error::Truncated);
-        }
         if offset < self.window_at || end > self.window_at + self.window.len() as u64 {
             *reads += 1;
             self.fill(offset, total)?;
@@ -276,13 +248,6 @@ pub struct ScannedRecord {
     /// CRC32C verdict; `None` for a record [`scan`] was not asked to
     /// checksum.
     pub crc_ok: Option<bool>,
-}
-
-impl ScannedRecord {
-    /// This record's payload within `bytes`, the file [`scan`] walked.
-    pub fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
-        &bytes[(self.offset + HEADER_LEN) as usize..][..self.len as usize]
-    }
 }
 
 /// Structural classification of one segment file.
@@ -398,10 +363,8 @@ pub fn truncate_torn_tail(path: &Path, scan: &SegmentScan) -> bool {
 mod tests {
     use super::*;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sb-store-seg-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
+    fn tmpdir(tag: &str) -> proptest::ScratchDir {
+        proptest::ScratchDir::new(&format!("store-seg-{tag}"))
     }
 
     #[test]
@@ -417,18 +380,17 @@ mod tests {
         let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
         // One handle and one window serve any order of addresses.
         assert_eq!(
-            r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"),
+            r.read_at(o2, l2, 0xBBBB, &mut reads).expect("r2"),
             b"second"
         );
         assert_eq!(
-            r.read_at(o1, l1, 0xAAAA, None, &mut reads).expect("r1"),
+            r.read_at(o1, l1, 0xAAAA, &mut reads).expect("r1"),
             b"first payload"
         );
         assert_eq!(
-            r.read_at(o2, l2, 0xBBBB, None, &mut reads).expect("r2"),
+            r.read_at(o2, l2, 0xBBBB, &mut reads).expect("r2"),
             b"second"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -441,27 +403,26 @@ mod tests {
         w.finish().expect("finish");
         let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
         assert!(matches!(
-            r.read_at(o, l, 8, None, &mut reads),
+            r.read_at(o, l, 8, &mut reads),
             Err(Error::Format { .. })
         ));
         assert!(matches!(
-            r.read_at(o, l + 1, 7, None, &mut reads),
+            r.read_at(o, l + 1, 7, &mut reads),
             Err(Error::Format { .. })
         ));
         // A length that runs past the end of the file is a failed read.
         assert!(matches!(
-            r.read_at(o2, l2 + 1, 9, None, &mut reads),
+            r.read_at(o2, l2 + 1, 9, &mut reads),
             Err(Error::Io { .. })
         ));
         assert!(matches!(
-            r.read_at(o2, u64::MAX, 9, None, &mut reads),
+            r.read_at(o2, u64::MAX, 9, &mut reads),
             Err(Error::Truncated)
         ));
         assert!(
             !scan(&read(&path).expect("scan"), SegmentKind::Pmc, true).recognized,
             "wrong magic"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -476,27 +437,29 @@ mod tests {
         bytes[payload_start] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
         let mut r = SegmentReader::open(&path).expect("open");
-        match r.read_at(o, l, 9, None, &mut 0) {
+        match r.read_at(o, l, 9, &mut 0) {
             Err(Error::Format { detail, .. }) => assert!(detail.contains("checksum")),
             other => panic!("expected checksum failure, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn short_read_injection_reports_truncation() {
+        // A read that comes up short: the file loses its last byte after
+        // the reader opened it, so the record runs past what is there.
         let dir = tmpdir("short");
         let path = dir.join("seg-0.bin");
         let mut w = SegmentWriter::create(&path, PROFILE_MAGIC).expect("create");
         let (o, l) = w.append(5, b"payload").expect("append");
         let total = w.finish().expect("finish");
-        let (mut r, mut reads) = (SegmentReader::open(&path).expect("open"), 0);
-        assert!(matches!(
-            r.read_at(o, l, 5, Some(total - 1), &mut reads),
-            Err(Error::Truncated)
-        ));
-        assert!(r.read_at(o, l, 5, Some(total), &mut reads).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
+        let mut r = SegmentReader::open(&path).expect("open");
+        let file = std::fs::OpenOptions::new().write(true).open(&path);
+        file.expect("open").set_len(total - 1).expect("cut");
+        assert!(matches!(r.read_at(o, l, 5, &mut 0), Err(Error::Io { .. })));
+        // Reopened, the reader knows the shorter length and refuses the
+        // record before it reads.
+        let mut r = SegmentReader::open(&path).expect("reopen");
+        assert!(matches!(r.read_at(o, l, 5, &mut 0), Err(Error::Io { .. })));
     }
 
     #[test]
@@ -549,21 +512,25 @@ mod tests {
                 "never truncate unrecognized files"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_write_injection_persists_exact_prefix() {
+        // A kill `cut` bytes into a record leaves the magic plus `cut`
+        // bytes; the scan keeps the magic as the valid prefix and nothing
+        // past it, and truncation restores exactly that.
         let dir = tmpdir("torn");
-        let bytes_of = |path: &Path| std::fs::read(path).expect("read").len() as u64;
-        for cut in 0..30u64 {
-            let path = dir.join(format!("seg-{cut}.bin"));
-            let mut w = SegmentWriter::create(&path, PROFILE_MAGIC).expect("create");
-            w.set_torn_after(cut);
-            let err = w.append(3, b"torn-payload..").expect_err("torn");
-            assert!(matches!(err, Error::Injected(_)));
-            assert_eq!(bytes_of(&path), 8 + cut, "magic plus exactly {cut} bytes");
+        let path = dir.join("seg-0.bin");
+        let mut w = SegmentWriter::create(&path, PROFILE_MAGIC).expect("create");
+        w.append(3, b"torn-payload..").expect("append");
+        let total = w.finish().expect("finish");
+        let whole = std::fs::read(&path).expect("read");
+        for cut in 0..total - 8 {
+            std::fs::write(&path, &whole[..(8 + cut) as usize]).expect("tear");
+            let s = scan(&read(&path).expect("scan"), SegmentKind::Profile, true);
+            assert_eq!((s.recognized, s.valid_len, s.records.len()), (true, 8, 0));
+            assert_eq!(truncate_torn_tail(&path, &s), cut > 0, "cut {cut}");
+            assert_eq!(read(&path).expect("read").len(), 8, "magic only");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -32,7 +32,6 @@ use std::path::{Path, PathBuf};
 
 use sb_kernel::{KernelConfig, Program};
 use sb_vmm::site::fnv1a;
-use snowboard::chaos::{self, DiskFaults};
 use snowboard::pmc::PmcSet;
 use snowboard::profile::SeqProfile;
 
@@ -63,7 +62,7 @@ pub fn corpus_key(keys: &[u64]) -> u64 {
 pub enum ProfileLookup {
     /// Served from the store, test id remapped to the current corpus index.
     Hit(SeqProfile),
-    /// Not in the store (or reads disabled); write the profile in hand.
+    /// Not in the store; write the profile in hand.
     Miss,
     /// The latest record of this key is corrupt or unreadable.
     /// Quarantined: treat as a miss; the rewrite heals the entry.
@@ -115,7 +114,6 @@ pub struct Store {
     root: PathBuf,
     /// The counters the most recent completed run persisted.
     last_run: Manifest,
-    read_cache: bool,
     /// Profile key → its latest record.
     profiles: BTreeMap<u64, Addr>,
     /// Corpus key → its latest PMC record.
@@ -127,13 +125,6 @@ pub struct Store {
     /// corpus order, the order segments were written in, so one slot (one
     /// descriptor) serves runs of them with a single `open`.
     open_segment: Option<(SegmentKind, u64, SegmentReader)>,
-    /// Injected disk faults (empty by default; see [`Store::set_fault_plan`]).
-    fault: DiskFaults,
-    /// Verified record reads since the plan was armed, counted only while a
-    /// read fault is armed (drives `short_read_nth`).
-    fault_reads: u64,
-    /// Site ids of the plan's faults that fired, in fire order.
-    fault_fired: Vec<&'static str>,
     /// Profile keys whose records were found damaged this run.
     damaged_keys: BTreeSet<u64>,
     /// Corpus keys of PMC entries found damaged this run.
@@ -208,14 +199,10 @@ impl Store {
         Ok(Store {
             root: root.to_path_buf(),
             last_run,
-            read_cache: true,
             profiles,
             pmcs,
             next_segment,
             open_segment: None,
-            fault: DiskFaults::default(),
-            fault_reads: 0,
-            fault_fired: Vec::new(),
             damaged_keys: BTreeSet::new(),
             damaged_pmc_corpora: BTreeSet::new(),
             profile_hits: 0,
@@ -227,85 +214,13 @@ impl Store {
         })
     }
 
-    /// Disables cache *reads* (`--no-cache`): every lookup misses, but fresh
-    /// results are still written back.
-    pub fn set_read_cache(&mut self, enabled: bool) {
-        self.read_cache = enabled;
-    }
-
-    /// Arms a deterministic disk-fault plan (fault-injection runs only;
-    /// empty by default), restarting the read count and the fired list.
-    /// A torn write fails the next segment write as a kill would (the
-    /// partial file synced, its records never indexed); a flip corrupts
-    /// the next finished segment; the torn write and the flip fire once,
-    /// the short reads on every matching record read. Each firing prints a
-    /// `[chaos] fired` ledger line.
-    pub fn set_fault_plan(&mut self, plan: DiskFaults) {
-        self.fault = plan;
-        self.fault_reads = 0;
-        self.fault_fired.clear();
-    }
-
-    /// Site ids of the armed plan's faults that actually fired, in fire
-    /// order (`hunt chaos` attribution).
-    pub fn fault_fired(&self) -> Vec<&'static str> {
-        self.fault_fired.clone()
-    }
-
-    fn fire(&mut self, site: &'static str, detail: &str) {
-        self.fault_fired.push(site);
-        chaos::fired(site, detail);
-    }
-
-    /// Consumes the one-shot torn-write cutoff, if armed.
-    fn take_torn_write(&mut self) -> Option<u64> {
-        let cut = self.fault.torn_write_after.take()?;
-        self.fire("disk.torn", &format!("cut={cut}"));
-        Some(cut)
-    }
-
-    /// Whether this verified record read of `key` comes up short. Reads are
-    /// counted only while a read fault is armed, so the production path is
-    /// a branch on an empty plan.
-    fn short_read(&mut self, key: u64) -> bool {
-        if self.fault.short_read_keys.is_empty() && self.fault.short_read_nth.is_none() {
-            return false;
-        }
-        self.fault_reads += 1;
-        let read = self.fault_reads;
-        let hit =
-            self.fault.short_read_keys.contains(&key) || self.fault.short_read_nth == Some(read);
-        if hit {
-            self.fire("disk.short", &format!("key={key} read={read}"));
-        }
-        hit
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Profile cache hit rate persisted by the most recent completed run.
-    pub fn last_hit_rate(&self) -> Option<f64> {
-        let total = self.last_run.last_hits + self.last_run.last_misses;
-        (total > 0).then(|| self.last_run.last_hits as f64 / total as f64)
-    }
-
-    /// (hits, misses) persisted by the most recent completed run.
-    pub fn last_counters(&self) -> (u64, u64) {
-        (self.last_run.last_hits, self.last_run.last_misses)
-    }
-
     fn segment_path(&self, kind: SegmentKind, n: u64) -> PathBuf {
         self.root.join(segment_name(kind, n))
     }
 
-    /// Reads and verifies one record's payload, honoring injected short
-    /// reads. Any failure means the record is damaged.
+    /// Reads and verifies one record's payload. Any failure means the
+    /// record is damaged.
     fn read_verified(&mut self, kind: SegmentKind, at: Addr, key: u64) -> Result<&[u8], Error> {
-        let end = at.offset + segment::HEADER_LEN + at.len;
-        let eof_at = self.short_read(key).then(|| end - 1);
         if !matches!(&self.open_segment, Some((k, n, _)) if (*k, *n) == (kind, at.segment)) {
             let path = self.segment_path(kind, at.segment);
             // Dropping the previous handle first keeps it at one descriptor.
@@ -313,7 +228,7 @@ impl Store {
             self.open_segment = Some((kind, at.segment, SegmentReader::open(&path)?));
         }
         let (_, _, reader) = self.open_segment.as_mut().expect("opened above");
-        reader.read_at(at.offset, at.len, key, eof_at, &mut self.segment_reads)
+        reader.read_at(at.offset, at.len, key, &mut self.segment_reads)
     }
 
     /// Looks up the profile stored under `key`, remapping its test id to
@@ -321,8 +236,8 @@ impl Store {
     /// as [`ProfileLookup::Damaged`] (and counted), never as `Err`.
     pub fn lookup_profile(&mut self, key: u64, test: u32) -> Result<ProfileLookup, Error> {
         let at = match self.profiles.get(&key) {
-            Some(at) if self.read_cache => *at,
-            _ => {
+            Some(at) => *at,
+            None => {
                 self.profile_misses += 1;
                 return Ok(ProfileLookup::Miss);
             }
@@ -360,9 +275,6 @@ impl Store {
         let seg_no = self.next_segment;
         let path = self.segment_path(SegmentKind::Profile, seg_no);
         let mut writer = SegmentWriter::create(&path, SegmentKind::Profile.magic())?;
-        if let Some(cut) = self.take_torn_write() {
-            writer.set_torn_after(cut);
-        }
         let mut buf = Vec::new();
         let mut written = Vec::with_capacity(batch.len());
         for (key, profile) in batch {
@@ -379,7 +291,6 @@ impl Store {
             }
         }
         writer.finish()?;
-        self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
         self.next_segment = seg_no + 1;
         // A key the batch repeats heals once: its first entry takes it out
@@ -400,8 +311,8 @@ impl Store {
     pub fn lookup_pmcs(&mut self, corpus_keys: &[u64]) -> Result<PmcLookup, Error> {
         let key = corpus_key(corpus_keys);
         let at = match self.pmcs.get(&key) {
-            Some(at) if self.read_cache => *at,
-            _ => return Ok(PmcLookup::Miss),
+            Some(at) => *at,
+            None => return Ok(PmcLookup::Miss),
         };
         let decoded = self
             .read_verified(SegmentKind::Pmc, at, key)
@@ -431,15 +342,11 @@ impl Store {
         let seg_no = self.next_segment;
         let path = self.segment_path(SegmentKind::Pmc, seg_no);
         let mut writer = SegmentWriter::create(&path, SegmentKind::Pmc.magic())?;
-        if let Some(cut) = self.take_torn_write() {
-            writer.set_torn_after(cut);
-        }
         let mut buf = Vec::new();
         codec::encode_pmc_record(corpus_keys, set, &mut buf);
         let record_key = corpus_key(corpus_keys);
         let (offset, len) = writer.append(record_key, &buf)?;
         writer.finish()?;
-        self.apply_flip_fault(&path);
         segment::sync_dir(&self.root);
         self.next_segment = seg_no + 1;
         let at = Addr {
@@ -452,31 +359,6 @@ impl Store {
             self.records_healed += 1;
         }
         Ok(())
-    }
-
-    /// Applies an armed post-write bit flip to the finished segment at
-    /// `path` (injection only; no-op for an empty plan).
-    fn apply_flip_fault(&mut self, path: &Path) {
-        use std::io::{Read, Seek, SeekFrom, Write};
-        let Some((offset, mask)) = self.fault.flip_after_write.take() else {
-            return;
-        };
-        self.fire("disk.flip", &format!("offset={offset} mask={mask}"));
-        let Ok(mut file) = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-        else {
-            return;
-        };
-        let mut byte = [0u8; 1];
-        if file.seek(SeekFrom::Start(offset)).is_ok() && file.read_exact(&mut byte).is_ok() {
-            byte[0] ^= mask;
-            let _ = file
-                .seek(SeekFrom::Start(offset))
-                .and_then(|_| file.write_all(&byte))
-                .and_then(|()| file.sync_all());
-        }
     }
 
     /// Writes this run's hit/miss counters to the manifest, atomically.
@@ -513,7 +395,7 @@ impl Store {
 }
 
 /// The file name of segment `n` of `kind`.
-pub(crate) fn segment_name(kind: SegmentKind, n: u64) -> String {
+fn segment_name(kind: SegmentKind, n: u64) -> String {
     let prefix = match kind {
         SegmentKind::Profile => "seg",
         SegmentKind::Pmc => "pmc",
@@ -565,11 +447,17 @@ mod tests {
     use sb_vmm::access::{Access, AccessKind};
     use sb_vmm::site::Site;
 
-    fn tmp_store(tag: &str) -> (PathBuf, Store) {
-        let dir = std::env::temp_dir().join(format!("sb-store-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    use proptest::ScratchDir;
+
+    fn tmp_store(tag: &str) -> (ScratchDir, Store) {
+        let dir = ScratchDir::new(&format!("store-{tag}"));
         let store = Store::open(&dir).expect("open");
         (dir, store)
+    }
+
+    /// The (hits, misses) the store's manifest holds.
+    fn persisted(store: &Store) -> (u64, u64) {
+        (store.last_run.last_hits, store.last_run.last_misses)
     }
 
     fn profile(test: u32, addr: u64) -> SeqProfile {
@@ -626,7 +514,6 @@ mod tests {
             ProfileLookup::Miss
         );
         assert_eq!((store.profile_hits, store.profile_misses), (1, 1));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -647,12 +534,7 @@ mod tests {
             store.lookup_pmcs(&[1, 2, 3, 4, 5]).expect("lookup"),
             PmcLookup::Exact(set)
         );
-        assert_eq!(
-            store.last_counters(),
-            (0, 0),
-            "the counters were never written"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(persisted(&store), (0, 0), "the counters were never written");
     }
 
     #[test]
@@ -677,11 +559,7 @@ mod tests {
                 manifest.len()
             );
             assert_eq!(store.segment_sizes().expect("sizes"), before);
-            assert_eq!(
-                Store::open(&dir).expect("reopen").last_counters(),
-                (records, 0)
-            );
-            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(persisted(&Store::open(&dir).expect("reopen")), (records, 0));
         }
     }
 
@@ -712,23 +590,6 @@ mod tests {
             .map(|(name, _)| name)
             .collect();
         assert_eq!(names, ["seg-9999.bin", "seg-10000.bin", "seg-10001.bin"]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn no_cache_forces_misses_but_still_writes() {
-        let (dir, mut store) = tmp_store("nocache");
-        store
-            .insert_profiles(&[(5, Some(profile(0, 0x3000)))])
-            .expect("insert");
-        store.set_read_cache(false);
-        assert_eq!(
-            store.lookup_profile(5, 0).expect("lookup"),
-            ProfileLookup::Miss
-        );
-        assert_eq!(store.lookup_pmcs(&[5]).expect("lookup"), PmcLookup::Miss);
-        assert_eq!(store.profile_misses, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -780,7 +641,6 @@ mod tests {
             PmcLookup::Miss
         );
         assert_eq!(store.records_damaged, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn sample_pmc() -> snowboard::pmc::Pmc {
@@ -816,9 +676,7 @@ mod tests {
         assert_eq!(sizes.len(), 2);
         assert!(stats.bytes > 16, "magic plus records");
         let reopened = Store::open(&dir).expect("reopen");
-        assert_eq!(reopened.last_counters(), (1, 1));
-        assert_eq!(reopened.last_hit_rate(), Some(0.5));
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(persisted(&reopened), (1, 1));
     }
 
     #[test]
@@ -860,7 +718,6 @@ mod tests {
             ProfileLookup::Hit(_)
         ));
         assert_eq!(store.records_damaged, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -878,7 +735,6 @@ mod tests {
             ProfileLookup::Miss
         );
         assert_eq!(store.records_damaged, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -934,7 +790,6 @@ mod tests {
             store.lookup_pmcs(&[1, 2, 3]).expect("lookup"),
             PmcLookup::Exact(set)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -947,21 +802,23 @@ mod tests {
         store.flush().expect("flush");
 
         // Second batch: two records, killed mid-second (after the first
-        // record of the batch is fully on disk).
+        // record of the batch is fully on disk). The file a kill leaves is
+        // the written one cut short.
         let p1 = profile(1, 0x6100);
         let p2 = profile(2, 0x6200);
         let mut probe = Vec::new();
         codec::encode_profile(&p1, &mut probe);
         let first_record_bytes = 16 + probe.len() as u64;
-        store.set_fault_plan(DiskFaults {
-            torn_write_after: Some(first_record_bytes + 5),
-            ..Default::default()
-        });
-        let err = store
+        store
             .insert_profiles(&[(11, Some(p1.clone())), (12, Some(p2))])
-            .expect_err("torn write kills the insert");
-        assert!(matches!(err, Error::Injected(_)));
+            .expect("insert");
         drop(store); // crash: no flush
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("seg-0001.bin"))
+            .expect("open")
+            .set_len(8 + first_record_bytes + 5)
+            .expect("tear");
 
         let mut store = Store::open(&dir).expect("reopen");
         // The completed first batch still serves.
@@ -993,7 +850,6 @@ mod tests {
             store.lookup_profile(11, 1).expect("lookup"),
             ProfileLookup::Hit(_)
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1045,46 +901,53 @@ mod tests {
             got,
             [Some(3 << 12), Some(2 << 12), Some(1 << 12), Some(2 << 12)]
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn short_read_injection_degrades_to_damaged() {
+        // A read that comes up short: the file loses its last byte after
+        // open, so the record the lookup serves runs past its end.
         let (dir, mut store) = tmp_store("shortread");
         store
-            .insert_profiles(&[(21, Some(profile(0, 0x7000)))])
+            .insert_profiles(&[
+                (20, Some(profile(0, 0x6f00))),
+                (21, Some(profile(0, 0x7000))),
+            ])
             .expect("insert");
-        let mut plan = DiskFaults::default();
-        plan.short_read_keys.insert(21);
-        store.set_fault_plan(plan);
+        let mut store = Store::open(&dir).expect("reopen");
+        let seg = dir.join("seg-0000.bin");
+        let len = std::fs::metadata(&seg).expect("meta").len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&seg)
+            .expect("open")
+            .set_len(len - 1)
+            .expect("cut");
         assert_eq!(
             store.lookup_profile(21, 0).expect("lookup"),
             ProfileLookup::Damaged
         );
         assert_eq!(store.records_damaged, 1);
-        store.set_fault_plan(DiskFaults::default());
-        assert!(matches!(
-            store.lookup_profile(21, 0).expect("lookup"),
-            ProfileLookup::Hit(_)
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        store
+            .insert_profiles(&[(21, Some(profile(0, 0x7000)))])
+            .expect("heal");
+        assert_eq!(store.records_healed, 1);
+        assert_eq!(hit(&mut store, 21), Some(profile(0, 0x7000)));
     }
 
     #[test]
     fn flip_after_write_fault_corrupts_the_new_segment() {
         let (dir, mut store) = tmp_store("flipfault");
-        store.set_fault_plan(DiskFaults {
-            // Offset 20 is the CRC word of the first record.
-            flip_after_write: Some((20, 0xFF)),
-            ..Default::default()
-        });
+        let (p31, p32) = (profile(0, 0x8000), profile(0, 0x8100));
         store
-            .insert_profiles(&[
-                (31, Some(profile(0, 0x8000))),
-                (32, Some(profile(0, 0x8100))),
-            ])
+            .insert_profiles(&[(31, Some(p31.clone())), (32, Some(p32))])
             .expect("insert");
         store.flush().expect("flush");
+        // Offset 20 is the CRC word of the first record.
+        let seg = dir.join("seg-0000.bin");
+        let mut bytes = std::fs::read(&seg).expect("read");
+        bytes[20] ^= 0xFF;
+        std::fs::write(&seg, &bytes).expect("flip");
         // The lookup that serves the record checksums it: the CRC catches
         // the flip (of a record that is not its file's last, so open's
         // torn-tail rule leaves it in place).
@@ -1093,81 +956,13 @@ mod tests {
             store.lookup_profile(31, 0).expect("lookup"),
             ProfileLookup::Damaged
         );
-        std::fs::remove_dir_all(&dir).ok();
+        store
+            .insert_profiles(&[(31, Some(p31.clone()))])
+            .expect("heal");
+        assert_eq!((store.records_damaged, store.records_healed), (1, 1));
+        assert_eq!(hit(&mut store, 31), Some(p31));
     }
 
-    #[test]
-    fn default_plan_is_empty_and_one_shots_disarm() {
-        let (dir, mut store) = tmp_store("oneshot");
-        assert!(store.fault.is_empty());
-        store.set_fault_plan(DiskFaults {
-            torn_write_after: Some(5),
-            flip_after_write: Some((8, 0x01)),
-            short_read_keys: BTreeSet::from([42]),
-            ..DiskFaults::default()
-        });
-        let one = |key: u64| [(key, Some(profile(0, key << 12)))];
-        assert!(matches!(
-            store.insert_profiles(&one(41)),
-            Err(Error::Injected(_))
-        ));
-        store
-            .insert_profiles(&one(41))
-            .expect("the tear is spent; the flip fires");
-        store
-            .insert_profiles(&[one(42)[0].clone(), one(43)[0].clone()])
-            .expect("nothing left to fire");
-        assert_eq!(hit(&mut store, 42), None);
-        assert_eq!(hit(&mut store, 43), Some(profile(0, 43 << 12)));
-        assert_eq!(hit(&mut store, 42), None, "short reads persist");
-        assert_eq!(
-            store.fault_fired(),
-            ["disk.torn", "disk.flip", "disk.short", "disk.short"]
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn nth_read_fault_fires_once_at_the_exact_ordinal() {
-        let (dir, mut store) = tmp_store("nth");
-        let batch: Vec<_> = (10..13u64)
-            .map(|k| (k, Some(profile(0, k << 12))))
-            .collect();
-        store.insert_profiles(&batch).expect("insert");
-        store.set_fault_plan(DiskFaults {
-            short_read_nth: Some(3),
-            ..DiskFaults::default()
-        });
-        assert!(hit(&mut store, 10).is_some(), "read 1");
-        assert!(hit(&mut store, 11).is_some(), "read 2");
-        assert!(
-            hit(&mut store, 12).is_none(),
-            "read 3 fires whatever the key"
-        );
-        assert!(hit(&mut store, 12).is_some(), "read 4 does not");
-        assert_eq!(store.fault_fired(), ["disk.short"]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn the_chaos_grammars_disk_plane_arms_the_store() {
-        let spec = snowboard::ChaosPlan::parse_spec("disk:torn=20;disk:shortn=1").unwrap();
-        let (dir, mut store) = tmp_store("grammar");
-        store.set_fault_plan(spec.disk);
-        assert!(store
-            .insert_profiles(&[(31, Some(profile(0, 0x8000)))])
-            .is_err());
-        store
-            .insert_profiles(&[(31, Some(profile(0, 0x8000)))])
-            .expect("insert");
-        assert_eq!(
-            hit(&mut store, 31),
-            None,
-            "the first record read comes up short"
-        );
-        assert_eq!(store.fault_fired(), ["disk.torn", "disk.short"]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
     /// A profile whose encoding is about `accesses * 10` bytes.
     fn wide_profile(salt: u64, accesses: u64) -> SeqProfile {
         let mut p = profile(0, salt);
@@ -1264,7 +1059,6 @@ mod tests {
             assert_eq!(hit(&mut store, *k), Some(wide_profile(*k, 25)));
         }
         assert_eq!(store.records_damaged, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1339,7 +1133,6 @@ mod tests {
             "the window at the first record holds the second"
         );
         assert_eq!(store.records_damaged, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1373,44 +1166,12 @@ mod tests {
         );
         assert_eq!(hit(&mut store, 2), Some(wide_profile(2, 10)));
         assert_eq!(store.records_damaged, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_short_read_is_injected_into_a_filled_window_too() {
-        let (dir, mut store) = tmp_store("shortwindow");
-        store
-            .insert_profiles(&[(1, Some(profile(0, 0x100))), (2, Some(profile(0, 0x200)))])
-            .expect("insert");
-        assert!(hit(&mut store, 1).is_some());
-        assert_eq!(store.segment_reads, 1, "the window now holds both records");
-        let mut plan = DiskFaults::default();
-        plan.short_read_keys.insert(2);
-        store.set_fault_plan(plan);
-        assert_eq!(hit(&mut store, 2), None);
-        assert!(hit(&mut store, 1).is_some());
-        // The nth-read fault counts record reads, not window fills.
-        store.set_fault_plan(DiskFaults {
-            short_read_nth: Some(2),
-            ..DiskFaults::default()
-        });
-        assert!(hit(&mut store, 1).is_some());
-        assert_eq!(
-            hit(&mut store, 1),
-            None,
-            "the second record read, out of a window that has it"
-        );
-        assert_eq!(store.fault_fired(), ["disk.short"]);
-        store.set_fault_plan(DiskFaults::default());
-        assert!(hit(&mut store, 2).is_some());
-        assert_eq!((store.records_damaged, store.segment_reads), (2, 1));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Everything observable about a store after `open`: what it knows,
     /// what is on disk, and what a lookup of every key then answers.
     fn observe(mut store: Store, keys: &[u64], corpora: &[&[u64]]) -> String {
-        let on_disk = files_of(store.root());
+        let on_disk = files_of(&store.root);
         let known = format!(
             "{:?} {:?} {:?} {}",
             store.last_run, store.profiles, store.pmcs, store.next_segment
@@ -1435,15 +1196,8 @@ mod tests {
 
     /// Materializes `files` twice and opens one copy under each CRC rule.
     fn both_opens_agree(files: &[(String, Vec<u8>)], what: &str) {
-        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let copies = ["lazy", "full"].map(|rule| {
-            let dir = std::env::temp_dir().join(format!(
-                "sb-store-diff-{rule}-{case}-{}",
-                std::process::id()
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            std::fs::create_dir_all(&dir).expect("mkdir");
+            let dir = ScratchDir::new(&format!("store-diff-{rule}"));
             for (name, bytes) in files {
                 std::fs::write(dir.join(name), bytes).expect("write");
             }
@@ -1459,9 +1213,6 @@ mod tests {
             observe(full, &keys, &corpora),
             "{what}"
         );
-        for dir in copies {
-            std::fs::remove_dir_all(dir).ok();
-        }
     }
 
     fn files_of(dir: &Path) -> Vec<(String, Vec<u8>)> {
@@ -1530,20 +1281,24 @@ mod tests {
                 std::fs::write(torn_dir.join(name), bytes).expect("write");
             }
             let mut store = Store::open(&torn_dir).expect("open");
-            store.set_fault_plan(DiskFaults {
-                torn_write_after: Some(cut),
-                ..Default::default()
-            });
-            let _ = store.insert_profiles(&[
-                (4, Some(profile(4, 4 << 12))),
-                (5, Some(profile(5, 5 << 12))),
-            ]);
+            store
+                .insert_profiles(&[
+                    (4, Some(profile(4, 4 << 12))),
+                    (5, Some(profile(5, 5 << 12))),
+                ])
+                .expect("insert");
             drop(store);
+            // What a kill `cut` bytes into the new segment's records leaves.
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(torn_dir.join("seg-0002.bin"))
+                .expect("open")
+                .set_len(8 + cut)
+                .expect("tear");
             both_opens_agree(
                 &files_of(&torn_dir),
                 &format!("insert torn after {cut} bytes"),
             );
-            std::fs::remove_dir_all(&torn_dir).ok();
         }
 
         // A healed key: damaged in seg-0000, rewritten into a new segment.
@@ -1595,6 +1350,5 @@ mod tests {
             .1
             .clone();
         both_opens_agree(&stale, "stale manifest");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
