@@ -74,21 +74,22 @@ OPTIONS (hunt serve), in addition to the hunt options:
     A worker that dies or is evicted is not restarted: run the hunt join
     workers under a process manager that restarts them.
     --checkpoint <PATH> is the durable option: the checkpoint logs every
-    lease and result, survives a coordinator crash, and is picked up by
-    'hunt serve --resume PATH'. Without it the coordinator uses a per-run
+    result, survives a coordinator crash, and is picked up by
+    'hunt serve --resume PATH'; jobs that were leased but had no logged
+    result when it crashed are run again. Without it the coordinator uses a per-run
     temporary file, deleted after a clean finish.
     --chaos coord:kill-after-journal=<N> simulates a coordinator kill -9
-    right after the Nth record it logs — a failover-test hook.
+    right after the Nth result it logs — a failover-test hook.
 
 OPTIONS (hunt join <ADDR>), in addition to the hunt options:
     --connect-retries <N>         consecutive failed connect attempts
                                   before giving up [default: 5], holding
                                   undelivered results or not
-    --spool <PATH>                persist completed-but-unacknowledged
-                                  results to PATH so even a restarted
-                                  worker redelivers them
     --stop-file <PATH>            finish the jobs in hand and leave once
                                   PATH exists
+    Results the coordinator has not acknowledged are kept in memory and
+    redelivered after a reconnect; a worker that exits holding some drops
+    them, and the coordinator runs those jobs again.
     The campaign flags (--seed, --corpus, --budget, --trials, ...) must
     match the coordinator's: the handshake rejects a mismatch. The
     coordinator sets the heartbeat and the lease size; --batch,
@@ -119,8 +120,6 @@ EXIT CODES:
     1    runtime failure: campaign error, missing or unverifiable trace
     2    usage error: unknown command, option, or malformed value
     3    hunt completed, but one or more jobs were quarantined
-    4    fleet worker stopped (stop file) while still holding undelivered
-         spooled results — rejoin with the same --spool to deliver them
 ";
 
 /// Options for the `hunt` command.
@@ -194,9 +193,6 @@ pub struct JoinOpts {
     pub addr: String,
     /// Consecutive failed connect attempts before giving up.
     pub connect_retries: u32,
-    /// On-disk spool for completed-but-unacknowledged results; `None`
-    /// keeps them in memory only (they survive reconnects, not restarts).
-    pub spool: Option<PathBuf>,
 }
 
 /// Options for `hunt chaos` (the self-chaos meta-campaign).
@@ -464,7 +460,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
             let mut batch = 4usize;
             let mut crash_budget = 2u32;
             let mut connect_retries = 5u32;
-            let mut spool: Option<PathBuf> = None;
             let mut version = KernelVersion::V5_12Rc3;
             let mut patched = false;
             let mut strategy = Strategy::SInsPair;
@@ -513,9 +508,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         if connect_retries == 0 {
                             return Err("--connect-retries must be at least 1".into());
                         }
-                    }
-                    "--spool" if mode == Mode::Join => {
-                        spool = Some(PathBuf::from(take_value(argv, &mut i, "--spool")?))
                     }
                     "--version" => version = parse_version(take_value(argv, &mut i, "--version")?)?,
                     "--patched" => patched = true,
@@ -679,7 +671,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, String> {
                         hunt,
                         addr: addr.expect("checked above"),
                         connect_retries,
-                        spool,
                     })),
                 })
             } else {
@@ -940,22 +931,16 @@ mod tests {
     #[test]
     fn parses_hunt_join_with_fleet_flags() {
         let cmd = parse(&argv(
-            "hunt join 10.0.0.5:7070 --connect-retries 9 --chaos net:drop=0:6 \
-             --spool /tmp/spool.bin --seed 7",
+            "hunt join 10.0.0.5:7070 --connect-retries 9 --chaos net:drop=0:6 --seed 7",
         ))
         .unwrap();
         match cmd {
             Cmd::Join(o) => {
                 assert_eq!(o.addr, "10.0.0.5:7070");
                 assert_eq!(o.connect_retries, 9);
-                assert_eq!(o.spool, Some(PathBuf::from("/tmp/spool.bin")));
                 assert!(o.hunt.chaos.net.drop_now(0, 7));
                 assert_eq!(o.hunt.seed, 7);
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse(&argv("hunt join x:1")).unwrap() {
-            Cmd::Join(o) => assert_eq!(o.spool, None, "spooling is opt-in"),
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&argv("hunt join")).is_err(), "address is required");
@@ -979,11 +964,6 @@ mod tests {
             parse(&argv("hunt --connect-retries 2")).is_err(),
             "join-only flag"
         );
-        assert!(
-            parse(&argv("hunt --spool /tmp/s")).is_err(),
-            "join-only flag"
-        );
-        assert!(parse(&argv("hunt serve --listen x --spool /tmp/s")).is_err());
     }
 
     #[test]

@@ -285,8 +285,8 @@ fn run_plain(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
 /// `hunt serve` + `hunt join` over TCP. Net faults act on the worker's
 /// outbound link; the coordinator kill switch crashes the coordinator
 /// after a logged record, after which a second coordinator resumes from
-/// the checkpoint log on the same address and the spooling worker
-/// redelivers across the outage. A process fault kills (or wedges)
+/// the checkpoint log on the same address and the worker redelivers
+/// across the outage. A process fault kills (or wedges)
 /// whichever worker leases its job, so it runs three workers at one job
 /// per lease under a crash budget of two: the two deaths the schedule
 /// budgets, and one worker that finishes the campaign.
@@ -347,18 +347,12 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
         }
     };
 
-    // Spooling workers, retrying hard enough to ride out a coordinator
-    // outage.
+    // Workers retrying hard enough to ride out a coordinator outage.
     let mut joins = Vec::new();
     for i in 0..workers {
         let mut jargs = vec!["hunt".to_string(), "join".into(), addr.clone()];
         jargs.extend(campaign_args(env));
-        jargs.extend([
-            "--connect-retries".into(),
-            "200".into(),
-            "--spool".into(),
-            trial.join(format!("spool{i}.wal")).display().to_string(),
-        ]);
+        jargs.extend(["--connect-retries".into(), "200".into()]);
         jargs.extend(chaos_args(&worker_plan));
         let (child, _w_out, w_err) = spawn_to_files(env, &jargs, trial, &format!("worker{i}"))?;
         joins.push((child, w_err));
@@ -479,7 +473,7 @@ fn run_fleet(env: &Env, s: &Schedule, trial: &Path) -> Result<(), String> {
     if !w_status.success() {
         let _ = std::fs::read_to_string(&w_err).map(|s| eprint!("{s}"));
         return Err(format!(
-            "spooling worker failed across the failover (exit {:?})",
+            "fleet worker failed across the failover (exit {:?})",
             w_status.code()
         ));
     }

@@ -354,7 +354,8 @@ fn conclude(prep: Prepared, report: SbResult<CampaignReport>, o: &HuntOpts) -> E
 
 /// A coordinator's checkpoint: the user's `--checkpoint` path when given,
 /// else a private temporary one that [`remove_temp_checkpoint`] deletes
-/// after a clean finish.
+/// unless a stop file ended the run (its message names the file for
+/// `--resume`).
 fn coordinator_checkpoint(o: &HuntOpts) -> PathBuf {
     o.checkpoint.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("sb-fleet-{}.json", std::process::id()))
@@ -440,6 +441,10 @@ fn serve(opts: ServeOpts) -> ExitCode {
         o.heartbeat_ms, opts.lease_ms, opts.batch
     );
     let report = run_coordinator(listener, &prep.exemplars, &prep.cfg, &fcfg);
+    let stopped = matches!(&report, Ok(CampaignReport { fleet: Some(s), .. }) if s.stopped);
+    if !stopped {
+        remove_temp_checkpoint(o, &ckpt);
+    }
     if let Ok(CampaignReport { fleet: Some(s), .. }) = &report {
         eprintln!(
             "[fleet] {} worker(s) joined, {} rejected; {} lease(s), {} eviction(s), \
@@ -453,22 +458,19 @@ fn serve(opts: ServeOpts) -> ExitCode {
             s.gave_up_jobs
         );
         eprintln!(
-            "[fleet] journal: {} record(s) written, {} replayed, {} lease(s) restored, \
+            "[fleet] journal: {} record(s) written, {} replayed, \
              {} session(s) resumed, {} redelivered result(s), {} damage event(s)",
             s.journal_records,
             s.journal_replayed,
-            s.leases_restored,
             s.sessions_resumed,
             s.redelivered,
             s.journal_damaged
         );
-        if s.stopped {
+        if stopped {
             eprintln!(
                 "[fleet] stopped by stop file; resume with hunt serve --resume {}",
                 ckpt.display()
             );
-        } else {
-            remove_temp_checkpoint(o, &ckpt);
         }
     }
     conclude(prep, report, o)
@@ -484,7 +486,6 @@ fn join(opts: JoinOpts) -> ExitCode {
         config_hash: fleet_fingerprint(o),
         connect_attempts: opts.connect_retries,
         stop_file: o.stop_file.clone(),
-        spool: opts.spool.clone(),
         net_faults: o.chaos.net.clone(),
         ..JoinCfg::default()
     };
@@ -505,11 +506,10 @@ fn join(opts: JoinOpts) -> ExitCode {
         Ok(s) => {
             eprintln!(
                 "[fleet] worker done: {} job(s) over {} lease(s), {} reconnect(s), \
-                 {} spooled / {} redelivered{}",
+                 {} redelivered{}",
                 s.jobs_completed,
                 s.leases,
                 s.reconnects,
-                s.spooled,
                 s.redelivered,
                 if s.stopped {
                     " (stopped by stop file)"
@@ -517,15 +517,12 @@ fn join(opts: JoinOpts) -> ExitCode {
                     ""
                 }
             );
-            if s.stopped && s.undelivered > 0 {
-                // Distinct exit code: the work is done but not delivered —
-                // the spool still owes the coordinator these results.
+            if s.undelivered > 0 {
                 eprintln!(
-                    "[fleet] stopped while holding {} undelivered result(s); \
-                     rejoin with the same --spool to deliver them",
+                    "[fleet] stopped holding {} undelivered result(s), dropped \
+                     (the coordinator re-runs their jobs)",
                     s.undelivered
                 );
-                return ExitCode::from(4);
             }
             ExitCode::SUCCESS
         }
@@ -534,8 +531,7 @@ fn join(opts: JoinOpts) -> ExitCode {
             // bounded, parseable failure, never a hang. `--connect-retries`
             // bounds every reconnect loop: a worker that made progress gets
             // the lost-coordinator wording from run_join, and one holding
-            // undelivered results names how many and the --spool that
-            // keeps them.
+            // undelivered results says how many it drops.
             eprintln!("error: {}", e.chain().join("; "));
             ExitCode::FAILURE
         }

@@ -630,7 +630,7 @@ fn fleet_trace_records_each_lifecycle_fact_once() {
     // Job totals live in `job` events and the fleet lifecycle in `fleet`
     // events; no counter restates them, and the `fleet workers:` block
     // counts what the coordinator's own summary line reports.
-    const RESTATED: [&str; 16] = [
+    const RESTATED: [&str; 14] = [
         "profile.ok",
         "profile.accesses_kept",
         "campaign.trials",
@@ -643,9 +643,7 @@ fn fleet_trace_records_each_lifecycle_fact_once() {
         "fleet.evictions",
         "fleet.reassigned",
         "fleet.duplicates",
-        "fleet.spool.redelivered",
         "fleet.sessions.resumed",
-        "fleet.leases.restored",
         "chaos.fired.total",
     ];
     let dir = scratch_dir("fleet-trace");
@@ -837,6 +835,8 @@ fn fleet_usage_errors_exit_2() {
         &["hunt", "--no-cache"],
         &["hunt", "join", "x:1", "--store", "/tmp/sb-join-store"],
         &["store", "stats", "--store", "/tmp/sb-store"],
+        // A worker keeps unacknowledged results in memory only.
+        &["hunt", "join", "x:1", "--spool", "x"],
     ];
     for case in cases {
         let out = bin().args(*case).output().expect("run usage case");
@@ -941,20 +941,16 @@ fn join_reports_a_lost_coordinator_distinctly_from_a_never_reached_one() {
 }
 
 #[test]
-fn stopped_worker_holding_spooled_results_exits_4() {
+fn stopped_worker_holding_results_exits_0_and_says_it_dropped_them() {
     // The coordinator takes two results, never acks them, and dies. The
-    // worker spools them and reconnects (within its --connect-retries
-    // budget); when the stop file ends it first, the exit code and message
-    // must say the spool still holds undelivered work.
-    let dir = scratch_dir("spool-exit-4");
-    std::fs::create_dir_all(&dir).unwrap();
+    // worker keeps them and reconnects (within its --connect-retries
+    // budget); when the stop file ends it first, it exits 0 and says how
+    // many undelivered results it dropped: the coordinator re-runs them.
+    let dir = scratch_dir("stop-undelivered");
     let stop = dir.join("stop");
-    let spool = dir.join("outbox.wal");
     let (addr, server) = scripted_coordinator(vec![0, 1], false);
     let worker = bin()
-        .args(["hunt", "join", &addr, "--spool"])
-        .arg(&spool)
-        .args(["--stop-file"])
+        .args(["hunt", "join", &addr, "--stop-file"])
         .arg(&stop)
         .args(join_tail("3"))
         .stdout(std::process::Stdio::piped())
@@ -966,22 +962,45 @@ fn stopped_worker_holding_spooled_results_exits_4() {
     assert_eq!(server.join().unwrap(), 2, "coordinator saw both results");
     std::fs::write(&stop, b"").unwrap();
     let out = worker.wait_with_output().expect("await worker");
+    let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
-        Some(4),
-        "stopped-with-undelivered-results exits 4; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        Some(0),
+        "a stop-file exit is 0; stderr: {err}"
     );
-    let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("stopped while holding 2 undelivered result(s)")
-            && err.contains("rejoin with the same --spool"),
+        err.lines().any(|l| l
+            == "[fleet] stopped holding 2 undelivered result(s), dropped \
+                (the coordinator re-runs their jobs)"),
         "unexpected stderr: {err}"
     );
-    // The spool survived the exit: a rejoin with the same path would
-    // redeliver from it.
-    let spooled = std::fs::metadata(&spool).expect("spool file written").len();
-    assert!(spooled > 0, "spool must hold the undelivered frames");
+}
+
+#[test]
+fn a_failed_serve_removes_its_temporary_checkpoint() {
+    // Without --checkpoint the coordinator logs to a file of its own in the
+    // temp dir, named after its pid. A campaign that fails (here: the kill
+    // switch after the first logged result) leaves nothing that names that
+    // file, so it must not outlive the process.
+    let (serve, addr, serve_err) = spawn_serve(
+        &serve_tail("23"),
+        &["--chaos", "coord:kill-after-journal=1"],
+    );
+    let temp = std::env::temp_dir().join(format!("sb-fleet-{}.json", serve.id()));
+    let workers = spawn_joins(&addr, "23", 1, &["--connect-retries", "1"]);
+    let out = serve.wait_with_output().expect("await serve");
+    let err = serve_err.join().expect("stderr drain thread");
+    assert_eq!(out.status.code(), Some(1), "the kill is a failure: {err}");
+    assert!(err.contains("kill switch"), "stderr: {err}");
+    assert!(
+        !temp.exists(),
+        "{} outlived the failed serve",
+        temp.display()
+    );
+    for w in workers {
+        let _ = w.wait_with_output();
+    }
+    no_orphans("23", "join");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 //! CRC32C (Castagnoli), the checksum of every framed record in the workspace.
 //!
 //! Its one caller is [`crate::frame`], the frame under store segment
-//! records, the checkpoint log, the worker spool and the fleet socket. The
+//! records, the checkpoint log and the fleet socket. The
 //! polynomial is the one iSCSI, ext4 and LevelDB use, chosen for its
 //! error-detection profile on exactly this "short record in a log file"
 //! shape.
 //!
 //! Who checksums what: a log frame once when it is appended and once by
-//! every load of its log (a resume, a spool replay); a socket frame once by
+//! every load of its log (a resume); a socket frame once by
 //! each side; a segment record of the benchmark's store once when it is
 //! written and once by each lookup that serves it, and `Store::open` only
 //! the last record of each file (what the torn-tail rule needs).

@@ -3,7 +3,7 @@
 //! CRC32C of `prefix ‖ len ‖ payload`.
 //!
 //! Store segment records carry their 8-byte content key as the prefix; the
-//! checkpoint log, the worker spool and the fleet socket carry none
+//! checkpoint log and the fleet socket carry none
 //! (DESIGN.md §16). [`push`] lays a frame out. [`split`] checks structure
 //! only — a whole header and a payload inside the bytes given — and
 //! [`Frame::intact`] checks the CRC, so a reader checksums only the frames

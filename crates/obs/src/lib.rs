@@ -21,7 +21,7 @@
 //!   funnel attrition from a trace file and cross-checks them against the
 //!   run's own summary (`sb trace report`).
 //! * [`frame`] — the one record frame (`prefix ‖ len ‖ crc ‖ payload`)
-//!   under store segments, the checkpoint log, the worker spool and the
+//!   under store segments, the checkpoint log and the
 //!   fleet socket; [`crc`] is its CRC32C (the SSE4.2 `crc32` instruction
 //!   where the CPU has it, slicing-by-8 elsewhere).
 //! * [`spec`] — the shared `kind=args;...` grammar behind the `--chaos`

@@ -79,8 +79,7 @@ pub mod keys {
     pub const SCHED_PICKS: &str = "sched.picks";
     /// Incidental PMCs added to the watch set mid-campaign.
     pub const INCIDENTAL_PMCS: &str = "sched.incidental_pmcs";
-    /// Records a coordinator appended to its checkpoint log (lease grants,
-    /// result deliveries, lease releases).
+    /// Verdict records a coordinator appended to its checkpoint log.
     pub const FLEET_JOURNAL_RECORDS: &str = "fleet.journal.records";
     /// Result verdicts replayed from the checkpoint log at `serve --resume`.
     pub const FLEET_JOURNAL_REPLAYED: &str = "fleet.journal.replayed";

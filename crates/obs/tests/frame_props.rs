@@ -1,6 +1,6 @@
 //! Arbitrary-bytes suite for `sb_obs::frame`, the one frame decoder under
-//! store segments, the checkpoint log, the worker spool and the fleet
-//! socket. Every property runs at both prefix lengths in use: 0 (the logs
+//! store segments, the checkpoint log and the fleet
+//! socket. Every property runs at both prefix lengths in use: 0 (the log
 //! and the socket) and 8 (a segment record's content key).
 
 use std::io::Cursor;

@@ -124,8 +124,8 @@ pub struct ChaosPlan {
     pub job: FaultPlan,
     /// Network faults for fleet workers (`net:*` clauses).
     pub net: NetFaultPlan,
-    /// Coordinator kill switch: simulate `kill -9` at the Nth journal
-    /// append (`coord:kill-after-journal=N`).
+    /// Coordinator kill switch: simulate `kill -9` right after the Nth
+    /// verdict the checkpoint logs (`coord:kill-after-journal=N`).
     pub kill_after_journal: Option<u64>,
 }
 

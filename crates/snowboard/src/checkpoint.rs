@@ -2,9 +2,8 @@
 //!
 //! Long campaigns (§4.4 runs for days) must survive a killed process. The
 //! checkpoint is one file in the [`FrameLog`] framing: a campaign header
-//! (format version, seed, exemplar universe), then [`JournalRecord`]s —
-//! every real verdict and, under a fleet coordinator, lease grants and
-//! releases. [`crate::ledger::JobLedger`] appends and syncs each verdict
+//! (format version, seed, exemplar universe), then one [`JournalRecord`]
+//! per real verdict. [`crate::ledger::JobLedger`] appends and syncs each verdict
 //! before merging it, and at the end replaces the file atomically with the
 //! compact form ([`Checkpoint::save`]: the header plus one record per
 //! verdict, in job order), which is the same bytes whichever runner wrote
@@ -28,14 +27,13 @@ use sb_vmm::replay::Schedule;
 
 use crate::campaign::{PmcTestOutcome, QuarantineRecord};
 use crate::error::{Error, FailureKind, SbResult};
-use crate::journal::{
-    self, done_line, quarantine_line, FrameLog, JournalRecord, Replay, ReplayLease,
-};
+use crate::journal::{self, done_line, quarantine_line, FrameLog, JournalRecord, Replay};
 use crate::json::{self, Json};
 use crate::pmc::PmcId;
 
-/// Current checkpoint format version (1 was a whole-file JSON document).
-const VERSION: u64 = 2;
+/// Current checkpoint format version (1 was a whole-file JSON document; 2
+/// also logged fleet lease grants and releases).
+const VERSION: u64 = 3;
 
 /// A campaign progress snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -181,7 +179,7 @@ pub struct Loaded {
     pub checkpoint: Checkpoint,
     /// The file's bytes up to the end of its last intact record.
     pub intact: Vec<u8>,
-    /// Open leases, session acks and counts, for a resuming transport.
+    /// Session acks and counts, for a resuming transport.
     pub replay: Replay,
 }
 
@@ -228,22 +226,6 @@ pub fn read(path: &Path) -> SbResult<Loaded> {
 fn replay_record(cp: &mut Checkpoint, replay: &mut Replay, line: &str) -> bool {
     let universe = cp.exemplars.len();
     let (session, seq) = match JournalRecord::parse(line) {
-        Ok(JournalRecord::Lease {
-            lease,
-            session,
-            jobs,
-        }) => {
-            replay.leases.push(ReplayLease {
-                lease,
-                session,
-                jobs,
-            });
-            return true;
-        }
-        Ok(JournalRecord::Release { lease }) => {
-            replay.leases.retain(|l| l.lease != lease);
-            return true;
-        }
         Ok(JournalRecord::Done {
             session,
             seq,
@@ -740,41 +722,29 @@ mod tests {
                 "a failed load writes nothing"
             );
         }
-        let future = sample().header().replace("\"version\":2", "\"version\":99");
-        std::fs::write(&path, journal::image([future.as_str()]).unwrap()).unwrap();
-        assert!(matches!(
-            Checkpoint::load(&path),
-            Err(Error::CheckpointFormat { .. })
-        ));
+        for version in ["2", "99"] {
+            let other = sample()
+                .header()
+                .replace("\"version\":3", &format!("\"version\":{version}"));
+            std::fs::write(&path, journal::image([other.as_str()]).unwrap()).unwrap();
+            assert!(
+                matches!(
+                    Checkpoint::load(&path),
+                    Err(Error::CheckpointFormat { detail, .. })
+                        if detail == format!("unsupported checkpoint version {version}")
+                ),
+                "version {version}"
+            );
+        }
     }
 
     #[test]
-    fn replay_rebuilds_outstanding_leases_and_acks() {
+    fn replay_rebuilds_session_acks() {
         let cp = Checkpoint::begin(2021, &[7, 3, 9, 4]);
         let sample = sample();
         let records = [
             cp.header(),
-            JournalRecord::Lease {
-                lease: 1,
-                session: 7,
-                jobs: vec![0, 1],
-            }
-            .render(),
-            JournalRecord::Lease {
-                lease: 2,
-                session: 8,
-                jobs: vec![2, 3],
-            }
-            .render(),
             done_line(7, 1, 0, &sample.outcomes[&0]),
-            // Lease 2 expires and its jobs are re-granted to session 7.
-            JournalRecord::Release { lease: 2 }.render(),
-            JournalRecord::Lease {
-                lease: 3,
-                session: 7,
-                jobs: vec![2, 3],
-            }
-            .render(),
             quarantine_line(
                 7,
                 2,
@@ -796,21 +766,6 @@ mod tests {
         assert_eq!(loaded.intact, bytes);
         let replay = loaded.replay;
         assert_eq!((replay.verdicts, replay.damaged), (4, 0));
-        assert_eq!(
-            replay.leases,
-            vec![
-                ReplayLease {
-                    lease: 1,
-                    session: 7,
-                    jobs: vec![0, 1]
-                },
-                ReplayLease {
-                    lease: 3,
-                    session: 7,
-                    jobs: vec![2, 3]
-                },
-            ]
-        );
         assert_eq!(replay.acked, BTreeMap::from([(7, 2), (8, 5)]));
         assert_eq!(
             loaded.checkpoint.outcomes[&0], sample.outcomes[&0],
@@ -823,15 +778,12 @@ mod tests {
         loaded.checkpoint.save(&path).unwrap();
         let compact = read(&path).unwrap();
         assert_eq!(compact.checkpoint, loaded.checkpoint);
-        assert_eq!(
-            (compact.replay.verdicts, compact.replay.leases.len()),
-            (3, 0)
-        );
+        assert_eq!(compact.replay.verdicts, 3);
         assert!(compact.replay.acked.is_empty());
 
         // A verdict outside the universe ends the intact prefix.
         let foreign = done_line(7, 9, 4, &sample.outcomes[&0]);
-        let bytes = journal::image(records[..4].iter().chain([&foreign]).map(String::as_str));
+        let bytes = journal::image(records[..2].iter().chain([&foreign]).map(String::as_str));
         std::fs::write(&path, bytes.unwrap()).unwrap();
         let loaded = read(&path).unwrap();
         assert_eq!((loaded.replay.verdicts, loaded.replay.damaged), (1, 1));

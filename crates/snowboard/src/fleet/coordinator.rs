@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 use super::{heartbeat_interval, FleetCfg};
 use crate::campaign::{CampaignCfg, CampaignReport, JobVerdict};
 use crate::error::{Error, SbResult};
-use crate::journal::JournalRecord;
 use crate::ledger::{Charge, Delivered, JobLedger};
 use crate::metrics::FleetStats;
 use crate::pmc::PmcId;
@@ -47,26 +46,15 @@ struct Conn {
     drained: bool,
 }
 
-/// The transport half of one outstanding lease; the ledger holds its jobs
-/// and deadline under the lease id.
-struct Lease {
-    /// Holding connection. `None` for a lease restored from the log
-    /// whose session has not reconnected yet — the worker may still be
-    /// alive and working, so the jobs stay off the pending pool until the
-    /// session re-joins (reattaching the lease) or the deadline reclaims
-    /// them.
-    conn: Option<u64>,
-    /// Holder's session token (logged with the grant).
-    session: u64,
-}
-
 /// Mutable coordinator state threaded through the loop helpers.
 struct Coordinator<'a> {
     cfg: &'a CampaignCfg,
     fcfg: &'a FleetCfg,
     ledger: JobLedger,
     stats: FleetStats,
-    leases: BTreeMap<u64, Lease>,
+    /// Outstanding leases: lease id → holding connection. The ledger holds
+    /// each lease's jobs and deadline under the lease id.
+    leases: BTreeMap<u64, u64>,
     conns: BTreeMap<u64, Conn>,
     /// Per-session highest logged result sequence number.
     sessions: BTreeMap<u64, u64>,
@@ -110,16 +98,9 @@ impl Coordinator<'_> {
         true
     }
 
-    /// Logs a lease grant or release in the checkpoint (before the caller
-    /// acts on it); `false` when the kill switch fired.
-    fn journal(&mut self, rec: &JournalRecord) -> bool {
-        self.ledger.journal(rec);
-        self.survived()
-    }
-
     /// The [`FleetCfg::fail_after_journal`] kill switch, checked after
-    /// every ledger call that may log a record: `false` once the log holds
-    /// that many records after its header, and the caller must stop
+    /// every ledger call that may log a verdict: `false` once the log holds
+    /// that many verdicts after its header, and the caller must stop
     /// without acting on the last one, exactly as if the process died
     /// right after the append.
     fn survived(&mut self) -> bool {
@@ -148,7 +129,7 @@ impl Coordinator<'_> {
         let held: Vec<u64> = self
             .leases
             .iter()
-            .filter(|(_, l)| l.conn == Some(conn_id))
+            .filter(|(_, holder)| **holder == conn_id)
             .map(|(id, _)| *id)
             .collect();
         if let Some(detail) = unclean {
@@ -171,15 +152,13 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Ends lease `lease_id`, logged first: its jobs return to the
-    /// pending pool, or — when `cause` says how the holder died — are
-    /// charged against the crash budget with `cause(job)` heading the
-    /// chain.
+    /// Ends lease `lease_id`: its jobs return to the pending pool, or —
+    /// when `cause` says how the holder died — are charged against the
+    /// crash budget with `cause(job)` heading the chain.
     fn end_lease(&mut self, lease_id: u64, worker: u64, cause: Option<&dyn Fn(usize) -> String>) {
         if self.leases.remove(&lease_id).is_none() {
             return; // the deadline reclaimed it meanwhile
         }
-        self.journal(&JournalRecord::Release { lease: lease_id });
         // A crash quarantine is logged by the ledger with no session, so a
         // resume replays it without touching any ack watermark.
         let charges = match cause {
@@ -290,21 +269,13 @@ impl Coordinator<'_> {
         if session != 0 {
             if self.sessions.contains_key(&session) {
                 // A known session re-registering: ack what the log
-                // already holds and hand its restored leases back, so the
-                // worker trims its spool and keeps its in-flight jobs.
+                // already holds, so the worker trims its outbox.
                 self.stats.sessions_resumed += 1;
                 self.fleet_event(
                     worker,
                     "resume-session",
                     format!("session {session:016x} re-registered"),
                 );
-                let deadline = Instant::now() + self.fcfg.lease_deadline;
-                for (lease_id, lease) in &mut self.leases {
-                    if lease.session == session && lease.conn.is_none() {
-                        lease.conn = Some(conn_id);
-                        self.ledger.extend(*lease_id, deadline);
-                    }
-                }
             }
             ack = *self.sessions.entry(session).or_insert(0);
         }
@@ -341,7 +312,7 @@ impl Coordinator<'_> {
             // Nothing to hand out right now (everything is leased or
             // covered); the worker naps for the advertised interval and
             // asks again. The ack still rides along so an idle worker's
-            // spool drains.
+            // outbox drains.
             self.send(
                 conn_id,
                 &ServeMsg::Lease {
@@ -354,23 +325,7 @@ impl Coordinator<'_> {
             return;
         }
         self.next_lease += 1;
-        // Log the grant before the worker can learn of it: a resume
-        // must know these jobs are out even if the kill lands between the
-        // append and the send.
-        if !self.journal(&JournalRecord::Lease {
-            lease,
-            session,
-            jobs: jobs.clone(),
-        }) {
-            return;
-        }
-        self.leases.insert(
-            lease,
-            Lease {
-                conn: Some(conn_id),
-                session,
-            },
-        );
+        self.leases.insert(lease, conn_id);
         self.stats.leases_granted += 1;
         self.fleet_event(worker, "lease", format!("lease {lease}: jobs {jobs:?}"));
         self.send(
@@ -457,10 +412,9 @@ impl Coordinator<'_> {
     /// duplicate path absorbs that); it just no longer owns the jobs.
     fn sweep_leases(&mut self, now: Instant) {
         for (lease_id, jobs) in self.ledger.expire(now) {
-            let lease = self.leases.remove(&lease_id);
-            self.journal(&JournalRecord::Release { lease: lease_id });
-            let worker = lease
-                .and_then(|l| l.conn)
+            let worker = self
+                .leases
+                .remove(&lease_id)
                 .and_then(|c| self.conns.get(&c))
                 .and_then(|c| c.worker)
                 .unwrap_or(u64::MAX);
@@ -517,9 +471,10 @@ impl Coordinator<'_> {
     }
 
     /// Applies what the resumed checkpoint log holds besides verdicts (the
-    /// ledger merged those): counts the replay, restores the session ack
-    /// watermarks, and rebuilds the outstanding lease table (pruned of
-    /// jobs the log resolved).
+    /// ledger merged those): counts the replay and restores the session ack
+    /// watermarks. Every job without a logged verdict is pending: a holder
+    /// from before the crash that delivers it first is merged, one that
+    /// delivers after someone else is a counted duplicate.
     fn apply_replay(&mut self) {
         let replay = self.ledger.take_replay();
         self.stats.journal_damaged += replay.damaged;
@@ -538,37 +493,6 @@ impl Coordinator<'_> {
                 .count(sb_obs::keys::FLEET_JOURNAL_REPLAYED, replay.verdicts);
         }
         self.sessions.extend(replay.acked);
-        // Leases granted but never released stay out: their holders may
-        // still be alive and working, and will re-join with their session
-        // tokens to deliver. The normal deadline sweep reclaims them if
-        // nobody ever does.
-        let deadline = Instant::now() + self.fcfg.lease_deadline;
-        for restored in replay.leases {
-            self.next_lease = self.next_lease.max(restored.lease + 1);
-            let jobs = self
-                .ledger
-                .hold(restored.lease, &restored.jobs, Some(deadline));
-            if jobs.is_empty() {
-                continue;
-            }
-            self.sessions.entry(restored.session).or_insert(0);
-            self.stats.leases_restored += 1;
-            self.fleet_event(
-                u64::MAX,
-                "restore-lease",
-                format!(
-                    "lease {} (session {:016x}) still out: jobs {jobs:?}",
-                    restored.lease, restored.session
-                ),
-            );
-            self.leases.insert(
-                restored.lease,
-                Lease {
-                    conn: None,
-                    session: restored.session,
-                },
-            );
-        }
     }
 }
 

@@ -9,8 +9,8 @@
 //! worker kills, partitions, and injected network and process faults.
 //!
 //! The job lifecycle is [`crate::ledger`]'s; this module is the transport —
-//! connections, sessions, lease deadlines and the spool. The
-//! failure model (see DESIGN.md):
+//! connections, sessions and lease deadlines. The failure model (see
+//! DESIGN.md):
 //!
 //! * **Handshake** — a joiner announces its protocol version and a
 //!   fingerprint of every campaign-shaping parameter
@@ -43,28 +43,31 @@
 //!   the checkpoint, answers every request with `drain`, and gives
 //!   stragglers one heartbeat timeout to say goodbye.
 //!
-//! * **The checkpoint log** — every lease grant, result delivery, and lease
-//!   release lands in the checkpoint, an append-only CRC32C-framed log
-//!   ([`crate::checkpoint`]), *before* the coordinator acts on it, so a
-//!   `kill -9` mid-lease loses nothing: `serve --resume` replays the log
-//!   and rebuilds the exact lease table — re-granted leases, session ack
-//!   watermarks, and the first-verdict-wins merge all land bit-identically
-//!   to an uninterrupted run.
-//! * **Session resumption and result spooling** — each worker picks a
-//!   session token at startup and numbers its results with a per-session
-//!   sequence. Results are spooled (in memory, and to disk when
-//!   [`JoinCfg::spool`] is set) until the coordinator acks them; a worker
-//!   that loses the coordinator finishes its leased jobs into the spool
-//!   and reconnects, then re-registers with the same token and redelivers
-//!   everything past the coordinator's ack. Redeliveries
-//!   are idempotent (logged sequence numbers and the first-wins merge
-//!   absorb them) and counted in [`crate::FleetStats::redelivered`].
+//! * **The checkpoint log** — every verdict lands in the checkpoint, an
+//!   append-only CRC32C-framed log ([`crate::checkpoint`]), *before* the
+//!   coordinator merges or acknowledges it, and verdicts are all it
+//!   holds. A `kill -9` mid-lease loses no logged verdict: `serve
+//!   --resume` replays them with the session ack watermarks, and every
+//!   job without one is pending again. A job computes the same verdict
+//!   wherever and however often it runs, so a lease lost with the
+//!   coordinator costs a re-run, never a different report.
+//! * **Session resumption** — each worker picks a session token at
+//!   startup and numbers its results with a per-session sequence. Results
+//!   stay in the worker's in-memory outbox until the coordinator acks
+//!   them; a worker that loses the coordinator finishes its leased jobs
+//!   into the outbox and reconnects, then re-registers with the same
+//!   token and redelivers everything past the coordinator's ack.
+//!   Redeliveries are idempotent (logged sequence numbers and the
+//!   first-wins merge absorb them) and counted in
+//!   [`crate::FleetStats::redelivered`]. What a worker process still
+//!   holds when it ends is dropped with it, and the coordinator re-runs
+//!   those jobs.
 //!
 //! Workers reconnect through deterministic exponential backoff and resume
 //! leasing; a worker that cannot reach the coordinator gives up after a
 //! bounded number of attempts (`--connect-retries`) with a typed error,
-//! which for a worker holding undelivered results says how many and names
-//! the spool that keeps them. A coordinator whose campaign completes while
+//! which for a worker holding undelivered results says how many it drops.
+//! A coordinator whose campaign completes while
 //! an uncleanly evicted worker is away waits for it (one heartbeat timeout,
 //! the drain window) and answers its rejoin with `drain`. Network fault
 //! injection ([`crate::NetFaultPlan`]) lets tests (and CI) drop, delay,
@@ -130,8 +133,8 @@ pub struct FleetCfg {
     pub checkpoint: PathBuf,
     /// Expected [`config_fingerprint`] of joining workers.
     pub config_hash: u64,
-    /// Test hook: simulate `kill -9` once this many records follow the
-    /// checkpoint header — the coordinator returns [`crate::Error::Fleet`]
+    /// Test hook: simulate `kill -9` once this many verdict records follow
+    /// the checkpoint header — the coordinator returns [`crate::Error::Fleet`]
     /// without acting on the last one, finishing the checkpoint or
     /// draining, leaving exactly the on-disk state a killed process would.
     /// `None` (the default) disables the hook.
@@ -162,9 +165,8 @@ impl Default for FleetCfg {
 
 #[cfg(test)]
 mod tests {
-    use super::outbox::{msg_seq, Outbox};
     use super::*;
-    use crate::campaign::{CampaignCfg, CampaignReport, JobVerdict, PmcTestOutcome};
+    use crate::campaign::{CampaignCfg, CampaignReport, PmcTestOutcome};
     use crate::checkpoint::Checkpoint;
     use crate::cluster::Strategy;
     use crate::error::{FailureKind, SbResult};
@@ -180,10 +182,10 @@ mod tests {
     use std::path::Path;
     use std::time::Instant;
 
-    fn test_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sb-fleet-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A scratch directory of its own, removed when the guard drops, a
+    /// failed assertion's unwinding included.
+    fn test_dir(tag: &str) -> proptest::ScratchDir {
+        proptest::ScratchDir::new(&format!("fleet-{tag}"))
     }
 
     /// A millisecond tick, but a heartbeat timeout no `cargo test` load can
@@ -422,7 +424,6 @@ mod tests {
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.duplicate_results, 0);
         assert_eq!(stats.jobs_reassigned, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -454,7 +455,6 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.jobs_reassigned, 1);
         assert_eq!(stats.heartbeat_misses, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Satellite: a worker whose lease expired delivers late — the first
@@ -520,7 +520,6 @@ mod tests {
         assert_eq!(stats.duplicate_results, 1);
         assert_eq!(stats.jobs_reassigned, 1);
         assert_eq!(stats.evictions, 0, "slow worker was not evicted");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -555,7 +554,6 @@ mod tests {
         // Crash quarantines are checkpointed (never retried on resume).
         let cp = Checkpoint::load(&fcfg.checkpoint).unwrap();
         assert!(cp.quarantined.contains_key(&0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -589,7 +587,6 @@ mod tests {
         let cp = Checkpoint::load(&fcfg.checkpoint).unwrap();
         assert!(cp.quarantined.is_empty());
         assert!(cp.outcomes.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -629,7 +626,6 @@ mod tests {
         let cp = Checkpoint::load(&fcfg.checkpoint).unwrap();
         assert!(cp.covers(0));
         assert!(!cp.covers(1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -671,7 +667,6 @@ mod tests {
         assert_eq!(stats.workers_rejected, 2);
         assert_eq!(stats.workers_joined, 1);
         assert_eq!(stats.evictions, 0, "rejections are not evictions");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -697,7 +692,6 @@ mod tests {
         let stats = report.fleet.unwrap();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.jobs_reassigned, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -741,7 +735,6 @@ mod tests {
         assert_eq!(report.fleet.unwrap().evictions, 1);
         let cp = Checkpoint::load(&fcfg.checkpoint).unwrap();
         assert_eq!(cp.outcomes.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // -- run_join (worker side) ------------------------------------------
@@ -991,7 +984,6 @@ mod tests {
             "the rejoin was welcomed"
         );
         assert_eq!(report.quarantined.len(), 1, "the job the eviction charged");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A worker keeps the timing and lease size of the coordinator it
@@ -1053,7 +1045,6 @@ mod tests {
         let stats = report.fleet.expect("fleet stats");
         assert_eq!((stats.evictions, summary.reconnects), (0, 0));
         assert_eq!((stats.leases_granted, summary.leases), (1, 1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The acceptance test in miniature: a real (tiny) pipeline run as a
@@ -1136,62 +1127,9 @@ mod tests {
         let stats = fleet.fleet.expect("fleet stats");
         assert_eq!(stats.workers_joined, 2);
         assert_eq!(stats.evictions, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // -- crash recovery (checkpoint log + spool) -------------------------
-
-    #[test]
-    fn outbox_spool_adopts_undelivered_frames_across_restarts() {
-        let dir = test_dir("outbox");
-        let spool = dir.join("spool.bin");
-        let mut o = Outbox::open(Some(&spool));
-        let first_session = o.session;
-        assert_ne!(first_session, 0);
-        let m1 = o.push(0, JobVerdict::Completed(outcome(0, 100)));
-        let m2 = o.push(1, JobVerdict::Completed(outcome(1, 101)));
-        assert_eq!(msg_seq(&m1), Some(1));
-        assert_eq!(msg_seq(&m2), Some(2));
-        o.ack(1);
-        assert_eq!(o.pending.len(), 1);
-        assert_eq!(o.spooled, 2);
-        drop(o);
-
-        // Restart with one frame still owed: same session, the acked
-        // frame gone, and the seq counter clear of every seq ever used
-        // (reusing one would get a fresh result deduplicated away).
-        let o2 = Outbox::open(Some(&spool));
-        assert_eq!(o2.session, first_session);
-        assert_eq!(o2.pending.len(), 1);
-        assert_eq!(o2.pending.front().and_then(msg_seq), Some(2));
-        assert_eq!(o2.next_seq, 3);
-        let redeliveries = o2.redeliveries();
-        assert!(
-            matches!(
-                redeliveries[0],
-                JoinMsg::Done {
-                    seq: 2,
-                    redelivery: true,
-                    ..
-                }
-            ),
-            "{:?}",
-            redeliveries[0]
-        );
-        drop(o2);
-
-        // Deliver the rest: the next restart owes nothing and starts a
-        // fresh session.
-        let mut o3 = Outbox::open(Some(&spool));
-        o3.ack(2);
-        assert!(o3.pending.is_empty());
-        drop(o3);
-        let o4 = Outbox::open(Some(&spool));
-        assert_ne!(o4.session, first_session, "nothing owed, fresh session");
-        assert!(o4.pending.is_empty());
-        assert_eq!(o4.next_seq, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    // -- crash recovery (checkpoint log) ----------------------------------
 
     /// The zero-loss acceptance path in miniature: the coordinator dies
     /// with a delivery journaled but neither merged nor acked; `--resume`
@@ -1206,12 +1144,12 @@ mod tests {
             ..fast_fcfg(&dir)
         };
 
-        // Run 1: the kill switch fires on the third logged record — the
-        // lease grant (#1) and job 0's delivery (#2) land normally, then
-        // job 1's delivery (#3) is journaled and the coordinator dies
-        // before merging or acknowledging it.
+        // Run 1: the kill switch fires on the second logged verdict — job
+        // 0's delivery (#1) lands normally, then job 1's delivery (#2) is
+        // journaled and the coordinator dies before merging or
+        // acknowledging it.
         let fcfg1 = FleetCfg {
-            fail_after_journal: Some(3),
+            fail_after_journal: Some(2),
             ..fcfg.clone()
         };
         let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
@@ -1236,7 +1174,7 @@ mod tests {
             panic!("{reply:?}")
         };
         assert_eq!(ack, 2, "the journal already holds both run-1 deliveries");
-        // A worker whose spool lagged the ack would redeliver anyway; do
+        // A worker whose outbox lagged the ack would redeliver anyway; do
         // so here (with a poisoned steps count) to prove the seq dedup
         // absorbs it without touching the merged verdict.
         a.send(&JoinMsg::Done {
@@ -1266,7 +1204,6 @@ mod tests {
             "seq dedup fires before the merge"
         );
         assert_eq!(stats.journal_damaged, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A resume into another checkpoint path reads the log it resumes from:
@@ -1281,10 +1218,10 @@ mod tests {
             ..fast_fcfg(&dir)
         };
 
-        // Run 1: lease [0,1] (record 1), job 0 (record 2), job 1 (record 3,
-        // where the kill lands: logged, never merged).
+        // Run 1: lease [0,1], job 0 (record 1), job 1 (record 2, where the
+        // kill lands: logged, never merged).
         let fcfg1 = FleetCfg {
-            fail_after_journal: Some(3),
+            fail_after_journal: Some(2),
             ..fcfg.clone()
         };
         let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
@@ -1322,85 +1259,118 @@ mod tests {
             steps(&Checkpoint::load(&moved).unwrap()),
             vec![100, 101, 102]
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A lease that was out when the coordinator died is rebuilt at resume
-    /// with its unresolved jobs reserved: strangers cannot lease them, and
-    /// the original session re-registers to deliver what it finished
-    /// during the outage.
+    /// A lease that was out when the coordinator died is not rebuilt: its
+    /// unresolved job is pending after the resume, and a stranger leases
+    /// it. The old session comes back and redelivers the same job; whoever
+    /// delivers first is merged, the other is a counted duplicate, and the
+    /// report equals an uninterrupted run's either way.
     #[test]
-    fn restored_lease_keeps_in_flight_jobs_off_the_market() {
-        let dir = test_dir("restore");
+    fn a_lease_lost_with_the_coordinator_is_re_leased_and_merged_first_wins() {
         let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
-        let fcfg = FleetCfg {
-            batch: 2,
-            ..fast_fcfg(&dir)
+        let clean = {
+            let dir = test_dir("lost-lease-clean");
+            let (addr, coord) =
+                start_coordinator(budgeted.clone(), CampaignCfg::default(), fast_fcfg(&dir));
+            let (mut a, _) = Client::join(&addr, 0);
+            assert_eq!(a.lease().expect("lease"), vec![0, 1]);
+            a.done(0, 100);
+            a.done(1, 101);
+            a.drain();
+            coord.join().unwrap().expect("uninterrupted report")
         };
-
-        // Run 1: lease [0,1] granted (append #1); job 0's delivery is
-        // append #2, where the kill lands — journaled, never merged, and
-        // the lease is never released.
-        let fcfg1 = FleetCfg {
-            fail_after_journal: Some(2),
-            ..fcfg.clone()
-        };
-        let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
-        let (mut a, _) = Client::join(&addr, 0);
-        let session = a.session;
-        let jobs = a.lease().expect("lease");
-        assert_eq!(jobs, vec![0, 1]);
-        a.done(0, 100);
-        assert!(coord.join().unwrap().is_err(), "kill switch fired");
-        drop(a);
-
-        // Run 2: job 0 comes back via the journal; job 1 stays inside the
-        // restored lease, so a stranger gets nothing.
-        let cfg2 = CampaignCfg {
-            resume_from: Some(fcfg.checkpoint.clone()),
-            ..CampaignCfg::default()
-        };
-        let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg.clone());
-        let (mut b, _) = Client::join(&addr, 0);
-        b.send(&JoinMsg::Request);
-        match b.read() {
-            ServeMsg::Lease { jobs, .. } => {
-                assert!(
-                    jobs.is_empty(),
-                    "in-flight job leaked to a stranger: {jobs:?}"
-                );
+        /// Proves every frame `c` sent before is processed: the reply to a
+        /// later request on one connection comes after them.
+        fn settle(c: &mut Client) {
+            c.send(&JoinMsg::Request);
+            match c.read() {
+                ServeMsg::Lease { jobs, .. } => assert!(jobs.is_empty(), "{jobs:?}"),
+                ServeMsg::Drain { .. } => {}
+                other => panic!("unexpected reply {other:?}"),
             }
-            other => panic!("unexpected reply {other:?}"),
         }
-        drop(b);
+        for stranger_first in [false, true] {
+            let dir = test_dir("lost-lease");
+            // A deadline no test outlasts: job 1 must be free at once, not
+            // after a lease from before the crash expired.
+            let fcfg = FleetCfg {
+                batch: 2,
+                lease_deadline: Duration::from_secs(600),
+                ..fast_fcfg(&dir)
+            };
+            // Run 1: lease [0,1] out; job 0's delivery is the first logged
+            // verdict, where the kill lands — logged, never merged.
+            let fcfg1 = FleetCfg {
+                fail_after_journal: Some(1),
+                ..fcfg.clone()
+            };
+            let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
+            let (mut a, _) = Client::join(&addr, 0);
+            let session = a.session;
+            assert_eq!(a.lease().expect("lease"), vec![0, 1]);
+            a.done(0, 100);
+            assert!(coord.join().unwrap().is_err(), "kill switch fired");
+            drop(a);
 
-        // The original session returns: its ack covers job 0, and it
-        // redelivers job 1, which it finished during the outage.
-        let (mut a, reply) = Client::rejoin(&addr, 0, session, 1);
-        let ServeMsg::Welcome { ack, .. } = reply else {
-            panic!("{reply:?}")
-        };
-        assert_eq!(ack, 1, "job 0's journaled delivery is acknowledged");
-        a.seq += 1;
-        a.send(&JoinMsg::Done {
-            job: 1,
-            outcome: outcome(1, 101),
-            seq: a.seq,
-            redelivery: true,
-        });
-        a.drain();
+            // Run 2: job 0 comes back from the log; job 1 is pending, and
+            // a stranger leases it.
+            let cfg2 = CampaignCfg {
+                resume_from: Some(fcfg.checkpoint.clone()),
+                ..CampaignCfg::default()
+            };
+            let (addr, coord) = start_coordinator(budgeted.clone(), cfg2, fcfg.clone());
+            let (mut stranger, _) = Client::join(&addr, 0);
+            stranger.send(&JoinMsg::Request);
+            match stranger.read() {
+                ServeMsg::Lease { jobs, .. } => assert_eq!(jobs, vec![1], "the first request"),
+                other => panic!("unexpected reply {other:?}"),
+            }
 
-        let report = coord.join().unwrap().expect("resumed report");
-        assert_eq!(report.tested(), 2);
-        assert_eq!(
-            report.outcomes.iter().map(|o| o.steps).collect::<Vec<_>>(),
-            vec![100, 101]
-        );
-        let stats = report.fleet.unwrap();
-        assert_eq!(stats.leases_restored, 1);
-        assert_eq!(stats.sessions_resumed, 1);
-        assert_eq!(stats.redelivered, 1);
-        assert_eq!(stats.leases_granted, 0, "the restored lease was enough");
-        let _ = std::fs::remove_dir_all(&dir);
+            // The old session returns: its ack covers job 0, and it
+            // redelivers job 1, which it finished during the outage.
+            let (mut old, reply) = Client::rejoin(&addr, 0, session, 1);
+            let ServeMsg::Welcome { ack, .. } = reply else {
+                panic!("{reply:?}")
+            };
+            assert_eq!(ack, 1, "job 0's logged delivery is acknowledged");
+            let redeliver = |old: &mut Client| {
+                old.seq += 1;
+                let seq = old.seq;
+                old.send(&JoinMsg::Done {
+                    job: 1,
+                    outcome: outcome(1, 101),
+                    seq,
+                    redelivery: true,
+                });
+                settle(old);
+            };
+            if stranger_first {
+                stranger.done(1, 101);
+                settle(&mut stranger);
+                redeliver(&mut old);
+            } else {
+                redeliver(&mut old);
+                stranger.done(1, 101);
+                settle(&mut stranger);
+            }
+            old.drain();
+            stranger.drain();
+
+            let report = coord.join().unwrap().expect("resumed report");
+            assert_eq!(
+                report.outcomes, clean.outcomes,
+                "stranger first: {stranger_first}"
+            );
+            assert_eq!(report.quarantined, clean.quarantined);
+            let stats = report.fleet.unwrap();
+            assert_eq!(
+                (stats.journal_replayed, stats.leases_granted),
+                (1, 1),
+                "the lost lease was granted again"
+            );
+            assert_eq!((stats.sessions_resumed, stats.redelivered), (1, 1));
+            assert_eq!(stats.duplicate_results, 1, "the second verdict for job 1");
+        }
     }
 }

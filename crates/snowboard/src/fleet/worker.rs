@@ -48,11 +48,6 @@ pub struct JoinCfg {
     pub io_timeout: Duration,
     /// Exit cleanly between jobs when this file exists.
     pub stop_file: Option<PathBuf>,
-    /// Disk spool for completed-but-unacked results. `None` keeps the
-    /// spool in memory only (results survive reconnects but not a worker
-    /// restart); a path persists the session token and undelivered frames
-    /// so a restarted worker redelivers them under the same session.
-    pub spool: Option<PathBuf>,
     /// Deterministic network fault injection, keyed by connection ordinal.
     pub net_faults: NetFaultPlan,
 }
@@ -67,7 +62,6 @@ impl Default for JoinCfg {
             backoff_max: Duration::from_secs(2),
             io_timeout: Duration::from_secs(30),
             stop_file: None,
-            spool: None,
             net_faults: NetFaultPlan::default(),
         }
     }
@@ -96,13 +90,11 @@ pub struct JoinSummary {
     pub leases: u64,
     /// Times it lost the coordinator and re-registered.
     pub reconnects: u64,
-    /// Results spooled to disk while holding them (0 without
-    /// [`JoinCfg::spool`]).
-    pub spooled: u64,
-    /// Spooled results re-sent after a reconnect.
+    /// Unacknowledged results re-sent after a reconnect.
     pub redelivered: u64,
-    /// Results still unacknowledged when the worker exited (0 on a clean
-    /// drain; can be positive on a stop-file exit mid-outage).
+    /// Results still unacknowledged when the worker exited, dropped with
+    /// it (0 on a clean drain; can be positive on a stop-file exit
+    /// mid-outage). The coordinator re-runs their jobs.
     pub undelivered: u64,
     /// True when the coordinator drained the fleet.
     pub drained: bool,
@@ -212,7 +204,7 @@ enum SessionEnd {
 /// and run jobs until the coordinator drains (or the stop file appears),
 /// transparently re-registering after lost connections. Every reconnect
 /// loop is bounded by [`JoinCfg::connect_attempts`]; a worker that gives up
-/// holding undelivered results says how many, and where they are kept.
+/// holding undelivered results says how many it drops.
 ///
 /// `prepare` builds the (expensive) kernel/corpus/PMC state and is only
 /// invoked after the first successful handshake, so a worker pointed at a
@@ -225,7 +217,7 @@ pub fn run_join(
     let mut prepare = Some(prepare);
     let mut work: Option<(FleetWork, Vec<PmcId>, IncidentalIndex)> = None;
     let mut summary = JoinSummary::default();
-    let mut outbox = Outbox::open(jcfg.spool.as_deref());
+    let mut outbox = Outbox::new();
     let mut sessions: u64 = 0;
     let mut failures: u64 = 0;
     let mut ordinal: u64 = 0;
@@ -238,7 +230,6 @@ pub fn run_join(
     };
 
     let settle = |summary: &mut JoinSummary, outbox: &Outbox| {
-        summary.spooled = outbox.spooled;
         summary.undelivered = outbox.pending.len() as u64;
     };
 
@@ -269,13 +260,10 @@ pub fn run_join(
                 let addr = &jcfg.addr;
                 let held = outbox.pending.len();
                 let detail = if held > 0 {
-                    let kept = match &jcfg.spool {
-                        Some(path) => format!("kept in the spool {}", path.display()),
-                        None => "lost with this process (no --spool)".to_owned(),
-                    };
                     format!(
                         "gave up on coordinator at {addr} holding {held} undelivered \
-                         result(s), {kept}; {failures} attempt(s) failed: {detail}"
+                         result(s), dropped (the coordinator re-runs their jobs); \
+                         {failures} attempt(s) failed: {detail}"
                     )
                 } else if sessions == 0 {
                     format!(
@@ -567,7 +555,6 @@ impl Session<'_> {
                         let verdict =
                             run_job(self.env, self.faults, self.job_cfg, &mut exec, job, id);
                         let msg = outbox.push(job, verdict);
-                        self.summary.spooled = outbox.spooled;
                         if !lost && !send(write, &msg) {
                             lost = true;
                         }

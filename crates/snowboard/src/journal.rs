@@ -1,7 +1,7 @@
-//! The record framing under the campaign checkpoint and the fleet worker's
-//! result spool, and the typed records a checkpoint log holds.
+//! The record framing under the campaign checkpoint, and the typed records
+//! a checkpoint log holds.
 //!
-//! Both files are the same primitive — [`FrameLog`], an append-only file of
+//! The file is one primitive — [`FrameLog`], an append-only file of
 //! [`sb_obs::frame`] frames with torn-tail truncation at open: the frame
 //! the store's segment records use, without their key prefix.
 //!
@@ -19,10 +19,8 @@
 //!
 //! Payloads are single-line JSON objects. A checkpoint log
 //! ([`crate::checkpoint`]) starts with a campaign header and then holds
-//! [`JournalRecord`]s (verdicts, lease grants, lease releases); the worker
-//! spool stores rendered [`crate::protocol::JoinMsg`] frames verbatim. Any
-//! damage (flipped byte, truncation) ends the intact prefix and is
-//! *counted*, never a panic.
+//! one [`JournalRecord`] per verdict. Any damage (flipped byte,
+//! truncation) ends the intact prefix and is *counted*, never a panic.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -33,7 +31,6 @@ use sb_obs::frame;
 use crate::campaign::{PmcTestOutcome, QuarantineRecord};
 use crate::checkpoint::{
     outcome_from_json, outcome_to_json, quarantine_from_json, quarantine_to_json, req_u64,
-    req_uints,
 };
 use crate::json::{self, Json};
 
@@ -150,13 +147,6 @@ impl FrameLog {
         self.file.sync_data()
     }
 
-    /// Truncates the log back to an empty record stream (magic only).
-    pub fn reset(&mut self) -> io::Result<()> {
-        self.file.set_len(MAGIC.len() as u64)?;
-        self.file.seek(SeekFrom::End(0))?;
-        Ok(())
-    }
-
     /// The log's path (for operator-facing messages).
     pub fn path(&self) -> &Path {
         &self.path
@@ -198,18 +188,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<Vec<(&str, usize)>> {
     Some(frames)
 }
 
-/// One typed checkpoint-log record after the header.
+/// One typed checkpoint-log record after the header: a verdict.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
-    /// A lease was granted (logged *before* the lease frame is sent).
-    Lease {
-        /// Lease id.
-        lease: u64,
-        /// Holder's session token.
-        session: u64,
-        /// Leased campaign job indices.
-        jobs: Vec<usize>,
-    },
     /// A completed result was delivered (logged *before* it is merged and
     /// before any ack can reach the worker).
     Done {
@@ -230,12 +211,6 @@ pub enum JournalRecord {
         seq: u64,
         /// The quarantine record (carries its own job index).
         record: QuarantineRecord,
-    },
-    /// A lease was reclaimed (expiry, eviction, or drain) and its
-    /// unfinished jobs went back to pending.
-    Release {
-        /// Lease id.
-        lease: u64,
     },
 }
 
@@ -285,21 +260,6 @@ impl JournalRecord {
     /// Renders the record as one JSON line.
     pub fn render(&self) -> String {
         match self {
-            JournalRecord::Lease {
-                lease,
-                session,
-                jobs,
-            } => line(
-                "lease",
-                vec![
-                    ("lease", Json::U64(*lease)),
-                    ("session", Json::U64(*session)),
-                    (
-                        "jobs",
-                        Json::Arr(jobs.iter().map(|j| Json::U64(*j as u64)).collect()),
-                    ),
-                ],
-            ),
             JournalRecord::Done {
                 session,
                 seq,
@@ -311,7 +271,6 @@ impl JournalRecord {
                 seq,
                 record,
             } => quarantine_line(*session, *seq, record),
-            JournalRecord::Release { lease } => line("release", vec![("lease", Json::U64(*lease))]),
         }
     }
 
@@ -323,11 +282,6 @@ impl JournalRecord {
             .and_then(Json::as_str)
             .ok_or("journal record without 'rec' discriminator")?;
         match kind {
-            "lease" => Ok(JournalRecord::Lease {
-                lease: req_u64(&doc, "lease")?,
-                session: req_u64(&doc, "session")?,
-                jobs: req_uints(&doc, "jobs")?,
-            }),
             "done" => {
                 let (job, outcome) =
                     outcome_from_json(doc.get("outcome").ok_or("done record without outcome")?)?;
@@ -346,32 +300,14 @@ impl JournalRecord {
                         .ok_or("quarantine record without record")?,
                 )?,
             }),
-            "release" => Ok(JournalRecord::Release {
-                lease: req_u64(&doc, "lease")?,
-            }),
             other => Err(format!("unknown journal record '{other}'")),
         }
     }
 }
 
-/// An outstanding lease reconstructed from a checkpoint log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplayLease {
-    /// Lease id.
-    pub lease: u64,
-    /// Holder's session token.
-    pub session: u64,
-    /// The leased campaign job indices as granted.
-    pub jobs: Vec<usize>,
-}
-
 /// What a resume recovers from a checkpoint log besides its verdicts.
 #[derive(Debug, Default, PartialEq)]
 pub struct Replay {
-    /// Leases granted but never released, in grant order. Jobs already
-    /// resolved by a logged verdict still appear here; the caller prunes
-    /// against coverage.
-    pub leases: Vec<ReplayLease>,
     /// Per-session highest logged result sequence number.
     pub acked: std::collections::BTreeMap<u64, u64>,
     /// Verdict records replayed (duplicates included).
@@ -521,16 +457,6 @@ mod tests {
     #[test]
     fn journal_records_round_trip() {
         for rec in [
-            JournalRecord::Lease {
-                lease: 3,
-                session: 9,
-                jobs: vec![0, 5, 17],
-            },
-            JournalRecord::Lease {
-                lease: 4,
-                session: 9,
-                jobs: vec![],
-            },
             JournalRecord::Done {
                 session: 9,
                 seq: 1,
@@ -542,12 +468,13 @@ mod tests {
                 seq: 2,
                 record: quarantine(17),
             },
-            JournalRecord::Release { lease: 3 },
         ] {
             let line = rec.render();
             assert_eq!(JournalRecord::parse(&line).unwrap(), rec, "line: {line}");
         }
         assert!(JournalRecord::parse("{\"rec\":\"nope\"}").is_err());
+        // A version-2 log's lease records are no longer records.
+        assert!(JournalRecord::parse("{\"rec\":\"release\",\"lease\":3}").is_err());
         assert!(JournalRecord::parse("{\"rec\":\"meta\",\"seed\":1}").is_err());
         assert!(JournalRecord::parse("{\"seed\":1}").is_err());
         assert!(JournalRecord::parse("not json").is_err());

@@ -7,7 +7,7 @@
 //! the only place that knows the rules:
 //!
 //! ```text
-//!             lease / hold                  deliver
+//!                lease                      deliver
 //!   pending ───────────────▶ held ─────────────────────▶ covered
 //!      ▲                       │                            ▲
 //!      └───────────────────────┘                            │ deliver
@@ -40,8 +40,9 @@
 //!   writes it atomically: the header alone when fresh, the resumed log's
 //!   intact prefix on resume. Every real verdict handed over (a `Crash`
 //!   quarantine included, duplicates too) is appended and synced *before*
-//!   it is merged, so no acknowledgement can leave ahead of it; lease
-//!   records ride the same handle ([`JobLedger::journal`]).
+//!   it is merged, so no acknowledgement can leave ahead of it. Verdicts
+//!   are the log's only records: who held a job is transport state, and a
+//!   job held when the run died is simply pending on resume.
 //!   [`JobLedger::stop`] syncs, and [`JobLedger::finish`] swaps in the
 //!   compact form atomically (authoritative). A failed append stops the
 //!   log for the rest of the run with one warning; the campaign goes on.
@@ -59,7 +60,7 @@ use crate::campaign::{
 use crate::checkpoint::{self, Checkpoint, Loaded};
 use crate::error::{FailureKind, SbResult};
 use crate::fault::FaultPlan;
-use crate::journal::{done_line, quarantine_line, FrameLog, JournalRecord, Replay};
+use crate::journal::{done_line, quarantine_line, FrameLog, Replay};
 use crate::pmc::PmcId;
 
 /// The budgeted job universe: job `i` tests `universe[i]`.
@@ -239,7 +240,7 @@ impl JobLedger {
     }
 
     /// Hands the transport what the resume recovered besides verdicts:
-    /// open leases, session acks, and the replay counts (empty when fresh).
+    /// session acks and the replay counts (empty when fresh).
     pub fn take_replay(&mut self) -> Replay {
         std::mem::take(&mut self.replay)
     }
@@ -271,36 +272,21 @@ impl JobLedger {
 
     /// Hands `owner` the first `take` pending jobs, in job order. A lease
     /// with a deadline is reclaimed by [`JobLedger::expire`]; one without
-    /// is held until its owner reports, releases or dies.
+    /// is held until its owner reports, releases or dies. Leasing to an
+    /// owner that already holds jobs adds to them and replaces its deadline.
     pub fn lease(&mut self, owner: u64, take: usize, until: Option<Instant>) -> Vec<usize> {
-        let jobs: Vec<usize> = self.pending.iter().copied().take(take).collect();
-        self.hold(owner, &jobs, until)
-    }
-
-    /// Marks the still-pending jobs among `jobs` as held by `owner`,
-    /// returning them. Replaces the owner's deadline.
-    pub fn hold(&mut self, owner: u64, jobs: &[usize], until: Option<Instant>) -> Vec<usize> {
-        let taken: Vec<usize> = jobs
-            .iter()
-            .copied()
-            .filter(|job| self.pending.remove(job))
+        let jobs: Vec<usize> = std::iter::from_fn(|| self.pending.pop_first())
+            .take(take)
             .collect();
-        if !taken.is_empty() {
+        if !jobs.is_empty() {
             let entry = self.owners.entry(owner).or_insert(Owner {
                 jobs: BTreeSet::new(),
                 until,
             });
-            entry.jobs.extend(&taken);
+            entry.jobs.extend(&jobs);
             entry.until = until;
         }
-        taken
-    }
-
-    /// Moves `owner`'s deadline (a resumed session reattaching its lease).
-    pub fn extend(&mut self, owner: u64, until: Instant) {
-        if let Some(o) = self.owners.get_mut(&owner) {
-            o.until = Some(until);
-        }
+        jobs
     }
 
     /// True while `owner` holds at least one job.
@@ -344,33 +330,21 @@ impl JobLedger {
         Ok(Delivered::Merged)
     }
 
-    /// Logs a transport record (a lease grant or release), flushed but not
-    /// synced: the next verdict's sync carries it to disk.
-    pub fn journal(&mut self, rec: &JournalRecord) {
-        self.append(false, || rec.render());
-    }
-
     /// Records the checkpoint log took after its header so far, and
     /// whether an append failed (after which nothing more was logged).
     pub fn logged(&self) -> (u64, bool) {
         (self.written, self.save_to.is_some() && self.log.is_none())
     }
 
+    /// Appends and syncs the verdict's record (rendered only when there
+    /// is a log). The first failure ends the log.
     fn log_verdict(&mut self, session: u64, seq: u64, job: usize, verdict: &JobVerdict) {
-        self.append(true, || match verdict {
+        let Some(log) = self.log.as_mut() else { return };
+        let line = match verdict {
             JobVerdict::Completed(outcome) => done_line(session, seq, job, outcome),
             JobVerdict::Quarantined(record) => quarantine_line(session, seq, record),
-        });
-    }
-
-    /// Appends the record `line` renders (only rendered when there is a
-    /// log), syncing it when `sync`. The first failure ends the log.
-    fn append(&mut self, sync: bool, line: impl FnOnce() -> String) {
-        let Some(log) = self.log.as_mut() else { return };
-        let written = log
-            .append(&line())
-            .and_then(|()| if sync { log.sync() } else { Ok(()) });
-        match written {
+        };
+        match log.append(&line).and_then(|()| log.sync()) {
             Ok(()) => self.written += 1,
             Err(e) => self.log_failed(&e),
         }
@@ -637,6 +611,7 @@ fn trace_quarantine(tracer: &sb_obs::Tracer, job: usize, q: &QuarantineRecord) {
 mod tests {
     use super::*;
     use crate::error::Error;
+    use crate::journal::JournalRecord;
     use std::time::Duration;
 
     /// A checkpoint path in a scratch directory of its own, which goes when
@@ -888,9 +863,7 @@ mod tests {
             "no deadline: never expires"
         );
         assert!(ledger.expire(at(29)).is_empty());
-        ledger.extend(1, at(60));
-        assert!(ledger.expire(at(30)).is_empty(), "the deadline moved");
-        assert_eq!(ledger.expire(at(60)), vec![(1, vec![0, 1])]);
+        assert_eq!(ledger.expire(at(30)), vec![(1, vec![0, 1])]);
         assert_eq!(ledger.census().pending, vec![0, 1]);
         assert_eq!(ledger.census().held, vec![2]);
         // The old holder's late verdict still merges; the new holder's is
@@ -902,14 +875,19 @@ mod tests {
     }
 
     #[test]
-    fn hold_takes_only_pending_jobs() {
-        let mut ledger = JobLedger::open(&exemplars(3), &CampaignCfg::default(), None).unwrap();
+    fn lease_takes_only_pending_jobs() {
+        let mut ledger = JobLedger::open(&exemplars(4), &CampaignCfg::default(), None).unwrap();
         ledger.deliver(0, done(0, 100)).unwrap();
         assert_eq!(ledger.lease(1, 1, None), vec![1]);
-        // Covered, held by someone else, outside the universe: all skipped.
-        assert_eq!(ledger.hold(2, &[0, 1, 2, 9], None), vec![2]);
-        assert_eq!(ledger.release(2), vec![2]);
-        assert_eq!(ledger.census().pending, vec![2]);
+        // Covered and held by someone else: both skipped.
+        assert_eq!(ledger.lease(2, usize::MAX, None), vec![2, 3]);
+        assert!(ledger.lease(3, usize::MAX, None).is_empty());
+        assert!(!ledger.holds(3), "an empty lease holds nothing");
+        // A second lease to one owner adds to what it holds.
+        assert_eq!(ledger.release(2), vec![2, 3]);
+        assert_eq!(ledger.lease(1, 1, None), vec![2]);
+        assert_eq!(ledger.held_by(1), vec![1, 2]);
+        assert_eq!(ledger.census().pending, vec![3]);
     }
 
     #[test]

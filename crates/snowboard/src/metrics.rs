@@ -78,22 +78,20 @@ pub struct FleetStats {
     pub duplicate_results: u64,
     /// Jobs abandoned by the fleet-wide crash-loop circuit breaker.
     pub gave_up_jobs: u64,
-    /// Result frames flagged as spooled re-sends by reconnecting workers
+    /// Result frames flagged as re-sends by reconnecting workers
     /// (counted whether or not the verdict was already journaled).
     pub redelivered: u64,
     /// Workers that re-registered with a session token the coordinator
     /// already knew (from a live run or a journal replay).
     pub sessions_resumed: u64,
-    /// Records the checkpoint log took this run (lease grants, result
-    /// deliveries, lease releases; the header is not counted).
+    /// Verdict records the checkpoint log took this run (the header is not
+    /// counted).
     pub journal_records: u64,
     /// Verdict records replayed from the checkpoint log at `--resume`.
     pub journal_replayed: u64,
     /// Checkpoint log damage incidents: a torn/corrupt tail cut off at
     /// resume, or an append failure that ended the log.
     pub journal_damaged: u64,
-    /// Outstanding leases rebuilt from the checkpoint log at `--resume`.
-    pub leases_restored: u64,
     /// True when the run ended early because the stop file appeared.
     pub stopped: bool,
 }

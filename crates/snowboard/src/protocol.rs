@@ -4,7 +4,7 @@
 //!
 //! A TCP stream has no message boundaries, and a partition can cut a
 //! message anywhere, so each message travels as one [`sb_obs::frame`]
-//! frame, the one the checkpoint log and the worker spool write:
+//! frame, the one the checkpoint log writes:
 //!
 //! ```text
 //! [len u32 LE][crc u32 LE][payload]      crc = CRC32C(len ‖ payload)
@@ -42,7 +42,7 @@ use crate::json::{self, Json};
 /// token, `done`/`quarantine` carry a per-session sequence number plus a
 /// redelivery flag, and `welcome`/`lease` carry the coordinator's highest
 /// journaled sequence number (`ack`) so a reconnecting worker can trim its
-/// result spool. v3 added the worker's process id to `join`, for a
+/// outbox. v3 added the worker's process id to `join`, for a
 /// coordinator that supervised its workers as child processes. v4 replaced the ASCII `<len>\n<payload>\n` framing with the
 /// CRC32C frame; a v3 peer's first frame is a framing error, so it is
 /// dropped before any handshake or lease. v5 made the coordinator the only
@@ -167,7 +167,7 @@ pub enum JoinMsg {
         /// Worker-chosen session token, stable across reconnects of the
         /// same worker process. A coordinator that has journaled results
         /// under this session acks them in the `welcome`, letting the
-        /// worker trim its spool instead of redelivering everything.
+        /// worker trim its outbox instead of redelivering everything.
         session: u64,
     },
     /// Liveness signal, emitted on a fixed interval.
@@ -184,8 +184,8 @@ pub enum JoinMsg {
         /// `done`/`quarantine` frames only). The coordinator journals a
         /// result before advancing its ack past this number.
         seq: u64,
-        /// True when this frame is a spooled re-send after a reconnect;
-        /// the coordinator counts these as `fleet.redelivered`.
+        /// True when this frame is an unacknowledged re-send after a
+        /// reconnect; the coordinator counts these as `fleet.redelivered`.
         redelivery: bool,
     },
     /// A job failed permanently in-process and was quarantined by the
@@ -196,7 +196,8 @@ pub enum JoinMsg {
         /// Per-session result sequence number (shared counter with
         /// [`JoinMsg::Done`]).
         seq: u64,
-        /// True when this frame is a spooled re-send after a reconnect.
+        /// True when this frame is an unacknowledged re-send after a
+        /// reconnect.
         redelivery: bool,
     },
     /// Clean goodbye (drain acknowledged, or stop-file shutdown). A
@@ -331,7 +332,7 @@ pub enum ServeMsg {
     Welcome {
         /// Highest result sequence number the coordinator has journaled
         /// for this worker's session (0 for a fresh session). The worker
-        /// drops spooled results at or below this before redelivering the
+        /// drops queued results at or below this before redelivering the
         /// rest.
         ack: u64,
         /// The interval, in milliseconds, at which the worker must
@@ -354,7 +355,7 @@ pub enum ServeMsg {
         /// Milliseconds until the coordinator reclaims unfinished jobs.
         deadline_ms: u64,
         /// Highest journaled result sequence number for this session —
-        /// a mid-session ack so the worker can trim its spool without
+        /// a mid-session ack so the worker can trim its outbox without
         /// waiting for a reconnect.
         ack: u64,
     },

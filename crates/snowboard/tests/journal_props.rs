@@ -3,9 +3,9 @@
 //! truncation of two checkpoint logs — one written by the in-process
 //! transport, one by a coordinator killed with leases out for two sessions
 //! — and 10 000 random byte strings. Header damage is a typed error; tail
-//! damage replays exactly an intact prefix (verdicts, lease table, ack
-//! watermarks) with the cut counted once; nothing panics, and no load
-//! changes a byte of the file.
+//! damage replays exactly an intact prefix (verdicts, ack watermarks)
+//! with the cut counted once; nothing panics, and no load changes a byte
+//! of the file. A log of an older format version is refused whole.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -15,7 +15,7 @@ use sb_vmm::rng::SplitMix64;
 use snowboard::campaign::{JobVerdict, PmcTestOutcome, QuarantineRecord};
 use snowboard::checkpoint::{read, Checkpoint, Loaded};
 use snowboard::error::FailureKind;
-use snowboard::journal::{JournalRecord, Replay, ReplayLease};
+use snowboard::journal::{FrameLog, JournalRecord, Replay};
 use snowboard::ledger::JobLedger;
 use snowboard::{CampaignCfg, Error};
 
@@ -99,25 +99,17 @@ fn in_process() -> &'static [u8] {
     })
 }
 
-/// A coordinator killed mid-campaign: interleaved grants for two sessions,
-/// results out of grant order, a release, a crash quarantine, and leases
-/// still out.
+/// A coordinator killed mid-campaign: interleaved leases for two sessions,
+/// results out of lease order, an expiry, a crash quarantine, and leases
+/// still out. Only the verdicts reach the log.
 fn coordinator() -> &'static [u8] {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     BYTES.get_or_init(|| {
         killed_log(|l| {
-            let grant = |l: &mut JobLedger, lease: u64, session: u64, take: usize| {
-                let jobs = l.lease(lease, take, None);
-                l.journal(&JournalRecord::Lease {
-                    lease,
-                    session,
-                    jobs,
-                });
-            };
-            grant(l, 1, 7, 2);
+            l.lease(1, 2, None);
             l.deliver_from(7, 1, 0, JobVerdict::Completed(outcome(0, 100)))
                 .unwrap();
-            grant(l, 2, 9, 2);
+            l.lease(2, 2, None);
             l.deliver_from(
                 9,
                 1,
@@ -127,12 +119,11 @@ fn coordinator() -> &'static [u8] {
             .unwrap();
             l.deliver_from(7, 2, 1, JobVerdict::Completed(outcome(1, 101)))
                 .unwrap();
-            l.journal(&JournalRecord::Release { lease: 2 });
             l.owner_died(2, 1, |job| format!("lease 2 died on {job}"));
-            grant(l, 3, 7, 2);
+            l.lease(3, 2, None);
             l.deliver_from(9, 2, 0, JobVerdict::Completed(outcome(0, 999)))
                 .unwrap();
-            grant(l, 4, 9, 2);
+            l.lease(4, 2, None);
         })
     })
 }
@@ -160,22 +151,6 @@ fn expected(bytes: &[u8], k: usize) -> (Checkpoint, Replay) {
     for i in 1..=k {
         let line = std::str::from_utf8(&bytes[ends[i - 1] + 8..ends[i]]).unwrap();
         let (session, seq) = match JournalRecord::parse(line).unwrap() {
-            JournalRecord::Lease {
-                lease,
-                session,
-                jobs,
-            } => {
-                replay.leases.push(ReplayLease {
-                    lease,
-                    session,
-                    jobs,
-                });
-                continue;
-            }
-            JournalRecord::Release { lease } => {
-                replay.leases.retain(|l| l.lease != lease);
-                continue;
-            }
             JournalRecord::Done {
                 session,
                 seq,
@@ -257,8 +232,11 @@ fn the_pristine_logs_replay_whole() {
     }
     let coord = load(coordinator()).unwrap();
     assert_eq!(coord.replay.acked, BTreeMap::from([(7, 2), (9, 2)]));
-    let open: Vec<u64> = coord.replay.leases.iter().map(|l| l.lease).collect();
-    assert_eq!(open, vec![1, 3, 4]);
+    assert_eq!(
+        (coord.replay.verdicts, coord.checkpoint.quarantined.len()),
+        (5, 2),
+        "four deliveries and the crash quarantine of job 3"
+    );
     assert_eq!(
         coord.checkpoint.outcomes[&0].steps, 100,
         "first verdict wins"
@@ -267,6 +245,58 @@ fn the_pristine_logs_replay_whole() {
         load(in_process()).unwrap().replay.verdicts,
         4,
         "the gave-up job is not logged"
+    );
+}
+
+/// A killed coordinator's log of format 2 — its header says version 2, and
+/// lease grants sit between its verdicts — is refused with the typed
+/// version error, never read as damage; a strict resume fails with it and
+/// a lenient one starts fresh. Neither writes a byte of it.
+#[test]
+fn a_version_2_log_is_refused_cleanly() {
+    let pristine = coordinator();
+    let ends = boundaries(pristine);
+    let frame = |i: usize| std::str::from_utf8(&pristine[ends[i - 1] + 8..ends[i]]).unwrap();
+    let header = std::str::from_utf8(&pristine[16..ends[0]]).unwrap();
+    assert!(header.contains("\"version\":3"), "{header}");
+    let (_dir, path) = scratch();
+    let mut log = FrameLog::create(&path).expect("create log");
+    for line in [
+        header.replace("\"version\":3", "\"version\":2").as_str(),
+        "{\"rec\":\"lease\",\"lease\":1,\"session\":7,\"jobs\":[0,1]}",
+        frame(1),
+        "{\"rec\":\"release\",\"lease\":1}",
+        frame(2),
+    ] {
+        log.append(line).expect("append");
+    }
+    drop(log);
+    let bytes = std::fs::read(&path).unwrap();
+    match load(&bytes) {
+        Err(Error::CheckpointFormat { detail, .. }) => {
+            assert_eq!(detail, "unsupported checkpoint version 2");
+        }
+        other => panic!("a version-2 log must be refused: {other:?}"),
+    }
+    let strict = CampaignCfg {
+        seed: SEED,
+        resume_from: Some(path.clone()),
+        ..CampaignCfg::default()
+    };
+    assert!(matches!(
+        JobLedger::open(&exemplars(), &strict, None),
+        Err(Error::CheckpointFormat { .. })
+    ));
+    let lenient = CampaignCfg {
+        resume_lenient: true,
+        ..strict
+    };
+    let fresh = JobLedger::open(&exemplars(), &lenient, None).expect("lenient resume");
+    assert_eq!(fresh.pending(), JOBS as usize, "started over");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "the old log is untouched"
     );
 }
 

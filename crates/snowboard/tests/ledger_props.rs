@@ -1,5 +1,5 @@
 //! Property tests for the job-lifecycle state machine: random sequences of
-//! lease / hold / deliver / owner-died / release / expire events over one
+//! lease / deliver / owner-died / release / expire events over one
 //! to three owners never break the ledger's invariants —
 //!
 //! * every job of the universe is in exactly one of pending, held,
@@ -117,8 +117,11 @@ proptest! {
                     assert!(taken.iter().all(|j| ledger.held_by(owner).contains(j)));
                 }
                 1 => {
-                    let taken = ledger.hold(owner, &[job], None);
+                    // A single job without a deadline: held until its owner
+                    // reports, releases or dies.
+                    let taken = ledger.lease(owner, 1, None);
                     assert!(taken.len() <= 1);
+                    assert!(taken.iter().all(|j| ledger.held_by(owner).contains(j)));
                 }
                 2 => {
                     let verdict = match x % 5 {

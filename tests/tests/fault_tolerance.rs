@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use integration::shared_rc_kernel;
+use proptest::ScratchDir;
 
 use sb_kernel::{BootedKernel, Kernel, Program, Symbols, Syscall};
 use snowboard::campaign::run_campaign;
@@ -65,8 +66,12 @@ fn base_cfg() -> CampaignCfg {
     }
 }
 
-fn scratch_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sb-ft-{}-{name}.ckpt", std::process::id()))
+/// A checkpoint path in a scratch directory of its own, which goes when
+/// the returned guard does (a failed assertion's unwinding included).
+fn scratch_path(name: &str) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new(&format!("ft-{name}"));
+    let path = dir.join("run.ckpt");
+    (dir, path)
 }
 
 #[test]
@@ -205,8 +210,7 @@ fn transient_failures_are_retried_to_success() {
 #[test]
 fn killed_campaign_resumes_from_checkpoint_to_identical_aggregates() {
     let fx = fixture();
-    let path = scratch_path("resume");
-    let _ = std::fs::remove_file(&path);
+    let (_dir, path) = scratch_path("resume");
 
     let clean = run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &base_cfg())
         .expect("clean campaign");
@@ -245,15 +249,12 @@ fn killed_campaign_resumes_from_checkpoint_to_identical_aggregates() {
     assert_eq!(resumed.executions, clean.executions);
     assert_eq!(resumed.total_steps, clean.total_steps);
     assert_eq!(resumed.bug_ids(), clean.bug_ids());
-
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn lenient_resume_survives_a_corrupt_checkpoint() {
     let fx = fixture();
-    let path = scratch_path("lenient");
-    let _ = std::fs::remove_file(&path);
+    let (_dir, path) = scratch_path("lenient");
 
     let clean = run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &base_cfg())
         .expect("clean campaign");
@@ -301,8 +302,7 @@ fn lenient_resume_survives_a_corrupt_checkpoint() {
 #[test]
 fn resume_rejects_a_checkpoint_from_a_different_campaign() {
     let fx = fixture();
-    let path = scratch_path("foreign");
-    let _ = std::fs::remove_file(&path);
+    let (_dir, path) = scratch_path("foreign");
 
     let first_cfg = CampaignCfg {
         checkpoint: Some(path.clone()),
@@ -320,6 +320,4 @@ fn resume_rejects_a_checkpoint_from_a_different_campaign() {
     let err = run_campaign(fx.booted, &fx.corpus, &fx.set, &fx.exemplars, &foreign_cfg)
         .expect_err("foreign checkpoint must be rejected");
     assert!(matches!(err, snowboard::Error::ResumeMismatch { .. }));
-
-    let _ = std::fs::remove_file(&path);
 }
