@@ -87,9 +87,11 @@ OPTIONS (hunt join <ADDR>), in addition to the hunt options:
                                   undelivered results or not
     --stop-file <PATH>            finish the jobs in hand and leave once
                                   PATH exists
-    Results the coordinator has not acknowledged are kept in memory and
-    redelivered after a reconnect; a worker that exits holding some drops
-    them, and the coordinator runs those jobs again.
+    Results are kept in memory until the coordinator answers a request
+    sent after them, and redelivered after a reconnect; a worker that exits
+    holding some drops them, and the coordinator runs those jobs again. A
+    worker that finds the coordinator gone after the campaign ended exits 1
+    like any other lost coordinator.
     The campaign flags (--seed, --corpus, --budget, --trials, ...) must
     match the coordinator's: the handshake rejects a mismatch. The
     coordinator sets the heartbeat and the lease size; --batch,

@@ -459,12 +459,8 @@ fn serve(opts: ServeOpts) -> ExitCode {
         );
         eprintln!(
             "[fleet] journal: {} record(s) written, {} replayed, \
-             {} session(s) resumed, {} redelivered result(s), {} damage event(s)",
-            s.journal_records,
-            s.journal_replayed,
-            s.sessions_resumed,
-            s.redelivered,
-            s.journal_damaged
+             {} redelivered result(s), {} damage event(s)",
+            s.journal_records, s.journal_replayed, s.redelivered, s.journal_damaged
         );
         if stopped {
             eprintln!(

@@ -458,8 +458,8 @@ fn fleet_hunt_survives_a_worker_sigkill() {
     let clean = bin().args(small_hunt("11")).output().expect("run hunt");
     assert!(clean.status.success());
 
-    // The drain waits one heartbeat timeout for the killed worker to come
-    // back; a short one keeps that wait short.
+    // The kill closes the victim's connection, which evicts it at once;
+    // the drain waits for live connections only, not for the dead worker.
     let (serve, addr, serve_err) = spawn_serve(&serve_tail("11"), &["--heartbeat-ms", "5000"]);
     // The victim joins alone and parks on job 0, so it holds a lease when
     // it is SIGKILLed (an external OOM kill); the second worker joins only
@@ -543,8 +543,7 @@ fn fleet_crash_injection_quarantines_and_exits_3() {
     // Every worker aborts on job 2. At one job per lease and a crash budget
     // of two, two workers die on it, the job is quarantined as a crash, and
     // the third worker finishes the campaign with the exit code that says
-    // "finished with quarantines". The short heartbeat bounds the drain's
-    // wait for the two dead workers to come back.
+    // "finished with quarantines". The drain waits for no dead worker.
     let (serve, addr, serve_err) = spawn_serve(
         &serve_tail("5"),
         &[
@@ -630,7 +629,7 @@ fn fleet_trace_records_each_lifecycle_fact_once() {
     // Job totals live in `job` events and the fleet lifecycle in `fleet`
     // events; no counter restates them, and the `fleet workers:` block
     // counts what the coordinator's own summary line reports.
-    const RESTATED: [&str; 14] = [
+    const RESTATED: [&str; 13] = [
         "profile.ok",
         "profile.accesses_kept",
         "campaign.trials",
@@ -643,7 +642,6 @@ fn fleet_trace_records_each_lifecycle_fact_once() {
         "fleet.evictions",
         "fleet.reassigned",
         "fleet.duplicates",
-        "fleet.sessions.resumed",
         "chaos.fired.total",
     ];
     let dir = scratch_dir("fleet-trace");
@@ -850,11 +848,12 @@ fn fleet_usage_errors_exit_2() {
 }
 
 /// A scripted coordinator for the disconnection tests below: accepts one
-/// worker, welcomes it, grants a single lease of `jobs`, then — depending
-/// on `ack_results` — acknowledges each result with an empty lease or stays
-/// silent. The first `request` after the lease was consumed makes it hang
-/// up and stop listening, so every reconnect attempt fails fast. Returns
-/// the number of result frames it saw.
+/// worker, welcomes it and grants a single lease of `jobs`. The first
+/// `request` after the lease was consumed makes it hang up and stop
+/// listening, so every reconnect attempt fails fast — with `ack_results`
+/// it first answers that request with an empty lease, which acknowledges
+/// every result sent before it; without, the results stay unacknowledged.
+/// Returns the number of result frames it saw.
 fn scripted_coordinator(
     jobs: Vec<usize>,
     ack_results: bool,
@@ -872,7 +871,6 @@ fn scripted_coordinator(
             match JoinMsg::parse_line(&payload).expect("worker frame") {
                 JoinMsg::Join { .. } => {
                     let hello = ServeMsg::Welcome {
-                        ack: 0,
                         heartbeat_ms: 7_500,
                     };
                     write_frame(&mut write, &hello.render()).unwrap();
@@ -882,26 +880,24 @@ fn scripted_coordinator(
                         lease: 1,
                         jobs: jobs.clone(),
                         deadline_ms: 60_000,
-                        ack: 0,
                     };
                     write_frame(&mut write, &lease.render()).unwrap();
                 }
                 // The post-lease `request`: the worker has sent every
-                // result (and, with `ack_results`, is about to read the
-                // ack we already wrote). Hang up without draining.
-                JoinMsg::Request => break,
-                JoinMsg::Done { seq, .. } | JoinMsg::Quarantine { seq, .. } => {
-                    results += 1;
+                // result. Acknowledge them (or not), then hang up without
+                // draining.
+                JoinMsg::Request => {
                     if ack_results {
                         let ack = ServeMsg::Lease {
                             lease: 2,
                             jobs: vec![],
                             deadline_ms: 60_000,
-                            ack: seq,
                         };
                         write_frame(&mut write, &ack.render()).unwrap();
                     }
+                    break;
                 }
+                JoinMsg::Done { .. } | JoinMsg::Quarantine { .. } => results += 1,
                 JoinMsg::Heartbeat | JoinMsg::Leaving { .. } => {}
             }
         }

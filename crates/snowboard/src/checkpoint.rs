@@ -32,8 +32,9 @@ use crate::json::{self, Json};
 use crate::pmc::PmcId;
 
 /// Current checkpoint format version (1 was a whole-file JSON document; 2
-/// also logged fleet lease grants and releases).
-const VERSION: u64 = 3;
+/// also logged fleet lease grants and releases; 3 stamped each verdict
+/// with its sender's session and sequence number).
+const VERSION: u64 = 4;
 
 /// A campaign progress snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -121,16 +122,16 @@ impl Checkpoint {
     }
 
     /// The compact form as file bytes: the header, then one record per
-    /// verdict in job order, with no session numbers.
+    /// verdict in job order.
     pub(crate) fn image(&self) -> io::Result<Vec<u8>> {
         let mut verdicts: Vec<(usize, String)> = self
             .outcomes
             .iter()
-            .map(|(job, o)| (*job, done_line(0, 0, *job, o)))
+            .map(|(job, o)| (*job, done_line(*job, o)))
             .chain(
                 self.quarantined
                     .iter()
-                    .map(|(job, q)| (*job, quarantine_line(0, 0, q))),
+                    .map(|(job, q)| (*job, quarantine_line(q))),
             )
             .collect();
         verdicts.sort_by_key(|(job, _)| *job);
@@ -179,7 +180,7 @@ pub struct Loaded {
     pub checkpoint: Checkpoint,
     /// The file's bytes up to the end of its last intact record.
     pub intact: Vec<u8>,
-    /// Session acks and counts, for a resuming transport.
+    /// The replay counts, for a resuming transport.
     pub replay: Replay,
 }
 
@@ -225,31 +226,16 @@ pub fn read(path: &Path) -> SbResult<Loaded> {
 /// names a job outside the universe.
 fn replay_record(cp: &mut Checkpoint, replay: &mut Replay, line: &str) -> bool {
     let universe = cp.exemplars.len();
-    let (session, seq) = match JournalRecord::parse(line) {
-        Ok(JournalRecord::Done {
-            session,
-            seq,
-            job,
-            outcome,
-        }) if job < universe => {
+    match JournalRecord::parse(line) {
+        Ok(JournalRecord::Done { job, outcome }) if job < universe => {
             cp.merge_outcome(job, outcome);
-            (session, seq)
         }
-        Ok(JournalRecord::Quarantine {
-            session,
-            seq,
-            record,
-        }) if record.job < universe => {
+        Ok(JournalRecord::Quarantine { record }) if record.job < universe => {
             cp.merge_quarantine(record);
-            (session, seq)
         }
         _ => return false,
-    };
-    replay.verdicts += 1;
-    if session != 0 {
-        let acked = replay.acked.entry(session).or_insert(0);
-        *acked = (*acked).max(seq);
     }
+    replay.verdicts += 1;
     true
 }
 
@@ -722,10 +708,10 @@ mod tests {
                 "a failed load writes nothing"
             );
         }
-        for version in ["2", "99"] {
+        for version in ["2", "3", "99"] {
             let other = sample()
                 .header()
-                .replace("\"version\":3", &format!("\"version\":{version}"));
+                .replace("\"version\":4", &format!("\"version\":{version}"));
             std::fs::write(&path, journal::image([other.as_str()]).unwrap()).unwrap();
             assert!(
                 matches!(
@@ -739,24 +725,21 @@ mod tests {
     }
 
     #[test]
-    fn replay_rebuilds_session_acks() {
+    fn replay_folds_verdicts_first_wins() {
         let cp = Checkpoint::begin(2021, &[7, 3, 9, 4]);
         let sample = sample();
         let records = [
             cp.header(),
-            done_line(7, 1, 0, &sample.outcomes[&0]),
-            quarantine_line(
-                7,
-                2,
-                &QuarantineRecord {
-                    job: 2,
-                    ..sample.quarantined[&1].clone()
-                },
-            ),
-            // A late duplicate: counted as replayed, the first verdict kept.
-            done_line(8, 5, 0, &sample.outcomes[&2]),
-            // An in-process verdict carries no session.
-            done_line(0, 0, 3, &sample.outcomes[&2]),
+            done_line(0, &sample.outcomes[&0]),
+            quarantine_line(&QuarantineRecord {
+                job: 2,
+                ..sample.quarantined[&1].clone()
+            }),
+            // A late duplicate (a log of this format holds none, but the
+            // loader does not rely on it): counted as replayed, the first
+            // verdict kept.
+            done_line(0, &sample.outcomes[&2]),
+            done_line(3, &sample.outcomes[&2]),
         ];
         let dir = proptest::ScratchDir::new("checkpoint");
         let path = dir.join("cp-replay.log");
@@ -766,7 +749,6 @@ mod tests {
         assert_eq!(loaded.intact, bytes);
         let replay = loaded.replay;
         assert_eq!((replay.verdicts, replay.damaged), (4, 0));
-        assert_eq!(replay.acked, BTreeMap::from([(7, 2), (8, 5)]));
         assert_eq!(
             loaded.checkpoint.outcomes[&0], sample.outcomes[&0],
             "first verdict wins"
@@ -779,10 +761,9 @@ mod tests {
         let compact = read(&path).unwrap();
         assert_eq!(compact.checkpoint, loaded.checkpoint);
         assert_eq!(compact.replay.verdicts, 3);
-        assert!(compact.replay.acked.is_empty());
 
         // A verdict outside the universe ends the intact prefix.
-        let foreign = done_line(7, 9, 4, &sample.outcomes[&0]);
+        let foreign = done_line(4, &sample.outcomes[&0]);
         let bytes = journal::image(records[..2].iter().chain([&foreign]).map(String::as_str));
         std::fs::write(&path, bytes.unwrap()).unwrap();
         let loaded = read(&path).unwrap();

@@ -1,7 +1,7 @@
 //! The coordinator half of the fleet: one loop owning the ledger (and with
 //! it the checkpoint log), the lease table and every connection.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::Path;
@@ -35,8 +35,6 @@ struct Conn {
     stream: TcpStream,
     /// Assigned worker id after a successful handshake.
     worker: Option<u64>,
-    /// The worker's session token from its join (0 = no resumption).
-    session: u64,
     last_msg: Instant,
     /// Results (fresh or duplicate) delivered over this connection.
     completed: u64,
@@ -56,14 +54,6 @@ struct Coordinator<'a> {
     /// each lease's jobs and deadline under the lease id.
     leases: BTreeMap<u64, u64>,
     conns: BTreeMap<u64, Conn>,
-    /// Per-session highest logged result sequence number.
-    sessions: BTreeMap<u64, u64>,
-    /// Sessions of workers evicted uncleanly that have not joined again. A
-    /// drain waits for them (up to its deadline), welcomes their rejoin and
-    /// answers its next request with `drain`, so a worker that lost its
-    /// connection in the last moments of a campaign exits cleanly instead
-    /// of retrying a coordinator that is gone.
-    evicted: BTreeSet<u64>,
     /// The kill-switch hook fired: unwind without writing anything more.
     killed: bool,
     next_worker: u64,
@@ -137,9 +127,6 @@ impl Coordinator<'_> {
             self.fleet_event(worker, "evict", detail.to_owned());
             if conn.worker.is_some() {
                 self.ledger.note_death(conn.completed > 0);
-                if conn.session != 0 {
-                    self.evicted.insert(conn.session);
-                }
             }
         }
         let died = |job| {
@@ -159,8 +146,6 @@ impl Coordinator<'_> {
         if self.leases.remove(&lease_id).is_none() {
             return; // the deadline reclaimed it meanwhile
         }
-        // A crash quarantine is logged by the ledger with no session, so a
-        // resume replays it without touching any ack watermark.
         let charges = match cause {
             Some(cause) => self
                 .ledger
@@ -195,7 +180,9 @@ impl Coordinator<'_> {
     }
 
     /// Begins the drain: sync the checkpoint, tell every connection, and
-    /// start the goodbye clock.
+    /// start the goodbye clock. Only live connections are waited for: a
+    /// worker that lost its connection is not, and one that joins during
+    /// the drain is welcomed and told to drain.
     fn start_drain(&mut self, reason: &str) {
         if self.ledger.stopping() {
             return;
@@ -217,7 +204,7 @@ impl Coordinator<'_> {
         }
     }
 
-    fn handle_join(&mut self, conn_id: u64, proto: u64, config: u64, session: u64) {
+    fn handle_join(&mut self, conn_id: u64, proto: u64, config: u64) {
         let reject = |this: &mut Self, reason: String| {
             this.stats.workers_rejected += 1;
             this.fleet_event(u64::MAX, "reject", reason.clone());
@@ -252,35 +239,15 @@ impl Coordinator<'_> {
             );
             return;
         }
-        if self.ledger.stopping() && !self.evicted.contains(&session) {
-            reject(self, "coordinator is draining".to_owned());
-            return;
-        }
         let worker = self.next_worker;
         self.next_worker += 1;
-        self.evicted.remove(&session);
         if let Some(c) = self.conns.get_mut(&conn_id) {
             c.worker = Some(worker);
-            c.session = session;
         }
         self.stats.workers_joined += 1;
         self.fleet_event(worker, "join", format!("connection {conn_id} registered"));
-        let mut ack = 0;
-        if session != 0 {
-            if self.sessions.contains_key(&session) {
-                // A known session re-registering: ack what the log
-                // already holds, so the worker trims its outbox.
-                self.stats.sessions_resumed += 1;
-                self.fleet_event(
-                    worker,
-                    "resume-session",
-                    format!("session {session:016x} re-registered"),
-                );
-            }
-            ack = *self.sessions.entry(session).or_insert(0);
-        }
         let heartbeat_ms = heartbeat_interval(self.fcfg.heartbeat_timeout).as_millis() as u64;
-        self.send(conn_id, &ServeMsg::Welcome { ack, heartbeat_ms });
+        self.send(conn_id, &ServeMsg::Welcome { heartbeat_ms });
     }
 
     fn handle_request(&mut self, conn_id: u64) {
@@ -291,8 +258,6 @@ impl Coordinator<'_> {
             self.drop_conn(conn_id, Some("protocol violation: request before join"));
             return;
         };
-        let session = conn.session;
-        let ack = self.sessions.get(&session).copied().unwrap_or(0);
         if self.ledger.stopping() {
             if let Some(c) = self.conns.get_mut(&conn_id) {
                 c.drained = true;
@@ -311,15 +276,13 @@ impl Coordinator<'_> {
         if jobs.is_empty() {
             // Nothing to hand out right now (everything is leased or
             // covered); the worker naps for the advertised interval and
-            // asks again. The ack still rides along so an idle worker's
-            // outbox drains.
+            // asks again.
             self.send(
                 conn_id,
                 &ServeMsg::Lease {
                     lease: 0,
                     jobs: vec![],
                     deadline_ms: self.fcfg.poll.as_millis() as u64,
-                    ack,
                 },
             );
             return;
@@ -334,15 +297,16 @@ impl Coordinator<'_> {
                 lease,
                 jobs,
                 deadline_ms: self.fcfg.lease_deadline.as_millis() as u64,
-                ack,
             },
         );
     }
 
     /// One delivered result frame: refuse jobs outside the universe, count
-    /// redeliveries, drop frames whose sequence number the log already
-    /// holds (the worker will trim them at the next ack), then hand fresh
-    /// ones to the ledger, which logs them before merging.
+    /// redeliveries, then hand it to the ledger, which logs a verdict that
+    /// merges before merging it and counts one whose job is covered as a
+    /// duplicate. Either way the result is logged before this connection's
+    /// next frame is read, so the reply to its next request acknowledges
+    /// it.
     fn handle_result(
         &mut self,
         conn_id: u64,
@@ -351,11 +315,7 @@ impl Coordinator<'_> {
         seq: u64,
         redelivery: bool,
     ) {
-        let Some((worker, session)) = self
-            .conns
-            .get(&conn_id)
-            .and_then(|c| c.worker.map(|w| (w, c.session)))
-        else {
+        let Some(worker) = self.conns.get(&conn_id).and_then(|c| c.worker) else {
             self.drop_conn(conn_id, Some("protocol violation: result before join"));
             return;
         };
@@ -371,23 +331,12 @@ impl Coordinator<'_> {
             self.fleet_event(
                 worker,
                 "redeliver",
-                format!("session {session:016x} re-sent seq {seq} (job {job})"),
+                format!("re-sent result {seq} (job {job})"),
             );
         }
-        if session != 0 && seq != 0 {
-            let acked = self.sessions.entry(session).or_insert(0);
-            if seq <= *acked {
-                // Already logged (merged live or replayed at resume):
-                // idempotent skip, nothing new to record.
-                return;
-            }
-        }
-        let delivered = self.ledger.deliver_from(session, seq, job, verdict);
+        let delivered = self.ledger.deliver(job, verdict);
         if !self.survived() {
             return;
-        }
-        if session != 0 && seq != 0 {
-            self.sessions.insert(session, seq);
         }
         match delivered {
             Ok(Delivered::Merged) => {
@@ -470,11 +419,11 @@ impl Coordinator<'_> {
         ));
     }
 
-    /// Applies what the resumed checkpoint log holds besides verdicts (the
-    /// ledger merged those): counts the replay and restores the session ack
-    /// watermarks. Every job without a logged verdict is pending: a holder
+    /// Counts what the resumed checkpoint log held (the ledger merged its
+    /// verdicts). Every job without a logged verdict is pending: a holder
     /// from before the crash that delivers it first is merged, one that
-    /// delivers after someone else is a counted duplicate.
+    /// delivers after someone else — or a verdict the log already holds — is
+    /// a counted duplicate.
     fn apply_replay(&mut self) {
         let replay = self.ledger.take_replay();
         self.stats.journal_damaged += replay.damaged;
@@ -492,7 +441,6 @@ impl Coordinator<'_> {
             self.tracer()
                 .count(sb_obs::keys::FLEET_JOURNAL_REPLAYED, replay.verdicts);
         }
-        self.sessions.extend(replay.acked);
     }
 }
 
@@ -525,8 +473,6 @@ pub fn run_coordinator(
         stats: FleetStats::default(),
         leases: BTreeMap::new(),
         conns: BTreeMap::new(),
-        sessions: BTreeMap::new(),
-        evicted: BTreeSet::new(),
         killed: false,
         next_worker: 0,
         next_lease: 1,
@@ -636,10 +582,8 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
         if state.ledger.pending() == 0 && state.leases.is_empty() {
             state.start_drain("campaign complete");
         }
-        // Uncleanly evicted workers get the drain window to come back and
-        // be told to drain.
-        let settled = state.conns.is_empty() && state.evicted.is_empty();
-        if state.ledger.stopping() && (settled || now >= state.drain_deadline) {
+        // The drain waits for live connections only, up to its deadline.
+        if state.ledger.stopping() && (state.conns.is_empty() || now >= state.drain_deadline) {
             // Stragglers past the deadline are cut off; no charges — the
             // campaign is over either way.
             let ids: Vec<u64> = state.conns.keys().copied().collect();
@@ -668,7 +612,6 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
                     Conn {
                         stream,
                         worker: None,
-                        session: 0,
                         last_msg: Instant::now(),
                         completed: 0,
                         leaving: false,
@@ -683,11 +626,7 @@ fn coordinator_loop(state: &mut Coordinator<'_>, rx: &mpsc::Receiver<(u64, Note)
                     continue; // already evicted; late frames are moot
                 }
                 match msg {
-                    JoinMsg::Join {
-                        proto,
-                        config,
-                        session,
-                    } => state.handle_join(conn_id, proto, config, session),
+                    JoinMsg::Join { proto, config } => state.handle_join(conn_id, proto, config),
                     JoinMsg::Heartbeat => {}
                     JoinMsg::Request => state.handle_request(conn_id),
                     JoinMsg::Done {

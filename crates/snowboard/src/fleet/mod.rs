@@ -9,8 +9,7 @@
 //! worker kills, partitions, and injected network and process faults.
 //!
 //! The job lifecycle is [`crate::ledger`]'s; this module is the transport —
-//! connections, sessions and lease deadlines. The failure model (see
-//! DESIGN.md):
+//! connections and lease deadlines. The failure model (see DESIGN.md):
 //!
 //! * **Handshake** — a joiner announces its protocol version and a
 //!   fingerprint of every campaign-shaping parameter
@@ -40,45 +39,46 @@
 //!   deaths then abandon the remaining jobs instead of waiting forever
 //!   for a fleet that keeps dying on arrival.
 //! * **Graceful drain** — the stop file (or campaign completion) syncs
-//!   the checkpoint, answers every request with `drain`, and gives
-//!   stragglers one heartbeat timeout to say goodbye.
+//!   the checkpoint, answers every request with `drain` (a worker that
+//!   joins now is welcomed and told to drain), and gives the live
+//!   connections up to one heartbeat timeout to say goodbye. A worker whose
+//!   connection is gone is not waited for: the campaign ends when its work
+//!   and its live connections do.
 //!
 //! * **The checkpoint log** — every verdict lands in the checkpoint, an
 //!   append-only CRC32C-framed log ([`crate::checkpoint`]), *before* the
 //!   coordinator merges or acknowledges it, and verdicts are all it
 //!   holds. A `kill -9` mid-lease loses no logged verdict: `serve
-//!   --resume` replays them with the session ack watermarks, and every
-//!   job without one is pending again. A job computes the same verdict
-//!   wherever and however often it runs, so a lease lost with the
-//!   coordinator costs a re-run, never a different report.
-//! * **Session resumption** — each worker picks a session token at
-//!   startup and numbers its results with a per-session sequence. Results
-//!   stay in the worker's in-memory outbox until the coordinator acks
-//!   them; a worker that loses the coordinator finishes its leased jobs
-//!   into the outbox and reconnects, then re-registers with the same
-//!   token and redelivers everything past the coordinator's ack.
-//!   Redeliveries are idempotent (logged sequence numbers and the
-//!   first-wins merge absorb them) and counted in
-//!   [`crate::FleetStats::redelivered`]. What a worker process still
-//!   holds when it ends is dropped with it, and the coordinator re-runs
-//!   those jobs.
+//!   --resume` replays them, and every job without one is pending again.
+//!   A job computes the same verdict wherever and however often it runs,
+//!   so a lease lost with the coordinator costs a re-run, never a
+//!   different report.
+//! * **Redelivery** — results stay in the worker's in-memory outbox until
+//!   a reply to one of its requests: the coordinator handles one
+//!   connection's frames in order and logs a verdict before it reads the
+//!   next frame, so that reply proves every result sent before the request
+//!   is logged. A worker that loses the coordinator finishes its leased
+//!   jobs into the outbox, reconnects and redelivers the outbox before its
+//!   first request. A redelivered verdict the log already holds is a
+//!   counted duplicate under the first-wins merge, and every redelivery is
+//!   counted in [`crate::FleetStats::redelivered`]. What a worker process
+//!   still holds when it ends is dropped with it, and the coordinator
+//!   re-runs those jobs.
 //!
 //! Workers reconnect through deterministic exponential backoff and resume
 //! leasing; a worker that cannot reach the coordinator gives up after a
 //! bounded number of attempts (`--connect-retries`) with a typed error,
-//! which for a worker holding undelivered results says how many it drops.
-//! A coordinator whose campaign completes while
-//! an uncleanly evicted worker is away waits for it (one heartbeat timeout,
-//! the drain window) and answers its rejoin with `drain`. Network fault
-//! injection ([`crate::NetFaultPlan`]) lets tests (and CI) drop, delay,
-//! garble, or half-close specific connections deterministically.
+//! which for a worker holding undelivered results says how many it drops —
+//! also the exit of a worker that finds the coordinator gone after the
+//! campaign ended. Network fault injection ([`crate::NetFaultPlan`]) lets
+//! tests (and CI) drop, delay, garble, or half-close specific connections
+//! deterministically.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 mod coordinator;
-mod outbox;
 mod worker;
 
 pub use coordinator::run_coordinator;
@@ -178,7 +178,7 @@ mod tests {
     use crate::{Pipeline, PipelineCfg};
     use std::collections::BTreeMap;
     use std::io::BufReader;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{Shutdown, TcpListener, TcpStream};
     use std::path::Path;
     use std::time::Instant;
 
@@ -219,19 +219,12 @@ mod tests {
         }
     }
 
-    /// A scripted fleet worker for driving the coordinator from tests.
-    /// Each client gets a distinct session token (the counter below) and
-    /// stamps its result frames with a monotone seq, like a real worker.
+    /// A scripted fleet worker for driving the coordinator from tests. It
+    /// numbers its result frames with a monotone seq, like a real worker.
     struct Client {
         write: TcpStream,
         reader: BufReader<TcpStream>,
-        session: u64,
         seq: u64,
-    }
-
-    fn fresh_test_session() -> u64 {
-        static NEXT: AtomicU64 = AtomicU64::new(0xC11E_0001);
-        NEXT.fetch_add(1, Ordering::Relaxed)
     }
 
     impl Client {
@@ -244,7 +237,6 @@ mod tests {
             Client {
                 write,
                 reader,
-                session: fresh_test_session(),
                 seq: 0,
             }
         }
@@ -273,34 +265,36 @@ mod tests {
 
         fn join(addr: &std::net::SocketAddr, config: u64) -> (Client, ServeMsg) {
             let mut c = Client::connect(addr);
-            let session = c.session;
             c.send(&JoinMsg::Join {
                 proto: FLEET_PROTO_VERSION,
                 config,
-                session,
             });
             let reply = c.read();
             (c, reply)
         }
 
-        /// Reconnects under an existing session token with a resumed seq
-        /// counter — a worker coming back after losing the coordinator.
-        fn rejoin(
-            addr: &std::net::SocketAddr,
-            config: u64,
-            session: u64,
-            seq: u64,
-        ) -> (Client, ServeMsg) {
-            let mut c = Client::connect(addr);
-            c.session = session;
-            c.seq = seq;
-            c.send(&JoinMsg::Join {
-                proto: FLEET_PROTO_VERSION,
-                config,
-                session,
+        /// Re-sends job's verdict as a reconnected worker does, flagged as a
+        /// redelivery.
+        fn redeliver(&mut self, job: usize, steps: u64) {
+            self.seq += 1;
+            self.send(&JoinMsg::Done {
+                job,
+                outcome: outcome(job, steps),
+                seq: self.seq,
+                redelivery: true,
             });
-            let reply = c.read();
-            (c, reply)
+        }
+
+        /// Asks once more and expects no work: the reply proves every frame
+        /// sent before it was handled (one connection's frames are handled
+        /// in order).
+        fn settle(&mut self) {
+            self.send(&JoinMsg::Request);
+            match self.read() {
+                ServeMsg::Lease { jobs, .. } => assert!(jobs.is_empty(), "{jobs:?}"),
+                ServeMsg::Drain { .. } => {}
+                other => panic!("unexpected reply {other:?}"),
+            }
         }
 
         /// Requests until a non-empty lease or drain arrives.
@@ -392,7 +386,6 @@ mod tests {
             matches!(
                 reply,
                 ServeMsg::Welcome {
-                    ack: 0,
                     heartbeat_ms: 2_500
                 }
             ),
@@ -638,12 +631,14 @@ mod tests {
         };
         let (addr, coord) = start_coordinator(budgeted, CampaignCfg::default(), fcfg);
 
+        // A v6 worker: its join still parses (the session token is
+        // ignored), and it is turned away for its version.
         let mut bad_proto = Client::connect(&addr);
-        bad_proto.send(&JoinMsg::Join {
-            proto: 99,
-            config: 0xBEEF,
-            session: 0,
-        });
+        let v6_join = format!(
+            "{{\"msg\":\"join\",\"proto\":6,\"config\":{},\"session\":7}}",
+            0xBEEF
+        );
+        let _ = write_frame(&mut bad_proto.write, &v6_join);
         let reply = bad_proto.read();
         assert!(
             matches!(&reply, ServeMsg::Reject { reason } if reason.contains("version")),
@@ -812,38 +807,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_reconnects_after_a_lost_session_and_drains() {
+    fn worker_reconnects_after_a_lost_connection_and_drains() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
-            // Session 1: welcome, then hang up on the first request.
+            // Connection 1: welcome, then hang up on the first request.
             let (mut s1, _) = listener.accept().unwrap();
             let mut r1 = BufReader::new(s1.try_clone().unwrap());
             let _ = read_frame(&mut r1); // join
-            write_frame(
-                &mut s1,
-                &ServeMsg::Welcome {
-                    ack: 0,
-                    heartbeat_ms: 50,
-                }
-                .render(),
-            )
-            .unwrap();
-            let _ = read_frame(&mut r1); // request
-            drop(s1);
-            // Session 2: welcome, then drain.
+            write_frame(&mut s1, &ServeMsg::Welcome { heartbeat_ms: 50 }.render()).unwrap();
+            // The request. Then shut the socket down, not just this handle
+            // (`r1` shares it): the worker must see the hang-up, not wait
+            // out its read timeout.
+            let _ = read_frame(&mut r1);
+            s1.shutdown(Shutdown::Both).unwrap();
+            // Connection 2: welcome, then drain.
             let (mut s2, _) = listener.accept().unwrap();
             let mut r2 = BufReader::new(s2.try_clone().unwrap());
             let _ = read_frame(&mut r2); // join
-            write_frame(
-                &mut s2,
-                &ServeMsg::Welcome {
-                    ack: 0,
-                    heartbeat_ms: 50,
-                }
-                .render(),
-            )
-            .unwrap();
+            write_frame(&mut s2, &ServeMsg::Welcome { heartbeat_ms: 50 }.render()).unwrap();
             let _ = read_frame(&mut r2); // request
             write_frame(
                 &mut s2,
@@ -878,14 +860,7 @@ mod tests {
                     Ok(Some(_)) => {}
                     _ => continue, // the dropped connection
                 }
-                let _ = write_frame(
-                    &mut s,
-                    &ServeMsg::Welcome {
-                        ack: 0,
-                        heartbeat_ms: 50,
-                    }
-                    .render(),
-                );
+                let _ = write_frame(&mut s, &ServeMsg::Welcome { heartbeat_ms: 50 }.render());
                 match read_frame(&mut r) {
                     Ok(Some(_)) => {}
                     _ => continue,
@@ -912,78 +887,174 @@ mod tests {
         };
         let summary = run_join(&CampaignCfg::default(), &jcfg, empty_work).expect("join");
         assert!(summary.drained);
-        assert_eq!(summary.reconnects, 1, "the injected drop cost one session");
+        assert_eq!(
+            summary.reconnects, 1,
+            "the injected drop cost one connection"
+        );
         server.join().unwrap();
     }
 
-    /// A worker whose last result frame is lost is evicted; the job's
-    /// crash budget of one quarantines it, which completes the campaign
-    /// before the worker's rejoin arrives (its reconnection writes each
-    /// frame 300 ms late). The drain waits for the evicted session and
-    /// answers its rejoin with `drain`: the worker exits cleanly instead of
-    /// being turned away, or retrying a coordinator that is gone.
+    /// A worker that dies holding a lease costs no heartbeat timeout: the
+    /// drain waits for live connections only, so under a 60 s timeout the
+    /// coordinator returns as soon as the survivor has finished and left.
     #[test]
-    fn a_worker_evicted_as_the_campaign_completes_is_drained_on_rejoin() {
-        let dir = test_dir("evicted-drain");
-        let pcfg = PipelineCfg {
-            seed: 7,
-            corpus_target: 30,
-            fuzz_budget: 300,
-            workers: 1,
-            ..PipelineCfg::default()
-        };
-        let p = Pipeline::prepare(sb_kernel::KernelConfig::v5_12_rc3(), pcfg);
-        let exemplars = p.exemplars(Strategy::SInsPair, ClusterOrder::UncommonFirst)[..1].to_vec();
-        let cfg = CampaignCfg {
-            seed: 7,
-            trials_per_pmc: 2,
-            workers: 1,
-            ..CampaignCfg::default()
-        };
+    fn a_dead_worker_does_not_hold_the_drain() {
+        let dir = test_dir("dead-drain");
+        let budgeted: Vec<PmcId> = (0..2).map(|i| i + 100).collect();
         let fcfg = FleetCfg {
-            crash_budget: 1,
+            heartbeat_timeout: Duration::from_secs(60),
             ..fast_fcfg(&dir)
         };
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let coord = {
-            let (exemplars, cfg) = (exemplars.clone(), cfg.clone());
-            std::thread::spawn(move || run_coordinator(listener, &exemplars, &cfg, &fcfg))
-        };
-        // Connection 0 sends the join, the request, then the one result —
-        // the frame `drop=0:2` cuts.
-        let jcfg = JoinCfg {
-            net_faults: NetFaultPlan {
-                drop_after: BTreeMap::from([(0, 2)]),
-                delay_ms: BTreeMap::from([(1, 300)]),
-                ..NetFaultPlan::default()
-            },
-            ..fast_jcfg(addr)
-        };
+        let addr = listener.local_addr().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let work = FleetWork {
-                booted: p.booted,
-                corpus: p.corpus,
-                set: p.pmcs,
-                exemplars,
-            };
-            let _ = tx.send(run_join(&cfg, &jcfg, move || Ok(work)));
+            let _ = tx.send(run_coordinator(
+                listener,
+                &budgeted,
+                &CampaignCfg::default(),
+                &fcfg,
+            ));
         });
-        let summary = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("the worker exits within 30 s")
-            .expect("the worker exits cleanly");
-        assert!(summary.drained);
-        assert_eq!((summary.reconnects, summary.undelivered), (1, 0));
-        let report = coord.join().unwrap().expect("fleet campaign");
+
+        // A leases both jobs, delivers one and closes uncleanly.
+        let (mut a, _) = Client::join(&addr, 0);
+        assert_eq!(a.lease().expect("lease"), vec![0, 1]);
+        a.done(0, 100);
+        drop(a);
+        // B finishes the reassigned job and leaves.
+        let (mut b, _) = Client::join(&addr, 0);
+        assert_eq!(b.lease().expect("reassigned lease"), vec![1]);
+        b.done(1, 101);
+        b.drain();
+
+        let report = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the coordinator returns within 5 s of the last goodbye")
+            .expect("fleet report");
+        assert_eq!(report.tested(), 2);
         let stats = report.fleet.expect("fleet stats");
-        assert_eq!(
-            (stats.workers_joined, stats.evictions),
-            (2, 1),
-            "the rejoin was welcomed"
+        assert_eq!((stats.evictions, stats.jobs_reassigned), (1, 1));
+    }
+
+    /// A worker whose connection is cut before the campaign completes is
+    /// not waited for: the coordinator ends with its last live connection,
+    /// and the worker, finding nobody listening, exits through the bounded
+    /// lost-coordinator path with every result it held delivered. Worker A
+    /// reaches the coordinator through a relay that forwards only its first
+    /// connection, so each reconnect is refused.
+    #[test]
+    fn a_worker_cut_off_when_the_campaign_completes_exits_with_lost_coordinator() {
+        let dir = test_dir("cut-off");
+        let fcfg = FleetCfg {
+            heartbeat_timeout: Duration::from_secs(60),
+            ..fast_fcfg(&dir)
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_coordinator(
+                listener,
+                &[100],
+                &CampaignCfg::default(),
+                &fcfg,
+            ));
+        });
+        let relay = TcpListener::bind("127.0.0.1:0").unwrap();
+        let relay_addr = relay.local_addr().unwrap().to_string();
+        let relayed = std::thread::spawn(move || {
+            let (down, _) = relay.accept().unwrap();
+            drop(relay);
+            let up = TcpStream::connect(addr).unwrap();
+            for (mut from, mut to) in [
+                (down.try_clone().unwrap(), up.try_clone().unwrap()),
+                (up.try_clone().unwrap(), down.try_clone().unwrap()),
+            ] {
+                std::thread::spawn(move || std::io::copy(&mut from, &mut to));
+            }
+            (down, up)
+        });
+        // A's `prepare` runs after its handshake: A is registered, and
+        // parks there (no lease, no frames) until told to go on.
+        let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let jcfg = fast_jcfg(relay_addr.clone());
+        let a = std::thread::spawn(move || {
+            run_join(&CampaignCfg::default(), &jcfg, move || {
+                joined_tx.send(()).unwrap();
+                let _ = go_rx.recv();
+                empty_work()
+            })
+        });
+        joined_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("A registered");
+        // B takes the only job; A's connection is cut before B delivers.
+        let (mut b, _) = Client::join(&addr, 0);
+        assert_eq!(b.lease().expect("lease"), vec![0]);
+        let (down, up) = relayed.join().unwrap();
+        for s in [&down, &up] {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+        b.done(0, 100);
+        b.drain();
+        let report = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the coordinator does not wait for the cut-off worker")
+            .expect("fleet report");
+        assert_eq!(report.tested(), 1);
+        assert_eq!(report.fleet.expect("fleet stats").workers_joined, 2);
+
+        // The campaign is over; only now does A notice its lost connection.
+        go_tx.send(()).unwrap();
+        let err = a.join().unwrap().expect_err("nobody is listening");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!(
+                "lost coordinator at {relay_addr} after completing 0 job(s) (all delivered)"
+            )),
+            "{msg}"
         );
-        assert_eq!(report.quarantined.len(), 1, "the job the eviction charged");
+        assert!(msg.contains("3 reconnect attempt(s) failed"), "{msg}");
+    }
+
+    /// A worker that joins while the coordinator drains is welcomed and
+    /// told to drain: it exits cleanly instead of being turned away.
+    #[test]
+    fn a_worker_joining_a_draining_coordinator_is_drained() {
+        let dir = test_dir("join-draining");
+        let stop = dir.join("stop");
+        let fcfg = FleetCfg {
+            stop_file: Some(stop.clone()),
+            ..fast_fcfg(&dir)
+        };
+        let (addr, coord) = start_coordinator(vec![100], CampaignCfg::default(), fcfg);
+        // A stays connected through the drain, so the coordinator is still
+        // draining when the worker joins.
+        let (mut a, _) = Client::join(&addr, 0);
+        std::fs::write(&stop, b"").unwrap();
+        match a.read() {
+            ServeMsg::Drain { .. } => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+        let summary = run_join(
+            &CampaignCfg::default(),
+            &fast_jcfg(addr.to_string()),
+            empty_work,
+        )
+        .expect("the late worker is drained, not rejected");
+        assert!(summary.drained);
+        assert_eq!((summary.reconnects, summary.jobs_completed), (0, 0));
+        a.send(&JoinMsg::Leaving {
+            reason: "drained".into(),
+        });
+        drop(a);
+
+        let report = coord.join().unwrap().expect("fleet report");
+        let stats = report.fleet.expect("fleet stats");
+        assert_eq!((stats.workers_joined, stats.workers_rejected), (2, 0));
+        assert_eq!(stats.evictions, 0);
     }
 
     /// A worker keeps the timing and lease size of the coordinator it
@@ -1087,14 +1158,21 @@ mod tests {
             let fleet_cfg = fleet_cfg.clone();
             std::thread::spawn(move || run_coordinator(listener, &exemplars, &fleet_cfg, &fcfg))
         };
+        // `prepare` runs after the handshake: both workers are registered
+        // before either asks for work, so neither can find the campaign
+        // over before it has joined it (the drain waits only for
+        // connections it has registered).
+        let joined = std::sync::Arc::new(std::sync::Barrier::new(2));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let jcfg = fast_jcfg(addr.clone());
                 let fleet_cfg = fleet_cfg.clone();
                 let exemplars = exemplars.clone();
                 let pcfg = pcfg.clone();
+                let joined = joined.clone();
                 std::thread::spawn(move || {
                     run_join(&fleet_cfg, &jcfg, move || {
+                        joined.wait();
                         let p = Pipeline::prepare(sb_kernel::KernelConfig::v5_12_rc3(), pcfg);
                         Ok(FleetWork {
                             booted: p.booted,
@@ -1132,13 +1210,28 @@ mod tests {
     // -- crash recovery (checkpoint log) ----------------------------------
 
     /// The zero-loss acceptance path in miniature: the coordinator dies
-    /// with a delivery journaled but neither merged nor acked; `--resume`
-    /// replays it, the worker's redelivery is absorbed as a duplicate by
-    /// sequence number, and no journaled job is ever re-leased.
+    /// with a delivery logged but neither merged nor answered; `--resume`
+    /// replays it, and no logged job is ever re-leased. The worker, which
+    /// had no reply after that delivery, redelivers it: the log already
+    /// holds it, so it is a counted duplicate and is not logged again, and
+    /// the report equals an uninterrupted run's.
     #[test]
     fn killed_coordinator_resumes_without_losing_journaled_results() {
-        let dir = test_dir("failover");
         let budgeted: Vec<PmcId> = (0..3).map(|i| i + 100).collect();
+        let clean = {
+            let dir = test_dir("failover-clean");
+            let (addr, coord) =
+                start_coordinator(budgeted.clone(), CampaignCfg::default(), fast_fcfg(&dir));
+            let (mut a, _) = Client::join(&addr, 0);
+            for _ in 0..2 {
+                for job in a.lease().expect("lease") {
+                    a.done(job, 100 + job as u64);
+                }
+            }
+            a.drain();
+            coord.join().unwrap().expect("uninterrupted report")
+        };
+        let dir = test_dir("failover");
         let fcfg = FleetCfg {
             batch: 2,
             ..fast_fcfg(&dir)
@@ -1146,15 +1239,13 @@ mod tests {
 
         // Run 1: the kill switch fires on the second logged verdict — job
         // 0's delivery (#1) lands normally, then job 1's delivery (#2) is
-        // journaled and the coordinator dies before merging or
-        // acknowledging it.
+        // logged and the coordinator dies before merging or answering it.
         let fcfg1 = FleetCfg {
             fail_after_journal: Some(2),
             ..fcfg.clone()
         };
         let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
         let (mut a, _) = Client::join(&addr, 0);
-        let session = a.session;
         let jobs = a.lease().expect("lease");
         assert_eq!(jobs, vec![0, 1]);
         a.done(0, 100);
@@ -1163,46 +1254,34 @@ mod tests {
         assert!(err.to_string().contains("kill switch"), "{err}");
         drop(a);
 
-        // Run 2 resumes: the journal replays job 1's unmerged delivery.
+        // Run 2 resumes: the log replays job 1's unmerged delivery.
         let cfg2 = CampaignCfg {
             resume_from: Some(fcfg.checkpoint.clone()),
             ..CampaignCfg::default()
         };
         let (addr, coord) = start_coordinator(budgeted, cfg2, fcfg.clone());
-        let (mut a, reply) = Client::rejoin(&addr, 0, session, 2);
-        let ServeMsg::Welcome { ack, .. } = reply else {
-            panic!("{reply:?}")
-        };
-        assert_eq!(ack, 2, "the journal already holds both run-1 deliveries");
-        // A worker whose outbox lagged the ack would redeliver anyway; do
-        // so here (with a poisoned steps count) to prove the seq dedup
-        // absorbs it without touching the merged verdict.
-        a.send(&JoinMsg::Done {
-            job: 1,
-            outcome: outcome(1, 999),
-            seq: 2,
-            redelivery: true,
-        });
+        let (mut a, reply) = Client::join(&addr, 0);
+        assert!(matches!(reply, ServeMsg::Welcome { .. }), "{reply:?}");
+        // Both deliveries are still unanswered in the worker's outbox; a
+        // poisoned steps count proves the logged verdict is kept.
+        a.redeliver(0, 100);
+        a.redeliver(1, 999);
         let jobs = a.lease().expect("remaining work");
         assert_eq!(jobs, vec![2], "journaled jobs are never re-leased");
         a.done(2, 102);
         a.drain();
 
         let report = coord.join().unwrap().expect("resumed report");
-        assert_eq!(report.tested(), 3);
         assert_eq!(
-            report.outcomes.iter().map(|o| o.steps).collect::<Vec<_>>(),
-            vec![100, 101, 102],
+            report.outcomes, clean.outcomes,
             "run 1's verdicts survived the kill bit-for-bit"
         );
+        assert_eq!(report.quarantined, clean.quarantined);
         let stats = report.fleet.unwrap();
         assert_eq!(stats.journal_replayed, 2);
-        assert_eq!(stats.sessions_resumed, 1);
-        assert_eq!(stats.redelivered, 1);
-        assert_eq!(
-            stats.duplicate_results, 0,
-            "seq dedup fires before the merge"
-        );
+        assert_eq!(stats.redelivered, 2);
+        assert_eq!(stats.duplicate_results, 2, "both are in the log already");
+        assert_eq!(stats.journal_records, 1, "only job 2 is logged");
         assert_eq!(stats.journal_damaged, 0);
     }
 
@@ -1263,7 +1342,7 @@ mod tests {
 
     /// A lease that was out when the coordinator died is not rebuilt: its
     /// unresolved job is pending after the resume, and a stranger leases
-    /// it. The old session comes back and redelivers the same job; whoever
+    /// it. The old holder comes back and redelivers the same job; whoever
     /// delivers first is merged, the other is a counted duplicate, and the
     /// report equals an uninterrupted run's either way.
     #[test]
@@ -1280,16 +1359,6 @@ mod tests {
             a.drain();
             coord.join().unwrap().expect("uninterrupted report")
         };
-        /// Proves every frame `c` sent before is processed: the reply to a
-        /// later request on one connection comes after them.
-        fn settle(c: &mut Client) {
-            c.send(&JoinMsg::Request);
-            match c.read() {
-                ServeMsg::Lease { jobs, .. } => assert!(jobs.is_empty(), "{jobs:?}"),
-                ServeMsg::Drain { .. } => {}
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
         for stranger_first in [false, true] {
             let dir = test_dir("lost-lease");
             // A deadline no test outlasts: job 1 must be free at once, not
@@ -1307,7 +1376,6 @@ mod tests {
             };
             let (addr, coord) = start_coordinator(budgeted.clone(), CampaignCfg::default(), fcfg1);
             let (mut a, _) = Client::join(&addr, 0);
-            let session = a.session;
             assert_eq!(a.lease().expect("lease"), vec![0, 1]);
             a.done(0, 100);
             assert!(coord.join().unwrap().is_err(), "kill switch fired");
@@ -1327,32 +1395,24 @@ mod tests {
                 other => panic!("unexpected reply {other:?}"),
             }
 
-            // The old session returns: its ack covers job 0, and it
-            // redelivers job 1, which it finished during the outage.
-            let (mut old, reply) = Client::rejoin(&addr, 0, session, 1);
-            let ServeMsg::Welcome { ack, .. } = reply else {
-                panic!("{reply:?}")
-            };
-            assert_eq!(ack, 1, "job 0's logged delivery is acknowledged");
+            // The old holder returns and redelivers its unanswered job 0
+            // (logged already: a duplicate) and job 1, which it finished
+            // during the outage.
+            let (mut old, reply) = Client::join(&addr, 0);
+            assert!(matches!(reply, ServeMsg::Welcome { .. }), "{reply:?}");
             let redeliver = |old: &mut Client| {
-                old.seq += 1;
-                let seq = old.seq;
-                old.send(&JoinMsg::Done {
-                    job: 1,
-                    outcome: outcome(1, 101),
-                    seq,
-                    redelivery: true,
-                });
-                settle(old);
+                old.redeliver(0, 100);
+                old.redeliver(1, 101);
+                old.settle();
             };
             if stranger_first {
                 stranger.done(1, 101);
-                settle(&mut stranger);
+                stranger.settle();
                 redeliver(&mut old);
             } else {
                 redeliver(&mut old);
                 stranger.done(1, 101);
-                settle(&mut stranger);
+                stranger.settle();
             }
             old.drain();
             stranger.drain();
@@ -1369,8 +1429,11 @@ mod tests {
                 (1, 1),
                 "the lost lease was granted again"
             );
-            assert_eq!((stats.sessions_resumed, stats.redelivered), (1, 1));
-            assert_eq!(stats.duplicate_results, 1, "the second verdict for job 1");
+            assert_eq!(stats.redelivered, 2);
+            assert_eq!(
+                stats.duplicate_results, 2,
+                "job 0's redelivery and the second verdict for job 1"
+            );
         }
     }
 }

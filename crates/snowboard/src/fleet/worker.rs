@@ -1,6 +1,5 @@
 //! The worker half of the fleet: `hunt join`. Connect and handshake, lease
-//! jobs, run them, and
-//! stream the verdicts back through the [`Outbox`].
+//! jobs, run them, and stream the verdicts back through the [`Outbox`].
 
 use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
@@ -12,7 +11,6 @@ use std::time::Duration;
 use sb_kernel::{BootedKernel, Program};
 use sb_vmm::Executor;
 
-use super::outbox::Outbox;
 use crate::campaign::{run_one_job, CampaignCfg, IncidentalIndex, JobEnv, JobVerdict};
 use crate::error::{Error, SbResult};
 use crate::fault::{FaultPlan, NetFaultPlan};
@@ -44,7 +42,7 @@ pub struct JoinCfg {
     /// Ceiling on the exponential reconnect delay (before jitter).
     pub backoff_max: Duration,
     /// Socket read timeout: a coordinator silent this long counts as a
-    /// lost session (and a mid-handshake death cannot hang the worker).
+    /// lost connection (and a mid-handshake death cannot hang the worker).
     pub io_timeout: Duration,
     /// Exit cleanly between jobs when this file exists.
     pub stop_file: Option<PathBuf>,
@@ -98,11 +96,65 @@ pub struct JoinSummary {
     pub undelivered: u64,
     /// True when the coordinator drained the fleet.
     pub drained: bool,
-    /// True when the worker's own stop file ended the session.
+    /// True when the worker's own stop file ended the run.
     pub stopped: bool,
 }
 
-/// The write half of a fleet connection, shared between the session loop
+/// The worker's completed-but-unacknowledged verdicts, in memory.
+///
+/// Every verdict is numbered and queued here *before* its first send, so a
+/// lost coordinator never loses a completed job: the frames ride out the
+/// outage in `pending` and are re-sent with the `redelivery` flag raised
+/// after the next handshake, before the first request. The coordinator
+/// handles one connection's frames in order and logs a result before it
+/// reads the next frame, so any reply to a `request` proves that every
+/// result sent before it was logged: the reply clears the outbox. A
+/// verdict still queued when the process ends is gone with it; the
+/// coordinator re-runs its job.
+#[derive(Default)]
+struct Outbox {
+    /// The number of the last verdict queued (results count from 1).
+    seq: u64,
+    /// Sent-but-unacknowledged result frames, oldest first.
+    pending: Vec<JoinMsg>,
+}
+
+impl Outbox {
+    /// Numbers `job`'s verdict and queues it as pending. Returns the frame
+    /// to send.
+    fn push(&mut self, job: usize, verdict: JobVerdict) -> JoinMsg {
+        self.seq += 1;
+        let (seq, redelivery) = (self.seq, false);
+        let msg = match verdict {
+            JobVerdict::Completed(outcome) => JoinMsg::Done {
+                job,
+                outcome,
+                seq,
+                redelivery,
+            },
+            JobVerdict::Quarantined(record) => JoinMsg::Quarantine {
+                record,
+                seq,
+                redelivery,
+            },
+        };
+        self.pending.push(msg.clone());
+        msg
+    }
+
+    /// Every pending frame, re-marked for redelivery, oldest first.
+    fn redeliveries(&self) -> Vec<JoinMsg> {
+        let mut frames = self.pending.clone();
+        for msg in &mut frames {
+            if let JoinMsg::Done { redelivery, .. } | JoinMsg::Quarantine { redelivery, .. } = msg {
+                *redelivery = true;
+            }
+        }
+        frames
+    }
+}
+
+/// The write half of a fleet connection, shared between the connection loop
 /// and the heartbeat thread, with fault injection applied per frame.
 ///
 /// Fault triggers count only *substantive* frames (join/request/results);
@@ -188,8 +240,8 @@ fn garble(payload: &str) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// How one connected session ended.
-enum SessionEnd {
+/// How one connection ended.
+enum ConnEnd {
     /// The coordinator drained the fleet; exit cleanly.
     Drained,
     /// The worker's stop file appeared; exit cleanly.
@@ -217,9 +269,9 @@ pub fn run_join(
     let mut prepare = Some(prepare);
     let mut work: Option<(FleetWork, Vec<PmcId>, IncidentalIndex)> = None;
     let mut summary = JoinSummary::default();
-    let mut outbox = Outbox::new();
-    let mut sessions: u64 = 0;
+    let mut outbox = Outbox::default();
     let mut failures: u64 = 0;
+    // Connections made so far: the next one's fault-plan ordinal.
     let mut ordinal: u64 = 0;
     // Jobs run with the in-process faults only and tracing off: the
     // coordinator emits every trace event from the merged result stream.
@@ -248,8 +300,8 @@ pub fn run_join(
                 failures,
             ));
         }
-        let connected = connect_and_join(jcfg, ordinal, outbox.session);
-        let ((mut write, mut reader), ack, heartbeat) = match connected {
+        let connected = connect_and_join(jcfg, ordinal);
+        let ((mut write, mut reader), heartbeat) = match connected {
             Ok(joined) => joined,
             Err(HandshakeFail::Fatal(e)) => return Err(e),
             Err(HandshakeFail::Retry(detail)) => {
@@ -265,7 +317,7 @@ pub fn run_join(
                          result(s), dropped (the coordinator re-runs their jobs); \
                          {failures} attempt(s) failed: {detail}"
                     )
-                } else if sessions == 0 {
+                } else if ordinal == 0 {
                     format!(
                         "cannot reach coordinator at {addr} after {failures} attempt(s): {detail}"
                     )
@@ -280,10 +332,8 @@ pub fn run_join(
             }
         };
         failures = 0;
-        outbox.ack(ack);
         ordinal += 1;
-        sessions += 1;
-        summary.reconnects = sessions - 1;
+        summary.reconnects = ordinal - 1;
 
         if work.is_none() {
             let built = prepare.take().expect("prepare used once")()?;
@@ -298,7 +348,7 @@ pub fn run_join(
             set: &built.set,
             index,
         };
-        let mut session = Session {
+        let mut conn = Connection {
             env,
             faults: &cfg.fault_plan,
             job_cfg: &job_cfg,
@@ -307,25 +357,25 @@ pub fn run_join(
             summary: &mut summary,
             outbox: &mut outbox,
         };
-        let end = session.run(&mut write, &mut reader, heartbeat);
+        let end = conn.run(&mut write, &mut reader, heartbeat);
         match end {
-            SessionEnd::Drained => {
+            ConnEnd::Drained => {
                 summary.drained = true;
                 settle(&mut summary, &outbox);
                 return Ok(summary);
             }
-            SessionEnd::Stopped => {
+            ConnEnd::Stopped => {
                 summary.stopped = true;
                 settle(&mut summary, &outbox);
                 return Ok(summary);
             }
-            SessionEnd::Lost => continue,
-            SessionEnd::Fatal(e) => return Err(e),
+            ConnEnd::Lost => continue,
+            ConnEnd::Fatal(e) => return Err(e),
         }
     }
 }
 
-/// Why a connect+handshake attempt did not produce a session.
+/// Why a connect+handshake attempt did not produce a connection.
 enum HandshakeFail {
     /// Transient (refused, timeout, died mid-handshake): retry with
     /// backoff.
@@ -337,15 +387,8 @@ enum HandshakeFail {
 type Halves = (Arc<Mutex<WriteHalf>>, BufReader<TcpStream>);
 
 /// One connect + handshake attempt against the coordinator. On success
-/// also returns what the `Welcome` says: its ack watermark — the highest
-/// seq of this session's results the coordinator has already journaled, so
-/// a reconnecting worker skips redelivering them — and the interval to
-/// heartbeat at.
-fn connect_and_join(
-    jcfg: &JoinCfg,
-    ordinal: u64,
-    session: u64,
-) -> Result<(Halves, u64, Duration), HandshakeFail> {
+/// also returns the interval to heartbeat at, which the `Welcome` carries.
+fn connect_and_join(jcfg: &JoinCfg, ordinal: u64) -> Result<(Halves, Duration), HandshakeFail> {
     let stream = TcpStream::connect(&jcfg.addr).map_err(|e| HandshakeFail::Retry(e.to_string()))?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(jcfg.io_timeout));
@@ -365,7 +408,6 @@ fn connect_and_join(
         .send(&JoinMsg::Join {
             proto: FLEET_PROTO_VERSION,
             config: jcfg.config_hash,
-            session,
         })
         .map_err(|e| HandshakeFail::Retry(format!("handshake send failed: {e}")))?;
     let mut reader = BufReader::new(read_half);
@@ -375,9 +417,8 @@ fn connect_and_join(
             HandshakeFail::Retry("coordinator closed the connection mid-handshake".into())
         })?;
     match ServeMsg::parse_line(&frame) {
-        Ok(ServeMsg::Welcome { ack, heartbeat_ms }) => Ok((
+        Ok(ServeMsg::Welcome { heartbeat_ms }) => Ok((
             (Arc::new(Mutex::new(write)), reader),
-            ack,
             Duration::from_millis(heartbeat_ms),
         )),
         Ok(ServeMsg::Reject { reason }) => Err(HandshakeFail::Fatal(Error::Fleet {
@@ -391,8 +432,8 @@ fn connect_and_join(
     }
 }
 
-/// One registered session of a joined worker.
-struct Session<'a> {
+/// One registered connection of a joined worker.
+struct Connection<'a> {
     env: JobEnv<'a>,
     /// The full plan: process faults belong to the process boundary.
     faults: &'a FaultPlan,
@@ -432,7 +473,7 @@ fn run_job(
     run_one_job(exec, env, job, id, job_cfg)
 }
 
-impl Session<'_> {
+impl Connection<'_> {
     /// Heartbeat in the background every `interval`, lease and run jobs
     /// until drain/stop/loss.
     fn run(
@@ -440,7 +481,7 @@ impl Session<'_> {
         write: &mut Arc<Mutex<WriteHalf>>,
         reader: &mut BufReader<TcpStream>,
         interval: Duration,
-    ) -> SessionEnd {
+    ) -> ConnEnd {
         let done = Arc::new(AtomicBool::new(false));
         {
             let write = write.clone();
@@ -460,10 +501,10 @@ impl Session<'_> {
         }
         let end = self.lease_loop(write, reader);
         done.store(true, Ordering::Relaxed);
-        if matches!(end, SessionEnd::Drained | SessionEnd::Stopped) {
+        if matches!(end, ConnEnd::Drained | ConnEnd::Stopped) {
             // Best effort: the coordinator may already be gone.
             if let Ok(mut w) = write.lock() {
-                let reason = if matches!(end, SessionEnd::Stopped) {
+                let reason = if matches!(end, ConnEnd::Stopped) {
                     "stop file"
                 } else {
                     "drained"
@@ -483,56 +524,49 @@ impl Session<'_> {
         &mut self,
         write: &Arc<Mutex<WriteHalf>>,
         reader: &mut BufReader<TcpStream>,
-    ) -> SessionEnd {
+    ) -> ConnEnd {
         let (jcfg, outbox) = (self.jcfg, &mut *self.outbox);
         let send = |write: &Arc<Mutex<WriteHalf>>, msg: &JoinMsg| -> bool {
             write.lock().is_ok_and(|mut w| w.send(msg).is_ok())
         };
-        // Redeliver everything still owed from earlier sessions before
+        // Redeliver everything still owed from earlier connections before
         // asking for new work, so the coordinator merges in delivery order.
         for msg in outbox.redeliveries() {
             if !send(write, &msg) {
-                return SessionEnd::Lost;
+                return ConnEnd::Lost;
             }
             self.summary.redelivered += 1;
         }
         let mut exec = Executor::new(2);
         loop {
             if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
-                return SessionEnd::Stopped;
+                return ConnEnd::Stopped;
             }
             if !send(write, &JoinMsg::Request) {
-                return SessionEnd::Lost;
+                return ConnEnd::Lost;
             }
             let reply = match read_frame(reader) {
                 Ok(Some(payload)) => match ServeMsg::parse_line(&payload) {
                     Ok(msg) => msg,
-                    Err(_) => return SessionEnd::Lost,
+                    Err(_) => return ConnEnd::Lost,
                 },
-                Ok(None) | Err(_) => return SessionEnd::Lost,
+                Ok(None) | Err(_) => return ConnEnd::Lost,
             };
+            if !matches!(reply, ServeMsg::Welcome { .. } | ServeMsg::Reject { .. }) {
+                // A reply to this request: every result sent before it on
+                // this ordered connection is logged.
+                outbox.pending.clear();
+            }
             match reply {
-                ServeMsg::Drain { .. } => {
-                    // The drain answered a request sent *after* our results
-                    // on this ordered connection, so the coordinator has
-                    // journaled every one of them: an implicit ack of all
-                    // pending.
-                    outbox.ack(outbox.next_seq.saturating_sub(1));
-                    return SessionEnd::Drained;
-                }
+                ServeMsg::Drain { .. } => return ConnEnd::Drained,
                 ServeMsg::Lease {
-                    jobs,
-                    ack,
-                    deadline_ms,
-                    ..
+                    jobs, deadline_ms, ..
                 } if jobs.is_empty() => {
                     // Nothing to lease: nap for the interval the coordinator
                     // advertised (its tick), at most `MAX_IDLE_NAP`.
-                    outbox.ack(ack);
                     std::thread::sleep(Duration::from_millis(deadline_ms).min(MAX_IDLE_NAP));
                 }
-                ServeMsg::Lease { jobs, ack, .. } => {
-                    outbox.ack(ack);
+                ServeMsg::Lease { jobs, .. } => {
                     self.summary.leases += 1;
                     // When the coordinator vanishes mid-lease the remaining
                     // leased jobs are still worth running: their verdicts
@@ -540,10 +574,10 @@ impl Session<'_> {
                     let mut lost = false;
                     for job in jobs {
                         if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
-                            return SessionEnd::Stopped;
+                            return ConnEnd::Stopped;
                         }
                         let Some(id) = self.universe.get(job).copied() else {
-                            return SessionEnd::Fatal(Error::Fleet {
+                            return ConnEnd::Fatal(Error::Fleet {
                                 detail: format!(
                                     "coordinator leased job {job} outside the {}-job universe",
                                     self.universe.len()
@@ -561,10 +595,10 @@ impl Session<'_> {
                         self.summary.jobs_completed += 1;
                     }
                     if lost {
-                        return SessionEnd::Lost;
+                        return ConnEnd::Lost;
                     }
                 }
-                ServeMsg::Welcome { .. } | ServeMsg::Reject { .. } => return SessionEnd::Lost,
+                ServeMsg::Welcome { .. } | ServeMsg::Reject { .. } => return ConnEnd::Lost,
             }
         }
     }

@@ -30,7 +30,7 @@ use sb_obs::frame;
 
 use crate::campaign::{PmcTestOutcome, QuarantineRecord};
 use crate::checkpoint::{
-    outcome_from_json, outcome_to_json, quarantine_from_json, quarantine_to_json, req_u64,
+    outcome_from_json, outcome_to_json, quarantine_from_json, quarantine_to_json,
 };
 use crate::json::{self, Json};
 
@@ -191,86 +191,47 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<Vec<(&str, usize)>> {
 /// One typed checkpoint-log record after the header: a verdict.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalRecord {
-    /// A completed result was delivered (logged *before* it is merged and
-    /// before any ack can reach the worker).
+    /// A completed result was merged (logged *before* the merge, and before
+    /// any reply can reach the worker).
     Done {
-        /// Sender's session token (0: no session).
-        session: u64,
-        /// Sender's per-session sequence number (0: none).
-        seq: u64,
         /// Campaign job index.
         job: usize,
         /// The verdict.
         outcome: PmcTestOutcome,
     },
-    /// A quarantine verdict was delivered.
+    /// A quarantine verdict was merged.
     Quarantine {
-        /// Sender's session token (0: no session).
-        session: u64,
-        /// Sender's per-session sequence number (0: none).
-        seq: u64,
         /// The quarantine record (carries its own job index).
         record: QuarantineRecord,
     },
 }
 
-/// One record as a JSON line: `rec` names the kind, `fields` follow.
-fn line(kind: &str, fields: Vec<(&str, Json)>) -> String {
-    let mut all = vec![("rec".to_string(), Json::Str(kind.to_owned()))];
-    all.extend(fields.into_iter().map(|(k, v)| (k.to_owned(), v)));
-    Json::Obj(all).render()
-}
-
-/// A verdict's line: `kind` with the sender's `session` and `seq`, and the
-/// verdict object under `key`.
-fn verdict(kind: &str, session: u64, seq: u64, key: &str, body: Json) -> String {
-    line(
-        kind,
-        vec![
-            ("session", Json::U64(session)),
-            ("seq", Json::U64(seq)),
-            (key, body),
-        ],
-    )
+/// One record as a JSON line: `rec` names the kind, the verdict object
+/// follows under `key`.
+fn line(kind: &str, key: &str, body: Json) -> String {
+    Json::Obj(vec![
+        ("rec".into(), Json::Str(kind.to_owned())),
+        (key.to_owned(), body),
+    ])
+    .render()
 }
 
 /// The `done` line of `job`'s outcome.
-pub(crate) fn done_line(session: u64, seq: u64, job: usize, outcome: &PmcTestOutcome) -> String {
-    verdict(
-        "done",
-        session,
-        seq,
-        "outcome",
-        outcome_to_json(job, outcome),
-    )
+pub(crate) fn done_line(job: usize, outcome: &PmcTestOutcome) -> String {
+    line("done", "outcome", outcome_to_json(job, outcome))
 }
 
 /// The `quarantine` line of `record`.
-pub(crate) fn quarantine_line(session: u64, seq: u64, record: &QuarantineRecord) -> String {
-    verdict(
-        "quarantine",
-        session,
-        seq,
-        "record",
-        quarantine_to_json(record),
-    )
+pub(crate) fn quarantine_line(record: &QuarantineRecord) -> String {
+    line("quarantine", "record", quarantine_to_json(record))
 }
 
 impl JournalRecord {
     /// Renders the record as one JSON line.
     pub fn render(&self) -> String {
         match self {
-            JournalRecord::Done {
-                session,
-                seq,
-                job,
-                outcome,
-            } => done_line(*session, *seq, *job, outcome),
-            JournalRecord::Quarantine {
-                session,
-                seq,
-                record,
-            } => quarantine_line(*session, *seq, record),
+            JournalRecord::Done { job, outcome } => done_line(*job, outcome),
+            JournalRecord::Quarantine { record } => quarantine_line(record),
         }
     }
 
@@ -285,16 +246,9 @@ impl JournalRecord {
             "done" => {
                 let (job, outcome) =
                     outcome_from_json(doc.get("outcome").ok_or("done record without outcome")?)?;
-                Ok(JournalRecord::Done {
-                    session: req_u64(&doc, "session")?,
-                    seq: req_u64(&doc, "seq")?,
-                    job,
-                    outcome,
-                })
+                Ok(JournalRecord::Done { job, outcome })
             }
             "quarantine" => Ok(JournalRecord::Quarantine {
-                session: req_u64(&doc, "session")?,
-                seq: req_u64(&doc, "seq")?,
                 record: quarantine_from_json(
                     doc.get("record")
                         .ok_or("quarantine record without record")?,
@@ -308,9 +262,7 @@ impl JournalRecord {
 /// What a resume recovers from a checkpoint log besides its verdicts.
 #[derive(Debug, Default, PartialEq)]
 pub struct Replay {
-    /// Per-session highest logged result sequence number.
-    pub acked: std::collections::BTreeMap<u64, u64>,
-    /// Verdict records replayed (duplicates included).
+    /// Verdict records replayed.
     pub verdicts: u64,
     /// 1 if a damaged suffix was cut off, else 0.
     pub damaged: u64,
@@ -458,14 +410,10 @@ mod tests {
     fn journal_records_round_trip() {
         for rec in [
             JournalRecord::Done {
-                session: 9,
-                seq: 1,
                 job: 5,
                 outcome: outcome(5),
             },
             JournalRecord::Quarantine {
-                session: 9,
-                seq: 2,
                 record: quarantine(17),
             },
         ] {

@@ -38,9 +38,10 @@
 //! * **Persistence** — the checkpoint is one append-only log
 //!   ([`crate::checkpoint`]) that the ledger owns for every runner. Opening
 //!   writes it atomically: the header alone when fresh, the resumed log's
-//!   intact prefix on resume. Every real verdict handed over (a `Crash`
-//!   quarantine included, duplicates too) is appended and synced *before*
-//!   it is merged, so no acknowledgement can leave ahead of it. Verdicts
+//!   intact prefix on resume. Every real verdict that merges (a `Crash`
+//!   quarantine included) is appended and synced *before* it is merged, so
+//!   no acknowledgement can leave ahead of it; a duplicate is not logged,
+//!   because the verdict it lost to already is. Verdicts
 //!   are the log's only records: who held a job is transport state, and a
 //!   job held when the run died is simply pending on resume.
 //!   [`JobLedger::stop`] syncs, and [`JobLedger::finish`] swaps in the
@@ -239,8 +240,8 @@ impl JobLedger {
         &self.universe
     }
 
-    /// Hands the transport what the resume recovered besides verdicts:
-    /// session acks and the replay counts (empty when fresh).
+    /// Hands the transport what the resume recovered besides verdicts: the
+    /// replay counts (empty when fresh).
     pub fn take_replay(&mut self) -> Replay {
         std::mem::take(&mut self.replay)
     }
@@ -301,29 +302,18 @@ impl JobLedger {
             .map_or_else(Vec::new, |o| o.jobs.iter().copied().collect())
     }
 
-    /// Accepts one verdict for `job` from a transport without sessions.
+    /// Accepts one verdict for `job`. A verdict that merges is logged and
+    /// synced first (a reported-only one is not logged); a duplicate
+    /// changes nothing and is only counted, because the verdict it lost to
+    /// is logged already.
     pub fn deliver(&mut self, job: usize, verdict: JobVerdict) -> Result<Delivered, OutOfScope> {
-        self.deliver_from(0, 0, job, verdict)
-    }
-
-    /// Accepts one verdict for `job`, sent as sequence number `seq` of
-    /// `session` (0 and 0 for a transport that has neither). A real
-    /// verdict is logged and synced before it is merged, duplicate or not,
-    /// so a resume rebuilds the session's ack from the log.
-    pub fn deliver_from(
-        &mut self,
-        session: u64,
-        seq: u64,
-        job: usize,
-        verdict: JobVerdict,
-    ) -> Result<Delivered, OutOfScope> {
         self.check(job)?;
-        if !reported_only(&verdict) {
-            self.log_verdict(session, seq, job, &verdict);
-        }
         if self.resolved_against(job, &verdict) {
             self.duplicates += 1;
             return Ok(Delivered::Duplicate);
+        }
+        if !reported_only(&verdict) {
+            self.log_verdict(job, &verdict);
         }
         self.trace(job, &verdict);
         self.merge(job, verdict);
@@ -338,11 +328,11 @@ impl JobLedger {
 
     /// Appends and syncs the verdict's record (rendered only when there
     /// is a log). The first failure ends the log.
-    fn log_verdict(&mut self, session: u64, seq: u64, job: usize, verdict: &JobVerdict) {
+    fn log_verdict(&mut self, job: usize, verdict: &JobVerdict) {
         let Some(log) = self.log.as_mut() else { return };
         let line = match verdict {
-            JobVerdict::Completed(outcome) => done_line(session, seq, job, outcome),
-            JobVerdict::Quarantined(record) => quarantine_line(session, seq, record),
+            JobVerdict::Completed(outcome) => done_line(job, outcome),
+            JobVerdict::Quarantined(record) => quarantine_line(record),
         };
         match log.append(&line).and_then(|()| log.sync()) {
             Ok(()) => self.written += 1,
@@ -421,7 +411,7 @@ impl JobLedger {
                 ],
             };
             let verdict = JobVerdict::Quarantined(record.clone());
-            self.log_verdict(0, 0, job, &verdict);
+            self.log_verdict(job, &verdict);
             self.trace(job, &verdict);
             self.merge(job, verdict);
             charges.push(Charge::Quarantined(record));
@@ -722,14 +712,18 @@ mod tests {
 
     #[test]
     fn first_verdict_wins_and_duplicates_are_counted() {
-        let mut ledger = JobLedger::open(&exemplars(2), &CampaignCfg::default(), None).unwrap();
+        let (_dir, path) = scratch("first-wins");
+        let mut ledger = JobLedger::open(&exemplars(2), &saving_to(&path), None).unwrap();
         assert_eq!(ledger.deliver(0, done(0, 100)), Ok(Delivered::Merged));
+        let logged = std::fs::read(&path).unwrap();
         assert_eq!(ledger.deliver(0, done(0, 999)), Ok(Delivered::Duplicate));
         assert_eq!(
             ledger.deliver(0, quarantine(0, FailureKind::Panic)),
             Ok(Delivered::Duplicate)
         );
         assert_eq!(ledger.duplicates(), 2);
+        assert_eq!(ledger.logged(), (1, false), "only the merged verdict");
+        assert_eq!(std::fs::read(&path).unwrap(), logged);
         let report = ledger.finish().unwrap();
         assert_eq!(steps(&report), vec![100]);
         assert!(report.quarantined.is_empty());
@@ -945,8 +939,8 @@ mod tests {
 
     #[test]
     fn restored_verdicts_merge_silently_and_are_traced_once() {
-        // A run killed before `finish`: its log holds job 0 twice (the
-        // duplicate is logged too) and not the reported-only job 1.
+        // A run killed before `finish`: its log holds job 0 once (the
+        // duplicate is not logged) and not the reported-only job 1.
         let (_dir, path) = scratch("restore");
         let mut killed = JobLedger::open(&exemplars(3), &saving_to(&path), None).unwrap();
         killed.deliver(0, done(0, 100)).unwrap();
@@ -954,7 +948,7 @@ mod tests {
         killed
             .deliver(1, quarantine(1, FailureKind::GaveUp))
             .unwrap();
-        assert_eq!(killed.logged(), (2, false));
+        assert_eq!(killed.logged(), (1, false));
         drop(killed);
 
         let (tracer, sink) = sb_obs::Tracer::memory();
@@ -965,7 +959,7 @@ mod tests {
         };
         let mut ledger = JobLedger::open(&exemplars(3), &cfg, None).unwrap();
         assert_eq!(ledger.duplicates(), 0, "replay counts nothing");
-        assert_eq!(ledger.take_replay().verdicts, 2);
+        assert_eq!(ledger.take_replay().verdicts, 1);
         assert_eq!(ledger.lease(0, usize::MAX, None), vec![1, 2]);
         let job_events = |sink: &sb_obs::MemorySink| {
             sink.lines()

@@ -60,8 +60,7 @@ pub fn peak_rss_kb() -> u64 {
 pub struct FleetStats {
     /// Workers admitted after a successful handshake (re-joins count).
     pub workers_joined: u64,
-    /// Handshakes refused (protocol/config mismatch, or joining a
-    /// draining coordinator).
+    /// Handshakes refused (protocol/config mismatch).
     pub workers_rejected: u64,
     /// Non-empty job leases granted.
     pub leases_granted: u64,
@@ -79,11 +78,8 @@ pub struct FleetStats {
     /// Jobs abandoned by the fleet-wide crash-loop circuit breaker.
     pub gave_up_jobs: u64,
     /// Result frames flagged as re-sends by reconnecting workers
-    /// (counted whether or not the verdict was already journaled).
+    /// (counted whether the verdict merged or was a duplicate).
     pub redelivered: u64,
-    /// Workers that re-registered with a session token the coordinator
-    /// already knew (from a live run or a journal replay).
-    pub sessions_resumed: u64,
     /// Verdict records the checkpoint log took this run (the header is not
     /// counted).
     pub journal_records: u64,

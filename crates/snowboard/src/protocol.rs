@@ -38,19 +38,21 @@ use crate::json::{self, Json};
 /// Version of the fleet wire protocol; a coordinator rejects joiners that
 /// speak any other version instead of guessing at compatibility.
 ///
-/// v2 added session resumption: `join` carries a worker-chosen session
-/// token, `done`/`quarantine` carry a per-session sequence number plus a
-/// redelivery flag, and `welcome`/`lease` carry the coordinator's highest
-/// journaled sequence number (`ack`) so a reconnecting worker can trim its
-/// outbox. v3 added the worker's process id to `join`, for a
-/// coordinator that supervised its workers as child processes. v4 replaced the ASCII `<len>\n<payload>\n` framing with the
+/// v2 added session resumption: `join` carried a worker-chosen session
+/// token, `done`/`quarantine` a per-session sequence number plus a
+/// redelivery flag, and `welcome`/`lease` the coordinator's highest
+/// journaled sequence number (`ack`). v3 added the worker's process id to
+/// `join`, for a coordinator that supervised its workers as child
+/// processes. v4 replaced the ASCII `<len>\n<payload>\n` framing with the
 /// CRC32C frame; a v3 peer's first frame is a framing error, so it is
 /// dropped before any handshake or lease. v5 made the coordinator the only
 /// owner of the heartbeat interval and the lease size: `welcome` carries
 /// the interval (and no longer the worker id or universe size), and
 /// `request` carries no size. v6 dropped the process id from `join`: no
-/// coordinator owns its workers' processes any more.
-pub const FLEET_PROTO_VERSION: u64 = 6;
+/// coordinator owns its workers' processes any more. v7 dropped sessions:
+/// `join` carries no token and `welcome`/`lease` no `ack`, because any
+/// reply to a `request` acknowledges every result sent before it.
+pub const FLEET_PROTO_VERSION: u64 = 7;
 
 /// Hard ceiling on one frame's payload (1 MiB). Real messages are a few
 /// KiB; anything larger is a corrupt length prefix or an attack, and
@@ -164,11 +166,6 @@ pub enum JoinMsg {
         /// Fingerprint of every campaign-shaping parameter
         /// (see [`crate::fleet::config_fingerprint`]).
         config: u64,
-        /// Worker-chosen session token, stable across reconnects of the
-        /// same worker process. A coordinator that has journaled results
-        /// under this session acks them in the `welcome`, letting the
-        /// worker trim its outbox instead of redelivering everything.
-        session: u64,
     },
     /// Liveness signal, emitted on a fixed interval.
     Heartbeat,
@@ -180,9 +177,9 @@ pub enum JoinMsg {
         job: usize,
         /// The completed outcome.
         outcome: PmcTestOutcome,
-        /// Per-session result sequence number (1-based, monotone over
-        /// `done`/`quarantine` frames only). The coordinator journals a
-        /// result before advancing its ack past this number.
+        /// The worker's result number (1-based, monotone over
+        /// `done`/`quarantine` frames only), shown in the coordinator's
+        /// `redeliver` event.
         seq: u64,
         /// True when this frame is an unacknowledged re-send after a
         /// reconnect; the coordinator counts these as `fleet.redelivered`.
@@ -193,7 +190,7 @@ pub enum JoinMsg {
     Quarantine {
         /// The quarantine record (carries its own job index).
         record: QuarantineRecord,
-        /// Per-session result sequence number (shared counter with
+        /// The worker's result number (shared counter with
         /// [`JoinMsg::Done`]).
         seq: u64,
         /// True when this frame is an unacknowledged re-send after a
@@ -225,15 +222,10 @@ impl JoinMsg {
     pub fn to_json(&self) -> Json {
         let msg = ("msg".to_string(), Json::Str(self.kind().to_owned()));
         match self {
-            JoinMsg::Join {
-                proto,
-                config,
-                session,
-            } => Json::Obj(vec![
+            JoinMsg::Join { proto, config } => Json::Obj(vec![
                 msg,
                 ("proto".into(), Json::U64(*proto)),
                 ("config".into(), Json::U64(*config)),
-                ("session".into(), Json::U64(*session)),
             ]),
             JoinMsg::Heartbeat | JoinMsg::Request => Json::Obj(vec![msg]),
             JoinMsg::Done {
@@ -287,7 +279,6 @@ impl JoinMsg {
             "join" => Ok(JoinMsg::Join {
                 proto: req_u64(&doc, "proto").map_err(detail)?,
                 config: req_u64(&doc, "config").map_err(detail)?,
-                session: req_u64(&doc, "session").map_err(detail)?,
             }),
             "heartbeat" => Ok(JoinMsg::Heartbeat),
             "request" => Ok(JoinMsg::Request),
@@ -330,17 +321,13 @@ impl JoinMsg {
 pub enum ServeMsg {
     /// Handshake accepted; the worker is registered.
     Welcome {
-        /// Highest result sequence number the coordinator has journaled
-        /// for this worker's session (0 for a fresh session). The worker
-        /// drops queued results at or below this before redelivering the
-        /// rest.
-        ack: u64,
         /// The interval, in milliseconds, at which the worker must
         /// heartbeat (see [`crate::fleet::heartbeat_interval`]).
         heartbeat_ms: u64,
     },
-    /// Handshake refused (version or config mismatch, or the coordinator
-    /// is draining). The worker must not retry this coordinator.
+    /// Handshake refused (version or config mismatch). The worker must not
+    /// retry this coordinator. A draining coordinator welcomes a joiner and
+    /// answers its first request with [`ServeMsg::Drain`] instead.
     Reject {
         /// Why the worker was turned away.
         reason: String,
@@ -354,10 +341,6 @@ pub enum ServeMsg {
         jobs: Vec<usize>,
         /// Milliseconds until the coordinator reclaims unfinished jobs.
         deadline_ms: u64,
-        /// Highest journaled result sequence number for this session —
-        /// a mid-session ack so the worker can trim its outbox without
-        /// waiting for a reconnect.
-        ack: u64,
     },
     /// The coordinator is shutting down (campaign complete or stop file);
     /// the worker should say [`JoinMsg::Leaving`] and exit cleanly.
@@ -382,11 +365,9 @@ impl ServeMsg {
     pub fn to_json(&self) -> Json {
         let msg = ("msg".to_string(), Json::Str(self.kind().to_owned()));
         match self {
-            ServeMsg::Welcome { ack, heartbeat_ms } => Json::Obj(vec![
-                msg,
-                ("ack".into(), Json::U64(*ack)),
-                ("heartbeat_ms".into(), Json::U64(*heartbeat_ms)),
-            ]),
+            ServeMsg::Welcome { heartbeat_ms } => {
+                Json::Obj(vec![msg, ("heartbeat_ms".into(), Json::U64(*heartbeat_ms))])
+            }
             ServeMsg::Reject { reason } => {
                 Json::Obj(vec![msg, ("reason".into(), Json::Str(reason.clone()))])
             }
@@ -394,7 +375,6 @@ impl ServeMsg {
                 lease,
                 jobs,
                 deadline_ms,
-                ack,
             } => Json::Obj(vec![
                 msg,
                 ("lease".into(), Json::U64(*lease)),
@@ -403,7 +383,6 @@ impl ServeMsg {
                     Json::Arr(jobs.iter().map(|j| Json::U64(*j as u64)).collect()),
                 ),
                 ("deadline_ms".into(), Json::U64(*deadline_ms)),
-                ("ack".into(), Json::U64(*ack)),
             ]),
             ServeMsg::Drain { reason } => {
                 Json::Obj(vec![msg, ("reason".into(), Json::Str(reason.clone()))])
@@ -432,7 +411,6 @@ impl ServeMsg {
         };
         match kind {
             "welcome" => Ok(ServeMsg::Welcome {
-                ack: req_u64(&doc, "ack").map_err(detail)?,
                 heartbeat_ms: req_u64(&doc, "heartbeat_ms").map_err(detail)?,
             }),
             "reject" => Ok(ServeMsg::Reject {
@@ -442,7 +420,6 @@ impl ServeMsg {
                 lease: req_u64(&doc, "lease").map_err(detail)?,
                 jobs: req_uints(&doc, "jobs").map_err(detail)?,
                 deadline_ms: req_u64(&doc, "deadline_ms").map_err(detail)?,
-                ack: req_u64(&doc, "ack").map_err(detail)?,
             }),
             "drain" => Ok(ServeMsg::Drain {
                 reason: reason_field(&doc)?,
@@ -543,7 +520,6 @@ mod tests {
         join_roundtrip(JoinMsg::Join {
             proto: FLEET_PROTO_VERSION,
             config: u64::MAX,
-            session: 0xDEAD_BEEF,
         });
         join_roundtrip(JoinMsg::Heartbeat);
         join_roundtrip(JoinMsg::Request);
@@ -573,12 +549,8 @@ mod tests {
         join_roundtrip(JoinMsg::Leaving {
             reason: "drained".into(),
         });
+        serve_roundtrip(ServeMsg::Welcome { heartbeat_ms: 25 });
         serve_roundtrip(ServeMsg::Welcome {
-            ack: 0,
-            heartbeat_ms: 25,
-        });
-        serve_roundtrip(ServeMsg::Welcome {
-            ack: 42,
             heartbeat_ms: 2_500,
         });
         serve_roundtrip(ServeMsg::Reject {
@@ -588,13 +560,11 @@ mod tests {
             lease: 3,
             jobs: vec![],
             deadline_ms: 1,
-            ack: 0,
         });
         serve_roundtrip(ServeMsg::Lease {
             lease: 4,
             jobs: vec![0, 5, 17],
             deadline_ms: 30_000,
-            ack: 11,
         });
         serve_roundtrip(ServeMsg::Drain {
             reason: "campaign complete".into(),
@@ -616,8 +586,8 @@ mod tests {
             "{\"msg\":\"nope\"}",
             "{\"job\":1}",
             "{\"msg\":\"join\",\"proto\":1}",
-            "{\"msg\":\"join\",\"proto\":1,\"config\":99}",
-            "{\"msg\":\"join\",\"proto\":6,\"config\":99,\"pid\":1}",
+            "{\"msg\":\"join\",\"config\":99}",
+            "{\"msg\":\"join\",\"proto\":7,\"session\":1}",
             "{\"msg\":\"join\",\"proto\":\"x\",\"config\":1}",
             "{\"msg\":\"done\"}",
             done_no_seq.as_str(),
@@ -637,12 +607,12 @@ mod tests {
             "not json",
             "{\"msg\":\"hello\"}",
             "{\"msg\":\"welcome\",\"ack\":1}",
-            "{\"msg\":\"welcome\",\"heartbeat_ms\":25}",
+            "{\"msg\":\"welcome\"}",
             "{\"msg\":\"welcome\",\"ack\":1,\"heartbeat_ms\":\"x\"}",
             "{\"msg\":\"reject\"}",
             "{\"msg\":\"lease\",\"lease\":1,\"deadline_ms\":5}",
             "{\"msg\":\"lease\",\"lease\":1,\"jobs\":[\"x\"],\"deadline_ms\":5}",
-            "{\"msg\":\"lease\",\"lease\":1,\"jobs\":[2],\"deadline_ms\":5}",
+            "{\"msg\":\"lease\",\"lease\":1,\"jobs\":[2]}",
             "{\"msg\":\"drain\"}",
         ] {
             assert!(

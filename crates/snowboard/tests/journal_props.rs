@@ -1,13 +1,12 @@
 //! The checkpoint loader under damage, mirroring
 //! `crates/store/tests/segment_props.rs`: every single-byte flip and every
 //! truncation of two checkpoint logs — one written by the in-process
-//! transport, one by a coordinator killed with leases out for two sessions
+//! transport, one by a coordinator killed with leases out for two workers
 //! — and 10 000 random byte strings. Header damage is a typed error; tail
-//! damage replays exactly an intact prefix (verdicts, ack watermarks)
-//! with the cut counted once; nothing panics, and no load changes a byte
-//! of the file. A log of an older format version is refused whole.
+//! damage replays exactly an intact prefix of verdicts with the cut
+//! counted once; nothing panics, and no load changes a byte of the file.
+//! A log of an older format version is refused whole.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use proptest::ScratchDir;
@@ -72,8 +71,8 @@ fn killed_log(script: impl FnOnce(&mut JobLedger)) -> Vec<u8> {
     std::fs::read(&path).expect("read log")
 }
 
-/// The in-process transport: verdicts without sessions, a duplicate, a
-/// crash quarantine, and a reported-only verdict that is never logged.
+/// The in-process transport: verdicts, a duplicate and a reported-only
+/// verdict (neither is logged), and a quarantine.
 fn in_process() -> &'static [u8] {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     BYTES.get_or_init(|| {
@@ -99,29 +98,24 @@ fn in_process() -> &'static [u8] {
     })
 }
 
-/// A coordinator killed mid-campaign: interleaved leases for two sessions,
-/// results out of lease order, an expiry, a crash quarantine, and leases
-/// still out. Only the verdicts reach the log.
+/// A coordinator killed mid-campaign: interleaved leases for two workers,
+/// results out of lease order, a crash quarantine, a late duplicate, and
+/// leases still out. Only the verdicts that merged reach the log.
 fn coordinator() -> &'static [u8] {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     BYTES.get_or_init(|| {
         killed_log(|l| {
             l.lease(1, 2, None);
-            l.deliver_from(7, 1, 0, JobVerdict::Completed(outcome(0, 100)))
+            l.deliver(0, JobVerdict::Completed(outcome(0, 100)))
                 .unwrap();
             l.lease(2, 2, None);
-            l.deliver_from(
-                9,
-                1,
-                2,
-                JobVerdict::Quarantined(quarantine(2, FailureKind::Hang)),
-            )
-            .unwrap();
-            l.deliver_from(7, 2, 1, JobVerdict::Completed(outcome(1, 101)))
+            l.deliver(2, JobVerdict::Quarantined(quarantine(2, FailureKind::Hang)))
+                .unwrap();
+            l.deliver(1, JobVerdict::Completed(outcome(1, 101)))
                 .unwrap();
             l.owner_died(2, 1, |job| format!("lease 2 died on {job}"));
             l.lease(3, 2, None);
-            l.deliver_from(9, 2, 0, JobVerdict::Completed(outcome(0, 999)))
+            l.deliver(0, JobVerdict::Completed(outcome(0, 999)))
                 .unwrap();
             l.lease(4, 2, None);
         })
@@ -150,30 +144,11 @@ fn expected(bytes: &[u8], k: usize) -> (Checkpoint, Replay) {
     let mut replay = Replay::default();
     for i in 1..=k {
         let line = std::str::from_utf8(&bytes[ends[i - 1] + 8..ends[i]]).unwrap();
-        let (session, seq) = match JournalRecord::parse(line).unwrap() {
-            JournalRecord::Done {
-                session,
-                seq,
-                job,
-                outcome,
-            } => {
-                cp.merge_outcome(job, outcome);
-                (session, seq)
-            }
-            JournalRecord::Quarantine {
-                session,
-                seq,
-                record,
-            } => {
-                cp.merge_quarantine(record);
-                (session, seq)
-            }
+        match JournalRecord::parse(line).unwrap() {
+            JournalRecord::Done { job, outcome } => cp.merge_outcome(job, outcome),
+            JournalRecord::Quarantine { record } => cp.merge_quarantine(record),
         };
         replay.verdicts += 1;
-        if session != 0 {
-            let acked = replay.acked.entry(session).or_insert(0);
-            *acked = (*acked).max(seq);
-        }
     }
     (cp, replay)
 }
@@ -231,11 +206,10 @@ fn the_pristine_logs_replay_whole() {
         assert_eq!((loaded.checkpoint, loaded.replay), (cp, replay));
     }
     let coord = load(coordinator()).unwrap();
-    assert_eq!(coord.replay.acked, BTreeMap::from([(7, 2), (9, 2)]));
     assert_eq!(
         (coord.replay.verdicts, coord.checkpoint.quarantined.len()),
-        (5, 2),
-        "four deliveries and the crash quarantine of job 3"
+        (4, 2),
+        "three merged deliveries and the crash quarantine of job 3"
     );
     assert_eq!(
         coord.checkpoint.outcomes[&0].steps, 100,
@@ -243,61 +217,74 @@ fn the_pristine_logs_replay_whole() {
     );
     assert_eq!(
         load(in_process()).unwrap().replay.verdicts,
-        4,
-        "the gave-up job is not logged"
+        3,
+        "neither the duplicate nor the gave-up job is logged"
     );
 }
 
-/// A killed coordinator's log of format 2 — its header says version 2, and
-/// lease grants sit between its verdicts — is refused with the typed
-/// version error, never read as damage; a strict resume fails with it and
-/// a lenient one starts fresh. Neither writes a byte of it.
+/// Logs of older formats are refused with the typed version error, never
+/// read as damage; a strict resume fails with it and a lenient one starts
+/// fresh. Neither writes a byte of them. Format 2 held lease grants between
+/// its verdicts; format 3 stamped each verdict with a session and a
+/// sequence number.
 #[test]
 fn a_version_2_log_is_refused_cleanly() {
     let pristine = coordinator();
     let ends = boundaries(pristine);
     let frame = |i: usize| std::str::from_utf8(&pristine[ends[i - 1] + 8..ends[i]]).unwrap();
     let header = std::str::from_utf8(&pristine[16..ends[0]]).unwrap();
-    assert!(header.contains("\"version\":3"), "{header}");
-    let (_dir, path) = scratch();
-    let mut log = FrameLog::create(&path).expect("create log");
-    for line in [
-        header.replace("\"version\":3", "\"version\":2").as_str(),
-        "{\"rec\":\"lease\",\"lease\":1,\"session\":7,\"jobs\":[0,1]}",
-        frame(1),
-        "{\"rec\":\"release\",\"lease\":1}",
-        frame(2),
-    ] {
-        log.append(line).expect("append");
-    }
-    drop(log);
-    let bytes = std::fs::read(&path).unwrap();
-    match load(&bytes) {
-        Err(Error::CheckpointFormat { detail, .. }) => {
-            assert_eq!(detail, "unsupported checkpoint version 2");
+    assert!(header.contains("\"version\":4"), "{header}");
+    let version = |v: u64| header.replace("\"version\":4", &format!("\"version\":{v}"));
+    let stamped =
+        |i: usize, seq: u64| frame(i).replacen(',', &format!(",\"session\":7,\"seq\":{seq},"), 1);
+    let logs: [(u64, Vec<String>); 2] = [
+        (
+            2,
+            vec![
+                version(2),
+                "{\"rec\":\"lease\",\"lease\":1,\"session\":7,\"jobs\":[0,1]}".into(),
+                stamped(1, 1),
+                "{\"rec\":\"release\",\"lease\":1}".into(),
+                stamped(2, 2),
+            ],
+        ),
+        (3, vec![version(3), stamped(1, 1), stamped(2, 2)]),
+    ];
+    for (v, lines) in logs {
+        let (_dir, path) = scratch();
+        let mut log = FrameLog::create(&path).expect("create log");
+        for line in &lines {
+            log.append(line).expect("append");
         }
-        other => panic!("a version-2 log must be refused: {other:?}"),
+        drop(log);
+        let bytes = std::fs::read(&path).unwrap();
+        match load(&bytes) {
+            Err(Error::CheckpointFormat { detail, .. }) => {
+                assert_eq!(detail, format!("unsupported checkpoint version {v}"));
+            }
+            other => panic!("a version-{v} log must be refused: {other:?}"),
+        }
+        let strict = CampaignCfg {
+            seed: SEED,
+            resume_from: Some(path.clone()),
+            ..CampaignCfg::default()
+        };
+        assert!(matches!(
+            JobLedger::open(&exemplars(), &strict, None),
+            Err(Error::CheckpointFormat { .. })
+        ));
+        let lenient = CampaignCfg {
+            resume_lenient: true,
+            ..strict
+        };
+        let fresh = JobLedger::open(&exemplars(), &lenient, None).expect("lenient resume");
+        assert_eq!(fresh.pending(), JOBS as usize, "started over");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "the old log is untouched"
+        );
     }
-    let strict = CampaignCfg {
-        seed: SEED,
-        resume_from: Some(path.clone()),
-        ..CampaignCfg::default()
-    };
-    assert!(matches!(
-        JobLedger::open(&exemplars(), &strict, None),
-        Err(Error::CheckpointFormat { .. })
-    ));
-    let lenient = CampaignCfg {
-        resume_lenient: true,
-        ..strict
-    };
-    let fresh = JobLedger::open(&exemplars(), &lenient, None).expect("lenient resume");
-    assert_eq!(fresh.pending(), JOBS as usize, "started over");
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        bytes,
-        "the old log is untouched"
-    );
 }
 
 #[test]

@@ -176,34 +176,43 @@ proptest! {
     }
 
     /// Fleet messages that *do* render survive a full frame round trip:
-    /// render → frame → unframe → parse is the identity.
+    /// render → frame → unframe → parse is the identity. The v7 handshake
+    /// and lease carry no session token and no ack.
     #[test]
     fn framed_messages_round_trip(
         proto in any::<u64>(),
         config in any::<u64>(),
-        session in any::<u64>(),
-        ack in any::<u64>(),
         heartbeat_ms in any::<u64>(),
+        lease in any::<u64>(),
+        jobs in prop::collection::vec(any::<usize>(), 0..8),
+        deadline_ms in any::<u64>(),
     ) {
         let msgs = [
-            JoinMsg::Join { proto, config, session },
+            JoinMsg::Join { proto, config },
             JoinMsg::Heartbeat,
             JoinMsg::Request,
             JoinMsg::Leaving { reason: format!("reason-{proto}") },
         ];
-        let welcome = ServeMsg::Welcome { ack, heartbeat_ms };
+        let replies = [
+            ServeMsg::Welcome { heartbeat_ms },
+            ServeMsg::Lease { lease, jobs, deadline_ms },
+        ];
         let mut buf = Vec::new();
         for m in &msgs {
             write_frame(&mut buf, &m.render()).unwrap();
         }
-        write_frame(&mut buf, &welcome.render()).unwrap();
+        for m in &replies {
+            write_frame(&mut buf, &m.render()).unwrap();
+        }
         let mut r = Cursor::new(buf);
         for m in &msgs {
             let payload = read_frame(&mut r).unwrap().expect("frame present");
             prop_assert_eq!(&JoinMsg::parse_line(&payload).unwrap(), m);
         }
-        let payload = read_frame(&mut r).unwrap().expect("frame present");
-        prop_assert_eq!(ServeMsg::parse_line(&payload).unwrap(), welcome);
+        for m in &replies {
+            let payload = read_frame(&mut r).unwrap().expect("frame present");
+            prop_assert_eq!(&ServeMsg::parse_line(&payload).unwrap(), m);
+        }
         prop_assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 }
