@@ -33,7 +33,7 @@ pub mod subsys;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use sb_vmm::ctx::{Ctx, Fault, KResult};
 use sb_vmm::exec::{job, Executor, Job};
@@ -111,19 +111,56 @@ impl KernelConfig {
 
 /// The kernel symbol table: global-object name → guest address, produced by
 /// boot and immutable afterwards.
+///
+/// Every name also has a *slot*: a small index, the same in every table of
+/// the process, given out the first time the name is registered or looked
+/// up. [`sym!`] caches a literal's slot at its call site, so the lookup a
+/// handler makes on nearly every syscall is one vector index, not a string
+/// hash.
 #[derive(Clone, Debug, Default)]
 pub struct Symbols {
-    /// Handlers look a name up on nearly every syscall. The names are boot
-    /// code's own literals, and [`Symbols::iter`], the one walk over the
-    /// map, promises no order.
+    /// By name: for computed names ([`Symbols::addr`]) and [`Symbols::iter`],
+    /// which promises no order.
     map: HashMap<&'static str, u64, BuildStepHasher>,
+    /// By slot: the address of each registered name, `None` for slots of
+    /// names this table does not have.
+    by_slot: Vec<Option<u64>>,
+}
+
+/// The process-wide slot of each symbol name, and the name of each slot.
+#[derive(Default)]
+struct SlotTable {
+    by_name: HashMap<&'static str, usize, BuildStepHasher>,
+    names: Vec<&'static str>,
+}
+
+fn slot_table() -> &'static Mutex<SlotTable> {
+    static TABLE: OnceLock<Mutex<SlotTable>> = OnceLock::new();
+    TABLE.get_or_init(Mutex::default)
 }
 
 impl Symbols {
+    /// The slot of `name`, given out on first use; the same in every
+    /// [`Symbols`] of the process.
+    pub fn slot(name: &'static str) -> usize {
+        let mut table = slot_table().lock().expect("symbol slots poisoned");
+        let next = table.names.len();
+        let slot = *table.by_name.entry(name).or_insert(next);
+        if slot == next {
+            table.names.push(name);
+        }
+        slot
+    }
+
     /// Registers a symbol. Panics on duplicates — boot code is trusted.
     pub fn register(&mut self, name: &'static str, addr: u64) {
         let prev = self.map.insert(name, addr);
         assert!(prev.is_none(), "duplicate kernel symbol {name}");
+        let slot = Self::slot(name);
+        if self.by_slot.len() <= slot {
+            self.by_slot.resize(slot + 1, None);
+        }
+        self.by_slot[slot] = Some(addr);
     }
 
     /// Looks a symbol up. Panics if missing — a handler asking for an
@@ -133,6 +170,22 @@ impl Symbols {
             .map
             .get(name)
             .unwrap_or_else(|| panic!("unknown kernel symbol {name}"))
+    }
+
+    /// Looks a symbol up by its [`Symbols::slot`]; what [`sym!`] expands
+    /// to. Panics like [`Symbols::addr`] if this table lacks the name.
+    pub fn at(&self, slot: usize) -> u64 {
+        match self.by_slot.get(slot) {
+            Some(Some(addr)) => *addr,
+            _ => {
+                // Named with the table unlocked, so the panic cannot poison it.
+                let name = {
+                    let table = slot_table().lock().expect("symbol slots poisoned");
+                    table.names.get(slot).copied().unwrap_or("?")
+                };
+                panic!("unknown kernel symbol {name}")
+            }
+        }
     }
 
     /// Every registered symbol with its address, in no particular order.
@@ -151,6 +204,36 @@ impl Symbols {
     }
 }
 
+/// Looks up the kernel symbol named by a string literal in an [`Env`]'s
+/// table, caching the name's [`Symbols::slot`] in a `static` at the call
+/// site — the lookup's cost is then one vector index. A computed name goes
+/// through [`Env::sym`] instead.
+///
+/// # Examples
+///
+/// ```
+/// use sb_kernel::{boot, sym, KernelConfig};
+/// use sb_vmm::{exec::job, sched::FreeRun, Executor};
+///
+/// let booted = boot(KernelConfig::v5_12_rc3());
+/// let kernel = booted.kernel.clone();
+/// let handler = job(move |ctx| async move {
+///     let env = kernel.env(&ctx);
+///     assert_eq!(sym!(env, "slab.alloc_count"), env.sym("slab.alloc_count"));
+///     Ok(())
+/// });
+/// let r = Executor::new(1).run(booted.snapshot.clone(), vec![handler], &mut FreeRun);
+/// assert!(r.report.outcome.is_completed());
+/// ```
+#[macro_export]
+macro_rules! sym {
+    ($env:expr, $name:literal) => {{
+        static SLOT: ::std::sync::OnceLock<usize> = ::std::sync::OnceLock::new();
+        $env.syms
+            .at(*SLOT.get_or_init(|| $crate::Symbols::slot($name)))
+    }};
+}
+
 /// Handler-side view of the kernel: execution context plus immutable
 /// kernel metadata.
 pub struct Env<'a> {
@@ -163,7 +246,8 @@ pub struct Env<'a> {
 }
 
 impl Env<'_> {
-    /// Shorthand for symbol lookup.
+    /// Looks up a computed symbol name; a literal one goes through
+    /// [`sym!`].
     pub fn sym(&self, name: &str) -> u64 {
         self.syms.addr(name)
     }
@@ -174,7 +258,7 @@ impl Env<'_> {
     /// In builds without #13 the counters use marked (atomic) accesses.
     pub async fn kzalloc(&self, len: u64) -> KResult<u64> {
         let addr = self.ctx.kmalloc(len).await?;
-        let stat = self.sym("slab.alloc_count");
+        let stat = sym!(self, "slab.alloc_count");
         if self.config.has_bug(13) {
             let v = self
                 .ctx
@@ -197,7 +281,7 @@ impl Env<'_> {
 
     /// Frees a kernel object, bumping the free-side statistics counter.
     pub async fn kfree(&self, addr: u64, len: u64) -> KResult<()> {
-        let stat = self.sym("slab.free_count");
+        let stat = sym!(self, "slab.free_count");
         if self.config.has_bug(13) {
             let v = self
                 .ctx
@@ -303,14 +387,18 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Dispatches one syscall on behalf of process `proc`.
-    pub async fn dispatch(&self, ctx: &Ctx, proc: &mut ProcState, call: &Syscall) -> KResult<u64> {
-        let env = Env {
+    /// The handler-side view of this kernel on `ctx`'s vCPU.
+    pub fn env<'a>(&'a self, ctx: &'a Ctx) -> Env<'a> {
+        Env {
             ctx,
             syms: &self.syms,
             config: self.config,
-        };
-        subsys::dispatch(&env, proc, call).await
+        }
+    }
+
+    /// Dispatches one syscall on behalf of process `proc`.
+    pub async fn dispatch(&self, ctx: &Ctx, proc: &mut ProcState, call: &Syscall) -> KResult<u64> {
+        subsys::dispatch(&self.env(ctx), proc, call).await
     }
 
     /// Builds an executor [`Job`] that runs `prog` as one user process.
@@ -327,9 +415,10 @@ impl Kernel {
     pub fn process_job_shared(self: &Arc<Self>, prog: Arc<Program>) -> Job {
         let kernel = Arc::clone(self);
         job(move |ctx| async move {
+            let env = kernel.env(&ctx);
             let mut proc = ProcState::default();
             for call in &prog.calls {
-                match kernel.dispatch(&ctx, &mut proc, call).await {
+                match subsys::dispatch(&env, &mut proc, call).await {
                     Ok(v) => proc.regs.push(v),
                     Err(f) if f.is_fatal() => return Err(f),
                     Err(_) => proc.regs.push(EINVAL),

@@ -13,6 +13,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::{Env, EIO};
 
 /// Block-device field offsets.
@@ -53,7 +54,7 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 
 /// `open()` on the block device.
 pub async fn blkdev_open(env: &Env<'_>) -> KResult<u64> {
-    let d = env.sym("bdev.dev");
+    let d = sym!(env, "bdev.dev");
     env.ctx
         .read_atomic(site!("blkdev_open:bsz"), d + bdev::S_BLOCKSIZE, 4)
         .await?;
@@ -62,8 +63,8 @@ pub async fn blkdev_open(env: &Env<'_>) -> KResult<u64> {
 
 /// `BLKBSZSET`: store the logical block size (#6 writer).
 pub async fn set_blocksize(env: &Env<'_>, arg: u64) -> KResult<u64> {
-    let d = env.sym("bdev.dev");
-    let mutex = env.sym("bdev.bd_mutex");
+    let d = sym!(env, "bdev.dev");
+    let mutex = sym!(env, "bdev.bd_mutex");
     let bsz = 512u64 << (arg % 4);
     env.ctx
         .with_lock(mutex, async {
@@ -83,14 +84,14 @@ pub async fn set_blocksize(env: &Env<'_>, arg: u64) -> KResult<u64> {
 
 /// `read()` on the block device: `do_mpage_readpage` (#6 reader).
 pub async fn do_mpage_readpage(env: &Env<'_>, off: u64) -> KResult<u64> {
-    let d = env.sym("bdev.dev");
+    let d = sym!(env, "bdev.dev");
     let bsz = if env.config.has_bug(6) {
         env.ctx
             .read_u32(site!("do_mpage_readpage:blocksize"), d + bdev::S_BLOCKSIZE)
             .await?
     } else {
         // The fix serializes readers against set_blocksize via bd_mutex.
-        let mutex = env.sym("bdev.bd_mutex");
+        let mutex = sym!(env, "bdev.bd_mutex");
         env.ctx
             .with_lock(mutex, async {
                 env.ctx
@@ -103,7 +104,7 @@ pub async fn do_mpage_readpage(env: &Env<'_>, off: u64) -> KResult<u64> {
             })
             .await?
     };
-    let disk = env.sym("bdev.disk");
+    let disk = sym!(env, "bdev.disk");
     // Map the page's first block and read it from the disk area.
     let block = (off * (bsz / 512)) % 64;
     env.ctx
@@ -113,8 +114,8 @@ pub async fn do_mpage_readpage(env: &Env<'_>, off: u64) -> KResult<u64> {
 
 /// `BLKRASET`: store the readahead count under `bd_mutex` (#5 writer).
 pub async fn blkdev_ioctl_ra_set(env: &Env<'_>, arg: u64) -> KResult<u64> {
-    let d = env.sym("bdev.dev");
-    let mutex = env.sym("bdev.bd_mutex");
+    let d = sym!(env, "bdev.dev");
+    let mutex = sym!(env, "bdev.bd_mutex");
     env.ctx
         .with_lock(mutex, async {
             if env.config.has_bug(5) {
@@ -143,7 +144,7 @@ pub async fn blkdev_ioctl_ra_set(env: &Env<'_>, arg: u64) -> KResult<u64> {
 /// `posix_fadvise()`: `generic_fadvise` reads the readahead count with no
 /// lock (#5 reader) and touches that many disk bytes.
 pub async fn generic_fadvise(env: &Env<'_>) -> KResult<u64> {
-    let d = env.sym("bdev.dev");
+    let d = sym!(env, "bdev.dev");
     let ra = if env.config.has_bug(5) {
         env.ctx
             .read_u32(site!("generic_fadvise:ra_read"), d + bdev::RA_PAGES)
@@ -153,7 +154,7 @@ pub async fn generic_fadvise(env: &Env<'_>) -> KResult<u64> {
             .read_atomic(site!("generic_fadvise:ra_read"), d + bdev::RA_PAGES, 4)
             .await?
     };
-    let disk = env.sym("bdev.disk");
+    let disk = sym!(env, "bdev.disk");
     for i in 0..ra.min(4) {
         env.ctx
             .read_u8(site!("generic_fadvise:readahead"), disk + (i % 64))
@@ -164,8 +165,8 @@ pub async fn generic_fadvise(env: &Env<'_>) -> KResult<u64> {
 
 /// `BLKSETSIZE`-style capacity change (#4 writer).
 pub async fn blkdev_set_capacity(env: &Env<'_>, arg: u64) -> KResult<u64> {
-    let d = env.sym("bdev.dev");
-    let mutex = env.sym("bdev.bd_mutex");
+    let d = sym!(env, "bdev.dev");
+    let mutex = sym!(env, "bdev.bd_mutex");
     env.ctx
         .with_lock(mutex, async {
             env.ctx
@@ -183,7 +184,7 @@ pub async fn blkdev_set_capacity(env: &Env<'_>, arg: u64) -> KResult<u64> {
 
 /// `write()` directly on the block device.
 pub async fn blkdev_direct_write(env: &Env<'_>, off: u64, val: u64) -> KResult<u64> {
-    let disk = env.sym("bdev.disk");
+    let disk = sym!(env, "bdev.disk");
     env.ctx
         .write_u8(
             site!("blkdev_direct_write:disk"),
@@ -198,9 +199,9 @@ pub async fn blkdev_direct_write(env: &Env<'_>, off: u64, val: u64) -> KResult<u
 /// completion re-check. Patched builds hold `bd_mutex` across the request,
 /// making check and completion atomic against capacity changes.
 pub async fn submit_bh(env: &Env<'_>, sector: u64) -> KResult<u64> {
-    let d = env.sym("bdev.dev");
+    let d = sym!(env, "bdev.dev");
     let buggy = env.config.has_bug(4);
-    let mutex = env.sym("bdev.bd_mutex");
+    let mutex = sym!(env, "bdev.bd_mutex");
     if !buggy {
         env.ctx.lock(mutex).await?;
     }
@@ -225,7 +226,7 @@ pub async fn submit_bh(env: &Env<'_>, sector: u64) -> KResult<u64> {
                 inflight + 1,
             )
             .await?;
-        let disk = env.sym("bdev.disk");
+        let disk = sym!(env, "bdev.disk");
         env.ctx
             .write_u8(
                 site!("submit_bh:transfer"),
@@ -304,7 +305,7 @@ mod tests {
             set_blocksize(env, 2).await?; // 2048
             let v = do_mpage_readpage(env, 1).await?;
             let _ = v;
-            let d = env.sym("bdev.dev");
+            let d = sym!(env, "bdev.dev");
             let bsz = env
                 .ctx
                 .read_u32(site!("test:bsz"), d + bdev::S_BLOCKSIZE)

@@ -11,6 +11,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::{Env, EEXIST, ENOENT};
 
 /// Number of configfs item slots.
@@ -58,13 +59,13 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 }
 
 fn entry_addr(env: &Env<'_>, i: u8) -> u64 {
-    env.sym("configfs.entries") + u64::from(i) * dirent::STRIDE
+    sym!(env, "configfs.entries") + u64::from(i) * dirent::STRIDE
 }
 
 /// `mkdir` on a configfs directory: allocate the item and its inner object,
 /// then attach it to the dirent slot.
 pub async fn configfs_mkdir(env: &Env<'_>, i: u8) -> KResult<u64> {
-    let mutex = env.sym("configfs.subsys_mutex");
+    let mutex = sym!(env, "configfs.subsys_mutex");
     env.ctx
         .with_lock(mutex, async {
             let e = entry_addr(env, i);
@@ -86,7 +87,7 @@ pub async fn configfs_mkdir(env: &Env<'_>, i: u8) -> KResult<u64> {
             env.ctx
                 .write_u64(site!("configfs_mkdir:inner"), it + item::INNER, inn)
                 .await?;
-            let dl = env.sym("configfs.dirent_lock");
+            let dl = sym!(env, "configfs.dirent_lock");
             env.ctx
                 .with_lock(dl, async {
                     env.ctx
@@ -105,7 +106,7 @@ pub async fn configfs_mkdir(env: &Env<'_>, i: u8) -> KResult<u64> {
 /// `rmdir`: tear the item down — zero the inner pointer, detach the entry,
 /// free both objects.
 pub async fn configfs_rmdir(env: &Env<'_>, i: u8) -> KResult<u64> {
-    let mutex = env.sym("configfs.subsys_mutex");
+    let mutex = sym!(env, "configfs.subsys_mutex");
     env.ctx
         .with_lock(mutex, async {
             let e = entry_addr(env, i);
@@ -116,7 +117,7 @@ pub async fn configfs_rmdir(env: &Env<'_>, i: u8) -> KResult<u64> {
             if it == 0 {
                 return Ok(ENOENT);
             }
-            let dl = env.sym("configfs.dirent_lock");
+            let dl = sym!(env, "configfs.dirent_lock");
             let inn = env
                 .ctx
                 .with_lock(dl, async {
@@ -152,7 +153,7 @@ pub async fn configfs_rmdir(env: &Env<'_>, i: u8) -> KResult<u64> {
 pub async fn configfs_lookup(env: &Env<'_>, i: u8) -> KResult<u64> {
     let e = entry_addr(env, i);
     let buggy = env.config.has_bug(11);
-    let dl = env.sym("configfs.dirent_lock");
+    let dl = sym!(env, "configfs.dirent_lock");
     if !buggy {
         env.ctx.lock(dl).await?;
     }

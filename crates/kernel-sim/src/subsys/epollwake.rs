@@ -12,6 +12,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::Env;
 
 /// Epoll-struct field offsets.
@@ -37,9 +38,9 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 /// `epoll_ctl(EPOLL_CTL_ADD)`: registers an item and publishes it on the
 /// ready list. Lock order: `ep_lock` → `wq_lock`.
 pub async fn ep_insert(env: &Env<'_>, _slot: u64) -> KResult<u64> {
-    let e = env.sym("epollwake.ep");
-    let ep_lock = env.sym("epollwake.ep_lock");
-    let wq_lock = env.sym("epollwake.wq_lock");
+    let e = sym!(env, "epollwake.ep");
+    let ep_lock = sym!(env, "epollwake.ep_lock");
+    let wq_lock = sym!(env, "epollwake.wq_lock");
     env.ctx.lock_at(site!("ep_insert:ep_lock"), ep_lock).await?;
     let n = env
         .ctx
@@ -68,9 +69,9 @@ pub async fn ep_insert(env: &Env<'_>, _slot: u64) -> KResult<u64> {
 /// The poll callback fired when an event source becomes ready (#19): buggy
 /// builds take `wq_lock` → `ep_lock`, inverting `ep_insert`'s order.
 pub async fn ep_poll_callback(env: &Env<'_>, _slot: u64) -> KResult<u64> {
-    let e = env.sym("epollwake.ep");
-    let ep_lock = env.sym("epollwake.ep_lock");
-    let wq_lock = env.sym("epollwake.wq_lock");
+    let e = sym!(env, "epollwake.ep");
+    let ep_lock = sym!(env, "epollwake.ep_lock");
+    let wq_lock = sym!(env, "epollwake.wq_lock");
     let (first, first_site, second, second_site) = if env.config.has_bug(19) {
         (
             wq_lock,
@@ -127,7 +128,7 @@ mod tests {
                     };
                     ep_insert(&env, 0).await?;
                     ep_poll_callback(&env, 0).await?;
-                    let e = env.sym("epollwake.ep");
+                    let e = sym!(env, "epollwake.ep");
                     let ready = env.ctx.read_u32(site!("test:ready"), e + ep::READY).await?;
                     assert_eq!(ready, 2);
                     Ok(())

@@ -23,6 +23,7 @@ use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
 use crate::subsys::blkdev;
+use crate::sym;
 use crate::{Env, EIO};
 
 /// Number of regular file inodes.
@@ -99,7 +100,7 @@ fn inode_addr(env: &Env<'_>, i: u8) -> u64 {
 
 /// `open()` on an ext4 file: validate the superblock block size.
 pub async fn ext4_file_open(env: &Env<'_>, ino: u8) -> KResult<u64> {
-    let bdev = env.sym("bdev.dev");
+    let bdev = sym!(env, "bdev.dev");
     let _bsz = env
         .ctx
         .read_atomic(
@@ -246,7 +247,7 @@ pub async fn ext4_file_read(env: &Env<'_>, ino: u8, off: u64) -> KResult<u64> {
 /// recompute the checksum, and verify (#2).
 pub async fn swap_inode_boot_loader(env: &Env<'_>, ino: u8) -> KResult<u64> {
     let i = inode_addr(env, ino);
-    let boot = env.sym("ext4.boot_inode");
+    let boot = sym!(env, "ext4.boot_inode");
     if i == boot {
         return Ok(EIO);
     }
@@ -341,8 +342,8 @@ pub async fn swap_inode_boot_loader(env: &Env<'_>, ino: u8) -> KResult<u64> {
 /// `mount()` / `ext4_fill_super`: a heavy operation — superblock double
 /// fetches, a full inode-table scan, and a journal replay loop.
 pub async fn ext4_fill_super(env: &Env<'_>) -> KResult<u64> {
-    let bdev = env.sym("bdev.dev");
-    let sb_lock = env.sym("ext4.sb_lock");
+    let bdev = sym!(env, "bdev.dev");
+    let sb_lock = sym!(env, "ext4.sb_lock");
     // Genuine double fetch of the block size: read once to validate, read
     // again to use — no intervening write, same value (df_leader source).
     let bsz1 = env
@@ -424,7 +425,7 @@ pub async fn ext4_fill_super(env: &Env<'_>) -> KResult<u64> {
     }
     // Journal replay: stream the journal area through the superblock scan
     // position — bulk, heavy traffic.
-    let journal = env.sym("ext4.journal");
+    let journal = sym!(env, "ext4.journal");
     for j in 0..32u64 {
         let v = env
             .ctx

@@ -8,6 +8,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::Env;
 
 /// Boots the fib6 subsystem: the cookie cell and its lock.
@@ -22,8 +23,8 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 
 /// Route change: bump the cookie under the table lock (#10 writer).
 pub async fn fib6_clean_node(env: &Env<'_>) -> KResult<u64> {
-    let cookie = env.sym("fib6.cookie");
-    let lock = env.sym("fib6.lock");
+    let cookie = sym!(env, "fib6.cookie");
+    let lock = sym!(env, "fib6.lock");
     let plain = env.config.has_bug(10);
     env.ctx
         .with_lock(lock, async {
@@ -53,7 +54,7 @@ pub async fn fib6_clean_node(env: &Env<'_>) -> KResult<u64> {
 /// Connect path on an Inet socket: validate the cached route cookie with a
 /// lockless read (#10 reader).
 pub async fn inet_connect(env: &Env<'_>, sk: u64) -> KResult<u64> {
-    let cookie = env.sym("fib6.cookie");
+    let cookie = sym!(env, "fib6.cookie");
     let v = if env.config.has_bug(10) {
         env.ctx
             .read_u64(site!("fib6_get_cookie_safe:load"), cookie)

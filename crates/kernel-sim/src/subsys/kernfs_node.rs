@@ -11,6 +11,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::{Env, ENOENT};
 
 /// Node flag bits.
@@ -39,8 +40,8 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 /// Activates the node, making it visible to lookups. All flag accesses are
 /// under the kernfs mutex.
 pub async fn kernfs_activate(env: &Env<'_>, _node: u64) -> KResult<u64> {
-    let n = env.sym("kernfs.node");
-    let mutex = env.sym("kernfs.mutex");
+    let n = sym!(env, "kernfs.node");
+    let mutex = sym!(env, "kernfs.mutex");
     env.ctx
         .with_lock_at(site!("kernfs_activate:lock"), mutex, async {
             let f = env
@@ -74,8 +75,8 @@ pub async fn kernfs_activate(env: &Env<'_>, _node: u64) -> KResult<u64> {
 /// Notifies watchers of the node (#22): buggy builds set the notified bit
 /// after dropping the kernfs mutex.
 pub async fn kernfs_notify(env: &Env<'_>, _node: u64) -> KResult<u64> {
-    let n = env.sym("kernfs.node");
-    let mutex = env.sym("kernfs.mutex");
+    let n = sym!(env, "kernfs.node");
+    let mutex = sym!(env, "kernfs.mutex");
     let f = env
         .ctx
         .with_lock_at(site!("kernfs_notify:lock"), mutex, async {
@@ -142,7 +143,7 @@ mod tests {
                     assert_eq!(kernfs_notify(&env, 0).await?, ENOENT);
                     assert_eq!(kernfs_activate(&env, 0).await?, 0);
                     assert_eq!(kernfs_notify(&env, 0).await?, 0);
-                    let n = env.sym("kernfs.node");
+                    let n = sym!(env, "kernfs.node");
                     let f = env
                         .ctx
                         .read_u32(site!("test:flags"), n + node::FLAGS)

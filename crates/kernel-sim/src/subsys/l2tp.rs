@@ -15,6 +15,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::{Env, EINVAL};
 
 /// `struct l2tp_tunnel` field offsets.
@@ -65,7 +66,7 @@ pub async fn l2tp_socket(env: &Env<'_>) -> KResult<u64> {
 /// RCU walk of the tunnel list looking for `tid`. Returns the tunnel
 /// address or 0.
 async fn l2tp_tunnel_get(env: &Env<'_>, tid: u64) -> KResult<u64> {
-    let head = env.sym("l2tp.tunnel_list");
+    let head = sym!(env, "l2tp.tunnel_list");
     env.ctx.rcu_read_lock().await?;
     let mut p = env
         .ctx
@@ -106,8 +107,8 @@ async fn l2tp_tunnel_get(env: &Env<'_>, tid: u64) -> KResult<u64> {
 /// In buggy builds (#12 present) the tunnel is published to the RCU list
 /// *before* `tunnel->sock` is initialized; patched builds initialize first.
 async fn l2tp_tunnel_register(env: &Env<'_>, sk: u64, tid: u64) -> KResult<u64> {
-    let head = env.sym("l2tp.tunnel_list");
-    let lock = env.sym("l2tp.list_lock");
+    let head = sym!(env, "l2tp.tunnel_list");
+    let lock = sym!(env, "l2tp.list_lock");
     let t = env.kzalloc(tunnel::SIZE).await?;
     env.ctx
         .write_atomic(site!("l2tp_tunnel_register:id"), t + tunnel::ID, 4, tid)

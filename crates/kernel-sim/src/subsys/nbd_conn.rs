@@ -11,6 +11,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::Env;
 
 /// NBD-device field offsets.
@@ -34,8 +35,8 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 /// Submits one NBD request: marks the device busy, does the transfer, then
 /// clears the flag and wakes any drain waiter.
 pub async fn nbd_send(env: &Env<'_>, len: u64) -> KResult<u64> {
-    let d = env.sym("nbd.dev");
-    let wq = env.sym("nbd.drain_wq");
+    let d = sym!(env, "nbd.dev");
+    let wq = sym!(env, "nbd.drain_wq");
     env.ctx
         .write_atomic(site!("nbd_send:busy_set"), d + nbd::BUSY, 8, 1)
         .await?;
@@ -60,8 +61,8 @@ pub async fn nbd_send(env: &Env<'_>, len: u64) -> KResult<u64> {
 
 /// Tears the connection down, draining in-flight requests (#20).
 pub async fn nbd_disconnect(env: &Env<'_>) -> KResult<u64> {
-    let d = env.sym("nbd.dev");
-    let wq = env.sym("nbd.drain_wq");
+    let d = sym!(env, "nbd.dev");
+    let wq = sym!(env, "nbd.drain_wq");
     env.ctx
         .atomic_enter(site!("nbd_disconnect:spin_lock_irq"))
         .await?;

@@ -15,6 +15,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::Env;
 
 /// Byte length of a MAC address.
@@ -64,8 +65,8 @@ pub async fn rawv6_socket(env: &Env<'_>) -> KResult<u64> {
 
 /// `SIOCSIFHWADDR` path: commit a new MAC under the RTNL lock (#9 writer).
 pub async fn eth_commit_mac_addr_change(env: &Env<'_>, seed: u64) -> KResult<u64> {
-    let d = env.sym("net.dev0");
-    let rtnl = env.sym("net.rtnl_lock");
+    let d = sym!(env, "net.dev0");
+    let rtnl = sym!(env, "net.rtnl_lock");
     // In builds where the MAC races (#8/#9) exist, the copy is a plain
     // per-byte memcpy; fixed builds use marked stores so the lockless
     // readers pair safely.
@@ -104,12 +105,12 @@ pub async fn eth_commit_mac_addr_change(env: &Env<'_>, seed: u64) -> KResult<u64
 /// (#9 reader). The copy lands in per-thread kernel-stack scratch, so the
 /// staging writes exercise the profiler's ESP filter.
 pub async fn dev_ifsioc_locked(env: &Env<'_>) -> KResult<u64> {
-    let d = env.sym("net.dev0");
+    let d = sym!(env, "net.dev0");
     // The upstream fix for #9 changed the reader's locking scheme to
     // serialize against the RTNL-held writer; model that in patched builds.
     let rtnl_guard = !env.config.has_bug(9);
     if rtnl_guard {
-        env.ctx.lock(env.sym("net.rtnl_lock")).await?;
+        env.ctx.lock(sym!(env, "net.rtnl_lock")).await?;
     }
     env.ctx.rcu_read_lock().await?;
     let plain = env.config.has_bug(8) || env.config.has_bug(9);
@@ -132,7 +133,7 @@ pub async fn dev_ifsioc_locked(env: &Env<'_>) -> KResult<u64> {
     }
     env.ctx.rcu_read_unlock().await?;
     if rtnl_guard {
-        env.ctx.unlock(env.sym("net.rtnl_lock")).await?;
+        env.ctx.unlock(sym!(env, "net.rtnl_lock")).await?;
     }
     Ok(out)
 }
@@ -141,11 +142,11 @@ pub async fn dev_ifsioc_locked(env: &Env<'_>) -> KResult<u64> {
 /// patched build takes the RTNL lock instead, restoring mutual exclusion
 /// with the getname reader (which the patch also serializes).
 pub async fn e1000_set_mac(env: &Env<'_>, seed: u64) -> KResult<u64> {
-    let d = env.sym("net.dev0");
+    let d = sym!(env, "net.dev0");
     let lock = if env.config.has_bug(8) {
-        env.sym("net.ethtool_lock")
+        sym!(env, "net.ethtool_lock")
     } else {
-        env.sym("net.rtnl_lock")
+        sym!(env, "net.rtnl_lock")
     };
     let plain = env.config.has_bug(8) || env.config.has_bug(9);
     env.ctx
@@ -170,14 +171,14 @@ pub async fn e1000_set_mac(env: &Env<'_>, seed: u64) -> KResult<u64> {
 /// `SIOCSIFMTU` path (#7 writer): in buggy builds a plain unlocked store;
 /// patched builds publish under RTNL with a marked write.
 pub async fn dev_set_mtu(env: &Env<'_>, arg: u64) -> KResult<u64> {
-    let d = env.sym("net.dev0");
+    let d = sym!(env, "net.dev0");
     let mtu = 576 + (arg % 8) * 128;
     if env.config.has_bug(7) {
         env.ctx
             .write_u32(site!("__dev_set_mtu:store"), d + dev::MTU, mtu)
             .await?;
     } else {
-        let rtnl = env.sym("net.rtnl_lock");
+        let rtnl = sym!(env, "net.rtnl_lock");
         env.ctx
             .with_lock(rtnl, async {
                 env.ctx
@@ -192,7 +193,7 @@ pub async fn dev_set_mtu(env: &Env<'_>, arg: u64) -> KResult<u64> {
 /// `rawv6_send_hdrinc` (#7 reader): size the packet by the device MTU and
 /// "transmit" by bumping the device counter.
 pub async fn rawv6_send_hdrinc(env: &Env<'_>, sk: u64, len: u64) -> KResult<u64> {
-    let d = env.sym("net.dev0");
+    let d = sym!(env, "net.dev0");
     let mtu = if env.config.has_bug(7) {
         env.ctx
             .read_u32(site!("rawv6_send_hdrinc:mtu"), d + dev::MTU)

@@ -13,6 +13,7 @@ use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
 use crate::subsys::netdev::{self, ETH_ALEN};
+use crate::sym;
 use crate::{Env, EINVAL};
 
 /// Maximum sockets in the fanout group.
@@ -46,8 +47,8 @@ pub async fn packet_socket(env: &Env<'_>) -> KResult<u64> {
 
 /// `PACKET_FANOUT` setsockopt: link the socket into the group (#17 writer).
 pub async fn fanout_add(env: &Env<'_>, sk: u64) -> KResult<u64> {
-    let f = env.sym("packet.fanout");
-    let lock = env.sym("packet.fanout_lock");
+    let f = sym!(env, "packet.fanout");
+    let lock = sym!(env, "packet.fanout_lock");
     env.ctx
         .with_lock(lock, async {
             let n = env
@@ -91,8 +92,8 @@ pub async fn fanout_add(env: &Env<'_>, sk: u64) -> KResult<u64> {
 
 /// Socket close path: unlink from the group (#17 writer).
 pub async fn fanout_unlink(env: &Env<'_>, sk: u64) -> KResult<u64> {
-    let f = env.sym("packet.fanout");
-    let lock = env.sym("packet.fanout_lock");
+    let f = sym!(env, "packet.fanout");
+    let lock = sym!(env, "packet.fanout_lock");
     env.ctx
         .with_lock(lock, async {
             let n = env
@@ -157,7 +158,7 @@ pub async fn fanout_unlink(env: &Env<'_>, sk: u64) -> KResult<u64> {
 /// Transmit on a packet socket: `fanout_demux_rollover` picks a member with
 /// unsynchronized reads (#17 reader).
 pub async fn packet_sendmsg(env: &Env<'_>, sk: u64, len: u64) -> KResult<u64> {
-    let f = env.sym("packet.fanout");
+    let f = sym!(env, "packet.fanout");
     let buggy = env.config.has_bug(17);
     let n = if buggy {
         env.ctx
@@ -217,7 +218,7 @@ pub async fn packet_sendmsg(env: &Env<'_>, sk: u64, len: u64) -> KResult<u64> {
 
 /// `packet_getname`: copy the device MAC with no locking (#8 reader).
 pub async fn packet_getname(env: &Env<'_>, _sk: u64) -> KResult<u64> {
-    let d = env.sym("net.dev0");
+    let d = sym!(env, "net.dev0");
     let mut out = 0u64;
     for i in 0..ETH_ALEN {
         let b = if env.config.has_bug(8) {

@@ -19,6 +19,7 @@ use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
 use crate::prog::MsgCmd;
+use crate::sym;
 use crate::{Env, ENOENT};
 
 /// Number of buckets in the table.
@@ -48,7 +49,7 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 }
 
 fn bucket_addr(env: &Env<'_>, key: u64) -> u64 {
-    env.sym("rht.tbl") + 8 * (key % NUM_BUCKETS)
+    sym!(env, "rht.tbl") + 8 * (key % NUM_BUCKETS)
 }
 
 /// Walks the chain starting at the bucket for `key`, returning the matching
@@ -111,7 +112,7 @@ pub async fn msgget(env: &Env<'_>, key: u64) -> KResult<u64> {
         .write_u32(site!("msg_insert:mode"), m + msq::MODE, 0o666)
         .await?;
     let bkt = bucket_addr(env, key);
-    let lock = env.sym("rht.lock");
+    let lock = sym!(env, "rht.lock");
     env.ctx
         .with_lock(lock, async {
             let head = env.ctx.read_u64(site!("rht_insert:head"), bkt).await?;
@@ -145,7 +146,7 @@ pub mod ring {
 /// Scans the table for a queue with address `id`, validating the handle.
 async fn find_queue(env: &Env<'_>, id: u64) -> KResult<u64> {
     for b in 0..NUM_BUCKETS {
-        let bkt = env.sym("rht.tbl") + 8 * b;
+        let bkt = sym!(env, "rht.tbl") + 8 * b;
         let mut p = env
             .ctx
             .read_u64(site!("ipc_obtain_object:bucket"), bkt)
@@ -270,7 +271,7 @@ pub async fn msgctl(env: &Env<'_>, id: u64, cmd: MsgCmd) -> KResult<u64> {
         MsgCmd::Stat => {
             // Validate the id by scanning the table; read a couple of fields.
             for b in 0..NUM_BUCKETS {
-                let bkt = env.sym("rht.tbl") + 8 * b;
+                let bkt = sym!(env, "rht.tbl") + 8 * b;
                 let mut p = env.ctx.read_u64(site!("msgctl_stat:bucket"), bkt).await? & !1;
                 while p != 0 {
                     if p == id {
@@ -289,8 +290,8 @@ pub async fn msgctl(env: &Env<'_>, id: u64, cmd: MsgCmd) -> KResult<u64> {
             Ok(ENOENT)
         }
         MsgCmd::Rmid => {
-            let lock = env.sym("rht.lock");
-            let tbl = env.sym("rht.tbl");
+            let lock = sym!(env, "rht.lock");
+            let tbl = sym!(env, "rht.tbl");
             env.ctx.lock(lock).await?;
             for b in 0..NUM_BUCKETS {
                 let bkt = tbl + 8 * b;

@@ -9,6 +9,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::{errno, Env};
 
 /// Maximum user controls per card.
@@ -32,9 +33,9 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 /// `SNDRV_CTL_IOCTL_ELEM_ADD` (#15): allocate a user control element and
 /// account it.
 pub async fn snd_ctl_elem_add(env: &Env<'_>, arg: u64) -> KResult<u64> {
-    let c = env.sym("snd.card");
+    let c = sym!(env, "snd.card");
     let buggy = env.config.has_bug(15);
-    let lock = env.sym("snd.ctl_lock");
+    let lock = sym!(env, "snd.ctl_lock");
     if !buggy {
         env.ctx.lock(lock).await?;
     }

@@ -9,6 +9,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::Env;
 
 /// Length of the congestion-control name buffer.
@@ -49,7 +50,7 @@ pub async fn inet_socket(env: &Env<'_>) -> KResult<u64> {
 
 /// Reads the default CA name word locklessly (#16 reader).
 pub async fn tcp_assign_congestion_control(env: &Env<'_>) -> KResult<u64> {
-    let name = env.sym("tcp.cong_default");
+    let name = sym!(env, "tcp.cong_default");
     if env.config.has_bug(16) {
         env.ctx
             .read_u64(site!("tcp_set_congestion_control:read_default"), name)
@@ -64,8 +65,8 @@ pub async fn tcp_assign_congestion_control(env: &Env<'_>) -> KResult<u64> {
 /// `setsockopt(TCP_CONGESTION)` with admin rights: rewrite the global
 /// default name under the list lock, byte by byte (#16 writer).
 pub async fn set_default_congestion_control(env: &Env<'_>, _sk: u64, val: u64) -> KResult<u64> {
-    let name = env.sym("tcp.cong_default");
-    let lock = env.sym("tcp.cong_lock");
+    let name = sym!(env, "tcp.cong_default");
+    let lock = sym!(env, "tcp.cong_lock");
     let chosen = NAMES[(val % NAMES.len() as u64) as usize];
     env.ctx
         .with_lock(lock, async {

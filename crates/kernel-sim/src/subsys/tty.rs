@@ -9,6 +9,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::Env;
 
 /// Port flag bits.
@@ -41,8 +42,8 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 
 /// `open()` on the TTY (#14 one side).
 pub async fn tty_port_open(env: &Env<'_>) -> KResult<u64> {
-    let p = env.sym("tty.port");
-    let lock = env.sym("tty.port_lock");
+    let p = sym!(env, "tty.port");
+    let lock = sym!(env, "tty.port_lock");
     env.ctx
         .with_lock(lock, async {
             let f = env
@@ -70,8 +71,8 @@ pub async fn tty_port_open(env: &Env<'_>) -> KResult<u64> {
 
 /// `close()` on the TTY.
 pub async fn tty_port_close(env: &Env<'_>) -> KResult<u64> {
-    let p = env.sym("tty.port");
-    let lock = env.sym("tty.port_lock");
+    let p = sym!(env, "tty.port");
+    let lock = sym!(env, "tty.port_lock");
     env.ctx
         .with_lock(lock, async {
             let c = env
@@ -93,11 +94,11 @@ pub async fn tty_port_close(env: &Env<'_>) -> KResult<u64> {
 /// `TIOCSERCONFIG` (#14 other side): rewrites the flags under a different
 /// lock in buggy builds.
 pub async fn uart_do_autoconfig(env: &Env<'_>) -> KResult<u64> {
-    let p = env.sym("tty.port");
+    let p = sym!(env, "tty.port");
     let lock = if env.config.has_bug(14) {
-        env.sym("tty.uart_lock")
+        sym!(env, "tty.uart_lock")
     } else {
-        env.sym("tty.port_lock")
+        sym!(env, "tty.port_lock")
     };
     env.ctx
         .with_lock(lock, async {
@@ -149,7 +150,7 @@ mod tests {
                 };
                 tty_port_open(&env).await?;
                 uart_do_autoconfig(&env).await?;
-                let p = env.sym("tty.port");
+                let p = sym!(env, "tty.port");
                 let f = env
                     .ctx
                     .read_u32(site!("test:flags"), p + port::FLAGS)

@@ -11,6 +11,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::site;
 
+use crate::sym;
 use crate::{Env, EINVAL};
 
 /// Socket state values.
@@ -39,8 +40,8 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 /// `connect()` on the vsock socket (#21): buggy builds publish the final
 /// state after dropping the socket lock.
 pub async fn vsock_stream_connect(env: &Env<'_>, _cid: u64) -> KResult<u64> {
-    let s = env.sym("vsock.sock");
-    let lock = env.sym("vsock.lock");
+    let s = sym!(env, "vsock.sock");
+    let lock = sym!(env, "vsock.lock");
     env.ctx
         .with_lock_at(site!("vsock_stream_connect:lock"), lock, async {
             env.ctx
@@ -89,8 +90,8 @@ pub async fn vsock_stream_connect(env: &Env<'_>, _cid: u64) -> KResult<u64> {
 /// `sendmsg()` on the vsock socket: checks and stamps the connection state
 /// under the socket lock.
 pub async fn virtio_transport_send(env: &Env<'_>, len: u64) -> KResult<u64> {
-    let s = env.sym("vsock.sock");
-    let lock = env.sym("vsock.lock");
+    let s = sym!(env, "vsock.sock");
+    let lock = sym!(env, "vsock.lock");
     env.ctx
         .with_lock_at(site!("virtio_transport_send:lock"), lock, async {
             let st = env

@@ -11,6 +11,7 @@
 use sb_vmm::ctx::KResult;
 use sb_vmm::{site, Site};
 
+use crate::sym;
 use crate::{Env, ETIMEDOUT};
 
 /// Workqueue field offsets.
@@ -34,8 +35,8 @@ pub async fn boot(env: &Env<'_>) -> KResult<Vec<(&'static str, u64)>> {
 /// Queues one work item and runs it inline: the in-flight counter is
 /// raised, the work executes, then the counter drops and flushers are woken.
 pub async fn queue_work(env: &Env<'_>, work: u64) -> KResult<u64> {
-    let w = env.sym("wq.queue");
-    let fq = env.sym("wq.flush_wq");
+    let w = sym!(env, "wq.queue");
+    let fq = sym!(env, "wq.flush_wq");
     move_pending(env, site!("queue_work:pending_inc"), |p| p + 1).await?;
     // The work item itself.
     let d = env
@@ -66,7 +67,7 @@ pub async fn queue_work(env: &Env<'_>, work: u64) -> KResult<u64> {
 /// lose an update and leave a count no completion brings to zero, so even
 /// a flusher that registered before its check sleeps out the timeout.
 async fn move_pending(env: &Env<'_>, site: Site, next: impl Fn(u64) -> u64) -> KResult<()> {
-    let w = env.sym("wq.queue");
+    let w = sym!(env, "wq.queue");
     let rmw = async {
         let p = env.ctx.read_atomic(site, w + wq::PENDING, 8).await?;
         env.ctx
@@ -82,8 +83,8 @@ async fn move_pending(env: &Env<'_>, site: Site, next: impl Fn(u64) -> u64) -> K
 
 /// Waits for all in-flight work to finish (#23).
 pub async fn flush_workqueue(env: &Env<'_>) -> KResult<u64> {
-    let w = env.sym("wq.queue");
-    let fq = env.sym("wq.flush_wq");
+    let w = sym!(env, "wq.queue");
+    let fq = sym!(env, "wq.flush_wq");
     if env.config.has_bug(23) {
         // Buggy: check, then sleep — a completion between the check and the
         // sleep wakes nobody and the flusher blocks until the timeout.

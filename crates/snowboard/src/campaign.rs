@@ -93,11 +93,6 @@ pub struct CampaignCfg {
     pub resume_lenient: bool,
     /// Scripted fault injection (empty in production).
     pub fault_plan: FaultPlan,
-    /// Force shares-nothing (deep) snapshot clones per trial instead of the
-    /// copy-on-write fast path. A test reference, not a second production
-    /// path: its one user is `tests/tests/cow_campaign.rs`, which pins the
-    /// CoW report bit-identical to the deep one; nothing else sets it.
-    pub deep_snapshots: bool,
     /// Structured tracer; disabled by default. When enabled, the campaign
     /// emits one `job` event per resolved job, scheduler-decision counters
     /// at job boundaries, and watchdog/retry counters.
@@ -120,7 +115,6 @@ impl Default for CampaignCfg {
             resume_from: None,
             resume_lenient: false,
             fault_plan: FaultPlan::default(),
-            deep_snapshots: false,
             tracer: sb_obs::Tracer::disabled(),
         }
     }
@@ -518,16 +512,6 @@ fn run_trials(
     // this job's trials, so rules mined from early trials can flag
     // violations in later ones.
     let mut oracle_ctx = OracleCtx::new(cfg.oracles);
-    // Per-trial snapshot: the copy-on-write clone shares the whole boot
-    // image and copies nothing; the deep variant is the full-image copy
-    // `cow_campaign.rs` compares it against.
-    let take_snapshot = || {
-        if cfg.deep_snapshots {
-            booted.snapshot.deep_clone()
-        } else {
-            booted.snapshot.clone()
-        }
-    };
     let the_pair = || {
         vec![
             booted.kernel.process_job_shared(wprog.clone()),
@@ -549,7 +533,9 @@ fn run_trials(
                 tripped: overrun.reason.tag(),
             });
         }
-        let snapshot = take_snapshot();
+        // The copy-on-write clone shares the whole boot image and copies
+        // nothing until a trial writes.
+        let snapshot = booted.snapshot.clone();
         costs.clones += 1;
         costs.lap(Phase::Snapshot);
         sched.restart();

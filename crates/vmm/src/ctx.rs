@@ -13,9 +13,17 @@
 //! executor, on one OS thread, so the transport is two `Cell`s — no channel,
 //! no lock, no `unsafe` — and a thread blocked on a lock or a wait queue is
 //! simply a future nobody polls.
+//!
+//! One guest operation is one future. Each operation that makes a single
+//! request is a plain `fn` returning that request's future, so the `.await`
+//! at a call site polls one small state machine instead of a stack of
+//! `async fn` frames around it. Only the compositions of several requests
+//! ([`Ctx::memcpy`], [`Ctx::with_lock`]) and the cold [`Ctx::oops`] are
+//! `async fn`s.
 
 use std::cell::Cell;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
@@ -158,23 +166,56 @@ pub(crate) struct Mailbox {
 }
 
 /// One request in flight: parks it on the first poll, completes with the
-/// reply on the second.
-struct Roundtrip<'a> {
+/// reply on the second, converted to `T`.
+///
+/// Every [`Ctx`] operation that makes one request returns this future itself
+/// (behind `impl Future`), so awaiting an operation polls exactly one state
+/// machine: no `async fn` frame wraps it.
+struct Roundtrip<'a, T> {
     mail: &'a Mailbox,
     req: Option<Request>,
+    out: PhantomData<fn() -> T>,
 }
 
-impl Future for Roundtrip<'_> {
-    type Output = KResult<u64>;
+/// What a successful reply becomes for the operation that awaited it.
+trait FromReply {
+    fn from_reply(value: u64) -> Self;
+}
 
+/// The value itself: reads, allocations, wake counts.
+impl FromReply for u64 {
+    fn from_reply(value: u64) -> Self {
+        value
+    }
+}
+
+/// Nothing: writes, locks, wait-queue and RCU commands.
+impl FromReply for () {
+    fn from_reply(_: u64) -> Self {}
+}
+
+/// Nonzero: a commit that was woken rather than timed out.
+impl FromReply for bool {
+    fn from_reply(value: u64) -> Self {
+        value != 0
+    }
+}
+
+impl<T: FromReply> Future for Roundtrip<'_, T> {
+    type Output = KResult<T>;
+
+    // Kept out of line: inlined at each of the simulated kernel's hundreds
+    // of await points, it grows the handlers' state machines until an
+    // optimised build of `sb-kernel` takes tens of minutes instead of one.
+    #[inline(never)]
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         if let Some(req) = self.req.take() {
             self.mail.req.set(Some(req));
             return Poll::Pending;
         }
         match self.mail.rep.take() {
-            Some(Reply::Value(v)) => Poll::Ready(Ok(v)),
-            Some(Reply::Unit) => Poll::Ready(Ok(0)),
+            Some(Reply::Value(v)) => Poll::Ready(Ok(T::from_reply(v))),
+            Some(Reply::Unit) => Poll::Ready(Ok(T::from_reply(0))),
             Some(Reply::Fault(f)) => Poll::Ready(Err(f)),
             // Polled by something other than the executor's run loop, which
             // only resumes a thread it has answered; it rejects the empty
@@ -210,20 +251,16 @@ impl Ctx {
 
     /// Parks `req` for the executor and resumes with its reply: the one
     /// suspension point every operation below goes through.
-    fn request(&self, req: Request) -> Roundtrip<'_> {
+    fn request<T: FromReply>(&self, req: Request) -> Roundtrip<'_, T> {
         Roundtrip {
             mail: &self.mail,
             req: Some(req),
+            out: PhantomData,
         }
     }
 
-    /// [`Ctx::request`] for operations whose reply carries no value.
-    async fn command(&self, req: Request) -> KResult<()> {
-        self.request(req).await.map(|_| ())
-    }
-
     /// One memory access; `value` is what a write stores, ignored by reads.
-    fn access(
+    fn access<T: FromReply>(
         &self,
         site: Site,
         kind: AccessKind,
@@ -231,7 +268,7 @@ impl Ctx {
         len: u8,
         value: u64,
         atomic: bool,
-    ) -> Roundtrip<'_> {
+    ) -> Roundtrip<'_, T> {
         self.request(Request::Access {
             site,
             kind,
@@ -243,60 +280,86 @@ impl Ctx {
     }
 
     /// Reads `len` bytes (1..=8) at `addr`, little-endian.
-    pub async fn read(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
+    pub fn read(&self, site: Site, addr: u64, len: u8) -> impl Future<Output = KResult<u64>> + '_ {
         self.access(site, AccessKind::Read, addr, len, 0, false)
-            .await
     }
 
     /// Writes the low `len` bytes of `value` at `addr`, little-endian.
-    pub async fn write(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
+    pub fn write(
+        &self,
+        site: Site,
+        addr: u64,
+        len: u8,
+        value: u64,
+    ) -> impl Future<Output = KResult<()>> + '_ {
         self.access(site, AccessKind::Write, addr, len, value, false)
-            .await
-            .map(|_| ())
     }
 
     /// Marked load (`READ_ONCE`); exempt from data-race reports when paired
     /// with another marked access.
-    pub async fn read_atomic(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
+    pub fn read_atomic(
+        &self,
+        site: Site,
+        addr: u64,
+        len: u8,
+    ) -> impl Future<Output = KResult<u64>> + '_ {
         self.access(site, AccessKind::Read, addr, len, 0, true)
-            .await
     }
 
     /// Marked store (`WRITE_ONCE`).
-    pub async fn write_atomic(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
+    pub fn write_atomic(
+        &self,
+        site: Site,
+        addr: u64,
+        len: u8,
+        value: u64,
+    ) -> impl Future<Output = KResult<()>> + '_ {
         self.access(site, AccessKind::Write, addr, len, value, true)
-            .await
-            .map(|_| ())
     }
 
     /// Reads a u8 at `addr`.
-    pub async fn read_u8(&self, site: Site, addr: u64) -> KResult<u64> {
-        self.read(site, addr, 1).await
+    pub fn read_u8(&self, site: Site, addr: u64) -> impl Future<Output = KResult<u64>> + '_ {
+        self.read(site, addr, 1)
     }
 
     /// Reads a u32 at `addr`.
-    pub async fn read_u32(&self, site: Site, addr: u64) -> KResult<u64> {
-        self.read(site, addr, 4).await
+    pub fn read_u32(&self, site: Site, addr: u64) -> impl Future<Output = KResult<u64>> + '_ {
+        self.read(site, addr, 4)
     }
 
     /// Reads a u64 at `addr`.
-    pub async fn read_u64(&self, site: Site, addr: u64) -> KResult<u64> {
-        self.read(site, addr, 8).await
+    pub fn read_u64(&self, site: Site, addr: u64) -> impl Future<Output = KResult<u64>> + '_ {
+        self.read(site, addr, 8)
     }
 
     /// Writes a u8 at `addr`.
-    pub async fn write_u8(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
-        self.write(site, addr, 1, value).await
+    pub fn write_u8(
+        &self,
+        site: Site,
+        addr: u64,
+        value: u64,
+    ) -> impl Future<Output = KResult<()>> + '_ {
+        self.write(site, addr, 1, value)
     }
 
     /// Writes a u32 at `addr`.
-    pub async fn write_u32(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
-        self.write(site, addr, 4, value).await
+    pub fn write_u32(
+        &self,
+        site: Site,
+        addr: u64,
+        value: u64,
+    ) -> impl Future<Output = KResult<()>> + '_ {
+        self.write(site, addr, 4, value)
     }
 
     /// Writes a u64 at `addr`.
-    pub async fn write_u64(&self, site: Site, addr: u64, value: u64) -> KResult<()> {
-        self.write(site, addr, 8, value).await
+    pub fn write_u64(
+        &self,
+        site: Site,
+        addr: u64,
+        value: u64,
+    ) -> impl Future<Output = KResult<()>> + '_ {
+        self.write(site, addr, 8, value)
     }
 
     /// Copies `len` bytes from `src` to `dst` one byte at a time, like the
@@ -312,23 +375,23 @@ impl Ctx {
     }
 
     /// Acquires the spinlock/mutex cell at `addr`, blocking until available.
-    pub async fn lock(&self, addr: u64) -> KResult<()> {
-        self.lock_at(crate::site!("lock"), addr).await
+    pub fn lock(&self, addr: u64) -> impl Future<Output = KResult<()>> + '_ {
+        self.lock_at(crate::site!("lock"), addr)
     }
 
     /// Releases the lock cell at `addr`.
-    pub async fn unlock(&self, addr: u64) -> KResult<()> {
-        self.unlock_at(crate::site!("unlock"), addr).await
+    pub fn unlock(&self, addr: u64) -> impl Future<Output = KResult<()>> + '_ {
+        self.unlock_at(crate::site!("unlock"), addr)
     }
 
     /// [`Ctx::lock`] with a named acquiring site for the sync-event stream.
-    pub async fn lock_at(&self, site: Site, addr: u64) -> KResult<()> {
-        self.command(Request::Lock { addr, site }).await
+    pub fn lock_at(&self, site: Site, addr: u64) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::Lock { addr, site })
     }
 
     /// [`Ctx::unlock`] with a named releasing site.
-    pub async fn unlock_at(&self, site: Site, addr: u64) -> KResult<()> {
-        self.command(Request::Unlock { addr, site }).await
+    pub fn unlock_at(&self, site: Site, addr: u64) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::Unlock { addr, site })
     }
 
     /// Runs `f` with the lock at `addr` held, releasing it afterwards even if
@@ -361,106 +424,112 @@ impl Ctx {
     /// wakeup arriving between now and [`Ctx::wait_commit`] is banked and
     /// satisfies the commit immediately — the correct check-then-sleep
     /// protocol.
-    pub async fn wait_prepare(&self, site: Site, queue: u64) -> KResult<()> {
-        self.command(Request::WaitPrepare { queue, site }).await
+    pub fn wait_prepare(&self, site: Site, queue: u64) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::WaitPrepare { queue, site })
     }
 
     /// Commits to sleeping on `queue` for at most `timeout` coordinator
     /// steps. Returns `true` when woken by a signal (banked or live),
     /// `false` when the timeout expired first.
-    pub async fn wait_commit(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
+    pub fn wait_commit(
+        &self,
+        site: Site,
+        queue: u64,
+        timeout: u64,
+    ) -> impl Future<Output = KResult<bool>> + '_ {
         self.request(Request::WaitCommit {
             queue,
             site,
             timeout,
         })
-        .await
-        .map(|v| v != 0)
     }
 
     /// Deregisters from `queue` without sleeping (`finish_wait`), dropping
     /// any banked wakeup.
-    pub async fn wait_cancel(&self, site: Site, queue: u64) -> KResult<()> {
-        self.command(Request::WaitCancel { queue, site }).await
+    pub fn wait_cancel(&self, site: Site, queue: u64) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::WaitCancel { queue, site })
     }
 
     /// Sleeps on `queue` *without* registering first — the racy
     /// check-then-sleep primitive: a wakeup delivered between the caller's
     /// condition check and this call is lost. Returns `true` when woken,
     /// `false` on timeout.
-    pub async fn sleep_on(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
-        self.wait_commit(site, queue, timeout).await
+    pub fn sleep_on(
+        &self,
+        site: Site,
+        queue: u64,
+        timeout: u64,
+    ) -> impl Future<Output = KResult<bool>> + '_ {
+        self.wait_commit(site, queue, timeout)
     }
 
     /// Wakes at most one thread sleeping on (or prepared for) `queue`.
     /// Returns how many threads the signal reached; zero means it was lost.
-    pub async fn wake_one(&self, site: Site, queue: u64) -> KResult<u64> {
+    pub fn wake_one(&self, site: Site, queue: u64) -> impl Future<Output = KResult<u64>> + '_ {
         self.request(Request::Wake {
             queue,
             site,
             all: false,
         })
-        .await
     }
 
     /// Wakes every thread sleeping on (or prepared for) `queue`, returning
     /// the delivery count.
-    pub async fn wake_all(&self, site: Site, queue: u64) -> KResult<u64> {
+    pub fn wake_all(&self, site: Site, queue: u64) -> impl Future<Output = KResult<u64>> + '_ {
         self.request(Request::Wake {
             queue,
             site,
             all: true,
         })
-        .await
     }
 
     /// Enters atomic (non-sleepable) context — the simulated equivalent of
     /// holding a spinlock with preemption disabled. Nests.
-    pub async fn atomic_enter(&self, site: Site) -> KResult<()> {
-        self.command(Request::AtomicEnter { site }).await
+    pub fn atomic_enter(&self, site: Site) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::AtomicEnter { site })
     }
 
     /// Leaves atomic context. Faults with a lock error when the thread is
     /// not in atomic context.
-    pub async fn atomic_exit(&self, site: Site) -> KResult<()> {
-        self.command(Request::AtomicExit { site }).await
+    pub fn atomic_exit(&self, site: Site) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::AtomicExit { site })
     }
 
     /// Enters an RCU read-side critical section.
-    pub async fn rcu_read_lock(&self) -> KResult<()> {
-        self.command(Request::RcuLock).await
+    pub fn rcu_read_lock(&self) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::RcuLock)
     }
 
     /// Leaves an RCU read-side critical section.
-    pub async fn rcu_read_unlock(&self) -> KResult<()> {
-        self.command(Request::RcuUnlock).await
+    pub fn rcu_read_unlock(&self) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::RcuUnlock)
     }
 
     /// Waits for an RCU grace period: blocks until no other thread is inside
     /// an RCU read-side critical section.
-    pub async fn synchronize_rcu(&self) -> KResult<()> {
-        self.command(Request::SyncRcu).await
+    pub fn synchronize_rcu(&self) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::SyncRcu)
     }
 
     /// Allocates `len` bytes of zeroed guest heap (kzalloc semantics).
-    pub async fn kmalloc(&self, len: u64) -> KResult<u64> {
-        self.request(Request::Alloc { len }).await
+    pub fn kmalloc(&self, len: u64) -> impl Future<Output = KResult<u64>> + '_ {
+        self.request(Request::Alloc { len })
     }
 
     /// Frees an allocation of `len` bytes at `addr`.
-    pub async fn kfree(&self, addr: u64, len: u64) -> KResult<()> {
-        self.command(Request::Free { addr, len }).await
+    pub fn kfree(&self, addr: u64, len: u64) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::Free { addr, len })
     }
 
     /// Appends a line to the kernel console (printk).
-    pub async fn printk(&self, msg: impl Into<String>) -> KResult<()> {
-        self.command(Request::Printk { msg: msg.into() }).await
+    pub fn printk(&self, msg: impl Into<String>) -> impl Future<Output = KResult<()>> + '_ {
+        self.request(Request::Printk { msg: msg.into() })
     }
 
     /// Kernel panic: records `msg` on the console, marks the execution as
     /// panicked, and returns the fault the caller should propagate.
     pub async fn oops(&self, msg: impl Into<String>) -> Fault {
-        match self.request(Request::Oops { msg: msg.into() }).await {
+        match self.request::<u64>(Request::Oops { msg: msg.into() }).await {
             Err(f) => f,
             // The executor always replies with a fault to an oops; treat
             // an unexpected success as an abort to keep unwinding.

@@ -18,7 +18,6 @@
 //! that keep fetching the same memory area are forcibly preempted, and
 //! executions that exceed an instruction budget end as livelocks.
 
-use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -28,7 +27,7 @@ use crate::access::{Access, AccessKind, LockSet};
 use crate::ctx::{Ctx, Fault, KResult, Mailbox, Reply, Request};
 use crate::mem::{GuestMem, MAX_THREADS};
 use crate::sched::Scheduler;
-use crate::site::{BuildStepHasher, Site};
+use crate::site::Site;
 use crate::sync::{SyncEvent, SyncKind};
 
 /// A started kernel thread: suspended at a [`Ctx`] operation or finished.
@@ -228,6 +227,25 @@ enum TStat {
     Done,
 }
 
+/// What a thread blocked on a lock or a wait queue waits for. A blocked
+/// thread waits on exactly one, so each thread has one slot; the run-wide
+/// arrival `ticket` orders the threads waiting on the same object.
+#[derive(Copy, Clone)]
+enum Wait {
+    /// Not waiting on a lock or a queue.
+    None,
+    /// Waiting to be handed the lock at `addr`: first come, first served.
+    Lock { addr: u64, site: Site, ticket: u64 },
+    /// Committed to sleeping on `queue` until woken or until step
+    /// `deadline`; `site` committed it (for timeout attribution).
+    Sleep {
+        queue: u64,
+        site: Site,
+        deadline: u64,
+        ticket: u64,
+    },
+}
+
 /// Per-thread state is a [`MAX_THREADS`]-wide array of which the first `n`
 /// entries are live; the rest keep their initial (idle) value.
 struct RunState<'a> {
@@ -237,26 +255,26 @@ struct RunState<'a> {
     n: usize,
     status: [TStat; MAX_THREADS],
     owed: [Option<Reply>; MAX_THREADS],
+    /// The locks each thread holds, in acquisition order. A lock's owner is
+    /// the one thread whose set contains it.
     held: [LockSet; MAX_THREADS],
-    // The four maps below are keyed by guest lock and wait-queue addresses.
-    // None is iterated in an order that reaches the report:
-    // `expire_sleepers` takes the lowest due key it finds, thread exit only
-    // `retain`s within each `prepared` entry, the rest are point lookups.
-    lock_owner: HashMap<u64, usize, BuildStepHasher>,
-    lock_waiters: HashMap<u64, VecDeque<(usize, Site)>, BuildStepHasher>,
+    /// The lock or wait queue each blocked thread waits on.
+    waiting: [Wait; MAX_THREADS],
+    /// How many threads are in a [`Wait::Sleep`]: while none is, no timeout
+    /// can fall due.
+    sleepers: usize,
+    /// The next arrival ticket: how many waits and preparations the run has
+    /// seen.
+    ticket: u64,
     rcu_depth: [u8; MAX_THREADS],
     sync_waiters: Vec<usize>,
-    /// Threads registered on each wait queue (`prepare_to_wait`), not yet
-    /// committed to sleeping.
-    prepared: HashMap<u64, Vec<usize>, BuildStepHasher>,
+    /// The wait queues each thread is registered on (`prepare_to_wait`) and
+    /// not yet committed to sleeping on, with the ticket of its first
+    /// registration.
+    prepared: [Vec<(u64, u64)>; MAX_THREADS],
     /// Wakeups banked per thread while it was prepared: queue ids whose
     /// next commit returns immediately.
     tokens: [Vec<u64>; MAX_THREADS],
-    /// Threads committed to sleeping on each wait queue, with the site that
-    /// committed (for timeout attribution).
-    wait_sleepers: HashMap<u64, VecDeque<(usize, Site)>, BuildStepHasher>,
-    /// Step deadline of each sleeping thread, if any.
-    sleep_deadline: [Option<u64>; MAX_THREADS],
     /// Atomic-context nesting depth per thread.
     atomic_depth: [u8; MAX_THREADS],
     sync_events: Vec<SyncEvent>,
@@ -350,14 +368,13 @@ impl Executor {
             status: [TStat::Ready; MAX_THREADS],
             owed: [const { None }; MAX_THREADS],
             held: std::array::from_fn(|_| LockSet::new()),
-            lock_owner: HashMap::default(),
-            lock_waiters: HashMap::default(),
+            waiting: [Wait::None; MAX_THREADS],
+            sleepers: 0,
+            ticket: 0,
             rcu_depth: [0; MAX_THREADS],
             sync_waiters: Vec::new(),
-            prepared: HashMap::default(),
+            prepared: [const { Vec::new() }; MAX_THREADS],
             tokens: [const { Vec::new() }; MAX_THREADS],
-            wait_sleepers: HashMap::default(),
-            sleep_deadline: [None; MAX_THREADS],
             atomic_depth: [0; MAX_THREADS],
             sync_events: spare.sync_events,
             trace,
@@ -372,6 +389,12 @@ impl Executor {
         };
         let mut current = 0usize;
         loop {
+            // The common step: the running thread goes on and no timeout can
+            // fall due, so there is nothing to expire and nobody to pick.
+            if st.status[current] == TStat::Ready && st.sleepers == 0 {
+                service_one(&mut st, &mut vcpus, &mut current);
+                continue;
+            }
             if st.status[..n].iter().all(|s| *s == TStat::Done) {
                 break;
             }
@@ -476,7 +499,7 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
                     addr,
                     0,
                 );
-                st.release_lock(t, addr);
+                st.release_lock(addr);
             }
             if st.rcu_depth[t] > 0 {
                 st.rcu_depth[t] = 0;
@@ -487,9 +510,7 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
                     .push(format!("WARNING: thread {t} exited in atomic context"));
                 st.atomic_depth[t] = 0;
             }
-            for prep in st.prepared.values_mut() {
-                prep.retain(|u| *u != t);
-            }
+            st.prepared[t].clear();
             st.tokens[t].clear();
         }
         _ if st.aborting => {
@@ -567,34 +588,29 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
                 }
             }
         }
-        Request::Lock { addr, site } => match st.lock_owner.get(&addr) {
-            None => {
-                st.lock_owner.insert(addr, t);
-                st.held[t].push(addr);
-                st.sync_event(t, site, SyncKind::LockAcquire, addr, 0);
-                vcpu.reply(Reply::Unit);
-            }
-            Some(owner) if *owner == t => {
+        Request::Lock { addr, site } => {
+            if st.held[t].contains(&addr) {
                 vcpu.reply(Reply::Fault(Fault::LockError { addr }));
-            }
-            Some(_) => {
-                st.lock_waiters
-                    .entry(addr)
-                    .or_default()
-                    .push_back((t, site));
+            } else if st.held[..st.n].iter().any(|h| h.contains(&addr)) {
+                let ticket = st.next_ticket();
+                st.waiting[t] = Wait::Lock { addr, site, ticket };
                 st.status[t] = TStat::Blocked;
                 // No reply: the thread stays parked until the lock is
                 // handed over or the run aborts. The LockAcquire event
                 // is recorded at grant time, in release_lock.
+            } else {
+                st.held[t].push(addr);
+                st.sync_event(t, site, SyncKind::LockAcquire, addr, 0);
+                vcpu.reply(Reply::Unit);
             }
-        },
+        }
         Request::Unlock { addr, site } => {
-            if st.lock_owner.get(&addr) != Some(&t) {
+            if !st.held[t].contains(&addr) {
                 vcpu.reply(Reply::Fault(Fault::LockError { addr }));
             } else {
                 st.held[t].retain(|a| *a != addr);
                 st.sync_event(t, site, SyncKind::LockRelease, addr, 0);
-                st.release_lock(t, addr);
+                st.release_lock(addr);
                 vcpu.reply(Reply::Unit);
             }
         }
@@ -614,9 +630,9 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
             }
         }
         Request::WaitPrepare { queue, site } => {
-            let prep = st.prepared.entry(queue).or_default();
-            if !prep.contains(&t) {
-                prep.push(t);
+            if !st.prepared[t].iter().any(|(q, _)| *q == queue) {
+                let ticket = st.next_ticket();
+                st.prepared[t].push((queue, ticket));
             }
             st.sync_event(t, site, SyncKind::SleepPrepare, queue, 0);
             vcpu.reply(Reply::Unit);
@@ -626,9 +642,7 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
             site,
             timeout,
         } => {
-            if let Some(prep) = st.prepared.get_mut(&queue) {
-                prep.retain(|u| *u != t);
-            }
+            st.prepared[t].retain(|(q, _)| *q != queue);
             if let Some(i) = st.tokens[t].iter().position(|q| *q == queue) {
                 // A wakeup was banked while we were prepared: consume it
                 // and return without ever sleeping.
@@ -637,47 +651,56 @@ fn service_one(st: &mut RunState<'_>, vcpus: &mut [Vcpu], current: &mut usize) {
                 vcpu.reply(Reply::Value(1));
             } else {
                 let deadline = st.steps.saturating_add(timeout.max(1));
-                st.wait_sleepers
-                    .entry(queue)
-                    .or_default()
-                    .push_back((t, site));
-                st.sleep_deadline[t] = Some(deadline);
+                let ticket = st.next_ticket();
+                st.waiting[t] = Wait::Sleep {
+                    queue,
+                    site,
+                    deadline,
+                    ticket,
+                };
+                st.sleepers += 1;
                 st.status[t] = TStat::Blocked;
                 st.sync_event(t, site, SyncKind::SleepCommit, queue, timeout);
                 // No reply until a wakeup, the timeout, or an abort.
             }
         }
         Request::WaitCancel { queue, site } => {
-            if let Some(prep) = st.prepared.get_mut(&queue) {
-                prep.retain(|u| *u != t);
-            }
+            st.prepared[t].retain(|(q, _)| *q != queue);
             st.tokens[t].retain(|q| *q != queue);
             st.sync_event(t, site, SyncKind::SleepCancel, queue, 0);
             vcpu.reply(Reply::Unit);
         }
         Request::Wake { queue, site, all } => {
             let mut delivered = 0u64;
-            loop {
-                let next = st.wait_sleepers.get_mut(&queue).and_then(|s| s.pop_front());
-                match next {
-                    Some((w, _wsite)) => {
-                        st.status[w] = TStat::Ready;
-                        st.owed[w] = Some(Reply::Value(1));
-                        st.sleep_deadline[w] = None;
-                        delivered += 1;
-                        if !all {
-                            break;
-                        }
-                    }
-                    None => break,
+            // Sleepers in the order they went to sleep.
+            while let Some(w) = st.first_waiter(|w| match w {
+                Wait::Sleep {
+                    queue: q, ticket, ..
+                } if q == queue => Some(ticket),
+                _ => None,
+            }) {
+                st.release(w, Reply::Value(1));
+                delivered += 1;
+                if !all {
+                    break;
                 }
             }
             if all || delivered == 0 {
                 // Bank the signal on threads that have prepared but not
-                // yet committed: their commit will return immediately.
-                for u in st.prepared.get(&queue).into_iter().flatten() {
-                    if !st.tokens[*u].contains(&queue) {
-                        st.tokens[*u].push(queue);
+                // yet committed, in the order they prepared: their commit
+                // will return immediately.
+                let mut prepared = [(0u64, 0usize); MAX_THREADS];
+                let mut len = 0;
+                for u in 0..st.n {
+                    if let Some((_, ticket)) = st.prepared[u].iter().find(|(q, _)| *q == queue) {
+                        prepared[len] = (*ticket, u);
+                        len += 1;
+                    }
+                }
+                prepared[..len].sort_unstable();
+                for &(_, u) in &prepared[..len] {
+                    if !st.tokens[u].contains(&queue) {
+                        st.tokens[u].push(queue);
                         delivered += 1;
                     }
                     if !all && delivered > 0 {
@@ -756,46 +779,75 @@ impl RunState<'_> {
         });
     }
 
-    /// Hands the lock at `addr` to its next waiter, or frees it.
-    fn release_lock(&mut self, _t: usize, addr: u64) {
-        self.lock_owner.remove(&addr);
-        let next = self.lock_waiters.get_mut(&addr).and_then(|w| w.pop_front());
-        if let Some((w, wsite)) = next {
-            self.lock_owner.insert(addr, w);
+    /// Draws the next arrival ticket.
+    fn next_ticket(&mut self) -> u64 {
+        self.ticket += 1;
+        self.ticket
+    }
+
+    /// The waiting thread with the lowest key, where `key` gives the key of
+    /// the waits that count and `None` for the rest.
+    fn first_waiter<K: Ord>(&self, key: impl Fn(Wait) -> Option<K>) -> Option<usize> {
+        (0..self.n)
+            .filter_map(|u| Some((key(self.waiting[u])?, u)))
+            .min()
+            .map(|(_, u)| u)
+    }
+
+    /// Ends `w`'s wait on a lock or queue: it is ready again and finds
+    /// `reply` on its next resumption.
+    fn release(&mut self, w: usize, reply: Reply) {
+        if let Wait::Sleep { .. } = self.waiting[w] {
+            self.sleepers -= 1;
+        }
+        self.waiting[w] = Wait::None;
+        self.status[w] = TStat::Ready;
+        self.owed[w] = Some(reply);
+    }
+
+    /// Hands the lock at `addr` to the waiter that came first, if any; the
+    /// lock is free otherwise.
+    fn release_lock(&mut self, addr: u64) {
+        let next = self.first_waiter(|w| match w {
+            Wait::Lock {
+                addr: a, ticket, ..
+            } if a == addr => Some(ticket),
+            _ => None,
+        });
+        if let Some(w) = next {
+            let Wait::Lock { site, .. } = self.waiting[w] else {
+                unreachable!("found waiting on the lock");
+            };
+            self.release(w, Reply::Unit);
             self.held[w].push(addr);
-            self.status[w] = TStat::Ready;
-            self.owed[w] = Some(Reply::Unit);
-            self.sync_event(w, wsite, SyncKind::LockAcquire, addr, 0);
+            self.sync_event(w, site, SyncKind::LockAcquire, addr, 0);
         }
     }
 
     /// Releases every sleeping thread whose deadline has passed with a
     /// timed-out (`Value(0)`) result, recording a [`SyncKind::SleepTimeout`]
-    /// event per release: queues by ascending address, for determinism, the
+    /// event per release: the due sleeper with the lowest (queue address,
+    /// ticket) first, for determinism — queues by ascending address, the
     /// sleepers of one queue in the order they went to sleep.
     fn expire_sleepers(&mut self) {
-        if self.wait_sleepers.is_empty() {
+        if self.sleepers == 0 {
             return;
         }
         let now = self.steps;
-        // One sleeper per round — there are at most `MAX_THREADS` — found
-        // where it waits, so that a call collects nothing.
-        while let Some((q, at)) = self
-            .wait_sleepers
-            .iter()
-            .filter_map(|(q, sleepers)| {
-                let due =
-                    |(w, _): &(usize, Site)| self.sleep_deadline[*w].is_some_and(|d| d <= now);
-                Some((*q, sleepers.iter().position(due)?))
-            })
-            .min()
-        {
-            let sleepers = self.wait_sleepers.get_mut(&q).expect("found in it");
-            let (w, wsite) = sleepers.remove(at).expect("found at that position");
-            self.status[w] = TStat::Ready;
-            self.owed[w] = Some(Reply::Value(0));
-            self.sleep_deadline[w] = None;
-            self.sync_event(w, wsite, SyncKind::SleepTimeout, q, 0);
+        while let Some(w) = self.first_waiter(|w| match w {
+            Wait::Sleep {
+                queue,
+                deadline,
+                ticket,
+                ..
+            } if deadline <= now => Some((queue, ticket)),
+            _ => None,
+        }) {
+            let Wait::Sleep { queue, site, .. } = self.waiting[w] else {
+                unreachable!("found sleeping");
+            };
+            self.release(w, Reply::Value(0));
+            self.sync_event(w, site, SyncKind::SleepTimeout, queue, 0);
         }
     }
 
@@ -816,7 +868,13 @@ impl RunState<'_> {
     /// The earliest pending sleep deadline, if any thread is in a timed
     /// sleep.
     fn earliest_sleep_deadline(&self) -> Option<u64> {
-        self.sleep_deadline.iter().flatten().copied().min()
+        self.waiting[..self.n]
+            .iter()
+            .filter_map(|w| match w {
+                Wait::Sleep { deadline, .. } => Some(*deadline),
+                _ => None,
+            })
+            .min()
     }
 
     fn wake_rcu_waiters_if_quiescent(&mut self) {
@@ -842,12 +900,11 @@ impl RunState<'_> {
                 self.owed[t] = Some(Reply::Fault(Fault::Aborted));
             }
         }
-        self.lock_waiters.clear();
+        self.waiting = [Wait::None; MAX_THREADS];
+        self.sleepers = 0;
         self.sync_waiters.clear();
-        self.wait_sleepers.clear();
-        self.prepared.clear();
-        for d in &mut self.sleep_deadline {
-            *d = None;
+        for prep in &mut self.prepared {
+            prep.clear();
         }
     }
 }

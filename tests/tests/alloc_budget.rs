@@ -124,9 +124,10 @@ fn a_trial_stays_within_its_allocation_budget() {
     assert!(
         (20.0..=HUNT_BUDGET).contains(&hunt),
         "{hunt:.1} allocations per trial on the hunt shape; measured {HUNT_MEASURED} when the \
-         budget of {HUNT_BUDGET} was set ({HUNT_PARENT} when every trial rendered its races, the \
-         race scan sorted a copy of the trace and the lock-rule miner kept a vector per address; \
-         far below 20 means the one worker is not this thread)"
+         budget of {HUNT_BUDGET} was set ({HUNT_PARENT} while the executor built lock and wait \
+         maps per run; {HUNT_FIRST} when every trial rendered its races, the race scan sorted a \
+         copy of the trace and the lock-rule miner kept a vector per address; far below 20 means \
+         the one worker is not this thread)"
     );
     // The `trials-hot` shape: 64 exemplars x 16 trials, findings or not.
     let hot = allocations_per_trial(
@@ -141,18 +142,23 @@ fn a_trial_stays_within_its_allocation_budget() {
     assert!(
         (20.0..=HOT_BUDGET).contains(&hot),
         "{hot:.1} allocations per trial on the trials-hot shape; measured {HOT_MEASURED} when \
-         the budget of {HOT_BUDGET} was set ({HOT_PARENT} at its parent)"
+         the budget of {HOT_BUDGET} was set ({HOT_PARENT} at its parent, {HOT_FIRST} before the \
+         change that set the first budget)"
     );
 }
 
-/// Measured at the change that set these budgets and at its parent. Of the
-/// measured counts the executor's run is 21.4 and 20.2: the two boxed thread
-/// futures, the job closures.
-const HUNT_MEASURED: f64 = 40.1;
-const HUNT_PARENT: f64 = 59.7;
+/// Measured at the change that set these budgets and at its parent; the
+/// first budgets were set at 40.1 and 29.2 (from 59.7 and 47.6). The change
+/// took the executor's per-run lock-owner, lock-waiter, prepared and sleeper
+/// maps out (1.7 and 1.6 per trial); what is left of the executor's run is
+/// the two boxed thread futures and the job closures.
+const HUNT_MEASURED: f64 = 38.4;
+const HUNT_PARENT: f64 = 40.1;
+const HUNT_FIRST: f64 = 59.7;
 const HUNT_BUDGET: f64 = HUNT_MEASURED + 2.0;
-const HOT_MEASURED: f64 = 29.2;
-const HOT_PARENT: f64 = 47.6;
+const HOT_MEASURED: f64 = 27.6;
+const HOT_PARENT: f64 = 29.2;
+const HOT_FIRST: f64 = 47.6;
 const HOT_BUDGET: f64 = HOT_MEASURED + 2.0;
 
 #[test]
@@ -236,7 +242,8 @@ fn lock_operations_allocate_nothing_per_acquire_or_release() {
     assert_eq!(
         fifty, one,
         "a run with 50 lock pairs allocated {fifty} times, the same run with one {one} times \
-         (measured: 10 and 10; 112 and 14 when the set was a shared, copied-on-write vector)"
+         (measured: 9 and 9; 10 and 10 while the executor kept a lock-owner map, 112 and 14 when \
+         the set was a shared, copied-on-write vector)"
     );
 }
 
@@ -277,8 +284,9 @@ fn wakes_and_sleeps_allocate_nothing_per_round() {
     assert_eq!(
         fifty, one,
         "a run with 50 wake/sleep rounds allocated {fifty} times, the same run with one {one} \
-         times (measured: 14 and 14; 263 and 18 when a wake copied the queue's prepared list and \
-         every step with a sleeper collected the queue keys and rebuilt each queue)"
+         times (measured: 11 and 11; 14 and 14 while the executor kept its prepared and sleeper \
+         maps, 263 and 18 when a wake copied the queue's prepared list and every step with a \
+         sleeper collected the queue keys and rebuilt each queue)"
     );
 }
 
